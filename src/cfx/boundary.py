@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 from typing import List, Optional
 
 from .exterior import ExtForm
@@ -180,10 +179,6 @@ class CurvatureForm:
         return self.form.is_zero()
 
 
-def curvature(frame: TangentFrame) -> CurvatureForm:
-    return CurvatureForm(frame)
-
-
 def expected_curvature_component(group: GroupSpec, a: int, b: int) -> ComplexRational:
     """Closed-form block expression for the curvature component E_{ab}.
 
@@ -301,17 +296,6 @@ class BoundarySpec:
             return (self.k - j - 1, degree, "S")
         return (j - self.k, j, "tilde")
 
-    def lead_dim(self, j: int) -> int:
-        s, d, _ = self.lead_shape(j)
-        return (s + 1) * comb(self.form_dim, d)
-
-    def companion_dim(self, j: int) -> int:
-        shape = self.companion_shape(j)
-        if shape is None:
-            return 0
-        s, d, _ = shape
-        return (s + 1) * comb(self.form_dim, d)
-
 
 @dataclass
 class BoundaryField:
@@ -397,11 +381,6 @@ def boundary_D(frame: TangentFrame, fld: BoundaryField) -> BoundaryField:
     if j == k:
         return _branch_middle_out(frame, fld)
     return _branch_above(frame, fld)
-
-
-def make_boundary_Dj(frame: TangentFrame, spec: BoundarySpec, j: int):
-    spec._check_operator_level(j)
-    return lambda fld: boundary_D(frame, fld)
 
 
 def _dd(frame, f, a, b):

@@ -75,11 +75,15 @@ def cmd_classify(args) -> int:
     return EXIT_PASS
 
 
-def cmd_verify(args) -> int:
+def _check_sizes(args, min_trials: int) -> None:
     if args.n > MAX_N:
-        print(f"input error: n={args.n} exceeds the configured limit {MAX_N}",
-              file=sys.stderr)
-        return EXIT_INPUT
+        raise ValueError(f"n={args.n} exceeds the configured limit {MAX_N}")
+    if args.trials < min_trials:
+        raise ValueError(f"--trials must be at least {min_trials}")
+
+
+def cmd_verify(args) -> int:
+    _check_sizes(args, min_trials=1)
     reports = []
     if args.target == "flat":
         reports.append(suites.flat_composition_suite(args.n, args.k, args.trials,
@@ -119,10 +123,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_symbol(args) -> int:
-    if args.n > MAX_N:
-        print(f"input error: n={args.n} exceeds the configured limit {MAX_N}",
-              file=sys.stderr)
-        return EXIT_INPUT
+    _check_sizes(args, min_trials=0)
     spec = ComplexSpec(args.n, args.k)
     vectors = []
     if args.v:

@@ -6,7 +6,6 @@ is the parity of the merge permutation, and a repeated index kills the term.
 
 from __future__ import annotations
 
-from itertools import combinations
 from typing import Mapping, Sequence
 
 from .poly import Poly
@@ -166,9 +165,6 @@ class ExtForm:
     def component(self, idx) -> Poly:
         return self.comps.get(tuple(idx), Poly.zero(self.vars))
 
-    def index_tuples(self):
-        return combinations(range(self.dim), self.degree)
-
     def __str__(self):
         if not self.comps:
             return "0"
@@ -205,14 +201,6 @@ class ExtForm:
 def wedge(f: ExtForm, g: ExtForm) -> ExtForm:
     """Graded-anticommutative product of two forms."""
     return f.wedge(g)
-
-
-def wedge_all(forms) -> ExtForm:
-    forms = list(forms)
-    out = forms[0]
-    for f in forms[1:]:
-        out = out.wedge(f)
-    return out
 
 
 def top_form(dim: int, variables) -> ExtForm:

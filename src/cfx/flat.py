@@ -14,6 +14,7 @@ from math import comb
 from typing import Dict, List, Sequence
 
 from .exterior import ExtForm
+from .linalg import echelon
 from .poly import Poly, x_vars
 from .rational import ComplexRational, I, ONE, ZERO, cq
 from .spinor import SpinorField, symmetrize
@@ -142,10 +143,6 @@ class ComplexSpec:
         if not 0 <= j <= 2 * self.n:
             raise ValueError(f"operator level {j} out of range 0..{2 * self.n}")
 
-    def zero_field(self, j: int) -> SpinorField:
-        return SpinorField.zero(self.sigma(j), self.basis_tag(j),
-                                self.form_dim, self.tau(j), self.vars)
-
 
 def flat_D(spec: ComplexSpec, j: int, field: SpinorField) -> SpinorField:
     """Apply the level-j operator to a slot field at level j."""
@@ -207,22 +204,10 @@ def flat_D_tuple(spec: ComplexSpec, j: int, field: SpinorField) -> SpinorField:
     return symmetrize(raw)
 
 
-def make_Dj_tuple(spec: ComplexSpec, j: int):
-    spec._check_operator_level(j)
-    return lambda field: flat_D_tuple(spec, j, field)
-
-
 def dot_pi(spec: ComplexSpec, j: int, field: SpinorField) -> SpinorField:
     """Tuple -> slot isomorphism at level j (binomial weights above the middle)."""
     from .spinor import tuple_to_slots
     return tuple_to_slots(field, spec.basis_tag(j))
-
-
-def dot_pi_inv(spec: ComplexSpec, j: int, field: SpinorField) -> SpinorField:
-    from .spinor import slots_to_tuple
-    if field.basis != spec.basis_tag(j):
-        raise ValueError(f"expected {spec.basis_tag(j)} basis at level {j}")
-    return slots_to_tuple(field)
 
 
 def _check_field(spec: ComplexSpec, j: int, field: SpinorField):
@@ -317,47 +302,9 @@ def _accumulate(existing, feed):
     return feed if existing is None else existing + feed
 
 
-def mat_mul(a: list, b: list) -> list:
-    rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
-    out = []
-    for i in range(rows):
-        row = []
-        for jcol in range(cols):
-            acc = ZERO
-            for t in range(inner):
-                acc = acc + a[i][t] * b[t][jcol]
-            row.append(acc)
-        out.append(row)
-    return out
-
-
 def rank_exact(matrix: list) -> int:
-    """Rank over the exact complex rationals by Gaussian elimination."""
-    m = [row[:] for row in matrix]
-    if not m or not m[0]:
-        return 0
-    rows, cols = len(m), len(m[0])
-    rank = 0
-    pivot_col = 0
-    for pivot_col in range(cols):
-        pivot_row = None
-        for r in range(rank, rows):
-            if not m[r][pivot_col].is_zero():
-                pivot_row = r
-                break
-        if pivot_row is None:
-            continue
-        m[rank], m[pivot_row] = m[pivot_row], m[rank]
-        inv = ONE / m[rank][pivot_col]
-        m[rank] = [val * inv for val in m[rank]]
-        for r in range(rows):
-            if r != rank and not m[r][pivot_col].is_zero():
-                factor = m[r][pivot_col]
-                m[r] = [val - factor * piv for val, piv in zip(m[r], m[rank])]
-        rank += 1
-        if rank == rows:
-            break
-    return rank
+    """Rank over the exact complex rationals."""
+    return echelon(matrix)[0]
 
 
 def check_exactness(spec: ComplexSpec, v: Sequence) -> dict:

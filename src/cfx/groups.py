@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Tuple
 
+from .linalg import bareiss_det, echelon
 from .operators import FirstOrderOp
 from .poly import Poly, group_vars
 from .rational import ComplexRational
@@ -125,6 +126,8 @@ class GroupSpec:
     B: tuple = field(init=False)
 
     def __post_init__(self):
+        if self.n < 1:
+            raise ValueError("need n >= 1")
         size = 4 * self.n
         S = mat(self.S)
         if len(S) != size or any(len(row) != size for row in S):
@@ -341,26 +344,7 @@ def is_stratified(g: GroupSpec) -> bool:
     for a in range(size):
         for b in range(a + 1, size):
             rows.append((g.B[0][a][b], g.B[1][a][b], g.B[2][a][b]))
-    return _rational_rank(rows) == 3
-
-
-def _rational_rank(rows) -> int:
-    m = [list(r) for r in rows if any(r)]
-    rank = 0
-    cols = 3
-    for col in range(cols):
-        pivot = next((r for r in range(rank, len(m)) if m[r][col] != 0), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        piv = m[rank][col]
-        m[rank] = [x / piv for x in m[rank]]
-        for r in range(len(m)):
-            if r != rank and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[rank])]
-        rank += 1
-    return rank
+    return echelon(rows)[0] == 3
 
 
 def central_pairing_det(g: GroupSpec, lam) -> Fraction:
@@ -368,27 +352,7 @@ def central_pairing_det(g: GroupSpec, lam) -> Fraction:
     size = 4 * g.n
     m = [[sum(Fraction(lam[beta]) * g.B[beta][i][j] for beta in range(3))
           for j in range(size)] for i in range(size)]
-    return _fraction_det(m)
-
-
-def _fraction_det(m) -> Fraction:
-    size = len(m)
-    m = [row[:] for row in m]
-    det = Fraction(1)
-    for col in range(size):
-        pivot = next((r for r in range(col, size) if m[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, size):
-            if m[r][col] != 0:
-                f = m[r][col] * inv
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return det
+    return Fraction(echelon(m)[1])
 
 
 def central_pairing_det_poly(g: GroupSpec) -> Poly:
@@ -406,52 +370,7 @@ def central_pairing_det_poly(g: GroupSpec) -> Poly:
                 c = g.B[beta][i][j]
                 if c:
                     m[i][j] = m[i][j] + Poly.var(lam_vars, lam_vars[beta], ComplexRational(c))
-    return _bareiss_det(m, lam_vars)
-
-
-def _bareiss_det(m, variables) -> Poly:
-    size = len(m)
-    if size == 0:
-        return Poly.const(variables, 1)
-    sign = 1
-    prev = Poly.const(variables, 1)
-    for col in range(size - 1):
-        if m[col][col].is_zero():
-            pivot = next((r for r in range(col + 1, size) if not m[r][col].is_zero()), None)
-            if pivot is None:
-                return Poly.zero(variables)
-            m[col], m[pivot] = m[pivot], m[col]
-            sign = -sign
-        for r in range(col + 1, size):
-            for c in range(col + 1, size):
-                num = m[r][c] * m[col][col] - m[r][col] * m[col][c]
-                m[r][c] = _exact_poly_div(num, prev)
-            m[r][col] = Poly.zero(variables)
-        prev = m[col][col]
-    det = m[size - 1][size - 1]
-    return det.scale(sign)
-
-
-def _exact_poly_div(num: Poly, den: Poly) -> Poly:
-    """Exact division num/den (den is known to divide num in Bareiss)."""
-    if den.total_degree() == 0:
-        c = den.constant_term()
-        return Poly(num.vars, {e: co / c for e, co in num.terms.items()})
-    # multivariate long division by a single divisor with exact quotient
-    remainder = num
-    quotient = Poly.zero(num.vars)
-    den_terms = sorted(den.terms.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True)
-    lead_e, lead_c = den_terms[0]
-    while not remainder.is_zero():
-        r_terms = sorted(remainder.terms.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True)
-        r_e, r_c = r_terms[0]
-        diff = tuple(a - b for a, b in zip(r_e, lead_e))
-        if any(d < 0 for d in diff):
-            raise ArithmeticError("inexact polynomial division in fraction-free elimination")
-        mono = Poly.monomial(num.vars, diff, r_c / lead_c)
-        quotient = quotient + mono
-        remainder = remainder - mono * den
-    return quotient
+    return bareiss_det(m, lam_vars)
 
 
 def sphere_grid(resolution: int = 6):

@@ -66,14 +66,6 @@ class Region:
         return all(sl <= ol and oh <= sh for sl, ol, oh, sh in
                    zip(self.lows, other.lows, other.highs, self.highs))
 
-    def grid(self, points_per_axis: Optional[int] = None):
-        pts = points_per_axis or (self.resolution + 1)
-        axes = []
-        for l, h in zip(self.lows, self.highs):
-            axes.append([float(l) + (float(h) - float(l)) * i / (pts - 1)
-                         for i in range(pts)])
-        return axes
-
 
 # -- the degree-2 operator and its powers ------------------------------------------------
 
@@ -161,12 +153,6 @@ def volume_form(frame: TangentFrame) -> ExtForm:
 
 
 # -- Stokes-type boundary formula -------------------------------------------------------
-
-
-def _field_normal_component(frame: TangentFrame, b: int, axis: int) -> Poly:
-    """Pairing of the horizontal field X_b with the outward axis direction."""
-    name = frame.vars[axis]
-    return frame.X[b].coefficient(name)
 
 
 def _z_rho_on_face(frame: TangentFrame, row: int, aprime: int, axis: int,

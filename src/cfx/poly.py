@@ -8,7 +8,6 @@ arithmetic is exact.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .rational import ComplexRational, ONE, ZERO, cq
@@ -189,14 +188,6 @@ class Poly:
         if not self.terms:
             return -1
         return max(sum(e) for e in self.terms)
-
-    def degree_in(self, name: str) -> int:
-        if name not in self.vars:
-            raise KeyError(f"unknown variable {name!r}")
-        idx = self.vars.index(name)
-        if not self.terms:
-            return -1
-        return max(e[idx] for e in self.terms)
 
     def coefficient(self, exponents) -> ComplexRational:
         return self.terms.get(tuple(exponents), ZERO)

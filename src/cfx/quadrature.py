@@ -8,7 +8,6 @@ cutoff functions used in the estimate experiments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, Sequence, Tuple

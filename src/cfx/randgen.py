@@ -12,7 +12,6 @@ import os
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import comb
 
 from .exterior import ExtForm
 from .poly import Poly

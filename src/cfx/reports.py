@@ -29,18 +29,6 @@ class Report:
         out.update(self.extra)
         return out
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "Report":
-        known = {"identity", "params", "seed", "pass", "residual"}
-        return cls(
-            identity=data["identity"],
-            params=data.get("params", {}),
-            seed=data.get("seed"),
-            passed=bool(data["pass"]),
-            residual=data.get("residual", "0"),
-            extra={k: v for k, v in data.items() if k not in known},
-        )
-
 
 def dumps(payload) -> str:
     """Deterministic JSON: sorted keys, no float repr surprises beyond repr()."""

@@ -7,12 +7,12 @@ byte-identical.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 from .boundary import (BoundaryField, BoundarySpec, TangentFrame, boundary_D,
                        bracket_identity, hodge_diag, horizontal_pair_identity,
                        subcomplex_D, verify_anticommute)
-from .flat import ComplexSpec, check_exactness, dot_pi, flat_D, flat_D_tuple
+from .flat import ComplexSpec, dot_pi, flat_D, flat_D_tuple
 from .groups import GroupSpec
 from .randgen import SectionGenerator
 from .reports import Report
@@ -146,12 +146,3 @@ def hodge_suite(group: GroupSpec, k: int, trials: int, seed: int,
     data = hodge_diag(BoundarySpec(group.n, k), frame, trials=trials, seed=seed)
     return Report(data["identity"], data["params"], seed, data["pass"],
                   data["residual"])
-
-
-def symbol_suite(n: int, k: int, vectors: List, seed: Optional[int]) -> Report:
-    spec = ComplexSpec(n, k)
-    results = [check_exactness(spec, v) for v in vectors]
-    ok = all(r["exact"] for r in results)
-    return Report("symbol-exactness", {"n": n, "k": k, "count": len(vectors)},
-                  seed, ok, "0" if ok else "rank defect",
-                  extra={"results": results})

@@ -4,7 +4,7 @@ from cfx.boundary import (BoundaryField, BoundarySpec, CurvatureForm,
                           TangentFrame, ambient_curvature, ambient_omega,
                           ambient_rho, ambient_tangential_fields,
                           anticommutation_defect, boundary_D, bracket_identity,
-                          curvature, curvature_form,
+                          curvature_form,
                           expected_curvature_component, frak_d, frak_d_lower,
                           hodge_diag, horizontal_pair_identity,
                           lead_first_adjoint_compose, sub_laplacian,

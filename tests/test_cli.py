@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from cfx.cli import main
 
 
@@ -83,6 +85,41 @@ def test_verify_boundary_anticommute_left(capsys):
 def test_verify_rejects_large_n(capsys):
     code, _, err = run(capsys, "verify", "flat", "--n", "5")
     assert code == 2 and "limit" in err
+
+
+def test_classify_rejects_n_zero(capsys):
+    code, out, err = run(capsys, "classify", "--group", "rightQH", "--n", "0")
+    assert code == 2 and out == ""
+    assert err.startswith("input error:") and "n >= 1" in err
+
+
+def test_ma_rejects_n_zero(capsys):
+    code, _, err = run(capsys, "ma", "--group", "rightQH", "--n", "0")
+    assert code == 2 and err.startswith("input error:") and "n >= 1" in err
+
+
+def test_verify_boundary_rejects_n_zero(capsys):
+    code, _, err = run(capsys, "verify", "boundary", "--group", "leftQH", "--n", "0")
+    assert code == 2 and err.startswith("input error:") and "n >= 1" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "flat", "--n", "1", "--trials", "-1"),
+    ("verify", "flat", "--n", "1", "--trials", "0"),
+    ("verify", "boundary", "--group", "leftQH", "--n", "1", "--check", "anticommute",
+     "--trials", "0"),
+])
+def test_verify_rejects_fewer_than_one_trial(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("input error:") and "--trials" in err
+
+
+def test_symbol_rejects_negative_trials(capsys):
+    code, out, err = run(capsys, "symbol", "--n", "1", "--k", "1",
+                         "--v", "1,0,0,0,0,0,0,0", "--trials", "-1")
+    assert code == 2 and out == ""
+    assert err.startswith("input error:") and "--trials" in err
 
 
 def test_verify_right_type_only_check_on_left_group(capsys):

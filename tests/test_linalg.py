@@ -1,0 +1,125 @@
+"""Differential tests of the exact eliminator against brute-force oracles."""
+
+import random
+from fractions import Fraction
+from itertools import combinations
+
+import pytest
+
+from cfx.groups import (GroupSpec, central_pairing_det, central_pairing_det_poly,
+                        sphere_grid)
+from cfx.linalg import echelon
+from cfx.randgen import SectionGenerator
+from cfx.rational import ComplexRational
+
+
+def laplace_det(m):
+    """Cofactor expansion along the first row."""
+    if not m:
+        return 1
+    total = 0
+    for c, entry in enumerate(m[0]):
+        if entry:
+            minor = [row[:c] + row[c + 1:] for row in m[1:]]
+            term = entry * laplace_det(minor)
+            total = total + term if c % 2 == 0 else total - term
+    return total
+
+
+def minor_rank(m):
+    """Size of the largest square submatrix with a nonzero determinant."""
+    rows = len(m)
+    cols = len(m[0]) if m else 0
+    for size in range(min(rows, cols), 0, -1):
+        for rs in combinations(range(rows), size):
+            for cs in combinations(range(cols), size):
+                if laplace_det([[m[r][c] for c in cs] for r in rs]):
+                    return size
+    return 0
+
+
+def fraction_entry(rng):
+    if rng.random() < 0.3:
+        return Fraction(0)
+    return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+
+
+def complex_entry(rng):
+    return ComplexRational(fraction_entry(rng), fraction_entry(rng))
+
+
+def random_matrix(rng, entry, rows, cols):
+    return [[entry(rng) for _ in range(cols)] for _ in range(rows)]
+
+
+def product(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def cases(entry, seed):
+    """Seeded matrices up to 5 x 6: dense ones and thin-factor products."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(30):
+        rows, cols = rng.randint(1, 5), rng.randint(1, 6)
+        out.append(random_matrix(rng, entry, rows, cols))
+    for _ in range(30):
+        rows, cols = rng.randint(2, 5), rng.randint(2, 6)
+        inner = rng.randint(1, min(rows, cols) - 1)
+        out.append(product(random_matrix(rng, entry, rows, inner),
+                           random_matrix(rng, entry, inner, cols)))
+    for _ in range(10):
+        size = rng.randint(2, 5)
+        out.append(product(random_matrix(rng, entry, size, size - 1),
+                           random_matrix(rng, entry, size - 1, size)))
+    return out
+
+
+@pytest.mark.parametrize("entry,seed", [(fraction_entry, 1), (complex_entry, 2)])
+def test_echelon_matches_brute_force(entry, seed):
+    deficient = 0
+    for m in cases(entry, seed):
+        rank, det = echelon(m)
+        assert rank == minor_rank(m)
+        if len(m) == len(m[0]):
+            assert det == laplace_det(m)
+            deficient += rank < len(m)
+        else:
+            assert det is None
+    assert deficient >= 10
+
+
+def test_echelon_leaves_its_input_alone():
+    m = [[Fraction(2), Fraction(1)], [Fraction(4), Fraction(3)]]
+    copy = [row[:] for row in m]
+    assert echelon(m) == (2, 2)
+    assert m == copy
+
+
+def test_echelon_edge_cases():
+    zero = Fraction(0)
+    assert echelon([]) == (0, 1)
+    assert echelon([[], [], []]) == (0, None)
+    assert echelon([[zero] * 3 for _ in range(3)]) == (0, 0)
+    with_zero_row = [[Fraction(1), Fraction(2)], [zero, zero]]
+    assert echelon(with_zero_row) == (1, 0)
+    with_zero_col = [[zero, Fraction(1)], [zero, Fraction(5)], [zero, Fraction(-1)]]
+    assert echelon(with_zero_col) == (1, None)
+    assert echelon([[ComplexRational(0, 1)]]) == (1, ComplexRational(0, 1))
+    # a row swap flips the sign
+    assert echelon([[zero, Fraction(1)], [Fraction(1), zero]]) == (2, -1)
+
+
+def _group(name, n):
+    if name == "dense":
+        return GroupSpec(n, SectionGenerator(40 + n).symmetric_matrix(4 * n))
+    return GroupSpec.named(name, n)
+
+
+@pytest.mark.parametrize("name", ["rightQH", "leftQH", "dense"])
+@pytest.mark.parametrize("n", [1, 2])
+def test_central_pairing_det_matches_symbolic_determinant(name, n):
+    group = _group(name, n)
+    det_poly = central_pairing_det_poly(group)
+    for lam in sphere_grid(4):
+        assert central_pairing_det(group, lam) == det_poly.eval_exact(list(lam)).re

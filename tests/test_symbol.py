@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from cfx.flat import ComplexSpec, check_exactness, mat_mul, rank_exact, symbol_at
+from cfx.flat import ComplexSpec, check_exactness, rank_exact, symbol_at
+from cfx.groups import mat_mul
 from cfx.randgen import SectionGenerator
 from cfx.rational import cq
 

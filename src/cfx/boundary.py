@@ -556,20 +556,24 @@ def bracket_identity(frame: TangentFrame) -> dict:
 
     For every pair of form indices and symmetrized primed pair, the
     alternating second-order combination of tangential fields equals the
-    curvature component times the symmetrized translation operator.
+    curvature component times the symmetrized translation operator.  Each
+    group of primed pairs below is closed under swapping the pair, so the
+    eight compositions of a row pair are built once and serve all four
+    primed pairs, with at most four of them alive at a time.
     """
     quarter = Fraction(1, 4)
     curv = CurvatureForm(frame.group)
     ok = True
     worst = "0"
     for a in range(frame.dim):
+        za = frame.Z_upper[a]
         for b in range(a + 1, frame.dim):
-            for ap in (0, 1):
-                for bp in (0, 1):
-                    lhs = (SecondOrderOp.compose(frame.Z_upper[a][ap], frame.Z_upper[b][bp])
-                           + SecondOrderOp.compose(frame.Z_upper[a][bp], frame.Z_upper[b][ap])
-                           - SecondOrderOp.compose(frame.Z_upper[b][ap], frame.Z_upper[a][bp])
-                           - SecondOrderOp.compose(frame.Z_upper[b][bp], frame.Z_upper[a][ap]))
+            zb = frame.Z_upper[b]
+            for primes in (((0, 0),), ((0, 1), (1, 0)), ((1, 1),)):
+                ab = {(x, y): SecondOrderOp.compose(za[x], zb[y]) for x, y in primes}
+                ba = {(x, y): SecondOrderOp.compose(zb[x], za[y]) for x, y in primes}
+                for ap, bp in primes:
+                    lhs = ab[ap, bp] + ab[bp, ap] - ba[ap, bp] - ba[bp, ap]
                     lhs = lhs.scale(quarter)
                     coeff = curv.component(a, b)
                     t_sym = frame.t_symmetric_upper(ap, bp)

@@ -159,6 +159,12 @@ def cmd_symbol(args) -> int:
 
 
 def cmd_ma(args) -> int:
+    if args.convergence < 0 or args.convergence == 1:
+        raise ValueError("--convergence must be 0 (off) or at least 2")
+    try:
+        half = Fraction(args.halfwidth)
+    except ZeroDivisionError as exc:
+        raise ValueError(f"bad --halfwidth: {exc}") from None
     try:
         group = _load_group(args)
     except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
@@ -170,7 +176,6 @@ def cmd_ma(args) -> int:
               "right-type group", file=sys.stderr)
         return EXIT_PRECONDITION
     naxes = 4 * group.n + 3
-    half = Fraction(args.halfwidth)
     K = Region.cube(naxes, half, args.resolution)
     L = Region.cube(naxes, half / 2, args.resolution)
     gen = SectionGenerator(args.seed)

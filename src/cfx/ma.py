@@ -367,10 +367,19 @@ def sup_norm_on_grid(u: Poly, region: Region, samples: int = 4096,
     lows = [float(x) for x in region.lows]
     highs = [float(x) for x in region.highs]
     best = 0.0
+    # float evaluation term by term; each coefficient is converted once
+    terms = [(expo, complex(coeff)) for expo, coeff in u.terms.items()]
 
     def visit(point):
         nonlocal best
-        val = abs(u.eval_float(point))
+        total = 0j
+        for expo, coeff in terms:
+            m = 1.0
+            for p, e in zip(point, expo):
+                if e:
+                    m *= p ** e
+            total += coeff * m
+        val = abs(total)
         if val > best:
             best = val
 
@@ -461,6 +470,8 @@ def convergence_experiment(q: Poly, frame: TangentFrame, L: Region,
     frame.require_right_type()
     if frame.n != 2:
         raise ValueError("the squared-power experiment is set up for n = 2")
+    if steps < 2:
+        raise ValueError("the convergence experiment needs at least 2 steps")
     sq = Poly.zero(frame.vars)
     for i in range(4 * frame.n):
         sq = sq + Poly.monomial(frame.vars,

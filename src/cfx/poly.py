@@ -198,17 +198,6 @@ class Poly:
     def is_homogeneous(self, degree: int) -> bool:
         return all(sum(e) == degree for e in self.terms)
 
-    def eval_float(self, point: Sequence[float]) -> complex:
-        """Evaluate at a numeric point (same order as the variable table)."""
-        total = 0j
-        for expo, coeff in self.terms.items():
-            m = 1.0
-            for p, e in zip(point, expo):
-                if e:
-                    m *= p ** e
-            total += complex(coeff) * m
-        return total
-
     def eval_exact(self, point) -> ComplexRational:
         """Evaluate at a point of Fractions/ComplexRationals, exactly."""
         total = ZERO

@@ -200,26 +200,80 @@ class SeparableSum:
         return out
 
     def integrate_box(self, lows: Sequence[Fraction], highs: Sequence[Fraction],
-                      extra_expo: Sequence[int] | None = None) -> ComplexRational:
-        """Exact integral, optionally against an extra monomial x^extra_expo."""
-        total = cq(0)
+                      weight: Poly | None = None) -> ComplexRational:
+        """Exact integral over the box, against the polynomial ``weight`` if given.
+
+        One pass: terms with equal per-axis factors are merged first (their
+        coefficients summed exactly); each distinct moment  int f(x) x^e dx
+        of an axis is computed once, by ``uni_integral``, into a table that
+        lives only for this call; a merged term then costs one product of
+        real moments per weight monomial and one complex multiply.
+        """
+        naxes = self.naxes
+        if weight is None:
+            monomials = {(0,) * naxes: cq(1)}
+        elif len(weight.vars) != naxes:
+            raise ValueError("weight does not match the number of axes")
+        else:
+            monomials = weight.terms
+        # per axis: distinct factor tuple -> index.  Terms share factor
+        # objects, so each object is hashed once (by id).
+        one = (Fraction(1),)
+        ids: List[Dict[tuple, int]] = [{} for _ in range(naxes)]
+        by_object: List[Dict[int, int]] = [{} for _ in range(naxes)]
+
+        def index(axis: int, factor: tuple) -> int:
+            fid = by_object[axis].get(id(factor))
+            if fid is None:
+                fid = ids[axis].setdefault(factor, len(ids[axis]))
+                by_object[axis][id(factor)] = fid
+            return fid
+
+        # Merge terms with equal factors.  The key packs a term's factor
+        # indices into one int: a tuple per term would stay parked in
+        # CPython's tuple free list after the call and raise peak memory.
+        radix = len(self.terms) + 1
+        merged: Dict[int, list] = {}
         for c, factors in self.terms:
-            prod = c
-            for axis in range(self.naxes):
-                base = factors.get(axis, (Fraction(1),))
-                if extra_expo is not None and extra_expo[axis]:
-                    base = uni_mul_x(base, extra_expo[axis])
-                prod = prod * cq(uni_integral(base, lows[axis], highs[axis]))
-                if prod.is_zero():
-                    break
-            total = total + prod
-        return total
+            fids = [index(axis, factors.get(axis, one)) for axis in range(naxes)]
+            key = 0
+            for fid in fids:
+                key = key * radix + fid
+            entry = merged.get(key)
+            if entry is None:
+                merged[key] = [c, fids]
+            else:
+                entry[0] += c
+        factor_of = [list(table) for table in ids]
+        moments: List[Dict[tuple, Fraction]] = [{} for _ in range(naxes)]
+        re = im = Fraction(0)
+        for c, fids in merged.values():
+            if c.is_zero():
+                continue
+            w_re = w_im = Fraction(0)
+            for expo, w in monomials.items():
+                prod = Fraction(1)
+                for axis in range(naxes):
+                    slot = (fids[axis], expo[axis])
+                    m = moments[axis].get(slot)
+                    if m is None:
+                        base = factor_of[axis][slot[0]]
+                        if slot[1]:
+                            base = uni_mul_x(base, slot[1])
+                        m = uni_integral(base, lows[axis], highs[axis])
+                        moments[axis][slot] = m
+                    if not m:
+                        break
+                    prod *= m
+                else:
+                    w_re += w.re * prod
+                    w_im += w.im * prod
+            re += c.re * w_re - c.im * w_im
+            im += c.re * w_im + c.im * w_re
+        return ComplexRational(re, im)
 
     def integrate_against_poly(self, p: Poly, lows, highs) -> ComplexRational:
-        total = cq(0)
-        for expo, coeff in p.terms.items():
-            total = total + self.integrate_box(lows, highs, expo) * coeff
-        return total
+        return self.integrate_box(lows, highs, p)
 
     def eval_float(self, point: Sequence[float]) -> complex:
         total = 0j

@@ -1,3 +1,5 @@
+import copy
+
 import pytest
 
 from cfx.boundary import (BoundaryField, BoundarySpec, CurvatureForm,
@@ -11,6 +13,7 @@ from cfx.boundary import (BoundaryField, BoundarySpec, CurvatureForm,
                           subcomplex_D, verify_anticommute)
 from cfx.exterior import ExtForm
 from cfx.groups import GroupSpec
+from cfx.operators import SecondOrderOp
 from cfx.poly import Poly
 from cfx.randgen import SectionGenerator
 from cfx.rational import cq
@@ -364,6 +367,36 @@ def test_anticommutation_on_central_coordinate():
 def test_bracket_identity_all_groups():
     for frame in (RIGHT1, LEFT1, ABELIAN1):
         assert bracket_identity(frame)["pass"]
+
+
+def _dense_right1():
+    gen = SectionGenerator(31)
+    frame = TangentFrame(GroupSpec(1, tuple(tuple(r) for r in gen.right_type_matrix(1))))
+    assert frame.right_type
+    return frame
+
+
+@pytest.mark.parametrize("make_frame", [lambda: RIGHT1, lambda: LEFT1, _dense_right1],
+                         ids=["rightQH", "leftQH", "dense-right"])
+def test_bracket_identity_composes_each_row_pair_eight_times(make_frame, monkeypatch):
+    frame = make_frame()
+    calls = []
+    original = SecondOrderOp.compose
+
+    def counting(outer, inner):
+        calls.append(1)
+        return original(outer, inner)
+
+    monkeypatch.setattr(SecondOrderOp, "compose", counting)
+    assert bracket_identity(frame)["pass"]
+    assert len(calls) == 8 * (frame.dim * (frame.dim - 1) // 2)
+
+    # the shared compositions must not hide a broken field
+    tampered = copy.copy(frame)
+    tampered.Z_upper = [list(row) for row in frame.Z_upper]
+    tampered.Z_upper[0][1] = tampered.Z_upper[0][1].scale(2)
+    result = bracket_identity(tampered)
+    assert result["pass"] is False and result["residual"] != "0"
 
 
 def test_paired_rows_cancel_on_right_type(right2):

@@ -122,6 +122,21 @@ def test_symbol_rejects_negative_trials(capsys):
     assert err.startswith("input error:") and "--trials" in err
 
 
+@pytest.mark.parametrize("steps", ["1", "-3"])
+def test_ma_rejects_convergence_below_two(capsys, steps):
+    code, out, err = run(capsys, "ma", "--group", "rightQH", "--n", "2",
+                         "--convergence", steps)
+    assert code == 2 and out == ""
+    assert err.startswith("input error:") and "--convergence" in err
+
+
+def test_ma_rejects_zero_denominator_halfwidth(capsys):
+    code, out, err = run(capsys, "ma", "--group", "rightQH", "--n", "1",
+                         "--halfwidth", "1/0")
+    assert code == 2 and out == ""
+    assert err.startswith("input error:") and "--halfwidth" in err
+
+
 def test_verify_right_type_only_check_on_left_group(capsys):
     code, _, err = run(capsys, "verify", "boundary", "--group", "leftQH",
                        "--n", "1", "--check", "subcomplex")

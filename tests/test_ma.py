@@ -310,6 +310,45 @@ def test_sup_norm_sampling(right2):
     assert sup == pytest.approx(2.0, rel=1e-12)
 
 
+def _reference_sup(u, region, samples=4096, seed=2):
+    """The sampled sup with every coefficient converted at every point."""
+    import random
+    rng = random.Random(seed)
+    lows = [float(x) for x in region.lows]
+    highs = [float(x) for x in region.highs]
+    points = [[highs[i] if (mask >> i) & 1 else lows[i] for i in range(region.naxes)]
+              for mask in range(1 << region.naxes)]
+    points.append([(l + h) / 2 for l, h in zip(lows, highs)])
+    points += [[l + (h - l) * rng.random() for l, h in zip(lows, highs)]
+               for _ in range(samples)]
+    best = 0.0
+    for point in points:
+        total = 0j
+        for expo, coeff in u.terms.items():
+            m = 1.0
+            for p, e in zip(point, expo):
+                if e:
+                    m *= p ** e
+            total += complex(coeff) * m
+        best = max(best, abs(total))
+    return best
+
+
+@pytest.mark.parametrize("seed", [3, 8])
+def test_sup_norm_bit_identical_to_per_point_conversion(right2, seed):
+    gen = SectionGenerator(seed)
+    u = gen.psh_quadratic(right2.vars, 8) + gen.poly(right2.vars, degree=3)
+    region = Region((Fraction(-1, 3),) * 11, (Fraction(1, 2),) * 11)
+    assert sup_norm_on_grid(u, region, samples=256) == _reference_sup(u, region, 256)
+
+
+def test_convergence_experiment_needs_two_steps(right2):
+    q = SectionGenerator(31).psh_quadratic(right2.vars, 8)
+    for steps in (1, 0, -3):
+        with pytest.raises(ValueError, match="at least 2 steps"):
+            convergence_experiment(q, right2, Region.cube(11, Fraction(1, 4)), steps=steps)
+
+
 def test_convergence_experiment_quick(right2):
     gen = SectionGenerator(31)
     q = gen.psh_quadratic(right2.vars, 8)

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,7 @@ from cfx.operators import FirstOrderOp
 from cfx.poly import Poly, x_vars
 from cfx.quadrature import (SeparableSum, gauss_points_for_degree, gauss_rule,
                             integrate_poly_box, integrate_poly_face,
-                            substitute_axis, uni_diff, uni_integral)
+                            substitute_axis, uni_diff, uni_integral, uni_mul_x)
 from cfx.rational import cq
 
 V = x_vars(3)
@@ -92,3 +93,91 @@ def test_separable_integrate_against_poly():
     got = s.integrate_against_poly(p, [0, 0, 0], [1, 1, 1])
     # int_0^1 x(1+x) dx = 5/6
     assert got == cq(Fraction(5, 6))
+
+
+# -- one-pass integrate_box against the per-term, per-monomial loop ---------------------
+
+
+def _reference_integrate(s, lows, highs, weight=None):
+    """Every term on every axis, once per weight monomial, by uni_integral."""
+    if weight is None:
+        monomials = [((0,) * s.naxes, cq(1))]
+    else:
+        monomials = list(weight.terms.items())
+    total = cq(0)
+    for expo, w in monomials:
+        for c, factors in s.terms:
+            prod = c * w
+            for axis in range(s.naxes):
+                base = factors.get(axis, (Fraction(1),))
+                if expo[axis]:
+                    base = uni_mul_x(base, expo[axis])
+                prod = prod * cq(uni_integral(base, lows[axis], highs[axis]))
+            total = total + prod
+    return total
+
+
+def _rand_fraction(rng, bound=4):
+    return Fraction(rng.randint(-bound, bound), rng.randint(1, 3))
+
+
+def _random_sum(rng, naxes, terms):
+    out = []
+    for _ in range(terms):
+        factors = {}
+        for axis in range(naxes):
+            kind = rng.choice(("missing", "one", "odd", "dense"))
+            if kind == "one":
+                factors[axis] = (Fraction(1),)
+            elif kind == "odd":  # odd in x: vanishing moments on a symmetric axis
+                factors[axis] = (Fraction(0), _rand_fraction(rng), Fraction(0),
+                                 _rand_fraction(rng))
+            elif kind == "dense":
+                factors[axis] = tuple(_rand_fraction(rng)
+                                      for _ in range(rng.randint(1, 4)))
+        coeff = cq(_rand_fraction(rng), _rand_fraction(rng))
+        out.append((coeff, factors))
+    s = SeparableSum(naxes, out)
+    return s + s.scale(cq(Fraction(1, 2), -1)) + s  # repeated factor tuples
+
+
+def _random_weight(rng, variables, terms):
+    p = Poly.zero(variables)
+    for _ in range(terms):
+        expo = tuple(rng.randint(0, 3) for _ in variables)
+        p = p + Poly.monomial(variables, expo, cq(_rand_fraction(rng), _rand_fraction(rng)))
+    return p
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("weight_kind", ["none", "zero", "poly"])
+def test_integrate_box_matches_per_term_reference(seed, weight_kind):
+    rng = random.Random(seed)
+    s = _random_sum(rng, 3, terms=5)
+    # axis 0 symmetric, the others asymmetric rational intervals
+    lows = [Fraction(-2, 3), Fraction(-1, 3), Fraction(1, 5)]
+    highs = [Fraction(2, 3), Fraction(2, 5), Fraction(7, 4)]
+    weight = {"none": None, "zero": Poly.zero(V),
+              "poly": _random_weight(rng, V, terms=4)}[weight_kind]
+    want = _reference_integrate(s, lows, highs, weight)
+    assert s.integrate_box(lows, highs, weight) == want
+    if weight is not None:
+        assert s.integrate_against_poly(weight, lows, highs) == want
+    if weight_kind == "zero":
+        assert want == cq(0)
+
+
+def test_integrate_box_cancelling_terms_and_vanishing_axis():
+    s = SeparableSum.product(2, {0: (Fraction(0), Fraction(1)), 1: (Fraction(3),)})
+    # s - s merges to a zero coefficient; an odd factor on [-1, 1] integrates to 0
+    assert (s - s).integrate_box([0, 0], [1, 1]) == cq(0)
+    assert s.scale(cq(0, 1)).integrate_box([-1, 0], [1, 1]) == cq(0)
+    weight = Poly.var(x_vars(2), "x1")
+    got = s.scale(cq(0, 1)).integrate_against_poly(weight, [-1, 0], [1, 1])
+    assert got == cq(0, 2)  # i * 3 * int_{-1}^{1} x^2 dx
+
+
+def test_integrate_box_rejects_mismatched_weight():
+    s = SeparableSum.product(3, {0: (Fraction(1),)})
+    with pytest.raises(ValueError):
+        s.integrate_box([0, 0, 0], [1, 1, 1], Poly.var(x_vars(2), "x1"))

@@ -11,9 +11,9 @@ from .poly import Poly, poly_diff, x_vars, group_vars
 from .exterior import ExtForm, wedge
 from .spinor import (EpsilonTable, SpinorField, raise_primed, lower_primed,
                      sym_basis_derivative, tilde_basis_multiply, symmetrize)
-from .flat import (ComplexSpec, flat_D, flat_D_tuple, make_Dj,
-                   d_upper, d_lower, symbol_at, check_exactness)
+from .flat import ComplexSpec, flat_D, flat_D_tuple, symbol_at, check_exactness
 from .groups import GroupSpec, group_from_phi, is_right_type, is_right_type_via_E
-from .boundary import BoundarySpec, TangentFrame, BoundaryField, boundary_D, frak_d
+from .boundary import (BoundarySpec, Frame, TangentFrame, BoundaryField, ambient_frame,
+                       boundary_D, frak_d)
 
 __version__ = "0.1.0"

@@ -6,6 +6,10 @@ middle, the two middle steps, above the middle); all of them couple the
 companion through the constant curvature 2-form of the group, which
 vanishes exactly on right-type groups.
 
+Both complexes apply the rows of one :class:`Frame` through :func:`frak_d`:
+a group's tangential frame is built from its horizontal fields, the flat
+complex's :func:`ambient_frame` from the coordinate partials.
+
 Only rigid (group) frames are assembled here; for a general polynomial
 defining function we expose the ambient curvature and boundary 1-forms but
 not the full operator.
@@ -18,7 +22,6 @@ from fractions import Fraction
 from typing import List, Optional
 
 from .exterior import ExtForm
-from .flat import ConstCoeffOp, d_upper as flat_d_upper, nabla_lowered
 from .groups import GroupSpec, horizontal_fields, is_right_type_via_E
 from .operators import FirstOrderOp, SecondOrderOp
 from .poly import Poly, x_vars
@@ -29,17 +32,46 @@ from .spinor import SpinorField
 # -- frame -----------------------------------------------------------------------------
 
 
-class TangentFrame:
+class Frame:
+    """Lowered and raised 2m x 2 row matrices built from 4m real fields X.
+
+    Row 2l:   ( X_{4l+1} + i X_{4l+2},  -X_{4l+3} - i X_{4l+4} )
+    Row 2l+1: ( X_{4l+3} - i X_{4l+4},   X_{4l+1} - i X_{4l+2} )
+
+    Raised rows: column 0 is the lowered column 1, column 1 minus column 0.
+    """
+
+    def __init__(self, variables, fields: List[FirstOrderOp]):
+        if len(fields) % 4:
+            raise ValueError("a frame needs 4m real fields")
+        self.vars = tuple(variables)
+        self.X = list(fields)
+        self.dim = len(self.X) // 2
+        self.Z_lower = []
+        for l in range(len(self.X) // 4):
+            x1, x2, x3, x4 = self.X[4 * l:4 * l + 4]
+            self.Z_lower.append([x1 + x2.scale(I), (x3 + x4.scale(I)).scale(-1)])
+            self.Z_lower.append([x3 - x4.scale(I), x1 - x2.scale(I)])
+        self.Z_upper = [[row[1], -row[0]] for row in self.Z_lower]
+
+
+def ambient_vars(n: int) -> tuple:
+    return x_vars(4 * (n + 1))
+
+
+def ambient_frame(n: int) -> Frame:
+    """The flat frame on R^{4(n+1)}: rows of constant-coefficient partials."""
+    variables = ambient_vars(n)
+    return Frame(variables, [FirstOrderOp.partial(variables, v) for v in variables])
+
+
+class TangentFrame(Frame):
     """Tangential operator data for the group of a rigid quadratic hypersurface."""
 
     def __init__(self, group: GroupSpec):
+        super().__init__(group.vars, horizontal_fields(group))
         self.group = group
         self.n = group.n
-        self.vars = group.vars
-        self.dim = 2 * group.n
-        self.X = horizontal_fields(group)
-        self.Z_lower = self._z_rows_lower()
-        self.Z_upper = [[row[1], row[0].scale(-1)] for row in self.Z_lower]
         self.T_lower = self._t_matrix()
         self.T_upper = {
             (0, 0): self.T_lower[1][0],
@@ -54,14 +86,6 @@ class TangentFrame:
         # function surface and oracle tests
         self.Omega = (ambient_omega(0, rho, group.n),
                       ambient_omega(1, rho, group.n))
-
-    def _z_rows_lower(self) -> List[List[FirstOrderOp]]:
-        rows = []
-        for l in range(self.n):
-            x1, x2, x3, x4 = self.X[4 * l:4 * l + 4]
-            rows.append([x1 + x2.scale(I), (x3 + x4.scale(I)).scale(-1)])
-            rows.append([x3 - x4.scale(I), x1 - x2.scale(I)])
-        return rows
 
     def _t_matrix(self) -> List[List[FirstOrderOp]]:
         v = self.vars
@@ -85,8 +109,8 @@ class TangentFrame:
         return ExtForm.zero(self.dim, degree, self.vars)
 
 
-def frak_d(aprime: int, f: ExtForm, frame: TangentFrame, raised: bool = True) -> ExtForm:
-    """Tangential exterior-type operator; raised index by default."""
+def frak_d(aprime: int, f: ExtForm, frame: Frame, raised: bool = True) -> ExtForm:
+    """sum_row w^row ^ Z_row^{aprime} f, the one row kernel; raised index by default."""
     if aprime not in (0, 1):
         raise ValueError("primed index must be 0 or 1")
     if f.dim != frame.dim:
@@ -105,15 +129,7 @@ def frak_d(aprime: int, f: ExtForm, frame: TangentFrame, raised: bool = True) ->
     return out
 
 
-def frak_d_lower(aprime: int, f: ExtForm, frame: TangentFrame) -> ExtForm:
-    return frak_d(aprime, f, frame, raised=False)
-
-
 # -- curvature --------------------------------------------------------------------------
-
-
-def ambient_vars(n: int) -> tuple:
-    return x_vars(4 * (n + 1))
 
 
 def ambient_rho(group: GroupSpec) -> Poly:
@@ -132,14 +148,12 @@ def ambient_rho(group: GroupSpec) -> Poly:
 
 def ambient_omega(aprime: int, rho: Poly, n: int) -> ExtForm:
     """Boundary 1-form: the raised ambient operator applied to the defining function."""
-    form = ExtForm.from_scalar(2 * n + 2, rho)
-    return flat_d_upper(aprime, form, n)
+    return frak_d(aprime, ExtForm.from_scalar(2 * n + 2, rho), ambient_frame(n))
 
 
 def ambient_curvature(rho: Poly, n: int) -> ExtForm:
     """-d^0 d^1 rho over the full ambient exterior algebra."""
-    form = ExtForm.from_scalar(2 * n + 2, rho)
-    return -flat_d_upper(0, flat_d_upper(1, form, n), n)
+    return -_dd(ambient_frame(n), ExtForm.from_scalar(2 * n + 2, rho), 0, 1)
 
 
 def curvature_form(group: GroupSpec) -> ExtForm:
@@ -213,20 +227,15 @@ def ambient_tangential_fields(group: GroupSpec):
     n = group.n
     variables = ambient_vars(n)
     rho = ambient_rho(group)
-    lowered = nabla_lowered(n)
-
-    def as_polyop(const_op: ConstCoeffOp) -> FirstOrderOp:
-        return FirstOrderOp(variables,
-                            {v: Poly.const(variables, c) for v, c in const_op.coeffs.items()})
-
-    normal = [[as_polyop(lowered[2 * n + o][c]) for c in (0, 1)] for o in (0, 1)]
+    lowered = ambient_frame(n).Z_lower
+    normal = lowered[2 * n:]
     rows = []
     for a in range(2 * n):
         row = []
         for cprime in (0, 1):
-            op = as_polyop(lowered[a][cprime])
+            op = lowered[a][cprime]
             for bprime in (0, 1):
-                grad = as_polyop(lowered[a][bprime]).apply(rho)
+                grad = lowered[a][bprime].apply(rho)
                 correction = FirstOrderOp(
                     variables,
                     {v: grad * c for v, c in normal[bprime][cprime].coeffs.items()})
@@ -249,10 +258,6 @@ class BoundarySpec:
     def __post_init__(self):
         if self.n < 1 or self.k < 0:
             raise ValueError("need n >= 1 and k >= 0")
-
-    @property
-    def levels(self) -> int:
-        return 2 * self.n
 
     @property
     def top_level(self) -> int:
@@ -297,7 +302,7 @@ class BoundarySpec:
         return (j - self.k, j, "tilde")
 
 
-@dataclass
+@dataclass(frozen=True)
 class BoundaryField:
     """Level-j element of the boundary pair complex."""
 
@@ -318,7 +323,7 @@ class BoundaryField:
         if cshape is None:
             if self.companion is not None and not self.companion.is_zero():
                 raise ValueError(f"level {j} has no companion slot")
-            self.companion = None
+            object.__setattr__(self, "companion", None)
         elif self.companion is not None:
             s2, d2, basis2 = cshape
             if (self.companion.sigma, self.companion.degree) != (s2, d2):
@@ -484,9 +489,13 @@ def _branch_above(frame: TangentFrame, fld: BoundaryField) -> BoundaryField:
     return BoundaryField(spec, j + 1, lead, comp)
 
 
-def subcomplex_D(frame: TangentFrame, spec: BoundarySpec, j: int,
-                 lead: SpinorField) -> SpinorField:
-    """Projected operator acting on leading components only (right-type case)."""
+def subcomplex_D(frame: Frame, spec, j: int, lead: SpinorField) -> SpinorField:
+    """Slot-combination step of the level-j operator on leading components.
+
+    With the ambient frame and a flat ``ComplexSpec`` this is the flat
+    operator; with a right-type group and a :class:`BoundarySpec` it is the
+    projected boundary operator.
+    """
     spec._check_operator_level(j)
     k = spec.k
     if j < k:

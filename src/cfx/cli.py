@@ -38,14 +38,27 @@ def _load_group(args) -> GroupSpec:
     return GroupSpec.named(name, args.n)
 
 
+def _load_inputs(path: str) -> list:
+    """The ``--u`` polynomials: a JSON list of polynomial records."""
+    with open(path, "r", encoding="utf-8") as fh:
+        data = json.load(fh)
+    if not isinstance(data, list):
+        raise ValueError("--u needs a JSON list of polynomials")
+    return [Poly.from_json(item) for item in data]
+
+
 def _emit(args, payload) -> None:
     if args.format == "csv":
         text = _to_csv(payload)
     else:
         text = dumps(payload)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            # strerror only: the path must not reach the "right-type" test in main
+            raise ValueError(f"cannot write --out file: {exc.strerror}") from None
     else:
         print(text)
 
@@ -167,9 +180,12 @@ def cmd_ma(args) -> int:
         raise ValueError(f"bad --halfwidth: {exc}") from None
     try:
         group = _load_group(args)
+        us = _load_inputs(args.u) if args.u else None
     except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    if args.convergence and group.n != 2:
+        raise ValueError(f"--convergence runs only at n = 2, not n = {group.n}")
     frame = TangentFrame(group)
     if not frame.right_type:
         print("precondition violation: the wedge-power operator needs a "
@@ -179,10 +195,7 @@ def cmd_ma(args) -> int:
     K = Region.cube(naxes, half, args.resolution)
     L = Region.cube(naxes, half / 2, args.resolution)
     gen = SectionGenerator(args.seed)
-    if args.u:
-        with open(args.u, "r", encoding="utf-8") as fh:
-            us = [Poly.from_json(item) for item in json.load(fh)]
-    else:
+    if us is None:
         us = [gen.spawn(i).psh_quadratic(frame.vars, 4 * group.n)
               for i in range(args.power)]
     payload = {"seed": args.seed, "n": group.n, "power": args.power}
@@ -196,7 +209,7 @@ def cmd_ma(args) -> int:
                             [hgen.spawn(i).poly(frame.vars, degree=3)
                              for i in range(frame.dim)])
     payload["stokes"] = stokes_check(h, T, K, frame)
-    if group.n == 2 and args.convergence:
+    if args.convergence:
         q = gen.spawn(7).psh_quadratic(frame.vars, 8)
         payload["convergence"] = convergence_experiment(q, frame, L, steps=args.convergence)
     _emit(args, payload)

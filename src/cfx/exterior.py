@@ -129,7 +129,7 @@ class ExtForm:
         self._check(other)
         degree = self.degree + other.degree
         if degree > self.dim:
-            return ExtForm.zero(self.dim, min(degree, self.dim), self.vars)
+            return ExtForm.zero(self.dim, degree, self.vars)
         out: dict = {}
         for i1, c1 in self.comps.items():
             for i2, c2 in other.comps.items():

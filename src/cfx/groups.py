@@ -204,10 +204,15 @@ class GroupSpec:
 
     @classmethod
     def from_json(cls, data: dict) -> "GroupSpec":
-        if "phi" in data:
+        """{"n": .., "S": [[...]]} or {"phi": poly}; ValueError on any other shape."""
+        if isinstance(data, dict) and "phi" in data:
             return group_from_phi(Poly.from_json(data["phi"]))
-        S = [[Fraction(x) for x in row] for row in data["S"]]
-        return cls(int(data["n"]), tuple(tuple(row) for row in S))
+        try:
+            S = tuple(tuple(Fraction(x) for x in row) for row in data["S"])
+            n = int(data["n"])
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed group JSON: {exc!r}") from None
+        return cls(n, S)
 
 
 def group_from_phi(phi: Poly) -> GroupSpec:

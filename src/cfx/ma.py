@@ -92,7 +92,7 @@ def ma_power(us: Sequence[Poly], frame: TangentFrame) -> ExtForm:
     if p > frame.n:
         log.warning("wedge power %d exceeds top degree %d; returning the zero form",
                     p, frame.n)
-        return ExtForm.zero(frame.dim, min(2 * p, frame.dim), frame.vars)
+        return ExtForm.zero(frame.dim, 2 * p, frame.vars)
     out = triangle(us[0], frame)
     for u in us[1:]:
         out = out.wedge(triangle(u, frame))

@@ -14,19 +14,20 @@ class FirstOrderOp:
     __slots__ = ("vars", "coeffs")
 
     def __init__(self, variables, coeffs: Dict[str, Poly]):
-        self.vars = tuple(variables)
-        self.coeffs = {}
+        variables = tuple(variables)
+        clean = {}
         for v, p in coeffs.items():
-            if v not in self.vars:
+            if v not in variables:
                 raise KeyError(f"unknown variable {v!r}")
             if not isinstance(p, Poly):
-                p = Poly.const(self.vars, p)
+                p = Poly.const(variables, p)
             if not p.is_zero():
-                self.coeffs[v] = p
+                clean[v] = p
+        object.__setattr__(self, "vars", variables)
+        object.__setattr__(self, "coeffs", clean)
 
-    @classmethod
-    def zero(cls, variables) -> "FirstOrderOp":
-        return cls(variables, {})
+    def __setattr__(self, name, value):
+        raise AttributeError("FirstOrderOp is immutable")
 
     @classmethod
     def partial(cls, variables, name, coeff=1) -> "FirstOrderOp":
@@ -67,13 +68,11 @@ class FirstOrderOp:
     def commutator(self, other: "FirstOrderOp") -> "FirstOrderOp":
         """[self, other]; first order because coefficient cross-terms cancel."""
         out = {}
-        zero = Poly.zero(self.vars)
         names = set(self.coeffs) | set(other.coeffs)
         for v in names:
             c = self.apply(other.coefficient(v)) - other.apply(self.coefficient(v))
             if not c.is_zero():
                 out[v] = c
-        del zero
         return FirstOrderOp(self.vars, out)
 
     def __str__(self):
@@ -94,18 +93,20 @@ class SecondOrderOp:
     __slots__ = ("vars", "order2", "order1")
 
     def __init__(self, variables, order2=None, order1=None):
-        self.vars = tuple(variables)
-        self.order2: Dict[Tuple[str, str], Poly] = {}
-        self.order1: Dict[str, Poly] = {}
+        merged: Dict[Tuple[str, str], Poly] = {}
         for key, p in (order2 or {}).items():
             v, w = sorted(key)
             if not p.is_zero():
-                acc = self.order2.get((v, w))
-                self.order2[(v, w)] = p if acc is None else acc + p
-        for v, p in (order1 or {}).items():
-            if not p.is_zero():
-                self.order1[v] = p
-        self.order2 = {k: p for k, p in self.order2.items() if not p.is_zero()}
+                acc = merged.get((v, w))
+                merged[(v, w)] = p if acc is None else acc + p
+        object.__setattr__(self, "vars", tuple(variables))
+        object.__setattr__(self, "order2",
+                           {k: p for k, p in merged.items() if not p.is_zero()})
+        object.__setattr__(self, "order1",
+                           {v: p for v, p in (order1 or {}).items() if not p.is_zero()})
+
+    def __setattr__(self, name, value):
+        raise AttributeError("SecondOrderOp is immutable")
 
     @classmethod
     def compose(cls, outer: FirstOrderOp, inner: FirstOrderOp) -> "SecondOrderOp":

@@ -240,12 +240,13 @@ class Poly:
 
     @classmethod
     def from_json(cls, data: dict) -> "Poly":
-        variables = tuple(data["vars"])
-        terms = {
-            tuple(item["e"]): ComplexRational.from_json(item["c"])
-            for item in data["terms"]
-        }
-        return cls(variables, terms)
+        """Inverse of :meth:`to_json`; ValueError on any other shape."""
+        try:
+            terms = {tuple(item["e"]): ComplexRational.from_json(item["c"])
+                     for item in data["terms"]}
+            return cls(tuple(data["vars"]), terms)
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed polynomial JSON: {exc!r}") from None
 
 
 def poly_diff(p: Poly, var: str) -> Poly:

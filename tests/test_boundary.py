@@ -3,17 +3,16 @@ import copy
 import pytest
 
 from cfx.boundary import (BoundaryField, BoundarySpec, CurvatureForm,
-                          TangentFrame, ambient_curvature, ambient_omega,
-                          ambient_rho, ambient_tangential_fields,
+                          TangentFrame, ambient_curvature, ambient_frame,
+                          ambient_omega, ambient_rho, ambient_tangential_fields,
                           anticommutation_defect, boundary_D, bracket_identity,
                           curvature_form,
-                          expected_curvature_component, frak_d, frak_d_lower,
-                          hodge_diag, horizontal_pair_identity,
+                          expected_curvature_component, frak_d, hodge_diag, horizontal_pair_identity,
                           lead_first_adjoint_compose, sub_laplacian,
                           subcomplex_D, verify_anticommute)
 from cfx.exterior import ExtForm
 from cfx.groups import GroupSpec
-from cfx.operators import SecondOrderOp
+from cfx.operators import FirstOrderOp, SecondOrderOp
 from cfx.poly import Poly
 from cfx.randgen import SectionGenerator
 from cfx.rational import cq
@@ -69,15 +68,15 @@ def test_ambient_omega_leading_term():
 def test_ambient_omega_derivative_pair():
     # applying the ambient operators to the boundary 1-forms reproduces the
     # curvature with alternating signs and kills the diagonal pairings
-    from cfx.flat import d_upper
     group = GroupSpec.left_qh(1)
+    flat = ambient_frame(1)
     rho = ambient_rho(group)
     omega = [ambient_omega(a, rho, 1) for a in (0, 1)]
     E = ambient_curvature(rho, 1)
-    assert (d_upper(0, omega[1], 1) + E).is_zero()
-    assert (d_upper(1, omega[0], 1) - E).is_zero()
+    assert (frak_d(0, omega[1], flat) + E).is_zero()
+    assert (frak_d(1, omega[0], flat) - E).is_zero()
     for a in (0, 1):
-        assert d_upper(a, omega[a], 1).is_zero()
+        assert frak_d(a, omega[a], flat).is_zero()
 
 
 def test_frame_carries_boundary_one_forms(right2):
@@ -117,6 +116,44 @@ def test_group_fields_match_ambient_projection(name):
                 assert (lhs - rhs).is_zero()
 
 
+def _constant_rows(rows):
+    """Row entries as {var: constant}, or None if any coefficient is not constant."""
+    out = []
+    for row in rows:
+        for op in row:
+            if any(p.total_degree() > 0 for p in op.coeffs.values()):
+                return None
+            out.append({v: p.constant_term() for v, p in op.coeffs.items()})
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_abelian_frame_is_the_ambient_frame(n):
+    # on the abelian group the tangential fields are the coordinate partials,
+    # so the boundary rows are the flat rows of R^{4n}, entry by entry
+    frame = TangentFrame(GroupSpec.named("abelian", n))
+    flat = ambient_frame(n - 1)
+    assert frame.dim == flat.dim == 2 * n
+    for got, want in ((frame.Z_lower, flat.Z_lower), (frame.Z_upper, flat.Z_upper)):
+        assert _constant_rows(got) is not None
+        assert _constant_rows(got) == _constant_rows(want)
+    assert _constant_rows(TangentFrame(GroupSpec.named("rightQH", n)).Z_upper) is None
+
+
+def test_operators_and_fields_are_immutable(right2):
+    op = right2.Z_upper[0][0]
+    with pytest.raises(AttributeError):
+        op.coeffs = {}
+    second = SecondOrderOp.compose(op, right2.Z_upper[1][1])
+    with pytest.raises(AttributeError):
+        second.order1 = {}
+    with pytest.raises(AttributeError):
+        FirstOrderOp.partial(right2.vars, "x1").vars = ()
+    fld = BoundaryField.zero(BoundarySpec(2, 1), 1, right2)
+    with pytest.raises(AttributeError):
+        fld.companion = None
+
+
 def test_frame_rows_use_horizontal_fields():
     fr = ABELIAN1
     x1 = Poly.var(fr.vars, "x1")
@@ -129,7 +166,7 @@ def test_frak_d_kills_constants():
     c = ExtForm.from_scalar(2, Poly.const(fr.vars, 7))
     for a in (0, 1):
         assert frak_d(a, c, fr).is_zero()
-        assert frak_d_lower(a, c, fr).is_zero()
+        assert frak_d(a, c, fr, raised=False).is_zero()
 
 
 def test_frak_d_leibniz(right2):
@@ -362,6 +399,14 @@ def test_anticommutation_on_central_coordinate():
     defect, rhs = anticommutation_defect(LEFT1, f, 0, 1)
     assert not defect.is_zero()
     assert (defect - rhs).is_zero()
+
+
+def test_anticommutation_defect_past_top_degree():
+    # f of degree dim - 1: both sides have degree dim + 1 and vanish
+    f = ExtForm(2, 1, RIGHT1.vars, {(0,): Poly.var(RIGHT1.vars, "x1")})
+    defect, rhs = anticommutation_defect(RIGHT1, f, 0, 1)
+    assert defect.degree == rhs.degree == 3
+    assert defect.is_zero() and rhs.is_zero() and (defect - rhs).is_zero()
 
 
 def test_bracket_identity_all_groups():

@@ -220,3 +220,50 @@ def test_env_var_caps_generated_degree(monkeypatch):
     from cfx.poly import x_vars
     for t in range(20):
         assert gen.spawn(t).poly(x_vars(4)).total_degree() <= 2
+
+
+# -- unreadable, malformed and unwritable files end as input errors ----------------------
+
+
+def _assert_input_error(code, out, err):
+    assert code == 2 and out == ""
+    assert err.startswith("input error:") and "Traceback" not in err
+
+
+def test_ma_missing_u_file_exits_2(tmp_path, capsys):
+    _assert_input_error(*run(capsys, "ma", "--group", "rightQH", "--n", "1",
+                             "--u", str(tmp_path / "missing" / "u.json")))
+
+
+@pytest.mark.parametrize("content", ['[{"x": 1}]', '{"a": 1}', "5",
+                                     '[{"vars": ["x1"], "terms": [7]}]'])
+def test_ma_malformed_u_file_exits_2(tmp_path, capsys, content):
+    path = tmp_path / "u.json"
+    path.write_text(content)
+    _assert_input_error(*run(capsys, "ma", "--group", "rightQH", "--n", "1",
+                             "--u", str(path)))
+
+
+@pytest.mark.parametrize("command", [("classify",), ("verify", "boundary")])
+@pytest.mark.parametrize("content", ["[1]", '{"n": 1, "S": 5}', '{"n": 1}',
+                                     '{"phi": [1]}'])
+def test_malformed_group_file_exits_2(tmp_path, capsys, command, content):
+    path = tmp_path / "group.json"
+    path.write_text(content)
+    _assert_input_error(*run(capsys, *command, "--file", str(path)))
+
+
+@pytest.mark.parametrize("target", ["missing/x.json", "right-type/x.json", "."])
+def test_unwritable_out_path_exits_2(tmp_path, capsys, target):
+    code, out, err = run(capsys, "classify", "--group", "rightQH", "--n", "1",
+                         "--out", str(tmp_path / target))
+    _assert_input_error(code, out, err)
+    assert "--out" in err
+
+
+@pytest.mark.parametrize("n", ["1", "3"])
+def test_ma_rejects_convergence_away_from_n_2(capsys, n):
+    code, out, err = run(capsys, "ma", "--group", "rightQH", "--n", n,
+                         "--convergence", "64")
+    _assert_input_error(code, out, err)
+    assert "--convergence" in err

@@ -75,3 +75,9 @@ def test_hat_decomposition_roundtrip():
         single = from_hat_components(4, V, [Poly.const(V, 1) if i == a else Poly.zero(V)
                                             for i in range(4)])
         assert wedge(ExtForm.basis(4, (a,), V), single) == top_form(4, V)
+
+
+
+def test_wedge_past_top_degree_keeps_true_degree():
+    out = w(0, 1, 2).wedge(w(1, 3))
+    assert out.is_zero() and out.degree == 5

@@ -1,14 +1,26 @@
 import pytest
 
+from cfx.boundary import ambient_frame, frak_d
 from cfx.exterior import ExtForm
-from cfx.flat import (ComplexSpec, d_upper, flat_D, flat_D_tuple, make_Dj,
-                      nabla_lowered, nabla_raised)
+from cfx.flat import ComplexSpec, flat_D, flat_D_tuple
 from cfx.poly import Poly, flat_laplacian, x_vars
 from cfx.randgen import SectionGenerator
 from cfx.rational import cq
 from cfx.verify import flat_composition_suite, flat_tuple_equivalence_suite
 
 V8 = x_vars(8)
+FLAT1 = ambient_frame(1)
+
+
+def d_upper(aprime, form):
+    """The raised flat operator on R^8."""
+    return frak_d(aprime, form, FLAT1)
+
+
+def constant_entries(op):
+    """{var: constant} of a row entry, which must have constant coefficients."""
+    assert all(p.total_degree() == 0 for p in op.coeffs.values())
+    return {v: p.constant_term() for v, p in op.coeffs.items()}
 
 
 # -- an independent expansion of the raised operator, used as the oracle ------------------
@@ -44,46 +56,54 @@ def oracle_d_upper(aprime, form):
 
 
 def test_raised_matrix_matches_frozen_entries():
-    rows = nabla_raised(1)
+    rows = FLAT1.Z_upper
+    assert len(rows) == len(RAISED_ENTRIES)
     for row, cols in RAISED_ENTRIES.items():
         for a in (0, 1):
-            assert rows[row][a].coeffs == cols[a]
+            assert list(constant_entries(rows[row][a]).items()) == list(cols[a].items())
 
 
 def test_lowered_row_pattern():
-    rows = nabla_lowered(1)
-    assert rows[0][0].coeffs == {"x1": cq(1), "x2": cq((0, 1))}
-    assert rows[0][1].coeffs == {"x3": cq(-1), "x4": cq((0, -1))}
-    assert rows[1][0].coeffs == {"x3": cq(1), "x4": cq((0, -1))}
-    assert rows[1][1].coeffs == {"x1": cq(1), "x2": cq((0, -1))}
+    rows = FLAT1.Z_lower
+    assert constant_entries(rows[0][0]) == {"x1": cq(1), "x2": cq((0, 1))}
+    assert constant_entries(rows[0][1]) == {"x3": cq(-1), "x4": cq((0, -1))}
+    assert constant_entries(rows[1][0]) == {"x3": cq(1), "x4": cq((0, -1))}
+    assert constant_entries(rows[1][1]) == {"x1": cq(1), "x2": cq((0, -1))}
 
 
 def test_raised_is_lowered_composed_with_pairing():
-    lowered = nabla_lowered(2)
-    raised = nabla_raised(2)
-    for row_l, row_r in zip(lowered, raised):
-        assert row_r[0].coeffs == row_l[1].coeffs
-        assert row_r[1].coeffs == {v: -c for v, c in row_l[0].coeffs.items()}
+    frame = ambient_frame(2)
+    for row_l, row_r in zip(frame.Z_lower, frame.Z_upper):
+        assert constant_entries(row_r[0]) == constant_entries(row_l[1])
+        assert constant_entries(row_r[1]) == {
+            v: -c for v, c in constant_entries(row_l[0]).items()}
+
+
+def test_spec_frame_is_the_ambient_frame_built_once():
+    spec = ComplexSpec(1, 1)
+    assert spec.frame is spec.frame
+    assert spec.frame.vars == spec.vars and spec.frame.dim == spec.form_dim
+    for got, want in zip(spec.frame.Z_upper, FLAT1.Z_upper):
+        assert [constant_entries(op) for op in got] == [constant_entries(op) for op in want]
 
 
 def test_lower_upper_operator_pairing():
     # raising the operator index: d^0 = d_1 and d^1 = -d_0
-    from cfx.flat import d_lower
     gen = SectionGenerator(44)
     f = gen.form(4, 1, V8)
-    assert (d_upper(0, f, 1) - d_lower(1, f, 1)).is_zero()
-    assert (d_upper(1, f, 1) + d_lower(0, f, 1)).is_zero()
+    assert (d_upper(0, f) - frak_d(1, f, FLAT1, raised=False)).is_zero()
+    assert (d_upper(1, f) + frak_d(0, f, FLAT1, raised=False)).is_zero()
 
 
 def test_d_upper_on_linear_coefficient():
     f = ExtForm(4, 1, V8, {(0,): Poly.var(V8, "x1")})
     expected = ExtForm(4, 2, V8, {(0, 1): Poly.const(V8, -1)})
-    assert d_upper(0, f, 1) == expected
+    assert d_upper(0, f) == expected
 
 
 def test_d_upper_kills_constants():
     f = ExtForm(4, 1, V8, {(2,): Poly.const(V8, 5)})
-    assert d_upper(0, f, 1).is_zero()
+    assert d_upper(0, f).is_zero()
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -92,7 +112,7 @@ def test_d_upper_matches_independent_expansion(seed):
     for deg in (0, 1, 2):
         f = gen.form(4, deg, V8)
         for a in (0, 1):
-            assert (d_upper(a, f, 1) - oracle_d_upper(a, f)).is_zero()
+            assert (d_upper(a, f) - oracle_d_upper(a, f)).is_zero()
 
 
 @pytest.mark.parametrize("seed", [4, 9])
@@ -100,8 +120,8 @@ def test_double_operator_vanishes(seed):
     gen = SectionGenerator(seed)
     f = gen.form(4, 0, V8)
     for a in (0, 1):
-        assert d_upper(a, d_upper(a, f, 1), 1).is_zero()
-    plus = d_upper(0, d_upper(1, f, 1), 1) + d_upper(1, d_upper(0, f, 1), 1)
+        assert d_upper(a, d_upper(a, f)).is_zero()
+    plus = d_upper(0, d_upper(1, f)) + d_upper(1, d_upper(0, f))
     assert plus.is_zero()
 
 
@@ -111,8 +131,8 @@ def test_leibniz_for_d_upper():
         F = gen.form(4, tau, V8)
         G = gen.form(4, 1, V8)
         for a in (0, 1):
-            lhs = d_upper(a, F.wedge(G), 1)
-            rhs = d_upper(a, F, 1).wedge(G) + F.wedge(d_upper(a, G, 1)).scale((-1) ** tau)
+            lhs = d_upper(a, F.wedge(G))
+            rhs = d_upper(a, F).wedge(G) + F.wedge(d_upper(a, G)).scale((-1) ** tau)
             assert (lhs - rhs).is_zero()
 
 
@@ -172,7 +192,7 @@ def test_tuple_operator_descending_example():
     fld = SpinorField(2, "tuple", {(0, 0): x1, (0, 1): zero, (1, 0): zero,
                                    (1, 1): zero})
     out = flat_D_tuple(spec, 0, fld)
-    assert (out.tuples[(0,)] - d_upper(0, x1, 1)).is_zero()
+    assert (out.tuples[(0,)] - d_upper(0, x1)).is_zero()
     assert (out.tuples[(1,)]).is_zero()
 
 
@@ -185,10 +205,11 @@ def test_tuple_output_is_symmetric():
     assert is_symmetric(out)
 
 
-def test_make_dj_rejects_bad_level():
+def test_flat_D_rejects_bad_level():
+    from cfx.spinor import SpinorField
     spec = ComplexSpec(1, 1)
     with pytest.raises(ValueError, match="out of range"):
-        make_Dj(spec, 3)
+        flat_D(spec, 3, SpinorField.zero(1, "tilde", 4, 4, V8))
 
 
 def test_closed_sections_are_harmonic():

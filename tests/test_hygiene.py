@@ -1,0 +1,79 @@
+"""Static checks on the package source, with the standard library's ``ast`` only.
+
+Only module-level imports count: an import inside a function is a lazy
+import on purpose and neither binds a module name nor adds a load-time edge.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "cfx"
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def _tree(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def _module_imports(tree: ast.Module):
+    return [node for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_module_level_import(path):
+    tree = _tree(path)
+    bound = {}
+    for node in _module_imports(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        for alias in node.names:
+            name = alias.asname or alias.name.split(".")[0]
+            bound[name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = sorted(f"{name} (line {line})" for name, line in bound.items()
+                    if name not in used)
+    assert not unused, f"{path.name}: unused imports {unused}"
+
+
+def _package_edges() -> dict:
+    """module -> modules of the package it imports at load time."""
+    edges = {}
+    for path in [*MODULES, PACKAGE / "__init__.py"]:
+        targets = set()
+        for node in _module_imports(_tree(path)):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                if node.module:
+                    targets.add(node.module.split(".")[0])
+                else:
+                    targets.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Import):
+                targets.update(alias.name.split(".")[1] for alias in node.names
+                               if alias.name.startswith("cfx."))
+        edges[path.stem] = targets
+    return edges
+
+
+def test_package_import_graph_is_acyclic():
+    edges = _package_edges()
+    state = {}  # absent: unseen, 1: on the current path, 2: done
+
+    def visit(module, path):
+        state[module] = 1
+        for target in sorted(edges.get(module, ())):
+            if state.get(target) == 1:
+                cycle = path[path.index(target):] + [target]
+                pytest.fail("import cycle: " + " -> ".join(cycle))
+            if target not in state:
+                visit(target, path + [target])
+        state[module] = 2
+
+    for module in sorted(edges):
+        if module not in state:
+            visit(module, [module])
+
+
+def test_boundary_does_not_import_flat():
+    assert "flat" not in _package_edges()["boundary"]
+    assert "boundary" in _package_edges()["flat"]

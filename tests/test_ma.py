@@ -104,6 +104,12 @@ def test_ma_power_beyond_top_degree_notice(right2, caplog):
     assert "zero form" in caplog.text
 
 
+def test_ma_power_beyond_top_degree_has_true_degree(right2):
+    # three degree-2 factors on a 4-dimensional frame: a zero 6-form
+    out = ma_power([squared_norm(right2)] * 3, right2)
+    assert out.is_zero() and out.degree == 6
+
+
 def test_key_identity_on_psh_quadratics(right2):
     gen = SectionGenerator(33)
     for t in range(3):

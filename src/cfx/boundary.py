@@ -1,10 +1,10 @@
 """Tangential complex on the boundary group of a rigid quadratic hypersurface.
 
 The boundary levels are pairs: a leading slot field plus a companion slot
-field one form-degree lower.  The operator has four branches (below the
-middle, the two middle steps, above the middle); all of them couple the
-companion through the constant curvature 2-form of the group, which
-vanishes exactly on right-type groups.
+field one form-degree lower.  The operator is the projected operator
+:func:`subcomplex_D` on the leading field plus a coupling of the pair
+through the constant curvature 2-form of the group, which vanishes exactly
+on right-type groups, and through the central translations.
 
 Both complexes apply the rows of one :class:`Frame` through :func:`frak_d`:
 a group's tangential frame is built from its horizontal fields, the flat
@@ -81,11 +81,6 @@ class TangentFrame(Frame):
         }
         self.E0 = curvature_form(group)
         self.right_type = is_right_type_via_E(group)
-        rho = ambient_rho(group)
-        # ambient boundary 1-forms d^a rho, kept for the general-defining-
-        # function surface and oracle tests
-        self.Omega = (ambient_omega(0, rho, group.n),
-                      ambient_omega(1, rho, group.n))
 
     def _t_matrix(self) -> List[List[FirstOrderOp]]:
         v = self.vars
@@ -173,24 +168,13 @@ def curvature_form(group: GroupSpec) -> ExtForm:
     return ExtForm(2 * n, 2, gvars, comps)
 
 
-class CurvatureForm:
-    """Tangential curvature with antisymmetric component access."""
-
-    def __init__(self, frame_or_group):
-        group = getattr(frame_or_group, "group", frame_or_group)
-        self.group = group
-        self.form = curvature_form(group)
-
-    def component(self, a: int, b: int) -> ComplexRational:
-        """Antisymmetric coefficient E_{ab} with E = sum_{a,b} E_{ab} w^a w^b."""
-        if a == b:
-            return cq(0)
-        if a < b:
-            return self.form.component((a, b)).constant_term() / cq(2)
-        return -self.component(b, a)
-
-    def is_zero(self) -> bool:
-        return self.form.is_zero()
+def curvature_component(E: ExtForm, a: int, b: int) -> ComplexRational:
+    """Antisymmetric coefficient E_{ab} of a 2-form E = sum_{a,b} E_{ab} w^a w^b."""
+    if a == b:
+        return cq(0)
+    if a < b:
+        return E.component((a, b)).constant_term() / cq(2)
+    return -curvature_component(E, b, a)
 
 
 def expected_curvature_component(group: GroupSpec, a: int, b: int) -> ComplexRational:
@@ -376,117 +360,64 @@ class BoundaryField:
 
 
 def boundary_D(frame: TangentFrame, fld: BoundaryField) -> BoundaryField:
-    """Level-j boundary operator; branch chosen by the position of j relative to k."""
+    """Level-j boundary operator: the projected operator plus the curvature coupling.
+
+    The lead output is :func:`subcomplex_D` of the lead f plus E0 ^ G(b), G
+    the companion, on levels with a companion slot; at j = k it is the
+    double operator minus E0 ^ (T^{10} f + G).  The companion output couples
+    G to the central translations T of f.
+    """
     spec, j, k = fld.spec, fld.level, fld.spec.k
-    spec._check_operator_level(j)
-    if j <= k - 2:
-        return _branch_below(frame, fld)
-    if j == k - 1:
-        return _branch_middle_in(frame, fld)
+    lead = subcomplex_D(frame, spec, j, fld.lead)
+    E0, f = frame.E0, fld.lead.slot
+    G = lambda a: fld.companion_slot(a, frame)
+    T = lambda key, b: f(b).map_coeffs(frame.T_upper[key].apply)
     if j == k:
-        return _branch_middle_out(frame, fld)
-    return _branch_above(frame, fld)
+        lead = SpinorField(0, "tilde", [lead.slot(0) - E0.wedge(T((1, 0), 0) + G(0))])
+
+        def h(ap: int) -> ExtForm:
+            term = frak_d(1, f(0).map_coeffs(frame.T_lower[ap][0].apply), frame)
+            term = term - frak_d(0, f(0).map_coeffs(frame.T_lower[ap][1].apply), frame)
+            # lowered-index operators: first slot is -d^1, second slot is d^0
+            dn = -frak_d(1, G(0), frame) if ap == 0 else frak_d(0, G(0), frame)
+            return term - dn
+
+        # pair (h_0, h_1) with a lowered free index corresponds to ascending
+        # slots (-h_1, +h_0)
+        return BoundaryField(spec, j + 1, lead, SpinorField(1, "tilde", [-h(1), h(0)]))
+    if fld.has_companion():
+        lead = SpinorField(lead.sigma, lead.basis,
+                           [s + E0.wedge(G(b)) for b, s in enumerate(lead.slots)])
+    if j == k - 1:
+        # both output components are plain middle-degree forms
+        comp = frame.zero_form(k)
+        if fld.has_companion():
+            skew_dd = (_dd(frame, G(0), 0, 1) - _dd(frame, G(0), 1, 0)).scale(Fraction(1, 2))
+            comp = comp + skew_dd + E0.wedge(G(0).map_coeffs(frame.t_skew_upper().apply))
+        for ap in (0, 1):
+            for bp in (0, 1):
+                comp = comp - frak_d(bp, f(ap).map_coeffs(frame.T_lower[bp][ap].apply), frame)
+        return BoundaryField(spec, j + 1, lead, SpinorField(0, "S", [comp]))
+    # below (step 1) or above (step -1) the middle: minus the four
+    # translations of the lead, minus the slot combination of the companion
+    step, sigma = (1 if j < k else -1), spec.sigma(j + 2)
+    comp = SpinorField(sigma, lead.basis,
+                       [-(T((0, 0), c) + T((0, 1), c + step) + T((1, 0), c + step)
+                          + T((1, 1), c + 2 * step)) for c in range(sigma + 1)])
+    if fld.has_companion():
+        comp = comp - _slot_combination(frame, G, sigma, step)
+    return BoundaryField(spec, j + 1, lead, comp)
 
 
 def _dd(frame, f, a, b):
     return frak_d(a, frak_d(b, f, frame), frame)
 
 
-def _apply_T(frame, key, form: ExtForm) -> ExtForm:
-    return form.map_coeffs(frame.T_upper[key].apply)
-
-
-def _branch_below(frame: TangentFrame, fld: BoundaryField) -> BoundaryField:
-    spec, j = fld.spec, fld.level
-    E0 = frame.E0
-    f = fld.lead.slot
-    has_comp = fld.has_companion()
-    G = lambda a: fld.companion_slot(a, frame)
-    out_lead = []
-    for b in range(spec.sigma(j + 1) + 1):
-        term = frak_d(0, f(b), frame) + frak_d(1, f(b + 1), frame)
-        if has_comp:
-            term = term + E0.wedge(G(b))
-        out_lead.append(term)
-    out_comp = []
-    for c in range(spec.sigma(j + 2) + 1):
-        term = -_apply_T(frame, (0, 0), f(c))
-        term = term - (_apply_T(frame, (0, 1), f(c + 1)) + _apply_T(frame, (1, 0), f(c + 1)))
-        term = term - _apply_T(frame, (1, 1), f(c + 2))
-        if has_comp:
-            term = term - (frak_d(0, G(c), frame) + frak_d(1, G(c + 1), frame))
-        out_comp.append(term)
-    lead = SpinorField(spec.sigma(j + 1), "S", out_lead)
-    comp = SpinorField(spec.sigma(j + 2), "S", out_comp)
-    return BoundaryField(spec, j + 1, lead, comp)
-
-
-def _branch_middle_in(frame: TangentFrame, fld: BoundaryField) -> BoundaryField:
-    """j = k-1: both output components are plain middle-degree forms."""
-    spec, j = fld.spec, fld.level
-    E0 = frame.E0
-    f0, f1 = fld.lead.slot(0), fld.lead.slot(1)
-    has_comp = fld.has_companion()
-    out_lead = frak_d(0, f0, frame) + frak_d(1, f1, frame)
-    out_comp = frame.zero_form(spec.k)
-    if has_comp:
-        G = fld.companion_slot(0, frame)
-        out_lead = out_lead + E0.wedge(G)
-        half = Fraction(1, 2)
-        skew_dd = (_dd(frame, G, 0, 1) - _dd(frame, G, 1, 0)).scale(half)
-        t_skew = G.map_coeffs(frame.t_skew_upper().apply)
-        out_comp = out_comp + skew_dd + E0.wedge(t_skew)
-    for ap in (0, 1):
-        for bp in (0, 1):
-            lowered = fld.lead.slot(ap).map_coeffs(frame.T_lower[bp][ap].apply)
-            out_comp = out_comp - frak_d(bp, lowered, frame)
-    lead = SpinorField(0, "S", [out_lead])
-    comp = SpinorField(0, "S", [out_comp])
-    return BoundaryField(spec, j + 1, lead, comp)
-
-
-def _branch_middle_out(frame: TangentFrame, fld: BoundaryField) -> BoundaryField:
-    """j = k: output lead is the double operator; companion is an ascending pair."""
-    spec, j = fld.spec, fld.level
-    E0 = frame.E0
-    F1 = fld.lead.slot(0)
-    F2 = fld.companion_slot(0, frame)
-    coupled = F1.map_coeffs(frame.T_upper[(1, 0)].apply) + F2
-    out_lead = _dd(frame, F1, 0, 1) - E0.wedge(coupled)
-
-    def h(ap: int) -> ExtForm:
-        term = frak_d(1, F1.map_coeffs(frame.T_lower[ap][0].apply), frame)
-        term = term - frak_d(0, F1.map_coeffs(frame.T_lower[ap][1].apply), frame)
-        # lowered-index operators: first slot is -d^1, second slot is d^0
-        dn = -frak_d(1, F2, frame) if ap == 0 else frak_d(0, F2, frame)
-        return term - dn
-
-    # pair (h_0, h_1) with a lowered free index corresponds to ascending
-    # slots (-h_1, +h_0)
-    out_comp = SpinorField(1, "tilde", [-h(1), h(0)])
-    lead = SpinorField(0, "tilde", [out_lead])
-    return BoundaryField(spec, j + 1, lead, out_comp)
-
-
-def _branch_above(frame: TangentFrame, fld: BoundaryField) -> BoundaryField:
-    spec, j = fld.spec, fld.level
-    E0 = frame.E0
-    f = fld.lead.slot
-    G = lambda a: fld.companion_slot(a, frame)
-    out_lead = []
-    for b in range(spec.sigma(j + 1) + 1):
-        out_lead.append(frak_d(0, f(b), frame) + frak_d(1, f(b - 1), frame)
-                        + E0.wedge(G(b)))
-    out_comp = []
-    for c in range(spec.sigma(j + 2) + 1):
-        term = -(frak_d(0, G(c), frame) + frak_d(1, G(c - 1), frame))
-        term = term - _apply_T(frame, (0, 0), f(c))
-        term = term - (_apply_T(frame, (0, 1), f(c - 1)) + _apply_T(frame, (1, 0), f(c - 1)))
-        term = term - _apply_T(frame, (1, 1), f(c - 2))
-        out_comp.append(term)
-    lead = SpinorField(spec.sigma(j + 1), "tilde", out_lead)
-    comp = SpinorField(spec.sigma(j + 2), "tilde", out_comp)
-    return BoundaryField(spec, j + 1, lead, comp)
+def _slot_combination(frame: Frame, slot, sigma: int, step: int) -> SpinorField:
+    """Slots d^0 f(b) + d^1 f(b + step), b = 0..sigma: step 1 descending, -1 ascending."""
+    return SpinorField(sigma, "S" if step == 1 else "tilde",
+                       [frak_d(0, slot(b), frame) + frak_d(1, slot(b + step), frame)
+                        for b in range(sigma + 1)])
 
 
 def subcomplex_D(frame: Frame, spec, j: int, lead: SpinorField) -> SpinorField:
@@ -497,16 +428,9 @@ def subcomplex_D(frame: Frame, spec, j: int, lead: SpinorField) -> SpinorField:
     projected boundary operator.
     """
     spec._check_operator_level(j)
-    k = spec.k
-    if j < k:
-        slots = [frak_d(0, lead.slot(b), frame) + frak_d(1, lead.slot(b + 1), frame)
-                 for b in range(spec.sigma(j + 1) + 1)]
-        return SpinorField(spec.sigma(j + 1), "S", slots)
-    if j == k:
+    if j == spec.k:
         return SpinorField(0, "tilde", [_dd(frame, lead.slot(0), 0, 1)])
-    slots = [frak_d(0, lead.slot(b), frame) + frak_d(1, lead.slot(b - 1), frame)
-             for b in range(spec.sigma(j + 1) + 1)]
-    return SpinorField(spec.sigma(j + 1), "tilde", slots)
+    return _slot_combination(frame, lead.slot, spec.sigma(j + 1), 1 if j < spec.k else -1)
 
 
 # -- identity checks ------------------------------------------------------------------------
@@ -571,20 +495,19 @@ def bracket_identity(frame: TangentFrame) -> dict:
     primed pairs, with at most four of them alive at a time.
     """
     quarter = Fraction(1, 4)
-    curv = CurvatureForm(frame.group)
     ok = True
     worst = "0"
     for a in range(frame.dim):
         za = frame.Z_upper[a]
         for b in range(a + 1, frame.dim):
             zb = frame.Z_upper[b]
+            coeff = curvature_component(frame.E0, a, b)
             for primes in (((0, 0),), ((0, 1), (1, 0)), ((1, 1),)):
                 ab = {(x, y): SecondOrderOp.compose(za[x], zb[y]) for x, y in primes}
                 ba = {(x, y): SecondOrderOp.compose(zb[x], za[y]) for x, y in primes}
                 for ap, bp in primes:
                     lhs = ab[ap, bp] + ab[bp, ap] - ba[ap, bp] - ba[bp, ap]
                     lhs = lhs.scale(quarter)
-                    coeff = curv.component(a, b)
                     t_sym = frame.t_symmetric_upper(ap, bp)
                     rhs = SecondOrderOp(frame.vars, {},
                                         {v: c.scale(coeff) for v, c in t_sym.coeffs.items()})

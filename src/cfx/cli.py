@@ -27,6 +27,7 @@ EXIT_INPUT = 2
 EXIT_PRECONDITION = 3
 
 MAX_N = 3
+MAX_DEGREE = 6
 
 
 def _load_group(args) -> GroupSpec:
@@ -93,6 +94,8 @@ def _check_sizes(args, min_trials: int) -> None:
         raise ValueError(f"n={args.n} exceeds the configured limit {MAX_N}")
     if args.trials < min_trials:
         raise ValueError(f"--trials must be at least {min_trials}")
+    if not 1 <= args.degree <= MAX_DEGREE:
+        raise ValueError(f"--degree must be in 1..{MAX_DEGREE}")
 
 
 def cmd_verify(args) -> int:

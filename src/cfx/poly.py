@@ -242,9 +242,12 @@ class Poly:
     def from_json(cls, data: dict) -> "Poly":
         """Inverse of :meth:`to_json`; ValueError on any other shape."""
         try:
-            terms = {tuple(item["e"]): ComplexRational.from_json(item["c"])
-                     for item in data["terms"]}
-            return cls(tuple(data["vars"]), terms)
+            terms = [(tuple(item["e"]), ComplexRational.from_json(item["c"]))
+                     for item in data["terms"]]
+            bad = [e for expo, _ in terms for e in expo if type(e) is not int]
+            if bad:
+                raise ValueError(f"exponents must be JSON integers, not {bad[0]!r}")
+            return cls(tuple(data["vars"]), dict(terms))
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed polynomial JSON: {exc!r}") from None
 

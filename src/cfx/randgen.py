@@ -8,7 +8,6 @@ small imaginary part) so all downstream algebra stays exact.
 
 from __future__ import annotations
 
-import os
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -18,22 +17,13 @@ from .poly import Poly
 from .rational import ComplexRational
 from .spinor import SpinorField
 
-DEFAULT_MAX_DEGREE = 6
-
-
-def configured_max_degree() -> int:
-    """Degree cap for generated data; settable via CFX_MAX_DEGREE."""
-    value = os.environ.get("CFX_MAX_DEGREE")
-    return int(value) if value else DEFAULT_MAX_DEGREE
-
-
 class SectionGenerator:
     """Deterministic sparse random polynomials, forms and slot fields."""
 
     def __init__(self, seed: int, degree: int = 3, terms: int = 3,
                  coeff_bound: int = 3, complex_coeffs: bool = True):
         self.seed = seed
-        self.degree = min(degree, configured_max_degree())
+        self.degree = degree
         self.terms = terms
         self.coeff_bound = coeff_bound
         self.complex_coeffs = complex_coeffs

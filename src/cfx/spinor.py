@@ -17,13 +17,12 @@ Out-of-range slots are zero by convention.
 
 from __future__ import annotations
 
-from itertools import permutations, product
-from math import comb, factorial
+from itertools import product
+from math import comb
 from fractions import Fraction
 from typing import Dict, List, Sequence
 
 from .exterior import ExtForm
-from .rational import cq
 
 # Lower/raise tables: eps_lower[a][b] and its inverse eps_upper[a][b].
 EPS_LOWER = ((Fraction(0), Fraction(1)), (Fraction(-1), Fraction(0)))
@@ -200,20 +199,23 @@ class SpinorField:
 
 
 def symmetrize(field: SpinorField) -> SpinorField:
-    """Average a tuple-basis field over all permutations of its primed indices."""
+    """Average a tuple-basis field over all permutations of its primed indices.
+
+    The permutations of a multi-index with a ones reach every multi-index
+    with a ones equally often, so the average is the mean of the field over
+    that ones-count class: O(2^s) additions in place of O(2^s s!).
+    """
     if field.basis != "tuple":
         raise ValueError("symmetrize acts on the tuple basis")
     s = field.sigma
     if s <= 1:
         return field
-    inv = cq(Fraction(1, factorial(s)))
-    out = {}
-    for idx in product((0, 1), repeat=s):
-        acc = ExtForm.zero(field.dim, field.degree, field.vars)
-        for perm in permutations(range(s)):
-            acc = acc + field.tuples[tuple(idx[p] for p in perm)]
-        out[idx] = acc.scale(inv)
-    return SpinorField(s, "tuple", out)
+    sums = [ExtForm.zero(field.dim, field.degree, field.vars) for _ in range(s + 1)]
+    for idx, form in field.tuples.items():
+        a = ones_count(idx)
+        sums[a] = sums[a] + form
+    means = [total.scale(Fraction(1, comb(s, a))) for a, total in enumerate(sums)]
+    return SpinorField(s, "tuple", {idx: means[ones_count(idx)] for idx in field.tuples})
 
 
 def is_symmetric(field: SpinorField) -> bool:

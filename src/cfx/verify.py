@@ -18,46 +18,48 @@ from .randgen import SectionGenerator
 from .reports import Report
 
 
+def _level_loop(identity: str, params: dict, seed: int, levels: int, passes) -> Report:
+    """Check ``passes(gen.spawn(j * 1000 + t), j)`` on every level j and trial t, level-major.
+
+    ``params`` is the report's parameter record; its ``trials`` and ``degree``
+    drive the loop and the generator.
+    """
+    gen = SectionGenerator(seed, degree=params["degree"])
+    failures = [{"j": j, "trial": t} for j in range(levels) for t in range(params["trials"])
+                if not passes(gen.spawn(j * 1000 + t), j)]
+    return Report(identity, params, seed, not failures, "0" if not failures else "nonzero",
+                  extra={"failures": failures})
+
+
 def flat_composition_suite(n: int, k: int, trials: int, seed: int,
                            degree: int = 3) -> Report:
     """Consecutive operators compose to zero on random sections, exactly."""
     spec = ComplexSpec(n, k)
-    gen = SectionGenerator(seed, degree=degree)
-    failures = []
-    for j in range(2 * n):
-        for t in range(trials):
-            g = gen.spawn(j * 1000 + t)
-            fld = g.slot_field(spec.sigma(j), spec.basis_tag(j), spec.form_dim,
-                               spec.tau(j), spec.vars, poly_degree=degree)
-            out = flat_D(spec, j + 1, flat_D(spec, j, fld))
-            if not out.is_zero():
-                failures.append({"j": j, "trial": t})
-    return Report("flat-composition", {"n": n, "k": k, "trials": trials,
-                                       "degree": degree},
-                  seed, not failures, residual="0" if not failures else "nonzero",
-                  extra={"failures": failures})
+
+    def passes(g, j):
+        fld = g.slot_field(spec.sigma(j), spec.basis_tag(j), spec.form_dim,
+                           spec.tau(j), spec.vars, poly_degree=degree)
+        return flat_D(spec, j + 1, flat_D(spec, j, fld)).is_zero()
+
+    return _level_loop("flat-composition",
+                       {"n": n, "k": k, "trials": trials, "degree": degree}, seed, 2 * n, passes)
 
 
 def flat_tuple_equivalence_suite(n: int, k: int, trials: int, seed: int,
                                  degree: int = 3) -> Report:
     """Slot and tuple realizations agree through the basis isomorphisms."""
     spec = ComplexSpec(n, k)
-    gen = SectionGenerator(seed, degree=degree)
-    failures = []
-    for j in range(2 * n + 1):
-        for t in range(trials):
-            g = gen.spawn(j * 1000 + t)
-            tup = g.tuple_field(spec.sigma(j), spec.form_dim, spec.tau(j),
-                                spec.vars, poly_degree=degree)
-            via_tuple = flat_D_tuple(spec, j, tup)
-            via_slots = flat_D(spec, j, dot_pi(spec, j, tup))
-            diff = dot_pi(spec, j + 1, via_tuple) - via_slots
-            if not diff.is_zero():
-                failures.append({"j": j, "trial": t})
-    return Report("flat-tuple-equivalence", {"n": n, "k": k, "trials": trials,
-                                             "degree": degree},
-                  seed, not failures, residual="0" if not failures else "nonzero",
-                  extra={"failures": failures})
+
+    def passes(g, j):
+        tup = g.tuple_field(spec.sigma(j), spec.form_dim, spec.tau(j),
+                            spec.vars, poly_degree=degree)
+        via_tuple = flat_D_tuple(spec, j, tup)
+        via_slots = flat_D(spec, j, dot_pi(spec, j, tup))
+        return (dot_pi(spec, j + 1, via_tuple) - via_slots).is_zero()
+
+    return _level_loop("flat-tuple-equivalence",
+                       {"n": n, "k": k, "trials": trials, "degree": degree}, seed, 2 * n + 1,
+                       passes)
 
 
 def random_boundary_field(gen: SectionGenerator, spec: BoundarySpec,
@@ -79,20 +81,15 @@ def boundary_composition_suite(group: GroupSpec, k: int, trials: int, seed: int,
     """Boundary operator composition law on random pair fields, exactly."""
     frame = frame or TangentFrame(group)
     spec = BoundarySpec(group.n, k)
-    gen = SectionGenerator(seed, degree=degree)
-    failures = []
-    for j in range(spec.top_level - 1):
-        for t in range(trials):
-            g = gen.spawn(j * 1000 + t)
-            fld = random_boundary_field(g, spec, frame, j, degree)
-            out = boundary_D(frame, boundary_D(frame, fld))
-            if not out.is_zero():
-                failures.append({"j": j, "trial": t})
-    return Report("boundary-composition",
-                  {"n": group.n, "k": k, "trials": trials, "degree": degree,
-                   "right_type": frame.right_type},
-                  seed, not failures, residual="0" if not failures else "nonzero",
-                  extra={"failures": failures})
+
+    def passes(g, j):
+        fld = random_boundary_field(g, spec, frame, j, degree)
+        return boundary_D(frame, boundary_D(frame, fld)).is_zero()
+
+    return _level_loop("boundary-composition",
+                       {"n": group.n, "k": k, "trials": trials, "degree": degree,
+                        "right_type": frame.right_type},
+                       seed, spec.top_level - 1, passes)
 
 
 def subcomplex_suite(group: GroupSpec, k: int, trials: int, seed: int,
@@ -102,21 +99,15 @@ def subcomplex_suite(group: GroupSpec, k: int, trials: int, seed: int,
     frame = frame or TangentFrame(group)
     frame.require_right_type()
     spec = BoundarySpec(group.n, k)
-    gen = SectionGenerator(seed, degree=degree)
-    failures = []
-    for j in range(spec.top_level - 1):
-        for t in range(trials):
-            g = gen.spawn(j * 1000 + t)
-            s, d, basis = spec.lead_shape(j)
-            lead = g.slot_field(s, basis, spec.form_dim, d, frame.vars,
-                                poly_degree=degree)
-            out = subcomplex_D(frame, spec, j + 1, subcomplex_D(frame, spec, j, lead))
-            if not out.is_zero():
-                failures.append({"j": j, "trial": t})
-    return Report("subcomplex-composition",
-                  {"n": group.n, "k": k, "trials": trials, "degree": degree},
-                  seed, not failures, residual="0" if not failures else "nonzero",
-                  extra={"failures": failures})
+
+    def passes(g, j):
+        s, d, basis = spec.lead_shape(j)
+        lead = g.slot_field(s, basis, spec.form_dim, d, frame.vars, poly_degree=degree)
+        return subcomplex_D(frame, spec, j + 1, subcomplex_D(frame, spec, j, lead)).is_zero()
+
+    return _level_loop("subcomplex-composition",
+                       {"n": group.n, "k": k, "trials": trials, "degree": degree},
+                       seed, spec.top_level - 1, passes)
 
 
 def anticommute_suite(group: GroupSpec, trials: int, seed: int,

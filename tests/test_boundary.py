@@ -1,12 +1,12 @@
 import copy
+from fractions import Fraction
 
 import pytest
 
-from cfx.boundary import (BoundaryField, BoundarySpec, CurvatureForm,
-                          TangentFrame, ambient_curvature, ambient_frame,
+from cfx.boundary import (BoundaryField, BoundarySpec, TangentFrame, ambient_curvature, ambient_frame,
                           ambient_omega, ambient_rho, ambient_tangential_fields,
                           anticommutation_defect, boundary_D, bracket_identity,
-                          curvature_form,
+                          curvature_component, curvature_form,
                           expected_curvature_component, frak_d, hodge_diag, horizontal_pair_identity,
                           lead_first_adjoint_compose, sub_laplacian,
                           subcomplex_D, verify_anticommute)
@@ -79,8 +79,9 @@ def test_ambient_omega_derivative_pair():
         assert frak_d(a, omega[a], flat).is_zero()
 
 
-def test_frame_carries_boundary_one_forms(right2):
-    omega0, omega1 = right2.Omega
+def test_boundary_one_forms_of_a_group(right2):
+    rho = ambient_rho(right2.group)
+    omega0, omega1 = (ambient_omega(a, rho, 2) for a in (0, 1))
     assert omega0.degree == 1 and omega0.dim == 6
     assert omega0.component((5,)) == Poly.const(omega0.vars, 1)
     assert omega1.component((4,)) == Poly.const(omega1.vars, -1)
@@ -190,9 +191,10 @@ def test_frak_d_dimension_mismatch():
 def test_curvature_examples():
     assert curvature_form(GroupSpec.right_qh(2)).is_zero()
     assert curvature_form(GroupSpec.abelian(2)).is_zero()
-    E = CurvatureForm(GroupSpec.left_qh(1))
-    assert E.component(0, 1) == cq(4)
-    assert E.component(1, 0) == cq(-4)
+    E = curvature_form(GroupSpec.left_qh(1))
+    assert curvature_component(E, 0, 1) == cq(4)
+    assert curvature_component(E, 1, 0) == cq(-4)
+    assert curvature_component(E, 1, 1) == cq(0)
 
 
 def test_curvature_matches_block_formulas():
@@ -200,21 +202,21 @@ def test_curvature_matches_block_formulas():
     for t in range(5):
         S = gen.spawn(t).symmetric_matrix(8)
         group = GroupSpec(2, tuple(tuple(r) for r in S))
-        E = CurvatureForm(group)
+        E = curvature_form(group)
         for a in range(4):
             for b in range(4):
-                assert E.component(a, b) == expected_curvature_component(group, a, b)
+                assert curvature_component(E, a, b) == expected_curvature_component(group, a, b)
 
 
 def test_curvature_conjugate_pairing():
     gen = SectionGenerator(31)
     S = gen.symmetric_matrix(8)
     group = GroupSpec(2, tuple(tuple(r) for r in S))
-    E = CurvatureForm(group)
+    E = curvature_form(group)
     for l in range(2):
         for m in range(2):
-            even = E.component(2 * l, 2 * m)
-            odd = E.component(2 * l + 1, 2 * m + 1)
+            even = curvature_component(E, 2 * l, 2 * m)
+            odd = curvature_component(E, 2 * l + 1, 2 * m + 1)
             assert odd == even.conjugate()
 
 
@@ -314,6 +316,155 @@ def test_composition_law_above_middle(right2):
     report = boundary_composition_suite(right2.group, 0, trials=3, seed=41,
                                         degree=2, frame=right2)
     assert report.passed
+
+
+# The operator as four branch functions, one per position of j relative to k,
+# each typing its own slot combinations: the reference for the one-function
+# boundary_D.
+
+
+def _reference_boundary_D(frame: TangentFrame, fld: BoundaryField) -> BoundaryField:
+    """Level-j boundary operator; branch chosen by the position of j relative to k."""
+    spec, j, k = fld.spec, fld.level, fld.spec.k
+    spec._check_operator_level(j)
+    if j <= k - 2:
+        return _ref_below(frame, fld)
+    if j == k - 1:
+        return _ref_middle_in(frame, fld)
+    if j == k:
+        return _ref_middle_out(frame, fld)
+    return _ref_above(frame, fld)
+
+
+def _ref_dd(frame, f, a, b):
+    return frak_d(a, frak_d(b, f, frame), frame)
+
+
+def _ref_apply_T(frame, key, form: ExtForm) -> ExtForm:
+    return form.map_coeffs(frame.T_upper[key].apply)
+
+
+def _ref_below(frame: TangentFrame, fld: BoundaryField) -> BoundaryField:
+    spec, j = fld.spec, fld.level
+    E0 = frame.E0
+    f = fld.lead.slot
+    has_comp = fld.has_companion()
+    G = lambda a: fld.companion_slot(a, frame)
+    out_lead = []
+    for b in range(spec.sigma(j + 1) + 1):
+        term = frak_d(0, f(b), frame) + frak_d(1, f(b + 1), frame)
+        if has_comp:
+            term = term + E0.wedge(G(b))
+        out_lead.append(term)
+    out_comp = []
+    for c in range(spec.sigma(j + 2) + 1):
+        term = -_ref_apply_T(frame, (0, 0), f(c))
+        term = term - (_ref_apply_T(frame, (0, 1), f(c + 1)) + _ref_apply_T(frame, (1, 0), f(c + 1)))
+        term = term - _ref_apply_T(frame, (1, 1), f(c + 2))
+        if has_comp:
+            term = term - (frak_d(0, G(c), frame) + frak_d(1, G(c + 1), frame))
+        out_comp.append(term)
+    lead = SpinorField(spec.sigma(j + 1), "S", out_lead)
+    comp = SpinorField(spec.sigma(j + 2), "S", out_comp)
+    return BoundaryField(spec, j + 1, lead, comp)
+
+
+def _ref_middle_in(frame: TangentFrame, fld: BoundaryField) -> BoundaryField:
+    """j = k-1: both output components are plain middle-degree forms."""
+    spec, j = fld.spec, fld.level
+    E0 = frame.E0
+    f0, f1 = fld.lead.slot(0), fld.lead.slot(1)
+    has_comp = fld.has_companion()
+    out_lead = frak_d(0, f0, frame) + frak_d(1, f1, frame)
+    out_comp = frame.zero_form(spec.k)
+    if has_comp:
+        G = fld.companion_slot(0, frame)
+        out_lead = out_lead + E0.wedge(G)
+        half = Fraction(1, 2)
+        skew_dd = (_ref_dd(frame, G, 0, 1) - _ref_dd(frame, G, 1, 0)).scale(half)
+        t_skew = G.map_coeffs(frame.t_skew_upper().apply)
+        out_comp = out_comp + skew_dd + E0.wedge(t_skew)
+    for ap in (0, 1):
+        for bp in (0, 1):
+            lowered = fld.lead.slot(ap).map_coeffs(frame.T_lower[bp][ap].apply)
+            out_comp = out_comp - frak_d(bp, lowered, frame)
+    lead = SpinorField(0, "S", [out_lead])
+    comp = SpinorField(0, "S", [out_comp])
+    return BoundaryField(spec, j + 1, lead, comp)
+
+
+def _ref_middle_out(frame: TangentFrame, fld: BoundaryField) -> BoundaryField:
+    """j = k: output lead is the double operator; companion is an ascending pair."""
+    spec, j = fld.spec, fld.level
+    E0 = frame.E0
+    F1 = fld.lead.slot(0)
+    F2 = fld.companion_slot(0, frame)
+    coupled = F1.map_coeffs(frame.T_upper[(1, 0)].apply) + F2
+    out_lead = _ref_dd(frame, F1, 0, 1) - E0.wedge(coupled)
+
+    def h(ap: int) -> ExtForm:
+        term = frak_d(1, F1.map_coeffs(frame.T_lower[ap][0].apply), frame)
+        term = term - frak_d(0, F1.map_coeffs(frame.T_lower[ap][1].apply), frame)
+        # lowered-index operators: first slot is -d^1, second slot is d^0
+        dn = -frak_d(1, F2, frame) if ap == 0 else frak_d(0, F2, frame)
+        return term - dn
+
+    # pair (h_0, h_1) with a lowered free index corresponds to ascending
+    # slots (-h_1, +h_0)
+    out_comp = SpinorField(1, "tilde", [-h(1), h(0)])
+    lead = SpinorField(0, "tilde", [out_lead])
+    return BoundaryField(spec, j + 1, lead, out_comp)
+
+
+def _ref_above(frame: TangentFrame, fld: BoundaryField) -> BoundaryField:
+    spec, j = fld.spec, fld.level
+    E0 = frame.E0
+    f = fld.lead.slot
+    G = lambda a: fld.companion_slot(a, frame)
+    out_lead = []
+    for b in range(spec.sigma(j + 1) + 1):
+        out_lead.append(frak_d(0, f(b), frame) + frak_d(1, f(b - 1), frame)
+                        + E0.wedge(G(b)))
+    out_comp = []
+    for c in range(spec.sigma(j + 2) + 1):
+        term = -(frak_d(0, G(c), frame) + frak_d(1, G(c - 1), frame))
+        term = term - _ref_apply_T(frame, (0, 0), f(c))
+        term = term - (_ref_apply_T(frame, (0, 1), f(c - 1)) + _ref_apply_T(frame, (1, 0), f(c - 1)))
+        term = term - _ref_apply_T(frame, (1, 1), f(c - 2))
+        out_comp.append(term)
+    lead = SpinorField(spec.sigma(j + 1), "tilde", out_lead)
+    comp = SpinorField(spec.sigma(j + 2), "tilde", out_comp)
+    return BoundaryField(spec, j + 1, lead, comp)
+
+
+def _dense_frame(seed, right_type):
+    gen = SectionGenerator(seed)
+    matrix = gen.right_type_matrix(2) if right_type else gen.symmetric_matrix(8)
+    frame = TangentFrame(GroupSpec(2, tuple(tuple(r) for r in matrix)))
+    assert frame.right_type == right_type
+    return frame
+
+
+def test_boundary_D_matches_four_branch_reference(right2, left2):
+    frames = [RIGHT1, LEFT1, right2, left2, _dense_frame(1234, False), _dense_frame(777, True)]
+    gen = SectionGenerator(2024, degree=2)
+    positions = set()
+    for i, frame in enumerate(frames):
+        for k in range(5):
+            spec = BoundarySpec(frame.n, k)
+            for j in range(spec.top_level):
+                positions.add("below" if j < k - 1 else "middle-in" if j == k - 1
+                              else "middle-out" if j == k else "above")
+                fld = random_boundary_field(gen.spawn(100 * i + 10 * k + j), spec, frame, j)
+                for case in (fld, BoundaryField(spec, j, fld.lead, None)):
+                    got, want = boundary_D(frame, case), _reference_boundary_D(frame, case)
+                    assert got.level == want.level
+                    assert (got.lead - want.lead).is_zero()
+                    assert (got.companion is None) == (want.companion is None)
+                    if want.companion is not None:
+                        assert (got.companion - want.companion).is_zero()
+                    assert got.to_json() == want.to_json()
+    assert positions == {"below", "middle-in", "middle-out", "above"}
 
 
 def test_composition_law_generic_group():

@@ -211,17 +211,6 @@ def test_verification_failure_exits_1(capsys, monkeypatch):
     assert not json.loads(out)[0]["pass"]
 
 
-def test_env_var_caps_generated_degree(monkeypatch):
-    from cfx.randgen import SectionGenerator, configured_max_degree
-    monkeypatch.setenv("CFX_MAX_DEGREE", "2")
-    assert configured_max_degree() == 2
-    gen = SectionGenerator(1, degree=5)
-    assert gen.degree == 2
-    from cfx.poly import x_vars
-    for t in range(20):
-        assert gen.spawn(t).poly(x_vars(4)).total_degree() <= 2
-
-
 # -- unreadable, malformed and unwritable files end as input errors ----------------------
 
 
@@ -259,6 +248,33 @@ def test_unwritable_out_path_exits_2(tmp_path, capsys, target):
                          "--out", str(tmp_path / target))
     _assert_input_error(code, out, err)
     assert "--out" in err
+
+
+@pytest.mark.parametrize("degree", ["7", "0", "-1"])
+def test_verify_rejects_degree_out_of_range(capsys, degree):
+    code, out, err = run(capsys, "verify", "flat", "--n", "1", "--k", "0",
+                         "--degree", degree)
+    _assert_input_error(code, out, err)
+    assert "--degree" in err
+
+
+def test_generator_uses_the_given_degree():
+    from cfx.poly import x_vars
+    from cfx.randgen import SectionGenerator
+    gen = SectionGenerator(1, degree=9)
+    assert gen.degree == 9
+    assert max(gen.spawn(t).poly(x_vars(2)).total_degree() for t in range(20)) > 6
+
+
+@pytest.mark.parametrize("exponent", ["1.5", '"1"', "true"])
+def test_ma_rejects_non_integer_u_exponent(tmp_path, capsys, exponent):
+    names = '["x1", "x2", "x3", "x4", "t1", "t2", "t3"]'
+    path = tmp_path / "u.json"
+    path.write_text(f'[{{"vars": {names}, "terms": [{{"c": ["1", "0"], '
+                    f'"e": [2, 0, 0, {exponent}, 0, 0, 0]}}]}}]')
+    code, out, err = run(capsys, "ma", "--group", "rightQH", "--n", "1", "--u", str(path))
+    _assert_input_error(code, out, err)
+    assert "exponent" in err
 
 
 @pytest.mark.parametrize("n", ["1", "3"])

@@ -77,3 +77,17 @@ def test_package_import_graph_is_acyclic():
 def test_boundary_does_not_import_flat():
     assert "flat" not in _package_edges()["boundary"]
     assert "boundary" in _package_edges()["flat"]
+
+
+@pytest.mark.parametrize("path", [*MODULES, PACKAGE / "__init__.py"], ids=lambda p: p.name)
+def test_no_environment_reads(path):
+    # settings are command-line flags, never environment variables
+    tree = _tree(path)
+    names = {"environ", "environb", "getenv", "getenvb"}
+    reads = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr in names
+             and isinstance(node.value, ast.Name) and node.value.id == "os"]
+    reads += [node.lineno for node in ast.walk(tree)
+              if isinstance(node, ast.ImportFrom) and node.module == "os"
+              and any(alias.name in names for alias in node.names)]
+    assert not reads, f"{path.name}: environment read on lines {sorted(reads)}"

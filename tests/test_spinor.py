@@ -1,5 +1,6 @@
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
+from math import factorial
 
 import pytest
 from hypothesis import given
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from cfx.exterior import ExtForm
 from cfx.poly import Poly, x_vars
+from cfx.randgen import SectionGenerator
 from cfx.rational import cq
 from cfx.spinor import (EpsilonTable, SpinorField, is_symmetric, lower_primed,
                         ones_count, raise_primed, slots_to_tuple,
@@ -89,6 +91,31 @@ def test_symmetrize_matches_partial_formula():
         ]
         expected = (rotations[0] + rotations[1] + rotations[2]).scale(third)
         assert (sym.tuples[idx] - expected).is_zero()
+
+
+def _permutation_average(field):
+    """Reference symmetrization: the mean over all s! index permutations."""
+    s = field.sigma
+    out = {}
+    for idx in product((0, 1), repeat=s):
+        acc = ExtForm.zero(field.dim, field.degree, field.vars)
+        for perm in permutations(range(s)):
+            acc = acc + field.tuples[tuple(idx[p] for p in perm)]
+        out[idx] = acc.scale(cq(Fraction(1, factorial(s))))
+    return SpinorField(s, "tuple", out)
+
+
+@pytest.mark.parametrize("s", [0, 1, 2, 3, 4])
+def test_symmetrize_matches_permutation_average(s):
+    # every tuple component drawn independently, so the input is not symmetric
+    gen = SectionGenerator(90 + s, degree=2)
+    for t in range(3):
+        g = gen.spawn(t)
+        fld = SpinorField(s, "tuple", {idx: g.form(3, 1, V) for idx in product((0, 1), repeat=s)})
+        assert s < 2 or not is_symmetric(fld)
+        sym = symmetrize(fld)
+        assert sym.to_json() == _permutation_average(fld).to_json()
+        assert is_symmetric(sym)
 
 
 def test_tuple_slot_roundtrip_descending():

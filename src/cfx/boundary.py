@@ -26,7 +26,11 @@ from .groups import GroupSpec, horizontal_fields, is_right_type_via_E
 from .operators import FirstOrderOp, SecondOrderOp
 from .poly import Poly, x_vars
 from .rational import ComplexRational, I, cq
-from .spinor import SpinorField
+from .spinor import LevelTable, SpinorField
+
+
+class PreconditionError(ValueError):
+    """A well-formed input outside an operation's domain, e.g. a non-right-type group."""
 
 
 # -- frame -----------------------------------------------------------------------------
@@ -98,7 +102,7 @@ class TangentFrame(Frame):
 
     def require_right_type(self):
         if not self.right_type:
-            raise ValueError("operation requires a right-type group (vanishing curvature)")
+            raise PreconditionError("operation requires a right-type group (vanishing curvature)")
 
     def zero_form(self, degree: int) -> ExtForm:
         return ExtForm.zero(self.dim, degree, self.vars)
@@ -233,8 +237,12 @@ def ambient_tangential_fields(group: GroupSpec):
 
 
 @dataclass(frozen=True)
-class BoundarySpec:
-    """Level bookkeeping for the boundary pair complex at fixed (n, k)."""
+class BoundarySpec(LevelTable):
+    """The boundary pair complex's level table at (n, k): 2n form indices.
+
+    The leading component of level j has the shape of level j; the
+    companion is one form degree lower off the middle level k.
+    """
 
     n: int
     k: int
@@ -244,46 +252,14 @@ class BoundarySpec:
             raise ValueError("need n >= 1 and k >= 0")
 
     @property
-    def top_level(self) -> int:
-        return 2 * self.n - 1
-
-    @property
     def form_dim(self) -> int:
         return 2 * self.n
 
-    def _check_level(self, j: int):
-        if not 0 <= j <= self.top_level:
-            raise ValueError(f"level {j} out of range 0..{self.top_level}")
-
-    def _check_operator_level(self, j: int):
-        if not 0 <= j <= self.top_level - 1:
-            raise ValueError(f"operator level {j} out of range 0..{self.top_level - 1}")
-
-    def sigma(self, j: int) -> int:
-        return self.k - j if j <= self.k else j - self.k - 1
-
-    def lead_shape(self, j: int):
-        """(sigma, form degree, basis) of the leading component."""
-        self._check_level(j)
-        if j == self.k:
-            return (0, self.k, "S")
-        if j < self.k:
-            return (self.k - j, j, "S")
-        return (j - self.k - 1, j + 1, "tilde")
-
     def companion_shape(self, j: int):
-        """Shape of the companion component, or None when it is empty."""
-        self._check_level(j)
+        """Shape of the companion component, or None at level 0, where it is empty."""
         if j == 0:
             return None
-        if j == self.k:
-            return (0, self.k, "S")
-        if j < self.k:
-            degree = j - 1
-            if degree < 0:
-                return None
-            return (self.k - j - 1, degree, "S")
-        return (j - self.k, j, "tilde")
+        return self.sigma(j + 1), self.tau(j) - (j != self.k), self.basis_tag(j)
 
 
 @dataclass(frozen=True)
@@ -297,48 +273,33 @@ class BoundaryField:
 
     def __post_init__(self):
         spec, j = self.spec, self.level
-        s, d, basis = spec.lead_shape(j)
-        if (self.lead.sigma, self.lead.degree) != (s, d):
-            raise ValueError(
-                f"lead shape {(self.lead.sigma, self.lead.degree)} does not match level {j}: {(s, d)}")
-        if self.lead.sigma > 0 and self.lead.basis != basis:
-            raise ValueError(f"lead basis must be {basis} at level {j}")
+        spec.check_field(self.lead, spec.shape(j), "lead", j)
         cshape = spec.companion_shape(j)
         if cshape is None:
             if self.companion is not None and not self.companion.is_zero():
                 raise ValueError(f"level {j} has no companion slot")
             object.__setattr__(self, "companion", None)
         elif self.companion is not None:
-            s2, d2, basis2 = cshape
-            if (self.companion.sigma, self.companion.degree) != (s2, d2):
-                raise ValueError(
-                    f"companion shape {(self.companion.sigma, self.companion.degree)}"
-                    f" does not match level {j}: {(s2, d2)}")
-            if self.companion.sigma > 0 and self.companion.basis != basis2:
-                raise ValueError(f"companion basis must be {basis2} at level {j}")
+            spec.check_field(self.companion, cshape, "companion", j)
+
+    @classmethod
+    def build(cls, spec: BoundarySpec, j: int, make) -> "BoundaryField":
+        """Level-j field whose lead and companion are ``make(sigma, degree, basis)``."""
+        cshape = spec.companion_shape(j)
+        return cls(spec, j, make(*spec.shape(j)), None if cshape is None else make(*cshape))
 
     @classmethod
     def zero(cls, spec: BoundarySpec, j: int, frame: TangentFrame) -> "BoundaryField":
-        s, d, basis = spec.lead_shape(j)
-        lead = SpinorField.zero(s, basis, spec.form_dim, d, frame.vars)
-        cshape = spec.companion_shape(j)
-        comp = None
-        if cshape is not None:
-            s2, d2, basis2 = cshape
-            comp = SpinorField.zero(s2, basis2, spec.form_dim, d2, frame.vars)
-        return cls(spec, j, lead, comp)
+        return cls.build(spec, j, lambda s, d, basis: SpinorField.zero(
+            s, basis, spec.form_dim, d, frame.vars))
 
     def has_companion(self) -> bool:
         return self.spec.companion_shape(self.level) is not None
 
     def companion_slot(self, a: int, frame: TangentFrame) -> ExtForm:
-        spec, j = self.spec, self.level
-        cshape = spec.companion_shape(j)
-        if cshape is None:
-            degree = max(spec.lead_shape(j)[1] - 1, 0)
-            return ExtForm.zero(spec.form_dim, degree, frame.vars)
         if self.companion is None:
-            return ExtForm.zero(spec.form_dim, cshape[1], frame.vars)
+            cshape = self.spec.companion_shape(self.level)
+            return ExtForm.zero(self.spec.form_dim, cshape[1] if cshape else 0, frame.vars)
         return self.companion.slot(a)
 
     def is_zero(self) -> bool:

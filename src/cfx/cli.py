@@ -8,10 +8,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
-from .boundary import TangentFrame
+from .boundary import PreconditionError, TangentFrame
 from .flat import ComplexSpec, check_exactness
 from .groups import GroupSpec, classify
 from .ma import (Region, cln_experiment, convergence_experiment,
@@ -30,19 +31,23 @@ MAX_N = 3
 MAX_DEGREE = 6
 
 
+def _read_json(path: str, parse):
+    """``parse`` of the JSON in the file at ``path``; an unreadable file is a ValueError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return parse(json.load(fh))
+    except (OSError, KeyError) as exc:
+        raise ValueError(str(exc)) from None
+
+
 def _load_group(args) -> GroupSpec:
-    if getattr(args, "file", None):
-        with open(args.file, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        return GroupSpec.from_json(data)
-    name = getattr(args, "group", None) or "rightQH"
-    return GroupSpec.named(name, args.n)
+    if args.file:
+        return _read_json(args.file, GroupSpec.from_json)
+    return GroupSpec.named(args.group, args.n)
 
 
-def _load_inputs(path: str) -> list:
+def _parse_inputs(data) -> list:
     """The ``--u`` polynomials: a JSON list of polynomial records."""
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
     if not isinstance(data, list):
         raise ValueError("--u needs a JSON list of polynomials")
     return [Poly.from_json(item) for item in data]
@@ -58,10 +63,15 @@ def _emit(args, payload) -> None:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text + "\n")
         except OSError as exc:
-            # strerror only: the path must not reach the "right-type" test in main
             raise ValueError(f"cannot write --out file: {exc.strerror}") from None
     else:
-        print(text)
+        try:
+            print(text, flush=True)
+        except BrokenPipeError:
+            # the reader is gone: drop the rest quietly, the exit code still holds
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
 
 
 def _to_csv(payload) -> str:
@@ -76,12 +86,7 @@ def _to_csv(payload) -> str:
 
 
 def cmd_classify(args) -> int:
-    try:
-        group = _load_group(args)
-    except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    result = classify(group, condition_h_mode=args.condition_h)
+    result = classify(_load_group(args), condition_h_mode=args.condition_h)
     _emit(args, result)
     if not result["routes_agree"]:
         print("internal inconsistency: classification routes disagree", file=sys.stderr)
@@ -94,12 +99,12 @@ def _check_sizes(args, min_trials: int) -> None:
         raise ValueError(f"n={args.n} exceeds the configured limit {MAX_N}")
     if args.trials < min_trials:
         raise ValueError(f"--trials must be at least {min_trials}")
-    if not 1 <= args.degree <= MAX_DEGREE:
-        raise ValueError(f"--degree must be in 1..{MAX_DEGREE}")
 
 
 def cmd_verify(args) -> int:
     _check_sizes(args, min_trials=1)
+    if not 1 <= args.degree <= MAX_DEGREE:
+        raise ValueError(f"--degree must be in 1..{MAX_DEGREE}")
     reports = []
     if args.target == "flat":
         reports.append(suites.flat_composition_suite(args.n, args.k, args.trials,
@@ -108,11 +113,7 @@ def cmd_verify(args) -> int:
                                                            max(1, args.trials // 4),
                                                            args.seed + 1, args.degree))
     else:
-        try:
-            group = _load_group(args)
-        except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
-            print(f"input error: {exc}", file=sys.stderr)
-            return EXIT_INPUT
+        group = _load_group(args)
         frame = TangentFrame(group)
         wanted = args.check
         if wanted in ("composition", "all"):
@@ -130,9 +131,7 @@ def cmd_verify(args) -> int:
             reports.append(suites.subcomplex_suite(group, args.k, args.trials,
                                                    args.seed, min(args.degree, 2), frame))
     if not reports:
-        print("input error: the requested check needs a right-type group",
-              file=sys.stderr)
-        return EXIT_INPUT
+        raise ValueError("the requested check needs a right-type group")
     payload = [r.to_dict() for r in reports]
     _emit(args, payload)
     return EXIT_PASS if all(r.passed for r in reports) else EXIT_FAIL
@@ -146,22 +145,17 @@ def cmd_symbol(args) -> int:
         try:
             vec = [Fraction(part) for part in args.v.split(",")]
         except (ValueError, ZeroDivisionError) as exc:
-            print(f"input error: bad covector: {exc}", file=sys.stderr)
-            return EXIT_INPUT
+            raise ValueError(f"bad covector: {exc}") from None
         if len(vec) != 4 * (args.n + 1):
-            print(f"input error: covector needs {4 * (args.n + 1)} entries",
-                  file=sys.stderr)
-            return EXIT_INPUT
+            raise ValueError(f"covector needs {4 * (args.n + 1)} entries")
         if not any(vec):
-            print("input error: covector must be nonzero", file=sys.stderr)
-            return EXIT_INPUT
+            raise ValueError("covector must be nonzero")
         vectors.append(vec)
     gen = SectionGenerator(args.seed)
     for t in range(args.trials):
         vectors.append(gen.spawn(t).rational_vector(4 * (args.n + 1)))
     if not vectors:
-        print("input error: provide --v or --trials > 0", file=sys.stderr)
-        return EXIT_INPUT
+        raise ValueError("provide --v or --trials > 0")
     results = [check_exactness(spec, v) for v in vectors]
     payload = {
         "n": args.n, "k": args.k, "seed": args.seed,
@@ -181,19 +175,13 @@ def cmd_ma(args) -> int:
         half = Fraction(args.halfwidth)
     except ZeroDivisionError as exc:
         raise ValueError(f"bad --halfwidth: {exc}") from None
-    try:
-        group = _load_group(args)
-        us = _load_inputs(args.u) if args.u else None
-    except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    group = _load_group(args)
+    us = _read_json(args.u, _parse_inputs) if args.u else None
     if args.convergence and group.n != 2:
         raise ValueError(f"--convergence runs only at n = 2, not n = {group.n}")
     frame = TangentFrame(group)
     if not frame.right_type:
-        print("precondition violation: the wedge-power operator needs a "
-              "right-type group", file=sys.stderr)
-        return EXIT_PRECONDITION
+        raise PreconditionError("the wedge-power operator needs a right-type group")
     naxes = 4 * group.n + 3
     K = Region.cube(naxes, half, args.resolution)
     L = Region.cube(naxes, half / 2, args.resolution)
@@ -230,37 +218,40 @@ def build_parser() -> argparse.ArgumentParser:
         description="exact verification engine for quaternionic differential complexes")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--n", type=int, default=2)
-        p.add_argument("--k", type=int, default=1)
-        p.add_argument("--seed", type=int, default=1)
-        p.add_argument("--trials", type=int, default=10)
-        p.add_argument("--degree", type=int, default=3)
-        p.add_argument("--group", choices=["rightQH", "leftQH", "abelian"])
-        p.add_argument("--file", help="group JSON file")
-        p.add_argument("--out")
-        p.add_argument("--format", choices=["json", "csv"], default="json")
+    # flag groups shared through parent parsers: each command takes only what it reads
+    base = argparse.ArgumentParser(add_help=False)
+    base.add_argument("--n", type=int, default=2)
+    base.add_argument("--out")
+    base.add_argument("--format", choices=["json", "csv"], default="json")
+    group = argparse.ArgumentParser(add_help=False)
+    group.add_argument("--group", choices=["rightQH", "leftQH", "abelian"], default="rightQH")
+    group.add_argument("--file", help="group JSON file")
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=1)
 
-    p = sub.add_parser("classify", help="classify a group")
-    common(p)
+    p = sub.add_parser("classify", parents=[base, group], help="classify a group")
     p.add_argument("--condition-h", choices=["exact", "sampled"], default="sampled")
     p.set_defaults(func=cmd_classify)
 
-    p = sub.add_parser("verify", help="run verification suites")
+    p = sub.add_parser("verify", parents=[base, group, seeded], help="run verification suites")
     p.add_argument("target", choices=["flat", "boundary"])
-    common(p)
+    p.add_argument("--k", type=int, default=1)
+    p.add_argument("--trials", type=int, default=10)
+    p.add_argument("--degree", type=int, default=3)
     p.add_argument("--check", default="all",
                    choices=["all", "composition", "anticommute", "bracket",
                             "hodge", "subcomplex"])
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("symbol", help="frozen-coefficient rank/exactness table")
-    common(p)
+    p = sub.add_parser("symbol", parents=[base, seeded],
+                       help="frozen-coefficient rank/exactness table")
+    p.add_argument("--k", type=int, default=1)
+    p.add_argument("--trials", type=int, default=0)
     p.add_argument("--v", help="comma-separated rational covector")
-    p.set_defaults(func=cmd_symbol, trials=0)
+    p.set_defaults(func=cmd_symbol)
 
-    p = sub.add_parser("ma", help="wedge-power operator experiments")
-    common(p)
+    p = sub.add_parser("ma", parents=[base, group, seeded],
+                       help="wedge-power operator experiments")
     p.add_argument("--power", type=int, default=1)
     p.add_argument("--halfwidth", default="1/2")
     p.add_argument("--resolution", type=int, default=4)
@@ -272,16 +263,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except PreconditionError as exc:
+        print(f"precondition violation: {exc}", file=sys.stderr)
+        return EXIT_PRECONDITION
     except ValueError as exc:
-        message = str(exc)
-        if "right-type" in message:
-            print(f"precondition violation: {message}", file=sys.stderr)
-            return EXIT_PRECONDITION
-        print(f"input error: {message}", file=sys.stderr)
+        print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
 

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, product
-from math import comb
 from typing import List, Sequence
 
 from .boundary import Frame, ambient_frame, frak_d, subcomplex_D
@@ -21,12 +20,12 @@ from .exterior import ExtForm
 from .linalg import echelon
 from .poly import Poly, x_vars
 from .rational import ZERO, cq
-from .spinor import SpinorField, symmetrize, tuple_to_slots
+from .spinor import LevelTable, SpinorField, symmetrize, tuple_to_slots
 
 
 @dataclass(frozen=True)
-class ComplexSpec:
-    """Level bookkeeping (n, k): symmetric degree and form degree per level."""
+class ComplexSpec(LevelTable):
+    """The flat complex's level table at (n, k): 2n+2 form indices on R^{4(n+1)}."""
 
     n: int
     k: int
@@ -48,33 +47,11 @@ class ComplexSpec:
         """Rows of the ambient operator, built once per spec."""
         return ambient_frame(self.n)
 
-    def sigma(self, j: int) -> int:
-        self._check_level(j)
-        return self.k - j if j <= self.k else j - self.k - 1
-
-    def tau(self, j: int) -> int:
-        self._check_level(j)
-        return j if j <= self.k else j + 1
-
-    def basis_tag(self, j: int) -> str:
-        return "S" if j <= self.k else "tilde"
-
-    def level_dim(self, j: int) -> int:
-        return (self.sigma(j) + 1) * comb(self.form_dim, self.tau(j))
-
-    def _check_level(self, j: int):
-        if not 0 <= j <= 2 * self.n + 1:
-            raise ValueError(f"level {j} out of range 0..{2 * self.n + 1}")
-
-    def _check_operator_level(self, j: int):
-        if not 0 <= j <= 2 * self.n:
-            raise ValueError(f"operator level {j} out of range 0..{2 * self.n}")
-
 
 def flat_D(spec: ComplexSpec, j: int, field: SpinorField) -> SpinorField:
     """Apply the level-j operator to a slot field at level j."""
     spec._check_operator_level(j)
-    _check_field(spec, j, field)
+    spec.check_field(field, spec.shape(j), "field", j)
     return subcomplex_D(spec.frame, spec, j, field)
 
 
@@ -113,22 +90,6 @@ def dot_pi(spec: ComplexSpec, j: int, field: SpinorField) -> SpinorField:
     return tuple_to_slots(field, spec.basis_tag(j))
 
 
-def _check_field(spec: ComplexSpec, j: int, field: SpinorField):
-    if field.basis == "tuple":
-        raise ValueError("slot operator got a tuple field; use flat_D_tuple")
-    if field.sigma != spec.sigma(j):
-        raise ValueError(
-            f"field sigma {field.sigma} does not match level {j} (expected {spec.sigma(j)})")
-    if field.degree != spec.tau(j):
-        raise ValueError(
-            f"field degree {field.degree} does not match level {j} (expected {spec.tau(j)})")
-    if field.dim != spec.form_dim:
-        raise ValueError("field dimension mismatch")
-    expected = spec.basis_tag(j)
-    if field.sigma > 0 and field.basis != expected:
-        raise ValueError(f"level {j} uses the {expected} basis")
-
-
 # -- symbol sequence -----------------------------------------------------------------
 
 
@@ -151,8 +112,8 @@ def _symbol_vectors(spec: ComplexSpec, v: Sequence) -> List[ExtForm]:
 
 def _level_basis(spec: ComplexSpec, j: int):
     """Enumerated (slot, index-tuple) basis of level j."""
-    return [(a, idx) for a in range(spec.sigma(j) + 1)
-            for idx in combinations(range(spec.form_dim), spec.tau(j))]
+    s, d, _ = spec.shape(j)
+    return [(a, idx) for a in range(s + 1) for idx in combinations(range(spec.form_dim), d)]
 
 
 @dataclass
@@ -215,18 +176,15 @@ def check_exactness(spec: ComplexSpec, v: Sequence) -> dict:
     """
     if all(Fraction(x) == 0 for x in v):
         raise ValueError("covector must be nonzero")
-    n = spec.n
-    symbols = [symbol_at(spec, j, v) for j in range(2 * n + 1)]
-    ranks = [rank_exact(s.matrix) for s in symbols]
-    dims = [spec.level_dim(j) for j in range(2 * n + 2)]
-    levels = []
-    levels.append({"level": 0, "dim": dims[0], "exact": ranks[0] == dims[0],
-                   "detail": f"rank {ranks[0]} == dim {dims[0]}"})
-    for j in range(1, 2 * n + 1):
+    top = spec.top_level
+    ranks = [rank_exact(symbol_at(spec, j, v).matrix) for j in range(top)]
+    dims = [spec.level_dim(j) for j in range(top + 1)]
+    levels = [{"level": 0, "dim": dims[0], "exact": ranks[0] == dims[0],
+               "detail": f"rank {ranks[0]} == dim {dims[0]}"}]
+    for j in range(1, top):
         ok = ranks[j - 1] + ranks[j] == dims[j]
         levels.append({"level": j, "dim": dims[j], "exact": ok,
                        "detail": f"rank {ranks[j-1]} + rank {ranks[j]} == dim {dims[j]}"})
-    top = 2 * n + 1
     levels.append({"level": top, "dim": dims[top], "exact": ranks[-1] == dims[top],
                    "detail": f"rank {ranks[-1]} == dim {dims[top]}"})
     return {

@@ -106,10 +106,12 @@ class ComplexRational:
 
     @classmethod
     def from_json(cls, data) -> "ComplexRational":
-        if isinstance(data, str):
-            return cls(Fraction(data))
-        re, im = data
-        return cls(Fraction(re), Fraction(im))
+        """A string or an int, or a [re, im] pair of them; a float or a bool is a ValueError."""
+        parts = (data, 0) if type(data) in (str, int) else data
+        if not (isinstance(parts, (list, tuple)) and len(parts) == 2
+                and all(type(p) in (str, int) for p in parts)):
+            raise ValueError(f"exact coefficients are strings or integers, not {data!r}")
+        return cls(Fraction(parts[0]), Fraction(parts[1]))
 
 
 def cq(value, im=None) -> ComplexRational:

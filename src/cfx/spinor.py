@@ -13,6 +13,10 @@ Slot conventions:
   m_0: (a, s) -> (a, s+1)  and  m_1: (a, s) -> (a+1, s+1).
 
 Out-of-range slots are zero by convention.
+
+:class:`LevelTable` is the level bookkeeping shared by the flat and the
+boundary complex: level j carries sigma(j)-spinors of tau(j)-forms, in the
+descending basis up to level k and the ascending basis above it.
 """
 
 from __future__ import annotations
@@ -257,3 +261,54 @@ def slots_to_tuple(field: SpinorField) -> SpinorField:
             form = form.scale(Fraction(1, comb(s, a)))
         comps[idx] = form
     return SpinorField(s, "tuple", comps)
+
+
+class LevelTable:
+    """Level shapes of a complex on ``form_dim`` form indices, split at level ``k``.
+
+    Subclasses provide ``form_dim`` and ``k``; levels run 0..form_dim - 1.
+    """
+
+    @property
+    def top_level(self) -> int:
+        return self.form_dim - 1
+
+    def sigma(self, j: int) -> int:
+        # unchecked: the boundary operator reads sigma one level past the top
+        return self.k - j if j <= self.k else j - self.k - 1
+
+    def tau(self, j: int) -> int:
+        self._check_level(j)
+        return j if j <= self.k else j + 1
+
+    def basis_tag(self, j: int) -> str:
+        return "S" if j <= self.k else "tilde"
+
+    def shape(self, j: int):
+        """(sigma, form degree, basis) of level j."""
+        return self.sigma(j), self.tau(j), self.basis_tag(j)
+
+    def level_dim(self, j: int) -> int:
+        s, d, _ = self.shape(j)
+        return (s + 1) * comb(self.form_dim, d)
+
+    def _check_level(self, j: int):
+        if not 0 <= j <= self.top_level:
+            raise ValueError(f"level {j} out of range 0..{self.top_level}")
+
+    def _check_operator_level(self, j: int):
+        if not 0 <= j <= self.top_level - 1:
+            raise ValueError(f"operator level {j} out of range 0..{self.top_level - 1}")
+
+    def check_field(self, field: SpinorField, shape, what: str, j: int):
+        """Raise unless ``field`` is a slot field of ``shape`` (sigma, degree, basis)."""
+        sigma, degree, basis = shape
+        if field.basis == "tuple":
+            raise ValueError(f"{what} is a tuple field; slot operators need the slot basis")
+        if (field.sigma, field.degree) != (sigma, degree):
+            raise ValueError(f"{what} shape {(field.sigma, field.degree)} does not match"
+                             f" level {j}: {(sigma, degree)}")
+        if field.dim != self.form_dim:
+            raise ValueError(f"{what} dimension {field.dim} does not match {self.form_dim}")
+        if field.sigma > 0 and field.basis != basis:
+            raise ValueError(f"{what} basis must be {basis} at level {j}")

@@ -37,12 +37,12 @@ def flat_composition_suite(n: int, k: int, trials: int, seed: int,
     spec = ComplexSpec(n, k)
 
     def passes(g, j):
-        fld = g.slot_field(spec.sigma(j), spec.basis_tag(j), spec.form_dim,
-                           spec.tau(j), spec.vars, poly_degree=degree)
+        s, d, basis = spec.shape(j)
+        fld = g.slot_field(s, basis, spec.form_dim, d, spec.vars, poly_degree=degree)
         return flat_D(spec, j + 1, flat_D(spec, j, fld)).is_zero()
 
-    return _level_loop("flat-composition",
-                       {"n": n, "k": k, "trials": trials, "degree": degree}, seed, 2 * n, passes)
+    return _level_loop("flat-composition", {"n": n, "k": k, "trials": trials, "degree": degree},
+                       seed, spec.top_level - 1, passes)
 
 
 def flat_tuple_equivalence_suite(n: int, k: int, trials: int, seed: int,
@@ -51,28 +51,22 @@ def flat_tuple_equivalence_suite(n: int, k: int, trials: int, seed: int,
     spec = ComplexSpec(n, k)
 
     def passes(g, j):
-        tup = g.tuple_field(spec.sigma(j), spec.form_dim, spec.tau(j),
-                            spec.vars, poly_degree=degree)
+        s, d, _ = spec.shape(j)
+        tup = g.tuple_field(s, spec.form_dim, d, spec.vars, poly_degree=degree)
         via_tuple = flat_D_tuple(spec, j, tup)
         via_slots = flat_D(spec, j, dot_pi(spec, j, tup))
         return (dot_pi(spec, j + 1, via_tuple) - via_slots).is_zero()
 
     return _level_loop("flat-tuple-equivalence",
-                       {"n": n, "k": k, "trials": trials, "degree": degree}, seed, 2 * n + 1,
-                       passes)
+                       {"n": n, "k": k, "trials": trials, "degree": degree}, seed,
+                       spec.top_level, passes)
 
 
 def random_boundary_field(gen: SectionGenerator, spec: BoundarySpec,
                           frame: TangentFrame, j: int,
                           degree: int = 2) -> BoundaryField:
-    s, d, basis = spec.lead_shape(j)
-    lead = gen.slot_field(s, basis, spec.form_dim, d, frame.vars, poly_degree=degree)
-    cshape = spec.companion_shape(j)
-    comp = None
-    if cshape is not None:
-        s2, d2, b2 = cshape
-        comp = gen.slot_field(s2, b2, spec.form_dim, d2, frame.vars, poly_degree=degree)
-    return BoundaryField(spec, j, lead, comp)
+    return BoundaryField.build(spec, j, lambda s, d, basis: gen.slot_field(
+        s, basis, spec.form_dim, d, frame.vars, poly_degree=degree))
 
 
 def boundary_composition_suite(group: GroupSpec, k: int, trials: int, seed: int,
@@ -101,7 +95,7 @@ def subcomplex_suite(group: GroupSpec, k: int, trials: int, seed: int,
     spec = BoundarySpec(group.n, k)
 
     def passes(g, j):
-        s, d, basis = spec.lead_shape(j)
+        s, d, basis = spec.shape(j)
         lead = g.slot_field(s, basis, spec.form_dim, d, frame.vars, poly_degree=degree)
         return subcomplex_D(frame, spec, j + 1, subcomplex_D(frame, spec, j, lead)).is_zero()
 

@@ -244,18 +244,40 @@ def test_general_polynomial_defining_function():
 
 def test_level_shapes():
     spec = BoundarySpec(2, 1)
-    assert spec.lead_shape(0) == (1, 0, "S")
+    assert spec.shape(0) == (1, 0, "S")
     assert spec.companion_shape(0) is None
-    assert spec.lead_shape(1) == (0, 1, "S")
+    assert spec.shape(1) == (0, 1, "S")
     assert spec.companion_shape(1) == (0, 1, "S")
-    assert spec.lead_shape(2) == (0, 3, "tilde")
+    assert spec.shape(2) == (0, 3, "tilde")
     assert spec.companion_shape(2) == (1, 2, "tilde")
-    assert spec.lead_shape(3) == (1, 4, "tilde")
+    assert spec.shape(3) == (1, 4, "tilde")
     assert spec.companion_shape(3) == (2, 3, "tilde")
     spec22 = BoundarySpec(2, 2)
-    assert spec22.lead_shape(1) == (1, 1, "S")
+    assert spec22.shape(1) == (1, 1, "S")
     assert spec22.companion_shape(1) == (0, 0, "S")
     assert spec22.companion_shape(2) == (0, 2, "S")
+
+
+def _explicit_shapes(k, j):
+    """The per-branch lead and companion shapes written out before the shared level table."""
+    lead = (k - j, j, "S") if j <= k else (j - k - 1, j + 1, "tilde")
+    if j == 0:
+        return lead, None
+    if j <= k:
+        return lead, ((0, k, "S") if j == k else (k - j - 1, j - 1, "S"))
+    return lead, (j - k, j, "tilde")
+
+
+def test_level_table_matches_explicit_shapes():
+    from cfx.flat import ComplexSpec
+    for n in (1, 2, 3):
+        for k in range(2 * n + 3):
+            spec, flat = BoundarySpec(n + 1, k), ComplexSpec(n, k)
+            assert spec.top_level == flat.top_level == 2 * n + 1
+            for j in range(spec.top_level + 1):
+                assert (spec.shape(j), spec.companion_shape(j)) == _explicit_shapes(k, j)
+                assert flat.shape(j) == spec.shape(j)
+                assert flat.level_dim(j) == spec.level_dim(j)
 
 
 def test_operator_output_lands_in_next_level(right2):
@@ -265,7 +287,7 @@ def test_operator_output_lands_in_next_level(right2):
         fld = random_boundary_field(gen.spawn(j), spec, right2, j)
         out = boundary_D(right2, fld)
         assert out.level == j + 1
-        s, d, _ = spec.lead_shape(j + 1)
+        s, d, _ = spec.shape(j + 1)
         assert (out.lead.sigma, out.lead.degree) == (s, d)
         cshape = spec.companion_shape(j + 1)
         if cshape is not None:

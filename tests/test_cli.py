@@ -1,6 +1,10 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cfx.cli import main
 
@@ -168,9 +172,9 @@ def test_symbol_csv_format(capsys):
 
 
 def test_ma_requires_right_type(capsys):
-    code, _, err = run(capsys, "ma", "--group", "leftQH", "--n", "2")
-    assert code == 3
-    assert "precondition" in err
+    code, out, err = run(capsys, "ma", "--group", "leftQH", "--n", "2")
+    assert (code, out) == (3, "")
+    assert err == "precondition violation: the wedge-power operator needs a right-type group\n"
 
 
 def test_ma_runs_power_one(capsys):
@@ -283,3 +287,153 @@ def test_ma_rejects_convergence_away_from_n_2(capsys, n):
                          "--convergence", "64")
     _assert_input_error(code, out, err)
     assert "--convergence" in err
+
+
+# -- each subcommand takes only the flags it reads ------------------------------------------
+
+
+@pytest.mark.parametrize("argv", [
+    ("classify", "--k", "7"), ("classify", "--seed", "3"), ("classify", "--trials", "-5"),
+    ("classify", "--degree", "99"), ("symbol", "--group", "leftQH"),
+    ("symbol", "--file", "group.json"), ("symbol", "--degree", "3"), ("ma", "--k", "2"),
+    ("ma", "--trials", "3"), ("ma", "--degree", "3"),
+])
+def test_unread_flag_is_rejected_by_argparse(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--n", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+# -- a typed precondition error picks exit 3, not the wording of a message ------------------
+
+
+def test_require_right_type_raises_precondition_error():
+    from cfx.boundary import PreconditionError, TangentFrame
+    from cfx.groups import GroupSpec
+    with pytest.raises(PreconditionError, match="right-type"):
+        TangentFrame(GroupSpec.left_qh(1)).require_right_type()
+
+
+def test_exit_code_follows_the_error_type(capsys, monkeypatch):
+    import cfx.cli as cli_mod
+    from cfx.boundary import PreconditionError
+
+    def raise_(exc):
+        def cmd(args):
+            raise exc
+        return cmd
+
+    monkeypatch.setattr(cli_mod, "cmd_classify", raise_(ValueError("not a right-type input")))
+    assert run(capsys, "classify") == (2, "", "input error: not a right-type input\n")
+    monkeypatch.setattr(cli_mod, "cmd_classify", raise_(PreconditionError("outside the domain")))
+    assert run(capsys, "classify") == (3, "", "precondition violation: outside the domain\n")
+
+
+# -- exact coefficients are strings or integers, never JSON floats or booleans --------------
+
+
+@pytest.mark.parametrize("coeff", ["[0.1, 0]", "[true, 0]", '["1", 2.5]', '["1", false]'])
+def test_ma_rejects_float_and_bool_u_coefficient(tmp_path, capsys, coeff):
+    names = '["x1", "x2", "x3", "x4", "t1", "t2", "t3"]'
+    path = tmp_path / "u.json"
+    path.write_text(f'[{{"vars": {names}, "terms": [{{"c": {coeff}, '
+                    f'"e": [2, 0, 0, 0, 0, 0, 0]}}]}}]')
+    code, out, err = run(capsys, "ma", "--group", "rightQH", "--n", "1", "--u", str(path))
+    _assert_input_error(code, out, err)
+    assert "strings or integers" in err
+
+
+def test_complex_rational_from_json_keeps_strings_and_ints():
+    from fractions import Fraction
+    from cfx.rational import ComplexRational
+    assert ComplexRational.from_json("1/3") == ComplexRational(Fraction(1, 3))
+    assert ComplexRational.from_json(["-2/5", 7]) == ComplexRational(Fraction(-2, 5), 7)
+    for bad in (0.5, [0.1, 0], [True, 0], [0, False]):
+        with pytest.raises(ValueError):
+            ComplexRational.from_json(bad)
+
+
+# -- a closed stdout ends quietly -------------------------------------------------------------
+
+
+def test_closed_stdout_ends_without_traceback():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the report is written
+    try:
+        proc = subprocess.run([sys.executable, "-m", "cfx.cli", "symbol", "--n", "1", "--k", "1",
+                               "--v", "1,0,0,0,0,0,0,0"],
+                              stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert b"Traceback" not in proc.stderr and proc.stderr == b""
+    assert proc.returncode == 0
+
+
+# -- fuzz: small argv, well-formed or not, always ends in exit 0-3 -----------------------------
+
+
+def _number(lo, hi):
+    return st.integers(lo, hi).map(str)
+
+
+FUZZ_FLAGS = {
+    "classify": {"--n": _number(-1, 2),
+                 "--group": st.sampled_from(["rightQH", "leftQH", "abelian", "x"]),
+                 "--condition-h": st.sampled_from(["exact", "sampled", "x"]),
+                 "--file": st.just("missing/group.json"),
+                 "--format": st.sampled_from(["json", "csv"])},
+    "verify": {"--n": _number(-1, 2), "--trials": _number(-1, 2), "--k": _number(-1, 3),
+               "--seed": _number(0, 3), "--degree": _number(0, 7),
+               "--group": st.sampled_from(["rightQH", "leftQH", "abelian"]),
+               "--check": st.sampled_from(["all", "composition", "anticommute", "bracket",
+                                           "hodge", "subcomplex", "x"]),
+               "--format": st.sampled_from(["json", "csv"])},
+    "symbol": {"--n": _number(-1, 2), "--trials": _number(-1, 2), "--k": _number(-1, 3),
+               "--seed": _number(0, 3),
+               "--v": st.sampled_from(["1,0,0,0,0,0,0,0", "0,0,0,0,0,0,0,0", "1,2", "a,b",
+                                       "1/0,0,0,0,0,0,0,0"]),
+               "--format": st.sampled_from(["json", "csv"])},
+    "ma": {"--n": _number(-1, 2), "--seed": _number(0, 3), "--power": _number(-1, 3),
+           "--convergence": _number(-1, 3), "--resolution": _number(-1, 4),
+           "--halfwidth": st.sampled_from(["1/2", "1", "0", "-1", "1/0", "x"]),
+           "--group": st.sampled_from(["rightQH", "leftQH", "abelian"]),
+           "--u": st.just("missing/u.json")},
+}
+
+
+@st.composite
+def cli_argv(draw):
+    command = draw(st.sampled_from(sorted(FUZZ_FLAGS)))
+    flags = FUZZ_FLAGS[command]
+    # --n always, and --trials for verify: their defaults (n = 2, 10 trials) are slow
+    names = ["--n"] + (["--trials"] if command == "verify" else [])
+    names += draw(st.lists(st.sampled_from(sorted(set(flags) - set(names))), unique=True,
+                           max_size=4))
+    values = [draw(flags[name]) for name in names]
+    if draw(st.booleans()):  # one malformed value
+        values[draw(st.integers(0, len(values) - 1))] = draw(st.sampled_from(["x", "", "1.5"]))
+    argv = [command] + ([draw(st.sampled_from(["flat", "boundary", "x"]))]
+                        if command == "verify" else [])
+    for name, value in zip(names, values):
+        argv += [name, value]
+    return argv
+
+
+@given(cli_argv())
+@settings(max_examples=50, deadline=None)
+def test_fuzz_cli_ends_in_a_documented_exit_code(argv):
+    err = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code in (0, 1, 2, 3), (argv, err.getvalue())

@@ -7,6 +7,8 @@ violation.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import os
 import sys
@@ -79,10 +81,11 @@ def _to_csv(payload) -> str:
     if not isinstance(rows, list):
         rows = [rows]
     keys = sorted({k for row in rows for k in row}) if rows else []
-    lines = [",".join(keys)]
-    for row in rows:
-        lines.append(",".join(str(row.get(k, "")) for k in keys))
-    return "\n".join(lines)
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(keys)
+    writer.writerows([str(row.get(k, "")) for k in keys] for row in rows)
+    return out.getvalue().rstrip("\n")
 
 
 def cmd_classify(args) -> int:
@@ -124,14 +127,14 @@ def cmd_verify(args) -> int:
                                                     frame))
         if wanted in ("bracket", "all"):
             reports.append(suites.bracket_suite(group, frame))
-        if wanted in ("hodge", "all") and frame.right_type and args.k >= 1:
+        # "all" skips the suites whose domain excludes this input; an explicit
+        # check reports why it cannot run
+        if wanted == "hodge" or (wanted == "all" and frame.right_type and args.k >= 1):
             reports.append(suites.hodge_suite(group, args.k, args.trials,
                                               args.seed, frame))
-        if wanted in ("subcomplex",) and frame.right_type:
+        if wanted == "subcomplex":
             reports.append(suites.subcomplex_suite(group, args.k, args.trials,
                                                    args.seed, min(args.degree, 2), frame))
-    if not reports:
-        raise ValueError("the requested check needs a right-type group")
     payload = [r.to_dict() for r in reports]
     _emit(args, payload)
     return EXIT_PASS if all(r.passed for r in reports) else EXIT_FAIL

@@ -12,7 +12,7 @@ from cfx.boundary import (BoundaryField, BoundarySpec, TangentFrame, ambient_cur
                           subcomplex_D, verify_anticommute)
 from cfx.exterior import ExtForm
 from cfx.groups import GroupSpec
-from cfx.operators import FirstOrderOp, SecondOrderOp
+from cfx.operators import FirstOrderOp
 from cfx.poly import Poly
 from cfx.randgen import SectionGenerator
 from cfx.rational import cq
@@ -145,9 +145,6 @@ def test_operators_and_fields_are_immutable(right2):
     op = right2.Z_upper[0][0]
     with pytest.raises(AttributeError):
         op.coeffs = {}
-    second = SecondOrderOp.compose(op, right2.Z_upper[1][1])
-    with pytest.raises(AttributeError):
-        second.order1 = {}
     with pytest.raises(AttributeError):
         FirstOrderOp.partial(right2.vars, "x1").vars = ()
     fld = BoundaryField.zero(BoundarySpec(2, 1), 1, right2)
@@ -459,10 +456,10 @@ def _ref_above(frame: TangentFrame, fld: BoundaryField) -> BoundaryField:
     return BoundaryField(spec, j + 1, lead, comp)
 
 
-def _dense_frame(seed, right_type):
+def _dense_frame(seed, right_type, n=2):
     gen = SectionGenerator(seed)
-    matrix = gen.right_type_matrix(2) if right_type else gen.symmetric_matrix(8)
-    frame = TangentFrame(GroupSpec(2, tuple(tuple(r) for r in matrix)))
+    matrix = gen.right_type_matrix(n) if right_type else gen.symmetric_matrix(4 * n)
+    frame = TangentFrame(GroupSpec(n, tuple(tuple(r) for r in matrix)))
     assert frame.right_type == right_type
     return frame
 
@@ -587,34 +584,148 @@ def test_bracket_identity_all_groups():
         assert bracket_identity(frame)["pass"]
 
 
-def _dense_right1():
-    gen = SectionGenerator(31)
-    frame = TangentFrame(GroupSpec(1, tuple(tuple(r) for r in gen.right_type_matrix(1))))
-    assert frame.right_type
-    return frame
-
-
-@pytest.mark.parametrize("make_frame", [lambda: RIGHT1, lambda: LEFT1, _dense_right1],
+@pytest.mark.parametrize("make_frame", [lambda: RIGHT1, lambda: LEFT1,
+                                       lambda: _dense_frame(31, True, n=1)],
                          ids=["rightQH", "leftQH", "dense-right"])
-def test_bracket_identity_composes_each_row_pair_eight_times(make_frame, monkeypatch):
+def test_bracket_identity_takes_four_commutators_per_row_pair(make_frame, monkeypatch):
     frame = make_frame()
     calls = []
-    original = SecondOrderOp.compose
+    original = FirstOrderOp.commutator
 
-    def counting(outer, inner):
+    def counting(self, other):
         calls.append(1)
-        return original(outer, inner)
+        return original(self, other)
 
-    monkeypatch.setattr(SecondOrderOp, "compose", counting)
-    assert bracket_identity(frame)["pass"]
-    assert len(calls) == 8 * (frame.dim * (frame.dim - 1) // 2)
+    with monkeypatch.context() as patch:
+        patch.setattr(FirstOrderOp, "commutator", counting)
+        assert bracket_identity(frame)["pass"]
+    assert len(calls) == 4 * (frame.dim * (frame.dim - 1) // 2)
 
-    # the shared compositions must not hide a broken field
-    tampered = copy.copy(frame)
-    tampered.Z_upper = [list(row) for row in frame.Z_upper]
-    tampered.Z_upper[0][1] = tampered.Z_upper[0][1].scale(2)
+    # the shared commutators must not hide a broken field
+    tampered = _tampered(frame, 0, 1, 2)
     result = bracket_identity(tampered)
     assert result["pass"] is False and result["residual"] != "0"
+
+
+def _tampered(frame, row, column, factor):
+    tampered = copy.copy(frame)
+    tampered.Z_upper = [list(r) for r in frame.Z_upper]
+    tampered.Z_upper[row][column] = tampered.Z_upper[row][column].scale(factor)
+    return tampered
+
+
+# The identity as eight second-order compositions per row pair, with the
+# composition type it needed: the reference for the commutator form.
+
+
+class _SecondOrderOp:
+    """Composition of first-order operators kept in canonical split form.
+
+    ``order2`` maps unordered variable pairs (v <= w) to Poly coefficients of
+    d2/dv dw; ``order1`` maps variables to first-order coefficients.
+    """
+
+    def __init__(self, variables, order2=None, order1=None):
+        merged = {}
+        for key, p in (order2 or {}).items():
+            v, w = sorted(key)
+            if not p.is_zero():
+                acc = merged.get((v, w))
+                merged[(v, w)] = p if acc is None else acc + p
+        self.vars = tuple(variables)
+        self.order2 = {k: p for k, p in merged.items() if not p.is_zero()}
+        self.order1 = {v: p for v, p in (order1 or {}).items() if not p.is_zero()}
+
+    @classmethod
+    def compose(cls, outer, inner):
+        order2 = {}
+        order1 = {}
+        for v, cv in outer.coeffs.items():
+            for w, cw in inner.coeffs.items():
+                key = tuple(sorted((v, w)))
+                term = cv * cw
+                acc = order2.get(key)
+                order2[key] = term if acc is None else acc + term
+        # outer differentiates inner coefficients
+        for w, cw in inner.coeffs.items():
+            c = outer.apply(cw)
+            if not c.is_zero():
+                acc = order1.get(w)
+                order1[w] = c if acc is None else acc + c
+        return cls(outer.vars, order2, order1)
+
+    def __add__(self, other):
+        order2 = dict(self.order2)
+        for k, p in other.order2.items():
+            order2[k] = order2.get(k, Poly.zero(self.vars)) + p
+        order1 = dict(self.order1)
+        for v, p in other.order1.items():
+            order1[v] = order1.get(v, Poly.zero(self.vars)) + p
+        return _SecondOrderOp(self.vars, order2, order1)
+
+    def __neg__(self):
+        return _SecondOrderOp(self.vars,
+                              {k: -p for k, p in self.order2.items()},
+                              {v: -p for v, p in self.order1.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, value):
+        value = cq(value)
+        return _SecondOrderOp(self.vars,
+                              {k: p.scale(value) for k, p in self.order2.items()},
+                              {v: p.scale(value) for v, p in self.order1.items()})
+
+    def is_zero(self):
+        return not self.order2 and not self.order1
+
+    def __str__(self):
+        parts = [f"({p}) d2/d{v}d{w}" for (v, w), p in sorted(self.order2.items())]
+        parts += [f"({p}) d/d{v}" for v, p in sorted(self.order1.items())]
+        return " + ".join(parts) if parts else "0"
+
+
+def _reference_bracket_identity(frame: TangentFrame) -> dict:
+    quarter = Fraction(1, 4)
+    ok = True
+    worst = "0"
+    for a in range(frame.dim):
+        za = frame.Z_upper[a]
+        for b in range(a + 1, frame.dim):
+            zb = frame.Z_upper[b]
+            coeff = curvature_component(frame.E0, a, b)
+            for primes in (((0, 0),), ((0, 1), (1, 0)), ((1, 1),)):
+                ab = {(x, y): _SecondOrderOp.compose(za[x], zb[y]) for x, y in primes}
+                ba = {(x, y): _SecondOrderOp.compose(zb[x], za[y]) for x, y in primes}
+                for ap, bp in primes:
+                    lhs = ab[ap, bp] + ab[bp, ap] - ba[ap, bp] - ba[bp, ap]
+                    lhs = lhs.scale(quarter)
+                    t_sym = frame.t_symmetric_upper(ap, bp)
+                    rhs = _SecondOrderOp(frame.vars, {},
+                                         {v: c.scale(coeff) for v, c in t_sym.coeffs.items()})
+                    diff = lhs - rhs
+                    if not diff.is_zero():
+                        ok = False
+                        worst = str(diff)
+    return {"identity": "bracket-curvature", "params": {"n": frame.n},
+            "seed": None, "pass": ok, "residual": worst}
+
+
+def test_bracket_identity_matches_eight_composition_reference(right2, left2):
+    frames = [RIGHT1, LEFT1, ABELIAN1, right2, left2, TangentFrame(GroupSpec.abelian(2))]
+    frames += [_dense_frame(40 + n, right_type, n) for n in (1, 2) for right_type in (True, False)]
+    frames += [_tampered(frame, row, column, factor)
+               for frame, row, column, factor in ((RIGHT1, 0, 1, 2), (RIGHT1, 1, 0, -1),
+                                                  (LEFT1, 1, 1, 2), (ABELIAN1, 0, 0, -1),
+                                                  (_dense_frame(43, True, 1), 1, 1, 2),
+                                                  (right2, 3, 0, -1), (left2, 2, 1, 2))]
+    verdicts = set()
+    for frame in frames:
+        got, want = bracket_identity(frame), _reference_bracket_identity(frame)
+        assert got == want
+        verdicts.add(got["pass"])
+    assert verdicts == {True, False}
 
 
 def test_paired_rows_cancel_on_right_type(right2):

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 
@@ -142,9 +143,27 @@ def test_ma_rejects_zero_denominator_halfwidth(capsys):
 
 
 def test_verify_right_type_only_check_on_left_group(capsys):
-    code, _, err = run(capsys, "verify", "boundary", "--group", "leftQH",
-                       "--n", "1", "--check", "subcomplex")
-    assert code == 2 and "right-type" in err
+    for check in ("subcomplex", "hodge"):
+        code, out, err = run(capsys, "verify", "boundary", "--group", "leftQH",
+                             "--n", "1", "--check", check)
+        assert (code, out) == (3, "")
+        assert err == ("precondition violation: operation requires a right-type group "
+                       "(vanishing curvature)\n")
+
+
+def test_verify_hodge_at_k0_names_the_level(capsys):
+    code, out, err = run(capsys, "verify", "boundary", "--group", "rightQH",
+                         "--n", "1", "--k", "0", "--check", "hodge")
+    assert (code, out) == (2, "")
+    assert err == "input error: the diagonal identity needs k >= 1\n"
+
+
+def test_verify_all_skips_hodge_at_k0(capsys):
+    code, out, _ = run(capsys, "verify", "boundary", "--group", "rightQH",
+                       "--n", "1", "--k", "0", "--trials", "1", "--check", "all")
+    assert code == 0
+    assert [r["identity"] for r in json.loads(out)] == [
+        "boundary-composition", "anticommutation-curvature", "bracket-curvature"]
 
 
 def test_symbol_reference_table(capsys):
@@ -169,6 +188,16 @@ def test_symbol_csv_format(capsys):
     lines = out.strip().splitlines()
     assert lines[0].startswith("detail,dim")
     assert len(lines) == 5  # header + one row per level
+
+
+def test_classify_csv_parses_to_header_width(capsys):
+    code, out, _ = run(capsys, "classify", "--group", "leftQH", "--n", "1",
+                       "--format", "csv")
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert len(rows) == 2
+    assert len(rows[1]) == len(rows[0])
+    assert json.loads(rows[1][rows[0].index("n")]) == 1
 
 
 def test_ma_requires_right_type(capsys):

@@ -76,6 +76,13 @@ def _emit(args, payload) -> None:
             os.close(devnull)
 
 
+def _csv_cell(value) -> str:
+    """Strings and numbers as they print; dicts, lists, booleans and None as JSON."""
+    if isinstance(value, (dict, list, tuple, bool)) or value is None:
+        return json.dumps(value, sort_keys=True, default=str)
+    return str(value)
+
+
 def _to_csv(payload) -> str:
     rows = payload if isinstance(payload, list) else payload.get("levels") or [payload]
     if not isinstance(rows, list):
@@ -84,7 +91,7 @@ def _to_csv(payload) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(keys)
-    writer.writerows([str(row.get(k, "")) for k in keys] for row in rows)
+    writer.writerows([_csv_cell(row.get(k, "")) for k in keys] for row in rows)
     return out.getvalue().rstrip("\n")
 
 

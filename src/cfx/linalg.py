@@ -2,12 +2,12 @@
 
 ``echelon`` works over any exact field whose entries support truthiness,
 ``-``, ``*`` and ``/`` (``Fraction``, ``ComplexRational``); ``bareiss_det``
-is the fraction-free determinant over the polynomial ring.
+is the fraction-free determinant over an exact integral domain whose
+entries support truthiness, ``-``, ``*`` and an exact ``//`` (Python ints,
+``Poly``).
 """
 
 from __future__ import annotations
-
-from .poly import Poly
 
 
 def echelon(matrix) -> tuple:
@@ -48,50 +48,33 @@ def echelon(matrix) -> tuple:
     return rank, det if rank == rows else 0
 
 
-def bareiss_det(m, variables) -> Poly:
-    """Determinant over the polynomial ring by fraction-free Bareiss elimination.
+def bareiss_det(m):
+    """Determinant over an exact integral domain by fraction-free Bareiss elimination.
 
-    Consumes ``m`` (a square list of lists of Poly) in place.
+    The entries are Python ints or ``Poly``; ``//`` is the exact quotient in
+    both (Bareiss, Math. Comp. 22, 1968: every division is exact, so every
+    intermediate entry stays in the ring).  Consumes ``m`` (a square list of
+    lists) in place; the empty matrix has determinant 1.
     """
     size = len(m)
     if size == 0:
-        return Poly.const(variables, 1)
+        return 1
     sign = 1
-    prev = Poly.const(variables, 1)
+    prev = 1
     for col in range(size - 1):
-        if m[col][col].is_zero():
-            pivot = next((r for r in range(col + 1, size) if not m[r][col].is_zero()), None)
+        if not m[col][col]:
+            pivot = next((r for r in range(col + 1, size) if m[r][col]), None)
             if pivot is None:
-                return Poly.zero(variables)
+                return m[col][col]
             m[col], m[pivot] = m[pivot], m[col]
             sign = -sign
+        prow = m[col]
+        p = prow[col]
         for r in range(col + 1, size):
+            row = m[r]
+            f = row[col]
             for c in range(col + 1, size):
-                num = m[r][c] * m[col][col] - m[r][col] * m[col][c]
-                m[r][c] = _exact_poly_div(num, prev)
-            m[r][col] = Poly.zero(variables)
-        prev = m[col][col]
+                row[c] = (row[c] * p - f * prow[c]) // prev
+        prev = p
     det = m[size - 1][size - 1]
-    return det.scale(sign)
-
-
-def _exact_poly_div(num: Poly, den: Poly) -> Poly:
-    """Exact division num/den (den is known to divide num in Bareiss)."""
-    if den.total_degree() == 0:
-        c = den.constant_term()
-        return Poly(num.vars, {e: co / c for e, co in num.terms.items()})
-    # multivariate long division by a single divisor with exact quotient
-    remainder = num
-    quotient = Poly.zero(num.vars)
-    den_terms = sorted(den.terms.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True)
-    lead_e, lead_c = den_terms[0]
-    while not remainder.is_zero():
-        r_terms = sorted(remainder.terms.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True)
-        r_e, r_c = r_terms[0]
-        diff = tuple(a - b for a, b in zip(r_e, lead_e))
-        if any(d < 0 for d in diff):
-            raise ArithmeticError("inexact polynomial division in fraction-free elimination")
-        mono = Poly.monomial(num.vars, diff, r_c / lead_c)
-        quotient = quotient + mono
-        remainder = remainder - mono * den
-    return quotient
+    return det if sign == 1 else -det

@@ -200,6 +200,39 @@ def test_classify_csv_parses_to_header_width(capsys):
     assert json.loads(rows[1][rows[0].index("n")]) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ("classify", "--group", "leftQH", "--n", "1"),
+    ("classify", "--group", "abelian", "--n", "1", "--condition-h", "exact"),
+    ("verify", "boundary", "--group", "leftQH", "--n", "1", "--trials", "2"),
+    ("verify", "boundary", "--group", "rightQH", "--n", "2", "--k", "1", "--trials", "1",
+     "--degree", "1"),
+    ("symbol", "--n", "1", "--k", "1", "--v", "1,0,0,0,0,0,0,0"),
+])
+def test_csv_cells_read_back_as_the_json_report(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    payload = json.loads(out)
+    code_csv, csv_out, _ = run(capsys, *argv, "--format", "csv")
+    assert code_csv == code
+    rows = payload if isinstance(payload, list) else payload.get("levels") or [payload]
+    header, *cells = list(csv.reader(io.StringIO(csv_out)))
+    assert header == sorted({k for row in rows for k in row})
+    assert len(cells) == len(rows)
+    checked = 0
+    for row, line in zip(rows, cells):
+        assert len(line) == len(header)
+        for key, cell in zip(header, line):
+            if key not in row:
+                assert cell == ""
+                continue
+            value = row[key]
+            if isinstance(value, str):
+                assert cell == value
+            else:
+                assert json.loads(cell) == value
+                checked += 1
+    assert checked
+
+
 def test_ma_requires_right_type(capsys):
     code, out, err = run(capsys, "ma", "--group", "leftQH", "--n", "2")
     assert (code, out) == (3, "")

@@ -1,0 +1,222 @@
+"""Differential tests of the integer condition-H path and the signed-permutation brackets.
+
+The references are the rational constructions: bracket matrices from dense
+products with block_diag(Ibeta), determinants from ``echelon`` over
+``Fraction`` matrices and exact-mode samples from ``Poly.eval_exact``.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from cfx import groups, linalg
+from cfx.groups import (GroupSpec, I_MATS, block_diag, central_pairing_det,
+                        central_pairing_det_poly, check_condition_H, classify,
+                        exact_sampler, group_from_phi, horizontal_fields, mat,
+                        mat_add, mat_mul, sphere_grid)
+from cfx.linalg import echelon
+from cfx.poly import Poly, x_vars
+from cfx.randgen import SectionGenerator
+from cfx.rational import ComplexRational
+
+
+def reference_brackets(S, n):
+    S = mat(S)
+    out = []
+    for beta in range(3):
+        ib = block_diag(I_MATS[beta], n)
+        out.append(mat_add(mat_mul(S, ib), mat_mul(ib, S)))
+    return tuple(out)
+
+
+def reference_det(brackets, lam):
+    size = len(brackets[0])
+    m = [[sum(Fraction(lam[beta]) * brackets[beta][i][j] for beta in range(3))
+          for j in range(size)] for i in range(size)]
+    return Fraction(echelon(m)[1])
+
+
+def reference_condition_H(grid, resolution, sample, det_poly=None):
+    """The body of check_condition_H, sampling with the given rational sampler."""
+    if det_poly is not None and det_poly.is_zero():
+        return {"verdict": "false", "witness": ["1", "0", "0"],
+                "reason": "determinant vanishes identically"}
+    signs = set()
+    for lam in grid:
+        val = sample(lam)
+        if val == 0:
+            return {"verdict": "false", "witness": [str(x) for x in lam],
+                    "reason": "determinant vanishes at a rational covector"}
+        signs.add(val > 0)
+    if len(signs) > 1:
+        return {"verdict": "false", "witness": None,
+                "reason": "determinant changes sign on the grid"}
+    result = {"verdict": "sampled-true", "grid_points": len(grid),
+              "resolution": resolution,
+              "note": "no zero on the sampled direction grid; not a positivity proof"}
+    if det_poly is not None:
+        result["det_degree"] = det_poly.total_degree()
+    return result
+
+
+def rational_symmetric(seed, size):
+    """Symmetric matrix with denominators among 1, 2, 3 and 6."""
+    rng = random.Random(seed)
+    m = [[Fraction(0)] * size for _ in range(size)]
+    for i in range(size):
+        for j in range(i, size):
+            m[i][j] = m[j][i] = Fraction(rng.randint(-6, 6), rng.choice([1, 2, 3, 6]))
+    return m
+
+
+def phi_group():
+    v = x_vars(4)
+    rng = random.Random(3)
+    phi = Poly.zero(v)
+    for a in range(4):
+        for b in range(a, 4):
+            c = Fraction(rng.randint(-3, 3), rng.choice([1, 2, 5]))
+            phi = phi + Poly.var(v, f"x{a+1}", c) * Poly.var(v, f"x{b+1}")
+    return group_from_phi(phi)
+
+
+def _case(name):
+    kind, n, seed = name.split("-")
+    n, seed = int(n), int(seed)
+    if kind == "named":
+        return GroupSpec.named(("rightQH", "leftQH", "abelian")[seed], n)
+    if kind == "int":
+        return GroupSpec(n, SectionGenerator(seed).symmetric_matrix(4 * n))
+    if kind == "rational":
+        return GroupSpec(n, rational_symmetric(seed, 4 * n))
+    if kind == "witness":
+        return GroupSpec(1, ((-1, 0, 0, 0), (0, -1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)))
+    assert kind == "phi"
+    return phi_group()
+
+
+# (group, resolution); exact mode runs only at n <= 2, where the symbolic
+# determinant is cheap enough for a unit test.
+CASES = [
+    ("named-1-0", 3), ("named-2-0", 2), ("named-1-1", 5), ("named-2-1", 3),
+    ("named-1-2", 2), ("witness-1-0", 2), ("witness-1-0", 6),
+    ("int-1-5", 6), ("int-1-19", 3), ("int-2-7", 2), ("int-2-11", 3), ("int-3-5", 2),
+    ("rational-1-1", 5), ("rational-1-2", 4), ("rational-2-3", 2), ("rational-2-4", 2),
+    ("phi-1-0", 4),
+]
+
+
+@pytest.mark.parametrize("name,resolution", CASES)
+def test_integer_condition_H_matches_rational_reference(monkeypatch, name, resolution):
+    g = _case(name)
+    brackets = reference_brackets(g.S, g.n)
+    grid = sphere_grid(resolution)
+    values = {lam: reference_det(brackets, lam) for lam in grid}
+    for lam in grid:
+        assert central_pairing_det(g, lam) == values[lam]
+    assert check_condition_H(g, "sampled", resolution) == \
+        reference_condition_H(grid, resolution, values.get)
+    if g.n > 2:
+        return
+    det_poly = central_pairing_det_poly(g)
+    sample = exact_sampler(det_poly)
+    evaluated = {lam: det_poly.eval_exact(list(lam)).re for lam in grid}
+    for lam in grid:
+        assert sample(lam) == evaluated[lam] == values[lam]
+    # reuse the symbolic determinant: it takes about a second at n = 2
+    monkeypatch.setattr(groups, "central_pairing_det_poly", lambda _: det_poly)
+    assert check_condition_H(g, "exact", resolution) == \
+        reference_condition_H(grid, resolution, evaluated.get, det_poly)
+
+
+def test_cases_cover_every_outcome_resolution_and_denominator():
+    # det of a real skew matrix is a Pfaffian squared, so the grid never
+    # sees a sign change; zeros and clean grids are the reachable outcomes
+    outcomes = set()
+    for name, resolution in CASES:
+        g = _case(name)
+        for mode in ("sampled", "exact") if g.n == 1 else ("sampled",):
+            result = check_condition_H(g, mode, resolution)
+            outcomes.add(result.get("reason", result["verdict"]))
+    assert outcomes == {"sampled-true", "determinant vanishes at a rational covector",
+                        "determinant vanishes identically"}
+    assert {resolution for _, resolution in CASES} == {2, 3, 4, 5, 6}
+    dens = {x.denominator for name, _ in CASES if name.startswith("rational")
+            for row in _case(name).S for x in row}
+    assert dens == {1, 2, 3, 6}
+    assert _case("phi-1-0").integer_brackets[0] > 1
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_brackets_and_fields_match_dense_products(n):
+    for seed in range(3):
+        S = rational_symmetric(10 * n + seed, 4 * n)
+        g = GroupSpec(n, S)
+        expected = reference_brackets(S, n)
+        assert g.B == expected
+        assert all(type(x) is Fraction for b in g.B for row in b for x in row)
+        variables = g.vars
+        fields = horizontal_fields(g)
+        for beta in range(3):
+            si = mat_mul(g.S, block_diag(I_MATS[beta], n))
+            for b, fld in enumerate(fields):
+                want = Poly.zero(variables)
+                for a in range(4 * n):
+                    want = want + Poly.var(variables, f"x{a+1}", 2 * si[a][b])
+                assert fld.coeffs.get(f"t{beta+1}", Poly.zero(variables)) == want
+
+
+def test_asymmetric_S_is_rejected():
+    S = rational_symmetric(1, 4)
+    S[0][1] += 1
+    with pytest.raises(ValueError, match="symmetric"):
+        GroupSpec(1, S)
+
+
+def _count_calls(monkeypatch, module, name, counts):
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        counts[name] = counts.get(name, 0) + 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+@pytest.mark.parametrize("group", ["rightQH", "leftQH"])
+def test_classify_takes_one_bareiss_per_grid_point(monkeypatch, group):
+    g = GroupSpec.named(group, 2)
+    counts = {}
+    for module in (linalg, groups):
+        for name in ("echelon", "bareiss_det"):
+            _count_calls(monkeypatch, module, name, counts)
+
+    def no_eval(*args, **kwargs):
+        raise AssertionError("Poly.eval_exact on the condition-H path")
+
+    monkeypatch.setattr(Poly, "eval_exact", no_eval)
+    result = classify(g, "sampled")
+    points = result["condition_H"]["grid_points"]
+    assert points == len(sphere_grid(4))
+    assert counts == {"bareiss_det": points, "echelon": 1}  # echelon: is_stratified
+
+    counts.clear()
+    result = classify(g, "exact")
+    assert result["condition_H"]["verdict"] == "sampled-true"
+    assert counts == {"bareiss_det": 1, "echelon": 1}
+
+
+def test_exact_sampler_matches_eval_exact_off_the_homogeneous_case():
+    lam_vars = ("lam1", "lam2", "lam3")
+    rng = random.Random(8)
+    for _ in range(20):
+        terms = {}
+        for _ in range(rng.randint(1, 6)):
+            expo = tuple(rng.randint(0, 3) for _ in lam_vars)
+            re = Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3, 7]))
+            terms[expo] = ComplexRational(re, rng.randint(-2, 2))
+        p = Poly(lam_vars, terms)
+        sample = exact_sampler(p)
+        for lam in sphere_grid(rng.randint(2, 5)):
+            assert sample(lam) == p.eval_exact(list(lam)).re

@@ -8,7 +8,7 @@ import pytest
 
 from cfx.groups import (GroupSpec, central_pairing_det, central_pairing_det_poly,
                         sphere_grid)
-from cfx.linalg import echelon
+from cfx.linalg import bareiss_det, echelon
 from cfx.randgen import SectionGenerator
 from cfx.rational import ComplexRational
 
@@ -108,6 +108,42 @@ def test_echelon_edge_cases():
     assert echelon([[ComplexRational(0, 1)]]) == (1, ComplexRational(0, 1))
     # a row swap flips the sign
     assert echelon([[zero, Fraction(1)], [Fraction(1), zero]]) == (2, -1)
+
+
+def int_cases(seed):
+    """Seeded square int matrices: dense, zero leading pivots and low rank."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(40):
+        size = rng.randint(1, 7)
+        out.append([[rng.randint(-9, 9) for _ in range(size)] for _ in range(size)])
+    for _ in range(20):
+        size = rng.randint(2, 7)
+        m = [[rng.randint(-5, 5) for _ in range(size)] for _ in range(size)]
+        m[0][0] = 0
+        m[1][1] = 0
+        out.append(m)
+    for _ in range(20):
+        size = rng.randint(2, 7)
+        inner = rng.randint(1, size - 1)
+        left = [[rng.randint(-3, 3) for _ in range(inner)] for _ in range(size)]
+        right = [[rng.randint(-3, 3) for _ in range(size)] for _ in range(inner)]
+        out.append(product(left, right))
+    return out
+
+
+def test_bareiss_det_over_ints_matches_echelon():
+    swaps = singular = 0
+    for m in int_cases(5):
+        expected = echelon([[Fraction(x) for x in row] for row in m])[1]
+        det = bareiss_det([row[:] for row in m])
+        assert type(det) is int and det == expected
+        swaps += m[0][0] == 0 and det != 0
+        singular += det == 0
+    assert swaps >= 5 and singular >= 20
+    assert bareiss_det([]) == 1
+    assert bareiss_det([[0, 1], [1, 0]]) == -1
+    assert bareiss_det([[0, 0, 1], [0, 1, 0], [1, 0, 0]]) == -1
 
 
 def _group(name, n):

@@ -104,15 +104,17 @@ def cmd_classify(args) -> int:
     return EXIT_PASS
 
 
-def _check_sizes(args, min_trials: int) -> None:
-    if args.n > MAX_N:
-        raise ValueError(f"n={args.n} exceeds the configured limit {MAX_N}")
+def _check_sizes(n: int, args, min_trials: int) -> None:
+    if n > MAX_N:
+        raise ValueError(f"n={n} exceeds the configured limit {MAX_N}")
     if args.trials < min_trials:
         raise ValueError(f"--trials must be at least {min_trials}")
 
 
 def cmd_verify(args) -> int:
-    _check_sizes(args, min_trials=1)
+    # the limit holds for the group that runs: a --file group brings its own n
+    group = _load_group(args) if args.target == "boundary" and args.file else None
+    _check_sizes(group.n if group else args.n, args, min_trials=1)
     if not 1 <= args.degree <= MAX_DEGREE:
         raise ValueError(f"--degree must be in 1..{MAX_DEGREE}")
     reports = []
@@ -123,7 +125,7 @@ def cmd_verify(args) -> int:
                                                            max(1, args.trials // 4),
                                                            args.seed + 1, args.degree))
     else:
-        group = _load_group(args)
+        group = group or _load_group(args)
         frame = TangentFrame(group)
         wanted = args.check
         if wanted in ("composition", "all"):
@@ -148,7 +150,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_symbol(args) -> int:
-    _check_sizes(args, min_trials=0)
+    _check_sizes(args.n, args, min_trials=0)
     spec = ComplexSpec(args.n, args.k)
     vectors = []
     if args.v:

@@ -7,7 +7,8 @@ single +-1, so S Ibeta is a signed column permutation of S, and
 Ibeta S = -(S Ibeta)^T because S is symmetric and Ibeta is skew.
 Classification predicates (right-type, stratified, nondegenerate central
 pairing) are exact except where a grid sampling is explicitly reported as
-such.
+such: condition H samples integer determinants on a direction grid, and its
+``exact`` mode also decides whether the determinant vanishes identically.
 """
 
 from __future__ import annotations
@@ -226,13 +227,16 @@ class GroupSpec:
 
     @classmethod
     def from_json(cls, data: dict) -> "GroupSpec":
-        """{"n": .., "S": [[...]]} or {"phi": poly}; ValueError on any other shape."""
+        """{"n": int, "S": [[str or int, ...]]} or {"phi": poly}; ValueError otherwise."""
         if isinstance(data, dict) and "phi" in data:
             return group_from_phi(Poly.from_json(data["phi"]))
         try:
-            S = tuple(tuple(Fraction(x) for x in row) for row in data["S"])
-            n = int(data["n"])
-        except (KeyError, TypeError) as exc:
+            n, rows = data["n"], data["S"]
+            # exact input only: a JSON float or boolean would be read inexactly
+            if type(n) is not int or any(type(x) not in (str, int) for row in rows for x in row):
+                raise ValueError("group JSON needs an integer n and string or integer S entries")
+            S = tuple(tuple(Fraction(x) for x in row) for row in rows)
+        except (KeyError, TypeError, ZeroDivisionError) as exc:
             raise ValueError(f"malformed group JSON: {exc!r}") from None
         return cls(n, S)
 
@@ -396,48 +400,6 @@ def central_pairing_det(g: GroupSpec, lam) -> Fraction:
     return Fraction(bareiss_det(m), (q * den) ** (4 * g.n))
 
 
-def central_pairing_det_poly(g: GroupSpec) -> Poly:
-    """Symbolic det( sum lam_beta B^beta ) as a polynomial in lam1..lam3.
-
-    Fraction-free Bareiss elimination over the polynomial ring keeps every
-    intermediate step exact.
-    """
-    lam_vars = ("lam1", "lam2", "lam3")
-    size = 4 * g.n
-    m = [[Poly.zero(lam_vars) for _ in range(size)] for _ in range(size)]
-    for i in range(size):
-        for j in range(size):
-            for beta in range(3):
-                c = g.B[beta][i][j]
-                if c:
-                    m[i][j] = m[i][j] + Poly.var(lam_vars, lam_vars[beta], ComplexRational(c))
-    return bareiss_det(m)
-
-
-def exact_sampler(det_poly: Poly):
-    """lam -> det_poly(lam).re for rational lam, in int arithmetic.
-
-    The real coefficients are cleared once to integers C_e over den_p; with
-    D the top degree and mu = q lam integral, the value is
-    sum C_e mu^e q^(D - |e|) / (den_p q^D).
-    """
-    top = max(det_poly.total_degree(), 0)
-    reals = [(e, c.re) for e, c in det_poly.terms.items()]
-    den_p = math.lcm(*(c.denominator for _, c in reals))
-    terms = [(e, c.numerator * (den_p // c.denominator), top - sum(e)) for e, c in reals]
-
-    def sample(lam) -> Fraction:
-        q, mu = _clear_denominators(lam)
-        total = 0
-        for expo, c, rest in terms:
-            for m, e in zip(mu, expo):
-                c *= m ** e
-            total += c * q ** rest
-        return Fraction(total, den_p * q ** top)
-
-    return sample
-
-
 def sphere_grid(resolution: int = 6):
     """Deterministic rational covectors covering all directions (cube faces)."""
     vals = [Fraction(i, resolution) for i in range(-resolution, resolution + 1)]
@@ -459,51 +421,43 @@ def sphere_grid(resolution: int = 6):
 def check_condition_H(g: GroupSpec, mode: str = "exact", resolution: int = 4) -> dict:
     """Nondegeneracy of the central pairing for every nonzero covector.
 
-    ``exact`` builds the symbolic determinant and then samples it on a
-    rational direction grid; ``sampled`` evaluates determinants directly at
-    the grid points.  A vanishing sample is an exact witness of failure; a
+    Both modes evaluate f(lam) = det( sum lam_beta B^beta ) on a rational
+    direction grid.  A vanishing sample is an exact witness of failure; a
     clean grid yields the verdict "sampled-true" (a grid check, not a proof).
+    A grid covector lam has denominators that divide the resolution; with
+    q their lcm, den the common denominator of the brackets and mu = q lam,
+    ``central_pairing_det`` takes the Bareiss determinant of the integer
+    matrix sum mu_beta (den B^beta), which is (q den)^{4n} f(lam): the
+    exact value, with the same zeros.
 
-    Both modes work in integers.  A grid covector lam has denominators that
-    divide the resolution; with q their lcm, den the common denominator of
-    the brackets and mu = q lam, ``sampled`` takes the Bareiss determinant
-    of the integer matrix sum mu_beta (den B^beta), which is (q den)^{4n}
-    times det( sum lam_beta B^beta ).  ``exact`` clears the denominators of
-    the symbolic determinant once and sums its integer terms at mu.  Each
-    scale factor is positive (and 4n is even), so the integer value has the
-    same sign and the same zeros as the rational one: the verdicts are
-    those of exact rational evaluation.
+    ``exact`` first proves or refutes that f is the zero polynomial, and
+    reports its degree d = 4n.  The entries of the pencil are linear forms,
+    so f is zero or homogeneous of degree d, and f(1, u, w) has degree <= d
+    in each of u and w.  If it vanishes on the (d+1) x (d+1) product grid
+    of integers u, w in 0..d, it is zero (one variable at a time, d+1 roots
+    of a polynomial of degree <= d), and by homogeneity
+    f(lam) = lam1^d f(1, lam2/lam1, lam3/lam1) is then the zero polynomial.
+    The probe stops at its first nonzero value.
     """
     if mode not in ("exact", "sampled"):
         raise ValueError("mode must be 'exact' or 'sampled'")
+    d = 4 * g.n
+    if mode == "exact" and not any(central_pairing_det(g, (1, u, w))
+                                   for u in range(d + 1) for w in range(d + 1)):
+        return {"verdict": "false", "witness": ["1", "0", "0"],
+                "reason": "determinant vanishes identically"}
     grid = sphere_grid(resolution)
-    det_poly = None
-    if mode == "exact":
-        det_poly = central_pairing_det_poly(g)
-        if det_poly.is_zero():
-            return {"verdict": "false", "witness": ["1", "0", "0"],
-                    "reason": "determinant vanishes identically"}
-
-        sample = exact_sampler(det_poly)
-    else:
-        def sample(lam):
-            return central_pairing_det(g, lam)
-
-    signs = set()
+    # sum lam_beta B^beta is real and skew, so f is a Pfaffian squared and the
+    # positive scale keeps its sign: the grid shows zeros, never a sign change
     for lam in grid:
-        val = sample(lam)
-        if val == 0:
+        if central_pairing_det(g, lam) == 0:
             return {"verdict": "false", "witness": [str(x) for x in lam],
                     "reason": "determinant vanishes at a rational covector"}
-        signs.add(val > 0)
-    if len(signs) > 1:
-        return {"verdict": "false", "witness": None,
-                "reason": "determinant changes sign on the grid"}
     result = {"verdict": "sampled-true", "grid_points": len(grid),
               "resolution": resolution,
               "note": "no zero on the sampled direction grid; not a positivity proof"}
-    if det_poly is not None:
-        result["det_degree"] = det_poly.total_degree()
+    if mode == "exact":
+        result["det_degree"] = d
     return result
 
 

@@ -2,9 +2,7 @@
 
 ``echelon`` works over any exact field whose entries support truthiness,
 ``-``, ``*`` and ``/`` (``Fraction``, ``ComplexRational``); ``bareiss_det``
-is the fraction-free determinant over an exact integral domain whose
-entries support truthiness, ``-``, ``*`` and an exact ``//`` (Python ints,
-``Poly``).
+is the fraction-free determinant of a Python int matrix.
 """
 
 from __future__ import annotations
@@ -49,12 +47,11 @@ def echelon(matrix) -> tuple:
 
 
 def bareiss_det(m):
-    """Determinant over an exact integral domain by fraction-free Bareiss elimination.
+    """Determinant of a square int matrix by fraction-free Bareiss elimination.
 
-    The entries are Python ints or ``Poly``; ``//`` is the exact quotient in
-    both (Bareiss, Math. Comp. 22, 1968: every division is exact, so every
-    intermediate entry stays in the ring).  Consumes ``m`` (a square list of
-    lists) in place; the empty matrix has determinant 1.
+    Every ``//`` is exact (Bareiss, Math. Comp. 22, 1968), so every
+    intermediate entry stays an int.  Consumes ``m`` (a list of lists) in
+    place; the empty matrix has determinant 1.
     """
     size = len(m)
     if size == 0:

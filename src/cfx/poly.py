@@ -133,37 +133,6 @@ class Poly:
             return Poly.zero(self.vars)
         return Poly(self.vars, {e: c * value for e, c in self.terms.items()})
 
-    def __floordiv__(self, other) -> "Poly":
-        """Exact quotient self/other; ArithmeticError when other does not divide self.
-
-        A constant divisor divides every coefficient; otherwise multivariate
-        long division by the leading term (degree, then exponent order).
-        """
-        if not isinstance(other, Poly):
-            other = Poly.const(self.vars, other)
-        self._check_compatible(other)
-        if other.is_zero():
-            raise ZeroDivisionError("division by the zero polynomial")
-        if other.total_degree() == 0:
-            c = other.constant_term()
-            return Poly(self.vars, {e: co / c for e, co in self.terms.items()})
-
-        def lead(p):
-            return max(p.terms.items(), key=lambda t: (sum(t[0]), t[0]))
-
-        lead_e, lead_c = lead(other)
-        remainder = self
-        quotient = Poly.zero(self.vars)
-        while not remainder.is_zero():
-            r_e, r_c = lead(remainder)
-            diff = tuple(a - b for a, b in zip(r_e, lead_e))
-            if any(d < 0 for d in diff):
-                raise ArithmeticError("inexact polynomial division")
-            mono = Poly.monomial(self.vars, diff, r_c / lead_c)
-            quotient = quotient + mono
-            remainder = remainder - mono * other
-        return quotient
-
     def __pow__(self, exponent: int) -> "Poly":
         if exponent < 0:
             raise ValueError("negative power")

@@ -111,7 +111,10 @@ class ComplexRational:
         if not (isinstance(parts, (list, tuple)) and len(parts) == 2
                 and all(type(p) in (str, int) for p in parts)):
             raise ValueError(f"exact coefficients are strings or integers, not {data!r}")
-        return cls(Fraction(parts[0]), Fraction(parts[1]))
+        try:
+            return cls(Fraction(parts[0]), Fraction(parts[1]))
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in exact coefficient {data!r}") from None
 
 
 def cq(value, im=None) -> ComplexRational:

@@ -308,6 +308,53 @@ def test_malformed_group_file_exits_2(tmp_path, capsys, command, content):
     _assert_input_error(*run(capsys, *command, "--file", str(path)))
 
 
+@pytest.mark.parametrize("content", [
+    '{"n": 1.5, "S": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]}',
+    '{"n": true, "S": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]}',
+    '{"n": "1", "S": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]}',
+    '{"n": 1, "S": [[0.1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]}',
+    '{"n": 1, "S": [[true, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]}',
+    '{"n": 1, "S": [["1/0", 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]}',
+    '{"phi": {"vars": ["x1", "x2", "x3", "x4"], "terms": [{"c": ["1/0", 0], "e": [2, 0, 0, 0]}]}}',
+])
+def test_group_file_needs_an_integer_n_and_exact_entries(tmp_path, capsys, content):
+    path = tmp_path / "group.json"
+    path.write_text(content)
+    _assert_input_error(*run(capsys, "classify", "--file", str(path)))
+
+
+def test_group_json_keeps_string_and_integer_entries():
+    from fractions import Fraction
+    from cfx.groups import GroupSpec
+    g = GroupSpec.from_json({"n": 1, "S": [["1/10", 0, 0, 0], [0, 1, 0, 0],
+                                           [0, 0, 1, 0], [0, 0, 0, "-3"]]})
+    assert g.n == 1 and [g.S[i][i] for i in range(4)] == [Fraction(1, 10), 1, 1, -3]
+
+
+def _write_group(tmp_path, group):
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps(group.to_json()))
+    return str(path)
+
+
+def test_verify_boundary_limits_the_n_of_a_file_group(tmp_path, capsys):
+    from cfx.groups import GroupSpec
+    path = _write_group(tmp_path, GroupSpec.right_qh(4))
+    code, out, err = run(capsys, "verify", "boundary", "--file", path, "--check", "bracket")
+    _assert_input_error(code, out, err)
+    assert "n=4 exceeds the configured limit" in err
+
+
+def test_verify_boundary_ignores_n_when_a_file_gives_the_group(tmp_path, capsys):
+    from cfx.groups import GroupSpec
+    path = _write_group(tmp_path, GroupSpec.right_qh(1))
+    code, out, _ = run(capsys, "verify", "boundary", "--n", "5", "--file", path,
+                       "--check", "bracket")
+    assert code == 0
+    assert out == run(capsys, "verify", "boundary", "--group", "rightQH", "--n", "1",
+                      "--check", "bracket")[1]
+
+
 @pytest.mark.parametrize("target", ["missing/x.json", "right-type/x.json", "."])
 def test_unwritable_out_path_exits_2(tmp_path, capsys, target):
     code, out, err = run(capsys, "classify", "--group", "rightQH", "--n", "1",
@@ -411,7 +458,7 @@ def test_complex_rational_from_json_keeps_strings_and_ints():
     from cfx.rational import ComplexRational
     assert ComplexRational.from_json("1/3") == ComplexRational(Fraction(1, 3))
     assert ComplexRational.from_json(["-2/5", 7]) == ComplexRational(Fraction(-2, 5), 7)
-    for bad in (0.5, [0.1, 0], [True, 0], [0, False]):
+    for bad in (0.5, [0.1, 0], [True, 0], [0, False], "1/0", ["0", "2/0"]):
         with pytest.raises(ValueError):
             ComplexRational.from_json(bad)
 

@@ -2,7 +2,8 @@
 
 The references are the rational constructions: bracket matrices from dense
 products with block_diag(Ibeta), determinants from ``echelon`` over
-``Fraction`` matrices and exact-mode samples from ``Poly.eval_exact``.
+``Fraction`` matrices, and for exact mode the symbolic determinant by
+cofactor expansion, sampled with ``Poly.eval_exact``.
 """
 
 import random
@@ -12,13 +13,12 @@ import pytest
 
 from cfx import groups, linalg
 from cfx.groups import (GroupSpec, I_MATS, block_diag, central_pairing_det,
-                        central_pairing_det_poly, check_condition_H, classify,
-                        exact_sampler, group_from_phi, horizontal_fields, mat,
-                        mat_add, mat_mul, sphere_grid)
+                        check_condition_H, classify, group_from_phi,
+                        horizontal_fields, mat, mat_add, mat_mul, sphere_grid)
 from cfx.linalg import echelon
 from cfx.poly import Poly, x_vars
 from cfx.randgen import SectionGenerator
-from cfx.rational import ComplexRational
+from test_linalg import symbolic_pairing_det
 
 
 def reference_brackets(S, n):
@@ -38,20 +38,14 @@ def reference_det(brackets, lam):
 
 
 def reference_condition_H(grid, resolution, sample, det_poly=None):
-    """The body of check_condition_H, sampling with the given rational sampler."""
-    if det_poly is not None and det_poly.is_zero():
+    """check_condition_H from a rational sampler; exact mode when det_poly is given."""
+    if det_poly is not None and not det_poly:
         return {"verdict": "false", "witness": ["1", "0", "0"],
                 "reason": "determinant vanishes identically"}
-    signs = set()
     for lam in grid:
-        val = sample(lam)
-        if val == 0:
+        if sample(lam) == 0:
             return {"verdict": "false", "witness": [str(x) for x in lam],
                     "reason": "determinant vanishes at a rational covector"}
-        signs.add(val > 0)
-    if len(signs) > 1:
-        return {"verdict": "false", "witness": None,
-                "reason": "determinant changes sign on the grid"}
     result = {"verdict": "sampled-true", "grid_points": len(grid),
               "resolution": resolution,
               "note": "no zero on the sampled direction grid; not a positivity proof"}
@@ -92,15 +86,22 @@ def _case(name):
         return GroupSpec(n, rational_symmetric(seed, 4 * n))
     if kind == "witness":
         return GroupSpec(1, ((-1, 0, 0, 0), (0, -1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)))
+    if kind == "line":
+        # det = 16 lam2^4: zero on the whole line lam2 = 0 of the lam1 = 1 face
+        return GroupSpec(1, ((1, 0, 0, 0), (0, -1, 0, 0), (0, 0, 1, 0), (0, 0, 0, -1)))
+    if kind == "half":
+        # S = blockdiag(Id, 0): S != 0, but the pencil is singular everywhere
+        return GroupSpec(2, [[int(i == j < 4) for j in range(8)] for i in range(8)])
     assert kind == "phi"
     return phi_group()
 
 
-# (group, resolution); exact mode runs only at n <= 2, where the symbolic
-# determinant is cheap enough for a unit test.
+# (group, resolution); the symbolic reference for exact mode runs only at
+# n <= 2, where cofactor expansion is cheap enough for a unit test.
 CASES = [
     ("named-1-0", 3), ("named-2-0", 2), ("named-1-1", 5), ("named-2-1", 3),
     ("named-1-2", 2), ("witness-1-0", 2), ("witness-1-0", 6),
+    ("line-1-0", 3), ("half-2-0", 2),
     ("int-1-5", 6), ("int-1-19", 3), ("int-2-7", 2), ("int-2-11", 3), ("int-3-5", 2),
     ("rational-1-1", 5), ("rational-1-2", 4), ("rational-2-3", 2), ("rational-2-4", 2),
     ("phi-1-0", 4),
@@ -108,7 +109,7 @@ CASES = [
 
 
 @pytest.mark.parametrize("name,resolution", CASES)
-def test_integer_condition_H_matches_rational_reference(monkeypatch, name, resolution):
+def test_integer_condition_H_matches_rational_reference(name, resolution):
     g = _case(name)
     brackets = reference_brackets(g.S, g.n)
     grid = sphere_grid(resolution)
@@ -119,15 +120,13 @@ def test_integer_condition_H_matches_rational_reference(monkeypatch, name, resol
         reference_condition_H(grid, resolution, values.get)
     if g.n > 2:
         return
-    det_poly = central_pairing_det_poly(g)
-    sample = exact_sampler(det_poly)
-    evaluated = {lam: det_poly.eval_exact(list(lam)).re for lam in grid}
-    for lam in grid:
-        assert sample(lam) == evaluated[lam] == values[lam]
-    # reuse the symbolic determinant: it takes about a second at n = 2
-    monkeypatch.setattr(groups, "central_pairing_det_poly", lambda _: det_poly)
+    det_poly = symbolic_pairing_det(g)
+    if det_poly:
+        assert det_poly.is_homogeneous(4 * g.n)
+        for lam in grid:
+            assert det_poly.eval_exact(list(lam)).re == values[lam]
     assert check_condition_H(g, "exact", resolution) == \
-        reference_condition_H(grid, resolution, evaluated.get, det_poly)
+        reference_condition_H(grid, resolution, values.get, det_poly)
 
 
 def test_cases_cover_every_outcome_resolution_and_denominator():
@@ -136,7 +135,7 @@ def test_cases_cover_every_outcome_resolution_and_denominator():
     outcomes = set()
     for name, resolution in CASES:
         g = _case(name)
-        for mode in ("sampled", "exact") if g.n == 1 else ("sampled",):
+        for mode in ("sampled", "exact"):
             result = check_condition_H(g, mode, resolution)
             outcomes.add(result.get("reason", result["verdict"]))
     assert outcomes == {"sampled-true", "determinant vanishes at a rational covector",
@@ -204,19 +203,27 @@ def test_classify_takes_one_bareiss_per_grid_point(monkeypatch, group):
     counts.clear()
     result = classify(g, "exact")
     assert result["condition_H"]["verdict"] == "sampled-true"
-    assert counts == {"bareiss_det": 1, "echelon": 1}
+    # one more: the zero-pencil probe stops at its first point, (1, 0, 0)
+    assert counts == {"bareiss_det": points + 1, "echelon": 1}
 
 
-def test_exact_sampler_matches_eval_exact_off_the_homogeneous_case():
-    lam_vars = ("lam1", "lam2", "lam3")
-    rng = random.Random(8)
-    for _ in range(20):
-        terms = {}
-        for _ in range(rng.randint(1, 6)):
-            expo = tuple(rng.randint(0, 3) for _ in lam_vars)
-            re = Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3, 7]))
-            terms[expo] = ComplexRational(re, rng.randint(-2, 2))
-        p = Poly(lam_vars, terms)
-        sample = exact_sampler(p)
-        for lam in sphere_grid(rng.randint(2, 5)):
-            assert sample(lam) == p.eval_exact(list(lam)).re
+@pytest.mark.parametrize("name", ["named-1-2", "half-2-0"])
+def test_zero_pencil_probe_covers_the_whole_grid(monkeypatch, name):
+    g = _case(name)
+    counts = {}
+    _count_calls(monkeypatch, groups, "bareiss_det", counts)
+    assert check_condition_H(g, "exact")["reason"] == "determinant vanishes identically"
+    assert counts == {"bareiss_det": (4 * g.n + 1) ** 2}
+
+
+def test_zero_pencil_probe_is_a_proof_for_any_form_of_degree_4n(monkeypatch):
+    # lam2 (lam2 - lam1) (lam2 - 2 lam1) (lam2 - 3 lam1) has degree 4 = 4n at
+    # n = 1 and vanishes at every probe point (1, u, w) with u < 4
+    def det(g, lam):
+        lam1, lam2, _ = (Fraction(x) for x in lam)
+        return lam2 * (lam2 - lam1) * (lam2 - 2 * lam1) * (lam2 - 3 * lam1)
+
+    monkeypatch.setattr(groups, "central_pairing_det", det)
+    result = check_condition_H(GroupSpec.right_qh(1), "exact")
+    assert result["reason"] == "determinant vanishes at a rational covector"
+

@@ -5,7 +5,7 @@ import pytest
 
 from cfx.groups import (GroupSpec, I_MATS, J_MATS, block_diag,
                         bracket_table_matches, central_pairing_det,
-                        central_pairing_det_poly, check_condition_H, classify,
+                        check_condition_H, classify,
                         group_from_phi, horizontal_fields, is_right_type,
                         is_right_type_via_E, is_stratified, mat, mat_add,
                         mat_eq, mat_is_zero, mat_mul, mat_neg, mat_scale,
@@ -13,6 +13,7 @@ from cfx.groups import (GroupSpec, I_MATS, J_MATS, block_diag,
                         representations_commute)
 from cfx.poly import Poly, x_vars
 from cfx.randgen import SectionGenerator
+from test_linalg import symbolic_pairing_det
 
 
 def test_quaternion_relations_exact():
@@ -176,7 +177,7 @@ def test_stratified():
 
 def test_condition_h_right_qh_symbolic():
     g = GroupSpec.right_qh(1)
-    det = central_pairing_det_poly(g)
+    det = symbolic_pairing_det(g)
     lam = ("lam1", "lam2", "lam3")
     norm = Poly.zero(lam)
     for name in lam:

@@ -5,11 +5,13 @@ import on purpose and neither binds a module name nor adds a load-time edge.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "cfx"
+REPO = Path(__file__).resolve().parent.parent
+PACKAGE = REPO / "src" / "cfx"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -91,3 +93,22 @@ def test_no_environment_reads(path):
               if isinstance(node, ast.ImportFrom) and node.module == "os"
               and any(alias.name in names for alias in node.names)]
     assert not reads, f"{path.name}: environment read on lines {sorted(reads)}"
+
+
+def test_every_public_definition_is_named_elsewhere():
+    # a public module-level function or class that no other code names is dead
+    sources = {p: p.read_text(encoding="utf-8").splitlines()
+               for folder in ("src", "tests", "scripts", "bench")
+               for p in sorted((REPO / folder).rglob("*.py"))}
+    orphans = []
+    for path in [*MODULES, PACKAGE / "__init__.py"]:
+        for node in _tree(path).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+                continue
+            word = re.compile(rf"\b{node.name}\b")
+            own = range(node.lineno, node.end_lineno + 1)
+            if not any(word.search(line) for p, lines in sources.items()
+                       for number, line in enumerate(lines, 1)
+                       if not (p == path and number in own)):
+                orphans.append(f"{path.name}: {node.name}")
+    assert not orphans, f"public definitions named nowhere else: {orphans}"

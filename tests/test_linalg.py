@@ -2,28 +2,50 @@
 
 import random
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 
 import pytest
 
-from cfx.groups import (GroupSpec, central_pairing_det, central_pairing_det_poly,
-                        sphere_grid)
+from cfx.groups import GroupSpec, central_pairing_det, sphere_grid
 from cfx.linalg import bareiss_det, echelon
+from cfx.poly import Poly
 from cfx.randgen import SectionGenerator
 from cfx.rational import ComplexRational
 
+LAM = ("lam1", "lam2", "lam3")
 
-def laplace_det(m):
-    """Cofactor expansion along the first row."""
-    if not m:
-        return 1
-    total = 0
-    for c, entry in enumerate(m[0]):
-        if entry:
-            minor = [row[:c] + row[c + 1:] for row in m[1:]]
-            term = entry * laplace_det(minor)
-            total = total + term if c % 2 == 0 else total - term
-    return total
+
+def cofactor_det(m):
+    """Cofactor expansion down the rows, memoized by the set of columns left.
+
+    Only ``+``, ``-`` and ``*``, no division: a reference determinant over
+    any commutative ring (ints, ``Fraction``, ``ComplexRational``, ``Poly``).
+    The empty matrix has determinant 1.
+    """
+    size = len(m)
+
+    @cache
+    def minor(cols):
+        if not cols:
+            return 1
+        row = m[size - len(cols)]
+        total = 0
+        for pos, c in enumerate(cols):
+            if row[c]:
+                term = row[c] * minor(cols[:pos] + cols[pos + 1:])
+                total = total - term if pos % 2 else total + term
+        return total
+
+    return minor(tuple(range(size)))
+
+
+def symbolic_pairing_det(g):
+    """det( sum lam_beta B^beta ) in lam1..lam3 by ``cofactor_det`` (0 when it vanishes)."""
+    size = 4 * g.n
+    pencil = [[sum((Poly.var(LAM, v, b[i][j]) for v, b in zip(LAM, g.B)), Poly.zero(LAM))
+               for j in range(size)] for i in range(size)]
+    return cofactor_det(pencil)
 
 
 def minor_rank(m):
@@ -33,7 +55,7 @@ def minor_rank(m):
     for size in range(min(rows, cols), 0, -1):
         for rs in combinations(range(rows), size):
             for cs in combinations(range(cols), size):
-                if laplace_det([[m[r][c] for c in cs] for r in rs]):
+                if cofactor_det([[m[r][c] for c in cs] for r in rs]):
                     return size
     return 0
 
@@ -82,7 +104,7 @@ def test_echelon_matches_brute_force(entry, seed):
         rank, det = echelon(m)
         assert rank == minor_rank(m)
         if len(m) == len(m[0]):
-            assert det == laplace_det(m)
+            assert det == cofactor_det(m)
             deficient += rank < len(m)
         else:
             assert det is None
@@ -156,6 +178,15 @@ def _group(name, n):
 @pytest.mark.parametrize("n", [1, 2])
 def test_central_pairing_det_matches_symbolic_determinant(name, n):
     group = _group(name, n)
-    det_poly = central_pairing_det_poly(group)
+    det_poly = symbolic_pairing_det(group)
+    assert det_poly.is_homogeneous(4 * n)
     for lam in sphere_grid(4):
         assert central_pairing_det(group, lam) == det_poly.eval_exact(list(lam)).re
+
+
+def test_cofactor_det_over_polynomials():
+    x, y = (Poly.var(("x", "y"), v) for v in ("x", "y"))
+    assert cofactor_det([[x, y], [y, x]]) == x * x - y * y
+    assert cofactor_det([[x, y, 0], [0, x, y], [y, 0, x]]) == x * x * x + y * y * y
+    assert cofactor_det([[x, y], [x, y]]) == 0 * x
+    assert cofactor_det([]) == 1

@@ -91,16 +91,3 @@ def test_eval_exact():
     p = p_var("x1") * p_var("x2") + Poly.const(V, 3)
     val = p.eval_exact([Fraction(1, 2), Fraction(4), 0, 0, 0])
     assert val == cq(5)
-
-
-def test_floordiv_is_the_exact_quotient():
-    a = p_var("x1") + p_var("x2").scale(cq(2, 1)) + Poly.const(V, Fraction(1, 3))
-    b = p_var("x1") * p_var("x3") - p_var("x2")
-    assert (a * b) // b == a
-    assert (a * b) // a == b
-    assert (a * b) // Poly.const(V, cq(0, 2)) == (a * b).scale(cq(0, Fraction(-1, 2)))
-    assert a // 3 == a.scale(Fraction(1, 3))
-    with pytest.raises(ArithmeticError):
-        (a * b + p_var("x4")) // b
-    with pytest.raises(ZeroDivisionError):
-        a // Poly.zero(V)

@@ -26,7 +26,7 @@ from .groups import GroupSpec, horizontal_fields, is_right_type_via_E
 from .operators import FirstOrderOp
 from .poly import Poly, x_vars
 from .rational import ComplexRational, I, cq
-from .spinor import LevelTable, SpinorField
+from .spinor import LevelTable, SpinorField, raise_primed
 
 
 class PreconditionError(ValueError):
@@ -56,7 +56,7 @@ class Frame:
             x1, x2, x3, x4 = self.X[4 * l:4 * l + 4]
             self.Z_lower.append([x1 + x2.scale(I), (x3 + x4.scale(I)).scale(-1)])
             self.Z_lower.append([x3 - x4.scale(I), x1 - x2.scale(I)])
-        self.Z_upper = [[row[1], -row[0]] for row in self.Z_lower]
+        self.Z_upper = [list(raise_primed(row)) for row in self.Z_lower]
 
 
 def ambient_vars(n: int) -> tuple:
@@ -77,12 +77,8 @@ class TangentFrame(Frame):
         self.group = group
         self.n = group.n
         self.T_lower = self._t_matrix()
-        self.T_upper = {
-            (0, 0): self.T_lower[1][0],
-            (0, 1): self.T_lower[0][0].scale(-1),
-            (1, 0): self.T_lower[1][1],
-            (1, 1): self.T_lower[0][1].scale(-1),
-        }
+        self.T_upper = {(a, b): raise_primed((self.T_lower[0][a], self.T_lower[1][a]))[b]
+                        for a in (0, 1) for b in (0, 1)}
         self.E0 = curvature_form(group)
         self.right_type = is_right_type_via_E(group)
 

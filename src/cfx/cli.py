@@ -189,14 +189,17 @@ def cmd_ma(args) -> int:
         raise ValueError(f"bad --halfwidth: {exc}") from None
     group = _load_group(args)
     us = _read_json(args.u, _parse_inputs) if args.u else None
+    if us is not None and len(us) < args.power:
+        raise ValueError(f"--power {args.power} needs {args.power} polynomials; "
+                         f"the --u file has {len(us)}")
     if args.convergence and group.n != 2:
         raise ValueError(f"--convergence runs only at n = 2, not n = {group.n}")
     frame = TangentFrame(group)
     if not frame.right_type:
         raise PreconditionError("the wedge-power operator needs a right-type group")
     naxes = 4 * group.n + 3
-    K = Region.cube(naxes, half, args.resolution)
-    L = Region.cube(naxes, half / 2, args.resolution)
+    K = Region.cube(naxes, half)
+    L = Region.cube(naxes, half / 2)
     gen = SectionGenerator(args.seed)
     if us is None:
         us = [gen.spawn(i).psh_quadratic(frame.vars, 4 * group.n)
@@ -266,7 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="wedge-power operator experiments")
     p.add_argument("--power", type=int, default=1)
     p.add_argument("--halfwidth", default="1/2")
-    p.add_argument("--resolution", type=int, default=4)
     p.add_argument("--u", help="JSON file with a list of polynomial inputs")
     p.add_argument("--convergence", type=int, default=0,
                    help="steps for the approximation-mass experiment")

@@ -25,7 +25,12 @@ from .spinor import LevelTable, SpinorField, symmetrize, tuple_to_slots
 
 @dataclass(frozen=True)
 class ComplexSpec(LevelTable):
-    """The flat complex's level table at (n, k): 2n+2 form indices on R^{4(n+1)}."""
+    """The flat complex's level table at (n, k): 2n+2 form indices on R^{4(n+1)}.
+
+    Any k >= 0 is accepted.  The symbol sequence is exact for 0 <= k <= 2n+1;
+    for k >= 2n+2 only the top level fails (n = 1, k = 4: top rank 7 against
+    dimension 8), which ``check_exactness`` reports.
+    """
 
     n: int
     k: int

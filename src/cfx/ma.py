@@ -29,11 +29,10 @@ log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class Region:
-    """Axis-aligned box in group coordinates with a quadrature resolution."""
+    """Axis-aligned box in group coordinates."""
 
     lows: tuple
     highs: tuple
-    resolution: int = 4
 
     def __post_init__(self):
         lows = tuple(Fraction(x) for x in self.lows)
@@ -44,13 +43,11 @@ class Region:
             raise ValueError("box bounds have mismatched lengths")
         if any(h <= l for l, h in zip(lows, highs)):
             raise ValueError("region must have positive volume")
-        if self.resolution < 2:
-            raise ValueError("resolution must be at least 2 per axis")
 
     @classmethod
-    def cube(cls, naxes: int, half_width, resolution: int = 4) -> "Region":
+    def cube(cls, naxes: int, half_width) -> "Region":
         h = Fraction(half_width)
-        return cls((-h,) * naxes, (h,) * naxes, resolution)
+        return cls((-h,) * naxes, (h,) * naxes)
 
     @property
     def naxes(self) -> int:
@@ -140,8 +137,7 @@ def integrate_top(F: ExtForm, region: Region) -> complex:
     coeff = top_coefficient(F)
     if len(F.vars) != region.naxes:
         raise ValueError("region does not match the coefficient variable table")
-    return integrate_poly_box(coeff, region.lows, region.highs,
-                              min_points=region.resolution)
+    return integrate_poly_box(coeff, region.lows, region.highs)
 
 
 def beta_form(frame: TangentFrame) -> ExtForm:
@@ -169,7 +165,7 @@ def _z_rho_on_face(frame: TangentFrame, row: int, aprime: int, axis: int,
 
 def stokes_check(h: Poly, T: ExtForm, region: Region, frame: TangentFrame,
                  aprime: int = 0) -> dict:
-    """Integration-by-parts identity with the face boundary term, by quadrature.
+    """Integration-by-parts identity with the face term, by exact box integrals.
 
     volume(h * dT) + volume(dh ^ T) - faces(h T_a Z_a rho) must vanish; the
     report carries the relative residual.
@@ -197,7 +193,7 @@ def stokes_check(h: Poly, T: ExtForm, region: Region, frame: TangentFrame,
             if total.is_zero():
                 continue
             boundary += integrate_poly_face(total, region.lows, region.highs,
-                                            axis, value, min_points=region.resolution)
+                                            axis, value)
 
     residual = lhs + mid - boundary
     # relative residual with a unit floor: when every term vanishes the
@@ -398,7 +394,7 @@ def cln_experiment(us: Sequence[Poly], K: Region, L: Region,
 
     The cutoff-weighted mass is integrated directly and, after moving both
     lowered operators onto the cutoff, against the bare first input; the two
-    numbers must agree to quadrature accuracy.  Also reports the plain mass
+    numbers must agree up to float roundoff.  Also reports the plain mass
     over the inner region and its ratio to the product of sampled sup norms.
     """
     frame.require_right_type()
@@ -422,18 +418,18 @@ def cln_experiment(us: Sequence[Poly], K: Region, L: Region,
     T = triangle(us[0], frame).wedge(rest_beta)
     g = top_coefficient(T)
 
-    mass_direct = complex(chi.integrate_against_poly(g, K.lows, K.highs))
+    mass_direct = complex(chi.integrate_box(K.lows, K.highs, g))
 
     d1u = frak_d(1, ExtForm.from_scalar(frame.dim, us[0]), frame, raised=False)
     w_mid = d1u.wedge(rest_beta)
     d0chi = separable_first(chi, frame, 0)
     mid_pairs = _wedge_complement_pairs(d0chi, w_mid)
-    mass_middle = -sum((complex(sep.integrate_against_poly(poly, K.lows, K.highs))
+    mass_middle = -sum((complex(sep.integrate_box(K.lows, K.highs, poly))
                         for sep, poly in mid_pairs), 0j)
 
     tri_chi = separable_triangle(chi, frame)
     ibp_pairs = _wedge_complement_pairs(tri_chi, rest_beta)
-    mass_ibp = sum((complex(sep.integrate_against_poly(us[0] * poly, K.lows, K.highs))
+    mass_ibp = sum((complex(sep.integrate_box(K.lows, K.highs, us[0] * poly))
                     for sep, poly in ibp_pairs), 0j)
 
     mass_inner = integrate_top(T, L)

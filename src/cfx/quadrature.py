@@ -1,73 +1,28 @@
-"""Tensor-grid integration of polynomials over axis-aligned boxes.
+"""Exact integration of polynomials over axis-aligned boxes.
 
-Every integrand in this package is polynomial, so a Gauss rule of
-sufficient order per axis is exact up to float roundoff; the separable
-helpers below additionally provide exact rational moments for the factored
-cutoff functions used in the estimate experiments.
+Every integrand in this package is polynomial, so every box integral is a
+sum of closed-form moments  int_a^b x^e dx  with rational endpoints.
+:class:`SeparableSum` sums them exactly, for the factored cutoff functions
+of the estimate experiments and, as a single product term, for a plain
+polynomial; :func:`integrate_poly_box` rounds that exact value to a float
+once.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
-from typing import Dict, List, Sequence, Tuple
-
-import numpy as np
+from typing import Dict, List, Sequence
 
 from .poly import Poly
 from .rational import ComplexRational, cq
 
 
-@lru_cache(maxsize=None)
-def gauss_rule(points: int) -> Tuple[tuple, tuple]:
-    """Gauss-Legendre nodes/weights on [-1, 1]; exact for degree 2*points-1."""
-    if points < 1:
-        raise ValueError("need at least one quadrature point")
-    nodes, weights = np.polynomial.legendre.leggauss(points)
-    return tuple(nodes), tuple(weights)
-
-
-def gauss_points_for_degree(degree: int, minimum: int = 2) -> int:
-    return max(minimum, (max(degree, 0) + 2) // 2)
-
-
-def axis_power_sums(a: float, b: float, points: int, max_exp: int) -> List[float]:
-    """float integrals of x^e over [a, b] from the mapped Gauss rule."""
-    nodes, weights = gauss_rule(points)
-    half = (b - a) / 2.0
-    mid = (b + a) / 2.0
-    xs = [mid + half * t for t in nodes]
-    sums = []
-    powers = [1.0] * points
-    for _ in range(max_exp + 1):
-        sums.append(half * sum(w * p for w, p in zip(weights, powers)))
-        powers = [p * x for p, x in zip(powers, xs)]
-    return sums
-
-
-def integrate_poly_box(p: Poly, lows: Sequence, highs: Sequence,
-                       min_points: int = 2) -> complex:
-    """Integral of a polynomial over a box, term-separable Gauss per axis."""
+def integrate_poly_box(p: Poly, lows: Sequence, highs: Sequence) -> complex:
+    """Integral of a polynomial over a box: exact moments, rounded once."""
     naxes = len(p.vars)
     if len(lows) != naxes or len(highs) != naxes:
         raise ValueError("box does not match the variable table")
-    if not p.terms:
-        return 0j
-    max_exp = [0] * naxes
-    for expo in p.terms:
-        for i, e in enumerate(expo):
-            max_exp[i] = max(max_exp[i], e)
-    tables = []
-    for i in range(naxes):
-        pts = gauss_points_for_degree(max_exp[i], min_points)
-        tables.append(axis_power_sums(float(lows[i]), float(highs[i]), pts, max_exp[i]))
-    total = 0j
-    for expo, coeff in p.terms.items():
-        prod = complex(coeff)
-        for i, e in enumerate(expo):
-            prod *= tables[i][e]
-        total += prod
-    return total
+    return complex(SeparableSum.product(naxes, {}).integrate_box(lows, highs, p))
 
 
 def substitute_axis(p: Poly, axis: int, value: Fraction) -> Poly:
@@ -87,7 +42,7 @@ def substitute_axis(p: Poly, axis: int, value: Fraction) -> Poly:
 
 
 def integrate_poly_face(p: Poly, lows: Sequence, highs: Sequence, axis: int,
-                        value: Fraction, min_points: int = 2) -> complex:
+                        value: Fraction) -> complex:
     """Integral over one box face (variable ``axis`` frozen at ``value``)."""
     frozen = substitute_axis(p, axis, value)
     sub_lows = list(lows)
@@ -96,7 +51,7 @@ def integrate_poly_face(p: Poly, lows: Sequence, highs: Sequence, axis: int,
     sub_highs[axis] = 1  # frozen axis contributes factor 1 via exponent 0
     # zero-width trick would lose the e=0 moment; instead integrate with the
     # frozen axis spanning [0,1] where x^0 integrates to 1.
-    return integrate_poly_box(frozen, sub_lows, sub_highs, min_points)
+    return integrate_poly_box(frozen, sub_lows, sub_highs)
 
 
 # -- exact univariate machinery for factored cutoffs ----------------------------------------
@@ -117,13 +72,6 @@ def uni_integral(coeffs: tuple, a: Fraction, b: Fraction) -> Fraction:
         if c:
             total += c * (b ** (i + 1) - a ** (i + 1)) / (i + 1)
     return total
-
-
-def uni_eval(coeffs: tuple, x: float) -> float:
-    acc = 0.0
-    for c in reversed(coeffs):
-        acc = acc * x + float(c)
-    return acc
 
 
 class SeparableSum:
@@ -271,15 +219,3 @@ class SeparableSum:
             re += c.re * w_re - c.im * w_im
             im += c.re * w_im + c.im * w_re
         return ComplexRational(re, im)
-
-    def integrate_against_poly(self, p: Poly, lows, highs) -> ComplexRational:
-        return self.integrate_box(lows, highs, p)
-
-    def eval_float(self, point: Sequence[float]) -> complex:
-        total = 0j
-        for c, factors in self.terms:
-            prod = complex(c)
-            for axis, coeffs in factors.items():
-                prod *= uni_eval(coeffs, point[axis])
-            total += prod
-        return total

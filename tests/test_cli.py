@@ -390,6 +390,18 @@ def test_ma_rejects_non_integer_u_exponent(tmp_path, capsys, exponent):
     assert "exponent" in err
 
 
+def test_ma_power_above_the_u_file_count_exits_2(tmp_path, capsys):
+    # one polynomial cannot feed the second wedge factor of --power 2
+    names = '["x1", "x2", "x3", "x4", "x5", "x6", "x7", "x8", "t1", "t2", "t3"]'
+    path = tmp_path / "u.json"
+    path.write_text(f'[{{"vars": {names}, "terms": [{{"c": ["1", "0"], '
+                    f'"e": [2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]}}]}}]')
+    code, out, err = run(capsys, "ma", "--group", "rightQH", "--n", "2", "--power", "2",
+                         "--u", str(path))
+    _assert_input_error(code, out, err)
+    assert "--power 2" in err and "has 1" in err
+
+
 @pytest.mark.parametrize("n", ["1", "3"])
 def test_ma_rejects_convergence_away_from_n_2(capsys, n):
     code, out, err = run(capsys, "ma", "--group", "rightQH", "--n", n,
@@ -405,7 +417,7 @@ def test_ma_rejects_convergence_away_from_n_2(capsys, n):
     ("classify", "--k", "7"), ("classify", "--seed", "3"), ("classify", "--trials", "-5"),
     ("classify", "--degree", "99"), ("symbol", "--group", "leftQH"),
     ("symbol", "--file", "group.json"), ("symbol", "--degree", "3"), ("ma", "--k", "2"),
-    ("ma", "--trials", "3"), ("ma", "--degree", "3"),
+    ("ma", "--trials", "3"), ("ma", "--degree", "3"), ("ma", "--resolution", "4"),
 ])
 def test_unread_flag_is_rejected_by_argparse(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -511,7 +523,7 @@ FUZZ_FLAGS = {
                                        "1/0,0,0,0,0,0,0,0"]),
                "--format": st.sampled_from(["json", "csv"])},
     "ma": {"--n": _number(-1, 2), "--seed": _number(0, 3), "--power": _number(-1, 3),
-           "--convergence": _number(-1, 3), "--resolution": _number(-1, 4),
+           "--convergence": _number(-1, 3),
            "--halfwidth": st.sampled_from(["1/2", "1", "0", "-1", "1/0", "x"]),
            "--group": st.sampled_from(["rightQH", "leftQH", "abelian"]),
            "--u": st.just("missing/u.json")},

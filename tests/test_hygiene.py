@@ -6,6 +6,7 @@ import on purpose and neither binds a module name nor adds a load-time edge.
 
 import ast
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -37,6 +38,22 @@ def test_no_unused_module_level_import(path):
     unused = sorted(f"{name} (line {line})" for name, line in bound.items()
                     if name not in used)
     assert not unused, f"{path.name}: unused imports {unused}"
+
+
+@pytest.mark.parametrize("path", [*MODULES, PACKAGE / "__init__.py"], ids=lambda p: p.name)
+def test_imports_only_the_package_and_the_standard_library(path):
+    # the package has no runtime dependency: every load-time import is cfx or stdlib
+    foreign = []
+    for node in _module_imports(_tree(path)):
+        if isinstance(node, ast.ImportFrom):
+            if node.level:
+                continue
+            names = [node.module]
+        else:
+            names = [alias.name for alias in node.names]
+        foreign += [f"{name} (line {node.lineno})" for name in names
+                    if name.split(".")[0] not in {"cfx", *sys.stdlib_module_names}]
+    assert not foreign, f"{path.name}: imports outside cfx and the standard library {foreign}"
 
 
 def _package_edges() -> dict:

@@ -12,7 +12,9 @@ from cfx.ma import (Region, beta_form, bump_for_region, cln_experiment,
                     positivity_check, stokes_check, sup_norm_on_grid,
                     top_coefficient, triangle, volume_form)
 from cfx.poly import Poly
+from cfx.quadrature import uni_diff
 from cfx.randgen import SectionGenerator
+from cfx.rational import cq
 
 
 @pytest.fixture(scope="module")
@@ -139,7 +141,7 @@ def test_integrate_constant_is_volume(right2):
 
 
 def test_integrate_separable_monomial(right2):
-    region = Region(( (0,) * 11 ), ((1,) * 11), 3)
+    region = Region((0,) * 11, (1,) * 11)
     form = volume_form(right2).scale_poly(Poly.var(right2.vars, "x1") ** 2)
     assert integrate_top(form, region).real == pytest.approx(1 / 3, rel=1e-12)
 
@@ -160,8 +162,6 @@ def test_integrate_top_rejects_lower_degree(right2):
 def test_region_validation():
     with pytest.raises(ValueError, match="positive volume"):
         Region((0, 0), (0, 1))
-    with pytest.raises(ValueError, match="resolution"):
-        Region((0, 0), (1, 1), resolution=1)
     assert Region.cube(3, Fraction(1, 2)).volume() == 1
 
 
@@ -275,8 +275,18 @@ def test_positivity_requires_constant_coefficients(right2):
 def test_bump_vanishes_on_faces():
     region = Region.cube(3, Fraction(1, 2))
     bump = bump_for_region(region)
-    assert bump.eval_float([0.5, 0.0, 0.0]) == pytest.approx(0.0, abs=1e-15)
-    assert bump.eval_float([0.0, 0.0, 0.0]) == pytest.approx(1.0, rel=1e-15)
+    [(coeff, factors)] = bump.terms
+    assert coeff == cq(1) and sorted(factors) == [0, 1, 2]
+
+    def at(coeffs, x):
+        return sum(c * x ** i for i, c in enumerate(coeffs))
+
+    half = Fraction(1, 2)
+    for f in factors.values():
+        # zero of second order on both faces, one at the centre
+        assert at(f, half) == at(f, -half) == 0
+        assert at(uni_diff(f), half) == at(uni_diff(f), -half) == 0
+        assert at(f, Fraction(0)) == 1
 
 
 def test_cln_two_evaluations_agree(right2):

@@ -5,27 +5,11 @@ import pytest
 
 from cfx.operators import FirstOrderOp
 from cfx.poly import Poly, x_vars
-from cfx.quadrature import (SeparableSum, gauss_points_for_degree, gauss_rule,
-                            integrate_poly_box, integrate_poly_face,
+from cfx.quadrature import (SeparableSum, integrate_poly_box, integrate_poly_face,
                             substitute_axis, uni_diff, uni_integral, uni_mul_x)
-from cfx.rational import cq
+from cfx.rational import ComplexRational, cq
 
 V = x_vars(3)
-
-
-def test_gauss_rule_exact_on_monomials():
-    nodes, weights = gauss_rule(3)
-    for e in range(6):  # exact through degree 5
-        approx = sum(w * x ** e for x, w in zip(nodes, weights))
-        exact = 0.0 if e % 2 else 2.0 / (e + 1)
-        assert approx == pytest.approx(exact, abs=1e-14)
-
-
-def test_points_for_degree():
-    assert gauss_points_for_degree(0) == 2
-    assert gauss_points_for_degree(4) == 3
-    assert gauss_points_for_degree(5) == 3
-    assert gauss_points_for_degree(6) == 4
 
 
 def test_box_integration_separable():
@@ -35,11 +19,51 @@ def test_box_integration_separable():
     assert val.imag == 0
 
 
-def test_doubling_resolution_stable():
-    p = Poly.var(V, "x1") ** 3 * Poly.var(V, "x2")
-    a = integrate_poly_box(p, [-1, 0, 0], [1, 2, 1], min_points=2)
-    b = integrate_poly_box(p, [-1, 0, 0], [1, 2, 1], min_points=4)
-    assert a.real == pytest.approx(b.real, abs=1e-13)
+# -- integrate_poly_box / integrate_poly_face against a per-monomial closed form -----------
+
+
+def _monomial_reference(p, lows, highs, frozen=None):
+    """complex() of the exact sum of c * prod_i (b_i^(e_i+1) - a_i^(e_i+1)) / (e_i+1);
+    a ``frozen`` (axis, value) pair evaluates that axis at the value instead."""
+    re = im = Fraction(0)
+    for expo, c in p.terms.items():
+        prod = Fraction(1)
+        for axis, e in enumerate(expo):
+            if frozen is not None and axis == frozen[0]:
+                prod *= Fraction(frozen[1]) ** e
+            else:
+                a, b = Fraction(lows[axis]), Fraction(highs[axis])
+                prod *= (b ** (e + 1) - a ** (e + 1)) / (e + 1)
+        re += c.re * prod
+        im += c.im * prod
+    return complex(ComplexRational(re, im))
+
+
+def _random_poly(rng, variables, terms, max_exp=5):
+    p = Poly.zero(variables)
+    for _ in range(terms):
+        expo = tuple(rng.randint(0, max_exp) for _ in variables)
+        p = p + Poly.monomial(variables, expo, cq(_rand_fraction(rng), _rand_fraction(rng)))
+    return p
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_box_and_face_integrals_equal_the_closed_form(seed):
+    rng = random.Random(seed)
+    p = _random_poly(rng, V, terms=rng.randint(1, 8))
+    lows = [Fraction(-3, 4), Fraction(1, 3), Fraction(-2, 7)]
+    highs = [Fraction(1, 2), Fraction(5, 3), Fraction(9, 5)]
+    assert integrate_poly_box(p, lows, highs) == _monomial_reference(p, lows, highs)
+    for axis in range(3):
+        for value in (lows[axis], highs[axis]):
+            want = _monomial_reference(p, lows, highs, frozen=(axis, value))
+            assert integrate_poly_face(p, lows, highs, axis, value) == want
+
+
+def test_box_integral_of_zero_and_mismatched_box():
+    assert integrate_poly_box(Poly.zero(V), [0, 0, 0], [1, 1, 1]) == 0j
+    with pytest.raises(ValueError, match="variable table"):
+        integrate_poly_box(Poly.var(V, "x1"), [0, 0], [1, 1])
 
 
 def test_substitute_axis_exact():
@@ -90,7 +114,7 @@ def test_separable_apply_first_order_op():
 def test_separable_integrate_against_poly():
     s = SeparableSum.product(3, {0: (Fraction(1), Fraction(1))})  # 1 + x1
     p = Poly.var(V, "x1")
-    got = s.integrate_against_poly(p, [0, 0, 0], [1, 1, 1])
+    got = s.integrate_box([0, 0, 0], [1, 1, 1], p)
     # int_0^1 x(1+x) dx = 5/6
     assert got == cq(Fraction(5, 6))
 
@@ -161,8 +185,6 @@ def test_integrate_box_matches_per_term_reference(seed, weight_kind):
               "poly": _random_weight(rng, V, terms=4)}[weight_kind]
     want = _reference_integrate(s, lows, highs, weight)
     assert s.integrate_box(lows, highs, weight) == want
-    if weight is not None:
-        assert s.integrate_against_poly(weight, lows, highs) == want
     if weight_kind == "zero":
         assert want == cq(0)
 
@@ -173,7 +195,7 @@ def test_integrate_box_cancelling_terms_and_vanishing_axis():
     assert (s - s).integrate_box([0, 0], [1, 1]) == cq(0)
     assert s.scale(cq(0, 1)).integrate_box([-1, 0], [1, 1]) == cq(0)
     weight = Poly.var(x_vars(2), "x1")
-    got = s.scale(cq(0, 1)).integrate_against_poly(weight, [-1, 0], [1, 1])
+    got = s.scale(cq(0, 1)).integrate_box([-1, 0], [1, 1], weight)
     assert got == cq(0, 2)  # i * 3 * int_{-1}^{1} x^2 dx
 
 

@@ -75,3 +75,18 @@ def test_rank_exact_small_cases():
     assert rank_exact([[cq(1), cq(2)], [cq(2), cq(4)]]) == 1
     assert rank_exact([[cq(0, 1), cq(0)], [cq(0), cq(1)]]) == 2
     assert rank_exact([]) == 0
+
+
+@pytest.mark.parametrize("n,k", [(1, k) for k in range(6)] + [(2, 5), (2, 6)])
+def test_symbol_sequence_is_exact_up_to_k_2n_plus_1(n, k):
+    # exact at every level for k <= 2n+1; from k = 2n+2 on the top level alone
+    # fails (the top rank falls short of the top dimension), the rest stay exact
+    spec = ComplexSpec(n, k)
+    v = SectionGenerator(200 + 10 * n + k).rational_vector(4 * (n + 1))
+    result = check_exactness(spec, v)
+    top = spec.top_level
+    expected = [True] * top + [k <= 2 * n + 1]
+    assert [lv["exact"] for lv in result["levels"]] == expected
+    assert (result["ranks"][-1] < result["dims"][top]) == (k > 2 * n + 1)
+    if (n, k) == (1, 4):
+        assert (result["ranks"][-1], result["dims"][top]) == (7, 8)

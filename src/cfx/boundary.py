@@ -17,6 +17,7 @@ not the full operator.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional
@@ -113,15 +114,31 @@ def frak_d(aprime: int, f: ExtForm, frame: Frame, raised: bool = True) -> ExtFor
     if f.vars != frame.vars:
         raise ValueError("variable table mismatch with frame")
     rows = frame.Z_upper if raised else frame.Z_lower
-    out = ExtForm.zero(f.dim, f.degree + 1, f.vars)
-    if f.degree + 1 > f.dim:
-        return out
+    degree = f.degree + 1
+    if degree > f.dim:
+        return ExtForm.zero(f.dim, degree, f.vars)
+    # w^a ^ w^idx inserts a into idx with sign (-1)^(#indices below a)
+    out: dict = {}
     for a, row in enumerate(rows):
-        applied = f.map_coeffs(row[aprime].apply)
-        if applied.is_zero():
-            continue
-        out = out + ExtForm.basis(f.dim, (a,), f.vars).wedge(applied)
-    return out
+        op = row[aprime]
+        for idx, coeff in f.comps.items():
+            pos = bisect_left(idx, a)
+            if pos < len(idx) and idx[pos] == a:
+                continue
+            term = op.apply(coeff)
+            if not term:
+                continue
+            key = idx[:pos] + (a,) + idx[pos:]
+            acc = out.get(key)
+            if pos % 2:
+                acc = -term if acc is None else acc - term
+            else:
+                acc = term if acc is None else acc + term
+            if acc:
+                out[key] = acc
+            else:
+                del out[key]
+    return ExtForm._make(f.dim, degree, f.vars, out)
 
 
 # -- curvature --------------------------------------------------------------------------

@@ -2,6 +2,12 @@
 
 Components are stored on strictly increasing index tuples; the wedge sign
 is the parity of the merge permutation, and a repeated index kills the term.
+No component is the zero polynomial.  The public constructor checks every
+index tuple and drops zero coefficients; the ring operations (``+``, ``-``,
+``scale``, ``scale_poly``, ``map_coeffs``, ``wedge``) build their result
+through the trusted ``ExtForm._make``, which checks nothing: each of them
+drops the zero components it produces, so the invariant holds without a
+second pass.
 """
 
 from __future__ import annotations
@@ -9,7 +15,8 @@ from __future__ import annotations
 from typing import Mapping, Sequence
 
 from .poly import Poly
-from .rational import cq
+
+_set = object.__setattr__
 
 
 def merge_sign(left: tuple, right: tuple):
@@ -61,6 +68,16 @@ class ExtForm:
                     clean[idx] = coeff
         object.__setattr__(self, "comps", clean)
 
+    @classmethod
+    def _make(cls, dim: int, degree: int, variables: tuple, comps: dict) -> "ExtForm":
+        """Trusted constructor: valid index tuples and no zero coefficient in ``comps``."""
+        f = object.__new__(cls)
+        _set(f, "dim", dim)
+        _set(f, "degree", degree)
+        _set(f, "vars", variables)
+        _set(f, "comps", comps)
+        return f
+
     def __setattr__(self, name, value):
         raise AttributeError("ExtForm is immutable")
 
@@ -68,7 +85,9 @@ class ExtForm:
 
     @classmethod
     def zero(cls, dim, degree, variables) -> "ExtForm":
-        return cls(dim, degree, variables, {})
+        if degree < 0:
+            raise ValueError("negative form degree")
+        return cls._make(int(dim), int(degree), tuple(variables), {})
 
     @classmethod
     def from_scalar(cls, dim, p: Poly) -> "ExtForm":
@@ -101,27 +120,28 @@ class ExtForm:
                 comps.pop(idx, None)
             else:
                 comps[idx] = acc
-        return ExtForm(self.dim, self.degree, self.vars, comps)
+        return ExtForm._make(self.dim, self.degree, self.vars, comps)
 
     def __neg__(self):
-        return ExtForm(self.dim, self.degree, self.vars,
-                       {i: -c for i, c in self.comps.items()})
+        return ExtForm._make(self.dim, self.degree, self.vars,
+                             {i: -c for i, c in self.comps.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, value) -> "ExtForm":
-        value = cq(value)
-        return ExtForm(self.dim, self.degree, self.vars,
-                       {i: c.scale(value) for i, c in self.comps.items()})
+        return self.map_coeffs(lambda c: c.scale(value))
 
     def scale_poly(self, p: Poly) -> "ExtForm":
-        return ExtForm(self.dim, self.degree, self.vars,
-                       {i: c * p for i, c in self.comps.items()})
+        return self.map_coeffs(lambda c: c * p)
 
     def map_coeffs(self, fn) -> "ExtForm":
-        return ExtForm(self.dim, self.degree, self.vars,
-                       {i: fn(c) for i, c in self.comps.items()})
+        comps = {}
+        for i, c in self.comps.items():
+            c = fn(c)
+            if c:
+                comps[i] = c
+        return ExtForm._make(self.dim, self.degree, self.vars, comps)
 
     # -- wedge ------------------------------------------------------------------------
 
@@ -144,7 +164,7 @@ class ExtForm:
                     out.pop(idx, None)
                 else:
                     out[idx] = acc
-        return ExtForm(self.dim, degree, self.vars, out)
+        return ExtForm._make(self.dim, degree, self.vars, out)
 
     __mul__ = wedge
 

@@ -37,9 +37,9 @@ class FirstOrderOp:
     def apply(self, p: Poly) -> Poly:
         out = Poly.zero(self.vars)
         for v, c in self.coeffs.items():
-            # a constant coefficient scales; only a variable one needs a product
             d = p.diff(v)
-            out = out + (d.scale(c.constant_term()) if c.total_degree() == 0 else c * d)
+            if d:
+                out = out + c * d
         return out
 
     def coefficient(self, name: str) -> Poly:

@@ -1,16 +1,38 @@
 """Sparse multivariate polynomials over exact complex rationals.
 
 A polynomial is a map from dense exponent vectors (one slot per variable in
-a fixed, ordered variable table) to nonzero ComplexRational coefficients.
+a fixed, ordered variable table) to nonzero Gaussian-rational coefficients.
 Two polynomials can be combined only when their variable tables agree; all
 arithmetic is exact.
+
+Layout (the integer-numerator form of FLINT's ``fmpq_poly``): ``num`` maps
+each exponent vector to a Gaussian-integer numerator ``(re, im)`` of ints,
+and one positive int ``den`` is the denominator of every coefficient.  The
+form is canonical, so ``==`` and ``hash`` are exact:
+
+* no numerator is ``(0, 0)``;
+* the gcd of ``den`` and every numerator part is 1;
+* the zero polynomial has ``den == 1``.
+
+The public constructor ``Poly(vars, terms)`` validates every term.  The ring
+operations, ``scale``, ``diff`` and ``conjugate`` do int arithmetic and build
+their result through the trusted ``Poly._make``, which only divides out the
+common factor of ``den`` and the numerators: its callers keep the other two
+rules.  ``terms``, ``coefficient``, ``constant_term``, ``eval_exact``,
+``to_json`` and ``str`` show ComplexRational values at the API edge.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from collections.abc import Mapping
+from fractions import Fraction
+from math import gcd, lcm
+from operator import add
+from typing import Iterable, Sequence
 
 from .rational import ComplexRational, ONE, ZERO, cq
+
+_set = object.__setattr__
 
 
 def x_vars(m: int) -> tuple:
@@ -23,20 +45,59 @@ def group_vars(n: int) -> tuple:
     return tuple(f"x{i}" for i in range(1, 4 * n + 1)) + ("t1", "t2", "t3")
 
 
-class Poly:
-    """Sparse polynomial in named real variables with ComplexRational coefficients.
+def _gaussian_parts(value) -> tuple:
+    """(re, im, den) of ints with value == (re + im*i) / den and den > 0."""
+    if type(value) is int:
+        return value, 0, 1
+    if isinstance(value, Fraction):
+        return value.numerator, 0, value.denominator
+    value = cq(value)
+    re, im = value.re, value.im
+    den = lcm(re.denominator, im.denominator)
+    return (re.numerator * (den // re.denominator),
+            im.numerator * (den // im.denominator), den)
 
-    ``terms`` maps exponent tuples (length = number of variables) to nonzero
-    coefficients; the zero polynomial has no terms.
+
+class Terms(Mapping):
+    """Read-only view of a polynomial's coefficients as ComplexRationals.
+
+    Each lookup builds its ComplexRational; ``len`` and iteration over the
+    exponents build nothing.
     """
 
-    __slots__ = ("vars", "terms")
+    __slots__ = ("_num", "_den")
+
+    def __init__(self, num: dict, den: int):
+        self._num = num
+        self._den = den
+
+    def __getitem__(self, expo) -> ComplexRational:
+        re, im = self._num[expo]
+        return ComplexRational(Fraction(re, self._den), Fraction(im, self._den))
+
+    def __iter__(self):
+        return iter(self._num)
+
+    def __len__(self):
+        return len(self._num)
+
+
+class Poly:
+    """Sparse polynomial in named real variables with Gaussian-rational coefficients.
+
+    ``num`` maps exponent tuples (length = number of variables) to nonzero
+    Gaussian-integer numerators over the shared denominator ``den``; the zero
+    polynomial has no terms.  ``terms`` shows the same coefficients as
+    ComplexRationals.
+    """
+
+    __slots__ = ("vars", "num", "den")
 
     def __init__(self, variables: Sequence[str], terms: Mapping | None = None):
-        object.__setattr__(self, "vars", tuple(variables))
+        variables = tuple(variables)
         clean = {}
         if terms:
-            width = len(self.vars)
+            width = len(variables)
             for expo, coeff in terms.items():
                 coeff = cq(coeff)
                 if coeff.is_zero():
@@ -49,21 +110,58 @@ class Poly:
                 if any(e < 0 for e in expo):
                     raise ValueError(f"negative exponent in {expo}")
                 clean[expo] = coeff
-        object.__setattr__(self, "terms", clean)
+        # each part is a reduced Fraction, so the lcm is already coprime to
+        # the scaled numerators taken together
+        den = lcm(1, *(d for c in clean.values()
+                       for d in (c.re.denominator, c.im.denominator)))
+        _set(self, "vars", variables)
+        _set(self, "num", {
+            expo: (c.re.numerator * (den // c.re.denominator),
+                   c.im.numerator * (den // c.im.denominator))
+            for expo, c in clean.items()})
+        _set(self, "den", den)
+
+    @classmethod
+    def _make(cls, variables: tuple, num: dict, den: int = 1) -> "Poly":
+        """Trusted constructor: ``num`` holds no (0, 0) pair and ``den`` > 0.
+
+        Divides out the common factor of ``den`` and the numerators, so the
+        result is canonical; nothing else is checked.
+        """
+        if den != 1:
+            g = den
+            for re, im in num.values():
+                g = gcd(g, re, im)
+                if g == 1:
+                    break
+            if g != 1:  # with no terms g == den, and den becomes 1
+                den //= g
+                num = {e: (re // g, im // g) for e, (re, im) in num.items()}
+        p = object.__new__(cls)
+        _set(p, "vars", variables)
+        _set(p, "num", num)
+        _set(p, "den", den)
+        return p
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
+
+    @property
+    def terms(self) -> Terms:
+        return Terms(self.num, self.den)
 
     # -- constructors ---------------------------------------------------------
 
     @classmethod
     def zero(cls, variables) -> "Poly":
-        return cls(variables, {})
+        return cls._make(tuple(variables), {})
 
     @classmethod
     def const(cls, variables, value) -> "Poly":
         variables = tuple(variables)
-        return cls(variables, {(0,) * len(variables): cq(value)})
+        re, im, den = _gaussian_parts(value)
+        num = {(0,) * len(variables): (re, im)} if re or im else {}
+        return cls._make(variables, num, den)
 
     @classmethod
     def var(cls, variables, name, coeff=1) -> "Poly":
@@ -88,19 +186,37 @@ class Poly:
         if not isinstance(other, Poly):
             other = Poly.const(self.vars, other)
         self._check_compatible(other)
-        terms = dict(self.terms)
-        for expo, coeff in other.terms.items():
-            acc = terms.get(expo, ZERO) + coeff
-            if acc.is_zero():
-                terms.pop(expo, None)
-            else:
-                terms[expo] = acc
-        return Poly(self.vars, terms)
+        if not other.num:
+            return self
+        if not self.num:
+            return other
+        d1, d2 = self.den, other.den
+        if d1 == d2:
+            num = dict(self.num)
+            m2 = 1
+        else:
+            g = gcd(d1, d2)
+            m1, m2 = d2 // g, d1 // g
+            d1 *= m1
+            num = {e: (re * m1, im * m1) for e, (re, im) in self.num.items()}
+        for expo, (re, im) in other.num.items():
+            re *= m2
+            im *= m2
+            acc = num.get(expo)
+            if acc is not None:
+                re += acc[0]
+                im += acc[1]
+                if not (re or im):
+                    del num[expo]
+                    continue
+            num[expo] = (re, im)
+        return Poly._make(self.vars, num, d1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly(self.vars, {e: -c for e, c in self.terms.items()})
+        return Poly._make(self.vars, {e: (-re, -im) for e, (re, im) in self.num.items()},
+                          self.den)
 
     def __sub__(self, other):
         if not isinstance(other, Poly):
@@ -114,24 +230,44 @@ class Poly:
         if not isinstance(other, Poly):
             return self.scale(other)
         self._check_compatible(other)
+        # a constant factor only scales: one pass, no exponent sums
+        zero = (0,) * len(self.vars)
+        if len(other.num) == 1 and zero in other.num:
+            return self._times(*other.num[zero], other.den)
+        if len(self.num) == 1 and zero in self.num:
+            return other._times(*self.num[zero], self.den)
         out: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                expo = tuple(a + b for a, b in zip(e1, e2))
-                acc = out.get(expo, ZERO) + c1 * c2
-                if acc.is_zero():
-                    out.pop(expo, None)
-                else:
-                    out[expo] = acc
-        return Poly(self.vars, out)
+        right = other.num.items()
+        for e1, (a, b) in self.num.items():
+            for e2, (c, d) in right:
+                expo = tuple(map(add, e1, e2))
+                re = a * c - b * d
+                im = a * d + b * c
+                acc = out.get(expo)
+                if acc is not None:
+                    re += acc[0]
+                    im += acc[1]
+                    if not (re or im):
+                        del out[expo]
+                        continue
+                out[expo] = (re, im)
+        return Poly._make(self.vars, out, self.den * other.den)
 
     __rmul__ = __mul__
 
     def scale(self, value) -> "Poly":
-        value = cq(value)
-        if value.is_zero():
+        re, im, den = _gaussian_parts(value)
+        if not (re or im):
             return Poly.zero(self.vars)
-        return Poly(self.vars, {e: c * value for e, c in self.terms.items()})
+        return self._times(re, im, den)
+
+    def _times(self, c: int, d: int, den: int) -> "Poly":
+        """Product with the nonzero constant (c + d*i) / den, for ints and den > 0."""
+        if d:
+            num = {e: (a * c - b * d, a * d + b * c) for e, (a, b) in self.num.items()}
+        else:
+            num = {e: (a * c, b * c) for e, (a, b) in self.num.items()}
+        return Poly._make(self.vars, num, self.den * den)
 
     def __pow__(self, exponent: int) -> "Poly":
         if exponent < 0:
@@ -148,7 +284,8 @@ class Poly:
 
     def conjugate(self) -> "Poly":
         """Complex conjugate (the variables are real)."""
-        return Poly(self.vars, {e: c.conjugate() for e, c in self.terms.items()})
+        return Poly._make(self.vars, {e: (re, -im) for e, (re, im) in self.num.items()},
+                          self.den)
 
     # -- calculus ---------------------------------------------------------------
 
@@ -158,36 +295,33 @@ class Poly:
             raise KeyError(f"unknown variable {name!r}")
         idx = self.vars.index(name)
         out = {}
-        for expo, coeff in self.terms.items():
+        for expo, (re, im) in self.num.items():
             e = expo[idx]
-            if e == 0:
-                continue
-            new = list(expo)
-            new[idx] = e - 1
-            out[tuple(new)] = coeff * e
-        return Poly(self.vars, out)
+            if e:
+                out[expo[:idx] + (e - 1,) + expo[idx + 1:]] = (re * e, im * e)
+        return Poly._make(self.vars, out, self.den)
 
     # -- queries -----------------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.num
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.num)
 
     def __eq__(self, other):
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.vars == other.vars and self.terms == other.terms
+        return self.vars == other.vars and self.den == other.den and self.num == other.num
 
     def __hash__(self):
-        return hash((self.vars, frozenset(self.terms.items())))
+        return hash((self.vars, self.den, frozenset(self.num.items())))
 
     def total_degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
+        if not self.num:
             return -1
-        return max(sum(e) for e in self.terms)
+        return max(sum(e) for e in self.num)
 
     def coefficient(self, exponents) -> ComplexRational:
         return self.terms.get(tuple(exponents), ZERO)
@@ -196,7 +330,7 @@ class Poly:
         return self.terms.get((0,) * len(self.vars), ZERO)
 
     def is_homogeneous(self, degree: int) -> bool:
-        return all(sum(e) == degree for e in self.terms)
+        return all(sum(e) == degree for e in self.num)
 
     def eval_exact(self, point) -> ComplexRational:
         """Evaluate at a point of Fractions/ComplexRationals, exactly."""
@@ -212,11 +346,12 @@ class Poly:
     # -- display / wire format -----------------------------------------------------
 
     def __str__(self):
-        if not self.terms:
+        if not self.num:
             return "0"
+        terms = self.terms
         parts = []
-        for expo in sorted(self.terms, key=lambda e: (sum(e), e), reverse=True):
-            coeff = self.terms[expo]
+        for expo in sorted(terms, key=lambda e: (sum(e), e), reverse=True):
+            coeff = terms[expo]
             factors = [
                 f"{v}^{e}" if e > 1 else v
                 for v, e in zip(self.vars, expo)

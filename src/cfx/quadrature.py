@@ -11,6 +11,7 @@ once.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from typing import Dict, List, Sequence
 
 from .poly import Poly
@@ -65,12 +66,24 @@ def uni_diff(coeffs: tuple) -> tuple:
     return tuple(c * i for i, c in enumerate(coeffs))[1:] or (Fraction(0),)
 
 
+@lru_cache(maxsize=1024)
+def _moment(box: tuple, e: int) -> Fraction:
+    """int_a^b x^e dx for box = (a.num, a.den, b.num, b.den).
+
+    Cached across calls, since a run integrates over few boxes; the key is
+    ints because hashing two Fractions costs about as much as the powers.
+    """
+    a, b = Fraction(box[0], box[1]), Fraction(box[2], box[3])
+    return (b ** (e + 1) - a ** (e + 1)) / (e + 1)
+
+
 def uni_integral(coeffs: tuple, a: Fraction, b: Fraction) -> Fraction:
     a, b = Fraction(a), Fraction(b)
+    box = (a.numerator, a.denominator, b.numerator, b.denominator)
     total = Fraction(0)
     for i, c in enumerate(coeffs):
         if c:
-            total += c * (b ** (i + 1) - a ** (i + 1)) / (i + 1)
+            total += c * _moment(box, i)
     return total
 
 

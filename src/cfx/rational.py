@@ -76,14 +76,15 @@ class ComplexRational:
         return not self.is_zero()
 
     def __eq__(self, other):
-        try:
-            other = cq(other)
-        except (TypeError, ValueError):
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
+        # only exact numbers compare, so that equal values hash alike
+        if isinstance(other, ComplexRational):
+            return self.re == other.re and self.im == other.im
+        if isinstance(other, (int, Fraction)):
+            return self.im == 0 and self.re == other
+        return NotImplemented
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        return hash(self.re) if self.im == 0 else hash((self.re, self.im))
 
     def __complex__(self):
         return complex(float(self.re), float(self.im))

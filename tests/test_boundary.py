@@ -177,6 +177,32 @@ def test_frak_d_leibniz(right2):
         assert (lhs - rhs).is_zero()
 
 
+def _reference_frak_d(aprime, f, frame, raised):
+    """The wedge form of frak_d: sum_a w^a ^ Z_a^{aprime} f through ExtForm.basis."""
+    rows = frame.Z_upper if raised else frame.Z_lower
+    out = ExtForm.zero(f.dim, f.degree + 1, f.vars)
+    for a, row in enumerate(rows):
+        applied = f.map_coeffs(row[aprime].apply)
+        out = out + ExtForm.basis(f.dim, (a,), f.vars).wedge(applied)
+    return out
+
+
+@pytest.mark.parametrize("seed", [5, 17, 40])
+def test_frak_d_index_insertion_matches_the_basis_wedge(seed, right2, left2):
+    gen = SectionGenerator(seed, degree=2)
+    frames = [ambient_frame(1), RIGHT1, LEFT1, right2, left2]
+    for frame in frames:
+        for degree in range(frame.dim + 1):
+            f = gen.form(frame.dim, degree, frame.vars)
+            for aprime in (0, 1):
+                for raised in (True, False):
+                    got = frak_d(aprime, f, frame, raised=raised)
+                    want = _reference_frak_d(aprime, f, frame, raised)
+                    assert got == want
+                    assert list(got.comps) == list(want.comps)
+                    assert all(not c.is_zero() for c in got.comps.values())
+
+
 def test_frak_d_dimension_mismatch():
     with pytest.raises(ValueError, match="dimension"):
         frak_d(0, ExtForm.from_scalar(4, Poly.const(RIGHT1.vars, 1)), RIGHT1)

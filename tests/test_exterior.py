@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from cfx.exterior import (ExtForm, from_hat_components, hat_component,
@@ -81,3 +83,20 @@ def test_hat_decomposition_roundtrip():
 def test_wedge_past_top_degree_keeps_true_degree():
     out = w(0, 1, 2).wedge(w(1, 3))
     assert out.is_zero() and out.degree == 5
+
+
+@pytest.mark.parametrize("seed", [2, 9, 31])
+def test_ring_results_hold_no_zero_component(seed):
+    gen = SectionGenerator(seed, degree=2)
+    for p in range(4):
+        f = gen.form(4, p, V)
+        g = gen.form(4, p, V)
+        h = gen.form(4, 4 - p, V)
+        results = [f + g, f - g, f - f, f + (-f), -f, f.scale(0), f.scale(Fraction(2, 3)),
+                   f.scale_poly(Poly.zero(V)), f.map_coeffs(lambda c: c - c),
+                   f.map_coeffs(lambda c: c.diff("x1")), f.wedge(h), f.wedge(f),
+                   f.wedge(g)]
+        for form in results:
+            assert all(not c.is_zero() for c in form.comps.values())
+            assert form == ExtForm(form.dim, form.degree, V, form.comps)
+        assert (f - f).is_zero() and f.scale(0).is_zero()

@@ -1,0 +1,37 @@
+"""Byte-identity guard: seeded CLI runs whose stdout must not change.
+
+Each command's exit code and the sha256 of its stdout are pinned.  A change
+that is meant to alter one of these reports updates its digest here and
+says why in CHANGES.md.
+"""
+
+import hashlib
+
+import pytest
+
+from cfx.cli import main
+
+GOLDEN = [
+    ("verify flat --n 1 --k 2 --degree 4 --trials 2 --seed 3",
+     "aa1b2a7b083f579ece4c462dc30e473c29f9d8a380355283a2dad77e091e428d"),
+    ("verify flat --n 2 --k 3 --degree 3 --trials 1 --seed 4",
+     "c57280391909acb59b176d6b6edde724fe7f319bcf5bab65058b3a3af8ca6aaa"),
+    ("verify boundary --group leftQH --n 2 --k 2 --check all --trials 1 --seed 5",
+     "683f061811ccf8304a49f345b4850d791ce01fb81089e7ba9202a4030f42c1cb"),
+    ("verify boundary --group rightQH --n 2 --k 1 --check all --trials 1 --seed 6",
+     "c1d412f84634314f4519dd772adefe0fae24702013967cef92f50d6403cd56eb"),
+    ("ma --group rightQH --n 1 --power 1 --seed 1",
+     "63169cd679e7fb4ad804054f4c9634e9ab63cfb7842ed8a95a5fa81eb4e1b944"),
+    ("symbol --n 2 --k 2 --trials 1 --seed 2",
+     "a0f7e84e54d27e9a0713b4cae3837716b27e0437f000679e1a1b9940e7fdba6e"),
+    ("classify --group leftQH --n 2 --condition-h exact",
+     "4e26287851c6e7271daadf330e0b3cf81b5a632b76693b40899fa6d18f27d469"),
+]
+
+
+@pytest.mark.parametrize("command, digest", GOLDEN, ids=[c for c, _ in GOLDEN])
+def test_report_bytes_are_pinned(command, digest, capsys):
+    code = main(command.split())
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -91,3 +91,144 @@ def test_eval_exact():
     p = p_var("x1") * p_var("x2") + Poly.const(V, 3)
     val = p.eval_exact([Fraction(1, 2), Fraction(4), 0, 0, 0])
     assert val == cq(5)
+
+
+# -- differential test of the integer layout -------------------------------------------
+#
+# The reference is the dict-of-ComplexRational polynomial that the
+# numerator/denominator layout replaced: every operation below is written on
+# plain dicts, term by term, in the order the old Poly used.
+
+from math import gcd
+
+from cfx.rational import ONE, ZERO
+
+
+def ref_add(p, q):
+    out = dict(p)
+    for e, c in q.items():
+        acc = out.get(e, ZERO) + c
+        if acc.is_zero():
+            out.pop(e, None)
+        else:
+            out[e] = acc
+    return out
+
+
+def ref_neg(p):
+    return {e: -c for e, c in p.items()}
+
+
+def ref_mul(p, q):
+    out = {}
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            expo = tuple(a + b for a, b in zip(e1, e2))
+            acc = out.get(expo, ZERO) + c1 * c2
+            if acc.is_zero():
+                out.pop(expo, None)
+            else:
+                out[expo] = acc
+    return out
+
+
+def ref_scale(p, value):
+    value = cq(value)
+    return {} if value.is_zero() else {e: c * value for e, c in p.items()}
+
+
+def ref_diff(p, idx):
+    out = {}
+    for expo, c in p.items():
+        if expo[idx]:
+            new = list(expo)
+            new[idx] -= 1
+            out[tuple(new)] = c * expo[idx]
+    return out
+
+
+def ref_eval(p, point):
+    total = ZERO
+    for expo, c in p.items():
+        m = ONE
+        for x, e in zip(point, expo):
+            for _ in range(e):
+                m = m * cq(x)
+        total = total + c * m
+    return total
+
+
+def ref_to_json(p):
+    return {"vars": list(V),
+            "terms": [{"c": c.to_json(), "e": list(e)} for e, c in sorted(p.items())]}
+
+
+def assert_canonical(p):
+    assert type(p.den) is int and p.den > 0
+    g = p.den
+    for re, im in p.num.values():
+        assert type(re) is int and type(im) is int
+        assert re or im
+        g = gcd(g, re, im)
+    assert g == 1
+    if not p.num:
+        assert p.den == 1
+
+
+def assert_matches(p, ref):
+    """Same coefficients in the same term order, a canonical layout, and the same edges."""
+    assert_canonical(p)
+    assert list(p.terms) == list(ref)
+    assert dict(p.terms.items()) == ref
+    assert len(p.terms) == len(ref)
+    rebuilt = Poly(V, ref)
+    assert p == rebuilt and hash(p) == hash(rebuilt)
+    assert p.constant_term() == ref.get((0,) * len(V), ZERO)
+    assert p.to_json() == ref_to_json(ref)
+    assert p.is_zero() == (not ref)
+
+
+gaussian_rationals = st.builds(
+    lambda a, b, d, e: ComplexRational(Fraction(a, d), Fraction(b, e)),
+    st.integers(-12, 12), st.integers(-12, 12), st.integers(1, 6), st.integers(1, 6))
+
+ref_polys = st.dictionaries(
+    st.tuples(*[st.integers(0, 2) for _ in range(len(V))]),
+    gaussian_rationals, max_size=5,
+).map(lambda d: {e: c for e, c in d.items() if not c.is_zero()})
+
+points = st.lists(st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4)),
+                  min_size=len(V), max_size=len(V))
+
+
+@given(ref_polys, ref_polys, gaussian_rationals, st.integers(0, len(V) - 1), points)
+@settings(max_examples=150, deadline=None)
+def test_integer_layout_matches_the_reference(p, q, value, idx, point):
+    P, Q = Poly(V, p), Poly(V, q)
+    assert_matches(P, p)
+    assert_matches(P + Q, ref_add(p, q))
+    assert_matches(P - Q, ref_add(p, ref_neg(q)))
+    assert_matches(P - P, {})
+    assert_matches(-P, ref_neg(p))
+    assert_matches(P * Q, ref_mul(p, q))
+    const = {(0,) * len(V): value} if value else {}
+    assert_matches(P * Poly(V, const), ref_mul(p, const))
+    assert_matches(Poly(V, const) * P, ref_mul(const, p))
+    assert_matches(P.scale(value), ref_scale(p, value))
+    assert_matches(P.scale(value.re), ref_scale(p, value.re))
+    assert_matches(P.diff(V[idx]), ref_diff(p, idx))
+    assert_matches(P.conjugate(), {e: c.conjugate() for e, c in p.items()})
+    assert P.eval_exact(point) == ref_eval(p, point)
+    assert (P == Q) == (p == q)
+    if p == q:
+        assert hash(P) == hash(Q)
+
+
+def test_canonical_form_after_cancellation():
+    half = Poly.const(V, Fraction(1, 2))
+    assert_matches(half + half, {(0,) * len(V): cq(1)})
+    third = p_var("x1").scale(Fraction(1, 3))
+    assert_matches(third.scale(3) - p_var("x1"), {})
+    assert (third - third).den == 1
+    assert_matches(p_var("x1").scale(Fraction(2, 3)) * Poly.const(V, Fraction(3, 2)),
+                   {(1, 0, 0, 0, 0): cq(1)})

@@ -16,8 +16,7 @@ from typing import Dict, Optional, Sequence
 from .boundary import TangentFrame, frak_d
 from .exterior import ExtForm, kaehler_like_sum, merge_sign, top_form
 from .poly import Poly
-from .quadrature import (SeparableSum, integrate_poly_box,
-                         integrate_poly_face)
+from .quadrature import SeparableSum, integrate_poly_face
 from .rational import ComplexRational
 from .randgen import SectionGenerator
 
@@ -134,10 +133,15 @@ def top_coefficient(F: ExtForm) -> Poly:
 
 def integrate_top(F: ExtForm, region: Region) -> complex:
     """Integral of a top-degree form over a region via the volume functional."""
+    return complex(_exact_top_integral(F, region))
+
+
+def _exact_top_integral(F: ExtForm, region: Region) -> ComplexRational:
     coeff = top_coefficient(F)
     if len(F.vars) != region.naxes:
         raise ValueError("region does not match the coefficient variable table")
-    return integrate_poly_box(coeff, region.lows, region.highs)
+    return SeparableSum.product(region.naxes, {}).integrate_box(
+        region.lows, region.highs, coeff)
 
 
 def beta_form(frame: TangentFrame) -> ExtForm:
@@ -286,27 +290,17 @@ def positivity_check(F: ExtForm, samples: int, seed: int = 11) -> dict:
 
 
 def bump_for_region(region: Region) -> SeparableSum:
-    """prod_axis (1 - ((x-c)/r)^2)^2: vanishes to second order on every face."""
+    """prod_axis (1 - ((x-c)/r)^2)^2: vanishes to second order on every face.
+
+    With c - r = l and c + r = h the factor is ((x - l)(h - x))^2 / r^4, and
+    (x - l)(h - x) = -x^2 + s x - p for s = l + h, p = l h.
+    """
     factors = {}
     for axis, (l, h) in enumerate(zip(region.lows, region.highs)):
-        c = (l + h) / 2
-        r = (h - l) / 2
-        # (1 - ((x-c)/r)^2)^2 expanded in powers of x
-        a0 = 1 - c * c / (r * r)
-        a1 = 2 * c / (r * r)
-        a2 = Fraction(-1) / (r * r)
-        quad = (a0, a1, a2)
-        sq = _uni_square(quad)
-        factors[axis] = sq
+        s, p = l + h, l * h
+        r4 = ((h - l) / 2) ** 4
+        factors[axis] = tuple(c / r4 for c in (p * p, -2 * p * s, s * s + 2 * p, -2 * s, 1))
     return SeparableSum.product(region.naxes, factors)
-
-
-def _uni_square(coeffs):
-    out = [Fraction(0)] * (2 * len(coeffs) - 1)
-    for i, a in enumerate(coeffs):
-        for j, b in enumerate(coeffs):
-            out[i + j] += a * b
-    return tuple(out)
 
 
 def _axis_of(frame: TangentFrame) -> dict:
@@ -362,29 +356,39 @@ def sup_norm_on_grid(u: Poly, region: Region, samples: int = 4096,
     naxes = region.naxes
     lows = [float(x) for x in region.lows]
     highs = [float(x) for x in region.highs]
+    spans = [(l, h - l) for l, h in zip(lows, highs)]
     best = 0.0
-    # float evaluation term by term; each coefficient is converted once
-    terms = [(expo, complex(coeff)) for expo, coeff in u.terms.items()]
+    # float evaluation term by term; each coefficient is converted once and
+    # each term keeps only its nonzero (axis, exponent) pairs, in axis order
+    terms = [([(axis, e) for axis, e in enumerate(expo) if e], complex(coeff))
+             for expo, coeff in u.terms.items()]
 
     def visit(point):
         nonlocal best
         total = 0j
-        for expo, coeff in terms:
+        for powers, coeff in terms:
             m = 1.0
-            for p, e in zip(point, expo):
-                if e:
-                    m *= p ** e
+            for axis, e in powers:
+                m *= point[axis] ** e
             total += coeff * m
         val = abs(total)
         if val > best:
             best = val
 
     if naxes <= 16:
-        for mask in range(1 << naxes):
-            visit([highs[i] if (mask >> i) & 1 else lows[i] for i in range(naxes)])
+        # a point's value reads only the axes some term uses, so corners that
+        # differ elsewhere give the same float: one corner per choice on those
+        used = sorted({axis for powers, _ in terms for axis, _ in powers})
+        for mask in range(1 << len(used)):
+            point = list(lows)
+            for bit, axis in enumerate(used):
+                if (mask >> bit) & 1:
+                    point[axis] = highs[axis]
+            visit(point)
     visit([(l + h) / 2 for l, h in zip(lows, highs)])
+    draw = rng.random
     for _ in range(samples):
-        visit([l + (h - l) * rng.random() for l, h in zip(lows, highs)])
+        visit([l + span * draw() for l, span in spans])
     return best
 
 
@@ -453,6 +457,25 @@ def cln_experiment(us: Sequence[Poly], K: Region, L: Region,
     }
 
 
+def approximation_masses(q: Poly, frame: TangentFrame, L: Region, steps: int) -> list:
+    """Exact real parts of the inner-region masses of u_j = q + (1/j) sum x^2, j = 1..steps.
+
+    tri u_j = tri q + (tri sum x^2) / j and 2-forms commute, so the mass is
+    A + 2B/j + C/j^2 with A, B and C the masses of tri q ^ tri q,
+    tri q ^ tri sum x^2 and tri sum x^2 ^ tri sum x^2: three wedges and three
+    box integrals for any number of steps.
+    """
+    sq = Poly.zero(frame.vars)
+    for i in range(4 * frame.n):
+        sq = sq + Poly.monomial(frame.vars,
+                                tuple(2 if t == i else 0 for t in range(len(frame.vars))), 1)
+    tri_q = triangle(q, frame)
+    tri_sq = triangle(sq, frame)
+    A, B, C = (_exact_top_integral(F, L).re
+               for F in (tri_q.wedge(tri_q), tri_q.wedge(tri_sq), tri_sq.wedge(tri_sq)))
+    return [A + 2 * B / j + C / (j * j) for j in range(1, steps + 1)]
+
+
 def convergence_experiment(q: Poly, frame: TangentFrame, L: Region,
                            steps: int = 64, tol: float = 1e-4) -> dict:
     """Masses of the squared operator along a smooth approximation family.
@@ -468,16 +491,7 @@ def convergence_experiment(q: Poly, frame: TangentFrame, L: Region,
         raise ValueError("the squared-power experiment is set up for n = 2")
     if steps < 2:
         raise ValueError("the convergence experiment needs at least 2 steps")
-    sq = Poly.zero(frame.vars)
-    for i in range(4 * frame.n):
-        sq = sq + Poly.monomial(frame.vars,
-                                tuple(2 if t == i else 0 for t in range(len(frame.vars))), 1)
-    tri_q = triangle(q, frame)
-    tri_sq = triangle(sq, frame)
-    masses = []
-    for j in range(1, steps + 1):
-        tri_u = tri_q + tri_sq.scale(Fraction(1, j))
-        masses.append(integrate_top(tri_u.wedge(tri_u), L).real)
+    masses = [float(m) for m in approximation_masses(q, frame, L, steps)]
     diffs = [abs(masses[i] - masses[i + 1]) for i in range(len(masses) - 1)]
     monotone = all(diffs[i] >= diffs[i + 1] - 1e-15 for i in range(len(diffs) - 1))
     return {

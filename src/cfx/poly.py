@@ -58,6 +58,17 @@ def _gaussian_parts(value) -> tuple:
             im.numerator * (den // im.denominator), den)
 
 
+def reduce_gaussian(num: dict, den: int) -> tuple:
+    """(num, den) with the common factor of ``den`` and every numerator part
+    divided out; with no terms ``den`` becomes 1."""
+    g = den
+    for re, im in num.values():
+        g = gcd(g, re, im)
+        if g == 1:
+            return num, den
+    return {k: (re // g, im // g) for k, (re, im) in num.items()}, den // g
+
+
 class Terms(Mapping):
     """Read-only view of a polynomial's coefficients as ComplexRationals.
 
@@ -129,14 +140,7 @@ class Poly:
         result is canonical; nothing else is checked.
         """
         if den != 1:
-            g = den
-            for re, im in num.values():
-                g = gcd(g, re, im)
-                if g == 1:
-                    break
-            if g != 1:  # with no terms g == den, and den becomes 1
-                den //= g
-                num = {e: (re // g, im // g) for e, (re, im) in num.items()}
+            num, den = reduce_gaussian(num, den)
         p = object.__new__(cls)
         _set(p, "vars", variables)
         _set(p, "num", num)

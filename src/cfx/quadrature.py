@@ -6,16 +6,39 @@ sum of closed-form moments  int_a^b x^e dx  with rational endpoints.
 of the estimate experiments and, as a single product term, for a plain
 polynomial; :func:`integrate_poly_box` rounds that exact value to a float
 once.
+
+Layout (the one-denominator form of :class:`cfx.poly.Poly`): ``num`` maps a
+key to a Gaussian-integer numerator ``(re, im)`` of ints, and one positive
+int ``den`` is the denominator of every term.  A key holds one factor per
+axis, a tuple of int coefficients in increasing powers of that axis's
+variable.  The form is canonical:
+
+* every factor is primitive (the gcd of its coefficients is 1), has a
+  positive leading coefficient and no trailing zero; ``(1,)`` is the
+  constant factor, so an axis with no factor holds ``(1,)``;
+* terms with equal keys are merged, and no numerator is ``(0, 0)``;
+* the gcd of ``den`` and every numerator part is 1, and the zero sum has
+  ``den == 1``.
+
+``SeparableSum.product`` takes rational factors and validates them.  The
+ring operations, ``scale``, ``mul_monomial``, ``diff_axis`` and ``apply_op``
+do int arithmetic and build their result through the trusted
+``SeparableSum._make``, which only divides out the common factor of ``den``
+and the numerators: its callers keep the other rules.  ``terms`` shows the
+terms as ``(ComplexRational, {axis: factor})`` pairs, without the constant
+factors, at the API edge.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
-from typing import Dict, List, Sequence
+from math import gcd, lcm
+from typing import Dict, Sequence
 
-from .poly import Poly
-from .rational import ComplexRational, cq
+from .poly import Poly, _gaussian_parts, reduce_gaussian
+from .rational import ComplexRational
+
+_CONSTANT = (1,)
 
 
 def integrate_poly_box(p: Poly, lows: Sequence, highs: Sequence) -> complex:
@@ -27,19 +50,30 @@ def integrate_poly_box(p: Poly, lows: Sequence, highs: Sequence) -> complex:
 
 
 def substitute_axis(p: Poly, axis: int, value: Fraction) -> Poly:
-    """Freeze one variable at a rational value (exact)."""
+    """Freeze one variable at a rational value (exact).
+
+    With value = r/s and E the highest power of the axis, x^e becomes
+    r^e s^(E-e) / s^E: every term stays over the one denominator den * s^E.
+    """
     value = Fraction(value)
-    out: Dict[tuple, ComplexRational] = {}
-    for expo, coeff in p.terms.items():
+    r, s = value.numerator, value.denominator
+    top = max((expo[axis] for expo in p.num), default=0)
+    out: dict = {}
+    for expo, (re, im) in p.num.items():
         e = expo[axis]
-        scaled = coeff * cq(value ** e) if e else coeff
-        new = list(expo)
-        new[axis] = 0
-        key = tuple(new)
+        w = r ** e * s ** (top - e)
+        re *= w
+        im *= w
+        key = expo[:axis] + (0,) + expo[axis + 1:]
         acc = out.get(key)
-        acc = scaled if acc is None else acc + scaled
-        out[key] = acc
-    return Poly(p.vars, out)
+        if acc is not None:
+            re += acc[0]
+            im += acc[1]
+        if re or im:
+            out[key] = (re, im)
+        elif acc is not None:
+            del out[key]
+    return Poly._make(p.vars, out, p.den * s ** top)
 
 
 def integrate_poly_face(p: Poly, lows: Sequence, highs: Sequence, axis: int,
@@ -55,36 +89,43 @@ def integrate_poly_face(p: Poly, lows: Sequence, highs: Sequence, axis: int,
     return integrate_poly_box(frozen, sub_lows, sub_highs)
 
 
-# -- exact univariate machinery for factored cutoffs ----------------------------------------
+# -- integer factors and moments ----------------------------------------------------------
 
 
-def uni_mul_x(coeffs: tuple, power: int) -> tuple:
-    return (Fraction(0),) * power + tuple(coeffs)
+def _primitive(coeffs: Sequence[int]) -> tuple:
+    """(g, f) with coeffs == g * f as polynomials and f canonical; (0, None) for zero."""
+    top = len(coeffs)
+    while top and not coeffs[top - 1]:
+        top -= 1
+    if not top:
+        return 0, None
+    g = gcd(*coeffs[:top])
+    if coeffs[top - 1] < 0:
+        g = -g
+    return g, tuple(c // g for c in coeffs[:top])
 
 
-def uni_diff(coeffs: tuple) -> tuple:
-    return tuple(c * i for i, c in enumerate(coeffs))[1:] or (Fraction(0),)
+def _shifts(expo: Sequence[int]) -> list:
+    """(axis, zeros) pairs: prepending the zeros to a factor multiplies it by x^e."""
+    return [(axis, (0,) * e) for axis, e in enumerate(expo) if e]
 
 
-@lru_cache(maxsize=1024)
-def _moment(box: tuple, e: int) -> Fraction:
-    """int_a^b x^e dx for box = (a.num, a.den, b.num, b.den).
+def _moment_table(a, b, size: int) -> tuple:
+    """(M, D) with int_a^b x^e dx == M[e] / D for e < size, all ints.
 
-    Cached across calls, since a run integrates over few boxes; the key is
-    ints because hashing two Fractions costs about as much as the powers.
+    With a = A/Q and b = B/Q over Q = den(a) den(b) and L = lcm(1..size),
+    M[e] = (B^(e+1) - A^(e+1)) (L / (e+1)) Q^(size-1-e) and D = L Q^size.
     """
-    a, b = Fraction(box[0], box[1]), Fraction(box[2], box[3])
-    return (b ** (e + 1) - a ** (e + 1)) / (e + 1)
-
-
-def uni_integral(coeffs: tuple, a: Fraction, b: Fraction) -> Fraction:
-    a, b = Fraction(a), Fraction(b)
-    box = (a.numerator, a.denominator, b.numerator, b.denominator)
-    total = Fraction(0)
-    for i, c in enumerate(coeffs):
-        if c:
-            total += c * _moment(box, i)
-    return total
+    q, s = a.denominator, b.denominator
+    big_a, big_b, big_q = a.numerator * s, b.numerator * q, q * s
+    scale = lcm(*range(1, size + 1))
+    table = []
+    pa, pb = big_a, big_b
+    for e in range(size):
+        table.append((pb - pa) * (scale // (e + 1)) * big_q ** (size - 1 - e))
+        pa *= big_a
+        pb *= big_b
+    return table, scale * big_q ** size
 
 
 class SeparableSum:
@@ -96,26 +137,63 @@ class SeparableSum:
     ever being expanded.
     """
 
-    def __init__(self, naxes: int, terms=None):
-        self.naxes = naxes
-        # term: (ComplexRational, dict axis -> tuple of Fraction coefficients)
-        self.terms: List[tuple] = list(terms or [])
+    __slots__ = ("naxes", "num", "den")
+
+    @classmethod
+    def _make(cls, naxes: int, num: dict, den: int = 1) -> "SeparableSum":
+        """Trusted constructor: the caller keeps the keys canonical, leaves no
+        (0, 0) pair and gives ``den`` > 0; only the common factor of ``den``
+        and the numerators is divided out here."""
+        num, den = reduce_gaussian(num, den)
+        s = object.__new__(cls)
+        object.__setattr__(s, "naxes", naxes)
+        object.__setattr__(s, "num", num)
+        object.__setattr__(s, "den", den)
+        return s
+
+    def __setattr__(self, name, value):
+        raise AttributeError("SeparableSum is immutable")
+
+    @property
+    def terms(self) -> tuple:
+        """The terms as (ComplexRational, {axis: factor}) pairs, constant factors left out."""
+        den = self.den
+        return tuple((ComplexRational(Fraction(re, den), Fraction(im, den)),
+                      {axis: f for axis, f in enumerate(key) if f != _CONSTANT})
+                     for key, (re, im) in self.num.items())
 
     @classmethod
     def product(cls, naxes: int, factors: Dict[int, tuple]) -> "SeparableSum":
-        return cls(naxes, [(cq(1), dict(factors))])
-
-    @classmethod
-    def zero(cls, naxes: int) -> "SeparableSum":
-        return cls(naxes, [])
+        """prod_axis factors[axis](x_axis); a factor is a tuple of rational
+        coefficients in increasing powers, and a missing axis is 1."""
+        key = [_CONSTANT] * naxes
+        num = den = 1
+        for axis, f in factors.items():
+            if not 0 <= axis < naxes:
+                raise ValueError(f"axis {axis} outside 0..{naxes - 1}")
+            f = [Fraction(c) for c in f]
+            common = lcm(1, *(c.denominator for c in f))
+            g, key[axis] = _primitive([c.numerator * (common // c.denominator) for c in f])
+            num *= g
+            den *= common
+        return cls._make(naxes, {tuple(key): (num, 0)} if num else {}, den)
 
     def __add__(self, other: "SeparableSum") -> "SeparableSum":
-        return SeparableSum(self.naxes, self.terms + other.terms)
+        if self.naxes != other.naxes:
+            raise ValueError("separable sums over different numbers of axes")
+        if not other.num:
+            return self
+        if not self.num:
+            return other
+        d1, d2 = self.den, other.den
+        g = gcd(d1, d2)
+        m1, m2 = d2 // g, d1 // g
+        num = {k: (re * m1, im * m1) for k, (re, im) in self.num.items()}
+        other._fold(num, None, [([], m2, 0)])
+        return SeparableSum._make(self.naxes, num, d1 * m1)
 
     def scale(self, value) -> "SeparableSum":
-        value = cq(value)
-        return SeparableSum(self.naxes,
-                            [(c * value, f) for c, f in self.terms])
+        return self.mul_monomial((), value)
 
     def __neg__(self):
         return self.scale(-1)
@@ -124,111 +202,118 @@ class SeparableSum:
         return self + (-other)
 
     def mul_monomial(self, expo: Sequence[int], coeff) -> "SeparableSum":
-        coeff = cq(coeff)
-        out = []
-        for c, factors in self.terms:
-            new = dict(factors)
-            for axis, e in enumerate(expo):
-                if e:
-                    base = new.get(axis, (Fraction(1),))
-                    new[axis] = uni_mul_x(base, e)
-            out.append((c * coeff, new))
-        return SeparableSum(self.naxes, out)
+        """Product with  coeff * prod_axis x_axis^expo[axis]."""
+        c, d, den = _gaussian_parts(coeff)
+        out: dict = {}
+        self._fold(out, None, [(_shifts(expo), c, d)])
+        return SeparableSum._make(self.naxes, out, self.den * den)
 
     def diff_axis(self, axis: int) -> "SeparableSum":
-        out = []
-        for c, factors in self.terms:
-            base = factors.get(axis)
-            if base is None:
-                continue
-            d = uni_diff(base)
-            if all(x == 0 for x in d):
-                continue
-            new = dict(factors)
-            new[axis] = d
-            out.append((c, new))
-        return SeparableSum(self.naxes, out)
+        out: dict = {}
+        self._fold(out, axis, [([], 1, 0)])
+        return SeparableSum._make(self.naxes, out, self.den)
 
     def apply_op(self, op, axis_of) -> "SeparableSum":
-        """Apply a FirstOrderOp; ``axis_of`` maps variable names to axes."""
-        out = SeparableSum.zero(self.naxes)
-        for var, coeff_poly in op.coeffs.items():
-            d = self.diff_axis(axis_of[var])
-            if not d.terms:
-                continue
-            for expo, c in coeff_poly.terms.items():
-                out = out + d.mul_monomial(expo, c)
-        return out
+        """Apply a FirstOrderOp; ``axis_of`` maps variable names to axes.
+
+        The coefficient polynomials are brought over one denominator, so each
+        output term is one Gaussian-integer product, merged into one dict.
+        """
+        common = lcm(1, *(c.den for c in op.coeffs.values()))
+        out: dict = {}
+        for var, coeff in op.coeffs.items():
+            lift = common // coeff.den
+            self._fold(out, axis_of[var], [(_shifts(expo), re * lift, im * lift)
+                                           for expo, (re, im) in coeff.num.items()])
+        return SeparableSum._make(self.naxes, out, self.den * common)
+
+    def _fold(self, out: dict, axis, monomials: list) -> None:
+        """Merge into ``out`` the numerators of d/dx_axis (no derivative when
+        ``axis`` is None) times each monomial ``(shifts, re, im)``."""
+        derivatives: dict = {}
+        for key, (a, b) in self.num.items():
+            if axis is not None:
+                f = key[axis]
+                g_d = derivatives.get(f)
+                if g_d is None:  # (0, None) for a constant factor
+                    g_d = derivatives[f] = _primitive([i * c for i, c in enumerate(f)][1:])
+                g, d = g_d
+                if d is None:
+                    continue
+                a *= g
+                b *= g
+                key = key[:axis] + (d,) + key[axis + 1:]
+            for shifts, cr, ci in monomials:
+                new = key
+                if shifts:
+                    new = list(key)
+                    for i, zeros in shifts:
+                        new[i] = zeros + new[i]
+                    new = tuple(new)
+                re = a * cr - b * ci
+                im = a * ci + b * cr
+                acc = out.get(new)
+                if acc is not None:
+                    re += acc[0]
+                    im += acc[1]
+                if re or im:
+                    out[new] = (re, im)
+                elif acc is not None:
+                    del out[new]
 
     def integrate_box(self, lows: Sequence[Fraction], highs: Sequence[Fraction],
                       weight: Poly | None = None) -> ComplexRational:
         """Exact integral over the box, against the polynomial ``weight`` if given.
 
-        One pass: terms with equal per-axis factors are merged first (their
-        coefficients summed exactly); each distinct moment  int f(x) x^e dx
-        of an axis is computed once, by ``uni_integral``, into a table that
-        lives only for this call; a merged term then costs one product of
-        real moments per weight monomial and one complex multiply.
+        One integer moment table per axis, int_a^b x^e dx = M[e] / D, long
+        enough for every factor times every weight power of that axis.  The
+        moment of a factor against x^w is then an int, computed once per
+        distinct factor; a term costs one int product across the axes per
+        weight monomial, and the one division by den * weight.den * prod D
+        happens on return.
         """
         naxes = self.naxes
         if weight is None:
-            monomials = {(0,) * naxes: cq(1)}
+            wnum, wden = {(0,) * naxes: (1, 0)}, 1
         elif len(weight.vars) != naxes:
             raise ValueError("weight does not match the number of axes")
         else:
-            monomials = weight.terms
-        # per axis: distinct factor tuple -> index.  Terms share factor
-        # objects, so each object is hashed once (by id).
-        one = (Fraction(1),)
-        ids: List[Dict[tuple, int]] = [{} for _ in range(naxes)]
-        by_object: List[Dict[int, int]] = [{} for _ in range(naxes)]
-
-        def index(axis: int, factor: tuple) -> int:
-            fid = by_object[axis].get(id(factor))
-            if fid is None:
-                fid = ids[axis].setdefault(factor, len(ids[axis]))
-                by_object[axis][id(factor)] = fid
-            return fid
-
-        # Merge terms with equal factors.  The key packs a term's factor
-        # indices into one int: a tuple per term would stay parked in
-        # CPython's tuple free list after the call and raise peak memory.
-        radix = len(self.terms) + 1
-        merged: Dict[int, list] = {}
-        for c, factors in self.terms:
-            fids = [index(axis, factors.get(axis, one)) for axis in range(naxes)]
-            key = 0
-            for fid in fids:
-                key = key * radix + fid
-            entry = merged.get(key)
-            if entry is None:
-                merged[key] = [c, fids]
-            else:
-                entry[0] += c
-        factor_of = [list(table) for table in ids]
-        moments: List[Dict[tuple, Fraction]] = [{} for _ in range(naxes)]
-        re = im = Fraction(0)
-        for c, fids in merged.values():
-            if c.is_zero():
-                continue
-            w_re = w_im = Fraction(0)
-            for expo, w in monomials.items():
-                prod = Fraction(1)
-                for axis in range(naxes):
-                    slot = (fids[axis], expo[axis])
-                    m = moments[axis].get(slot)
-                    if m is None:
-                        base = factor_of[axis][slot[0]]
-                        if slot[1]:
-                            base = uni_mul_x(base, slot[1])
-                        m = uni_integral(base, lows[axis], highs[axis])
-                        moments[axis][slot] = m
+            wnum, wden = weight.num, weight.den
+        if not self.num or not wnum:
+            return ComplexRational(0)
+        wtop = [max(expo[axis] for expo in wnum) for axis in range(naxes)]
+        tables = []
+        den = self.den * wden
+        for axis in range(naxes):
+            size = max(len(key[axis]) for key in self.num) + wtop[axis]
+            table, d = _moment_table(lows[axis], highs[axis], size)
+            tables.append(table)
+            den *= d
+        # per axis: factor -> [int f(x) x^w dx * D for w in 0..wtop]
+        rows: list = [{} for _ in range(naxes)]
+        weights = list(wnum.items())
+        re_total = im_total = 0
+        for key, (a, b) in self.num.items():
+            term_rows = []
+            for axis, f in enumerate(key):
+                row = rows[axis].get(f)
+                if row is None:
+                    table = tables[axis]
+                    row = rows[axis][f] = [
+                        sum(c * table[i + w] for i, c in enumerate(f) if c)
+                        for w in range(wtop[axis] + 1)]
+                term_rows.append(row)
+            sr = si = 0
+            for expo, (wr, wi) in weights:
+                prod = 1
+                for row, e in zip(term_rows, expo):
+                    m = row[e]
                     if not m:
                         break
                     prod *= m
                 else:
-                    w_re += w.re * prod
-                    w_im += w.im * prod
-            re += c.re * w_re - c.im * w_im
-            im += c.re * w_im + c.im * w_re
-        return ComplexRational(re, im)
+                    sr += wr * prod
+                    si += wi * prod
+            re_total += a * sr - b * si
+            im_total += a * si + b * sr
+        return ComplexRational(Fraction(re_total, den), Fraction(im_total, den))

@@ -6,10 +6,13 @@ says why in CHANGES.md.
 """
 
 import hashlib
+import json
 
 import pytest
 
 from cfx.cli import main
+from cfx.groups import GroupSpec
+from cfx.randgen import SectionGenerator
 
 GOLDEN = [
     ("verify flat --n 1 --k 2 --degree 4 --trials 2 --seed 3",
@@ -26,6 +29,8 @@ GOLDEN = [
      "a0f7e84e54d27e9a0713b4cae3837716b27e0437f000679e1a1b9940e7fdba6e"),
     ("classify --group leftQH --n 2 --condition-h exact",
      "4e26287851c6e7271daadf330e0b3cf81b5a632b76693b40899fa6d18f27d469"),
+    ("ma --group rightQH --n 2 --power 2 --seed 3 --convergence 64",
+     "976a6b0e8bf46a35386c2a6b151029eaf03d925e0c38f09d96fa79f1d021b468"),
 ]
 
 
@@ -35,3 +40,17 @@ def test_report_bytes_are_pinned(command, digest, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_dense_right_type_ma_report_is_pinned(tmp_path, capsys):
+    """The n = 2 `ma` paths (cutoff mass, Stokes, 64-step convergence) on a
+    dense right-type group; its Stokes floats carry roundoff, so they also pin
+    the order of the float operations."""
+    group = GroupSpec(2, SectionGenerator(1).right_type_matrix(2))
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps(group.to_json()))
+    code = main(["ma", "--file", str(path), "--power", "2", "--convergence", "64"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "3ba26824962966de447d2e568ac89b5cb0c8149a852915d060951c8faae34008"

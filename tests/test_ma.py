@@ -6,13 +6,13 @@ import pytest
 from cfx.boundary import TangentFrame, frak_d
 from cfx.exterior import ExtForm, from_hat_components
 from cfx.groups import GroupSpec
-from cfx.ma import (Region, beta_form, bump_for_region, cln_experiment,
-                    convergence_experiment, elementary_positive_form,
+from cfx.ma import (Region, approximation_masses, beta_form, bump_for_region,
+                    cln_experiment, convergence_experiment, elementary_positive_form,
                     integrate_top, key_identity_check, ma_power,
                     positivity_check, stokes_check, sup_norm_on_grid,
                     top_coefficient, triangle, volume_form)
 from cfx.poly import Poly
-from cfx.quadrature import uni_diff
+from cfx.quadrature import SeparableSum
 from cfx.randgen import SectionGenerator
 from cfx.rational import cq
 
@@ -281,11 +281,14 @@ def test_bump_vanishes_on_faces():
     def at(coeffs, x):
         return sum(c * x ** i for i, c in enumerate(coeffs))
 
+    def derivative(coeffs):
+        return tuple(i * c for i, c in enumerate(coeffs))[1:]
+
     half = Fraction(1, 2)
     for f in factors.values():
         # zero of second order on both faces, one at the centre
         assert at(f, half) == at(f, -half) == 0
-        assert at(uni_diff(f), half) == at(uni_diff(f), -half) == 0
+        assert at(derivative(f), half) == at(derivative(f), -half) == 0
         assert at(f, Fraction(0)) == 1
 
 
@@ -350,12 +353,37 @@ def _reference_sup(u, region, samples=4096, seed=2):
     return best
 
 
-@pytest.mark.parametrize("seed", [3, 8])
-def test_sup_norm_bit_identical_to_per_point_conversion(right2, seed):
-    gen = SectionGenerator(seed)
-    u = gen.psh_quadratic(right2.vars, 8) + gen.poly(right2.vars, degree=3)
-    region = Region((Fraction(-1, 3),) * 11, (Fraction(1, 2),) * 11)
-    assert sup_norm_on_grid(u, region, samples=256) == _reference_sup(u, region, 256)
+def _complex_high_power_input(frame):
+    """Complex coefficients on powers up to 4, on x- and t-variables."""
+    gen = SectionGenerator(12)
+    u = gen.poly(frame.vars, degree=2)
+    for i, name in enumerate((frame.vars[0], frame.vars[-1], frame.vars[1])):
+        u = u + Poly.var(frame.vars, name, cq(Fraction(2, 3 + i), Fraction(-5, 7))) ** (3 + i % 2)
+    return u
+
+
+# "3" and "8" are SectionGenerator seeds of n = 2 inputs
+@pytest.mark.parametrize("case", ["3", "8", "n1-default-samples", "complex-cubic"])
+def test_sup_norm_bit_identical_to_per_point_conversion(right2, case):
+    if case.isdigit():
+        gen = SectionGenerator(int(case))
+        u = gen.psh_quadratic(right2.vars, 8) + gen.poly(right2.vars, degree=3)
+        region = Region((Fraction(-1, 3),) * 11, (Fraction(1, 2),) * 11)
+        samples = {"samples": 256}
+    elif case == "n1-default-samples":
+        frame = TangentFrame(GroupSpec.right_qh(1))
+        gen = SectionGenerator(5)
+        u = gen.psh_quadratic(frame.vars, 4) + gen.poly(frame.vars, degree=3)
+        region = Region((Fraction(-2, 3),) * 7, (Fraction(3, 4),) * 7)
+        samples = {}
+    else:
+        u = _complex_high_power_input(right2)
+        assert max(max(e) for e in u.terms) >= 3
+        assert any(not c.is_real() for c in u.terms.values())
+        region = Region((Fraction(-3, 5),) * 11, (Fraction(4, 7),) * 11)
+        samples = {"samples": 512}
+    got = sup_norm_on_grid(u, region, **samples)
+    assert got.hex() == _reference_sup(u, region, **samples).hex()
 
 
 def test_convergence_experiment_needs_two_steps(right2):
@@ -363,6 +391,27 @@ def test_convergence_experiment_needs_two_steps(right2):
     for steps in (1, 0, -3):
         with pytest.raises(ValueError, match="at least 2 steps"):
             convergence_experiment(q, right2, Region.cube(11, Fraction(1, 4)), steps=steps)
+
+
+@pytest.mark.parametrize("group", ["rightQH", "dense"])
+def test_closed_form_masses_equal_the_per_step_integrals(right2, group):
+    """A + 2B/j + C/j^2 against the exact integral of (tri u_j)^2, j = 1..64."""
+    if group == "rightQH":
+        frame = right2
+    else:
+        frame = TangentFrame(GroupSpec(2, SectionGenerator(1).right_type_matrix(2)))
+    gen = SectionGenerator(7)
+    # a cubic part keeps the coefficients of tri q non-constant
+    q = gen.psh_quadratic(frame.vars, 8) + gen.poly(frame.vars, degree=3)
+    L = Region((Fraction(-1, 4),) * 11, (Fraction(1, 3),) * 11)
+    tri_q, tri_sq = triangle(q, frame), triangle(squared_norm(frame), frame)
+    closed = approximation_masses(q, frame, L, 64)
+    assert len(closed) == 64
+    for j in range(1, 65):
+        tri_u = tri_q + tri_sq.scale(Fraction(1, j))
+        coeff = top_coefficient(tri_u.wedge(tri_u))
+        exact = SeparableSum.product(11, {}).integrate_box(L.lows, L.highs, coeff)
+        assert closed[j - 1] == exact.re
 
 
 def test_convergence_experiment_quick(right2):

@@ -1,15 +1,100 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
+from cfx.boundary import TangentFrame
+from cfx.groups import GroupSpec
 from cfx.operators import FirstOrderOp
 from cfx.poly import Poly, x_vars
 from cfx.quadrature import (SeparableSum, integrate_poly_box, integrate_poly_face,
-                            substitute_axis, uni_diff, uni_integral, uni_mul_x)
+                            substitute_axis)
+from cfx.randgen import SectionGenerator
 from cfx.rational import ComplexRational, cq
 
 V = x_vars(3)
+
+
+# -- the Fraction reference: univariate helpers and the term-list sum ------------------------
+
+
+def uni_mul_x(coeffs: tuple, power: int) -> tuple:
+    return (Fraction(0),) * power + tuple(coeffs)
+
+
+def uni_diff(coeffs: tuple) -> tuple:
+    return tuple(c * i for i, c in enumerate(coeffs))[1:] or (Fraction(0),)
+
+
+def uni_integral(coeffs: tuple, a, b) -> Fraction:
+    a, b = Fraction(a), Fraction(b)
+    return sum((c * (b ** (i + 1) - a ** (i + 1)) / (i + 1)
+                for i, c in enumerate(coeffs) if c), Fraction(0))
+
+
+class ReferenceSum:
+    """The ComplexRational term list that ``SeparableSum`` replaced: terms
+    are (coefficient, {axis: tuple of Fractions}) and nothing is merged."""
+
+    def __init__(self, naxes: int, terms=None):
+        self.naxes = naxes
+        self.terms = list(terms or [])
+
+    @classmethod
+    def zero(cls, naxes: int) -> "ReferenceSum":
+        return cls(naxes, [])
+
+    def __add__(self, other):
+        return ReferenceSum(self.naxes, self.terms + other.terms)
+
+    def scale(self, value):
+        value = cq(value)
+        return ReferenceSum(self.naxes, [(c * value, f) for c, f in self.terms])
+
+    def __neg__(self):
+        return self.scale(-1)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def mul_monomial(self, expo, coeff):
+        coeff = cq(coeff)
+        out = []
+        for c, factors in self.terms:
+            new = dict(factors)
+            for axis, e in enumerate(expo):
+                if e:
+                    new[axis] = uni_mul_x(new.get(axis, (Fraction(1),)), e)
+            out.append((c * coeff, new))
+        return ReferenceSum(self.naxes, out)
+
+    def diff_axis(self, axis: int):
+        out = []
+        for c, factors in self.terms:
+            base = factors.get(axis)
+            if base is None:
+                continue
+            d = uni_diff(base)
+            if all(x == 0 for x in d):
+                continue
+            new = dict(factors)
+            new[axis] = d
+            out.append((c, new))
+        return ReferenceSum(self.naxes, out)
+
+    def apply_op(self, op, axis_of):
+        out = ReferenceSum.zero(self.naxes)
+        for var, coeff_poly in op.coeffs.items():
+            d = self.diff_axis(axis_of[var])
+            if not d.terms:
+                continue
+            for expo, c in coeff_poly.terms.items():
+                out = out + d.mul_monomial(expo, c)
+        return out
+
+    def integrate_box(self, lows, highs, weight=None):
+        return _reference_integrate(self, lows, highs, weight)
 
 
 def test_box_integration_separable():
@@ -145,7 +230,21 @@ def _rand_fraction(rng, bound=4):
     return Fraction(rng.randint(-bound, bound), rng.randint(1, 3))
 
 
+def _from_terms(naxes, terms):
+    """SeparableSum of (coefficient, {axis: factor}) pairs, by product, scale and +."""
+    total = SeparableSum.product(naxes, {}).scale(0)
+    for coeff, factors in terms:
+        total = total + SeparableSum.product(naxes, factors).scale(coeff)
+    return total
+
+
 def _random_sum(rng, naxes, terms):
+    return _from_terms(naxes, _random_terms(rng, naxes, terms))
+
+
+def _random_terms(rng, naxes, terms):
+    """Random (coefficient, {axis: Fraction tuple}) pairs; every factor tuple
+    appears three times."""
     out = []
     for _ in range(terms):
         factors = {}
@@ -161,8 +260,7 @@ def _random_sum(rng, naxes, terms):
                                       for _ in range(rng.randint(1, 4)))
         coeff = cq(_rand_fraction(rng), _rand_fraction(rng))
         out.append((coeff, factors))
-    s = SeparableSum(naxes, out)
-    return s + s.scale(cq(Fraction(1, 2), -1)) + s  # repeated factor tuples
+    return out + [(c * cq(Fraction(1, 2), -1), f) for c, f in out] + out
 
 
 def _random_weight(rng, variables, terms):
@@ -203,3 +301,111 @@ def test_integrate_box_rejects_mismatched_weight():
     s = SeparableSum.product(3, {0: (Fraction(1),)})
     with pytest.raises(ValueError):
         s.integrate_box([0, 0, 0], [1, 1, 1], Poly.var(x_vars(2), "x1"))
+
+
+# -- differential test: the integer SeparableSum against the Fraction reference -------------
+
+
+def _canonical(s) -> dict:
+    """{key: ComplexRational} in the canonical form of SeparableSum, computed
+    from the (coefficient, {axis: factor}) pairs with Fractions: each factor
+    made primitive with a positive leading coefficient, equal keys merged."""
+    out = {}
+    for coeff, factors in s.terms:
+        key = []
+        for axis in range(s.naxes):
+            f = [Fraction(c) for c in factors.get(axis, (1,))]
+            while f and f[-1] == 0:
+                f.pop()
+            if not f:
+                break
+            common = 1
+            for c in f:
+                common = common * c.denominator // gcd(common, c.denominator)
+            ints = [int(c * common) for c in f]
+            g = gcd(*ints) * (1 if ints[-1] > 0 else -1)
+            key.append(tuple(c // g for c in ints))
+            coeff = coeff * cq(Fraction(g, common))
+        else:
+            key = tuple(key)
+            out[key] = out.get(key, cq(0)) + coeff
+    return {k: v for k, v in out.items() if not v.is_zero()}
+
+
+def _assert_canonical(s):
+    assert s.den > 0
+    if not s.num:
+        assert s.den == 1
+    g = s.den
+    for key, (re, im) in s.num.items():
+        assert (re, im) != (0, 0)
+        g = gcd(g, re, im)
+        assert len(key) == s.naxes
+        for f in key:
+            assert f and f[-1] > 0 and gcd(*f) == 1
+    assert g == 1 or not s.num
+
+
+def _assert_same(fast, ref):
+    _assert_canonical(fast)
+    got = {key: ComplexRational(Fraction(re, fast.den), Fraction(im, fast.den))
+           for key, (re, im) in fast.num.items()}
+    assert got == _canonical(ref)
+
+
+@pytest.fixture(scope="module")
+def frames():
+    dense = GroupSpec(1, SectionGenerator(4).right_type_matrix(1))
+    return [TangentFrame(GroupSpec.right_qh(1)), TangentFrame(GroupSpec.left_qh(1)),
+            TangentFrame(dense)]
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("frame_index", range(3), ids=["rightQH", "leftQH", "dense"])
+def test_integer_sum_matches_the_fraction_reference(seed, frame_index, frames):
+    frame = frames[frame_index]
+    rng = random.Random(seed)
+    naxes = len(frame.vars)
+    axis_of = {name: i for i, name in enumerate(frame.vars)}
+    terms = _random_terms(rng, naxes, terms=2)
+    fast, ref = _from_terms(naxes, terms), ReferenceSum(naxes, terms)
+    _assert_same(fast, ref)
+    # two rounds of lowered rows, as the degree-2 operator applies them
+    a, b = rng.randrange(frame.dim), rng.randrange(frame.dim)
+    for row, col in ((a, 0), (b, 1)):
+        op = frame.Z_lower[row][col]
+        fast, ref = fast.apply_op(op, axis_of), ref.apply_op(op, axis_of)
+        _assert_same(fast, ref)
+    other_terms = _random_terms(rng, naxes, terms=1)
+    other, other_ref = _from_terms(naxes, other_terms), ReferenceSum(naxes, other_terms)
+    axis = rng.randrange(naxes)
+    expo = tuple(rng.randint(0, 2) for _ in range(naxes))
+    coeff = cq(_rand_fraction(rng), Fraction(rng.randint(1, 5), rng.randint(1, 4)))
+    steps = [
+        (lambda s: s.diff_axis(axis), lambda r: r.diff_axis(axis)),
+        (lambda s: s.mul_monomial(expo, coeff), lambda r: r.mul_monomial(expo, coeff)),
+        (lambda s: s.scale(coeff), lambda r: r.scale(coeff)),
+        (lambda s: s.scale(0), lambda r: r.scale(0)),
+        (lambda s: s + other, lambda r: r + other_ref),
+        (lambda s: s - other, lambda r: r - other_ref),
+        (lambda s: s - s, lambda r: r - r),
+    ]
+    for step_fast, step_ref in steps:
+        _assert_same(step_fast(fast), step_ref(ref))
+    lows = [Fraction(-2, 3), Fraction(1, 5), Fraction(-7, 4)] + \
+        [Fraction(-1, 2 + i) for i in range(naxes - 3)]
+    highs = [Fraction(1, 2), Fraction(4, 3), Fraction(-1, 6)] + \
+        [Fraction(3, 1 + i) for i in range(naxes - 3)]
+    weights = [None, Poly.zero(frame.vars), _random_weight(rng, frame.vars, terms=3)]
+    for weight in weights:
+        for s, r in ((fast, ref), (fast + other, ref + other_ref)):
+            assert s.integrate_box(lows, highs, weight) == r.integrate_box(lows, highs, weight)
+
+
+def test_terms_view_shows_the_canonical_factors():
+    s = SeparableSum.product(2, {0: (Fraction(1, 2), Fraction(-1, 3)), 1: (1,)}).scale(cq(1, 1))
+    [(coeff, factors)] = s.terms
+    assert len(s.terms) == 1
+    # 1/2 - x/3 = (-1/6)(2x - 3): the content moves into the coefficient
+    assert factors == {0: (-3, 2)} and coeff == cq(Fraction(-1, 6), Fraction(-1, 6))
+    assert s.num == {((-3, 2), (1,)): (-1, -1)} and s.den == 6

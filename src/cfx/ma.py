@@ -1,24 +1,28 @@
-"""Wedge-power operator, positivity sampling and integral experiments.
+"""Wedge-power operator and its integral experiments, exact up to the report.
 
 On a right-type group the pair of lowered tangential operators composes to
 a closed 2-form for every scalar input; its wedge powers define the fully
-nonlinear operator studied here.  Integration over boxes uses the exact
-separable machinery from :mod:`cfx.quadrature`.
+nonlinear operator studied here.  Every integral is an exact box integral
+from :mod:`cfx.quadrature`, and every check decides by exact comparison:
+the Stokes residual is 0, the cutoff mass comes out equal three ways, the
+approximation masses decay monotonically below an exact tolerance.  Values
+become floats only where the report is written, through :func:`_float`;
+the sampled sup norms are the one inexact quantity.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Optional, Sequence
+from typing import Dict, Sequence
 
 from .boundary import TangentFrame, frak_d
 from .exterior import ExtForm, kaehler_like_sum, merge_sign, top_form
 from .poly import Poly
-from .quadrature import SeparableSum, integrate_poly_face
-from .rational import ComplexRational
-from .randgen import SectionGenerator
+from .quadrature import SeparableSum, integrate_poly_box, integrate_poly_face
+from .rational import ZERO, ComplexRational
 
 log = logging.getLogger(__name__)
 
@@ -131,17 +135,9 @@ def top_coefficient(F: ExtForm) -> Poly:
     return F.component(tuple(range(F.dim)))
 
 
-def integrate_top(F: ExtForm, region: Region) -> complex:
-    """Integral of a top-degree form over a region via the volume functional."""
-    return complex(_exact_top_integral(F, region))
-
-
-def _exact_top_integral(F: ExtForm, region: Region) -> ComplexRational:
-    coeff = top_coefficient(F)
-    if len(F.vars) != region.naxes:
-        raise ValueError("region does not match the coefficient variable table")
-    return SeparableSum.product(region.naxes, {}).integrate_box(
-        region.lows, region.highs, coeff)
+def integrate_top(F: ExtForm, region: Region) -> ComplexRational:
+    """Exact integral of a top-degree form over a region via the volume functional."""
+    return integrate_poly_box(top_coefficient(F), region.lows, region.highs)
 
 
 def beta_form(frame: TangentFrame) -> ExtForm:
@@ -171,8 +167,8 @@ def stokes_check(h: Poly, T: ExtForm, region: Region, frame: TangentFrame,
                  aprime: int = 0) -> dict:
     """Integration-by-parts identity with the face term, by exact box integrals.
 
-    volume(h * dT) + volume(dh ^ T) - faces(h T_a Z_a rho) must vanish; the
-    report carries the relative residual.
+    volume(h * dT) + volume(dh ^ T) - faces(h T_a Z_a rho) must be exactly 0;
+    the report also carries the rounded residual, absolute and relative.
     """
     from .exterior import hat_component
     if T.degree != frame.dim - 1:
@@ -182,7 +178,7 @@ def stokes_check(h: Poly, T: ExtForm, region: Region, frame: TangentFrame,
     dh_T = frak_d(aprime, ExtForm.from_scalar(frame.dim, h), frame).wedge(T)
     mid = integrate_top(dh_T, region)
 
-    boundary = 0j
+    boundary = ZERO
     for axis in range(region.naxes):
         for side, value in ((1, region.highs[axis]), (-1, region.lows[axis])):
             total = Poly.zero(frame.vars)
@@ -200,90 +196,36 @@ def stokes_check(h: Poly, T: ExtForm, region: Region, frame: TangentFrame,
                                             axis, value)
 
     residual = lhs + mid - boundary
-    # relative residual with a unit floor: when every term vanishes the
-    # pure ratio would compare roundoff against roundoff
-    scale = max(abs(lhs), abs(mid), abs(boundary), 1.0)
-    rel = abs(residual) / scale
+    absolute = _abs(residual)
     return {"identity": "boundary-parts-formula",
             "params": {"aprime": aprime, "dims": region.naxes},
-            "pass": rel <= 1e-9,
+            "pass": residual.is_zero(),
             "lhs": _c(lhs), "interior": _c(mid), "boundary": _c(boundary),
-            "absolute_residual": abs(residual),
-            "relative_residual": rel}
+            "absolute_residual": absolute,
+            "relative_residual": absolute / max(_abs(lhs), _abs(mid), _abs(boundary), 1.0)}
 
 
-def _c(z: complex):
-    return [z.real, z.imag]
+# -- the report edge -------------------------------------------------------------------
 
 
-# -- positivity --------------------------------------------------------------------------
+def _float(x: Fraction) -> float:
+    """The one rounding of an exact value to a report float.
 
-
-def quaternion_tau_row(q) -> list:
-    """2x2 complex block of one quaternion under the standard embedding."""
-    a1, a2, a3, a4 = (Fraction(x) for x in q)
-    return [
-        [ComplexRational(a1, a2), ComplexRational(-a3, -a4)],
-        [ComplexRational(a3, -a4), ComplexRational(a1, -a2)],
-    ]
-
-
-def elementary_positive_form(maps: Sequence[Sequence], dim: int, variables) -> ExtForm:
-    """Wedge of pulled-back pair forms for quaternion-linear maps to H.
-
-    Each map is a row of n quaternions; its 2 x 2n matrix pulls the two
-    basis covectors back to 1-forms whose wedge is an elementary strongly
-    positive 2-form.
+    A value outside the float range (from a very wide box) is an input error.
     """
-    out = ExtForm.from_scalar(dim, Poly.const(variables, 1))
-    for row in maps:
-        blocks = [quaternion_tau_row(q) for q in row]
-        lines = []
-        for r in (0, 1):
-            comps = {}
-            for l, blk in enumerate(blocks):
-                for c in (0, 1):
-                    val = blk[r][c]
-                    if not val.is_zero():
-                        comps[(2 * l + c,)] = Poly.const(variables, val)
-            lines.append(ExtForm(dim, 1, variables, comps))
-        out = out.wedge(lines[0]).wedge(lines[1])
-    return out
+    try:
+        return float(x)
+    except OverflowError:
+        raise ValueError("an exact value is outside the float range of the report; "
+                         "use a smaller box") from None
 
 
-def positivity_check(F: ExtForm, samples: int, seed: int = 11) -> dict:
-    """Sampled positivity of a constant-coefficient even-degree form.
+def _c(z: ComplexRational) -> list:
+    return [_float(z.re), _float(z.im)]
 
-    Wedges F with random elementary strongly positive complements and
-    inspects the exact top coefficient: any negative (or non-real) value is
-    a witness; otherwise the verdict is positive-on-samples only.
-    """
-    if F.degree % 2:
-        raise ValueError("positivity applies to even-degree forms")
-    for coeff in F.comps.values():
-        if coeff.total_degree() > 0:
-            raise ValueError("positivity sampling needs constant coefficients")
-    n = F.dim // 2
-    p = F.degree // 2
-    need = n - p
-    gen = SectionGenerator(seed)
-    witnesses = []
-    checked = 0
-    while checked < samples:
-        maps = [[gen.quaternion() for _ in range(n)] for _ in range(need)]
-        eta = elementary_positive_form(maps, F.dim, F.vars)
-        if need and eta.is_zero():
-            continue
-        checked += 1
-        wedge_result = F.wedge(eta)
-        value = wedge_result.component(tuple(range(F.dim))).constant_term()
-        if not value.is_real() or value.re < 0:
-            witnesses.append({"maps": [[list(map(str, q)) for q in row] for row in maps],
-                              "value": value.to_json()})
-    verdict = "positive-on-samples" if not witnesses else "not-positive"
-    return {"verdict": verdict, "samples": checked, "seed": seed,
-            "witnesses": witnesses[:3],
-            "note": "sampled cone check, not a membership proof"}
+
+def _abs(z: ComplexRational) -> float:
+    return math.hypot(*_c(z))
 
 
 # -- factored cutoff ------------------------------------------------------------------------
@@ -354,13 +296,13 @@ def sup_norm_on_grid(u: Poly, region: Region, samples: int = 4096,
     import random as _random
     rng = _random.Random(seed)
     naxes = region.naxes
-    lows = [float(x) for x in region.lows]
-    highs = [float(x) for x in region.highs]
+    lows = [_float(x) for x in region.lows]
+    highs = [_float(x) for x in region.highs]
     spans = [(l, h - l) for l, h in zip(lows, highs)]
     best = 0.0
     # float evaluation term by term; each coefficient is converted once and
     # each term keeps only its nonzero (axis, exponent) pairs, in axis order
-    terms = [([(axis, e) for axis, e in enumerate(expo) if e], complex(coeff))
+    terms = [([(axis, e) for axis, e in enumerate(expo) if e], complex(*_c(coeff)))
              for expo, coeff in u.terms.items()]
 
     def visit(point):
@@ -393,19 +335,19 @@ def sup_norm_on_grid(u: Poly, region: Region, samples: int = 4096,
 
 
 def cln_experiment(us: Sequence[Poly], K: Region, L: Region,
-                   frame: TangentFrame, chi: Optional[SeparableSum] = None) -> dict:
-    """Mass of a wedge power against a cutoff, evaluated two independent ways.
+                   frame: TangentFrame) -> dict:
+    """Mass of a wedge power against the cutoff of K, evaluated three ways.
 
-    The cutoff-weighted mass is integrated directly and, after moving both
-    lowered operators onto the cutoff, against the bare first input; the two
-    numbers must agree up to float roundoff.  Also reports the plain mass
-    over the inner region and its ratio to the product of sampled sup norms.
+    The cutoff-weighted mass is integrated directly, after moving one
+    lowered operator onto the cutoff, and after moving both, against the
+    bare first input; the three exact masses must be equal and not all 0
+    (a zero mass checks nothing).  Also reports the plain mass over the
+    inner region and its ratio to the product of sampled sup norms.
     """
     frame.require_right_type()
     if not K.contains(L):
         raise ValueError("inner region must sit inside the outer region")
-    if chi is None:
-        chi = bump_for_region(K)
+    chi = bump_for_region(K)
     p = len(us)
     n = frame.n
     if not 1 <= p <= n:
@@ -422,39 +364,38 @@ def cln_experiment(us: Sequence[Poly], K: Region, L: Region,
     T = triangle(us[0], frame).wedge(rest_beta)
     g = top_coefficient(T)
 
-    mass_direct = complex(chi.integrate_box(K.lows, K.highs, g))
+    mass_direct = chi.integrate_box(K.lows, K.highs, g)
 
     d1u = frak_d(1, ExtForm.from_scalar(frame.dim, us[0]), frame, raised=False)
     w_mid = d1u.wedge(rest_beta)
     d0chi = separable_first(chi, frame, 0)
     mid_pairs = _wedge_complement_pairs(d0chi, w_mid)
-    mass_middle = -sum((complex(sep.integrate_box(K.lows, K.highs, poly))
-                        for sep, poly in mid_pairs), 0j)
+    mass_middle = -sum((sep.integrate_box(K.lows, K.highs, poly)
+                        for sep, poly in mid_pairs), ZERO)
 
     tri_chi = separable_triangle(chi, frame)
     ibp_pairs = _wedge_complement_pairs(tri_chi, rest_beta)
-    mass_ibp = sum((complex(sep.integrate_box(K.lows, K.highs, us[0] * poly))
-                    for sep, poly in ibp_pairs), 0j)
+    mass_ibp = sum((sep.integrate_box(K.lows, K.highs, us[0] * poly)
+                    for sep, poly in ibp_pairs), ZERO)
 
     mass_inner = integrate_top(T, L)
-    sups = [sup_norm_on_grid(u, K) for u in us]
-    prod_sup = 1.0
-    for s in sups:
-        prod_sup *= s
-    scale = max(abs(mass_direct), abs(mass_ibp), 1e-30)
-    agreement = max(abs(mass_direct - mass_ibp), abs(mass_direct - mass_middle)) / scale
-    return {
+    gap = max(_abs(mass_direct - mass_ibp), _abs(mass_direct - mass_middle))
+    report = {
         "identity": "cutoff-mass-two-evaluations",
         "params": {"p": p, "n": n},
-        "pass": agreement <= 1e-6,
+        "pass": mass_direct == mass_middle == mass_ibp and not mass_direct.is_zero(),
         "mass_direct": _c(mass_direct),
         "mass_middle": _c(mass_middle),
         "mass_ibp": _c(mass_ibp),
-        "agreement": agreement,
+        "agreement": gap / max(_abs(mass_direct), _abs(mass_middle), _abs(mass_ibp))
+        if gap else 0.0,
         "mass_inner": _c(mass_inner),
-        "sup_norms": sups,
-        "empirical_C": abs(mass_inner) / prod_sup if prod_sup > 0 else None,
     }
+    # sampled last: the exact values above have been checked for float range
+    report["sup_norms"] = [sup_norm_on_grid(u, K) for u in us]
+    prod_sup = math.prod(report["sup_norms"])
+    report["empirical_C"] = _abs(mass_inner) / prod_sup if prod_sup > 0 else None
+    return report
 
 
 def approximation_masses(q: Poly, frame: TangentFrame, L: Region, steps: int) -> list:
@@ -471,34 +412,37 @@ def approximation_masses(q: Poly, frame: TangentFrame, L: Region, steps: int) ->
                                 tuple(2 if t == i else 0 for t in range(len(frame.vars))), 1)
     tri_q = triangle(q, frame)
     tri_sq = triangle(sq, frame)
-    A, B, C = (_exact_top_integral(F, L).re
+    A, B, C = (integrate_top(F, L).re
                for F in (tri_q.wedge(tri_q), tri_q.wedge(tri_sq), tri_sq.wedge(tri_sq)))
     return [A + 2 * B / j + C / (j * j) for j in range(1, steps + 1)]
 
 
+CONVERGENCE_TOL = Fraction(1, 10 ** 4)
+
+
 def convergence_experiment(q: Poly, frame: TangentFrame, L: Region,
-                           steps: int = 64, tol: float = 1e-4) -> dict:
+                           steps: int = 64) -> dict:
     """Masses of the squared operator along a smooth approximation family.
 
     u_j = q + (1/j) * sum x^2; the inner-region masses of the top wedge
-    power form a sequence whose successive differences must decay
-    monotonically below ``tol`` within ``steps`` steps, demonstrating a
-    well-defined limit measure.  A short run can honestly fail the
-    tolerance while still being monotone.
+    power form a sequence whose exact successive differences must decay
+    monotonically below ``CONVERGENCE_TOL`` within ``steps`` steps,
+    demonstrating a well-defined limit measure.  A short run can honestly
+    fail the tolerance while still being monotone.
     """
     frame.require_right_type()
     if frame.n != 2:
         raise ValueError("the squared-power experiment is set up for n = 2")
     if steps < 2:
         raise ValueError("the convergence experiment needs at least 2 steps")
-    masses = [float(m) for m in approximation_masses(q, frame, L, steps)]
-    diffs = [abs(masses[i] - masses[i + 1]) for i in range(len(masses) - 1)]
-    monotone = all(diffs[i] >= diffs[i + 1] - 1e-15 for i in range(len(diffs) - 1))
+    masses = approximation_masses(q, frame, L, steps)
+    diffs = [abs(a - b) for a, b in zip(masses, masses[1:])]
+    monotone = all(d >= e for d, e in zip(diffs, diffs[1:]))
     return {
         "identity": "approximation-mass-convergence",
-        "params": {"steps": steps, "tol": tol},
-        "pass": monotone and diffs[-1] < tol,
-        "masses": masses[:8] + ["..."] if steps > 8 else masses,
-        "final_difference": diffs[-1],
+        "params": {"steps": steps, "tol": _float(CONVERGENCE_TOL)},
+        "pass": monotone and diffs[-1] < CONVERGENCE_TOL,
+        "masses": [_float(m) for m in masses[:8]] + (["..."] if steps > 8 else []),
+        "final_difference": _float(diffs[-1]),
         "monotone": monotone,
     }

@@ -4,8 +4,9 @@ Every integrand in this package is polynomial, so every box integral is a
 sum of closed-form moments  int_a^b x^e dx  with rational endpoints.
 :class:`SeparableSum` sums them exactly, for the factored cutoff functions
 of the estimate experiments and, as a single product term, for a plain
-polynomial; :func:`integrate_poly_box` rounds that exact value to a float
-once.
+polynomial (:func:`integrate_poly_box`, :func:`integrate_poly_face`).  Every
+integral is returned as an exact :class:`ComplexRational`; nothing here
+rounds.
 
 Layout (the one-denominator form of :class:`cfx.poly.Poly`): ``num`` maps a
 key to a Gaussian-integer numerator ``(re, im)`` of ints, and one positive
@@ -41,12 +42,12 @@ from .rational import ComplexRational
 _CONSTANT = (1,)
 
 
-def integrate_poly_box(p: Poly, lows: Sequence, highs: Sequence) -> complex:
-    """Integral of a polynomial over a box: exact moments, rounded once."""
+def integrate_poly_box(p: Poly, lows: Sequence, highs: Sequence) -> ComplexRational:
+    """Exact integral of a polynomial over a box, from closed-form moments."""
     naxes = len(p.vars)
     if len(lows) != naxes or len(highs) != naxes:
         raise ValueError("box does not match the variable table")
-    return complex(SeparableSum.product(naxes, {}).integrate_box(lows, highs, p))
+    return SeparableSum.product(naxes, {}).integrate_box(lows, highs, p)
 
 
 def substitute_axis(p: Poly, axis: int, value: Fraction) -> Poly:
@@ -77,8 +78,8 @@ def substitute_axis(p: Poly, axis: int, value: Fraction) -> Poly:
 
 
 def integrate_poly_face(p: Poly, lows: Sequence, highs: Sequence, axis: int,
-                        value: Fraction) -> complex:
-    """Integral over one box face (variable ``axis`` frozen at ``value``)."""
+                        value: Fraction) -> ComplexRational:
+    """Exact integral over one box face (variable ``axis`` frozen at ``value``)."""
     frozen = substitute_axis(p, axis, value)
     sub_lows = list(lows)
     sub_highs = list(highs)

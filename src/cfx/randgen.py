@@ -119,12 +119,6 @@ class SectionGenerator:
                                       ComplexRational(c))
         return p
 
-    def quaternion(self, bound: int = 3) -> tuple:
-        while True:
-            q = tuple(Fraction(self.rng.randint(-bound, bound)) for _ in range(4))
-            if any(q):
-                return q
-
     def right_type_matrix(self, n: int, bound: int = 3) -> list:
         """Random symmetric matrix projected onto the curvature-free locus.
 

@@ -410,6 +410,27 @@ def test_ma_rejects_convergence_away_from_n_2(capsys, n):
     assert "--convergence" in err
 
 
+@pytest.mark.parametrize("halfwidth", ["1e30", "1e100", "1e5000"])
+def test_ma_box_past_the_float_range_exits_2(capsys, halfwidth):
+    # the exact integrals are fine; only their report floats would overflow
+    code, out, err = run(capsys, "ma", "--group", "rightQH", "--n", "1",
+                         "--halfwidth", halfwidth)
+    _assert_input_error(code, out, err)
+    assert "float range" in err
+
+
+def test_ma_zero_input_has_zero_mass_and_fails(tmp_path, capsys):
+    # three equal masses that are all 0 check nothing: the cutoff mass fails
+    names = '["x1", "x2", "x3", "x4", "t1", "t2", "t3"]'
+    path = tmp_path / "u.json"
+    path.write_text(f'[{{"vars": {names}, "terms": []}}]')
+    code, out, err = run(capsys, "ma", "--group", "rightQH", "--n", "1", "--u", str(path))
+    assert code == 1 and err == ""
+    payload = json.loads(out)
+    assert payload["cln"]["mass_direct"] == [0.0, 0.0] and not payload["cln"]["pass"]
+    assert payload["stokes"]["pass"] and payload["key_identity"]["pass"]
+
+
 # -- each subcommand takes only the flags it reads ------------------------------------------
 
 

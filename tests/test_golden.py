@@ -24,13 +24,13 @@ GOLDEN = [
     ("verify boundary --group rightQH --n 2 --k 1 --check all --trials 1 --seed 6",
      "c1d412f84634314f4519dd772adefe0fae24702013967cef92f50d6403cd56eb"),
     ("ma --group rightQH --n 1 --power 1 --seed 1",
-     "63169cd679e7fb4ad804054f4c9634e9ab63cfb7842ed8a95a5fa81eb4e1b944"),
+     "22045fc481307be0ca7e869fdf2ab5183c5e02fe6df9a075fb7c2e38e6e74506"),
     ("symbol --n 2 --k 2 --trials 1 --seed 2",
      "a0f7e84e54d27e9a0713b4cae3837716b27e0437f000679e1a1b9940e7fdba6e"),
     ("classify --group leftQH --n 2 --condition-h exact",
      "4e26287851c6e7271daadf330e0b3cf81b5a632b76693b40899fa6d18f27d469"),
     ("ma --group rightQH --n 2 --power 2 --seed 3 --convergence 64",
-     "976a6b0e8bf46a35386c2a6b151029eaf03d925e0c38f09d96fa79f1d021b468"),
+     "41ae7e5f6f1d43977b93247b4bd8356de969d53518ab426910fef92f62258540"),
 ]
 
 
@@ -44,8 +44,9 @@ def test_report_bytes_are_pinned(command, digest, capsys):
 
 def test_dense_right_type_ma_report_is_pinned(tmp_path, capsys):
     """The n = 2 `ma` paths (cutoff mass, Stokes, 64-step convergence) on a
-    dense right-type group; its Stokes floats carry roundoff, so they also pin
-    the order of the float operations."""
+    dense right-type group, whose Stokes terms and cutoff masses are exact
+    non-dyadic rationals: the pin holds each one rounded once, and the
+    residuals and the agreement at exactly 0.0."""
     group = GroupSpec(2, SectionGenerator(1).right_type_matrix(2))
     path = tmp_path / "group.json"
     path.write_text(json.dumps(group.to_json()))
@@ -53,4 +54,4 @@ def test_dense_right_type_ma_report_is_pinned(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == \
-        "3ba26824962966de447d2e568ac89b5cb0c8149a852915d060951c8faae34008"
+        "b08c1a16f7aa8f1afc9a09859002a3c3a27e9cee3b78fea42687ba90971ef132"

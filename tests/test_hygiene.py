@@ -129,3 +129,41 @@ def test_every_public_definition_is_named_elsewhere():
                        if not (p == path and number in own)):
                 orphans.append(f"{path.name}: {node.name}")
     assert not orphans, f"public definitions named nowhere else: {orphans}"
+
+
+# float() and complex() calls the exact package makes: `cfx ma` rounds its exact
+# values once, where the report is written, and samples its sup norms in floats
+FLOAT_CALLS = {("ma.py", "_float"): {"float"},
+               ("ma.py", "sup_norm_on_grid"): {"complex"},
+               ("rational.py", "__complex__"): {"float", "complex"}}
+
+
+def _float_calls(tree: ast.Module) -> list:
+    """(enclosing function, name, line) of every float() and complex() call."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
+                    and child.func.id in ("float", "complex")):
+                found.append((owner, child.func.id, child.lineno))
+            visit(child, owner)
+
+    visit(tree, "module level")
+    return found
+
+
+@pytest.mark.parametrize("path", [*MODULES, PACKAGE / "__init__.py"], ids=lambda p: p.name)
+def test_floats_only_at_the_ma_report_edge(path):
+    # every verdict is exact: a float tolerance or float arithmetic elsewhere
+    # would bring float verdicts back
+    tree = _tree(path)
+    sites = [f"{name}() in {owner} (line {line})" for owner, name, line in _float_calls(tree)
+             if name not in FLOAT_CALLS.get((path.name, owner), ())]
+    if path.name != "ma.py":
+        sites += [f"literal {node.value!r} (line {node.lineno})" for node in ast.walk(tree)
+                  if isinstance(node, ast.Constant) and type(node.value) in (float, complex)]
+    assert not sites, f"{path.name}: float sites outside the report edge {sites}"

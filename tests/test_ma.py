@@ -3,18 +3,18 @@ from math import factorial
 
 import pytest
 
+from cfx import ma
 from cfx.boundary import TangentFrame, frak_d
 from cfx.exterior import ExtForm, from_hat_components
 from cfx.groups import GroupSpec
 from cfx.ma import (Region, approximation_masses, beta_form, bump_for_region,
-                    cln_experiment, convergence_experiment, elementary_positive_form,
-                    integrate_top, key_identity_check, ma_power,
-                    positivity_check, stokes_check, sup_norm_on_grid,
+                    cln_experiment, convergence_experiment, integrate_top,
+                    key_identity_check, ma_power, stokes_check, sup_norm_on_grid,
                     top_coefficient, triangle, volume_form)
 from cfx.poly import Poly
-from cfx.quadrature import SeparableSum
+from cfx.quadrature import SeparableSum, integrate_poly_face
 from cfx.randgen import SectionGenerator
-from cfx.rational import cq
+from cfx.rational import ZERO, cq
 
 
 @pytest.fixture(scope="module")
@@ -136,22 +136,20 @@ def test_key_identity_matches_power(right2):
 
 def test_integrate_constant_is_volume(right2):
     region = Region.cube(11, Fraction(1, 2))
-    val = integrate_top(volume_form(right2), region)
-    assert val.real == pytest.approx(1.0, rel=1e-12)
+    assert integrate_top(volume_form(right2), region) == 1
 
 
 def test_integrate_separable_monomial(right2):
     region = Region((0,) * 11, (1,) * 11)
     form = volume_form(right2).scale_poly(Poly.var(right2.vars, "x1") ** 2)
-    assert integrate_top(form, region).real == pytest.approx(1 / 3, rel=1e-12)
+    assert integrate_top(form, region) == Fraction(1, 3)
 
 
 def test_beta_power_is_factorial_volume(right2):
     region = Region.cube(11, Fraction(1, 2))
     beta2 = beta_form(right2).wedge(beta_form(right2))
     assert (beta2 - volume_form(right2).scale(factorial(2))).is_zero()
-    val = integrate_top(beta2, region)
-    assert val.real == pytest.approx(factorial(2) * 1.0, rel=1e-12)
+    assert integrate_top(beta2, region) == factorial(2)
 
 
 def test_integrate_top_rejects_lower_degree(right2):
@@ -194,9 +192,9 @@ def test_stokes_bump_has_no_boundary_term():
                             [gen.spawn(i).poly(frame.vars, degree=2) for i in range(2)])
     report = stokes_check(h, T, region, frame)
     assert report["pass"]
-    assert abs(complex(*report["boundary"])) < 1e-12
-    # interior terms cancel each other once the boundary term is gone
-    assert complex(*report["lhs"]) == pytest.approx(-complex(*report["interior"]), abs=1e-9)
+    assert report["boundary"] == [0.0, 0.0]
+    # interior terms cancel each other exactly once the boundary term is gone
+    assert report["lhs"] == [-x for x in report["interior"]]
 
 
 @pytest.mark.parametrize("aprime", [0, 1])
@@ -208,6 +206,30 @@ def test_stokes_random_data(aprime, right2):
                             [gen.spawn(i).poly(right2.vars) for i in range(4)])
     report = stokes_check(h, T, region, right2, aprime)
     assert report["pass"], report
+    assert report["absolute_residual"] == report["relative_residual"] == 0.0
+
+
+def test_stokes_without_one_face_fails(right2, monkeypatch):
+    # mutation: the boundary sum leaves out its first nonzero face integral
+    region = Region.cube(11, Fraction(1, 2))
+    gen = SectionGenerator(6, degree=4)
+    h = gen.poly(right2.vars)
+    T = from_hat_components(4, right2.vars,
+                            [gen.spawn(i).poly(right2.vars) for i in range(4)])
+    dropped = []
+
+    def without_one_face(p, lows, highs, axis, value):
+        got = integrate_poly_face(p, lows, highs, axis, value)
+        if got and not dropped:
+            dropped.append((axis, value))
+            return ZERO
+        return got
+
+    monkeypatch.setattr(ma, "integrate_poly_face", without_one_face)
+    report = stokes_check(h, T, region, right2)
+    assert dropped
+    assert not report["pass"]
+    assert report["absolute_residual"] > 0
 
 
 def test_stokes_abelian_reduces_to_classical():
@@ -224,49 +246,6 @@ def test_stokes_abelian_reduces_to_classical():
     lhs = complex(*report["lhs"])
     assert lhs == pytest.approx(complex(*report["boundary"]) - complex(*report["interior"]),
                                 abs=1e-12)
-
-
-# -- positivity --------------------------------------------------------------------------------
-
-
-def test_positive_examples(right2):
-    assert positivity_check(beta_form(right2), 6)["verdict"] == "positive-on-samples"
-    tri = triangle(squared_norm(right2), right2)
-    assert positivity_check(tri, 6)["verdict"] == "positive-on-samples"
-
-
-def test_negative_volume_witness(right2):
-    result = positivity_check(volume_form(right2).scale(-1), 4)
-    assert result["verdict"] == "not-positive"
-    assert result["witnesses"]
-
-
-def test_elementary_form_projections(right2):
-    # coordinate projections generate the standard pair forms
-    one = [Fraction(1), Fraction(0), Fraction(0), Fraction(0)]
-    zero = [Fraction(0)] * 4
-    eta = elementary_positive_form([[one, zero]], 4, right2.vars)
-    assert (eta - ExtForm.basis(4, (0, 1), right2.vars)).is_zero()
-    eta2 = elementary_positive_form([[zero, one]], 4, right2.vars)
-    assert (eta2 - ExtForm.basis(4, (2, 3), right2.vars)).is_zero()
-
-
-def test_cone_contains_pair_sum_and_volume(right2):
-    # the pair-sum 2-form is the sum of the projection generators, and the
-    # volume form is itself a single elementary generator at top degree
-    one = [Fraction(1), Fraction(0), Fraction(0), Fraction(0)]
-    zero = [Fraction(0)] * 4
-    generators = [elementary_positive_form([[one, zero]], 4, right2.vars),
-                  elementary_positive_form([[zero, one]], 4, right2.vars)]
-    assert (generators[0] + generators[1] - beta_form(right2)).is_zero()
-    top = elementary_positive_form([[one, zero], [zero, one]], 4, right2.vars)
-    assert (top - volume_form(right2)).is_zero()
-
-
-def test_positivity_requires_constant_coefficients(right2):
-    bad = beta_form(right2).scale_poly(Poly.var(right2.vars, "x1"))
-    with pytest.raises(ValueError, match="constant"):
-        positivity_check(bad, 2)
 
 
 # -- cutoff estimate experiments -----------------------------------------------------------------
@@ -300,7 +279,31 @@ def test_cln_two_evaluations_agree(right2):
     for p in (1, 2):
         report = cln_experiment(us[:p], K, L, right2)
         assert report["pass"], report
-        assert report["agreement"] <= 1e-6
+        assert report["agreement"] == 0.0
+        assert report["mass_direct"] == report["mass_middle"] == report["mass_ibp"]
+
+
+def test_cln_cutoff_alive_on_the_faces_fails(right2, monkeypatch):
+    # mutation: a cutoff that does not vanish on the faces of K leaves face
+    # terms behind, so moving the operators onto it changes the mass
+    K = Region.cube(11, Fraction(1, 2))
+    L = Region.cube(11, Fraction(1, 4))
+    monkeypatch.setattr(ma, "bump_for_region", lambda region: SeparableSum.product(
+        region.naxes, {0: (1, 1), 4: (2, 0, 1)}))
+    u = SectionGenerator(21).psh_quadratic(right2.vars, 8)
+    report = cln_experiment([u], K, L, right2)
+    assert not report["pass"]
+    assert len({tuple(report[k]) for k in ("mass_direct", "mass_middle", "mass_ibp")}) > 1
+    assert report["agreement"] > 0
+
+
+def test_cln_zero_mass_does_not_pass(right2):
+    # a linear input has a zero degree-2 form: every mass is 0 and nothing is checked
+    K = Region.cube(11, Fraction(1, 2))
+    L = Region.cube(11, Fraction(1, 4))
+    report = cln_experiment([Poly.var(right2.vars, "x1")], K, L, right2)
+    assert report["mass_direct"] == report["mass_middle"] == report["mass_ibp"] == [0.0, 0.0]
+    assert not report["pass"]
 
 
 def test_cln_scaling_invariance(right2):

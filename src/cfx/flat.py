@@ -9,6 +9,7 @@ coordinate partials.  Everything here is exact.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -17,7 +18,7 @@ from typing import List, Sequence
 
 from .boundary import Frame, ambient_frame, frak_d, subcomplex_D
 from .exterior import ExtForm
-from .linalg import echelon
+from .linalg import bareiss
 from .poly import Poly, x_vars
 from .rational import ZERO, cq
 from .spinor import LevelTable, SpinorField, symmetrize, tuple_to_slots
@@ -169,15 +170,21 @@ def _accumulate(existing, feed):
 
 
 def rank_exact(matrix: list) -> int:
-    """Rank over the exact complex rationals."""
-    return echelon(matrix)[0]
+    """Exact rank of a ComplexRational matrix: ``bareiss`` on its rows, each
+    cleared to Gaussian integers over its lcm denominator (a row scale keeps the rank)."""
+    rows = []
+    for row in matrix:
+        den = math.lcm(*(part.denominator for x in row for part in (x.re, x.im)))
+        rows.append([(x.re.numerator * (den // x.re.denominator),
+                      x.im.numerator * (den // x.im.denominator)) for x in row])
+    return bareiss(rows)[0]
 
 
 def check_exactness(spec: ComplexSpec, v: Sequence) -> dict:
     """Pointwise exactness of the frozen-coefficient sequence at covector v.
 
     Checks injectivity at the bottom, the rank identities in the middle and
-    surjectivity at the top; everything over exact rationals.
+    surjectivity at the top; every rank is exact (``rank_exact``).
     """
     if all(Fraction(x) == 0 for x in v):
         raise ValueError("covector must be nonzero")

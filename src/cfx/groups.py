@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import List, Tuple
 
-from .linalg import bareiss_det, echelon
+from .linalg import bareiss
 from .operators import FirstOrderOp
 from .poly import Poly, group_vars
 from .rational import ComplexRational
@@ -371,12 +371,11 @@ def bracket_table_matches(g: GroupSpec) -> bool:
 
 def is_stratified(g: GroupSpec) -> bool:
     """Brackets span the full 3-dimensional center."""
-    rows = []
+    _, (b1, b2, b3) = g.integer_brackets
     size = 4 * g.n
-    for a in range(size):
-        for b in range(a + 1, size):
-            rows.append((g.B[0][a][b], g.B[1][a][b], g.B[2][a][b]))
-    return echelon(rows)[0] == 3
+    rows = [((b1[a][b], 0), (b2[a][b], 0), (b3[a][b], 0))
+            for a in range(size) for b in range(a + 1, size)]
+    return bareiss(rows)[0] == 3
 
 
 def _clear_denominators(lam) -> tuple:
@@ -390,14 +389,14 @@ def central_pairing_det(g: GroupSpec, lam) -> Fraction:
     """det( sum_beta lam_beta B^beta ) for a rational covector lam, exact.
 
     The integer matrix sum_beta mu_beta (den B^beta), with mu = q lam, equals
-    q den times the pairing matrix, so its Bareiss determinant over the ints
-    is (q den)^{4n} times the determinant asked for.
+    q den times the pairing matrix, so the real part of its ``bareiss``
+    determinant is (q den)^{4n} times the determinant asked for.
     """
     den, brackets = g.integer_brackets
     q, (m1, m2, m3) = _clear_denominators(lam)
-    m = [[m1 * a + m2 * b + m3 * c for a, b, c in zip(r1, r2, r3)]
+    m = [[(m1 * a + m2 * b + m3 * c, 0) for a, b, c in zip(r1, r2, r3)]
          for r1, r2, r3 in zip(*brackets)]
-    return Fraction(bareiss_det(m), (q * den) ** (4 * g.n))
+    return Fraction(bareiss(m)[1][0], (q * den) ** (4 * g.n))
 
 
 def sphere_grid(resolution: int = 6):
@@ -424,11 +423,8 @@ def check_condition_H(g: GroupSpec, mode: str = "exact", resolution: int = 4) ->
     Both modes evaluate f(lam) = det( sum lam_beta B^beta ) on a rational
     direction grid.  A vanishing sample is an exact witness of failure; a
     clean grid yields the verdict "sampled-true" (a grid check, not a proof).
-    A grid covector lam has denominators that divide the resolution; with
-    q their lcm, den the common denominator of the brackets and mu = q lam,
-    ``central_pairing_det`` takes the Bareiss determinant of the integer
-    matrix sum mu_beta (den B^beta), which is (q den)^{4n} f(lam): the
-    exact value, with the same zeros.
+    ``central_pairing_det`` gives each sample exactly, from the
+    determinant of an integer matrix.
 
     ``exact`` first proves or refutes that f is the zero polynomial, and
     reports its degree d = 4n.  The entries of the pencil are linear forms,

@@ -1,11 +1,12 @@
 """Differential tests of the integer condition-H path and the signed-permutation brackets.
 
 The references are the rational constructions: bracket matrices from dense
-products with block_diag(Ibeta), determinants from ``echelon`` over
+products with block_diag(Ibeta), determinants by cofactor expansion of
 ``Fraction`` matrices, and for exact mode the symbolic determinant by
 cofactor expansion, sampled with ``Poly.eval_exact``.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -15,10 +16,9 @@ from cfx import groups, linalg
 from cfx.groups import (GroupSpec, I_MATS, block_diag, central_pairing_det,
                         check_condition_H, classify, group_from_phi,
                         horizontal_fields, mat, mat_add, mat_mul, sphere_grid)
-from cfx.linalg import echelon
 from cfx.poly import Poly, x_vars
 from cfx.randgen import SectionGenerator
-from test_linalg import symbolic_pairing_det
+from test_linalg import cofactor_det, symbolic_pairing_det
 
 
 def reference_brackets(S, n):
@@ -34,7 +34,9 @@ def reference_det(brackets, lam):
     size = len(brackets[0])
     m = [[sum(Fraction(lam[beta]) * brackets[beta][i][j] for beta in range(3))
           for j in range(size)] for i in range(size)]
-    return Fraction(echelon(m)[1])
+    # cofactor expansion over ints: clear the common denominator, divide once
+    den = math.lcm(*(x.denominator for row in m for x in row))
+    return Fraction(cofactor_det([[int(x * den) for x in row] for row in m]), den ** size)
 
 
 def reference_condition_H(grid, resolution, sample, det_poly=None):
@@ -188,8 +190,7 @@ def test_classify_takes_one_bareiss_per_grid_point(monkeypatch, group):
     g = GroupSpec.named(group, 2)
     counts = {}
     for module in (linalg, groups):
-        for name in ("echelon", "bareiss_det"):
-            _count_calls(monkeypatch, module, name, counts)
+        _count_calls(monkeypatch, module, "bareiss", counts)
 
     def no_eval(*args, **kwargs):
         raise AssertionError("Poly.eval_exact on the condition-H path")
@@ -198,22 +199,22 @@ def test_classify_takes_one_bareiss_per_grid_point(monkeypatch, group):
     result = classify(g, "sampled")
     points = result["condition_H"]["grid_points"]
     assert points == len(sphere_grid(4))
-    assert counts == {"bareiss_det": points, "echelon": 1}  # echelon: is_stratified
+    assert counts == {"bareiss": points + 1}  # one more: is_stratified
 
     counts.clear()
     result = classify(g, "exact")
     assert result["condition_H"]["verdict"] == "sampled-true"
     # one more: the zero-pencil probe stops at its first point, (1, 0, 0)
-    assert counts == {"bareiss_det": points + 1, "echelon": 1}
+    assert counts == {"bareiss": points + 2}
 
 
 @pytest.mark.parametrize("name", ["named-1-2", "half-2-0"])
 def test_zero_pencil_probe_covers_the_whole_grid(monkeypatch, name):
     g = _case(name)
     counts = {}
-    _count_calls(monkeypatch, groups, "bareiss_det", counts)
+    _count_calls(monkeypatch, groups, "bareiss", counts)
     assert check_condition_H(g, "exact")["reason"] == "determinant vanishes identically"
-    assert counts == {"bareiss_det": (4 * g.n + 1) ** 2}
+    assert counts == {"bareiss": (4 * g.n + 1) ** 2}
 
 
 def test_zero_pencil_probe_is_a_proof_for_any_form_of_degree_4n(monkeypatch):

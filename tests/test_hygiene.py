@@ -93,6 +93,19 @@ def test_package_import_graph_is_acyclic():
             visit(module, [module])
 
 
+def test_linalg_eliminates_on_ints_only():
+    # no Fraction or ComplexRational arithmetic inside an elimination
+    imported = set()
+    for node in ast.walk(_tree(PACKAGE / "linalg.py")):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or ""))
+            imported.update("." * node.level + alias.name for alias in node.names
+                            if not node.module)
+    assert not imported & {"fractions", "cfx.rational", ".rational"}, sorted(imported)
+
+
 def test_boundary_does_not_import_flat():
     assert "flat" not in _package_edges()["boundary"]
     assert "boundary" in _package_edges()["flat"]

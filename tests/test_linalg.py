@@ -1,5 +1,6 @@
 """Differential tests of the exact eliminator against brute-force oracles."""
 
+import math
 import random
 from fractions import Fraction
 from functools import cache
@@ -8,10 +9,10 @@ from itertools import combinations
 import pytest
 
 from cfx.groups import GroupSpec, central_pairing_det, sphere_grid
-from cfx.linalg import bareiss_det, echelon
+from cfx.linalg import bareiss
 from cfx.poly import Poly
 from cfx.randgen import SectionGenerator
-from cfx.rational import ComplexRational
+from cfx.rational import ComplexRational, cq
 
 LAM = ("lam1", "lam2", "lam3")
 
@@ -97,39 +98,53 @@ def cases(entry, seed):
     return out
 
 
+def gaussian_rows(m):
+    """(rows, scale): each row over the lcm of its denominators as (re, im)
+    int pairs, and the product of those lcms."""
+    rows, scale = [], 1
+    for row in m:
+        row = [cq(x) for x in row]
+        den = math.lcm(*(part.denominator for x in row for part in (x.re, x.im)))
+        rows.append([(int(x.re * den), int(x.im * den)) for x in row])
+        scale *= den
+    return rows, scale
+
+
 @pytest.mark.parametrize("entry,seed", [(fraction_entry, 1), (complex_entry, 2)])
-def test_echelon_matches_brute_force(entry, seed):
+def test_bareiss_matches_brute_force(entry, seed):
     deficient = 0
     for m in cases(entry, seed):
-        rank, det = echelon(m)
+        rows, scale = gaussian_rows(m)
+        rank, det = bareiss(rows)
         assert rank == minor_rank(m)
         if len(m) == len(m[0]):
-            assert det == cofactor_det(m)
+            assert type(det[0]) is int and type(det[1]) is int
+            assert cq(det) == cofactor_det(m) * scale
             deficient += rank < len(m)
         else:
             assert det is None
     assert deficient >= 10
 
 
-def test_echelon_leaves_its_input_alone():
-    m = [[Fraction(2), Fraction(1)], [Fraction(4), Fraction(3)]]
+def test_bareiss_leaves_its_input_alone():
+    m = [[(2, 1), (1, 0)], [(4, 0), (3, -1)]]
     copy = [row[:] for row in m]
-    assert echelon(m) == (2, 2)
+    assert bareiss(m) == (2, (3, 1))
     assert m == copy
 
 
-def test_echelon_edge_cases():
-    zero = Fraction(0)
-    assert echelon([]) == (0, 1)
-    assert echelon([[], [], []]) == (0, None)
-    assert echelon([[zero] * 3 for _ in range(3)]) == (0, 0)
-    with_zero_row = [[Fraction(1), Fraction(2)], [zero, zero]]
-    assert echelon(with_zero_row) == (1, 0)
-    with_zero_col = [[zero, Fraction(1)], [zero, Fraction(5)], [zero, Fraction(-1)]]
-    assert echelon(with_zero_col) == (1, None)
-    assert echelon([[ComplexRational(0, 1)]]) == (1, ComplexRational(0, 1))
+def test_bareiss_edge_cases():
+    zero = (0, 0)
+    assert bareiss([]) == (0, (1, 0))
+    assert bareiss([[], [], []]) == (0, None)
+    assert bareiss([[zero] * 3 for _ in range(3)]) == (0, (0, 0))
+    with_zero_row = [[(1, 0), (2, 0)], [zero, zero]]
+    assert bareiss(with_zero_row) == (1, (0, 0))
+    with_zero_col = [[zero, (1, 0)], [zero, (5, 0)], [zero, (-1, 0)]]
+    assert bareiss(with_zero_col) == (1, None)
+    assert bareiss([[(0, 1)]]) == (1, (0, 1))
     # a row swap flips the sign
-    assert echelon([[zero, Fraction(1)], [Fraction(1), zero]]) == (2, -1)
+    assert bareiss([[zero, (1, 0)], [(1, 0), zero]]) == (2, (-1, 0))
 
 
 def int_cases(seed):
@@ -154,18 +169,17 @@ def int_cases(seed):
     return out
 
 
-def test_bareiss_det_over_ints_matches_echelon():
+def test_bareiss_over_ints_matches_cofactor_det():
     swaps = singular = 0
     for m in int_cases(5):
-        expected = echelon([[Fraction(x) for x in row] for row in m])[1]
-        det = bareiss_det([row[:] for row in m])
-        assert type(det) is int and det == expected
+        rank, (det, im) = bareiss([[(x, 0) for x in row] for row in m])
+        assert type(det) is int and det == cofactor_det(m) and im == 0
+        assert (rank == len(m)) == (det != 0)
         swaps += m[0][0] == 0 and det != 0
         singular += det == 0
     assert swaps >= 5 and singular >= 20
-    assert bareiss_det([]) == 1
-    assert bareiss_det([[0, 1], [1, 0]]) == -1
-    assert bareiss_det([[0, 0, 1], [0, 1, 0], [1, 0, 0]]) == -1
+    assert bareiss([[(0, 0), (0, 0), (1, 0)], [(0, 0), (1, 0), (0, 0)],
+                    [(1, 0), (0, 0), (0, 0)]]) == (3, (-1, 0))
 
 
 def _group(name, n):

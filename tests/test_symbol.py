@@ -77,6 +77,15 @@ def test_rank_exact_small_cases():
     assert rank_exact([]) == 0
 
 
+def test_n3_symbol_ranks_are_pinned():
+    # the largest symbol the tests run, and the sparsest: 168 x 140 at level 3
+    spec = ComplexSpec(3, 1)
+    v = SectionGenerator(1).spawn(0).rational_vector(16)
+    result = check_exactness(spec, v)
+    assert result["ranks"] == [2, 6, 50, 90, 78, 34, 6]
+    assert result["exact"]
+
+
 @pytest.mark.parametrize("n,k", [(1, k) for k in range(6)] + [(2, 5), (2, 6)])
 def test_symbol_sequence_is_exact_up_to_k_2n_plus_1(n, k):
     # exact at every level for k <= 2n+1; from k = 2n+2 on the top level alone

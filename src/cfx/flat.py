@@ -14,13 +14,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, product
-from typing import List, Sequence
+from typing import Sequence
 
 from .boundary import Frame, ambient_frame, frak_d, subcomplex_D
-from .exterior import ExtForm
+from .exterior import ExtForm, merge_sign
 from .linalg import bareiss
-from .poly import Poly, x_vars
-from .rational import ZERO, cq
+from .poly import x_vars
 from .spinor import LevelTable, SpinorField, symmetrize, tuple_to_slots
 
 
@@ -52,6 +51,22 @@ class ComplexSpec(LevelTable):
     def frame(self) -> Frame:
         """Rows of the ambient operator, built once per spec."""
         return ambient_frame(self.n)
+
+    @cached_property
+    def covector_table(self) -> tuple:
+        """Per primed index a', per raised frame row: (position, re, im) ints.
+
+        Freezing the row's partials at a covector v gives the row's entry
+        sum (re + i im) v[position] of the symbol's 1-form w_{a'}.  Each
+        coefficient of an ambient row is a constant 1, -1, i or -i: one
+        Gaussian-integer term over the denominator 1.
+        """
+        position = {var: i for i, var in enumerate(self.vars)}
+        return tuple(
+            tuple(tuple((position[var], *next(iter(p.num.values())))
+                        for var, p in row[aprime].coeffs.items())
+                  for row in self.frame.Z_upper)
+            for aprime in (0, 1))
 
 
 def flat_D(spec: ComplexSpec, j: int, field: SpinorField) -> SpinorField:
@@ -99,27 +114,23 @@ def dot_pi(spec: ComplexSpec, j: int, field: SpinorField) -> SpinorField:
 # -- symbol sequence -----------------------------------------------------------------
 
 
-def _symbol_vectors(spec: ComplexSpec, v: Sequence) -> List[ExtForm]:
-    """The two covector 1-forms obtained by freezing derivatives at v."""
-    point = {f"x{i+1}": Fraction(v[i]) for i in range(len(v))}
-    forms = []
-    for aprime in (0, 1):
-        comps = {}
-        for row_idx, row in enumerate(spec.frame.Z_upper):
-            # replace each derivative by the matching covector entry
-            c = ZERO
-            for var, p in row[aprime].coeffs.items():
-                c = c + p.constant_term() * cq(point.get(var, 0))
-            if not c.is_zero():
-                comps[(row_idx,)] = Poly.const(spec.vars, c)
-        forms.append(ExtForm(spec.form_dim, 1, spec.vars, comps))
-    return forms
-
-
 def _level_basis(spec: ComplexSpec, j: int):
     """Enumerated (slot, index-tuple) basis of level j."""
     s, d, _ = spec.shape(j)
     return [(a, idx) for a in range(s + 1) for idx in combinations(range(spec.form_dim), d)]
+
+
+def _wedge_covector(w: list, idx: tuple) -> list:
+    """w ^ w^idx for a 1-form w given as one (re, im) int pair per index,
+    as (merged index, re, im) terms."""
+    out = []
+    for r, (re, im) in enumerate(w):
+        if re or im:
+            merged = merge_sign((r,), idx)
+            if merged:
+                sign, out_idx = merged
+                out.append((out_idx, sign * re, sign * im))
+    return out
 
 
 @dataclass
@@ -129,54 +140,56 @@ class SymbolMatrix:
     spec: ComplexSpec
     j: int
     v: tuple
-    matrix: list  # rows: output basis, cols: input basis
+    matrix: list  # rows: output basis, cols: input basis; (re, im) ints at q v
 
 
 def symbol_at(spec: ComplexSpec, j: int, v: Sequence) -> SymbolMatrix:
-    """Matrix of the level-j symbol at covector v in the enumerated bases."""
+    """Matrix of the level-j symbol at q v in the enumerated bases.
+
+    q is the least common denominator of v, so q v is an integer covector
+    and every entry is a Gaussian integer, given as an ``(re, im)`` int pair.
+    The symbol is homogeneous in v of order ord (2 at j = k, 1 elsewhere), so
+    the matrix is q^ord times the symbol at v and has the same rank.  The
+    two covector 1-forms w_{a'} come from ``ComplexSpec.covector_table``; each
+    column is w_{a'} ^ e_idx placed in its slots (w_0 ^ w_1 ^ e_idx at j = k).
+    """
     spec._check_operator_level(j)
     k = spec.k
-    w0, w1 = _symbol_vectors(spec, v)
+    v = tuple(Fraction(x) for x in v)
+    q = math.lcm(*(x.denominator for x in v))
+    qv = [x.numerator * (q // x.denominator) for x in v]
+    qv += [0] * (len(spec.vars) - len(qv))
+    w0, w1 = ([(sum(re * qv[pos] for pos, re, _ in row), sum(im * qv[pos] for pos, _, im in row))
+               for row in rows] for rows in spec.covector_table)
     in_basis = _level_basis(spec, j)
     out_basis = _level_basis(spec, j + 1)
     out_pos = {key: i for i, key in enumerate(out_basis)}
-    cols = []
-    for a, idx in in_basis:
-        base = ExtForm.basis(spec.form_dim, idx, spec.vars)
-        images = {}
+    matrix = [[(0, 0)] * len(in_basis) for _ in out_basis]
+    for col, (a, idx) in enumerate(in_basis):
+        if j == k:
+            image = {}
+            for mid, re1, im1 in _wedge_covector(w1, idx):
+                for out, re0, im0 in _wedge_covector(w0, mid):
+                    re, im = image.get(out, (0, 0))
+                    image[out] = (re + re0 * re1 - im0 * im1, im + re0 * im1 + im0 * re1)
+            for out, value in image.items():
+                matrix[out_pos[(0, out)]][col] = value
+            continue
         if j < k:
-            if a <= spec.sigma(j + 1):
-                images[a] = w0.wedge(base)
-            if a - 1 >= 0:
-                images[a - 1] = _accumulate(images.get(a - 1), w1.wedge(base))
-        elif j == k:
-            images[0] = w0.wedge(w1.wedge(base))
+            slots = [(a, w0)] if a <= spec.sigma(j + 1) else []
+            if a >= 1:
+                slots.append((a - 1, w1))
         else:
-            images[a] = w0.wedge(base)
-            images[a + 1] = _accumulate(images.get(a + 1), w1.wedge(base))
-        col = [ZERO] * len(out_basis)
-        for slot, form in images.items():
-            if form is None:
-                continue
-            for out_idx, coeff in form.comps.items():
-                col[out_pos[(slot, out_idx)]] = coeff.constant_term()
-        cols.append(col)
-    matrix = [[cols[c][r] for c in range(len(cols))] for r in range(len(out_basis))]
-    return SymbolMatrix(spec, j, tuple(Fraction(x) for x in v), matrix)
+            slots = [(a, w0), (a + 1, w1)]
+        for slot, w in slots:
+            for out, re, im in _wedge_covector(w, idx):
+                matrix[out_pos[(slot, out)]][col] = (re, im)
+    return SymbolMatrix(spec, j, v, matrix)
 
 
-def _accumulate(existing, feed):
-    return feed if existing is None else existing + feed
-
-
-def rank_exact(matrix: list) -> int:
-    """Exact rank of a ComplexRational matrix: ``bareiss`` on its rows, each
-    cleared to Gaussian integers over its lcm denominator (a row scale keeps the rank)."""
-    rows = []
-    for row in matrix:
-        den = math.lcm(*(part.denominator for x in row for part in (x.re, x.im)))
-        rows.append([(x.re.numerator * (den // x.re.denominator),
-                      x.im.numerator * (den // x.im.denominator)) for x in row])
+def rank_exact(rows: list) -> int:
+    """Exact rank of a matrix of Gaussian integers given as ``(re, im)`` int
+    pairs, such as ``symbol_at(...).matrix``: the rank ``bareiss`` returns."""
     return bareiss(rows)[0]
 
 

@@ -131,6 +131,35 @@ def test_integer_condition_H_matches_rational_reference(name, resolution):
         reference_condition_H(grid, resolution, values.get, det_poly)
 
 
+@pytest.mark.parametrize("name,resolution", CASES)
+def test_pairing_det_is_even_on_the_grid(name, resolution):
+    # the pencil is 4n x 4n, so det(-M) = det(M): the antipode of a grid
+    # point needs no determinant of its own
+    g = _case(name)
+    for lam in sphere_grid(resolution):
+        assert central_pairing_det(g, lam) == central_pairing_det(g, [-x for x in lam])
+
+
+@pytest.mark.parametrize("resolution", [1, 2, 3, 4, 5, 6])
+def test_cached_grid_evaluates_one_point_of_each_antipodal_pair(resolution):
+    grid = groups._direction_grid(resolution)
+    assert grid is groups._direction_grid(resolution)
+    assert [lam for lam, _, _ in grid] == sphere_grid(resolution)
+    position = {}
+    for i, (lam, mu, _) in enumerate(grid):
+        assert all(type(m) is int for m in mu)
+        assert list(mu) == [resolution * x for x in lam]
+        position[mu] = i
+    evaluated = 0
+    for i, (lam, mu, evaluate) in enumerate(grid):
+        antipode = position[tuple(-m for m in mu)]
+        # exactly one of the pair is evaluated: the one that comes first
+        assert evaluate == (i < antipode)
+        assert evaluate != grid[antipode][2]
+        evaluated += evaluate
+    assert 2 * evaluated == len(grid)
+
+
 def test_cases_cover_every_outcome_resolution_and_denominator():
     # det of a real skew matrix is a Pfaffian squared, so the grid never
     # sees a sign change; zeros and clean grids are the reachable outcomes
@@ -199,13 +228,14 @@ def test_classify_takes_one_bareiss_per_grid_point(monkeypatch, group):
     result = classify(g, "sampled")
     points = result["condition_H"]["grid_points"]
     assert points == len(sphere_grid(4))
-    assert counts == {"bareiss": points + 1}  # one more: is_stratified
+    # one per antipodal pair of grid points, and one more: is_stratified
+    assert counts == {"bareiss": points // 2 + 1}
 
     counts.clear()
     result = classify(g, "exact")
     assert result["condition_H"]["verdict"] == "sampled-true"
     # one more: the zero-pencil probe stops at its first point, (1, 0, 0)
-    assert counts == {"bareiss": points + 2}
+    assert counts == {"bareiss": points // 2 + 2}
 
 
 @pytest.mark.parametrize("name", ["named-1-2", "half-2-0"])

@@ -7,6 +7,8 @@ says why in CHANGES.md.
 
 import hashlib
 import json
+import random
+from fractions import Fraction
 
 import pytest
 
@@ -55,3 +57,38 @@ def test_dense_right_type_ma_report_is_pinned(tmp_path, capsys):
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == \
         "b08c1a16f7aa8f1afc9a09859002a3c3a27e9cee3b78fea42687ba90971ef132"
+
+
+def _dense_rational_group() -> dict:
+    """A dense n = 2 symmetric S with denominators among 1, 2, 3, 6 and 7."""
+    rng = random.Random(15)
+    size = 8
+    m = [[Fraction(0)] * size for _ in range(size)]
+    for i in range(size):
+        for j in range(i, size):
+            m[i][j] = m[j][i] = Fraction(rng.randint(-6, 6), rng.choice([1, 2, 3, 6, 7]))
+    return {"n": 2, "S": [[str(x) for x in row] for row in m]}
+
+
+CLASSIFY_FILES = [
+    # not right-type: every block certificate holds non-dyadic residual strings,
+    # and condition H runs the whole direction grid
+    ("dense-rational-n2", _dense_rational_group(),
+     "09c6120c338a0d55a7d7798566e226cefcc908e8a4dc261eb9204baf35ffb4b1"),
+    # diag(-1, -1, 1, 1): condition H fails with a grid witness
+    ("diag-witness-n1",
+     {"n": 1, "S": [[str(-int(i == j < 2) + int(i == j >= 2)) for j in range(4)]
+                    for i in range(4)]},
+     "49001b9fce3b9ff88e5e562f9e1666f58027e8d501510c799f377dc83f302786"),
+]
+
+
+@pytest.mark.parametrize("name, data, digest", CLASSIFY_FILES,
+                         ids=[name for name, _, _ in CLASSIFY_FILES])
+def test_classify_file_report_is_pinned(name, data, digest, tmp_path, capsys):
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps(data))
+    code = main(["classify", "--file", str(path)])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -1,9 +1,10 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
-from cfx.groups import (GroupSpec, I_MATS, J_MATS, block_diag,
+from cfx.groups import (GroupSpec, I_MATS, ID4, J_MATS, block_diag,
                         bracket_table_matches, central_pairing_det,
                         check_condition_H, classify,
                         group_from_phi, horizontal_fields, is_right_type,
@@ -63,10 +64,80 @@ def test_first_bracket_block_entrywise():
     assert mat_eq(g.b_block(0, 0, 0), mat(expected))
 
 
+def _span_decompose(block):
+    """Coefficients of block on {J1, J2, J3, Id} plus the exact residual.
+
+    The four basis matrices are trace-orthogonal with squared norm 4, so the
+    coefficients come from exact trace pairings.
+    """
+    basis = (J_MATS[0], J_MATS[1], J_MATS[2], ID4)
+    coeffs = tuple(
+        Fraction(sum(block[i][j] * e[i][j] for i in range(4) for j in range(4)), 4)
+        for e in basis
+    )
+    residual = tuple(
+        tuple(Fraction(block[i][j]) - sum(c * e[i][j] for c, e in zip(coeffs, basis))
+              for j in range(4))
+        for i in range(4)
+    )
+    return coeffs, residual
+
+
+def reference_is_right_type(g):
+    """is_right_type on the Fraction blocks of B, by ``_span_decompose``."""
+    offending = []
+    for beta in range(3):
+        for l in range(g.n):
+            for m in range(g.n):
+                _, residual = _span_decompose(g.b_block(beta, l, m))
+                if not mat_is_zero(residual):
+                    offending.append({
+                        "l": l, "m": m, "beta": beta + 1,
+                        "residual": [[str(x) for x in row] for row in residual],
+                    })
+    return (not offending), offending
+
+
+def _rational_group(seed, n, den):
+    rng = random.Random(seed)
+    size = 4 * n
+    m = [[Fraction(0)] * size for _ in range(size)]
+    for i in range(size):
+        for j in range(i, size):
+            m[i][j] = m[j][i] = Fraction(rng.randint(-6, 6), rng.choice([1, den]))
+    return GroupSpec(n, m)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("den", [2, 3, 6, 7])
+def test_integer_right_type_matches_fraction_reference(n, den):
+    for seed in range(4):
+        g = _rational_group(100 * den + 10 * n + seed, n, den)
+        assert is_right_type(g) == reference_is_right_type(g)
+        # the right-type locus too, scaled to the same denominator
+        rt = GroupSpec(n, [[x / den for x in row]
+                           for row in SectionGenerator(seed).right_type_matrix(n)])
+        assert is_right_type(rt) == reference_is_right_type(rt) == (True, [])
+
+
+def test_integer_right_type_matches_reference_on_a_potential():
+    v = x_vars(8)
+    rng = random.Random(7)
+    phi = Poly.zero(v)
+    for a in range(8):
+        for b in range(a, 8):
+            c = Fraction(rng.randint(-3, 3), rng.choice([1, 2, 5]))
+            phi = phi + Poly.var(v, f"x{a+1}", c) * Poly.var(v, f"x{b+1}")
+    g = GroupSpec.from_json({"phi": phi.to_json()})
+    assert g.integer_brackets[0] > 1
+    ok, certificate = is_right_type(g)
+    assert not ok and certificate
+    assert (ok, certificate) == reference_is_right_type(g)
+
+
 def test_diagonal_blocks_have_no_identity_component():
     gen = SectionGenerator(5)
     g = random_group(gen, 3)
-    from cfx.groups import _span_decompose
     for beta in range(3):
         for l in range(3):
             coeffs, _ = _span_decompose(g.b_block(beta, l, l))

@@ -180,3 +180,28 @@ def test_floats_only_at_the_ma_report_edge(path):
         sites += [f"literal {node.value!r} (line {node.lineno})" for node in ast.walk(tree)
                   if isinstance(node, ast.Constant) and type(node.value) in (float, complex)]
     assert not sites, f"{path.name}: float sites outside the report edge {sites}"
+
+
+def test_symbol_and_classify_run_on_ints(monkeypatch):
+    # symbol ranks and the classification take no ComplexRational product or
+    # sum and no ExtForm wedge once the spec and the group are built
+    from cfx.exterior import ExtForm
+    from cfx.flat import ComplexSpec, check_exactness
+    from cfx.groups import GroupSpec, classify
+    from cfx.randgen import SectionGenerator
+    from cfx.rational import ComplexRational
+
+    spec = ComplexSpec(2, 2)
+    gen = SectionGenerator(3)
+    v = gen.rational_vector(12)
+    group = GroupSpec(2, gen.symmetric_matrix(8))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("rational or exterior arithmetic on an integer path")
+
+    for cls, name in ((ComplexRational, "__mul__"), (ComplexRational, "__add__"),
+                      (ExtForm, "wedge")):
+        monkeypatch.setattr(cls, name, forbidden)
+    assert check_exactness(spec, v)["exact"]
+    result = classify(group)
+    assert not result["right_type"] and result["block_certificates"]

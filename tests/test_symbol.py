@@ -1,11 +1,93 @@
+"""Tests of the symbol sequence.
+
+The reference is the construction ``symbol_at`` had before it built integer
+rows: the two covector 1-forms as ``ExtForm``s with ``ComplexRational``
+coefficients, and every column a wedge of ``ExtForm``s.
+"""
+
+import math
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
+from cfx.exterior import ExtForm
 from cfx.flat import ComplexSpec, check_exactness, rank_exact, symbol_at
-from cfx.groups import mat_mul
+from cfx.poly import Poly
 from cfx.randgen import SectionGenerator
-from cfx.rational import cq
+from cfx.rational import ZERO, cq
+
+
+def reference_symbol(spec, j, v):
+    """ComplexRational matrix of the level-j symbol at v, by ExtForm wedges."""
+    point = {f"x{i+1}": Fraction(v[i]) for i in range(len(v))}
+    forms = []
+    for aprime in (0, 1):
+        comps = {}
+        for row_idx, row in enumerate(spec.frame.Z_upper):
+            # replace each derivative by the matching covector entry
+            c = ZERO
+            for var, p in row[aprime].coeffs.items():
+                c = c + p.constant_term() * cq(point.get(var, 0))
+            if not c.is_zero():
+                comps[(row_idx,)] = Poly.const(spec.vars, c)
+        forms.append(ExtForm(spec.form_dim, 1, spec.vars, comps))
+    w0, w1 = forms
+
+    def basis(level):
+        s, d, _ = spec.shape(level)
+        return [(a, idx) for a in range(s + 1)
+                for idx in combinations(range(spec.form_dim), d)]
+
+    in_basis, out_basis = basis(j), basis(j + 1)
+    out_pos = {key: i for i, key in enumerate(out_basis)}
+    matrix = [[ZERO] * len(in_basis) for _ in out_basis]
+    for col, (a, idx) in enumerate(in_basis):
+        base = ExtForm.basis(spec.form_dim, idx, spec.vars)
+        images = {}
+        if j < spec.k:
+            if a <= spec.sigma(j + 1):
+                images[a] = w0.wedge(base)
+            if a - 1 >= 0:
+                images[a - 1] = w1.wedge(base)
+        elif j == spec.k:
+            images[0] = w0.wedge(w1.wedge(base))
+        else:
+            images[a] = w0.wedge(base)
+            images[a + 1] = w1.wedge(base)
+        for slot, form in images.items():
+            for out_idx, coeff in form.comps.items():
+                matrix[out_pos[(slot, out_idx)]][col] = coeff.constant_term()
+    return matrix
+
+
+def gaussian_product(a, b):
+    """Product of two matrices of (re, im) int pairs."""
+    return [[(sum(x[0] * y[0] - x[1] * y[1] for x, y in zip(row, col)),
+              sum(x[0] * y[1] + x[1] * y[0] for x, y in zip(row, col)))
+             for col in zip(*b)] for row in a]
+
+
+def is_zero_matrix(m):
+    return all(x == (0, 0) for row in m for x in row)
+
+
+@pytest.mark.parametrize("n,k", [(1, k) for k in range(5)] + [(2, k) for k in range(7)])
+def test_integer_rows_match_the_extform_reference(n, k):
+    # symbol_at gives the symbol at q v, q the lcm of v's denominators:
+    # q^ord times the symbol at v, with ord = 2 at j = k and 1 elsewhere
+    spec = ComplexSpec(n, k)
+    gen = SectionGenerator(300 + 10 * n + k)
+    for t in range(2):
+        v = gen.spawn(t).rational_vector(4 * (n + 1))
+        q = math.lcm(*(x.denominator for x in v))
+        for j in range(spec.top_level):
+            rows = symbol_at(spec, j, v).matrix
+            assert all(type(x) is int for row in rows for pair in row for x in pair)
+            scale = q ** (2 if j == k else 1)
+            expected = [[(x.re * scale, x.im * scale) for x in row]
+                        for row in reference_symbol(spec, j, v)]
+            assert rows == expected, (j, t)
 
 
 def e1(n):
@@ -36,30 +118,45 @@ def test_consecutive_symbols_compose_to_zero():
         for j in range(2 * n):
             a = symbol_at(spec, j + 1, v).matrix
             b = symbol_at(spec, j, v).matrix
-            product = mat_mul(a, b)
-            assert all(x.is_zero() for row in product for x in row)
+            assert is_zero_matrix(gaussian_product(a, b))
+
+
+@pytest.mark.parametrize("n,k,j", [(1, 0, 0), (1, 1, 1), (2, 1, 2)])
+def test_one_flipped_entry_breaks_the_composition(n, k, j):
+    spec = ComplexSpec(n, k)
+    v = SectionGenerator(12).spawn(n * 10 + k).rational_vector(4 * (n + 1))
+    a = symbol_at(spec, j + 1, v).matrix
+    b = [list(row) for row in symbol_at(spec, j, v).matrix]
+    # an entry b[r][c] that column r of a sees
+    r, c = next((r, c) for r, row in enumerate(b) for c, x in enumerate(row)
+                if x != (0, 0) and any(out[r] != (0, 0) for out in a))
+    b[r][c] = (-b[r][c][0], -b[r][c][1])
+    assert not is_zero_matrix(gaussian_product(a, b))
 
 
 def test_zero_vector_gives_zero_matrix_and_error():
     spec = ComplexSpec(1, 1)
     zero = [Fraction(0)] * 8
-    m = symbol_at(spec, 0, zero).matrix
-    assert all(x.is_zero() for row in m for x in row)
+    assert is_zero_matrix(symbol_at(spec, 0, zero).matrix)
     with pytest.raises(ValueError, match="nonzero"):
         check_exactness(spec, zero)
 
 
 def test_middle_symbol_is_quadratic_in_v():
-    # at the second-order level, scaling v by t scales the symbol by t^2
+    # at the second-order level, scaling v by t scales the symbol by t^2; the
+    # rows are the symbol at q v, so q'^2 rows(v) (2)^2 = q^2 rows(2v)
     spec = ComplexSpec(1, 0)
     gen = SectionGenerator(8)
     v = gen.rational_vector(8)
     doubled = [2 * x for x in v]
+    q = math.lcm(*(x.denominator for x in v))
+    q2 = math.lcm(*(x.denominator for x in doubled))
     m1 = symbol_at(spec, 0, v).matrix
     m2 = symbol_at(spec, 0, doubled).matrix
+    assert not is_zero_matrix(m1)
     for r1, r2 in zip(m1, m2):
         for a, b in zip(r1, r2):
-            assert b == a * cq(4)
+            assert (b[0] * q * q, b[1] * q * q) == (4 * a[0] * q2 * q2, 4 * a[1] * q2 * q2)
 
 
 @pytest.mark.parametrize("n,k", [(1, 0), (1, 1), (2, 1)])
@@ -72,8 +169,9 @@ def test_random_rational_exactness(n, k):
 
 
 def test_rank_exact_small_cases():
-    assert rank_exact([[cq(1), cq(2)], [cq(2), cq(4)]]) == 1
-    assert rank_exact([[cq(0, 1), cq(0)], [cq(0), cq(1)]]) == 2
+    assert rank_exact([[(1, 0), (2, 0)], [(2, 0), (4, 0)]]) == 1
+    assert rank_exact([[(0, 1), (0, 0)], [(0, 0), (1, 0)]]) == 2
+    assert rank_exact([[(1, 1), (2, 0)], [(0, 2), (2, 2)]]) == 1  # row 2 = (1 + i) row 1
     assert rank_exact([]) == 0
 
 

@@ -194,12 +194,12 @@ def cmd_ma(args) -> int:
                          f"the --u file has {len(us)}")
     if args.convergence and group.n != 2:
         raise ValueError(f"--convergence runs only at n = 2, not n = {group.n}")
-    frame = TangentFrame(group)
-    if not frame.right_type:
-        raise PreconditionError("the wedge-power operator needs a right-type group")
     naxes = 4 * group.n + 3
     K = Region.cube(naxes, half)
     L = Region.cube(naxes, half / 2)
+    frame = TangentFrame(group)
+    if not frame.right_type:
+        raise PreconditionError("the wedge-power operator needs a right-type group")
     gen = SectionGenerator(args.seed)
     if us is None:
         us = [gen.spawn(i).psh_quadratic(frame.vars, 4 * group.n)

@@ -156,9 +156,10 @@ def symbol_at(spec: ComplexSpec, j: int, v: Sequence) -> SymbolMatrix:
     spec._check_operator_level(j)
     k = spec.k
     v = tuple(Fraction(x) for x in v)
+    if len(v) != 4 * (spec.n + 1):
+        raise ValueError(f"covector needs {4 * (spec.n + 1)} entries, not {len(v)}")
     q = math.lcm(*(x.denominator for x in v))
     qv = [x.numerator * (q // x.denominator) for x in v]
-    qv += [0] * (len(spec.vars) - len(qv))
     w0, w1 = ([(sum(re * qv[pos] for pos, re, _ in row), sum(im * qv[pos] for pos, _, im in row))
                for row in rows] for rows in spec.covector_table)
     in_basis = _level_basis(spec, j)
@@ -197,7 +198,8 @@ def check_exactness(spec: ComplexSpec, v: Sequence) -> dict:
     """Pointwise exactness of the frozen-coefficient sequence at covector v.
 
     Checks injectivity at the bottom, the rank identities in the middle and
-    surjectivity at the top; every rank is exact (``rank_exact``).
+    surjectivity at the top; every rank is exact (``rank_exact``).  v must be
+    nonzero with 4(n+1) entries; ``symbol_at`` rejects any other length.
     """
     if all(Fraction(x) == 0 for x in v):
         raise ValueError("covector must be nonzero")

@@ -46,6 +46,9 @@ class Region:
             raise ValueError("box bounds have mismatched lengths")
         if any(h <= l for l, h in zip(lows, highs)):
             raise ValueError("region must have positive volume")
+        # the sup-norm sampler and the report read the bounds as floats
+        for x in lows + highs:
+            _float(x)
 
     @classmethod
     def cube(cls, naxes: int, half_width) -> "Region":

@@ -3,7 +3,10 @@
 The references are the rational constructions: bracket matrices from dense
 products with block_diag(Ibeta), determinants by cofactor expansion of
 ``Fraction`` matrices, and for exact mode the symbolic determinant by
-cofactor expansion, sampled with ``Poly.eval_exact``.
+cofactor expansion, sampled with ``Poly.eval_exact``.  The interpolated
+determinant form of ``pairing_det_form`` is compared with the same
+references, and with determinant forms that vanish at all but one point of
+its interpolation lattice.
 """
 
 import math
@@ -214,8 +217,13 @@ def _count_calls(monkeypatch, module, name, counts):
     monkeypatch.setattr(module, name, counted)
 
 
+def lattice_size(n):
+    # the principal lattice u, w >= 0, u + w <= 4n
+    return math.comb(4 * n + 2, 2)
+
+
 @pytest.mark.parametrize("group", ["rightQH", "leftQH"])
-def test_classify_takes_one_bareiss_per_grid_point(monkeypatch, group):
+def test_classify_takes_one_bareiss_per_lattice_point(monkeypatch, group):
     g = GroupSpec.named(group, 2)
     counts = {}
     for module in (linalg, groups):
@@ -225,26 +233,22 @@ def test_classify_takes_one_bareiss_per_grid_point(monkeypatch, group):
         raise AssertionError("Poly.eval_exact on the condition-H path")
 
     monkeypatch.setattr(Poly, "eval_exact", no_eval)
-    result = classify(g, "sampled")
-    points = result["condition_H"]["grid_points"]
-    assert points == len(sphere_grid(4))
-    # one per antipodal pair of grid points, and one more: is_stratified
-    assert counts == {"bareiss": points // 2 + 1}
-
-    counts.clear()
-    result = classify(g, "exact")
-    assert result["condition_H"]["verdict"] == "sampled-true"
-    # one more: the zero-pencil probe stops at its first point, (1, 0, 0)
-    assert counts == {"bareiss": points // 2 + 2}
+    for mode in ("sampled", "exact"):
+        counts.clear()
+        result = classify(g, mode)
+        assert result["condition_H"]["verdict"] == "sampled-true"
+        assert result["condition_H"]["grid_points"] == len(sphere_grid(4))
+        # 45 determinants fix the form, whatever the grid; one more: is_stratified
+        assert counts == {"bareiss": lattice_size(2) + 1}
 
 
 @pytest.mark.parametrize("name", ["named-1-2", "half-2-0"])
-def test_zero_pencil_probe_covers_the_whole_grid(monkeypatch, name):
+def test_zero_pencil_takes_one_determinant_per_lattice_point(monkeypatch, name):
     g = _case(name)
     counts = {}
     _count_calls(monkeypatch, groups, "bareiss", counts)
     assert check_condition_H(g, "exact")["reason"] == "determinant vanishes identically"
-    assert counts == {"bareiss": (4 * g.n + 1) ** 2}
+    assert counts == {"bareiss": lattice_size(g.n)}
 
 
 def test_zero_pencil_probe_is_a_proof_for_any_form_of_degree_4n(monkeypatch):
@@ -258,3 +262,102 @@ def test_zero_pencil_probe_is_a_proof_for_any_form_of_degree_4n(monkeypatch):
     result = check_condition_H(GroupSpec.right_qh(1), "exact")
     assert result["reason"] == "determinant vanishes at a rational covector"
 
+
+# -- the interpolated determinant form ---------------------------------------------------
+
+
+def form_at(form, lam):
+    """The form at a rational covector, term by term in Fractions."""
+    d = len(form) - 1
+    return sum(c * Fraction(lam[0]) ** (d - a - b) * Fraction(lam[1]) ** a * Fraction(lam[2]) ** b
+               for b, col in enumerate(form) for a, c in enumerate(col))
+
+
+def scale_of(pairs):
+    """The one c with left == c right on every pair (None when every value is 0)."""
+    ratios = {Fraction(left) / right for left, right in pairs if right}
+    assert all(left == 0 for left, right in pairs if not right)
+    assert len(ratios) <= 1
+    return ratios.pop() if ratios else None
+
+
+@pytest.mark.parametrize("name,resolution", CASES)
+def test_form_is_the_determinant_times_one_positive_constant(name, resolution):
+    g = _case(name)
+    form = groups.pairing_det_form(g)
+    assert len(form) == 4 * g.n + 1
+    assert all(len(col) == 4 * g.n + 1 - b and all(type(x) is int for x in col)
+               for b, col in enumerate(form))
+    grid = sphere_grid(resolution)
+    c = scale_of([(form_at(form, lam), central_pairing_det(g, lam)) for lam in grid])
+    value = groups._form_evaluator(form)
+    for lam, mu, _ in groups._direction_grid(resolution):
+        assert value(mu) == form_at(form, mu)
+    if c is None:
+        assert not any(any(col) for col in form)
+    else:
+        assert c > 0
+        assert math.gcd(*(x for col in form for x in col)) == 1
+
+
+@pytest.mark.parametrize("name", sorted({name for name, _ in CASES if _case(name).n <= 2}))
+def test_form_coefficients_are_the_symbolic_determinant_times_the_constant(name):
+    g = _case(name)
+    d = 4 * g.n
+    form = groups.pairing_det_form(g)
+    det_poly = symbolic_pairing_det(g)
+    terms = det_poly.terms if det_poly else {}
+    assert all(x.im == 0 for x in terms.values())
+    pairs = [(form[b][a], terms[(d - a - b, a, b)].re if (d - a - b, a, b) in terms else 0)
+             for b in range(d + 1) for a in range(d + 1 - b)]
+    assert len(pairs) == lattice_size(g.n)
+    assert all(sum(e) == d for e in terms)
+    c = scale_of(pairs)
+    assert (c is None) == (not det_poly)
+    assert c is None or c > 0
+
+
+def lattice_lagrange(d, u0, w0):
+    """A degree-d form that vanishes at every lattice point (1, u, w) but (1, u0, w0)."""
+    t0 = d - u0 - w0
+
+    def det(g, lam):
+        lam1, lam2, lam3 = (Fraction(x) for x in lam)
+        value = Fraction(1)
+        for k in range(u0):
+            value *= lam2 - k * lam1
+        for k in range(w0):
+            value *= lam3 - k * lam1
+        for k in range(t0):
+            value *= (d - k) * lam1 - lam2 - lam3
+        return value
+
+    return det
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_one_nonzero_lattice_value_is_never_a_zero_pencil(monkeypatch, n):
+    # each lattice point in turn carries the only nonzero value: the form is
+    # then nonzero, and the grid verdict is the rational reference's
+    g = GroupSpec.right_qh(n)
+    d = 4 * n
+    grid = sphere_grid(4)
+    directions = [mu for _, mu, _ in groups._direction_grid(4)]
+    for u0 in range(d + 1):
+        for w0 in range(d + 1 - u0):
+            det = lattice_lagrange(d, u0, w0)
+            assert [(u, w) for u in range(d + 1) for w in range(d + 1 - u)
+                    if det(g, (1, u, w))] == [(u0, w0)]
+            monkeypatch.setattr(groups, "central_pairing_det", det)
+            form = groups.pairing_det_form(g)
+            assert any(any(col) for col in form)
+            value = groups._form_evaluator(form)
+            assert scale_of([(value(mu), det(g, mu)) for mu in directions]) > 0
+            exact = check_condition_H(g, "exact")
+            assert exact.get("reason") != "determinant vanishes identically"
+            sampled = check_condition_H(g, "sampled")
+            assert sampled == reference_condition_H(grid, 4, lambda lam: det(g, lam))
+            if "witness" in sampled:
+                assert exact == sampled
+            else:
+                assert exact == dict(sampled, det_degree=d)

@@ -5,16 +5,71 @@ from fractions import Fraction
 import pytest
 
 from cfx.groups import (GroupSpec, I_MATS, ID4, J_MATS, block_diag,
-                        bracket_table_matches, central_pairing_det,
-                        check_condition_H, classify,
+                        central_pairing_det, check_condition_H, classify,
                         group_from_phi, horizontal_fields, is_right_type,
                         is_right_type_via_E, is_stratified, mat, mat_add,
                         mat_eq, mat_is_zero, mat_mul, mat_neg, mat_scale,
-                        quaternion_relations_ok,
-                        representations_commute)
+                        quaternion_relations_ok)
+from cfx.operators import FirstOrderOp
 from cfx.poly import Poly, x_vars
 from cfx.randgen import SectionGenerator
+from cfx.rational import ComplexRational
 from test_linalg import symbolic_pairing_det
+
+
+# -- references: the group law, the bracket blocks and the bracket table ---------------
+
+
+def representations_commute() -> bool:
+    return all(
+        mat_eq(mat_mul(mat(i_m), mat(j_m)), mat_mul(mat(j_m), mat(i_m)))
+        for i_m in I_MATS for j_m in J_MATS
+    )
+
+
+def b_block(g, beta, l, m):
+    return tuple(tuple(g.B[beta][4 * l + i][4 * m + j] for j in range(4))
+                 for i in range(4))
+
+
+def multiply(g, p, q):
+    """Group product: (x, t) . (y, s) = (x + y, t + s + 2 x^T B^beta y)."""
+    size = 4 * g.n
+    x, t = p[:size], p[size:]
+    y, s = q[:size], q[size:]
+    if len(t) != 3 or len(s) != 3:
+        raise ValueError(f"points must have {size}+3 coordinates")
+    out_x = tuple(Fraction(a) + Fraction(b) for a, b in zip(x, y))
+    out_t = []
+    for beta in range(3):
+        twist = sum(Fraction(x[a]) * g.B[beta][a][b] * Fraction(y[b])
+                    for a in range(size) for b in range(size))
+        out_t.append(Fraction(t[beta]) + Fraction(s[beta]) + 2 * twist)
+    return out_x + tuple(out_t)
+
+
+def inverse(p):
+    """Group inverse: skew bracket matrices make it plain negation."""
+    return tuple(-Fraction(a) for a in p)
+
+
+def bracket_table_matches(g) -> bool:
+    """[X_a, X_b] must equal 2 sum_beta B^beta_{ab} d_{t_beta}, exactly."""
+    fields = horizontal_fields(g)
+    variables = g.vars
+    size = 4 * g.n
+    for a in range(size):
+        for b in range(size):
+            lhs = fields[a].commutator(fields[b])
+            expected = {}
+            for beta in range(3):
+                c = 2 * g.B[beta][a][b]
+                if c:
+                    expected[f"t{beta+1}"] = Poly.const(variables, ComplexRational(c))
+            rhs = FirstOrderOp(variables, expected)
+            if not (lhs - rhs).is_zero():
+                return False
+    return True
 
 
 def test_quaternion_relations_exact():
@@ -43,7 +98,7 @@ def test_block_identity():
     for beta in range(3):
         for l in range(2):
             for m in range(2):
-                blk = g.b_block(beta, l, m)
+                blk = b_block(g, beta, l, m)
                 s = g.s_block(l, m)
                 i = mat(I_MATS[beta])
                 expected = mat_add(mat_mul(i, s), mat_mul(s, i))
@@ -61,7 +116,7 @@ def test_first_bracket_block_entrywise():
         (-s[3][0] - s[2][1], -s[3][1] + s[2][0], -s[3][2] + s[2][3], -s[3][3] - s[2][2]),
         (s[2][0] - s[3][1], s[2][1] + s[3][0], s[2][2] + s[3][3], s[2][3] - s[3][2]),
     )
-    assert mat_eq(g.b_block(0, 0, 0), mat(expected))
+    assert mat_eq(b_block(g, 0, 0, 0), mat(expected))
 
 
 def _span_decompose(block):
@@ -89,7 +144,7 @@ def reference_is_right_type(g):
     for beta in range(3):
         for l in range(g.n):
             for m in range(g.n):
-                _, residual = _span_decompose(g.b_block(beta, l, m))
+                _, residual = _span_decompose(b_block(g, beta, l, m))
                 if not mat_is_zero(residual):
                     offending.append({
                         "l": l, "m": m, "beta": beta + 1,
@@ -140,7 +195,7 @@ def test_diagonal_blocks_have_no_identity_component():
     g = random_group(gen, 3)
     for beta in range(3):
         for l in range(3):
-            coeffs, _ = _span_decompose(g.b_block(beta, l, l))
+            coeffs, _ = _span_decompose(b_block(g, beta, l, l))
             assert coeffs[3] == 0
 
 
@@ -296,10 +351,10 @@ def test_group_law_is_a_group():
     g = random_group(gen, 1)
     pts = [tuple(gen.spawn(i).rational_vector(7)) for i in range(3)]
     a, b, c = pts
-    assert g.multiply(g.multiply(a, b), c) == g.multiply(a, g.multiply(b, c))
+    assert multiply(g, multiply(g, a, b), c) == multiply(g, a, multiply(g, b, c))
     zero = (Fraction(0),) * 7
-    assert g.multiply(a, g.inverse(a)) == zero
-    assert g.multiply(zero, a) == tuple(Fraction(x) for x in a)
+    assert multiply(g, a, inverse(a)) == zero
+    assert multiply(g, zero, a) == tuple(Fraction(x) for x in a)
 
 
 def test_group_law_commutator_matches_brackets():
@@ -307,9 +362,9 @@ def test_group_law_commutator_matches_brackets():
     g = GroupSpec.left_qh(1)
     e1 = (Fraction(1), 0, 0, 0, 0, 0, 0)
     e2 = (0, Fraction(1), 0, 0, 0, 0, 0)
-    pq = g.multiply(e1, e2)
-    qp = g.multiply(e2, e1)
-    comm = g.multiply(pq, g.inverse(qp))
+    pq = multiply(g, e1, e2)
+    qp = multiply(g, e2, e1)
+    comm = multiply(g, pq, inverse(qp))
     assert comm[:4] == (0, 0, 0, 0)
     assert comm[4:] == (4 * g.B[0][0][1], 4 * g.B[1][0][1], 4 * g.B[2][0][1])
 

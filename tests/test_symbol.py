@@ -142,6 +142,17 @@ def test_zero_vector_gives_zero_matrix_and_error():
         check_exactness(spec, zero)
 
 
+@pytest.mark.parametrize("v", [[1], [0] * 8 + [1]], ids=["short", "long"])
+def test_covector_of_the_wrong_length_is_rejected(v):
+    # a missing entry is not a 0 and an extra one is not ignored: ComplexSpec(1, 1)
+    # lives on R^8, so both covectors are input errors, not ranks
+    spec = ComplexSpec(1, 1)
+    with pytest.raises(ValueError, match="covector needs 8 entries"):
+        symbol_at(spec, 0, v)
+    with pytest.raises(ValueError, match="covector needs 8 entries"):
+        check_exactness(spec, v)
+
+
 def test_middle_symbol_is_quadratic_in_v():
     # at the second-order level, scaling v by t scales the symbol by t^2; the
     # rows are the symbol at q v, so q'^2 rows(v) (2)^2 = q^2 rows(2v)

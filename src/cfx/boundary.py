@@ -20,6 +20,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import List, Optional
 
 from .exterior import ExtForm
@@ -106,39 +107,50 @@ class TangentFrame(Frame):
 
 
 def frak_d(aprime: int, f: ExtForm, frame: Frame, raised: bool = True) -> ExtForm:
-    """sum_row w^row ^ Z_row^{aprime} f, the one row kernel; raised index by default."""
+    """sum_row w^row ^ Z_row^{aprime} f, the one row kernel; raised index by default.
+
+    One integer pass: each output index gets one numerator dict over D * L,
+    D the lcm of the component denominators of f and L the lcm of the row
+    operators' ``den``.  Every (row, component) pair goes in through
+    ``FirstOrderOp.apply_into`` with ``mult`` = wedge sign * (D / component
+    den) * (L / operator den), and each output component is one ``Poly``.
+    """
     if aprime not in (0, 1):
         raise ValueError("primed index must be 0 or 1")
     if f.dim != frame.dim:
         raise ValueError(f"form dimension {f.dim} does not match frame dimension {frame.dim}")
     if f.vars != frame.vars:
         raise ValueError("variable table mismatch with frame")
-    rows = frame.Z_upper if raised else frame.Z_lower
+    ops = [row[aprime] for row in (frame.Z_upper if raised else frame.Z_lower)]
     degree = f.degree + 1
     if degree > f.dim:
         return ExtForm.zero(f.dim, degree, f.vars)
-    # w^a ^ w^idx inserts a into idx with sign (-1)^(#indices below a)
+    D = lcm(1, *(p.den for p in f.comps.values()))
+    L = lcm(1, *(op.den for op in ops))
+    # w^a ^ w^idx inserts a into idx with sign (-1)^(#indices below a); a key
+    # whose sum cancels is deleted and re-enters at the end, as a sum of
+    # Polys would
     out: dict = {}
-    for a, row in enumerate(rows):
-        op = row[aprime]
+    for a, op in enumerate(ops):
+        scale = L // op.den
         for idx, coeff in f.comps.items():
             pos = bisect_left(idx, a)
             if pos < len(idx) and idx[pos] == a:
                 continue
-            term = op.apply(coeff)
-            if not term:
-                continue
             key = idx[:pos] + (a,) + idx[pos:]
-            acc = out.get(key)
+            mult = scale * (D // coeff.den)
             if pos % 2:
-                acc = -term if acc is None else acc - term
-            else:
-                acc = term if acc is None else acc + term
-            if acc:
-                out[key] = acc
-            else:
+                mult = -mult
+            acc = out.get(key)
+            if acc is None:
+                acc = op.apply_into({}, coeff.num, mult)
+                if acc:
+                    out[key] = acc
+            elif not op.apply_into(acc, coeff.num, mult):
                 del out[key]
-    return ExtForm._make(f.dim, degree, f.vars, out)
+    den = D * L
+    return ExtForm._make(f.dim, degree, f.vars,
+                         {key: Poly._make(f.vars, num, den) for key, num in out.items()})
 
 
 # -- curvature --------------------------------------------------------------------------

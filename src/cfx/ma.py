@@ -214,13 +214,19 @@ def stokes_check(h: Poly, T: ExtForm, region: Region, frame: TangentFrame,
 def _float(x: Fraction) -> float:
     """The one rounding of an exact value to a report float.
 
-    A value outside the float range (from a very wide box) is an input error.
+    A value outside the float range is an input error: one too large (from
+    a very wide box), and a nonzero one that rounds to 0.0 (from a very
+    narrow box), which the report could not tell from an exact 0.
     """
     try:
-        return float(x)
+        value = float(x)
     except OverflowError:
         raise ValueError("an exact value is outside the float range of the report; "
                          "use a smaller box") from None
+    if value == 0.0 and x:
+        raise ValueError("a nonzero exact value is below the float range of the report; "
+                         "use a larger box")
+    return value
 
 
 def _c(z: ComplexRational) -> list:

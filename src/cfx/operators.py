@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from math import lcm
+from operator import add
 from typing import Dict
 
 from .poly import Poly
@@ -9,9 +11,15 @@ from .rational import cq
 
 
 class FirstOrderOp:
-    """sum_v  coeff_v(x) * d/dv  with Poly coefficients."""
+    """sum_v  coeff_v(x) * d/dv  with Poly coefficients.
 
-    __slots__ = ("vars", "coeffs")
+    Applications run one integer kernel, built on first use because most
+    frame-building intermediates are never applied: ``den`` is the lcm of
+    the coefficient denominators, and each c_v is stored as (index of v,
+    the ``(expo, re, im)`` terms of den * c_v), ``expo`` None for a constant.
+    """
+
+    __slots__ = ("vars", "coeffs", "_kernel")
 
     def __init__(self, variables, coeffs: Dict[str, Poly]):
         variables = tuple(variables)
@@ -25,6 +33,7 @@ class FirstOrderOp:
                 clean[v] = p
         object.__setattr__(self, "vars", variables)
         object.__setattr__(self, "coeffs", clean)
+        object.__setattr__(self, "_kernel", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("FirstOrderOp is immutable")
@@ -34,13 +43,58 @@ class FirstOrderOp:
         variables = tuple(variables)
         return cls(variables, {name: Poly.const(variables, coeff)})
 
-    def apply(self, p: Poly) -> Poly:
-        out = Poly.zero(self.vars)
-        for v, c in self.coeffs.items():
-            d = p.diff(v)
-            if d:
-                out = out + c * d
+    def _rows(self) -> tuple:
+        """(den, [(variable index, [(expo or None, re, im), ...]), ...])."""
+        if self._kernel is None:
+            den = lcm(1, *(c.den for c in self.coeffs.values()))
+            zero = (0,) * len(self.vars)
+            rows = []
+            for v, c in self.coeffs.items():
+                m = den // c.den
+                rows.append((self.vars.index(v),
+                             [(None if e == zero else e, re * m, im * m)
+                              for e, (re, im) in c.num.items()]))
+            object.__setattr__(self, "_kernel", (den, rows))
+        return self._kernel
+
+    @property
+    def den(self) -> int:
+        """Common denominator of the coefficients: den * c_v has integer numerators."""
+        return self._rows()[0]
+
+    def apply_into(self, out: dict, num: dict, mult: int) -> dict:
+        """Add mult * den * sum_v c_v d_v p, for p's numerators ``num`` and an
+        int ``mult`` != 0, into the numerator dict ``out``; return ``out``.
+
+        An entry that cancels to (0, 0) is deleted at once, so callers summing
+        many applications (``boundary.frak_d``) build one ``Poly`` per result.
+        """
+        for idx, terms in self._rows()[1]:
+            for expo, (re, im) in num.items():
+                e = expo[idx]
+                if not e:
+                    continue
+                m = mult * e
+                a, b = re * m, im * m
+                lowered = expo[:idx] + (e - 1,) + expo[idx + 1:]
+                for cexpo, c, d in terms:
+                    key = lowered if cexpo is None else tuple(map(add, lowered, cexpo))
+                    r = a * c - b * d
+                    i = a * d + b * c
+                    acc = out.get(key)
+                    if acc is not None:
+                        r += acc[0]
+                        i += acc[1]
+                        if not (r or i):
+                            del out[key]
+                            continue
+                    out[key] = (r, i)
         return out
+
+    def apply(self, p: Poly) -> Poly:
+        if p.vars != self.vars:
+            raise ValueError(f"variable tables differ: {self.vars} vs {p.vars}")
+        return Poly._make(self.vars, self.apply_into({}, p.num, 1), p.den * self.den)
 
     def coefficient(self, name: str) -> Poly:
         return self.coeffs.get(name, Poly.zero(self.vars))

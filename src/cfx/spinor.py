@@ -223,7 +223,18 @@ def symmetrize(field: SpinorField) -> SpinorField:
 
 
 def is_symmetric(field: SpinorField) -> bool:
-    return (symmetrize(field) - field).is_zero()
+    """True when the tuple field is invariant under permuting its primed indices.
+
+    A permutation keeps the ones count of a multi-index and reaches every
+    multi-index with the same count, so the field is symmetric exactly when
+    it is constant on each ones-count class, that is when it equals its
+    average :func:`symmetrize`.  Each component is compared with the one at
+    its sorted multi-index: exact ``==`` on canonical forms, no arithmetic.
+    """
+    if field.basis != "tuple":
+        raise ValueError("is_symmetric acts on the tuple basis")
+    tuples = field.tuples
+    return all(form == tuples[tuple(sorted(idx))] for idx, form in tuples.items())
 
 
 def tuple_to_slots(field: SpinorField, basis: str) -> SpinorField:

@@ -435,6 +435,22 @@ def test_ma_box_past_the_float_range_is_rejected_before_any_work(monkeypatch, ca
     assert "float range" in err
 
 
+def test_ma_box_below_the_float_range_is_rejected_before_any_work(monkeypatch, capsys):
+    # every mass of a 1e-5000 box rounds to 0.0: the report could not show
+    # the values the verdict rests on, so the bound is an input error
+    import cfx.cli as cli
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("cfx ma did work on a box it must reject")
+
+    monkeypatch.setattr(cli, "TangentFrame", forbidden)
+    monkeypatch.setattr(cli, "cln_experiment", forbidden)
+    code, out, err = run(capsys, "ma", "--group", "rightQH", "--n", "1",
+                         "--halfwidth", "1e-5000")
+    _assert_input_error(code, out, err)
+    assert "float range" in err
+
+
 def test_ma_zero_input_has_zero_mass_and_fails(tmp_path, capsys):
     # three equal masses that are all 0 check nothing: the cutoff mass fails
     names = '["x1", "x2", "x3", "x4", "t1", "t2", "t3"]'

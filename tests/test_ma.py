@@ -163,6 +163,20 @@ def test_region_validation():
     assert Region.cube(3, Fraction(1, 2)).volume() == 1
 
 
+def test_region_bound_below_the_float_range_is_rejected():
+    # a nonzero bound that rounds to 0.0 would print as an exact 0
+    with pytest.raises(ValueError, match="below the float range"):
+        Region((0,), (Fraction(1, 10 ** 400),))
+    with pytest.raises(ValueError, match="below the float range"):
+        Region.cube(3, Fraction(1, 10 ** 400))
+
+
+def test_region_bound_of_exactly_zero_is_accepted():
+    region = Region((0,), (1,))
+    assert region.lows == (0,) and region.volume() == 1
+    assert ma._float(Fraction(0)) == 0.0
+
+
 def test_top_coefficient_extraction(right2):
     form = volume_form(right2).scale(3)
     assert top_coefficient(form) == Poly.const(right2.vars, 3)

@@ -118,6 +118,57 @@ def test_symmetrize_matches_permutation_average(s):
         assert is_symmetric(sym)
 
 
+def _reference_is_symmetric(field):
+    """The arithmetic definition: the field equals its class average."""
+    return (symmetrize(field) - field).is_zero()
+
+
+def _symmetric_variants(field):
+    """Seeded near-symmetric variants of a symmetric tuple field."""
+    s = field.sigma
+    tuples = dict(field.tuples)
+    yield field
+    for a in range(s + 1):
+        cls = [idx for idx in tuples if sum(idx) == a]
+        # one component changed
+        changed = dict(tuples)
+        changed[cls[-1]] = tuples[cls[-1]] + _scalar_like(tuples[cls[-1]], 1)
+        yield SpinorField(s, "tuple", changed)
+        # one component a scalar multiple of the rest of its class
+        scaled = dict(tuples)
+        scaled[cls[0]] = tuples[cls[0]].scale(cq(Fraction(2, 3)))
+        yield SpinorField(s, "tuple", scaled)
+        # the whole class scaled: still symmetric
+        yield SpinorField(s, "tuple", {idx: f.scale(cq(-3)) if sum(idx) == a else f
+                                       for idx, f in tuples.items()})
+
+
+def _scalar_like(form, c):
+    """The constant form c w^0 ^ ... of the shape of ``form``."""
+    idx = tuple(range(form.degree))
+    return ExtForm.basis(form.dim, idx, form.vars, c)
+
+
+@pytest.mark.parametrize("s", [0, 1, 2, 3, 4])
+def test_is_symmetric_matches_arithmetic_reference(s):
+    gen = SectionGenerator(310 + s, degree=2)
+    seen = set()
+    for t in range(3):
+        g = gen.spawn(t)
+        sym = symmetrize(SpinorField(s, "tuple", {idx: g.form(3, 1, V)
+                                                  for idx in product((0, 1), repeat=s)}))
+        for field in (sym, g.tuple_field(s, 3, 2, V), *_symmetric_variants(sym)):
+            want = _reference_is_symmetric(field)
+            assert is_symmetric(field) == want
+            seen.add(want)
+    assert seen == ({True} if s < 2 else {True, False})
+
+
+def test_is_symmetric_rejects_slot_fields():
+    with pytest.raises(ValueError, match="tuple basis"):
+        is_symmetric(SpinorField(1, "S", [scalar(1), scalar(2)]))
+
+
 def test_tuple_slot_roundtrip_descending():
     comps = {idx: scalar(ones_count(idx) + 1) for idx in product((0, 1), repeat=2)}
     fld = SpinorField(2, "tuple", comps)

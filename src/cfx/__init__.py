@@ -7,10 +7,9 @@ arithmetic throughout.
 """
 
 from .rational import ComplexRational, cq
-from .poly import Poly, poly_diff, x_vars, group_vars
+from .poly import Poly, x_vars, group_vars
 from .exterior import ExtForm, wedge
-from .spinor import (EpsilonTable, SpinorField, raise_primed, lower_primed,
-                     sym_basis_derivative, tilde_basis_multiply, symmetrize)
+from .spinor import SpinorField, raise_primed, symmetrize
 from .flat import ComplexSpec, flat_D, flat_D_tuple, symbol_at, check_exactness
 from .groups import GroupSpec, group_from_phi, is_right_type, is_right_type_via_E
 from .boundary import (BoundarySpec, Frame, TangentFrame, BoundaryField, ambient_frame,

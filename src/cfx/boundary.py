@@ -10,9 +10,10 @@ Both complexes apply the rows of one :class:`Frame` through :func:`frak_d`:
 a group's tangential frame is built from its horizontal fields, the flat
 complex's :func:`ambient_frame` from the coordinate partials.
 
-Only rigid (group) frames are assembled here; for a general polynomial
-defining function we expose the ambient curvature and boundary 1-forms but
-not the full operator.
+Only rigid (group) frames are assembled here.  The curvature 2-form E0 is
+built from the closed-form entries :func:`groups.curvature_entry`; the
+ambient route -d^0 d^1 rho through the defining function is a reference in
+the tests.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from math import lcm
 from typing import List, Optional
 
 from .exterior import ExtForm
-from .groups import GroupSpec, horizontal_fields, is_right_type_via_E
+from .groups import GroupSpec, curvature_entry, horizontal_fields
 from .operators import FirstOrderOp
 from .poly import Poly, x_vars
 from .rational import ComplexRational, I, cq
@@ -82,7 +83,7 @@ class TangentFrame(Frame):
         self.T_upper = {(a, b): raise_primed((self.T_lower[0][a], self.T_lower[1][a]))[b]
                         for a in (0, 1) for b in (0, 1)}
         self.E0 = curvature_form(group)
-        self.right_type = is_right_type_via_E(group)
+        self.right_type = self.E0.is_zero()
 
     def _t_matrix(self) -> List[List[FirstOrderOp]]:
         v = self.vars
@@ -156,45 +157,20 @@ def frak_d(aprime: int, f: ExtForm, frame: Frame, raised: bool = True) -> ExtFor
 # -- curvature --------------------------------------------------------------------------
 
 
-def ambient_rho(group: GroupSpec) -> Poly:
-    """Defining function x_{4n+1} - phi(x) in ambient coordinates."""
-    n = group.n
-    variables = ambient_vars(n)
-    rho = Poly.var(variables, f"x{4 * n + 1}")
-    for i in range(4 * n):
-        for j in range(4 * n):
-            c = group.S[i][j]
-            if c:
-                rho = rho - (Poly.var(variables, f"x{i+1}") *
-                             Poly.var(variables, f"x{j+1}")).scale(ComplexRational(c))
-    return rho
-
-
-def ambient_omega(aprime: int, rho: Poly, n: int) -> ExtForm:
-    """Boundary 1-form: the raised ambient operator applied to the defining function."""
-    return frak_d(aprime, ExtForm.from_scalar(2 * n + 2, rho), ambient_frame(n))
-
-
-def ambient_curvature(rho: Poly, n: int) -> ExtForm:
-    """-d^0 d^1 rho over the full ambient exterior algebra."""
-    return -_dd(ambient_frame(n), ExtForm.from_scalar(2 * n + 2, rho), 0, 1)
-
-
 def curvature_form(group: GroupSpec) -> ExtForm:
-    """Constant tangential curvature 2-form of the group.
+    """Constant tangential curvature 2-form of the group, sum_{a<b} 2 E_{ab} w^a w^b.
 
-    Computed in ambient coordinates as -d^0 d^1 rho and restricted to the
-    tangential index range; the coefficients are constants, re-homed to the
-    group variable table.
+    The entries are :func:`groups.curvature_entry`, the closed form of
+    -d^0 d^1 rho restricted to the tangential indices.
     """
-    n = group.n
-    amb = ambient_curvature(ambient_rho(group), n)
-    gvars = group.vars
+    dim, gvars = 2 * group.n, group.vars
     comps = {}
-    for idx, coeff in amb.comps.items():
-        if max(idx) < 2 * n:
-            comps[idx] = Poly.const(gvars, coeff.constant_term())
-    return ExtForm(2 * n, 2, gvars, comps)
+    for a in range(dim):
+        for b in range(a + 1, dim):
+            entry = curvature_entry(group, a, b)
+            if entry:
+                comps[(a, b)] = Poly.const(gvars, entry).scale(2)
+    return ExtForm._make(dim, 2, gvars, comps)
 
 
 def curvature_component(E: ExtForm, a: int, b: int) -> ComplexRational:
@@ -204,58 +180,6 @@ def curvature_component(E: ExtForm, a: int, b: int) -> ComplexRational:
     if a < b:
         return E.component((a, b)).constant_term() / cq(2)
     return -curvature_component(E, b, a)
-
-
-def expected_curvature_component(group: GroupSpec, a: int, b: int) -> ComplexRational:
-    """Closed-form block expression for the curvature component E_{ab}.
-
-    Derived by expanding the second-order operator pair on the quadratic
-    potential; used as an independent oracle against :func:`curvature_form`.
-    """
-    l, m = a // 2, b // 2
-    s = group.s_block(l, m)
-    if a % 2 == 0 and b % 2 == 0:
-        re = s[2][0] - s[0][2] - s[3][1] + s[1][3]
-        im = -(s[0][3] - s[3][0] + s[1][2] - s[2][1])
-        return ComplexRational(re, im)
-    if a % 2 == 1 and b % 2 == 1:
-        return expected_curvature_component(group, a - 1, b - 1).conjugate()
-    if a % 2 == 0 and b % 2 == 1:
-        re = s[0][0] + s[1][1] + s[2][2] + s[3][3]
-        im = s[3][2] - s[2][3] - s[0][1] + s[1][0]
-        return ComplexRational(re, im)
-    # odd-even: antisymmetry plus the even-odd case with blocks swapped
-    return -expected_curvature_component(group, b, a)
-
-
-# -- ambient tangential fields (zero-Cauchy-data route, used as an oracle) -----------------
-
-
-def ambient_tangential_fields(group: GroupSpec):
-    """Ambient vector fields annihilating the rigid defining function.
-
-    Z_{AC'} = nabla_{AC'} - sum_B' (nabla_{AB'} rho) N_{B'C'} for tangential
-    rows A; the normal block N is the last two rows of the lowered matrix.
-    """
-    n = group.n
-    variables = ambient_vars(n)
-    rho = ambient_rho(group)
-    lowered = ambient_frame(n).Z_lower
-    normal = lowered[2 * n:]
-    rows = []
-    for a in range(2 * n):
-        row = []
-        for cprime in (0, 1):
-            op = lowered[a][cprime]
-            for bprime in (0, 1):
-                grad = lowered[a][bprime].apply(rho)
-                correction = FirstOrderOp(
-                    variables,
-                    {v: grad * c for v, c in normal[bprime][cprime].coeffs.items()})
-                op = op - correction
-            row.append(op)
-        rows.append(row)
-    return rows, rho
 
 
 # -- boundary levels and fields ----------------------------------------------------------

@@ -12,7 +12,6 @@ import io
 import json
 import os
 import sys
-from fractions import Fraction
 
 from .boundary import PreconditionError, TangentFrame
 from .flat import ComplexSpec, check_exactness
@@ -21,6 +20,7 @@ from .ma import (Region, cln_experiment, convergence_experiment,
                  key_identity_check, stokes_check)
 from .poly import Poly
 from .randgen import SectionGenerator
+from .rational import parse_fraction
 from .reports import dumps
 from . import verify as suites
 
@@ -155,7 +155,7 @@ def cmd_symbol(args) -> int:
     vectors = []
     if args.v:
         try:
-            vec = [Fraction(part) for part in args.v.split(",")]
+            vec = [parse_fraction(part) for part in args.v.split(",")]
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"bad covector: {exc}") from None
         if len(vec) != 4 * (args.n + 1):
@@ -184,7 +184,7 @@ def cmd_ma(args) -> int:
     if args.convergence < 0 or args.convergence == 1:
         raise ValueError("--convergence must be 0 (off) or at least 2")
     try:
-        half = Fraction(args.halfwidth)
+        half = parse_fraction(args.halfwidth)
     except ZeroDivisionError as exc:
         raise ValueError(f"bad --halfwidth: {exc}") from None
     group = _load_group(args)

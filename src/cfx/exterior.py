@@ -223,11 +223,6 @@ def wedge(f: ExtForm, g: ExtForm) -> ExtForm:
     return f.wedge(g)
 
 
-def top_form(dim: int, variables) -> ExtForm:
-    """w^0 ^ w^1 ^ ... ^ w^{dim-1}."""
-    return ExtForm.basis(dim, tuple(range(dim)), variables)
-
-
 def kaehler_like_sum(dim: int, variables) -> ExtForm:
     """sum_l w^{2l} ^ w^{2l+1}; requires even dim."""
     if dim % 2:

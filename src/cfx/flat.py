@@ -57,14 +57,14 @@ class ComplexSpec(LevelTable):
         """Per primed index a', per raised frame row: (position, re, im) ints.
 
         Freezing the row's partials at a covector v gives the row's entry
-        sum (re + i im) v[position] of the symbol's 1-form w_{a'}.  Each
-        coefficient of an ambient row is a constant 1, -1, i or -i: one
-        Gaussian-integer term over the denominator 1.
+        sum (re + i im) v[position] of the symbol's 1-form w_{a'}.  The rows
+        of the ambient frame have constant coefficients 1, -1, i or -i, so
+        each kernel row of ``FirstOrderOp.kernel`` is one Gaussian-integer
+        term over the denominator 1.
         """
-        position = {var: i for i, var in enumerate(self.vars)}
         return tuple(
-            tuple(tuple((position[var], *next(iter(p.num.values())))
-                        for var, p in row[aprime].coeffs.items())
+            tuple(tuple((position, re, im)
+                        for position, ((_, re, im),) in row[aprime].kernel()[1])
                   for row in self.frame.Z_upper)
             for aprime in (0, 1))
 

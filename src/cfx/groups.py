@@ -23,7 +23,7 @@ from typing import List
 from .linalg import bareiss
 from .operators import FirstOrderOp
 from .poly import Poly, group_vars
-from .rational import ComplexRational
+from .rational import ComplexRational, parse_fraction
 
 # Two commuting quaternion representations on R^4; each triple satisfies
 # (E^1)^2 = (E^2)^2 = (E^3)^2 = -Id and E^1 E^2 = E^3.
@@ -206,7 +206,7 @@ class GroupSpec:
             # exact input only: a JSON float or boolean would be read inexactly
             if type(n) is not int or any(type(x) not in (str, int) for row in rows for x in row):
                 raise ValueError("group JSON needs an integer n and string or integer S entries")
-            S = tuple(tuple(Fraction(x) for x in row) for row in rows)
+            S = tuple(tuple(parse_fraction(x) for x in row) for row in rows)
         except (KeyError, TypeError, ZeroDivisionError) as exc:
             raise ValueError(f"malformed group JSON: {exc!r}") from None
         return cls(n, S)
@@ -277,20 +277,36 @@ def is_right_type(g: GroupSpec):
     return (not offending), offending
 
 
+def curvature_entry(g: GroupSpec, a: int, b: int) -> ComplexRational:
+    """Closed-form component E_{ab} of the tangential curvature 2-form.
+
+    Expanding -d^0 d^1 rho on the quadratic potential leaves linear
+    combinations of the entries of the 4x4 block (a // 2, b // 2) of S.
+    """
+    s = g.s_block(a // 2, b // 2)
+    if a % 2 == 0 and b % 2 == 0:
+        re = s[2][0] - s[0][2] - s[3][1] + s[1][3]
+        im = -(s[0][3] - s[3][0] + s[1][2] - s[2][1])
+        return ComplexRational(re, im)
+    if a % 2 == 1 and b % 2 == 1:
+        return curvature_entry(g, a - 1, b - 1).conjugate()
+    if a % 2 == 0 and b % 2 == 1:
+        re = s[0][0] + s[1][1] + s[2][2] + s[3][3]
+        im = s[3][2] - s[2][3] - s[0][1] + s[1][0]
+        return ComplexRational(re, im)
+    # odd-even: antisymmetry plus the even-odd case with blocks swapped
+    return -curvature_entry(g, b, a)
+
+
 def is_right_type_via_E(g: GroupSpec) -> bool:
-    """Independent route: four linear conditions on every 4x4 block of S."""
-    for l in range(g.n):
-        for m in range(g.n):
-            s = g.s_block(l, m)
-            conditions = (
-                s[0][0] + s[1][1] + s[2][2] + s[3][3],
-                s[0][1] - s[1][0] + s[2][3] - s[3][2],
-                s[0][2] - s[2][0] - s[1][3] + s[3][1],
-                s[0][3] - s[3][0] + s[1][2] - s[2][1],
-            )
-            if any(c != 0 for c in conditions):
-                return False
-    return True
+    """Independent route: the curvature 2-form vanishes.
+
+    The entries with odd a are conjugates or negatives of those with even a,
+    so it is enough that E_{2l,2m} and E_{2l,2m+1} vanish: their real and
+    imaginary parts are four linear conditions on each 4x4 block of S.
+    """
+    return not any(curvature_entry(g, a, b)
+                   for a in range(0, 2 * g.n, 2) for b in range(2 * g.n))
 
 
 # -- horizontal fields -------------------------------------------------------------------

@@ -12,19 +12,16 @@ the sampled sup norms are the one inexact quantity.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Sequence
 
 from .boundary import TangentFrame, frak_d
-from .exterior import ExtForm, kaehler_like_sum, merge_sign, top_form
+from .exterior import ExtForm, kaehler_like_sum, merge_sign
 from .poly import Poly
 from .quadrature import SeparableSum, integrate_poly_box, integrate_poly_face
 from .rational import ZERO, ComplexRational
-
-log = logging.getLogger(__name__)
 
 
 # -- region ------------------------------------------------------------------------------
@@ -88,20 +85,6 @@ def triangle_form(f: ExtForm, frame: TangentFrame) -> ExtForm:
     return frak_d(0, frak_d(1, f, frame, raised=False), frame, raised=False)
 
 
-def ma_power(us: Sequence[Poly], frame: TangentFrame) -> ExtForm:
-    """Wedge of the degree-2 forms of the inputs; zero with a notice past top degree."""
-    frame.require_right_type()
-    p = len(us)
-    if p > frame.n:
-        log.warning("wedge power %d exceeds top degree %d; returning the zero form",
-                    p, frame.n)
-        return ExtForm.zero(frame.dim, 2 * p, frame.vars)
-    out = triangle(us[0], frame)
-    for u in us[1:]:
-        out = out.wedge(triangle(u, frame))
-    return out
-
-
 def key_identity_check(us: Sequence[Poly], frame: TangentFrame) -> dict:
     """Four independent evaluations of the top wedge power must agree exactly.
 
@@ -145,10 +128,6 @@ def integrate_top(F: ExtForm, region: Region) -> ComplexRational:
 
 def beta_form(frame: TangentFrame) -> ExtForm:
     return kaehler_like_sum(frame.dim, frame.vars)
-
-
-def volume_form(frame: TangentFrame) -> ExtForm:
-    return top_form(frame.dim, frame.vars)
 
 
 # -- Stokes-type boundary formula -------------------------------------------------------
@@ -254,26 +233,20 @@ def bump_for_region(region: Region) -> SeparableSum:
     return SeparableSum.product(region.naxes, factors)
 
 
-def _axis_of(frame: TangentFrame) -> dict:
-    return {name: i for i, name in enumerate(frame.vars)}
-
-
 def separable_triangle(chi: SeparableSum, frame: TangentFrame) -> Dict[tuple, SeparableSum]:
     """Components (a < b) of the degree-2 operator on a factored scalar."""
-    axis_of = _axis_of(frame)
-    z0 = [chi.apply_op(frame.Z_lower[a][0], axis_of) for a in range(frame.dim)]
+    z0 = [chi.apply_op(frame.Z_lower[a][0]) for a in range(frame.dim)]
     out = {}
     for a in range(frame.dim):
         for b in range(a + 1, frame.dim):
-            pos = z0[a].apply_op(frame.Z_lower[b][1], axis_of)
-            neg = z0[b].apply_op(frame.Z_lower[a][1], axis_of)
+            pos = z0[a].apply_op(frame.Z_lower[b][1])
+            neg = z0[b].apply_op(frame.Z_lower[a][1])
             out[(a, b)] = pos - neg
     return out
 
 
 def separable_first(chi: SeparableSum, frame: TangentFrame, aprime: int) -> Dict[int, SeparableSum]:
-    axis_of = _axis_of(frame)
-    return {a: chi.apply_op(frame.Z_lower[a][aprime], axis_of) for a in range(frame.dim)}
+    return {a: chi.apply_op(frame.Z_lower[a][aprime]) for a in range(frame.dim)}
 
 
 def _wedge_complement_pairs(parts: dict, other: ExtForm):

@@ -13,10 +13,10 @@ from .rational import cq
 class FirstOrderOp:
     """sum_v  coeff_v(x) * d/dv  with Poly coefficients.
 
-    Applications run one integer kernel, built on first use because most
-    frame-building intermediates are never applied: ``den`` is the lcm of
-    the coefficient denominators, and each c_v is stored as (index of v,
-    the ``(expo, re, im)`` terms of den * c_v), ``expo`` None for a constant.
+    :meth:`kernel` is the operator's one integer coefficient table: every
+    application (``apply_into``, ``quadrature.SeparableSum.apply_op``) and
+    the flat symbol's covector rows read it.  It is built on first use,
+    because most frame-building intermediates are never applied.
     """
 
     __slots__ = ("vars", "coeffs", "_kernel")
@@ -43,8 +43,13 @@ class FirstOrderOp:
         variables = tuple(variables)
         return cls(variables, {name: Poly.const(variables, coeff)})
 
-    def _rows(self) -> tuple:
-        """(den, [(variable index, [(expo or None, re, im), ...]), ...])."""
+    def kernel(self) -> tuple:
+        """(den, [(variable index, [(expo or None, re, im), ...]), ...]).
+
+        ``den`` is the lcm of the coefficient denominators; each c_v becomes
+        the index of v and the ``(expo, re, im)`` terms of den * c_v, with
+        ``expo`` None for the constant term.
+        """
         if self._kernel is None:
             den = lcm(1, *(c.den for c in self.coeffs.values()))
             zero = (0,) * len(self.vars)
@@ -60,7 +65,7 @@ class FirstOrderOp:
     @property
     def den(self) -> int:
         """Common denominator of the coefficients: den * c_v has integer numerators."""
-        return self._rows()[0]
+        return self.kernel()[0]
 
     def apply_into(self, out: dict, num: dict, mult: int) -> dict:
         """Add mult * den * sum_v c_v d_v p, for p's numerators ``num`` and an
@@ -69,7 +74,7 @@ class FirstOrderOp:
         An entry that cancels to (0, 0) is deleted at once, so callers summing
         many applications (``boundary.frak_d``) build one ``Poly`` per result.
         """
-        for idx, terms in self._rows()[1]:
+        for idx, terms in self.kernel()[1]:
             for expo, (re, im) in num.items():
                 e = expo[idx]
                 if not e:

@@ -28,7 +28,7 @@ from collections.abc import Mapping
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .rational import ComplexRational, ONE, ZERO, cq
 
@@ -390,16 +390,3 @@ class Poly:
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed polynomial JSON: {exc!r}") from None
 
-
-def poly_diff(p: Poly, var: str) -> Poly:
-    """Module-level alias for :meth:`Poly.diff`."""
-    return p.diff(var)
-
-
-def flat_laplacian(p: Poly, names: Iterable[str] | None = None) -> Poly:
-    """Sum of second partials over ``names`` (all variables by default)."""
-    names = tuple(names) if names is not None else p.vars
-    out = Poly.zero(p.vars)
-    for name in names:
-        out = out + p.diff(name).diff(name)
-    return out

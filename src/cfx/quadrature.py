@@ -214,19 +214,19 @@ class SeparableSum:
         self._fold(out, axis, [([], 1, 0)])
         return SeparableSum._make(self.naxes, out, self.den)
 
-    def apply_op(self, op, axis_of) -> "SeparableSum":
-        """Apply a FirstOrderOp; ``axis_of`` maps variable names to axes.
+    def apply_op(self, op) -> "SeparableSum":
+        """Apply a FirstOrderOp over the same variables, axis i for variable i.
 
-        The coefficient polynomials are brought over one denominator, so each
-        output term is one Gaussian-integer product, merged into one dict.
+        Each row of ``op.kernel()`` is folded in as it stands: its variable
+        index is the axis it differentiates, and its terms are already
+        Gaussian-integer numerators over the operator's ``den``.
         """
-        common = lcm(1, *(c.den for c in op.coeffs.values()))
+        den, rows = op.kernel()
         out: dict = {}
-        for var, coeff in op.coeffs.items():
-            lift = common // coeff.den
-            self._fold(out, axis_of[var], [(_shifts(expo), re * lift, im * lift)
-                                           for expo, (re, im) in coeff.num.items()])
-        return SeparableSum._make(self.naxes, out, self.den * common)
+        for axis, terms in rows:
+            self._fold(out, axis, [(_shifts(expo) if expo else [], re, im)
+                                   for expo, re, im in terms])
+        return SeparableSum._make(self.naxes, out, self.den * den)
 
     def _fold(self, out: dict, axis, monomials: list) -> None:
         """Merge into ``out`` the numerators of d/dx_axis (no derivative when

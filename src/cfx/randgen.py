@@ -2,8 +2,8 @@
 
 Every verification run records its master seed; per-trial generators are
 derived deterministically so that identical configurations reproduce
-byte-identical reports.  Coefficients are small integers (optionally with a
-small imaginary part) so all downstream algebra stays exact.
+byte-identical reports.  Coefficients are small Gaussian integers, so all
+downstream algebra stays exact.
 """
 
 from __future__ import annotations
@@ -17,30 +17,30 @@ from .poly import Poly
 from .rational import ComplexRational
 from .spinor import SpinorField
 
+# Bound on the real and imaginary parts of a random coefficient.
+COEFF_BOUND = 3
+
+
 class SectionGenerator:
     """Deterministic sparse random polynomials, forms and slot fields."""
 
-    def __init__(self, seed: int, degree: int = 3, terms: int = 3,
-                 coeff_bound: int = 3, complex_coeffs: bool = True):
+    def __init__(self, seed: int, degree: int = 3, terms: int = 3):
         self.seed = seed
         self.degree = degree
         self.terms = terms
-        self.coeff_bound = coeff_bound
-        self.complex_coeffs = complex_coeffs
         self.rng = random.Random(seed)
 
     def spawn(self, tag: int) -> "SectionGenerator":
         """Child generator with a derived seed (stable across runs)."""
-        return SectionGenerator(self.seed * 1_000_003 + tag, self.degree,
-                                self.terms, self.coeff_bound, self.complex_coeffs)
+        return SectionGenerator(self.seed * 1_000_003 + tag, self.degree, self.terms)
 
     def coefficient(self) -> ComplexRational:
-        b = self.coeff_bound
+        """Nonzero real part and any imaginary part, both within COEFF_BOUND."""
+        b = COEFF_BOUND
         re = self.rng.randint(-b, b)
         while re == 0:
             re = self.rng.randint(-b, b)
-        im = self.rng.randint(-b, b) if self.complex_coeffs else 0
-        return ComplexRational(re, im)
+        return ComplexRational(re, self.rng.randint(-b, b))
 
     def exponents(self, nvars: int, degree=None) -> tuple:
         degree = self.degree if degree is None else degree

@@ -10,6 +10,28 @@ from __future__ import annotations
 from fractions import Fraction
 
 
+# Fraction("1e10000000") builds 10**10**7, in time quadratic in the exponent,
+# so outside input with a decimal exponent larger than this is refused.
+MAX_DECIMAL_EXPONENT = 10_000
+
+
+def parse_fraction(value) -> Fraction:
+    """Fraction(value) for outside input: an int or an int, decimal or ratio string.
+
+    A decimal exponent above MAX_DECIMAL_EXPONENT in size is a ValueError.
+    """
+    if isinstance(value, str):
+        _, e, exponent = value.lower().rpartition("e")
+        try:
+            huge = bool(e) and abs(int(exponent)) > MAX_DECIMAL_EXPONENT
+        except ValueError:  # no exponent after all: Fraction judges the text
+            huge = False
+        if huge:
+            raise ValueError(f"decimal exponent of {value[:40]!r} is above "
+                             f"{MAX_DECIMAL_EXPONENT} in size")
+    return Fraction(value)
+
+
 class ComplexRational:
     """Immutable complex number with Fraction real/imaginary parts."""
 
@@ -113,7 +135,7 @@ class ComplexRational:
                 and all(type(p) in (str, int) for p in parts)):
             raise ValueError(f"exact coefficients are strings or integers, not {data!r}")
         try:
-            return cls(Fraction(parts[0]), Fraction(parts[1]))
+            return cls(parse_fraction(parts[0]), parse_fraction(parts[1]))
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in exact coefficient {data!r}") from None
 

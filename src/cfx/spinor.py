@@ -28,65 +28,11 @@ from typing import Dict, List, Sequence
 
 from .exterior import ExtForm
 
-# Lower/raise tables: eps_lower[a][b] and its inverse eps_upper[a][b].
-EPS_LOWER = ((Fraction(0), Fraction(1)), (Fraction(-1), Fraction(0)))
-EPS_UPPER = ((Fraction(0), Fraction(-1)), (Fraction(1), Fraction(0)))
-
-
-class EpsilonTable:
-    """The 2x2 symplectic pairing used to raise and lower primed indices."""
-
-    lower = EPS_LOWER
-    upper = EPS_UPPER
-
-    @staticmethod
-    def check_inverse() -> bool:
-        prod_ = [
-            [
-                sum(EPS_LOWER[i][k] * EPS_UPPER[k][j] for k in range(2))
-                for j in range(2)
-            ]
-            for i in range(2)
-        ]
-        return prod_ == [[1, 0], [0, 1]]
-
-
 def raise_primed(pair):
     """(f_0, f_1) -> (f^0, f^1) with f^a = sum_b f_b eps^{ba}."""
     f0, f1 = pair
     # eps^{10} = 1, eps^{01} = -1
     return (f1, -f0)
-
-
-def lower_primed(pair):
-    """(f^0, f^1) -> (f_0, f_1) with f_c = sum_a f^a eps_{ac}."""
-    g0, g1 = pair
-    # eps_{10} = -1, eps_{01} = 1
-    return (-g1, g0)
-
-
-def sym_basis_derivative(a: int, sigma: int, aprime: int):
-    """Action of the derivation d_{aprime} on descending-basis element (a, sigma).
-
-    Returns (a', sigma-1) or None when the result is zero by convention.
-    """
-    if not 0 <= a <= sigma:
-        raise ValueError(f"slot {a} out of range for degree {sigma}")
-    if aprime not in (0, 1):
-        raise ValueError("primed index must be 0 or 1")
-    new_a = a - aprime
-    if not 0 <= new_a <= sigma - 1:
-        return None
-    return (new_a, sigma - 1)
-
-
-def tilde_basis_multiply(a: int, sigma: int, aprime: int):
-    """Action of multiplication m_{aprime} on ascending-basis element (a, sigma)."""
-    if not 0 <= a <= sigma:
-        raise ValueError(f"slot {a} out of range for degree {sigma}")
-    if aprime not in (0, 1):
-        raise ValueError("primed index must be 0 or 1")
-    return (a + aprime, sigma + 1)
 
 
 def ones_count(idx: Sequence[int]) -> int:
@@ -257,21 +203,6 @@ def tuple_to_slots(field: SpinorField, basis: str) -> SpinorField:
             form = form.scale(comb(s, a))
         slots.append(form)
     return SpinorField(s, basis, slots)
-
-
-def slots_to_tuple(field: SpinorField) -> SpinorField:
-    """Inverse of :func:`tuple_to_slots`."""
-    if field.basis == "tuple":
-        raise ValueError("field already in tuple basis")
-    s = field.sigma
-    comps = {}
-    for idx in product((0, 1), repeat=s):
-        a = ones_count(idx)
-        form = field.slots[a]
-        if field.basis == "tilde":
-            form = form.scale(Fraction(1, comb(s, a)))
-        comps[idx] = form
-    return SpinorField(s, "tuple", comps)
 
 
 class LevelTable:

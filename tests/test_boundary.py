@@ -3,22 +3,86 @@ from fractions import Fraction
 
 import pytest
 
-from cfx.boundary import (BoundaryField, BoundarySpec, TangentFrame, ambient_curvature, ambient_frame,
-                          ambient_omega, ambient_rho, ambient_tangential_fields,
+from cfx.boundary import (BoundaryField, BoundarySpec, TangentFrame, ambient_frame, ambient_vars,
                           anticommutation_defect, boundary_D, bracket_identity,
                           curvature_component, curvature_form,
-                          expected_curvature_component, frak_d, hodge_diag, horizontal_pair_identity,
+                          frak_d, hodge_diag, horizontal_pair_identity,
                           lead_first_adjoint_compose, sub_laplacian,
                           subcomplex_D, verify_anticommute)
 from cfx.exterior import ExtForm
-from cfx.groups import GroupSpec
+from cfx.groups import GroupSpec, curvature_entry, is_right_type
 from cfx.operators import FirstOrderOp
 from cfx.poly import Poly
 from cfx.randgen import SectionGenerator
-from cfx.rational import cq
+from cfx.rational import ComplexRational, cq
 from cfx.spinor import SpinorField
 from cfx.verify import (boundary_composition_suite, random_boundary_field,
                         subcomplex_suite)
+
+
+# -- ambient references: the defining function and the fields that annihilate it ----------
+
+
+def ambient_rho(group: GroupSpec) -> Poly:
+    """Defining function x_{4n+1} - phi(x) in ambient coordinates."""
+    n = group.n
+    variables = ambient_vars(n)
+    rho = Poly.var(variables, f"x{4 * n + 1}")
+    for i in range(4 * n):
+        for j in range(4 * n):
+            c = group.S[i][j]
+            if c:
+                rho = rho - (Poly.var(variables, f"x{i+1}") *
+                             Poly.var(variables, f"x{j+1}")).scale(ComplexRational(c))
+    return rho
+
+
+def ambient_omega(aprime: int, rho: Poly, n: int) -> ExtForm:
+    """Boundary 1-form: the raised ambient operator applied to the defining function."""
+    return frak_d(aprime, ExtForm.from_scalar(2 * n + 2, rho), ambient_frame(n))
+
+
+def ambient_curvature(rho: Poly, n: int) -> ExtForm:
+    """-d^0 d^1 rho over the full ambient exterior algebra."""
+    flat = ambient_frame(n)
+    return -frak_d(0, frak_d(1, ExtForm.from_scalar(2 * n + 2, rho), flat), flat)
+
+
+def restricted_curvature(group: GroupSpec) -> ExtForm:
+    """The ambient curvature of rho on the tangential indices, over the group's variables."""
+    n = group.n
+    amb = ambient_curvature(ambient_rho(group), n)
+    return ExtForm(2 * n, 2, group.vars,
+                   {idx: Poly.const(group.vars, coeff.constant_term())
+                    for idx, coeff in amb.comps.items() if max(idx) < 2 * n})
+
+
+def ambient_tangential_fields(group: GroupSpec):
+    """Ambient vector fields annihilating the rigid defining function.
+
+    Z_{AC'} = nabla_{AC'} - sum_B' (nabla_{AB'} rho) N_{B'C'} for tangential
+    rows A; the normal block N is the last two rows of the lowered matrix.
+    """
+    n = group.n
+    variables = ambient_vars(n)
+    rho = ambient_rho(group)
+    lowered = ambient_frame(n).Z_lower
+    normal = lowered[2 * n:]
+    rows = []
+    for a in range(2 * n):
+        row = []
+        for cprime in (0, 1):
+            op = lowered[a][cprime]
+            for bprime in (0, 1):
+                grad = lowered[a][bprime].apply(rho)
+                correction = FirstOrderOp(
+                    variables,
+                    {v: grad * c for v, c in normal[bprime][cprime].coeffs.items()})
+                op = op - correction
+            row.append(op)
+        rows.append(row)
+    return rows, rho
+
 
 RIGHT1 = TangentFrame(GroupSpec.right_qh(1))
 LEFT1 = TangentFrame(GroupSpec.left_qh(1))
@@ -220,15 +284,31 @@ def test_curvature_examples():
     assert curvature_component(E, 1, 1) == cq(0)
 
 
+def _seeded_groups(seed: int, count: int):
+    """Groups for n = 1, 2, 3, alternately symmetric and right-type, entries
+    over the denominators 2, 3, 4 and 5 in turn."""
+    gen = SectionGenerator(seed)
+    for n in (1, 2, 3):
+        for t in range(count):
+            g = gen.spawn(10 * n + t)
+            S = g.right_type_matrix(n) if t % 2 else g.symmetric_matrix(4 * n)
+            den = 2 + t % 4
+            yield GroupSpec(n, tuple(tuple(x / den for x in row) for row in S))
+
+
 def test_curvature_matches_block_formulas():
-    gen = SectionGenerator(77)
-    for t in range(5):
-        S = gen.spawn(t).symmetric_matrix(8)
-        group = GroupSpec(2, tuple(tuple(r) for r in S))
+    # the closed-form entries against -d^0 d^1 rho, restricted, as exact
+    # forms, on 60 groups
+    groups = list(_seeded_groups(77, 20))
+    zero = 0
+    for group in groups:
         E = curvature_form(group)
-        for a in range(4):
-            for b in range(4):
-                assert curvature_component(E, a, b) == expected_curvature_component(group, a, b)
+        assert E == restricted_curvature(group)
+        zero += E.is_zero()
+        for a in range(2 * group.n):
+            for b in range(2 * group.n):
+                assert curvature_component(E, a, b) == curvature_entry(group, a, b)
+    assert 0 < zero < len(groups)
 
 
 def test_curvature_conjugate_pairing():
@@ -244,12 +324,13 @@ def test_curvature_conjugate_pairing():
 
 
 def test_curvature_zero_iff_right_type():
-    gen = SectionGenerator(55)
-    from cfx.groups import is_right_type_via_E
-    for t in range(8):
-        S = gen.spawn(t).symmetric_matrix(4)
-        group = GroupSpec(1, tuple(tuple(r) for r in S))
-        assert curvature_form(group).is_zero() == is_right_type_via_E(group)
+    # against the bracket-projection route, which never reads the curvature
+    seen = set()
+    for group in _seeded_groups(55, 6):
+        zero = curvature_form(group).is_zero()
+        assert zero == is_right_type(group)[0] == TangentFrame(group).right_type
+        seen.add(zero)
+    assert seen == {True, False}
 
 
 def test_general_polynomial_defining_function():

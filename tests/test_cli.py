@@ -451,6 +451,43 @@ def test_ma_box_below_the_float_range_is_rejected_before_any_work(monkeypatch, c
     assert "float range" in err
 
 
+def _huge_exponent_argv(site, tmp_path):
+    huge = "1e10000000"
+    if site == "halfwidth":
+        return ["ma", "--group", "rightQH", "--n", "1", "--halfwidth", huge]
+    if site == "u":
+        names = '["x1", "x2", "x3", "x4", "t1", "t2", "t3"]'
+        path = tmp_path / "u.json"
+        path.write_text(f'[{{"vars": {names}, "terms": [{{"c": ["{huge}", "0"], '
+                        f'"e": [2, 0, 0, 0, 0, 0, 0]}}]}}]')
+        return ["ma", "--group", "rightQH", "--n", "1", "--u", str(path)]
+    if site == "S":
+        path = tmp_path / "g.json"
+        rows = [[huge if i == j == 0 else "0" for j in range(4)] for i in range(4)]
+        path.write_text(json.dumps({"n": 1, "S": rows}))
+        return ["ma", "--file", str(path)]
+    return ["symbol", "--n", "1", "--v", ",".join([huge] + ["0"] * 7)]
+
+
+@pytest.mark.parametrize("site", ["halfwidth", "u", "S", "v"])
+def test_huge_decimal_exponent_exits_2_at_once(monkeypatch, tmp_path, capsys, site):
+    # Fraction("1e10000000") would build 10**10**7 for about 12 s: every site
+    # that reads an outside number refuses the exponent before that
+    import time
+    import cfx.cli as cli
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("cfx ma did work on an input it must reject")
+
+    monkeypatch.setattr(cli, "TangentFrame", forbidden)
+    argv = _huge_exponent_argv(site, tmp_path)
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    _assert_input_error(code, out, err)
+    assert "exponent" in err
+
+
 def test_ma_zero_input_has_zero_mass_and_fails(tmp_path, capsys):
     # three equal masses that are all 0 check nothing: the cutoff mass fails
     names = '["x1", "x2", "x3", "x4", "t1", "t2", "t3"]'

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from cfx.exterior import (ExtForm, from_hat_components, hat_component,
-                          kaehler_like_sum, merge_sign, top_form, wedge)
+                          kaehler_like_sum, merge_sign, wedge)
 from cfx.poly import Poly, x_vars
 from cfx.randgen import SectionGenerator
 
@@ -12,6 +12,11 @@ V = x_vars(4)
 
 def w(*idx):
     return ExtForm.basis(4, idx, V)
+
+
+def top_form(dim: int, variables) -> ExtForm:
+    """Reference: w^0 ^ w^1 ^ ... ^ w^{dim-1}."""
+    return ExtForm.basis(dim, tuple(range(dim)), variables)
 
 
 def test_wedge_antisymmetry_of_basis():

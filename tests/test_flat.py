@@ -3,10 +3,11 @@ import pytest
 from cfx.boundary import ambient_frame, frak_d
 from cfx.exterior import ExtForm
 from cfx.flat import ComplexSpec, flat_D, flat_D_tuple
-from cfx.poly import Poly, flat_laplacian, x_vars
+from cfx.poly import Poly, x_vars
 from cfx.randgen import SectionGenerator
 from cfx.rational import cq
 from cfx.verify import flat_composition_suite, flat_tuple_equivalence_suite
+from test_poly import flat_laplacian
 
 V8 = x_vars(8)
 FLAT1 = ambient_frame(1)

@@ -203,6 +203,22 @@ def right_type_group(gen, n):
     return GroupSpec(n, tuple(tuple(r) for r in gen.right_type_matrix(n)))
 
 
+def four_conditions(s) -> tuple:
+    """The four linear conditions on a 4x4 block of S: trace and three skew combinations."""
+    return (
+        s[0][0] + s[1][1] + s[2][2] + s[3][3],
+        s[0][1] - s[1][0] + s[2][3] - s[3][2],
+        s[0][2] - s[2][0] - s[1][3] + s[3][1],
+        s[0][3] - s[3][0] + s[1][2] - s[2][1],
+    )
+
+
+def is_right_type_via_conditions(g: GroupSpec) -> bool:
+    """Reference: the four linear conditions hold on every 4x4 block of S."""
+    return not any(any(four_conditions(g.s_block(l, m)))
+                   for l in range(g.n) for m in range(g.n))
+
+
 def test_right_type_examples():
     assert is_right_type(GroupSpec.right_qh(2))[0]
     ok, certificate = is_right_type(GroupSpec.left_qh(2))
@@ -222,7 +238,37 @@ def test_classification_routes_agree_randomly():
         g2 = gen.spawn(t)
         n = g2.rng.choice([1, 2, 3])
         g = right_type_group(g2, n) if t % 3 == 0 else random_group(g2, n)
-        assert is_right_type(g)[0] == is_right_type_via_E(g)
+        assert is_right_type(g)[0] == is_right_type_via_E(g) == is_right_type_via_conditions(g)
+
+
+def test_curvature_route_matches_the_four_conditions_one_violation_at_a_time():
+    # from a right-type matrix, break one condition in one block and its
+    # mirror: s00 enters only the trace, s01, s02 and s03 only one skew
+    # combination each; a diagonal block is symmetric, so there only the
+    # trace can fail
+    gen = SectionGenerator(45)
+    cases = 0
+    for t, n in enumerate((1, 2, 3)):
+        base = gen.spawn(t).right_type_matrix(n)
+        assert is_right_type_via_E(GroupSpec(n, tuple(map(tuple, base))))
+        for l in range(n):
+            for m in range(l, n):
+                for j in range(4) if l != m else (0,):
+                    for eps in (Fraction(1, 3), Fraction(-2, 5)):
+                        S = [list(row) for row in base]
+                        S[4 * l][4 * m + j] += eps
+                        if (l, j) != (m, 0):
+                            S[4 * m + j][4 * l] += eps
+                        g = GroupSpec(n, tuple(map(tuple, S)))
+                        failed = [(bl, bm) for bl in range(n) for bm in range(n)
+                                  if any(four_conditions(g.s_block(bl, bm)))]
+                        assert set(failed) == {(l, m), (m, l)}
+                        assert sum(map(bool, four_conditions(g.s_block(l, m)))) == 1
+                        assert not is_right_type_via_conditions(g)
+                        assert not is_right_type_via_E(g)
+                        assert not is_right_type(g)[0]
+                        cases += 1
+    assert cases == 2 * (1 + 6 + 15)
 
 
 def test_right_type_generator_hits_true_branch():

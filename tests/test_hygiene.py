@@ -144,6 +144,39 @@ def test_every_public_definition_is_named_elsewhere():
     assert not orphans, f"public definitions named nowhere else: {orphans}"
 
 
+def _acceptance_imports() -> set:
+    """Names that tests/test_acceptance.py imports from the package."""
+    tree = _tree(REPO / "tests" / "test_acceptance.py")
+    return {alias.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("cfx")
+            for alias in node.names}
+
+
+def test_every_public_definition_has_a_caller_outside_the_tests():
+    # a public function or class that only tests name is test code: it belongs
+    # in the test module that uses it, as a reference or a helper.  A
+    # re-export in __init__.py calls nothing, so it does not count; the names
+    # the acceptance suite imports stay, because that suite is the fixed gate
+    callers = {p: p.read_text(encoding="utf-8").splitlines()
+               for folder in ("src", "scripts", "bench")
+               for p in sorted((REPO / folder).rglob("*.py"))
+               if p != PACKAGE / "__init__.py"}
+    allowed = _acceptance_imports()
+    test_only = []
+    for path in MODULES:
+        for node in _tree(path).body:
+            if (not isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    or node.name.startswith("_") or node.name in allowed):
+                continue
+            word = re.compile(rf"\b{node.name}\b")
+            own = range(node.lineno, node.end_lineno + 1)
+            if not any(word.search(line) for p, lines in callers.items()
+                       for number, line in enumerate(lines, 1)
+                       if not (p == path and number in own)):
+                test_only.append(f"{path.name}: {node.name}")
+    assert not test_only, f"public definitions only the tests call: {test_only}"
+
+
 # float() and complex() calls the exact package makes: `cfx ma` rounds its exact
 # values once, where the report is written, and samples its sup norms in floats
 FLOAT_CALLS = {("ma.py", "_float"): {"float"},

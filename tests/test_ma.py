@@ -1,5 +1,7 @@
+import logging
 from fractions import Fraction
 from math import factorial
+from typing import Sequence
 
 import pytest
 
@@ -9,12 +11,37 @@ from cfx.exterior import ExtForm, from_hat_components
 from cfx.groups import GroupSpec
 from cfx.ma import (Region, approximation_masses, beta_form, bump_for_region,
                     cln_experiment, convergence_experiment, integrate_top,
-                    key_identity_check, ma_power, stokes_check, sup_norm_on_grid,
-                    top_coefficient, triangle, volume_form)
+                    key_identity_check, stokes_check, sup_norm_on_grid,
+                    top_coefficient, triangle)
 from cfx.poly import Poly
 from cfx.quadrature import SeparableSum, integrate_poly_face
 from cfx.randgen import SectionGenerator
 from cfx.rational import ZERO, cq
+
+
+log = logging.getLogger(__name__)
+
+
+# -- references: the wedge power of the inputs' degree-2 forms and the volume form --------
+
+
+def ma_power(us: Sequence[Poly], frame: TangentFrame) -> ExtForm:
+    """Wedge of the degree-2 forms of the inputs; zero with a notice past top degree."""
+    frame.require_right_type()
+    p = len(us)
+    if p > frame.n:
+        log.warning("wedge power %d exceeds top degree %d; returning the zero form",
+                    p, frame.n)
+        return ExtForm.zero(frame.dim, 2 * p, frame.vars)
+    out = triangle(us[0], frame)
+    for u in us[1:]:
+        out = out.wedge(triangle(u, frame))
+    return out
+
+
+def volume_form(frame: TangentFrame) -> ExtForm:
+    """w^0 ^ w^1 ^ ... ^ w^{dim-1} on the frame's form indices."""
+    return ExtForm.basis(frame.dim, tuple(range(frame.dim)), frame.vars)
 
 
 @pytest.fixture(scope="module")

@@ -4,10 +4,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cfx.poly import Poly, flat_laplacian, poly_diff, x_vars
+from cfx.poly import Poly, x_vars
 from cfx.rational import ComplexRational, cq
 
 V = x_vars(4) + ("t1",)
+
+
+def poly_diff(p: Poly, var: str) -> Poly:
+    """Function form of :meth:`Poly.diff`."""
+    return p.diff(var)
+
+
+def flat_laplacian(p: Poly, names=None) -> Poly:
+    """Sum of second partials over ``names`` (all variables by default)."""
+    names = tuple(names) if names is not None else p.vars
+    out = Poly.zero(p.vars)
+    for name in names:
+        out = out + p.diff(name).diff(name)
+    return out
 
 
 def p_var(name):

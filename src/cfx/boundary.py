@@ -7,8 +7,11 @@ through the constant curvature 2-form of the group, which vanishes exactly
 on right-type groups, and through the central translations.
 
 Both complexes apply the rows of one :class:`Frame` through :func:`frak_d`:
-a group's tangential frame is built from its horizontal fields, the flat
-complex's :func:`ambient_frame` from the coordinate partials.
+a group's tangential frame is built from its horizontal fields (one
+integer numerator dict per coefficient, :func:`groups.horizontal_fields`),
+the flat complex's :func:`ambient_frame` from the coordinate partials.  The
+ambient frame depends only on n, so it is built once per n and shared by
+every flat spec at that n, with the operator kernels it has built.
 
 Only rigid (group) frames are assembled here.  The curvature 2-form E0 is
 built from the closed-form entries :func:`groups.curvature_entry`; the
@@ -21,6 +24,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 from typing import List, Optional
 
@@ -46,28 +50,36 @@ class Frame:
     Row 2l+1: ( X_{4l+3} - i X_{4l+4},   X_{4l+1} - i X_{4l+2} )
 
     Raised rows: column 0 is the lowered column 1, column 1 minus column 0.
+    ``X``, ``Z_lower`` and ``Z_upper`` and their rows are tuples, because
+    one frame can serve many callers (:func:`ambient_frame`).
     """
 
     def __init__(self, variables, fields: List[FirstOrderOp]):
         if len(fields) % 4:
             raise ValueError("a frame needs 4m real fields")
         self.vars = tuple(variables)
-        self.X = list(fields)
+        self.X = tuple(fields)
         self.dim = len(self.X) // 2
-        self.Z_lower = []
+        lower = []
         for l in range(len(self.X) // 4):
             x1, x2, x3, x4 = self.X[4 * l:4 * l + 4]
-            self.Z_lower.append([x1 + x2.scale(I), (x3 + x4.scale(I)).scale(-1)])
-            self.Z_lower.append([x3 - x4.scale(I), x1 - x2.scale(I)])
-        self.Z_upper = [list(raise_primed(row)) for row in self.Z_lower]
+            lower.append((x1 + x2.scale(I), (x3 + x4.scale(I)).scale(-1)))
+            lower.append((x3 - x4.scale(I), x1 - x2.scale(I)))
+        self.Z_lower = tuple(lower)
+        self.Z_upper = tuple(raise_primed(row) for row in self.Z_lower)
 
 
 def ambient_vars(n: int) -> tuple:
     return x_vars(4 * (n + 1))
 
 
+@lru_cache(maxsize=None)
 def ambient_frame(n: int) -> Frame:
-    """The flat frame on R^{4(n+1)}: rows of constant-coefficient partials."""
+    """The flat frame on R^{4(n+1)}: rows of constant-coefficient partials.
+
+    A constant of n, built once per process: every caller at one n shares
+    the frame and the integer kernels its operators build on first use.
+    """
     variables = ambient_vars(n)
     return Frame(variables, [FirstOrderOp.partial(variables, v) for v in variables])
 

@@ -188,6 +188,9 @@ def cmd_ma(args) -> int:
     except ZeroDivisionError as exc:
         raise ValueError(f"bad --halfwidth: {exc}") from None
     group = _load_group(args)
+    # before any input is read or drawn: a huge power would draw that many
+    if not 1 <= args.power <= group.n:
+        raise ValueError("need between 1 and n inputs")
     us = _read_json(args.u, _parse_inputs) if args.u else None
     if us is not None and len(us) < args.power:
         raise ValueError(f"--power {args.power} needs {args.power} polynomials; "

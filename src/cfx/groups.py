@@ -313,21 +313,25 @@ def is_right_type_via_E(g: GroupSpec) -> bool:
 
 
 def horizontal_fields(g: GroupSpec) -> List[FirstOrderOp]:
-    """The 4n generating fields X_b = d_{x_b} + 2 sum (S Ibeta)_{ab} x_a d_{t_beta}."""
+    """The 4n generating fields X_b = d_{x_b} + 2 sum (S Ibeta)_{ab} x_a d_{t_beta}.
+
+    Each t_beta coefficient is one numerator dict over the lcm of its
+    entries' denominators, built by the trusted ``Poly._make``.
+    """
     variables = g.vars
-    size = 4 * g.n
+    width, size = len(variables), 4 * g.n
+    units = [tuple(int(i == a) for i in range(width)) for a in range(size)]
     si = [_s_times_i(g.S, beta, g.n) for beta in range(3)]
     fields = []
     for b in range(size):
         coeffs = {f"x{b+1}": Poly.const(variables, 1)}
         for beta in range(3):
-            p = Poly.zero(variables)
-            for a in range(size):
-                c = si[beta][a][b]
-                if c:
-                    p = p + Poly.var(variables, f"x{a+1}", ComplexRational(2 * c))
-            if not p.is_zero():
-                coeffs[f"t{beta+1}"] = p
+            column = [(a, row[b]) for a, row in enumerate(si[beta]) if row[b]]
+            if column:
+                den = math.lcm(*(c.denominator for _, c in column))
+                num = {units[a]: (2 * c.numerator * (den // c.denominator), 0)
+                       for a, c in column}
+                coeffs[f"t{beta+1}"] = Poly._make(variables, num, den)
         fields.append(FirstOrderOp(variables, coeffs))
     return fields
 

@@ -4,21 +4,44 @@ Every verification run records its master seed; per-trial generators are
 derived deterministically so that identical configurations reproduce
 byte-identical reports.  Coefficients are small Gaussian integers, so all
 downstream algebra stays exact.
+
+Polynomials are drawn straight into the integer layout of ``Poly``: each
+term's exponent and ``(re, im)`` ints go into one numerator dict over the
+denominator 1, equal exponents merge and a key whose sum cancels is
+dropped, and the result is built by the trusted ``Poly._make`` (forms by
+``ExtForm._make``).  The draws, and the key order of every result, are
+those of summing one validated ``Poly.monomial`` per term, which the tests
+keep as the reference generator.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 from .exterior import ExtForm
 from .poly import Poly
-from .rational import ComplexRational
 from .spinor import SpinorField
 
 # Bound on the real and imaginary parts of a random coefficient.
 COEFF_BOUND = 3
+# Bound on the numerators of a random covector (denominators are 1 to 3).
+VECTOR_BOUND = 4
+# Bound on the entries of a random symmetric matrix.
+MATRIX_BOUND = 3
+
+
+def _add_term(num: dict, expo: tuple, re: int, im: int):
+    """Add (re, im) at ``expo`` into a numerator dict; a key that cancels is deleted."""
+    acc = num.get(expo)
+    if acc is not None:
+        re += acc[0]
+        im += acc[1]
+        if not (re or im):
+            del num[expo]
+            return
+    num[expo] = (re, im)
 
 
 class SectionGenerator:
@@ -34,14 +57,6 @@ class SectionGenerator:
         """Child generator with a derived seed (stable across runs)."""
         return SectionGenerator(self.seed * 1_000_003 + tag, self.degree, self.terms)
 
-    def coefficient(self) -> ComplexRational:
-        """Nonzero real part and any imaginary part, both within COEFF_BOUND."""
-        b = COEFF_BOUND
-        re = self.rng.randint(-b, b)
-        while re == 0:
-            re = self.rng.randint(-b, b)
-        return ComplexRational(re, self.rng.randint(-b, b))
-
     def exponents(self, nvars: int, degree=None) -> tuple:
         degree = self.degree if degree is None else degree
         total = self.rng.randint(0, degree)
@@ -51,18 +66,29 @@ class SectionGenerator:
         return tuple(expo)
 
     def poly(self, variables, degree=None) -> Poly:
+        """Sum of 1..terms random terms; each coefficient has a nonzero real
+        part and any imaginary part, both within COEFF_BOUND."""
         variables = tuple(variables)
-        p = Poly.zero(variables)
-        for _ in range(self.rng.randint(1, self.terms)):
-            p = p + Poly.monomial(variables, self.exponents(len(variables), degree),
-                                  self.coefficient())
-        return p
+        width, b, randint = len(variables), COEFF_BOUND, self.rng.randint
+        num: dict = {}
+        for _ in range(randint(1, self.terms)):
+            expo = self.exponents(width, degree)
+            re = randint(-b, b)
+            while re == 0:
+                re = randint(-b, b)
+            _add_term(num, expo, re, randint(-b, b))
+        return Poly._make(variables, num)
 
     def form(self, dim: int, degree_form: int, variables, poly_degree=None) -> ExtForm:
+        variables = tuple(variables)
         idxs = list(combinations(range(dim), degree_form))
         chosen = self.rng.sample(idxs, k=min(len(idxs), self.rng.randint(1, 3)))
-        comps = {idx: self.poly(variables, poly_degree) for idx in chosen}
-        return ExtForm(dim, degree_form, variables, comps)
+        comps = {}
+        for idx in chosen:
+            p = self.poly(variables, poly_degree)
+            if p:
+                comps[idx] = p
+        return ExtForm._make(dim, degree_form, variables, comps)
 
     def slot_field(self, sigma: int, basis: str, dim: int, degree_form: int,
                    variables, poly_degree=None) -> SpinorField:
@@ -75,28 +101,29 @@ class SectionGenerator:
         """Random symmetric tuple field (components depend only on the 1-count)."""
         reps = {a: self.form(dim, degree_form, variables, poly_degree)
                 for a in range(sigma + 1)}
-        from itertools import product
         comps = {idx: reps[sum(idx)] for idx in product((0, 1), repeat=sigma)}
         return SpinorField(sigma, "tuple", comps,
                            dim=dim, degree=degree_form, variables=variables)
 
-    def rational_vector(self, size: int, bound: int = 4) -> list:
+    def rational_vector(self, size: int) -> list:
+        b = VECTOR_BOUND
         while True:
-            vec = [Fraction(self.rng.randint(-bound, bound),
-                            self.rng.randint(1, 3)) for _ in range(size)]
+            vec = [Fraction(self.rng.randint(-b, b), self.rng.randint(1, 3))
+                   for _ in range(size)]
             if any(vec):
                 return vec
 
-    def symmetric_matrix(self, size: int, bound: int = 3) -> list:
+    def symmetric_matrix(self, size: int) -> list:
+        b = MATRIX_BOUND
         m = [[Fraction(0)] * size for _ in range(size)]
         for i in range(size):
             for j in range(i, size):
-                val = Fraction(self.rng.randint(-bound, bound))
+                val = Fraction(self.rng.randint(-b, b))
                 m[i][j] = val
                 m[j][i] = val
         return m
 
-    def psh_quadratic(self, variables, nx: int, scale: Fraction = Fraction(1)) -> Poly:
+    def psh_quadratic(self, variables, nx: int) -> Poly:
         """Random convex-type quadratic sum_a c_a x_a^2 (c_a > 0) plus linear terms.
 
         Each x-squared coefficient is positive, which makes the associated
@@ -104,29 +131,26 @@ class SectionGenerator:
         pair forms on any of our groups.
         """
         variables = tuple(variables)
-        p = Poly.zero(variables)
+        width = len(variables)
+        num: dict = {}
         for a in range(nx):
-            c = Fraction(self.rng.randint(1, 4)) * scale
-            p = p + Poly.monomial(variables,
-                                  tuple(2 if i == a else 0 for i in range(len(variables))),
-                                  ComplexRational(c))
+            _add_term(num, tuple(2 if i == a else 0 for i in range(width)),
+                      self.rng.randint(1, 4), 0)
         for _ in range(self.rng.randint(0, 2)):
             a = self.rng.randrange(nx)
-            c = Fraction(self.rng.randint(-3, 3)) * scale
+            c = self.rng.randint(-3, 3)
             if c:
-                p = p + Poly.monomial(variables,
-                                      tuple(1 if i == a else 0 for i in range(len(variables))),
-                                      ComplexRational(c))
-        return p
+                _add_term(num, tuple(1 if i == a else 0 for i in range(width)), c, 0)
+        return Poly._make(variables, num)
 
-    def right_type_matrix(self, n: int, bound: int = 3) -> list:
+    def right_type_matrix(self, n: int) -> list:
         """Random symmetric matrix projected onto the curvature-free locus.
 
         Each 4x4 block is adjusted to satisfy the four linear conditions
         (trace and the three skew combinations); the mirror block keeps the
         matrix symmetric.
         """
-        S = self.symmetric_matrix(4 * n, bound)
+        S = self.symmetric_matrix(4 * n)
         for l in range(n):
             for m in range(l, n):
                 i, j = 4 * l, 4 * m

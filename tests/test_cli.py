@@ -402,6 +402,25 @@ def test_ma_power_above_the_u_file_count_exits_2(tmp_path, capsys):
     assert "--power 2" in err and "has 1" in err
 
 
+def test_ma_power_above_n_exits_2_before_drawing_inputs(capsys, monkeypatch):
+    # a power outside 1..n is refused before the frame is built or any
+    # quadratic is drawn, so a huge power costs nothing
+    import time
+
+    from cfx.randgen import SectionGenerator
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("inputs drawn for a power that cannot run")
+
+    monkeypatch.setattr(SectionGenerator, "psh_quadratic", forbidden)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "ma", "--group", "rightQH", "--n", "1",
+                         "--power", "80000")
+    assert time.perf_counter() - start < 1
+    _assert_input_error(code, out, err)
+    assert "need between 1 and n inputs" in err
+
+
 @pytest.mark.parametrize("n", ["1", "3"])
 def test_ma_rejects_convergence_away_from_n_2(capsys, n):
     code, out, err = run(capsys, "ma", "--group", "rightQH", "--n", n,

@@ -88,6 +88,18 @@ def test_spec_frame_is_the_ambient_frame_built_once():
         assert [constant_entries(op) for op in got] == [constant_entries(op) for op in want]
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_ambient_frame_is_one_shared_immutable_frame(n):
+    # a constant of n: every spec at that n gets the same frame, and its
+    # fields and rows are tuples, so no caller can change them for the others
+    frame = ambient_frame(n)
+    assert frame is ambient_frame(n)
+    assert ComplexSpec(n, 0).frame is ComplexSpec(n, 2 * n).frame is frame
+    assert type(frame.X) is type(frame.Z_lower) is type(frame.Z_upper) is tuple
+    assert all(type(row) is tuple and len(row) == 2
+               for rows in (frame.Z_lower, frame.Z_upper) for row in rows)
+
+
 def test_lower_upper_operator_pairing():
     # raising the operator index: d^0 = d_1 and d^1 = -d_0
     gen = SectionGenerator(44)

@@ -336,6 +336,60 @@ def test_bracket_antisymmetry():
     assert (lhs + rhs).is_zero()
 
 
+def reference_horizontal_fields(g):
+    """X_b as validated Poly arithmetic: one Poly.var per entry of the dense
+    product S block_diag(Ibeta), summed."""
+    variables = g.vars
+    size = 4 * g.n
+    si = [mat_mul(g.S, block_diag(I_MATS[beta], g.n)) for beta in range(3)]
+    fields = []
+    for b in range(size):
+        coeffs = {f"x{b+1}": Poly.const(variables, 1)}
+        for beta in range(3):
+            p = Poly.zero(variables)
+            for a in range(size):
+                c = si[beta][a][b]
+                if c:
+                    p = p + Poly.var(variables, f"x{a+1}", ComplexRational(2 * c))
+            if not p.is_zero():
+                coeffs[f"t{beta+1}"] = p
+        fields.append(FirstOrderOp(variables, coeffs))
+    return fields
+
+
+def _phi_group(seed, n):
+    """Group of a random quadratic potential with denominators 2 to 5."""
+    v = x_vars(4 * n)
+    rng = random.Random(seed)
+    phi = Poly.zero(v)
+    for a in range(4 * n):
+        for b in range(a, 4 * n):
+            c = Fraction(rng.randint(-3, 3), rng.randint(2, 5))
+            phi = phi + Poly.var(v, f"x{a+1}", c) * Poly.var(v, f"x{b+1}")
+    return group_from_phi(phi)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_horizontal_fields_match_the_poly_sum_reference(n):
+    groups = [GroupSpec.right_qh(n), GroupSpec.left_qh(n), GroupSpec.abelian(n),
+              _phi_group(n, n)]
+    for den in (2, 3, 4, 5):
+        groups.append(_rational_group(1000 * den + n, n, den))
+        groups.append(GroupSpec(n, [[x / den for x in row]
+                                    for row in SectionGenerator(den).right_type_matrix(n)]))
+    groups.append(random_group(SectionGenerator(50 + n), n))
+    assert any(p.den > 1 for g in groups[3:] for X in horizontal_fields(g)
+               for p in X.coeffs.values())
+    for g in groups:
+        got, want = horizontal_fields(g), reference_horizontal_fields(g)
+        for X, Y in zip(got, want, strict=True):
+            assert list(X.coeffs) == list(Y.coeffs)
+            for v, p in X.coeffs.items():
+                q = Y.coeffs[v]
+                assert p == q and list(p.num.items()) == list(q.num.items())
+                assert p.to_json() == q.to_json()
+
+
 def test_stratified():
     assert is_stratified(GroupSpec.right_qh(1))
     assert is_stratified(GroupSpec.left_qh(2))

@@ -238,3 +238,33 @@ def test_symbol_and_classify_run_on_ints(monkeypatch):
     assert check_exactness(spec, v)["exact"]
     result = classify(group)
     assert not result["right_type"] and result["block_certificates"]
+
+
+def test_sections_and_frames_are_built_on_ints(monkeypatch):
+    # random sections, the inputs of `cfx ma` and a group's horizontal fields
+    # are built straight in the integer layout: no validated Poly, no Poly
+    # sum and no ComplexRational sum or product
+    from cfx.groups import GroupSpec, horizontal_fields
+    from cfx.poly import Poly, group_vars, x_vars
+    from cfx.randgen import SectionGenerator
+    from cfx.rational import ComplexRational
+
+    gen = SectionGenerator(5, degree=4, terms=4)
+    groups = [GroupSpec(2, gen.symmetric_matrix(8)), GroupSpec(1, gen.right_type_matrix(1)),
+              GroupSpec(1, [[x / 6 for x in row] for row in gen.symmetric_matrix(4)])]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("validated Poly or rational arithmetic on an integer path")
+
+    for cls, name in ((Poly, "__init__"), (Poly, "__add__"),
+                      (ComplexRational, "__add__"), (ComplexRational, "__mul__")):
+        monkeypatch.setattr(cls, name, forbidden)
+    V = x_vars(8)
+    for t in range(20):
+        g = gen.spawn(t)
+        assert not g.slot_field(2, "S", 4, 1, V).is_zero()
+        assert not g.tuple_field(2, 4, 2, V).is_zero()
+        assert g.psh_quadratic(group_vars(2), 8).total_degree() == 2
+    for group in groups:
+        fields = horizontal_fields(group)
+        assert len(fields) == 4 * group.n and all(len(X.coeffs) > 1 for X in fields)

@@ -107,7 +107,7 @@ def test_apply_matches_reference_on_t_operators():
 
 def test_apply_matches_reference_on_commutators():
     frame = _dense_rational_right_type()
-    rows = [op for row in frame.Z_lower[:2] for op in row] + frame.X[:2]
+    rows = [op for row in frame.Z_lower[:2] for op in row] + list(frame.X[:2])
     ops = [a.commutator(b) for a, b in product(rows, repeat=2)]
     assert any(not op.is_zero() for op in ops)
     _check(ops, 40)

@@ -1,0 +1,132 @@
+"""The generator builds its draws straight in the integer layout; the
+reference below builds them with validated Poly arithmetic, one
+``Poly.monomial`` per term, summed.  Both must give equal objects with the
+same key order, after the same random draws."""
+
+from fractions import Fraction
+from itertools import combinations
+
+from cfx.exterior import ExtForm
+from cfx.poly import Poly, group_vars, x_vars
+from cfx.randgen import COEFF_BOUND, SectionGenerator
+from cfx.rational import ComplexRational
+
+
+class ReferenceGenerator(SectionGenerator):
+    """``poly``, ``form`` and ``psh_quadratic`` as summed validated Polys."""
+
+    def coefficient(self) -> ComplexRational:
+        b = COEFF_BOUND
+        re = self.rng.randint(-b, b)
+        while re == 0:
+            re = self.rng.randint(-b, b)
+        return ComplexRational(re, self.rng.randint(-b, b))
+
+    def poly(self, variables, degree=None) -> Poly:
+        variables = tuple(variables)
+        p = Poly.zero(variables)
+        for _ in range(self.rng.randint(1, self.terms)):
+            p = p + Poly.monomial(variables, self.exponents(len(variables), degree),
+                                  self.coefficient())
+        return p
+
+    def form(self, dim, degree_form, variables, poly_degree=None) -> ExtForm:
+        idxs = list(combinations(range(dim), degree_form))
+        chosen = self.rng.sample(idxs, k=min(len(idxs), self.rng.randint(1, 3)))
+        comps = {idx: self.poly(variables, poly_degree) for idx in chosen}
+        return ExtForm(dim, degree_form, variables, comps)
+
+    def psh_quadratic(self, variables, nx) -> Poly:
+        variables = tuple(variables)
+        p = Poly.zero(variables)
+        for a in range(nx):
+            c = Fraction(self.rng.randint(1, 4))
+            p = p + Poly.monomial(variables,
+                                  tuple(2 if i == a else 0 for i in range(len(variables))),
+                                  ComplexRational(c))
+        for _ in range(self.rng.randint(0, 2)):
+            a = self.rng.randrange(nx)
+            c = Fraction(self.rng.randint(-3, 3))
+            if c:
+                p = p + Poly.monomial(variables,
+                                      tuple(1 if i == a else 0 for i in range(len(variables))),
+                                      ComplexRational(c))
+        return p
+
+
+def _same_poly(p, q):
+    assert p == q and p.to_json() == q.to_json()
+    assert list(p.num.items()) == list(q.num.items())
+
+
+def _same_form(f, g):
+    assert f == g and f.to_json() == g.to_json()
+    assert list(f.comps) == list(g.comps)
+    for idx, p in f.comps.items():
+        _same_poly(p, g.comps[idx])
+
+
+def _same_field(f, g):
+    assert f == g and f.to_json() == g.to_json()
+    forms = (zip(f.slots, g.slots, strict=True) if f.slots is not None
+             else zip(f.tuples.values(), g.tuples.values(), strict=True))
+    for a, b in forms:
+        _same_form(a, b)
+
+
+def _draws(gen, seed):
+    """One of each draw, with shapes that vary with the seed."""
+    V = x_vars(4 + seed % 5)
+    dim = 2 + seed % 3
+    out = [("poly", gen.poly(V)),
+           ("poly", gen.poly(group_vars(1), degree=seed % 7)),
+           ("form", gen.form(dim, seed % (dim + 2), V)),
+           ("form", gen.form(4, 1, V, poly_degree=2)),
+           ("field", gen.slot_field(seed % 3, "S", dim, 1, V)),
+           ("field", gen.tuple_field(seed % 3, dim, seed % 2, V, poly_degree=1)),
+           ("poly", gen.psh_quadratic(V, 1 + seed % len(V)))]
+    return out
+
+
+def test_generator_matches_the_poly_sum_reference():
+    covered = set()
+    for seed in range(336):
+        degree, terms = seed % 7, 1 + (seed // 7) % 4
+        covered.add((degree, terms))
+        fast = SectionGenerator(seed, degree=degree, terms=terms)
+        ref = ReferenceGenerator(seed, degree=degree, terms=terms)
+        for (kind, got), (_, want) in zip(_draws(fast, seed), _draws(ref, seed), strict=True):
+            {"poly": _same_poly, "form": _same_form, "field": _same_field}[kind](got, want)
+        # the same random draws, so every later draw agrees as well
+        assert fast.rng.getstate() == ref.rng.getstate()
+    assert covered == {(d, t) for d in range(7) for t in range(1, 5)}
+
+
+# Seeds whose draws share an exponent and cancel, found by search: the
+# degree-0 poly, and the one component of the degree-0 form, draw two
+# opposite constants; the quadratic draws two opposite linear terms in its
+# one variable.
+CANCELLING_POLY_SEED = 244
+CANCELLING_FORM_SEED = 59
+CANCELLING_PSH_SEED = 30
+
+
+def test_cancelling_terms_are_dropped():
+    V = x_vars(4)
+    # every drawn term is nonzero, so a zero sum means two of them cancelled
+    p = SectionGenerator(CANCELLING_POLY_SEED, degree=0, terms=2).poly(V)
+    assert p.is_zero() and p.den == 1
+    _same_poly(p, ReferenceGenerator(CANCELLING_POLY_SEED, degree=0, terms=2).poly(V))
+    # a form drops a component whose polynomial cancelled
+    form = SectionGenerator(CANCELLING_FORM_SEED, degree=0, terms=2).form(1, 1, V)
+    assert form.is_zero() and not form.comps
+    _same_form(form, ReferenceGenerator(CANCELLING_FORM_SEED, degree=0, terms=2).form(1, 1, V))
+
+    rng = SectionGenerator(CANCELLING_PSH_SEED).rng
+    rng.randint(1, 4)
+    assert rng.randint(0, 2) == 2
+    draws = [(rng.randrange(1), rng.randint(-3, 3)) for _ in range(2)]
+    assert draws[0][1] == -draws[1][1] != 0
+    q = SectionGenerator(CANCELLING_PSH_SEED).psh_quadratic(V, 1)
+    assert list(q.num) == [(2, 0, 0, 0)]
+    _same_poly(q, ReferenceGenerator(CANCELLING_PSH_SEED).psh_quadratic(V, 1))

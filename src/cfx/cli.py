@@ -31,6 +31,14 @@ EXIT_PRECONDITION = 3
 
 MAX_N = 3
 MAX_DEGREE = 6
+# Measured on a 2-core x86_64 host, Python 3.11, whole process.  The
+# tuple-equivalence suite of `verify flat` builds fields with 2^k
+# components, so its cost grows about 4x per +2 in k: at n = 1, degree 6,
+# k = 12 takes 0.4 s and 27 MB, k = 16 takes 6.7 s and 167 MB.
+MAX_K = 12
+# `ma --convergence N` keeps N exact masses: at n = 2, 10^4 steps take
+# 0.2 s and 20 MB, 10^5 steps 0.8 s and 45 MB.
+MAX_CONVERGENCE = 10_000
 
 
 def _read_json(path: str, parse):
@@ -107,6 +115,8 @@ def cmd_classify(args) -> int:
 def _check_sizes(n: int, args, min_trials: int) -> None:
     if n > MAX_N:
         raise ValueError(f"n={n} exceeds the configured limit {MAX_N}")
+    if args.k > MAX_K:
+        raise ValueError(f"k={args.k} exceeds the configured limit {MAX_K}")
     if args.trials < min_trials:
         raise ValueError(f"--trials must be at least {min_trials}")
 
@@ -183,6 +193,9 @@ def cmd_symbol(args) -> int:
 def cmd_ma(args) -> int:
     if args.convergence < 0 or args.convergence == 1:
         raise ValueError("--convergence must be 0 (off) or at least 2")
+    if args.convergence > MAX_CONVERGENCE:
+        raise ValueError(f"--convergence {args.convergence} exceeds the configured "
+                         f"limit {MAX_CONVERGENCE}")
     try:
         half = parse_fraction(args.halfwidth)
     except ZeroDivisionError as exc:

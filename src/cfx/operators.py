@@ -6,7 +6,7 @@ from math import lcm
 from operator import add
 from typing import Dict
 
-from .poly import Poly
+from .poly import Poly, add_term
 from .rational import cq
 
 
@@ -71,8 +71,9 @@ class FirstOrderOp:
         """Add mult * den * sum_v c_v d_v p, for p's numerators ``num`` and an
         int ``mult`` != 0, into the numerator dict ``out``; return ``out``.
 
-        An entry that cancels to (0, 0) is deleted at once, so callers summing
-        many applications (``boundary.frak_d``) build one ``Poly`` per result.
+        Each product goes in through ``poly.add_term``, so an entry that
+        cancels to (0, 0) is deleted at once and callers summing many
+        applications (``boundary.frak_d``) build one ``Poly`` per result.
         """
         for idx, terms in self.kernel()[1]:
             for expo, (re, im) in num.items():
@@ -84,16 +85,7 @@ class FirstOrderOp:
                 lowered = expo[:idx] + (e - 1,) + expo[idx + 1:]
                 for cexpo, c, d in terms:
                     key = lowered if cexpo is None else tuple(map(add, lowered, cexpo))
-                    r = a * c - b * d
-                    i = a * d + b * c
-                    acc = out.get(key)
-                    if acc is not None:
-                        r += acc[0]
-                        i += acc[1]
-                        if not (r or i):
-                            del out[key]
-                            continue
-                    out[key] = (r, i)
+                    add_term(out, key, a * c - b * d, a * d + b * c)
         return out
 
     def apply(self, p: Poly) -> Poly:

@@ -17,9 +17,17 @@ form is canonical, so ``==`` and ``hash`` are exact:
 The public constructor ``Poly(vars, terms)`` validates every term.  The ring
 operations, ``scale``, ``diff`` and ``conjugate`` do int arithmetic and build
 their result through the trusted ``Poly._make``, which only divides out the
-common factor of ``den`` and the numerators: its callers keep the other two
-rules.  ``terms``, ``coefficient``, ``constant_term``, ``eval_exact``,
-``to_json`` and ``str`` show ComplexRational values at the API edge.
+common factor of ``den`` and the numerators.  ``terms``, ``coefficient``,
+``constant_term``, ``eval_exact``, ``to_json`` and ``str`` show
+ComplexRational values at the API edge.
+
+The layout is shared: ``quadrature.SeparableSum``, ``FirstOrderOp.apply_into``
+and ``randgen.SectionGenerator`` build the same numerator dicts, and every
+builder goes through the three primitives here.  :func:`add_term` is the one
+place a sum is merged into a key, so it alone keeps the no-``(0, 0)`` rule;
+:func:`common_sum` adds two dicts over one denominator and
+:func:`times_gaussian` scales one by a Gaussian integer.  Callers keep only
+the rules on their keys.
 """
 
 from __future__ import annotations
@@ -67,6 +75,51 @@ def reduce_gaussian(num: dict, den: int) -> tuple:
         if g == 1:
             return num, den
     return {k: (re // g, im // g) for k, (re, im) in num.items()}, den // g
+
+
+def add_term(num: dict, key, re: int, im: int) -> None:
+    """Add (re, im) at ``key`` into a numerator dict.
+
+    A key whose sum is (0, 0) is deleted and a zero addend adds nothing, so
+    the dict never holds (0, 0); a key keeps its place while it lives.
+    """
+    acc = num.get(key)
+    if acc is not None:
+        re += acc[0]
+        im += acc[1]
+        if not (re or im):
+            del num[key]
+            return
+    elif not (re or im):
+        return
+    num[key] = (re, im)
+
+
+def common_sum(num1: dict, den1: int, num2: dict, den2: int) -> tuple:
+    """(num, den) of num1/den1 + num2/den2 over den = lcm(den1, den2).
+
+    The keys of ``num1`` come first, then the new keys of ``num2`` in their
+    order; neither input dict is changed.
+    """
+    if den1 == den2:
+        num = dict(num1)
+        m2 = 1
+    else:
+        g = gcd(den1, den2)
+        m1, m2 = den2 // g, den1 // g
+        den1 *= m1
+        num = {k: (re * m1, im * m1) for k, (re, im) in num1.items()}
+    for key, (re, im) in num2.items():
+        add_term(num, key, re * m2, im * m2)
+    return num, den1
+
+
+def times_gaussian(num: dict, c: int, d: int) -> dict:
+    """The numerators of ``num`` times the Gaussian integer c + d*i, which is
+    not 0, so no product is (0, 0)."""
+    if d:
+        return {k: (a * c - b * d, a * d + b * c) for k, (a, b) in num.items()}
+    return {k: (a * c, b * c) for k, (a, b) in num.items()}
 
 
 class Terms(Mapping):
@@ -194,27 +247,7 @@ class Poly:
             return self
         if not self.num:
             return other
-        d1, d2 = self.den, other.den
-        if d1 == d2:
-            num = dict(self.num)
-            m2 = 1
-        else:
-            g = gcd(d1, d2)
-            m1, m2 = d2 // g, d1 // g
-            d1 *= m1
-            num = {e: (re * m1, im * m1) for e, (re, im) in self.num.items()}
-        for expo, (re, im) in other.num.items():
-            re *= m2
-            im *= m2
-            acc = num.get(expo)
-            if acc is not None:
-                re += acc[0]
-                im += acc[1]
-                if not (re or im):
-                    del num[expo]
-                    continue
-            num[expo] = (re, im)
-        return Poly._make(self.vars, num, d1)
+        return Poly._make(self.vars, *common_sum(self.num, self.den, other.num, other.den))
 
     __radd__ = __add__
 
@@ -244,17 +277,7 @@ class Poly:
         right = other.num.items()
         for e1, (a, b) in self.num.items():
             for e2, (c, d) in right:
-                expo = tuple(map(add, e1, e2))
-                re = a * c - b * d
-                im = a * d + b * c
-                acc = out.get(expo)
-                if acc is not None:
-                    re += acc[0]
-                    im += acc[1]
-                    if not (re or im):
-                        del out[expo]
-                        continue
-                out[expo] = (re, im)
+                add_term(out, tuple(map(add, e1, e2)), a * c - b * d, a * d + b * c)
         return Poly._make(self.vars, out, self.den * other.den)
 
     __rmul__ = __mul__
@@ -267,11 +290,7 @@ class Poly:
 
     def _times(self, c: int, d: int, den: int) -> "Poly":
         """Product with the nonzero constant (c + d*i) / den, for ints and den > 0."""
-        if d:
-            num = {e: (a * c - b * d, a * d + b * c) for e, (a, b) in self.num.items()}
-        else:
-            num = {e: (a * c, b * c) for e, (a, b) in self.num.items()}
-        return Poly._make(self.vars, num, self.den * den)
+        return Poly._make(self.vars, times_gaussian(self.num, c, d), self.den * den)
 
     def __pow__(self, exponent: int) -> "Poly":
         if exponent < 0:

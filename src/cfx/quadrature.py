@@ -22,12 +22,14 @@ variable.  The form is canonical:
   ``den == 1``.
 
 ``SeparableSum.product`` takes rational factors and validates them.  The
-ring operations, ``scale``, ``mul_monomial``, ``diff_axis`` and ``apply_op``
-do int arithmetic and build their result through the trusted
-``SeparableSum._make``, which only divides out the common factor of ``den``
-and the numerators: its callers keep the other rules.  ``terms`` shows the
-terms as ``(ComplexRational, {axis: factor})`` pairs, without the constant
-factors, at the API edge.
+ring operations ``+``, ``-``, ``scale`` and ``apply_op`` do int arithmetic
+on the layout primitives of :mod:`cfx.poly` (``+`` is ``common_sum``,
+``scale`` is ``times_gaussian``, and ``apply_op`` merges each product
+through ``add_term``, which keeps the no-``(0, 0)`` rule) and build their
+result through the trusted ``SeparableSum._make``, which only divides out
+the common factor of ``den`` and the numerators; the callers keep the key
+rules.  ``terms`` shows the terms as ``(ComplexRational, {axis: factor})``
+pairs, without the constant factors, at the API edge.
 """
 
 from __future__ import annotations
@@ -36,7 +38,8 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Dict, Sequence
 
-from .poly import Poly, _gaussian_parts, reduce_gaussian
+from .poly import (Poly, _gaussian_parts, add_term, common_sum, reduce_gaussian,
+                   times_gaussian)
 from .rational import ComplexRational
 
 _CONSTANT = (1,)
@@ -63,17 +66,7 @@ def substitute_axis(p: Poly, axis: int, value: Fraction) -> Poly:
     for expo, (re, im) in p.num.items():
         e = expo[axis]
         w = r ** e * s ** (top - e)
-        re *= w
-        im *= w
-        key = expo[:axis] + (0,) + expo[axis + 1:]
-        acc = out.get(key)
-        if acc is not None:
-            re += acc[0]
-            im += acc[1]
-        if re or im:
-            out[key] = (re, im)
-        elif acc is not None:
-            del out[key]
+        add_term(out, expo[:axis] + (0,) + expo[axis + 1:], re * w, im * w)
     return Poly._make(p.vars, out, p.den * s ** top)
 
 
@@ -186,33 +179,20 @@ class SeparableSum:
             return self
         if not self.num:
             return other
-        d1, d2 = self.den, other.den
-        g = gcd(d1, d2)
-        m1, m2 = d2 // g, d1 // g
-        num = {k: (re * m1, im * m1) for k, (re, im) in self.num.items()}
-        other._fold(num, None, [([], m2, 0)])
-        return SeparableSum._make(self.naxes, num, d1 * m1)
+        return SeparableSum._make(self.naxes,
+                                  *common_sum(self.num, self.den, other.num, other.den))
 
     def scale(self, value) -> "SeparableSum":
-        return self.mul_monomial((), value)
+        c, d, den = _gaussian_parts(value)
+        if not (c or d):
+            return SeparableSum._make(self.naxes, {})
+        return SeparableSum._make(self.naxes, times_gaussian(self.num, c, d), self.den * den)
 
     def __neg__(self):
         return self.scale(-1)
 
     def __sub__(self, other):
         return self + (-other)
-
-    def mul_monomial(self, expo: Sequence[int], coeff) -> "SeparableSum":
-        """Product with  coeff * prod_axis x_axis^expo[axis]."""
-        c, d, den = _gaussian_parts(coeff)
-        out: dict = {}
-        self._fold(out, None, [(_shifts(expo), c, d)])
-        return SeparableSum._make(self.naxes, out, self.den * den)
-
-    def diff_axis(self, axis: int) -> "SeparableSum":
-        out: dict = {}
-        self._fold(out, axis, [([], 1, 0)])
-        return SeparableSum._make(self.naxes, out, self.den)
 
     def apply_op(self, op) -> "SeparableSum":
         """Apply a FirstOrderOp over the same variables, axis i for variable i.
@@ -228,22 +208,21 @@ class SeparableSum:
                                    for expo, re, im in terms])
         return SeparableSum._make(self.naxes, out, self.den * den)
 
-    def _fold(self, out: dict, axis, monomials: list) -> None:
-        """Merge into ``out`` the numerators of d/dx_axis (no derivative when
-        ``axis`` is None) times each monomial ``(shifts, re, im)``."""
+    def _fold(self, out: dict, axis: int, monomials: list) -> None:
+        """Merge into ``out`` the numerators of d/dx_axis times each monomial
+        ``(shifts, re, im)``."""
         derivatives: dict = {}
         for key, (a, b) in self.num.items():
-            if axis is not None:
-                f = key[axis]
-                g_d = derivatives.get(f)
-                if g_d is None:  # (0, None) for a constant factor
-                    g_d = derivatives[f] = _primitive([i * c for i, c in enumerate(f)][1:])
-                g, d = g_d
-                if d is None:
-                    continue
-                a *= g
-                b *= g
-                key = key[:axis] + (d,) + key[axis + 1:]
+            f = key[axis]
+            g_d = derivatives.get(f)
+            if g_d is None:  # (0, None) for a constant factor
+                g_d = derivatives[f] = _primitive([i * c for i, c in enumerate(f)][1:])
+            g, d = g_d
+            if d is None:
+                continue
+            a *= g
+            b *= g
+            key = key[:axis] + (d,) + key[axis + 1:]
             for shifts, cr, ci in monomials:
                 new = key
                 if shifts:
@@ -251,16 +230,7 @@ class SeparableSum:
                     for i, zeros in shifts:
                         new[i] = zeros + new[i]
                     new = tuple(new)
-                re = a * cr - b * ci
-                im = a * ci + b * cr
-                acc = out.get(new)
-                if acc is not None:
-                    re += acc[0]
-                    im += acc[1]
-                if re or im:
-                    out[new] = (re, im)
-                elif acc is not None:
-                    del out[new]
+                add_term(out, new, a * cr - b * ci, a * ci + b * cr)
 
     def integrate_box(self, lows: Sequence[Fraction], highs: Sequence[Fraction],
                       weight: Poly | None = None) -> ComplexRational:

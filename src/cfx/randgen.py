@@ -7,11 +7,12 @@ downstream algebra stays exact.
 
 Polynomials are drawn straight into the integer layout of ``Poly``: each
 term's exponent and ``(re, im)`` ints go into one numerator dict over the
-denominator 1, equal exponents merge and a key whose sum cancels is
-dropped, and the result is built by the trusted ``Poly._make`` (forms by
-``ExtForm._make``).  The draws, and the key order of every result, are
-those of summing one validated ``Poly.monomial`` per term, which the tests
-keep as the reference generator.
+denominator 1 through ``poly.add_term``, which merges equal exponents and
+drops a key whose sum cancels (or a zero term), and the result is built by
+the trusted ``Poly._make`` (forms by ``ExtForm._make``).  The draws, and
+the key order of every result, are those of summing one validated
+``Poly.monomial`` per term, which the tests keep as the reference
+generator.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from .exterior import ExtForm
-from .poly import Poly
+from .poly import Poly, add_term
 from .spinor import SpinorField
 
 # Bound on the real and imaginary parts of a random coefficient.
@@ -30,18 +31,6 @@ COEFF_BOUND = 3
 VECTOR_BOUND = 4
 # Bound on the entries of a random symmetric matrix.
 MATRIX_BOUND = 3
-
-
-def _add_term(num: dict, expo: tuple, re: int, im: int):
-    """Add (re, im) at ``expo`` into a numerator dict; a key that cancels is deleted."""
-    acc = num.get(expo)
-    if acc is not None:
-        re += acc[0]
-        im += acc[1]
-        if not (re or im):
-            del num[expo]
-            return
-    num[expo] = (re, im)
 
 
 class SectionGenerator:
@@ -76,7 +65,7 @@ class SectionGenerator:
             re = randint(-b, b)
             while re == 0:
                 re = randint(-b, b)
-            _add_term(num, expo, re, randint(-b, b))
+            add_term(num, expo, re, randint(-b, b))
         return Poly._make(variables, num)
 
     def form(self, dim: int, degree_form: int, variables, poly_degree=None) -> ExtForm:
@@ -134,13 +123,12 @@ class SectionGenerator:
         width = len(variables)
         num: dict = {}
         for a in range(nx):
-            _add_term(num, tuple(2 if i == a else 0 for i in range(width)),
-                      self.rng.randint(1, 4), 0)
+            add_term(num, tuple(2 if i == a else 0 for i in range(width)),
+                     self.rng.randint(1, 4), 0)
         for _ in range(self.rng.randint(0, 2)):
             a = self.rng.randrange(nx)
-            c = self.rng.randint(-3, 3)
-            if c:
-                _add_term(num, tuple(1 if i == a else 0 for i in range(width)), c, 0)
+            add_term(num, tuple(1 if i == a else 0 for i in range(width)),
+                     self.rng.randint(-3, 3), 0)
         return Poly._make(variables, num)
 
     def right_type_matrix(self, n: int) -> list:

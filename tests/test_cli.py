@@ -127,6 +127,63 @@ def test_symbol_rejects_negative_trials(capsys):
     assert err.startswith("input error:") and "--trials" in err
 
 
+def _forbid_work(monkeypatch):
+    """Make every suite, the symbol check and the frame raise if they run."""
+    import cfx.cli as cli
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("cfx did work on an input it must reject")
+
+    for name in ("flat_composition_suite", "flat_tuple_equivalence_suite",
+                 "boundary_composition_suite", "anticommute_suite", "bracket_suite",
+                 "hodge_suite", "subcomplex_suite"):
+        monkeypatch.setattr(cli.suites, name, forbidden)
+    monkeypatch.setattr(cli, "check_exactness", forbidden)
+    monkeypatch.setattr(cli, "TangentFrame", forbidden)
+    return cli
+
+
+@pytest.mark.parametrize("command", [("verify", "flat"), ("verify", "boundary"),
+                                     ("symbol", "--v", "1,0,0,0,0,0,0,0")])
+@pytest.mark.parametrize("k", ["13", "30", "1000000"])
+def test_k_above_the_limit_exits_2_before_any_work(monkeypatch, capsys, command, k):
+    # the tuple suite builds 2^k components: a large k would exhaust memory
+    import time
+
+    cli = _forbid_work(monkeypatch)
+    assert int(k) > cli.MAX_K
+    start = time.perf_counter()
+    code, out, err = run(capsys, *command, "--n", "1", "--k", k, "--trials", "1")
+    assert time.perf_counter() - start < 1
+    _assert_input_error(code, out, err)
+    assert "limit" in err and f"k={k}" in err
+
+
+def test_k_at_the_limit_is_accepted_and_n1_k4_still_fails_the_top_level(capsys):
+    from cfx.cli import MAX_K
+
+    code, out, _ = run(capsys, "symbol", "--n", "1", "--k", str(MAX_K),
+                       "--v", "1,0,0,0,0,0,0,0")
+    assert code == 1 and json.loads(out)["k"] == MAX_K
+    code, out, _ = run(capsys, "symbol", "--n", "1", "--k", "4", "--v", "1,0,0,0,0,0,0,0")
+    assert code == 1 and not json.loads(out)["all_exact"]
+
+
+@pytest.mark.parametrize("steps", ["10001", "100000000"])
+def test_convergence_above_the_cap_exits_2_before_the_frame(monkeypatch, capsys, steps):
+    # every step keeps an exact mass: 10^8 steps would exhaust memory
+    import time
+
+    cli = _forbid_work(monkeypatch)
+    assert int(steps) > cli.MAX_CONVERGENCE
+    start = time.perf_counter()
+    code, out, err = run(capsys, "ma", "--group", "rightQH", "--n", "2",
+                         "--convergence", steps)
+    assert time.perf_counter() - start < 1
+    _assert_input_error(code, out, err)
+    assert "--convergence" in err and "limit" in err
+
+
 @pytest.mark.parametrize("steps", ["1", "-3"])
 def test_ma_rejects_convergence_below_two(capsys, steps):
     code, out, err = run(capsys, "ma", "--group", "rightQH", "--n", "2",

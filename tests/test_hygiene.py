@@ -215,6 +215,45 @@ def test_floats_only_at_the_ma_report_edge(path):
     assert not sites, f"{path.name}: float sites outside the report edge {sites}"
 
 
+# functions that may delete a key from a dict: poly.add_term is the one merge
+# of a numerator dict, frak_d drops an output component's numerator dict when
+# it cancels, and ExtForm drops a component Poly that sums to zero
+KEY_DELETIONS = {("poly.py", "add_term"), ("boundary.py", "frak_d"),
+                 ("exterior.py", "ExtForm.__add__"), ("exterior.py", "ExtForm.wedge")}
+
+
+def _key_deletions(tree: ast.Module) -> list:
+    """(qualified function name, line) of every ``del x[k]`` and ``.pop``/``.popitem`` call."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{owner}.{child.name}" if owner else child.name)
+                continue
+            if isinstance(child, ast.Delete) and any(
+                    isinstance(t, ast.Subscript) for t in child.targets):
+                found.append((owner, child.lineno))
+            elif (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                  and child.func.attr in ("pop", "popitem")):
+                found.append((owner, child.lineno))
+            visit(child, owner)
+
+    visit(tree, "")
+    return found
+
+
+def test_only_add_term_merges_into_a_numerator_dict():
+    # the layout's no-(0, 0) rule lives in poly.add_term: a builder that
+    # deletes a cancelled key itself restates it, so only the named sites may
+    sites = {(path.name, owner): line for path in MODULES
+             for owner, line in _key_deletions(_tree(path))}
+    stray = sorted(f"{name}: {owner or 'module level'} (line {line})"
+                   for (name, owner), line in sites.items() if (name, owner) not in KEY_DELETIONS)
+    assert not stray, f"dict key deletions outside poly.add_term {stray}"
+    assert set(sites) == KEY_DELETIONS, "an allowed deletion site is gone: update KEY_DELETIONS"
+
+
 def test_symbol_and_classify_run_on_ints(monkeypatch):
     # symbol ranks and the classification take no ComplexRational product or
     # sum and no ExtForm wedge once the spec and the group are built

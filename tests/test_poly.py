@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cfx.poly import Poly, x_vars
+from cfx.poly import Poly, add_term, x_vars
 from cfx.rational import ComplexRational, cq
 
 V = x_vars(4) + ("t1",)
@@ -246,3 +246,21 @@ def test_canonical_form_after_cancellation():
     assert (third - third).den == 1
     assert_matches(p_var("x1").scale(Fraction(2, 3)) * Poly.const(V, Fraction(3, 2)),
                    {(1, 0, 0, 0, 0): cq(1)})
+
+
+def test_add_term_accumulates_deletes_on_cancellation_and_skips_zero():
+    num = {}
+    add_term(num, "a", 2, -1)
+    add_term(num, "b", 0, 3)
+    add_term(num, "a", 1, 4)
+    assert num == {"a": (3, 3), "b": (0, 3)} and list(num) == ["a", "b"]
+    # a zero addend neither inserts (0, 0) nor moves a live key
+    add_term(num, "c", 0, 0)
+    add_term(num, "a", 0, 0)
+    assert num == {"a": (3, 3), "b": (0, 3)} and list(num) == ["a", "b"]
+    # a sum that cancels deletes the key; adding again puts it at the end
+    add_term(num, "a", -3, -3)
+    assert num == {"b": (0, 3)}
+    add_term(num, "a", 5, 0)
+    assert list(num.items()) == [("b", (0, 3)), ("a", (5, 0))]
+    assert all(v != (0, 0) for v in num.values())

@@ -155,6 +155,35 @@ def test_substitute_axis_exact():
     assert q == Poly.var(V, "x2").scale(Fraction(1, 2)) + Poly.const(V, Fraction(1, 4))
 
 
+def _assert_canonical_poly(p):
+    assert p.den > 0 and (p.num or p.den == 1)
+    g = p.den
+    for re, im in p.num.values():
+        assert (re, im) != (0, 0)
+        g = gcd(g, re, im)
+    assert g == 1 or not p.num
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_substitute_axis_at_zero_stores_no_zero_numerator(seed):
+    # at the value 0 every term with the axis gets weight 0, and none may be
+    # stored as a (0, 0) numerator
+    rng = random.Random(seed)
+    p = _random_poly(rng, V, terms=rng.randint(1, 8), max_exp=3)
+    for axis in range(3):
+        q = substitute_axis(p, axis, Fraction(0))
+        _assert_canonical_poly(q)
+        want = {e: c for e, c in p.terms.items() if not e[axis]}
+        assert q == Poly(V, want)
+    x1, x2 = Poly.var(V, "x1"), Poly.var(V, "x2")
+    p = x1 * x2 - x2.scale(2)
+    assert substitute_axis(p, 0, Fraction(0)) == x2.scale(-2)
+    # at 2 the two terms land on one key and cancel: the key is deleted
+    q = substitute_axis(p, 0, Fraction(2))
+    _assert_canonical_poly(q)
+    assert q.num == {} and q.den == 1
+
+
 def test_face_integration_matches_divergence():
     # volume integral of d/dx1 equals the difference of the two face integrals
     p = Poly.var(V, "x1") ** 2 * Poly.var(V, "x2")
@@ -376,9 +405,14 @@ def test_integer_sum_matches_the_fraction_reference(seed, frame_index, frames):
     axis = rng.randrange(naxes)
     expo = tuple(rng.randint(0, 2) for _ in range(naxes))
     coeff = cq(_rand_fraction(rng), Fraction(rng.randint(1, 5), rng.randint(1, 4)))
+    # d/dx_axis alone, and times one monomial, as apply_op runs them
+    partial = FirstOrderOp.partial(frame.vars, frame.vars[axis])
+    monomial_partial = FirstOrderOp(frame.vars,
+                                    {frame.vars[axis]: Poly.monomial(frame.vars, expo, coeff)})
     steps = [
-        (lambda s: s.diff_axis(axis), lambda r: r.diff_axis(axis)),
-        (lambda s: s.mul_monomial(expo, coeff), lambda r: r.mul_monomial(expo, coeff)),
+        (lambda s: s.apply_op(partial), lambda r: r.diff_axis(axis)),
+        (lambda s: s.apply_op(monomial_partial),
+         lambda r: r.diff_axis(axis).mul_monomial(expo, coeff)),
         (lambda s: s.scale(coeff), lambda r: r.scale(coeff)),
         (lambda s: s.scale(0), lambda r: r.scale(0)),
         (lambda s: s + other, lambda r: r + other_ref),

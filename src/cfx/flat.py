@@ -191,7 +191,7 @@ def symbol_at(spec: ComplexSpec, j: int, v: Sequence) -> SymbolMatrix:
 def rank_exact(rows: list) -> int:
     """Exact rank of a matrix of Gaussian integers given as ``(re, im)`` int
     pairs, such as ``symbol_at(...).matrix``: the rank ``bareiss`` returns."""
-    return bareiss(rows)[0]
+    return bareiss(rows)
 
 
 def check_exactness(spec: ComplexSpec, v: Sequence) -> dict:

@@ -7,9 +7,9 @@ single +-1, so S Ibeta is a signed column permutation of S, and
 Ibeta S = -(S Ibeta)^T because S is symmetric and Ibeta is skew.
 Classification predicates (right-type, stratified, nondegenerate central
 pairing) are exact except where a grid sampling is explicitly reported as
-such: condition H samples the determinant form, interpolated exactly from
-integer determinants, on a direction grid, and its ``exact`` mode also
-decides whether the determinant vanishes identically.
+such: condition H samples the Pfaffian form of the pairing, interpolated
+exactly from integer Pfaffians, on a direction grid (det = Pf^2), and its
+``exact`` mode also decides whether the determinant vanishes identically.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import List
 
-from .linalg import bareiss
+from .linalg import bareiss, pfaffian
 from .operators import FirstOrderOp
 from .poly import Poly, group_vars
 from .rational import ComplexRational, parse_fraction
@@ -345,24 +345,7 @@ def is_stratified(g: GroupSpec) -> bool:
     size = 4 * g.n
     rows = [((b1[a][b], 0), (b2[a][b], 0), (b3[a][b], 0))
             for a in range(size) for b in range(a + 1, size)]
-    return bareiss(rows)[0] == 3
-
-
-def central_pairing_det(g: GroupSpec, lam) -> Fraction:
-    """det( sum_beta lam_beta B^beta ) for a covector lam of ints or Fractions, exact.
-
-    The integer matrix sum_beta mu_beta (den B^beta), with mu = q lam and q
-    the least common denominator of lam, equals q den times the pairing
-    matrix, so the real part of its ``bareiss`` determinant is (q den)^{4n}
-    times the determinant asked for.  On an integer covector q is 1 and mu
-    is lam itself.
-    """
-    den, brackets = g.integer_brackets
-    q = math.lcm(*(x.denominator for x in lam))
-    m1, m2, m3 = (x.numerator * (q // x.denominator) for x in lam)
-    m = [[(m1 * a + m2 * b + m3 * c, 0) for a, b, c in zip(r1, r2, r3)]
-         for r1, r2, r3 in zip(*brackets)]
-    return Fraction(bareiss(m)[1][0], (q * den) ** (4 * g.n))
+    return bareiss(rows) == 3
 
 
 def sphere_grid(resolution: int = 6):
@@ -389,8 +372,8 @@ def _direction_grid(resolution: int) -> tuple:
 
     mu = resolution lam is the same direction in ints.  The grid is closed
     under negation, and ``evaluate`` is False exactly when -mu came earlier
-    in grid order: the 4n x 4n pencil has det(-M) = det(M), so the earlier
-    point already decided this one.
+    in grid order: the Pfaffian form has even degree 2n, so its value at -mu
+    is its value at mu, and the earlier point already decided this one.
     """
     out = []
     seen = set()
@@ -423,30 +406,32 @@ def _forward_differences(values: list) -> list:
     return out
 
 
-def pairing_det_form(g: GroupSpec) -> tuple:
-    """Integer coefficients of c det( sum lam_beta B^beta ) for one constant c > 0.
+def pairing_pfaffian_form(g: GroupSpec) -> tuple:
+    """Integer coefficients of c Pf( sum lam_beta B^beta ) for one constant c > 0.
 
-    Entry [b][a] is the coefficient of lam1^(d-a-b) lam2^a lam3^b, d = 4n, and
-    the coefficients have gcd 1 unless the determinant is the zero form.  The
-    entries of the pencil are linear forms, so f(lam) = det is zero or a form
-    of degree d, and f(1, u, w) has total degree <= d.  The principal lattice
-    u, w >= 0, u + w <= d is unisolvent for that degree (Chung and Yao, SIAM
-    J. Numer. Anal. 14, 1977), so the C(d+2, 2) ``central_pairing_det`` values
-    there fix f.  Their common denominator q makes them ints; forward
-    differences in u, then in w, give the Newton coefficients D_ij of
-    q f(1, u, w) = sum D_ij binom(u, i) binom(w, j), and f is the zero form
-    iff every D_ij is 0.  The signed Stirling numbers expand the falling
-    factorials i! binom(u, i) into powers of u, and homogenizing gives
-    d! q f(lam) with the integer coefficients sum D_ij d!/(i! j!) s(i, a) s(j, b),
-    which are divided by their gcd.
+    Entry [b][a] is the coefficient of lam1^(d-a-b) lam2^a lam3^b, d = 2n, and
+    the coefficients have gcd 1 unless the Pfaffian is the zero form.  The
+    pencil is 4n x 4n, skew, with linear forms as entries, so f(lam) = Pf is
+    zero or a form of degree d, its square is the determinant, and
+    f(1, u, w) has total degree <= d.  The principal lattice u, w >= 0,
+    u + w <= d is unisolvent for that degree (Chung and Yao, SIAM J. Numer.
+    Anal. 14, 1977), so the C(d+2, 2) values there fix f.  Each is the
+    ``pfaffian`` of the int pencil sum mu_beta (den B^beta) at mu = (1, u, w),
+    which is den^d f(mu).  Forward differences in u, then in w, give the
+    Newton coefficients D_ij of den^d f(1, u, w) = sum D_ij binom(u, i) binom(w, j),
+    and f is the zero form iff every D_ij is 0.  The signed Stirling numbers
+    expand the falling factorials i! binom(u, i) into powers of u, and
+    homogenizing gives d! den^d f(lam) with the integer coefficients
+    sum D_ij d!/(i! j!) s(i, a) s(j, b), which are divided by their gcd.
     """
-    d = 4 * g.n
-    values = [[central_pairing_det(g, (1, u, w)) for u in range(d + 1 - w)]
-              for w in range(d + 1)]
-    q = math.lcm(*(v.denominator for row in values for v in row))
-    # by_u[w][i] = Delta_u^i q f(1, 0, w); newton[i][j] = D_ij
-    by_u = [_forward_differences([v.numerator * (q // v.denominator) for v in row])
-            for row in values]
+    d = 2 * g.n
+    _, brackets = g.integer_brackets
+    rows = tuple(zip(*brackets))
+    # by_u[w][i] = Delta_u^i den^d f(1, 0, w); newton[i][j] = D_ij
+    by_u = [_forward_differences([pfaffian([[a + u * b + w * c for a, b, c in zip(*r)]
+                                            for r in rows])
+                                  for u in range(d + 1 - w)])
+            for w in range(d + 1)]
     newton = [_forward_differences([by_u[w][i] for w in range(d + 1 - i)])
               for i in range(d + 1)]
     fact = [math.factorial(i) for i in range(d + 1)]
@@ -462,12 +447,12 @@ def pairing_det_form(g: GroupSpec) -> tuple:
 
 
 def _form_evaluator(form: tuple):
-    """mu -> a ``pairing_det_form`` at the integer direction mu, in ints.
+    """mu -> a ``pairing_pfaffian_form`` at the integer direction mu, in ints.
 
-    Horner in mu2 gives the coefficient of each power of mu3 at (mu1, mu2),
-    and Horner in mu3 sums them.  Those coefficients are kept per (mu1, mu2):
-    the grid walks lines of fixed (mu1, mu2), so most points cost d + 1
-    products instead of about d^2.
+    The form has degree d = 2n.  Horner in mu2 gives the coefficient of
+    each power of mu3 at (mu1, mu2), and Horner in mu3 sums them.  Those
+    coefficients are kept per (mu1, mu2): the grid walks lines of fixed
+    (mu1, mu2), so most points cost d + 1 products instead of about d^2.
     """
     d = len(form) - 1
     in_mu3 = {}
@@ -498,32 +483,34 @@ def _form_evaluator(form: tuple):
 def check_condition_H(g: GroupSpec, mode: str = "exact", resolution: int = 4) -> dict:
     """Nondegeneracy of the central pairing for every nonzero covector.
 
-    Both modes look for a zero of f(lam) = det( sum lam_beta B^beta ) on a
-    rational direction grid.  A vanishing sample is an exact witness of
-    failure; a clean grid yields the verdict "sampled-true" (a grid check,
-    not a proof).  f is known exactly, as the integer form c f of
-    ``pairing_det_form`` (c > 0), from C(4n+2, 2) determinants on the
-    principal lattice: 15, 45 and 91 at n = 1, 2 and 3.  Each sample is the
-    form, in ints, at the integer direction mu = resolution lam.  The form
-    has even degree 4n, so f(-mu) = f(mu): a point whose antipode came
-    earlier in grid order is not evaluated, since the loop would have
-    stopped at the antipode had f vanished there.  Verdicts and witnesses
-    are those of the full grid.
+    Both modes look for a zero of det( sum lam_beta B^beta ) on a rational
+    direction grid.  A vanishing sample is an exact witness of failure; a
+    clean grid yields the verdict "sampled-true" (a grid check, not a
+    proof).  The pencil is real and skew, so det = f^2 with
+    f(lam) = Pf( sum lam_beta B^beta ): det vanishes exactly where f does.
+    f is known exactly, as the integer form c f of ``pairing_pfaffian_form``
+    (c > 0), from C(2n+2, 2) Pfaffians on the principal lattice: 6, 15 and
+    28 at n = 1, 2 and 3.  Each sample is the form, in ints, at the integer
+    direction mu = resolution lam.  The form has even degree 2n, so
+    f(-mu) = f(mu): a point whose antipode came earlier in grid order is
+    not evaluated, since the loop would have stopped at the antipode had f
+    vanished there.  Verdicts and witnesses are those of the full grid.
 
-    ``exact`` also decides from the same values whether f is the zero
-    polynomial: by the unisolvence of the lattice, it is iff every Newton
-    coefficient is 0.  It reports the degree d = 4n.
+    ``exact`` also decides from the same values whether the determinant is
+    the zero polynomial: it is iff f is, which by the unisolvence of the
+    lattice holds iff every Newton coefficient is 0.  It reports the
+    determinant's degree 4n.
     """
     if mode not in ("exact", "sampled"):
         raise ValueError("mode must be 'exact' or 'sampled'")
-    form = pairing_det_form(g)
+    form = pairing_pfaffian_form(g)
     if mode == "exact" and not any(any(col) for col in form):
         return {"verdict": "false", "witness": ["1", "0", "0"],
                 "reason": "determinant vanishes identically"}
     grid = _direction_grid(resolution)
     value = _form_evaluator(form)
-    # sum lam_beta B^beta is real and skew, so f is a Pfaffian squared and the
-    # positive scale keeps its sign: the grid shows zeros, never a sign change
+    # only a zero decides: the first grid zero of f is the first of det = f^2,
+    # and a sign change of f between grid points is not read
     for lam, mu, evaluate in grid:
         if evaluate and not value(mu):
             return {"verdict": "false", "witness": [str(x) for x in lam],

@@ -1,12 +1,13 @@
 """Differential tests of the integer condition-H path and the signed-permutation brackets.
 
 The references are the rational constructions: bracket matrices from dense
-products with block_diag(Ibeta), determinants by cofactor expansion of
-``Fraction`` matrices, and for exact mode the symbolic determinant by
-cofactor expansion, sampled with ``Poly.eval_exact``.  The interpolated
-determinant form of ``pairing_det_form`` is compared with the same
-references, and with determinant forms that vanish at all but one point of
-its interpolation lattice.
+products with block_diag(Ibeta), determinants by cofactor expansion and
+Pfaffians by expansion along the first row of ``Fraction`` matrices, and for
+exact mode the symbolic determinant by cofactor expansion, sampled with
+``Poly.eval_exact``.  The interpolated Pfaffian form of
+``pairing_pfaffian_form`` is compared with the same references (its square
+with the determinant), and with Pfaffian forms that vanish at all but one
+point of its interpolation lattice.
 """
 
 import math
@@ -16,12 +17,13 @@ from fractions import Fraction
 import pytest
 
 from cfx import groups, linalg
-from cfx.groups import (GroupSpec, I_MATS, block_diag, central_pairing_det,
-                        check_condition_H, classify, group_from_phi,
-                        horizontal_fields, mat, mat_add, mat_mul, sphere_grid)
+from cfx.groups import (GroupSpec, I_MATS, block_diag, check_condition_H, classify,
+                        group_from_phi, horizontal_fields, mat, mat_add, mat_mul,
+                        sphere_grid)
 from cfx.poly import Poly, x_vars
 from cfx.randgen import SectionGenerator
-from test_linalg import cofactor_det, symbolic_pairing_det
+from test_linalg import (LAM, central_pairing_det, cofactor_det, expansion_pfaffian,
+                         symbolic_pairing_det)
 
 
 def reference_brackets(S, n):
@@ -40,6 +42,14 @@ def reference_det(brackets, lam):
     # cofactor expansion over ints: clear the common denominator, divide once
     den = math.lcm(*(x.denominator for row in m for x in row))
     return Fraction(cofactor_det([[int(x * den) for x in row] for row in m]), den ** size)
+
+
+def reference_pf(brackets, lam):
+    """Pf( sum lam_beta B^beta ) by expansion of the ``Fraction`` pencil."""
+    size = len(brackets[0])
+    m = [[sum(Fraction(lam[beta]) * brackets[beta][i][j] for beta in range(3))
+          for j in range(size)] for i in range(size)]
+    return expansion_pfaffian(m)
 
 
 def reference_condition_H(grid, resolution, sample, det_poly=None):
@@ -136,11 +146,14 @@ def test_integer_condition_H_matches_rational_reference(name, resolution):
 
 @pytest.mark.parametrize("name,resolution", CASES)
 def test_pairing_det_is_even_on_the_grid(name, resolution):
-    # the pencil is 4n x 4n, so det(-M) = det(M): the antipode of a grid
-    # point needs no determinant of its own
+    # the pencil is 4n x 4n, so Pf(-M) = Pf(M), and det = Pf^2 with it: the
+    # antipode of a grid point needs no value of its own
     g = _case(name)
-    for lam in sphere_grid(resolution):
-        assert central_pairing_det(g, lam) == central_pairing_det(g, [-x for x in lam])
+    brackets = reference_brackets(g.S, g.n)
+    value = groups._form_evaluator(groups.pairing_pfaffian_form(g))
+    for lam, mu, _ in groups._direction_grid(resolution):
+        assert reference_pf(brackets, lam) == reference_pf(brackets, [-x for x in lam])
+        assert value(mu) == value(tuple(-x for x in mu))
 
 
 @pytest.mark.parametrize("resolution", [1, 2, 3, 4, 5, 6])
@@ -218,16 +231,17 @@ def _count_calls(monkeypatch, module, name, counts):
 
 
 def lattice_size(n):
-    # the principal lattice u, w >= 0, u + w <= 4n
-    return math.comb(4 * n + 2, 2)
+    # the principal lattice u, w >= 0, u + w <= 2n
+    return math.comb(2 * n + 2, 2)
 
 
 @pytest.mark.parametrize("group", ["rightQH", "leftQH"])
-def test_classify_takes_one_bareiss_per_lattice_point(monkeypatch, group):
+def test_classify_takes_one_pfaffian_per_lattice_point(monkeypatch, group):
     g = GroupSpec.named(group, 2)
     counts = {}
     for module in (linalg, groups):
         _count_calls(monkeypatch, module, "bareiss", counts)
+        _count_calls(monkeypatch, module, "pfaffian", counts)
 
     def no_eval(*args, **kwargs):
         raise AssertionError("Poly.eval_exact on the condition-H path")
@@ -238,32 +252,59 @@ def test_classify_takes_one_bareiss_per_lattice_point(monkeypatch, group):
         result = classify(g, mode)
         assert result["condition_H"]["verdict"] == "sampled-true"
         assert result["condition_H"]["grid_points"] == len(sphere_grid(4))
-        # 45 determinants fix the form, whatever the grid; one more: is_stratified
-        assert counts == {"bareiss": lattice_size(2) + 1}
+        # 15 Pfaffians fix the form, whatever the grid; one rank: is_stratified
+        assert counts == {"pfaffian": lattice_size(2), "bareiss": 1}
 
 
 @pytest.mark.parametrize("name", ["named-1-2", "half-2-0"])
 def test_zero_pencil_takes_one_determinant_per_lattice_point(monkeypatch, name):
+    # the value at each lattice point is one Pfaffian, and no determinant
     g = _case(name)
     counts = {}
+    _count_calls(monkeypatch, groups, "pfaffian", counts)
     _count_calls(monkeypatch, groups, "bareiss", counts)
     assert check_condition_H(g, "exact")["reason"] == "determinant vanishes identically"
-    assert counts == {"bareiss": lattice_size(g.n)}
+    assert counts == {"pfaffian": lattice_size(g.n)}
 
 
-def test_zero_pencil_probe_is_a_proof_for_any_form_of_degree_4n(monkeypatch):
-    # lam2 (lam2 - lam1) (lam2 - 2 lam1) (lam2 - 3 lam1) has degree 4 = 4n at
-    # n = 1 and vanishes at every probe point (1, u, w) with u < 4
-    def det(g, lam):
+def pencil_key(g, mu):
+    """The int pencil sum mu_beta (den B^beta) as a tuple of rows."""
+    _, brackets = g.integer_brackets
+    return tuple(tuple(mu[0] * a + mu[1] * b + mu[2] * c for a, b, c in zip(*rows))
+                 for rows in zip(*brackets))
+
+
+def patch_lattice_pfaffians(monkeypatch, g, pf):
+    """Make ``groups.pfaffian`` return pf(mu), an int, on the pencil at each lattice point mu."""
+    d = 2 * g.n
+    table = {}
+    for u in range(d + 1):
+        for w in range(d + 1 - u):
+            value = Fraction(pf(g, (1, u, w)))
+            assert value.denominator == 1
+            table[pencil_key(g, (1, u, w))] = value.numerator
+    assert len(table) == lattice_size(g.n)
+
+    def fake(rows):
+        return table[tuple(tuple(row) for row in rows)]
+
+    monkeypatch.setattr(groups, "pfaffian", fake)
+
+
+def test_zero_pencil_probe_is_a_proof_for_any_form_of_degree_2n(monkeypatch):
+    # lam2 (lam2 - lam1) has degree 2 = 2n at n = 1 and vanishes at every
+    # lattice point (1, u, w) with u < 2
+    def pf(g, lam):
         lam1, lam2, _ = (Fraction(x) for x in lam)
-        return lam2 * (lam2 - lam1) * (lam2 - 2 * lam1) * (lam2 - 3 * lam1)
+        return lam2 * (lam2 - lam1)
 
-    monkeypatch.setattr(groups, "central_pairing_det", det)
-    result = check_condition_H(GroupSpec.right_qh(1), "exact")
+    g = GroupSpec.right_qh(1)
+    patch_lattice_pfaffians(monkeypatch, g, pf)
+    result = check_condition_H(g, "exact")
     assert result["reason"] == "determinant vanishes at a rational covector"
 
 
-# -- the interpolated determinant form ---------------------------------------------------
+# -- the interpolated Pfaffian form --------------------------------------------------------
 
 
 def form_at(form, lam):
@@ -271,6 +312,21 @@ def form_at(form, lam):
     d = len(form) - 1
     return sum(c * Fraction(lam[0]) ** (d - a - b) * Fraction(lam[1]) ** a * Fraction(lam[2]) ** b
                for b, col in enumerate(form) for a, c in enumerate(col))
+
+
+def form_poly(form):
+    """The form as a ``Poly`` in lam1, lam2, lam3."""
+    d = len(form) - 1
+    return sum((Poly.monomial(LAM, (d - a - b, a, b), c)
+                for b, col in enumerate(form) for a, c in enumerate(col)), Poly.zero(LAM))
+
+
+def coefficient_pairs(left, right):
+    """(left, right) coefficients over the monomials of either real form; 0 is the zero form."""
+    lt = left.terms if left else {}
+    rt = right.terms if right else {}
+    assert all(x.im == 0 for x in (*lt.values(), *rt.values()))
+    return [(lt[e].re if e in lt else 0, rt[e].re if e in rt else 0) for e in set(lt) | set(rt)]
 
 
 def scale_of(pairs):
@@ -283,45 +339,50 @@ def scale_of(pairs):
 
 @pytest.mark.parametrize("name,resolution", CASES)
 def test_form_is_the_determinant_times_one_positive_constant(name, resolution):
+    # the form is c Pf with c > 0, so its square is c^2 det
     g = _case(name)
-    form = groups.pairing_det_form(g)
-    assert len(form) == 4 * g.n + 1
-    assert all(len(col) == 4 * g.n + 1 - b and all(type(x) is int for x in col)
+    form = groups.pairing_pfaffian_form(g)
+    assert len(form) == 2 * g.n + 1
+    assert all(len(col) == 2 * g.n + 1 - b and all(type(x) is int for x in col)
                for b, col in enumerate(form))
+    brackets = reference_brackets(g.S, g.n)
     grid = sphere_grid(resolution)
-    c = scale_of([(form_at(form, lam), central_pairing_det(g, lam)) for lam in grid])
+    c = scale_of([(form_at(form, lam), reference_pf(brackets, lam)) for lam in grid])
+    c_det = scale_of([(form_at(form, lam) ** 2, central_pairing_det(g, lam)) for lam in grid])
     value = groups._form_evaluator(form)
     for lam, mu, _ in groups._direction_grid(resolution):
         assert value(mu) == form_at(form, mu)
     if c is None:
+        assert c_det is None
         assert not any(any(col) for col in form)
     else:
-        assert c > 0
+        assert c > 0 and c_det == c * c
         assert math.gcd(*(x for col in form for x in col)) == 1
 
 
 @pytest.mark.parametrize("name", sorted({name for name, _ in CASES if _case(name).n <= 2}))
 def test_form_coefficients_are_the_symbolic_determinant_times_the_constant(name):
+    # squared, the form's coefficients are those of the symbolic determinant
+    # times one c > 0; unsquared, those of the symbolic Pfaffian times sqrt(c)
     g = _case(name)
-    d = 4 * g.n
-    form = groups.pairing_det_form(g)
+    size = 4 * g.n
+    form = form_poly(groups.pairing_pfaffian_form(g))
     det_poly = symbolic_pairing_det(g)
-    terms = det_poly.terms if det_poly else {}
-    assert all(x.im == 0 for x in terms.values())
-    pairs = [(form[b][a], terms[(d - a - b, a, b)].re if (d - a - b, a, b) in terms else 0)
-             for b in range(d + 1) for a in range(d + 1 - b)]
-    assert len(pairs) == lattice_size(g.n)
-    assert all(sum(e) == d for e in terms)
-    c = scale_of(pairs)
+    assert all(sum(e) == size for e in (det_poly.terms if det_poly else ()))
+    c = scale_of(coefficient_pairs(form * form, det_poly))
     assert (c is None) == (not det_poly)
-    assert c is None or c > 0
+    pencil = [[sum((Poly.var(LAM, v, b[i][j]) for v, b in zip(LAM, g.B)), Poly.zero(LAM))
+               for j in range(size)] for i in range(size)]
+    root = scale_of(coefficient_pairs(form, expansion_pfaffian(pencil)))
+    assert (root is None) == (c is None)
+    assert c is None or (root > 0 and root * root == c)
 
 
 def lattice_lagrange(d, u0, w0):
     """A degree-d form that vanishes at every lattice point (1, u, w) but (1, u0, w0)."""
     t0 = d - u0 - w0
 
-    def det(g, lam):
+    def pf(g, lam):
         lam1, lam2, lam3 = (Fraction(x) for x in lam)
         value = Fraction(1)
         for k in range(u0):
@@ -332,32 +393,76 @@ def lattice_lagrange(d, u0, w0):
             value *= (d - k) * lam1 - lam2 - lam3
         return value
 
-    return det
+    return pf
 
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_one_nonzero_lattice_value_is_never_a_zero_pencil(monkeypatch, n):
-    # each lattice point in turn carries the only nonzero value: the form is
-    # then nonzero, and the grid verdict is the rational reference's
+    # each point of the degree-2n lattice in turn carries the only nonzero
+    # Pfaffian: the form is then nonzero, and the grid verdict is the
+    # rational reference's
     g = GroupSpec.right_qh(n)
-    d = 4 * n
+    d = 2 * n
     grid = sphere_grid(4)
     directions = [mu for _, mu, _ in groups._direction_grid(4)]
     for u0 in range(d + 1):
         for w0 in range(d + 1 - u0):
-            det = lattice_lagrange(d, u0, w0)
+            pf = lattice_lagrange(d, u0, w0)
             assert [(u, w) for u in range(d + 1) for w in range(d + 1 - u)
-                    if det(g, (1, u, w))] == [(u0, w0)]
-            monkeypatch.setattr(groups, "central_pairing_det", det)
-            form = groups.pairing_det_form(g)
+                    if pf(g, (1, u, w))] == [(u0, w0)]
+            patch_lattice_pfaffians(monkeypatch, g, pf)
+            form = groups.pairing_pfaffian_form(g)
             assert any(any(col) for col in form)
             value = groups._form_evaluator(form)
-            assert scale_of([(value(mu), det(g, mu)) for mu in directions]) > 0
+            assert scale_of([(value(mu), pf(g, mu)) for mu in directions]) > 0
             exact = check_condition_H(g, "exact")
             assert exact.get("reason") != "determinant vanishes identically"
             sampled = check_condition_H(g, "sampled")
-            assert sampled == reference_condition_H(grid, 4, lambda lam: det(g, lam))
+            assert sampled == reference_condition_H(grid, 4, lambda lam: pf(g, lam))
             if "witness" in sampled:
                 assert exact == sampled
             else:
-                assert exact == dict(sampled, det_degree=d)
+                assert exact == dict(sampled, det_degree=4 * n)
+
+
+def block_congruence(rng, S, n):
+    """P^T S P with P = A (x) I_4, A = (unit lower-triangular)(signed permutation).
+
+    A is unimodular, and P commutes with every block_diag(Ibeta, n), so the
+    brackets go to P^T B^beta P: the pencil's Pfaffian is multiplied by
+    det P = (det A)^4 = 1, and its denominators stay.
+    """
+    lower = [[int(i == j) or (rng.randint(-2, 2) if j < i else 0) for j in range(n)]
+             for i in range(n)]
+    perm = rng.sample(range(n), n)
+    signed = [[rng.choice((-1, 1)) if j == perm[i] else 0 for j in range(n)] for i in range(n)]
+    a = mat_mul(mat(lower), mat(signed))
+    p = mat([[a[i // 4][j // 4] if i % 4 == j % 4 else 0 for j in range(4 * n)]
+             for i in range(4 * n)])
+    return mat_mul(mat_mul(tuple(zip(*p)), mat(S)), p)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_unimodular_block_congruence_keeps_the_form_and_the_verdicts(n):
+    rng = random.Random(n)
+    seen, changed = set(), 0
+    for seed in range(15):
+        gen = SectionGenerator(500 + 20 * n + seed)
+        if seed == 0:  # blockdiag(Id, 0, ...): the pencil is singular everywhere
+            S = [[int(i == j < 4) for j in range(4 * n)] for i in range(4 * n)]
+        elif seed == 1:  # blockdiag(diag(-1, -1, 1, 1), ...): a grid zero
+            S = block_diag(((-1, 0, 0, 0), (0, -1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)), n)
+        else:
+            S = gen.symmetric_matrix(4 * n) if seed % 2 else gen.right_type_matrix(n)
+        g, h = GroupSpec(n, S), GroupSpec(n, block_congruence(rng, S, n))
+        changed += h.S != g.S
+        assert groups.pairing_pfaffian_form(h) == groups.pairing_pfaffian_form(g)
+        before, after = classify(g, "exact"), classify(h, "exact")
+        for key in ("right_type", "stratified"):
+            assert after[key] == before[key]
+        verdict = after["condition_H"]["verdict"]
+        assert verdict == before["condition_H"]["verdict"]
+        seen.add((before["right_type"], before["stratified"], verdict))
+    assert changed >= 12
+    assert {v for _, _, v in seen} == {"false", "sampled-true"}
+    assert {rt for rt, _, _ in seen} == {True, False}

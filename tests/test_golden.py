@@ -6,9 +6,11 @@ says why in CHANGES.md.
 """
 
 import hashlib
+import importlib.util
 import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -31,6 +33,8 @@ GOLDEN = [
      "a0f7e84e54d27e9a0713b4cae3837716b27e0437f000679e1a1b9940e7fdba6e"),
     ("classify --group leftQH --n 2 --condition-h exact",
      "4e26287851c6e7271daadf330e0b3cf81b5a632b76693b40899fa6d18f27d469"),
+    ("classify --group rightQH --n 3 --condition-h exact",
+     "f3f39cc42f18db0369ae3f37bcc495fb4f1b13c3bb2b444e3d6b6a8ae8f12543"),
     ("ma --group rightQH --n 2 --power 2 --seed 3 --convergence 64",
      "41ae7e5f6f1d43977b93247b4bd8356de969d53518ab426910fef92f62258540"),
 ]
@@ -71,24 +75,43 @@ def _dense_rational_group() -> dict:
 
 
 CLASSIFY_FILES = [
+    # dense symmetric n = 3: 28 Pfaffians fix the condition-H form, and the
+    # whole direction grid is clean
+    ("dense-symmetric-n3",
+     {"n": 3, "S": [[str(x) for x in row] for row in SectionGenerator(3).symmetric_matrix(12)]},
+     ["--condition-h", "exact"],
+     "8e3dcb1ee71e3895cc550a059d9d4279e2bd65d0f14bee1dad1a3b7a371fb280"),
     # not right-type: every block certificate holds non-dyadic residual strings,
     # and condition H runs the whole direction grid
-    ("dense-rational-n2", _dense_rational_group(),
+    ("dense-rational-n2", _dense_rational_group(), [],
      "09c6120c338a0d55a7d7798566e226cefcc908e8a4dc261eb9204baf35ffb4b1"),
     # diag(-1, -1, 1, 1): condition H fails with a grid witness
     ("diag-witness-n1",
      {"n": 1, "S": [[str(-int(i == j < 2) + int(i == j >= 2)) for j in range(4)]
-                    for i in range(4)]},
+                    for i in range(4)]}, [],
      "49001b9fce3b9ff88e5e562f9e1666f58027e8d501510c799f377dc83f302786"),
 ]
 
 
-@pytest.mark.parametrize("name, data, digest", CLASSIFY_FILES,
-                         ids=[name for name, _, _ in CLASSIFY_FILES])
-def test_classify_file_report_is_pinned(name, data, digest, tmp_path, capsys):
+@pytest.mark.parametrize("name, data, args, digest", CLASSIFY_FILES,
+                         ids=[name for name, _, _, _ in CLASSIFY_FILES])
+def test_classify_file_report_is_pinned(name, data, args, digest, tmp_path, capsys):
     path = tmp_path / "group.json"
     path.write_text(json.dumps(data))
-    code = main(["classify", "--file", str(path)])
+    code = main(["classify", "--file", str(path), *args])
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_classify_random_table_is_pinned(capsys):
+    """The stdout of ``scripts/classify_random.py 200 1``, run in-process:
+    200 random n = 1 and n = 2 groups, 22 of them with a grid zero."""
+    path = Path(__file__).resolve().parent.parent / "scripts" / "classify_random.py"
+    spec = importlib.util.spec_from_file_location("classify_random", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert script.main(200, 1) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "fa65d8bc2d22108813a0146b4d5b1badcf9e9ca6410628bd7685fdc2f66e62d6"

@@ -5,16 +5,15 @@ from fractions import Fraction
 import pytest
 
 from cfx.groups import (GroupSpec, I_MATS, ID4, J_MATS, block_diag,
-                        central_pairing_det, check_condition_H, classify,
-                        group_from_phi, horizontal_fields, is_right_type,
-                        is_right_type_via_E, is_stratified, mat, mat_add,
-                        mat_eq, mat_is_zero, mat_mul, mat_neg, mat_scale,
-                        quaternion_relations_ok)
+                        check_condition_H, classify, group_from_phi,
+                        horizontal_fields, is_right_type, is_right_type_via_E,
+                        is_stratified, mat, mat_add, mat_eq, mat_is_zero,
+                        mat_mul, mat_neg, mat_scale, quaternion_relations_ok)
 from cfx.operators import FirstOrderOp
 from cfx.poly import Poly, x_vars
 from cfx.randgen import SectionGenerator
 from cfx.rational import ComplexRational
-from test_linalg import symbolic_pairing_det
+from test_linalg import central_pairing_det, symbolic_pairing_det
 
 
 # -- references: the group law, the bracket blocks and the bracket table ---------------

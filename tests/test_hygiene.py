@@ -307,3 +307,31 @@ def test_sections_and_frames_are_built_on_ints(monkeypatch):
     for group in groups:
         fields = horizontal_fields(group)
         assert len(fields) == 4 * group.n and all(len(X.coeffs) > 1 for X in fields)
+
+
+def test_condition_h_runs_on_ints(monkeypatch):
+    # once the group, its integer brackets and the grid are built, condition H
+    # takes no Fraction arithmetic and no rank: Pfaffians and int forms only
+    from fractions import Fraction
+
+    from cfx import groups, linalg
+    from cfx.groups import GroupSpec, check_condition_H
+    from cfx.randgen import SectionGenerator
+
+    dense = [[x / 6 for x in row] for row in SectionGenerator(7).symmetric_matrix(8)]
+    cases = [GroupSpec.right_qh(3), GroupSpec(2, dense), GroupSpec.abelian(2)]
+    for g in cases:
+        assert g.integer_brackets
+    groups._direction_grid(4)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("Fraction arithmetic or a rank on the condition-H path")
+
+    for name in ("add", "sub", "mul", "truediv", "pow"):
+        for prefix in ("__", "__r"):
+            monkeypatch.setattr(Fraction, f"{prefix}{name}__", forbidden)
+    for module in (groups, linalg):
+        monkeypatch.setattr(module, "bareiss", forbidden)
+    verdicts = [check_condition_H(g, mode)["verdict"] for g in cases
+                for mode in ("sampled", "exact")]
+    assert verdicts == ["sampled-true"] * 4 + ["false"] * 2

@@ -8,7 +8,7 @@ arithmetic throughout.
 
 from .rational import ComplexRational, cq
 from .poly import Poly, x_vars, group_vars
-from .exterior import ExtForm, wedge
+from .exterior import ExtForm
 from .spinor import SpinorField, raise_primed, symmetrize
 from .flat import ComplexSpec, flat_D, flat_D_tuple, symbol_at, check_exactness
 from .groups import GroupSpec, group_from_phi, is_right_type, is_right_type_via_E

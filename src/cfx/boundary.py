@@ -21,18 +21,17 @@ the tests.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 from typing import List, Optional
 
-from .exterior import ExtForm
+from .exterior import ExtForm, insert_index, put_component
 from .groups import GroupSpec, curvature_entry, horizontal_fields
 from .operators import FirstOrderOp
 from .poly import Poly, x_vars
-from .rational import ComplexRational, I, cq
+from .rational import I
 from .spinor import LevelTable, SpinorField, raise_primed
 
 
@@ -94,6 +93,11 @@ class TangentFrame(Frame):
         self.T_lower = self._t_matrix()
         self.T_upper = {(a, b): raise_primed((self.T_lower[0][a], self.T_lower[1][a]))[b]
                         for a in (0, 1) for b in (0, 1)}
+        # the symmetrized and the skew raised translations, built once
+        half = Fraction(1, 2)
+        self.T_sym = {(a, b): (self.T_upper[(a, b)] + self.T_upper[(b, a)]).scale(half)
+                      for a in (0, 1) for b in (0, 1)}
+        self.T_skew = (self.T_upper[(0, 1)] - self.T_upper[(1, 0)]).scale(half)
         self.E0 = curvature_form(group)
         self.right_type = self.E0.is_zero()
 
@@ -104,12 +108,6 @@ class TangentFrame(Frame):
             [d(v, "t1", -I), d(v, "t2", -1) + d(v, "t3", I)],
             [d(v, "t2", 1) + d(v, "t3", I), d(v, "t1", I)],
         ]
-
-    def t_symmetric_upper(self, a: int, b: int) -> FirstOrderOp:
-        return (self.T_upper[(a, b)] + self.T_upper[(b, a)]).scale(Fraction(1, 2))
-
-    def t_skew_upper(self) -> FirstOrderOp:
-        return (self.T_upper[(0, 1)] - self.T_upper[(1, 0)]).scale(Fraction(1, 2))
 
     def require_right_type(self):
         if not self.right_type:
@@ -127,6 +125,8 @@ def frak_d(aprime: int, f: ExtForm, frame: Frame, raised: bool = True) -> ExtFor
     operators' ``den``.  Every (row, component) pair goes in through
     ``FirstOrderOp.apply_into`` with ``mult`` = wedge sign * (D / component
     den) * (L / operator den), and each output component is one ``Poly``.
+    The sign and the merged index are ``exterior.insert_index``, and
+    ``exterior.put_component`` drops an output index whose sum cancels.
     """
     if aprime not in (0, 1):
         raise ValueError("primed index must be 0 or 1")
@@ -140,27 +140,15 @@ def frak_d(aprime: int, f: ExtForm, frame: Frame, raised: bool = True) -> ExtFor
         return ExtForm.zero(f.dim, degree, f.vars)
     D = lcm(1, *(p.den for p in f.comps.values()))
     L = lcm(1, *(op.den for op in ops))
-    # w^a ^ w^idx inserts a into idx with sign (-1)^(#indices below a); a key
-    # whose sum cancels is deleted and re-enters at the end, as a sum of
-    # Polys would
     out: dict = {}
     for a, op in enumerate(ops):
         scale = L // op.den
         for idx, coeff in f.comps.items():
-            pos = bisect_left(idx, a)
-            if pos < len(idx) and idx[pos] == a:
-                continue
-            key = idx[:pos] + (a,) + idx[pos:]
-            mult = scale * (D // coeff.den)
-            if pos % 2:
-                mult = -mult
-            acc = out.get(key)
-            if acc is None:
-                acc = op.apply_into({}, coeff.num, mult)
-                if acc:
-                    out[key] = acc
-            elif not op.apply_into(acc, coeff.num, mult):
-                del out[key]
+            inserted = insert_index(a, idx)
+            if inserted is not None:
+                sign, key = inserted
+                put_component(out, key, op.apply_into(out.get(key, {}), coeff.num,
+                                                      sign * scale * (D // coeff.den)))
     den = D * L
     return ExtForm._make(f.dim, degree, f.vars,
                          {key: Poly._make(f.vars, num, den) for key, num in out.items()})
@@ -183,15 +171,6 @@ def curvature_form(group: GroupSpec) -> ExtForm:
             if entry:
                 comps[(a, b)] = Poly.const(gvars, entry).scale(2)
     return ExtForm._make(dim, 2, gvars, comps)
-
-
-def curvature_component(E: ExtForm, a: int, b: int) -> ComplexRational:
-    """Antisymmetric coefficient E_{ab} of a 2-form E = sum_{a,b} E_{ab} w^a w^b."""
-    if a == b:
-        return cq(0)
-    if a < b:
-        return E.component((a, b)).constant_term() / cq(2)
-    return -curvature_component(E, b, a)
 
 
 # -- boundary levels and fields ----------------------------------------------------------
@@ -268,15 +247,6 @@ class BoundaryField:
         comp_zero = self.companion is None or self.companion.is_zero()
         return lead_zero and comp_zero
 
-    def to_json(self) -> dict:
-        return {
-            "n": self.spec.n,
-            "k": self.spec.k,
-            "level": self.level,
-            "lead": self.lead.to_json(),
-            "companion": self.companion.to_json() if self.companion else None,
-        }
-
 
 # -- the boundary operator ----------------------------------------------------------------
 
@@ -315,7 +285,7 @@ def boundary_D(frame: TangentFrame, fld: BoundaryField) -> BoundaryField:
         comp = frame.zero_form(k)
         if fld.has_companion():
             skew_dd = (_dd(frame, G(0), 0, 1) - _dd(frame, G(0), 1, 0)).scale(Fraction(1, 2))
-            comp = comp + skew_dd + E0.wedge(G(0).map_coeffs(frame.t_skew_upper().apply))
+            comp = comp + skew_dd + E0.wedge(G(0).map_coeffs(frame.T_skew.apply))
         for ap in (0, 1):
             for bp in (0, 1):
                 comp = comp - frak_d(bp, f(ap).map_coeffs(frame.T_lower[bp][ap].apply), frame)
@@ -366,8 +336,7 @@ def anticommutation_defect(frame: TangentFrame, f: ExtForm, ap: int, bp: int):
     """
     half = Fraction(1, 2)
     defect = (_dd(frame, f, ap, bp) + _dd(frame, f, bp, ap)).scale(half)
-    t_sym = frame.t_symmetric_upper(ap, bp)
-    rhs = frame.E0.wedge(f.map_coeffs(t_sym.apply))
+    rhs = frame.E0.wedge(f.map_coeffs(frame.T_sym[(ap, bp)].apply))
     return defect, rhs
 
 
@@ -422,18 +391,17 @@ def bracket_identity(frame: TangentFrame) -> dict:
     four primed pairs.
     """
     quarter = Fraction(1, 4)
-    t_sym = {(ap, bp): frame.t_symmetric_upper(ap, bp) for ap in (0, 1) for bp in (0, 1)}
     ok = True
     worst = "0"
     for a in range(frame.dim):
         za = frame.Z_upper[a]
         for b in range(a + 1, frame.dim):
             zb = frame.Z_upper[b]
-            coeff = curvature_component(frame.E0, a, b)
+            coeff = curvature_entry(frame.group, a, b)
             brackets = {(x, y): za[x].commutator(zb[y]) for x in (0, 1) for y in (0, 1)}
             for ap, bp in ((0, 0), (0, 1), (1, 0), (1, 1)):
                 lhs = (brackets[ap, bp] + brackets[bp, ap]).scale(quarter)
-                diff = lhs - t_sym[ap, bp].scale(coeff)
+                diff = lhs - frame.T_sym[(ap, bp)].scale(coeff)
                 if not diff.is_zero():
                     ok = False
                     worst = str(diff)

@@ -1,41 +1,70 @@
 """Exterior forms with polynomial coefficients over a basis w^0..w^{m-1}.
 
-Components are stored on strictly increasing index tuples; the wedge sign
-is the parity of the merge permutation, and a repeated index kills the term.
-No component is the zero polynomial.  The public constructor checks every
-index tuple and drops zero coefficients; the ring operations (``+``, ``-``,
-``scale``, ``scale_poly``, ``map_coeffs``, ``wedge``) build their result
-through the trusted ``ExtForm._make``, which checks nothing: each of them
-drops the zero components it produces, so the invariant holds without a
-second pass.
+This module is the one home of the form layout; ``boundary.frak_d`` and the
+flat symbol build on its primitives and restate none of it:
+
+* components are stored on strictly increasing index tuples, and
+  :func:`insert_index` is the one wedge sign: w^a ^ w^idx is
+  (-1)^(number of indices below a) w^{merged}, and zero when a is in idx.
+  :func:`merge_sign` folds it over the indices of a left factor;
+* no component is zero: :func:`put_component` stores a nonzero value and
+  drops the index of one that cancels, which comes back at the end when a
+  later sum makes it nonzero;
+* a product of components is ``poly.mul_into``: :meth:`ExtForm.wedge`
+  accumulates every pair into one numerator dict per merged index.
+
+The public constructor checks every index tuple and drops zero
+coefficients; the ring operations (``+``, ``-``, ``scale``, ``scale_poly``,
+``map_coeffs``, ``wedge``) build their result through the trusted
+``ExtForm._make``, which checks nothing.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from math import lcm
 from typing import Mapping, Sequence
 
-from .poly import Poly
+from .poly import Poly, mul_into
 
 _set = object.__setattr__
 
 
-def merge_sign(left: tuple, right: tuple):
-    """Merge two strictly increasing tuples; return (sign, merged) or None.
+def insert_index(a: int, idx: tuple):
+    """w^a ^ w^idx for a strictly increasing tuple idx: (sign, merged), or
+    None when a is already in idx (the wedge vanishes).
 
-    None means a shared index (the wedge vanishes).  The sign is the parity
-    of the permutation sorting left+right.
+    The sign is (-1)^(number of indices of idx below a).
     """
-    if set(left) & set(right):
+    pos = bisect_left(idx, a)
+    if pos < len(idx) and idx[pos] == a:
         return None
-    sign = 1
-    merged = list(left)
-    for r in right:
-        pos = len(merged)
-        while pos > 0 and merged[pos - 1] > r:
-            pos -= 1
-        sign *= -1 if (len(merged) - pos) % 2 else 1
-        merged.insert(pos, r)
-    return sign, tuple(merged)
+    return -1 if pos % 2 else 1, idx[:pos] + (a,) + idx[pos:]
+
+
+def merge_sign(left: tuple, right: tuple):
+    """w^left ^ w^right for strictly increasing tuples: (sign, merged) or None.
+
+    The indices of ``left`` go into ``right`` one at a time, last first,
+    through :func:`insert_index`; None means a shared index.
+    """
+    sign, merged = 1, right
+    for a in reversed(left):
+        inserted = insert_index(a, merged)
+        if inserted is None:
+            return None
+        sign *= inserted[0]
+        merged = inserted[1]
+    return sign, merged
+
+
+def put_component(comps: dict, idx, value) -> None:
+    """Store ``value`` (a ``Poly`` or a numerator dict) at ``idx`` if it is
+    nonzero, else drop ``idx``; an index keeps its place while it lives."""
+    if value:
+        comps[idx] = value
+    else:
+        comps.pop(idx, None)
 
 
 class ExtForm:
@@ -115,11 +144,7 @@ class ExtForm:
         comps = dict(self.comps)
         for idx, c in other.comps.items():
             acc = comps.get(idx)
-            acc = c if acc is None else acc + c
-            if acc.is_zero():
-                comps.pop(idx, None)
-            else:
-                comps[idx] = acc
+            put_component(comps, idx, c if acc is None else acc + c)
         return ExtForm._make(self.dim, self.degree, self.vars, comps)
 
     def __neg__(self):
@@ -138,33 +163,38 @@ class ExtForm:
     def map_coeffs(self, fn) -> "ExtForm":
         comps = {}
         for i, c in self.comps.items():
-            c = fn(c)
-            if c:
-                comps[i] = c
+            put_component(comps, i, fn(c))
         return ExtForm._make(self.dim, self.degree, self.vars, comps)
 
     # -- wedge ------------------------------------------------------------------------
 
     def wedge(self, other: "ExtForm") -> "ExtForm":
+        """Graded-anticommutative product, in one integer pass.
+
+        Each merged index gets one numerator dict over d1 * d2, d1 and d2 the
+        lcm of the component denominators of each factor; every pair of
+        components goes in through ``mul_into`` with ``mult`` = wedge sign *
+        (d1 / den 1) * (d2 / den 2), and each output component is one ``Poly``.
+        """
         self._check(other)
         degree = self.degree + other.degree
         if degree > self.dim:
             return ExtForm.zero(self.dim, degree, self.vars)
+        d1 = lcm(1, *(c.den for c in self.comps.values()))
+        d2 = lcm(1, *(c.den for c in other.comps.values()))
+        right = [(i2, c2.num, d2 // c2.den) for i2, c2 in other.comps.items()]
         out: dict = {}
         for i1, c1 in self.comps.items():
-            for i2, c2 in other.comps.items():
+            m1 = d1 // c1.den
+            for i2, num2, m2 in right:
                 merged = merge_sign(i1, i2)
-                if merged is None:
-                    continue
-                sign, idx = merged
-                term = (c1 * c2).scale(sign)
-                acc = out.get(idx)
-                acc = term if acc is None else acc + term
-                if acc.is_zero():
-                    out.pop(idx, None)
-                else:
-                    out[idx] = acc
-        return ExtForm._make(self.dim, degree, self.vars, out)
+                if merged is not None:
+                    sign, idx = merged
+                    put_component(out, idx, mul_into(out.get(idx, {}), c1.num, num2,
+                                                     sign * m1 * m2))
+        den = d1 * d2
+        return ExtForm._make(self.dim, degree, self.vars,
+                             {idx: Poly._make(self.vars, num, den) for idx, num in out.items()})
 
     __mul__ = wedge
 
@@ -196,32 +226,6 @@ class ExtForm:
 
     __repr__ = __str__
 
-    def to_json(self) -> dict:
-        return {
-            "dim": self.dim,
-            "degree": self.degree,
-            "comps": [
-                {"idx": list(idx), "poly": c.to_json()}
-                for idx, c in sorted(self.comps.items())
-            ],
-        }
-
-    @classmethod
-    def from_json(cls, data: dict, variables=None) -> "ExtForm":
-        comps = {}
-        for item in data["comps"]:
-            p = Poly.from_json(item["poly"])
-            comps[tuple(item["idx"])] = p
-            variables = p.vars
-        if variables is None:
-            raise ValueError("cannot infer variable table from empty form")
-        return cls(data["dim"], data["degree"], variables, comps)
-
-
-def wedge(f: ExtForm, g: ExtForm) -> ExtForm:
-    """Graded-anticommutative product of two forms."""
-    return f.wedge(g)
-
 
 def kaehler_like_sum(dim: int, variables) -> ExtForm:
     """sum_l w^{2l} ^ w^{2l+1}; requires even dim."""
@@ -236,7 +240,8 @@ def hat_component(form: ExtForm, a: int) -> Poly:
     if form.degree != form.dim - 1:
         raise ValueError("hat decomposition needs degree = dim - 1")
     idx = tuple(i for i in range(form.dim) if i != a)
-    sign = (-1) ** a
+    # w^a -| top = sign w^idx, for the sign of w^a ^ w^idx = sign top
+    sign, _ = insert_index(a, idx)
     return form.component(idx).scale(sign)
 
 
@@ -247,5 +252,5 @@ def from_hat_components(dim: int, variables, coeffs) -> ExtForm:
         if c.is_zero():
             continue
         idx = tuple(i for i in range(dim) if i != a)
-        comps[idx] = c.scale((-1) ** a)
+        comps[idx] = c.scale(insert_index(a, idx)[0])
     return ExtForm(dim, dim - 1, variables, comps)

@@ -17,9 +17,9 @@ from itertools import combinations, product
 from typing import Sequence
 
 from .boundary import Frame, ambient_frame, frak_d, subcomplex_D
-from .exterior import ExtForm, merge_sign
+from .exterior import insert_index
 from .linalg import bareiss
-from .poly import x_vars
+from .poly import add_term, x_vars
 from .spinor import LevelTable, SpinorField, symmetrize, tuple_to_slots
 
 
@@ -94,16 +94,11 @@ def flat_D_tuple(spec: ComplexSpec, j: int, field: SpinorField) -> SpinorField:
     if j == spec.k:
         out = frak_d(0, frak_d(1, field.tuples[()], frame), frame)
         return SpinorField(0, "tuple", {(): out})
-    # ascending side: apply each derivation, append its index, then symmetrize
-    s_out = spec.sigma(j + 1)
-    comps = {idx: ExtForm.zero(field.dim, field.degree + 1, field.vars)
-             for idx in product((0, 1), repeat=s_out)}
-    for idx in product((0, 1), repeat=field.sigma):
-        for aprime in (0, 1):
-            target = (aprime,) + idx
-            comps[target] = comps[target] + frak_d(aprime, field.tuples[idx], frame)
-    raw = SpinorField(s_out, "tuple", comps)
-    return symmetrize(raw)
+    # ascending side: apply each derivation, prepend its index (each target
+    # (aprime,) + idx is hit once), then symmetrize
+    comps = {(aprime,) + idx: frak_d(aprime, form, frame)
+             for idx, form in field.tuples.items() for aprime in (0, 1)}
+    return symmetrize(SpinorField(spec.sigma(j + 1), "tuple", comps))
 
 
 def dot_pi(spec: ComplexSpec, j: int, field: SpinorField) -> SpinorField:
@@ -122,13 +117,14 @@ def _level_basis(spec: ComplexSpec, j: int):
 
 def _wedge_covector(w: list, idx: tuple) -> list:
     """w ^ w^idx for a 1-form w given as one (re, im) int pair per index,
-    as (merged index, re, im) terms."""
+    as (merged index, re, im) terms; each w^r ^ w^idx is
+    ``exterior.insert_index``."""
     out = []
     for r, (re, im) in enumerate(w):
         if re or im:
-            merged = merge_sign((r,), idx)
-            if merged:
-                sign, out_idx = merged
+            inserted = insert_index(r, idx)
+            if inserted is not None:
+                sign, out_idx = inserted
                 out.append((out_idx, sign * re, sign * im))
     return out
 
@@ -171,8 +167,7 @@ def symbol_at(spec: ComplexSpec, j: int, v: Sequence) -> SymbolMatrix:
             image = {}
             for mid, re1, im1 in _wedge_covector(w1, idx):
                 for out, re0, im0 in _wedge_covector(w0, mid):
-                    re, im = image.get(out, (0, 0))
-                    image[out] = (re + re0 * re1 - im0 * im1, im + re0 * im1 + im0 * re1)
+                    add_term(image, out, re0 * re1 - im0 * im1, re0 * im1 + im0 * re1)
             for out, value in image.items():
                 matrix[out_pos[(0, out)]][col] = value
             continue

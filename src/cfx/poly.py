@@ -23,11 +23,12 @@ ComplexRational values at the API edge.
 
 The layout is shared: ``quadrature.SeparableSum``, ``FirstOrderOp.apply_into``
 and ``randgen.SectionGenerator`` build the same numerator dicts, and every
-builder goes through the three primitives here.  :func:`add_term` is the one
+builder goes through the primitives here.  :func:`add_term` is the one
 place a sum is merged into a key, so it alone keeps the no-``(0, 0)`` rule;
-:func:`common_sum` adds two dicts over one denominator and
-:func:`times_gaussian` scales one by a Gaussian integer.  Callers keep only
-the rules on their keys.
+:func:`common_sum` adds two dicts over one denominator,
+:func:`times_gaussian` scales one by a Gaussian integer and :func:`mul_into`
+adds the product of two into a third (``Poly.__mul__``, ``ExtForm.wedge``).
+Callers keep only the rules on their keys.
 """
 
 from __future__ import annotations
@@ -120,6 +121,18 @@ def times_gaussian(num: dict, c: int, d: int) -> dict:
     if d:
         return {k: (a * c - b * d, a * d + b * c) for k, (a, b) in num.items()}
     return {k: (a * c, b * c) for k, (a, b) in num.items()}
+
+
+def mul_into(out: dict, num1: dict, num2: dict, mult: int) -> dict:
+    """Add mult * num1 * num2, the product of two numerator dicts times the
+    int ``mult``, into ``out`` through :func:`add_term`; return ``out``."""
+    right = num2.items()
+    for e1, (a, b) in num1.items():
+        a *= mult
+        b *= mult
+        for e2, (c, d) in right:
+            add_term(out, tuple(map(add, e1, e2)), a * c - b * d, a * d + b * c)
+    return out
 
 
 class Terms(Mapping):
@@ -273,12 +286,8 @@ class Poly:
             return self._times(*other.num[zero], other.den)
         if len(self.num) == 1 and zero in self.num:
             return other._times(*self.num[zero], self.den)
-        out: dict = {}
-        right = other.num.items()
-        for e1, (a, b) in self.num.items():
-            for e2, (c, d) in right:
-                add_term(out, tuple(map(add, e1, e2)), a * c - b * d, a * d + b * c)
-        return Poly._make(self.vars, out, self.den * other.den)
+        return Poly._make(self.vars, mul_into({}, self.num, other.num, 1),
+                          self.den * other.den)
 
     __rmul__ = __mul__
 

@@ -138,15 +138,6 @@ class SpinorField:
             return NotImplemented
         return (self - other).is_zero() if (self.sigma, self.basis) == (other.sigma, other.basis) else False
 
-    def to_json(self) -> dict:
-        if self.basis == "tuple":
-            comps = [{"idx": list(i), "form": f.to_json()}
-                     for i, f in sorted(self.tuples.items())]
-        else:
-            comps = [f.to_json() for f in self.slots]
-        return {"sigma": self.sigma, "basis": self.basis, "dim": self.dim,
-                "degree": self.degree, "components": comps}
-
 
 def symmetrize(field: SpinorField) -> SpinorField:
     """Average a tuple-basis field over all permutations of its primed indices.

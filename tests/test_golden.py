@@ -37,6 +37,9 @@ GOLDEN = [
      "f3f39cc42f18db0369ae3f37bcc495fb4f1b13c3bb2b444e3d6b6a8ae8f12543"),
     ("ma --group rightQH --n 2 --power 2 --seed 3 --convergence 64",
      "41ae7e5f6f1d43977b93247b4bd8356de969d53518ab426910fef92f62258540"),
+    # levels above the middle: the ascending branch of the tuple operator
+    ("verify flat --n 2 --k 1 --degree 4 --trials 2 --seed 9",
+     "f5605de1dc48248bca1c3a48a597fb666398bbb4b2da51d17d66344a6e0d167b"),
 ]
 
 
@@ -61,6 +64,21 @@ def test_dense_right_type_ma_report_is_pinned(tmp_path, capsys):
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == \
         "b08c1a16f7aa8f1afc9a09859002a3c3a27e9cee3b78fea42687ba90971ef132"
+
+
+def test_dense_not_right_type_boundary_report_is_pinned(tmp_path, capsys):
+    """Every boundary check on a dense n = 2 group that is not right-type:
+    the E0 couplings of the boundary operator, anticommutation with nonzero
+    curvature and brackets with nonzero curvature entries."""
+    S = SectionGenerator(5).symmetric_matrix(8)
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps({"n": 2, "S": [[str(x) for x in row] for row in S]}))
+    code = main(["verify", "boundary", "--file", str(path), "--check", "all", "--k", "1",
+                 "--trials", "1", "--seed", "4"])
+    out = capsys.readouterr().out
+    assert code == 0 and '"right_type": false' in out
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "aa4f1e3c4f1016cc0968ef210e14e1118bd2eb9b98959220a057a757f923122f"
 
 
 def _dense_rational_group() -> dict:

@@ -7,6 +7,7 @@ import on purpose and neither binds a module name nor adds a load-time edge.
 import ast
 import re
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -216,10 +217,9 @@ def test_floats_only_at_the_ma_report_edge(path):
 
 
 # functions that may delete a key from a dict: poly.add_term is the one merge
-# of a numerator dict, frak_d drops an output component's numerator dict when
-# it cancels, and ExtForm drops a component Poly that sums to zero
-KEY_DELETIONS = {("poly.py", "add_term"), ("boundary.py", "frak_d"),
-                 ("exterior.py", "ExtForm.__add__"), ("exterior.py", "ExtForm.wedge")}
+# of a numerator dict, and exterior.put_component the one store-or-delete of
+# a form component (a Poly, or the numerator dict frak_d and wedge build)
+KEY_DELETIONS = {("poly.py", "add_term"), ("exterior.py", "put_component")}
 
 
 def _key_deletions(tree: ast.Module) -> list:
@@ -252,6 +252,72 @@ def test_only_add_term_merges_into_a_numerator_dict():
                    for (name, owner), line in sites.items() if (name, owner) not in KEY_DELETIONS)
     assert not stray, f"dict key deletions outside poly.add_term {stray}"
     assert set(sites) == KEY_DELETIONS, "an allowed deletion site is gone: update KEY_DELETIONS"
+
+
+def _names_called(tree: ast.Module) -> dict:
+    """Qualified function name -> names it calls (bare or as an attribute)."""
+    calls = {}
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{owner}.{child.name}" if owner else child.name)
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                calls.setdefault(owner, set()).add(called)
+            visit(child, owner)
+
+    visit(tree, "")
+    return calls
+
+
+def test_the_exterior_layout_has_one_home():
+    # the wedge sign is exterior.insert_index (merge_sign folds it), the
+    # only user of bisect; boundary and flat restate no exterior rule; the
+    # component product is poly.mul_into, in Poly and in ExtForm.wedge
+    bisect_users = sorted(path.name for path in [*MODULES, PACKAGE / "__init__.py"]
+                          for node in ast.walk(_tree(path))
+                          if (isinstance(node, ast.Import)
+                              and any(a.name == "bisect" for a in node.names))
+                          or (isinstance(node, ast.ImportFrom) and node.module == "bisect"))
+    assert bisect_users == ["exterior.py"], bisect_users
+    exterior = _names_called(_tree(PACKAGE / "exterior.py"))
+    assert [owner for owner, names in exterior.items() if "bisect_left" in names] == \
+        ["insert_index"]
+    assert "insert_index" in exterior["merge_sign"]
+    assert "mul_into" in exterior["ExtForm.wedge"]
+    assert "mul_into" in _names_called(_tree(PACKAGE / "poly.py"))["Poly.__mul__"]
+    for name in ("boundary.py", "flat.py"):
+        named = {node.id for node in ast.walk(_tree(PACKAGE / name))
+                 if isinstance(node, ast.Name)}
+        assert not named & {"merge_sign", "bisect_left", "bisect"}, name
+
+
+def test_wedge_builds_no_poly_per_pair(monkeypatch):
+    # ExtForm.wedge adds every pair of components into one numerator dict
+    # per merged index: no Poly product, scaling or sum
+    from cfx.exterior import ExtForm
+    from cfx.poly import Poly, x_vars
+    from cfx.randgen import SectionGenerator
+
+    V = x_vars(4)
+    gen = SectionGenerator(12, degree=2)
+    pairs = []
+    for t in range(30):
+        g = gen.spawn(t)
+        f = g.form(5, t % 3, V).scale(Fraction(t + 1, 6))
+        pairs.append((f, g.form(5, 1 + t % 2, V).scale(Fraction(5, t + 2))))
+    want = [f.wedge(h) for f, h in pairs]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("Poly arithmetic inside ExtForm.wedge")
+
+    for name in ("__mul__", "scale", "__add__"):
+        monkeypatch.setattr(Poly, name, forbidden)
+    got = [f.wedge(h) for f, h in pairs]
+    assert got == want and sum(not form.is_zero() for form in got) > 20
 
 
 def test_symbol_and_classify_run_on_ints(monkeypatch):

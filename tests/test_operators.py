@@ -100,8 +100,8 @@ def test_apply_matches_reference_on_dense_rational_rows():
 
 def test_apply_matches_reference_on_t_operators():
     frame = _dense_rational_right_type()
-    ops = [frame.t_symmetric_upper(a, b) for a, b in product((0, 1), repeat=2)]
-    ops.append(frame.t_skew_upper())
+    ops = [frame.T_sym[a, b] for a, b in product((0, 1), repeat=2)]
+    ops.append(frame.T_skew)
     _check(ops, 30)
 
 

@@ -60,14 +60,14 @@ def _same_poly(p, q):
 
 
 def _same_form(f, g):
-    assert f == g and f.to_json() == g.to_json()
+    assert f == g
     assert list(f.comps) == list(g.comps)
     for idx, p in f.comps.items():
         _same_poly(p, g.comps[idx])
 
 
 def _same_field(f, g):
-    assert f == g and f.to_json() == g.to_json()
+    assert f == g
     forms = (zip(f.slots, g.slots, strict=True) if f.slots is not None
              else zip(f.tuples.values(), g.tuples.values(), strict=True))
     for a, b in forms:

@@ -14,6 +14,7 @@ import os
 import sys
 
 from .boundary import PreconditionError, TangentFrame
+from .exterior import from_hat_components
 from .flat import ComplexSpec, check_exactness
 from .groups import GroupSpec, classify
 from .ma import (Region, cln_experiment, convergence_experiment,
@@ -224,7 +225,6 @@ def cmd_ma(args) -> int:
     if group.n == len(us):
         payload["key_identity"] = key_identity_check(us, frame)
     payload["cln"] = cln_experiment(us[:args.power], K, L, frame)
-    from .exterior import from_hat_components
     hgen = gen.spawn(1001)
     h = hgen.poly(frame.vars, degree=3)
     T = from_hat_components(frame.dim, frame.vars,

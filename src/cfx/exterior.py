@@ -14,9 +14,9 @@ flat symbol build on its primitives and restate none of it:
   accumulates every pair into one numerator dict per merged index.
 
 The public constructor checks every index tuple and drops zero
-coefficients; the ring operations (``+``, ``-``, ``scale``, ``scale_poly``,
-``map_coeffs``, ``wedge``) build their result through the trusted
-``ExtForm._make``, which checks nothing.
+coefficients; the ring operations (``+``, ``-``, ``scale``, ``map_coeffs``,
+``wedge``) build their result through the trusted ``ExtForm._make``, which
+checks nothing.
 """
 
 from __future__ import annotations
@@ -156,9 +156,6 @@ class ExtForm:
 
     def scale(self, value) -> "ExtForm":
         return self.map_coeffs(lambda c: c.scale(value))
-
-    def scale_poly(self, p: Poly) -> "ExtForm":
-        return self.map_coeffs(lambda c: c * p)
 
     def map_coeffs(self, fn) -> "ExtForm":
         comps = {}

@@ -129,18 +129,8 @@ def _wedge_covector(w: list, idx: tuple) -> list:
     return out
 
 
-@dataclass
-class SymbolMatrix:
-    """Matrix of the frozen-coefficient operator at level j for covector v."""
-
-    spec: ComplexSpec
-    j: int
-    v: tuple
-    matrix: list  # rows: output basis, cols: input basis; (re, im) ints at q v
-
-
-def symbol_at(spec: ComplexSpec, j: int, v: Sequence) -> SymbolMatrix:
-    """Matrix of the level-j symbol at q v in the enumerated bases.
+def symbol_at(spec: ComplexSpec, j: int, v: Sequence) -> list:
+    """Rows of the level-j symbol matrix at q v in the enumerated bases.
 
     q is the least common denominator of v, so q v is an integer covector
     and every entry is a Gaussian integer, given as an ``(re, im)`` int pair.
@@ -180,12 +170,12 @@ def symbol_at(spec: ComplexSpec, j: int, v: Sequence) -> SymbolMatrix:
         for slot, w in slots:
             for out, re, im in _wedge_covector(w, idx):
                 matrix[out_pos[(slot, out)]][col] = (re, im)
-    return SymbolMatrix(spec, j, v, matrix)
+    return matrix
 
 
 def rank_exact(rows: list) -> int:
     """Exact rank of a matrix of Gaussian integers given as ``(re, im)`` int
-    pairs, such as ``symbol_at(...).matrix``: the rank ``bareiss`` returns."""
+    pairs, such as the rows ``symbol_at`` returns: the rank ``bareiss`` returns."""
     return bareiss(rows)
 
 
@@ -199,7 +189,7 @@ def check_exactness(spec: ComplexSpec, v: Sequence) -> dict:
     if all(Fraction(x) == 0 for x in v):
         raise ValueError("covector must be nonzero")
     top = spec.top_level
-    ranks = [rank_exact(symbol_at(spec, j, v).matrix) for j in range(top)]
+    ranks = [rank_exact(symbol_at(spec, j, v)) for j in range(top)]
     dims = [spec.level_dim(j) for j in range(top + 1)]
     levels = [{"level": 0, "dim": dims[0], "exact": ranks[0] == dims[0],
                "detail": f"rank {ranks[0]} == dim {dims[0]}"}]

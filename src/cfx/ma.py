@@ -13,12 +13,13 @@ the sampled sup norms are the one inexact quantity.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Sequence
 
 from .boundary import TangentFrame, frak_d
-from .exterior import ExtForm, kaehler_like_sum, merge_sign
+from .exterior import ExtForm, hat_component, kaehler_like_sum, merge_sign
 from .poly import Poly
 from .quadrature import SeparableSum, integrate_poly_box, integrate_poly_face
 from .rational import ZERO, ComplexRational
@@ -55,12 +56,6 @@ class Region:
     @property
     def naxes(self) -> int:
         return len(self.lows)
-
-    def volume(self) -> Fraction:
-        v = Fraction(1)
-        for l, h in zip(self.lows, self.highs):
-            v *= h - l
-        return v
 
     def contains(self, other: "Region") -> bool:
         return all(sl <= ol and oh <= sh for sl, ol, oh, sh in
@@ -133,26 +128,15 @@ def beta_form(frame: TangentFrame) -> ExtForm:
 # -- Stokes-type boundary formula -------------------------------------------------------
 
 
-def _z_rho_on_face(frame: TangentFrame, row: int, aprime: int, axis: int,
-                   sign: int) -> Poly:
-    """Z_row^{aprime} applied to the face defining function (unit normal)."""
-    out = Poly.zero(frame.vars)
-    op = frame.Z_upper[row][aprime]
-    name = frame.vars[axis]
-    coeff = op.coeffs.get(name)
-    if coeff is not None:
-        out = out + coeff.scale(sign)
-    return out
-
-
 def stokes_check(h: Poly, T: ExtForm, region: Region, frame: TangentFrame,
                  aprime: int = 0) -> dict:
     """Integration-by-parts identity with the face term, by exact box integrals.
 
     volume(h * dT) + volume(dh ^ T) - faces(h T_a Z_a rho) must be exactly 0;
     the report also carries the rounded residual, absolute and relative.
+    On the face x_axis = value with outward side +-1, Z_a^{a'} rho is the
+    row's coefficient of d/dx_axis times the side.
     """
-    from .exterior import hat_component
     if T.degree != frame.dim - 1:
         raise ValueError("the boundary formula needs a form of degree dim-1")
     lhs_form = frak_d(aprime, T, frame)
@@ -168,7 +152,7 @@ def stokes_check(h: Poly, T: ExtForm, region: Region, frame: TangentFrame,
                 t_a = hat_component(T, a)
                 if t_a.is_zero():
                     continue
-                z_rho = _z_rho_on_face(frame, a, aprime, axis, side)
+                z_rho = frame.Z_upper[a][aprime].coefficient(frame.vars[axis]).scale(side)
                 if z_rho.is_zero():
                     continue
                 total = total + h * t_a * z_rho
@@ -275,8 +259,7 @@ def sup_norm_on_grid(u: Poly, region: Region, samples: int = 4096,
     A sampled estimate (documented as such in reports); exact polynomial
     sup over a box is a separate optimization problem.
     """
-    import random as _random
-    rng = _random.Random(seed)
+    rng = random.Random(seed)
     naxes = region.naxes
     lows = [_float(x) for x in region.lows]
     highs = [_float(x) for x in region.highs]

@@ -18,7 +18,7 @@ The public constructor ``Poly(vars, terms)`` validates every term.  The ring
 operations, ``scale``, ``diff`` and ``conjugate`` do int arithmetic and build
 their result through the trusted ``Poly._make``, which only divides out the
 common factor of ``den`` and the numerators.  ``terms``, ``coefficient``,
-``constant_term``, ``eval_exact``, ``to_json`` and ``str`` show
+``constant_term``, ``to_json`` and ``str`` show
 ComplexRational values at the API edge.
 
 The layout is shared: ``quadrature.SeparableSum``, ``FirstOrderOp.apply_into``
@@ -39,7 +39,7 @@ from math import gcd, lcm
 from operator import add
 from typing import Sequence
 
-from .rational import ComplexRational, ONE, ZERO, cq
+from .rational import ComplexRational, ZERO, cq
 
 _set = object.__setattr__
 
@@ -363,17 +363,6 @@ class Poly:
 
     def is_homogeneous(self, degree: int) -> bool:
         return all(sum(e) == degree for e in self.num)
-
-    def eval_exact(self, point) -> ComplexRational:
-        """Evaluate at a point of Fractions/ComplexRationals, exactly."""
-        total = ZERO
-        for expo, coeff in self.terms.items():
-            m = ONE
-            for p, e in zip(point, expo):
-                for _ in range(e):
-                    m = m * cq(p)
-            total = total + coeff * m
-        return total
 
     # -- display / wire format -----------------------------------------------------
 

@@ -3,21 +3,21 @@ from fractions import Fraction
 
 import pytest
 
+from cfx import boundary
 from cfx.boundary import (BoundaryField, BoundarySpec, TangentFrame, ambient_frame, ambient_vars,
                           anticommutation_defect, boundary_D, bracket_identity,
-                          curvature_form,
-                          frak_d, hodge_diag, horizontal_pair_identity,
-                          lead_first_adjoint_compose, sub_laplacian,
-                          subcomplex_D, verify_anticommute)
+                          curvature_form, frak_d, hodge_diag, lead_first_adjoint_compose,
+                          sub_laplacian, subcomplex_D)
 from cfx.exterior import ExtForm
 from cfx.groups import GroupSpec, curvature_entry, is_right_type
 from cfx.operators import FirstOrderOp
 from cfx.poly import Poly
 from cfx.randgen import SectionGenerator
 from cfx.rational import ComplexRational, cq
+from cfx.reports import Report
 from cfx.spinor import SpinorField
-from cfx.verify import (boundary_composition_suite, random_boundary_field,
-                        subcomplex_suite)
+from cfx.verify import (anticommute_suite, boundary_composition_suite, bracket_suite,
+                        random_boundary_field, subcomplex_suite)
 
 
 # -- ambient references: the defining function and the fields that annihilate it ----------
@@ -658,18 +658,62 @@ def test_field_shape_mismatch(right2):
 
 
 def test_anticommutation_right_type(right2):
-    report = verify_anticommute(right2, trials=4, seed=3)
-    assert report["pass"] and report["plain_anticommutation"]
+    report = anticommute_suite(right2.group, trials=4, seed=3, frame=right2)
+    assert report.passed and report.extra["plain_anticommutation"]
 
 
 def test_anticommutation_left(left2):
-    report = verify_anticommute(left2, trials=4, seed=3)
-    assert report["pass"] and not report["plain_anticommutation"]
+    report = anticommute_suite(left2.group, trials=4, seed=3, frame=left2)
+    assert report.passed and not report.extra["plain_anticommutation"]
 
 
 def test_anticommutation_abelian():
-    report = verify_anticommute(ABELIAN1, trials=3, seed=5)
-    assert report["pass"] and report["plain_anticommutation"]
+    report = anticommute_suite(ABELIAN1.group, trials=3, seed=5, frame=ABELIAN1)
+    assert report.passed and report.extra["plain_anticommutation"]
+
+
+def verify_anticommute(frame: TangentFrame, trials: int, seed: int, degree: int = 2) -> dict:
+    """The anticommutation check as its own seeded loop with a report-shaped
+    dict, from before the suite ran the loop itself: the reference."""
+    gen = SectionGenerator(seed, degree=degree)
+    identity_ok = True
+    plain_zero = True
+    residual = "0"
+    for t in range(trials):
+        g = gen.spawn(t)
+        f = g.form(frame.dim, g.rng.randint(0, max(0, frame.dim - 2)), frame.vars)
+        for ap in (0, 1):
+            for bp in (0, 1):
+                defect, rhs = anticommutation_defect(frame, f, ap, bp)
+                diff = defect - rhs
+                if not diff.is_zero():
+                    identity_ok = False
+                    residual = str(diff)
+                if not defect.is_zero():
+                    plain_zero = False
+    return {"identity": "anticommutation-curvature",
+            "params": {"trials": trials, "degree": degree}, "seed": seed,
+            "pass": identity_ok, "plain_anticommutation": plain_zero,
+            "right_type": frame.right_type, "residual": residual}
+
+
+def test_anticommute_suite_matches_the_loop_reference(right2, left2):
+    frames = [RIGHT1, LEFT1, ABELIAN1, right2, left2, _dense_frame(1234, False),
+              _tampered(RIGHT1, 0, 1, 2), _tampered(left2, 2, 1, 2)]
+    verdicts = set()
+    for i, frame in enumerate(frames):
+        for trials, seed in ((1, 4), (3, 20 + i)):
+            data = verify_anticommute(frame, trials, seed)
+            # wrapped as the suite wrapped it: the identity and the seed go
+            # to their own fields, the two flags to the extra record
+            want = Report(data["identity"], data["params"], seed, data["pass"],
+                          data["residual"],
+                          extra={"plain_anticommutation": data["plain_anticommutation"],
+                                 "right_type": data["right_type"]})
+            got = anticommute_suite(frame.group, trials, seed, frame)
+            assert got.to_dict() == want.to_dict()
+            verdicts.add((got.passed, got.extra["plain_anticommutation"]))
+    assert verdicts == {(True, True), (True, False), (False, False)}
 
 
 def test_anticommutation_on_central_coordinate():
@@ -832,15 +876,62 @@ def test_bracket_identity_matches_eight_composition_reference(right2, left2):
                                                   (right2, 3, 0, -1), (left2, 2, 1, 2))]
     verdicts = set()
     for frame in frames:
-        got, want = bracket_identity(frame), _reference_bracket_identity(frame)
+        got = {key: value for key, value in bracket_identity(frame).items()
+               if key != "paired_rows_cancel"}
+        want = _reference_bracket_identity(frame)
         assert got == want
         verdicts.add(got["pass"])
     assert verdicts == {True, False}
 
 
 def test_paired_rows_cancel_on_right_type(right2):
-    assert horizontal_pair_identity(RIGHT1)
-    assert horizontal_pair_identity(right2)
+    assert bracket_identity(RIGHT1)["paired_rows_cancel"]
+    assert bracket_identity(right2)["paired_rows_cancel"]
+
+
+def horizontal_pair_identity(frame: TangentFrame) -> bool:
+    """The paired-row check as 2n commutators of its own, from before the
+    bracket table served it: the reference."""
+    for l in range(frame.n):
+        lhs = (frame.Z_upper[2 * l][0].commutator(frame.Z_upper[2 * l + 1][1])
+               + frame.Z_upper[2 * l][1].commutator(frame.Z_upper[2 * l + 1][0]))
+        if not lhs.is_zero():
+            return False
+    return True
+
+
+def test_paired_rows_cancel_matches_the_commutator_reference(right2, left2):
+    right = [RIGHT1, ABELIAN1, right2, TangentFrame(GroupSpec.abelian(2)),
+             _dense_frame(41, True, 1), _dense_frame(42, True, 2)]
+    right += [_tampered(frame, row, column, factor)
+              for frame, row, column, factor in ((RIGHT1, 0, 1, 2), (RIGHT1, 1, 0, -1),
+                                                 (right2, 2, 0, 2), (right2, 3, 1, -1),
+                                                 (_dense_frame(43, True, 1), 1, 1, 2))]
+    verdicts = set()
+    for frame in right:
+        got = bracket_identity(frame)["paired_rows_cancel"]
+        assert got == horizontal_pair_identity(frame)
+        verdicts.add(got)
+    assert verdicts == {True, False}
+    # the key is reported on right-type frames only
+    for frame in (LEFT1, left2, _dense_frame(44, False, 1)):
+        assert "paired_rows_cancel" not in bracket_identity(frame)
+        assert "paired_rows_cancel" not in bracket_suite(frame.group, frame).to_dict()
+
+
+def test_bracket_suite_takes_no_commutator_of_its_own(right2, monkeypatch):
+    # rightQH, n = 2: 6 row pairs of 4 commutators; the paired rows add none
+    calls = []
+    original = FirstOrderOp.commutator
+
+    def counting(self, other):
+        calls.append(1)
+        return original(self, other)
+
+    monkeypatch.setattr(FirstOrderOp, "commutator", counting)
+    report = bracket_suite(right2.group, right2)
+    assert report.passed and report.extra == {"paired_rows_cancel": True}
+    assert len(calls) == 24
 
 
 # -- diagonal identity -------------------------------------------------------------------------
@@ -873,6 +964,71 @@ def test_hodge_constants_vanish():
     slots = [Poly.const(RIGHT1.vars, 3), Poly.const(RIGHT1.vars, -2)]
     out = lead_first_adjoint_compose(RIGHT1, 1, slots)
     assert all(p.is_zero() for p in out)
+
+
+def lead_first_operator(frame: TangentFrame, k: int, slots):
+    """(row, b) table of Z_row^0 slots[b] + Z_row^1 slots[b + 1], one
+    ``FirstOrderOp.apply`` at a time: the bottom-level operator as the
+    diagonal identity wrote it out before it read ``subcomplex_D``."""
+    if len(slots) != k + 1:
+        raise ValueError(f"need {k + 1} slot functions")
+    out = {}
+    for a in range(frame.dim):
+        for b in range(k):
+            out[(a, b)] = (frame.Z_upper[a][0].apply(slots[b])
+                           + frame.Z_upper[a][1].apply(slots[b + 1]))
+    return out
+
+
+def reference_adjoint_compose(frame: TangentFrame, k: int, slots):
+    """The adjoint on the table above, one conjugation per (slot, row, b')."""
+    image = lead_first_operator(frame, k, slots)
+    out = []
+    for a in range(k + 1):
+        acc = Poly.zero(frame.vars)
+        for row in range(frame.dim):
+            for bp in (0, 1):
+                b = a - bp
+                if 0 <= b <= k - 1:
+                    acc = acc - frame.Z_upper[row][bp].conjugate().apply(image[(row, b)])
+        out.append(acc)
+    return out
+
+
+@pytest.mark.parametrize("name", ["rightQH", "leftQH", "dense-right"])
+@pytest.mark.parametrize("n", [1, 2])
+def test_level_zero_subcomplex_D_matches_the_written_out_operator(name, n):
+    group = (GroupSpec.named(name, n) if name != "dense-right"
+             else GroupSpec(n, SectionGenerator(60 + n).right_type_matrix(n)))
+    frame = TangentFrame(group)
+    gen = SectionGenerator(90 + n, degree=3)
+    for k in (1, 2, 3):
+        slots = [gen.spawn(10 * k + a).poly(frame.vars) for a in range(k + 1)]
+        lead = SpinorField(k, "S", [ExtForm.from_scalar(frame.dim, p) for p in slots])
+        image = subcomplex_D(frame, BoundarySpec(n, k), 0, lead)
+        table = lead_first_operator(frame, k, slots)
+        assert (image.sigma, image.basis, image.degree) == (k - 1, "S", 1)
+        for b in range(k):
+            want = ExtForm(frame.dim, 1, frame.vars,
+                           {(row,): table[row, b] for row in range(frame.dim)})
+            assert image.slot(b) == want
+        assert lead_first_adjoint_compose(frame, k, slots) == \
+            reference_adjoint_compose(frame, k, slots)
+
+
+def test_hodge_diag_reads_D0_from_subcomplex_D(monkeypatch):
+    # mutation: the slot combination loses its d^1 term, so D_0 is wrong and
+    # the diagonal identity must fail
+    def without_d1(frame, slot, sigma, step):
+        return SpinorField(sigma, "S" if step == 1 else "tilde",
+                           [frak_d(0, slot(b), frame) for b in range(sigma + 1)])
+
+    for k in (1, 2):
+        assert hodge_diag(BoundarySpec(1, k), RIGHT1, trials=2, seed=3)["pass"]
+    monkeypatch.setattr(boundary, "_slot_combination", without_d1)
+    for k in (1, 2):
+        report = hodge_diag(BoundarySpec(1, k), RIGHT1, trials=2, seed=3)
+        assert not report["pass"] and report["residual"] != "0"
 
 
 def test_hodge_requires_right_type(left2):

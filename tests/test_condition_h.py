@@ -4,7 +4,7 @@ The references are the rational constructions: bracket matrices from dense
 products with block_diag(Ibeta), determinants by cofactor expansion and
 Pfaffians by expansion along the first row of ``Fraction`` matrices, and for
 exact mode the symbolic determinant by cofactor expansion, sampled with
-``Poly.eval_exact``.  The interpolated Pfaffian form of
+the ``eval_exact`` helper of ``test_poly``.  The interpolated Pfaffian form of
 ``pairing_pfaffian_form`` is compared with the same references (its square
 with the determinant), and with Pfaffian forms that vanish at all but one
 point of its interpolation lattice.
@@ -24,6 +24,7 @@ from cfx.poly import Poly, x_vars
 from cfx.randgen import SectionGenerator
 from test_linalg import (LAM, central_pairing_det, cofactor_det, expansion_pfaffian,
                          symbolic_pairing_det)
+from test_poly import eval_exact
 
 
 def reference_brackets(S, n):
@@ -139,7 +140,7 @@ def test_integer_condition_H_matches_rational_reference(name, resolution):
     if det_poly:
         assert det_poly.is_homogeneous(4 * g.n)
         for lam in grid:
-            assert det_poly.eval_exact(list(lam)).re == values[lam]
+            assert eval_exact(det_poly, list(lam)).re == values[lam]
     assert check_condition_H(g, "exact", resolution) == \
         reference_condition_H(grid, resolution, values.get, det_poly)
 
@@ -242,11 +243,6 @@ def test_classify_takes_one_pfaffian_per_lattice_point(monkeypatch, group):
     for module in (linalg, groups):
         _count_calls(monkeypatch, module, "bareiss", counts)
         _count_calls(monkeypatch, module, "pfaffian", counts)
-
-    def no_eval(*args, **kwargs):
-        raise AssertionError("Poly.eval_exact on the condition-H path")
-
-    monkeypatch.setattr(Poly, "eval_exact", no_eval)
     for mode in ("sampled", "exact"):
         counts.clear()
         result = classify(g, mode)

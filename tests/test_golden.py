@@ -40,6 +40,9 @@ GOLDEN = [
     # levels above the middle: the ascending branch of the tuple operator
     ("verify flat --n 2 --k 1 --degree 4 --trials 2 --seed 9",
      "f5605de1dc48248bca1c3a48a597fb666398bbb4b2da51d17d66344a6e0d167b"),
+    # the diagonal identity alone, above the middle weight: k = 3 has two 2L slots
+    ("verify boundary --group rightQH --n 1 --k 3 --check hodge --trials 2 --seed 8",
+     "9da836c2fba3dc2a8dfa7f2427dd4e0c38385a75717422cc837545ff6735ffca"),
 ]
 
 
@@ -79,6 +82,21 @@ def test_dense_not_right_type_boundary_report_is_pinned(tmp_path, capsys):
     assert code == 0 and '"right_type": false' in out
     assert hashlib.sha256(out.encode()).hexdigest() == \
         "aa4f1e3c4f1016cc0968ef210e14e1118bd2eb9b98959220a057a757f923122f"
+
+
+def test_dense_right_type_boundary_report_is_pinned(tmp_path, capsys):
+    """Every boundary check on a dense n = 2 right-type group: the paired
+    rows of the bracket suite and the diagonal identity on a frame whose
+    fields have dense coefficients."""
+    group = GroupSpec(2, SectionGenerator(2).right_type_matrix(2))
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps(group.to_json()))
+    code = main(["verify", "boundary", "--file", str(path), "--check", "all", "--k", "2",
+                 "--trials", "1", "--seed", "8"])
+    out = capsys.readouterr().out
+    assert code == 0 and '"paired_rows_cancel": true' in out
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "ca8e8abdb2032ad11ea79778282e496ccfd5e46d44f63e303896194d40760f0f"
 
 
 def _dense_rational_group() -> dict:

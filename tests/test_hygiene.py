@@ -1,7 +1,8 @@
 """Static checks on the package source, with the standard library's ``ast`` only.
 
-Only module-level imports count: an import inside a function is a lazy
-import on purpose and neither binds a module name nor adds a load-time edge.
+Every import of the package is at module level (a check below keeps it so),
+so the import checks read the module body: what a module imports is what
+it loads, and the load-time graph is the whole import graph.
 """
 
 import ast
@@ -55,6 +56,17 @@ def test_imports_only_the_package_and_the_standard_library(path):
         foreign += [f"{name} (line {node.lineno})" for name in names
                     if name.split(".")[0] not in {"cfx", *sys.stdlib_module_names}]
     assert not foreign, f"{path.name}: imports outside cfx and the standard library {foreign}"
+
+
+@pytest.mark.parametrize("path", [*MODULES, PACKAGE / "__init__.py"], ids=lambda p: p.name)
+def test_every_import_is_at_module_level(path):
+    # an import inside a function would hide a foreign or cyclic import from
+    # the checks above, which read only the module body
+    tree = _tree(path)
+    top = set(map(id, _module_imports(tree)))
+    nested = [node.lineno for node in ast.walk(tree)
+              if isinstance(node, (ast.Import, ast.ImportFrom)) and id(node) not in top]
+    assert not nested, f"{path.name}: imports below module level on lines {nested}"
 
 
 def _package_edges() -> dict:
@@ -176,6 +188,40 @@ def test_every_public_definition_has_a_caller_outside_the_tests():
                        if not (p == path and number in own)):
                 test_only.append(f"{path.name}: {node.name}")
     assert not test_only, f"public definitions only the tests call: {test_only}"
+
+
+# the JSON writers are the inverse of the readers the CLI uses for its input
+# files; the tests write inputs with them
+WIRE_FORMAT = {"to_json"}
+
+
+def test_every_public_method_has_a_caller_outside_the_tests():
+    # the rule above for methods: a public method that no code outside the
+    # tests reads by name (an attribute, or a bare name such as a callback)
+    # is test code.  Names are matched without their class, so a name two
+    # classes share counts for both
+    trees = {p: _tree(p) for folder in ("src", "scripts", "bench")
+             for p in sorted((REPO / folder).rglob("*.py"))}
+    read = {}
+    for path, tree in trees.items():
+        for node in ast.walk(tree):
+            name = (node.attr if isinstance(node, ast.Attribute)
+                    else node.id if isinstance(node, ast.Name) else None)
+            if name:
+                read.setdefault(name, []).append((path, node.lineno))
+    test_only = []
+    for path in MODULES:
+        for cls in trees[path].body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if (not isinstance(node, ast.FunctionDef) or node.name.startswith("_")
+                        or node.name in WIRE_FORMAT):
+                    continue
+                own = range(node.lineno, node.end_lineno + 1)
+                if not any(not (p == path and line in own) for p, line in read.get(node.name, ())):
+                    test_only.append(f"{path.name}: {cls.name}.{node.name}")
+    assert not test_only, f"public methods only the tests call: {test_only}"
 
 
 # float() and complex() calls the exact package makes: `cfx ma` rounds its exact

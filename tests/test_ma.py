@@ -7,7 +7,7 @@ import pytest
 
 from cfx import ma
 from cfx.boundary import TangentFrame, frak_d
-from cfx.exterior import ExtForm, from_hat_components
+from cfx.exterior import ExtForm, from_hat_components, hat_component
 from cfx.groups import GroupSpec
 from cfx.ma import (Region, approximation_masses, beta_form, bump_for_region,
                     cln_experiment, convergence_experiment, integrate_top,
@@ -42,6 +42,14 @@ def ma_power(us: Sequence[Poly], frame: TangentFrame) -> ExtForm:
 def volume_form(frame: TangentFrame) -> ExtForm:
     """w^0 ^ w^1 ^ ... ^ w^{dim-1} on the frame's form indices."""
     return ExtForm.basis(frame.dim, tuple(range(frame.dim)), frame.vars)
+
+
+def box_volume(region: Region) -> Fraction:
+    """Product of the region's side lengths."""
+    v = Fraction(1)
+    for l, h in zip(region.lows, region.highs):
+        v *= h - l
+    return v
 
 
 @pytest.fixture(scope="module")
@@ -168,7 +176,8 @@ def test_integrate_constant_is_volume(right2):
 
 def test_integrate_separable_monomial(right2):
     region = Region((0,) * 11, (1,) * 11)
-    form = volume_form(right2).scale_poly(Poly.var(right2.vars, "x1") ** 2)
+    x1_squared = Poly.var(right2.vars, "x1") ** 2
+    form = volume_form(right2).map_coeffs(lambda c: c * x1_squared)
     assert integrate_top(form, region) == Fraction(1, 3)
 
 
@@ -187,7 +196,7 @@ def test_integrate_top_rejects_lower_degree(right2):
 def test_region_validation():
     with pytest.raises(ValueError, match="positive volume"):
         Region((0, 0), (0, 1))
-    assert Region.cube(3, Fraction(1, 2)).volume() == 1
+    assert box_volume(Region.cube(3, Fraction(1, 2))) == 1
 
 
 def test_region_bound_below_the_float_range_is_rejected():
@@ -200,7 +209,7 @@ def test_region_bound_below_the_float_range_is_rejected():
 
 def test_region_bound_of_exactly_zero_is_accepted():
     region = Region((0,), (1,))
-    assert region.lows == (0,) and region.volume() == 1
+    assert region.lows == (0,) and box_volume(region) == 1
     assert ma._float(Fraction(0)) == 0.0
 
 
@@ -274,6 +283,71 @@ def test_stokes_without_one_face_fails(right2, monkeypatch):
     assert dropped
     assert not report["pass"]
     assert report["absolute_residual"] > 0
+
+
+def _z_rho_on_face(frame: TangentFrame, row: int, aprime: int, axis: int,
+                   sign: int) -> Poly:
+    """Z_row^{aprime} applied to the face defining function (unit normal),
+    built as a zero Poly plus the scaled coefficient: the reference for the
+    face term of ``stokes_check``."""
+    out = Poly.zero(frame.vars)
+    coeff = frame.Z_upper[row][aprime].coeffs.get(frame.vars[axis])
+    if coeff is not None:
+        out = out + coeff.scale(sign)
+    return out
+
+
+def _dense_right_frame(n: int) -> TangentFrame:
+    return TangentFrame(GroupSpec(n, SectionGenerator(20 + n).right_type_matrix(n)))
+
+
+@pytest.mark.parametrize("make_frame", [lambda: TangentFrame(GroupSpec.right_qh(1)),
+                                        lambda: TangentFrame(GroupSpec.left_qh(2)),
+                                        lambda: _dense_right_frame(1),
+                                        lambda: _dense_right_frame(2)],
+                         ids=["rightQH-1", "leftQH-2", "dense-right-1", "dense-right-2"])
+def test_face_term_is_the_row_coefficient(make_frame):
+    frame = make_frame()
+    nonzero = 0
+    for row in range(frame.dim):
+        for aprime in (0, 1):
+            for axis in range(len(frame.vars)):
+                for side in (1, -1):
+                    got = frame.Z_upper[row][aprime].coefficient(frame.vars[axis]).scale(side)
+                    want = _z_rho_on_face(frame, row, aprime, axis, side)
+                    assert got == want
+                    nonzero += not got.is_zero()
+    assert nonzero > 0
+
+
+def _reference_face_sum(h: Poly, T: ExtForm, region: Region, frame: TangentFrame,
+                        aprime: int):
+    """The exact face term of the boundary formula with the reference above."""
+    total = ZERO
+    for axis in range(region.naxes):
+        for side, value in ((1, region.highs[axis]), (-1, region.lows[axis])):
+            face = Poly.zero(frame.vars)
+            for a in range(frame.dim):
+                face = face + h * hat_component(T, a) * _z_rho_on_face(frame, a, aprime,
+                                                                       axis, side)
+            total += integrate_poly_face(face, region.lows, region.highs, axis, value)
+    return total
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("aprime", [0, 1])
+def test_stokes_face_term_matches_the_reference(n, aprime):
+    frame = _dense_right_frame(n)
+    naxes = len(frame.vars)
+    region = Region((Fraction(-1, 3),) * naxes, (Fraction(1, 2),) * naxes)
+    gen = SectionGenerator(30 + 2 * n + aprime, degree=2)
+    h = gen.poly(frame.vars)
+    T = from_hat_components(frame.dim, frame.vars,
+                            [gen.spawn(i).poly(frame.vars) for i in range(frame.dim)])
+    report = stokes_check(h, T, region, frame, aprime)
+    boundary = _reference_face_sum(h, T, region, frame, aprime)
+    assert report["pass"] and not boundary.is_zero()
+    assert report["boundary"] == ma._c(boundary)
 
 
 def test_stokes_abelian_reduces_to_classical():

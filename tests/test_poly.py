@@ -5,9 +5,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cfx.poly import Poly, add_term, x_vars
-from cfx.rational import ComplexRational, cq
+from cfx.rational import ONE, ZERO, ComplexRational, cq
 
 V = x_vars(4) + ("t1",)
+
+
+def eval_exact(p: Poly, point) -> ComplexRational:
+    """Evaluate ``p`` at a point of Fractions/ComplexRationals, exactly."""
+    total = ZERO
+    for expo, coeff in p.terms.items():
+        m = ONE
+        for x, e in zip(point, expo):
+            for _ in range(e):
+                m = m * cq(x)
+        total = total + coeff * m
+    return total
 
 
 def poly_diff(p: Poly, var: str) -> Poly:
@@ -103,7 +115,7 @@ def test_laplacian_of_harmonic_pair():
 
 def test_eval_exact():
     p = p_var("x1") * p_var("x2") + Poly.const(V, 3)
-    val = p.eval_exact([Fraction(1, 2), Fraction(4), 0, 0, 0])
+    val = eval_exact(p, [Fraction(1, 2), Fraction(4), 0, 0, 0])
     assert val == cq(5)
 
 
@@ -115,7 +127,6 @@ def test_eval_exact():
 
 from math import gcd
 
-from cfx.rational import ONE, ZERO
 
 
 def ref_add(p, q):
@@ -232,7 +243,7 @@ def test_integer_layout_matches_the_reference(p, q, value, idx, point):
     assert_matches(P.scale(value.re), ref_scale(p, value.re))
     assert_matches(P.diff(V[idx]), ref_diff(p, idx))
     assert_matches(P.conjugate(), {e: c.conjugate() for e, c in p.items()})
-    assert P.eval_exact(point) == ref_eval(p, point)
+    assert eval_exact(P, point) == ref_eval(p, point)
     assert (P == Q) == (p == q)
     if p == q:
         assert hash(P) == hash(Q)

@@ -82,7 +82,7 @@ def test_integer_rows_match_the_extform_reference(n, k):
         v = gen.spawn(t).rational_vector(4 * (n + 1))
         q = math.lcm(*(x.denominator for x in v))
         for j in range(spec.top_level):
-            rows = symbol_at(spec, j, v).matrix
+            rows = symbol_at(spec, j, v)
             assert all(type(x) is int for row in rows for pair in row for x in pair)
             scale = q ** (2 if j == k else 1)
             expected = [[(x.re * scale, x.im * scale) for x in row]
@@ -116,8 +116,8 @@ def test_consecutive_symbols_compose_to_zero():
         spec = ComplexSpec(n, k)
         v = gen.spawn(n * 10 + k).rational_vector(4 * (n + 1))
         for j in range(2 * n):
-            a = symbol_at(spec, j + 1, v).matrix
-            b = symbol_at(spec, j, v).matrix
+            a = symbol_at(spec, j + 1, v)
+            b = symbol_at(spec, j, v)
             assert is_zero_matrix(gaussian_product(a, b))
 
 
@@ -125,8 +125,8 @@ def test_consecutive_symbols_compose_to_zero():
 def test_one_flipped_entry_breaks_the_composition(n, k, j):
     spec = ComplexSpec(n, k)
     v = SectionGenerator(12).spawn(n * 10 + k).rational_vector(4 * (n + 1))
-    a = symbol_at(spec, j + 1, v).matrix
-    b = [list(row) for row in symbol_at(spec, j, v).matrix]
+    a = symbol_at(spec, j + 1, v)
+    b = [list(row) for row in symbol_at(spec, j, v)]
     # an entry b[r][c] that column r of a sees
     r, c = next((r, c) for r, row in enumerate(b) for c, x in enumerate(row)
                 if x != (0, 0) and any(out[r] != (0, 0) for out in a))
@@ -137,7 +137,7 @@ def test_one_flipped_entry_breaks_the_composition(n, k, j):
 def test_zero_vector_gives_zero_matrix_and_error():
     spec = ComplexSpec(1, 1)
     zero = [Fraction(0)] * 8
-    assert is_zero_matrix(symbol_at(spec, 0, zero).matrix)
+    assert is_zero_matrix(symbol_at(spec, 0, zero))
     with pytest.raises(ValueError, match="nonzero"):
         check_exactness(spec, zero)
 
@@ -162,8 +162,8 @@ def test_middle_symbol_is_quadratic_in_v():
     doubled = [2 * x for x in v]
     q = math.lcm(*(x.denominator for x in v))
     q2 = math.lcm(*(x.denominator for x in doubled))
-    m1 = symbol_at(spec, 0, v).matrix
-    m2 = symbol_at(spec, 0, doubled).matrix
+    m1 = symbol_at(spec, 0, v)
+    m2 = symbol_at(spec, 0, doubled)
     assert not is_zero_matrix(m1)
     for r1, r2 in zip(m1, m2):
         for a, b in zip(r1, r2):

@@ -51,9 +51,28 @@ def _read_json(path: str, parse):
         raise ValueError(str(exc)) from None
 
 
+def _check_n(n: int) -> None:
+    if n > MAX_N:
+        raise ValueError(f"n={n} exceeds the configured limit {MAX_N}")
+
+
+def _parse_group(data) -> GroupSpec:
+    """``GroupSpec.from_json`` with the record's n checked first: an {"n", "S"}
+    record states it, and a {"phi"} potential has 4n x-variables, from which
+    ``group_from_phi`` takes (4n)^2 second derivatives."""
+    if isinstance(data, dict):
+        n = (sum(v.startswith("x") for v in Poly.from_json(data["phi"]).vars) // 4
+             if "phi" in data else data.get("n"))
+        if type(n) is int:
+            _check_n(n)
+    return GroupSpec.from_json(data)
+
+
 def _load_group(args) -> GroupSpec:
+    """The group a command runs on, its n checked before any group matrix is built."""
     if args.file:
-        return _read_json(args.file, GroupSpec.from_json)
+        return _read_json(args.file, _parse_group)
+    _check_n(args.n)
     return GroupSpec.named(args.group, args.n)
 
 
@@ -114,8 +133,7 @@ def cmd_classify(args) -> int:
 
 
 def _check_sizes(n: int, args, min_trials: int) -> None:
-    if n > MAX_N:
-        raise ValueError(f"n={n} exceeds the configured limit {MAX_N}")
+    _check_n(n)
     if args.k > MAX_K:
         raise ValueError(f"k={args.k} exceeds the configured limit {MAX_K}")
     if args.trials < min_trials:

@@ -76,34 +76,27 @@ def flat_D(spec: ComplexSpec, j: int, field: SpinorField) -> SpinorField:
     return subcomplex_D(spec.frame, spec, j, field)
 
 
-def flat_D_tuple(spec: ComplexSpec, j: int, field: SpinorField) -> SpinorField:
-    """Tuple-basis realization of the level-j operator."""
+def flat_D_tuple(spec: ComplexSpec, j: int, tuples: dict) -> dict:
+    """Tuple realization of the level-j operator on a dict {primed multi-index: ExtForm}."""
     spec._check_operator_level(j)
-    if field.basis != "tuple":
-        raise ValueError("expected tuple-basis field")
-    if field.sigma != spec.sigma(j):
-        raise ValueError("tuple field has wrong symmetric degree")
+    if set(tuples) != set(product((0, 1), repeat=spec.sigma(j))):
+        raise ValueError(f"level {j} tuple field needs every primed multi-index"
+                         f" of length {spec.sigma(j)}")
     frame = spec.frame
+    out_indices = product((0, 1), repeat=spec.sigma(j + 1))
     if j < spec.k:
-        comps = {}
-        for idx in product((0, 1), repeat=spec.sigma(j + 1)):
-            comps[idx] = (frak_d(0, field.tuples[(0,) + idx], frame)
-                          + frak_d(1, field.tuples[(1,) + idx], frame))
-        return SpinorField(spec.sigma(j + 1), "tuple", comps,
-                           dim=field.dim, degree=field.degree + 1, variables=field.vars)
+        return {idx: frak_d(0, tuples[(0,) + idx], frame) + frak_d(1, tuples[(1,) + idx], frame)
+                for idx in out_indices}
     if j == spec.k:
-        out = frak_d(0, frak_d(1, field.tuples[()], frame), frame)
-        return SpinorField(0, "tuple", {(): out})
-    # ascending side: apply each derivation, prepend its index (each target
-    # (aprime,) + idx is hit once), then symmetrize
-    comps = {(aprime,) + idx: frak_d(aprime, form, frame)
-             for idx, form in field.tuples.items() for aprime in (0, 1)}
-    return symmetrize(SpinorField(spec.sigma(j + 1), "tuple", comps))
+        return {(): frak_d(0, frak_d(1, tuples[()], frame), frame)}
+    # ascending side: target (a',) + idx is derivation a' of component idx,
+    # then symmetrize
+    return symmetrize({idx: frak_d(idx[0], tuples[idx[1:]], frame) for idx in out_indices})
 
 
-def dot_pi(spec: ComplexSpec, j: int, field: SpinorField) -> SpinorField:
+def dot_pi(spec: ComplexSpec, j: int, tuples: dict) -> SpinorField:
     """Tuple -> slot isomorphism at level j (binomial weights above the middle)."""
-    return tuple_to_slots(field, spec.basis_tag(j))
+    return tuple_to_slots(tuples, spec.basis_tag(j))
 
 
 # -- symbol sequence -----------------------------------------------------------------

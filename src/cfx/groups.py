@@ -58,27 +58,6 @@ def mat_mul(a, b) -> tuple:
     )
 
 
-def mat_add(a, b) -> tuple:
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def mat_scale(a, s) -> tuple:
-    s = Fraction(s)
-    return tuple(tuple(x * s for x in row) for row in a)
-
-
-def mat_neg(a) -> tuple:
-    return mat_scale(a, -1)
-
-
-def mat_is_zero(a) -> bool:
-    return all(x == 0 for row in a for x in row)
-
-
-def mat_eq(a, b) -> bool:
-    return mat_is_zero(mat_add(a, mat_neg(b)))
-
-
 def block_diag(block, count: int) -> tuple:
     size = len(block)
     total = size * count
@@ -103,25 +82,18 @@ def quaternion_relations_ok(triple, orientation: int = 1) -> bool:
     table E2 E1 = E3.  The two block factors of so(4) realize one of each.
     """
     e1, e2, e3 = (mat(m) for m in triple)
-    neg_id = mat_scale(mat(ID4), -1)
+    neg_id = mat([[-x for x in row] for row in ID4])
     if orientation == 1:
         products = [(e1, e2, e3), (e2, e3, e1), (e3, e1, e2)]
     elif orientation == -1:
         products = [(e2, e1, e3), (e3, e2, e1), (e1, e3, e2)]
     else:
         raise ValueError("orientation must be +1 or -1")
-    checks = [
-        mat_eq(mat_mul(e1, e1), neg_id),
-        mat_eq(mat_mul(e2, e2), neg_id),
-        mat_eq(mat_mul(e3, e3), neg_id),
-    ]
-    checks += [mat_eq(mat_mul(a, b), c) for a, b, c in products]
-    # anticommutation of distinct elements
-    checks += [
-        mat_eq(mat_mul(e1, e2), mat_neg(mat_mul(e2, e1))),
-        mat_eq(mat_mul(e2, e3), mat_neg(mat_mul(e3, e2))),
-        mat_eq(mat_mul(e3, e1), mat_neg(mat_mul(e1, e3))),
-    ]
+    checks = [mat_mul(e, e) == neg_id for e in (e1, e2, e3)]
+    checks += [mat_mul(a, b) == c for a, b, c in products]
+    # anticommutation of distinct elements: a b = (b a)(-Id)
+    checks += [mat_mul(a, b) == mat_mul(mat_mul(b, a), neg_id)
+               for a, b in ((e1, e2), (e2, e3), (e3, e1))]
     return all(checks)
 
 
@@ -192,9 +164,6 @@ class GroupSpec:
     def s_block(self, l: int, m: int) -> tuple:
         return tuple(tuple(self.S[4 * l + i][4 * m + j] for j in range(4))
                      for i in range(4))
-
-    def to_json(self) -> dict:
-        return {"n": self.n, "S": [[str(x) for x in row] for row in self.S]}
 
     @classmethod
     def from_json(cls, data: dict) -> "GroupSpec":

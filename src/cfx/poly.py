@@ -18,8 +18,7 @@ The public constructor ``Poly(vars, terms)`` validates every term.  The ring
 operations, ``scale``, ``diff`` and ``conjugate`` do int arithmetic and build
 their result through the trusted ``Poly._make``, which only divides out the
 common factor of ``den`` and the numerators.  ``terms``, ``coefficient``,
-``constant_term``, ``to_json`` and ``str`` show
-ComplexRational values at the API edge.
+``constant_term`` and ``str`` show ComplexRational values at the API edge.
 
 The layout is shared: ``quadrature.SeparableSum``, ``FirstOrderOp.apply_into``
 and ``randgen.SectionGenerator`` build the same numerator dicts, and every
@@ -387,22 +386,19 @@ class Poly:
 
     __repr__ = __str__
 
-    def to_json(self) -> dict:
-        terms = [
-            {"c": coeff.to_json(), "e": list(expo)}
-            for expo, coeff in sorted(self.terms.items())
-        ]
-        return {"vars": list(self.vars), "terms": terms}
-
     @classmethod
     def from_json(cls, data: dict) -> "Poly":
-        """Inverse of :meth:`to_json`; ValueError on any other shape."""
+        """{"vars": [name, ...], "terms": [{"c": coefficient, "e": [int, ...]}, ...]},
+        each coefficient as :meth:`ComplexRational.from_json` reads it;
+        ValueError on any other shape."""
         try:
             terms = [(tuple(item["e"]), ComplexRational.from_json(item["c"]))
                      for item in data["terms"]]
             bad = [e for expo, _ in terms for e in expo if type(e) is not int]
             if bad:
                 raise ValueError(f"exponents must be JSON integers, not {bad[0]!r}")
+            if any(type(v) is not str for v in data["vars"]):
+                raise ValueError("variable names must be JSON strings")
             return cls(tuple(data["vars"]), dict(terms))
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed polynomial JSON: {exc!r}") from None

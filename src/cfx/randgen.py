@@ -34,7 +34,7 @@ MATRIX_BOUND = 3
 
 
 class SectionGenerator:
-    """Deterministic sparse random polynomials, forms and slot fields."""
+    """Deterministic sparse random polynomials, forms, slot and tuple fields."""
 
     def __init__(self, seed: int, degree: int = 3, terms: int = 3):
         self.seed = seed
@@ -86,13 +86,12 @@ class SectionGenerator:
         return SpinorField(sigma, basis, slots)
 
     def tuple_field(self, sigma: int, dim: int, degree_form: int, variables,
-                    poly_degree=None) -> SpinorField:
-        """Random symmetric tuple field (components depend only on the 1-count)."""
+                    poly_degree=None) -> dict:
+        """Random symmetric tuple field {primed multi-index: ExtForm}: the
+        components depend only on the 1-count."""
         reps = {a: self.form(dim, degree_form, variables, poly_degree)
                 for a in range(sigma + 1)}
-        comps = {idx: reps[sum(idx)] for idx in product((0, 1), repeat=sigma)}
-        return SpinorField(sigma, "tuple", comps,
-                           dim=dim, degree=degree_form, variables=variables)
+        return {idx: reps[sum(idx)] for idx in product((0, 1), repeat=sigma)}
 
     def rational_vector(self, size: int) -> list:
         b = VECTOR_BOUND

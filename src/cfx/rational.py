@@ -122,10 +122,7 @@ class ComplexRational:
         sign = "+" if self.im > 0 else "-"
         return f"({self.re}{sign}{abs(self.im)}*i)"
 
-    # -- JSON wire format: exact rationals as strings ------------------------
-
-    def to_json(self):
-        return [str(self.re), str(self.im)]
+    # -- JSON input: exact rationals as strings or integers ------------------
 
     @classmethod
     def from_json(cls, data) -> "ComplexRational":

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cfx.cli import main
+from test_groups import group_to_json
 
 
 def run(capsys, *argv):
@@ -167,6 +168,62 @@ def test_k_at_the_limit_is_accepted_and_n1_k4_still_fails_the_top_level(capsys):
     assert code == 1 and json.loads(out)["k"] == MAX_K
     code, out, _ = run(capsys, "symbol", "--n", "1", "--k", "4", "--v", "1,0,0,0,0,0,0,0")
     assert code == 1 and not json.loads(out)["all_exact"]
+
+
+@pytest.mark.parametrize("command", ["classify", "ma"])
+@pytest.mark.parametrize("n", ["4", "100000"])
+def test_n_above_the_limit_exits_2_before_the_group_is_built(monkeypatch, capsys, command, n):
+    # the group's matrices are dense 4n x 4n: a large n would exhaust memory
+    import time
+
+    cli = _forbid_work(monkeypatch)
+    assert int(n) > cli.MAX_N
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("cfx built a group above the n limit")
+
+    monkeypatch.setattr(cli.GroupSpec, "named", forbidden)
+    monkeypatch.setattr(cli, "classify", forbidden)
+    start = time.perf_counter()
+    code, out, err = run(capsys, command, "--group", "rightQH", "--n", n)
+    assert time.perf_counter() - start < 1
+    _assert_input_error(code, out, err)
+    assert f"n={n} exceeds the configured limit" in err
+
+
+@pytest.mark.parametrize("command", [("classify",), ("ma",), ("verify", "boundary")])
+@pytest.mark.parametrize("n,record", [
+    (4, "S"), (4, "phi"),
+    # a 35 kB potential in 4000 variables: its matrix would take 1.6e7 second derivatives
+    (1000, "phi")])
+def test_file_group_above_the_limit_exits_2_before_any_group_matrix(monkeypatch, capsys,
+                                                                    tmp_path, command, n,
+                                                                    record):
+    import time
+
+    from cfx import groups
+    from cfx.groups import GroupSpec
+
+    if record == "S":
+        data = group_to_json(GroupSpec.right_qh(n))
+    else:
+        data = {"phi": {"vars": [f"x{i + 1}" for i in range(4 * n)],
+                        "terms": [{"c": "1", "e": [2] + [0] * (4 * n - 1)}]}}
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps(data))
+    cli = _forbid_work(monkeypatch)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("cfx built a group above the n limit")
+
+    monkeypatch.setattr(groups.GroupSpec, "__post_init__", forbidden)
+    monkeypatch.setattr(groups, "group_from_phi", forbidden)
+    monkeypatch.setattr(cli, "classify", forbidden)
+    start = time.perf_counter()
+    code, out, err = run(capsys, *command, "--file", str(path))
+    assert time.perf_counter() - start < 1
+    _assert_input_error(code, out, err)
+    assert f"n={n} exceeds the configured limit" in err
 
 
 @pytest.mark.parametrize("steps", ["10001", "100000000"])
@@ -358,7 +415,8 @@ def test_ma_malformed_u_file_exits_2(tmp_path, capsys, content):
 
 @pytest.mark.parametrize("command", [("classify",), ("verify", "boundary")])
 @pytest.mark.parametrize("content", ["[1]", '{"n": 1, "S": 5}', '{"n": 1}',
-                                     '{"phi": [1]}'])
+                                     '{"phi": [1]}',
+                                     '{"phi": {"vars": [1, 2, 3, 4], "terms": []}}'])
 def test_malformed_group_file_exits_2(tmp_path, capsys, command, content):
     path = tmp_path / "group.json"
     path.write_text(content)
@@ -390,7 +448,7 @@ def test_group_json_keeps_string_and_integer_entries():
 
 def _write_group(tmp_path, group):
     path = tmp_path / "group.json"
-    path.write_text(json.dumps(group.to_json()))
+    path.write_text(json.dumps(group_to_json(group)))
     return str(path)
 
 

@@ -18,10 +18,10 @@ import pytest
 
 from cfx import groups, linalg
 from cfx.groups import (GroupSpec, I_MATS, block_diag, check_condition_H, classify,
-                        group_from_phi, horizontal_fields, mat, mat_add, mat_mul,
-                        sphere_grid)
+                        group_from_phi, horizontal_fields, mat, mat_mul, sphere_grid)
 from cfx.poly import Poly, x_vars
 from cfx.randgen import SectionGenerator
+from test_groups import mat_add
 from test_linalg import (LAM, central_pairing_det, cofactor_det, expansion_pfaffian,
                          symbolic_pairing_det)
 from test_poly import eval_exact

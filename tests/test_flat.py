@@ -195,18 +195,47 @@ def test_tuple_equivalence_quick(n, k):
     assert report.passed, report.to_dict()
 
 
+def test_tuple_equivalence_catches_a_dropped_binomial_weight(monkeypatch):
+    # dot_pi without the ascending binomial weight binom(sigma, a) breaks the
+    # slot/tuple agreement above the middle level, and the suite reports it
+    from cfx import flat
+    from cfx.spinor import SpinorField
+
+    assert flat_tuple_equivalence_suite(2, 1, trials=2, seed=1, degree=2).passed
+
+    def unweighted(tuples, basis):
+        s = len(next(iter(tuples)))
+        return SpinorField(s, basis, [tuples[(0,) * (s - a) + (1,) * a] for a in range(s + 1)])
+
+    monkeypatch.setattr(flat, "tuple_to_slots", unweighted)
+    report = flat_tuple_equivalence_suite(2, 1, trials=2, seed=1, degree=2)
+    assert not report.passed and report.extra["failures"]
+
+
 def test_tuple_operator_descending_example():
     # degree-2 symmetric tuple with only the (0,0) component set: the output
     # (0)-component is the first-index contraction of that single slot
-    from cfx.spinor import SpinorField
     spec = ComplexSpec(1, 2)
     x1 = ExtForm.from_scalar(4, Poly.var(V8, "x1"))
     zero = ExtForm.zero(4, 0, V8)
-    fld = SpinorField(2, "tuple", {(0, 0): x1, (0, 1): zero, (1, 0): zero,
-                                   (1, 1): zero})
+    fld = {(0, 0): x1, (0, 1): zero, (1, 0): zero, (1, 1): zero}
     out = flat_D_tuple(spec, 0, fld)
-    assert (out.tuples[(0,)] - d_upper(0, x1)).is_zero()
-    assert (out.tuples[(1,)]).is_zero()
+    assert list(out) == [(0,), (1,)]
+    assert (out[(0,)] - d_upper(0, x1)).is_zero()
+    assert out[(1,)].is_zero()
+
+
+def test_tuple_operator_needs_every_primed_index_of_the_level():
+    # level 0 of (n, k) = (1, 2) carries sigma = 2: four primed multi-indices
+    spec = ComplexSpec(1, 2)
+    zero = ExtForm.zero(4, 0, V8)
+    full = {(0, 0): zero, (0, 1): zero, (1, 0): zero, (1, 1): zero}
+    assert all(form.is_zero() for form in flat_D_tuple(spec, 0, full).values())
+    missing = {idx: form for idx, form in full.items() if idx != (1, 0)}
+    wrong_sigma = {(0,): zero, (1,): zero}
+    for bad in (missing, wrong_sigma, {**full, (0, 0, 1): zero}):
+        with pytest.raises(ValueError, match="every primed multi-index of length 2"):
+            flat_D_tuple(spec, 0, bad)
 
 
 def test_tuple_output_is_symmetric():

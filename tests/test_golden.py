@@ -17,6 +17,7 @@ import pytest
 from cfx.cli import main
 from cfx.groups import GroupSpec
 from cfx.randgen import SectionGenerator
+from test_groups import group_to_json
 
 GOLDEN = [
     ("verify flat --n 1 --k 2 --degree 4 --trials 2 --seed 3",
@@ -61,7 +62,7 @@ def test_dense_right_type_ma_report_is_pinned(tmp_path, capsys):
     residuals and the agreement at exactly 0.0."""
     group = GroupSpec(2, SectionGenerator(1).right_type_matrix(2))
     path = tmp_path / "group.json"
-    path.write_text(json.dumps(group.to_json()))
+    path.write_text(json.dumps(group_to_json(group)))
     code = main(["ma", "--file", str(path), "--power", "2", "--convergence", "64"])
     out = capsys.readouterr().out
     assert code == 0
@@ -90,7 +91,7 @@ def test_dense_right_type_boundary_report_is_pinned(tmp_path, capsys):
     fields have dense coefficients."""
     group = GroupSpec(2, SectionGenerator(2).right_type_matrix(2))
     path = tmp_path / "group.json"
-    path.write_text(json.dumps(group.to_json()))
+    path.write_text(json.dumps(group_to_json(group)))
     code = main(["verify", "boundary", "--file", str(path), "--check", "all", "--k", "2",
                  "--trials", "1", "--seed", "8"])
     out = capsys.readouterr().out

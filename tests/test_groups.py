@@ -7,13 +7,42 @@ import pytest
 from cfx.groups import (GroupSpec, I_MATS, ID4, J_MATS, block_diag,
                         check_condition_H, classify, group_from_phi,
                         horizontal_fields, is_right_type, is_right_type_via_E,
-                        is_stratified, mat, mat_add, mat_eq, mat_is_zero,
-                        mat_mul, mat_neg, mat_scale, quaternion_relations_ok)
+                        is_stratified, mat, mat_mul, quaternion_relations_ok)
 from cfx.operators import FirstOrderOp
 from cfx.poly import Poly, x_vars
 from cfx.randgen import SectionGenerator
 from cfx.rational import ComplexRational
 from test_linalg import central_pairing_det, symbolic_pairing_det
+from test_poly import poly_to_json
+
+
+# -- helpers: exact matrix arithmetic and the group JSON record -------------------------
+
+
+def mat_add(a, b) -> tuple:
+    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def mat_scale(a, s) -> tuple:
+    s = Fraction(s)
+    return tuple(tuple(x * s for x in row) for row in a)
+
+
+def mat_neg(a) -> tuple:
+    return mat_scale(a, -1)
+
+
+def mat_is_zero(a) -> bool:
+    return all(x == 0 for row in a for x in row)
+
+
+def mat_eq(a, b) -> bool:
+    return mat_is_zero(mat_add(a, mat_neg(b)))
+
+
+def group_to_json(g: GroupSpec) -> dict:
+    """The {"n", "S"} record ``GroupSpec.from_json`` reads, entries as strings."""
+    return {"n": g.n, "S": [[str(x) for x in row] for row in g.S]}
 
 
 # -- references: the group law, the bracket blocks and the bracket table ---------------
@@ -182,7 +211,7 @@ def test_integer_right_type_matches_reference_on_a_potential():
         for b in range(a, 8):
             c = Fraction(rng.randint(-3, 3), rng.choice([1, 2, 5]))
             phi = phi + Poly.var(v, f"x{a+1}", c) * Poly.var(v, f"x{b+1}")
-    g = GroupSpec.from_json({"phi": phi.to_json()})
+    g = GroupSpec.from_json({"phi": poly_to_json(phi)})
     assert g.integer_brackets[0] > 1
     ok, certificate = is_right_type(g)
     assert not ok and certificate
@@ -386,7 +415,7 @@ def test_horizontal_fields_match_the_poly_sum_reference(n):
             for v, p in X.coeffs.items():
                 q = Y.coeffs[v]
                 assert p == q and list(p.num.items()) == list(q.num.items())
-                assert p.to_json() == q.to_json()
+                assert poly_to_json(p) == poly_to_json(q)
 
 
 def test_stratified():
@@ -430,7 +459,7 @@ def test_condition_h_modes_agree():
 
 def test_json_roundtrip():
     g = GroupSpec.right_qh(2)
-    data = json.loads(json.dumps(g.to_json()))
+    data = json.loads(json.dumps(group_to_json(g)))
     back = GroupSpec.from_json(data)
     assert mat_eq(back.S, g.S) and back.n == 2
 
@@ -440,7 +469,7 @@ def test_json_potential_route():
     phi = Poly.zero(v)
     for i in range(1, 5):
         phi = phi + Poly.var(v, f"x{i}") * Poly.var(v, f"x{i}")
-    data = json.loads(json.dumps({"phi": phi.to_json()}))
+    data = json.loads(json.dumps({"phi": poly_to_json(phi)}))
     g = GroupSpec.from_json(data)
     assert mat_eq(g.S, GroupSpec.left_qh(1).S)
 

@@ -190,11 +190,6 @@ def test_every_public_definition_has_a_caller_outside_the_tests():
     assert not test_only, f"public definitions only the tests call: {test_only}"
 
 
-# the JSON writers are the inverse of the readers the CLI uses for its input
-# files; the tests write inputs with them
-WIRE_FORMAT = {"to_json"}
-
-
 def test_every_public_method_has_a_caller_outside_the_tests():
     # the rule above for methods: a public method that no code outside the
     # tests reads by name (an attribute, or a bare name such as a callback)
@@ -215,13 +210,31 @@ def test_every_public_method_has_a_caller_outside_the_tests():
             if not isinstance(cls, ast.ClassDef):
                 continue
             for node in cls.body:
-                if (not isinstance(node, ast.FunctionDef) or node.name.startswith("_")
-                        or node.name in WIRE_FORMAT):
+                if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
                     continue
                 own = range(node.lineno, node.end_lineno + 1)
                 if not any(not (p == path and line in own) for p, line in read.get(node.name, ())):
                     test_only.append(f"{path.name}: {cls.name}.{node.name}")
     assert not test_only, f"public methods only the tests call: {test_only}"
+
+
+def test_spinor_fields_have_one_layout():
+    # a SpinorField holds slots only; the symmetric-tuple realization is a
+    # plain dict {primed multi-index: ExtForm}, so no module tags a field "tuple"
+    from cfx.exterior import ExtForm
+    from cfx.poly import x_vars
+    from cfx.spinor import SpinorField
+
+    tagged = [f"{path.name} (line {node.lineno})" for path in [*MODULES, PACKAGE / "__init__.py"]
+              for node in ast.walk(_tree(path))
+              if isinstance(node, ast.Constant) and node.value == "tuple"]
+    assert not tagged, f"the string constant 'tuple' in {tagged}"
+    assert "tuples" not in SpinorField.__slots__
+    zero = ExtForm.zero(2, 0, x_vars(2))
+    with pytest.raises(ValueError, match="unknown basis tag"):
+        SpinorField(1, "tuple", [zero, zero])
+    with pytest.raises(TypeError):
+        SpinorField(0, "S", [zero], dim=2)
 
 
 # float() and complex() calls the exact package makes: `cfx ma` rounds its exact
@@ -414,7 +427,7 @@ def test_sections_and_frames_are_built_on_ints(monkeypatch):
     for t in range(20):
         g = gen.spawn(t)
         assert not g.slot_field(2, "S", 4, 1, V).is_zero()
-        assert not g.tuple_field(2, 4, 2, V).is_zero()
+        assert not all(form.is_zero() for form in g.tuple_field(2, 4, 2, V).values())
         assert g.psh_quadratic(group_vars(2), 8).total_degree() == 2
     for group in groups:
         fields = horizontal_fields(group)

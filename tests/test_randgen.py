@@ -10,6 +10,7 @@ from cfx.exterior import ExtForm
 from cfx.poly import Poly, group_vars, x_vars
 from cfx.randgen import COEFF_BOUND, SectionGenerator
 from cfx.rational import ComplexRational
+from test_poly import poly_to_json
 
 
 class ReferenceGenerator(SectionGenerator):
@@ -55,7 +56,7 @@ class ReferenceGenerator(SectionGenerator):
 
 
 def _same_poly(p, q):
-    assert p == q and p.to_json() == q.to_json()
+    assert p == q and poly_to_json(p) == poly_to_json(q)
     assert list(p.num.items()) == list(q.num.items())
 
 
@@ -67,9 +68,13 @@ def _same_form(f, g):
 
 
 def _same_field(f, g):
+    # a slot field, or a tuple field {primed multi-index: ExtForm}
     assert f == g
-    forms = (zip(f.slots, g.slots, strict=True) if f.slots is not None
-             else zip(f.tuples.values(), g.tuples.values(), strict=True))
+    if isinstance(f, dict):
+        assert list(f) == list(g)
+        forms = zip(f.values(), g.values(), strict=True)
+    else:
+        forms = zip(f.slots, g.slots, strict=True)
     for a, b in forms:
         _same_form(a, b)
 

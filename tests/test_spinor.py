@@ -72,10 +72,8 @@ def tilde_basis_multiply(a: int, sigma: int, aprime: int):
     return (a + aprime, sigma + 1)
 
 
-def slots_to_tuple(field: SpinorField) -> SpinorField:
-    """Inverse of :func:`tuple_to_slots`."""
-    if field.basis == "tuple":
-        raise ValueError("field already in tuple basis")
+def slots_to_tuple(field: SpinorField) -> dict:
+    """Inverse of :func:`tuple_to_slots`: the dict {primed multi-index: ExtForm}."""
     s = field.sigma
     comps = {}
     for idx in product((0, 1), repeat=s):
@@ -84,7 +82,7 @@ def slots_to_tuple(field: SpinorField) -> SpinorField:
         if field.basis == "tilde":
             form = form.scale(Fraction(1, comb(s, a)))
         comps[idx] = form
-    return SpinorField(s, "tuple", comps)
+    return comps
 
 
 def scalar(c):
@@ -127,18 +125,16 @@ def test_ascending_basis_multiply():
 def test_symmetrize_two_slot_average():
     comps = {(0, 1): scalar(1), (1, 0): scalar(0),
              (0, 0): scalar(0), (1, 1): scalar(0)}
-    fld = SpinorField(2, "tuple", comps)
-    sym = symmetrize(fld)
-    assert sym.tuples[(0, 1)] == scalar(Fraction(1, 2))
-    assert sym.tuples[(1, 0)] == scalar(Fraction(1, 2))
+    sym = symmetrize(comps)
+    assert sym[(0, 1)] == scalar(Fraction(1, 2))
+    assert sym[(1, 0)] == scalar(Fraction(1, 2))
 
 
 def test_symmetrize_idempotent():
     comps = {idx: scalar(3 * idx[0] + idx[1] - 2 * idx[2])
              for idx in product((0, 1), repeat=3)}
-    fld = SpinorField(3, "tuple", comps)
-    once = symmetrize(fld)
-    assert (symmetrize(once) - once).is_zero()
+    once = symmetrize(comps)
+    assert symmetrize(once) == once
     assert is_symmetric(once)
 
 
@@ -149,8 +145,7 @@ def test_symmetrize_matches_partial_formula():
     for idx in product((0, 1), repeat=3):
         # value depends on first index and the multiset of the last two
         comps[idx] = scalar(5 * idx[0] + idx[1] + idx[2])
-    fld = SpinorField(3, "tuple", comps)
-    sym = symmetrize(fld)
+    sym = symmetrize(comps)
     third = cq(Fraction(1, 3))
     for idx in product((0, 1), repeat=3):
         rotations = [
@@ -159,19 +154,20 @@ def test_symmetrize_matches_partial_formula():
             comps[(idx[2], idx[0], idx[1])],
         ]
         expected = (rotations[0] + rotations[1] + rotations[2]).scale(third)
-        assert (sym.tuples[idx] - expected).is_zero()
+        assert (sym[idx] - expected).is_zero()
 
 
 def _permutation_average(field):
     """Reference symmetrization: the mean over all s! index permutations."""
-    s = field.sigma
+    s = len(next(iter(field)))
+    sample = next(iter(field.values()))
     out = {}
     for idx in product((0, 1), repeat=s):
-        acc = ExtForm.zero(field.dim, field.degree, field.vars)
+        acc = ExtForm.zero(sample.dim, sample.degree, sample.vars)
         for perm in permutations(range(s)):
-            acc = acc + field.tuples[tuple(idx[p] for p in perm)]
+            acc = acc + field[tuple(idx[p] for p in perm)]
         out[idx] = acc.scale(cq(Fraction(1, factorial(s))))
-    return SpinorField(s, "tuple", out)
+    return out
 
 
 @pytest.mark.parametrize("s", [0, 1, 2, 3, 4])
@@ -180,36 +176,36 @@ def test_symmetrize_matches_permutation_average(s):
     gen = SectionGenerator(90 + s, degree=2)
     for t in range(3):
         g = gen.spawn(t)
-        fld = SpinorField(s, "tuple", {idx: g.form(3, 1, V) for idx in product((0, 1), repeat=s)})
+        fld = {idx: g.form(3, 1, V) for idx in product((0, 1), repeat=s)}
         assert s < 2 or not is_symmetric(fld)
         sym = symmetrize(fld)
-        assert sym.tuples == _permutation_average(fld).tuples
+        assert sym == _permutation_average(fld)
         assert is_symmetric(sym)
 
 
 def _reference_is_symmetric(field):
     """The arithmetic definition: the field equals its class average."""
-    return (symmetrize(field) - field).is_zero()
+    average = symmetrize(field)
+    return all((average[idx] - form).is_zero() for idx, form in field.items())
 
 
 def _symmetric_variants(field):
     """Seeded near-symmetric variants of a symmetric tuple field."""
-    s = field.sigma
-    tuples = dict(field.tuples)
+    s = len(next(iter(field)))
+    tuples = dict(field)
     yield field
     for a in range(s + 1):
         cls = [idx for idx in tuples if sum(idx) == a]
         # one component changed
         changed = dict(tuples)
         changed[cls[-1]] = tuples[cls[-1]] + _scalar_like(tuples[cls[-1]], 1)
-        yield SpinorField(s, "tuple", changed)
+        yield changed
         # one component a scalar multiple of the rest of its class
         scaled = dict(tuples)
         scaled[cls[0]] = tuples[cls[0]].scale(cq(Fraction(2, 3)))
-        yield SpinorField(s, "tuple", scaled)
+        yield scaled
         # the whole class scaled: still symmetric
-        yield SpinorField(s, "tuple", {idx: f.scale(cq(-3)) if sum(idx) == a else f
-                                       for idx, f in tuples.items()})
+        yield {idx: f.scale(cq(-3)) if sum(idx) == a else f for idx, f in tuples.items()}
 
 
 def _scalar_like(form, c):
@@ -224,8 +220,7 @@ def test_is_symmetric_matches_arithmetic_reference(s):
     seen = set()
     for t in range(3):
         g = gen.spawn(t)
-        sym = symmetrize(SpinorField(s, "tuple", {idx: g.form(3, 1, V)
-                                                  for idx in product((0, 1), repeat=s)}))
+        sym = symmetrize({idx: g.form(3, 1, V) for idx in product((0, 1), repeat=s)})
         for field in (sym, g.tuple_field(s, 3, 2, V), *_symmetric_variants(sym)):
             want = _reference_is_symmetric(field)
             assert is_symmetric(field) == want
@@ -233,35 +228,26 @@ def test_is_symmetric_matches_arithmetic_reference(s):
     assert seen == ({True} if s < 2 else {True, False})
 
 
-def test_is_symmetric_rejects_slot_fields():
-    with pytest.raises(ValueError, match="tuple basis"):
-        is_symmetric(SpinorField(1, "S", [scalar(1), scalar(2)]))
-
-
 def test_tuple_slot_roundtrip_descending():
     comps = {idx: scalar(ones_count(idx) + 1) for idx in product((0, 1), repeat=2)}
-    fld = SpinorField(2, "tuple", comps)
-    slots = tuple_to_slots(fld, "S")
+    slots = tuple_to_slots(comps, "S")
     assert slots.slot(1) == scalar(2)
-    back = slots_to_tuple(slots)
-    assert (back - fld).is_zero()
+    assert slots_to_tuple(slots) == comps
 
 
 def test_tuple_slot_roundtrip_ascending_binomial():
     comps = {idx: scalar(1) for idx in product((0, 1), repeat=2)}
-    fld = SpinorField(2, "tuple", comps)
-    slots = tuple_to_slots(fld, "tilde")
+    slots = tuple_to_slots(comps, "tilde")
     # middle slot carries multiplicity binom(2,1) = 2
     assert slots.slot(1) == scalar(2)
-    assert (slots_to_tuple(slots) - fld).is_zero()
+    assert slots_to_tuple(slots) == comps
 
 
 def test_multiply_then_convert_consistency():
     # multiplying in the ascending basis then converting agrees with
     # converting first and acting on the symmetric tuple
     comps = {(0,): scalar(2), (1,): scalar(5)}
-    fld = SpinorField(1, "tuple", comps)
-    tilde = tuple_to_slots(fld, "tilde")
+    tilde = tuple_to_slots(comps, "tilde")
     # multiply by the 0-indexed coordinate: slots shift per the ascending rule
     lifted = SpinorField(2, "tilde", [tilde.slot(0), tilde.slot(1),
                                       ExtForm.zero(2, 0, V)])
@@ -277,8 +263,7 @@ def test_multiply_then_convert_consistency():
                 total = total + comps[rest]
                 count += 1
         expect[idx] = total.scale(Fraction(1, 2))
-    direct = SpinorField(2, "tuple", expect)
-    assert (lifted_tuple - direct).is_zero()
+    assert lifted_tuple == expect
 
 
 def test_slot_field_shape_validation():

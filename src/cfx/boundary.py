@@ -234,11 +234,6 @@ class BoundaryField:
         cshape = spec.companion_shape(j)
         return cls(spec, j, make(*spec.shape(j)), None if cshape is None else make(*cshape))
 
-    @classmethod
-    def zero(cls, spec: BoundarySpec, j: int, frame: TangentFrame) -> "BoundaryField":
-        return cls.build(spec, j, lambda s, d, basis: SpinorField.zero(
-            s, basis, spec.form_dim, d, frame.vars))
-
     def has_companion(self) -> bool:
         return self.spec.companion_shape(self.level) is not None
 

@@ -122,13 +122,6 @@ class ExtForm:
     def from_scalar(cls, dim, p: Poly) -> "ExtForm":
         return cls(dim, 0, p.vars, {(): p})
 
-    @classmethod
-    def basis(cls, dim, idx, variables, coeff=1) -> "ExtForm":
-        """The form coeff * w^{idx} for a strictly increasing tuple idx."""
-        idx = tuple(idx)
-        return cls(dim, len(idx), variables,
-                   {idx: Poly.const(variables, coeff)})
-
     # -- linear structure -----------------------------------------------------------
 
     def _check(self, other: "ExtForm"):

@@ -16,12 +16,13 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Sequence
+from itertools import combinations
+from typing import Sequence
 
 from .boundary import TangentFrame, frak_d
 from .exterior import ExtForm, hat_component, kaehler_like_sum, merge_sign
 from .poly import Poly
-from .quadrature import SeparableSum, integrate_poly_box, integrate_poly_face
+from .quadrature import CutoffJet, integrate_jets, integrate_poly_box, integrate_poly_face
 from .rational import ZERO, ComplexRational
 
 
@@ -144,22 +145,20 @@ def stokes_check(h: Poly, T: ExtForm, region: Region, frame: TangentFrame,
     dh_T = frak_d(aprime, ExtForm.from_scalar(frame.dim, h), frame).wedge(T)
     mid = integrate_top(dh_T, region)
 
+    h_t = [h * hat_component(T, a) for a in range(frame.dim)]
     boundary = ZERO
     for axis in range(region.naxes):
-        for side, value in ((1, region.highs[axis]), (-1, region.lows[axis])):
-            total = Poly.zero(frame.vars)
-            for a in range(frame.dim):
-                t_a = hat_component(T, a)
-                if t_a.is_zero():
-                    continue
-                z_rho = frame.Z_upper[a][aprime].coefficient(frame.vars[axis]).scale(side)
-                if z_rho.is_zero():
-                    continue
-                total = total + h * t_a * z_rho
-            if total.is_zero():
-                continue
-            boundary += integrate_poly_face(total, region.lows, region.highs,
-                                            axis, value)
+        # the flux sum_a h T_a Z_a rho through the faces x_axis = high and low
+        flux = Poly.zero(frame.vars)
+        for a, ht in enumerate(h_t):
+            z_rho = frame.Z_upper[a][aprime].coefficient(frame.vars[axis])
+            if ht and z_rho:
+                flux = flux + ht * z_rho
+        if flux:
+            boundary += (integrate_poly_face(flux, region.lows, region.highs, axis,
+                                             region.highs[axis])
+                         - integrate_poly_face(flux, region.lows, region.highs, axis,
+                                               region.lows[axis]))
 
     residual = lhs + mid - boundary
     absolute = _abs(residual)
@@ -200,55 +199,19 @@ def _abs(z: ComplexRational) -> float:
     return math.hypot(*_c(z))
 
 
-# -- factored cutoff ------------------------------------------------------------------------
+# -- the cutoff experiment ---------------------------------------------------------------
 
 
-def bump_for_region(region: Region) -> SeparableSum:
-    """prod_axis (1 - ((x-c)/r)^2)^2: vanishes to second order on every face.
-
-    With c - r = l and c + r = h the factor is ((x - l)(h - x))^2 / r^4, and
-    (x - l)(h - x) = -x^2 + s x - p for s = l + h, p = l h.
-    """
-    factors = {}
-    for axis, (l, h) in enumerate(zip(region.lows, region.highs)):
-        s, p = l + h, l * h
-        r4 = ((h - l) / 2) ** 4
-        factors[axis] = tuple(c / r4 for c in (p * p, -2 * p * s, s * s + 2 * p, -2 * s, 1))
-    return SeparableSum.product(region.naxes, factors)
-
-
-def separable_triangle(chi: SeparableSum, frame: TangentFrame) -> Dict[tuple, SeparableSum]:
-    """Components (a < b) of the degree-2 operator on a factored scalar."""
-    z0 = [chi.apply_op(frame.Z_lower[a][0]) for a in range(frame.dim)]
-    out = {}
-    for a in range(frame.dim):
-        for b in range(a + 1, frame.dim):
-            pos = z0[a].apply_op(frame.Z_lower[b][1])
-            neg = z0[b].apply_op(frame.Z_lower[a][1])
-            out[(a, b)] = pos - neg
-    return out
-
-
-def separable_first(chi: SeparableSum, frame: TangentFrame, aprime: int) -> Dict[int, SeparableSum]:
-    return {a: chi.apply_op(frame.Z_lower[a][aprime]) for a in range(frame.dim)}
-
-
-def _wedge_complement_pairs(parts: dict, other: ExtForm):
-    """Pairs (separable coefficient, polynomial weight) whose products sum to
-    the top coefficient of (sum parts_idx w^idx) ^ other."""
-    dim = other.dim
+def _wedge_complement_pairs(parts: dict, other: ExtForm) -> list:
+    """Pairs (cutoff jet, polynomial weight) whose products sum to the top
+    coefficient of (sum parts_idx w^idx) ^ other."""
     pairs = []
-    for idx, sep in parts.items():
-        idx = idx if isinstance(idx, tuple) else (idx,)
-        rest = tuple(i for i in range(dim) if i not in idx)
+    for idx, jet in parts.items():
+        rest = tuple(i for i in range(other.dim) if i not in idx)
         comp = other.component(rest)
-        if comp.is_zero():
-            continue
-        merged = merge_sign(idx, rest)
-        if merged is None:
-            continue
-        sign, _ = merged
-        pairs.append((sep.scale(sign), comp))
+        if comp:
+            sign, _ = merge_sign(idx, rest)
+            pairs.append((jet, comp if sign > 0 else -comp))
     return pairs
 
 
@@ -312,7 +275,7 @@ def cln_experiment(us: Sequence[Poly], K: Region, L: Region,
     frame.require_right_type()
     if not K.contains(L):
         raise ValueError("inner region must sit inside the outer region")
-    chi = bump_for_region(K)
+    chi = CutoffJet.bump(frame.vars)
     p = len(us)
     n = frame.n
     if not 1 <= p <= n:
@@ -329,19 +292,18 @@ def cln_experiment(us: Sequence[Poly], K: Region, L: Region,
     T = triangle(us[0], frame).wedge(rest_beta)
     g = top_coefficient(T)
 
-    mass_direct = chi.integrate_box(K.lows, K.highs, g)
-
+    # the lowered operators moved onto the cutoff: Z_a^0 chi, and the
+    # components (a < b) of the degree-2 operator on chi
+    z0 = [chi.apply_op(frame.Z_lower[a][0]) for a in range(frame.dim)]
+    tri_chi = {(a, b): z0[a].apply_op(frame.Z_lower[b][1]) - z0[b].apply_op(frame.Z_lower[a][1])
+               for a, b in combinations(range(frame.dim), 2)}
     d1u = frak_d(1, ExtForm.from_scalar(frame.dim, us[0]), frame, raised=False)
-    w_mid = d1u.wedge(rest_beta)
-    d0chi = separable_first(chi, frame, 0)
-    mid_pairs = _wedge_complement_pairs(d0chi, w_mid)
-    mass_middle = -sum((sep.integrate_box(K.lows, K.highs, poly)
-                        for sep, poly in mid_pairs), ZERO)
-
-    tri_chi = separable_triangle(chi, frame)
+    mid_pairs = _wedge_complement_pairs({(a,): jet for a, jet in enumerate(z0)},
+                                        d1u.wedge(rest_beta))
     ibp_pairs = _wedge_complement_pairs(tri_chi, rest_beta)
-    mass_ibp = sum((sep.integrate_box(K.lows, K.highs, us[0] * poly)
-                    for sep, poly in ibp_pairs), ZERO)
+    mass_direct, middle, mass_ibp = integrate_jets(
+        K.lows, K.highs, [[(chi, g)], mid_pairs, [(jet, us[0] * poly) for jet, poly in ibp_pairs]])
+    mass_middle = -middle
 
     mass_inner = integrate_top(T, L)
     gap = max(_abs(mass_direct - mass_ibp), _abs(mass_direct - mass_middle))

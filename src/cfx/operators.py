@@ -14,9 +14,9 @@ class FirstOrderOp:
     """sum_v  coeff_v(x) * d/dv  with Poly coefficients.
 
     :meth:`kernel` is the operator's one integer coefficient table: every
-    application (``apply_into``, ``quadrature.SeparableSum.apply_op``) and
-    the flat symbol's covector rows read it.  It is built on first use,
-    because most frame-building intermediates are never applied.
+    application (``apply_into``, and so ``apply``) and the flat symbol's
+    covector rows read it.  It is built on first use, because most
+    frame-building intermediates are never applied.
     """
 
     __slots__ = ("vars", "coeffs", "_kernel")

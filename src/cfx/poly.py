@@ -20,13 +20,14 @@ their result through the trusted ``Poly._make``, which only divides out the
 common factor of ``den`` and the numerators.  ``terms``, ``coefficient``,
 ``constant_term`` and ``str`` show ComplexRational values at the API edge.
 
-The layout is shared: ``quadrature.SeparableSum``, ``FirstOrderOp.apply_into``
-and ``randgen.SectionGenerator`` build the same numerator dicts, and every
+The layout is shared: ``FirstOrderOp.apply_into``, ``ExtForm.wedge`` and
+``randgen.SectionGenerator`` build the same numerator dicts, and every
 builder goes through the primitives here.  :func:`add_term` is the one
 place a sum is merged into a key, so it alone keeps the no-``(0, 0)`` rule;
 :func:`common_sum` adds two dicts over one denominator,
 :func:`times_gaussian` scales one by a Gaussian integer and :func:`mul_into`
-adds the product of two into a third (``Poly.__mul__``, ``ExtForm.wedge``).
+adds the product of two into a third (``Poly.__mul__``, ``ExtForm.wedge``),
+with a one-pass shortcut for a constant factor.
 Callers keep only the rules on their keys.
 """
 
@@ -124,7 +125,20 @@ def times_gaussian(num: dict, c: int, d: int) -> dict:
 
 def mul_into(out: dict, num1: dict, num2: dict, mult: int) -> dict:
     """Add mult * num1 * num2, the product of two numerator dicts times the
-    int ``mult``, into ``out`` through :func:`add_term`; return ``out``."""
+    int ``mult``, into ``out`` through :func:`add_term`; return ``out``.
+
+    A constant factor only scales the other one: one pass, no exponent sums.
+    """
+    if len(num1) == 1 and not any(next(iter(num1))):
+        num1, num2 = num2, num1
+    if len(num2) == 1:
+        [(e2, (c, d))] = num2.items()
+        if not any(e2):
+            c *= mult
+            d *= mult
+            for e1, (a, b) in num1.items():
+                add_term(out, e1, a * c - b * d, a * d + b * c)
+            return out
     right = num2.items()
     for e1, (a, b) in num1.items():
         a *= mult
@@ -279,12 +293,6 @@ class Poly:
         if not isinstance(other, Poly):
             return self.scale(other)
         self._check_compatible(other)
-        # a constant factor only scales: one pass, no exponent sums
-        zero = (0,) * len(self.vars)
-        if len(other.num) == 1 and zero in other.num:
-            return self._times(*other.num[zero], other.den)
-        if len(self.num) == 1 and zero in self.num:
-            return other._times(*self.num[zero], self.den)
         return Poly._make(self.vars, mul_into({}, self.num, other.num, 1),
                           self.den * other.den)
 
@@ -294,11 +302,7 @@ class Poly:
         re, im, den = _gaussian_parts(value)
         if not (re or im):
             return Poly.zero(self.vars)
-        return self._times(re, im, den)
-
-    def _times(self, c: int, d: int, den: int) -> "Poly":
-        """Product with the nonzero constant (c + d*i) / den, for ints and den > 0."""
-        return Poly._make(self.vars, times_gaussian(self.num, c, d), self.den * den)
+        return Poly._make(self.vars, times_gaussian(self.num, re, im), self.den * den)
 
     def __pow__(self, exponent: int) -> "Poly":
         if exponent < 0:

@@ -1,48 +1,29 @@
 """Exact integration of polynomials over axis-aligned boxes.
 
-Every integrand in this package is polynomial, so every box integral is a
-sum of closed-form moments  int_a^b x^e dx  with rational endpoints.
-:class:`SeparableSum` sums them exactly, for the factored cutoff functions
-of the estimate experiments and, as a single product term, for a plain
-polynomial (:func:`integrate_poly_box`, :func:`integrate_poly_face`).  Every
-integral is returned as an exact :class:`ComplexRational`; nothing here
-rounds.
+Every integrand in this package is polynomial, or a polynomial combination
+of the derivatives of the box's bump cutoff, so every box integral is a sum
+of closed-form moments  int_a^b x^e dx  with rational endpoints, taken from
+one integer table per axis (:func:`_moment_table`).  Every integral is
+returned as an exact :class:`ComplexRational`; nothing here rounds.
 
-Layout (the one-denominator form of :class:`cfx.poly.Poly`): ``num`` maps a
-key to a Gaussian-integer numerator ``(re, im)`` of ints, and one positive
-int ``den`` is the denominator of every term.  A key holds one factor per
-axis, a tuple of int coefficients in increasing powers of that axis's
-variable.  The form is canonical:
-
-* every factor is primitive (the gcd of its coefficients is 1), has a
-  positive leading coefficient and no trailing zero; ``(1,)`` is the
-  constant factor, so an axis with no factor holds ``(1,)``;
-* terms with equal keys are merged, and no numerator is ``(0, 0)``;
-* the gcd of ``den`` and every numerator part is 1, and the zero sum has
-  ``den == 1``.
-
-``SeparableSum.product`` takes rational factors and validates them.  The
-ring operations ``+``, ``-``, ``scale`` and ``apply_op`` do int arithmetic
-on the layout primitives of :mod:`cfx.poly` (``+`` is ``common_sum``,
-``scale`` is ``times_gaussian``, and ``apply_op`` merges each product
-through ``add_term``, which keeps the no-``(0, 0)`` rule) and build their
-result through the trusted ``SeparableSum._make``, which only divides out
-the common factor of ``den`` and the numerators; the callers keep the key
-rules.  ``terms`` shows the terms as ``(ComplexRational, {axis: factor})``
-pairs, without the constant factors, at the API edge.
+The cutoff of a box is chi = prod_axis phi(x_axis) with
+phi = ((x - l)(h - x))^2 / r^4 on [l, h], r = (h - l) / 2: it is 1 at the
+centre and vanishes to second order on every face.  First-order operators
+with polynomial coefficients move it only by the Leibniz rule, so what the
+mass estimates build from it is a :class:`CutoffJet`,
+sum_alpha P_alpha d^alpha chi with ``Poly`` parts; nothing but ``Poly``
+holds its numerators.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
-from typing import Dict, Sequence
+from math import lcm
+from typing import Sequence
 
-from .poly import (Poly, _gaussian_parts, add_term, common_sum, reduce_gaussian,
-                   times_gaussian)
+from .exterior import put_component
+from .poly import Poly, add_term
 from .rational import ComplexRational
-
-_CONSTANT = (1,)
 
 
 def integrate_poly_box(p: Poly, lows: Sequence, highs: Sequence) -> ComplexRational:
@@ -50,7 +31,17 @@ def integrate_poly_box(p: Poly, lows: Sequence, highs: Sequence) -> ComplexRatio
     naxes = len(p.vars)
     if len(lows) != naxes or len(highs) != naxes:
         raise ValueError("box does not match the variable table")
-    return SeparableSum.product(naxes, {}).integrate_box(lows, highs, p)
+    if not p.num:
+        return ComplexRational(0)
+    den = p.den
+    tables = []
+    for axis in range(naxes):
+        table, d = _moment_table(lows[axis], highs[axis],
+                                 1 + max(expo[axis] for expo in p.num))
+        tables.append(table)
+        den *= d
+    re, im = _moment_sum(p.num, tables)
+    return ComplexRational(Fraction(re, den), Fraction(im, den))
 
 
 def substitute_axis(p: Poly, axis: int, value: Fraction) -> Poly:
@@ -83,25 +74,7 @@ def integrate_poly_face(p: Poly, lows: Sequence, highs: Sequence, axis: int,
     return integrate_poly_box(frozen, sub_lows, sub_highs)
 
 
-# -- integer factors and moments ----------------------------------------------------------
-
-
-def _primitive(coeffs: Sequence[int]) -> tuple:
-    """(g, f) with coeffs == g * f as polynomials and f canonical; (0, None) for zero."""
-    top = len(coeffs)
-    while top and not coeffs[top - 1]:
-        top -= 1
-    if not top:
-        return 0, None
-    g = gcd(*coeffs[:top])
-    if coeffs[top - 1] < 0:
-        g = -g
-    return g, tuple(c // g for c in coeffs[:top])
-
-
-def _shifts(expo: Sequence[int]) -> list:
-    """(axis, zeros) pairs: prepending the zeros to a factor multiplies it by x^e."""
-    return [(axis, (0,) * e) for axis, e in enumerate(expo) if e]
+# -- integer moments ----------------------------------------------------------------------
 
 
 def _moment_table(a, b, size: int) -> tuple:
@@ -122,169 +95,133 @@ def _moment_table(a, b, size: int) -> tuple:
     return table, scale * big_q ** size
 
 
-class SeparableSum:
-    """Sum of terms  coeff * prod_axis f_axis(x_axis)  with exact coefficients.
+def _moment_sum(num: dict, tables: Sequence) -> tuple:
+    """(re, im) = sum_expo num[expo] * prod_axis tables[axis][expo[axis]], in ints."""
+    re = im = 0
+    for expo, (a, b) in num.items():
+        m = 1
+        for table, e in zip(tables, expo):
+            m *= table[e]
+            if not m:
+                break
+        else:
+            re += a * m
+            im += b * m
+    return re, im
 
-    Closed under first-order operators whose coefficients are polynomials
-    (each monomial folds into the per-axis factors), which is what the
-    horizontal fields look like.  Keeps the factored cutoff functions from
-    ever being expanded.
+
+def _cutoff_rows(a, b, size: int) -> tuple:
+    """(rows, D) with int_a^b x^e phi^(d)(x) dx == rows[d][e] / D for d <= 2
+    and e < size, all ints, phi the bump of [a, b].
+
+    Over Q, a = A/Q and b = B/Q: phi = 16 g / (B - A)^4 for the int
+    polynomial g = ((Qx - A)(B - Qx))^2, and a row is g^(d) against the
+    moment table.
+    """
+    q, s = a.denominator, b.denominator
+    big_a, big_b, big_q = a.numerator * s, b.numerator * q, q * s
+    c0, c1, c2 = -big_a * big_b, big_q * (big_a + big_b), -big_q * big_q
+    g = [c0 * c0, 2 * c0 * c1, c1 * c1 + 2 * c0 * c2, 2 * c1 * c2, c2 * c2]
+    table, den = _moment_table(a, b, size + 4)
+    rows = []
+    for _ in range(3):
+        rows.append([16 * sum(c * table[e + i] for i, c in enumerate(g))
+                     for e in range(size)])
+        g = [i * c for i, c in enumerate(g)][1:]
+    return rows, den * (big_b - big_a) ** 4
+
+
+class CutoffJet:
+    """sum_alpha P_alpha d^alpha chi: ``parts`` maps a derivative multi-index
+    alpha (one order per variable) to a nonzero ``Poly`` P_alpha, and chi is
+    the bump of the box the jet is integrated over (:func:`integrate_jets`).
+
+    Closed under first-order operators with polynomial coefficients, which
+    is what the horizontal fields are.
     """
 
-    __slots__ = ("naxes", "num", "den")
+    __slots__ = ("vars", "parts")
 
-    @classmethod
-    def _make(cls, naxes: int, num: dict, den: int = 1) -> "SeparableSum":
-        """Trusted constructor: the caller keeps the keys canonical, leaves no
-        (0, 0) pair and gives ``den`` > 0; only the common factor of ``den``
-        and the numerators is divided out here."""
-        num, den = reduce_gaussian(num, den)
-        s = object.__new__(cls)
-        object.__setattr__(s, "naxes", naxes)
-        object.__setattr__(s, "num", num)
-        object.__setattr__(s, "den", den)
-        return s
+    def __init__(self, variables: tuple, parts: dict):
+        object.__setattr__(self, "vars", variables)
+        object.__setattr__(self, "parts", parts)
 
     def __setattr__(self, name, value):
-        raise AttributeError("SeparableSum is immutable")
-
-    @property
-    def terms(self) -> tuple:
-        """The terms as (ComplexRational, {axis: factor}) pairs, constant factors left out."""
-        den = self.den
-        return tuple((ComplexRational(Fraction(re, den), Fraction(im, den)),
-                      {axis: f for axis, f in enumerate(key) if f != _CONSTANT})
-                     for key, (re, im) in self.num.items())
+        raise AttributeError("CutoffJet is immutable")
 
     @classmethod
-    def product(cls, naxes: int, factors: Dict[int, tuple]) -> "SeparableSum":
-        """prod_axis factors[axis](x_axis); a factor is a tuple of rational
-        coefficients in increasing powers, and a missing axis is 1."""
-        key = [_CONSTANT] * naxes
-        num = den = 1
-        for axis, f in factors.items():
-            if not 0 <= axis < naxes:
-                raise ValueError(f"axis {axis} outside 0..{naxes - 1}")
-            f = [Fraction(c) for c in f]
-            common = lcm(1, *(c.denominator for c in f))
-            g, key[axis] = _primitive([c.numerator * (common // c.denominator) for c in f])
-            num *= g
-            den *= common
-        return cls._make(naxes, {tuple(key): (num, 0)} if num else {}, den)
+    def bump(cls, variables) -> "CutoffJet":
+        """chi itself: the one part 1 at alpha = 0."""
+        variables = tuple(variables)
+        return cls(variables, {(0,) * len(variables): Poly.const(variables, 1)})
 
-    def __add__(self, other: "SeparableSum") -> "SeparableSum":
-        if self.naxes != other.naxes:
-            raise ValueError("separable sums over different numbers of axes")
-        if not other.num:
-            return self
-        if not self.num:
-            return other
-        return SeparableSum._make(self.naxes,
-                                  *common_sum(self.num, self.den, other.num, other.den))
-
-    def scale(self, value) -> "SeparableSum":
-        c, d, den = _gaussian_parts(value)
-        if not (c or d):
-            return SeparableSum._make(self.naxes, {})
-        return SeparableSum._make(self.naxes, times_gaussian(self.num, c, d), self.den * den)
-
-    def __neg__(self):
-        return self.scale(-1)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def apply_op(self, op) -> "SeparableSum":
-        """Apply a FirstOrderOp over the same variables, axis i for variable i.
-
-        Each row of ``op.kernel()`` is folded in as it stands: its variable
-        index is the axis it differentiates, and its terms are already
-        Gaussian-integer numerators over the operator's ``den``.
-        """
-        den, rows = op.kernel()
+    def apply_op(self, op) -> "CutoffJet":
+        """Z(sum P_alpha d^alpha chi) for Z = sum_v c_v d_v, by the Leibniz rule:
+        Z(P_alpha) stays at alpha, and c_v P_alpha goes to alpha + e_v."""
+        if op.vars != self.vars:
+            raise ValueError("the operator and the jet have different variable tables")
         out: dict = {}
-        for axis, terms in rows:
-            self._fold(out, axis, [(_shifts(expo) if expo else [], re, im)
-                                   for expo, re, im in terms])
-        return SeparableSum._make(self.naxes, out, self.den * den)
+        index = self.vars.index
+        for alpha, part in self.parts.items():
+            _add_part(out, alpha, op.apply(part))
+            for v, c in op.coeffs.items():
+                i = index(v)
+                _add_part(out, alpha[:i] + (alpha[i] + 1,) + alpha[i + 1:], c * part)
+        return CutoffJet(self.vars, out)
 
-    def _fold(self, out: dict, axis: int, monomials: list) -> None:
-        """Merge into ``out`` the numerators of d/dx_axis times each monomial
-        ``(shifts, re, im)``."""
-        derivatives: dict = {}
-        for key, (a, b) in self.num.items():
-            f = key[axis]
-            g_d = derivatives.get(f)
-            if g_d is None:  # (0, None) for a constant factor
-                g_d = derivatives[f] = _primitive([i * c for i, c in enumerate(f)][1:])
-            g, d = g_d
-            if d is None:
-                continue
-            a *= g
-            b *= g
-            key = key[:axis] + (d,) + key[axis + 1:]
-            for shifts, cr, ci in monomials:
-                new = key
-                if shifts:
-                    new = list(key)
-                    for i, zeros in shifts:
-                        new[i] = zeros + new[i]
-                    new = tuple(new)
-                add_term(out, new, a * cr - b * ci, a * ci + b * cr)
+    def __sub__(self, other: "CutoffJet") -> "CutoffJet":
+        out = dict(self.parts)
+        for alpha, part in other.parts.items():
+            _add_part(out, alpha, -part)
+        return CutoffJet(self.vars, out)
 
-    def integrate_box(self, lows: Sequence[Fraction], highs: Sequence[Fraction],
-                      weight: Poly | None = None) -> ComplexRational:
-        """Exact integral over the box, against the polynomial ``weight`` if given.
 
-        One integer moment table per axis, int_a^b x^e dx = M[e] / D, long
-        enough for every factor times every weight power of that axis.  The
-        moment of a factor against x^w is then an int, computed once per
-        distinct factor; a term costs one int product across the axes per
-        weight monomial, and the one division by den * weight.den * prod D
-        happens on return.
-        """
-        naxes = self.naxes
-        if weight is None:
-            wnum, wden = {(0,) * naxes: (1, 0)}, 1
-        elif len(weight.vars) != naxes:
-            raise ValueError("weight does not match the number of axes")
-        else:
-            wnum, wden = weight.num, weight.den
-        if not self.num or not wnum:
-            return ComplexRational(0)
-        wtop = [max(expo[axis] for expo in wnum) for axis in range(naxes)]
-        tables = []
-        den = self.den * wden
-        for axis in range(naxes):
-            size = max(len(key[axis]) for key in self.num) + wtop[axis]
-            table, d = _moment_table(lows[axis], highs[axis], size)
-            tables.append(table)
-            den *= d
-        # per axis: factor -> [int f(x) x^w dx * D for w in 0..wtop]
-        rows: list = [{} for _ in range(naxes)]
-        weights = list(wnum.items())
-        re_total = im_total = 0
-        for key, (a, b) in self.num.items():
-            term_rows = []
-            for axis, f in enumerate(key):
-                row = rows[axis].get(f)
-                if row is None:
-                    table = tables[axis]
-                    row = rows[axis][f] = [
-                        sum(c * table[i + w] for i, c in enumerate(f) if c)
-                        for w in range(wtop[axis] + 1)]
-                term_rows.append(row)
-            sr = si = 0
-            for expo, (wr, wi) in weights:
-                prod = 1
-                for row, e in zip(term_rows, expo):
-                    m = row[e]
-                    if not m:
-                        break
-                    prod *= m
-                else:
-                    sr += wr * prod
-                    si += wi * prod
-            re_total += a * sr - b * si
-            im_total += a * si + b * sr
-        return ComplexRational(Fraction(re_total, den), Fraction(im_total, den))
+def _add_part(parts: dict, alpha: tuple, value: Poly) -> None:
+    """Add ``value`` to the part at ``alpha``, keeping no zero part."""
+    acc = parts.get(alpha)
+    put_component(parts, alpha, value if acc is None else acc + value)
+
+
+def integrate_jets(lows: Sequence[Fraction], highs: Sequence[Fraction],
+                   sums: Sequence) -> list:
+    """Exact box integrals of cutoff jets against polynomial weights.
+
+    Each entry of ``sums`` is a list of (CutoffJet, weight Poly) pairs; its
+    value is sum int_box weight * jet, with chi the bump of this box and
+    jets of order at most 2 on each axis.  The cutoff rows
+    int x^e phi^(d) dx of every axis are built once, long enough for every
+    part times its weight.  A term c x^e of P_alpha then costs one int
+    moment sum of the weight against the rows of alpha shifted by e; no
+    product polynomial is built, and each entry divides once.
+    """
+    size = 1 + max((_top(part) + _top(weight) for pairs in sums for jet, weight in pairs
+                    for part in jet.parts.values()), default=0)
+    rows, den = [], 1
+    for a, b in zip(lows, highs):
+        axis_rows, d = _cutoff_rows(a, b, size)
+        rows.append(axis_rows)
+        den *= d
+    out = []
+    for pairs in sums:
+        re = im = Fraction(0)
+        for jet, weight in pairs:
+            if weight.vars != jet.vars or len(jet.vars) != len(rows):
+                raise ValueError("the jet, its weight and the box differ in their variables")
+            for alpha, part in jet.parts.items():
+                alpha_rows = [axis_rows[d] for axis_rows, d in zip(rows, alpha)]
+                sr = si = 0
+                for expo, (a, b) in part.num.items():
+                    wr, wi = _moment_sum(weight.num,
+                                         [row[e:] for row, e in zip(alpha_rows, expo)])
+                    sr += a * wr - b * wi
+                    si += a * wi + b * wr
+                q = part.den * weight.den
+                re += Fraction(sr, q)
+                im += Fraction(si, q)
+        out.append(ComplexRational(re / den, im / den))
+    return out
+
+
+def _top(p: Poly) -> int:
+    """The highest exponent of any variable in ``p``; 0 for the zero polynomial."""
+    return max(map(max, p.num), default=0)

@@ -18,6 +18,13 @@ from cfx.reports import Report
 from cfx.spinor import SpinorField
 from cfx.verify import (anticommute_suite, boundary_composition_suite, bracket_suite,
                         random_boundary_field, subcomplex_suite)
+from test_exterior import basis_form
+
+
+def zero_field(spec: BoundarySpec, j: int, frame: TangentFrame) -> BoundaryField:
+    """The zero level-j field."""
+    return BoundaryField.build(spec, j, lambda s, d, basis: SpinorField.zero(
+        s, basis, spec.form_dim, d, frame.vars))
 
 
 # -- ambient references: the defining function and the fields that annihilate it ----------
@@ -211,7 +218,7 @@ def test_operators_and_fields_are_immutable(right2):
         op.coeffs = {}
     with pytest.raises(AttributeError):
         FirstOrderOp.partial(right2.vars, "x1").vars = ()
-    fld = BoundaryField.zero(BoundarySpec(2, 1), 1, right2)
+    fld = zero_field(BoundarySpec(2, 1), 1, right2)
     with pytest.raises(AttributeError):
         fld.companion = None
 
@@ -247,7 +254,7 @@ def _reference_frak_d(aprime, f, frame, raised):
     out = ExtForm.zero(f.dim, f.degree + 1, f.vars)
     for a, row in enumerate(rows):
         applied = f.map_coeffs(row[aprime].apply)
-        out = out + ExtForm.basis(f.dim, (a,), f.vars).wedge(applied)
+        out = out + basis_form(f.dim, (a,), f.vars).wedge(applied)
     return out
 
 
@@ -641,8 +648,8 @@ def test_subcomplex_needs_right_type(left2):
 def test_operator_level_out_of_range(right2):
     spec = BoundarySpec(2, 1)
     with pytest.raises(ValueError, match="out of range"):
-        BoundaryField.zero(spec, 4, right2)
-    fld = BoundaryField.zero(spec, spec.top_level, right2)
+        zero_field(spec, 4, right2)
+    fld = zero_field(spec, spec.top_level, right2)
     with pytest.raises(ValueError, match="operator level"):
         boundary_D(right2, fld)
 

@@ -44,6 +44,10 @@ GOLDEN = [
     # the diagonal identity alone, above the middle weight: k = 3 has two 2L slots
     ("verify boundary --group rightQH --n 1 --k 3 --check hodge --trials 2 --seed 8",
      "9da836c2fba3dc2a8dfa7f2427dd4e0c38385a75717422cc837545ff6735ffca"),
+    # a box whose r^4 = (2/3)^4 is not dyadic: the cutoff masses and the
+    # nonzero Stokes face terms are exact non-dyadic rationals
+    ("ma --group rightQH --n 2 --power 1 --halfwidth 2/3 --seed 2",
+     "f33f90859b96f6b96accd989b093077dc91f8f0530844f455e00d04dc8867ae6"),
 ]
 
 
@@ -68,6 +72,21 @@ def test_dense_right_type_ma_report_is_pinned(tmp_path, capsys):
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == \
         "b08c1a16f7aa8f1afc9a09859002a3c3a27e9cee3b78fea42687ba90971ef132"
+
+
+def test_dense_right_type_ma_report_on_a_non_dyadic_box_is_pinned(tmp_path, capsys):
+    """The n = 1 `ma` paths on a dense right-type group over the box of
+    half-width 3/4, whose r^4 is not dyadic: the cutoff masses and the
+    nonzero Stokes face terms carry its denominators."""
+    group = GroupSpec(1, SectionGenerator(2).right_type_matrix(1))
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps(group_to_json(group)))
+    code = main(["ma", "--file", str(path), "--power", "1", "--halfwidth", "3/4",
+                 "--seed", "4"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "80c063342ee40873c0c77b00f4391776ceefa663585b028b9df823ae79c1babf"
 
 
 def test_dense_not_right_type_boundary_report_is_pinned(tmp_path, capsys):

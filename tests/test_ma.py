@@ -5,18 +5,20 @@ from typing import Sequence
 
 import pytest
 
-from cfx import ma
+from cfx import ma, quadrature
 from cfx.boundary import TangentFrame, frak_d
 from cfx.exterior import ExtForm, from_hat_components, hat_component
 from cfx.groups import GroupSpec
-from cfx.ma import (Region, approximation_masses, beta_form, bump_for_region,
+from cfx.ma import (Region, approximation_masses, beta_form,
                     cln_experiment, convergence_experiment, integrate_top,
                     key_identity_check, stokes_check, sup_norm_on_grid,
                     top_coefficient, triangle)
 from cfx.poly import Poly
-from cfx.quadrature import SeparableSum, integrate_poly_face
+from cfx.quadrature import CutoffJet, integrate_jets, integrate_poly_box, integrate_poly_face
 from cfx.randgen import SectionGenerator
 from cfx.rational import ZERO, cq
+from test_exterior import basis_form
+from test_quadrature import bump_factor, uni_diff
 
 
 log = logging.getLogger(__name__)
@@ -41,7 +43,7 @@ def ma_power(us: Sequence[Poly], frame: TangentFrame) -> ExtForm:
 
 def volume_form(frame: TangentFrame) -> ExtForm:
     """w^0 ^ w^1 ^ ... ^ w^{dim-1} on the frame's form indices."""
-    return ExtForm.basis(frame.dim, tuple(range(frame.dim)), frame.vars)
+    return basis_form(frame.dim, tuple(range(frame.dim)), frame.vars)
 
 
 def box_volume(region: Region) -> Fraction:
@@ -370,23 +372,27 @@ def test_stokes_abelian_reduces_to_classical():
 
 
 def test_bump_vanishes_on_faces():
-    region = Region.cube(3, Fraction(1, 2))
-    bump = bump_for_region(region)
-    [(coeff, factors)] = bump.terms
-    assert coeff == cq(1) and sorted(factors) == [0, 1, 2]
+    region = Region((Fraction(-1, 3), Fraction(1, 4), -1), (Fraction(2, 5), Fraction(7, 3), 2))
 
     def at(coeffs, x):
         return sum(c * x ** i for i, c in enumerate(coeffs))
 
-    def derivative(coeffs):
-        return tuple(i * c for i, c in enumerate(coeffs))[1:]
-
-    half = Fraction(1, 2)
-    for f in factors.values():
+    for low, high in zip(region.lows, region.highs):
+        f = bump_factor(low, high)
         # zero of second order on both faces, one at the centre
-        assert at(f, half) == at(f, -half) == 0
-        assert at(derivative(f), half) == at(derivative(f), -half) == 0
-        assert at(f, Fraction(0)) == 1
+        assert at(f, low) == at(f, high) == 0
+        assert at(uni_diff(f), low) == at(uni_diff(f), high) == 0
+        assert at(f, (low + high) / 2) == 1
+    # so the integral of an exact derivative of the cutoff has no face term:
+    # int d_x1 chi = int d_x2^2 chi = int x3 d_x3^2 chi = 0, while int chi != 0
+    W = ("x1", "x2", "x3")
+    bump = CutoffJet.bump(W)
+    exact = [CutoffJet(W, {(1, 0, 0): Poly.const(W, 1)}),
+             CutoffJet(W, {(0, 2, 0): Poly.const(W, 1)}),
+             CutoffJet(W, {(0, 0, 2): Poly.var(W, "x3")})]
+    one = Poly.const(W, 1)
+    values = integrate_jets(region.lows, region.highs, [[(jet, one)] for jet in [bump, *exact]])
+    assert values[1:] == [ZERO] * 3 and values[0] != ZERO
 
 
 def test_cln_two_evaluations_agree(right2):
@@ -401,13 +407,41 @@ def test_cln_two_evaluations_agree(right2):
         assert report["mass_direct"] == report["mass_middle"] == report["mass_ibp"]
 
 
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("group", ["rightQH", "dense"])
+def test_cln_masses_agree_exactly_on_a_non_dyadic_box(group, n):
+    # the three masses are exact rationals with the box's denominators
+    g = GroupSpec.right_qh(n) if group == "rightQH" else \
+        GroupSpec(n, SectionGenerator(4).right_type_matrix(n))
+    frame = TangentFrame(g)
+    naxes = len(frame.vars)
+    K = Region((Fraction(-2, 3),) * naxes, (Fraction(3, 5),) * naxes)
+    L = Region((Fraction(-1, 3),) * naxes, (Fraction(1, 5),) * naxes)
+    gen = SectionGenerator(40 + n)
+    us = [gen.spawn(i).psh_quadratic(frame.vars, 4 * n) + gen.spawn(i).poly(frame.vars, degree=3)
+          for i in range(n)]
+    for p in range(1, n + 1):
+        report = cln_experiment(us[:p], K, L, frame)
+        assert report["pass"], report
+        assert report["agreement"] == 0.0
+
+
 def test_cln_cutoff_alive_on_the_faces_fails(right2, monkeypatch):
     # mutation: a cutoff that does not vanish on the faces of K leaves face
     # terms behind, so moving the operators onto it changes the mass
     K = Region.cube(11, Fraction(1, 2))
     L = Region.cube(11, Fraction(1, 4))
-    monkeypatch.setattr(ma, "bump_for_region", lambda region: SeparableSum.product(
-        region.naxes, {0: (1, 1), 4: (2, 0, 1)}))
+
+    def alive_rows(a, b, size):
+        # the rows of phi = 1 + x + x^4 in place of the bump
+        table, den = quadrature._moment_table(a, b, size + 4)
+        g, rows = [1, 1, 0, 0, 1], []
+        for _ in range(3):
+            rows.append([sum(c * table[e + i] for i, c in enumerate(g)) for e in range(size)])
+            g = [i * c for i, c in enumerate(g)][1:]
+        return rows, den
+
+    monkeypatch.setattr(quadrature, "_cutoff_rows", alive_rows)
     u = SectionGenerator(21).psh_quadratic(right2.vars, 8)
     report = cln_experiment([u], K, L, right2)
     assert not report["pass"]
@@ -531,7 +565,7 @@ def test_closed_form_masses_equal_the_per_step_integrals(right2, group):
     for j in range(1, 65):
         tri_u = tri_q + tri_sq.scale(Fraction(1, j))
         coeff = top_coefficient(tri_u.wedge(tri_u))
-        exact = SeparableSum.product(11, {}).integrate_box(L.lows, L.highs, coeff)
+        exact = integrate_poly_box(coeff, L.lows, L.highs)
         assert closed[j - 1] == exact.re
 
 

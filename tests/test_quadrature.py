@@ -8,8 +8,8 @@ from cfx.boundary import TangentFrame
 from cfx.groups import GroupSpec
 from cfx.operators import FirstOrderOp
 from cfx.poly import Poly, x_vars
-from cfx.quadrature import (SeparableSum, integrate_poly_box, integrate_poly_face,
-                            substitute_axis)
+from cfx.quadrature import (CutoffJet, integrate_jets, integrate_poly_box,
+                            integrate_poly_face, substitute_axis)
 from cfx.randgen import SectionGenerator
 from cfx.rational import ComplexRational, cq
 
@@ -34,8 +34,9 @@ def uni_integral(coeffs: tuple, a, b) -> Fraction:
 
 
 class ReferenceSum:
-    """The ComplexRational term list that ``SeparableSum`` replaced: terms
-    are (coefficient, {axis: tuple of Fractions}) and nothing is merged."""
+    """A ComplexRational term list of factored functions: terms are
+    (coefficient, {axis: tuple of Fractions}) and nothing is merged.  With
+    the bump factors below it holds a cutoff jet expanded by hand."""
 
     def __init__(self, naxes: int, terms=None):
         self.naxes = naxes
@@ -199,92 +200,121 @@ def test_uni_helpers():
     assert uni_integral((Fraction(0), Fraction(1)), 0, 2) == 2
 
 
+# -- the cutoff by hand: the bump factor, the expanded bump and the reference jet ------------
+
+
+def bump_factor(low, high) -> tuple:
+    """Fraction coefficients of ((x - l)(h - x))^2 / r^4, r = (h - l) / 2.
+
+    With s = l + h and p = l h, (x - l)(h - x) = -x^2 + s x - p.
+    """
+    l, h = Fraction(low), Fraction(high)
+    s, p = l + h, l * h
+    r4 = ((h - l) / 2) ** 4
+    return tuple(c / r4 for c in (p * p, -2 * p * s, s * s + 2 * p, -2 * s, 1))
+
+
+def reference_bump(lows, highs) -> ReferenceSum:
+    """The bump of the box as one product term."""
+    return ReferenceSum(len(lows), [(cq(1), {axis: bump_factor(l, h)
+                                             for axis, (l, h) in enumerate(zip(lows, highs))})])
+
+
+def reference_jet(jet, lows, highs) -> ReferenceSum:
+    """sum_alpha P_alpha d^alpha chi term by term: c x^e in P_alpha becomes
+    c prod_axis x^e_axis phi_axis^(alpha_axis)."""
+    terms = []
+    for alpha, part in jet.parts.items():
+        for expo, c in part.terms.items():
+            factors = {}
+            for axis, (l, h) in enumerate(zip(lows, highs)):
+                f = bump_factor(l, h)
+                for _ in range(alpha[axis]):
+                    f = uni_diff(f)
+                factors[axis] = uni_mul_x(f, expo[axis])
+            terms.append((c, factors))
+    return ReferenceSum(len(lows), terms)
+
+
+def expanded_bump(variables, lows, highs) -> Poly:
+    """The bump of the box as one expanded polynomial (5^naxes terms)."""
+    chi = Poly.const(variables, 1)
+    for name, l, h in zip(variables, lows, highs):
+        x = Poly.var(variables, name)
+        chi = chi * sum((x ** i * c for i, c in enumerate(bump_factor(l, h))),
+                        Poly.zero(variables))
+    return chi
+
+
+def _jet_integral(jet, lows, highs, weight):
+    [value] = integrate_jets(lows, highs, [[(jet, weight)]])
+    return value
+
+
 def test_separable_sum_against_expanded():
-    factors = {0: (Fraction(1), Fraction(1)), 1: (Fraction(2), Fraction(0), Fraction(1))}
-    s = SeparableSum.product(3, factors)
-    # expanded polynomial (1 + x1)(2 + x2^2)
-    p = (Poly.const(V, 1) + Poly.var(V, "x1")) * \
-        (Poly.const(V, 2) + Poly.var(V, "x2") ** 2)
-    lows, highs = [0, 0, 0], [1, 1, 1]
-    assert s.integrate_box(lows, highs) == integrate_poly_box(p, lows, highs)
+    # the jet after zero, one and two operators against the expanded bump,
+    # moved by the same operators and integrated as one polynomial
+    lows, highs = [Fraction(-1, 3), 0, Fraction(1, 2)], [Fraction(2, 3), Fraction(1, 5), 2]
+    chi = expanded_bump(V, lows, highs)
+    x1, x2, x3 = (Poly.var(V, name) for name in V)
+    ops = [FirstOrderOp(V, {"x1": x2 * x3 + 1, "x3": x1.scale(cq(0, 2))}),
+           FirstOrderOp(V, {"x2": x1 * x1, "x1": Poly.const(V, Fraction(-3, 4))})]
+    weight = x1 * x2 + x3.scale(Fraction(5, 7)) + Poly.const(V, cq(1, -1))
+    jet = CutoffJet.bump(V)
+    assert _jet_integral(jet, lows, highs, weight) == integrate_poly_box(chi * weight, lows, highs)
+    for op in ops:
+        jet, chi = jet.apply_op(op), op.apply(chi)
+        assert _jet_integral(jet, lows, highs, weight) == \
+            integrate_poly_box(chi * weight, lows, highs)
 
 
 def test_separable_apply_first_order_op():
-    factors = {0: (Fraction(0), Fraction(0), Fraction(1))}  # x1^2
-    s = SeparableSum.product(3, factors)
-    op = FirstOrderOp(V, {"x1": Poly.var(V, "x2")})  # x2 d/dx1
-    out = s.apply_op(op)
-    # x2 * 2 x1
-    expected = Poly.var(V, "x1") * Poly.var(V, "x2") * 2
-    assert out.integrate_box([0, 0, 0], [1, 1, 1]) == \
-        integrate_poly_box(expected, [0, 0, 0], [1, 1, 1])
+    # x2 d/dx1 on the bump puts x2 at d/dx1; d/dx1 on x1 chi keeps 1 at 0 (Leibniz)
+    x1, x2 = Poly.var(V, "x1"), Poly.var(V, "x2")
+    jet = CutoffJet.bump(V).apply_op(FirstOrderOp(V, {"x1": x2}))
+    assert jet.parts == {(1, 0, 0): x2}
+    jet = CutoffJet(V, {(0, 0, 0): x1}).apply_op(FirstOrderOp.partial(V, "x1"))
+    assert jet.parts == {(0, 0, 0): Poly.const(V, 1), (1, 0, 0): x1}
+    with pytest.raises(ValueError, match="variable tables"):
+        CutoffJet.bump(V).apply_op(FirstOrderOp.partial(x_vars(2), "x1"))
 
 
 def test_separable_integrate_against_poly():
-    s = SeparableSum.product(3, {0: (Fraction(1), Fraction(1))})  # 1 + x1
-    p = Poly.var(V, "x1")
-    got = s.integrate_box([0, 0, 0], [1, 1, 1], p)
-    # int_0^1 x(1+x) dx = 5/6
-    assert got == cq(Fraction(5, 6))
+    # int_0^1 x phi = 1/2 int_0^1 phi = 4/15 on [0, 1]: phi is symmetric about 1/2
+    got = _jet_integral(CutoffJet.bump(V), [0, 0, 0], [1, 1, 1], Poly.var(V, "x1"))
+    assert got == cq(Fraction(4, 15) * Fraction(8, 15) ** 2)
+    assert uni_integral(bump_factor(0, 1), 0, 1) == Fraction(8, 15)
 
 
-# -- one-pass integrate_box against the per-term, per-monomial loop ---------------------
+# -- the integer jet integral against the per-term, per-monomial loop -------------------
 
 
 def _reference_integrate(s, lows, highs, weight=None):
-    """Every term on every axis, once per weight monomial, by uni_integral."""
+    """Every term on every axis, once per weight monomial, by uni_integral
+    (each distinct factor integrated once)."""
     if weight is None:
         monomials = [((0,) * s.naxes, cq(1))]
     else:
         monomials = list(weight.terms.items())
+    integrals = {}
     total = cq(0)
     for expo, w in monomials:
         for c, factors in s.terms:
-            prod = c * w
+            prod = Fraction(1)
             for axis in range(s.naxes):
                 base = factors.get(axis, (Fraction(1),))
                 if expo[axis]:
                     base = uni_mul_x(base, expo[axis])
-                prod = prod * cq(uni_integral(base, lows[axis], highs[axis]))
-            total = total + prod
+                key = (axis, *((c.numerator, c.denominator) for c in base))
+                if key not in integrals:
+                    integrals[key] = uni_integral(base, lows[axis], highs[axis])
+                prod *= integrals[key]
+            total = total + c * w * cq(prod)
     return total
 
 
 def _rand_fraction(rng, bound=4):
     return Fraction(rng.randint(-bound, bound), rng.randint(1, 3))
-
-
-def _from_terms(naxes, terms):
-    """SeparableSum of (coefficient, {axis: factor}) pairs, by product, scale and +."""
-    total = SeparableSum.product(naxes, {}).scale(0)
-    for coeff, factors in terms:
-        total = total + SeparableSum.product(naxes, factors).scale(coeff)
-    return total
-
-
-def _random_sum(rng, naxes, terms):
-    return _from_terms(naxes, _random_terms(rng, naxes, terms))
-
-
-def _random_terms(rng, naxes, terms):
-    """Random (coefficient, {axis: Fraction tuple}) pairs; every factor tuple
-    appears three times."""
-    out = []
-    for _ in range(terms):
-        factors = {}
-        for axis in range(naxes):
-            kind = rng.choice(("missing", "one", "odd", "dense"))
-            if kind == "one":
-                factors[axis] = (Fraction(1),)
-            elif kind == "odd":  # odd in x: vanishing moments on a symmetric axis
-                factors[axis] = (Fraction(0), _rand_fraction(rng), Fraction(0),
-                                 _rand_fraction(rng))
-            elif kind == "dense":
-                factors[axis] = tuple(_rand_fraction(rng)
-                                      for _ in range(rng.randint(1, 4)))
-        coeff = cq(_rand_fraction(rng), _rand_fraction(rng))
-        out.append((coeff, factors))
-    return out + [(c * cq(Fraction(1, 2), -1), f) for c, f in out] + out
 
 
 def _random_weight(rng, variables, terms):
@@ -295,146 +325,102 @@ def _random_weight(rng, variables, terms):
     return p
 
 
+def _random_jet(rng, variables, parts):
+    """A jet of random parts at random orders 0..2 per axis; an order drawn
+    twice sums its parts."""
+    out = {}
+    for _ in range(parts):
+        alpha = tuple(rng.randint(0, 2) for _ in variables)
+        out[alpha] = out.get(alpha, Poly.zero(variables)) + \
+            _random_weight(rng, variables, rng.randint(1, 3))
+    return CutoffJet(tuple(variables), {a: p for a, p in out.items() if p})
+
+
 @pytest.mark.parametrize("seed", range(6))
 @pytest.mark.parametrize("weight_kind", ["none", "zero", "poly"])
 def test_integrate_box_matches_per_term_reference(seed, weight_kind):
     rng = random.Random(seed)
-    s = _random_sum(rng, 3, terms=5)
+    jet = _random_jet(rng, V, parts=5)
     # axis 0 symmetric, the others asymmetric rational intervals
     lows = [Fraction(-2, 3), Fraction(-1, 3), Fraction(1, 5)]
     highs = [Fraction(2, 3), Fraction(2, 5), Fraction(7, 4)]
-    weight = {"none": None, "zero": Poly.zero(V),
+    weight = {"none": Poly.const(V, 1), "zero": Poly.zero(V),
               "poly": _random_weight(rng, V, terms=4)}[weight_kind]
-    want = _reference_integrate(s, lows, highs, weight)
-    assert s.integrate_box(lows, highs, weight) == want
+    want = _reference_integrate(reference_jet(jet, lows, highs), lows, highs, weight)
+    assert _jet_integral(jet, lows, highs, weight) == want
     if weight_kind == "zero":
         assert want == cq(0)
 
 
 def test_integrate_box_cancelling_terms_and_vanishing_axis():
-    s = SeparableSum.product(2, {0: (Fraction(0), Fraction(1)), 1: (Fraction(3),)})
-    # s - s merges to a zero coefficient; an odd factor on [-1, 1] integrates to 0
-    assert (s - s).integrate_box([0, 0], [1, 1]) == cq(0)
-    assert s.scale(cq(0, 1)).integrate_box([-1, 0], [1, 1]) == cq(0)
-    weight = Poly.var(x_vars(2), "x1")
-    got = s.scale(cq(0, 1)).integrate_box([-1, 0], [1, 1], weight)
-    assert got == cq(0, 2)  # i * 3 * int_{-1}^{1} x^2 dx
+    W = x_vars(2)
+    x1 = Poly.var(W, "x1")
+    jet = CutoffJet.bump(W).apply_op(FirstOrderOp(W, {"x2": x1 + 3}))
+    # jet - jet has no part left; an odd weight on the symmetric axis integrates to 0
+    assert (jet - jet).parts == {}
+    assert _jet_integral(jet - jet, [0, 0], [1, 1], x1) == cq(0)
+    bump, i = CutoffJet.bump(W), cq(0, 1)
+    assert _jet_integral(bump, [-1, 0], [1, 1], x1.scale(i)) == cq(0)
+    # i * int_{-1}^{1} x^2 (1 - x^2)^2 dx * int_0^1 16 x^2 (1 - x)^2 dx
+    assert _jet_integral(bump, [-1, 0], [1, 1], (x1 * x1).scale(i)) == \
+        cq(0, Fraction(16, 105) * Fraction(8, 15))
 
 
 def test_integrate_box_rejects_mismatched_weight():
-    s = SeparableSum.product(3, {0: (Fraction(1),)})
     with pytest.raises(ValueError):
-        s.integrate_box([0, 0, 0], [1, 1, 1], Poly.var(x_vars(2), "x1"))
+        _jet_integral(CutoffJet.bump(V), [0, 0, 0], [1, 1, 1], Poly.var(x_vars(2), "x1"))
+    with pytest.raises(ValueError):
+        _jet_integral(CutoffJet.bump(V), [0, 0], [1, 1], Poly.var(V, "x1"))
 
 
-# -- differential test: the integer SeparableSum against the Fraction reference -------------
-
-
-def _canonical(s) -> dict:
-    """{key: ComplexRational} in the canonical form of SeparableSum, computed
-    from the (coefficient, {axis: factor}) pairs with Fractions: each factor
-    made primitive with a positive leading coefficient, equal keys merged."""
-    out = {}
-    for coeff, factors in s.terms:
-        key = []
-        for axis in range(s.naxes):
-            f = [Fraction(c) for c in factors.get(axis, (1,))]
-            while f and f[-1] == 0:
-                f.pop()
-            if not f:
-                break
-            common = 1
-            for c in f:
-                common = common * c.denominator // gcd(common, c.denominator)
-            ints = [int(c * common) for c in f]
-            g = gcd(*ints) * (1 if ints[-1] > 0 else -1)
-            key.append(tuple(c // g for c in ints))
-            coeff = coeff * cq(Fraction(g, common))
-        else:
-            key = tuple(key)
-            out[key] = out.get(key, cq(0)) + coeff
-    return {k: v for k, v in out.items() if not v.is_zero()}
-
-
-def _assert_canonical(s):
-    assert s.den > 0
-    if not s.num:
-        assert s.den == 1
-    g = s.den
-    for key, (re, im) in s.num.items():
-        assert (re, im) != (0, 0)
-        g = gcd(g, re, im)
-        assert len(key) == s.naxes
-        for f in key:
-            assert f and f[-1] > 0 and gcd(*f) == 1
-    assert g == 1 or not s.num
-
-
-def _assert_same(fast, ref):
-    _assert_canonical(fast)
-    got = {key: ComplexRational(Fraction(re, fast.den), Fraction(im, fast.den))
-           for key, (re, im) in fast.num.items()}
-    assert got == _canonical(ref)
+# -- differential test: the jet on the horizontal fields against the Fraction reference ----
 
 
 @pytest.fixture(scope="module")
 def frames():
-    dense = GroupSpec(1, SectionGenerator(4).right_type_matrix(1))
-    return [TangentFrame(GroupSpec.right_qh(1)), TangentFrame(GroupSpec.left_qh(1)),
-            TangentFrame(dense)]
+    """rightQH, leftQH and a dense right-type group, each at n = 1 and n = 2."""
+    makers = (GroupSpec.right_qh, GroupSpec.left_qh,
+              lambda n: GroupSpec(n, SectionGenerator(4).right_type_matrix(n)))
+    return [[TangentFrame(make(n)) for n in (1, 2)] for make in makers]
 
 
 @pytest.mark.parametrize("seed", range(4))
 @pytest.mark.parametrize("frame_index", range(3), ids=["rightQH", "leftQH", "dense"])
 def test_integer_sum_matches_the_fraction_reference(seed, frame_index, frames):
-    frame = frames[frame_index]
-    rng = random.Random(seed)
-    naxes = len(frame.vars)
-    axis_of = {name: i for i, name in enumerate(frame.vars)}
-    terms = _random_terms(rng, naxes, terms=2)
-    fast, ref = _from_terms(naxes, terms), ReferenceSum(naxes, terms)
-    _assert_same(fast, ref)
-    # two rounds of lowered rows, as the degree-2 operator applies them
-    a, b = rng.randrange(frame.dim), rng.randrange(frame.dim)
-    for row, col in ((a, 0), (b, 1)):
-        op = frame.Z_lower[row][col]
-        fast, ref = fast.apply_op(op), ref.apply_op(op, axis_of)
-        _assert_same(fast, ref)
-    other_terms = _random_terms(rng, naxes, terms=1)
-    other, other_ref = _from_terms(naxes, other_terms), ReferenceSum(naxes, other_terms)
-    axis = rng.randrange(naxes)
-    expo = tuple(rng.randint(0, 2) for _ in range(naxes))
-    coeff = cq(_rand_fraction(rng), Fraction(rng.randint(1, 5), rng.randint(1, 4)))
-    # d/dx_axis alone, and times one monomial, as apply_op runs them
-    partial = FirstOrderOp.partial(frame.vars, frame.vars[axis])
-    monomial_partial = FirstOrderOp(frame.vars,
-                                    {frame.vars[axis]: Poly.monomial(frame.vars, expo, coeff)})
-    steps = [
-        (lambda s: s.apply_op(partial), lambda r: r.diff_axis(axis)),
-        (lambda s: s.apply_op(monomial_partial),
-         lambda r: r.diff_axis(axis).mul_monomial(expo, coeff)),
-        (lambda s: s.scale(coeff), lambda r: r.scale(coeff)),
-        (lambda s: s.scale(0), lambda r: r.scale(0)),
-        (lambda s: s + other, lambda r: r + other_ref),
-        (lambda s: s - other, lambda r: r - other_ref),
-        (lambda s: s - s, lambda r: r - r),
-    ]
-    for step_fast, step_ref in steps:
-        _assert_same(step_fast(fast), step_ref(ref))
-    lows = [Fraction(-2, 3), Fraction(1, 5), Fraction(-7, 4)] + \
-        [Fraction(-1, 2 + i) for i in range(naxes - 3)]
-    highs = [Fraction(1, 2), Fraction(4, 3), Fraction(-1, 6)] + \
-        [Fraction(3, 1 + i) for i in range(naxes - 3)]
-    weights = [None, Poly.zero(frame.vars), _random_weight(rng, frame.vars, terms=3)]
-    for weight in weights:
-        for s, r in ((fast, ref), (fast + other, ref + other_ref)):
-            assert s.integrate_box(lows, highs, weight) == r.integrate_box(lows, highs, weight)
+    # the jet's integral after zero, one and two lowered rows, as the
+    # degree-2 operator applies them, against the bump moved by hand
+    for frame in frames[frame_index]:
+        rng = random.Random(seed)
+        naxes = len(frame.vars)
+        axis_of = {name: i for i, name in enumerate(frame.vars)}
+        lows = [Fraction(-rng.randint(1, 5), rng.randint(2, 7)) for _ in range(naxes)]
+        highs = [Fraction(rng.randint(1, 5), rng.randint(2, 7)) for _ in range(naxes)]
+        weights = [_random_weight(rng, frame.vars, terms=3) for _ in range(2)]
+        jet, ref = CutoffJet.bump(frame.vars), reference_bump(lows, highs)
+        a, b = rng.randrange(frame.dim), rng.randrange(frame.dim)
+        for op in (None, frame.Z_lower[a][0], frame.Z_lower[b][1]):
+            if op is not None:
+                jet, ref = jet.apply_op(op), ref.apply_op(op, axis_of)
+            assert all(part for part in jet.parts.values())
+            want = [ref.integrate_box(lows, highs, w) for w in weights]
+            got = integrate_jets(lows, highs, [[(jet, w)] for w in weights]
+                                 + [[(jet, w) for w in weights]])
+            assert got == want + [want[0] + want[1]]
+        # the part-by-part difference, against the same on the reference
+        other = CutoffJet.bump(frame.vars).apply_op(frame.Z_lower[b][0])
+        other_ref = reference_bump(lows, highs).apply_op(frame.Z_lower[b][0], axis_of)
+        for fast, slow in ((jet - other, ref - other_ref), (jet - jet, ref - ref)):
+            assert _jet_integral(fast, lows, highs, weights[0]) == \
+                slow.integrate_box(lows, highs, weights[0])
 
 
-def test_terms_view_shows_the_canonical_factors():
-    s = SeparableSum.product(2, {0: (Fraction(1, 2), Fraction(-1, 3)), 1: (1,)}).scale(cq(1, 1))
-    [(coeff, factors)] = s.terms
-    assert len(s.terms) == 1
-    # 1/2 - x/3 = (-1/6)(2x - 3): the content moves into the coefficient
-    assert factors == {0: (-3, 2)} and coeff == cq(Fraction(-1, 6), Fraction(-1, 6))
-    assert s.num == {((-3, 2), (1,)): (-1, -1)} and s.den == 6
+def test_jet_parts_are_canonical_polys():
+    # every part is a nonzero Poly: a part that cancels is dropped
+    x1, x2 = Poly.var(V, "x1"), Poly.var(V, "x2")
+    jet = CutoffJet(V, {(0, 0, 0): x1, (1, 0, 0): x2})
+    other = CutoffJet(V, {(1, 0, 0): x2, (0, 1, 0): x1})
+    diff = jet - other
+    assert diff.parts == {(0, 0, 0): x1, (0, 1, 0): -x1}
+    assert (diff - CutoffJet(V, {(0, 0, 0): x1})).parts == {(0, 1, 0): -x1}
+    with pytest.raises(AttributeError):
+        jet.parts = {}

@@ -12,6 +12,7 @@ from cfx.randgen import SectionGenerator
 from cfx.rational import cq
 from cfx.spinor import (SpinorField, is_symmetric, ones_count, raise_primed, symmetrize,
                         tuple_to_slots)
+from test_exterior import basis_form
 
 V = x_vars(4)
 
@@ -211,7 +212,7 @@ def _symmetric_variants(field):
 def _scalar_like(form, c):
     """The constant form c w^0 ^ ... of the shape of ``form``."""
     idx = tuple(range(form.degree))
-    return ExtForm.basis(form.dim, idx, form.vars, c)
+    return basis_form(form.dim, idx, form.vars, c)
 
 
 @pytest.mark.parametrize("s", [0, 1, 2, 3, 4])

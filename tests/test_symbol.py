@@ -16,6 +16,7 @@ from cfx.flat import ComplexSpec, check_exactness, rank_exact, symbol_at
 from cfx.poly import Poly
 from cfx.randgen import SectionGenerator
 from cfx.rational import ZERO, cq
+from test_exterior import basis_form
 
 
 def reference_symbol(spec, j, v):
@@ -43,7 +44,7 @@ def reference_symbol(spec, j, v):
     out_pos = {key: i for i, key in enumerate(out_basis)}
     matrix = [[ZERO] * len(in_basis) for _ in out_basis]
     for col, (a, idx) in enumerate(in_basis):
-        base = ExtForm.basis(spec.form_dim, idx, spec.vars)
+        base = basis_form(spec.form_dim, idx, spec.vars)
         images = {}
         if j < spec.k:
             if a <= spec.sigma(j + 1):

@@ -430,7 +430,7 @@ def hodge_diag(spec: BoundarySpec, frame: TangentFrame, trials: int = 10,
     frame.require_right_type()
     k = spec.k
     if k < 1:
-        raise ValueError("the diagonal identity needs k >= 1")
+        raise PreconditionError("the diagonal identity needs k >= 1")
     gen = SectionGenerator(seed, degree=degree)
     ok = True
     residual = "0"

@@ -59,7 +59,7 @@ def _check_n(n: int) -> None:
 def _parse_group(data) -> GroupSpec:
     """``GroupSpec.from_json`` with the record's n checked first: an {"n", "S"}
     record states it, and a {"phi"} potential has 4n x-variables, from which
-    ``group_from_phi`` takes (4n)^2 second derivatives."""
+    ``group_from_phi`` reads the 4n x 4n matrix S."""
     if isinstance(data, dict):
         n = (sum(v.startswith("x") for v in Poly.from_json(data["phi"]).vars) // 4
              if "phi" in data else data.get("n"))
@@ -282,11 +282,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--condition-h", choices=["exact", "sampled"], default="sampled")
     p.set_defaults(func=cmd_classify)
 
-    p = sub.add_parser("verify", parents=[base, group, seeded], help="run verification suites")
-    p.add_argument("target", choices=["flat", "boundary"])
-    p.add_argument("--k", type=int, default=1)
-    p.add_argument("--trials", type=int, default=10)
-    p.add_argument("--degree", type=int, default=3)
+    # one parser per verify target, so flat takes no group and no --check
+    targets = sub.add_parser("verify", help="run verification suites").add_subparsers(
+        dest="target", required=True)
+    suite = argparse.ArgumentParser(add_help=False)
+    suite.add_argument("--k", type=int, default=1)
+    suite.add_argument("--trials", type=int, default=10)
+    suite.add_argument("--degree", type=int, default=3)
+    p = targets.add_parser("flat", parents=[base, seeded, suite], help="the flat complex")
+    p.set_defaults(func=cmd_verify)
+    p = targets.add_parser("boundary", parents=[base, group, seeded, suite],
+                           help="the boundary complex of a group")
     p.add_argument("--check", default="all",
                    choices=["all", "composition", "anticommute", "bracket",
                             "hodge", "subcomplex"])

@@ -182,28 +182,34 @@ class GroupSpec:
 
 
 def group_from_phi(phi: Poly) -> GroupSpec:
-    """Group from a homogeneous quadratic potential in x1..x_{4n}."""
+    """Group from a homogeneous quadratic potential phi = x^T S x in x1..x_{4n}.
+
+    S is read off the coefficients in one pass: a term c x_i x_j with
+    i != j gives S_ij = S_ji = c/2, and a term c x_i^2 gives S_ii = c.
+    """
     xnames = [v for v in phi.vars if v.startswith("x")]
     if len(xnames) % 4:
         raise ValueError("potential needs 4n x-variables")
-    n = len(xnames) // 4
-    if not phi.is_zero():
-        if phi.total_degree() != 2 or not phi.is_homogeneous(2):
-            raise ValueError("potential must be homogeneous quadratic")
-    for expo, coeff in phi.terms.items():
-        if not coeff.is_real():
+    size = len(xnames)
+    if any(sum(expo) != 2 for expo in phi.num):
+        raise ValueError("potential must be homogeneous quadratic")
+    for expo, (_, im) in phi.num.items():
+        if im:
             raise ValueError("potential must have rational coefficients")
         for v, e in zip(phi.vars, expo):
             if e and not v.startswith("x"):
                 raise ValueError("potential must not involve center variables")
-    size = 4 * n
-    half = Fraction(1, 2)
+    position = {f"x{i + 1}": i for i in range(size)}
+    if set(xnames) != set(position):
+        raise ValueError(f"potential needs the x-variables x1..x{size}")
+    slot = [position.get(v) for v in phi.vars]
     S = [[Fraction(0)] * size for _ in range(size)]
-    for i in range(size):
-        for j in range(size):
-            d2 = phi.diff(f"x{i+1}").diff(f"x{j+1}")
-            S[i][j] = d2.constant_term().re * half
-    return GroupSpec(n, tuple(tuple(row) for row in S))
+    for expo, (re, _) in phi.num.items():
+        # the term's two x-factors: i == j for a square
+        i, j = (slot[a] for a, e in enumerate(expo) for _ in range(e))
+        c = Fraction(re, phi.den if i == j else 2 * phi.den)
+        S[i][j] = S[j][i] = c
+    return GroupSpec(size // 4, tuple(tuple(row) for row in S))
 
 
 # -- right-type classification ---------------------------------------------------------

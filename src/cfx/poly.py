@@ -17,8 +17,9 @@ form is canonical, so ``==`` and ``hash`` are exact:
 The public constructor ``Poly(vars, terms)`` validates every term.  The ring
 operations, ``scale``, ``diff`` and ``conjugate`` do int arithmetic and build
 their result through the trusted ``Poly._make``, which only divides out the
-common factor of ``den`` and the numerators.  ``terms``, ``coefficient``,
-``constant_term`` and ``str`` show ComplexRational values at the API edge.
+common factor of ``den`` and the numerators.  The API edge is ``terms``,
+``str`` and the JSON reader ``from_json``: only they show or read
+ComplexRational values.
 
 The layout is shared: ``FirstOrderOp.apply_into``, ``ExtForm.wedge`` and
 ``randgen.SectionGenerator`` build the same numerator dicts, and every
@@ -39,7 +40,7 @@ from math import gcd, lcm
 from operator import add
 from typing import Sequence
 
-from .rational import ComplexRational, ZERO, cq
+from .rational import ComplexRational, cq
 
 _set = object.__setattr__
 
@@ -286,9 +287,6 @@ class Poly:
             other = Poly.const(self.vars, other)
         return self + (-other)
 
-    def __rsub__(self, other):
-        return Poly.const(self.vars, other) + (-self)
-
     def __mul__(self, other):
         if not isinstance(other, Poly):
             return self.scale(other)
@@ -303,19 +301,6 @@ class Poly:
         if not (re or im):
             return Poly.zero(self.vars)
         return Poly._make(self.vars, times_gaussian(self.num, re, im), self.den * den)
-
-    def __pow__(self, exponent: int) -> "Poly":
-        if exponent < 0:
-            raise ValueError("negative power")
-        result = Poly.const(self.vars, 1)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return result
 
     def conjugate(self) -> "Poly":
         """Complex conjugate (the variables are real)."""
@@ -351,21 +336,6 @@ class Poly:
 
     def __hash__(self):
         return hash((self.vars, self.den, frozenset(self.num.items())))
-
-    def total_degree(self) -> int:
-        """Total degree; -1 for the zero polynomial."""
-        if not self.num:
-            return -1
-        return max(sum(e) for e in self.num)
-
-    def coefficient(self, exponents) -> ComplexRational:
-        return self.terms.get(tuple(exponents), ZERO)
-
-    def constant_term(self) -> ComplexRational:
-        return self.terms.get((0,) * len(self.vars), ZERO)
-
-    def is_homogeneous(self, degree: int) -> bool:
-        return all(sum(e) == degree for e in self.num)
 
     # -- display / wire format -----------------------------------------------------
 

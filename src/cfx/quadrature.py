@@ -22,12 +22,32 @@ from math import lcm
 from typing import Sequence
 
 from .exterior import put_component
-from .poly import Poly, add_term
+from .poly import Poly
 from .rational import ComplexRational
 
 
 def integrate_poly_box(p: Poly, lows: Sequence, highs: Sequence) -> ComplexRational:
     """Exact integral of a polynomial over a box, from closed-form moments."""
+    return _integrate(p, lows, highs, {})
+
+
+def integrate_poly_face(p: Poly, lows: Sequence, highs: Sequence, axis: int,
+                        value: Fraction) -> ComplexRational:
+    """Exact integral over one box face (variable ``axis`` frozen at ``value``).
+
+    With value = r/s and E the highest power of the axis, the frozen axis
+    takes the row x^e = r^e s^(E-e) / s^E in place of its moment table.
+    """
+    value = Fraction(value)
+    r, s = value.numerator, value.denominator
+    top = max((expo[axis] for expo in p.num), default=0)
+    return _integrate(p, lows, highs,
+                      {axis: ([r ** e * s ** (top - e) for e in range(top + 1)], s ** top)})
+
+
+def _integrate(p: Poly, lows: Sequence, highs: Sequence, frozen: dict) -> ComplexRational:
+    """One moment sum of ``p``: each axis takes its (row, denominator) from
+    ``frozen``, or else its moment table over [lows, highs]."""
     naxes = len(p.vars)
     if len(lows) != naxes or len(highs) != naxes:
         raise ValueError("box does not match the variable table")
@@ -36,42 +56,12 @@ def integrate_poly_box(p: Poly, lows: Sequence, highs: Sequence) -> ComplexRatio
     den = p.den
     tables = []
     for axis in range(naxes):
-        table, d = _moment_table(lows[axis], highs[axis],
-                                 1 + max(expo[axis] for expo in p.num))
+        table, d = frozen.get(axis) or _moment_table(
+            lows[axis], highs[axis], 1 + max(expo[axis] for expo in p.num))
         tables.append(table)
         den *= d
     re, im = _moment_sum(p.num, tables)
     return ComplexRational(Fraction(re, den), Fraction(im, den))
-
-
-def substitute_axis(p: Poly, axis: int, value: Fraction) -> Poly:
-    """Freeze one variable at a rational value (exact).
-
-    With value = r/s and E the highest power of the axis, x^e becomes
-    r^e s^(E-e) / s^E: every term stays over the one denominator den * s^E.
-    """
-    value = Fraction(value)
-    r, s = value.numerator, value.denominator
-    top = max((expo[axis] for expo in p.num), default=0)
-    out: dict = {}
-    for expo, (re, im) in p.num.items():
-        e = expo[axis]
-        w = r ** e * s ** (top - e)
-        add_term(out, expo[:axis] + (0,) + expo[axis + 1:], re * w, im * w)
-    return Poly._make(p.vars, out, p.den * s ** top)
-
-
-def integrate_poly_face(p: Poly, lows: Sequence, highs: Sequence, axis: int,
-                        value: Fraction) -> ComplexRational:
-    """Exact integral over one box face (variable ``axis`` frozen at ``value``)."""
-    frozen = substitute_axis(p, axis, value)
-    sub_lows = list(lows)
-    sub_highs = list(highs)
-    sub_lows[axis] = 0
-    sub_highs[axis] = 1  # frozen axis contributes factor 1 via exponent 0
-    # zero-width trick would lose the e=0 moment; instead integrate with the
-    # frozen axis spanning [0,1] where x^0 integrates to 1.
-    return integrate_poly_box(frozen, sub_lows, sub_highs)
 
 
 # -- integer moments ----------------------------------------------------------------------

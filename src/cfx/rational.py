@@ -2,7 +2,9 @@
 
 All algebraic identities checked by this package are exact, so the scalar
 type never rounds: it is a pair of ``fractions.Fraction`` values under the
-usual complex arithmetic.
+usual complex arithmetic.  The polynomial core runs on ints, so this type
+sits at the API edge (``Poly.terms``, ``str`` and JSON) and in the few
+scalar computations of the program; it has only the operations those run.
 """
 
 from __future__ import annotations
@@ -58,9 +60,6 @@ class ComplexRational:
     def __sub__(self, other):
         return self + (-cq(other))
 
-    def __rsub__(self, other):
-        return cq(other) + (-self)
-
     def __mul__(self, other):
         other = cq(other)
         return ComplexRational(
@@ -80,9 +79,6 @@ class ComplexRational:
             (self.im * other.re - self.re * other.im) / d,
         )
 
-    def __rtruediv__(self, other):
-        return cq(other) / self
-
     def conjugate(self):
         return ComplexRational(self.re, -self.im)
 
@@ -90,9 +86,6 @@ class ComplexRational:
 
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
-
-    def is_real(self) -> bool:
-        return self.im == 0
 
     def __bool__(self):
         return not self.is_zero()
@@ -107,9 +100,6 @@ class ComplexRational:
 
     def __hash__(self):
         return hash(self.re) if self.im == 0 else hash((self.re, self.im))
-
-    def __complex__(self):
-        return complex(float(self.re), float(self.im))
 
     def __repr__(self):
         return f"ComplexRational({self.re!r}, {self.im!r})"

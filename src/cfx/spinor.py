@@ -73,11 +73,6 @@ class SpinorField:
     def __setattr__(self, name, value):
         raise AttributeError("SpinorField is immutable")
 
-    @classmethod
-    def zero(cls, sigma, basis, dim, degree, variables) -> "SpinorField":
-        z = ExtForm.zero(dim, degree, variables)
-        return cls(sigma, basis, [z] * (sigma + 1))
-
     def slot(self, a: int) -> ExtForm:
         """Slot a, with out-of-range slots equal to zero."""
         if 0 <= a <= self.sigma:

@@ -19,11 +19,13 @@ from cfx.spinor import SpinorField
 from cfx.verify import (anticommute_suite, boundary_composition_suite, bracket_suite,
                         random_boundary_field, subcomplex_suite)
 from test_exterior import basis_form
+from test_poly import constant_term, power, total_degree
+from test_spinor import zero_spinor_field
 
 
 def zero_field(spec: BoundarySpec, j: int, frame: TangentFrame) -> BoundaryField:
     """The zero level-j field."""
-    return BoundaryField.build(spec, j, lambda s, d, basis: SpinorField.zero(
+    return BoundaryField.build(spec, j, lambda s, d, basis: zero_spinor_field(
         s, basis, spec.form_dim, d, frame.vars))
 
 
@@ -60,7 +62,7 @@ def restricted_curvature(group: GroupSpec) -> ExtForm:
     n = group.n
     amb = ambient_curvature(ambient_rho(group), n)
     return ExtForm(2 * n, 2, group.vars,
-                   {idx: Poly.const(group.vars, coeff.constant_term())
+                   {idx: Poly.const(group.vars, constant_term(coeff))
                     for idx, coeff in amb.comps.items() if max(idx) < 2 * n})
 
 
@@ -193,9 +195,9 @@ def _constant_rows(rows):
     out = []
     for row in rows:
         for op in row:
-            if any(p.total_degree() > 0 for p in op.coeffs.values()):
+            if any(total_degree(p) > 0 for p in op.coeffs.values()):
                 return None
-            out.append({v: p.constant_term() for v, p in op.coeffs.items()})
+            out.append({v: constant_term(p) for v, p in op.coeffs.items()})
     return out
 
 
@@ -288,7 +290,7 @@ def curvature_component(E: ExtForm, a: int, b: int) -> ComplexRational:
     if a == b:
         return cq(0)
     if a < b:
-        return E.component((a, b)).constant_term() / cq(2)
+        return constant_term(E.component((a, b))) / cq(2)
     return -curvature_component(E, b, a)
 
 
@@ -354,7 +356,7 @@ def test_general_polynomial_defining_function():
     # non-quadratic defining functions still yield symbolic curvature data
     from cfx.poly import x_vars
     amb = x_vars(8)
-    rho = Poly.var(amb, "x5") - (Poly.var(amb, "x1") ** 3)
+    rho = Poly.var(amb, "x5") - power(Poly.var(amb, "x1"), 3)
     E = ambient_curvature(rho, 1)
     assert E.degree == 2
     assert not E.is_zero()

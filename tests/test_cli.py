@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from cfx.cli import main
 from test_groups import group_to_json
+from test_poly import total_degree
 
 
 def run(capsys, *argv):
@@ -86,6 +87,17 @@ def test_verify_boundary_anticommute_left(capsys):
     assert payload[0]["pass"] is True
     # the plain defect is nonzero off right-type; the identity still holds
     assert payload[0]["plain_anticommutation"] is False
+
+
+@pytest.mark.parametrize("flag", [("--group", "abelian"), ("--file", "/nonexistent.json"),
+                                  ("--check", "hodge")])
+def test_verify_flat_rejects_the_boundary_flags(capsys, flag):
+    # each command takes only the flags it reads: flat runs on no group
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "flat", "--n", "1", "--k", "1", "--trials", "1", *flag])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert f"unrecognized arguments: {' '.join(flag)}" in captured.err
 
 
 def test_verify_rejects_large_n(capsys):
@@ -266,10 +278,11 @@ def test_verify_right_type_only_check_on_left_group(capsys):
 
 
 def test_verify_hodge_at_k0_names_the_level(capsys):
+    # k = 0 is well formed but outside the identity's domain: a precondition
     code, out, err = run(capsys, "verify", "boundary", "--group", "rightQH",
                          "--n", "1", "--k", "0", "--check", "hodge")
-    assert (code, out) == (2, "")
-    assert err == "input error: the diagonal identity needs k >= 1\n"
+    assert (code, out) == (3, "")
+    assert err == "precondition violation: the diagonal identity needs k >= 1\n"
 
 
 def test_verify_all_skips_hodge_at_k0(capsys):
@@ -491,7 +504,7 @@ def test_generator_uses_the_given_degree():
     from cfx.randgen import SectionGenerator
     gen = SectionGenerator(1, degree=9)
     assert gen.degree == 9
-    assert max(gen.spawn(t).poly(x_vars(2)).total_degree() for t in range(20)) > 6
+    assert max(total_degree(gen.spawn(t).poly(x_vars(2))) for t in range(20)) > 6
 
 
 @pytest.mark.parametrize("exponent", ["1.5", '"1"', "true"])

@@ -7,7 +7,8 @@ from cfx.poly import Poly, x_vars
 from cfx.randgen import SectionGenerator
 from cfx.rational import cq
 from cfx.verify import flat_composition_suite, flat_tuple_equivalence_suite
-from test_poly import flat_laplacian
+from test_poly import constant_term, flat_laplacian, total_degree
+from test_spinor import zero_spinor_field
 
 V8 = x_vars(8)
 FLAT1 = ambient_frame(1)
@@ -20,8 +21,8 @@ def d_upper(aprime, form):
 
 def constant_entries(op):
     """{var: constant} of a row entry, which must have constant coefficients."""
-    assert all(p.total_degree() == 0 for p in op.coeffs.values())
-    return {v: p.constant_term() for v, p in op.coeffs.items()}
+    assert all(total_degree(p) == 0 for p in op.coeffs.values())
+    return {v: constant_term(p) for v, p in op.coeffs.items()}
 
 
 # -- an independent expansion of the raised operator, used as the oracle ------------------
@@ -248,10 +249,9 @@ def test_tuple_output_is_symmetric():
 
 
 def test_flat_D_rejects_bad_level():
-    from cfx.spinor import SpinorField
     spec = ComplexSpec(1, 1)
     with pytest.raises(ValueError, match="out of range"):
-        flat_D(spec, 3, SpinorField.zero(1, "tilde", 4, 4, V8))
+        flat_D(spec, 3, zero_spinor_field(1, "tilde", 4, 4, V8))
 
 
 def test_closed_sections_are_harmonic():

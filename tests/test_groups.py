@@ -13,7 +13,7 @@ from cfx.poly import Poly, x_vars
 from cfx.randgen import SectionGenerator
 from cfx.rational import ComplexRational
 from test_linalg import central_pairing_det, symbolic_pairing_det
-from test_poly import poly_to_json
+from test_poly import constant_term, is_homogeneous, poly_to_json, total_degree
 
 
 # -- helpers: exact matrix arithmetic and the group JSON record -------------------------
@@ -340,6 +340,92 @@ def test_group_from_phi_zero_and_errors():
     cubic = Poly.var(v, "x1") * Poly.var(v, "x1") * Poly.var(v, "x2")
     with pytest.raises(ValueError, match="homogeneous quadratic"):
         group_from_phi(cubic)
+
+
+def hessian_group_from_phi(phi: Poly) -> GroupSpec:
+    """The Hessian route ``group_from_phi`` replaced: S_ij is half the
+    constant term of d^2 phi / dx_i dx_j, (4n)^2 double derivatives."""
+    xnames = [v for v in phi.vars if v.startswith("x")]
+    if len(xnames) % 4:
+        raise ValueError("potential needs 4n x-variables")
+    n = len(xnames) // 4
+    if not phi.is_zero():
+        if total_degree(phi) != 2 or not is_homogeneous(phi, 2):
+            raise ValueError("potential must be homogeneous quadratic")
+    for expo, coeff in phi.terms.items():
+        if coeff.im != 0:
+            raise ValueError("potential must have rational coefficients")
+        for v, e in zip(phi.vars, expo):
+            if e and not v.startswith("x"):
+                raise ValueError("potential must not involve center variables")
+    size = 4 * n
+    S = [[Fraction(0)] * size for _ in range(size)]
+    for i in range(size):
+        for j in range(size):
+            d2 = phi.diff(f"x{i+1}").diff(f"x{j+1}")
+            S[i][j] = constant_term(d2).re / 2
+    return GroupSpec(n, tuple(tuple(row) for row in S))
+
+
+def _seeded_potential(seed: int):
+    """A quadratic potential on a shuffled table of x1..x4n and 0 to 2 centre
+    variables, n <= 3; every fourth one is spoilt in one of six ways."""
+    rng = random.Random(seed)
+    n = rng.randint(1, 3)
+    names = [f"x{i + 1}" for i in range(4 * n)] + [f"t{i + 1}" for i in range(rng.randint(0, 2))]
+    rng.shuffle(names)
+    xs = [a for a, v in enumerate(names) if v.startswith("x")]
+    terms = {}
+    for _ in range(rng.randint(0, 12)):
+        expo = [0] * len(names)
+        for a in rng.sample(xs, rng.randint(1, 2)):
+            expo[a] += 1
+        if sum(expo) == 1:
+            expo[a] = 2
+        terms[tuple(expo)] = ComplexRational(Fraction(rng.randint(-9, 9), rng.randint(1, 6)))
+    if seed % 4 == 0:
+        expo = [0] * len(names)
+        flaw = rng.randrange(6)
+        if flaw == 0:  # a linear term
+            expo[rng.choice(xs)] = 1
+        elif flaw == 1:  # a cubic term
+            expo[rng.choice(xs)] = 3
+        elif flaw == 2:  # a complex coefficient
+            expo[rng.choice(xs)] = 2
+        elif flaw == 3:  # a centre variable
+            expo[rng.choice(xs)] = 1
+            expo[rng.choice([a for a, v in enumerate(names) if a not in xs] or xs)] += 1
+        elif flaw == 4:  # x-variables that are not x1..x4n
+            names[rng.choice(xs)] = f"x{4 * n + 1}"
+        else:  # not 4n x-variables
+            names[rng.choice(xs)] = "y"
+        if flaw < 4:
+            terms[tuple(expo)] = ComplexRational(1, 1 if flaw == 2 else 0)
+    return Poly(names, terms)
+
+
+def test_group_from_phi_reads_the_hessian_off_the_coefficients():
+    # 300 seeded potentials against the Hessian route: the same S, and on
+    # a spoilt potential the same ValueError, except that x-variables other
+    # than x1..x4n were a KeyError of Poly.diff and are a ValueError now
+    checked = invalid = 0
+    for seed in range(300):
+        phi = _seeded_potential(seed)
+        try:
+            want = hessian_group_from_phi(phi)
+        except (KeyError, ValueError) as exc:
+            invalid += 1
+            with pytest.raises(ValueError) as got:
+                group_from_phi(phi)
+            if isinstance(exc, KeyError):
+                assert "x-variables x1.." in str(got.value)
+            else:
+                assert str(got.value) == str(exc)
+            continue
+        got = group_from_phi(phi)
+        assert got.n == want.n and got.S == want.S and got.B == want.B
+        checked += 1
+    assert checked >= 225 and invalid >= 60
 
 
 def test_horizontal_fields_abelian():

@@ -240,8 +240,7 @@ def test_spinor_fields_have_one_layout():
 # float() and complex() calls the exact package makes: `cfx ma` rounds its exact
 # values once, where the report is written, and samples its sup norms in floats
 FLOAT_CALLS = {("ma.py", "_float"): {"float"},
-               ("ma.py", "sup_norm_on_grid"): {"complex"},
-               ("rational.py", "__complex__"): {"float", "complex"}}
+               ("ma.py", "sup_norm_on_grid"): {"complex"}}
 
 
 def _float_calls(tree: ast.Module) -> list:
@@ -412,6 +411,7 @@ def test_sections_and_frames_are_built_on_ints(monkeypatch):
     from cfx.poly import Poly, group_vars, x_vars
     from cfx.randgen import SectionGenerator
     from cfx.rational import ComplexRational
+    from test_poly import total_degree
 
     gen = SectionGenerator(5, degree=4, terms=4)
     groups = [GroupSpec(2, gen.symmetric_matrix(8)), GroupSpec(1, gen.right_type_matrix(1)),
@@ -428,7 +428,7 @@ def test_sections_and_frames_are_built_on_ints(monkeypatch):
         g = gen.spawn(t)
         assert not g.slot_field(2, "S", 4, 1, V).is_zero()
         assert not all(form.is_zero() for form in g.tuple_field(2, 4, 2, V).values())
-        assert g.psh_quadratic(group_vars(2), 8).total_degree() == 2
+        assert total_degree(g.psh_quadratic(group_vars(2), 8)) == 2
     for group in groups:
         fields = horizontal_fields(group)
         assert len(fields) == 4 * group.n and all(len(X.coeffs) > 1 for X in fields)
@@ -502,3 +502,130 @@ def test_stale_benchmark_names_are_exactly_the_listed_ones(monkeypatch):
         if cls is None or not callable(vars(cls).get(attr)):
             stale.add(f"{short}.{cls_name}.{attr}")
     assert stale == STALE_BENCH_NAMES
+
+
+# -- every definition is reached by the program ------------------------------------------------
+
+# src/cfx functions and methods that the traffic below never enters, each
+# with the reason it stays in the package.  A change that leaves a
+# definition unreached moves it to the tests or names it here, so this set
+# only changes on purpose
+UNREACHED = {
+    "groups.quaternion_relations_ok": "the acceptance suite imports it",
+    "groups.mat_mul": "quaternion_relations_ok multiplies the quaternion units with it",
+    "randgen.SectionGenerator.right_type_matrix": "the acceptance suite draws groups with it",
+    "poly.Poly.var": "bench/test_bench.py builds polynomials with it",
+    "poly.Poly.diff": "bench/tracer.py wraps it (METHODS)",
+    "rational.ComplexRational.__mul__": "bench/tracer.py wraps it (METHODS)",
+    "rational.ComplexRational.__truediv__": "bench/tracer.py wraps it (METHODS)",
+}
+
+# value-type protocol methods: Python calls them implicitly, and a type keeps
+# them whether or not the traffic happens to compare, hash or print a value
+PROTOCOL_METHODS = {"__setattr__", "__str__", "__repr__", "__eq__", "__hash__", "__bool__",
+                    "__len__"}
+
+
+def _definitions() -> dict:
+    """(resolved path, first line) -> "module.Qualified.name" of every function
+    and method in the package; the first line is the first decorator's, as in
+    the code object."""
+    found = {}
+    for path in MODULES:
+        def visit(node, owner):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    name = f"{owner}.{child.name}"
+                    if not isinstance(child, ast.ClassDef):
+                        first = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                        found[(path.resolve(), first)] = name
+                    visit(child, name)
+
+        visit(_tree(path), path.stem)
+    return found
+
+
+def _program_traffic(tmp_path) -> list:
+    """Run every cfx subcommand on each --group, an {"n", "S"} and a {"phi"}
+    group file, --u, --v, --format csv and --out, and the main of the three
+    experiment scripts, all at small sizes; return the exit codes."""
+    import contextlib
+    import importlib.util
+    import io
+    import json
+
+    from cfx.cli import main
+
+    x4 = [f"x{i}" for i in range(1, 5)]
+    right = [["-3", 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+    phi = [{"c": c, "e": e} for c, e in (("-3", [2, 0, 0, 0, 0]), ("1", [0, 2, 0, 0, 0]),
+                                         ("1/2", [1, 0, 1, 0, 0]), ("1", [0, 0, 0, 2, 0]))]
+    u = [{"c": "1", "e": [2, 0, 0, 0, 0, 0, 0]}, {"c": "1/3", "e": [0, 1, 1, 0, 0, 0, 0]}]
+    files = {"S.json": {"n": 1, "S": right},
+             "phi.json": {"phi": {"vars": [*x4, "t1"], "terms": phi}},
+             "u.json": [{"vars": [*x4, "t1", "t2", "t3"], "terms": u}]}
+    for name, data in files.items():
+        (tmp_path / name).write_text(json.dumps(data), encoding="utf-8")
+    S, PHI, U, OUT = (str(tmp_path / name) for name in (*files, "out.json"))
+    one = ("--n", "1", "--trials", "1")
+    argvs = [
+        ["classify", "--group", "rightQH", "--n", "1"],
+        ["classify", "--group", "leftQH", "--n", "1", "--condition-h", "exact"],
+        ["classify", "--group", "abelian", "--n", "1", "--format", "csv"],
+        ["classify", "--file", S, "--out", OUT],
+        ["classify", "--file", PHI],
+        # k = 0 at n = 1: the ascending tuple branch symmetrizes two primed indices
+        ["verify", "flat", *one, "--k", "0", "--degree", "2"],
+        ["verify", "boundary", "--group", "rightQH", *one, "--k", "1", "--check", "all"],
+        ["verify", "boundary", "--group", "leftQH", "--n", "2", "--trials", "1", "--k", "1",
+         "--degree", "1", "--check", "composition"],
+        ["verify", "boundary", "--group", "abelian", "--n", "2", "--trials", "1", "--k", "1",
+         "--degree", "1", "--check", "subcomplex"],
+        ["verify", "boundary", "--file", PHI, "--trials", "1", "--check", "anticommute"],
+        ["symbol", "--n", "1", "--k", "1", "--v", "1,2,0,0,0,0,0,1/2", "--trials", "1",
+         "--format", "csv"],
+        ["ma", "--group", "rightQH", "--n", "1", "--u", U],
+        ["ma", "--group", "rightQH", "--n", "2", "--power", "1"],
+    ]
+    scripts = {"classify_random": (3, 1), "symbol_table": (1, 1), "ma_convergence": (64, 7)}
+    codes = []
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        codes += [main(argv) for argv in argvs]
+        for name, args in scripts.items():
+            spec = importlib.util.spec_from_file_location(name, REPO / "scripts" / f"{name}.py")
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            codes.append(module.main(*args))
+    return codes
+
+
+def test_every_definition_is_reached_by_the_program(tmp_path):
+    # a definition that no command and no experiment script enters is test
+    # code: it belongs in the test module that uses it.  Unlike the name
+    # checks above, this one sees methods by class and sees operators
+    import cfx.cli  # noqa: F401  (loads every module the CLI uses)
+
+    # a cached function is entered only on a miss: start from empty caches
+    for name, module in list(sys.modules.items()):
+        if name.startswith("cfx."):
+            for value in vars(module).values():
+                if hasattr(value, "cache_clear"):
+                    value.cache_clear()
+    entered = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            entered.add(frame.f_code)
+
+    sys.setprofile(profile)
+    try:
+        codes = _program_traffic(tmp_path)
+    finally:
+        sys.setprofile(None)
+    assert codes == [0] * len(codes), codes
+    lines = {(Path(code.co_filename).resolve(), code.co_firstlineno) for code in entered}
+    unreached = {name for key, name in _definitions().items()
+                 if key not in lines and name.rsplit(".", 1)[1] not in PROTOCOL_METHODS}
+    assert unreached == set(UNREACHED), (
+        f"never entered and not in UNREACHED: {sorted(unreached - set(UNREACHED))}; "
+        f"in UNREACHED but entered: {sorted(set(UNREACHED) - unreached)}")

@@ -13,7 +13,7 @@ from cfx.linalg import bareiss, pfaffian
 from cfx.poly import Poly
 from cfx.randgen import SectionGenerator
 from cfx.rational import ComplexRational, cq
-from test_poly import eval_exact
+from test_poly import eval_exact, is_homogeneous
 
 LAM = ("lam1", "lam2", "lam3")
 
@@ -36,7 +36,7 @@ def cofactor_det(m):
         for pos, c in enumerate(cols):
             if row[c]:
                 term = row[c] * minor(cols[:pos] + cols[pos + 1:])
-                total = total - term if pos % 2 else total + term
+                total = total + (-term if pos % 2 else term)
         return total
 
     return minor(tuple(range(size)))
@@ -59,7 +59,7 @@ def expansion_pfaffian(m):
         for pos in range(1, len(rest)):
             if row[rest[pos]]:
                 term = row[rest[pos]] * minor(rest[1:pos] + rest[pos + 1:])
-                total = total + term if pos % 2 else total - term
+                total = total + (term if pos % 2 else -term)
         return total
 
     return minor(tuple(range(len(m)))) if len(m) % 2 == 0 else 0
@@ -300,7 +300,7 @@ def _group(name, n):
 def test_central_pairing_det_matches_symbolic_determinant(name, n):
     group = _group(name, n)
     det_poly = symbolic_pairing_det(group)
-    assert det_poly.is_homogeneous(4 * n)
+    assert is_homogeneous(det_poly, 4 * n)
     for lam in sphere_grid(4):
         assert central_pairing_det(group, lam) == eval_exact(det_poly, list(lam)).re
 

@@ -34,6 +34,33 @@ def eval_exact(p: Poly, point) -> ComplexRational:
     return total
 
 
+def power(p: Poly, exponent: int) -> Poly:
+    """p ** exponent by repeated squaring."""
+    if exponent < 0:
+        raise ValueError("negative power")
+    result = Poly.const(p.vars, 1)
+    while exponent:
+        if exponent & 1:
+            result = result * p
+        exponent >>= 1
+        if exponent:
+            p = p * p
+    return result
+
+
+def constant_term(p: Poly) -> ComplexRational:
+    return p.terms.get((0,) * len(p.vars), ZERO)
+
+
+def total_degree(p: Poly) -> int:
+    """Total degree; -1 for the zero polynomial."""
+    return max((sum(e) for e in p.num), default=-1)
+
+
+def is_homogeneous(p: Poly, degree: int) -> bool:
+    return all(sum(e) == degree for e in p.num)
+
+
 def poly_diff(p: Poly, var: str) -> Poly:
     """Function form of :meth:`Poly.diff`."""
     return p.diff(var)
@@ -78,7 +105,7 @@ def test_no_stored_zero_coefficients():
 
 def test_exact_rational_coefficients():
     p = Poly.const(V, Fraction(1, 3)) + Poly.const(V, Fraction(1, 6))
-    assert p.constant_term() == cq(Fraction(1, 2))
+    assert constant_term(p) == cq(Fraction(1, 2))
 
 
 def test_variable_table_mismatch():
@@ -221,7 +248,7 @@ def assert_matches(p, ref):
     assert len(p.terms) == len(ref)
     rebuilt = Poly(V, ref)
     assert p == rebuilt and hash(p) == hash(rebuilt)
-    assert p.constant_term() == ref.get((0,) * len(V), ZERO)
+    assert constant_term(p) == ref.get((0,) * len(V), ZERO)
     assert poly_to_json(p) == ref_to_json(ref)
     assert p.is_zero() == (not ref)
 

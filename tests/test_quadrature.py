@@ -7,11 +7,11 @@ import pytest
 from cfx.boundary import TangentFrame
 from cfx.groups import GroupSpec
 from cfx.operators import FirstOrderOp
-from cfx.poly import Poly, x_vars
-from cfx.quadrature import (CutoffJet, integrate_jets, integrate_poly_box,
-                            integrate_poly_face, substitute_axis)
+from cfx.poly import Poly, add_term, x_vars
+from cfx.quadrature import CutoffJet, integrate_jets, integrate_poly_box, integrate_poly_face
 from cfx.randgen import SectionGenerator
 from cfx.rational import ComplexRational, cq
+from test_poly import power
 
 V = x_vars(3)
 
@@ -150,10 +150,45 @@ def test_box_integral_of_zero_and_mismatched_box():
         integrate_poly_box(Poly.var(V, "x1"), [0, 0], [1, 1])
 
 
+def substitute_axis(p: Poly, axis: int, value: Fraction) -> Poly:
+    """Freeze one variable at a rational value (exact): the face polynomial
+    that ``integrate_poly_face`` integrated before it froze the axis in the
+    moment sum.
+
+    With value = r/s and E the highest power of the axis, x^e becomes
+    r^e s^(E-e) / s^E: every term stays over the one denominator den * s^E.
+    """
+    value = Fraction(value)
+    r, s = value.numerator, value.denominator
+    top = max((expo[axis] for expo in p.num), default=0)
+    out: dict = {}
+    for expo, (re, im) in p.num.items():
+        e = expo[axis]
+        w = r ** e * s ** (top - e)
+        add_term(out, expo[:axis] + (0,) + expo[axis + 1:], re * w, im * w)
+    return Poly._make(p.vars, out, p.den * s ** top)
+
+
 def test_substitute_axis_exact():
-    p = Poly.var(V, "x1") * Poly.var(V, "x2") + Poly.var(V, "x1") ** 2
+    p = Poly.var(V, "x1") * Poly.var(V, "x2") + power(Poly.var(V, "x1"), 2)
     q = substitute_axis(p, 0, Fraction(1, 2))
     assert q == Poly.var(V, "x2").scale(Fraction(1, 2)) + Poly.const(V, Fraction(1, 4))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_face_integral_is_the_box_integral_of_the_frozen_polynomial(seed):
+    # the reference route: freeze the axis in a Poly, then integrate over the
+    # box with the frozen axis spanning [0, 1], where x^0 integrates to 1
+    rng = random.Random(seed)
+    p = _random_poly(rng, V, terms=rng.randint(1, 8))
+    lows = [Fraction(-3, 4), Fraction(1, 3), Fraction(-2, 7)]
+    highs = [Fraction(1, 2), Fraction(5, 3), Fraction(9, 5)]
+    for axis in range(3):
+        unit_lows, unit_highs = list(lows), list(highs)
+        unit_lows[axis], unit_highs[axis] = 0, 1
+        for value in (lows[axis], highs[axis], Fraction(0), Fraction(-7, 3)):
+            want = integrate_poly_box(substitute_axis(p, axis, value), unit_lows, unit_highs)
+            assert integrate_poly_face(p, lows, highs, axis, value) == want
 
 
 def _assert_canonical_poly(p):
@@ -187,7 +222,7 @@ def test_substitute_axis_at_zero_stores_no_zero_numerator(seed):
 
 def test_face_integration_matches_divergence():
     # volume integral of d/dx1 equals the difference of the two face integrals
-    p = Poly.var(V, "x1") ** 2 * Poly.var(V, "x2")
+    p = power(Poly.var(V, "x1"), 2) * Poly.var(V, "x2")
     dp = p.diff("x1")
     volume = integrate_poly_box(dp, [0, 0, 0], [1, 1, 1])
     hi = integrate_poly_face(p, [0, 0, 0], [1, 1, 1], 0, Fraction(1))
@@ -241,7 +276,7 @@ def expanded_bump(variables, lows, highs) -> Poly:
     chi = Poly.const(variables, 1)
     for name, l, h in zip(variables, lows, highs):
         x = Poly.var(variables, name)
-        chi = chi * sum((x ** i * c for i, c in enumerate(bump_factor(l, h))),
+        chi = chi * sum((power(x, i) * c for i, c in enumerate(bump_factor(l, h))),
                         Poly.zero(variables))
     return chi
 

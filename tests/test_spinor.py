@@ -17,6 +17,11 @@ from test_exterior import basis_form
 V = x_vars(4)
 
 
+def zero_spinor_field(sigma, basis, dim, degree, variables) -> SpinorField:
+    """The zero slot field of one shape."""
+    return SpinorField(sigma, basis, [ExtForm.zero(dim, degree, variables)] * (sigma + 1))
+
+
 # -- references: the pairing tables, the slot conventions and the tuple basis --------------
 
 # Lower/raise tables: eps_lower[a][b] and its inverse eps_upper[a][b].

@@ -11,12 +11,16 @@ from itertools import combinations
 
 import pytest
 
+from cfx import boundary
+from cfx.boundary import frak_d
 from cfx.exterior import ExtForm
-from cfx.flat import ComplexSpec, check_exactness, rank_exact, symbol_at
+from cfx.flat import ComplexSpec, check_exactness, flat_D, rank_exact, symbol_at
 from cfx.poly import Poly
 from cfx.randgen import SectionGenerator
 from cfx.rational import ZERO, cq
+from cfx.spinor import SpinorField
 from test_exterior import basis_form
+from test_poly import constant_term
 
 
 def reference_symbol(spec, j, v):
@@ -29,7 +33,7 @@ def reference_symbol(spec, j, v):
             # replace each derivative by the matching covector entry
             c = ZERO
             for var, p in row[aprime].coeffs.items():
-                c = c + p.constant_term() * cq(point.get(var, 0))
+                c = c + constant_term(p) * cq(point.get(var, 0))
             if not c.is_zero():
                 comps[(row_idx,)] = Poly.const(spec.vars, c)
         forms.append(ExtForm(spec.form_dim, 1, spec.vars, comps))
@@ -58,7 +62,7 @@ def reference_symbol(spec, j, v):
             images[a + 1] = w1.wedge(base)
         for slot, form in images.items():
             for out_idx, coeff in form.comps.items():
-                matrix[out_pos[(slot, out_idx)]][col] = coeff.constant_term()
+                matrix[out_pos[(slot, out_idx)]][col] = constant_term(coeff)
     return matrix
 
 
@@ -89,6 +93,75 @@ def test_integer_rows_match_the_extform_reference(n, k):
             expected = [[(x.re * scale, x.im * scale) for x in row]
                         for row in reference_symbol(spec, j, v)]
             assert rows == expected, (j, t)
+
+
+def operator_mismatches(spec, v) -> list:
+    """Levels j where ``flat_D`` on <qv, x>^ord / ord! e_c, read as constants,
+    is not column c of ``symbol_at(spec, j, v)``, over every basis element e_c.
+
+    The operator at level j has order ord (2 at j = k, 1 elsewhere) and
+    constant coefficients, so on that power of the linear form it gives the
+    symbol at qv, q the lcm of v's denominators, exactly.
+    """
+    q = math.lcm(*(Fraction(x).denominator for x in v))
+    linear = Poly.zero(spec.vars)
+    for name, x in zip(spec.vars, v):
+        if x:
+            linear = linear + Poly.var(spec.vars, name, Fraction(x) * q)
+    powers = {1: linear, 2: (linear * linear).scale(Fraction(1, 2))}
+
+    def basis(level):
+        s, d, _ = spec.shape(level)
+        return [(a, idx) for a in range(s + 1) for idx in combinations(range(spec.form_dim), d)]
+
+    mismatches = []
+    for j in range(spec.top_level):
+        s, d, tag = spec.shape(j)
+        power = powers[2 if j == spec.k else 1]
+        rows = symbol_at(spec, j, v)
+        zero = ExtForm.zero(spec.form_dim, d, spec.vars)
+        for col, (a, idx) in enumerate(basis(j)):
+            slots = [zero] * (s + 1)
+            slots[a] = ExtForm(spec.form_dim, d, spec.vars, {idx: power})
+            image = flat_D(spec, j, SpinorField(s, tag, slots))
+            got = []
+            for b, out_idx in basis(j + 1):
+                entry = image.slot(b).component(out_idx)
+                assert all(not any(e) for e in entry.num)
+                value = constant_term(entry)
+                got.append((value.re, value.im))
+            if got != [row[col] for row in rows]:
+                mismatches.append(j)
+                break
+    return mismatches
+
+
+@pytest.mark.parametrize("n,k", [(1, k) for k in range(5)] + [(2, k) for k in range(5)])
+def test_symbol_columns_are_the_operator_on_covector_powers(n, k):
+    # the symbol describes the operator the complex runs: ties symbol_at to
+    # flat_D on every level
+    spec = ComplexSpec(n, k)
+    v = SectionGenerator(700 + 10 * n + k).rational_vector(4 * (n + 1))
+    assert operator_mismatches(spec, v) == []
+
+
+def test_symbol_operator_check_sees_a_lost_d1_term(monkeypatch):
+    # mutation: the slot combination loses its d^1 term.  The symbol rows do
+    # not move, so the ExtForm reference still matches them, but the
+    # operator no longer has that symbol
+    def without_d1(frame, slot, sigma, step):
+        return SpinorField(sigma, "S" if step == 1 else "tilde",
+                           [frak_d(0, slot(b), frame) for b in range(sigma + 1)])
+
+    monkeypatch.setattr(boundary, "_slot_combination", without_d1)
+    spec = ComplexSpec(1, 1)
+    v = SectionGenerator(711).rational_vector(8)
+    assert operator_mismatches(spec, v) == [0, 2]
+    q = math.lcm(*(x.denominator for x in v))
+    for j in range(spec.top_level):
+        scale = q ** (2 if j == spec.k else 1)
+        assert symbol_at(spec, j, v) == [[(x.re * scale, x.im * scale) for x in row]
+                                         for row in reference_symbol(spec, j, v)]
 
 
 def e1(n):

@@ -2,8 +2,11 @@
 """Classify a batch of random groups and tabulate how common each class is.
 
 Usage: classify_random.py [count] [seed]
+
+Anything else on the command line exits 2 with a usage line.
 """
 
+import argparse
 import sys
 from collections import Counter
 
@@ -33,6 +36,8 @@ def main(count: int = 100, seed: int = 1) -> int:
 
 
 if __name__ == "__main__":
-    count = int(sys.argv[1]) if len(sys.argv) > 1 else 100
-    seed = int(sys.argv[2]) if len(sys.argv) > 2 else 1
-    sys.exit(main(count, seed))
+    parser = argparse.ArgumentParser(add_help=False)
+    parser.add_argument("count", type=int, nargs="?", default=100)
+    parser.add_argument("seed", type=int, nargs="?", default=1)
+    args = parser.parse_args()
+    sys.exit(main(args.count, args.seed))

@@ -6,8 +6,11 @@ tabulates the inner-region masses of the squared operator; the decaying
 successive differences demonstrate a well-defined limit mass.
 
 Usage: ma_convergence.py [steps] [seed] [--csv]
+
+Anything else on the command line exits 2 with a usage line.
 """
 
+import argparse
 import sys
 from fractions import Fraction
 
@@ -39,7 +42,10 @@ def main(steps: int = 64, seed: int = 7, csv: bool = False) -> int:
 
 
 if __name__ == "__main__":
-    args = [a for a in sys.argv[1:] if a != "--csv"]
-    steps = int(args[0]) if args else 64
-    seed = int(args[1]) if len(args) > 1 else 7
-    sys.exit(main(steps, seed, "--csv" in sys.argv))
+    parser = argparse.ArgumentParser(add_help=False)
+    parser.add_argument("steps", type=int, nargs="?", default=64)
+    parser.add_argument("seed", type=int, nargs="?", default=7)
+    parser.add_argument("--csv", action="store_true")
+    # --csv may stand anywhere, before, between or after the numbers
+    args = parser.parse_intermixed_args()
+    sys.exit(main(args.steps, args.seed, args.csv))

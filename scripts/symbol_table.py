@@ -2,10 +2,15 @@
 """Dimension/rank tables of the frozen-coefficient sequence for small (n, k).
 
 Usage: symbol_table.py [max_n] [seed]
+
+max_n is at most the n limit of ``cfx symbol``; anything else on the command
+line exits 2 with a usage line, before any sequence is built.
 """
 
+import argparse
 import sys
 
+from cfx.cli import MAX_N
 from cfx.flat import ComplexSpec, check_exactness
 from cfx.randgen import SectionGenerator
 
@@ -27,6 +32,11 @@ def main(max_n: int = 2, seed: int = 1) -> int:
 
 
 if __name__ == "__main__":
-    max_n = int(sys.argv[1]) if len(sys.argv) > 1 else 2
-    seed = int(sys.argv[2]) if len(sys.argv) > 2 else 1
-    sys.exit(main(max_n, seed))
+    parser = argparse.ArgumentParser(add_help=False)
+    parser.add_argument("max_n", type=int, nargs="?", default=2)
+    parser.add_argument("seed", type=int, nargs="?", default=1)
+    args = parser.parse_args()
+    # the sequences at n = 4 and up take minutes each
+    if not 1 <= args.max_n <= MAX_N:
+        parser.error(f"max_n must be in 1..{MAX_N}")
+    sys.exit(main(args.max_n, args.seed))

@@ -12,11 +12,12 @@ import io
 import json
 import os
 import sys
+from functools import cache
 
 from .boundary import PreconditionError, TangentFrame
 from .exterior import from_hat_components
 from .flat import ComplexSpec, check_exactness
-from .groups import GroupSpec, classify
+from .groups import GroupSpec, classify, group_from_phi
 from .ma import (Region, cln_experiment, convergence_experiment,
                  key_identity_check, stokes_check)
 from .poly import Poly
@@ -57,14 +58,16 @@ def _check_n(n: int) -> None:
 
 
 def _parse_group(data) -> GroupSpec:
-    """``GroupSpec.from_json`` with the record's n checked first: an {"n", "S"}
-    record states it, and a {"phi"} potential has 4n x-variables, from which
-    ``group_from_phi`` reads the 4n x 4n matrix S."""
-    if isinstance(data, dict):
-        n = (sum(v.startswith("x") for v in Poly.from_json(data["phi"]).vars) // 4
-             if "phi" in data else data.get("n"))
-        if type(n) is int:
-            _check_n(n)
+    """The group of a group file, its n checked before any group matrix is
+    built: a {"phi"} potential, parsed once, has 4n x-variables, from which
+    ``group_from_phi`` reads the 4n x 4n matrix S; an {"n", "S"} record
+    states n and goes to ``GroupSpec.from_json``."""
+    if isinstance(data, dict) and "phi" in data:
+        phi = Poly.from_json(data["phi"])
+        _check_n(sum(v.startswith("x") for v in phi.vars) // 4)
+        return group_from_phi(phi)
+    if isinstance(data, dict) and type(data.get("n")) is int:
+        _check_n(data["n"])
     return GroupSpec.from_json(data)
 
 
@@ -261,7 +264,12 @@ def cmd_ma(args) -> int:
     return EXIT_PASS if all(checks) else EXIT_FAIL
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``cfx`` argument parser, built once per process and shared by
+    every ``main`` call: no argument has a mutable default or an ``append``
+    action, and ``parse_args`` returns a fresh namespace each time.  It holds
+    no handler; ``main`` looks that up by command name."""
     parser = argparse.ArgumentParser(
         prog="cfx",
         description="exact verification engine for quaternionic differential complexes")
@@ -280,7 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", parents=[base, group], help="classify a group")
     p.add_argument("--condition-h", choices=["exact", "sampled"], default="sampled")
-    p.set_defaults(func=cmd_classify)
 
     # one parser per verify target, so flat takes no group and no --check
     targets = sub.add_parser("verify", help="run verification suites").add_subparsers(
@@ -289,21 +296,18 @@ def build_parser() -> argparse.ArgumentParser:
     suite.add_argument("--k", type=int, default=1)
     suite.add_argument("--trials", type=int, default=10)
     suite.add_argument("--degree", type=int, default=3)
-    p = targets.add_parser("flat", parents=[base, seeded, suite], help="the flat complex")
-    p.set_defaults(func=cmd_verify)
+    targets.add_parser("flat", parents=[base, seeded, suite], help="the flat complex")
     p = targets.add_parser("boundary", parents=[base, group, seeded, suite],
                            help="the boundary complex of a group")
     p.add_argument("--check", default="all",
                    choices=["all", "composition", "anticommute", "bracket",
                             "hodge", "subcomplex"])
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("symbol", parents=[base, seeded],
                        help="frozen-coefficient rank/exactness table")
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--trials", type=int, default=0)
     p.add_argument("--v", help="comma-separated rational covector")
-    p.set_defaults(func=cmd_symbol)
 
     p = sub.add_parser("ma", parents=[base, group, seeded],
                        help="wedge-power operator experiments")
@@ -312,14 +316,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--u", help="JSON file with a list of polynomial inputs")
     p.add_argument("--convergence", type=int, default=0,
                    help="steps for the approximation-mass experiment")
-    p.set_defaults(func=cmd_ma)
     return parser
 
 
 def main(argv=None) -> int:
+    """Run one ``cfx`` command and return its exit code (0-3).  The handler
+    is looked up by command name at each call, not stored in the shared
+    parser, so a handler replaced after the first call is the one that runs."""
     args = build_parser().parse_args(argv)
+    handlers = {"classify": cmd_classify, "verify": cmd_verify,
+                "symbol": cmd_symbol, "ma": cmd_ma}
     try:
-        return args.func(args)
+        return handlers[args.command](args)
     except PreconditionError as exc:
         print(f"precondition violation: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION

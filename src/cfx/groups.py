@@ -167,9 +167,7 @@ class GroupSpec:
 
     @classmethod
     def from_json(cls, data: dict) -> "GroupSpec":
-        """{"n": int, "S": [[str or int, ...]]} or {"phi": poly}; ValueError otherwise."""
-        if isinstance(data, dict) and "phi" in data:
-            return group_from_phi(Poly.from_json(data["phi"]))
+        """{"n": int, "S": [[str or int, ...]]}; ValueError otherwise."""
         try:
             n, rows = data["n"], data["S"]
             # exact input only: a JSON float or boolean would be read inexactly

@@ -688,6 +688,111 @@ def test_exit_code_follows_the_error_type(capsys, monkeypatch):
     assert run(capsys, "classify") == (3, "", "precondition violation: outside the domain\n")
 
 
+# -- one parser per process: the shared parser behaves as a fresh one ------------------------
+
+
+def _outcome(argv):
+    """(exit code, stdout, stderr) of one ``main`` call, argparse exits included."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+PARSER_ARGVS = [
+    ["classify", "--group", "leftQH", "--n", "1", "--condition-h", "exact"],
+    ["verify", "flat", "--n", "1", "--k", "0", "--trials", "1", "--degree", "2"],
+    ["verify", "boundary", "--n", "1", "--trials", "1", "--check", "bracket",
+     "--format", "csv"],
+    ["verify", "boundary", "--group", "leftQH", "--n", "1", "--check", "hodge"],
+    # non-default --n and --k, then the same command on the defaults n = 2, k = 1
+    ["symbol", "--n", "1", "--k", "2", "--seed", "3", "--v", "1,0,0,0,0,0,0,0"],
+    ["symbol", "--v", "1,0,0,0,0,0,0,0,0,0,0,0"],
+    ["ma", "--group", "rightQH", "--n", "1"],
+    ["ma", "--group", "rightQH", "--n", "1", "--power", "3"],
+    ["verify", "flat", "--n", "x"],
+    ["verify"],
+    ["classify", "--bogus"],
+    ["--help"],
+    ["verify", "boundary", "--help"],
+    ["classify"],
+]
+
+
+def test_the_shared_parser_gives_what_a_fresh_parser_gives(monkeypatch):
+    import cfx.cli as cli
+
+    shared = [_outcome(argv) for argv in PARSER_ARGVS]
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    fresh = [_outcome(argv) for argv in PARSER_ARGVS]
+    for argv, one, other in zip(PARSER_ARGVS, shared, fresh):
+        assert one == other, argv
+    assert {code for code, _, _ in shared} == {0, 2, 3}
+
+
+def test_a_second_call_builds_no_parser(monkeypatch):
+    import argparse
+
+    import cfx.cli as cli
+
+    argv = ["symbol", "--n", "1", "--v", "1,0,0,0,0,0,0,0"]
+    assert _outcome(argv)[0] == 0
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    assert _outcome(argv)[0] == 0
+    assert built == []
+    cli.build_parser.__wrapped__()  # the counter sees a build
+    assert len(built) == 11
+
+
+@pytest.mark.parametrize("name,argv", [
+    ("cmd_verify", ["verify", "flat"]), ("cmd_verify", ["verify", "boundary"]),
+    ("cmd_symbol", ["symbol"]), ("cmd_ma", ["ma"])])
+def test_a_handler_replaced_after_the_first_call_is_the_one_that_runs(monkeypatch, name,
+                                                                     argv):
+    import cfx.cli as cli
+
+    assert _outcome(["classify", "--n", "1"])[0] == 0
+    seen = []
+
+    def handler(args):
+        seen.append(args.command)
+        return 3
+
+    monkeypatch.setattr(cli, name, handler)
+    assert _outcome(argv) == (3, "", "")
+    assert seen == [argv[0]]
+
+
+def test_a_potential_file_is_parsed_once(monkeypatch, tmp_path, capsys):
+    from cfx.poly import Poly
+
+    x4 = [f"x{i}" for i in range(1, 5)]
+    path = tmp_path / "phi.json"
+    path.write_text(json.dumps({"phi": {"vars": [*x4, "t1"], "terms": [
+        {"c": "-3", "e": [2, 0, 0, 0, 0]}, {"c": "1/2", "e": [1, 0, 1, 0, 0]}]}}))
+    parsed = []
+    from_json = Poly.from_json
+
+    def counted(data):
+        parsed.append(data)
+        return from_json(data)
+
+    monkeypatch.setattr(Poly, "from_json", counted)
+    code, out, _ = run(capsys, "classify", "--file", str(path))
+    assert code == 0 and json.loads(out)["n"] == 1
+    assert len(parsed) == 1
+
+
 # -- exact coefficients are strings or integers, never JSON floats or booleans --------------
 
 

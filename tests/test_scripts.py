@@ -1,0 +1,31 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+REPO = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("script,argv,reason", [
+    # max_n 64 would run the n = 4 sequence and up for minutes
+    ("symbol_table.py", ["64", "7", "--csv"], "unrecognized arguments: --csv"),
+    ("symbol_table.py", ["64", "7"], "max_n must be in 1..3"),
+    ("symbol_table.py", ["0"], "max_n must be in 1..3"),
+    ("symbol_table.py", ["two"], "invalid int value: 'two'"),
+    ("symbol_table.py", ["2", "1", "3"], "unrecognized arguments: 3"),
+    ("classify_random.py", ["200", "1", "--csv"], "unrecognized arguments: --csv"),
+    ("classify_random.py", ["200", "1", "3"], "unrecognized arguments: 3"),
+    ("ma_convergence.py", ["64", "7", "--tsv"], "unrecognized arguments: --tsv"),
+    ("ma_convergence.py", ["64", "7", "8", "--csv"], "unrecognized arguments: 8"),
+])
+def test_script_rejects_bad_arguments_before_any_work(script, argv, reason):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(REPO / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    proc = subprocess.run([sys.executable, str(REPO / "scripts" / script), *argv],
+                          capture_output=True, text=True, env=env, timeout=30)
+    assert proc.returncode == 2 and proc.stdout == ""
+    usage, error = proc.stderr.splitlines()
+    assert usage.startswith(f"usage: {script} ")
+    assert error.startswith(f"{script}: error: ") and reason in error

@@ -3,7 +3,7 @@
 
 Usage: classify_random.py [count] [seed]
 
-Anything else on the command line exits 2 with a usage line.
+count must be at least 1.  Anything else on the command line exits 2 with a usage line.
 """
 
 import argparse
@@ -40,4 +40,6 @@ if __name__ == "__main__":
     parser.add_argument("count", type=int, nargs="?", default=100)
     parser.add_argument("seed", type=int, nargs="?", default=1)
     args = parser.parse_args()
+    if args.count < 1:
+        parser.error("count must be at least 1")
     sys.exit(main(args.count, args.seed))

@@ -7,7 +7,8 @@ successive differences demonstrate a well-defined limit mass.
 
 Usage: ma_convergence.py [steps] [seed] [--csv]
 
-Anything else on the command line exits 2 with a usage line.
+steps must be in 2..10000, the cap of ``cfx ma --convergence``.  Anything
+else on the command line exits 2 with a usage line.
 """
 
 import argparse
@@ -15,6 +16,7 @@ import sys
 from fractions import Fraction
 
 from cfx.boundary import TangentFrame
+from cfx.cli import MAX_CONVERGENCE
 from cfx.groups import GroupSpec
 from cfx.ma import Region, convergence_experiment
 from cfx.randgen import SectionGenerator
@@ -48,4 +50,8 @@ if __name__ == "__main__":
     parser.add_argument("--csv", action="store_true")
     # --csv may stand anywhere, before, between or after the numbers
     args = parser.parse_intermixed_args()
+    # before any frame is built: fewer than 2 steps have no difference to
+    # decay, and the cap is the one cfx ma --convergence keeps
+    if not 2 <= args.steps <= MAX_CONVERGENCE:
+        parser.error(f"steps must be in 2..{MAX_CONVERGENCE}")
     sys.exit(main(args.steps, args.seed, args.csv))

@@ -16,7 +16,8 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations, repeat, starmap
+from operator import add, mul
 from typing import Sequence
 
 from .boundary import TangentFrame, frak_d
@@ -215,50 +216,86 @@ def _wedge_complement_pairs(parts: dict, other: ExtForm) -> list:
     return pairs
 
 
-def sup_norm_on_grid(u: Poly, region: Region, samples: int = 4096,
-                     seed: int = 2) -> float:
-    """Sampled sup of |u| over the region: all corners plus seeded interior points.
+# points per chunk of the sup-norm sampler: a few hundred run each term's
+# work in C while the columns of a chunk stay small in memory
+_CHUNK = 256
 
-    A sampled estimate (documented as such in reports); exact polynomial
-    sup over a box is a separate optimization problem.
+
+def _point_chunks(lows: list, highs: list, used: list, samples: int, seed: int):
+    """The sampled points as (size, {axis: column}) chunks over the used axes.
+
+    The corners over the used axes (for 16 or fewer axes), the centre, then
+    ``samples`` seeded points drawn point by point in axis order, every axis
+    drawn whether used or not, so the draws are those of one point at a time.
     """
-    rng = random.Random(seed)
-    naxes = region.naxes
+    naxes = len(lows)
+    if naxes <= 16:
+        # a point's value reads only the used axes, so corners that differ
+        # elsewhere give the same float: one corner per choice on those
+        corners = 1 << len(used)
+        for start in range(0, corners, _CHUNK):
+            masks = range(start, min(start + _CHUNK, corners))
+            yield len(masks), {axis: [highs[axis] if mask >> bit & 1 else lows[axis]
+                                      for mask in masks]
+                               for bit, axis in enumerate(used)}
+    yield 1, {axis: [(lows[axis] + highs[axis]) / 2] for axis in used}
+    spans = [(axis, lows[axis], highs[axis] - lows[axis]) for axis in used]
+    draw = random.Random(seed).random
+    for start in range(0, samples, _CHUNK):
+        size = min(_CHUNK, samples - start)
+        draws = list(starmap(draw, repeat((), size * naxes)))
+        yield size, {axis: [l + span * r for r in draws[axis::naxes]]
+                     for axis, l, span in spans}
+
+
+def sup_norm_on_grid(us: Sequence[Poly], region: Region, samples: int = 4096,
+                     seed: int = 2) -> list:
+    """Sampled sup of |u| over the region for each input, on one set of points.
+
+    The points are all corners, the centre and ``samples`` seeded interior
+    points, drawn once per call for every input.  A sampled estimate
+    (documented as such in reports); exact polynomial sup over a box is a
+    separate optimization problem.
+
+    The points are evaluated a chunk at a time, kept as per-axis columns,
+    term by term with ``map``; a chunk's ``x ** e`` column serves every
+    input.  Each point still gets the float operations of a per-point loop,
+    in its order: ``x ** e``, the product from 1.0 over the term's axes in
+    axis order, ``coeff * m``, the sum from 0 in term order, ``abs``, and the
+    maximum by ``>`` (which skips NaN).  Inputs with real coefficients sum
+    in floats: the real part of the complex sum takes the same float steps
+    and ``abs`` of ``re ± 0j`` is ``abs(re)``, so the sups are the same floats.
+    """
     lows = [_float(x) for x in region.lows]
     highs = [_float(x) for x in region.highs]
-    spans = [(l, h - l) for l, h in zip(lows, highs)]
-    best = 0.0
-    # float evaluation term by term; each coefficient is converted once and
-    # each term keeps only its nonzero (axis, exponent) pairs, in axis order
-    terms = [([(axis, e) for axis, e in enumerate(expo) if e], complex(*_c(coeff)))
-             for expo, coeff in u.terms.items()]
-
-    def visit(point):
-        nonlocal best
-        total = 0j
-        for powers, coeff in terms:
-            m = 1.0
-            for axis, e in powers:
-                m *= point[axis] ** e
-            total += coeff * m
-        val = abs(total)
-        if val > best:
-            best = val
-
-    if naxes <= 16:
-        # a point's value reads only the axes some term uses, so corners that
-        # differ elsewhere give the same float: one corner per choice on those
-        used = sorted({axis for powers, _ in terms for axis, _ in powers})
-        for mask in range(1 << len(used)):
-            point = list(lows)
-            for bit, axis in enumerate(used):
-                if (mask >> bit) & 1:
-                    point[axis] = highs[axis]
-            visit(point)
-    visit([(l + h) / 2 for l, h in zip(lows, highs)])
-    draw = rng.random
-    for _ in range(samples):
-        visit([l + span * draw() for l, span in spans])
+    inputs = []
+    for u in us:
+        # each coefficient is converted once and each term keeps only its
+        # nonzero (axis, exponent) pairs, in axis order
+        terms = [([(axis, e) for axis, e in enumerate(expo) if e], complex(*_c(coeff)))
+                 for expo, coeff in u.terms.items()]
+        if all(coeff.imag == 0.0 for _, coeff in terms):
+            inputs.append(([(powers, coeff.real) for powers, coeff in terms], 0.0))
+        else:
+            inputs.append((terms, 0j))
+    used = sorted({axis for terms, _ in inputs for powers, _ in terms for axis, _ in powers})
+    best = [0.0] * len(inputs)
+    for size, columns in _point_chunks(lows, highs, used, samples, seed):
+        powered = {}
+        for i, (terms, zero) in enumerate(inputs):
+            total = repeat(zero, size)
+            for powers, coeff in terms:
+                # the product from 1.0 over the term's axes in axis order;
+                # the first factor is the column itself, as 1.0 * x is x
+                m = repeat(1.0, size)
+                for k, (axis, e) in enumerate(powers):
+                    column = powered.get((axis, e))
+                    if column is None:
+                        column = powered[axis, e] = list(map(pow, columns[axis], repeat(e)))
+                    m = map(mul, m, column) if k else column
+                total = list(map(add, total, map(mul, repeat(coeff), m)))
+            # max replaces only on a greater value, so a NaN is skipped
+            best[i] = max(chain((best[i],), map(abs, total)))
     return best
 
 
@@ -270,7 +307,9 @@ def cln_experiment(us: Sequence[Poly], K: Region, L: Region,
     lowered operator onto the cutoff, and after moving both, against the
     bare first input; the three exact masses must be equal and not all 0
     (a zero mass checks nothing).  Also reports the plain mass over the
-    inner region and its ratio to the product of sampled sup norms.
+    inner region and its ratio to the product of sampled sup norms, which
+    one call of :func:`sup_norm_on_grid` gives for all inputs on one draw
+    of points.
     """
     frame.require_right_type()
     if not K.contains(L):
@@ -319,7 +358,7 @@ def cln_experiment(us: Sequence[Poly], K: Region, L: Region,
         "mass_inner": _c(mass_inner),
     }
     # sampled last: the exact values above have been checked for float range
-    report["sup_norms"] = [sup_norm_on_grid(u, K) for u in us]
+    report["sup_norms"] = sup_norm_on_grid(us, K)
     prod_sup = math.prod(report["sup_norms"])
     report["empirical_C"] = _abs(mass_inner) / prod_sup if prod_sup > 0 else None
     return report

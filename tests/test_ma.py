@@ -1,4 +1,5 @@
 import logging
+import random
 from fractions import Fraction
 from math import factorial
 from typing import Sequence
@@ -480,19 +481,18 @@ def test_cln_region_nesting_enforced(right2):
 
 def test_sup_norm_sampling(right2):
     region = Region.cube(11, Fraction(1, 2))
-    sup = sup_norm_on_grid(squared_norm(right2), region)
+    [sup] = sup_norm_on_grid([squared_norm(right2)], region)
     # max of sum x^2 over the x-part of the box is 8 * (1/2)^2 = 2
     assert sup == pytest.approx(2.0, rel=1e-12)
 
 
 def _reference_sup(u, region, samples=4096, seed=2):
     """The sampled sup with every coefficient converted at every point."""
-    import random
     rng = random.Random(seed)
     lows = [float(x) for x in region.lows]
     highs = [float(x) for x in region.highs]
     points = [[highs[i] if (mask >> i) & 1 else lows[i] for i in range(region.naxes)]
-              for mask in range(1 << region.naxes)]
+              for mask in range(1 << region.naxes if region.naxes <= 16 else 0)]
     points.append([(l + h) / 2 for l, h in zip(lows, highs)])
     points += [[l + (h - l) * rng.random() for l, h in zip(lows, highs)]
                for _ in range(samples)]
@@ -538,8 +538,91 @@ def test_sup_norm_bit_identical_to_per_point_conversion(right2, case):
         assert any(c.im != 0 for c in u.terms.values())
         region = Region((Fraction(-3, 5),) * 11, (Fraction(4, 7),) * 11)
         samples = {"samples": 512}
-    got = sup_norm_on_grid(u, region, **samples)
+    [got] = sup_norm_on_grid([u], region, **samples)
     assert got.hex() == _reference_sup(u, region, **samples).hex()
+
+
+def _mixed_input(frame):
+    """Real coefficients on mixed products of x- and t-axes, and a constant."""
+    x0, x3, t0, t2 = (Poly.var(frame.vars, frame.vars[i]) for i in (0, 3, 8, 10))
+    return (x0 * x3).scale(Fraction(-7, 3)) + (t0 * x0 * x0).scale(Fraction(5, 2)) \
+        + (x0 * x3 * t2).scale(Fraction(11, 5)) + (t2 * t2 * t2).scale(Fraction(1, 3)) \
+        + x3 * t0 + Poly.const(frame.vars, Fraction(-1, 9))
+
+
+def _sup_inputs(frame):
+    """Real, complex and mixed x- and t-axis inputs, evaluated together."""
+    gen = SectionGenerator(3)
+    return [gen.psh_quadratic(frame.vars, 8) + gen.poly(frame.vars, degree=3),
+            _complex_high_power_input(frame), _mixed_input(frame)]
+
+
+def test_sup_norm_one_call_matches_each_input_alone(right2):
+    us = _sup_inputs(right2)
+    region = Region((Fraction(-1, 3),) * 11, (Fraction(1, 2),) * 11)
+    got = sup_norm_on_grid(us, region, samples=512)
+    assert [g.hex() for g in got] == [_reference_sup(u, region, samples=512).hex() for u in us]
+
+
+# every chunk boundary the sampler can meet: none, one point, a short last
+# chunk, exactly one chunk, one point over, several chunks
+@pytest.mark.parametrize("samples", [0, 1, ma._CHUNK - 1, ma._CHUNK, ma._CHUNK + 1, 1000])
+def test_sup_norm_sample_counts_match_the_reference(right2, samples):
+    us = _sup_inputs(right2)
+    region = Region((Fraction(-3, 5),) * 11, (Fraction(4, 7),) * 11)
+    got = sup_norm_on_grid(us, region, samples=samples, seed=11)
+    assert [g.hex() for g in got] == \
+        [_reference_sup(u, region, samples=samples, seed=11).hex() for u in us]
+
+
+@pytest.mark.parametrize("case", ["zero", "constant", "complex-constant"])
+def test_sup_norm_zero_and_constant_inputs_match_the_reference(right2, case):
+    u = {"zero": Poly.zero(right2.vars),
+         "constant": Poly.const(right2.vars, Fraction(-5, 3)),
+         "complex-constant": Poly.const(right2.vars, cq(Fraction(3, 4), Fraction(-1, 2)))}[case]
+    region = Region((Fraction(-2, 3),) * 11, (Fraction(3, 4),) * 11)
+    [got] = sup_norm_on_grid([u], region, samples=300)
+    assert got.hex() == _reference_sup(u, region, samples=300).hex()
+    if case == "zero":
+        assert got == 0.0
+
+
+def test_sup_norm_single_points_match_the_reference():
+    # past 16 axes there are no corners, and every input is 0 at the centre of
+    # the cube, so with one sample each sup is |u| at one drawn point: the
+    # floats of each point are compared, not only those of the maximum
+    names = [f"y{i}" for i in range(17)]
+    y = [Poly.var(names, name) for name in names]
+    us = [v * v for v in y] + [v * v * v for v in y[:6]] + [
+        (y[0] * y[1] * y[2]).scale(Fraction(7, 3)),
+        y[3] * y[4] * y[5] * y[6] - (y[7] * y[7] * y[8]).scale(Fraction(2, 9)),
+        (y[9] * y[9] * y[9]).scale(cq(Fraction(2, 3), Fraction(-5, 7)))
+        + (y[10] * y[11]).scale(Fraction(1, 3)) - y[12] * y[12] + y[13]]
+    region = Region.cube(17, Fraction(3, 4))
+    for seed in range(600):
+        got = sup_norm_on_grid(us, region, samples=1, seed=seed)
+        assert [g.hex() for g in got] == \
+            [_reference_sup(u, region, samples=1, seed=seed).hex() for u in us], seed
+
+
+def test_cln_draws_each_sample_point_once(right2, monkeypatch):
+    # one shared draw for all inputs: samples x naxes calls of random(), not
+    # that many per input
+    draws = []
+
+    class Counting(random.Random):
+        def random(self):
+            draws.append(None)
+            return super().random()
+
+    K = Region.cube(11, Fraction(1, 2))
+    L = Region.cube(11, Fraction(1, 4))
+    gen = SectionGenerator(21)
+    us = [gen.spawn(i).psh_quadratic(right2.vars, 8) for i in range(2)]
+    monkeypatch.setattr(random, "Random", Counting)
+    report = cln_experiment(us, K, L, right2)
+    assert len(report["sup_norms"]) == 2
+    assert len(draws) == 4096 * 11
 
 
 def test_convergence_experiment_needs_two_steps(right2):

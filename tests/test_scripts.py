@@ -19,6 +19,11 @@ REPO = Path(__file__).resolve().parent.parent
     ("classify_random.py", ["200", "1", "3"], "unrecognized arguments: 3"),
     ("ma_convergence.py", ["64", "7", "--tsv"], "unrecognized arguments: --tsv"),
     ("ma_convergence.py", ["64", "7", "8", "--csv"], "unrecognized arguments: 8"),
+    ("ma_convergence.py", ["1"], "steps must be in 2..10000"),
+    ("ma_convergence.py", ["0"], "steps must be in 2..10000"),
+    ("ma_convergence.py", ["10001"], "steps must be in 2..10000"),
+    ("classify_random.py", ["0"], "count must be at least 1"),
+    ("classify_random.py", ["-5"], "count must be at least 1"),
 ])
 def test_script_rejects_bad_arguments_before_any_work(script, argv, reason):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

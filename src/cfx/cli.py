@@ -13,8 +13,9 @@ import json
 import os
 import sys
 from functools import cache
+from itertools import chain
 
-from .boundary import PreconditionError, TangentFrame
+from .boundary import BoundarySpec, PreconditionError, TangentFrame, bracket_identity, hodge_diag
 from .exterior import from_hat_components
 from .flat import ComplexSpec, check_exactness
 from .groups import GroupSpec, classify, group_from_phi
@@ -126,6 +127,11 @@ def _to_csv(payload) -> str:
     return out.getvalue().rstrip("\n")
 
 
+def _verdict(records) -> int:
+    """The exit code of ``verify`` and ``ma``: a pass when every record passes."""
+    return EXIT_PASS if all(r["pass"] for r in records) else EXIT_FAIL
+
+
 def cmd_classify(args) -> int:
     result = classify(_load_group(args), condition_h_mode=args.condition_h)
     _emit(args, result)
@@ -149,11 +155,11 @@ def cmd_verify(args) -> int:
     _check_sizes(group.n if group else args.n, args, min_trials=1)
     if not 1 <= args.degree <= MAX_DEGREE:
         raise ValueError(f"--degree must be in 1..{MAX_DEGREE}")
-    reports = []
+    records = []
     if args.target == "flat":
-        reports.append(suites.flat_composition_suite(args.n, args.k, args.trials,
+        records.append(suites.flat_composition_suite(args.n, args.k, args.trials,
                                                      args.seed, args.degree))
-        reports.append(suites.flat_tuple_equivalence_suite(args.n, args.k,
+        records.append(suites.flat_tuple_equivalence_suite(args.n, args.k,
                                                            max(1, args.trials // 4),
                                                            args.seed + 1, args.degree))
     else:
@@ -161,30 +167,29 @@ def cmd_verify(args) -> int:
         frame = TangentFrame(group)
         wanted = args.check
         if wanted in ("composition", "all"):
-            reports.append(suites.boundary_composition_suite(
+            records.append(suites.boundary_composition_suite(
                 group, args.k, args.trials, args.seed, min(args.degree, 2), frame))
         if wanted in ("anticommute", "all"):
-            reports.append(suites.anticommute_suite(group, args.trials, args.seed,
+            records.append(suites.anticommute_suite(group, args.trials, args.seed,
                                                     frame))
         if wanted in ("bracket", "all"):
-            reports.append(suites.bracket_suite(group, frame))
+            records.append(bracket_identity(frame))
         # "all" skips the suites whose domain excludes this input; an explicit
         # check reports why it cannot run
         if wanted == "hodge" or (wanted == "all" and frame.right_type and args.k >= 1):
-            reports.append(suites.hodge_suite(group, args.k, args.trials,
-                                              args.seed, frame))
+            records.append(hodge_diag(BoundarySpec(group.n, args.k), frame,
+                                      trials=args.trials, seed=args.seed))
         if wanted == "subcomplex":
-            reports.append(suites.subcomplex_suite(group, args.k, args.trials,
+            records.append(suites.subcomplex_suite(group, args.k, args.trials,
                                                    args.seed, min(args.degree, 2), frame))
-    payload = [r.to_dict() for r in reports]
-    _emit(args, payload)
-    return EXIT_PASS if all(r.passed for r in reports) else EXIT_FAIL
+    _emit(args, records)
+    return _verdict(records)
 
 
 def cmd_symbol(args) -> int:
     _check_sizes(args.n, args, min_trials=0)
     spec = ComplexSpec(args.n, args.k)
-    vectors = []
+    given = []
     if args.v:
         try:
             vec = [parse_fraction(part) for part in args.v.split(",")]
@@ -194,19 +199,24 @@ def cmd_symbol(args) -> int:
             raise ValueError(f"covector needs {4 * (args.n + 1)} entries")
         if not any(vec):
             raise ValueError("covector must be nonzero")
-        vectors.append(vec)
-    gen = SectionGenerator(args.seed)
-    for t in range(args.trials):
-        vectors.append(gen.spawn(t).rational_vector(4 * (args.n + 1)))
-    if not vectors:
+        given.append(vec)
+    elif args.trials == 0:
         raise ValueError("provide --v or --trials > 0")
-    results = [check_exactness(spec, v) for v in vectors]
+    # each covector is checked as it is drawn: only the first report is kept
+    gen = SectionGenerator(args.seed)
+    drawn = (gen.spawn(t).rational_vector(4 * (args.n + 1)) for t in range(args.trials))
+    first, all_exact, count = None, True, 0
+    for vec in chain(given, drawn):
+        result = check_exactness(spec, vec)
+        first = first or result
+        all_exact = all_exact and result["exact"]
+        count += 1
     payload = {
         "n": args.n, "k": args.k, "seed": args.seed,
-        "dims": results[0]["dims"],
-        "levels": results[0]["levels"],
-        "all_exact": all(r["exact"] for r in results),
-        "vectors_checked": len(vectors),
+        "dims": first["dims"],
+        "levels": first["levels"],
+        "all_exact": all_exact,
+        "vectors_checked": count,
     }
     _emit(args, payload)
     return EXIT_PASS if payload["all_exact"] else EXIT_FAIL
@@ -243,8 +253,9 @@ def cmd_ma(args) -> int:
         us = [gen.spawn(i).psh_quadratic(frame.vars, 4 * group.n)
               for i in range(args.power)]
     payload = {"seed": args.seed, "n": group.n, "power": args.power}
-    if group.n == len(us):
-        payload["key_identity"] = key_identity_check(us, frame)
+    # the identity takes n inputs: the first n of a longer --u list
+    if len(us) >= group.n:
+        payload["key_identity"] = key_identity_check(us[:group.n], frame)
     payload["cln"] = cln_experiment(us[:args.power], K, L, frame)
     hgen = gen.spawn(1001)
     h = hgen.poly(frame.vars, degree=3)
@@ -256,12 +267,7 @@ def cmd_ma(args) -> int:
         q = gen.spawn(7).psh_quadratic(frame.vars, 8)
         payload["convergence"] = convergence_experiment(q, frame, L, steps=args.convergence)
     _emit(args, payload)
-    checks = [payload["cln"]["pass"], payload["stokes"]["pass"]]
-    if "key_identity" in payload:
-        checks.append(payload["key_identity"]["pass"])
-    if "convergence" in payload:
-        checks.append(payload["convergence"]["pass"])
-    return EXIT_PASS if all(checks) else EXIT_FAIL
+    return _verdict(v for v in payload.values() if isinstance(v, dict))
 
 
 @cache
@@ -295,7 +301,10 @@ def build_parser() -> argparse.ArgumentParser:
     suite = argparse.ArgumentParser(add_help=False)
     suite.add_argument("--k", type=int, default=1)
     suite.add_argument("--trials", type=int, default=10)
-    suite.add_argument("--degree", type=int, default=3)
+    suite.add_argument("--degree", type=int, default=3,
+                       help="degree of the random sections; verify boundary caps it at 2 "
+                            "for composition and subcomplex and runs anticommute at 2 and "
+                            "hodge at 3 whatever it is")
     targets.add_parser("flat", parents=[base, seeded, suite], help="the flat complex")
     p = targets.add_parser("boundary", parents=[base, group, seeded, suite],
                            help="the boundary complex of a group")

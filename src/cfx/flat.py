@@ -32,13 +32,6 @@ class ComplexSpec(LevelTable):
     dimension 8), which ``check_exactness`` reports.
     """
 
-    n: int
-    k: int
-
-    def __post_init__(self):
-        if self.n < 1 or self.k < 0:
-            raise ValueError("need n >= 1 and k >= 0")
-
     @property
     def form_dim(self) -> int:
         return 2 * self.n + 2

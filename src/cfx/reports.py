@@ -3,31 +3,15 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Optional
 
 
-@dataclass
-class Report:
-    """One verification outcome: which identity, with what data, and the residual."""
+class Report(dict):
+    """One check's record, the dict the CLI prints: ``identity``, ``params``,
+    ``seed``, ``pass`` and ``residual``, then the check's own keys."""
 
-    identity: str
-    params: dict
-    seed: Optional[int]
-    passed: bool
-    residual: str = "0"
-    extra: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        out = {
-            "identity": self.identity,
-            "params": self.params,
-            "seed": self.seed,
-            "pass": self.passed,
-            "residual": self.residual,
-        }
-        out.update(self.extra)
-        return out
+    @property
+    def passed(self) -> bool:
+        return self["pass"]
 
 
 def dumps(payload) -> str:

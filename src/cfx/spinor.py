@@ -26,6 +26,7 @@ descending basis up to level k and the ascending basis above it.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from math import comb
 from fractions import Fraction
 from typing import Dict, Sequence
@@ -150,11 +151,19 @@ def tuple_to_slots(tuples: Dict[tuple, ExtForm], basis: str) -> SpinorField:
     return SpinorField(s, basis, slots)
 
 
+@dataclass(frozen=True)
 class LevelTable:
-    """Level shapes of a complex on ``form_dim`` form indices, split at level ``k``.
+    """Level shapes of a complex at (n, k) on ``form_dim`` form indices, split at level ``k``.
 
-    Subclasses provide ``form_dim`` and ``k``; levels run 0..form_dim - 1.
+    Subclasses provide ``form_dim``; levels run 0..form_dim - 1.
     """
+
+    n: int
+    k: int
+
+    def __post_init__(self):
+        if self.n < 1 or self.k < 0:
+            raise ValueError("need n >= 1 and k >= 0")
 
     @property
     def top_level(self) -> int:

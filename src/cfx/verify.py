@@ -1,6 +1,6 @@
 """Batch verification suites over seeded random data.
 
-Each suite returns a Report whose payload is fully determined by its
+Each suite returns its record, a Report, fully determined by its
 configuration (including the master seed), so repeated runs are
 byte-identical.
 """
@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .boundary import (BoundaryField, BoundarySpec, TangentFrame, anticommutation_defect,
-                       boundary_D, bracket_identity, hodge_diag, subcomplex_D)
+                       boundary_D, subcomplex_D)
 from .flat import ComplexSpec, dot_pi, flat_D, flat_D_tuple
 from .groups import GroupSpec
 from .randgen import SectionGenerator
@@ -26,8 +26,8 @@ def _level_loop(identity: str, params: dict, seed: int, levels: int, passes) -> 
     gen = SectionGenerator(seed, degree=params["degree"])
     failures = [{"j": j, "trial": t} for j in range(levels) for t in range(params["trials"])
                 if not passes(gen.spawn(j * 1000 + t), j)]
-    return Report(identity, params, seed, not failures, "0" if not failures else "nonzero",
-                  extra={"failures": failures})
+    return Report({"identity": identity, "params": params, "seed": seed, "pass": not failures,
+                   "residual": "0" if not failures else "nonzero", "failures": failures})
 
 
 def flat_composition_suite(n: int, k: int, trials: int, seed: int,
@@ -126,22 +126,8 @@ def anticommute_suite(group: GroupSpec, trials: int, seed: int,
                     identity_ok = False
                     residual = str(diff)
                 plain_zero = plain_zero and defect.is_zero()
-    return Report("anticommutation-curvature", {"trials": trials, "degree": 2}, seed,
-                  identity_ok, residual,
-                  extra={"plain_anticommutation": plain_zero, "right_type": frame.right_type})
+    return Report({"identity": "anticommutation-curvature",
+                   "params": {"trials": trials, "degree": 2}, "seed": seed,
+                   "pass": identity_ok, "residual": residual,
+                   "plain_anticommutation": plain_zero, "right_type": frame.right_type})
 
-
-def bracket_suite(group: GroupSpec,
-                  frame: Optional[TangentFrame] = None) -> Report:
-    frame = frame or TangentFrame(group)
-    data = bracket_identity(frame)
-    return Report(data["identity"], data["params"], None, data["pass"], data["residual"],
-                  extra={k: v for k, v in data.items() if k == "paired_rows_cancel"})
-
-
-def hodge_suite(group: GroupSpec, k: int, trials: int, seed: int,
-                frame: Optional[TangentFrame] = None) -> Report:
-    frame = frame or TangentFrame(group)
-    data = hodge_diag(BoundarySpec(group.n, k), frame, trials=trials, seed=seed)
-    return Report(data["identity"], data["params"], seed, data["pass"],
-                  data["residual"])

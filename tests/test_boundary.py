@@ -14,11 +14,11 @@ from cfx.operators import FirstOrderOp
 from cfx.poly import Poly
 from cfx.randgen import SectionGenerator
 from cfx.rational import ComplexRational, cq
-from cfx.reports import Report
 from cfx.spinor import SpinorField
-from cfx.verify import (anticommute_suite, boundary_composition_suite, bracket_suite,
-                        random_boundary_field, subcomplex_suite)
+from cfx.verify import (anticommute_suite, boundary_composition_suite, random_boundary_field,
+                        subcomplex_suite)
 from test_exterior import basis_form
+from test_groups import group_to_json
 from test_poly import constant_term, power, total_degree
 from test_spinor import zero_spinor_field
 
@@ -453,7 +453,7 @@ def test_composition_law(name, k, right2, left2):
     frame = right2 if name == "rightQH" else left2
     report = boundary_composition_suite(frame.group, k, trials=3, seed=37,
                                         degree=2, frame=frame)
-    assert report.passed, report.to_dict()
+    assert report.passed, report
 
 
 def test_composition_law_above_middle(right2):
@@ -623,7 +623,7 @@ def test_composition_law_generic_group():
     for k in (0, 1, 2):
         report = boundary_composition_suite(group, k, trials=2, seed=9,
                                             degree=2, frame=frame)
-        assert report.passed, report.to_dict()
+        assert report.passed, report
 
 
 def test_diag_identity_generic_right_type_group():
@@ -668,17 +668,17 @@ def test_field_shape_mismatch(right2):
 
 def test_anticommutation_right_type(right2):
     report = anticommute_suite(right2.group, trials=4, seed=3, frame=right2)
-    assert report.passed and report.extra["plain_anticommutation"]
+    assert report.passed and report["plain_anticommutation"]
 
 
 def test_anticommutation_left(left2):
     report = anticommute_suite(left2.group, trials=4, seed=3, frame=left2)
-    assert report.passed and not report.extra["plain_anticommutation"]
+    assert report.passed and not report["plain_anticommutation"]
 
 
 def test_anticommutation_abelian():
     report = anticommute_suite(ABELIAN1.group, trials=3, seed=5, frame=ABELIAN1)
-    assert report.passed and report.extra["plain_anticommutation"]
+    assert report.passed and report["plain_anticommutation"]
 
 
 def verify_anticommute(frame: TangentFrame, trials: int, seed: int, degree: int = 2) -> dict:
@@ -712,16 +712,11 @@ def test_anticommute_suite_matches_the_loop_reference(right2, left2):
     verdicts = set()
     for i, frame in enumerate(frames):
         for trials, seed in ((1, 4), (3, 20 + i)):
-            data = verify_anticommute(frame, trials, seed)
-            # wrapped as the suite wrapped it: the identity and the seed go
-            # to their own fields, the two flags to the extra record
-            want = Report(data["identity"], data["params"], seed, data["pass"],
-                          data["residual"],
-                          extra={"plain_anticommutation": data["plain_anticommutation"],
-                                 "right_type": data["right_type"]})
+            # the suite's record is the reference's dict, key for key
+            want = verify_anticommute(frame, trials, seed)
             got = anticommute_suite(frame.group, trials, seed, frame)
-            assert got.to_dict() == want.to_dict()
-            verdicts.add((got.passed, got.extra["plain_anticommutation"]))
+            assert got == want
+            verdicts.add((got.passed, got["plain_anticommutation"]))
     assert verdicts == {(True, True), (True, False), (False, False)}
 
 
@@ -909,7 +904,7 @@ def horizontal_pair_identity(frame: TangentFrame) -> bool:
     return True
 
 
-def test_paired_rows_cancel_matches_the_commutator_reference(right2, left2):
+def test_paired_rows_cancel_matches_the_commutator_reference(right2, left2, tmp_path):
     right = [RIGHT1, ABELIAN1, right2, TangentFrame(GroupSpec.abelian(2)),
              _dense_frame(41, True, 1), _dense_frame(42, True, 2)]
     right += [_tampered(frame, row, column, factor)
@@ -922,14 +917,32 @@ def test_paired_rows_cancel_matches_the_commutator_reference(right2, left2):
         assert got == horizontal_pair_identity(frame)
         verdicts.add(got)
     assert verdicts == {True, False}
-    # the key is reported on right-type frames only
+    # the key is reported on right-type frames only, in the record the CLI prints
     for frame in (LEFT1, left2, _dense_frame(44, False, 1)):
         assert "paired_rows_cancel" not in bracket_identity(frame)
-        assert "paired_rows_cancel" not in bracket_suite(frame.group, frame).to_dict()
+        assert "paired_rows_cancel" not in _cli_bracket_record(frame, tmp_path)
 
 
-def test_bracket_suite_takes_no_commutator_of_its_own(right2, monkeypatch):
-    # rightQH, n = 2: 6 row pairs of 4 commutators; the paired rows add none
+def _cli_bracket_record(frame: TangentFrame, tmp_path) -> dict:
+    """The one record of ``cfx verify boundary --check bracket`` on the frame's group."""
+    import contextlib
+    import io
+    import json
+
+    from cfx.cli import main
+
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps(group_to_json(frame.group)))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["verify", "boundary", "--file", str(path), "--check", "bracket"]) == 0
+    [record] = json.loads(out.getvalue())
+    return record
+
+
+def test_the_bracket_check_takes_no_commutator_of_its_own(right2, tmp_path, monkeypatch):
+    # rightQH, n = 2: 6 row pairs of 4 commutators; neither the paired rows
+    # nor the CLI add any
     calls = []
     original = FirstOrderOp.commutator
 
@@ -938,8 +951,10 @@ def test_bracket_suite_takes_no_commutator_of_its_own(right2, monkeypatch):
         return original(self, other)
 
     monkeypatch.setattr(FirstOrderOp, "commutator", counting)
-    report = bracket_suite(right2.group, right2)
-    assert report.passed and report.extra == {"paired_rows_cancel": True}
+    record = _cli_bracket_record(right2, tmp_path)
+    assert record["pass"] and record["paired_rows_cancel"] is True
+    assert set(record) == {"identity", "params", "seed", "pass", "residual",
+                           "paired_rows_cancel"}
     assert len(calls) == 24
 
 

@@ -141,17 +141,18 @@ def test_symbol_rejects_negative_trials(capsys):
 
 
 def _forbid_work(monkeypatch):
-    """Make every suite, the symbol check and the frame raise if they run."""
+    """Make every suite, the bracket and diagonal checks, the symbol check
+    and the frame raise if they run."""
     import cfx.cli as cli
 
     def forbidden(*args, **kwargs):
         raise AssertionError("cfx did work on an input it must reject")
 
     for name in ("flat_composition_suite", "flat_tuple_equivalence_suite",
-                 "boundary_composition_suite", "anticommute_suite", "bracket_suite",
-                 "hodge_suite", "subcomplex_suite"):
+                 "boundary_composition_suite", "anticommute_suite", "subcomplex_suite"):
         monkeypatch.setattr(cli.suites, name, forbidden)
-    monkeypatch.setattr(cli, "check_exactness", forbidden)
+    for name in ("bracket_identity", "hodge_diag", "check_exactness"):
+        monkeypatch.setattr(cli, name, forbidden)
     monkeypatch.setattr(cli, "TangentFrame", forbidden)
     return cli
 
@@ -293,6 +294,27 @@ def test_verify_all_skips_hodge_at_k0(capsys):
         "boundary-composition", "anticommutation-curvature", "bracket-curvature"]
 
 
+RECORD_TYPES = {"identity": (str,), "params": (dict,), "seed": (int, type(None)),
+                "pass": (bool,), "residual": (str,)}
+
+
+@pytest.mark.parametrize("argv", [
+    ("flat", "--n", "1", "--k", "1", "--degree", "2"),
+    *[("boundary", "--group", "rightQH", "--n", "1", "--k", "1", "--check", check)
+      for check in ("all", "composition", "anticommute", "bracket", "hodge", "subcomplex")],
+    ("boundary", "--group", "leftQH", "--n", "1", "--k", "1", "--check", "all"),
+])
+def test_every_verify_record_has_the_common_keys(capsys, argv):
+    # the suites, bracket_identity and hodge_diag each build their own record
+    code, out, _ = run(capsys, "verify", *argv, "--trials", "1")
+    assert code == 0
+    records = json.loads(out)
+    assert records
+    for record in records:
+        for key, types in RECORD_TYPES.items():
+            assert type(record[key]) in types, (record["identity"], key, record[key])
+
+
 def test_symbol_reference_table(capsys):
     code, out, _ = run(capsys, "symbol", "--n", "1", "--k", "1",
                        "--v", "1,0,0,0,0,0,0,0")
@@ -315,6 +337,50 @@ def test_symbol_csv_format(capsys):
     lines = out.strip().splitlines()
     assert lines[0].startswith("detail,dim")
     assert len(lines) == 5  # header + one row per level
+
+
+@pytest.mark.parametrize("argv", [
+    ("--n", "1", "--k", "1", "--trials", "4", "--seed", "3"),
+    ("--n", "1", "--k", "1", "--v", "1,2,0,0,0,0,0,1/2", "--trials", "3"),
+    ("--n", "1", "--k", "0", "--v", "0,0,0,1,0,0,0,0"),
+    ("--n", "1", "--k", "4", "--trials", "2"),
+])
+def test_symbol_streams_the_covectors_it_would_have_listed(capsys, argv):
+    # reference: every covector listed first (--v, then spawn(t) for each
+    # trial), every report kept, the first one printed
+    from fractions import Fraction
+
+    from cfx.flat import ComplexSpec, check_exactness
+    from cfx.randgen import SectionGenerator
+
+    options = dict(zip(argv[::2], argv[1::2]))
+    n, k, seed = int(options["--n"]), int(options["--k"]), int(options.get("--seed", 1))
+    vectors = [[Fraction(p) for p in options["--v"].split(",")]] if "--v" in options else []
+    gen = SectionGenerator(seed)
+    vectors += [gen.spawn(t).rational_vector(4 * (n + 1))
+                for t in range(int(options.get("--trials", 0)))]
+    results = [check_exactness(ComplexSpec(n, k), v) for v in vectors]
+    want = {"n": n, "k": k, "seed": seed, "dims": results[0]["dims"],
+            "levels": results[0]["levels"], "all_exact": all(r["exact"] for r in results),
+            "vectors_checked": len(vectors)}
+    code, out, _ = run(capsys, "symbol", *argv)
+    assert json.loads(out) == json.loads(json.dumps(want, default=str))
+    assert code == (0 if want["all_exact"] else 1)
+
+
+def test_symbol_keeps_no_report_per_trial(capsys):
+    # 2000 covectors kept with their reports peaked above 5 MB under tracemalloc
+    import tracemalloc
+
+    run(capsys, "symbol", "--n", "1", "--k", "1", "--trials", "1")
+    tracemalloc.start()
+    try:
+        code, out, _ = run(capsys, "symbol", "--n", "1", "--k", "1", "--trials", "2000")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and json.loads(out)["vectors_checked"] == 2000
+    assert peak < 1_000_000, peak
 
 
 def test_classify_csv_parses_to_header_width(capsys):
@@ -392,10 +458,10 @@ def test_output_file(tmp_path, capsys):
 def test_verification_failure_exits_1(capsys, monkeypatch):
     # force a failed report through the flat path to pin the exit contract
     import cfx.cli as cli_mod
-    from cfx.reports import Report
 
     def fake_suite(*args, **kwargs):
-        return Report("flat-composition", {}, 0, False, "nonzero")
+        return {"identity": "flat-composition", "params": {}, "seed": 0, "pass": False,
+                "residual": "nonzero"}
 
     monkeypatch.setattr(cli_mod.suites, "flat_composition_suite", fake_suite)
     monkeypatch.setattr(cli_mod.suites, "flat_tuple_equivalence_suite", fake_suite)
@@ -547,6 +613,33 @@ def test_ma_power_above_n_exits_2_before_drawing_inputs(capsys, monkeypatch):
     assert time.perf_counter() - start < 1
     _assert_input_error(code, out, err)
     assert "need between 1 and n inputs" in err
+
+
+def test_ma_u_runs_the_key_identity_on_its_first_n_inputs(tmp_path, capsys):
+    # at n = 2 the identity takes two inputs: a --u file of three runs it on
+    # the first two at every power, as a file of exactly two does
+    from cfx.boundary import TangentFrame
+    from cfx.groups import GroupSpec
+    from cfx.ma import key_identity_check
+    from cfx.poly import Poly
+
+    names = [f"x{i}" for i in range(1, 9)] + ["t1", "t2", "t3"]
+    records = [{"vars": names, "terms": [{"c": c, "e": [0] * a + [2] + [0] * (10 - a)}]}
+               for c, a in (("1", 0), ("1/2", 1), ("3", 4))]
+    frame = TangentFrame(GroupSpec.right_qh(2))
+    want = key_identity_check([Poly.from_json(r) for r in records[:2]], frame)
+    assert want["pass"]
+    for count in (2, 3):
+        path = tmp_path / f"u{count}.json"
+        path.write_text(json.dumps(records[:count]))
+        for power in ("1", "2"):
+            _, out, _ = run(capsys, "ma", "--group", "rightQH", "--n", "2",
+                            "--power", power, "--u", str(path))
+            assert json.loads(out)["key_identity"] == want, (count, power)
+    # drawn inputs number the power: the identity runs iff power == n
+    for power, runs in (("1", False), ("2", True)):
+        _, out, _ = run(capsys, "ma", "--group", "rightQH", "--n", "2", "--power", power)
+        assert ("key_identity" in json.loads(out)) is runs
 
 
 @pytest.mark.parametrize("n", ["1", "3"])

@@ -187,13 +187,13 @@ def test_shape_after_middle_level():
 @pytest.mark.parametrize("n,k", [(1, 0), (1, 1), (1, 2), (2, 1)])
 def test_composition_suite_quick(n, k):
     report = flat_composition_suite(n, k, trials=3, seed=17, degree=3)
-    assert report.passed, report.to_dict()
+    assert report.passed, report
 
 
 @pytest.mark.parametrize("n,k", [(1, 1), (1, 2), (2, 1)])
 def test_tuple_equivalence_quick(n, k):
     report = flat_tuple_equivalence_suite(n, k, trials=2, seed=23, degree=2)
-    assert report.passed, report.to_dict()
+    assert report.passed, report
 
 
 def test_tuple_equivalence_catches_a_dropped_binomial_weight(monkeypatch):
@@ -210,7 +210,7 @@ def test_tuple_equivalence_catches_a_dropped_binomial_weight(monkeypatch):
 
     monkeypatch.setattr(flat, "tuple_to_slots", unweighted)
     report = flat_tuple_equivalence_suite(2, 1, trials=2, seed=1, degree=2)
-    assert not report.passed and report.extra["failures"]
+    assert not report.passed and report["failures"]
 
 
 def test_tuple_operator_descending_example():

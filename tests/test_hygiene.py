@@ -194,9 +194,11 @@ def test_every_public_method_has_a_caller_outside_the_tests():
     # the rule above for methods: a public method that no code outside the
     # tests reads by name (an attribute, or a bare name such as a callback)
     # is test code.  Names are matched without their class, so a name two
-    # classes share counts for both
+    # classes share counts for both.  As above, what the acceptance suite
+    # reads stays, because that suite is the fixed gate
     trees = {p: _tree(p) for folder in ("src", "scripts", "bench")
              for p in sorted((REPO / folder).rglob("*.py"))}
+    trees[REPO / "tests" / "test_acceptance.py"] = _tree(REPO / "tests" / "test_acceptance.py")
     read = {}
     for path, tree in trees.items():
         for node in ast.walk(tree):
@@ -518,6 +520,7 @@ UNREACHED = {
     "poly.Poly.diff": "bench/tracer.py wraps it (METHODS)",
     "rational.ComplexRational.__mul__": "bench/tracer.py wraps it (METHODS)",
     "rational.ComplexRational.__truediv__": "bench/tracer.py wraps it (METHODS)",
+    "reports.Report.passed": "the acceptance gate reads it",
 }
 
 # value-type protocol methods: Python calls them implicitly, and a type keeps

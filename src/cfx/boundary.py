@@ -414,7 +414,7 @@ def sub_laplacian(frame: TangentFrame, p: Poly) -> Poly:
 
 
 def hodge_diag(spec: BoundarySpec, frame: TangentFrame, trials: int = 10,
-               seed: int = 7, degree: int = 3) -> dict:
+               seed: int = 7) -> dict:
     """Second-order diagonal identity for the leading operator at the bottom level.
 
     The adjoint composition must equal diag(L, 2L, ..., 2L, L) applied
@@ -425,7 +425,7 @@ def hodge_diag(spec: BoundarySpec, frame: TangentFrame, trials: int = 10,
     k = spec.k
     if k < 1:
         raise PreconditionError("the diagonal identity needs k >= 1")
-    gen = SectionGenerator(seed, degree=degree)
+    gen = SectionGenerator(seed, degree=3)
     ok = True
     residual = "0"
     for t in range(trials):
@@ -440,5 +440,5 @@ def hodge_diag(spec: BoundarySpec, frame: TangentFrame, trials: int = 10,
                 ok = False
                 residual = str(diff)
     return {"identity": "second-order-diagonal", "params": {"n": spec.n, "k": k,
-            "trials": trials, "degree": degree}, "seed": seed,
+            "trials": trials, "degree": 3}, "seed": seed,
             "pass": ok, "residual": residual}

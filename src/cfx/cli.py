@@ -117,8 +117,6 @@ def _csv_cell(value) -> str:
 
 def _to_csv(payload) -> str:
     rows = payload if isinstance(payload, list) else payload.get("levels") or [payload]
-    if not isinstance(rows, list):
-        rows = [rows]
     keys = sorted({k for row in rows for k in row}) if rows else []
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")

@@ -4,7 +4,8 @@ A group is determined by a symmetric 4n x 4n rational matrix S; its bracket
 structure lives in the three skew matrices B^beta = S Ibeta + Ibeta S where
 Ibeta is the block-diagonal quaternion action.  Each column of Ibeta holds a
 single +-1, so S Ibeta is a signed column permutation of S, and
-Ibeta S = -(S Ibeta)^T because S is symmetric and Ibeta is skew.
+Ibeta S = -(S Ibeta)^T because S is symmetric and Ibeta is skew.  Brackets,
+horizontal fields and curvature entries read one integer view of S.
 Classification predicates (right-type, stratified, nondegenerate central
 pairing) are exact except where a grid sampling is explicitly reported as
 such: condition H samples the Pfaffian form of the pairing, interpolated
@@ -15,7 +16,7 @@ exactly from integer Pfaffians, on a direction grid (det = Pf^2), and its
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import List
@@ -99,11 +100,10 @@ def quaternion_relations_ok(triple, orientation: int = 1) -> bool:
 
 @dataclass(frozen=True)
 class GroupSpec:
-    """Symmetric matrix S with derived bracket matrices B^1, B^2, B^3."""
+    """Validated symmetric Fraction matrix S; its readers use ``integer_S``."""
 
     n: int
     S: tuple
-    B: tuple = field(init=False)
 
     def __post_init__(self):
         if self.n < 1:
@@ -115,21 +115,24 @@ class GroupSpec:
         if S != tuple(zip(*S)):
             raise ValueError("S must be symmetric")
         object.__setattr__(self, "S", S)
-        bmats = []
-        for beta in range(3):
-            si = _s_times_i(S, beta, self.n)
-            bmats.append(tuple(tuple(x - y for x, y in zip(row, col))
-                               for row, col in zip(si, zip(*si))))
-        object.__setattr__(self, "B", tuple(bmats))
+
+    @cached_property
+    def integer_S(self) -> tuple:
+        """(den, den S): the lcm of S's denominators and S over it in ints."""
+        den = math.lcm(*(x.denominator for row in self.S for x in row))
+        return den, tuple(tuple(x.numerator * (den // x.denominator) for x in row)
+                          for row in self.S)
 
     @cached_property
     def integer_brackets(self) -> tuple:
-        """(den, (den B^1, den B^2, den B^3)): the common denominator and int matrices."""
-        den = math.lcm(*(x.denominator for b in self.B for row in b for x in row))
-        return den, tuple(
-            tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in b)
-            for b in self.B
-        )
+        """(den, (den B^1, den B^2, den B^3)) in ints: P - P^T, P = den S Ibeta."""
+        den, S = self.integer_S
+        brackets = []
+        for beta in range(3):
+            si = _s_times_i(S, beta, self.n)
+            brackets.append(tuple(tuple(x - y for x, y in zip(row, col))
+                                  for row, col in zip(si, zip(*si))))
+        return den, tuple(brackets)
 
     # -- canonical examples ------------------------------------------------------
 
@@ -160,10 +163,6 @@ class GroupSpec:
     @property
     def vars(self):
         return group_vars(self.n)
-
-    def s_block(self, l: int, m: int) -> tuple:
-        return tuple(tuple(self.S[4 * l + i][4 * m + j] for j in range(4))
-                     for i in range(4))
 
     @classmethod
     def from_json(cls, data: dict) -> "GroupSpec":
@@ -254,19 +253,22 @@ def curvature_entry(g: GroupSpec, a: int, b: int) -> ComplexRational:
     """Closed-form component E_{ab} of the tangential curvature 2-form.
 
     Expanding -d^0 d^1 rho on the quadratic potential leaves linear
-    combinations of the entries of the 4x4 block (a // 2, b // 2) of S.
+    combinations of the entries of the 4x4 block (a // 2, b // 2) of S,
+    summed in ints on den S of ``integer_S`` and divided by den once.
     """
-    s = g.s_block(a // 2, b // 2)
+    den, S = g.integer_S
+    l, m = 4 * (a // 2), 4 * (b // 2)
+    s = [row[m:m + 4] for row in S[l:l + 4]]
     if a % 2 == 0 and b % 2 == 0:
         re = s[2][0] - s[0][2] - s[3][1] + s[1][3]
         im = -(s[0][3] - s[3][0] + s[1][2] - s[2][1])
-        return ComplexRational(re, im)
+        return ComplexRational(Fraction(re, den), Fraction(im, den))
     if a % 2 == 1 and b % 2 == 1:
         return curvature_entry(g, a - 1, b - 1).conjugate()
     if a % 2 == 0 and b % 2 == 1:
         re = s[0][0] + s[1][1] + s[2][2] + s[3][3]
         im = s[3][2] - s[2][3] - s[0][1] + s[1][0]
-        return ComplexRational(re, im)
+        return ComplexRational(Fraction(re, den), Fraction(im, den))
     # odd-even: antisymmetry plus the even-odd case with blocks swapped
     return -curvature_entry(g, b, a)
 
@@ -288,22 +290,21 @@ def is_right_type_via_E(g: GroupSpec) -> bool:
 def horizontal_fields(g: GroupSpec) -> List[FirstOrderOp]:
     """The 4n generating fields X_b = d_{x_b} + 2 sum (S Ibeta)_{ab} x_a d_{t_beta}.
 
-    Each t_beta coefficient is one numerator dict over the lcm of its
-    entries' denominators, built by the trusted ``Poly._make``.
+    Each t_beta coefficient is one numerator dict, 2 (den S Ibeta)_{ab} at
+    x_a, over den of ``integer_S``, built by the trusted ``Poly._make``,
+    which divides out the common factor.
     """
     variables = g.vars
     width, size = len(variables), 4 * g.n
     units = [tuple(int(i == a) for i in range(width)) for a in range(size)]
-    si = [_s_times_i(g.S, beta, g.n) for beta in range(3)]
+    den, S = g.integer_S
+    si = [_s_times_i(S, beta, g.n) for beta in range(3)]
     fields = []
     for b in range(size):
         coeffs = {f"x{b+1}": Poly.const(variables, 1)}
         for beta in range(3):
-            column = [(a, row[b]) for a, row in enumerate(si[beta]) if row[b]]
-            if column:
-                den = math.lcm(*(c.denominator for _, c in column))
-                num = {units[a]: (2 * c.numerator * (den // c.denominator), 0)
-                       for a, c in column}
+            num = {units[a]: (2 * row[b], 0) for a, row in enumerate(si[beta]) if row[b]}
+            if num:
                 coeffs[f"t{beta+1}"] = Poly._make(variables, num, den)
         fields.append(FirstOrderOp(variables, coeffs))
     return fields
@@ -321,39 +322,29 @@ def is_stratified(g: GroupSpec) -> bool:
     return bareiss(rows) == 3
 
 
-def sphere_grid(resolution: int = 6):
-    """Deterministic rational covectors covering all directions (cube faces)."""
-    vals = [Fraction(i, resolution) for i in range(-resolution, resolution + 1)]
-    seen = set()
-    out = []
-    for axis in range(3):
-        for sign in (1, -1):
-            for u in vals:
-                for w in vals:
-                    lam = [u, w]
-                    lam.insert(axis, Fraction(sign))
-                    key = tuple(lam)
-                    if key not in seen:
-                        seen.add(key)
-                        out.append(key)
-    return out
-
-
 @lru_cache(maxsize=None)
 def _direction_grid(resolution: int) -> tuple:
-    """``sphere_grid(resolution)`` as (lam, mu, evaluate) triples.
+    """(mu, evaluate) for the int points of the cube faces max |mu_i| = resolution.
 
-    mu = resolution lam is the same direction in ints.  The grid is closed
-    under negation, and ``evaluate`` is False exactly when -mu came earlier
-    in grid order: the Pfaffian form has even degree 2n, so its value at -mu
-    is its value at mu, and the earlier point already decided this one.
+    mu / resolution is a covector direction; faces run axis by axis, + then
+    -, and a point on an edge is kept where it first comes.  The grid is
+    closed under negation, and ``evaluate`` is False exactly when -mu came
+    earlier: the Pfaffian form has even degree 2n, so its value at -mu is
+    its value at mu, and the earlier point already decided this one.
     """
     out = []
     seen = set()
-    for lam in sphere_grid(resolution):
-        mu = tuple(x.numerator * (resolution // x.denominator) for x in lam)
-        out.append((lam, mu, tuple(-x for x in mu) not in seen))
-        seen.add(mu)
+    values = range(-resolution, resolution + 1)
+    for axis in range(3):
+        for face in (resolution, -resolution):
+            for u in values:
+                for w in values:
+                    mu = [u, w]
+                    mu.insert(axis, face)
+                    mu = tuple(mu)
+                    if mu not in seen:
+                        out.append((mu, tuple(-x for x in mu) not in seen))
+                        seen.add(mu)
     return tuple(out)
 
 
@@ -453,7 +444,7 @@ def _form_evaluator(form: tuple):
     return value
 
 
-def check_condition_H(g: GroupSpec, mode: str = "exact", resolution: int = 4) -> dict:
+def check_condition_H(g: GroupSpec, mode: str, resolution: int = 4) -> dict:
     """Nondegeneracy of the central pairing for every nonzero covector.
 
     Both modes look for a zero of det( sum lam_beta B^beta ) on a rational
@@ -484,9 +475,9 @@ def check_condition_H(g: GroupSpec, mode: str = "exact", resolution: int = 4) ->
     value = _form_evaluator(form)
     # only a zero decides: the first grid zero of f is the first of det = f^2,
     # and a sign change of f between grid points is not read
-    for lam, mu, evaluate in grid:
+    for mu, evaluate in grid:
         if evaluate and not value(mu):
-            return {"verdict": "false", "witness": [str(x) for x in lam],
+            return {"verdict": "false", "witness": [str(Fraction(x, resolution)) for x in mu],
                     "reason": "determinant vanishes at a rational covector"}
     result = {"verdict": "sampled-true", "grid_points": len(grid),
               "resolution": resolution,

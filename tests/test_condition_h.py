@@ -1,7 +1,8 @@
 """Differential tests of the integer condition-H path and the signed-permutation brackets.
 
 The references are the rational constructions: bracket matrices from dense
-products with block_diag(Ibeta), determinants by cofactor expansion and
+products with block_diag(Ibeta) (``test_groups.reference_brackets``), the
+rational direction grid ``sphere_grid``, determinants by cofactor expansion and
 Pfaffians by expansion along the first row of ``Fraction`` matrices, and for
 exact mode the symbolic determinant by cofactor expansion, sampled with
 the ``eval_exact`` helper of ``test_poly``.  The interpolated Pfaffian form of
@@ -18,22 +19,41 @@ import pytest
 
 from cfx import groups, linalg
 from cfx.groups import (GroupSpec, I_MATS, block_diag, check_condition_H, classify,
-                        group_from_phi, horizontal_fields, mat, mat_mul, sphere_grid)
+                        curvature_entry, group_from_phi, horizontal_fields, is_right_type,
+                        is_stratified, mat, mat_mul)
 from cfx.poly import Poly, x_vars
 from cfx.randgen import SectionGenerator
-from test_groups import mat_add
+from cfx.rational import ComplexRational
+from test_groups import (reference_brackets, reference_horizontal_fields,
+                         reference_is_right_type, s_block)
 from test_linalg import (LAM, central_pairing_det, cofactor_det, expansion_pfaffian,
-                         symbolic_pairing_det)
+                         minor_rank, symbolic_pairing_det)
 from test_poly import eval_exact, is_homogeneous, total_degree
 
 
-def reference_brackets(S, n):
-    S = mat(S)
+def sphere_grid(resolution):
+    """Rational covectors covering all directions: the cube faces max |lam_i| = 1,
+    the coordinates multiples of 1/resolution, each point once in first-seen order."""
+    vals = [Fraction(i, resolution) for i in range(-resolution, resolution + 1)]
+    seen = set()
     out = []
-    for beta in range(3):
-        ib = block_diag(I_MATS[beta], n)
-        out.append(mat_add(mat_mul(S, ib), mat_mul(ib, S)))
-    return tuple(out)
+    for axis in range(3):
+        for sign in (1, -1):
+            for u in vals:
+                for w in vals:
+                    lam = [u, w]
+                    lam.insert(axis, Fraction(sign))
+                    key = tuple(lam)
+                    if key not in seen:
+                        seen.add(key)
+                        out.append(key)
+    return out
+
+
+def grid_directions(resolution):
+    """``groups._direction_grid`` as rational covectors mu / resolution."""
+    return [tuple(Fraction(x, resolution) for x in mu)
+            for mu, _ in groups._direction_grid(resolution)]
 
 
 def reference_det(brackets, lam):
@@ -51,6 +71,13 @@ def reference_pf(brackets, lam):
     m = [[sum(Fraction(lam[beta]) * brackets[beta][i][j] for beta in range(3))
           for j in range(size)] for i in range(size)]
     return expansion_pfaffian(m)
+
+
+def fraction_pencil(brackets):
+    """sum lam_beta B^beta as a matrix of ``Poly`` in lam1..lam3."""
+    size = len(brackets[0])
+    return [[sum((Poly.var(LAM, v, b[i][j]) for v, b in zip(LAM, brackets)), Poly.zero(LAM))
+             for j in range(size)] for i in range(size)]
 
 
 def reference_condition_H(grid, resolution, sample, det_poly=None):
@@ -152,7 +179,8 @@ def test_pairing_det_is_even_on_the_grid(name, resolution):
     g = _case(name)
     brackets = reference_brackets(g.S, g.n)
     value = groups._form_evaluator(groups.pairing_pfaffian_form(g))
-    for lam, mu, _ in groups._direction_grid(resolution):
+    for lam, (mu, _) in zip(sphere_grid(resolution), groups._direction_grid(resolution),
+                            strict=True):
         assert reference_pf(brackets, lam) == reference_pf(brackets, [-x for x in lam])
         assert value(mu) == value(tuple(-x for x in mu))
 
@@ -161,18 +189,19 @@ def test_pairing_det_is_even_on_the_grid(name, resolution):
 def test_cached_grid_evaluates_one_point_of_each_antipodal_pair(resolution):
     grid = groups._direction_grid(resolution)
     assert grid is groups._direction_grid(resolution)
-    assert [lam for lam, _, _ in grid] == sphere_grid(resolution)
+    assert grid_directions(resolution) == sphere_grid(resolution)
     position = {}
-    for i, (lam, mu, _) in enumerate(grid):
+    for i, (mu, _) in enumerate(grid):
         assert all(type(m) is int for m in mu)
-        assert list(mu) == [resolution * x for x in lam]
+        assert max(map(abs, mu)) == resolution
         position[mu] = i
+    assert len(position) == len(grid)
     evaluated = 0
-    for i, (lam, mu, evaluate) in enumerate(grid):
+    for i, (mu, evaluate) in enumerate(grid):
         antipode = position[tuple(-m for m in mu)]
         # exactly one of the pair is evaluated: the one that comes first
         assert evaluate == (i < antipode)
-        assert evaluate != grid[antipode][2]
+        assert evaluate != grid[antipode][1]
         evaluated += evaluate
     assert 2 * evaluated == len(grid)
 
@@ -201,8 +230,11 @@ def test_brackets_and_fields_match_dense_products(n):
         S = rational_symmetric(10 * n + seed, 4 * n)
         g = GroupSpec(n, S)
         expected = reference_brackets(S, n)
-        assert g.B == expected
-        assert all(type(x) is Fraction for b in g.B for row in b for x in row)
+        den, brackets = g.integer_brackets
+        assert den == math.lcm(*(x.denominator for row in g.S for x in row))
+        assert all(type(x) is int for b in brackets for row in b for x in row)
+        assert tuple(tuple(tuple(Fraction(x, den) for x in row) for row in b)
+                     for b in brackets) == expected
         variables = g.vars
         fields = horizontal_fields(g)
         for beta in range(3):
@@ -212,6 +244,141 @@ def test_brackets_and_fields_match_dense_products(n):
                 for a in range(4 * n):
                     want = want + Poly.var(variables, f"x{a+1}", 2 * si[a][b])
                 assert fld.coeffs.get(f"t{beta+1}", Poly.zero(variables)) == want
+
+
+# -- the one integer view (den, den S) against the Fraction bracket matrices --------------
+
+
+def bareiss_det(m):
+    """det of a square int matrix by fraction-free elimination (Bareiss 1968)."""
+    m = [list(row) for row in m]
+    size, sign, prev = len(m), 1, 1
+    for k in range(size - 1):
+        if not m[k][k]:
+            swap = next((i for i in range(k + 1, size) if m[i][k]), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        for i in range(k + 1, size):
+            for j in range(k + 1, size):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[-1][-1] if size else 1
+
+
+def reference_curvature_entry(g, a, b):
+    """E_ab from the Fraction blocks of S, term by term."""
+    s = s_block(g, a // 2, b // 2)
+    if a % 2 == 0 and b % 2 == 0:
+        return ComplexRational(s[2][0] - s[0][2] - s[3][1] + s[1][3],
+                               -(s[0][3] - s[3][0] + s[1][2] - s[2][1]))
+    if a % 2 == 1 and b % 2 == 1:
+        return reference_curvature_entry(g, a - 1, b - 1).conjugate()
+    if a % 2 == 0 and b % 2 == 1:
+        return ComplexRational(s[0][0] + s[1][1] + s[2][2] + s[3][3],
+                               s[3][2] - s[2][3] - s[0][1] + s[1][0])
+    return -reference_curvature_entry(g, b, a)
+
+
+def _scaled(S, den):
+    return [[Fraction(x) / den for x in row] for row in S]
+
+
+def _view_case(name):
+    kind, n = name.rsplit("-", 1)
+    n = int(n)
+    if kind == "half-leftQH":  # den S = 2, and B = Ibeta is an integer matrix
+        return GroupSpec(n, _scaled(GroupSpec.left_qh(n).S, 2))
+    if kind == "sixth-leftQH-plus-dense":  # den S = 6, and 3 B is an integer matrix
+        D = SectionGenerator(50 + n).symmetric_matrix(4 * n)
+        return GroupSpec(n, [[Fraction(int(i == j), 6) + Fraction(x, 3) for j, x in enumerate(row)]
+                             for i, row in enumerate(D)])
+    if kind == "half-witness":  # grid zeros, and B^2 = B^3 = 0: not stratified
+        return GroupSpec(n, _scaled(block_diag(((-1, 0, 0, 0), (0, -1, 0, 0), (0, 0, 1, 0),
+                                                (0, 0, 0, 1)), n), 2))
+    if kind == "half-block":  # S = blockdiag(Id, 0) / 2: det vanishes identically
+        return GroupSpec(n, [[Fraction(int(i == j < 4), 2) for j in range(4 * n)]
+                             for i in range(4 * n)])
+    if kind == "rightQH-over-3":
+        return GroupSpec(n, _scaled(GroupSpec.right_qh(n).S, 3))
+    if kind == "dense-over-6":
+        return GroupSpec(n, _scaled(SectionGenerator(60 + n).symmetric_matrix(4 * n), 6))
+    if kind == "right-over-6":
+        return GroupSpec(n, _scaled(SectionGenerator(70 + n).right_type_matrix(n), 6))
+    assert kind == "phi-file"
+    # a potential record as ``cfx classify --file`` reads it
+    rng = random.Random(80 + n)
+    terms = []
+    for a in range(4 * n):
+        for b in range(a, 4 * n):
+            expo = [0] * (4 * n)
+            expo[a] += 1
+            expo[b] += 1
+            terms.append({"c": f"{rng.randint(-5, 5)}/{rng.choice([1, 2, 3, 6])}", "e": expo})
+    record = {"vars": [f"x{i + 1}" for i in range(4 * n)], "terms": terms}
+    return group_from_phi(Poly.from_json(record))
+
+
+VIEW_CASES = [f"{kind}-{n}" for kind in ("half-leftQH", "sixth-leftQH-plus-dense",
+                                         "rightQH-over-3", "dense-over-6", "right-over-6")
+              for n in (1, 2, 3)]
+VIEW_CASES += ["half-witness-1", "half-witness-3", "half-block-2", "phi-file-1", "phi-file-2"]
+
+
+def test_view_cases_include_groups_whose_brackets_have_a_smaller_denominator():
+    # there den S is not the lcm of the denominators of B, and the integer
+    # brackets are a larger multiple of B than the Fraction route gave
+    differ = set()
+    for name in VIEW_CASES:
+        g = _view_case(name)
+        den_b = math.lcm(*(x.denominator for b in reference_brackets(g.S, g.n)
+                           for row in b for x in row))
+        assert g.integer_S[0] > 1 and g.integer_S[0] % den_b == 0
+        if g.integer_S[0] != den_b:
+            differ.add(name.rsplit("-", 1)[0])
+    assert differ == {"half-leftQH", "sixth-leftQH-plus-dense", "half-witness", "half-block"}
+
+
+@pytest.mark.parametrize("name", VIEW_CASES)
+def test_integer_view_matches_the_fraction_brackets(name):
+    g = _view_case(name)
+    brackets = reference_brackets(g.S, g.n)
+    size = 4 * g.n
+    assert is_right_type(g) == reference_is_right_type(g)
+    rows = [[b[a][c] for b in brackets] for a in range(size) for c in range(a + 1, size)]
+    assert is_stratified(g) == (minor_rank(rows) == 3)
+    for X, Y in zip(horizontal_fields(g), reference_horizontal_fields(g), strict=True):
+        assert list(X.coeffs) == list(Y.coeffs)
+        for v, p in X.coeffs.items():
+            assert p == Y.coeffs[v] and list(p.num.items()) == list(Y.coeffs[v].num.items())
+    for a in range(2 * g.n):
+        for b in range(2 * g.n):
+            assert curvature_entry(g, a, b) == reference_curvature_entry(g, a, b)
+    # the pencil det on the Fraction brackets, cleared of their own denominators
+    q = math.lcm(*(x.denominator for b in brackets for row in b for x in row))
+    ints = [[[int(x * q) for x in row] for row in b] for b in brackets]
+    for resolution in (2, 3, 4, 5):
+        grid = sphere_grid(resolution)
+
+        def sample(lam):
+            mu = [int(x * resolution) for x in lam]
+            return bareiss_det([[sum(m * b[i][j] for m, b in zip(mu, ints))
+                                 for j in range(size)] for i in range(size)])
+
+        values = dict(zip(grid, map(sample, grid)))
+        if g.n == 1:
+            assert all((values[lam] == 0) == (reference_det(brackets, lam) == 0)
+                       for lam in grid)
+        sampled = reference_condition_H(grid, resolution, values.get)
+        assert check_condition_H(g, "sampled", resolution) == sampled
+        if any(values.values()):
+            # det is not the zero polynomial, so it is a form of degree 4n
+            exact = sampled if "witness" in sampled else dict(sampled, det_degree=size)
+        else:
+            exact = reference_condition_H(grid, resolution, values.get,
+                                          cofactor_det(fraction_pencil(brackets)))
+        assert check_condition_H(g, "exact", resolution) == exact
 
 
 def test_asymmetric_S_is_rejected():
@@ -346,7 +513,7 @@ def test_form_is_the_determinant_times_one_positive_constant(name, resolution):
     c = scale_of([(form_at(form, lam), reference_pf(brackets, lam)) for lam in grid])
     c_det = scale_of([(form_at(form, lam) ** 2, central_pairing_det(g, lam)) for lam in grid])
     value = groups._form_evaluator(form)
-    for lam, mu, _ in groups._direction_grid(resolution):
+    for mu, _ in groups._direction_grid(resolution):
         assert value(mu) == form_at(form, mu)
     if c is None:
         assert c_det is None
@@ -367,8 +534,7 @@ def test_form_coefficients_are_the_symbolic_determinant_times_the_constant(name)
     assert all(sum(e) == size for e in (det_poly.terms if det_poly else ()))
     c = scale_of(coefficient_pairs(form * form, det_poly))
     assert (c is None) == (not det_poly)
-    pencil = [[sum((Poly.var(LAM, v, b[i][j]) for v, b in zip(LAM, g.B)), Poly.zero(LAM))
-               for j in range(size)] for i in range(size)]
+    pencil = fraction_pencil(reference_brackets(g.S, g.n))
     root = scale_of(coefficient_pairs(form, expansion_pfaffian(pencil)))
     assert (root is None) == (c is None)
     assert c is None or (root > 0 and root * root == c)
@@ -400,7 +566,7 @@ def test_one_nonzero_lattice_value_is_never_a_zero_pencil(monkeypatch, n):
     g = GroupSpec.right_qh(n)
     d = 2 * n
     grid = sphere_grid(4)
-    directions = [mu for _, mu, _ in groups._direction_grid(4)]
+    directions = [mu for mu, _ in groups._direction_grid(4)]
     for u0 in range(d + 1):
         for w0 in range(d + 1 - u0):
             pf = lattice_lagrange(d, u0, w0)

@@ -45,7 +45,28 @@ def group_to_json(g: GroupSpec) -> dict:
     return {"n": g.n, "S": [[str(x) for x in row] for row in g.S]}
 
 
-# -- references: the group law, the bracket blocks and the bracket table ---------------
+# -- references: the bracket matrices, the group law and the bracket table -------------
+
+
+def reference_brackets(S, n) -> tuple:
+    """The Fraction bracket matrices B^beta = S Ibeta + Ibeta S, by dense products."""
+    S = mat(S)
+    out = []
+    for beta in range(3):
+        ib = block_diag(I_MATS[beta], n)
+        out.append(mat_add(mat_mul(S, ib), mat_mul(ib, S)))
+    return tuple(out)
+
+
+def package_brackets(g) -> tuple:
+    """The package's bracket matrices, ``integer_brackets`` over its den, as Fractions."""
+    den, brackets = g.integer_brackets
+    return tuple(tuple(tuple(Fraction(x, den) for x in row) for row in b) for b in brackets)
+
+
+def s_block(g, l, m) -> tuple:
+    """The 4x4 block (l, m) of S."""
+    return tuple(tuple(g.S[4 * l + i][4 * m + j] for j in range(4)) for i in range(4))
 
 
 def representations_commute() -> bool:
@@ -55,8 +76,8 @@ def representations_commute() -> bool:
     )
 
 
-def b_block(g, beta, l, m):
-    return tuple(tuple(g.B[beta][4 * l + i][4 * m + j] for j in range(4))
+def b_block(brackets, beta, l, m):
+    return tuple(tuple(brackets[beta][4 * l + i][4 * m + j] for j in range(4))
                  for i in range(4))
 
 
@@ -69,8 +90,9 @@ def multiply(g, p, q):
         raise ValueError(f"points must have {size}+3 coordinates")
     out_x = tuple(Fraction(a) + Fraction(b) for a, b in zip(x, y))
     out_t = []
+    brackets = reference_brackets(g.S, g.n)
     for beta in range(3):
-        twist = sum(Fraction(x[a]) * g.B[beta][a][b] * Fraction(y[b])
+        twist = sum(Fraction(x[a]) * brackets[beta][a][b] * Fraction(y[b])
                     for a in range(size) for b in range(size))
         out_t.append(Fraction(t[beta]) + Fraction(s[beta]) + 2 * twist)
     return out_x + tuple(out_t)
@@ -84,6 +106,7 @@ def inverse(p):
 def bracket_table_matches(g) -> bool:
     """[X_a, X_b] must equal 2 sum_beta B^beta_{ab} d_{t_beta}, exactly."""
     fields = horizontal_fields(g)
+    brackets = reference_brackets(g.S, g.n)
     variables = g.vars
     size = 4 * g.n
     for a in range(size):
@@ -91,7 +114,7 @@ def bracket_table_matches(g) -> bool:
             lhs = fields[a].commutator(fields[b])
             expected = {}
             for beta in range(3):
-                c = 2 * g.B[beta][a][b]
+                c = 2 * brackets[beta][a][b]
                 if c:
                     expected[f"t{beta+1}"] = Poly.const(variables, ComplexRational(c))
             rhs = FirstOrderOp(variables, expected)
@@ -116,18 +139,19 @@ def random_group(gen, n):
 def test_bracket_matrices_skew(seed):
     gen = SectionGenerator(seed)
     g = random_group(gen, 2)
-    for beta in range(3):
-        assert mat_eq(tuple(zip(*g.B[beta])), mat_neg(g.B[beta]))
+    for b in g.integer_brackets[1]:
+        assert mat_eq(tuple(zip(*b)), mat_neg(b))
 
 
 def test_block_identity():
     gen = SectionGenerator(13)
     g = random_group(gen, 2)
+    brackets = package_brackets(g)
     for beta in range(3):
         for l in range(2):
             for m in range(2):
-                blk = b_block(g, beta, l, m)
-                s = g.s_block(l, m)
+                blk = b_block(brackets, beta, l, m)
+                s = s_block(g, l, m)
                 i = mat(I_MATS[beta])
                 expected = mat_add(mat_mul(i, s), mat_mul(s, i))
                 assert mat_eq(blk, expected)
@@ -137,14 +161,14 @@ def test_first_bracket_block_entrywise():
     # frozen entrywise formula for the first bracket block in terms of S
     gen = SectionGenerator(3)
     g = random_group(gen, 1)
-    s = g.s_block(0, 0)
+    s = s_block(g, 0, 0)
     expected = (
         (s[1][0] - s[0][1], s[1][1] + s[0][0], s[1][2] + s[0][3], s[1][3] - s[0][2]),
         (-s[0][0] - s[1][1], -s[0][1] + s[1][0], -s[0][2] + s[1][3], -s[0][3] - s[1][2]),
         (-s[3][0] - s[2][1], -s[3][1] + s[2][0], -s[3][2] + s[2][3], -s[3][3] - s[2][2]),
         (s[2][0] - s[3][1], s[2][1] + s[3][0], s[2][2] + s[3][3], s[2][3] - s[3][2]),
     )
-    assert mat_eq(b_block(g, 0, 0, 0), mat(expected))
+    assert mat_eq(b_block(package_brackets(g), 0, 0, 0), mat(expected))
 
 
 def _span_decompose(block):
@@ -168,11 +192,12 @@ def _span_decompose(block):
 
 def reference_is_right_type(g):
     """is_right_type on the Fraction blocks of B, by ``_span_decompose``."""
+    brackets = reference_brackets(g.S, g.n)
     offending = []
     for beta in range(3):
         for l in range(g.n):
             for m in range(g.n):
-                _, residual = _span_decompose(b_block(g, beta, l, m))
+                _, residual = _span_decompose(b_block(brackets, beta, l, m))
                 if not mat_is_zero(residual):
                     offending.append({
                         "l": l, "m": m, "beta": beta + 1,
@@ -220,10 +245,10 @@ def test_integer_right_type_matches_reference_on_a_potential():
 
 def test_diagonal_blocks_have_no_identity_component():
     gen = SectionGenerator(5)
-    g = random_group(gen, 3)
+    brackets = package_brackets(random_group(gen, 3))
     for beta in range(3):
         for l in range(3):
-            coeffs, _ = _span_decompose(b_block(g, beta, l, l))
+            coeffs, _ = _span_decompose(b_block(brackets, beta, l, l))
             assert coeffs[3] == 0
 
 
@@ -243,7 +268,7 @@ def four_conditions(s) -> tuple:
 
 def is_right_type_via_conditions(g: GroupSpec) -> bool:
     """Reference: the four linear conditions hold on every 4x4 block of S."""
-    return not any(any(four_conditions(g.s_block(l, m)))
+    return not any(any(four_conditions(s_block(g, l, m)))
                    for l in range(g.n) for m in range(g.n))
 
 
@@ -289,9 +314,9 @@ def test_curvature_route_matches_the_four_conditions_one_violation_at_a_time():
                             S[4 * m + j][4 * l] += eps
                         g = GroupSpec(n, tuple(map(tuple, S)))
                         failed = [(bl, bm) for bl in range(n) for bm in range(n)
-                                  if any(four_conditions(g.s_block(bl, bm)))]
+                                  if any(four_conditions(s_block(g, bl, bm)))]
                         assert set(failed) == {(l, m), (m, l)}
-                        assert sum(map(bool, four_conditions(g.s_block(l, m)))) == 1
+                        assert sum(map(bool, four_conditions(s_block(g, l, m)))) == 1
                         assert not is_right_type_via_conditions(g)
                         assert not is_right_type_via_E(g)
                         assert not is_right_type(g)[0]
@@ -316,7 +341,7 @@ def test_group_from_phi_right_structure():
     # bracket matrices proportional (negatively) to the second block family
     for beta in range(3):
         expected = mat_scale(block_diag(J_MATS[beta], 2), -2)
-        assert mat_eq(g.B[beta], expected)
+        assert mat_eq(package_brackets(g)[beta], expected)
     assert is_right_type(g)[0]
     assert mat_eq(g.S, GroupSpec.right_qh(2).S)
 
@@ -328,13 +353,13 @@ def test_group_from_phi_squared_norm():
         phi = phi + Poly.var(v, f"x{i}") * Poly.var(v, f"x{i}")
     g = group_from_phi(phi)
     for beta in range(3):
-        assert mat_eq(g.B[beta], mat_scale(mat(I_MATS[beta]), 2))
+        assert mat_eq(package_brackets(g)[beta], mat_scale(mat(I_MATS[beta]), 2))
     assert not is_right_type(g)[0]
 
 
 def test_group_from_phi_zero_and_errors():
     v = x_vars(4)
-    assert mat_is_zero(group_from_phi(Poly.zero(v)).B[0])
+    assert all(map(mat_is_zero, package_brackets(group_from_phi(Poly.zero(v)))))
     with pytest.raises(ValueError, match="homogeneous quadratic"):
         group_from_phi(Poly.var(v, "x1"))
     cubic = Poly.var(v, "x1") * Poly.var(v, "x1") * Poly.var(v, "x2")
@@ -423,7 +448,8 @@ def test_group_from_phi_reads_the_hessian_off_the_coefficients():
                 assert str(got.value) == str(exc)
             continue
         got = group_from_phi(phi)
-        assert got.n == want.n and got.S == want.S and got.B == want.B
+        assert got.n == want.n and got.S == want.S
+        assert got.integer_brackets == want.integer_brackets
         checked += 1
     assert checked >= 225 and invalid >= 60
 
@@ -510,8 +536,9 @@ def test_stratified():
     assert not is_stratified(GroupSpec.abelian(1))
     # diag(-1,-1,1,1) has only the first bracket matrix nonzero
     g = GroupSpec(1, ((-1, 0, 0, 0), (0, -1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)))
-    assert mat_is_zero(g.B[1]) and mat_is_zero(g.B[2])
-    assert not mat_is_zero(g.B[0])
+    b1, b2, b3 = package_brackets(g)
+    assert mat_is_zero(b2) and mat_is_zero(b3)
+    assert not mat_is_zero(b1)
     assert not is_stratified(g)
 
 
@@ -580,7 +607,7 @@ def test_group_law_commutator_matches_brackets():
     qp = multiply(g, e2, e1)
     comm = multiply(g, pq, inverse(qp))
     assert comm[:4] == (0, 0, 0, 0)
-    assert comm[4:] == (4 * g.B[0][0][1], 4 * g.B[1][0][1], 4 * g.B[2][0][1])
+    assert comm[4:] == tuple(4 * b[0][1] for b in package_brackets(g))
 
 
 def test_classify_payload():

@@ -464,6 +464,39 @@ def test_condition_h_runs_on_ints(monkeypatch):
     assert verdicts == ["sampled-true"] * 4 + ["false"] * 2
 
 
+def test_groups_are_read_through_one_integer_view(monkeypatch):
+    # from a validated Fraction S on, a group takes no Fraction arithmetic:
+    # its brackets, classification, tangent frame and the condition-H grid
+    # all read (den, den S)
+    from cfx import groups
+    from cfx.boundary import TangentFrame
+    from cfx.groups import GroupSpec, classify
+    from cfx.randgen import SectionGenerator
+
+    gen = SectionGenerator(11)
+    matrices = [[[x / 6 for x in row] for row in S]
+                for S in (gen.symmetric_matrix(8), gen.right_type_matrix(2))]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("Fraction arithmetic on a group's path")
+
+    for name in ("add", "sub", "mul", "truediv", "pow"):
+        for prefix in ("__", "__r"):
+            monkeypatch.setattr(Fraction, f"{prefix}{name}__", forbidden)
+    groups._direction_grid.cache_clear()
+    assert len(groups._direction_grid(4)) == 9 ** 3 - 7 ** 3
+    right = []
+    for S in matrices:
+        g = GroupSpec(2, S)
+        assert g.integer_S[0] == 6
+        result = classify(g, "exact")
+        assert result["routes_agree"]
+        frame = TangentFrame(g)
+        assert frame.right_type == result["right_type"]
+        right.append(frame.right_type)
+    assert right == [False, True]
+
+
 # names the benchmark tooling still asks for although the package no longer
 # has them: predictions for deleted functions and wrap-table entries for
 # deleted methods.  A change that deletes or renames a predicted or wrapped

@@ -8,7 +8,8 @@ from itertools import combinations
 
 import pytest
 
-from cfx.groups import GroupSpec, sphere_grid
+from cfx import groups
+from cfx.groups import GroupSpec
 from cfx.linalg import bareiss, pfaffian
 from cfx.poly import Poly
 from cfx.randgen import SectionGenerator
@@ -83,9 +84,14 @@ def central_pairing_det(g, lam):
 
 
 def symbolic_pairing_det(g):
-    """det( sum lam_beta B^beta ) in lam1..lam3 by ``cofactor_det`` (0 when it vanishes)."""
+    """det( sum lam_beta B^beta ) in lam1..lam3 by ``cofactor_det`` (0 when it vanishes).
+
+    B^beta is (den B^beta) / den from ``integer_brackets``.
+    """
     size = 4 * g.n
-    pencil = [[sum((Poly.var(LAM, v, b[i][j]) for v, b in zip(LAM, g.B)), Poly.zero(LAM))
+    den, brackets = g.integer_brackets
+    pencil = [[sum((Poly.var(LAM, v, Fraction(b[i][j], den)) for v, b in zip(LAM, brackets)),
+                   Poly.zero(LAM))
                for j in range(size)] for i in range(size)]
     return cofactor_det(pencil)
 
@@ -301,8 +307,9 @@ def test_central_pairing_det_matches_symbolic_determinant(name, n):
     group = _group(name, n)
     det_poly = symbolic_pairing_det(group)
     assert is_homogeneous(det_poly, 4 * n)
-    for lam in sphere_grid(4):
-        assert central_pairing_det(group, lam) == eval_exact(det_poly, list(lam)).re
+    for mu, _ in groups._direction_grid(4):
+        lam = [Fraction(x, 4) for x in mu]
+        assert central_pairing_det(group, lam) == eval_exact(det_poly, lam).re
 
 
 def test_cofactor_det_over_polynomials():

@@ -119,7 +119,9 @@ def symbol_at(spec: ComplexSpec, j: int, v: Sequence) -> list:
     """Rows of the level-j symbol matrix at q v in the enumerated bases.
 
     q is the least common denominator of v, so q v is an integer covector
-    and every entry is a Gaussian integer, given as an ``(re, im)`` int pair.
+    and every entry is a Gaussian integer.  Each row, one per basis element
+    of level j + 1, is a sparse ``{column: (re, im)}`` dict of int pairs
+    that holds no ``(0, 0)``, the rows ``linalg.bareiss`` takes.
     The symbol is homogeneous in v of order ord (2 at j = k, 1 elsewhere), so
     the matrix is q^ord times the symbol at v and has the same rank.  The
     two covector 1-forms w_{a'} come from ``ComplexSpec.covector_table``; each
@@ -137,7 +139,7 @@ def symbol_at(spec: ComplexSpec, j: int, v: Sequence) -> list:
     in_basis = _level_basis(spec, j)
     out_basis = _level_basis(spec, j + 1)
     out_pos = {key: i for i, key in enumerate(out_basis)}
-    matrix = [[(0, 0)] * len(in_basis) for _ in out_basis]
+    matrix = [{} for _ in out_basis]
     for col, (a, idx) in enumerate(in_basis):
         if j == k:
             image = {}
@@ -160,8 +162,9 @@ def symbol_at(spec: ComplexSpec, j: int, v: Sequence) -> list:
 
 
 def rank_exact(rows: list) -> int:
-    """Exact rank of a matrix of Gaussian integers given as ``(re, im)`` int
-    pairs, such as the rows ``symbol_at`` returns: the rank ``bareiss`` returns."""
+    """Exact rank of a matrix of Gaussian integers given as sparse
+    ``{column: (re, im)}`` rows, such as ``symbol_at`` returns: the rank
+    ``bareiss`` returns."""
     return bareiss(rows)
 
 

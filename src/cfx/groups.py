@@ -317,8 +317,8 @@ def is_stratified(g: GroupSpec) -> bool:
     """Brackets span the full 3-dimensional center."""
     _, (b1, b2, b3) = g.integer_brackets
     size = 4 * g.n
-    rows = [((b1[a][b], 0), (b2[a][b], 0), (b3[a][b], 0))
-            for a in range(size) for b in range(a + 1, size)]
+    rows = [{beta: (b[a][c], 0) for beta, b in enumerate((b1, b2, b3)) if b[a][c]}
+            for a in range(size) for c in range(a + 1, size)]
     return bareiss(rows) == 3
 
 

@@ -2,66 +2,94 @@
 
 ``bareiss`` gives ranks: fraction-free elimination over the Gaussian
 integers (Bareiss, Math. Comp. 22, 1968; Nakos, Turner and Williams,
-SIGSAM Bull. 31(3), 1997).  ``pfaffian`` gives the Pfaffian of a skew
-integer matrix, the square root of its determinant that the central
-pairing of a group needs, by the same fraction-free scheme taken two
-rows and columns at a time.  Callers clear denominators first.
+SIGSAM Bull. 31(3), 1997) on sparse rows, ``{column: (re, im)}`` dicts,
+so that a step costs the entries of the rows it touches, not the whole
+matrix: the symbol matrices are mostly zeros.  ``pfaffian`` gives the
+Pfaffian of a skew integer matrix, the square root of its determinant
+that the central pairing of a group needs, by the same fraction-free
+scheme taken two rows and columns at a time.  Callers clear denominators
+first.
 """
 
 from __future__ import annotations
 
 
 def bareiss(rows) -> int:
-    """Rank of a matrix of Gaussian integers, given as ``(re, im)`` int pairs.
+    """Rank of a sparse matrix of Gaussian integers: rows given as
+    ``{column: (re, im)}`` int-pair dicts that hold no ``(0, 0)`` entry.
 
-    Forward elimination with row swaps that skips columns without a pivot.
-    With p the pivot, f a lower row's entry in the pivot column, y the pivot
-    row's entry in column c and p' the previous pivot (1 at first), the
-    lower row's entry x in column c becomes (p x - f y) / p'.  The quotient
-    is exact, since the new entry is a minor of the input; it is taken as a
-    product with the conjugate of p' and a floor division by the norm of p',
-    so every entry stays a Gaussian integer.  The rank is the number of
-    pivots.  The input is left unchanged.
+    Fraction-free elimination.  With p the pivot, f a row's entry in the
+    pivot column, y the pivot row's entry in column c and p' the previous
+    pivot (1 at first), the row's entry x in column c becomes
+    (p x - f y) / p'; the quotient is exact, since the new entry is a minor
+    of the input, and it is taken as a product with the conjugate of p' and
+    a floor division by the norm of p', so every entry stays a Gaussian
+    integer.  A step touches only the rows with an entry in the pivot
+    column.  Every other row would only be multiplied by p / p', so it
+    keeps its entries and the step s it was last brought up to date at:
+    its next update divides by the pivot of step s in place of p', and a
+    pivot row is first multiplied once by the latest pivot over that one.
+    Each step pivots in a column with the fewest live rows, on one of them
+    with the fewest entries, which keeps the fill-in small; any row and
+    column order gives the same rank, the number of pivots.  The input is
+    left unchanged.
     """
-    re = [[x for x, _ in row] for row in rows]
-    im = [[y for _, y in row] for row in rows]
-    size = len(re)
-    cols = len(re[0]) if re else 0
-    rank = 0
-    pr, pi = 1, 0  # the previous pivot
-    for col in range(cols):
-        if rank == size:
-            break
-        pivot = next((r for r in range(rank, size) if re[r][col] or im[r][col]), None)
-        if pivot is None:
-            continue
-        if pivot != rank:
-            re[rank], re[pivot] = re[pivot], re[rank]
-            im[rank], im[pivot] = im[pivot], im[rank]
-        yre, yim = re[rank], im[rank]
-        norm = pr * pr + pi * pi
-        # p and f times the conjugate of p'
-        ar = yre[col] * pr + yim[col] * pi
-        ai = yim[col] * pr - yre[col] * pi
-        for r in range(rank + 1, size):
-            xre, xim = re[r], im[r]
-            fr = xre[col] * pr + xim[col] * pi
-            fi = xim[col] * pr - xre[col] * pi
-            if fr or fi:
-                for c in range(col + 1, cols):
-                    xr, xi, yr, yi = xre[c], xim[c], yre[c], yim[c]
-                    if xr or xi or yr or yi:
-                        xre[c] = (ar * xr - ai * xi - fr * yr + fi * yi) // norm
-                        xim[c] = (ar * xi + ai * xr - fr * yi - fi * yr) // norm
-            else:  # f = 0: the row is only rescaled, and its zeros stay
-                for c in range(col + 1, cols):
-                    xr, xi = xre[c], xim[c]
-                    if xr or xi:
-                        xre[c] = (ar * xr - ai * xi) // norm
-                        xim[c] = (ar * xi + ai * xr) // norm
-        pr, pi = yre[col], yim[col]
-        rank += 1
-    return rank
+    # each live row with the step it was last brought up to date at
+    live = [(row, 0) for row in rows if row]
+    counts = {}  # per column, the live rows with an entry there
+    for row in rows:
+        for c in row:
+            counts[c] = counts.get(c, 0) + 1
+    steps = [(1, 0)]  # the pivot of each step, 1 before the first
+    while counts:
+        col = min(counts, key=counts.get)
+        hits = [r for r, (x, _) in enumerate(live) if col in x]
+        top = min(hits, key=lambda r: len(live[r][0]))
+        rank = len(steps) - 1
+        y, s = live[top]
+        for c in y:
+            counts[c] -= 1
+        if s != rank:  # the pivot row times the latest pivot over its own
+            tr, ti = steps[rank]
+            sr, si = steps[s]
+            norm = sr * sr + si * si
+            ar, ai = tr * sr + ti * si, ti * sr - tr * si
+            y = {c: ((ar * xr - ai * xi) // norm, (ar * xi + ai * xr) // norm)
+                 for c, (xr, xi) in y.items()}
+        pr, pi = y[col]
+        rest = []
+        for r, (x, s) in enumerate(live):
+            f = x.get(col)
+            if f is None:
+                rest.append((x, s))
+                continue
+            if r == top:
+                continue
+            sr, si = steps[s]
+            norm = sr * sr + si * si
+            # p and f times the conjugate of the pivot of step s
+            ar, ai = pr * sr + pi * si, pi * sr - pr * si
+            fr, fi = f[0] * sr + f[1] * si, f[1] * sr - f[0] * si
+            new = {}
+            for c, (yr, yi) in y.items():
+                if c != col:
+                    xr, xi = x.get(c, (0, 0))
+                    re = (ar * xr - ai * xi - fr * yr + fi * yi) // norm
+                    im = (ar * xi + ai * xr - fr * yi - fi * yr) // norm
+                    if re or im:
+                        new[c] = (re, im)
+            for c, (xr, xi) in x.items():
+                counts[c] -= 1
+                if c not in y:  # f y has no entry there: x times p / p'
+                    new[c] = ((ar * xr - ai * xi) // norm, (ar * xi + ai * xr) // norm)
+            for c in new:
+                counts[c] += 1
+            if new:
+                rest.append((new, rank + 1))
+        live = rest
+        steps.append((pr, pi))
+        counts = {c: m for c, m in counts.items() if m}
+    return len(steps) - 1
 
 
 def pfaffian(rows) -> int:

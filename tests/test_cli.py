@@ -728,6 +728,34 @@ def test_huge_decimal_exponent_exits_2_at_once(monkeypatch, tmp_path, capsys, si
     assert "exponent" in err
 
 
+@pytest.mark.parametrize("v", [
+    "1e1000,3e1000,-7e1000,1,2,5e1000,1/3,9e1000,2e1000,-1e1000,4,1e1000",
+    "64,0,0,0,0,0,0,0,0,0,0,0",
+    # each entry is small, but q v = (1155, 770, 462, 330, 210, 0, ...)
+    "1/2,1/3,1/5,1/7,1/11,0,0,0,0,0,0,0",
+])
+def test_symbol_refuses_a_large_covector_before_any_work(monkeypatch, capsys, v):
+    # the ranks grow with the entries of q v: a covector above the limit
+    # exits 2 before a symbol matrix is built
+    import cfx.flat as flat
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("cfx symbol did work on a covector it must reject")
+
+    monkeypatch.setattr(flat, "symbol_at", forbidden)
+    code, out, err = run(capsys, "symbol", "--n", "2", "--k", "0", f"--v={v}")
+    _assert_input_error(code, out, err)
+    assert "above the configured limit 6" in err
+
+
+def test_symbol_accepts_a_covector_at_the_size_limit(capsys):
+    # q = 63 and q v = (63, -62, 1, 21, 0, ...): every entry fits in 6 bits
+    code, out, err = run(capsys, "symbol", "--n", "1", "--k", "1",
+                         "--v=1,-62/63,1/63,1/3,0,0,0,0")
+    assert code == 0 and err == ""
+    assert json.loads(out)["all_exact"]
+
+
 def test_ma_zero_input_has_zero_mass_and_fails(tmp_path, capsys):
     # three equal masses that are all 0 check nothing: the cutoff mass fails
     names = '["x1", "x2", "x3", "x4", "t1", "t2", "t3"]'

@@ -26,8 +26,8 @@ from cfx.randgen import SectionGenerator
 from cfx.rational import ComplexRational
 from test_groups import (reference_brackets, reference_horizontal_fields,
                          reference_is_right_type, s_block)
-from test_linalg import (LAM, central_pairing_det, cofactor_det, expansion_pfaffian,
-                         minor_rank, symbolic_pairing_det)
+from test_linalg import (LAM, bareiss_det, central_pairing_det, cofactor_det,
+                         expansion_pfaffian, minor_rank, symbolic_pairing_det)
 from test_poly import eval_exact, is_homogeneous, total_degree
 
 
@@ -60,9 +60,9 @@ def reference_det(brackets, lam):
     size = len(brackets[0])
     m = [[sum(Fraction(lam[beta]) * brackets[beta][i][j] for beta in range(3))
           for j in range(size)] for i in range(size)]
-    # cofactor expansion over ints: clear the common denominator, divide once
+    # elimination over ints: clear the common denominator, divide once
     den = math.lcm(*(x.denominator for row in m for x in row))
-    return Fraction(cofactor_det([[int(x * den) for x in row] for row in m]), den ** size)
+    return Fraction(bareiss_det([[int(x * den) for x in row] for row in m]), den ** size)
 
 
 def reference_pf(brackets, lam):
@@ -247,24 +247,6 @@ def test_brackets_and_fields_match_dense_products(n):
 
 
 # -- the one integer view (den, den S) against the Fraction bracket matrices --------------
-
-
-def bareiss_det(m):
-    """det of a square int matrix by fraction-free elimination (Bareiss 1968)."""
-    m = [list(row) for row in m]
-    size, sign, prev = len(m), 1, 1
-    for k in range(size - 1):
-        if not m[k][k]:
-            swap = next((i for i in range(k + 1, size) if m[i][k]), None)
-            if swap is None:
-                return 0
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        for i in range(k + 1, size):
-            for j in range(k + 1, size):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[-1][-1] if size else 1
 
 
 def reference_curvature_entry(g, a, b):

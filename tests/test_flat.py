@@ -1,8 +1,11 @@
+import math
+
 import pytest
 
 from cfx.boundary import ambient_frame, frak_d
 from cfx.exterior import ExtForm
 from cfx.flat import ComplexSpec, flat_D, flat_D_tuple
+from cfx.linalg import bareiss
 from cfx.poly import Poly, x_vars
 from cfx.randgen import SectionGenerator
 from cfx.rational import cq
@@ -270,11 +273,14 @@ def test_closed_sections_are_harmonic():
         for idx, coeff in image.comps.items():
             for expo, c in coeff.terms.items():
                 rows.setdefault((idx, expo), {})[col] = c
-    matrix = [[row.get(c, cq(0)) for c in range(len(unknowns))]
-              for row in rows.values()]
-    kernel = _kernel_exact(matrix)
+    rows = list(rows.values())
+    free, kernel = _kernel_exact(rows, len(unknowns))
     assert kernel, "expected nontrivial low-degree solutions"
+    # the free columns are as many as the sparse eliminator leaves
+    assert free == len(unknowns) - bareiss([_gaussian_row(row) for row in rows])
     for vec in kernel:
+        for row in rows:
+            assert sum((x * vec[c] for c, x in row.items()), cq(0)).is_zero()
         for slot in (0, 1):
             p = Poly.zero(V8)
             for col, (s, mono) in enumerate(unknowns):
@@ -299,32 +305,48 @@ def _monomials_up_to(variables, degree):
     return out
 
 
-def _kernel_exact(matrix):
-    if not matrix:
-        return []
-    rows, cols = len(matrix), len(matrix[0])
-    m = [row[:] for row in matrix]
+def _kernel_exact(rows, cols):
+    """(free column count, kernel vectors of the first 10 free columns) of a
+    ``ComplexRational`` matrix given as sparse ``{column: value}`` rows.
+
+    Gauss-Jordan elimination that works only on the nonzero entries: the
+    reduced row echelon form is unique, so each vector is the dense one.
+    """
+    m = [dict(row) for row in rows]
     pivots = []
-    rank = 0
     for col in range(cols):
-        pivot = next((r for r in range(rank, rows) if not m[r][col].is_zero()), None)
+        rank = len(pivots)
+        pivot = next((r for r in range(rank, len(m)) if col in m[r]), None)
         if pivot is None:
             continue
         m[rank], m[pivot] = m[pivot], m[rank]
         inv = cq(1) / m[rank][col]
-        m[rank] = [x * inv for x in m[rank]]
-        for r in range(rows):
-            if r != rank and not m[r][col].is_zero():
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[rank])]
+        y = m[rank] = {c: x * inv for c, x in m[rank].items()}
+        for r, x in enumerate(m):
+            if r != rank and col in x:
+                f = x[col]
+                new = dict(x)
+                for c, value in y.items():
+                    value = new.get(c, cq(0)) - f * value
+                    if value.is_zero():
+                        del new[c]
+                    else:
+                        new[c] = value
+                m[r] = new
         pivots.append(col)
-        rank += 1
     free = [c for c in range(cols) if c not in pivots]
     basis = []
     for fcol in free[:10]:
         vec = [cq(0)] * cols
         vec[fcol] = cq(1)
         for r, pcol in enumerate(pivots):
-            vec[pcol] = -m[r][fcol]
+            vec[pcol] = -m[r].get(fcol, cq(0))
         basis.append(vec)
-    return basis
+    return len(free), basis
+
+
+def _gaussian_row(row):
+    """A sparse ``ComplexRational`` row over the lcm of its denominators, as
+    the ``{column: (re, im)}`` int pairs that ``bareiss`` takes."""
+    den = math.lcm(*(part.denominator for x in row.values() for part in (x.re, x.im)))
+    return {c: (int(x.re * den), int(x.im * den)) for c, x in row.items()}

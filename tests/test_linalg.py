@@ -1,4 +1,9 @@
-"""Differential tests of the exact eliminators against brute-force oracles."""
+"""Differential tests of the exact eliminators against brute-force oracles.
+
+The dense fraction-free eliminators, ``dense_bareiss`` for ranks and
+``bareiss_det`` for int determinants, are the references for the sparse
+``linalg.bareiss`` and for the determinants the condition-H tests take.
+"""
 
 import math
 import random
@@ -7,6 +12,8 @@ from functools import cache
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cfx import groups
 from cfx.groups import GroupSpec
@@ -43,6 +50,76 @@ def cofactor_det(m):
     return minor(tuple(range(size)))
 
 
+def bareiss_det(m):
+    """det of a square int matrix by fraction-free elimination (Bareiss 1968)."""
+    m = [list(row) for row in m]
+    size, sign, prev = len(m), 1, 1
+    for k in range(size - 1):
+        if not m[k][k]:
+            swap = next((i for i in range(k + 1, size) if m[i][k]), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        for i in range(k + 1, size):
+            for j in range(k + 1, size):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[-1][-1] if size else 1
+
+
+def dense_bareiss(rows) -> int:
+    """Rank of a dense matrix of ``(re, im)`` int pairs, by fraction-free
+    elimination over the Gaussian integers: the reference for the sparse
+    ``linalg.bareiss``.
+
+    Forward elimination with row swaps that skips columns without a pivot.
+    With p the pivot, f a lower row's entry in the pivot column, y the pivot
+    row's entry in column c and p' the previous pivot (1 at first), the
+    lower row's entry x in column c becomes (p x - f y) / p', an exact
+    quotient taken as a product with the conjugate of p' and a floor
+    division by the norm of p'.
+    """
+    re = [[x for x, _ in row] for row in rows]
+    im = [[y for _, y in row] for row in rows]
+    size = len(re)
+    cols = len(re[0]) if re else 0
+    rank = 0
+    pr, pi = 1, 0  # the previous pivot
+    for col in range(cols):
+        if rank == size:
+            break
+        pivot = next((r for r in range(rank, size) if re[r][col] or im[r][col]), None)
+        if pivot is None:
+            continue
+        if pivot != rank:
+            re[rank], re[pivot] = re[pivot], re[rank]
+            im[rank], im[pivot] = im[pivot], im[rank]
+        yre, yim = re[rank], im[rank]
+        norm = pr * pr + pi * pi
+        # p and f times the conjugate of p'
+        ar = yre[col] * pr + yim[col] * pi
+        ai = yim[col] * pr - yre[col] * pi
+        for r in range(rank + 1, size):
+            xre, xim = re[r], im[r]
+            fr = xre[col] * pr + xim[col] * pi
+            fi = xim[col] * pr - xre[col] * pi
+            for c in range(col + 1, cols):
+                xr, xi, yr, yi = xre[c], xim[c], yre[c], yim[c]
+                if xr or xi or yr or yi:
+                    xre[c] = (ar * xr - ai * xi - fr * yr + fi * yi) // norm
+                    xim[c] = (ar * xi + ai * xr - fr * yi - fi * yr) // norm
+        pr, pi = yre[col], yim[col]
+        rank += 1
+    return rank
+
+
+def sparse(rows):
+    """Dense rows of ``(re, im)`` pairs as the ``{column: (re, im)}`` dicts
+    that ``bareiss`` takes."""
+    return [{c: x for c, x in enumerate(row) if x != (0, 0)} for row in rows]
+
+
 def expansion_pfaffian(m):
     """Pfaffian by expansion along the first row, memoized by the indices left.
 
@@ -72,7 +149,7 @@ def central_pairing_det(g, lam):
     The determinant reference for condition H: the integer matrix
     sum_beta mu_beta (den B^beta), with mu = q lam and q the least common
     denominator of lam, is q den times the pairing matrix, and
-    ``cofactor_det`` expands it.
+    ``bareiss_det`` eliminates it.
     """
     den, brackets = g.integer_brackets
     lam = [Fraction(x) for x in lam]
@@ -80,7 +157,7 @@ def central_pairing_det(g, lam):
     m1, m2, m3 = (x.numerator * (q // x.denominator) for x in lam)
     m = [[m1 * a + m2 * b + m3 * c for a, b, c in zip(r1, r2, r3)]
          for r1, r2, r3 in zip(*brackets)]
-    return Fraction(cofactor_det(m), (q * den) ** (4 * g.n))
+    return Fraction(bareiss_det(m), (q * den) ** (4 * g.n))
 
 
 def symbolic_pairing_det(g):
@@ -160,48 +237,137 @@ def gaussian_rows(m):
 def test_bareiss_matches_brute_force(entry, seed):
     deficient = 0
     for m in cases(entry, seed):
-        rank = bareiss(gaussian_rows(m))
-        assert type(rank) is int and rank == minor_rank(m)
+        rows = gaussian_rows(m)
+        rank = bareiss(sparse(rows))
+        assert type(rank) is int and rank == minor_rank(m) == dense_bareiss(rows)
         deficient += len(m) == len(m[0]) and rank < len(m)
     assert deficient >= 10
 
 
 def test_bareiss_leaves_its_input_alone():
-    m = [[(2, 1), (1, 0)], [(4, 0), (3, -1)]]
-    copy = [row[:] for row in m]
-    assert bareiss(m) == 2
+    m = sparse([[(2, 1), (1, 0), (0, 0)], [(4, 0), (3, -1), (1, 1)], [(0, 0), (0, 0), (2, 0)]])
+    copy = [dict(row) for row in m]
+    assert bareiss(m) == 3
     assert m == copy
 
 
 def test_bareiss_edge_cases():
     zero = (0, 0)
-    assert bareiss([]) == 0
-    assert bareiss([[], [], []]) == 0
-    assert bareiss([[zero] * 3 for _ in range(3)]) == 0
-    with_zero_row = [[(1, 0), (2, 0)], [zero, zero]]
-    assert bareiss(with_zero_row) == 1
-    with_zero_col = [[zero, (1, 0)], [zero, (5, 0)], [zero, (-1, 0)]]
-    assert bareiss(with_zero_col) == 1
-    assert bareiss([[(0, 1)]]) == 1
-    # a zero leading entry takes a row swap
-    assert bareiss([[zero, (1, 0)], [(1, 0), zero]]) == 2
+    for m, rank in [([], 0), ([[], [], []], 0), ([[zero] * 3 for _ in range(3)], 0),
+                    ([[(1, 0), (2, 0)], [zero, zero]], 1),  # a zero row
+                    ([[zero, (1, 0)], [zero, (5, 0)], [zero, (-1, 0)]], 1),  # a zero column
+                    ([[(0, 1)]], 1),
+                    ([[zero, (1, 0)], [(1, 0), zero]], 2)]:  # a zero leading entry
+        assert bareiss(sparse(m)) == dense_bareiss(m) == rank
+
+
+def gaussian_product(a, b):
+    """Product of two matrices of (re, im) int pairs."""
+    return [[(sum(x[0] * y[0] - x[1] * y[1] for x, y in zip(row, col)),
+              sum(x[0] * y[1] + x[1] * y[0] for x, y in zip(row, col)))
+             for col in zip(*b)] for row in a]
+
+
+def gaussian_cases(seed):
+    """Seeded Gaussian-integer matrices of 0 to 40 rows and columns.
+
+    Dense and sparse ones and low-rank products of sparse factors, each
+    given a zero row, a zero column, a duplicated row or a row scaled by a
+    Gaussian integer in turns; the entries are not real, so that every
+    pivot is checked with its conjugate.
+    """
+    rng = random.Random(seed)
+
+    def draw(rows, cols, density):
+        return [[(rng.randint(-3, 3), rng.randint(-3, 3)) if rng.random() < density else (0, 0)
+                 for _ in range(cols)] for _ in range(rows)]
+
+    out = [[], [[]], draw(40, 40, 0.9), draw(40, 40, 0.1)]
+    for case in range(80):
+        rows, cols = rng.randint(1, 40), rng.randint(1, 40)
+        if case % 2:
+            # sparse factors: rows that no step touches for a while, then pivot
+            density = rng.choice([0.1, 0.2, 0.3])
+            inner = rng.randint(1, min(rows, cols))
+            m = gaussian_product(draw(rows, inner, density), draw(inner, cols, density))
+        else:
+            m = draw(rows, cols, rng.choice([0.05, 0.15, 0.4, 0.9]))
+        r = rng.randrange(rows)
+        if case % 4 == 0:
+            m[r] = [(0, 0)] * cols
+        elif case % 4 == 1:
+            c = rng.randrange(cols)
+            m = [row[:c] + [(0, 0)] + row[c + 1:] for row in m]
+        elif case % 4 == 2:
+            m.insert(rng.randint(0, rows), m[r][:])
+        else:
+            ar, ai = rng.choice([(2, 1), (0, -3), (-1, 1), (5, 0)])
+            m.insert(rng.randint(0, rows), [(ar * x - ai * y, ar * y + ai * x) for x, y in m[r]])
+        out.append(m)
+    return out
+
+
+def test_sparse_bareiss_matches_the_dense_reference():
+    deficient = 0
+    for m in gaussian_cases(11):
+        rows = sparse(m)
+        rank = bareiss(rows)
+        assert rank == dense_bareiss(m), (len(m), len(m[0]) if m else 0)
+        assert rows == sparse(m)
+        deficient += rank < min(len(m), len(m[0]) if m else 0)
+    assert deficient >= 30
+
+
+def rank_of(m):
+    return bareiss(sparse(m))
+
+
+gaussian = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+matrices = st.integers(1, 7).flatmap(lambda cols: st.lists(
+    st.lists(st.one_of(st.just((0, 0)), gaussian), min_size=cols, max_size=cols),
+    min_size=1, max_size=7))
+
+
+@given(matrices, st.randoms(use_true_random=False))
+@settings(max_examples=150, deadline=None)
+def test_bareiss_rank_is_invariant(m, rng):
+    # the rank is that of the matrix, not of the rows and columns' order or
+    # of an invertible row operation
+    rank = rank_of(m)
+    assert rank <= min(len(m), len(m[0])) and rank == dense_bareiss(m)
+    rows, cols = list(range(len(m))), list(range(len(m[0])))
+    rng.shuffle(rows)
+    rng.shuffle(cols)
+    assert rank_of([[m[r][c] for c in cols] for r in rows]) == rank
+    assert rank_of([list(col) for col in zip(*m)]) == rank
+    r, t = rng.randrange(len(m)), rng.randrange(len(m))
+    ar, ai = rng.choice([(x, y) for x in range(-3, 4) for y in range(-3, 4) if x or y])
+    scaled = [row[:] for row in m]
+    scaled[r] = [(ar * x - ai * y, ar * y + ai * x) for x, y in m[r]]
+    assert rank_of(scaled) == rank
+    if r != t:
+        added = [row[:] for row in m]
+        added[t] = [(x + ar * u - ai * v, y + ar * v + ai * u)
+                    for (x, y), (u, v) in zip(m[t], m[r])]
+        assert rank_of(added) == rank
 
 
 def int_cases(seed):
-    """Seeded square int matrices: dense, zero leading pivots and low rank."""
+    """Seeded square int matrices of sizes 0 to 8: dense, zero leading
+    pivots and low rank."""
     rng = random.Random(seed)
-    out = []
+    out = [[]]
     for _ in range(40):
-        size = rng.randint(1, 7)
+        size = rng.randint(1, 8)
         out.append([[rng.randint(-9, 9) for _ in range(size)] for _ in range(size)])
     for _ in range(20):
-        size = rng.randint(2, 7)
+        size = rng.randint(2, 8)
         m = [[rng.randint(-5, 5) for _ in range(size)] for _ in range(size)]
         m[0][0] = 0
         m[1][1] = 0
         out.append(m)
     for _ in range(20):
-        size = rng.randint(2, 7)
+        size = rng.randint(2, 8)
         inner = rng.randint(1, size - 1)
         left = [[rng.randint(-3, 3) for _ in range(inner)] for _ in range(size)]
         right = [[rng.randint(-3, 3) for _ in range(size)] for _ in range(inner)]
@@ -210,17 +376,18 @@ def int_cases(seed):
 
 
 def test_bareiss_over_ints_matches_cofactor_det():
-    # full rank exactly when the determinant is nonzero
+    # full rank exactly when the determinant is nonzero; bareiss_det, the
+    # determinant the condition-H references take, is the cofactor one
     swaps = singular = 0
     for m in int_cases(5):
-        rank = bareiss([[(x, 0) for x in row] for row in m])
+        rank = bareiss(sparse([[(x, 0) for x in row] for row in m]))
         det = cofactor_det(m)
+        assert type(bareiss_det(m)) is int and bareiss_det(m) == det
         assert (rank == len(m)) == (det != 0)
-        swaps += m[0][0] == 0 and det != 0
+        swaps += len(m) > 1 and m[0][0] == 0 and det != 0
         singular += det == 0
     assert swaps >= 5 and singular >= 20
-    assert bareiss([[(0, 0), (0, 0), (1, 0)], [(0, 0), (1, 0), (0, 0)],
-                    [(1, 0), (0, 0), (0, 0)]]) == 3
+    assert bareiss([{2: (1, 0)}, {1: (1, 0)}, {0: (1, 0)}]) == 3
 
 
 def skew_cases(seed):

@@ -20,6 +20,7 @@ from cfx.randgen import SectionGenerator
 from cfx.rational import ZERO, cq
 from cfx.spinor import SpinorField
 from test_exterior import basis_form
+from test_linalg import dense_bareiss, gaussian_product
 from test_poly import constant_term
 
 
@@ -66,11 +67,13 @@ def reference_symbol(spec, j, v):
     return matrix
 
 
-def gaussian_product(a, b):
-    """Product of two matrices of (re, im) int pairs."""
-    return [[(sum(x[0] * y[0] - x[1] * y[1] for x, y in zip(row, col)),
-              sum(x[0] * y[1] + x[1] * y[0] for x, y in zip(row, col)))
-             for col in zip(*b)] for row in a]
+def dense_symbol(spec, j, v):
+    """``symbol_at``'s sparse rows as a dense matrix of (re, im) int pairs."""
+    cols = spec.level_dim(j)
+    rows = symbol_at(spec, j, v)
+    assert all((0, 0) not in row.values() and all(0 <= c < cols for c in row)
+               for row in rows)
+    return [[row.get(c, (0, 0)) for c in range(cols)] for row in rows]
 
 
 def is_zero_matrix(m):
@@ -87,7 +90,7 @@ def test_integer_rows_match_the_extform_reference(n, k):
         v = gen.spawn(t).rational_vector(4 * (n + 1))
         q = math.lcm(*(x.denominator for x in v))
         for j in range(spec.top_level):
-            rows = symbol_at(spec, j, v)
+            rows = dense_symbol(spec, j, v)
             assert all(type(x) is int for row in rows for pair in row for x in pair)
             scale = q ** (2 if j == k else 1)
             expected = [[(x.re * scale, x.im * scale) for x in row]
@@ -118,7 +121,7 @@ def operator_mismatches(spec, v) -> list:
     for j in range(spec.top_level):
         s, d, tag = spec.shape(j)
         power = powers[2 if j == spec.k else 1]
-        rows = symbol_at(spec, j, v)
+        rows = dense_symbol(spec, j, v)
         zero = ExtForm.zero(spec.form_dim, d, spec.vars)
         for col, (a, idx) in enumerate(basis(j)):
             slots = [zero] * (s + 1)
@@ -160,8 +163,8 @@ def test_symbol_operator_check_sees_a_lost_d1_term(monkeypatch):
     q = math.lcm(*(x.denominator for x in v))
     for j in range(spec.top_level):
         scale = q ** (2 if j == spec.k else 1)
-        assert symbol_at(spec, j, v) == [[(x.re * scale, x.im * scale) for x in row]
-                                         for row in reference_symbol(spec, j, v)]
+        assert dense_symbol(spec, j, v) == [[(x.re * scale, x.im * scale) for x in row]
+                                            for row in reference_symbol(spec, j, v)]
 
 
 def e1(n):
@@ -190,8 +193,8 @@ def test_consecutive_symbols_compose_to_zero():
         spec = ComplexSpec(n, k)
         v = gen.spawn(n * 10 + k).rational_vector(4 * (n + 1))
         for j in range(2 * n):
-            a = symbol_at(spec, j + 1, v)
-            b = symbol_at(spec, j, v)
+            a = dense_symbol(spec, j + 1, v)
+            b = dense_symbol(spec, j, v)
             assert is_zero_matrix(gaussian_product(a, b))
 
 
@@ -199,8 +202,8 @@ def test_consecutive_symbols_compose_to_zero():
 def test_one_flipped_entry_breaks_the_composition(n, k, j):
     spec = ComplexSpec(n, k)
     v = SectionGenerator(12).spawn(n * 10 + k).rational_vector(4 * (n + 1))
-    a = symbol_at(spec, j + 1, v)
-    b = [list(row) for row in symbol_at(spec, j, v)]
+    a = dense_symbol(spec, j + 1, v)
+    b = dense_symbol(spec, j, v)
     # an entry b[r][c] that column r of a sees
     r, c = next((r, c) for r, row in enumerate(b) for c, x in enumerate(row)
                 if x != (0, 0) and any(out[r] != (0, 0) for out in a))
@@ -211,7 +214,7 @@ def test_one_flipped_entry_breaks_the_composition(n, k, j):
 def test_zero_vector_gives_zero_matrix_and_error():
     spec = ComplexSpec(1, 1)
     zero = [Fraction(0)] * 8
-    assert is_zero_matrix(symbol_at(spec, 0, zero))
+    assert symbol_at(spec, 0, zero) == [{}] * spec.level_dim(1)
     with pytest.raises(ValueError, match="nonzero"):
         check_exactness(spec, zero)
 
@@ -236,8 +239,8 @@ def test_middle_symbol_is_quadratic_in_v():
     doubled = [2 * x for x in v]
     q = math.lcm(*(x.denominator for x in v))
     q2 = math.lcm(*(x.denominator for x in doubled))
-    m1 = symbol_at(spec, 0, v)
-    m2 = symbol_at(spec, 0, doubled)
+    m1 = dense_symbol(spec, 0, v)
+    m2 = dense_symbol(spec, 0, doubled)
     assert not is_zero_matrix(m1)
     for r1, r2 in zip(m1, m2):
         for a, b in zip(r1, r2):
@@ -254,10 +257,41 @@ def test_random_rational_exactness(n, k):
 
 
 def test_rank_exact_small_cases():
-    assert rank_exact([[(1, 0), (2, 0)], [(2, 0), (4, 0)]]) == 1
-    assert rank_exact([[(0, 1), (0, 0)], [(0, 0), (1, 0)]]) == 2
-    assert rank_exact([[(1, 1), (2, 0)], [(0, 2), (2, 2)]]) == 1  # row 2 = (1 + i) row 1
+    assert rank_exact([{0: (1, 0), 1: (2, 0)}, {0: (2, 0), 1: (4, 0)}]) == 1
+    assert rank_exact([{0: (0, 1)}, {1: (1, 0)}]) == 2
+    assert rank_exact([{0: (1, 1), 1: (2, 0)}, {0: (0, 2), 1: (2, 2)}]) == 1  # row 2 = (1 + i) row 1
     assert rank_exact([]) == 0
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_symbol_ranks_match_the_dense_reference(n):
+    # every level for k <= 2n+2, at three covectors each
+    for k in range(2 * n + 3):
+        spec = ComplexSpec(n, k)
+        gen = SectionGenerator(500 + 10 * n + k)
+        for t in range(3):
+            v = gen.spawn(t).rational_vector(4 * (n + 1))
+            for j in range(spec.top_level):
+                assert rank_exact(symbol_at(spec, j, v)) == dense_bareiss(dense_symbol(spec, j, v))
+
+
+@pytest.mark.parametrize("k", [1, 7])
+def test_n3_symbol_ranks_match_the_dense_reference(k):
+    spec = ComplexSpec(3, k)
+    v = SectionGenerator(530 + k).rational_vector(16)
+    ranks = [rank_exact(symbol_at(spec, j, v)) for j in range(spec.top_level)]
+    assert ranks == [dense_bareiss(dense_symbol(spec, j, v)) for j in range(spec.top_level)]
+
+
+@pytest.mark.parametrize("n,k", [(n, k) for n in (1, 2) for k in range(2 * n + 3)])
+def test_exactness_reports_exactly_its_levels(n, k):
+    # levels 0..2n+1, one rank per operator between them, none of them empty
+    spec = ComplexSpec(n, k)
+    result = check_exactness(spec, SectionGenerator(40 + 10 * n + k).rational_vector(4 * (n + 1)))
+    assert [lv["level"] for lv in result["levels"]] == list(range(2 * n + 2))
+    assert len(result["ranks"]) == 2 * n + 1
+    assert len(result["dims"]) == 2 * n + 2
+    assert all(lv["dim"] >= 1 for lv in result["levels"])
 
 
 def test_n3_symbol_ranks_are_pinned():

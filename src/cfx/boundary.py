@@ -33,7 +33,7 @@ from functools import lru_cache
 from math import lcm
 from typing import List, Optional
 
-from .exterior import ExtForm, insert_index, put_component
+from .exterior import ExtForm, insertions, put_component
 from .groups import GroupSpec, curvature_entry, horizontal_fields
 from .operators import FirstOrderOp
 from .poly import Poly, x_vars
@@ -58,6 +58,10 @@ class Frame:
     Raised rows: column 0 is the lowered column 1, column 1 minus column 0.
     ``X``, ``Z_lower`` and ``Z_upper`` and their rows are tuples, because
     one frame can serve many callers (:func:`ambient_frame`).
+
+    :meth:`row_table` is what :func:`frak_d` reads: for each primed index
+    and raised or lowered rows, the rows' operators with their lcm scale
+    factors and variable masks, built on first use and kept by the frame.
     """
 
     def __init__(self, variables, fields: List[FirstOrderOp]):
@@ -73,6 +77,22 @@ class Frame:
             lower.append((x3 - x4.scale(I), x1 - x2.scale(I)))
         self.Z_lower = tuple(lower)
         self.Z_upper = tuple(raise_primed(row) for row in self.Z_lower)
+        self._rows = {}
+
+    def row_table(self, aprime: int, raised: bool) -> tuple:
+        """(L, rows) for column ``aprime`` of the raised or the lowered rows.
+
+        L is the lcm of the row operators' ``den``; row a is (operator,
+        L / its den, mask), bit v of the mask set iff the operator
+        differentiates in variable v.
+        """
+        table = self._rows.get((aprime, raised))
+        if table is None:
+            ops = [row[aprime] for row in (self.Z_upper if raised else self.Z_lower)]
+            L = lcm(1, *(op.den for op in ops))
+            table = self._rows[aprime, raised] = (L, tuple(
+                (op, L // op.den, sum(1 << v for v, _ in op.kernel()[1])) for op in ops))
+        return table
 
 
 def ambient_vars(n: int) -> tuple:
@@ -128,11 +148,13 @@ def frak_d(aprime: int, f: ExtForm, frame: Frame, raised: bool = True) -> ExtFor
     """sum_row w^row ^ Z_row^{aprime} f, the one row kernel; raised index by default.
 
     One integer pass: each output index gets one numerator dict over D * L,
-    D the lcm of the component denominators of f and L the lcm of the row
-    operators' ``den``.  Every (row, component) pair goes in through
-    ``FirstOrderOp.apply_into`` with ``mult`` = wedge sign * (D / component
-    den) * (L / operator den), and each output component is one ``Poly``.
-    The sign and the merged index are ``exterior.insert_index``, and
+    D the lcm of the component denominators of f and L the row table's lcm
+    of the operators' ``den`` (:meth:`Frame.row_table`).  A (row, component)
+    pair goes in through ``FirstOrderOp.apply_into`` with ``mult`` = wedge
+    sign * (D / component den) * (L / operator den), and each output
+    component is one ``Poly``.  A pair whose row mask misses every variable
+    the component's terms carry adds nothing and is skipped before any
+    lookup.  The sign and the merged index are ``exterior.insertions``, and
     ``exterior.put_component`` drops an output index whose sum cancels.
     """
     if aprime not in (0, 1):
@@ -141,24 +163,36 @@ def frak_d(aprime: int, f: ExtForm, frame: Frame, raised: bool = True) -> ExtFor
         raise ValueError(f"form dimension {f.dim} does not match frame dimension {frame.dim}")
     if f.vars != frame.vars:
         raise ValueError("variable table mismatch with frame")
-    ops = [row[aprime] for row in (frame.Z_upper if raised else frame.Z_lower)]
     degree = f.degree + 1
     if degree > f.dim:
         return ExtForm.zero(f.dim, degree, f.vars)
+    L, rows = frame.row_table(aprime, raised)
     D = lcm(1, *(p.den for p in f.comps.values()))
-    L = lcm(1, *(op.den for op in ops))
+    comps = [(insertions(f.dim, idx), coeff.num, D // coeff.den, _support(coeff.num))
+             for idx, coeff in f.comps.items()]
     out: dict = {}
-    for a, op in enumerate(ops):
-        scale = L // op.den
-        for idx, coeff in f.comps.items():
-            inserted = insert_index(a, idx)
-            if inserted is not None:
-                sign, key = inserted
-                put_component(out, key, op.apply_into(out.get(key, {}), coeff.num,
-                                                      sign * scale * (D // coeff.den)))
+    for a, (op, scale, row_mask) in enumerate(rows):
+        for table, num, mult, mask in comps:
+            if mask & row_mask:
+                inserted = table[a]
+                if inserted is not None:
+                    sign, key = inserted
+                    put_component(out, key, op.apply_into(out.get(key, {}), num,
+                                                          sign * scale * mult))
     den = D * L
     return ExtForm._make(f.dim, degree, f.vars,
                          {key: Poly._make(f.vars, num, den) for key, num in out.items()})
+
+
+def _support(num: dict) -> int:
+    """The variable mask of a numerator dict: bit v set iff some term has a
+    nonzero exponent in variable v."""
+    mask = 0
+    for expo in num:
+        for v, e in enumerate(expo):
+            if e:
+                mask |= 1 << v
+    return mask
 
 
 # -- curvature --------------------------------------------------------------------------

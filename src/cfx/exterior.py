@@ -6,7 +6,8 @@ flat symbol build on its primitives and restate none of it:
 * components are stored on strictly increasing index tuples, and
   :func:`insert_index` is the one wedge sign: w^a ^ w^idx is
   (-1)^(number of indices below a) w^{merged}, and zero when a is in idx.
-  :func:`merge_sign` folds it over the indices of a left factor;
+  :func:`merge_sign` folds it over the indices of a left factor, and
+  :func:`insertions` caches its images over a = 0..dim-1 for ``frak_d``;
 * no component is zero: :func:`put_component` stores a nonzero value and
   drops the index of one that cancels, which comes back at the end when a
   later sum makes it nonzero;
@@ -22,6 +23,7 @@ checks nothing.
 from __future__ import annotations
 
 from bisect import bisect_left
+from functools import lru_cache
 from math import lcm
 from typing import Mapping, Sequence
 
@@ -40,6 +42,13 @@ def insert_index(a: int, idx: tuple):
     if pos < len(idx) and idx[pos] == a:
         return None
     return -1 if pos % 2 else 1, idx[:pos] + (a,) + idx[pos:]
+
+
+@lru_cache(maxsize=None)
+def insertions(dim: int, idx: tuple) -> tuple:
+    """:func:`insert_index` of a = 0..dim-1 into idx, cached: at most 2^dim
+    index tuples per dim, for the row loop of ``boundary.frak_d``."""
+    return tuple(insert_index(a, idx) for a in range(dim))
 
 
 def merge_sign(left: tuple, right: tuple):

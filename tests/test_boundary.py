@@ -96,6 +96,9 @@ def ambient_tangential_fields(group: GroupSpec):
 RIGHT1 = TangentFrame(GroupSpec.right_qh(1))
 LEFT1 = TangentFrame(GroupSpec.left_qh(1))
 ABELIAN1 = TangentFrame(GroupSpec.abelian(1))
+# a dense right-type group at n = 2: every horizontal field carries every t
+DENSE_RIGHT2 = TangentFrame(GroupSpec(2, tuple(
+    tuple(row) for row in SectionGenerator(4).right_type_matrix(2))))
 
 
 @pytest.fixture(scope="module")
@@ -260,20 +263,60 @@ def _reference_frak_d(aprime, f, frame, raised):
     return out
 
 
+def _sparse_forms(gen, frame, degree):
+    """A form in one seeded variable and a constant form, on the index tuples
+    of a seeded form: frak_d skips most or all of their (row, component) pairs."""
+    idxs = list(gen.form(frame.dim, degree, frame.vars).comps)
+    x = Poly.var(frame.vars, frame.vars[gen.rng.randrange(len(frame.vars))])
+    one = {idx: power(x, 1 + t % 3).scale(Fraction(t + 1, 2)) + Poly.const(frame.vars, t)
+           for t, idx in enumerate(idxs)}
+    const = {idx: Fraction(t + 1, 3) for t, idx in enumerate(idxs)}
+    return [ExtForm(frame.dim, degree, frame.vars, comps) for comps in (one, const)]
+
+
 @pytest.mark.parametrize("seed", [5, 17, 40])
 def test_frak_d_index_insertion_matches_the_basis_wedge(seed, right2, left2):
     gen = SectionGenerator(seed, degree=2)
-    frames = [ambient_frame(1), RIGHT1, LEFT1, right2, left2]
+    ambient = [ambient_frame(1), ambient_frame(2)]
+    frames = [*ambient, RIGHT1, LEFT1, right2, left2, DENSE_RIGHT2]
     for frame in frames:
         for degree in range(frame.dim + 1):
-            f = gen.form(frame.dim, degree, frame.vars)
-            for aprime in (0, 1):
-                for raised in (True, False):
-                    got = frak_d(aprime, f, frame, raised=raised)
-                    want = _reference_frak_d(aprime, f, frame, raised)
-                    assert got == want
-                    assert list(got.comps) == list(want.comps)
-                    assert all(not c.is_zero() for c in got.comps.values())
+            forms = [gen.form(frame.dim, degree, frame.vars), *_sparse_forms(gen, frame, degree)]
+            for f in forms:
+                for aprime in (0, 1):
+                    for raised in (True, False):
+                        got = frak_d(aprime, f, frame, raised=raised)
+                        want = _reference_frak_d(aprime, f, frame, raised)
+                        assert got == want
+                        assert list(got.comps) == list(want.comps)
+                        assert all(not c.is_zero() for c in got.comps.values())
+                        if frame in ambient:
+                            # constant rows commute: every term of d^a' d^a' f cancels
+                            assert frak_d(aprime, got, frame, raised=raised).is_zero()
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_frak_d_applies_only_the_rows_that_differentiate_the_input(n, monkeypatch):
+    # a coefficient in x1 alone: of the 2n + 2 rows of each primed index,
+    # exactly one differentiates in x1, and only that one is applied
+    frame = ambient_frame(n)
+    x1 = Poly.var(frame.vars, "x1")
+    f = ExtForm.from_scalar(frame.dim, power(x1, 3) + x1.scale(Fraction(-2, 3)))
+    applied = []
+    apply_into = FirstOrderOp.apply_into
+
+    def counted(op, out, num, mult):
+        applied.append(op)
+        return apply_into(op, out, num, mult)
+
+    monkeypatch.setattr(FirstOrderOp, "apply_into", counted)
+    for aprime in (0, 1):
+        for raised in (True, False):
+            applied.clear()
+            got = frak_d(aprime, f, frame, raised=raised)
+            assert len(applied) == 1
+            assert not applied[0].coefficient("x1").is_zero()
+            assert not got.is_zero() and got == _reference_frak_d(aprime, f, frame, raised)
 
 
 def test_frak_d_dimension_mismatch():
@@ -767,6 +810,8 @@ def test_bracket_identity_takes_four_commutators_per_row_pair(make_frame, monkey
 
 def _tampered(frame, row, column, factor):
     tampered = copy.copy(frame)
+    # the row tables are built from Z_upper: the copy builds its own
+    tampered._rows = {}
     tampered.Z_upper = [list(r) for r in frame.Z_upper]
     tampered.Z_upper[row][column] = tampered.Z_upper[row][column].scale(factor)
     return tampered

@@ -21,7 +21,7 @@ from cfx.linalg import bareiss, pfaffian
 from cfx.poly import Poly
 from cfx.randgen import SectionGenerator
 from cfx.rational import ComplexRational, cq
-from test_poly import eval_exact, is_homogeneous
+from test_poly import is_homogeneous
 
 LAM = ("lam1", "lam2", "lam3")
 
@@ -474,9 +474,18 @@ def test_central_pairing_det_matches_symbolic_determinant(name, n):
     group = _group(name, n)
     det_poly = symbolic_pairing_det(group)
     assert is_homogeneous(det_poly, 4 * n)
+    # homogeneous of degree 4n: its value at lam = mu / 4 is its numerators
+    # summed in ints at the int point mu, over den * 4^(4n)
+    scale = det_poly.den * 4 ** (4 * n)
     for mu, _ in groups._direction_grid(4):
         lam = [Fraction(x, 4) for x in mu]
-        assert central_pairing_det(group, lam) == eval_exact(det_poly, lam).re
+        re = im = 0
+        for expo, (c, d) in det_poly.num.items():
+            monomial = math.prod(x ** e for x, e in zip(mu, expo))
+            re += c * monomial
+            im += d * monomial
+        assert im == 0
+        assert central_pairing_det(group, lam) == Fraction(re, scale)
 
 
 def test_cofactor_det_over_polynomials():

@@ -9,7 +9,7 @@ import pytest
 from cfx import ma, quadrature
 from cfx.boundary import TangentFrame, frak_d
 from cfx.exterior import ExtForm, from_hat_components, hat_component
-from cfx.groups import GroupSpec
+from cfx.groups import I_MATS, GroupSpec, block_diag, mat_mul
 from cfx.ma import (Region, approximation_masses, beta_form,
                     cln_experiment, convergence_experiment, integrate_top,
                     key_identity_check, stokes_check, sup_norm_on_grid,
@@ -94,6 +94,46 @@ def test_triangle_by_independent_second_order_expansion(right2):
             direct = (za[a][0].apply(za[b][1].apply(u))
                       - za[b][0].apply(za[a][1].apply(u)))
             assert (got.component((a, b)) - direct).is_zero()
+
+
+def _x_quadratic(frame, A) -> Poly:
+    """x^T A x in the frame's variables, for a symmetric 4n x 4n matrix A."""
+    width, terms = len(frame.vars), {}
+    for i, row in enumerate(A):
+        for j, entry in enumerate(row):
+            expo = tuple((t == i) + (t == j) for t in range(width))
+            terms[expo] = terms.get(expo, 0) + entry
+    return Poly(frame.vars, terms)
+
+
+def _quaternionic_part(A, n):
+    """P(A) = (A + sum_beta I_beta^T A I_beta) / 4, I_beta block-diagonal."""
+    terms = [A] + [mat_mul(mat_mul(tuple(zip(*ib)), A), ib)
+                   for ib in (block_diag(i_m, n) for i_m in I_MATS)]
+    return [[sum(t[i][j] for t in terms) / 4 for j in range(4 * n)] for i in range(4 * n)]
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_wedge_power_of_an_x_quadratic_is_its_quaternionic_determinant(n):
+    # an outside check of frak_d and wedge on group frames, for u = x^T A x:
+    # at n = 1 the one component of triangle(u) is 2 tr A; at n = 2 the top
+    # component of triangle(u)^2 is 128 (ab - |q|^2), P(A) = [[a, q], [q*, b]]
+    groups = [GroupSpec.right_qh(n),
+              GroupSpec(n, tuple(tuple(r) for r in SectionGenerator(4).right_type_matrix(n)))]
+    for g, group in enumerate(groups):
+        frame = TangentFrame(group)
+        assert frame.right_type
+        for seed in range(3):
+            A = [[x / (seed + 1) for x in row]
+                 for row in SectionGenerator(100 * g + seed).symmetric_matrix(4 * n)]
+            T = triangle(_x_quadratic(frame, A), frame)
+            if n == 1:
+                want = 2 * sum(A[i][i] for i in range(4))
+                assert T == ExtForm(2, 2, frame.vars, {(0, 1): want})
+            else:
+                P = _quaternionic_part(A, n)
+                want = 128 * (P[0][0] * P[4][4] - sum(P[i][4] ** 2 for i in range(4)))
+                assert T.wedge(T) == ExtForm(4, 4, frame.vars, {(0, 1, 2, 3): want})
 
 
 def test_triangle_linear(right2):

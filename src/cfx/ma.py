@@ -7,7 +7,11 @@ from :mod:`cfx.quadrature`, and every check decides by exact comparison:
 the Stokes residual is 0, the cutoff mass comes out equal three ways, the
 approximation masses decay monotonically below an exact tolerance.  Values
 become floats only where the report is written, through :func:`_float`;
-the sampled sup norms are the one inexact quantity.
+the sampled sup norms are the one inexact quantity.  Their sampler skips
+every chunk of points on which a coefficient bound, sum |c| prod max|x|^e
+widened by its worst rounding error, stays below an input's running
+maximum; ``max`` would keep that maximum there, so the floats are those
+of evaluating every point.
 """
 
 from __future__ import annotations
@@ -222,11 +226,17 @@ _CHUNK = 256
 
 
 def _point_chunks(lows: list, highs: list, used: list, samples: int, seed: int):
-    """The sampled points as (size, {axis: column}) chunks over the used axes.
+    """The sampled points as (size, reach, columns) chunks over the used axes.
 
     The corners over the used axes (for 16 or fewer axes), the centre, then
     ``samples`` seeded points drawn point by point in axis order, every axis
     drawn whether used or not, so the draws are those of one point at a time.
+    ``columns()`` builds the chunk's {axis: column}.  ``reach`` is None for
+    the corners and the centre; for a sample chunk it is {axis: M_a}, the
+    largest |x_a| of the chunk's points.  A coordinate is ``l + span * r``
+    with span > 0, and both roundings are monotone in r, so M_a is the larger
+    of |l + span * min r| and |l + span * max r|: exactly the largest
+    |column entry|, found without building the column.
     """
     naxes = len(lows)
     if naxes <= 16:
@@ -235,17 +245,21 @@ def _point_chunks(lows: list, highs: list, used: list, samples: int, seed: int):
         corners = 1 << len(used)
         for start in range(0, corners, _CHUNK):
             masks = range(start, min(start + _CHUNK, corners))
-            yield len(masks), {axis: [highs[axis] if mask >> bit & 1 else lows[axis]
-                                      for mask in masks]
-                               for bit, axis in enumerate(used)}
-    yield 1, {axis: [(lows[axis] + highs[axis]) / 2] for axis in used}
+            yield len(masks), None, lambda masks=masks: {
+                axis: [highs[axis] if mask >> bit & 1 else lows[axis] for mask in masks]
+                for bit, axis in enumerate(used)}
+    yield 1, None, lambda: {axis: [(lows[axis] + highs[axis]) / 2] for axis in used}
     spans = [(axis, lows[axis], highs[axis] - lows[axis]) for axis in used]
     draw = random.Random(seed).random
     for start in range(0, samples, _CHUNK):
         size = min(_CHUNK, samples - start)
         draws = list(starmap(draw, repeat((), size * naxes)))
-        yield size, {axis: [l + span * r for r in draws[axis::naxes]]
-                     for axis, l, span in spans}
+        reach = {}
+        for axis, l, span in spans:
+            rs = draws[axis::naxes]
+            reach[axis] = max(abs(l + span * min(rs)), abs(l + span * max(rs)))
+        yield size, reach, lambda draws=draws: {axis: [l + span * r for r in draws[axis::naxes]]
+                                                for axis, l, span in spans}
 
 
 def sup_norm_on_grid(us: Sequence[Poly], region: Region, samples: int = 4096,
@@ -265,10 +279,33 @@ def sup_norm_on_grid(us: Sequence[Poly], region: Region, samples: int = 4096,
     maximum by ``>`` (which skips NaN).  Inputs with real coefficients sum
     in floats: the real part of the complex sum takes the same float steps
     and ``abs`` of ``re ± 0j`` is ``abs(re)``, so the sups are the same floats.
+
+    The corners and the centre are always evaluated, and first.  An input
+    skips a sample chunk when B * (1 + (N + K + 8) * 2**-40) + floor is
+    below its running maximum.  B is the sum over the terms of
+    (|re| + |im|) * prod M_a ** e, with M_a the chunk's largest |x_a| (see
+    :func:`_point_chunks`); N is the term count and K the largest degree.
+    A point's float value is a sum of N rounded products of at most K
+    rounded factors (``pow`` within 1 ulp) and a coefficient, so its
+    absolute value exceeds the exact sum of the |terms| by a relative error
+    of at most about (N + 3K + 4) * 2**-53 (recursive summation: Higham,
+    *Accuracy and Stability of Numerical Algorithms*, 2nd ed., section 4.2).
+    The rounding of B is of the same size, and the slack covers both
+    thousands of times over.  Below the normal range a rounding errs by up
+    to 2**-1074 absolute instead, which the later factors and the
+    coefficient enlarge by at most W = sum over the terms of
+    (|re| + |im|) * S ** K, where S = max(1, twice the largest |low| or
+    |high|) exceeds every |coordinate|: floor = (N + K) * 2**-1000 * (1 + W)
+    covers that.  So every value on a skipped chunk is at most the running
+    maximum, and ``max``, which replaces only on a greater value, would
+    have kept it: the sups are the same floats.  An inf or NaN bound never
+    skips, and NaN never becomes the maximum.
     """
     lows = [_float(x) for x in region.lows]
     highs = [_float(x) for x in region.highs]
-    inputs = []
+    # S of the floor: every |coordinate| is below twice the largest |low| or |high|
+    spread = max(1.0, 2 * max(map(abs, lows + highs), default=0.0))
+    inputs, bounds = [], []
     for u in us:
         # each coefficient is converted once and each term keeps only its
         # nonzero (axis, exponent) pairs, in axis order
@@ -278,11 +315,30 @@ def sup_norm_on_grid(us: Sequence[Poly], region: Region, samples: int = 4096,
             inputs.append(([(powers, coeff.real) for powers, coeff in terms], 0.0))
         else:
             inputs.append((terms, 0j))
+        # the chunk bound's table, each term's powers and |re| + |im|, with
+        # its slack and its floor
+        table = [(powers, abs(coeff.real) + abs(coeff.imag)) for powers, coeff in terms]
+        N = len(table)
+        K = max((sum(e for _, e in powers) for powers, _ in table), default=0)
+        W = sum(c for _, c in table) * spread ** K
+        bounds.append((table, 1.0 + (N + K + 8) * 2.0 ** -40, (N + K) * 2.0 ** -1000 * (1 + W)))
     used = sorted({axis for terms, _ in inputs for powers, _ in terms for axis, _ in powers})
+    keys = {key for table, _, _ in bounds for powers, _ in table for key in powers}
     best = [0.0] * len(inputs)
-    for size, columns in _point_chunks(lows, highs, used, samples, seed):
+    for size, reach, columns in _point_chunks(lows, highs, used, samples, seed):
+        live = range(len(inputs))
+        if reach is not None:
+            # the largest |x ** e| on the chunk, per (axis, exponent)
+            top = {(axis, e): reach[axis] ** e for axis, e in keys}
+            live = [i for i, (table, slack, floor) in enumerate(bounds)
+                    if not sum(c * math.prod(map(top.__getitem__, powers)) for powers, c in table)
+                    * slack + floor < best[i]]
+            if not live:
+                continue
+        columns = columns()
         powered = {}
-        for i, (terms, zero) in enumerate(inputs):
+        for i in live:
+            terms, zero = inputs[i]
             total = repeat(zero, size)
             for powers, coeff in terms:
                 # the product from 1.0 over the term's axes in axis order;

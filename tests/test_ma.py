@@ -615,12 +615,13 @@ def test_sup_norm_sample_counts_match_the_reference(right2, samples):
         [_reference_sup(u, region, samples=samples, seed=11).hex() for u in us]
 
 
-@pytest.mark.parametrize("case", ["zero", "constant", "complex-constant"])
+@pytest.mark.parametrize("case", ["zero", "constant", "complex-constant", "no-axes"])
 def test_sup_norm_zero_and_constant_inputs_match_the_reference(right2, case):
     u = {"zero": Poly.zero(right2.vars),
          "constant": Poly.const(right2.vars, Fraction(-5, 3)),
-         "complex-constant": Poly.const(right2.vars, cq(Fraction(3, 4), Fraction(-1, 2)))}[case]
-    region = Region((Fraction(-2, 3),) * 11, (Fraction(3, 4),) * 11)
+         "complex-constant": Poly.const(right2.vars, cq(Fraction(3, 4), Fraction(-1, 2))),
+         "no-axes": Poly.const((), Fraction(-5, 3))}[case]
+    region = Region((Fraction(-2, 3),) * 11, (Fraction(3, 4),) * 11) if u.vars else Region((), ())
     [got] = sup_norm_on_grid([u], region, samples=300)
     assert got.hex() == _reference_sup(u, region, samples=300).hex()
     if case == "zero":
@@ -643,6 +644,92 @@ def test_sup_norm_single_points_match_the_reference():
         got = sup_norm_on_grid(us, region, samples=1, seed=seed)
         assert [g.hex() for g in got] == \
             [_reference_sup(u, region, samples=1, seed=seed).hex() for u in us], seed
+
+
+def _drawn_sup_case(rng):
+    """A random input, box and sample count for the sup-norm differential.
+
+    Boxes cross 0, lie above it, or are so small that the squares are
+    subnormal; 17 axes have no corners.  Terms mix signs and axes, with
+    complex coefficients, powers up to 4 and whole inputs scaled by 2**±500.
+    A cubic bump (x - l)**2 (h - x), 0 on both faces of its axis, puts the
+    sampled maximum strictly inside the box on many inputs (not on the
+    subnormal boxes, where its coefficients would overflow).
+    """
+    naxes = rng.choice([3, 4, 17])
+    kind = rng.choice(["crossing", "positive", "subnormal"])
+    if kind == "crossing":
+        lows = [-Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(naxes)]
+        highs = [Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(naxes)]
+    elif kind == "positive":
+        lows = [Fraction(rng.randint(1, 9), 10) for _ in range(naxes)]
+        highs = [low + Fraction(rng.randint(1, 9), 10) for low in lows]
+    else:
+        tiny = Fraction(1, 2 ** 530)
+        lows, highs = [-tiny] * naxes, [tiny * rng.randint(1, 3)] * naxes
+    names = [f"y{i}" for i in range(naxes)]
+    y = [Poly.var(names, name) for name in names]
+    u = Poly.zero(names)
+    for _ in range(rng.choice([1, 2, 3, 4] if naxes < 17 else [1, 1, 2])):
+        axes = rng.sample(range(naxes), rng.choice([1, 1, 2, 3]))
+        expo = [0] * naxes
+        for axis in axes:
+            expo[axis] = rng.randint(1, 4)
+        coeff = Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9))
+        if rng.random() < 0.3:
+            coeff = cq(coeff, Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
+        u = u + Poly.monomial(names, expo, coeff)
+    if naxes < 17 and kind != "subnormal" and rng.random() < 0.5:
+        a = rng.randrange(naxes)
+        rise = y[a] + (-lows[a])
+        u = u + (rise * rise * (y[a].scale(-1) + highs[a])).scale(
+            Fraction(rng.randint(1, 9), 1) / (highs[a] - lows[a]) ** 3)
+    if rng.random() < 0.25:
+        u = u.scale(Fraction(2) ** rng.choice([-500, 500]))
+    # past 16 axes only the samples can raise the centre's value, and a bound
+    # a little too small shows most often across the four chunks of 1000;
+    # with corners, 1000 is drawn less often, as the reference is slow
+    counts = [0, 1, ma._CHUNK - 1, ma._CHUNK + 1]
+    samples = rng.choice(counts * 2 + [1000] if naxes < 17 else counts[1:] + [1000] * 3)
+    return u, Region(lows, highs), samples, rng.randrange(1000)
+
+
+def test_sup_norm_drawn_inputs_match_the_reference():
+    # a sample chunk that the bound skips must not hold a value above the
+    # running maximum; drawn inputs put that maximum strictly inside the box
+    # often enough that a bound a little too small changes some float
+    rng = random.Random(33)
+    inside = 0
+    for case in range(200):
+        u, region, samples, seed = _drawn_sup_case(rng)
+        [got] = sup_norm_on_grid([u], region, samples=samples, seed=seed)
+        want = _reference_sup(u, region, samples=samples, seed=seed)
+        assert got.hex() == want.hex(), case
+        inside += want > _reference_sup(u, region, samples=0)
+    assert inside >= 40, inside
+
+
+def test_sup_norm_skips_chunks_below_the_corner_maximum(right2, monkeypatch):
+    # a convex-type quadratic takes its maximum over the cube at a corner, and
+    # each sample chunk's bound stays below it: no chunk's columns are built
+    built = []
+    chunks = ma._point_chunks
+
+    def counting(*args):
+        for size, reach, columns in chunks(*args):
+            def build(columns=columns, sampled=reach is not None):
+                built.append(sampled)
+                return columns()
+            yield size, reach, build
+
+    gen = SectionGenerator(21)
+    us = [gen.spawn(i).psh_quadratic(right2.vars, 8) for i in range(2)]
+    region = Region.cube(11, Fraction(1, 2))
+    want = sup_norm_on_grid(us, region)
+    monkeypatch.setattr(ma, "_point_chunks", counting)
+    assert sup_norm_on_grid(us, region) == want
+    assert built.count(False) == 2
+    assert built.count(True) <= 1, f"{built.count(True)} of {4096 // ma._CHUNK} sample chunks"
 
 
 def test_cln_draws_each_sample_point_once(right2, monkeypatch):

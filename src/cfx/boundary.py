@@ -382,7 +382,9 @@ def bracket_identity(frame: TangentFrame) -> dict:
     X and Y, which Y∘X shares, so the combination equals this first-order sum
     exactly: comparing its coefficients proves the identity symbolically, as
     the full compositions did.  The four commutators of a row pair serve all
-    four primed pairs.
+    four primed pairs.  Both sides are canonical integer operator tables,
+    so they are compared as tables; the residual operator is built only for
+    a pair that differs.
 
     On a right-type frame the result also carries ``paired_rows_cancel``:
     whether [Z_{2l}^0, Z_{2l+1}^1] + [Z_{2l}^1, Z_{2l+1}^0] vanishes for
@@ -402,10 +404,10 @@ def bracket_identity(frame: TangentFrame) -> dict:
                 paired = paired and (brackets[0, 1] + brackets[1, 0]).is_zero()
             for ap, bp in ((0, 0), (0, 1), (1, 0), (1, 1)):
                 lhs = (brackets[ap, bp] + brackets[bp, ap]).scale(quarter)
-                diff = lhs - frame.T_sym[(ap, bp)].scale(coeff)
-                if not diff.is_zero():
+                rhs = frame.T_sym[(ap, bp)].scale(coeff)
+                if lhs != rhs:
                     ok = False
-                    worst = str(diff)
+                    worst = str(lhs - rhs)
     result = {"identity": "bracket-curvature", "params": {"n": frame.n},
               "seed": None, "pass": ok, "residual": worst}
     if frame.right_type:

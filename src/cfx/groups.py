@@ -290,23 +290,26 @@ def is_right_type_via_E(g: GroupSpec) -> bool:
 def horizontal_fields(g: GroupSpec) -> List[FirstOrderOp]:
     """The 4n generating fields X_b = d_{x_b} + 2 sum (S Ibeta)_{ab} x_a d_{t_beta}.
 
-    Each t_beta coefficient is one numerator dict, 2 (den S Ibeta)_{ab} at
-    x_a, over den of ``integer_S``, built by the trusted ``Poly._make``,
-    which divides out the common factor.
+    Each field is one operator table over den of ``integer_S``: den at
+    the constant term for d_{x_b}, and for each t_beta the numerator dict
+    2 (den S Ibeta)_{ab} at x_a.  The trusted ``FirstOrderOp._make`` divides
+    out the common factor.
     """
     variables = g.vars
     width, size = len(variables), 4 * g.n
+    zero = (0,) * width
     units = [tuple(int(i == a) for i in range(width)) for a in range(size)]
     den, S = g.integer_S
     si = [_s_times_i(S, beta, g.n) for beta in range(3)]
     fields = []
     for b in range(size):
-        coeffs = {f"x{b+1}": Poly.const(variables, 1)}
+        # x_b is variable b and t_beta variable size + beta of the table
+        num = {b: {zero: (den, 0)}}
         for beta in range(3):
-            num = {units[a]: (2 * row[b], 0) for a, row in enumerate(si[beta]) if row[b]}
-            if num:
-                coeffs[f"t{beta+1}"] = Poly._make(variables, num, den)
-        fields.append(FirstOrderOp(variables, coeffs))
+            coeff = {units[a]: (2 * row[b], 0) for a, row in enumerate(si[beta]) if row[b]}
+            if coeff:
+                num[size + beta] = coeff
+        fields.append(FirstOrderOp._make(variables, num, den))
     return fields
 
 

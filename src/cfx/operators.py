@@ -1,71 +1,121 @@
-"""First-order differential operators with polynomial coefficients, and their commutators."""
+"""First-order differential operators with polynomial coefficients, and their commutators.
+
+An operator sum_v c_v(x) d/dv is one integer table in the layout of
+``Poly``: ``num`` maps the index of each variable v with c_v != 0 to the
+Gaussian-integer numerator dict of den * c_v, and one positive int ``den``
+is shared by every coefficient.  The table is canonical, so ``==`` and
+``hash`` are exact:
+
+* no coefficient dict is empty, and none holds a ``(0, 0)`` numerator;
+* the gcd of ``den`` and every numerator part is 1;
+* the zero operator has ``den == 1``.
+
+The public constructor ``FirstOrderOp(vars, {name: Poly or scalar})`` checks
+its input.  Sum, difference, negation, ``scale``, ``conjugate`` and
+``commutator`` work on the numerator dicts with the primitives of ``poly``
+and build their result through the trusted ``FirstOrderOp._make``, which
+drops empty coefficients and divides out the common factor.  A commutator
+is two ``apply_into`` calls into one dict per variable.  The API edge is
+``coefficient`` and ``str``: only they build a ``Poly`` of a coefficient.
+"""
 
 from __future__ import annotations
 
-from math import lcm
+from collections.abc import Mapping
+from math import gcd, lcm
 from operator import add
-from typing import Dict
 
-from .poly import Poly, add_term
-from .rational import cq
+from .poly import Poly, _gaussian_parts, add_term, times_gaussian
+
+_set = object.__setattr__
+
+
+def _reduce(num: dict, den: int) -> tuple:
+    """(num, den) with the common factor of ``den`` and every numerator part
+    of every coefficient divided out; with no coefficient ``den`` becomes 1."""
+    g = den
+    for coeff in num.values():
+        for re, im in coeff.values():
+            g = gcd(g, re, im)
+            if g == 1:
+                return num, den
+    return ({v: {k: (re // g, im // g) for k, (re, im) in coeff.items()}
+             for v, coeff in num.items()}, den // g)
 
 
 class FirstOrderOp:
-    """sum_v  coeff_v(x) * d/dv  with Poly coefficients.
+    """sum_v  coeff_v(x) * d/dv, as one integer table (see the module docstring).
 
-    :meth:`kernel` is the operator's one integer coefficient table: every
-    application (``apply_into``, and so ``apply``) and the flat symbol's
-    covector rows read it.  It is built on first use, because most
-    frame-building intermediates are never applied.
+    :meth:`kernel` lists the table as the rows every application
+    (``apply_into``, and so ``apply``) and the flat symbol's covector rows
+    read.  It is built on first use, because most frame-building
+    intermediates are never applied.
     """
 
-    __slots__ = ("vars", "coeffs", "_kernel")
+    __slots__ = ("vars", "num", "den", "_kernel")
 
-    def __init__(self, variables, coeffs: Dict[str, Poly]):
+    def __init__(self, variables, coeffs: Mapping):
         variables = tuple(variables)
-        clean = {}
-        for v, p in coeffs.items():
+        parts = {}
+        for v, c in coeffs.items():
             if v not in variables:
                 raise KeyError(f"unknown variable {v!r}")
-            if not isinstance(p, Poly):
-                p = Poly.const(variables, p)
-            if not p.is_zero():
-                clean[v] = p
-        object.__setattr__(self, "vars", variables)
-        object.__setattr__(self, "coeffs", clean)
-        object.__setattr__(self, "_kernel", None)
+            if isinstance(c, Poly):
+                if c.vars != variables:
+                    raise ValueError(f"variable tables differ: {variables} vs {c.vars}")
+                num, den = c.num, c.den
+            else:
+                re, im, den = _gaussian_parts(c)
+                num = {(0,) * len(variables): (re, im)} if re or im else {}
+            if num:
+                parts[variables.index(v)] = num, den
+        # each coefficient is canonical, so the lcm is already coprime to
+        # the scaled numerators taken together
+        den = lcm(1, *(d for _, d in parts.values()))
+        _set(self, "vars", variables)
+        _set(self, "num", {v: times_gaussian(num, den // d, 0) for v, (num, d) in parts.items()})
+        _set(self, "den", den)
+        _set(self, "_kernel", None)
+
+    @classmethod
+    def _make(cls, variables: tuple, num: dict, den: int = 1) -> "FirstOrderOp":
+        """Trusted constructor: ``num`` maps variable indices to numerator
+        dicts that hold no (0, 0) pair, and ``den`` > 0.
+
+        Drops the empty coefficients and divides out the common factor of
+        ``den`` and the numerators, so the result is canonical; nothing else
+        is checked.
+        """
+        if not all(num.values()):
+            num = {v: coeff for v, coeff in num.items() if coeff}
+        if den != 1:
+            num, den = _reduce(num, den)
+        op = object.__new__(cls)
+        _set(op, "vars", variables)
+        _set(op, "num", num)
+        _set(op, "den", den)
+        _set(op, "_kernel", None)
+        return op
 
     def __setattr__(self, name, value):
         raise AttributeError("FirstOrderOp is immutable")
 
     @classmethod
     def partial(cls, variables, name, coeff=1) -> "FirstOrderOp":
-        variables = tuple(variables)
-        return cls(variables, {name: Poly.const(variables, coeff)})
+        return cls(variables, {name: coeff})
 
     def kernel(self) -> tuple:
         """(den, [(variable index, [(expo or None, re, im), ...]), ...]).
 
-        ``den`` is the lcm of the coefficient denominators; each c_v becomes
-        the index of v and the ``(expo, re, im)`` terms of den * c_v, with
-        ``expo`` None for the constant term.
+        Each coefficient c_v becomes the index of v and the ``(expo, re,
+        im)`` terms of den * c_v, with ``expo`` None for the constant term.
         """
         if self._kernel is None:
-            den = lcm(1, *(c.den for c in self.coeffs.values()))
             zero = (0,) * len(self.vars)
-            rows = []
-            for v, c in self.coeffs.items():
-                m = den // c.den
-                rows.append((self.vars.index(v),
-                             [(None if e == zero else e, re * m, im * m)
-                              for e, (re, im) in c.num.items()]))
-            object.__setattr__(self, "_kernel", (den, rows))
+            _set(self, "_kernel", (self.den, [
+                (v, [(None if e == zero else e, re, im) for e, (re, im) in coeff.items()])
+                for v, coeff in self.num.items()]))
         return self._kernel
-
-    @property
-    def den(self) -> int:
-        """Common denominator of the coefficients: den * c_v has integer numerators."""
-        return self.kernel()[0]
 
     def apply_into(self, out: dict, num: dict, mult: int) -> dict:
         """Add mult * den * sum_v c_v d_v p, for p's numerators ``num`` and an
@@ -94,43 +144,90 @@ class FirstOrderOp:
         return Poly._make(self.vars, self.apply_into({}, p.num, 1), p.den * self.den)
 
     def coefficient(self, name: str) -> Poly:
-        return self.coeffs.get(name, Poly.zero(self.vars))
+        """c_name as a Poly; the zero Poly if the operator does not differentiate in it."""
+        return Poly._make(self.vars, dict(self.num.get(self.vars.index(name), {})), self.den)
+
+    def _check_compatible(self, other: "FirstOrderOp"):
+        if self.vars != other.vars:
+            raise ValueError(f"variable tables differ: {self.vars} vs {other.vars}")
+
+    def _combine(self, other: "FirstOrderOp", sign: int) -> "FirstOrderOp":
+        """self + sign * other over lcm(den, other.den): the coefficients of
+        self first, then the new ones of other, each merged by ``add_term``."""
+        self._check_compatible(other)
+        den1, den2 = self.den, other.den
+        g = gcd(den1, den2)
+        m1, m2 = den2 // g, sign * den1 // g
+        out = {v: times_gaussian(coeff, m1, 0) for v, coeff in self.num.items()}
+        for v, coeff in other.num.items():
+            acc = out.get(v)
+            if acc is None:
+                out[v] = times_gaussian(coeff, m2, 0)
+            else:
+                for key, (re, im) in coeff.items():
+                    add_term(acc, key, re * m2, im * m2)
+        return FirstOrderOp._make(self.vars, out, den1 * m1)
 
     def __add__(self, other: "FirstOrderOp") -> "FirstOrderOp":
-        merged = dict(self.coeffs)
-        for v, c in other.coeffs.items():
-            merged[v] = merged.get(v, Poly.zero(self.vars)) + c
-        return FirstOrderOp(self.vars, merged)
+        return self._combine(other, 1)
+
+    def __sub__(self, other: "FirstOrderOp") -> "FirstOrderOp":
+        return self._combine(other, -1)
 
     def __neg__(self):
-        return FirstOrderOp(self.vars, {v: -c for v, c in self.coeffs.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
+        return FirstOrderOp._make(
+            self.vars, {v: times_gaussian(coeff, -1, 0) for v, coeff in self.num.items()},
+            self.den)
 
     def scale(self, value) -> "FirstOrderOp":
-        value = cq(value)
-        return FirstOrderOp(self.vars, {v: c.scale(value) for v, c in self.coeffs.items()})
+        re, im, den = _gaussian_parts(value)
+        if not (re or im):
+            return FirstOrderOp._make(self.vars, {})
+        return FirstOrderOp._make(
+            self.vars, {v: times_gaussian(coeff, re, im) for v, coeff in self.num.items()},
+            self.den * den)
 
     def conjugate(self) -> "FirstOrderOp":
-        return FirstOrderOp(self.vars, {v: c.conjugate() for v, c in self.coeffs.items()})
+        """Complex conjugate of every coefficient (the variables are real)."""
+        return FirstOrderOp._make(
+            self.vars, {v: {e: (re, -im) for e, (re, im) in coeff.items()}
+                        for v, coeff in self.num.items()},
+            self.den)
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.num
 
     def commutator(self, other: "FirstOrderOp") -> "FirstOrderOp":
-        """[self, other]; first order because coefficient cross-terms cancel."""
+        """[self, other] = sum_v (self(c'_v) - other(c_v)) d_v, first order
+        because the coefficient cross-terms cancel.
+
+        Each coefficient is one dict over den * other.den: self applied to
+        the numerators of c'_v and other, with mult -1, to those of c_v.  A
+        constant coefficient is skipped, since no operator moves it.
+        """
+        self._check_compatible(other)
+        zero = (0,) * len(self.vars)
         out = {}
-        names = set(self.coeffs) | set(other.coeffs)
-        for v in names:
-            c = self.apply(other.coefficient(v)) - other.apply(self.coefficient(v))
-            if not c.is_zero():
-                out[v] = c
-        return FirstOrderOp(self.vars, out)
+        for v in dict.fromkeys([*self.num, *other.num]):
+            acc = out[v] = {}
+            for op, num, mult in ((self, other.num.get(v), 1), (other, self.num.get(v), -1)):
+                if num and not (len(num) == 1 and zero in num):
+                    op.apply_into(acc, num, mult)
+        return FirstOrderOp._make(self.vars, out, self.den * other.den)
+
+    def __eq__(self, other):
+        if not isinstance(other, FirstOrderOp):
+            return NotImplemented
+        return self.vars == other.vars and self.den == other.den and self.num == other.num
+
+    def __hash__(self):
+        return hash((self.vars, self.den, frozenset(
+            (v, frozenset(coeff.items())) for v, coeff in self.num.items())))
 
     def __str__(self):
-        if not self.coeffs:
+        if not self.num:
             return "0"
-        return " + ".join(f"({c}) d/d{v}" for v, c in sorted(self.coeffs.items()))
+        return " + ".join(f"({self.coefficient(name)}) d/d{name}"
+                          for name in sorted(self.vars[v] for v in self.num))
 
     __repr__ = __str__

@@ -15,20 +15,21 @@ form is canonical, so ``==`` and ``hash`` are exact:
 * the zero polynomial has ``den == 1``.
 
 The public constructor ``Poly(vars, terms)`` validates every term.  The ring
-operations, ``scale``, ``diff`` and ``conjugate`` do int arithmetic and build
-their result through the trusted ``Poly._make``, which only divides out the
-common factor of ``den`` and the numerators.  The API edge is ``terms``,
-``str`` and the JSON reader ``from_json``: only they show or read
-ComplexRational values.
+operations, ``scale`` and ``diff`` do int arithmetic and build their result
+through the trusted ``Poly._make``, which only divides out the common factor
+of ``den`` and the numerators.  The API edge is ``terms``, ``str`` and the
+JSON reader ``from_json``: only they show or read ComplexRational values.
 
-The layout is shared: ``FirstOrderOp.apply_into``, ``ExtForm.wedge`` and
-``randgen.SectionGenerator`` build the same numerator dicts, and every
-builder goes through the primitives here.  :func:`add_term` is the one
-place a sum is merged into a key, so it alone keeps the no-``(0, 0)`` rule;
-:func:`common_sum` adds two dicts over one denominator,
-:func:`times_gaussian` scales one by a Gaussian integer and :func:`mul_into`
-adds the product of two into a third (``Poly.__mul__``, ``ExtForm.wedge``),
-with a one-pass shortcut for a constant factor.
+The layout is shared: a ``FirstOrderOp`` is one numerator dict per
+coefficient over one ``den``, and ``FirstOrderOp.apply_into``,
+``ExtForm.wedge``, ``CutoffJet.apply_op`` and ``randgen.SectionGenerator``
+build the same numerator dicts; every builder goes through the primitives
+here.  :func:`add_term` is the one place a sum is merged into a key, so it
+alone keeps the no-``(0, 0)`` rule; :func:`common_sum` adds two dicts over
+one denominator, :func:`times_gaussian` scales one by a Gaussian integer and
+:func:`mul_into` adds the product of two into a third (``Poly.__mul__``,
+``ExtForm.wedge``, ``CutoffJet.apply_op``), with a one-pass shortcut for a
+constant factor.
 Callers keep only the rules on their keys.
 """
 
@@ -301,11 +302,6 @@ class Poly:
         if not (re or im):
             return Poly.zero(self.vars)
         return Poly._make(self.vars, times_gaussian(self.num, re, im), self.den * den)
-
-    def conjugate(self) -> "Poly":
-        """Complex conjugate (the variables are real)."""
-        return Poly._make(self.vars, {e: (re, -im) for e, (re, im) in self.num.items()},
-                          self.den)
 
     # -- calculus ---------------------------------------------------------------
 

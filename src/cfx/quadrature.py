@@ -11,8 +11,8 @@ phi = ((x - l)(h - x))^2 / r^4 on [l, h], r = (h - l) / 2: it is 1 at the
 centre and vanishes to second order on every face.  First-order operators
 with polynomial coefficients move it only by the Leibniz rule, so what the
 mass estimates build from it is a :class:`CutoffJet`,
-sum_alpha P_alpha d^alpha chi with ``Poly`` parts; nothing but ``Poly``
-holds its numerators.
+sum_alpha P_alpha d^alpha chi with ``Poly`` parts.  :meth:`CutoffJet.apply_op`
+adds each new part into one numerator dict and builds one ``Poly`` per part.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from math import lcm
 from typing import Sequence
 
 from .exterior import put_component
-from .poly import Poly
+from .poly import Poly, mul_into
 from .rational import ComplexRational
 
 
@@ -147,17 +147,27 @@ class CutoffJet:
 
     def apply_op(self, op) -> "CutoffJet":
         """Z(sum P_alpha d^alpha chi) for Z = sum_v c_v d_v, by the Leibniz rule:
-        Z(P_alpha) stays at alpha, and c_v P_alpha goes to alpha + e_v."""
+        Z(P_alpha) stays at alpha, and c_v P_alpha goes to alpha + e_v.
+
+        One integer pass over the operator's table: every output alpha gets
+        one numerator dict over D * den, D the lcm of the parts' denominators
+        and den the operator's.  Z(P_alpha) goes in through
+        ``FirstOrderOp.apply_into`` and c_v P_alpha through ``poly.mul_into``,
+        both with mult = D / P_alpha's den, and each nonzero sum is one Poly.
+        """
         if op.vars != self.vars:
             raise ValueError("the operator and the jet have different variable tables")
+        D = lcm(1, *(part.den for part in self.parts.values()))
         out: dict = {}
-        index = self.vars.index
         for alpha, part in self.parts.items():
-            _add_part(out, alpha, op.apply(part))
-            for v, c in op.coeffs.items():
-                i = index(v)
-                _add_part(out, alpha[:i] + (alpha[i] + 1,) + alpha[i + 1:], c * part)
-        return CutoffJet(self.vars, out)
+            mult = D // part.den
+            op.apply_into(out.setdefault(alpha, {}), part.num, mult)
+            for i, c in op.num.items():
+                shifted = alpha[:i] + (alpha[i] + 1,) + alpha[i + 1:]
+                mul_into(out.setdefault(shifted, {}), c, part.num, mult)
+        den = D * op.den
+        return CutoffJet(self.vars, {alpha: Poly._make(self.vars, num, den)
+                                     for alpha, num in out.items() if num})
 
     def __sub__(self, other: "CutoffJet") -> "CutoffJet":
         out = dict(self.parts)

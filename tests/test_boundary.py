@@ -19,6 +19,7 @@ from cfx.verify import (anticommute_suite, boundary_composition_suite, random_bo
                         subcomplex_suite)
 from test_exterior import basis_form
 from test_groups import group_to_json
+from test_operators import coeffs
 from test_poly import constant_term, power, total_degree
 from test_spinor import zero_spinor_field
 
@@ -86,7 +87,7 @@ def ambient_tangential_fields(group: GroupSpec):
                 grad = lowered[a][bprime].apply(rho)
                 correction = FirstOrderOp(
                     variables,
-                    {v: grad * c for v, c in normal[bprime][cprime].coeffs.items()})
+                    {v: grad * c for v, c in coeffs(normal[bprime][cprime]).items()})
                 op = op - correction
             row.append(op)
         rows.append(row)
@@ -198,9 +199,9 @@ def _constant_rows(rows):
     out = []
     for row in rows:
         for op in row:
-            if any(total_degree(p) > 0 for p in op.coeffs.values()):
+            if any(total_degree(p) > 0 for p in coeffs(op).values()):
                 return None
-            out.append({v: constant_term(p) for v, p in op.coeffs.items()})
+            out.append({v: constant_term(p) for v, p in coeffs(op).items()})
     return out
 
 
@@ -220,7 +221,7 @@ def test_abelian_frame_is_the_ambient_frame(n):
 def test_operators_and_fields_are_immutable(right2):
     op = right2.Z_upper[0][0]
     with pytest.raises(AttributeError):
-        op.coeffs = {}
+        op.num = {}
     with pytest.raises(AttributeError):
         FirstOrderOp.partial(right2.vars, "x1").vars = ()
     fld = zero_field(BoundarySpec(2, 1), 1, right2)
@@ -817,6 +818,19 @@ def _tampered(frame, row, column, factor):
     return tampered
 
 
+@pytest.mark.parametrize("name, n, residual", [
+    ("rightQH", 1, "(-2*i) d/dt1"),
+    ("rightQH", 2, "(-2*i) d/dt1"),
+    ("leftQH", 1, "(4) d/dt2 + (-4*i) d/dt3"),
+    ("leftQH", 2, "(4) d/dt2 + (-4*i) d/dt3"),
+])
+def test_bracket_identity_residual_string_is_pinned(name, n, residual):
+    # the string the report prints for a broken field, recorded from the
+    # Poly-coefficient operator algebra
+    result = bracket_identity(_tampered(TangentFrame(GroupSpec.named(name, n)), 0, 1, 2))
+    assert result["pass"] is False and result["residual"] == residual
+
+
 # The identity as eight second-order compositions per row pair, with the
 # composition type it needed: the reference for the commutator form.
 
@@ -843,14 +857,14 @@ class _SecondOrderOp:
     def compose(cls, outer, inner):
         order2 = {}
         order1 = {}
-        for v, cv in outer.coeffs.items():
-            for w, cw in inner.coeffs.items():
+        for v, cv in coeffs(outer).items():
+            for w, cw in coeffs(inner).items():
                 key = tuple(sorted((v, w)))
                 term = cv * cw
                 acc = order2.get(key)
                 order2[key] = term if acc is None else acc + term
         # outer differentiates inner coefficients
-        for w, cw in inner.coeffs.items():
+        for w, cw in coeffs(inner).items():
             c = outer.apply(cw)
             if not c.is_zero():
                 acc = order1.get(w)
@@ -906,7 +920,7 @@ def _reference_bracket_identity(frame: TangentFrame) -> dict:
                     lhs = lhs.scale(quarter)
                     t_sym = (frame.T_upper[(ap, bp)] + frame.T_upper[(bp, ap)]).scale(half)
                     rhs = _SecondOrderOp(frame.vars, {},
-                                         {v: c.scale(coeff) for v, c in t_sym.coeffs.items()})
+                                         {v: c.scale(coeff) for v, c in coeffs(t_sym).items()})
                     diff = lhs - rhs
                     if not diff.is_zero():
                         ok = False

@@ -28,6 +28,7 @@ from test_groups import (reference_brackets, reference_horizontal_fields,
                          reference_is_right_type, s_block)
 from test_linalg import (LAM, bareiss_det, central_pairing_det, cofactor_det,
                          expansion_pfaffian, minor_rank, symbolic_pairing_det)
+from test_operators import coeffs
 from test_poly import eval_exact, is_homogeneous, total_degree
 
 
@@ -243,7 +244,7 @@ def test_brackets_and_fields_match_dense_products(n):
                 want = Poly.zero(variables)
                 for a in range(4 * n):
                     want = want + Poly.var(variables, f"x{a+1}", 2 * si[a][b])
-                assert fld.coeffs.get(f"t{beta+1}", Poly.zero(variables)) == want
+                assert coeffs(fld).get(f"t{beta+1}", Poly.zero(variables)) == want
 
 
 # -- the one integer view (den, den S) against the Fraction bracket matrices --------------
@@ -331,9 +332,9 @@ def test_integer_view_matches_the_fraction_brackets(name):
     rows = [[b[a][c] for b in brackets] for a in range(size) for c in range(a + 1, size)]
     assert is_stratified(g) == (minor_rank(rows) == 3)
     for X, Y in zip(horizontal_fields(g), reference_horizontal_fields(g), strict=True):
-        assert list(X.coeffs) == list(Y.coeffs)
-        for v, p in X.coeffs.items():
-            assert p == Y.coeffs[v] and list(p.num.items()) == list(Y.coeffs[v].num.items())
+        assert list(coeffs(X)) == list(coeffs(Y))
+        for v, p in coeffs(X).items():
+            assert p == coeffs(Y)[v] and list(p.num.items()) == list(coeffs(Y)[v].num.items())
     for a in range(2 * g.n):
         for b in range(2 * g.n):
             assert curvature_entry(g, a, b) == reference_curvature_entry(g, a, b)

@@ -10,6 +10,7 @@ from cfx.poly import Poly, x_vars
 from cfx.randgen import SectionGenerator
 from cfx.rational import cq
 from cfx.verify import flat_composition_suite, flat_tuple_equivalence_suite
+from test_operators import coeffs
 from test_poly import constant_term, flat_laplacian, total_degree
 from test_spinor import zero_spinor_field
 
@@ -24,8 +25,8 @@ def d_upper(aprime, form):
 
 def constant_entries(op):
     """{var: constant} of a row entry, which must have constant coefficients."""
-    assert all(total_degree(p) == 0 for p in op.coeffs.values())
-    return {v: constant_term(p) for v, p in op.coeffs.items()}
+    assert all(total_degree(p) == 0 for p in coeffs(op).values())
+    return {v: constant_term(p) for v, p in coeffs(op).items()}
 
 
 # -- an independent expansion of the raised operator, used as the oracle ------------------

@@ -433,7 +433,7 @@ def test_sections_and_frames_are_built_on_ints(monkeypatch):
         assert total_degree(g.psh_quadratic(group_vars(2), 8)) == 2
     for group in groups:
         fields = horizontal_fields(group)
-        assert len(fields) == 4 * group.n and all(len(X.coeffs) > 1 for X in fields)
+        assert len(fields) == 4 * group.n and all(len(X.num) > 1 for X in fields)
 
 
 def test_condition_h_runs_on_ints(monkeypatch):
@@ -495,6 +495,37 @@ def test_groups_are_read_through_one_integer_view(monkeypatch):
         assert frame.right_type == result["right_type"]
         right.append(frame.right_type)
     assert right == [False, True]
+
+
+def test_operator_algebra_runs_on_ints(monkeypatch):
+    # a frame's rows and translations, the bracket check's commutators and
+    # table comparisons, and the Leibniz step of a cutoff jet work on the
+    # operators' integer tables: no Poly sum or product and no
+    # ComplexRational sum or product
+    from cfx.boundary import TangentFrame, bracket_identity
+    from cfx.groups import GroupSpec
+    from cfx.poly import Poly
+    from cfx.quadrature import CutoffJet
+    from cfx.randgen import SectionGenerator
+    from cfx.rational import ComplexRational
+
+    groups = [GroupSpec.left_qh(2), GroupSpec(2, SectionGenerator(9).right_type_matrix(2))]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("Poly or rational arithmetic in the operator algebra")
+
+    for cls, name in ((Poly, "__add__"), (Poly, "__mul__"),
+                      (ComplexRational, "__mul__"), (ComplexRational, "__add__")):
+        monkeypatch.setattr(cls, name, forbidden)
+    verdicts = []
+    for group in groups:
+        frame = TangentFrame(group)
+        verdicts.append((frame.right_type, bracket_identity(frame)["pass"]))
+        # Z chi = sum_v c_v d_v chi: one part per coefficient, none at alpha = 0
+        row = frame.Z_lower[1][0]
+        jet = CutoffJet.bump(frame.vars).apply_op(row)
+        assert len(jet.parts) == len(row.num) > 2
+    assert verdicts == [(False, True), (True, True)]
 
 
 # names the benchmark tooling still asks for although the package no longer

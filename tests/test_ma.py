@@ -19,6 +19,7 @@ from cfx.quadrature import CutoffJet, integrate_jets, integrate_poly_box, integr
 from cfx.randgen import SectionGenerator
 from cfx.rational import ZERO, cq
 from test_exterior import basis_form
+from test_operators import coeffs
 from test_poly import power
 from test_quadrature import bump_factor, uni_diff
 
@@ -335,7 +336,7 @@ def _z_rho_on_face(frame: TangentFrame, row: int, aprime: int, axis: int,
     built as a zero Poly plus the scaled coefficient: the reference for the
     face term of ``stokes_check``."""
     out = Poly.zero(frame.vars)
-    coeff = frame.Z_upper[row][aprime].coeffs.get(frame.vars[axis])
+    coeff = coeffs(frame.Z_upper[row][aprime]).get(frame.vars[axis])
     if coeff is not None:
         out = out + coeff.scale(sign)
     return out

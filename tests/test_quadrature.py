@@ -11,6 +11,7 @@ from cfx.poly import Poly, add_term, x_vars
 from cfx.quadrature import CutoffJet, integrate_jets, integrate_poly_box, integrate_poly_face
 from cfx.randgen import SectionGenerator
 from cfx.rational import ComplexRational, cq
+from test_operators import coeffs
 from test_poly import power
 
 V = x_vars(3)
@@ -86,7 +87,7 @@ class ReferenceSum:
 
     def apply_op(self, op, axis_of):
         out = ReferenceSum.zero(self.naxes)
-        for var, coeff_poly in op.coeffs.items():
+        for var, coeff_poly in coeffs(op).items():
             d = self.diff_axis(axis_of[var])
             if not d.terms:
                 continue

@@ -21,6 +21,7 @@ from cfx.rational import ZERO, cq
 from cfx.spinor import SpinorField
 from test_exterior import basis_form
 from test_linalg import dense_bareiss, gaussian_product
+from test_operators import coeffs
 from test_poly import constant_term
 
 
@@ -33,7 +34,7 @@ def reference_symbol(spec, j, v):
         for row_idx, row in enumerate(spec.frame.Z_upper):
             # replace each derivative by the matching covector entry
             c = ZERO
-            for var, p in row[aprime].coeffs.items():
+            for var, p in coeffs(row[aprime]).items():
                 c = c + constant_term(p) * cq(point.get(var, 0))
             if not c.is_zero():
                 comps[(row_idx,)] = Poly.const(spec.vars, c)

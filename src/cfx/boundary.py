@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import lcm
 from typing import List, Optional
 
@@ -91,7 +91,7 @@ class Frame:
             ops = [row[aprime] for row in (self.Z_upper if raised else self.Z_lower)]
             L = lcm(1, *(op.den for op in ops))
             table = self._rows[aprime, raised] = (L, tuple(
-                (op, L // op.den, sum(1 << v for v, _ in op.kernel()[1])) for op in ops))
+                (op, L // op.den, sum(1 << v for v in op.num)) for op in ops))
         return table
 
 
@@ -319,14 +319,14 @@ def boundary_D(frame: TangentFrame, fld: BoundaryField) -> BoundaryField:
             for bp in (0, 1):
                 comp = comp - frak_d(bp, f(ap).map_coeffs(frame.T_lower[bp][ap].apply), frame)
         return BoundaryField(spec, j + 1, lead, SpinorField(0, "S", [comp]))
-    # below (step 1) or above (step -1) the middle: minus the four
-    # translations of the lead, minus the slot combination of the companion
-    step, sigma = (1 if j < k else -1), spec.sigma(j + 2)
-    comp = SpinorField(sigma, lead.basis,
-                       [-(T((0, 0), c) + T((0, 1), c + step) + T((1, 0), c + step)
-                          + T((1, 1), c + 2 * step)) for c in range(sigma + 1)])
+    # below or above the middle: minus T^{xy} of the lead along the two-step
+    # paths of the rules of levels j and j + 1, minus rule j + 1 on G
+    inner, outer = spec.slot_rule(j), spec.slot_rule(j + 1)
+    shape = spec.companion_shape(j + 1)
+    comp = SpinorField(shape[0], shape[2], [-f for f in _sums(frame, shape[1], [
+        [T((x, y), a) for m, (x,) in terms for a, (y,) in inner[m]] for terms in outer])])
     if fld.has_companion():
-        comp = comp - _slot_combination(frame, G, sigma, step)
+        comp = comp - _slot_combination(frame, outer, G, shape)
     return BoundaryField(spec, j + 1, lead, comp)
 
 
@@ -334,24 +334,31 @@ def _dd(frame, f, a, b):
     return frak_d(a, frak_d(b, f, frame), frame)
 
 
-def _slot_combination(frame: Frame, slot, sigma: int, step: int) -> SpinorField:
-    """Slots d^0 f(b) + d^1 f(b + step), b = 0..sigma: step 1 descending, -1 ascending."""
-    return SpinorField(sigma, "S" if step == 1 else "tilde",
-                       [frak_d(0, slot(b), frame) + frak_d(1, slot(b + step), frame)
-                        for b in range(sigma + 1)])
+def _slot_combination(frame: Frame, rule: tuple, slot, shape) -> SpinorField:
+    """The field of ``shape`` (sigma, degree, basis) whose slot b sums d^path
+    slot(a) over the (a, path) of ``rule[b]``, a ``LevelTable.slot_rule``."""
+    sigma, degree, basis = shape
+    return SpinorField(sigma, basis, _sums(frame, degree, [
+        [reduce(lambda f, p: frak_d(p, f, frame), reversed(path), slot(a)) for a, path in terms]
+        for terms in rule]))
+
+
+def _sums(frame: Frame, degree: int, lists: list) -> list:
+    """The sum of each list of forms; the zero form of ``degree`` for an empty one."""
+    return [sum(forms[1:], forms[0]) if forms else ExtForm.zero(frame.dim, degree, frame.vars)
+            for forms in lists]
 
 
 def subcomplex_D(frame: Frame, spec, j: int, lead: SpinorField) -> SpinorField:
-    """Slot-combination step of the level-j operator on leading components.
+    """Slot-combination step of the level-j operator on leading components:
+    ``spec.slot_rule(j)`` applied to the slots of ``lead``.
 
     With the ambient frame and a flat ``ComplexSpec`` this is the flat
     operator; with a right-type group and a :class:`BoundarySpec` it is the
     projected boundary operator.
     """
     spec._check_operator_level(j)
-    if j == spec.k:
-        return SpinorField(0, "tilde", [_dd(frame, lead.slot(0), 0, 1)])
-    return _slot_combination(frame, lead.slot, spec.sigma(j + 1), 1 if j < spec.k else -1)
+    return _slot_combination(frame, spec.slot_rule(j), lead.slot, spec.shape(j + 1))
 
 
 # -- identity checks ------------------------------------------------------------------------
@@ -423,21 +430,19 @@ def lead_first_adjoint_compose(frame: TangentFrame, k: int, slots: List[Poly]):
 
     D_0 is :func:`subcomplex_D` at level 0 on the scalar slot field: slot b of
     its image has component Z_row^0 slots[b] + Z_row^1 slots[b + 1] at (row,).
+    The adjoint walks level 0's slot rule back, from output slot b to slot a.
     """
     if len(slots) != k + 1:
         raise ValueError(f"need {k + 1} slot functions")
+    spec = BoundarySpec(frame.n, k)
     lead = SpinorField(k, "S", [ExtForm.from_scalar(frame.dim, p) for p in slots])
-    image = subcomplex_D(frame, BoundarySpec(frame.n, k), 0, lead)
+    image = subcomplex_D(frame, spec, 0, lead)
     adjoint = [(row[0].conjugate(), row[1].conjugate()) for row in frame.Z_upper]
-    out = []
-    for a in range(k + 1):
-        acc = Poly.zero(frame.vars)
-        for row, ops in enumerate(adjoint):
-            for bp in (0, 1):
-                b = a - bp
-                if 0 <= b <= k - 1:
-                    acc = acc - ops[bp].apply(image.slot(b).component((row,)))
-        out.append(acc)
+    out = [Poly.zero(frame.vars)] * (k + 1)
+    for b, terms in enumerate(spec.slot_rule(0)):
+        for a, (p,) in terms:
+            for row, ops in enumerate(adjoint):
+                out[a] = out[a] - ops[p].apply(image.slot(b).component((row,)))
     return out
 
 

@@ -1,10 +1,10 @@
 """The flat quaternionic complex on R^{4(n+1)}.
 
-Levels are symmetric powers tensor exterior powers of C^{2(n+1)}; the three
-operator branches act on slot fields in the descending basis below the
-middle level and the ascending basis above it.  The operators run the
-boundary machinery (``subcomplex_D``, ``frak_d``) on the ambient frame of
-coordinate partials.  Everything here is exact.
+Levels are symmetric powers tensor exterior powers of C^{2(n+1)}: slot fields
+in the descending basis up to the middle level, the ascending basis above.
+The operators run the boundary machinery (``subcomplex_D``, ``frak_d``) on
+the ambient frame of coordinate partials; they and the symbol read one slot
+rule, ``LevelTable.slot_rule``, and one row table.  Everything here is exact.
 """
 
 from __future__ import annotations
@@ -13,11 +13,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations, product
+from itertools import product
 from typing import Sequence
 
 from .boundary import Frame, ambient_frame, frak_d, subcomplex_D
-from .exterior import insert_index
+from .exterior import insertions
 from .linalg import bareiss
 from .poly import add_term, x_vars
 from .spinor import LevelTable, SpinorField, symmetrize, tuple_to_slots
@@ -44,22 +44,6 @@ class ComplexSpec(LevelTable):
     def frame(self) -> Frame:
         """Rows of the ambient operator, built once per spec."""
         return ambient_frame(self.n)
-
-    @cached_property
-    def covector_table(self) -> tuple:
-        """Per primed index a', per raised frame row: (position, re, im) ints.
-
-        Freezing the row's partials at a covector v gives the row's entry
-        sum (re + i im) v[position] of the symbol's 1-form w_{a'}.  The rows
-        of the ambient frame have constant coefficients 1, -1, i or -i, so
-        each kernel row of ``FirstOrderOp.kernel`` is one Gaussian-integer
-        term over the denominator 1.
-        """
-        return tuple(
-            tuple(tuple((position, re, im)
-                        for position, ((_, re, im),) in row[aprime].kernel()[1])
-                  for row in self.frame.Z_upper)
-            for aprime in (0, 1))
 
 
 def flat_D(spec: ComplexSpec, j: int, field: SpinorField) -> SpinorField:
@@ -95,69 +79,57 @@ def dot_pi(spec: ComplexSpec, j: int, tuples: dict) -> SpinorField:
 # -- symbol sequence -----------------------------------------------------------------
 
 
-def _level_basis(spec: ComplexSpec, j: int):
-    """Enumerated (slot, index-tuple) basis of level j."""
-    s, d, _ = spec.shape(j)
-    return [(a, idx) for a in range(s + 1) for idx in combinations(range(spec.form_dim), d)]
-
-
-def _wedge_covector(w: list, idx: tuple) -> list:
-    """w ^ w^idx for a 1-form w given as one (re, im) int pair per index,
-    as (merged index, re, im) terms; each w^r ^ w^idx is
-    ``exterior.insert_index``."""
-    out = []
-    for r, (re, im) in enumerate(w):
-        if re or im:
-            inserted = insert_index(r, idx)
-            if inserted is not None:
-                sign, out_idx = inserted
-                out.append((out_idx, sign * re, sign * im))
-    return out
+def _wedge_path(w: list, path: tuple, idx: tuple, dim: int) -> dict:
+    """w_{p_1} ^ ... ^ w_{p_m} ^ e_idx for the path (p_1, ..., p_m), last w
+    first, as {index: (re, im)}; ``w[p]`` lists (row, re, im) of w_p."""
+    terms = {idx: (1, 0)}
+    for p in reversed(path):
+        terms, prev = {}, terms
+        for mid, (x, y) in prev.items():
+            table = insertions(dim, mid)
+            for r, re, im in w[p]:
+                if table[r] is not None:
+                    sign, out = table[r]
+                    add_term(terms, out, sign * (x * re - y * im), sign * (x * im + y * re))
+    return terms
 
 
 def symbol_at(spec: ComplexSpec, j: int, v: Sequence) -> list:
     """Rows of the level-j symbol matrix at q v in the enumerated bases.
 
     q is the least common denominator of v, so q v is an integer covector
-    and every entry is a Gaussian integer.  Each row, one per basis element
-    of level j + 1, is a sparse ``{column: (re, im)}`` dict of int pairs
-    that holds no ``(0, 0)``, the rows ``linalg.bareiss`` takes.
-    The symbol is homogeneous in v of order ord (2 at j = k, 1 elsewhere), so
-    the matrix is q^ord times the symbol at v and has the same rank.  The
-    two covector 1-forms w_{a'} come from ``ComplexSpec.covector_table``; each
-    column is w_{a'} ^ e_idx placed in its slots (w_0 ^ w_1 ^ e_idx at j = k).
+    and every entry is a Gaussian integer.  Each row, one per element of
+    ``spec.basis(j + 1)``, is a sparse ``{column: (re, im)}`` dict of int
+    pairs that holds no ``(0, 0)``, the rows ``linalg.bareiss`` takes.  The
+    symbol is homogeneous in v of order ord (2 at j = k, 1 elsewhere), so
+    the matrix is q^ord times the symbol at v and has the same rank.
+    Row r of w_{a'} is row r of ``Frame.row_table(a', True)``, which
+    ``frak_d`` reads, its constant partials frozen at q v (L = 1); column
+    (a, idx) puts w_{p_1} ^ ... ^ e_idx in slot b for each (a, path) of
+    ``spec.slot_rule(j)[b]``, with the signs of ``exterior.insertions``.
     """
     spec._check_operator_level(j)
-    k = spec.k
     v = tuple(Fraction(x) for x in v)
     if len(v) != 4 * (spec.n + 1):
         raise ValueError(f"covector needs {4 * (spec.n + 1)} entries, not {len(v)}")
     q = math.lcm(*(x.denominator for x in v))
     qv = [x.numerator * (q // x.denominator) for x in v]
-    w0, w1 = ([(sum(re * qv[pos] for pos, re, _ in row), sum(im * qv[pos] for pos, _, im in row))
-               for row in rows] for rows in spec.covector_table)
-    in_basis = _level_basis(spec, j)
-    out_basis = _level_basis(spec, j + 1)
-    out_pos = {key: i for i, key in enumerate(out_basis)}
-    matrix = [{} for _ in out_basis]
-    for col, (a, idx) in enumerate(in_basis):
-        if j == k:
-            image = {}
-            for mid, re1, im1 in _wedge_covector(w1, idx):
-                for out, re0, im0 in _wedge_covector(w0, mid):
-                    add_term(image, out, re0 * re1 - im0 * im1, re0 * im1 + im0 * re1)
-            for out, value in image.items():
-                matrix[out_pos[(0, out)]][col] = value
-            continue
-        if j < k:
-            slots = [(a, w0)] if a <= spec.sigma(j + 1) else []
-            if a >= 1:
-                slots.append((a - 1, w1))
-        else:
-            slots = [(a, w0), (a + 1, w1)]
-        for slot, w in slots:
-            for out, re, im in _wedge_covector(w, idx):
-                matrix[out_pos[(slot, out)]][col] = (re, im)
+    w = [[], []]
+    for aprime, form in enumerate(w):
+        for r, (op, scale, _) in enumerate(spec.frame.row_table(aprime, True)[1]):
+            parts = [(scale * qv[var], c) for var, coeff in op.num.items() for c in coeff.values()]
+            re, im = sum(x * c for x, (c, _) in parts), sum(x * d for x, (_, d) in parts)
+            if re or im:
+                form.append((r, re, im))
+    rule = spec.slot_rule(j)
+    reach = [[(b, path) for b, terms in enumerate(rule) for a, path in terms if a == slot]
+             for slot in range(spec.sigma(j) + 1)]
+    out_pos = {key: i for i, key in enumerate(spec.basis(j + 1))}
+    matrix = [{} for _ in out_pos]
+    for col, (a, idx) in enumerate(spec.basis(j)):
+        for b, path in reach[a]:
+            for out, (re, im) in _wedge_path(w, path, idx, spec.form_dim).items():
+                add_term(matrix[out_pos[b, out]], col, re, im)
     return matrix
 
 

@@ -86,6 +86,14 @@ def triangle_form(f: ExtForm, frame: TangentFrame) -> ExtForm:
     return frak_d(0, frak_d(1, f, frame, raised=False), frame, raised=False)
 
 
+def _triangles_after_first(us: Sequence[Poly], frame: TangentFrame) -> ExtForm:
+    """triangle(u_2) ^ ... ^ triangle(u_p), the constant form 1 for one input."""
+    rest = ExtForm.from_scalar(frame.dim, Poly.const(frame.vars, 1))
+    for u in us[1:]:
+        rest = rest.wedge(triangle(u, frame))
+    return rest
+
+
 def key_identity_check(us: Sequence[Poly], frame: TangentFrame) -> dict:
     """Four independent evaluations of the top wedge power must agree exactly.
 
@@ -95,9 +103,7 @@ def key_identity_check(us: Sequence[Poly], frame: TangentFrame) -> dict:
     frame.require_right_type()
     if len(us) != frame.n:
         raise ValueError(f"need exactly n={frame.n} inputs for the top power")
-    rest = ExtForm.from_scalar(frame.dim, Poly.const(frame.vars, 1))
-    for u in us[1:]:
-        rest = rest.wedge(triangle(u, frame))
+    rest = _triangles_after_first(us, frame)
     u1 = ExtForm.from_scalar(frame.dim, us[0])
 
     e1 = triangle(us[0], frame).wedge(rest)
@@ -376,9 +382,7 @@ def cln_experiment(us: Sequence[Poly], K: Region, L: Region,
     if not 1 <= p <= n:
         raise ValueError("need between 1 and n inputs")
 
-    rest = ExtForm.from_scalar(frame.dim, Poly.const(frame.vars, 1))
-    for u in us[1:]:
-        rest = rest.wedge(triangle(u, frame))
+    rest = _triangles_after_first(us, frame)
     beta_pow = ExtForm.from_scalar(frame.dim, Poly.const(frame.vars, 1))
     for _ in range(n - p):
         beta_pow = beta_pow.wedge(beta_form(frame))

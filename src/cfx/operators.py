@@ -25,7 +25,7 @@ from collections.abc import Mapping
 from math import gcd, lcm
 from operator import add
 
-from .poly import Poly, _gaussian_parts, add_term, times_gaussian
+from .poly import Poly, _gaussian_parts, add_term, common_sum, times_gaussian
 
 _set = object.__setattr__
 
@@ -47,9 +47,8 @@ class FirstOrderOp:
     """sum_v  coeff_v(x) * d/dv, as one integer table (see the module docstring).
 
     :meth:`kernel` lists the table as the rows every application
-    (``apply_into``, and so ``apply``) and the flat symbol's covector rows
-    read.  It is built on first use, because most frame-building
-    intermediates are never applied.
+    (``apply_into``, and so ``apply``) reads.  It is built on first use,
+    because most frame-building intermediates are never applied.
     """
 
     __slots__ = ("vars", "num", "den", "_kernel")
@@ -151,28 +150,17 @@ class FirstOrderOp:
         if self.vars != other.vars:
             raise ValueError(f"variable tables differ: {self.vars} vs {other.vars}")
 
-    def _combine(self, other: "FirstOrderOp", sign: int) -> "FirstOrderOp":
-        """self + sign * other over lcm(den, other.den): the coefficients of
-        self first, then the new ones of other, each merged by ``add_term``."""
-        self._check_compatible(other)
-        den1, den2 = self.den, other.den
-        g = gcd(den1, den2)
-        m1, m2 = den2 // g, sign * den1 // g
-        out = {v: times_gaussian(coeff, m1, 0) for v, coeff in self.num.items()}
-        for v, coeff in other.num.items():
-            acc = out.get(v)
-            if acc is None:
-                out[v] = times_gaussian(coeff, m2, 0)
-            else:
-                for key, (re, im) in coeff.items():
-                    add_term(acc, key, re * m2, im * m2)
-        return FirstOrderOp._make(self.vars, out, den1 * m1)
-
     def __add__(self, other: "FirstOrderOp") -> "FirstOrderOp":
-        return self._combine(other, 1)
+        """Each coefficient is ``poly.common_sum`` of the two over the lcm of
+        the dens: the variables of self first, then the new ones of other."""
+        self._check_compatible(other)
+        den = lcm(self.den, other.den)
+        return FirstOrderOp._make(self.vars, {
+            v: common_sum(self.num.get(v, {}), self.den, other.num.get(v, {}), other.den)[0]
+            for v in dict.fromkeys([*self.num, *other.num])}, den)
 
     def __sub__(self, other: "FirstOrderOp") -> "FirstOrderOp":
-        return self._combine(other, -1)
+        return self + (-other)
 
     def __neg__(self):
         return FirstOrderOp._make(

@@ -18,6 +18,7 @@ adds each new part into one numerator dict and builds one ``Poly`` per part.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 from typing import Sequence
 
@@ -68,13 +69,19 @@ def _integrate(p: Poly, lows: Sequence, highs: Sequence, frozen: dict) -> Comple
 
 
 def _moment_table(a, b, size: int) -> tuple:
-    """(M, D) with int_a^b x^e dx == M[e] / D for e < size, all ints.
+    """(M, D) with int_a^b x^e dx == M[e] / D for e < size, all ints; M is a tuple.
 
     With a = A/Q and b = B/Q over Q = den(a) den(b) and L = lcm(1..size),
     M[e] = (B^(e+1) - A^(e+1)) (L / (e+1)) Q^(size-1-e) and D = L Q^size.
     """
-    q, s = a.denominator, b.denominator
-    big_a, big_b, big_q = a.numerator * s, b.numerator * q, q * s
+    return _moments(a.numerator, a.denominator, b.numerator, b.denominator, size)
+
+
+@lru_cache(maxsize=256)
+def _moments(na: int, q: int, nb: int, s: int, size: int) -> tuple:
+    """:func:`_moment_table` of na/q and nb/s, built once per process and keyed
+    on ints: hashing a Fraction costs about as much as building the table."""
+    big_a, big_b, big_q = na * s, nb * q, q * s
     scale = lcm(*range(1, size + 1))
     table = []
     pa, pb = big_a, big_b
@@ -82,7 +89,7 @@ def _moment_table(a, b, size: int) -> tuple:
         table.append((pb - pa) * (scale // (e + 1)) * big_q ** (size - 1 - e))
         pa *= big_a
         pb *= big_b
-    return table, scale * big_q ** size
+    return tuple(table), scale * big_q ** size
 
 
 def _moment_sum(num: dict, tables: Sequence) -> tuple:

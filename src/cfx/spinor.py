@@ -21,14 +21,17 @@ every index in {0, 1}^s; s is the key length.  :func:`symmetrize`,
 
 :class:`LevelTable` is the level bookkeeping shared by the flat and the
 boundary complex: level j carries sigma(j)-spinors of tau(j)-forms, in the
-descending basis up to level k and the ascending basis above it.
+descending basis up to level k and the ascending basis above it, and its
+slot rule says which slot of level j reaches which slot of level j + 1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from math import comb
 from fractions import Fraction
+from functools import lru_cache
 from typing import Dict, Sequence
 
 from .exterior import ExtForm
@@ -183,6 +186,25 @@ class LevelTable:
     def shape(self, j: int):
         """(sigma, form degree, basis) of level j."""
         return self.sigma(j), self.tau(j), self.basis_tag(j)
+
+    def basis(self, j: int) -> list:
+        """Enumerated (slot, index-tuple) basis of level j."""
+        s, d, _ = self.shape(j)
+        return [(a, idx) for a in range(s + 1) for idx in combinations(range(self.form_dim), d)]
+
+    @lru_cache(maxsize=None)
+    def slot_rule(self, j: int) -> tuple:
+        """Entry b lists the (input slot a, primed path) pairs that slot b of
+        level j + 1 sums: (p,) is d^p and (0, 1) is d^0 d^1, the one entry at
+        j = k.  Slot b is d^0 f(b) + d^1 f(b + 1) below the middle and
+        d^0 f(b) + d^1 f(b - 1) above it, without the slots out of range.
+        Unchecked, like ``sigma``: the boundary companion reads level j + 1.
+        """
+        if j == self.k:
+            return (((0, (0, 1)),),)
+        step, top = (1 if j < self.k else -1), self.sigma(j)
+        return tuple(tuple((b + p * step, (p,)) for p in (0, 1) if 0 <= b + p * step <= top)
+                     for b in range(self.sigma(j + 1) + 1))
 
     def level_dim(self, j: int) -> int:
         s, d, _ = self.shape(j)

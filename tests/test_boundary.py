@@ -1102,9 +1102,11 @@ def test_level_zero_subcomplex_D_matches_the_written_out_operator(name, n):
 def test_hodge_diag_reads_D0_from_subcomplex_D(monkeypatch):
     # mutation: the slot combination loses its d^1 term, so D_0 is wrong and
     # the diagonal identity must fail
-    def without_d1(frame, slot, sigma, step):
-        return SpinorField(sigma, "S" if step == 1 else "tilde",
-                           [frak_d(0, slot(b), frame) for b in range(sigma + 1)])
+    original = boundary._slot_combination
+
+    def without_d1(frame, rule, slot, shape):
+        return original(frame, [[(a, path) for a, path in terms if path != (1,)]
+                                for terms in rule], slot, shape)
 
     for k in (1, 2):
         assert hodge_diag(BoundarySpec(1, k), RIGHT1, trials=2, seed=3)["pass"]

@@ -672,12 +672,15 @@ def test_every_definition_is_reached_by_the_program(tmp_path):
     # checks above, this one sees methods by class and sees operators
     import cfx.cli  # noqa: F401  (loads every module the CLI uses)
 
-    # a cached function is entered only on a miss: start from empty caches
+    # a cached function or method is entered only on a miss: start from
+    # empty caches
     for name, module in list(sys.modules.items()):
         if name.startswith("cfx."):
             for value in vars(module).values():
-                if hasattr(value, "cache_clear"):
-                    value.cache_clear()
+                members = vars(value).values() if isinstance(value, type) else ()
+                for cached in (value, *members):
+                    if hasattr(cached, "cache_clear"):
+                        cached.cache_clear()
     entered = set()
 
     def profile(frame, event, arg):

@@ -307,6 +307,21 @@ def test_stokes_random_data(aprime, right2):
     assert report["absolute_residual"] == report["relative_residual"] == 0.0
 
 
+def test_stokes_check_builds_each_moment_table_once(right2):
+    # the volume and face integrals of one check read a few (low, high,
+    # size) moment tables over and over: each is built once
+    region = Region.cube(11, Fraction(1, 2))
+    gen = SectionGenerator(6, degree=4)
+    h = gen.poly(right2.vars)
+    T = from_hat_components(4, right2.vars,
+                            [gen.spawn(i).poly(right2.vars) for i in range(4)])
+    quadrature._moments.cache_clear()
+    assert stokes_check(h, T, region, right2)["pass"]
+    info = quadrature._moments.cache_info()
+    assert info.misses == info.currsize
+    assert info.currsize * 10 < info.hits
+
+
 def test_stokes_without_one_face_fails(right2, monkeypatch):
     # mutation: the boundary sum leaves out its first nonzero face integral
     region = Region.cube(11, Fraction(1, 2))

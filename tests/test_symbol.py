@@ -12,13 +12,14 @@ from itertools import combinations
 import pytest
 
 from cfx import boundary
-from cfx.boundary import frak_d
 from cfx.exterior import ExtForm
 from cfx.flat import ComplexSpec, check_exactness, flat_D, rank_exact, symbol_at
+from cfx.groups import GroupSpec
 from cfx.poly import Poly
 from cfx.randgen import SectionGenerator
 from cfx.rational import ZERO, cq
-from cfx.spinor import SpinorField
+from cfx.spinor import LevelTable, SpinorField
+from cfx.verify import boundary_composition_suite, flat_composition_suite
 from test_exterior import basis_form
 from test_linalg import dense_bareiss, gaussian_product
 from test_operators import coeffs
@@ -153,9 +154,11 @@ def test_symbol_operator_check_sees_a_lost_d1_term(monkeypatch):
     # mutation: the slot combination loses its d^1 term.  The symbol rows do
     # not move, so the ExtForm reference still matches them, but the
     # operator no longer has that symbol
-    def without_d1(frame, slot, sigma, step):
-        return SpinorField(sigma, "S" if step == 1 else "tilde",
-                           [frak_d(0, slot(b), frame) for b in range(sigma + 1)])
+    original = boundary._slot_combination
+
+    def without_d1(frame, rule, slot, shape):
+        return original(frame, [[(a, path) for a, path in terms if path != (1,)]
+                                for terms in rule], slot, shape)
 
     monkeypatch.setattr(boundary, "_slot_combination", without_d1)
     spec = ComplexSpec(1, 1)
@@ -166,6 +169,27 @@ def test_symbol_operator_check_sees_a_lost_d1_term(monkeypatch):
         scale = q ** (2 if j == spec.k else 1)
         assert dense_symbol(spec, j, v) == [[(x.re * scale, x.im * scale) for x in row]
                                             for row in reference_symbol(spec, j, v)]
+
+
+def test_a_slot_rule_defect_reaches_operator_symbol_and_boundary(monkeypatch):
+    # mutation: output slot 0 reads its d^1 term from two slots away, or
+    # from none where that slot is out of range.  The rule is written once,
+    # so the flat operator, the symbol and the boundary operator all carry
+    # the defect
+    original = LevelTable.slot_rule
+
+    def far_d1(self, j):
+        rule = original(self, j)
+        first = [(a + 1 if path == (1,) else a, path) for a, path in rule[0]]
+        return (tuple((a, path) for a, path in first if a <= self.sigma(j)),) + rule[1:]
+
+    group = GroupSpec.right_qh(2)
+    v = SectionGenerator(712).rational_vector(8)
+    for passes in (True, False):
+        assert flat_composition_suite(1, 2, trials=10, seed=1).passed == passes
+        assert check_exactness(ComplexSpec(1, 2), v)["exact"] == passes
+        assert boundary_composition_suite(group, 2, trials=10, seed=1).passed == passes
+        monkeypatch.setattr(LevelTable, "slot_rule", far_d1)
 
 
 def e1(n):

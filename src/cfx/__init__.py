@@ -6,7 +6,6 @@ those groups, and evaluates the associated wedge-power operator with exact
 arithmetic throughout.
 """
 
-from .rational import ComplexRational, cq
 from .poly import Poly, x_vars, group_vars
 from .exterior import ExtForm
 from .spinor import SpinorField, raise_primed, symmetrize

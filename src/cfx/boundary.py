@@ -38,7 +38,6 @@ from .groups import GroupSpec, curvature_entry, horizontal_fields
 from .operators import FirstOrderOp
 from .poly import Poly, x_vars
 from .randgen import SectionGenerator
-from .rational import I
 from .spinor import LevelTable, SpinorField, raise_primed
 
 
@@ -73,8 +72,8 @@ class Frame:
         lower = []
         for l in range(len(self.X) // 4):
             x1, x2, x3, x4 = self.X[4 * l:4 * l + 4]
-            lower.append((x1 + x2.scale(I), (x3 + x4.scale(I)).scale(-1)))
-            lower.append((x3 - x4.scale(I), x1 - x2.scale(I)))
+            lower.append((x1 + x2.scale((0, 1)), (x3 + x4.scale((0, 1))).scale(-1)))
+            lower.append((x3 - x4.scale((0, 1)), x1 - x2.scale((0, 1))))
         self.Z_lower = tuple(lower)
         self.Z_upper = tuple(raise_primed(row) for row in self.Z_lower)
         self._rows = {}
@@ -132,8 +131,8 @@ class TangentFrame(Frame):
         v = self.vars
         d = FirstOrderOp.partial
         return [
-            [d(v, "t1", -I), d(v, "t2", -1) + d(v, "t3", I)],
-            [d(v, "t2", 1) + d(v, "t3", I), d(v, "t1", I)],
+            [d(v, "t1", (0, -1)), d(v, "t2", -1) + d(v, "t3", (0, 1))],
+            [d(v, "t2", 1) + d(v, "t3", (0, 1)), d(v, "t1", (0, 1))],
         ]
 
     def require_right_type(self):
@@ -209,7 +208,7 @@ def curvature_form(group: GroupSpec) -> ExtForm:
     for a in range(dim):
         for b in range(a + 1, dim):
             entry = curvature_entry(group, a, b)
-            if entry:
+            if any(entry):
                 comps[(a, b)] = Poly.const(gvars, entry).scale(2)
     return ExtForm._make(dim, 2, gvars, comps)
 

@@ -24,7 +24,7 @@ from typing import List
 from .linalg import bareiss, pfaffian
 from .operators import FirstOrderOp
 from .poly import Poly, group_vars
-from .rational import ComplexRational, parse_fraction
+from .rational import parse_fraction
 
 # Two commuting quaternion representations on R^4; each triple satisfies
 # (E^1)^2 = (E^2)^2 = (E^3)^2 = -Id and E^1 E^2 = E^3.
@@ -249,8 +249,9 @@ def is_right_type(g: GroupSpec):
     return (not offending), offending
 
 
-def curvature_entry(g: GroupSpec, a: int, b: int) -> ComplexRational:
-    """Closed-form component E_{ab} of the tangential curvature 2-form.
+def curvature_entry(g: GroupSpec, a: int, b: int) -> tuple:
+    """Closed-form component E_{ab} of the tangential curvature 2-form, as
+    its exact (re, im) pair of Fractions.
 
     Expanding -d^0 d^1 rho on the quadratic potential leaves linear
     combinations of the entries of the 4x4 block (a // 2, b // 2) of S,
@@ -262,15 +263,17 @@ def curvature_entry(g: GroupSpec, a: int, b: int) -> ComplexRational:
     if a % 2 == 0 and b % 2 == 0:
         re = s[2][0] - s[0][2] - s[3][1] + s[1][3]
         im = -(s[0][3] - s[3][0] + s[1][2] - s[2][1])
-        return ComplexRational(Fraction(re, den), Fraction(im, den))
+        return Fraction(re, den), Fraction(im, den)
     if a % 2 == 1 and b % 2 == 1:
-        return curvature_entry(g, a - 1, b - 1).conjugate()
+        re, im = curvature_entry(g, a - 1, b - 1)
+        return re, -im
     if a % 2 == 0 and b % 2 == 1:
         re = s[0][0] + s[1][1] + s[2][2] + s[3][3]
         im = s[3][2] - s[2][3] - s[0][1] + s[1][0]
-        return ComplexRational(Fraction(re, den), Fraction(im, den))
+        return Fraction(re, den), Fraction(im, den)
     # odd-even: antisymmetry plus the even-odd case with blocks swapped
-    return -curvature_entry(g, b, a)
+    re, im = curvature_entry(g, b, a)
+    return -re, -im
 
 
 def is_right_type_via_E(g: GroupSpec) -> bool:
@@ -280,7 +283,7 @@ def is_right_type_via_E(g: GroupSpec) -> bool:
     so it is enough that E_{2l,2m} and E_{2l,2m+1} vanish: their real and
     imaginary parts are four linear conditions on each 4x4 block of S.
     """
-    return not any(curvature_entry(g, a, b)
+    return not any(any(curvature_entry(g, a, b))
                    for a in range(0, 2 * g.n, 2) for b in range(2 * g.n))
 
 

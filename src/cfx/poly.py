@@ -17,8 +17,10 @@ form is canonical, so ``==`` and ``hash`` are exact:
 The public constructor ``Poly(vars, terms)`` validates every term.  The ring
 operations, ``scale`` and ``diff`` do int arithmetic and build their result
 through the trusted ``Poly._make``, which only divides out the common factor
-of ``den`` and the numerators.  The API edge is ``terms``, ``str`` and the
-JSON reader ``from_json``: only they show or read ComplexRational values.
+of ``den`` and the numerators.  A scalar input (a coefficient of ``Poly``,
+``const``, ``var``, ``monomial`` or ``scale``) is an int, a ``Fraction`` or an
+``(re, im)`` pair of them; :func:`_gaussian_parts` reads every one.  The
+text edge is ``str`` and the JSON reader ``from_json``.
 
 The layout is shared: a ``FirstOrderOp`` is one numerator dict per
 coefficient over one ``den``, and ``FirstOrderOp.apply_into``,
@@ -41,7 +43,7 @@ from math import gcd, lcm
 from operator import add
 from typing import Sequence
 
-from .rational import ComplexRational, cq
+from .rational import gaussian_from_json
 
 _set = object.__setattr__
 
@@ -57,16 +59,22 @@ def group_vars(n: int) -> tuple:
 
 
 def _gaussian_parts(value) -> tuple:
-    """(re, im, den) of ints with value == (re + im*i) / den and den > 0."""
+    """(re, im, den) of ints with value == (re + im*i) / den and den > 0, for
+    a scalar value: an int, a Fraction or an (re, im) pair of them.
+
+    Each part is in lowest terms, so den is coprime to re and im together.
+    """
     if type(value) is int:
         return value, 0, 1
-    if isinstance(value, Fraction):
+    if isinstance(value, (int, Fraction)):
         return value.numerator, 0, value.denominator
-    value = cq(value)
-    re, im = value.re, value.im
-    den = lcm(re.denominator, im.denominator)
-    return (re.numerator * (den // re.denominator),
-            im.numerator * (den // im.denominator), den)
+    if (isinstance(value, tuple) and len(value) == 2
+            and all(isinstance(x, (int, Fraction)) for x in value)):
+        re, im = value
+        den = lcm(re.denominator, im.denominator)
+        return (re.numerator * (den // re.denominator),
+                im.numerator * (den // im.denominator), den)
+    raise TypeError(f"a scalar is an int, a Fraction or an (re, im) pair of them, not {value!r}")
 
 
 def reduce_gaussian(num: dict, den: int) -> tuple:
@@ -150,37 +158,12 @@ def mul_into(out: dict, num1: dict, num2: dict, mult: int) -> dict:
     return out
 
 
-class Terms(Mapping):
-    """Read-only view of a polynomial's coefficients as ComplexRationals.
-
-    Each lookup builds its ComplexRational; ``len`` and iteration over the
-    exponents build nothing.
-    """
-
-    __slots__ = ("_num", "_den")
-
-    def __init__(self, num: dict, den: int):
-        self._num = num
-        self._den = den
-
-    def __getitem__(self, expo) -> ComplexRational:
-        re, im = self._num[expo]
-        return ComplexRational(Fraction(re, self._den), Fraction(im, self._den))
-
-    def __iter__(self):
-        return iter(self._num)
-
-    def __len__(self):
-        return len(self._num)
-
-
 class Poly:
     """Sparse polynomial in named real variables with Gaussian-rational coefficients.
 
     ``num`` maps exponent tuples (length = number of variables) to nonzero
     Gaussian-integer numerators over the shared denominator ``den``; the zero
-    polynomial has no terms.  ``terms`` shows the same coefficients as
-    ComplexRationals.
+    polynomial has no terms.
     """
 
     __slots__ = ("vars", "num", "den")
@@ -191,8 +174,8 @@ class Poly:
         if terms:
             width = len(variables)
             for expo, coeff in terms.items():
-                coeff = cq(coeff)
-                if coeff.is_zero():
+                coeff = _gaussian_parts(coeff)
+                if not (coeff[0] or coeff[1]):
                     continue
                 expo = tuple(int(e) for e in expo)
                 if len(expo) != width:
@@ -202,15 +185,12 @@ class Poly:
                 if any(e < 0 for e in expo):
                     raise ValueError(f"negative exponent in {expo}")
                 clean[expo] = coeff
-        # each part is a reduced Fraction, so the lcm is already coprime to
-        # the scaled numerators taken together
-        den = lcm(1, *(d for c in clean.values()
-                       for d in (c.re.denominator, c.im.denominator)))
+        # each coefficient's den is coprime to its numerators, so the lcm is
+        # already coprime to the scaled numerators taken together
+        den = lcm(1, *(d for _, _, d in clean.values()))
         _set(self, "vars", variables)
-        _set(self, "num", {
-            expo: (c.re.numerator * (den // c.re.denominator),
-                   c.im.numerator * (den // c.im.denominator))
-            for expo, c in clean.items()})
+        _set(self, "num", {expo: (re * (den // d), im * (den // d))
+                           for expo, (re, im, d) in clean.items()})
         _set(self, "den", den)
 
     @classmethod
@@ -232,8 +212,10 @@ class Poly:
         raise AttributeError("Poly is immutable")
 
     @property
-    def terms(self) -> Terms:
-        return Terms(self.num, self.den)
+    def terms(self):
+        """The exponent vectors of the nonzero terms (``bench/tracer.py``
+        counts with it); ``num`` holds their coefficients."""
+        return self.num.keys()
 
     # -- constructors ---------------------------------------------------------
 
@@ -255,11 +237,11 @@ class Poly:
             raise KeyError(f"unknown variable {name!r}")
         expo = [0] * len(variables)
         expo[variables.index(name)] = 1
-        return cls(variables, {tuple(expo): cq(coeff)})
+        return cls(variables, {tuple(expo): coeff})
 
     @classmethod
     def monomial(cls, variables, exponents, coeff=1) -> "Poly":
-        return cls(variables, {tuple(exponents): cq(coeff)})
+        return cls(variables, {tuple(exponents): coeff})
 
     # -- ring operations -------------------------------------------------------
 
@@ -338,10 +320,15 @@ class Poly:
     def __str__(self):
         if not self.num:
             return "0"
-        terms = self.terms
         parts = []
-        for expo in sorted(terms, key=lambda e: (sum(e), e), reverse=True):
-            coeff = terms[expo]
+        for expo in sorted(self.num, key=lambda e: (sum(e), e), reverse=True):
+            re, im = (Fraction(x, self.den) for x in self.num[expo])
+            if not im:
+                coeff = str(re)
+            elif not re:
+                coeff = f"{im}*i"
+            else:
+                coeff = f"({re}{'+' if im > 0 else '-'}{abs(im)}*i)"
             factors = [
                 f"{v}^{e}" if e > 1 else v
                 for v, e in zip(self.vars, expo)
@@ -351,7 +338,7 @@ class Poly:
             if body:
                 parts.append(f"{coeff}*{body}")
             else:
-                parts.append(str(coeff))
+                parts.append(coeff)
         return " + ".join(parts)
 
     __repr__ = __str__
@@ -359,10 +346,10 @@ class Poly:
     @classmethod
     def from_json(cls, data: dict) -> "Poly":
         """{"vars": [name, ...], "terms": [{"c": coefficient, "e": [int, ...]}, ...]},
-        each coefficient as :meth:`ComplexRational.from_json` reads it;
+        each coefficient as :func:`rational.gaussian_from_json` reads it;
         ValueError on any other shape."""
         try:
-            terms = [(tuple(item["e"]), ComplexRational.from_json(item["c"]))
+            terms = [(tuple(item["e"]), gaussian_from_json(item["c"]))
                      for item in data["terms"]]
             bad = [e for expo, _ in terms for e in expo if type(e) is not int]
             if bad:

@@ -4,7 +4,7 @@ Every integrand in this package is polynomial, or a polynomial combination
 of the derivatives of the box's bump cutoff, so every box integral is a sum
 of closed-form moments  int_a^b x^e dx  with rational endpoints, taken from
 one integer table per axis (:func:`_moment_table`).  Every integral is
-returned as an exact :class:`ComplexRational`; nothing here rounds.
+returned as its exact (re, im) pair of Fractions; nothing here rounds.
 
 The cutoff of a box is chi = prod_axis phi(x_axis) with
 phi = ((x - l)(h - x))^2 / r^4 on [l, h], r = (h - l) / 2: it is 1 at the
@@ -24,16 +24,15 @@ from typing import Sequence
 
 from .exterior import put_component
 from .poly import Poly, mul_into
-from .rational import ComplexRational
 
 
-def integrate_poly_box(p: Poly, lows: Sequence, highs: Sequence) -> ComplexRational:
+def integrate_poly_box(p: Poly, lows: Sequence, highs: Sequence) -> tuple:
     """Exact integral of a polynomial over a box, from closed-form moments."""
     return _integrate(p, lows, highs, {})
 
 
 def integrate_poly_face(p: Poly, lows: Sequence, highs: Sequence, axis: int,
-                        value: Fraction) -> ComplexRational:
+                        value: Fraction) -> tuple:
     """Exact integral over one box face (variable ``axis`` frozen at ``value``).
 
     With value = r/s and E the highest power of the axis, the frozen axis
@@ -46,14 +45,14 @@ def integrate_poly_face(p: Poly, lows: Sequence, highs: Sequence, axis: int,
                       {axis: ([r ** e * s ** (top - e) for e in range(top + 1)], s ** top)})
 
 
-def _integrate(p: Poly, lows: Sequence, highs: Sequence, frozen: dict) -> ComplexRational:
+def _integrate(p: Poly, lows: Sequence, highs: Sequence, frozen: dict) -> tuple:
     """One moment sum of ``p``: each axis takes its (row, denominator) from
     ``frozen``, or else its moment table over [lows, highs]."""
     naxes = len(p.vars)
     if len(lows) != naxes or len(highs) != naxes:
         raise ValueError("box does not match the variable table")
     if not p.num:
-        return ComplexRational(0)
+        return Fraction(0), Fraction(0)
     den = p.den
     tables = []
     for axis in range(naxes):
@@ -62,7 +61,7 @@ def _integrate(p: Poly, lows: Sequence, highs: Sequence, frozen: dict) -> Comple
         tables.append(table)
         den *= d
     re, im = _moment_sum(p.num, tables)
-    return ComplexRational(Fraction(re, den), Fraction(im, den))
+    return Fraction(re, den), Fraction(im, den)
 
 
 # -- integer moments ----------------------------------------------------------------------
@@ -225,7 +224,7 @@ def integrate_jets(lows: Sequence[Fraction], highs: Sequence[Fraction],
                 q = part.den * weight.den
                 re += Fraction(sr, q)
                 im += Fraction(si, q)
-        out.append(ComplexRational(re / den, im / den))
+        out.append((re / den, im / den))
     return out
 
 

@@ -13,7 +13,6 @@ from cfx.groups import GroupSpec, curvature_entry, is_right_type
 from cfx.operators import FirstOrderOp
 from cfx.poly import Poly
 from cfx.randgen import SectionGenerator
-from cfx.rational import ComplexRational, cq
 from cfx.spinor import SpinorField
 from cfx.verify import (anticommute_suite, boundary_composition_suite, random_boundary_field,
                         subcomplex_suite)
@@ -21,6 +20,7 @@ from test_exterior import basis_form
 from test_groups import group_to_json
 from test_operators import coeffs
 from test_poly import constant_term, power, total_degree
+from test_rational import ComplexRational, cq, pair, terms
 from test_spinor import zero_spinor_field
 
 
@@ -43,7 +43,7 @@ def ambient_rho(group: GroupSpec) -> Poly:
             c = group.S[i][j]
             if c:
                 rho = rho - (Poly.var(variables, f"x{i+1}") *
-                             Poly.var(variables, f"x{j+1}")).scale(ComplexRational(c))
+                             Poly.var(variables, f"x{j+1}")).scale(c)
     return rho
 
 
@@ -63,7 +63,7 @@ def restricted_curvature(group: GroupSpec) -> ExtForm:
     n = group.n
     amb = ambient_curvature(ambient_rho(group), n)
     return ExtForm(2 * n, 2, group.vars,
-                   {idx: Poly.const(group.vars, constant_term(coeff))
+                   {idx: Poly.const(group.vars, pair(constant_term(coeff)))
                     for idx, coeff in amb.comps.items() if max(idx) < 2 * n})
 
 
@@ -177,11 +177,11 @@ def test_group_fields_match_ambient_projection(name):
 
     def to_ambient(p):
         out = Poly.zero(amb_vars)
-        for expo, c in p.terms.items():
+        for expo, c in terms(p).items():
             new = [0] * len(amb_vars)
             for v, e in zip(p.vars, expo):
                 new[amb_vars.index(rename.get(v, v))] = e
-            out = out + Poly.monomial(amb_vars, tuple(new), c)
+            out = out + Poly.monomial(amb_vars, tuple(new), pair(c))
         return out
 
     gen = SectionGenerator(66)
@@ -370,7 +370,8 @@ def test_curvature_matches_block_formulas():
         zero += E.is_zero()
         for a in range(2 * group.n):
             for b in range(2 * group.n):
-                assert curvature_component(E, a, b) == curvature_entry(group, a, b)
+                want = ComplexRational(*curvature_entry(group, a, b))
+                assert curvature_component(E, a, b) == want
     assert 0 < zero < len(groups)
 
 
@@ -889,7 +890,6 @@ class _SecondOrderOp:
         return self + (-other)
 
     def scale(self, value):
-        value = cq(value)
         return _SecondOrderOp(self.vars,
                               {k: p.scale(value) for k, p in self.order2.items()},
                               {v: p.scale(value) for v, p in self.order1.items()})
@@ -919,8 +919,8 @@ def _reference_bracket_identity(frame: TangentFrame) -> dict:
                     lhs = ab[ap, bp] + ab[bp, ap] - ba[ap, bp] - ba[bp, ap]
                     lhs = lhs.scale(quarter)
                     t_sym = (frame.T_upper[(ap, bp)] + frame.T_upper[(bp, ap)]).scale(half)
-                    rhs = _SecondOrderOp(frame.vars, {},
-                                         {v: c.scale(coeff) for v, c in coeffs(t_sym).items()})
+                    rhs = _SecondOrderOp(frame.vars, {}, {v: c.scale(pair(coeff))
+                                                          for v, c in coeffs(t_sym).items()})
                     diff = lhs - rhs
                     if not diff.is_zero():
                         ok = False

@@ -930,13 +930,19 @@ def test_ma_rejects_float_and_bool_u_coefficient(tmp_path, capsys, coeff):
 
 
 def test_complex_rational_from_json_keeps_strings_and_ints():
+    # the package's reader against the reference reader it replaced
     from fractions import Fraction
-    from cfx.rational import ComplexRational
+    from cfx.rational import gaussian_from_json
+    from test_rational import ComplexRational
     assert ComplexRational.from_json("1/3") == ComplexRational(Fraction(1, 3))
     assert ComplexRational.from_json(["-2/5", 7]) == ComplexRational(Fraction(-2, 5), 7)
+    assert gaussian_from_json("1/3") == (Fraction(1, 3), 0)
+    assert gaussian_from_json(["-2/5", 7]) == (Fraction(-2, 5), 7)
     for bad in (0.5, [0.1, 0], [True, 0], [0, False], "1/0", ["0", "2/0"]):
         with pytest.raises(ValueError):
             ComplexRational.from_json(bad)
+        with pytest.raises(ValueError):
+            gaussian_from_json(bad)
 
 
 # -- a closed stdout ends quietly -------------------------------------------------------------

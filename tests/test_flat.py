@@ -8,10 +8,10 @@ from cfx.flat import ComplexSpec, flat_D, flat_D_tuple
 from cfx.linalg import bareiss
 from cfx.poly import Poly, x_vars
 from cfx.randgen import SectionGenerator
-from cfx.rational import cq
 from cfx.verify import flat_composition_suite, flat_tuple_equivalence_suite
 from test_operators import coeffs
 from test_poly import constant_term, flat_laplacian, total_degree
+from test_rational import cq, pair, terms
 from test_spinor import zero_spinor_field
 
 V8 = x_vars(8)
@@ -49,7 +49,7 @@ def oracle_d_upper(aprime, form):
                 continue
             applied = Poly.zero(form.vars)
             for var, c in cols[aprime].items():
-                applied = applied + coeff.diff(var).scale(c)
+                applied = applied + coeff.diff(var).scale(pair(c))
             if applied.is_zero():
                 continue
             merged = tuple(sorted((row,) + idx))
@@ -272,7 +272,7 @@ def test_closed_sections_are_harmonic():
         out = flat_D(spec, 0, SpinorField(1, "S", fld_slots))
         image = out.slot(0)
         for idx, coeff in image.comps.items():
-            for expo, c in coeff.terms.items():
+            for expo, c in terms(coeff).items():
                 rows.setdefault((idx, expo), {})[col] = c
     rows = list(rows.values())
     free, kernel = _kernel_exact(rows, len(unknowns))
@@ -286,7 +286,7 @@ def test_closed_sections_are_harmonic():
             p = Poly.zero(V8)
             for col, (s, mono) in enumerate(unknowns):
                 if s == slot and not vec[col].is_zero():
-                    p = p + Poly.monomial(V8, mono, vec[col])
+                    p = p + Poly.monomial(V8, mono, pair(vec[col]))
             assert flat_laplacian(p).is_zero()
 
 

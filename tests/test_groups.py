@@ -11,10 +11,10 @@ from cfx.groups import (GroupSpec, I_MATS, ID4, J_MATS, block_diag,
 from cfx.operators import FirstOrderOp
 from cfx.poly import Poly, x_vars
 from cfx.randgen import SectionGenerator
-from cfx.rational import ComplexRational
 from test_linalg import central_pairing_det, symbolic_pairing_det
 from test_operators import coeffs
 from test_poly import constant_term, is_homogeneous, poly_to_json, total_degree
+from test_rational import terms
 
 
 # -- helpers: exact matrix arithmetic and the group JSON record -------------------------
@@ -117,7 +117,7 @@ def bracket_table_matches(g) -> bool:
             for beta in range(3):
                 c = 2 * brackets[beta][a][b]
                 if c:
-                    expected[f"t{beta+1}"] = Poly.const(variables, ComplexRational(c))
+                    expected[f"t{beta+1}"] = Poly.const(variables, c)
             rhs = FirstOrderOp(variables, expected)
             if not (lhs - rhs).is_zero():
                 return False
@@ -378,7 +378,7 @@ def hessian_group_from_phi(phi: Poly) -> GroupSpec:
     if not phi.is_zero():
         if total_degree(phi) != 2 or not is_homogeneous(phi, 2):
             raise ValueError("potential must be homogeneous quadratic")
-    for expo, coeff in phi.terms.items():
+    for expo, coeff in terms(phi).items():
         if coeff.im != 0:
             raise ValueError("potential must have rational coefficients")
         for v, e in zip(phi.vars, expo):
@@ -401,14 +401,14 @@ def _seeded_potential(seed: int):
     names = [f"x{i + 1}" for i in range(4 * n)] + [f"t{i + 1}" for i in range(rng.randint(0, 2))]
     rng.shuffle(names)
     xs = [a for a, v in enumerate(names) if v.startswith("x")]
-    terms = {}
+    monomials = {}
     for _ in range(rng.randint(0, 12)):
         expo = [0] * len(names)
         for a in rng.sample(xs, rng.randint(1, 2)):
             expo[a] += 1
         if sum(expo) == 1:
             expo[a] = 2
-        terms[tuple(expo)] = ComplexRational(Fraction(rng.randint(-9, 9), rng.randint(1, 6)))
+        monomials[tuple(expo)] = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
     if seed % 4 == 0:
         expo = [0] * len(names)
         flaw = rng.randrange(6)
@@ -426,8 +426,8 @@ def _seeded_potential(seed: int):
         else:  # not 4n x-variables
             names[rng.choice(xs)] = "y"
         if flaw < 4:
-            terms[tuple(expo)] = ComplexRational(1, 1 if flaw == 2 else 0)
-    return Poly(names, terms)
+            monomials[tuple(expo)] = (1, 1 if flaw == 2 else 0)
+    return Poly(names, monomials)
 
 
 def test_group_from_phi_reads_the_hessian_off_the_coefficients():
@@ -491,7 +491,7 @@ def reference_horizontal_fields(g):
             for a in range(size):
                 c = si[beta][a][b]
                 if c:
-                    p = p + Poly.var(variables, f"x{a+1}", ComplexRational(2 * c))
+                    p = p + Poly.var(variables, f"x{a+1}", 2 * c)
             if not p.is_zero():
                 coeffs[f"t{beta+1}"] = p
         fields.append(FirstOrderOp(variables, coeffs))

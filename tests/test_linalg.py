@@ -20,8 +20,8 @@ from cfx.groups import GroupSpec
 from cfx.linalg import bareiss, pfaffian
 from cfx.poly import Poly
 from cfx.randgen import SectionGenerator
-from cfx.rational import ComplexRational, cq
 from test_poly import is_homogeneous
+from test_rational import ComplexRational, cq
 
 LAM = ("lam1", "lam2", "lam3")
 

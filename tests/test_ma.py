@@ -17,11 +17,11 @@ from cfx.ma import (Region, approximation_masses, beta_form,
 from cfx.poly import Poly
 from cfx.quadrature import CutoffJet, integrate_jets, integrate_poly_box, integrate_poly_face
 from cfx.randgen import SectionGenerator
-from cfx.rational import ZERO, cq
 from test_exterior import basis_form
 from test_operators import coeffs
 from test_poly import power
 from test_quadrature import bump_factor, uni_diff
+from test_rational import ZERO, ComplexRational, pair, terms
 
 
 log = logging.getLogger(__name__)
@@ -216,21 +216,21 @@ def test_key_identity_matches_power(right2):
 
 def test_integrate_constant_is_volume(right2):
     region = Region.cube(11, Fraction(1, 2))
-    assert integrate_top(volume_form(right2), region) == 1
+    assert integrate_top(volume_form(right2), region) == (1, 0)
 
 
 def test_integrate_separable_monomial(right2):
     region = Region((0,) * 11, (1,) * 11)
     x1_squared = power(Poly.var(right2.vars, "x1"), 2)
     form = volume_form(right2).map_coeffs(lambda c: c * x1_squared)
-    assert integrate_top(form, region) == Fraction(1, 3)
+    assert integrate_top(form, region) == (Fraction(1, 3), 0)
 
 
 def test_beta_power_is_factorial_volume(right2):
     region = Region.cube(11, Fraction(1, 2))
     beta2 = beta_form(right2).wedge(beta_form(right2))
     assert (beta2 - volume_form(right2).scale(factorial(2))).is_zero()
-    assert integrate_top(beta2, region) == factorial(2)
+    assert integrate_top(beta2, region) == (factorial(2), 0)
 
 
 def test_integrate_top_rejects_lower_degree(right2):
@@ -333,9 +333,9 @@ def test_stokes_without_one_face_fails(right2, monkeypatch):
 
     def without_one_face(p, lows, highs, axis, value):
         got = integrate_poly_face(p, lows, highs, axis, value)
-        if got and not dropped:
+        if any(got) and not dropped:
             dropped.append((axis, value))
-            return ZERO
+            return 0, 0
         return got
 
     monkeypatch.setattr(ma, "integrate_poly_face", without_one_face)
@@ -407,7 +407,7 @@ def test_stokes_face_term_matches_the_reference(n, aprime):
     report = stokes_check(h, T, region, frame, aprime)
     boundary = _reference_face_sum(h, T, region, frame, aprime)
     assert report["pass"] and not boundary.is_zero()
-    assert report["boundary"] == ma._c(boundary)
+    assert report["boundary"] == ma._c(pair(boundary))
 
 
 def test_stokes_abelian_reduces_to_classical():
@@ -450,6 +450,7 @@ def test_bump_vanishes_on_faces():
              CutoffJet(W, {(0, 0, 2): Poly.var(W, "x3")})]
     one = Poly.const(W, 1)
     values = integrate_jets(region.lows, region.highs, [[(jet, one)] for jet in [bump, *exact]])
+    values = [ComplexRational(*value) for value in values]
     assert values[1:] == [ZERO] * 3 and values[0] != ZERO
 
 
@@ -555,7 +556,7 @@ def _reference_sup(u, region, samples=4096, seed=2):
     best = 0.0
     for point in points:
         total = 0j
-        for expo, coeff in u.terms.items():
+        for expo, coeff in terms(u).items():
             m = 1.0
             for p, e in zip(point, expo):
                 if e:
@@ -570,7 +571,7 @@ def _complex_high_power_input(frame):
     gen = SectionGenerator(12)
     u = gen.poly(frame.vars, degree=2)
     for i, name in enumerate((frame.vars[0], frame.vars[-1], frame.vars[1])):
-        u = u + power(Poly.var(frame.vars, name, cq(Fraction(2, 3 + i), Fraction(-5, 7))), 3 + i % 2)
+        u = u + power(Poly.var(frame.vars, name, (Fraction(2, 3 + i), Fraction(-5, 7))), 3 + i % 2)
     return u
 
 
@@ -590,8 +591,8 @@ def test_sup_norm_bit_identical_to_per_point_conversion(right2, case):
         samples = {}
     else:
         u = _complex_high_power_input(right2)
-        assert max(max(e) for e in u.terms) >= 3
-        assert any(c.im != 0 for c in u.terms.values())
+        assert max(max(e) for e in terms(u)) >= 3
+        assert any(c.im != 0 for c in terms(u).values())
         region = Region((Fraction(-3, 5),) * 11, (Fraction(4, 7),) * 11)
         samples = {"samples": 512}
     [got] = sup_norm_on_grid([u], region, **samples)
@@ -635,7 +636,7 @@ def test_sup_norm_sample_counts_match_the_reference(right2, samples):
 def test_sup_norm_zero_and_constant_inputs_match_the_reference(right2, case):
     u = {"zero": Poly.zero(right2.vars),
          "constant": Poly.const(right2.vars, Fraction(-5, 3)),
-         "complex-constant": Poly.const(right2.vars, cq(Fraction(3, 4), Fraction(-1, 2))),
+         "complex-constant": Poly.const(right2.vars, (Fraction(3, 4), Fraction(-1, 2))),
          "no-axes": Poly.const((), Fraction(-5, 3))}[case]
     region = Region((Fraction(-2, 3),) * 11, (Fraction(3, 4),) * 11) if u.vars else Region((), ())
     [got] = sup_norm_on_grid([u], region, samples=300)
@@ -653,7 +654,7 @@ def test_sup_norm_single_points_match_the_reference():
     us = [v * v for v in y] + [v * v * v for v in y[:6]] + [
         (y[0] * y[1] * y[2]).scale(Fraction(7, 3)),
         y[3] * y[4] * y[5] * y[6] - (y[7] * y[7] * y[8]).scale(Fraction(2, 9)),
-        (y[9] * y[9] * y[9]).scale(cq(Fraction(2, 3), Fraction(-5, 7)))
+        (y[9] * y[9] * y[9]).scale((Fraction(2, 3), Fraction(-5, 7)))
         + (y[10] * y[11]).scale(Fraction(1, 3)) - y[12] * y[12] + y[13]]
     region = Region.cube(17, Fraction(3, 4))
     for seed in range(600):
@@ -693,7 +694,7 @@ def _drawn_sup_case(rng):
             expo[axis] = rng.randint(1, 4)
         coeff = Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9))
         if rng.random() < 0.3:
-            coeff = cq(coeff, Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
+            coeff = (coeff, Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
         u = u + Poly.monomial(names, expo, coeff)
     if naxes < 17 and kind != "subnormal" and rng.random() < 0.5:
         a = rng.randrange(naxes)
@@ -793,7 +794,7 @@ def test_closed_form_masses_equal_the_per_step_integrals(right2, group):
         tri_u = tri_q + tri_sq.scale(Fraction(1, j))
         coeff = top_coefficient(tri_u.wedge(tri_u))
         exact = integrate_poly_box(coeff, L.lows, L.highs)
-        assert closed[j - 1] == exact.re
+        assert closed[j - 1] == exact[0]
 
 
 def test_convergence_experiment_quick(right2):

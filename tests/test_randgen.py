@@ -9,19 +9,18 @@ from itertools import combinations
 from cfx.exterior import ExtForm
 from cfx.poly import Poly, group_vars, x_vars
 from cfx.randgen import COEFF_BOUND, SectionGenerator
-from cfx.rational import ComplexRational
 from test_poly import poly_to_json
 
 
 class ReferenceGenerator(SectionGenerator):
     """``poly``, ``form`` and ``psh_quadratic`` as summed validated Polys."""
 
-    def coefficient(self) -> ComplexRational:
+    def coefficient(self) -> tuple:
         b = COEFF_BOUND
         re = self.rng.randint(-b, b)
         while re == 0:
             re = self.rng.randint(-b, b)
-        return ComplexRational(re, self.rng.randint(-b, b))
+        return re, self.rng.randint(-b, b)
 
     def poly(self, variables, degree=None) -> Poly:
         variables = tuple(variables)
@@ -44,14 +43,14 @@ class ReferenceGenerator(SectionGenerator):
             c = Fraction(self.rng.randint(1, 4))
             p = p + Poly.monomial(variables,
                                   tuple(2 if i == a else 0 for i in range(len(variables))),
-                                  ComplexRational(c))
+                                  c)
         for _ in range(self.rng.randint(0, 2)):
             a = self.rng.randrange(nx)
             c = Fraction(self.rng.randint(-3, 3))
             if c:
                 p = p + Poly.monomial(variables,
                                       tuple(1 if i == a else 0 for i in range(len(variables))),
-                                      ComplexRational(c))
+                                      c)
         return p
 
 

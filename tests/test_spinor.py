@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from cfx.exterior import ExtForm
 from cfx.poly import Poly, x_vars
 from cfx.randgen import SectionGenerator
-from cfx.rational import cq
 from cfx.spinor import (SpinorField, is_symmetric, ones_count, raise_primed, symmetrize,
                         tuple_to_slots)
 from test_exterior import basis_form
@@ -152,7 +151,7 @@ def test_symmetrize_matches_partial_formula():
         # value depends on first index and the multiset of the last two
         comps[idx] = scalar(5 * idx[0] + idx[1] + idx[2])
     sym = symmetrize(comps)
-    third = cq(Fraction(1, 3))
+    third = Fraction(1, 3)
     for idx in product((0, 1), repeat=3):
         rotations = [
             comps[idx],
@@ -172,7 +171,7 @@ def _permutation_average(field):
         acc = ExtForm.zero(sample.dim, sample.degree, sample.vars)
         for perm in permutations(range(s)):
             acc = acc + field[tuple(idx[p] for p in perm)]
-        out[idx] = acc.scale(cq(Fraction(1, factorial(s))))
+        out[idx] = acc.scale(Fraction(1, factorial(s)))
     return out
 
 
@@ -208,10 +207,10 @@ def _symmetric_variants(field):
         yield changed
         # one component a scalar multiple of the rest of its class
         scaled = dict(tuples)
-        scaled[cls[0]] = tuples[cls[0]].scale(cq(Fraction(2, 3)))
+        scaled[cls[0]] = tuples[cls[0]].scale(Fraction(2, 3))
         yield scaled
         # the whole class scaled: still symmetric
-        yield {idx: f.scale(cq(-3)) if sum(idx) == a else f for idx, f in tuples.items()}
+        yield {idx: f.scale(-3) if sum(idx) == a else f for idx, f in tuples.items()}
 
 
 def _scalar_like(form, c):

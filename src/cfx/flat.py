@@ -107,7 +107,6 @@ def symbol_at(spec: ComplexSpec, j: int, v: Sequence) -> list:
     ``frak_d`` reads, its constant partials frozen at q v (L = 1); column
     (a, idx) puts w_{p_1} ^ ... ^ e_idx in slot b for each (a, path) of
     ``spec.slot_rule(j)[b]``, with the signs of ``exterior.insertions``.
-    The columns and the row positions are ``spec.symbol_layout(j)``.
     """
     spec._check_operator_level(j)
     v = tuple(Fraction(x) for x in v)
@@ -122,10 +121,13 @@ def symbol_at(spec: ComplexSpec, j: int, v: Sequence) -> list:
             re, im = sum(x * c for x, (c, _) in parts), sum(x * d for x, (_, d) in parts)
             if re or im:
                 form.append((r, re, im))
-    columns, out_pos = spec.symbol_layout(j)
+    rule = spec.slot_rule(j)
+    reach = [[(b, path) for b, terms in enumerate(rule) for a, path in terms if a == slot]
+             for slot in range(spec.sigma(j) + 1)]
+    out_pos = {key: i for i, key in enumerate(spec.basis(j + 1))}
     matrix = [{} for _ in out_pos]
-    for col, (idx, reach) in enumerate(columns):
-        for b, path in reach:
+    for col, (a, idx) in enumerate(spec.basis(j)):
+        for b, path in reach[a]:
             for out, (re, im) in _wedge_path(w, path, idx, spec.form_dim).items():
                 add_term(matrix[out_pos[b, out]], col, re, im)
     return matrix

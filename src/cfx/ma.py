@@ -169,7 +169,7 @@ def stokes_check(h: Poly, T: ExtForm, region: Region, frame: TangentFrame,
         if flux:
             high = integrate_poly_face(flux, region.lows, region.highs, axis, region.highs[axis])
             low = integrate_poly_face(flux, region.lows, region.highs, axis, region.lows[axis])
-            boundary = tuple(b + h - l for b, h, l in zip(boundary, high, low))
+            boundary = tuple(map(add, boundary, map(sub, high, low)))
 
     residual = tuple(a + b - c for a, b, c in zip(lhs, mid, boundary))
     absolute = _abs(residual)

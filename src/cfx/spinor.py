@@ -206,20 +206,6 @@ class LevelTable:
         return tuple(tuple((b + p * step, (p,)) for p in (0, 1) if 0 <= b + p * step <= top)
                      for b in range(self.sigma(j + 1) + 1))
 
-    @lru_cache(maxsize=None)
-    def symbol_layout(self, j: int) -> tuple:
-        """(columns, rows) of the level-j symbol matrix, built once per table
-        and level.  Column c is basis element (a, idx) of level j, listed as
-        idx with the (slot b, path) pairs of ``slot_rule(j)`` that read slot
-        a; ``rows`` maps each basis element of level j + 1 to its row.  Both
-        are shared by every call, so callers only read them.
-        """
-        rule = self.slot_rule(j)
-        reach = [tuple((b, path) for b, terms in enumerate(rule) for a, path in terms if a == slot)
-                 for slot in range(self.sigma(j) + 1)]
-        return (tuple((idx, reach[a]) for a, idx in self.basis(j)),
-                {key: i for i, key in enumerate(self.basis(j + 1))})
-
     def level_dim(self, j: int) -> int:
         s, d, _ = self.shape(j)
         return (s + 1) * comb(self.form_dim, d)

@@ -7,7 +7,6 @@ coefficients, and every column a wedge of ``ExtForm``s.
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations
 
 import pytest
@@ -191,9 +190,6 @@ def test_a_slot_rule_defect_reaches_operator_symbol_and_boundary(monkeypatch):
         assert check_exactness(ComplexSpec(1, 2), v)["exact"] == passes
         assert boundary_composition_suite(group, 2, trials=10, seed=1).passed == passes
         monkeypatch.setattr(LevelTable, "slot_rule", far_d1)
-        # the symbol's layout is cached per level: a fresh cache reads the mutant
-        monkeypatch.setattr(LevelTable, "symbol_layout",
-                            lru_cache(maxsize=None)(LevelTable.symbol_layout.__wrapped__))
 
 
 def e1(n):
@@ -345,27 +341,3 @@ def test_symbol_sequence_is_exact_up_to_k_2n_plus_1(n, k):
     assert (result["ranks"][-1] < result["dims"][top]) == (k > 2 * n + 1)
     if (n, k) == (1, 4):
         assert (result["ranks"][-1], result["dims"][top]) == (7, 8)
-
-
-def test_symbol_command_builds_each_level_layout_once(monkeypatch, capsys):
-    # `cfx symbol` checks every covector on one spec: the bases, row
-    # positions and slot reach of each level are built for the first
-    # covector and read back for the other four
-    from cfx.cli import main
-
-    built = []
-    basis = LevelTable.basis
-
-    def counting_basis(self, j):
-        built.append(j)
-        return basis(self, j)
-
-    monkeypatch.setattr(LevelTable, "basis", counting_basis)
-    monkeypatch.setattr(LevelTable, "symbol_layout",
-                        lru_cache(maxsize=None)(LevelTable.symbol_layout.__wrapped__))
-    assert main(["symbol", "--n", "1", "--k", "2", "--trials", "5"]) == 0
-    assert '"vectors_checked": 5' in capsys.readouterr().out
-    top = ComplexSpec(1, 2).top_level
-    info = LevelTable.symbol_layout.cache_info()
-    assert (info.misses, info.hits) == (top, 4 * top)
-    assert sorted(built) == sorted([*range(top), *range(1, top + 1)])

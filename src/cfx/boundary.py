@@ -27,11 +27,9 @@ boundary`` prints.  The seeded anticommutation loop is
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 from math import lcm
-from typing import List, Optional
 
 from .exterior import ExtForm, insertions, put_component
 from .groups import GroupSpec, curvature_entry, horizontal_fields
@@ -63,7 +61,7 @@ class Frame:
     factors and variable masks, built on first use and kept by the frame.
     """
 
-    def __init__(self, variables, fields: List[FirstOrderOp]):
+    def __init__(self, variables, fields: list[FirstOrderOp]):
         if len(fields) % 4:
             raise ValueError("a frame needs 4m real fields")
         self.vars = tuple(variables)
@@ -127,7 +125,7 @@ class TangentFrame(Frame):
         self.E0 = curvature_form(group)
         self.right_type = self.E0.is_zero()
 
-    def _t_matrix(self) -> List[List[FirstOrderOp]]:
+    def _t_matrix(self) -> list[list[FirstOrderOp]]:
         v = self.vars
         d = FirstOrderOp.partial
         return [
@@ -216,7 +214,6 @@ def curvature_form(group: GroupSpec) -> ExtForm:
 # -- boundary levels and fields ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class BoundarySpec(LevelTable):
     """The boundary pair complex's level table at (n, k): 2n form indices.
 
@@ -235,25 +232,32 @@ class BoundarySpec(LevelTable):
         return self.sigma(j + 1), self.tau(j) - (j != self.k), self.basis_tag(j)
 
 
-@dataclass(frozen=True)
 class BoundaryField:
-    """Level-j element of the boundary pair complex."""
+    """Level-j element of the boundary pair complex; immutable, compared field by field."""
 
-    spec: BoundarySpec
-    level: int
-    lead: SpinorField
-    companion: Optional[SpinorField]
-
-    def __post_init__(self):
-        spec, j = self.spec, self.level
-        spec.check_field(self.lead, spec.shape(j), "lead", j)
-        cshape = spec.companion_shape(j)
+    def __init__(self, spec: BoundarySpec, level: int, lead: SpinorField,
+                 companion: SpinorField | None):
+        spec.check_field(lead, spec.shape(level), "lead", level)
+        cshape = spec.companion_shape(level)
         if cshape is None:
-            if self.companion is not None and not self.companion.is_zero():
-                raise ValueError(f"level {j} has no companion slot")
-            object.__setattr__(self, "companion", None)
-        elif self.companion is not None:
-            spec.check_field(self.companion, cshape, "companion", j)
+            if companion is not None and not companion.is_zero():
+                raise ValueError(f"level {level} has no companion slot")
+            companion = None
+        elif companion is not None:
+            spec.check_field(companion, cshape, "companion", level)
+        object.__setattr__(self, "spec", spec)
+        object.__setattr__(self, "level", level)
+        object.__setattr__(self, "lead", lead)
+        object.__setattr__(self, "companion", companion)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("BoundaryField is immutable")
+
+    def __eq__(self, other):
+        if type(other) is not BoundaryField:
+            return NotImplemented
+        return ((self.spec, self.level, self.lead, self.companion)
+                == (other.spec, other.level, other.lead, other.companion))
 
     @classmethod
     def build(cls, spec: BoundarySpec, j: int, make) -> "BoundaryField":
@@ -424,7 +428,7 @@ def bracket_identity(frame: TangentFrame) -> dict:
 # -- the diagonal second-order identity ------------------------------------------------------
 
 
-def lead_first_adjoint_compose(frame: TangentFrame, k: int, slots: List[Poly]):
+def lead_first_adjoint_compose(frame: TangentFrame, k: int, slots: list[Poly]):
     """Formal adjoint applied to the bottom-level operator D_0, slot by slot.
 
     D_0 is :func:`subcomplex_D` at level 0 on the scalar slot field: slot b of

@@ -23,9 +23,9 @@ checks nothing.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections.abc import Mapping, Sequence
 from functools import lru_cache
 from math import lcm
-from typing import Mapping, Sequence
 
 from .poly import Poly, mul_into
 

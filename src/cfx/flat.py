@@ -10,11 +10,10 @@ rule, ``LevelTable.slot_rule``, and one row table.  Everything here is exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
-from typing import Sequence
 
 from .boundary import Frame, ambient_frame, frak_d, subcomplex_D
 from .exterior import insertions
@@ -23,7 +22,6 @@ from .poly import add_term, x_vars
 from .spinor import LevelTable, SpinorField, symmetrize, tuple_to_slots
 
 
-@dataclass(frozen=True)
 class ComplexSpec(LevelTable):
     """The flat complex's level table at (n, k): 2n+2 form indices on R^{4(n+1)}.
 

@@ -16,10 +16,8 @@ exactly from integer Pfaffians, on a direction grid (det = Pf^2), and its
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import List
 
 from .linalg import bareiss, pfaffian
 from .operators import FirstOrderOp
@@ -98,12 +96,16 @@ def quaternion_relations_ok(triple, orientation: int = 1) -> bool:
     return all(checks)
 
 
-@dataclass(frozen=True)
 class GroupSpec:
-    """Validated symmetric Fraction matrix S; its readers use ``integer_S``."""
+    """Validated symmetric Fraction matrix S; its readers use ``integer_S``.  Immutable."""
 
-    n: int
-    S: tuple
+    def __init__(self, n: int, S):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "S", S)
+        self.__post_init__()
+
+    def __setattr__(self, name, value):
+        raise AttributeError("GroupSpec is immutable")
 
     def __post_init__(self):
         if self.n < 1:
@@ -169,6 +171,9 @@ class GroupSpec:
         """{"n": int, "S": [[str or int, ...]]}; ValueError otherwise."""
         try:
             n, rows = data["n"], data["S"]
+            # a string row would be read as its characters, a dict row as its keys
+            if type(rows) is not list or any(type(row) is not list for row in rows):
+                raise ValueError("malformed group JSON: S must be a list of lists")
             # exact input only: a JSON float or boolean would be read inexactly
             if type(n) is not int or any(type(x) not in (str, int) for row in rows for x in row):
                 raise ValueError("group JSON needs an integer n and string or integer S entries")
@@ -290,7 +295,7 @@ def is_right_type_via_E(g: GroupSpec) -> bool:
 # -- horizontal fields -------------------------------------------------------------------
 
 
-def horizontal_fields(g: GroupSpec) -> List[FirstOrderOp]:
+def horizontal_fields(g: GroupSpec) -> list[FirstOrderOp]:
     """The 4n generating fields X_b = d_{x_b} + 2 sum (S Ibeta)_{ab} x_a d_{t_beta}.
 
     Each field is one operator table over den of ``integer_S``: den at

@@ -19,11 +19,10 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
 from itertools import chain, combinations, repeat, starmap
 from operator import add, mul, sub
-from typing import Sequence
 
 from .boundary import TangentFrame, frak_d
 from .exterior import ExtForm, hat_component, kaehler_like_sum, merge_sign
@@ -34,16 +33,12 @@ from .quadrature import CutoffJet, integrate_jets, integrate_poly_box, integrate
 # -- region ------------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Region:
-    """Axis-aligned box in group coordinates."""
+    """Axis-aligned box in group coordinates; immutable."""
 
-    lows: tuple
-    highs: tuple
-
-    def __post_init__(self):
-        lows = tuple(Fraction(x) for x in self.lows)
-        highs = tuple(Fraction(x) for x in self.highs)
+    def __init__(self, lows, highs):
+        lows = tuple(Fraction(x) for x in lows)
+        highs = tuple(Fraction(x) for x in highs)
         object.__setattr__(self, "lows", lows)
         object.__setattr__(self, "highs", highs)
         if len(lows) != len(highs):
@@ -53,6 +48,9 @@ class Region:
         # the sup-norm sampler and the report read the bounds as floats
         for x in lows + highs:
             _float(x)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Region is immutable")
 
     @classmethod
     def cube(cls, naxes: int, half_width) -> "Region":

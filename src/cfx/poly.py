@@ -37,11 +37,10 @@ Callers keep only the rules on their keys.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add
-from typing import Sequence
 
 from .rational import gaussian_from_json
 

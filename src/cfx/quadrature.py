@@ -17,10 +17,10 @@ adds each new part into one numerator dict and builds one ``Poly`` per part.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from typing import Sequence
 
 from .exterior import put_component
 from .poly import Poly, mul_into

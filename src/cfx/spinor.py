@@ -27,12 +27,11 @@ slot rule says which slot of level j reaches which slot of level j + 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
 from itertools import combinations
 from math import comb
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Sequence
 
 from .exterior import ExtForm
 
@@ -104,7 +103,7 @@ class SpinorField:
         return (self - other).is_zero() if (self.sigma, self.basis) == (other.sigma, other.basis) else False
 
 
-def symmetrize(tuples: Dict[tuple, ExtForm]) -> Dict[tuple, ExtForm]:
+def symmetrize(tuples: dict[tuple, ExtForm]) -> dict[tuple, ExtForm]:
     """Average a tuple field over all permutations of its primed indices.
 
     The permutations of a multi-index with a ones reach every multi-index
@@ -123,7 +122,7 @@ def symmetrize(tuples: Dict[tuple, ExtForm]) -> Dict[tuple, ExtForm]:
     return {idx: means[ones_count(idx)] for idx in tuples}
 
 
-def is_symmetric(tuples: Dict[tuple, ExtForm]) -> bool:
+def is_symmetric(tuples: dict[tuple, ExtForm]) -> bool:
     """True when the tuple field is invariant under permuting its primed indices.
 
     A permutation keeps the ones count of a multi-index and reaches every
@@ -135,7 +134,7 @@ def is_symmetric(tuples: Dict[tuple, ExtForm]) -> bool:
     return all(form == tuples[tuple(sorted(idx))] for idx, form in tuples.items())
 
 
-def tuple_to_slots(tuples: Dict[tuple, ExtForm], basis: str) -> SpinorField:
+def tuple_to_slots(tuples: dict[tuple, ExtForm], basis: str) -> SpinorField:
     """Convert a symmetric tuple field to slot form.
 
     Descending basis: slot a is the component with a ones.  Ascending basis:
@@ -154,19 +153,30 @@ def tuple_to_slots(tuples: Dict[tuple, ExtForm], basis: str) -> SpinorField:
     return SpinorField(s, basis, slots)
 
 
-@dataclass(frozen=True)
 class LevelTable:
     """Level shapes of a complex at (n, k) on ``form_dim`` form indices, split at level ``k``.
 
-    Subclasses provide ``form_dim``; levels run 0..form_dim - 1.
+    Subclasses provide ``form_dim``; levels run 0..form_dim - 1.  A table is
+    immutable and equal to a table of the same class at the same (n, k):
+    ``slot_rule`` is cached on it.
     """
 
-    n: int
-    k: int
-
-    def __post_init__(self):
-        if self.n < 1 or self.k < 0:
+    def __init__(self, n: int, k: int):
+        if n < 1 or k < 0:
             raise ValueError("need n >= 1 and k >= 0")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "k", k)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.n, self.k) == (other.n, other.k)
+
+    def __hash__(self):
+        return hash((type(self), self.n, self.k))
 
     @property
     def top_level(self) -> int:

@@ -7,8 +7,6 @@ byte-identical.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from .boundary import (BoundaryField, BoundarySpec, TangentFrame, anticommutation_defect,
                        boundary_D, subcomplex_D)
 from .flat import ComplexSpec, dot_pi, flat_D, flat_D_tuple
@@ -70,7 +68,7 @@ def random_boundary_field(gen: SectionGenerator, spec: BoundarySpec,
 
 def boundary_composition_suite(group: GroupSpec, k: int, trials: int, seed: int,
                                degree: int = 2,
-                               frame: Optional[TangentFrame] = None) -> Report:
+                               frame: TangentFrame | None = None) -> Report:
     """Boundary operator composition law on random pair fields, exactly."""
     frame = frame or TangentFrame(group)
     spec = BoundarySpec(group.n, k)
@@ -87,7 +85,7 @@ def boundary_composition_suite(group: GroupSpec, k: int, trials: int, seed: int,
 
 def subcomplex_suite(group: GroupSpec, k: int, trials: int, seed: int,
                      degree: int = 2,
-                     frame: Optional[TangentFrame] = None) -> Report:
+                     frame: TangentFrame | None = None) -> Report:
     """On right-type groups the projected leading operators compose to zero."""
     frame = frame or TangentFrame(group)
     frame.require_right_type()
@@ -104,7 +102,7 @@ def subcomplex_suite(group: GroupSpec, k: int, trials: int, seed: int,
 
 
 def anticommute_suite(group: GroupSpec, trials: int, seed: int,
-                      frame: Optional[TangentFrame] = None) -> Report:
+                      frame: TangentFrame | None = None) -> Report:
     """The curvature-coupled anticommutation law on random forms, exactly.
 
     In general each symmetrized defect equals its curvature term; on

@@ -9,7 +9,9 @@ from cfx.boundary import (BoundaryField, BoundarySpec, TangentFrame, ambient_fra
                           curvature_form, frak_d, hodge_diag, lead_first_adjoint_compose,
                           sub_laplacian, subcomplex_D)
 from cfx.exterior import ExtForm
+from cfx.flat import ComplexSpec
 from cfx.groups import GroupSpec, curvature_entry, is_right_type
+from cfx.ma import Region
 from cfx.operators import FirstOrderOp
 from cfx.poly import Poly
 from cfx.randgen import SectionGenerator
@@ -227,6 +229,14 @@ def test_operators_and_fields_are_immutable(right2):
     fld = zero_field(BoundarySpec(2, 1), 1, right2)
     with pytest.raises(AttributeError):
         fld.companion = None
+    # the records as well; cached properties still fill in once
+    spec = ComplexSpec(1, 1)
+    assert spec.frame is spec.frame
+    assert right2.group.integer_S is right2.group.integer_S
+    for record, name in ((spec, "k"), (BoundarySpec(2, 1), "n"), (right2.group, "S"),
+                         (Region.cube(2, 1), "lows"), (fld, "lead")):
+        with pytest.raises(AttributeError, match="is immutable"):
+            setattr(record, name, getattr(record, name))
 
 
 def test_frame_rows_use_horizontal_fields():

@@ -518,6 +518,26 @@ def test_group_file_needs_an_integer_n_and_exact_entries(tmp_path, capsys, conte
     _assert_input_error(*run(capsys, "classify", "--file", str(path)))
 
 
+# S as the identity, with each row a string or a dict: the rows were once read
+# as their characters and their keys, and the file classified as a group
+STRING_ROWS = {"n": 1, "S": ["1000", "0100", "0010", "0001"]}
+DICT_ROWS = {"n": 1, "S": [{"1": 0, "0": 0, "0/1": 0, "0/2": 0},
+                           {"0": 0, "1": 0, "0/1": 0, "0/2": 0},
+                           {"0": 0, "0/1": 0, "1": 0, "0/2": 0},
+                           {"0": 0, "0/1": 0, "0/2": 0, "1": 0}]}
+
+
+@pytest.mark.parametrize("command", [("classify",), ("verify", "boundary")])
+@pytest.mark.parametrize("data", [STRING_ROWS, DICT_ROWS, {"n": 1, "S": {"1000": 0}}],
+                         ids=["string-rows", "dict-rows", "dict-S"])
+def test_group_file_rows_must_be_json_lists(tmp_path, capsys, command, data):
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, *command, "--file", str(path))
+    _assert_input_error(code, out, err)
+    assert "malformed group JSON" in err
+
+
 def test_group_json_keeps_string_and_integer_entries():
     from fractions import Fraction
     from cfx.groups import GroupSpec
@@ -979,7 +999,7 @@ FUZZ_FLAGS = {
     "classify": {"--n": _number(-1, 2),
                  "--group": st.sampled_from(["rightQH", "leftQH", "abelian", "x"]),
                  "--condition-h": st.sampled_from(["exact", "sampled", "x"]),
-                 "--file": st.just("missing/group.json"),
+                 "--file": st.sampled_from(["missing/group.json", "string-rows.json"]),
                  "--format": st.sampled_from(["json", "csv"])},
     "verify": {"--n": _number(-1, 2), "--trials": _number(-1, 2), "--k": _number(-1, 3),
                "--seed": _number(0, 3), "--degree": _number(0, 7),
@@ -1018,9 +1038,18 @@ def cli_argv(draw):
     return argv
 
 
-@given(cli_argv())
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    """Directory of the one group file the fuzz reads: string-rows.json."""
+    directory = tmp_path_factory.mktemp("fuzz")
+    (directory / "string-rows.json").write_text(json.dumps(STRING_ROWS))
+    return directory
+
+
+@given(argv=cli_argv())
 @settings(max_examples=50, deadline=None)
-def test_fuzz_cli_ends_in_a_documented_exit_code(argv):
+def test_fuzz_cli_ends_in_a_documented_exit_code(fuzz_files, argv):
+    argv = [str(fuzz_files / a) if a == "string-rows.json" else a for a in argv]
     err = io.StringIO()
     try:
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):

@@ -124,6 +124,17 @@ def bracket_table_matches(g) -> bool:
     return True
 
 
+@pytest.mark.parametrize("n, S, message", [
+    (0, (), "need n >= 1"),
+    (1, ((0, 0, 0, 0),) * 3, "S must be 4x4"),
+    (1, ((0, 0, 0),) * 4, "S must be 4x4"),
+    (1, ((1, 1, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)), "S must be symmetric"),
+])
+def test_group_spec_rejects_a_bad_size_or_an_asymmetric_S(n, S, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        GroupSpec(n, S)
+
+
 def test_quaternion_relations_exact():
     assert quaternion_relations_ok(I_MATS, orientation=1)
     # the second family closes with reversed orientation (its products mirror)

@@ -124,6 +124,43 @@ def test_boundary_does_not_import_flat():
     assert "boundary" in _package_edges()["flat"]
 
 
+# Every module outside cfx that `import cfx.cli` and `build_parser()` load in
+# a bare interpreter, by top-level name, grouped by the reason it is there.
+# Every command pays for these before it starts.  The records are plain
+# classes and annotations are never evaluated, so dataclasses (with inspect,
+# ast and dis) and typing stay out
+CLI_START_MODULES = {
+    "argument parsing, its translated messages and its terminal width": {
+        "argparse", "gettext", "locale", "_locale", "shutil", "errno", "fnmatch", "zlib",
+        "bz2", "_bz2", "lzma", "_lzma", "_compression"},
+    "csv and json reports, json input files": {"csv", "_csv", "json", "_json"},
+    "Fraction, with its numbers and decimal bases and its re parser": {
+        "fractions", "numbers", "decimal", "_decimal", "re", "_sre", "enum", "types", "copyreg"},
+    "seeded sampling in randgen and ma (_sha2 on Python 3.12+)": {
+        "random", "_random", "_sha512", "_sha2", "bisect", "_bisect"},
+    "what the modules above and the package import: os, collections, functools": {
+        "os", "posixpath", "genericpath", "stat", "_stat", "warnings", "collections",
+        "_collections", "_collections_abc", "keyword", "reprlib", "functools", "_functools",
+        "itertools", "operator", "_operator", "math", "__future__"},
+}
+
+
+def test_cli_start_loads_only_the_listed_modules():
+    # -S: a site-packages .pth file may preload typing or re and hide an import
+    import subprocess
+
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); before = set(sys.modules)\n"
+            "import cfx.cli; cfx.cli.build_parser()\n"
+            "print(*sorted(set(sys.modules) - before))")
+    proc = subprocess.run([sys.executable, "-S", "-E", "-c", code, str(PACKAGE.parent)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    loaded = {name.split(".")[0] for name in proc.stdout.split()} - {"cfx"}
+    allowed = set().union(*CLI_START_MODULES.values())
+    assert not allowed & {"dataclasses", "inspect", "typing"}
+    assert loaded <= allowed, f"cfx.cli loads unlisted modules {sorted(loaded - allowed)}"
+
+
 @pytest.mark.parametrize("path", [*MODULES, PACKAGE / "__init__.py"], ids=lambda p: p.name)
 def test_no_environment_reads(path):
     # settings are command-line flags, never environment variables

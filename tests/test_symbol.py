@@ -12,6 +12,7 @@ from itertools import combinations
 import pytest
 
 from cfx import boundary
+from cfx.boundary import BoundarySpec
 from cfx.exterior import ExtForm
 from cfx.flat import ComplexSpec, check_exactness, flat_D, rank_exact, symbol_at
 from cfx.groups import GroupSpec
@@ -190,6 +191,28 @@ def test_a_slot_rule_defect_reaches_operator_symbol_and_boundary(monkeypatch):
         assert check_exactness(ComplexSpec(1, 2), v)["exact"] == passes
         assert boundary_composition_suite(group, 2, trials=10, seed=1).passed == passes
         monkeypatch.setattr(LevelTable, "slot_rule", far_d1)
+
+
+def test_equal_level_tables_share_one_slot_rule_entry():
+    # slot_rule is cached on the table: equal tables are one key, and the
+    # flat and boundary tables at one (n, k) are two
+    a, b = ComplexSpec(1, 2), ComplexSpec(1, 2)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != ComplexSpec(1, 1) and a != ComplexSpec(2, 2)
+    assert a != BoundarySpec(1, 2) and BoundarySpec(1, 2) == BoundarySpec(1, 2)
+    LevelTable.slot_rule.cache_clear()
+    assert a.slot_rule(0) is b.slot_rule(0)
+    info = LevelTable.slot_rule.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+    BoundarySpec(1, 2).slot_rule(0)
+    assert LevelTable.slot_rule.cache_info().currsize == 2
+
+
+@pytest.mark.parametrize("table", [ComplexSpec, BoundarySpec])
+@pytest.mark.parametrize("n, k", [(0, 1), (-1, 0), (1, -1)])
+def test_level_tables_reject_n_below_1_and_negative_k(table, n, k):
+    with pytest.raises(ValueError, match=r"^need n >= 1 and k >= 0$"):
+        table(n, k)
 
 
 def e1(n):

@@ -518,8 +518,8 @@ def test_group_file_needs_an_integer_n_and_exact_entries(tmp_path, capsys, conte
     _assert_input_error(*run(capsys, "classify", "--file", str(path)))
 
 
-# S as the identity, with each row a string or a dict: the rows were once read
-# as their characters and their keys, and the file classified as a group
+# S as the identity, with each row a string or a dict: iterating a row would
+# read its characters or its keys and classify the file as a group
 STRING_ROWS = {"n": 1, "S": ["1000", "0100", "0010", "0001"]}
 DICT_ROWS = {"n": 1, "S": [{"1": 0, "0": 0, "0/1": 0, "0/2": 0},
                            {"0": 0, "1": 0, "0/1": 0, "0/2": 0},

@@ -34,7 +34,7 @@ from math import lcm
 from .exterior import ExtForm, insertions, put_component
 from .groups import GroupSpec, curvature_entry, horizontal_fields
 from .operators import FirstOrderOp
-from .poly import Poly, x_vars
+from .poly import BITS, FIELD, Poly, support, x_vars
 from .randgen import SectionGenerator
 from .spinor import LevelTable, SpinorField, raise_primed
 
@@ -80,15 +80,15 @@ class Frame:
         """(L, rows) for column ``aprime`` of the raised or the lowered rows.
 
         L is the lcm of the row operators' ``den``; row a is (operator,
-        L / its den, mask), bit v of the mask set iff the operator
-        differentiates in variable v.
+        L / its den, mask), the mask a packed exponent vector whose field v
+        is all ones iff the operator differentiates in variable v.
         """
         table = self._rows.get((aprime, raised))
         if table is None:
             ops = [row[aprime] for row in (self.Z_upper if raised else self.Z_lower)]
             L = lcm(1, *(op.den for op in ops))
             table = self._rows[aprime, raised] = (L, tuple(
-                (op, L // op.den, sum(1 << v for v in op.num)) for op in ops))
+                (op, L // op.den, sum(FIELD << BITS * v for v in op.num)) for op in ops))
         return table
 
 
@@ -150,8 +150,8 @@ def frak_d(aprime: int, f: ExtForm, frame: Frame, raised: bool = True) -> ExtFor
     pair goes in through ``FirstOrderOp.apply_into`` with ``mult`` = wedge
     sign * (D / component den) * (L / operator den), and each output
     component is one ``Poly``.  A pair whose row mask misses every variable
-    the component's terms carry adds nothing and is skipped before any
-    lookup.  The sign and the merged index are ``exterior.insertions``, and
+    the component's terms carry (the fields of ``poly.support``) adds
+    nothing and is skipped before any lookup.  The sign and the merged index are ``exterior.insertions``, and
     ``exterior.put_component`` drops an output index whose sum cancels.
     """
     if aprime not in (0, 1):
@@ -165,7 +165,7 @@ def frak_d(aprime: int, f: ExtForm, frame: Frame, raised: bool = True) -> ExtFor
         return ExtForm.zero(f.dim, degree, f.vars)
     L, rows = frame.row_table(aprime, raised)
     D = lcm(1, *(p.den for p in f.comps.values()))
-    comps = [(insertions(f.dim, idx), coeff.num, D // coeff.den, _support(coeff.num))
+    comps = [(insertions(f.dim, idx), coeff.num, D // coeff.den, support(coeff.num))
              for idx, coeff in f.comps.items()]
     out: dict = {}
     for a, (op, scale, row_mask) in enumerate(rows):
@@ -179,17 +179,6 @@ def frak_d(aprime: int, f: ExtForm, frame: Frame, raised: bool = True) -> ExtFor
     den = D * L
     return ExtForm._make(f.dim, degree, f.vars,
                          {key: Poly._make(f.vars, num, den) for key, num in out.items()})
-
-
-def _support(num: dict) -> int:
-    """The variable mask of a numerator dict: bit v set iff some term has a
-    nonzero exponent in variable v."""
-    mask = 0
-    for expo in num:
-        for v, e in enumerate(expo):
-            if e:
-                mask |= 1 << v
-    return mask
 
 
 # -- curvature --------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from .flat import ComplexSpec, check_exactness
 from .groups import GroupSpec, classify, group_from_phi
 from .ma import (Region, cln_experiment, convergence_experiment,
                  key_identity_check, stokes_check)
-from .poly import Poly
+from .poly import Poly, unpack
 from .randgen import SectionGenerator
 from .rational import parse_fraction
 from .reports import dumps
@@ -49,6 +49,14 @@ MAX_CONVERGENCE = 10_000
 # 8 bits take at most 6.5 s, 9.0 s and 10.4 s, whole process on a 2-core
 # x86_64 host (Python 3.11); entries of 16 bits take 26 s.
 MAX_COVECTOR_BITS = 6
+# The cutoff rows, jets and moment tables of `ma` grow with the highest
+# exponent E of a --u input: one term x1^E on rightQH at n = 1 takes 0.2 s
+# at E = 1000, 0.4 s at E = 2000, 1.4 s at E = 5000 and 35 s at E = 30000
+# (2-core x86_64 host, Python 3.11, whole process); two inputs at n = 2,
+# --power 2, take 0.24 s at E = 1000.  On the default box (--halfwidth 1/2)
+# such an input already exits 2 from E = 700 on, its values below the float
+# range of the report; a wider box reports larger E.
+MAX_U_EXPONENT = 1000
 
 
 def _read_json(path: str, parse):
@@ -88,10 +96,15 @@ def _load_group(args) -> GroupSpec:
 
 
 def _parse_inputs(data) -> list:
-    """The ``--u`` polynomials: a JSON list of polynomial records."""
+    """The ``--u`` polynomials: a JSON list of polynomial records, each
+    exponent at most ``MAX_U_EXPONENT``."""
     if not isinstance(data, list):
         raise ValueError("--u needs a JSON list of polynomials")
-    return [Poly.from_json(item) for item in data]
+    us = [Poly.from_json(item) for item in data]
+    top = max((e for u in us for key in u.num for e in unpack(key, len(u.vars))), default=0)
+    if top > MAX_U_EXPONENT:
+        raise ValueError(f"a --u exponent of {top} exceeds the configured limit {MAX_U_EXPONENT}")
+    return us
 
 
 def _emit(args, payload) -> None:

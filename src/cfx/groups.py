@@ -21,7 +21,7 @@ from functools import cached_property, lru_cache
 
 from .linalg import bareiss, pfaffian
 from .operators import FirstOrderOp
-from .poly import Poly, group_vars
+from .poly import BITS, Poly, group_vars, unpack
 from .rational import parse_fraction
 
 # Two commuting quaternion representations on R^4; each triple satisfies
@@ -193,9 +193,10 @@ def group_from_phi(phi: Poly) -> GroupSpec:
     if len(xnames) % 4:
         raise ValueError("potential needs 4n x-variables")
     size = len(xnames)
-    if any(sum(expo) != 2 for expo in phi.num):
+    terms = [(unpack(key, len(phi.vars)), c) for key, c in phi.num.items()]
+    if any(sum(expo) != 2 for expo, _ in terms):
         raise ValueError("potential must be homogeneous quadratic")
-    for expo, (_, im) in phi.num.items():
+    for expo, (_, im) in terms:
         if im:
             raise ValueError("potential must have rational coefficients")
         for v, e in zip(phi.vars, expo):
@@ -206,7 +207,7 @@ def group_from_phi(phi: Poly) -> GroupSpec:
         raise ValueError(f"potential needs the x-variables x1..x{size}")
     slot = [position.get(v) for v in phi.vars]
     S = [[Fraction(0)] * size for _ in range(size)]
-    for expo, (re, _) in phi.num.items():
+    for expo, (re, _) in terms:
         # the term's two x-factors: i == j for a square
         i, j = (slot[a] for a, e in enumerate(expo) for _ in range(e))
         c = Fraction(re, phi.den if i == j else 2 * phi.den)
@@ -299,22 +300,20 @@ def horizontal_fields(g: GroupSpec) -> list[FirstOrderOp]:
     """The 4n generating fields X_b = d_{x_b} + 2 sum (S Ibeta)_{ab} x_a d_{t_beta}.
 
     Each field is one operator table over den of ``integer_S``: den at
-    the constant term for d_{x_b}, and for each t_beta the numerator dict
-    2 (den S Ibeta)_{ab} at x_a.  The trusted ``FirstOrderOp._make`` divides
-    out the common factor.
+    the constant term (key 0) for d_{x_b}, and for each t_beta the numerator
+    dict 2 (den S Ibeta)_{ab} at x_a (key ``1 << BITS * a``).  The trusted
+    ``FirstOrderOp._make`` divides out the common factor.
     """
     variables = g.vars
-    width, size = len(variables), 4 * g.n
-    zero = (0,) * width
-    units = [tuple(int(i == a) for i in range(width)) for a in range(size)]
+    size = 4 * g.n
     den, S = g.integer_S
     si = [_s_times_i(S, beta, g.n) for beta in range(3)]
     fields = []
     for b in range(size):
         # x_b is variable b and t_beta variable size + beta of the table
-        num = {b: {zero: (den, 0)}}
+        num = {b: {0: (den, 0)}}
         for beta in range(3):
-            coeff = {units[a]: (2 * row[b], 0) for a, row in enumerate(si[beta]) if row[b]}
+            coeff = {1 << BITS * a: (2 * row[b], 0) for a, row in enumerate(si[beta]) if row[b]}
             if coeff:
                 num[size + beta] = coeff
         fields.append(FirstOrderOp._make(variables, num, den))

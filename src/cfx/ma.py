@@ -26,7 +26,7 @@ from operator import add, mul, sub
 
 from .boundary import TangentFrame, frak_d
 from .exterior import ExtForm, hat_component, kaehler_like_sum, merge_sign
-from .poly import Poly
+from .poly import Poly, unpack
 from .quadrature import CutoffJet, integrate_jets, integrate_poly_box, integrate_poly_face
 
 
@@ -167,7 +167,7 @@ def stokes_check(h: Poly, T: ExtForm, region: Region, frame: TangentFrame,
         if flux:
             high = integrate_poly_face(flux, region.lows, region.highs, axis, region.highs[axis])
             low = integrate_poly_face(flux, region.lows, region.highs, axis, region.lows[axis])
-            boundary = tuple(map(add, boundary, map(sub, high, low)))
+            boundary = tuple(b + h - l for b, h, l in zip(boundary, high, low))
 
     residual = tuple(a + b - c for a, b, c in zip(lhs, mid, boundary))
     absolute = _abs(residual)
@@ -314,9 +314,9 @@ def sup_norm_on_grid(us: Sequence[Poly], region: Region, samples: int = 4096,
     for u in us:
         # each coefficient is converted once and each term keeps only its
         # nonzero (axis, exponent) pairs, in axis order
-        terms = [([(axis, e) for axis, e in enumerate(expo) if e],
+        terms = [([(axis, e) for axis, e in enumerate(unpack(key, len(u.vars))) if e],
                   complex(*_c((Fraction(re, u.den), Fraction(im, u.den)))))
-                 for expo, (re, im) in u.num.items()]
+                 for key, (re, im) in u.num.items()]
         if all(coeff.imag == 0.0 for _, coeff in terms):
             inputs.append(([(powers, coeff.real) for powers, coeff in terms], 0.0))
         else:

@@ -23,9 +23,9 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from math import gcd, lcm
-from operator import add
 
-from .poly import Poly, _gaussian_parts, add_term, common_sum, times_gaussian
+from .poly import (BITS, FIELD, GUARD, MAX_EXPONENT, Poly, _gaussian_parts, add_term,
+                   common_sum, times_gaussian)
 
 _set = object.__setattr__
 
@@ -65,7 +65,7 @@ class FirstOrderOp:
                 num, den = c.num, c.den
             else:
                 re, im, den = _gaussian_parts(c)
-                num = {(0,) * len(variables): (re, im)} if re or im else {}
+                num = {0: (re, im)} if re or im else {}
             if num:
                 parts[variables.index(v)] = num, den
         # each coefficient is canonical, so the lcm is already coprime to
@@ -104,15 +104,16 @@ class FirstOrderOp:
         return cls(variables, {name: coeff})
 
     def kernel(self) -> tuple:
-        """(den, [(variable index, [(expo or None, re, im), ...]), ...]).
+        """(den, [(shift, unit, [(key or None, re, im), ...]), ...]).
 
-        Each coefficient c_v becomes the index of v and the ``(expo, re,
-        im)`` terms of den * c_v, with ``expo`` None for the constant term.
+        Each coefficient c_v becomes the bit offset ``BITS * v`` of v's
+        field, the packed unit ``1 << shift`` of v and the ``(key, re, im)``
+        terms of den * c_v, with ``key`` None for the constant term.
         """
         if self._kernel is None:
-            zero = (0,) * len(self.vars)
             _set(self, "_kernel", (self.den, [
-                (v, [(None if e == zero else e, re, im) for e, (re, im) in coeff.items()])
+                (BITS * v, 1 << BITS * v,
+                 [(key or None, re, im) for key, (re, im) in coeff.items()])
                 for v, coeff in self.num.items()]))
         return self._kernel
 
@@ -123,18 +124,26 @@ class FirstOrderOp:
         Each product goes in through ``poly.add_term``, so an entry that
         cancels to (0, 0) is deleted at once and callers summing many
         applications (``boundary.frak_d``) build one ``Poly`` per result.
+        A product with an exponent above ``poly.MAX_EXPONENT`` is a ValueError.
         """
-        for idx, terms in self.kernel()[1]:
-            for expo, (re, im) in num.items():
-                e = expo[idx]
+        for shift, unit, terms in self.kernel()[1]:
+            # most terms lack the variable: read a numerator only for a hit
+            for key in num:
+                e = key >> shift & FIELD
                 if not e:
                     continue
+                re, im = num[key]
                 m = mult * e
                 a, b = re * m, im * m
-                lowered = expo[:idx] + (e - 1,) + expo[idx + 1:]
-                for cexpo, c, d in terms:
-                    key = lowered if cexpo is None else tuple(map(add, lowered, cexpo))
-                    add_term(out, key, a * c - b * d, a * d + b * c)
+                lowered = key - unit
+                for ckey, c, d in terms:
+                    if ckey is None:
+                        prod = lowered
+                    else:
+                        prod = lowered + ckey
+                        if prod & GUARD:
+                            raise ValueError(f"a product has an exponent above {MAX_EXPONENT}")
+                    add_term(out, prod, a * c - b * d, a * d + b * c)
         return out
 
     def apply(self, p: Poly) -> Poly:
@@ -194,12 +203,11 @@ class FirstOrderOp:
         constant coefficient is skipped, since no operator moves it.
         """
         self._check_compatible(other)
-        zero = (0,) * len(self.vars)
         out = {}
         for v in dict.fromkeys([*self.num, *other.num]):
             acc = out[v] = {}
             for op, num, mult in ((self, other.num.get(v), 1), (other, self.num.get(v), -1)):
-                if num and not (len(num) == 1 and zero in num):
+                if num and not (len(num) == 1 and 0 in num):
                     op.apply_into(acc, num, mult)
         return FirstOrderOp._make(self.vars, out, self.den * other.den)
 

@@ -23,41 +23,45 @@ from functools import lru_cache
 from math import lcm
 
 from .exterior import put_component
-from .poly import Poly, mul_into
+from .poly import BITS, FIELD, Poly, mul_into, support, unpack
 
 
 def integrate_poly_box(p: Poly, lows: Sequence, highs: Sequence) -> tuple:
     """Exact integral of a polynomial over a box, from closed-form moments."""
-    return _integrate(p, lows, highs, {})
+    return _integrate(p, lows, highs, None, None)
 
 
 def integrate_poly_face(p: Poly, lows: Sequence, highs: Sequence, axis: int,
                         value: Fraction) -> tuple:
     """Exact integral over one box face (variable ``axis`` frozen at ``value``).
 
-    With value = r/s and E the highest power of the axis, the frozen axis
-    takes the row x^e = r^e s^(E-e) / s^E in place of its moment table.
+    With value = r/s and E a bound on the powers of the axis, the frozen
+    axis takes the row x^e = r^e s^(E-e) / s^E in place of its moment table.
     """
-    value = Fraction(value)
-    r, s = value.numerator, value.denominator
-    top = max((expo[axis] for expo in p.num), default=0)
-    return _integrate(p, lows, highs,
-                      {axis: ([r ** e * s ** (top - e) for e in range(top + 1)], s ** top)})
+    return _integrate(p, lows, highs, axis, Fraction(value))
 
 
-def _integrate(p: Poly, lows: Sequence, highs: Sequence, frozen: dict) -> tuple:
-    """One moment sum of ``p``: each axis takes its (row, denominator) from
-    ``frozen``, or else its moment table over [lows, highs]."""
+def _integrate(p: Poly, lows: Sequence, highs: Sequence, frozen, value) -> tuple:
+    """One moment sum of ``p``: the axis ``frozen`` (None for none) takes
+    the row of x at ``value``, every other axis its moment table over
+    [lows, highs], as long as the axis's field of ``poly.support`` (at
+    least its highest exponent) needs: a longer table gives the same exact
+    values over a larger common denominator."""
     naxes = len(p.vars)
     if len(lows) != naxes or len(highs) != naxes:
         raise ValueError("box does not match the variable table")
+    if frozen is not None and not 0 <= frozen < naxes:
+        raise ValueError(f"face axis {frozen} is outside the variable table")
     if not p.num:
         return Fraction(0), Fraction(0)
     den = p.den
     tables = []
-    for axis in range(naxes):
-        table, d = frozen.get(axis) or _moment_table(
-            lows[axis], highs[axis], 1 + max(expo[axis] for expo in p.num))
+    for axis, top in enumerate(unpack(support(p.num), naxes)):
+        if axis == frozen:
+            r, s = value.numerator, value.denominator
+            table, d = [r ** e * s ** (top - e) for e in range(top + 1)], s ** top
+        else:
+            table, d = _moment_table(lows[axis], highs[axis], 1 + top)
         tables.append(table)
         den *= d
     re, im = _moment_sum(p.num, tables)
@@ -91,15 +95,23 @@ def _moments(na: int, q: int, nb: int, s: int, size: int) -> tuple:
     return tuple(table), scale * big_q ** size
 
 
-def _moment_sum(num: dict, tables: Sequence) -> tuple:
-    """(re, im) = sum_expo num[expo] * prod_axis tables[axis][expo[axis]], in ints."""
+def _moment_sum(num: dict, tables: Sequence, offset: int = 0) -> tuple:
+    """(re, im) = sum_key num[key] * prod_axis tables[axis][e_axis], in ints,
+    e the exponents of the monomial product key + ``offset``.
+
+    Both are stored keys, so no field of the sum carries into the next.  A
+    term reads its exponents field by field and stops at its first zero
+    factor, which most terms meet within a few axes.
+    """
     re = im = 0
-    for expo, (a, b) in num.items():
+    for key, (a, b) in num.items():
+        key += offset
         m = 1
-        for table, e in zip(tables, expo):
-            m *= table[e]
+        for table in tables:
+            m *= table[key & FIELD]
             if not m:
                 break
+            key >>= BITS
         else:
             re += a * m
             im += b * m
@@ -196,12 +208,22 @@ def integrate_jets(lows: Sequence[Fraction], highs: Sequence[Fraction],
     value is sum int_box weight * jet, with chi the bump of this box and
     jets of order at most 2 on each axis.  The cutoff rows
     int x^e phi^(d) dx of every axis are built once, long enough for every
-    part times its weight.  A term c x^e of P_alpha then costs one int
-    moment sum of the weight against the rows of alpha shifted by e; no
-    product polynomial is built, and each entry divides once.
+    part times its weight: each polynomial's bound is the largest field of
+    ``poly.support``, at least its highest exponent.  A term c x^e of
+    P_alpha then costs one int moment sum of the weight against the rows of
+    alpha, each weight key shifted by e (one int sum); no product
+    polynomial is built.  An entry sums its ints over the lcm of the parts'
+    denominators and divides once.
     """
-    size = 1 + max((_top(part) + _top(weight) for pairs in sums for jet, weight in pairs
-                    for part in jet.parts.values()), default=0)
+    tops = {}
+    for pairs in sums:
+        for jet, weight in pairs:
+            for p in (weight, *jet.parts.values()):
+                if id(p) not in tops:
+                    tops[id(p)] = max(unpack(support(p.num), len(p.vars)), default=0)
+    size = 1 + max((tops[id(part)] + tops[id(weight)]
+                    for pairs in sums for jet, weight in pairs for part in jet.parts.values()),
+                   default=0)
     rows, den = [], 1
     for a, b in zip(lows, highs):
         axis_rows, d = _cutoff_rows(a, b, size)
@@ -209,25 +231,23 @@ def integrate_jets(lows: Sequence[Fraction], highs: Sequence[Fraction],
         den *= d
     out = []
     for pairs in sums:
-        re = im = Fraction(0)
+        re = im = 0
+        q_all = 1
         for jet, weight in pairs:
             if weight.vars != jet.vars or len(jet.vars) != len(rows):
                 raise ValueError("the jet, its weight and the box differ in their variables")
             for alpha, part in jet.parts.items():
                 alpha_rows = [axis_rows[d] for axis_rows, d in zip(rows, alpha)]
                 sr = si = 0
-                for expo, (a, b) in part.num.items():
-                    wr, wi = _moment_sum(weight.num,
-                                         [row[e:] for row, e in zip(alpha_rows, expo)])
+                for key, (a, b) in part.num.items():
+                    wr, wi = _moment_sum(weight.num, alpha_rows, key)
                     sr += a * wr - b * wi
                     si += a * wi + b * wr
+                # (re, im) / q_all + (sr, si) / q over the lcm of q_all and q
                 q = part.den * weight.den
-                re += Fraction(sr, q)
-                im += Fraction(si, q)
-        out.append((re / den, im / den))
+                g = lcm(q_all, q)
+                re = re * (g // q_all) + sr * (g // q)
+                im = im * (g // q_all) + si * (g // q)
+                q_all = g
+        out.append((Fraction(re, q_all * den), Fraction(im, q_all * den)))
     return out
-
-
-def _top(p: Poly) -> int:
-    """The highest exponent of any variable in ``p``; 0 for the zero polynomial."""
-    return max(map(max, p.num), default=0)

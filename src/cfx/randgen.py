@@ -6,7 +6,8 @@ byte-identical reports.  Coefficients are small Gaussian integers, so all
 downstream algebra stays exact.
 
 Polynomials are drawn straight into the integer layout of ``Poly``: each
-term's exponent and ``(re, im)`` ints go into one numerator dict over the
+term's exponent is drawn as a packed key, one unit per degree, and it and
+the ``(re, im)`` ints go into one numerator dict over the
 denominator 1 through ``poly.add_term``, which merges equal exponents and
 drops a key whose sum cancels (or a zero term), and the result is built by
 the trusted ``Poly._make`` (forms by ``ExtForm._make``).  The draws, and
@@ -22,7 +23,7 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from .exterior import ExtForm
-from .poly import Poly, add_term
+from .poly import BITS, GUARD, MAX_EXPONENT, Poly, add_term
 from .spinor import SpinorField
 
 # Bound on the real and imaginary parts of a random coefficient.
@@ -46,26 +47,25 @@ class SectionGenerator:
         """Child generator with a derived seed (stable across runs)."""
         return SectionGenerator(self.seed * 1_000_003 + tag, self.degree, self.terms)
 
-    def exponents(self, nvars: int, degree=None) -> tuple:
-        degree = self.degree if degree is None else degree
-        total = self.rng.randint(0, degree)
-        expo = [0] * nvars
-        for _ in range(total):
-            expo[self.rng.randrange(nvars)] += 1
-        return tuple(expo)
-
     def poly(self, variables, degree=None) -> Poly:
         """Sum of 1..terms random terms; each coefficient has a nonzero real
-        part and any imaginary part, both within COEFF_BOUND."""
+        part and any imaginary part, both within COEFF_BOUND.  A term's total
+        degree is drawn in 0..degree, then each unit of it in a variable."""
         variables = tuple(variables)
-        width, b, randint = len(variables), COEFF_BOUND, self.rng.randint
+        degree = self.degree if degree is None else degree
+        width, b = len(variables), COEFF_BOUND
+        randint, randrange = self.rng.randint, self.rng.randrange
         num: dict = {}
         for _ in range(randint(1, self.terms)):
-            expo = self.exponents(width, degree)
+            key = 0
+            for _ in range(randint(0, degree)):
+                key += 1 << BITS * randrange(width)
+            if key & GUARD:
+                raise ValueError(f"a drawn exponent is above {MAX_EXPONENT}")
             re = randint(-b, b)
             while re == 0:
                 re = randint(-b, b)
-            add_term(num, expo, re, randint(-b, b))
+            add_term(num, key, re, randint(-b, b))
         return Poly._make(variables, num)
 
     def form(self, dim: int, degree_form: int, variables, poly_degree=None) -> ExtForm:
@@ -119,15 +119,12 @@ class SectionGenerator:
         pair forms on any of our groups.
         """
         variables = tuple(variables)
-        width = len(variables)
         num: dict = {}
         for a in range(nx):
-            add_term(num, tuple(2 if i == a else 0 for i in range(width)),
-                     self.rng.randint(1, 4), 0)
+            add_term(num, 2 << BITS * a, self.rng.randint(1, 4), 0)
         for _ in range(self.rng.randint(0, 2)):
             a = self.rng.randrange(nx)
-            add_term(num, tuple(1 if i == a else 0 for i in range(width)),
-                     self.rng.randint(-3, 3), 0)
+            add_term(num, 1 << BITS * a, self.rng.randint(-3, 3), 0)
         return Poly._make(variables, num)
 
     def right_type_matrix(self, n: int) -> list:

@@ -1057,3 +1057,32 @@ def test_fuzz_cli_ends_in_a_documented_exit_code(fuzz_files, argv):
     except SystemExit as exc:
         code = exc.code
     assert code in (0, 1, 2, 3), (argv, err.getvalue())
+
+
+@pytest.mark.parametrize("exponent", [1001, 30000, 10 ** 7])
+def test_ma_u_exponent_above_the_limit_exits_2_before_any_table(
+        monkeypatch, capsys, tmp_path, exponent):
+    # the cutoff rows and moment tables grow with the exponent: x1^30000
+    # took 35 s, and 10^7 does not fit the packed field at all
+    import time
+
+    cli = _forbid_work(monkeypatch)
+    assert exponent > cli.MAX_U_EXPONENT
+    path = tmp_path / "u.json"
+    path.write_text(json.dumps([{"vars": ["x1", "x2", "x3", "x4", "t1", "t2", "t3"],
+                                 "terms": [{"c": "1", "e": [exponent, 0, 0, 0, 0, 0, 0]}]}]))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "ma", "--group", "rightQH", "--n", "1", "--u", str(path))
+    assert time.perf_counter() - start < 1
+    _assert_input_error(code, out, err)
+    assert "exponent" in err
+
+
+def test_ma_u_exponent_at_the_limit_is_read():
+    from cfx.cli import MAX_U_EXPONENT, _parse_inputs
+    from cfx.poly import Poly
+
+    record = {"vars": ["x1", "t1"], "terms": [{"c": "1", "e": [0, MAX_U_EXPONENT]},
+                                              {"c": "2", "e": [1, 0]}]}
+    [u] = _parse_inputs([record])
+    assert u == Poly.monomial(("x1", "t1"), (0, MAX_U_EXPONENT)) + Poly.var(("x1", "t1"), "x1", 2)

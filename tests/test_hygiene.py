@@ -289,6 +289,55 @@ def test_spinor_fields_have_one_layout():
         SpinorField(0, "S", [zero], dim=2)
 
 
+# exponent-tuple arithmetic: a monomial product, a lowered variable or a
+# substituted axis built as a new tuple.  Packed keys are added, shifted and
+# masked instead; a tuple exists only at the pack/unpack edge of poly.py
+TUPLE_ARITHMETIC = re.compile(r"tuple\(map\(add\b|\bexpo\[:")
+MONOMIAL_EDGE = {("poly.py", "pack"), ("poly.py", "unpack")}
+
+
+def _enclosing_function(tree: ast.Module, line: int) -> str:
+    """The innermost function whose body spans ``line``; "" at module level."""
+    spans = [(node.lineno, node.end_lineno, node.name) for node in ast.walk(tree)
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    inside = [span for span in spans if span[0] <= line <= span[1]]
+    return max(inside)[2] if inside else ""
+
+
+def test_monomials_have_one_layout(tmp_path, monkeypatch):
+    # every numerator dict keys its terms by packed ints (poly.pack); the
+    # tuple kernels they replaced are references in test_monomials.py
+    from cfx import poly
+
+    found = []
+    for path in MODULES:
+        tree = _tree(path)
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+            if TUPLE_ARITHMETIC.search(line):
+                owner = _enclosing_function(tree, number)
+                if (path.name, owner) not in MONOMIAL_EDGE:
+                    found.append(f"{path.name}:{number} in {owner or 'module level'}")
+    assert not found, f"exponent-tuple arithmetic outside the pack/unpack edge: {found}"
+
+    # and every key the program builds is an int, through either constructor
+    keys = []
+    make, init = poly.Poly._make.__func__, poly.Poly.__init__
+
+    def checked_make(cls, variables, num, den=1):
+        keys.extend(map(type, num))
+        return make(cls, variables, num, den)
+
+    def checked_init(self, variables, terms=None):
+        init(self, variables, terms)
+        keys.extend(map(type, self.num))
+
+    monkeypatch.setattr(poly.Poly, "_make", classmethod(checked_make))
+    monkeypatch.setattr(poly.Poly, "__init__", checked_init)
+    codes = _program_traffic(tmp_path)
+    assert codes == [0] * len(codes), codes
+    assert keys and set(keys) == {int}, f"Poly.num keys of types {set(keys)}"
+
+
 # float() and complex() calls the exact package makes: `cfx ma` rounds its exact
 # values once, where the report is written, and samples its sup norms in floats
 FLOAT_CALLS = {("ma.py", "_float"): {"float"},

@@ -20,7 +20,7 @@ from cfx.groups import GroupSpec
 from cfx.linalg import bareiss, pfaffian
 from cfx.poly import Poly
 from cfx.randgen import SectionGenerator
-from test_poly import is_homogeneous
+from test_poly import is_homogeneous, tuple_num
 from test_rational import ComplexRational, cq
 
 LAM = ("lam1", "lam2", "lam3")
@@ -480,7 +480,7 @@ def test_central_pairing_det_matches_symbolic_determinant(name, n):
     for mu, _ in groups._direction_grid(4):
         lam = [Fraction(x, 4) for x in mu]
         re = im = 0
-        for expo, (c, d) in det_poly.num.items():
+        for expo, (c, d) in tuple_num(det_poly).items():
             monomial = math.prod(x ** e for x, e in zip(mu, expo))
             re += c * monomial
             im += d * monomial

@@ -15,7 +15,7 @@ import pytest
 from cfx.boundary import TangentFrame, ambient_frame, frak_d
 from cfx.groups import GroupSpec
 from cfx.operators import FirstOrderOp
-from cfx.poly import Poly, x_vars
+from cfx.poly import BITS, GUARD, Poly, x_vars
 from cfx.randgen import SectionGenerator
 from test_poly import conjugate, total_degree
 
@@ -87,12 +87,11 @@ def reference_commutator(x, y) -> dict:
 
 
 def reference_kernel(variables, cs: dict) -> tuple:
-    """(den, {variable index: {expo or None: (re, im)}}) of a Poly-coefficient
-    operator: den the lcm of the coefficient denominators."""
+    """(den, {variable index: {key or None: (re, im)}}) of a Poly-coefficient
+    operator: den the lcm of the coefficient denominators, None the key of
+    the constant term."""
     den = lcm(1, *(c.den for c in cs.values()))
-    zero = (0,) * len(variables)
-    return den, {variables.index(v): {None if e == zero else e: (re * (den // c.den),
-                                                                 im * (den // c.den))
+    return den, {variables.index(v): {e or None: (re * (den // c.den), im * (den // c.den))
                                       for e, (re, im) in c.num.items()}
                  for v, c in cs.items()}
 
@@ -102,7 +101,8 @@ def assert_canonical(op):
     assert op.den > 0
     assert all(op.num.values())
     assert all(re or im for num in op.num.values() for re, im in num.values())
-    assert all(0 <= v < len(op.vars) and all(len(e) == len(op.vars) for e in num)
+    assert all(0 <= v < len(op.vars) and all(
+        type(e) is int and 0 <= e < 1 << BITS * len(op.vars) and not e & GUARD for e in num)
                for v, num in op.num.items())
     g = op.den
     for num in op.num.values():
@@ -118,8 +118,9 @@ def assert_matches(op, cs: dict):
     assert_canonical(op)
     assert coeffs(op) == cs
     den, rows = op.kernel()
-    assert (den, {v: {e: (re, im) for e, re, im in terms} for v, terms in rows}) == \
-        reference_kernel(op.vars, cs)
+    assert all(unit == 1 << shift and shift % BITS == 0 for shift, unit, _ in rows)
+    assert (den, {shift // BITS: {e: (re, im) for e, re, im in terms}
+                  for shift, _, terms in rows}) == reference_kernel(op.vars, cs)
 
 
 def _blocked_right_type(n, seed, factors):

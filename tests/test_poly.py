@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cfx.poly import Poly, add_term, x_vars
+from cfx.poly import Poly, add_term, unpack, x_vars
 from test_rational import ONE, ZERO, ComplexRational, cq, pair, terms
 
 V = x_vars(4) + ("t1",)
@@ -57,13 +57,18 @@ def constant_term(p: Poly) -> ComplexRational:
     return terms(p).get((0,) * len(p.vars), ZERO)
 
 
+def tuple_num(p: Poly) -> dict:
+    """``p.num`` keyed by exponent tuples, in its key order."""
+    return {unpack(key, len(p.vars)): c for key, c in p.num.items()}
+
+
 def total_degree(p: Poly) -> int:
     """Total degree; -1 for the zero polynomial."""
-    return max((sum(e) for e in p.num), default=-1)
+    return max((sum(e) for e in tuple_num(p)), default=-1)
 
 
 def is_homogeneous(p: Poly, degree: int) -> bool:
-    return all(sum(e) == degree for e in p.num)
+    return all(sum(e) == degree for e in tuple_num(p))
 
 
 def poly_diff(p: Poly, var: str) -> Poly:

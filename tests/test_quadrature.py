@@ -7,11 +7,11 @@ import pytest
 from cfx.boundary import TangentFrame
 from cfx.groups import GroupSpec
 from cfx.operators import FirstOrderOp
-from cfx.poly import Poly, add_term, x_vars
+from cfx.poly import Poly, add_term, pack, x_vars
 from cfx.quadrature import CutoffJet, integrate_jets, integrate_poly_box, integrate_poly_face
 from cfx.randgen import SectionGenerator
 from test_operators import coeffs
-from test_poly import power
+from test_poly import power, tuple_num
 from test_rational import ComplexRational, cq, pair, terms
 
 V = x_vars(3)
@@ -150,6 +150,10 @@ def test_box_integral_of_zero_and_mismatched_box():
     assert integrate_poly_box(Poly.zero(V), [0, 0, 0], [1, 1, 1]) == (0, 0)
     with pytest.raises(ValueError, match="variable table"):
         integrate_poly_box(Poly.var(V, "x1"), [0, 0], [1, 1])
+    # a face axis past the table would leave every axis a moment table
+    for axis in (-1, 3):
+        with pytest.raises(ValueError, match="variable table"):
+            integrate_poly_face(Poly.var(V, "x1"), [0, 0, 0], [1, 1, 1], axis, 1)
 
 
 def substitute_axis(p: Poly, axis: int, value: Fraction) -> Poly:
@@ -162,12 +166,13 @@ def substitute_axis(p: Poly, axis: int, value: Fraction) -> Poly:
     """
     value = Fraction(value)
     r, s = value.numerator, value.denominator
-    top = max((expo[axis] for expo in p.num), default=0)
+    num = tuple_num(p)
+    top = max((expo[axis] for expo in num), default=0)
     out: dict = {}
-    for expo, (re, im) in p.num.items():
+    for expo, (re, im) in num.items():
         e = expo[axis]
         w = r ** e * s ** (top - e)
-        add_term(out, expo[:axis] + (0,) + expo[axis + 1:], re * w, im * w)
+        add_term(out, pack(expo[:axis] + (0,) + expo[axis + 1:]), re * w, im * w)
     return Poly._make(p.vars, out, p.den * s ** top)
 
 

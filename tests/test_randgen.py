@@ -6,14 +6,25 @@ same key order, after the same random draws."""
 from fractions import Fraction
 from itertools import combinations
 
+import pytest
+
 from cfx.exterior import ExtForm
-from cfx.poly import Poly, group_vars, x_vars
+from cfx.poly import MAX_EXPONENT, Poly, group_vars, pack, unpack, x_vars
 from cfx.randgen import COEFF_BOUND, SectionGenerator
 from test_poly import poly_to_json
 
 
 class ReferenceGenerator(SectionGenerator):
-    """``poly``, ``form`` and ``psh_quadratic`` as summed validated Polys."""
+    """``poly``, ``form`` and ``psh_quadratic`` as summed validated Polys,
+    each term's exponents drawn as a tuple."""
+
+    def exponents(self, nvars: int, degree=None) -> tuple:
+        degree = self.degree if degree is None else degree
+        total = self.rng.randint(0, degree)
+        expo = [0] * nvars
+        for _ in range(total):
+            expo[self.rng.randrange(nvars)] += 1
+        return tuple(expo)
 
     def coefficient(self) -> tuple:
         b = COEFF_BOUND
@@ -132,5 +143,15 @@ def test_cancelling_terms_are_dropped():
     draws = [(rng.randrange(1), rng.randint(-3, 3)) for _ in range(2)]
     assert draws[0][1] == -draws[1][1] != 0
     q = SectionGenerator(CANCELLING_PSH_SEED).psh_quadratic(V, 1)
-    assert list(q.num) == [(2, 0, 0, 0)]
+    assert list(q.num) == [pack((2, 0, 0, 0))]
     _same_poly(q, ReferenceGenerator(CANCELLING_PSH_SEED).psh_quadratic(V, 1))
+
+
+def test_a_drawn_exponent_above_the_field_raises():
+    # one variable and terms=1: seed 0 draws a total degree of 49673, which
+    # would carry out of the 16-bit field; seed 2 draws 6002, which fits
+    gen = SectionGenerator(0, degree=2 * MAX_EXPONENT, terms=1)
+    with pytest.raises(ValueError, match="above"):
+        gen.poly(("x1",))
+    [key] = SectionGenerator(2, degree=2 * MAX_EXPONENT, terms=1).poly(("x1",)).num
+    assert unpack(key, 1) == (6002,)

@@ -14,7 +14,7 @@ import pytest
 
 from cfx.exterior import ExtForm
 from cfx.operators import FirstOrderOp
-from cfx.poly import Poly
+from cfx.poly import Poly, unpack
 from cfx.rational import MAX_DECIMAL_EXPONENT, parse_fraction
 
 
@@ -137,9 +137,10 @@ I = ComplexRational(0, 1)
 
 
 def terms(p) -> dict:
-    """The coefficients of a ``Poly`` as ComplexRationals, in its term order."""
-    return {expo: ComplexRational(Fraction(re, p.den), Fraction(im, p.den))
-            for expo, (re, im) in p.num.items()}
+    """The coefficients of a ``Poly`` as ComplexRationals by exponent tuple,
+    in its term order."""
+    return {unpack(key, len(p.vars)): ComplexRational(Fraction(re, p.den), Fraction(im, p.den))
+            for key, (re, im) in p.num.items()}
 
 
 def test_real_values_hash_like_int_and_fraction():

@@ -133,7 +133,7 @@ def operator_mismatches(spec, v) -> list:
             got = []
             for b, out_idx in basis(j + 1):
                 entry = image.slot(b).component(out_idx)
-                assert all(not any(e) for e in entry.num)
+                assert all(e == 0 for e in entry.num)
                 value = constant_term(entry)
                 got.append((value.re, value.im))
             if got != [row[col] for row in rows]:

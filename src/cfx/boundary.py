@@ -1,10 +1,10 @@
 """Tangential complex on the boundary group of a rigid quadratic hypersurface.
 
 The boundary levels are pairs: a leading slot field plus a companion slot
-field one form-degree lower.  The operator is the projected operator
-:func:`subcomplex_D` on the leading field plus a coupling of the pair
-through the constant curvature 2-form of the group, which vanishes exactly
-on right-type groups, and through the central translations.
+field one form-degree lower.  :func:`boundary_D` acts on a pair as the
+blocks [[A, C], [T, B]]: A is the projected operator :func:`subcomplex_D`,
+and C the twist through the constant curvature 2-form of the group, which
+vanishes exactly on right-type groups.
 
 Both complexes apply the rows of one :class:`Frame` through :func:`frak_d`:
 a group's tangential frame is built from its horizontal fields (one
@@ -115,13 +115,9 @@ class TangentFrame(Frame):
         self.group = group
         self.n = group.n
         self.T_lower = self._t_matrix()
+        # T^{a'b'}, symmetric in a' and b': T^{01} = T^{10} = i d/dt1
         self.T_upper = {(a, b): raise_primed((self.T_lower[0][a], self.T_lower[1][a]))[b]
                         for a in (0, 1) for b in (0, 1)}
-        # the symmetrized and the skew raised translations, built once
-        half = Fraction(1, 2)
-        self.T_sym = {(a, b): (self.T_upper[(a, b)] + self.T_upper[(b, a)]).scale(half)
-                      for a in (0, 1) for b in (0, 1)}
-        self.T_skew = (self.T_upper[(0, 1)] - self.T_upper[(1, 0)]).scale(half)
         self.E0 = curvature_form(group)
         self.right_type = self.E0.is_zero()
 
@@ -136,9 +132,6 @@ class TangentFrame(Frame):
     def require_right_type(self):
         if not self.right_type:
             raise PreconditionError("operation requires a right-type group (vanishing curvature)")
-
-    def zero_form(self, degree: int) -> ExtForm:
-        return ExtForm.zero(self.dim, degree, self.vars)
 
 
 def frak_d(aprime: int, f: ExtForm, frame: Frame, raised: bool = True) -> ExtForm:
@@ -273,57 +266,44 @@ class BoundaryField:
 
 
 def boundary_D(frame: TangentFrame, fld: BoundaryField) -> BoundaryField:
-    """Level-j boundary operator: the projected operator plus the curvature coupling.
+    """Level-j boundary operator: the blocks [[A, C], [T, B]] on (lead f, companion G).
 
-    The lead output is :func:`subcomplex_D` of the lead f plus E0 ^ G(b), G
-    the companion, on levels with a companion slot; at j = k it is the
-    double operator minus E0 ^ (T^{10} f + G).  The companion output couples
-    G to the central translations T of f.
+    A is :func:`subcomplex_D`.  T runs the composite paths of the slot rules of
+    levels j and j + 1: two steps (x, y) give T^{xy} f(a), a step y beside the
+    middle path (0, 1) gives d^0 T^{1y} f(a) - d^1 T^{0y} f(a).  B is rule j + 1
+    on G.  The companion output is s (T f + B G), s = +1 at j = k - 1 and j = k,
+    else -1.  C is zero on right-type groups: lead slot b gains E0 ^ G(b), but at
+    j = k the lead loses E0 ^ (T^{10} f + G); at j = k - 1 the companion loses
+    E0 ^ T^{10} G.
     """
     spec, j, k = fld.spec, fld.level, fld.spec.k
     lead = subcomplex_D(frame, spec, j, fld.lead)
     E0, f = frame.E0, fld.lead.slot
     G = lambda a: fld.companion_slot(a, frame)
-    T = lambda key, b: f(b).map_coeffs(frame.T_upper[key].apply)
-    if j == k:
-        lead = SpinorField(0, "tilde", [lead.slot(0) - E0.wedge(T((1, 0), 0) + G(0))])
 
-        def h(ap: int) -> ExtForm:
-            term = frak_d(1, f(0).map_coeffs(frame.T_lower[ap][0].apply), frame)
-            term = term - frak_d(0, f(0).map_coeffs(frame.T_lower[ap][1].apply), frame)
-            # lowered-index operators: first slot is -d^1, second slot is d^0
-            dn = -frak_d(1, G(0), frame) if ap == 0 else frak_d(0, G(0), frame)
-            return term - dn
+    def T(out_path, in_path, form):
+        if len(out_path) == len(in_path):
+            return form.map_coeffs(frame.T_upper[out_path + in_path].apply)
+        (y,) = min(out_path, in_path, key=len)
+        return frak_d(0, T((1,), (y,), form), frame) - frak_d(1, T((0,), (y,), form), frame)
 
-        # pair (h_0, h_1) with a lowered free index corresponds to ascending
-        # slots (-h_1, +h_0)
-        return BoundaryField(spec, j + 1, lead, SpinorField(1, "tilde", [-h(1), h(0)]))
-    if fld.has_companion():
-        lead = SpinorField(lead.sigma, lead.basis,
-                           [s + E0.wedge(G(b)) for b, s in enumerate(lead.slots)])
-    if j == k - 1:
-        # both output components are plain middle-degree forms
-        comp = frame.zero_form(k)
-        if fld.has_companion():
-            skew_dd = (_dd(frame, G(0), 0, 1) - _dd(frame, G(0), 1, 0)).scale(Fraction(1, 2))
-            comp = comp + skew_dd + E0.wedge(G(0).map_coeffs(frame.T_skew.apply))
-        for ap in (0, 1):
-            for bp in (0, 1):
-                comp = comp - frak_d(bp, f(ap).map_coeffs(frame.T_lower[bp][ap].apply), frame)
-        return BoundaryField(spec, j + 1, lead, SpinorField(0, "S", [comp]))
-    # below or above the middle: minus T^{xy} of the lead along the two-step
-    # paths of the rules of levels j and j + 1, minus rule j + 1 on G
     inner, outer = spec.slot_rule(j), spec.slot_rule(j + 1)
     shape = spec.companion_shape(j + 1)
-    comp = SpinorField(shape[0], shape[2], [-f for f in _sums(frame, shape[1], [
-        [T((x, y), a) for m, (x,) in terms for a, (y,) in inner[m]] for terms in outer])])
+    comp = SpinorField(shape[0], shape[2], _sums(frame, shape[1], [
+        [T(out_path, in_path, f(a)) for m, out_path in terms for a, in_path in inner[m]]
+        for terms in outer]))
     if fld.has_companion():
-        comp = comp - _slot_combination(frame, outer, G, shape)
+        comp = comp + _slot_combination(frame, outer, G, shape)
+    if j not in (k - 1, k):
+        comp = -comp
+    if j == k:
+        lead = SpinorField(0, "tilde", [lead.slot(0) - E0.wedge(T((1,), (0,), f(0)) + G(0))])
+    elif fld.has_companion():
+        lead = SpinorField(lead.sigma, lead.basis,
+                           [s + E0.wedge(G(b)) for b, s in enumerate(lead.slots)])
+        if j == k - 1:
+            comp = comp - SpinorField(0, "S", [E0.wedge(T((1,), (0,), G(0)))])
     return BoundaryField(spec, j + 1, lead, comp)
-
-
-def _dd(frame, f, a, b):
-    return frak_d(a, frak_d(b, f, frame), frame)
 
 
 def _slot_combination(frame: Frame, rule: tuple, slot, shape) -> SpinorField:
@@ -356,15 +336,18 @@ def subcomplex_D(frame: Frame, spec, j: int, lead: SpinorField) -> SpinorField:
 # -- identity checks ------------------------------------------------------------------------
 
 
+PRIMED_PAIRS = ((0, 0), (0, 1), (1, 1))  # unordered: T^{a'b'} is symmetric
+
+
 def anticommutation_defect(frame: TangentFrame, f: ExtForm, ap: int, bp: int):
     """(defect, curvature term) for one symmetrized pair of indices.
 
     The defect is the symmetrized double operator; it must equal the
-    curvature wedge with the symmetrized raised translation operator.
+    curvature wedge with the raised translation operator T^{a'b'}.
     """
-    half = Fraction(1, 2)
-    defect = (_dd(frame, f, ap, bp) + _dd(frame, f, bp, ap)).scale(half)
-    rhs = frame.E0.wedge(f.map_coeffs(frame.T_sym[(ap, bp)].apply))
+    dd = lambda x, y: frak_d(x, frak_d(y, f, frame), frame)
+    defect = (dd(ap, bp) + dd(bp, ap)).scale(Fraction(1, 2))
+    rhs = frame.E0.wedge(f.map_coeffs(frame.T_upper[ap, bp].apply))
     return defect, rhs
 
 
@@ -373,15 +356,15 @@ def bracket_identity(frame: TangentFrame) -> dict:
 
     For every pair of form indices and symmetrized primed pair, the
     alternating second-order combination of tangential fields equals the
-    curvature component times the symmetrized translation operator.
+    curvature component times the translation operator T^{a'b'}.
 
     The combination ``Z_a^{a'} Z_b^{b'} + Z_a^{b'} Z_b^{a'} - Z_b^{a'} Z_a^{b'}
     - Z_b^{b'} Z_a^{a'}`` regroups as ``[Z_a^{a'}, Z_b^{b'}] + [Z_a^{b'}, Z_b^{a'}]``.
     The order-2 part of X∘Y is the symmetrized product of the coefficients of
     X and Y, which Y∘X shares, so the combination equals this first-order sum
     exactly: comparing its coefficients proves the identity symbolically, as
-    the full compositions did.  The four commutators of a row pair serve all
-    four primed pairs.  Both sides are canonical integer operator tables,
+    the full compositions did.  The four commutators of a row pair serve the
+    three unordered primed pairs.  Both sides are canonical integer operator tables,
     so they are compared as tables; the residual operator is built only for
     a pair that differs.
 
@@ -401,9 +384,9 @@ def bracket_identity(frame: TangentFrame) -> dict:
             brackets = {(x, y): za[x].commutator(zb[y]) for x in (0, 1) for y in (0, 1)}
             if frame.right_type and a % 2 == 0 and b == a + 1:
                 paired = paired and (brackets[0, 1] + brackets[1, 0]).is_zero()
-            for ap, bp in ((0, 0), (0, 1), (1, 0), (1, 1)):
+            for ap, bp in PRIMED_PAIRS:
                 lhs = (brackets[ap, bp] + brackets[bp, ap]).scale(quarter)
-                rhs = frame.T_sym[(ap, bp)].scale(coeff)
+                rhs = frame.T_upper[ap, bp].scale(coeff)
                 if lhs != rhs:
                     ok = False
                     worst = str(lhs - rhs)

@@ -182,6 +182,9 @@ def stokes_check(h: Poly, T: ExtForm, region: Region, frame: TangentFrame,
 # -- the report edge -------------------------------------------------------------------
 
 
+_TOO_LARGE = "an exact value is outside the float range of the report; use a smaller box"
+
+
 def _float(x: Fraction) -> float:
     """The one rounding of an exact value to a report float.
 
@@ -192,8 +195,7 @@ def _float(x: Fraction) -> float:
     try:
         value = float(x)
     except OverflowError:
-        raise ValueError("an exact value is outside the float range of the report; "
-                         "use a smaller box") from None
+        raise ValueError(_TOO_LARGE) from None
     if value == 0.0 and x:
         raise ValueError("a nonzero exact value is below the float range of the report; "
                          "use a larger box")
@@ -267,6 +269,14 @@ def _point_chunks(lows: list, highs: list, used: list, samples: int, seed: int):
                                                 for axis, l, span in spans}
 
 
+def _power_or_inf(x: float, e: int) -> float:
+    """x ** e for x >= 0, or inf where the power overflows."""
+    try:
+        return x ** e
+    except OverflowError:
+        return math.inf
+
+
 def sup_norm_on_grid(us: Sequence[Poly], region: Region, samples: int = 4096,
                      seed: int = 2) -> list:
     """Sampled sup of |u| over the region for each input, on one set of points.
@@ -303,8 +313,9 @@ def sup_norm_on_grid(us: Sequence[Poly], region: Region, samples: int = 4096,
     |high|) exceeds every |coordinate|: floor = (N + K) * 2**-1000 * (1 + W)
     covers that.  So every value on a skipped chunk is at most the running
     maximum, and ``max``, which replaces only on a greater value, would
-    have kept it: the sups are the same floats.  An inf or NaN bound never
-    skips, and NaN never becomes the maximum.
+    have kept it: the sups are the same floats.  A power that overflows in a
+    bound is inf, an inf or NaN bound never skips, and NaN never becomes the
+    maximum; a point value past the float range raises :func:`_float`'s error.
     """
     lows = [_float(x) for x in region.lows]
     highs = [_float(x) for x in region.highs]
@@ -326,7 +337,7 @@ def sup_norm_on_grid(us: Sequence[Poly], region: Region, samples: int = 4096,
         table = [(powers, abs(coeff.real) + abs(coeff.imag)) for powers, coeff in terms]
         N = len(table)
         K = max((sum(e for _, e in powers) for powers, _ in table), default=0)
-        W = sum(c for _, c in table) * spread ** K
+        W = sum(c for _, c in table) * _power_or_inf(spread, K)
         bounds.append((table, 1.0 + (N + K + 8) * 2.0 ** -40, (N + K) * 2.0 ** -1000 * (1 + W)))
     used = sorted({axis for terms, _ in inputs for powers, _ in terms for axis, _ in powers})
     keys = {key for table, _, _ in bounds for powers, _ in table for key in powers}
@@ -335,7 +346,7 @@ def sup_norm_on_grid(us: Sequence[Poly], region: Region, samples: int = 4096,
         live = range(len(inputs))
         if reach is not None:
             # the largest |x ** e| on the chunk, per (axis, exponent)
-            top = {(axis, e): reach[axis] ** e for axis, e in keys}
+            top = {(axis, e): _power_or_inf(reach[axis], e) for axis, e in keys}
             live = [i for i, (table, slack, floor) in enumerate(bounds)
                     if not sum(c * math.prod(map(top.__getitem__, powers)) for powers, c in table)
                     * slack + floor < best[i]]
@@ -353,11 +364,17 @@ def sup_norm_on_grid(us: Sequence[Poly], region: Region, samples: int = 4096,
                 for k, (axis, e) in enumerate(powers):
                     column = powered.get((axis, e))
                     if column is None:
-                        column = powered[axis, e] = list(map(pow, columns[axis], repeat(e)))
+                        try:
+                            column = list(map(pow, columns[axis], repeat(e)))
+                        except OverflowError:
+                            raise ValueError(_TOO_LARGE) from None
+                        powered[axis, e] = column
                     m = map(mul, m, column) if k else column
                 total = list(map(add, total, map(mul, repeat(coeff), m)))
             # max replaces only on a greater value, so a NaN is skipped
             best[i] = max(chain((best[i],), map(abs, total)))
+    if math.inf in best:
+        raise ValueError(_TOO_LARGE)
     return best
 
 

@@ -7,8 +7,8 @@ byte-identical.
 
 from __future__ import annotations
 
-from .boundary import (BoundaryField, BoundarySpec, TangentFrame, anticommutation_defect,
-                       boundary_D, subcomplex_D)
+from .boundary import (PRIMED_PAIRS, BoundaryField, BoundarySpec, TangentFrame,
+                       anticommutation_defect, boundary_D, subcomplex_D)
 from .flat import ComplexSpec, dot_pi, flat_D, flat_D_tuple
 from .groups import GroupSpec
 from .randgen import SectionGenerator
@@ -116,14 +116,13 @@ def anticommute_suite(group: GroupSpec, trials: int, seed: int,
     for t in range(trials):
         g = gen.spawn(t)
         f = g.form(frame.dim, g.rng.randint(0, max(0, frame.dim - 2)), frame.vars)
-        for ap in (0, 1):
-            for bp in (0, 1):
-                defect, rhs = anticommutation_defect(frame, f, ap, bp)
-                diff = defect - rhs
-                if not diff.is_zero():
-                    identity_ok = False
-                    residual = str(diff)
-                plain_zero = plain_zero and defect.is_zero()
+        for ap, bp in PRIMED_PAIRS:
+            defect, rhs = anticommutation_defect(frame, f, ap, bp)
+            diff = defect - rhs
+            if not diff.is_zero():
+                identity_ok = False
+                residual = str(diff)
+            plain_zero = plain_zero and defect.is_zero()
     return Report({"identity": "anticommutation-curvature",
                    "params": {"trials": trials, "degree": 2}, "seed": seed,
                    "pass": identity_ok, "residual": residual,

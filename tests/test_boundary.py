@@ -480,7 +480,7 @@ def test_middle_branch_first_component(right2, left2):
     for frame in (right2, left2):
         F1 = gen.form(4, 1, frame.vars, poly_degree=2)
         fld = BoundaryField(spec, 1, SpinorField(0, "S", [F1]),
-                            SpinorField(0, "S", [frame.zero_form(1)]))
+                            SpinorField(0, "S", [ExtForm.zero(frame.dim, 1, frame.vars)]))
         out = boundary_D(frame, fld)
         manual = frak_d(0, frak_d(1, F1, frame), frame) - frame.E0.wedge(
             F1.map_coeffs(frame.T_upper[(1, 0)].apply))
@@ -576,7 +576,7 @@ def _ref_middle_in(frame: TangentFrame, fld: BoundaryField) -> BoundaryField:
     f0, f1 = fld.lead.slot(0), fld.lead.slot(1)
     has_comp = fld.has_companion()
     out_lead = frak_d(0, f0, frame) + frak_d(1, f1, frame)
-    out_comp = frame.zero_form(spec.k)
+    out_comp = ExtForm.zero(frame.dim, spec.k, frame.vars)
     if has_comp:
         G = fld.companion_slot(0, frame)
         out_lead = out_lead + E0.wedge(G)
@@ -668,6 +668,44 @@ def test_boundary_D_matches_four_branch_reference(right2, left2):
     assert positions == {"below", "middle-in", "middle-out", "above"}
 
 
+# D = [[A, C], [T, B]] on (lead, companion); C = 0 on right-type groups
+_BLOCKS = {("lead-only", "lead"): "A A + C T", ("lead-only", "companion"): "T A + B T",
+           ("companion-only", "lead"): "A C + C B", ("companion-only", "companion"): "T C + B B"}
+
+
+@pytest.mark.parametrize("name", ["rightQH", "dense-right", "leftQH"])
+def test_boundary_blocks_compose_to_zero(name, right2, left2):
+    # D^2 = 0 on lead-only fields is A^2 = 0 and T A + B T = 0 on a right-type
+    # group, and on companion-only fields B^2 = 0; on leftQH the C terms join
+    # them.  Degree 3, since the T rows are d/dt of weight 2
+    frame = {"rightQH": right2, "dense-right": DENSE_RIGHT2, "leftQH": left2}[name]
+    gen = SectionGenerator(3917, degree=3)
+    for k in range(4):
+        spec = BoundarySpec(frame.n, k)
+        for j in range(spec.top_level - 1):
+            fld = random_boundary_field(gen.spawn(10 * k + j), spec, frame, j, degree=3)
+            s, d, basis = spec.shape(j)
+            cases = {"lead-only": BoundaryField(spec, j, fld.lead, None)}
+            if fld.has_companion():
+                zero_lead = zero_spinor_field(s, basis, spec.form_dim, d, frame.vars)
+                cases["companion-only"] = BoundaryField(spec, j, zero_lead, fld.companion)
+            for what, case in cases.items():
+                out = boundary_D(frame, boundary_D(frame, case))
+                for part in ("lead", "companion"):
+                    assert getattr(out, part).is_zero(), \
+                        f"{_BLOCKS[what, part]} != 0 at k={k}, j={j}, {what} field"
+
+
+def test_translation_table_is_symmetric(right2, left2):
+    # T^{01} = T^{10} = i d/dt1 on every frame: swapping x and y in T^{xy} is
+    # an equivalent change of boundary_D
+    frames = [RIGHT1, LEFT1, ABELIAN1, DENSE_RIGHT2, right2, left2,
+              _dense_frame(1234, False), _dense_frame(777, True)]
+    for frame in frames:
+        assert frame.T_upper[0, 1] == frame.T_upper[1, 0]
+        assert not frame.T_upper[0, 1].is_zero()
+
+
 def test_composition_law_generic_group():
     # the formulas are not specific to the named examples: any symmetric
     # matrix gives a group on which consecutive operators compose to zero
@@ -713,7 +751,7 @@ def test_operator_level_out_of_range(right2):
 
 def test_field_shape_mismatch(right2):
     spec = BoundarySpec(2, 1)
-    bad_lead = SpinorField(0, "S", [right2.zero_form(2)])
+    bad_lead = SpinorField(0, "S", [ExtForm.zero(right2.dim, 2, right2.vars)])
     with pytest.raises(ValueError, match="lead shape"):
         BoundaryField(spec, 1, bad_lead, None)
 

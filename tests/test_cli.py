@@ -1086,3 +1086,27 @@ def test_ma_u_exponent_at_the_limit_is_read():
                                               {"c": "2", "e": [1, 0]}]}
     [u] = _parse_inputs([record])
     assert u == Poly.monomial(("x1", "t1"), (0, MAX_U_EXPONENT)) + Poly.var(("x1", "t1"), "x1", 2)
+
+
+def _x1_power_file(tmp_path, exponent):
+    path = tmp_path / "u.json"
+    path.write_text(json.dumps([{"vars": ["x1", "x2", "x3", "x4", "t1", "t2", "t3"],
+                                 "terms": [{"c": "1", "e": [exponent, 0, 0, 0, 0, 0, 0]}]}]))
+    return str(path)
+
+
+def test_ma_sup_norm_of_x1_at_the_exponent_limit_is_read(capsys, tmp_path):
+    # on [-2, 2] the sampler's floor 4^1000 overflows a float, though the sup
+    # 2^1000 does not: the floor is inf, and the corner still gives the sup
+    code, out, err = run(capsys, "ma", "--group", "rightQH", "--n", "1", "--halfwidth", "2",
+                         "--u", _x1_power_file(tmp_path, 1000))
+    assert code == 0 and err == ""
+    assert json.loads(out)["cln"]["sup_norms"] == [2.0 ** 1000]
+
+
+@pytest.mark.parametrize("halfwidth", ["3", "4"])
+def test_ma_x1_power_past_the_float_range_exits_2(capsys, tmp_path, halfwidth):
+    code, out, err = run(capsys, "ma", "--group", "rightQH", "--n", "1", "--halfwidth", halfwidth,
+                         "--u", _x1_power_file(tmp_path, 1000))
+    _assert_input_error(code, out, err)
+    assert "float range" in err

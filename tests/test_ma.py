@@ -663,6 +663,28 @@ def test_sup_norm_single_points_match_the_reference():
             [_reference_sup(u, region, samples=1, seed=seed).hex() for u in us], seed
 
 
+def test_sup_norm_floor_past_the_float_range_is_inf():
+    # S ** K = 4 ** 1000 overflows a float: the floor is inf, so no chunk is
+    # skipped, and the corner gives the sup 2 ** 1000, which does not
+    u = Poly.monomial(("y",), (1000,), 1)
+    region = Region.cube(1, 2)
+    [got] = sup_norm_on_grid([u], region, samples=300)
+    assert got == 2.0 ** 1000
+    assert got.hex() == _reference_sup(u, region, samples=300).hex()
+
+
+@pytest.mark.parametrize("case", ["power", "product"])
+def test_sup_norm_corner_value_past_the_float_range_raises(case):
+    # 3 ** 1000 overflows in the power; 2 ** 600 * 2 ** 600 overflows to inf
+    # in the product
+    if case == "power":
+        u, region = Poly.monomial(("y",), (1000,), 1), Region.cube(1, 3)
+    else:
+        u, region = Poly.monomial(("y", "z"), (600, 600), 1), Region.cube(2, 2)
+    with pytest.raises(ValueError, match="float range"):
+        sup_norm_on_grid([u], region, samples=10)
+
+
 def _drawn_sup_case(rng):
     """A random input, box and sample count for the sup-norm differential.
 

@@ -24,6 +24,7 @@ from cfx.poly import (BITS, FIELD, GUARD, MAX_EXPONENT, MAX_VARS, Poly, _gaussia
 from cfx.quadrature import _moment_sum, _moment_table
 from cfx.randgen import SectionGenerator
 from cfx.rational import gaussian_from_json
+from test_operators import translation_ops
 from test_poly import poly_to_json, tuple_num
 
 # -- the tuple-keyed kernels: the references ----------------------------------------------
@@ -170,7 +171,7 @@ def _operators(frame) -> list:
     ops.append(frame.X[0].commutator(frame.X[1]))
     ops.append(frame.Z_lower[0][0] + frame.Z_upper[1][1].scale((1, 3)))
     if isinstance(frame, TangentFrame):
-        ops += [*frame.T_sym.values(), frame.T_skew]
+        ops += translation_ops(frame)
     return [op for op in ops if not op.is_zero()]
 
 

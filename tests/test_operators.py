@@ -202,11 +202,16 @@ def test_apply_matches_reference_on_dense_rational_rows():
     _check(ops, 20)
 
 
+def translation_ops(frame: TangentFrame) -> list:
+    """The raised translations T^{a'b'} and their skew part (T^{01} - T^{10}) / 2,
+    which is the canonical zero operator on every frame."""
+    T = frame.T_upper
+    return [*T.values(), (T[0, 1] - T[1, 0]).scale(Fraction(1, 2))]
+
+
 def test_apply_matches_reference_on_t_operators():
     frame = _dense_rational_right_type()
-    ops = [frame.T_sym[a, b] for a, b in product((0, 1), repeat=2)]
-    ops.append(frame.T_skew)
-    _check(ops, 30)
+    _check(translation_ops(frame), 30)
 
 
 def test_apply_matches_reference_on_commutators():
@@ -304,7 +309,7 @@ def _family_ops(frame, count=6):
     ops = list(frame.X[:count])
     ops += [op for table in (frame.Z_lower, frame.Z_upper) for row in table[:2] for op in row]
     if isinstance(frame, TangentFrame):
-        ops += [frame.T_sym[a, b] for a, b in product((0, 1), repeat=2)] + [frame.T_skew]
+        ops += translation_ops(frame)
     return ops
 
 

@@ -114,20 +114,13 @@ class TangentFrame(Frame):
         super().__init__(group.vars, horizontal_fields(group))
         self.group = group
         self.n = group.n
-        self.T_lower = self._t_matrix()
-        # T^{a'b'}, symmetric in a' and b': T^{01} = T^{10} = i d/dt1
-        self.T_upper = {(a, b): raise_primed((self.T_lower[0][a], self.T_lower[1][a]))[b]
-                        for a in (0, 1) for b in (0, 1)}
+        v, d = self.vars, FirstOrderOp.partial
+        # the raised translations T^{a'b'}, symmetric in a' and b'
+        i_t1 = d(v, "t1", (0, 1))
+        self.T_upper = {(0, 0): d(v, "t2") + d(v, "t3", (0, 1)), (0, 1): i_t1, (1, 0): i_t1,
+                        (1, 1): d(v, "t2") + d(v, "t3", (0, -1))}
         self.E0 = curvature_form(group)
         self.right_type = self.E0.is_zero()
-
-    def _t_matrix(self) -> list[list[FirstOrderOp]]:
-        v = self.vars
-        d = FirstOrderOp.partial
-        return [
-            [d(v, "t1", (0, -1)), d(v, "t2", -1) + d(v, "t3", (0, 1))],
-            [d(v, "t2", 1) + d(v, "t3", (0, 1)), d(v, "t1", (0, 1))],
-        ]
 
     def require_right_type(self):
         if not self.right_type:
@@ -154,8 +147,6 @@ def frak_d(aprime: int, f: ExtForm, frame: Frame, raised: bool = True) -> ExtFor
     if f.vars != frame.vars:
         raise ValueError("variable table mismatch with frame")
     degree = f.degree + 1
-    if degree > f.dim:
-        return ExtForm.zero(f.dim, degree, f.vars)
     L, rows = frame.row_table(aprime, raised)
     D = lcm(1, *(p.den for p in f.comps.values()))
     comps = [(insertions(f.dim, idx), coeff.num, D // coeff.den, support(coeff.num))
@@ -215,7 +206,11 @@ class BoundarySpec(LevelTable):
 
 
 class BoundaryField:
-    """Level-j element of the boundary pair complex; immutable, compared field by field."""
+    """Level-j element of the boundary pair complex; immutable, compared field by field.
+
+    The companion is None exactly at level 0; above it a missing companion
+    is stored as the zero field of ``companion_shape(level)``.
+    """
 
     def __init__(self, spec: BoundarySpec, level: int, lead: SpinorField,
                  companion: SpinorField | None):
@@ -225,7 +220,11 @@ class BoundaryField:
             if companion is not None and not companion.is_zero():
                 raise ValueError(f"level {level} has no companion slot")
             companion = None
-        elif companion is not None:
+        elif companion is None:
+            sigma, degree, basis = cshape
+            companion = SpinorField(sigma, basis,
+                                    [ExtForm.zero(spec.form_dim, degree, lead.vars)] * (sigma + 1))
+        else:
             spec.check_field(companion, cshape, "companion", level)
         object.__setattr__(self, "spec", spec)
         object.__setattr__(self, "level", level)
@@ -240,21 +239,6 @@ class BoundaryField:
             return NotImplemented
         return ((self.spec, self.level, self.lead, self.companion)
                 == (other.spec, other.level, other.lead, other.companion))
-
-    @classmethod
-    def build(cls, spec: BoundarySpec, j: int, make) -> "BoundaryField":
-        """Level-j field whose lead and companion are ``make(sigma, degree, basis)``."""
-        cshape = spec.companion_shape(j)
-        return cls(spec, j, make(*spec.shape(j)), None if cshape is None else make(*cshape))
-
-    def has_companion(self) -> bool:
-        return self.spec.companion_shape(self.level) is not None
-
-    def companion_slot(self, a: int, frame: TangentFrame) -> ExtForm:
-        if self.companion is None:
-            cshape = self.spec.companion_shape(self.level)
-            return ExtForm.zero(self.spec.form_dim, cshape[1] if cshape else 0, frame.vars)
-        return self.companion.slot(a)
 
     def is_zero(self) -> bool:
         lead_zero = self.lead.is_zero()
@@ -274,12 +258,12 @@ def boundary_D(frame: TangentFrame, fld: BoundaryField) -> BoundaryField:
     on G.  The companion output is s (T f + B G), s = +1 at j = k - 1 and j = k,
     else -1.  C is zero on right-type groups: lead slot b gains E0 ^ G(b), but at
     j = k the lead loses E0 ^ (T^{10} f + G); at j = k - 1 the companion loses
-    E0 ^ T^{10} G.
+    E0 ^ T^{10} G.  G is None only at level 0, where B G and the G terms of C
+    are absent.
     """
     spec, j, k = fld.spec, fld.level, fld.spec.k
     lead = subcomplex_D(frame, spec, j, fld.lead)
-    E0, f = frame.E0, fld.lead.slot
-    G = lambda a: fld.companion_slot(a, frame)
+    E0, f, G = frame.E0, fld.lead.slot, fld.companion
 
     def T(out_path, in_path, form):
         if len(out_path) == len(in_path):
@@ -292,17 +276,20 @@ def boundary_D(frame: TangentFrame, fld: BoundaryField) -> BoundaryField:
     comp = SpinorField(shape[0], shape[2], _sums(frame, shape[1], [
         [T(out_path, in_path, f(a)) for m, out_path in terms for a, in_path in inner[m]]
         for terms in outer]))
-    if fld.has_companion():
-        comp = comp + _slot_combination(frame, outer, G, shape)
+    if G is not None:
+        comp = comp + _slot_combination(frame, outer, G.slot, shape)
     if j not in (k - 1, k):
         comp = -comp
     if j == k:
-        lead = SpinorField(0, "tilde", [lead.slot(0) - E0.wedge(T((1,), (0,), f(0)) + G(0))])
-    elif fld.has_companion():
+        twist = T((1,), (0,), f(0))
+        if G is not None:
+            twist = twist + G.slot(0)
+        lead = SpinorField(0, "tilde", [lead.slot(0) - E0.wedge(twist)])
+    elif G is not None:
         lead = SpinorField(lead.sigma, lead.basis,
-                           [s + E0.wedge(G(b)) for b, s in enumerate(lead.slots)])
+                           [s + E0.wedge(G.slot(b)) for b, s in enumerate(lead.slots)])
         if j == k - 1:
-            comp = comp - SpinorField(0, "S", [E0.wedge(T((1,), (0,), G(0)))])
+            comp = comp - SpinorField(0, "S", [E0.wedge(T((1,), (0,), G.slot(0)))])
     return BoundaryField(spec, j + 1, lead, comp)
 
 

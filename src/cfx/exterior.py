@@ -177,8 +177,6 @@ class ExtForm:
         """
         self._check(other)
         degree = self.degree + other.degree
-        if degree > self.dim:
-            return ExtForm.zero(self.dim, degree, self.vars)
         d1 = lcm(1, *(c.den for c in self.comps.values()))
         d2 = lcm(1, *(c.den for c in other.comps.values()))
         right = [(i2, c2.num, d2 // c2.den) for i2, c2 in other.comps.items()]

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from fractions import Fraction
-from functools import cached_property
 from itertools import product
 
 from .boundary import Frame, ambient_frame, frak_d, subcomplex_D
@@ -38,9 +37,9 @@ class ComplexSpec(LevelTable):
     def vars(self):
         return x_vars(4 * (self.n + 1))
 
-    @cached_property
+    @property
     def frame(self) -> Frame:
-        """Rows of the ambient operator, built once per spec."""
+        """Rows of the ambient operator: ``ambient_frame(n)``, built once per n."""
         return ambient_frame(self.n)
 
 
@@ -141,23 +140,22 @@ def rank_exact(rows: list) -> int:
 def check_exactness(spec: ComplexSpec, v: Sequence) -> dict:
     """Pointwise exactness of the frozen-coefficient sequence at covector v.
 
-    Checks injectivity at the bottom, the rank identities in the middle and
-    surjectivity at the top; every rank is exact (``rank_exact``).  v must be
-    nonzero with 4(n+1) entries; ``symbol_at`` rejects any other length.
+    Level j is exact when the ranks of the symbols into and out of it sum
+    to its dimension: injectivity at the bottom, the rank identities in the
+    middle and surjectivity at the top, where one symbol is missing.  Every
+    rank is exact (``rank_exact``).  v must be nonzero with 4(n+1) entries;
+    ``symbol_at`` rejects any other length.
     """
     if all(Fraction(x) == 0 for x in v):
         raise ValueError("covector must be nonzero")
     top = spec.top_level
     ranks = [rank_exact(symbol_at(spec, j, v)) for j in range(top)]
     dims = [spec.level_dim(j) for j in range(top + 1)]
-    levels = [{"level": 0, "dim": dims[0], "exact": ranks[0] == dims[0],
-               "detail": f"rank {ranks[0]} == dim {dims[0]}"}]
-    for j in range(1, top):
-        ok = ranks[j - 1] + ranks[j] == dims[j]
-        levels.append({"level": j, "dim": dims[j], "exact": ok,
-                       "detail": f"rank {ranks[j-1]} + rank {ranks[j]} == dim {dims[j]}"})
-    levels.append({"level": top, "dim": dims[top], "exact": ranks[-1] == dims[top],
-                   "detail": f"rank {ranks[-1]} == dim {dims[top]}"})
+    levels = []
+    for j in range(top + 1):
+        used = ranks[max(j - 1, 0):j + 1]
+        levels.append({"level": j, "dim": dims[j], "exact": sum(used) == dims[j],
+                       "detail": " + ".join(f"rank {r}" for r in used) + f" == dim {dims[j]}"})
     return {
         "v": [str(Fraction(x)) for x in v],
         "dims": dims,

@@ -358,7 +358,6 @@ def _direction_grid(resolution: int) -> tuple:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
 def _falling_factorials(d: int) -> tuple:
     """Row i, i = 0..d: the coefficients of u (u - 1) ... (u - i + 1) in u^0..u^i.
 

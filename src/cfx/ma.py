@@ -291,9 +291,7 @@ def sup_norm_on_grid(us: Sequence[Poly], region: Region, samples: int = 4096,
     input.  Each point still gets the float operations of a per-point loop,
     in its order: ``x ** e``, the product from 1.0 over the term's axes in
     axis order, ``coeff * m``, the sum from 0 in term order, ``abs``, and the
-    maximum by ``>`` (which skips NaN).  Inputs with real coefficients sum
-    in floats: the real part of the complex sum takes the same float steps
-    and ``abs`` of ``re ± 0j`` is ``abs(re)``, so the sups are the same floats.
+    maximum by ``>`` (which skips NaN).
 
     The corners and the centre are always evaluated, and first.  An input
     skips a sample chunk when B * (1 + (N + K + 8) * 2**-40) + floor is
@@ -328,10 +326,7 @@ def sup_norm_on_grid(us: Sequence[Poly], region: Region, samples: int = 4096,
         terms = [([(axis, e) for axis, e in enumerate(unpack(key, len(u.vars))) if e],
                   complex(*_c((Fraction(re, u.den), Fraction(im, u.den)))))
                  for key, (re, im) in u.num.items()]
-        if all(coeff.imag == 0.0 for _, coeff in terms):
-            inputs.append(([(powers, coeff.real) for powers, coeff in terms], 0.0))
-        else:
-            inputs.append((terms, 0j))
+        inputs.append(terms)
         # the chunk bound's table, each term's powers and |re| + |im|, with
         # its slack and its floor
         table = [(powers, abs(coeff.real) + abs(coeff.imag)) for powers, coeff in terms]
@@ -339,7 +334,7 @@ def sup_norm_on_grid(us: Sequence[Poly], region: Region, samples: int = 4096,
         K = max((sum(e for _, e in powers) for powers, _ in table), default=0)
         W = sum(c for _, c in table) * _power_or_inf(spread, K)
         bounds.append((table, 1.0 + (N + K + 8) * 2.0 ** -40, (N + K) * 2.0 ** -1000 * (1 + W)))
-    used = sorted({axis for terms, _ in inputs for powers, _ in terms for axis, _ in powers})
+    used = sorted({axis for terms in inputs for powers, _ in terms for axis, _ in powers})
     keys = {key for table, _, _ in bounds for powers, _ in table for key in powers}
     best = [0.0] * len(inputs)
     for size, reach, columns in _point_chunks(lows, highs, used, samples, seed):
@@ -355,9 +350,8 @@ def sup_norm_on_grid(us: Sequence[Poly], region: Region, samples: int = 4096,
         columns = columns()
         powered = {}
         for i in live:
-            terms, zero = inputs[i]
-            total = repeat(zero, size)
-            for powers, coeff in terms:
+            total = repeat(0j, size)
+            for powers, coeff in inputs[i]:
                 # the product from 1.0 over the term's axes in axis order;
                 # the first factor is the column itself, as 1.0 * x is x
                 m = repeat(1.0, size)

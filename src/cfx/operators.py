@@ -199,15 +199,14 @@ class FirstOrderOp:
         because the coefficient cross-terms cancel.
 
         Each coefficient is one dict over den * other.den: self applied to
-        the numerators of c'_v and other, with mult -1, to those of c_v.  A
-        constant coefficient is skipped, since no operator moves it.
+        the numerators of c'_v and other, with mult -1, to those of c_v.
         """
         self._check_compatible(other)
         out = {}
         for v in dict.fromkeys([*self.num, *other.num]):
             acc = out[v] = {}
             for op, num, mult in ((self, other.num.get(v), 1), (other, self.num.get(v), -1)):
-                if num and not (len(num) == 1 and 0 in num):
+                if num:
                     op.apply_into(acc, num, mult)
         return FirstOrderOp._make(self.vars, out, self.den * other.den)
 

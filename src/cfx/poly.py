@@ -42,9 +42,8 @@ here.  :func:`add_term` is the one place a sum is merged into a key, so it
 alone keeps the no-``(0, 0)`` rule; :func:`common_sum` adds two dicts over
 one denominator, :func:`times_gaussian` scales one by a Gaussian integer and
 :func:`mul_into` adds the product of two into a third (``Poly.__mul__``,
-``ExtForm.wedge``, ``CutoffJet.apply_op``), with a one-pass shortcut for a
-constant factor.
-Callers keep only the rules on their keys.
+``ExtForm.wedge``, ``CutoffJet.apply_op``).  Callers keep only the rules on
+their keys.
 """
 
 from __future__ import annotations
@@ -188,19 +187,8 @@ def mul_into(out: dict, num1: dict, num2: dict, mult: int) -> dict:
     """Add mult * num1 * num2, the product of two numerator dicts times the
     int ``mult``, into ``out`` through :func:`add_term`; return ``out``.
 
-    A constant factor only scales the other one: one pass, no exponent sums.
     A product with an exponent above ``MAX_EXPONENT`` is a ValueError.
     """
-    if len(num1) == 1 and not next(iter(num1)):
-        num1, num2 = num2, num1
-    if len(num2) == 1:
-        [(e2, (c, d))] = num2.items()
-        if not e2:
-            c *= mult
-            d *= mult
-            for e1, (a, b) in num1.items():
-                add_term(out, e1, a * c - b * d, a * d + b * c)
-            return out
     right = num2.items()
     for e1, (a, b) in num1.items():
         a *= mult
@@ -306,10 +294,6 @@ class Poly:
         if not isinstance(other, Poly):
             other = Poly.const(self.vars, other)
         self._check_compatible(other)
-        if not other.num:
-            return self
-        if not self.num:
-            return other
         return Poly._make(self.vars, *common_sum(self.num, self.den, other.num, other.den))
 
     __radd__ = __add__

@@ -62,8 +62,12 @@ def flat_tuple_equivalence_suite(n: int, k: int, trials: int, seed: int,
 def random_boundary_field(gen: SectionGenerator, spec: BoundarySpec,
                           frame: TangentFrame, j: int,
                           degree: int = 2) -> BoundaryField:
-    return BoundaryField.build(spec, j, lambda s, d, basis: gen.slot_field(
-        s, basis, spec.form_dim, d, frame.vars, poly_degree=degree))
+    """A level-j pair of random slot fields, the lead drawn first; no companion at level 0."""
+    def draw(sigma, d, basis):
+        return gen.slot_field(sigma, basis, spec.form_dim, d, frame.vars, poly_degree=degree)
+
+    cshape = spec.companion_shape(j)
+    return BoundaryField(spec, j, draw(*spec.shape(j)), None if cshape is None else draw(*cshape))
 
 
 def boundary_composition_suite(group: GroupSpec, k: int, trials: int, seed: int,

@@ -15,7 +15,7 @@ from cfx.ma import Region
 from cfx.operators import FirstOrderOp
 from cfx.poly import Poly
 from cfx.randgen import SectionGenerator
-from cfx.spinor import SpinorField
+from cfx.spinor import SpinorField, raise_primed
 from cfx.verify import (anticommute_suite, boundary_composition_suite, random_boundary_field,
                         subcomplex_suite)
 from test_exterior import basis_form
@@ -27,9 +27,17 @@ from test_spinor import zero_spinor_field
 
 
 def zero_field(spec: BoundarySpec, j: int, frame: TangentFrame) -> BoundaryField:
-    """The zero level-j field."""
-    return BoundaryField.build(spec, j, lambda s, d, basis: zero_spinor_field(
-        s, basis, spec.form_dim, d, frame.vars))
+    """The zero level-j field: a zero lead and no companion given."""
+    s, d, basis = spec.shape(j)
+    return BoundaryField(spec, j, zero_spinor_field(s, basis, spec.form_dim, d, frame.vars), None)
+
+
+def lowered_translations(frame: TangentFrame) -> list:
+    """The lowered translation matrix T_{a'b'}, row a', column b'; raising the
+    rows with ``raise_primed`` gives ``frame.T_upper``."""
+    v, d = frame.vars, FirstOrderOp.partial
+    return [[d(v, "t1", (0, -1)), d(v, "t2", -1) + d(v, "t3", (0, 1))],
+            [d(v, "t2", 1) + d(v, "t3", (0, 1)), d(v, "t1", (0, 1))]]
 
 
 # -- ambient references: the defining function and the fields that annihilate it ----------
@@ -229,7 +237,8 @@ def test_operators_and_fields_are_immutable(right2):
     fld = zero_field(BoundarySpec(2, 1), 1, right2)
     with pytest.raises(AttributeError):
         fld.companion = None
-    # the records as well; cached properties still fill in once
+    # the records as well; a spec reads the shared ambient frame, and a
+    # cached property still fills in once
     spec = ComplexSpec(1, 1)
     assert spec.frame is spec.frame
     assert right2.group.integer_S is right2.group.integer_S
@@ -548,8 +557,8 @@ def _ref_below(frame: TangentFrame, fld: BoundaryField) -> BoundaryField:
     spec, j = fld.spec, fld.level
     E0 = frame.E0
     f = fld.lead.slot
-    has_comp = fld.has_companion()
-    G = lambda a: fld.companion_slot(a, frame)
+    has_comp = fld.companion is not None
+    G = lambda a: fld.companion.slot(a)
     out_lead = []
     for b in range(spec.sigma(j + 1) + 1):
         term = frak_d(0, f(b), frame) + frak_d(1, f(b + 1), frame)
@@ -574,11 +583,11 @@ def _ref_middle_in(frame: TangentFrame, fld: BoundaryField) -> BoundaryField:
     spec, j = fld.spec, fld.level
     E0 = frame.E0
     f0, f1 = fld.lead.slot(0), fld.lead.slot(1)
-    has_comp = fld.has_companion()
+    T_lower = lowered_translations(frame)
     out_lead = frak_d(0, f0, frame) + frak_d(1, f1, frame)
     out_comp = ExtForm.zero(frame.dim, spec.k, frame.vars)
-    if has_comp:
-        G = fld.companion_slot(0, frame)
+    if fld.companion is not None:
+        G = fld.companion.slot(0)
         out_lead = out_lead + E0.wedge(G)
         half = Fraction(1, 2)
         skew_dd = (_ref_dd(frame, G, 0, 1) - _ref_dd(frame, G, 1, 0)).scale(half)
@@ -587,7 +596,7 @@ def _ref_middle_in(frame: TangentFrame, fld: BoundaryField) -> BoundaryField:
         out_comp = out_comp + skew_dd + E0.wedge(t_skew)
     for ap in (0, 1):
         for bp in (0, 1):
-            lowered = fld.lead.slot(ap).map_coeffs(frame.T_lower[bp][ap].apply)
+            lowered = fld.lead.slot(ap).map_coeffs(T_lower[bp][ap].apply)
             out_comp = out_comp - frak_d(bp, lowered, frame)
     lead = SpinorField(0, "S", [out_lead])
     comp = SpinorField(0, "S", [out_comp])
@@ -599,13 +608,15 @@ def _ref_middle_out(frame: TangentFrame, fld: BoundaryField) -> BoundaryField:
     spec, j = fld.spec, fld.level
     E0 = frame.E0
     F1 = fld.lead.slot(0)
-    F2 = fld.companion_slot(0, frame)
+    T_lower = lowered_translations(frame)
+    F2 = (ExtForm.zero(frame.dim, 0, frame.vars) if fld.companion is None
+          else fld.companion.slot(0))
     coupled = F1.map_coeffs(frame.T_upper[(1, 0)].apply) + F2
     out_lead = _ref_dd(frame, F1, 0, 1) - E0.wedge(coupled)
 
     def h(ap: int) -> ExtForm:
-        term = frak_d(1, F1.map_coeffs(frame.T_lower[ap][0].apply), frame)
-        term = term - frak_d(0, F1.map_coeffs(frame.T_lower[ap][1].apply), frame)
+        term = frak_d(1, F1.map_coeffs(T_lower[ap][0].apply), frame)
+        term = term - frak_d(0, F1.map_coeffs(T_lower[ap][1].apply), frame)
         # lowered-index operators: first slot is -d^1, second slot is d^0
         dn = -frak_d(1, F2, frame) if ap == 0 else frak_d(0, F2, frame)
         return term - dn
@@ -621,7 +632,7 @@ def _ref_above(frame: TangentFrame, fld: BoundaryField) -> BoundaryField:
     spec, j = fld.spec, fld.level
     E0 = frame.E0
     f = fld.lead.slot
-    G = lambda a: fld.companion_slot(a, frame)
+    G = fld.companion.slot
     out_lead = []
     for b in range(spec.sigma(j + 1) + 1):
         out_lead.append(frak_d(0, f(b), frame) + frak_d(1, f(b - 1), frame)
@@ -686,7 +697,7 @@ def test_boundary_blocks_compose_to_zero(name, right2, left2):
             fld = random_boundary_field(gen.spawn(10 * k + j), spec, frame, j, degree=3)
             s, d, basis = spec.shape(j)
             cases = {"lead-only": BoundaryField(spec, j, fld.lead, None)}
-            if fld.has_companion():
+            if fld.companion is not None:
                 zero_lead = zero_spinor_field(s, basis, spec.form_dim, d, frame.vars)
                 cases["companion-only"] = BoundaryField(spec, j, zero_lead, fld.companion)
             for what, case in cases.items():
@@ -704,6 +715,20 @@ def test_translation_table_is_symmetric(right2, left2):
     for frame in frames:
         assert frame.T_upper[0, 1] == frame.T_upper[1, 0]
         assert not frame.T_upper[0, 1].is_zero()
+
+
+def test_raised_lowered_translations_are_T_upper():
+    # the four-branch reference reads the lowered matrix, boundary_D the raised
+    # table: raising row a' of T_lower, (T_{0a'}, T_{1a'}), gives T^{a'b'}
+    frames = [TangentFrame(GroupSpec.named(name, n))
+              for name in ("rightQH", "leftQH", "abelian") for n in (1, 2, 3)]
+    for frame in [*frames, DENSE_RIGHT2]:
+        T = lowered_translations(frame)
+        raised = {(a, b): raise_primed((T[0][a], T[1][a]))[b] for a in (0, 1) for b in (0, 1)}
+        assert list(raised) == list(frame.T_upper)
+        for key, op in raised.items():
+            assert op == frame.T_upper[key]
+            assert list(op.num) == list(frame.T_upper[key].num)
 
 
 def test_composition_law_generic_group():
@@ -747,6 +772,25 @@ def test_operator_level_out_of_range(right2):
     fld = zero_field(spec, spec.top_level, right2)
     with pytest.raises(ValueError, match="operator level"):
         boundary_D(right2, fld)
+
+
+def test_missing_companion_equals_the_zero_companion(right2):
+    # above level 0 a None companion is stored as the zero field of its
+    # shape, so both ways of writing a lead-only field compare equal
+    spec = BoundarySpec(2, 1)
+    gen = SectionGenerator(41, degree=2)
+    s, d, basis = spec.shape(1)
+    lead = gen.slot_field(s, basis, spec.form_dim, d, right2.vars, poly_degree=2)
+    cs, cd, cbasis = spec.companion_shape(1)
+    zero = zero_spinor_field(cs, cbasis, spec.form_dim, cd, right2.vars)
+    assert BoundaryField(spec, 1, lead, None) == BoundaryField(spec, 1, lead, zero)
+    assert BoundaryField(spec, 1, lead, None).companion == zero
+    # level 0 has no companion slot: a zero companion is not kept
+    s, d, basis = spec.shape(0)
+    lead = gen.slot_field(s, basis, spec.form_dim, d, right2.vars, poly_degree=2)
+    dropped = BoundaryField(spec, 0, lead, zero_spinor_field(0, "S", spec.form_dim, 0, right2.vars))
+    assert dropped.companion is None
+    assert dropped == BoundaryField(spec, 0, lead, None)
 
 
 def test_field_shape_mismatch(right2):

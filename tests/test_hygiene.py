@@ -161,6 +161,61 @@ def test_cli_start_loads_only_the_listed_modules():
     assert loaded <= allowed, f"cfx.cli loads unlisted modules {sorted(loaded - allowed)}"
 
 
+# Every functools cache in the package (lru_cache, cache, cached_property), by
+# the reason it stays: what it saved when one benchmark run's own calls were
+# replayed with and without it, alternating, best of 5 (seeds 5501, 6607 and
+# 7919; BENCH_40.json, "micro").  A speed-only path goes when the median of
+# its savings is under 0.5% of the in-process time of the workloads it
+# serves; see ROADMAP, "speed-only paths, measured".
+CACHES = {
+    "the argparse tree: about 1 ms a build, one build per main call": {"cli.build_parser"},
+    "one frame per n and the kernels it builds: about 0.14 ms a build, "
+    "and a flat run reads spec.frame 1764 times": {"boundary.ambient_frame"},
+    "frak_d's insertion tables: 27-39 ms over the 6170 frak_d calls of a run": {
+        "exterior.insertions"},
+    "the slot rule: 6.2-6.6 ms over the 1118 flat_D calls of a run, 2.3-2.4% of flat": {
+        "spinor.LevelTable.slot_rule"},
+    "the moment tables: 2.0-2.2 ms over the 2212 _moment_table calls of a run, "
+    "1.0-1.5% of boundary-ma": {"quadrature._moments"},
+    "condition H's direction grid: 0.30-0.35 ms a rebuild, 7.6% of symbol-classify": {
+        "groups._direction_grid"},
+    "the integer view of a group: 6.5-6.7 and 1.5-2.7 ms over the 375 and 54 reads of "
+    "a run, 2.1-2.9% and 1.3-3.4% of their workloads": {
+        "groups.GroupSpec.integer_S", "groups.GroupSpec.integer_brackets"},
+}
+
+
+def _cached_definitions() -> set:
+    """'module.name' or 'module.Class.name' of every function the package
+    decorates with functools' lru_cache, cache or cached_property."""
+    kinds = {"lru_cache", "cache", "cached_property"}
+    found = set()
+
+    def visit(body, prefix):
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                visit(node.body, f"{prefix}{node.name}.")
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for deco in node.decorator_list:
+                    target = deco.func if isinstance(deco, ast.Call) else deco
+                    name = target.attr if isinstance(target, ast.Attribute) else getattr(
+                        target, "id", None)
+                    if name in kinds:
+                        found.add(f"{prefix}{node.name}")
+                visit(node.body, f"{prefix}{node.name}.")
+
+    for path in MODULES:
+        visit(_tree(path).body, f"{path.stem}.")
+    return found
+
+
+def test_every_cache_is_listed_with_its_measured_reason():
+    listed = set().union(*CACHES.values())
+    found = _cached_definitions()
+    assert found - listed == set(), f"caches without a measured reason: {sorted(found - listed)}"
+    assert listed - found == set(), f"listed caches that are gone: {sorted(listed - found)}"
+
+
 @pytest.mark.parametrize("path", [*MODULES, PACKAGE / "__init__.py"], ids=lambda p: p.name)
 def test_no_environment_reads(path):
     # settings are command-line flags, never environment variables

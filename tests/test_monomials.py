@@ -197,6 +197,25 @@ def test_mul_into_matches_the_tuple_reference(name):
             mul_into(out, num1, num2, mult)
             ref_mul_into(ref, tuples(num1, width), tuples(num2, width), mult)
     _same(out, ref, width)
+    # constant factors, which the reference scales in one pass and mul_into
+    # runs through its one product loop: on the left, on the right, on both
+    # sides, and one whose product cancels a term already in the output
+    p = nums[0]
+    c = {0: (2, -1)}
+    for num1, num2 in ((c, p), (p, c), (c, c)):
+        for mult in (1, -3):
+            _same(mul_into({}, num1, num2, mult),
+                  ref_mul_into({}, tuples(num1, width), tuples(num2, width), mult), width)
+    first = next(iter(p))
+    a, b = p[first]
+    # (2 - i)(a + bi) = (2a + b) + (2b - a)i: its negative cancels at ``first``
+    start = {first: (-(2 * a + b), a - 2 * b)}
+    start.setdefault(0, (5, 0))
+    out = mul_into(dict(start), c, p, 1)
+    ref = ref_mul_into(tuples(start, width), tuples(c, width), tuples(p, width), 1)
+    assert first not in out
+    _same(out, ref, width)
+    _same(mul_into(out, c, c, 2), ref_mul_into(ref, tuples(c, width), tuples(c, width), 2), width)
 
 
 @pytest.mark.parametrize("name", FRAMES)

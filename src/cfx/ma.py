@@ -7,22 +7,19 @@ from :mod:`cfx.quadrature`, an exact (re, im) pair of Fractions, and every
 check decides by exact comparison of such pairs:
 the Stokes residual is 0, the cutoff mass comes out equal three ways, the
 approximation masses decay monotonically below an exact tolerance.  Values
-become floats only where the report is written, through :func:`_float`;
-the sampled sup norms are the one inexact quantity.  Their sampler skips
-every chunk of points on which a coefficient bound, sum |c| prod max|x|^e
-widened by its worst rounding error, stays below an input's running
-maximum; ``max`` would keep that maximum there, so the floats are those
-of evaluating every point.
+become floats only where the report is written, each exact value rounded
+once by :func:`_float`.  The sup norms are exact values too: each is the
+coefficient bound of :func:`sup_bound`, which is at least sup |u| over the
+box and equals it on every input ``cfx ma`` draws.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from collections.abc import Sequence
 from fractions import Fraction
-from itertools import chain, combinations, repeat, starmap
-from operator import add, mul, sub
+from itertools import combinations
+from operator import sub
 
 from .boundary import TangentFrame, frak_d
 from .exterior import ExtForm, hat_component, kaehler_like_sum, merge_sign
@@ -45,7 +42,8 @@ class Region:
             raise ValueError("box bounds have mismatched lengths")
         if any(h <= l for l, h in zip(lows, highs)):
             raise ValueError("region must have positive volume")
-        # the sup-norm sampler and the report read the bounds as floats
+        # the report's values grow and shrink with powers of the bounds:
+        # a bound outside the float range is refused before any exact work
         for x in lows + highs:
             _float(x)
 
@@ -227,149 +225,20 @@ def _wedge_complement_pairs(parts: dict, other: ExtForm) -> list:
     return pairs
 
 
-# points per chunk of the sup-norm sampler: a few hundred run each term's
-# work in C while the columns of a chunk stay small in memory
-_CHUNK = 256
+def sup_bound(u: Poly, region: Region) -> float:
+    """sum (|re| + |im|) prod M_a ** e over the terms of u, rounded once.
 
-
-def _point_chunks(lows: list, highs: list, used: list, samples: int, seed: int):
-    """The sampled points as (size, reach, columns) chunks over the used axes.
-
-    The corners over the used axes (for 16 or fewer axes), the centre, then
-    ``samples`` seeded points drawn point by point in axis order, every axis
-    drawn whether used or not, so the draws are those of one point at a time.
-    ``columns()`` builds the chunk's {axis: column}.  ``reach`` is None for
-    the corners and the centre; for a sample chunk it is {axis: M_a}, the
-    largest |x_a| of the chunk's points.  A coordinate is ``l + span * r``
-    with span > 0, and both roundings are monotone in r, so M_a is the larger
-    of |l + span * min r| and |l + span * max r|: exactly the largest
-    |column entry|, found without building the column.
+    M_a = max(|low_a|, |high_a|).  Each term's modulus is at most its
+    (|re| + |im|) prod M_a ** e on the box, so the bound is at least
+    sup |u| there.  It equals the sup when some corner with |x_a| = M_a on
+    every axis gives every term the same sign: a ``psh_quadratic``, positive
+    squares plus linear terms, takes the value of the bound at the corner
+    x_a = sign(b_a) * h of a centred cube, b_a its linear coefficient.
     """
-    naxes = len(lows)
-    if naxes <= 16:
-        # a point's value reads only the used axes, so corners that differ
-        # elsewhere give the same float: one corner per choice on those
-        corners = 1 << len(used)
-        for start in range(0, corners, _CHUNK):
-            masks = range(start, min(start + _CHUNK, corners))
-            yield len(masks), None, lambda masks=masks: {
-                axis: [highs[axis] if mask >> bit & 1 else lows[axis] for mask in masks]
-                for bit, axis in enumerate(used)}
-    yield 1, None, lambda: {axis: [(lows[axis] + highs[axis]) / 2] for axis in used}
-    spans = [(axis, lows[axis], highs[axis] - lows[axis]) for axis in used]
-    draw = random.Random(seed).random
-    for start in range(0, samples, _CHUNK):
-        size = min(_CHUNK, samples - start)
-        draws = list(starmap(draw, repeat((), size * naxes)))
-        reach = {}
-        for axis, l, span in spans:
-            rs = draws[axis::naxes]
-            reach[axis] = max(abs(l + span * min(rs)), abs(l + span * max(rs)))
-        yield size, reach, lambda draws=draws: {axis: [l + span * r for r in draws[axis::naxes]]
-                                                for axis, l, span in spans}
-
-
-def _power_or_inf(x: float, e: int) -> float:
-    """x ** e for x >= 0, or inf where the power overflows."""
-    try:
-        return x ** e
-    except OverflowError:
-        return math.inf
-
-
-def sup_norm_on_grid(us: Sequence[Poly], region: Region, samples: int = 4096,
-                     seed: int = 2) -> list:
-    """Sampled sup of |u| over the region for each input, on one set of points.
-
-    The points are all corners, the centre and ``samples`` seeded interior
-    points, drawn once per call for every input.  A sampled estimate
-    (documented as such in reports); exact polynomial sup over a box is a
-    separate optimization problem.
-
-    The points are evaluated a chunk at a time, kept as per-axis columns,
-    term by term with ``map``; a chunk's ``x ** e`` column serves every
-    input.  Each point still gets the float operations of a per-point loop,
-    in its order: ``x ** e``, the product from 1.0 over the term's axes in
-    axis order, ``coeff * m``, the sum from 0 in term order, ``abs``, and the
-    maximum by ``>`` (which skips NaN).
-
-    The corners and the centre are always evaluated, and first.  An input
-    skips a sample chunk when B * (1 + (N + K + 8) * 2**-40) + floor is
-    below its running maximum.  B is the sum over the terms of
-    (|re| + |im|) * prod M_a ** e, with M_a the chunk's largest |x_a| (see
-    :func:`_point_chunks`); N is the term count and K the largest degree.
-    A point's float value is a sum of N rounded products of at most K
-    rounded factors (``pow`` within 1 ulp) and a coefficient, so its
-    absolute value exceeds the exact sum of the |terms| by a relative error
-    of at most about (N + 3K + 4) * 2**-53 (recursive summation: Higham,
-    *Accuracy and Stability of Numerical Algorithms*, 2nd ed., section 4.2).
-    The rounding of B is of the same size, and the slack covers both
-    thousands of times over.  Below the normal range a rounding errs by up
-    to 2**-1074 absolute instead, which the later factors and the
-    coefficient enlarge by at most W = sum over the terms of
-    (|re| + |im|) * S ** K, where S = max(1, twice the largest |low| or
-    |high|) exceeds every |coordinate|: floor = (N + K) * 2**-1000 * (1 + W)
-    covers that.  So every value on a skipped chunk is at most the running
-    maximum, and ``max``, which replaces only on a greater value, would
-    have kept it: the sups are the same floats.  A power that overflows in a
-    bound is inf, an inf or NaN bound never skips, and NaN never becomes the
-    maximum; a point value past the float range raises :func:`_float`'s error.
-    """
-    lows = [_float(x) for x in region.lows]
-    highs = [_float(x) for x in region.highs]
-    # S of the floor: every |coordinate| is below twice the largest |low| or |high|
-    spread = max(1.0, 2 * max(map(abs, lows + highs), default=0.0))
-    inputs, bounds = [], []
-    for u in us:
-        # each coefficient is converted once and each term keeps only its
-        # nonzero (axis, exponent) pairs, in axis order
-        terms = [([(axis, e) for axis, e in enumerate(unpack(key, len(u.vars))) if e],
-                  complex(*_c((Fraction(re, u.den), Fraction(im, u.den)))))
-                 for key, (re, im) in u.num.items()]
-        inputs.append(terms)
-        # the chunk bound's table, each term's powers and |re| + |im|, with
-        # its slack and its floor
-        table = [(powers, abs(coeff.real) + abs(coeff.imag)) for powers, coeff in terms]
-        N = len(table)
-        K = max((sum(e for _, e in powers) for powers, _ in table), default=0)
-        W = sum(c for _, c in table) * _power_or_inf(spread, K)
-        bounds.append((table, 1.0 + (N + K + 8) * 2.0 ** -40, (N + K) * 2.0 ** -1000 * (1 + W)))
-    used = sorted({axis for terms in inputs for powers, _ in terms for axis, _ in powers})
-    keys = {key for table, _, _ in bounds for powers, _ in table for key in powers}
-    best = [0.0] * len(inputs)
-    for size, reach, columns in _point_chunks(lows, highs, used, samples, seed):
-        live = range(len(inputs))
-        if reach is not None:
-            # the largest |x ** e| on the chunk, per (axis, exponent)
-            top = {(axis, e): _power_or_inf(reach[axis], e) for axis, e in keys}
-            live = [i for i, (table, slack, floor) in enumerate(bounds)
-                    if not sum(c * math.prod(map(top.__getitem__, powers)) for powers, c in table)
-                    * slack + floor < best[i]]
-            if not live:
-                continue
-        columns = columns()
-        powered = {}
-        for i in live:
-            total = repeat(0j, size)
-            for powers, coeff in inputs[i]:
-                # the product from 1.0 over the term's axes in axis order;
-                # the first factor is the column itself, as 1.0 * x is x
-                m = repeat(1.0, size)
-                for k, (axis, e) in enumerate(powers):
-                    column = powered.get((axis, e))
-                    if column is None:
-                        try:
-                            column = list(map(pow, columns[axis], repeat(e)))
-                        except OverflowError:
-                            raise ValueError(_TOO_LARGE) from None
-                        powered[axis, e] = column
-                    m = map(mul, m, column) if k else column
-                total = list(map(add, total, map(mul, repeat(coeff), m)))
-            # max replaces only on a greater value, so a NaN is skipped
-            best[i] = max(chain((best[i],), map(abs, total)))
-    if math.inf in best:
-        raise ValueError(_TOO_LARGE)
-    return best
+    reach = [max(abs(l), abs(h)) for l, h in zip(region.lows, region.highs)]
+    total = sum((abs(re) + abs(im)) * math.prod(map(pow, reach, unpack(key, len(u.vars))))
+                for key, (re, im) in u.num.items())
+    return _float(Fraction(total, u.den))
 
 
 def cln_experiment(us: Sequence[Poly], K: Region, L: Region,
@@ -380,9 +249,9 @@ def cln_experiment(us: Sequence[Poly], K: Region, L: Region,
     lowered operator onto the cutoff, and after moving both, against the
     bare first input; the three exact masses must be equal and not all 0
     (a zero mass checks nothing).  Also reports the plain mass over the
-    inner region and its ratio to the product of sampled sup norms, which
-    one call of :func:`sup_norm_on_grid` gives for all inputs on one draw
-    of points.
+    inner region and its ratio to the product of the inputs' sup norms
+    over K, each the exact :func:`sup_bound`, which is the sup itself on
+    every input ``cfx ma`` draws.
     """
     frame.require_right_type()
     if not K.contains(L):
@@ -429,8 +298,7 @@ def cln_experiment(us: Sequence[Poly], K: Region, L: Region,
         if gap else 0.0,
         "mass_inner": _c(mass_inner),
     }
-    # sampled last: the exact values above have been checked for float range
-    report["sup_norms"] = sup_norm_on_grid(us, K)
+    report["sup_norms"] = [sup_bound(u, K) for u in us]
     prod_sup = math.prod(report["sup_norms"])
     report["empirical_C"] = _abs(mass_inner) / prod_sup if prod_sup > 0 else None
     return report

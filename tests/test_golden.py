@@ -47,7 +47,7 @@ GOLDEN = [
     # a box whose r^4 = (2/3)^4 is not dyadic: the cutoff masses and the
     # nonzero Stokes face terms are exact non-dyadic rationals
     ("ma --group rightQH --n 2 --power 1 --halfwidth 2/3 --seed 2",
-     "f33f90859b96f6b96accd989b093077dc91f8f0530844f455e00d04dc8867ae6"),
+     "288716572e602eacf5087857e4ab9b2e9fc9feb76a911c2fbc54aef62fabe9d0"),
 ]
 
 

@@ -119,6 +119,20 @@ def test_linalg_eliminates_on_ints_only():
     assert not imported & {"fractions", "cfx.rational", ".rational"}, sorted(imported)
 
 
+def test_only_randgen_imports_random():
+    # every seeded draw goes through randgen.SectionGenerator
+    importers = []
+    for path in [*MODULES, PACKAGE / "__init__.py"]:
+        for node in _module_imports(_tree(path)):
+            if isinstance(node, ast.ImportFrom):
+                names = [] if node.level else [node.module]
+            else:
+                names = [alias.name for alias in node.names]
+            if any(name.split(".")[0] == "random" for name in names):
+                importers.append(path.name)
+    assert importers == ["randgen.py"], importers
+
+
 def test_boundary_does_not_import_flat():
     assert "flat" not in _package_edges()["boundary"]
     assert "boundary" in _package_edges()["flat"]
@@ -136,7 +150,7 @@ CLI_START_MODULES = {
     "csv and json reports, json input files": {"csv", "_csv", "json", "_json"},
     "Fraction, with its numbers and decimal bases and its re parser": {
         "fractions", "numbers", "decimal", "_decimal", "re", "_sre", "enum", "types", "copyreg"},
-    "seeded sampling in randgen and ma (_sha2 on Python 3.12+)": {
+    "seeded sampling in randgen (_sha2 on Python 3.12+)": {
         "random", "_random", "_sha512", "_sha2", "bisect", "_bisect"},
     "what the modules above and the package import: os, collections, functools": {
         "os", "posixpath", "genericpath", "stat", "_stat", "warnings", "collections",
@@ -394,9 +408,8 @@ def test_monomials_have_one_layout(tmp_path, monkeypatch):
 
 
 # float() and complex() calls the exact package makes: `cfx ma` rounds its exact
-# values once, where the report is written, and samples its sup norms in floats
-FLOAT_CALLS = {("ma.py", "_float"): {"float"},
-               ("ma.py", "sup_norm_on_grid"): {"complex"}}
+# values once, where the report is written
+FLOAT_CALLS = {("ma.py", "_float"): {"float"}}
 
 
 def _float_calls(tree: ast.Module) -> list:
@@ -684,6 +697,8 @@ STALE_BENCH_NAMES = {
     "quadrature.uni_integral",
     "operators.SecondOrderOp.apply",
     "quadrature.SeparableSum.integrate_box",
+    # the sup-norm sampler, replaced by the exact ma.sup_bound
+    "ma.sup_norm_on_grid",
     # the scalar class left the package: its predictions and METHODS entries
     "rational.new",
     "rational.mul",

@@ -1,7 +1,7 @@
 import logging
 import random
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm, prod
 from typing import Sequence
 
 import pytest
@@ -12,9 +12,9 @@ from cfx.exterior import ExtForm, from_hat_components, hat_component
 from cfx.groups import I_MATS, GroupSpec, block_diag, mat_mul
 from cfx.ma import (Region, approximation_masses, beta_form,
                     cln_experiment, convergence_experiment, integrate_top,
-                    key_identity_check, stokes_check, sup_norm_on_grid,
+                    key_identity_check, stokes_check, sup_bound,
                     top_coefficient, triangle)
-from cfx.poly import Poly
+from cfx.poly import Poly, unpack
 from cfx.quadrature import CutoffJet, integrate_jets, integrate_poly_box, integrate_poly_face
 from cfx.randgen import SectionGenerator
 from test_exterior import basis_form
@@ -536,100 +536,67 @@ def test_cln_region_nesting_enforced(right2):
         cln_experiment([squared_norm(right2)], K, L, right2)
 
 
-def test_sup_norm_sampling(right2):
-    region = Region.cube(11, Fraction(1, 2))
-    [sup] = sup_norm_on_grid([squared_norm(right2)], region)
+def _reference_bound(u, region) -> Fraction:
+    """sum (|re| + |im|) prod max(|low|, |high|) ** e, term by term."""
+    total = Fraction(0)
+    for expo, c in terms(u).items():
+        m = abs(c.re) + abs(c.im)
+        for l, h, e in zip(region.lows, region.highs, expo):
+            m *= max(-l, l, -h, h) ** e
+        total += m
+    return total
+
+
+def _corner_max(u, region) -> Fraction:
+    """The exact max of |u| over the corners of a box, for a real u: the
+    corners over the axes u uses, its other axes at their lows.  Each value
+    is an integer over den * D ** K, D the common denominator of the bounds
+    and K the degree of u."""
+    D = lcm(*(x.denominator for x in region.lows + region.highs))
+    ends = [(int(l * D), int(h * D)) for l, h in zip(region.lows, region.highs)]
+    expos = {key: unpack(key, len(u.vars)) for key in u.num}
+    K = max(map(sum, expos.values()), default=0)
+    coeffs = []
+    for key, (re, im) in u.num.items():
+        assert im == 0
+        coeffs.append(([(a, e) for a, e in enumerate(expos[key]) if e],
+                       re * D ** (K - sum(expos[key]))))
+    used = sorted({a for powers, _ in coeffs for a, _ in powers})
+    best = 0
+    for mask in range(1 << len(used)):
+        point = [l for l, _ in ends]
+        for bit, a in enumerate(used):
+            if mask >> bit & 1:
+                point[a] = ends[a][1]
+        best = max(best, abs(sum(c * prod(point[a] ** e for a, e in powers)
+                                 for powers, c in coeffs)))
+    return Fraction(best, u.den * D ** K)
+
+
+@pytest.mark.parametrize("half", ["1/2", "2/3", "3/4", "2"])
+@pytest.mark.parametrize("n", [1, 2])
+def test_sup_bound_is_the_corner_maximum_on_drawn_quadratics(n, half):
+    # the inputs `cfx ma` draws: on the centred cube their sup is the bound,
+    # reached at the corner that lines up the signs of the linear terms
+    frame = TangentFrame(GroupSpec.right_qh(n))
+    region = Region.cube(len(frame.vars), Fraction(half))
+    for seed in range(1, 51):
+        for i in range(n):
+            u = SectionGenerator(seed).spawn(i).psh_quadratic(frame.vars, 4 * n)
+            exact = _corner_max(u, region)
+            assert _reference_bound(u, region) == exact, (seed, i)
+            assert sup_bound(u, region).hex() == float(exact).hex(), (seed, i)
+
+
+def test_cln_sup_norms_are_the_bounds_of_the_inputs(right2):
+    K = Region.cube(11, Fraction(1, 2))
+    L = Region.cube(11, Fraction(1, 4))
+    us = [squared_norm(right2), SectionGenerator(21).psh_quadratic(right2.vars, 8)]
+    report = cln_experiment(us, K, L, right2)
     # max of sum x^2 over the x-part of the box is 8 * (1/2)^2 = 2
-    assert sup == pytest.approx(2.0, rel=1e-12)
-
-
-def _reference_sup(u, region, samples=4096, seed=2):
-    """The sampled sup with every coefficient converted at every point."""
-    rng = random.Random(seed)
-    lows = [float(x) for x in region.lows]
-    highs = [float(x) for x in region.highs]
-    points = [[highs[i] if (mask >> i) & 1 else lows[i] for i in range(region.naxes)]
-              for mask in range(1 << region.naxes if region.naxes <= 16 else 0)]
-    points.append([(l + h) / 2 for l, h in zip(lows, highs)])
-    points += [[l + (h - l) * rng.random() for l, h in zip(lows, highs)]
-               for _ in range(samples)]
-    best = 0.0
-    for point in points:
-        total = 0j
-        for expo, coeff in terms(u).items():
-            m = 1.0
-            for p, e in zip(point, expo):
-                if e:
-                    m *= p ** e
-            total += complex(float(coeff.re), float(coeff.im)) * m
-        best = max(best, abs(total))
-    return best
-
-
-def _complex_high_power_input(frame):
-    """Complex coefficients on powers up to 4, on x- and t-variables."""
-    gen = SectionGenerator(12)
-    u = gen.poly(frame.vars, degree=2)
-    for i, name in enumerate((frame.vars[0], frame.vars[-1], frame.vars[1])):
-        u = u + power(Poly.var(frame.vars, name, (Fraction(2, 3 + i), Fraction(-5, 7))), 3 + i % 2)
-    return u
-
-
-# "3" and "8" are SectionGenerator seeds of n = 2 inputs
-@pytest.mark.parametrize("case", ["3", "8", "n1-default-samples", "complex-cubic"])
-def test_sup_norm_bit_identical_to_per_point_conversion(right2, case):
-    if case.isdigit():
-        gen = SectionGenerator(int(case))
-        u = gen.psh_quadratic(right2.vars, 8) + gen.poly(right2.vars, degree=3)
-        region = Region((Fraction(-1, 3),) * 11, (Fraction(1, 2),) * 11)
-        samples = {"samples": 256}
-    elif case == "n1-default-samples":
-        frame = TangentFrame(GroupSpec.right_qh(1))
-        gen = SectionGenerator(5)
-        u = gen.psh_quadratic(frame.vars, 4) + gen.poly(frame.vars, degree=3)
-        region = Region((Fraction(-2, 3),) * 7, (Fraction(3, 4),) * 7)
-        samples = {}
-    else:
-        u = _complex_high_power_input(right2)
-        assert max(max(e) for e in terms(u)) >= 3
-        assert any(c.im != 0 for c in terms(u).values())
-        region = Region((Fraction(-3, 5),) * 11, (Fraction(4, 7),) * 11)
-        samples = {"samples": 512}
-    [got] = sup_norm_on_grid([u], region, **samples)
-    assert got.hex() == _reference_sup(u, region, **samples).hex()
-
-
-def _mixed_input(frame):
-    """Real coefficients on mixed products of x- and t-axes, and a constant."""
-    x0, x3, t0, t2 = (Poly.var(frame.vars, frame.vars[i]) for i in (0, 3, 8, 10))
-    return (x0 * x3).scale(Fraction(-7, 3)) + (t0 * x0 * x0).scale(Fraction(5, 2)) \
-        + (x0 * x3 * t2).scale(Fraction(11, 5)) + (t2 * t2 * t2).scale(Fraction(1, 3)) \
-        + x3 * t0 + Poly.const(frame.vars, Fraction(-1, 9))
-
-
-def _sup_inputs(frame):
-    """Real, complex and mixed x- and t-axis inputs, evaluated together."""
-    gen = SectionGenerator(3)
-    return [gen.psh_quadratic(frame.vars, 8) + gen.poly(frame.vars, degree=3),
-            _complex_high_power_input(frame), _mixed_input(frame)]
-
-
-def test_sup_norm_one_call_matches_each_input_alone(right2):
-    us = _sup_inputs(right2)
-    region = Region((Fraction(-1, 3),) * 11, (Fraction(1, 2),) * 11)
-    got = sup_norm_on_grid(us, region, samples=512)
-    assert [g.hex() for g in got] == [_reference_sup(u, region, samples=512).hex() for u in us]
-
-
-# every chunk boundary the sampler can meet: none, one point, a short last
-# chunk, exactly one chunk, one point over, several chunks
-@pytest.mark.parametrize("samples", [0, 1, ma._CHUNK - 1, ma._CHUNK, ma._CHUNK + 1, 1000])
-def test_sup_norm_sample_counts_match_the_reference(right2, samples):
-    us = _sup_inputs(right2)
-    region = Region((Fraction(-3, 5),) * 11, (Fraction(4, 7),) * 11)
-    got = sup_norm_on_grid(us, region, samples=samples, seed=11)
-    assert [g.hex() for g in got] == \
-        [_reference_sup(u, region, samples=samples, seed=11).hex() for u in us]
+    sups = [2.0, sup_bound(us[1], K)]
+    assert report["sup_norms"] == sups
+    assert report["empirical_C"] == abs(complex(*report["mass_inner"])) / (sups[0] * sups[1])
 
 
 @pytest.mark.parametrize("case", ["zero", "constant", "complex-constant", "no-axes"])
@@ -639,77 +606,42 @@ def test_sup_norm_zero_and_constant_inputs_match_the_reference(right2, case):
          "complex-constant": Poly.const(right2.vars, (Fraction(3, 4), Fraction(-1, 2))),
          "no-axes": Poly.const((), Fraction(-5, 3))}[case]
     region = Region((Fraction(-2, 3),) * 11, (Fraction(3, 4),) * 11) if u.vars else Region((), ())
-    [got] = sup_norm_on_grid([u], region, samples=300)
-    assert got.hex() == _reference_sup(u, region, samples=300).hex()
-    if case == "zero":
-        assert got == 0.0
-
-
-def test_sup_norm_single_points_match_the_reference():
-    # past 16 axes there are no corners, and every input is 0 at the centre of
-    # the cube, so with one sample each sup is |u| at one drawn point: the
-    # floats of each point are compared, not only those of the maximum
-    names = [f"y{i}" for i in range(17)]
-    y = [Poly.var(names, name) for name in names]
-    us = [v * v for v in y] + [v * v * v for v in y[:6]] + [
-        (y[0] * y[1] * y[2]).scale(Fraction(7, 3)),
-        y[3] * y[4] * y[5] * y[6] - (y[7] * y[7] * y[8]).scale(Fraction(2, 9)),
-        (y[9] * y[9] * y[9]).scale((Fraction(2, 3), Fraction(-5, 7)))
-        + (y[10] * y[11]).scale(Fraction(1, 3)) - y[12] * y[12] + y[13]]
-    region = Region.cube(17, Fraction(3, 4))
-    for seed in range(600):
-        got = sup_norm_on_grid(us, region, samples=1, seed=seed)
-        assert [g.hex() for g in got] == \
-            [_reference_sup(u, region, samples=1, seed=seed).hex() for u in us], seed
-
-
-def test_sup_norm_floor_past_the_float_range_is_inf():
-    # S ** K = 4 ** 1000 overflows a float: the floor is inf, so no chunk is
-    # skipped, and the corner gives the sup 2 ** 1000, which does not
-    u = Poly.monomial(("y",), (1000,), 1)
-    region = Region.cube(1, 2)
-    [got] = sup_norm_on_grid([u], region, samples=300)
-    assert got == 2.0 ** 1000
-    assert got.hex() == _reference_sup(u, region, samples=300).hex()
+    got = sup_bound(u, region)
+    assert got.hex() == float(_reference_bound(u, region)).hex()
+    # |re| + |im|: the bound, not the modulus, of a complex coefficient
+    assert got == {"zero": 0.0, "complex-constant": 1.25}.get(case, 5 / 3)
 
 
 @pytest.mark.parametrize("case", ["power", "product"])
 def test_sup_norm_corner_value_past_the_float_range_raises(case):
-    # 3 ** 1000 overflows in the power; 2 ** 600 * 2 ** 600 overflows to inf
-    # in the product
+    # 3 ** 1000 and 2 ** 600 * 2 ** 600 are past the largest float
     if case == "power":
         u, region = Poly.monomial(("y",), (1000,), 1), Region.cube(1, 3)
     else:
         u, region = Poly.monomial(("y", "z"), (600, 600), 1), Region.cube(2, 2)
     with pytest.raises(ValueError, match="float range"):
-        sup_norm_on_grid([u], region, samples=10)
+        sup_bound(u, region)
 
 
 def _drawn_sup_case(rng):
-    """A random input, box and sample count for the sup-norm differential.
+    """A random input and box for the sup-bound checks.
 
-    Boxes cross 0, lie above it, or are so small that the squares are
-    subnormal; 17 axes have no corners.  Terms mix signs and axes, with
-    complex coefficients, powers up to 4 and whole inputs scaled by 2**±500.
-    A cubic bump (x - l)**2 (h - x), 0 on both faces of its axis, puts the
-    sampled maximum strictly inside the box on many inputs (not on the
-    subnormal boxes, where its coefficients would overflow).
+    Boxes cross 0 or lie above it.  Terms mix signs and axes, with complex
+    coefficients, powers up to 4 and whole inputs scaled by 2**±500.  A
+    cubic bump (x - l)**2 (h - x), 0 on both faces of its axis, puts the
+    maximum of |u| strictly inside the box on many inputs.
     """
-    naxes = rng.choice([3, 4, 17])
-    kind = rng.choice(["crossing", "positive", "subnormal"])
-    if kind == "crossing":
+    naxes = rng.choice([3, 4])
+    if rng.random() < 0.5:
         lows = [-Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(naxes)]
         highs = [Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(naxes)]
-    elif kind == "positive":
+    else:
         lows = [Fraction(rng.randint(1, 9), 10) for _ in range(naxes)]
         highs = [low + Fraction(rng.randint(1, 9), 10) for low in lows]
-    else:
-        tiny = Fraction(1, 2 ** 530)
-        lows, highs = [-tiny] * naxes, [tiny * rng.randint(1, 3)] * naxes
     names = [f"y{i}" for i in range(naxes)]
     y = [Poly.var(names, name) for name in names]
     u = Poly.zero(names)
-    for _ in range(rng.choice([1, 2, 3, 4] if naxes < 17 else [1, 1, 2])):
+    for _ in range(rng.choice([1, 2, 3, 4])):
         axes = rng.sample(range(naxes), rng.choice([1, 1, 2, 3]))
         expo = [0] * naxes
         for axis in axes:
@@ -718,77 +650,43 @@ def _drawn_sup_case(rng):
         if rng.random() < 0.3:
             coeff = (coeff, Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
         u = u + Poly.monomial(names, expo, coeff)
-    if naxes < 17 and kind != "subnormal" and rng.random() < 0.5:
+    if rng.random() < 0.5:
         a = rng.randrange(naxes)
         rise = y[a] + (-lows[a])
         u = u + (rise * rise * (y[a].scale(-1) + highs[a])).scale(
             Fraction(rng.randint(1, 9), 1) / (highs[a] - lows[a]) ** 3)
     if rng.random() < 0.25:
         u = u.scale(Fraction(2) ** rng.choice([-500, 500]))
-    # past 16 axes only the samples can raise the centre's value, and a bound
-    # a little too small shows most often across the four chunks of 1000;
-    # with corners, 1000 is drawn less often, as the reference is slow
-    counts = [0, 1, ma._CHUNK - 1, ma._CHUNK + 1]
-    samples = rng.choice(counts * 2 + [1000] if naxes < 17 else counts[1:] + [1000] * 3)
-    return u, Region(lows, highs), samples, rng.randrange(1000)
+    return u, Region(lows, highs)
 
 
 def test_sup_norm_drawn_inputs_match_the_reference():
-    # a sample chunk that the bound skips must not hold a value above the
-    # running maximum; drawn inputs put that maximum strictly inside the box
-    # often enough that a bound a little too small changes some float
     rng = random.Random(33)
-    inside = 0
     for case in range(200):
-        u, region, samples, seed = _drawn_sup_case(rng)
-        [got] = sup_norm_on_grid([u], region, samples=samples, seed=seed)
-        want = _reference_sup(u, region, samples=samples, seed=seed)
-        assert got.hex() == want.hex(), case
-        inside += want > _reference_sup(u, region, samples=0)
-    assert inside >= 40, inside
+        u, region = _drawn_sup_case(rng)
+        assert sup_bound(u, region).hex() == float(_reference_bound(u, region)).hex(), case
 
 
-def test_sup_norm_skips_chunks_below_the_corner_maximum(right2, monkeypatch):
-    # a convex-type quadratic takes its maximum over the cube at a corner, and
-    # each sample chunk's bound stays below it: no chunk's columns are built
-    built = []
-    chunks = ma._point_chunks
-
-    def counting(*args):
-        for size, reach, columns in chunks(*args):
-            def build(columns=columns, sampled=reach is not None):
-                built.append(sampled)
-                return columns()
-            yield size, reach, build
-
-    gen = SectionGenerator(21)
-    us = [gen.spawn(i).psh_quadratic(right2.vars, 8) for i in range(2)]
-    region = Region.cube(11, Fraction(1, 2))
-    want = sup_norm_on_grid(us, region)
-    monkeypatch.setattr(ma, "_point_chunks", counting)
-    assert sup_norm_on_grid(us, region) == want
-    assert built.count(False) == 2
-    assert built.count(True) <= 1, f"{built.count(True)} of {4096 // ma._CHUNK} sample chunks"
-
-
-def test_cln_draws_each_sample_point_once(right2, monkeypatch):
-    # one shared draw for all inputs: samples x naxes calls of random(), not
-    # that many per input
-    draws = []
-
-    class Counting(random.Random):
-        def random(self):
-            draws.append(None)
-            return super().random()
-
-    K = Region.cube(11, Fraction(1, 2))
-    L = Region.cube(11, Fraction(1, 4))
-    gen = SectionGenerator(21)
-    us = [gen.spawn(i).psh_quadratic(right2.vars, 8) for i in range(2)]
-    monkeypatch.setattr(random, "Random", Counting)
-    report = cln_experiment(us, K, L, right2)
-    assert len(report["sup_norms"]) == 2
-    assert len(draws) == 4096 * 11
+def test_sup_norm_sampling():
+    # the bound is at least |u| at every corner and at 200 seeded points of
+    # each box, evaluated in floats; the slack covers the rounding of the
+    # evaluation and of the bound.  Some inputs reach the bound at a corner
+    rng = random.Random(33)
+    reached = 0
+    for case in range(200):
+        u, region = _drawn_sup_case(rng)
+        coeffs = [(expo, complex(float(c.re), float(c.im))) for expo, c in terms(u).items()]
+        lows = [float(x) for x in region.lows]
+        highs = [float(x) for x in region.highs]
+        points = [[h if mask >> a & 1 else l for a, (l, h) in enumerate(zip(lows, highs))]
+                  for mask in range(1 << region.naxes)]
+        points += [[l + (h - l) * rng.random() for l, h in zip(lows, highs)] for _ in range(200)]
+        top = max(abs(sum(c * prod(x ** e for x, e in zip(point, expo)) for expo, c in coeffs))
+                  for point in points)
+        bound = sup_bound(u, region)
+        assert top <= bound * (1 + 2 ** -40), case
+        reached += top >= bound * (1 - 2 ** -40)
+    assert reached >= 20, reached
 
 
 def test_convergence_experiment_needs_two_steps(right2):

@@ -1,19 +1,20 @@
 """Differential tests of the integer condition-H path and the signed-permutation brackets.
 
-The references are the rational constructions: bracket matrices from dense
-products with block_diag(Ibeta) (``test_groups.reference_brackets``), the
-rational direction grid ``sphere_grid``, determinants by cofactor expansion and
-Pfaffians by expansion along the first row of ``Fraction`` matrices, and for
-exact mode the symbolic determinant by cofactor expansion, sampled with
-the ``eval_exact`` helper of ``test_poly``.  The interpolated Pfaffian form of
-``pairing_pfaffian_form`` is compared with the same references (its square
-with the determinant), and with Pfaffian forms that vanish at all but one
-point of its interpolation lattice.
+Each quantity has one reference, built once per (group, resolution) from the
+rational constructions, never from ``integer_S``, ``integer_brackets`` or the
+package's Pfaffians (``tests/test_linalg.py`` checks each against a slower one):
+
+- brackets: ``reference_brackets``;
+- pencil det at a ``sphere_grid`` point: ``bareiss_det`` on the int-cleared pencil;
+- Pfaffian there: ``expansion_pfaffian`` on the same pencil;
+- symbolic det, where exact mode needs it: ``cofactor_det`` on the ``Poly`` pencil;
+- rank: ``dense_bareiss``.
 """
 
 import math
 import random
 from fractions import Fraction
+from functools import cache
 
 import pytest
 
@@ -23,12 +24,13 @@ from cfx.groups import (GroupSpec, I_MATS, block_diag, check_condition_H, classi
                         is_stratified, mat, mat_mul)
 from cfx.poly import Poly, x_vars
 from cfx.randgen import SectionGenerator
-from test_groups import (reference_brackets, reference_horizontal_fields,
-                         reference_is_right_type, s_block)
-from test_linalg import (LAM, bareiss_det, central_pairing_det, cofactor_det,
-                         expansion_pfaffian, minor_rank, symbolic_pairing_det)
+from test_groups import (package_brackets, reference_horizontal_fields, reference_is_right_type,
+                         s_block)
+from test_linalg import (LAM, central_pairing_det, cofactor_det, dense_bareiss,
+                         expansion_pfaffian, int_pencil, pencil_at, reference_brackets,
+                         symbolic_pencil)
 from test_operators import coeffs
-from test_poly import eval_exact, is_homogeneous, total_degree
+from test_poly import is_homogeneous, total_degree
 from test_rational import ComplexRational, terms
 
 
@@ -51,46 +53,49 @@ def sphere_grid(resolution):
     return out
 
 
-def grid_directions(resolution):
-    """``groups._direction_grid`` as rational covectors mu / resolution."""
-    return [tuple(Fraction(x, resolution) for x in mu)
-            for mu, _ in groups._direction_grid(resolution)]
+@cache
+def case_brackets(name):
+    """The reference brackets of a case of ``CASES`` or ``VIEW_CASES``."""
+    g = _view_case(name) if name in VIEW_CASES else _case(name)
+    return reference_brackets(g.S, g.n)
 
 
-def reference_det(brackets, lam):
-    size = len(brackets[0])
-    m = [[sum(Fraction(lam[beta]) * brackets[beta][i][j] for beta in range(3))
-          for j in range(size)] for i in range(size)]
-    # elimination over ints: clear the common denominator, divide once
-    den = math.lcm(*(x.denominator for row in m for x in row))
-    return Fraction(bareiss_det([[int(x * den) for x in row] for row in m]), den ** size)
+@cache
+def grid_dets(name, resolution):
+    """{lam: det( sum lam_beta B^beta )} over ``sphere_grid``, in its order."""
+    pencil = int_pencil(case_brackets(name))
+    return {lam: central_pairing_det(pencil, lam) for lam in sphere_grid(resolution)}
 
 
-def reference_pf(brackets, lam):
-    """Pf( sum lam_beta B^beta ) by expansion of the ``Fraction`` pencil."""
-    size = len(brackets[0])
-    m = [[sum(Fraction(lam[beta]) * brackets[beta][i][j] for beta in range(3))
-          for j in range(size)] for i in range(size)]
-    return expansion_pfaffian(m)
+@cache
+def grid_pfaffians(name, resolution):
+    """{lam: Pf( sum lam_beta B^beta )} over ``sphere_grid``, in its order, by
+    ``expansion_pfaffian`` on the int matrix q resolution times the pencil."""
+    q, ints = int_pencil(case_brackets(name))
+    scale = (q * resolution) ** (len(ints[0]) // 2)
+    return {lam: Fraction(expansion_pfaffian(pencil_at(ints, [int(x * resolution) for x in lam])),
+                          scale) for lam in sphere_grid(resolution)}
 
 
-def fraction_pencil(brackets):
-    """sum lam_beta B^beta as a matrix of ``Poly`` in lam1..lam3."""
-    size = len(brackets[0])
-    return [[sum((Poly.var(LAM, v, b[i][j]) for v, b in zip(LAM, brackets)), Poly.zero(LAM))
-             for j in range(size)] for i in range(size)]
+@cache
+def symbolic_det(name):
+    """det( sum lam_beta B^beta ) in lam1..lam3 (0 when it vanishes), a form of degree 4n."""
+    brackets = case_brackets(name)
+    det_poly = cofactor_det(symbolic_pencil(brackets))
+    assert not det_poly or is_homogeneous(det_poly, len(brackets[0]))
+    return det_poly
 
 
-def reference_condition_H(grid, resolution, sample, det_poly=None):
-    """check_condition_H from a rational sampler; exact mode when det_poly is given."""
+def reference_condition_H(values, resolution, det_poly=None):
+    """check_condition_H from {lam: value} in grid order; exact mode when det_poly is given."""
     if det_poly is not None and not det_poly:
         return {"verdict": "false", "witness": ["1", "0", "0"],
                 "reason": "determinant vanishes identically"}
-    for lam in grid:
-        if sample(lam) == 0:
+    for lam, value in values.items():
+        if value == 0:
             return {"verdict": "false", "witness": [str(x) for x in lam],
                     "reason": "determinant vanishes at a rational covector"}
-    result = {"verdict": "sampled-true", "grid_points": len(grid),
+    result = {"verdict": "sampled-true", "grid_points": len(values),
               "resolution": resolution,
               "note": "no zero on the sampled direction grid; not a positivity proof"}
     if det_poly is not None:
@@ -155,34 +160,24 @@ CASES = [
 @pytest.mark.parametrize("name,resolution", CASES)
 def test_integer_condition_H_matches_rational_reference(name, resolution):
     g = _case(name)
-    brackets = reference_brackets(g.S, g.n)
-    grid = sphere_grid(resolution)
-    values = {lam: reference_det(brackets, lam) for lam in grid}
-    for lam in grid:
-        assert central_pairing_det(g, lam) == values[lam]
+    assert package_brackets(g) == case_brackets(name)
+    values = grid_dets(name, resolution)
     assert check_condition_H(g, "sampled", resolution) == \
-        reference_condition_H(grid, resolution, values.get)
+        reference_condition_H(values, resolution)
     if g.n > 2:
         return
-    det_poly = symbolic_pairing_det(g)
-    if det_poly:
-        assert is_homogeneous(det_poly, 4 * g.n)
-        for lam in grid:
-            assert eval_exact(det_poly, list(lam)).re == values[lam]
     assert check_condition_H(g, "exact", resolution) == \
-        reference_condition_H(grid, resolution, values.get, det_poly)
+        reference_condition_H(values, resolution, symbolic_det(name))
 
 
 @pytest.mark.parametrize("name,resolution", CASES)
 def test_pairing_det_is_even_on_the_grid(name, resolution):
     # the pencil is 4n x 4n, so Pf(-M) = Pf(M), and det = Pf^2 with it: the
     # antipode of a grid point needs no value of its own
-    g = _case(name)
-    brackets = reference_brackets(g.S, g.n)
-    value = groups._form_evaluator(groups.pairing_pfaffian_form(g))
-    for lam, (mu, _) in zip(sphere_grid(resolution), groups._direction_grid(resolution),
-                            strict=True):
-        assert reference_pf(brackets, lam) == reference_pf(brackets, [-x for x in lam])
+    pf = grid_pfaffians(name, resolution)
+    value = groups._form_evaluator(groups.pairing_pfaffian_form(_case(name)))
+    for lam, (mu, _) in zip(pf, groups._direction_grid(resolution), strict=True):
+        assert pf[lam] == pf[tuple(-x for x in lam)]
         assert value(mu) == value(tuple(-x for x in mu))
 
 
@@ -190,7 +185,8 @@ def test_pairing_det_is_even_on_the_grid(name, resolution):
 def test_cached_grid_evaluates_one_point_of_each_antipodal_pair(resolution):
     grid = groups._direction_grid(resolution)
     assert grid is groups._direction_grid(resolution)
-    assert grid_directions(resolution) == sphere_grid(resolution)
+    assert [tuple(Fraction(x, resolution) for x in mu) for mu, _ in grid] == \
+        sphere_grid(resolution)
     position = {}
     for i, (mu, _) in enumerate(grid):
         assert all(type(m) is int for m in mu)
@@ -234,8 +230,7 @@ def test_brackets_and_fields_match_dense_products(n):
         den, brackets = g.integer_brackets
         assert den == math.lcm(*(x.denominator for row in g.S for x in row))
         assert all(type(x) is int for b in brackets for row in b for x in row)
-        assert tuple(tuple(tuple(Fraction(x, den) for x in row) for row in b)
-                     for b in brackets) == expected
+        assert package_brackets(g) == expected
         variables = g.vars
         fields = horizontal_fields(g)
         for beta in range(3):
@@ -315,8 +310,7 @@ def test_view_cases_include_groups_whose_brackets_have_a_smaller_denominator():
     differ = set()
     for name in VIEW_CASES:
         g = _view_case(name)
-        den_b = math.lcm(*(x.denominator for b in reference_brackets(g.S, g.n)
-                           for row in b for x in row))
+        den_b, _ = int_pencil(case_brackets(name))
         assert g.integer_S[0] > 1 and g.integer_S[0] % den_b == 0
         if g.integer_S[0] != den_b:
             differ.add(name.rsplit("-", 1)[0])
@@ -326,11 +320,13 @@ def test_view_cases_include_groups_whose_brackets_have_a_smaller_denominator():
 @pytest.mark.parametrize("name", VIEW_CASES)
 def test_integer_view_matches_the_fraction_brackets(name):
     g = _view_case(name)
-    brackets = reference_brackets(g.S, g.n)
+    brackets = case_brackets(name)
+    assert package_brackets(g) == brackets
     size = 4 * g.n
     assert is_right_type(g) == reference_is_right_type(g)
-    rows = [[b[a][c] for b in brackets] for a in range(size) for c in range(a + 1, size)]
-    assert is_stratified(g) == (minor_rank(rows) == 3)
+    _, ints = int_pencil(brackets)
+    rows = [[(b[a][c], 0) for b in ints] for a in range(size) for c in range(a + 1, size)]
+    assert is_stratified(g) == (dense_bareiss(rows) == 3)
     for X, Y in zip(horizontal_fields(g), reference_horizontal_fields(g), strict=True):
         assert list(coeffs(X)) == list(coeffs(Y))
         for v, p in coeffs(X).items():
@@ -338,29 +334,15 @@ def test_integer_view_matches_the_fraction_brackets(name):
     for a in range(2 * g.n):
         for b in range(2 * g.n):
             assert ComplexRational(*curvature_entry(g, a, b)) == reference_curvature_entry(g, a, b)
-    # the pencil det on the Fraction brackets, cleared of their own denominators
-    q = math.lcm(*(x.denominator for b in brackets for row in b for x in row))
-    ints = [[[int(x * q) for x in row] for row in b] for b in brackets]
     for resolution in (2, 3, 4, 5):
-        grid = sphere_grid(resolution)
-
-        def sample(lam):
-            mu = [int(x * resolution) for x in lam]
-            return bareiss_det([[sum(m * b[i][j] for m, b in zip(mu, ints))
-                                 for j in range(size)] for i in range(size)])
-
-        values = dict(zip(grid, map(sample, grid)))
-        if g.n == 1:
-            assert all((values[lam] == 0) == (reference_det(brackets, lam) == 0)
-                       for lam in grid)
-        sampled = reference_condition_H(grid, resolution, values.get)
+        values = grid_dets(name, resolution)
+        sampled = reference_condition_H(values, resolution)
         assert check_condition_H(g, "sampled", resolution) == sampled
         if any(values.values()):
             # det is not the zero polynomial, so it is a form of degree 4n
             exact = sampled if "witness" in sampled else dict(sampled, det_degree=size)
         else:
-            exact = reference_condition_H(grid, resolution, values.get,
-                                          cofactor_det(fraction_pencil(brackets)))
+            exact = reference_condition_H(values, resolution, symbolic_det(name))
         assert check_condition_H(g, "exact", resolution) == exact
 
 
@@ -454,10 +436,12 @@ def test_zero_pencil_probe_is_a_proof_for_any_form_of_degree_2n(monkeypatch):
 
 
 def form_at(form, lam):
-    """The form at a rational covector, term by term in Fractions."""
+    """The form at a rational covector lam, term by term: in ints at r lam, over r^d."""
     d = len(form) - 1
-    return sum(c * Fraction(lam[0]) ** (d - a - b) * Fraction(lam[1]) ** a * Fraction(lam[2]) ** b
-               for b, col in enumerate(form) for a, c in enumerate(col))
+    r = math.lcm(*(x.denominator for x in lam))
+    m1, m2, m3 = (int(x * r) for x in lam)
+    return Fraction(sum(c * m1 ** (d - a - b) * m2 ** a * m3 ** b
+                        for b, col in enumerate(form) for a, c in enumerate(col)), r ** d)
 
 
 def form_poly(form):
@@ -491,10 +475,9 @@ def test_form_is_the_determinant_times_one_positive_constant(name, resolution):
     assert len(form) == 2 * g.n + 1
     assert all(len(col) == 2 * g.n + 1 - b and all(type(x) is int for x in col)
                for b, col in enumerate(form))
-    brackets = reference_brackets(g.S, g.n)
-    grid = sphere_grid(resolution)
-    c = scale_of([(form_at(form, lam), reference_pf(brackets, lam)) for lam in grid])
-    c_det = scale_of([(form_at(form, lam) ** 2, central_pairing_det(g, lam)) for lam in grid])
+    pf, det = grid_pfaffians(name, resolution), grid_dets(name, resolution)
+    c = scale_of([(form_at(form, lam), pf[lam]) for lam in pf])
+    c_det = scale_of([(form_at(form, lam) ** 2, det[lam]) for lam in det])
     value = groups._form_evaluator(form)
     for mu, _ in groups._direction_grid(resolution):
         assert value(mu) == form_at(form, mu)
@@ -513,11 +496,11 @@ def test_form_coefficients_are_the_symbolic_determinant_times_the_constant(name)
     g = _case(name)
     size = 4 * g.n
     form = form_poly(groups.pairing_pfaffian_form(g))
-    det_poly = symbolic_pairing_det(g)
+    det_poly = symbolic_det(name)
     assert all(sum(e) == size for e in (terms(det_poly) if det_poly else ()))
     c = scale_of(coefficient_pairs(form * form, det_poly))
     assert (c is None) == (not det_poly)
-    pencil = fraction_pencil(reference_brackets(g.S, g.n))
+    pencil = symbolic_pencil(case_brackets(name))
     root = scale_of(coefficient_pairs(form, expansion_pfaffian(pencil)))
     assert (root is None) == (c is None)
     assert c is None or (root > 0 and root * root == c)
@@ -563,7 +546,7 @@ def test_one_nonzero_lattice_value_is_never_a_zero_pencil(monkeypatch, n):
             exact = check_condition_H(g, "exact")
             assert exact.get("reason") != "determinant vanishes identically"
             sampled = check_condition_H(g, "sampled")
-            assert sampled == reference_condition_H(grid, 4, lambda lam: pf(g, lam))
+            assert sampled == reference_condition_H({lam: pf(g, lam) for lam in grid}, 4)
             if "witness" in sampled:
                 assert exact == sampled
             else:

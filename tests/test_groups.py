@@ -11,7 +11,8 @@ from cfx.groups import (GroupSpec, I_MATS, ID4, J_MATS, block_diag,
 from cfx.operators import FirstOrderOp
 from cfx.poly import Poly, x_vars
 from cfx.randgen import SectionGenerator
-from test_linalg import central_pairing_det, symbolic_pairing_det
+from test_linalg import (central_pairing_det, cofactor_det, int_pencil, reference_brackets,
+                         symbolic_pencil)
 from test_operators import coeffs
 from test_poly import constant_term, is_homogeneous, poly_to_json, total_degree
 from test_rational import terms
@@ -46,17 +47,7 @@ def group_to_json(g: GroupSpec) -> dict:
     return {"n": g.n, "S": [[str(x) for x in row] for row in g.S]}
 
 
-# -- references: the bracket matrices, the group law and the bracket table -------------
-
-
-def reference_brackets(S, n) -> tuple:
-    """The Fraction bracket matrices B^beta = S Ibeta + Ibeta S, by dense products."""
-    S = mat(S)
-    out = []
-    for beta in range(3):
-        ib = block_diag(I_MATS[beta], n)
-        out.append(mat_add(mat_mul(S, ib), mat_mul(ib, S)))
-    return tuple(out)
+# -- references: the group law and the bracket table ------------------------------------
 
 
 def package_brackets(g) -> tuple:
@@ -556,7 +547,7 @@ def test_stratified():
 
 def test_condition_h_right_qh_symbolic():
     g = GroupSpec.right_qh(1)
-    det = symbolic_pairing_det(g)
+    det = cofactor_det(symbolic_pencil(reference_brackets(g.S, g.n)))
     lam = ("lam1", "lam2", "lam3")
     norm = Poly.zero(lam)
     for name in lam:
@@ -571,7 +562,7 @@ def test_condition_h_failures():
     result = check_condition_H(g, "sampled", resolution=2)
     assert result["verdict"] == "false"
     lam = [Fraction(x) for x in result["witness"]]
-    assert central_pairing_det(g, lam) == 0
+    assert central_pairing_det(int_pencil(reference_brackets(g.S, g.n)), lam) == 0
 
 
 def test_condition_h_modes_agree():

@@ -1,8 +1,16 @@
 """Differential tests of the exact eliminators against brute-force oracles.
 
-The dense fraction-free eliminators, ``dense_bareiss`` for ranks and
-``bareiss_det`` for int determinants, are the references for the sparse
-``linalg.bareiss`` and for the determinants the condition-H tests take.
+Each quantity the tests read has one reference here, and the ground truth
+it is checked against follows the arrow:
+
+- brackets: ``reference_brackets``, dense products with block_diag(Ibeta);
+- pencil det: ``bareiss_det`` on the pencil cleared of denominators (``int_pencil``,
+  ``central_pairing_det``) -> ``cofactor_det``;
+- Pfaffian: ``expansion_pfaffian`` -> its square is ``cofactor_det``;
+- symbolic det: ``cofactor_det`` on the ``Poly`` pencil -> the pencil det on a grid;
+- rank: ``dense_bareiss`` -> ``minor_rank``.
+
+The package's ``linalg.bareiss`` and ``linalg.pfaffian`` are tested against them.
 """
 
 import math
@@ -16,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cfx import groups
-from cfx.groups import GroupSpec
+from cfx.groups import I_MATS, GroupSpec, block_diag, mat, mat_mul
 from cfx.linalg import bareiss, pfaffian
 from cfx.poly import Poly
 from cfx.randgen import SectionGenerator
@@ -143,34 +151,45 @@ def expansion_pfaffian(m):
     return minor(tuple(range(len(m)))) if len(m) % 2 == 0 else 0
 
 
-def central_pairing_det(g, lam):
-    """det( sum_beta lam_beta B^beta ) for a covector lam of ints or Fractions.
-
-    The determinant reference for condition H: the integer matrix
-    sum_beta mu_beta (den B^beta), with mu = q lam and q the least common
-    denominator of lam, is q den times the pairing matrix, and
-    ``bareiss_det`` eliminates it.
-    """
-    den, brackets = g.integer_brackets
-    lam = [Fraction(x) for x in lam]
-    q = math.lcm(*(x.denominator for x in lam))
-    m1, m2, m3 = (x.numerator * (q // x.denominator) for x in lam)
-    m = [[m1 * a + m2 * b + m3 * c for a, b, c in zip(r1, r2, r3)]
-         for r1, r2, r3 in zip(*brackets)]
-    return Fraction(bareiss_det(m), (q * den) ** (4 * g.n))
+def reference_brackets(S, n) -> tuple:
+    """The Fraction bracket matrices B^beta = S Ibeta + Ibeta S, by dense products."""
+    S = mat(S)
+    out = []
+    for beta in range(3):
+        ib = block_diag(I_MATS[beta], n)
+        out.append(tuple(tuple(x + y for x, y in zip(r1, r2))
+                         for r1, r2 in zip(mat_mul(S, ib), mat_mul(ib, S))))
+    return tuple(out)
 
 
-def symbolic_pairing_det(g):
-    """det( sum lam_beta B^beta ) in lam1..lam3 by ``cofactor_det`` (0 when it vanishes).
+def int_pencil(brackets) -> tuple:
+    """(q, (q B^1, q B^2, q B^3)): the brackets over their least common denominator, in ints."""
+    q = math.lcm(*(x.denominator for b in brackets for row in b for x in row))
+    return q, tuple(tuple(tuple(int(x * q) for x in row) for row in b) for b in brackets)
 
-    B^beta is (den B^beta) / den from ``integer_brackets``.
-    """
-    size = 4 * g.n
-    den, brackets = g.integer_brackets
-    pencil = [[sum((Poly.var(LAM, v, Fraction(b[i][j], den)) for v, b in zip(LAM, brackets)),
-                   Poly.zero(LAM))
-               for j in range(size)] for i in range(size)]
-    return cofactor_det(pencil)
+
+def pencil_at(ints, mu) -> list:
+    """sum_beta mu_beta M^beta for int matrices M^beta and an int covector mu."""
+    m1, m2, m3 = mu
+    return [[m1 * a + m2 * b + m3 * c for a, b, c in zip(r1, r2, r3)]
+            for r1, r2, r3 in zip(*ints)]
+
+
+def symbolic_pencil(brackets) -> list:
+    """sum lam_beta B^beta as a matrix of ``Poly`` in lam1..lam3."""
+    size = len(brackets[0])
+    return [[sum((Poly.var(LAM, v, b[i][j]) for v, b in zip(LAM, brackets)), Poly.zero(LAM))
+             for j in range(size)] for i in range(size)]
+
+
+def central_pairing_det(pencil, lam):
+    """det( sum_beta lam_beta B^beta ) at a covector lam of ints or Fractions, from
+    (q, ints) = ``int_pencil`` of the brackets: ``bareiss_det`` on the int matrix
+    sum (r lam_beta) (q B^beta), which is q r times the pencil."""
+    q, ints = pencil
+    r = math.lcm(*(x.denominator for x in lam))
+    return Fraction(bareiss_det(pencil_at(ints, [int(x * r) for x in lam])),
+                    (q * r) ** len(ints[0]))
 
 
 def minor_rank(m):
@@ -471,12 +490,13 @@ def _group(name, n):
 @pytest.mark.parametrize("name", ["rightQH", "leftQH", "dense"])
 @pytest.mark.parametrize("n", [1, 2])
 def test_central_pairing_det_matches_symbolic_determinant(name, n):
-    group = _group(name, n)
-    det_poly = symbolic_pairing_det(group)
+    brackets = reference_brackets(_group(name, n).S, n)
+    det_poly = cofactor_det(symbolic_pencil(brackets))
     assert is_homogeneous(det_poly, 4 * n)
     # homogeneous of degree 4n: its value at lam = mu / 4 is its numerators
     # summed in ints at the int point mu, over den * 4^(4n)
     scale = det_poly.den * 4 ** (4 * n)
+    pencil = int_pencil(brackets)
     for mu, _ in groups._direction_grid(4):
         lam = [Fraction(x, 4) for x in mu]
         re = im = 0
@@ -485,7 +505,7 @@ def test_central_pairing_det_matches_symbolic_determinant(name, n):
             re += c * monomial
             im += d * monomial
         assert im == 0
-        assert central_pairing_det(group, lam) == Fraction(re, scale)
+        assert central_pairing_det(pencil, lam) == Fraction(re, scale)
 
 
 def test_cofactor_det_over_polynomials():

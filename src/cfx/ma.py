@@ -23,8 +23,9 @@ from operator import sub
 
 from .boundary import TangentFrame, frak_d
 from .exterior import ExtForm, hat_component, kaehler_like_sum, merge_sign
-from .poly import Poly, unpack
-from .quadrature import CutoffJet, integrate_jets, integrate_poly_box, integrate_poly_face
+from .poly import Poly, support, unpack
+from .quadrature import (CutoffJet, _moment_sum, integrate_jets, integrate_poly_box,
+                         integrate_poly_faces)
 
 
 # -- region ------------------------------------------------------------------------------
@@ -144,7 +145,9 @@ def stokes_check(h: Poly, T: ExtForm, region: Region, frame: TangentFrame,
     volume(h * dT) + volume(dh ^ T) - faces(h T_a Z_a rho) must be exactly 0;
     the report also carries the rounded residual, absolute and relative.
     On the face x_axis = value with outward side +-1, Z_a^{a'} rho is the
-    row's coefficient of d/dx_axis times the side.
+    row's coefficient of d/dx_axis times the side, so each axis's flux is
+    one polynomial and its two faces, high minus low, one moment sum
+    (:func:`integrate_poly_faces`).
     """
     if T.degree != frame.dim - 1:
         raise ValueError("the boundary formula needs a form of degree dim-1")
@@ -163,9 +166,8 @@ def stokes_check(h: Poly, T: ExtForm, region: Region, frame: TangentFrame,
             if ht and z_rho:
                 flux = flux + ht * z_rho
         if flux:
-            high = integrate_poly_face(flux, region.lows, region.highs, axis, region.highs[axis])
-            low = integrate_poly_face(flux, region.lows, region.highs, axis, region.lows[axis])
-            boundary = tuple(b + h - l for b, h, l in zip(boundary, high, low))
+            faces = integrate_poly_faces(flux, region.lows, region.highs, axis)
+            boundary = tuple(b + f for b, f in zip(boundary, faces))
 
     residual = tuple(a + b - c for a, b, c in zip(lhs, mid, boundary))
     absolute = _abs(residual)
@@ -212,16 +214,17 @@ def _abs(z: tuple) -> float:
 # -- the cutoff experiment ---------------------------------------------------------------
 
 
-def _wedge_complement_pairs(parts: dict, other: ExtForm) -> list:
-    """Pairs (cutoff jet, polynomial weight) whose products sum to the top
-    coefficient of (sum parts_idx w^idx) ^ other."""
+def _wedge_complement_weights(indices, other: ExtForm) -> list:
+    """Pairs (idx, polynomial weight), idx from ``indices``, such that the top
+    coefficient of (sum f_idx w^idx) ^ other is sum f_idx * weight for any
+    coefficients f_idx; an idx whose complement in ``other`` is 0 has none."""
     pairs = []
-    for idx, jet in parts.items():
+    for idx in indices:
         rest = tuple(i for i in range(other.dim) if i not in idx)
         comp = other.component(rest)
         if comp:
             sign, _ = merge_sign(idx, rest)
-            pairs.append((jet, comp if sign > 0 else -comp))
+            pairs.append((idx, comp if sign > 0 else -comp))
     return pairs
 
 
@@ -234,11 +237,20 @@ def sup_bound(u: Poly, region: Region) -> float:
     every axis gives every term the same sign: a ``psh_quadratic``, positive
     squares plus linear terms, takes the value of the bound at the corner
     x_a = sign(b_a) * h of a centred cube, b_a its linear coefficient.
+
+    The sum is one int moment sum over den * prod s_a ** E_a, with
+    M_a = r_a / s_a and E_a the axis's field of ``poly.support``: M_a ** e
+    is the int r_a ** e * s_a ** (E_a - e) of the axis's row.
     """
-    reach = [max(abs(l), abs(h)) for l, h in zip(region.lows, region.highs)]
-    total = sum((abs(re) + abs(im)) * math.prod(map(pow, reach, unpack(key, len(u.vars))))
-                for key, (re, im) in u.num.items())
-    return _float(Fraction(total, u.den))
+    den, rows = u.den, []
+    for l, h, top in zip(region.lows, region.highs, unpack(support(u.num), len(u.vars))):
+        reach = max(abs(l), abs(h))
+        r, s = reach.numerator, reach.denominator
+        rows.append([r ** e * s ** (top - e) for e in range(top + 1)])
+        den *= s ** top
+    total, _ = _moment_sum({key: (abs(re) + abs(im), 0) for key, (re, im) in u.num.items()},
+                           rows)
+    return _float(Fraction(total, den))
 
 
 def cln_experiment(us: Sequence[Poly], K: Region, L: Region,
@@ -248,7 +260,9 @@ def cln_experiment(us: Sequence[Poly], K: Region, L: Region,
     The cutoff-weighted mass is integrated directly, after moving one
     lowered operator onto the cutoff, and after moving both, against the
     bare first input; the three exact masses must be equal and not all 0
-    (a zero mass checks nothing).  Also reports the plain mass over the
+    (a zero mass checks nothing).  A component (a, b) of the degree-2
+    operator on the cutoff is built only where the rest of the wedge power
+    has a nonzero complement to it.  Also reports the plain mass over the
     inner region and its ratio to the product of the inputs' sup norms
     over K, each the exact :func:`sup_bound`, which is the sup itself on
     every input ``cfx ma`` draws.
@@ -272,16 +286,17 @@ def cln_experiment(us: Sequence[Poly], K: Region, L: Region,
     g = top_coefficient(T)
 
     # the lowered operators moved onto the cutoff: Z_a^0 chi, and the
-    # components (a < b) of the degree-2 operator on chi
+    # components (a < b) of the degree-2 operator on chi that have a weight
     z0 = [chi.apply_op(frame.Z_lower[a][0]) for a in range(frame.dim)]
-    tri_chi = {(a, b): z0[a].apply_op(frame.Z_lower[b][1]) - z0[b].apply_op(frame.Z_lower[a][1])
-               for a, b in combinations(range(frame.dim), 2)}
     d1u = frak_d(1, ExtForm.from_scalar(frame.dim, us[0]), frame, raised=False)
-    mid_pairs = _wedge_complement_pairs({(a,): jet for a, jet in enumerate(z0)},
-                                        d1u.wedge(rest_beta))
-    ibp_pairs = _wedge_complement_pairs(tri_chi, rest_beta)
+    mid_pairs = [(z0[a], weight) for (a,), weight in
+                 _wedge_complement_weights([(a,) for a in range(frame.dim)],
+                                           d1u.wedge(rest_beta))]
+    ibp_pairs = [(z0[a].apply_op(frame.Z_lower[b][1]) - z0[b].apply_op(frame.Z_lower[a][1]),
+                  us[0] * weight) for (a, b), weight in
+                 _wedge_complement_weights(combinations(range(frame.dim), 2), rest_beta)]
     mass_direct, middle, mass_ibp = integrate_jets(
-        K.lows, K.highs, [[(chi, g)], mid_pairs, [(jet, us[0] * poly) for jet, poly in ibp_pairs]])
+        K.lows, K.highs, [[(chi, g)], mid_pairs, ibp_pairs])
     mass_middle = (-middle[0], -middle[1])
 
     mass_inner = integrate_top(T, L)
@@ -304,25 +319,6 @@ def cln_experiment(us: Sequence[Poly], K: Region, L: Region,
     return report
 
 
-def approximation_masses(q: Poly, frame: TangentFrame, L: Region, steps: int) -> list:
-    """Exact real parts of the inner-region masses of u_j = q + (1/j) sum x^2, j = 1..steps.
-
-    tri u_j = tri q + (tri sum x^2) / j and 2-forms commute, so the mass is
-    A + 2B/j + C/j^2 with A, B and C the masses of tri q ^ tri q,
-    tri q ^ tri sum x^2 and tri sum x^2 ^ tri sum x^2: three wedges and three
-    box integrals for any number of steps.
-    """
-    sq = Poly.zero(frame.vars)
-    for i in range(4 * frame.n):
-        sq = sq + Poly.monomial(frame.vars,
-                                tuple(2 if t == i else 0 for t in range(len(frame.vars))), 1)
-    tri_q = triangle(q, frame)
-    tri_sq = triangle(sq, frame)
-    A, B, C = (integrate_top(F, L)[0]
-               for F in (tri_q.wedge(tri_q), tri_q.wedge(tri_sq), tri_sq.wedge(tri_sq)))
-    return [A + 2 * B / j + C / (j * j) for j in range(1, steps + 1)]
-
-
 CONVERGENCE_TOL = Fraction(1, 10 ** 4)
 
 
@@ -335,20 +331,50 @@ def convergence_experiment(q: Poly, frame: TangentFrame, L: Region,
     monotonically below ``CONVERGENCE_TOL`` within ``steps`` steps,
     demonstrating a well-defined limit measure.  A short run can honestly
     fail the tolerance while still being monotone.
+
+    tri u_j = tri q + (tri sum x^2) / j and 2-forms commute, so the mass is
+    A + 2B/j + C/j^2 with A, B and C the masses of tri q ^ tri q,
+    tri q ^ tri sum x^2 and tri sum x^2 ^ tri sum x^2: three wedges and
+    three box integrals for any number of steps, and the rest is
+    :func:`_convergence_report`.
     """
     frame.require_right_type()
     if frame.n != 2:
         raise ValueError("the squared-power experiment is set up for n = 2")
     if steps < 2:
         raise ValueError("the convergence experiment needs at least 2 steps")
-    masses = approximation_masses(q, frame, L, steps)
-    diffs = [abs(a - b) for a, b in zip(masses, masses[1:])]
-    monotone = all(d >= e for d, e in zip(diffs, diffs[1:]))
+    sq = Poly.zero(frame.vars)
+    for i in range(4 * frame.n):
+        sq = sq + Poly.monomial(frame.vars,
+                                tuple(2 if t == i else 0 for t in range(len(frame.vars))), 1)
+    tri_q = triangle(q, frame)
+    tri_sq = triangle(sq, frame)
+    A, B, C = (integrate_top(F, L)[0]
+               for F in (tri_q.wedge(tri_q), tri_q.wedge(tri_sq), tri_sq.wedge(tri_sq)))
+    return _convergence_report(A, B, C, steps)
+
+
+def _convergence_report(A: Fraction, B: Fraction, C: Fraction, steps: int) -> dict:
+    """The report on the masses m_j = A + 2B/j + C/j^2, j = 1..steps.
+
+    Over D = lcm of the denominators, with b = DB and c = DC, the difference
+    m_j - m_(j+1) is N_j / (D j^2 (j+1)^2), N_j = 2b j(j+1) + c(2j+1).  So
+    the differences decay monotonically iff |N_j| (j+2)^2 >= |N_(j+1)| j^2
+    for j = 1..steps-2, an int test at each step; only the reported masses
+    and the last difference are Fractions.
+    """
+    D = math.lcm(B.denominator, C.denominator)
+    b, c = B.numerator * (D // B.denominator), C.numerator * (D // C.denominator)
+    n = [abs(2 * b * j * (j + 1) + c * (2 * j + 1)) for j in range(1, steps)]
+    monotone = all(n_j * (j + 2) ** 2 >= n_next * j * j
+                   for j, n_j, n_next in zip(range(1, steps), n, n[1:]))
+    last = Fraction(n[-1], D * (steps - 1) ** 2 * steps ** 2)
     return {
         "identity": "approximation-mass-convergence",
         "params": {"steps": steps, "tol": _float(CONVERGENCE_TOL)},
-        "pass": monotone and diffs[-1] < CONVERGENCE_TOL,
-        "masses": [_float(m) for m in masses[:8]] + (["..."] if steps > 8 else []),
-        "final_difference": _float(diffs[-1]),
+        "pass": monotone and last < CONVERGENCE_TOL,
+        "masses": [_float(A + 2 * B / j + C / (j * j)) for j in range(1, min(steps, 8) + 1)]
+        + (["..."] if steps > 8 else []),
+        "final_difference": _float(last),
         "monotone": monotone,
     }

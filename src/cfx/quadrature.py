@@ -28,25 +28,28 @@ from .poly import BITS, FIELD, Poly, mul_into, support, unpack
 
 def integrate_poly_box(p: Poly, lows: Sequence, highs: Sequence) -> tuple:
     """Exact integral of a polynomial over a box, from closed-form moments."""
-    return _integrate(p, lows, highs, None, None)
+    return _integrate(p, lows, highs, None)
 
 
-def integrate_poly_face(p: Poly, lows: Sequence, highs: Sequence, axis: int,
-                        value: Fraction) -> tuple:
-    """Exact integral over one box face (variable ``axis`` frozen at ``value``).
+def integrate_poly_faces(p: Poly, lows: Sequence, highs: Sequence, axis: int) -> tuple:
+    """Exact integral over the face x_axis = high minus the one over the face
+    x_axis = low, in one moment sum.
 
-    With value = r/s and E a bound on the powers of the axis, the frozen
-    axis takes the row x^e = r^e s^(E-e) / s^E in place of its moment table.
+    Over Q = s_h s_l, with high = r_h/s_h and low = r_l/s_l, the two faces
+    are H/Q and L/Q for the ints H = r_h s_l and L = r_l s_h.  With E a
+    bound on the powers of the axis, the axis takes the row
+    (H^e - L^e) Q^(E-e) / Q^E in place of its moment table; the row is 0 at
+    e = 0, so a term without the axis adds nothing.
     """
-    return _integrate(p, lows, highs, axis, Fraction(value))
+    return _integrate(p, lows, highs, axis)
 
 
-def _integrate(p: Poly, lows: Sequence, highs: Sequence, frozen, value) -> tuple:
+def _integrate(p: Poly, lows: Sequence, highs: Sequence, frozen) -> tuple:
     """One moment sum of ``p``: the axis ``frozen`` (None for none) takes
-    the row of x at ``value``, every other axis its moment table over
-    [lows, highs], as long as the axis's field of ``poly.support`` (at
-    least its highest exponent) needs: a longer table gives the same exact
-    values over a larger common denominator."""
+    the face row of :func:`integrate_poly_faces`, every other axis its
+    moment table over [lows, highs], as long as the axis's field of
+    ``poly.support`` (at least its highest exponent) needs: a longer table
+    gives the same exact values over a larger common denominator."""
     naxes = len(p.vars)
     if len(lows) != naxes or len(highs) != naxes:
         raise ValueError("box does not match the variable table")
@@ -58,14 +61,26 @@ def _integrate(p: Poly, lows: Sequence, highs: Sequence, frozen, value) -> tuple
     tables = []
     for axis, top in enumerate(unpack(support(p.num), naxes)):
         if axis == frozen:
-            r, s = value.numerator, value.denominator
-            table, d = [r ** e * s ** (top - e) for e in range(top + 1)], s ** top
+            table, d = _face_row(lows[axis], highs[axis], 1 + top)
         else:
             table, d = _moment_table(lows[axis], highs[axis], 1 + top)
         tables.append(table)
         den *= d
     re, im = _moment_sum(p.num, tables)
     return Fraction(re, den), Fraction(im, den)
+
+
+def _face_row(a, b, size: int) -> tuple:
+    """(R, D) with b^e - a^e == R[e] / D for e < size, all ints."""
+    q, s = a.denominator, b.denominator
+    big_a, big_b, big_q = a.numerator * s, b.numerator * q, q * s
+    row = []
+    pa = pb = 1
+    for e in range(size):
+        row.append((pb - pa) * big_q ** (size - 1 - e))
+        pa *= big_a
+        pb *= big_b
+    return row, big_q ** (size - 1)
 
 
 # -- integer moments ----------------------------------------------------------------------

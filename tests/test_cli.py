@@ -241,7 +241,7 @@ def test_file_group_above_the_limit_exits_2_before_any_group_matrix(monkeypatch,
 
 @pytest.mark.parametrize("steps", ["10001", "100000000"])
 def test_convergence_above_the_cap_exits_2_before_the_frame(monkeypatch, capsys, steps):
-    # every step keeps an exact mass: 10^8 steps would exhaust memory
+    # every step keeps an int numerator: 10^8 steps would take gigabytes
     import time
 
     cli = _forbid_work(monkeypatch)
@@ -615,6 +615,29 @@ def test_ma_power_above_the_u_file_count_exits_2(tmp_path, capsys):
                          "--u", str(path))
     _assert_input_error(code, out, err)
     assert "--power 2" in err and "has 1" in err
+
+
+@pytest.mark.parametrize("n, names, bad", [
+    (1, [["x1", "x2", "x3", "x4"]], 1),
+    (1, [["x1", "x2", "x3", "x4", "t1", "t2", "t3", "t4"]], 1),
+    (1, [["x2", "x1", "x3", "x4", "t1", "t2", "t3"]], 1),
+    (2, [[f"x{i}" for i in range(1, 9)] + ["t1", "t2", "t3"],
+         ["x1", "x2", "x3", "x4", "t1", "t2", "t3"]], 2),
+])
+def test_ma_u_variables_not_the_groups_exit_2_before_any_integral(
+        monkeypatch, capsys, tmp_path, n, names, bad):
+    # the message names the polynomial and the group's variable table, and
+    # no frame is built for it
+    _forbid_work(monkeypatch)
+    path = tmp_path / "u.json"
+    path.write_text(json.dumps([{"vars": v, "terms": [{"c": "1", "e": [2] + [0] * (len(v) - 1)}]}
+                                for v in names]))
+    code, out, err = run(capsys, "ma", "--group", "rightQH", "--n", str(n), "--power", str(n),
+                         "--u", str(path))
+    _assert_input_error(code, out, err)
+    table = ", ".join([f"x{i}" for i in range(1, 4 * n + 1)] + ["t1", "t2", "t3"])
+    assert f"--u polynomial {bad} has the variables ({', '.join(names[bad - 1])})" in err
+    assert f"the group needs ({table})" in err
 
 
 def test_ma_power_above_n_exits_2_before_drawing_inputs(capsys, monkeypatch):

@@ -2,25 +2,27 @@ import logging
 import random
 from fractions import Fraction
 from math import factorial, lcm, prod
+from itertools import combinations
 from typing import Sequence
 
 import pytest
 
 from cfx import ma, quadrature
 from cfx.boundary import TangentFrame, frak_d
-from cfx.exterior import ExtForm, from_hat_components, hat_component
+from cfx.exterior import ExtForm, from_hat_components, hat_component, merge_sign
 from cfx.groups import I_MATS, GroupSpec, block_diag, mat_mul
-from cfx.ma import (Region, approximation_masses, beta_form,
+from cfx.ma import (CONVERGENCE_TOL, Region, beta_form,
                     cln_experiment, convergence_experiment, integrate_top,
                     key_identity_check, stokes_check, sup_bound,
                     top_coefficient, triangle)
 from cfx.poly import Poly, unpack
-from cfx.quadrature import CutoffJet, integrate_jets, integrate_poly_box, integrate_poly_face
+from cfx.quadrature import CutoffJet, integrate_jets, integrate_poly_box, integrate_poly_faces
 from cfx.randgen import SectionGenerator
+from cfx.reports import dumps
 from test_exterior import basis_form
 from test_operators import coeffs
 from test_poly import power
-from test_quadrature import bump_factor, uni_diff
+from test_quadrature import bump_factor, integrate_poly_face, uni_diff
 from test_rational import ZERO, ComplexRational, pair, terms
 
 
@@ -323,26 +325,30 @@ def test_stokes_check_builds_each_moment_table_once(right2):
 
 
 def test_stokes_without_one_face_fails(right2, monkeypatch):
-    # mutation: the boundary sum leaves out its first nonzero face integral
-    region = Region.cube(11, Fraction(1, 2))
+    # mutation: the first axis whose face pair is not 0 keeps only its high
+    # face, by the per-face reference, and the residual is no longer 0; on a
+    # centred and on an off-centre box
     gen = SectionGenerator(6, degree=4)
     h = gen.poly(right2.vars)
     T = from_hat_components(4, right2.vars,
                             [gen.spawn(i).poly(right2.vars) for i in range(4)])
     dropped = []
 
-    def without_one_face(p, lows, highs, axis, value):
-        got = integrate_poly_face(p, lows, highs, axis, value)
+    def without_the_low_face(p, lows, highs, axis):
+        got = integrate_poly_faces(p, lows, highs, axis)
         if any(got) and not dropped:
-            dropped.append((axis, value))
-            return 0, 0
+            dropped.append(axis)
+            return integrate_poly_face(p, lows, highs, axis, highs[axis])
         return got
 
-    monkeypatch.setattr(ma, "integrate_poly_face", without_one_face)
-    report = stokes_check(h, T, region, right2)
-    assert dropped
-    assert not report["pass"]
-    assert report["absolute_residual"] > 0
+    monkeypatch.setattr(ma, "integrate_poly_faces", without_the_low_face)
+    for region in (Region.cube(11, Fraction(1, 2)),
+                   Region((Fraction(-1, 3),) * 11, (Fraction(3, 5),) * 11)):
+        dropped.clear()
+        report = stokes_check(h, T, region, right2)
+        assert dropped
+        assert not report["pass"]
+        assert report["absolute_residual"] > 0
 
 
 def _z_rho_on_face(frame: TangentFrame, row: int, aprime: int, axis: int,
@@ -536,6 +542,67 @@ def test_cln_region_nesting_enforced(right2):
         cln_experiment([squared_norm(right2)], K, L, right2)
 
 
+def reference_cln(us, K: Region, L: Region, frame: TangentFrame) -> dict:
+    """``cln_experiment`` as it was with every one of the C(2n, 2) degree-2
+    cutoff jets built, the ones whose weight is 0 included."""
+    chi = CutoffJet.bump(frame.vars)
+    p, n = len(us), frame.n
+    rest = ExtForm.from_scalar(frame.dim, Poly.const(frame.vars, 1))
+    for u in us[1:]:
+        rest = rest.wedge(triangle(u, frame))
+    for _ in range(n - p):
+        rest = rest.wedge(beta_form(frame))
+    T = triangle(us[0], frame).wedge(rest)
+
+    def pairs(parts: dict, other: ExtForm) -> list:
+        out = []
+        for idx, jet in parts.items():
+            comp = other.component(tuple(i for i in range(frame.dim) if i not in idx))
+            if comp:
+                sign, _ = merge_sign(idx, tuple(i for i in range(frame.dim) if i not in idx))
+                out.append((jet, comp.scale(sign)))
+        return out
+
+    z0 = [chi.apply_op(frame.Z_lower[a][0]) for a in range(frame.dim)]
+    tri_chi = {(a, b): z0[a].apply_op(frame.Z_lower[b][1]) - z0[b].apply_op(frame.Z_lower[a][1])
+               for a, b in combinations(range(frame.dim), 2)}
+    assert len(tri_chi) == n * (2 * n - 1)
+    d1u = frak_d(1, ExtForm.from_scalar(frame.dim, us[0]), frame, raised=False)
+    mid_pairs = pairs({(a,): jet for a, jet in enumerate(z0)}, d1u.wedge(rest))
+    ibp_pairs = [(jet, us[0] * w) for jet, w in pairs(tri_chi, rest)]
+    direct, middle, ibp = integrate_jets(K.lows, K.highs,
+                                         [[(chi, top_coefficient(T))], mid_pairs, ibp_pairs])
+    middle = (-middle[0], -middle[1])
+    inner = integrate_top(T, L)
+    gap = max(ma._abs(tuple(x - y for x, y in zip(direct, ibp))),
+              ma._abs(tuple(x - y for x, y in zip(direct, middle))))
+    sups = [sup_bound(u, K) for u in us]
+    return {"identity": "cutoff-mass-two-evaluations", "params": {"p": p, "n": n},
+            "pass": direct == middle == ibp and any(direct),
+            "mass_direct": ma._c(direct), "mass_middle": ma._c(middle), "mass_ibp": ma._c(ibp),
+            "agreement": gap / max(map(ma._abs, (direct, middle, ibp))) if gap else 0.0,
+            "mass_inner": ma._c(inner), "sup_norms": sups,
+            "empirical_C": ma._abs(inner) / prod(sups) if prod(sups) > 0 else None}
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("group", ["rightQH", "dense"])
+def test_cln_builds_the_record_of_every_jet(group, n):
+    # differential: the jets on demand against all C(2n, 2) jets, on the
+    # inputs cfx ma draws and on cubic ones, at every power p <= n
+    frame = TangentFrame(GroupSpec.right_qh(n)) if group == "rightQH" else _dense_right_frame(n)
+    naxes = len(frame.vars)
+    K, L = Region.cube(naxes, Fraction(1, 2)), Region.cube(naxes, Fraction(1, 4))
+    gen = SectionGenerator(50 + n)
+    drawn = [gen.spawn(i).psh_quadratic(frame.vars, 4 * n) for i in range(n)]
+    cubic = [u + gen.spawn(10 + i).poly(frame.vars, degree=3) for i, u in enumerate(drawn)]
+    for us in (drawn, cubic):
+        for p in range(1, n + 1):
+            got = cln_experiment(us[:p], K, L, frame)
+            assert got["pass"]
+            assert dumps(got) == dumps(reference_cln(us[:p], K, L, frame)), (p, us)
+
+
 def _reference_bound(u, region) -> Fraction:
     """sum (|re| + |im|) prod max(|low|, |high|) ** e, term by term."""
     total = Fraction(0)
@@ -694,6 +761,73 @@ def test_convergence_experiment_needs_two_steps(right2):
     for steps in (1, 0, -3):
         with pytest.raises(ValueError, match="at least 2 steps"):
             convergence_experiment(q, right2, Region.cube(11, Fraction(1, 4)), steps=steps)
+
+
+def approximation_masses(q: Poly, frame: TangentFrame, L: Region, steps: int) -> list:
+    """Exact real parts of the inner-region masses of u_j = q + (1/j) sum x^2,
+    j = 1..steps, one Fraction A + 2B/j + C/j^2 per step, A, B and C the
+    masses of tri q ^ tri q, tri q ^ tri sum x^2 and tri sum x^2 ^ tri sum x^2."""
+    tri_q, tri_sq = triangle(q, frame), triangle(squared_norm(frame), frame)
+    A, B, C = (integrate_top(F, L)[0]
+               for F in (tri_q.wedge(tri_q), tri_q.wedge(tri_sq), tri_sq.wedge(tri_sq)))
+    return [A + 2 * B / j + C / (j * j) for j in range(1, steps + 1)]
+
+
+def reference_convergence(masses: list) -> dict:
+    """The convergence report from the exact per-step masses, with every
+    successive difference a Fraction."""
+    steps = len(masses)
+    diffs = [abs(a - b) for a, b in zip(masses, masses[1:])]
+    monotone = all(d >= e for d, e in zip(diffs, diffs[1:]))
+    return {
+        "identity": "approximation-mass-convergence",
+        "params": {"steps": steps, "tol": float(CONVERGENCE_TOL)},
+        "pass": monotone and diffs[-1] < CONVERGENCE_TOL,
+        "masses": [float(m) for m in masses[:8]] + (["..."] if steps > 8 else []),
+        "final_difference": float(diffs[-1]),
+        "monotone": monotone,
+    }
+
+
+def _hex(report: dict) -> dict:
+    """The report with every float as its .hex() string."""
+    def hexed(x):
+        return x.hex() if isinstance(x, float) else x
+    return {key: [hexed(x) for x in value] if key == "masses" else
+            {k: hexed(v) for k, v in value.items()} if key == "params" else hexed(value)
+            for key, value in report.items()}
+
+
+CONVERGENCE_STEPS = [2, 3, 8, 9, 64, 10000]
+
+
+@pytest.mark.parametrize("group", ["rightQH", "dense"])
+def test_convergence_report_matches_the_per_step_differences(right2, group):
+    frame = right2 if group == "rightQH" else _dense_right_frame(2)
+    q = SectionGenerator(31).psh_quadratic(frame.vars, 8)
+    L = Region.cube(11, Fraction(1, 4))
+    masses = approximation_masses(q, frame, L, max(CONVERGENCE_STEPS))
+    for steps in CONVERGENCE_STEPS:
+        got = convergence_experiment(q, frame, L, steps)
+        assert _hex(got) == _hex(reference_convergence(masses[:steps])), steps
+
+
+def test_convergence_int_test_matches_the_per_step_differences_on_both_branches():
+    # chosen (A, B, C), over different denominators: N_j changes sign once
+    # for B and C of opposite signs, so the differences stop decaying
+    cases = [(Fraction(1), Fraction(1), Fraction(-10)),
+             (Fraction(-3, 7), Fraction(5, 11), Fraction(-40, 13)),
+             (Fraction(2, 9), Fraction(-1, 6), Fraction(7, 4)),
+             (Fraction(1, 3), Fraction(0), Fraction(5, 8)),
+             (Fraction(0), Fraction(0), Fraction(0))]
+    seen = set()
+    for A, B, C in cases:
+        masses = [A + 2 * B / j + C / (j * j) for j in range(1, max(CONVERGENCE_STEPS) + 1)]
+        for steps in CONVERGENCE_STEPS:
+            got = ma._convergence_report(A, B, C, steps)
+            assert _hex(got) == _hex(reference_convergence(masses[:steps])), (A, B, C, steps)
+            seen.add(got["monotone"])
+    assert seen == {True, False}
 
 
 @pytest.mark.parametrize("group", ["rightQH", "dense"])

@@ -1,14 +1,15 @@
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 import pytest
 
+from cfx import quadrature
 from cfx.boundary import TangentFrame
 from cfx.groups import GroupSpec
 from cfx.operators import FirstOrderOp
-from cfx.poly import Poly, add_term, pack, x_vars
-from cfx.quadrature import CutoffJet, integrate_jets, integrate_poly_box, integrate_poly_face
+from cfx.poly import Poly, add_term, pack, support, unpack, x_vars
+from cfx.quadrature import CutoffJet, integrate_jets, integrate_poly_box, integrate_poly_faces
 from cfx.randgen import SectionGenerator
 from test_operators import coeffs
 from test_poly import power, tuple_num
@@ -104,7 +105,40 @@ def test_box_integration_separable():
     assert integrate_poly_box(p, [0, 0, 0], [1, 1, 1]) == (Fraction(1, 3), 0)
 
 
-# -- integrate_poly_box / integrate_poly_face against a per-monomial closed form -----------
+# -- integrate_poly_box / integrate_poly_faces against a per-monomial closed form ----------
+
+
+def integrate_poly_face(p: Poly, lows, highs, axis: int, value) -> tuple:
+    """Exact integral over one box face (variable ``axis`` frozen at
+    ``value``), as its (re, im) pair of Fractions: the per-face reference
+    for ``integrate_poly_faces``, which takes two faces in one sum.
+
+    With value = r/s and E a bound on the powers of the axis, the frozen
+    axis takes the row x^e = r^e s^(E-e) / s^E in place of its moment table.
+    """
+    naxes = len(p.vars)
+    assert len(lows) == len(highs) == naxes and 0 <= axis < naxes
+    if not p.num:
+        return Fraction(0), Fraction(0)
+    value = Fraction(value)
+    r, s = value.numerator, value.denominator
+    den, tables = p.den, []
+    for a, top in enumerate(unpack(support(p.num), naxes)):
+        if a == axis:
+            table, d = [r ** e * s ** (top - e) for e in range(top + 1)], s ** top
+        else:
+            table, d = quadrature._moment_table(Fraction(lows[a]), Fraction(highs[a]), 1 + top)
+        tables.append(table)
+        den *= d
+    re, im = quadrature._moment_sum(p.num, tables)
+    return Fraction(re, den), Fraction(im, den)
+
+
+def faces_reference(p: Poly, lows, highs, axis: int) -> tuple:
+    """The high face minus the low face, each by :func:`integrate_poly_face`."""
+    high = integrate_poly_face(p, lows, highs, axis, highs[axis])
+    low = integrate_poly_face(p, lows, highs, axis, lows[axis])
+    return high[0] - low[0], high[1] - low[1]
 
 
 def _monomial_reference(p, lows, highs, frozen=None):
@@ -141,9 +175,12 @@ def test_box_and_face_integrals_equal_the_closed_form(seed):
     assert ComplexRational(*integrate_poly_box(p, lows, highs)) == \
         _monomial_reference(p, lows, highs)
     for axis in range(3):
-        for value in (lows[axis], highs[axis]):
-            want = _monomial_reference(p, lows, highs, frozen=(axis, value))
-            assert ComplexRational(*integrate_poly_face(p, lows, highs, axis, value)) == want
+        faces = []
+        for value in (highs[axis], lows[axis]):
+            faces.append(_monomial_reference(p, lows, highs, frozen=(axis, value)))
+            assert ComplexRational(*integrate_poly_face(p, lows, highs, axis, value)) == faces[-1]
+        assert ComplexRational(*integrate_poly_faces(p, lows, highs, axis)) == \
+            faces[0] - faces[1]
 
 
 def test_box_integral_of_zero_and_mismatched_box():
@@ -153,13 +190,51 @@ def test_box_integral_of_zero_and_mismatched_box():
     # a face axis past the table would leave every axis a moment table
     for axis in (-1, 3):
         with pytest.raises(ValueError, match="variable table"):
-            integrate_poly_face(Poly.var(V, "x1"), [0, 0, 0], [1, 1, 1], axis, 1)
+            integrate_poly_faces(Poly.var(V, "x1"), [0, 0, 0], [1, 1, 1], axis)
+
+
+def _face_case(rng, naxes: int) -> tuple:
+    """A box that is not centred, with bounds that are not dyadic (one low
+    of 0 in some draws), and a random polynomial carrying every power 0..6
+    of a random axis, each with random powers 0..3 of the others."""
+    lows, highs = [], []
+    for _ in range(naxes):
+        low = Fraction(rng.randint(-9, 6), rng.choice([3, 5, 7, 9])) if rng.random() < 0.8 \
+            else Fraction(0)
+        lows.append(low)
+        highs.append(low + Fraction(rng.randint(1, 9), rng.choice([3, 5, 7, 11])))
+    axis = rng.randrange(naxes)
+    variables = x_vars(naxes)
+    p = Poly.zero(variables)
+    for e in range(7):
+        expo = [rng.randint(0, 3) for _ in range(naxes)]
+        expo[axis] = e
+        p = p + Poly.monomial(variables, expo, (_rand_fraction(rng), _rand_fraction(rng)))
+    return p, lows, highs, axis
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_paired_faces_are_the_high_face_minus_the_low_face(seed):
+    # differential: one moment sum against the two per-face sums it replaces,
+    # on the whole polynomial and on each power x_axis^e, e = 0..6, alone
+    rng = random.Random(seed)
+    p, lows, highs, axis = _face_case(rng, rng.choice([1, 2, 3, 4]))
+    assert any(l + h for l, h in zip(lows, highs))
+    assert integrate_poly_faces(p, lows, highs, axis) == faces_reference(p, lows, highs, axis)
+    for e in range(7):
+        expo = [0] * len(p.vars)
+        expo[axis] = e
+        x_e = Poly.monomial(p.vars, expo, 1)
+        got = integrate_poly_faces(x_e, lows, highs, axis)
+        assert got == faces_reference(x_e, lows, highs, axis)
+        # the other axes integrate 1 to the side lengths
+        width = prod(h - l for a, (l, h) in enumerate(zip(lows, highs)) if a != axis)
+        assert got == (width * (highs[axis] ** e - lows[axis] ** e), 0)
 
 
 def substitute_axis(p: Poly, axis: int, value: Fraction) -> Poly:
     """Freeze one variable at a rational value (exact): the face polynomial
-    that ``integrate_poly_face`` integrated before it froze the axis in the
-    moment sum.
+    that :func:`integrate_poly_face` integrates without building it.
 
     With value = r/s and E the highest power of the axis, x^e becomes
     r^e s^(E-e) / s^E: every term stays over the one denominator den * s^E.
@@ -193,9 +268,13 @@ def test_face_integral_is_the_box_integral_of_the_frozen_polynomial(seed):
     for axis in range(3):
         unit_lows, unit_highs = list(lows), list(highs)
         unit_lows[axis], unit_highs[axis] = 0, 1
+        faces = {}
         for value in (lows[axis], highs[axis], Fraction(0), Fraction(-7, 3)):
-            want = integrate_poly_box(substitute_axis(p, axis, value), unit_lows, unit_highs)
-            assert integrate_poly_face(p, lows, highs, axis, value) == want
+            faces[value] = integrate_poly_box(substitute_axis(p, axis, value),
+                                              unit_lows, unit_highs)
+            assert integrate_poly_face(p, lows, highs, axis, value) == faces[value]
+        high, low = faces[highs[axis]], faces[lows[axis]]
+        assert integrate_poly_faces(p, lows, highs, axis) == (high[0] - low[0], high[1] - low[1])
 
 
 def _assert_canonical_poly(p):
@@ -232,9 +311,7 @@ def test_face_integration_matches_divergence():
     p = power(Poly.var(V, "x1"), 2) * Poly.var(V, "x2")
     dp = p.diff("x1")
     volume = integrate_poly_box(dp, [0, 0, 0], [1, 1, 1])
-    hi = integrate_poly_face(p, [0, 0, 0], [1, 1, 1], 0, Fraction(1))
-    lo = integrate_poly_face(p, [0, 0, 0], [1, 1, 1], 0, Fraction(0))
-    assert ComplexRational(*volume) == ComplexRational(*hi) - ComplexRational(*lo)
+    assert integrate_poly_faces(p, [0, 0, 0], [1, 1, 1], 0) == volume
 
 
 def test_uni_helpers():

@@ -63,12 +63,15 @@ MAX_U_EXPONENT = 1000
 
 
 def _read_json(path: str, parse):
-    """``parse`` of the JSON in the file at ``path``; an unreadable file is a ValueError."""
+    """``parse`` of the JSON in the file at ``path``; an unreadable file, or
+    one nested past the decoder's recursion limit, is a ValueError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return parse(json.load(fh))
     except (OSError, KeyError) as exc:
         raise ValueError(str(exc)) from None
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
 def _check_n(n: int) -> None:

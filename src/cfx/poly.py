@@ -386,17 +386,21 @@ class Poly:
     @classmethod
     def from_json(cls, data: dict) -> "Poly":
         """{"vars": [name, ...], "terms": [{"c": coefficient, "e": [int, ...]}, ...]},
-        each coefficient as :func:`rational.gaussian_from_json` reads it;
-        ValueError on any other shape."""
+        the names distinct strings, each coefficient as
+        :func:`rational.gaussian_from_json` reads it; ValueError on any other
+        shape."""
         try:
             terms = [(tuple(item["e"]), gaussian_from_json(item["c"]))
                      for item in data["terms"]]
             bad = [e for expo, _ in terms for e in expo if type(e) is not int]
             if bad:
                 raise ValueError(f"exponents must be JSON integers, not {bad[0]!r}")
-            if any(type(v) is not str for v in data["vars"]):
-                raise ValueError("variable names must be JSON strings")
-            return cls(tuple(data["vars"]), dict(terms))
+            names = data["vars"]
+            if type(names) is not list or any(type(v) is not str for v in names):
+                raise ValueError("vars must be a JSON list of strings")
+            if len(set(names)) != len(names):
+                raise ValueError(f"variable names must be distinct, not {names}")
+            return cls(tuple(names), dict(terms))
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed polynomial JSON: {exc!r}") from None
 

@@ -1,3 +1,28 @@
+"""Tests of the boundary complex on step-two groups.
+
+Each quantity checked against a slower construction has one reference here:
+
+- the tangential frame: ``ambient_tangential_fields``, the ambient fields
+  corrected to annihilate rho, in ``test_group_fields_match_ambient_projection``;
+- ``frak_d``: ``_reference_frak_d``, one basis wedge per row, in
+  ``test_frak_d_index_insertion_matches_the_basis_wedge``;
+- the curvature entries E_ab (``groups.curvature_entry``, ``curvature_form``):
+  ``restricted_curvature``, the ambient -d^0 d^1 rho on the tangential
+  indices, read by ``curvature_component``, in
+  ``test_curvature_matches_block_formulas`` (60 seeded groups) and in
+  ``tests/test_condition_h.py::test_integer_view_matches_the_fraction_brackets``
+  (its ``VIEW_CASES``);
+- ``boundary_D``: ``_reference_boundary_D``, its four branches written out, in
+  ``test_boundary_D_matches_four_branch_reference``;
+- ``anticommute_suite``: ``verify_anticommute``, in
+  ``test_anticommute_suite_matches_the_loop_reference``;
+- ``bracket_identity``: ``_reference_bracket_identity``, eight compositions per
+  row pair, in ``test_bracket_identity_matches_eight_composition_reference``;
+- ``subcomplex_D`` at level 0 and its adjoint: ``lead_first_operator`` and
+  ``reference_adjoint_compose``, in
+  ``test_level_zero_subcomplex_D_matches_the_written_out_operator``.
+"""
+
 import copy
 from fractions import Fraction
 

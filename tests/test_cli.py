@@ -538,6 +538,50 @@ def test_group_file_rows_must_be_json_lists(tmp_path, capsys, command, data):
     assert "malformed group JSON" in err
 
 
+NESTED = "[" * 1000 + "]" * 1000  # 2 KB, past the JSON decoder's recursion limit
+
+
+@pytest.mark.parametrize("command", [("classify", "--file"), ("verify", "boundary", "--file"),
+                                     ("ma", "--group", "rightQH", "--n", "1", "--u")],
+                         ids=["classify", "verify-boundary", "ma-u"])
+def test_deeply_nested_input_file_exits_2(tmp_path, capsys, command):
+    path = tmp_path / "nested.json"
+    path.write_text(NESTED)
+    code, out, err = run(capsys, *command, str(path))
+    _assert_input_error(code, out, err)
+    assert "nested too deeply" in err
+
+
+def _phi_record(variables) -> dict:
+    """|x|^2 on four x-variables, as a {"phi"} group file holds it."""
+    return {"phi": {"vars": variables,
+                    "terms": [{"c": "1", "e": [2 * (i == a) for i in range(4)]}
+                              for a in range(4)]}}
+
+
+PHI_VARS = {"string-vars": "x1x2x3x4", "dict-vars": {"x1": 0, "x2": 0, "x3": 0, "x4": 0},
+            "repeated-vars": ["x1", "x2", "x2", "x4"]}
+
+
+@pytest.mark.parametrize("name", sorted(PHI_VARS))
+def test_poly_json_vars_must_be_a_list_of_distinct_strings(tmp_path, capsys, name):
+    # a string's characters, a dict's keys or a repeated name are not a variable table
+    from cfx.poly import Poly
+
+    record = _phi_record(PHI_VARS[name])
+    with pytest.raises(ValueError, match="vars must be a JSON list|must be distinct"):
+        Poly.from_json(record["phi"])
+    path = tmp_path / "phi.json"
+    path.write_text(json.dumps(record))
+    code, out, err = run(capsys, "classify", "--file", str(path))
+    _assert_input_error(code, out, err)
+    assert "vars must be a JSON list" in err or "must be distinct" in err
+    path.write_text(json.dumps([record["phi"]]))
+    code, out, err = run(capsys, "ma", "--group", "rightQH", "--n", "1", "--u", str(path))
+    _assert_input_error(code, out, err)
+    assert "vars must be a JSON list" in err or "must be distinct" in err
+
+
 def test_group_json_keeps_string_and_integer_entries():
     from fractions import Fraction
     from cfx.groups import GroupSpec
@@ -1018,17 +1062,23 @@ def _number(lo, hi):
     return st.integers(lo, hi).map(str)
 
 
+# the files the fuzz reads, by name: a group file with string rows, JSON
+# nested past the decoder's limit, and a potential whose vars is one string
+FUZZ_FILES = {"string-rows.json": json.dumps(STRING_ROWS), "nested.json": NESTED,
+              "string-vars.json": json.dumps(_phi_record("x1x2x3x4"))}
+
 FUZZ_FLAGS = {
     "classify": {"--n": _number(-1, 2),
                  "--group": st.sampled_from(["rightQH", "leftQH", "abelian", "x"]),
                  "--condition-h": st.sampled_from(["exact", "sampled", "x"]),
-                 "--file": st.sampled_from(["missing/group.json", "string-rows.json"]),
+                 "--file": st.sampled_from(["missing/group.json", *FUZZ_FILES]),
                  "--format": st.sampled_from(["json", "csv"])},
     "verify": {"--n": _number(-1, 2), "--trials": _number(-1, 2), "--k": _number(-1, 3),
                "--seed": _number(0, 3), "--degree": _number(0, 7),
                "--group": st.sampled_from(["rightQH", "leftQH", "abelian"]),
                "--check": st.sampled_from(["all", "composition", "anticommute", "bracket",
                                            "hodge", "subcomplex", "x"]),
+               "--file": st.sampled_from(["missing/group.json", *FUZZ_FILES]),
                "--format": st.sampled_from(["json", "csv"])},
     "symbol": {"--n": _number(-1, 2), "--trials": _number(-1, 2), "--k": _number(-1, 3),
                "--seed": _number(0, 3),
@@ -1039,7 +1089,7 @@ FUZZ_FLAGS = {
            "--convergence": _number(-1, 3),
            "--halfwidth": st.sampled_from(["1/2", "1", "0", "-1", "1/0", "x"]),
            "--group": st.sampled_from(["rightQH", "leftQH", "abelian"]),
-           "--u": st.just("missing/u.json")},
+           "--u": st.sampled_from(["missing/u.json", *FUZZ_FILES])},
 }
 
 
@@ -1063,16 +1113,17 @@ def cli_argv(draw):
 
 @pytest.fixture(scope="module")
 def fuzz_files(tmp_path_factory):
-    """Directory of the one group file the fuzz reads: string-rows.json."""
+    """Directory of the ``FUZZ_FILES``."""
     directory = tmp_path_factory.mktemp("fuzz")
-    (directory / "string-rows.json").write_text(json.dumps(STRING_ROWS))
+    for name, text in FUZZ_FILES.items():
+        (directory / name).write_text(text)
     return directory
 
 
 @given(argv=cli_argv())
 @settings(max_examples=50, deadline=None)
 def test_fuzz_cli_ends_in_a_documented_exit_code(fuzz_files, argv):
-    argv = [str(fuzz_files / a) if a == "string-rows.json" else a for a in argv]
+    argv = [str(fuzz_files / a) if a in FUZZ_FILES else a for a in argv]
     err = io.StringIO()
     try:
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):

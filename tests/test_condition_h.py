@@ -8,7 +8,10 @@ package's Pfaffians (``tests/test_linalg.py`` checks each against a slower one):
 - pencil det at a ``sphere_grid`` point: ``bareiss_det`` on the int-cleared pencil;
 - Pfaffian there: ``expansion_pfaffian`` on the same pencil;
 - symbolic det, where exact mode needs it: ``cofactor_det`` on the ``Poly`` pencil;
-- rank: ``dense_bareiss``.
+- rank: ``dense_rank``;
+- curvature entries E_ab of the ``VIEW_CASES``: ``restricted_curvature`` from
+  ``tests/test_boundary.py``, the ambient -d^0 d^1 rho, never the block
+  formulas of ``curvature_entry``, in ``test_integer_view_matches_the_fraction_brackets``.
 """
 
 import math
@@ -24,9 +27,9 @@ from cfx.groups import (GroupSpec, I_MATS, block_diag, check_condition_H, classi
                         is_stratified, mat, mat_mul)
 from cfx.poly import Poly, x_vars
 from cfx.randgen import SectionGenerator
-from test_groups import (package_brackets, reference_horizontal_fields, reference_is_right_type,
-                         s_block)
-from test_linalg import (LAM, central_pairing_det, cofactor_det, dense_bareiss,
+from test_boundary import curvature_component, restricted_curvature
+from test_groups import package_brackets, reference_horizontal_fields, reference_is_right_type
+from test_linalg import (LAM, central_pairing_det, cofactor_det, dense_rank,
                          expansion_pfaffian, int_pencil, pencil_at, reference_brackets,
                          symbolic_pencil)
 from test_operators import coeffs
@@ -245,20 +248,6 @@ def test_brackets_and_fields_match_dense_products(n):
 # -- the one integer view (den, den S) against the Fraction bracket matrices --------------
 
 
-def reference_curvature_entry(g, a, b):
-    """E_ab from the Fraction blocks of S, term by term."""
-    s = s_block(g, a // 2, b // 2)
-    if a % 2 == 0 and b % 2 == 0:
-        return ComplexRational(s[2][0] - s[0][2] - s[3][1] + s[1][3],
-                               -(s[0][3] - s[3][0] + s[1][2] - s[2][1]))
-    if a % 2 == 1 and b % 2 == 1:
-        return reference_curvature_entry(g, a - 1, b - 1).conjugate()
-    if a % 2 == 0 and b % 2 == 1:
-        return ComplexRational(s[0][0] + s[1][1] + s[2][2] + s[3][3],
-                               s[3][2] - s[2][3] - s[0][1] + s[1][0])
-    return -reference_curvature_entry(g, b, a)
-
-
 def _scaled(S, den):
     return [[Fraction(x) / den for x in row] for row in S]
 
@@ -326,14 +315,15 @@ def test_integer_view_matches_the_fraction_brackets(name):
     assert is_right_type(g) == reference_is_right_type(g)
     _, ints = int_pencil(brackets)
     rows = [[(b[a][c], 0) for b in ints] for a in range(size) for c in range(a + 1, size)]
-    assert is_stratified(g) == (dense_bareiss(rows) == 3)
+    assert is_stratified(g) == (dense_rank(rows) == 3)
     for X, Y in zip(horizontal_fields(g), reference_horizontal_fields(g), strict=True):
         assert list(coeffs(X)) == list(coeffs(Y))
         for v, p in coeffs(X).items():
             assert p == coeffs(Y)[v] and list(p.num.items()) == list(coeffs(Y)[v].num.items())
+    E = restricted_curvature(g)
     for a in range(2 * g.n):
         for b in range(2 * g.n):
-            assert ComplexRational(*curvature_entry(g, a, b)) == reference_curvature_entry(g, a, b)
+            assert ComplexRational(*curvature_entry(g, a, b)) == curvature_component(E, a, b)
     for resolution in (2, 3, 4, 5):
         values = grid_dets(name, resolution)
         sampled = reference_condition_H(values, resolution)

@@ -189,8 +189,8 @@ CACHES = {
         "exterior.insertions"},
     "the slot rule: 6.2-6.6 ms over the 1118 flat_D calls of a run, 2.3-2.4% of flat": {
         "spinor.LevelTable.slot_rule"},
-    "the moment tables: 2.0-2.2 ms over the 2212 _moment_table calls of a run, "
-    "1.0-1.5% of boundary-ma": {"quadrature._moments"},
+    "the moment tables: 1.3-3.0 ms over the 1395 and 1402 _moment_table calls (9 and 8 "
+    "tables) of a run, 0.7-1.9% of boundary-ma": {"quadrature._moments"},
     "condition H's direction grid: 0.30-0.35 ms a rebuild, 7.6% of symbol-classify": {
         "groups._direction_grid"},
     "the integer view of a group: 6.5-6.7 and 1.5-2.7 ms over the 375 and 54 reads of "

@@ -8,7 +8,7 @@ it is checked against follows the arrow:
   ``central_pairing_det``) -> ``cofactor_det``;
 - Pfaffian: ``expansion_pfaffian`` -> its square is ``cofactor_det``;
 - symbolic det: ``cofactor_det`` on the ``Poly`` pencil -> the pencil det on a grid;
-- rank: ``dense_bareiss`` -> ``minor_rank``.
+- rank: ``dense_rank`` -> ``minor_rank``.
 
 The package's ``linalg.bareiss`` and ``linalg.pfaffian`` are tested against them.
 """
@@ -76,48 +76,54 @@ def bareiss_det(m):
     return sign * m[-1][-1] if size else 1
 
 
-def dense_bareiss(rows) -> int:
-    """Rank of a dense matrix of ``(re, im)`` int pairs, by fraction-free
-    elimination over the Gaussian integers: the reference for the sparse
-    ``linalg.bareiss``.
+P = 2 ** 61 - 1  # a prime with P % 4 == 3: -1 is no square mod P
 
-    Forward elimination with row swaps that skips columns without a pivot.
-    With p the pivot, f a lower row's entry in the pivot column, y the pivot
-    row's entry in column c and p' the previous pivot (1 at first), the
-    lower row's entry x in column c becomes (p x - f y) / p', an exact
-    quotient taken as a product with the conjugate of p' and a floor
-    division by the norm of p'.
+
+def dense_rank(rows) -> int:
+    """Rank of a dense matrix of ``(re, im)`` int pairs: the reference for
+    the sparse ``linalg.bareiss``.
+
+    Gaussian elimination over the field Z[i] / (P) of P^2 elements, with
+    entries as (re, im) residue pairs: -1 is no square mod P, so P stays
+    prime in Z[i] and every nonzero pair is invertible, (a + bi)^-1 =
+    (a - bi) / (a^2 + b^2).  Reduction mod P maps each minor of the matrix
+    to the same minor of its image, so this rank is never above the rank
+    over Q(i), and falls below it only if P divides every nonzero minor of
+    the largest size (``minor_rank`` checks it exactly on small matrices).
+    Forward elimination with row swaps that skips columns without a pivot;
+    a row with 0 in the pivot column is left as it is.  The residues stay
+    below 2^61, where the fraction-free elimination's entries grew to
+    minors of hundreds of bits.
     """
-    re = [[x for x, _ in row] for row in rows]
-    im = [[y for _, y in row] for row in rows]
+    re = [[x % P for x, _ in row] for row in rows]
+    im = [[y % P for _, y in row] for row in rows]
     size = len(re)
     cols = len(re[0]) if re else 0
     rank = 0
-    pr, pi = 1, 0  # the previous pivot
     for col in range(cols):
         if rank == size:
             break
         pivot = next((r for r in range(rank, size) if re[r][col] or im[r][col]), None)
         if pivot is None:
             continue
-        if pivot != rank:
-            re[rank], re[pivot] = re[pivot], re[rank]
-            im[rank], im[pivot] = im[pivot], im[rank]
+        re[rank], re[pivot] = re[pivot], re[rank]
+        im[rank], im[pivot] = im[pivot], im[rank]
         yre, yim = re[rank], im[rank]
-        norm = pr * pr + pi * pi
-        # p and f times the conjugate of p'
-        ar = yre[col] * pr + yim[col] * pi
-        ai = yim[col] * pr - yre[col] * pi
+        a, b = yre[col], yim[col]
+        inv = pow(a * a + b * b, -1, P)
+        ar, ai = a * inv % P, -b * inv % P
+        # the pivot row's entries right of the pivot, where it is not 0
+        ys = [c for c in range(col + 1, cols) if yre[c] or yim[c]]
         for r in range(rank + 1, size):
             xre, xim = re[r], im[r]
-            fr = xre[col] * pr + xim[col] * pi
-            fi = xim[col] * pr - xre[col] * pi
-            for c in range(col + 1, cols):
-                xr, xi, yr, yi = xre[c], xim[c], yre[c], yim[c]
-                if xr or xi or yr or yi:
-                    xre[c] = (ar * xr - ai * xi - fr * yr + fi * yi) // norm
-                    xim[c] = (ar * xi + ai * xr - fr * yi - fi * yr) // norm
-        pr, pi = yre[col], yim[col]
+            xr, xi = xre[col], xim[col]
+            if xr or xi:
+                # x -= f y with f = x[col] / pivot
+                fr, fi = (xr * ar - xi * ai) % P, (xr * ai + xi * ar) % P
+                for c in ys:
+                    yr, yi = yre[c], yim[c]
+                    xre[c] = (xre[c] - fr * yr + fi * yi) % P
+                    xim[c] = (xim[c] - fr * yi - fi * yr) % P
         rank += 1
     return rank
 
@@ -258,9 +264,20 @@ def test_bareiss_matches_brute_force(entry, seed):
     for m in cases(entry, seed):
         rows = gaussian_rows(m)
         rank = bareiss(sparse(rows))
-        assert type(rank) is int and rank == minor_rank(m) == dense_bareiss(rows)
+        assert type(rank) is int and rank == minor_rank(m) == dense_rank(rows)
         deficient += len(m) == len(m[0]) and rank < len(m)
     assert deficient >= 10
+
+
+def test_dense_rank_works_in_a_field():
+    # Lucas-Lehmer: 2^61 - 1 is prime; with P % 4 == 3, -1 is no square
+    # mod P (Euler's criterion), so Z[i] / (P) is a field
+    s = 4
+    for _ in range(61 - 2):
+        s = (s * s - 2) % P
+    assert s == 0 and P % 4 == 3
+    # a minor divisible by P is nonzero over Q(i) and 0 mod P: the rank falls
+    assert dense_rank([[(P, 0)]]) == 0 and dense_rank([[(P, 1)]]) == 1
 
 
 def test_bareiss_leaves_its_input_alone():
@@ -277,7 +294,7 @@ def test_bareiss_edge_cases():
                     ([[zero, (1, 0)], [zero, (5, 0)], [zero, (-1, 0)]], 1),  # a zero column
                     ([[(0, 1)]], 1),
                     ([[zero, (1, 0)], [(1, 0), zero]], 2)]:  # a zero leading entry
-        assert bareiss(sparse(m)) == dense_bareiss(m) == rank
+        assert bareiss(sparse(m)) == dense_rank(m) == rank
 
 
 def gaussian_product(a, b):
@@ -331,7 +348,7 @@ def test_sparse_bareiss_matches_the_dense_reference():
     for m in gaussian_cases(11):
         rows = sparse(m)
         rank = bareiss(rows)
-        assert rank == dense_bareiss(m), (len(m), len(m[0]) if m else 0)
+        assert rank == dense_rank(m), (len(m), len(m[0]) if m else 0)
         assert rows == sparse(m)
         deficient += rank < min(len(m), len(m[0]) if m else 0)
     assert deficient >= 30
@@ -353,7 +370,7 @@ def test_bareiss_rank_is_invariant(m, rng):
     # the rank is that of the matrix, not of the rows and columns' order or
     # of an invertible row operation
     rank = rank_of(m)
-    assert rank <= min(len(m), len(m[0])) and rank == dense_bareiss(m)
+    assert rank <= min(len(m), len(m[0])) and rank == dense_rank(m)
     rows, cols = list(range(len(m))), list(range(len(m[0])))
     rng.shuffle(rows)
     rng.shuffle(cols)

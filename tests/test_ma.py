@@ -1,3 +1,22 @@
+"""Tests of the Monge-Ampere experiments of ``cfx ma``.
+
+Each quantity checked against a slower construction has one reference here:
+
+- the wedge power of the inputs' degree-2 forms: ``ma_power``, in the
+  ``test_ma_power_*`` tests and ``test_key_identity_linear_first_input``;
+- the Stokes face term: ``_reference_face_sum``, the row coefficients of
+  ``_z_rho_on_face`` integrated face by face by the closed form
+  ``monomial_reference`` of ``tests/test_quadrature.py``, in
+  ``test_stokes_face_term_matches_the_reference``;
+- the cutoff-mass record: ``reference_cln``, with every degree-2 cutoff jet
+  built, in ``test_cln_builds_the_record_of_every_jet``;
+- the sup bound: ``_reference_bound``, term by term, in the ``test_sup_norm_*``
+  tests; on the quadratics ``cfx ma`` draws it is the exact corner maximum
+  ``_corner_max``, in ``test_sup_bound_is_the_corner_maximum_on_drawn_quadratics``;
+- the convergence record: ``reference_convergence`` on the per-step masses
+  of ``approximation_masses``, in the ``test_convergence_*`` tests.
+"""
+
 import logging
 import random
 from fractions import Fraction
@@ -22,7 +41,7 @@ from cfx.reports import dumps
 from test_exterior import basis_form
 from test_operators import coeffs
 from test_poly import power
-from test_quadrature import bump_factor, integrate_poly_face, uni_diff
+from test_quadrature import bump_factor, monomial_reference, uni_diff
 from test_rational import ZERO, ComplexRational, pair, terms
 
 
@@ -326,7 +345,7 @@ def test_stokes_check_builds_each_moment_table_once(right2):
 
 def test_stokes_without_one_face_fails(right2, monkeypatch):
     # mutation: the first axis whose face pair is not 0 keeps only its high
-    # face, by the per-face reference, and the residual is no longer 0; on a
+    # face, by the closed form, and the residual is no longer 0; on a
     # centred and on an off-centre box
     gen = SectionGenerator(6, degree=4)
     h = gen.poly(right2.vars)
@@ -338,7 +357,7 @@ def test_stokes_without_one_face_fails(right2, monkeypatch):
         got = integrate_poly_faces(p, lows, highs, axis)
         if any(got) and not dropped:
             dropped.append(axis)
-            return integrate_poly_face(p, lows, highs, axis, highs[axis])
+            return pair(monomial_reference(p, lows, highs, frozen=(axis, highs[axis])))
         return got
 
     monkeypatch.setattr(ma, "integrate_poly_faces", without_the_low_face)
@@ -396,7 +415,7 @@ def _reference_face_sum(h: Poly, T: ExtForm, region: Region, frame: TangentFrame
             for a in range(frame.dim):
                 face = face + h * hat_component(T, a) * _z_rho_on_face(frame, a, aprime,
                                                                        axis, side)
-            total += integrate_poly_face(face, region.lows, region.highs, axis, value)
+            total += monomial_reference(face, region.lows, region.highs, frozen=(axis, value))
     return total
 
 

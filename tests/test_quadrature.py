@@ -1,24 +1,43 @@
+"""Differential tests of the exact box quadrature.
+
+Each quantity has one reference, a closed form that reads no package kernel:
+
+- box integral (``integrate_poly_box``): ``monomial_reference``, each monomial
+  as prod (b^(e+1) - a^(e+1)) / (e+1), in ``test_box_and_face_integrals_equal_the_closed_form``;
+- face pair (``integrate_poly_faces``): ``monomial_reference`` with the axis
+  frozen at the high face minus the same at the low face, in
+  ``test_box_and_face_integrals_equal_the_closed_form``,
+  ``test_paired_faces_are_the_high_face_minus_the_low_face`` and
+  ``test_face_integral_is_the_box_integral_of_the_frozen_polynomial``
+  (``tests/test_ma.py`` reads it for the Stokes face term);
+- cutoff-jet integral (``integrate_jets``): ``ReferenceSum``, the bump and
+  its derivatives expanded by hand into univariate factors, each integrated
+  by ``uni_integral``, in ``test_separable_sum_against_expanded``,
+  ``test_integrate_box_matches_per_term_reference`` and
+  ``test_integer_sum_matches_the_fraction_reference``.
+"""
+
 import random
 from fractions import Fraction
-from math import gcd, prod
+from functools import cache
+from math import prod
 
 import pytest
 
-from cfx import quadrature
 from cfx.boundary import TangentFrame
 from cfx.groups import GroupSpec
 from cfx.operators import FirstOrderOp
-from cfx.poly import Poly, add_term, pack, support, unpack, x_vars
+from cfx.poly import Poly, x_vars
 from cfx.quadrature import CutoffJet, integrate_jets, integrate_poly_box, integrate_poly_faces
 from cfx.randgen import SectionGenerator
 from test_operators import coeffs
-from test_poly import power, tuple_num
-from test_rational import ComplexRational, cq, pair, terms
+from test_poly import power
+from test_rational import ComplexRational, cq, terms
 
 V = x_vars(3)
 
 
-# -- the Fraction reference: univariate helpers and the term-list sum ------------------------
+# -- the Fraction reference: univariate helpers and the factored sum -------------------------
 
 
 def uni_mul_x(coeffs: tuple, power: int) -> tuple:
@@ -35,69 +54,99 @@ def uni_integral(coeffs: tuple, a, b) -> Fraction:
                 for i, c in enumerate(coeffs) if c), Fraction(0))
 
 
+# every univariate factor, a tuple of Fractions (lowest power first, no zero
+# top coefficient), is stored once and named by its index, so that the sums
+# below hash ints, not Fractions; index 0 is the zero factor ()
+_FACTORS: list = [()]
+_INDEX: dict = {(): 0}
+
+
+def factor_index(factor: tuple) -> int:
+    """The index of a univariate factor."""
+    top = len(factor)
+    while top and not factor[top - 1]:
+        top -= 1
+    factor = tuple(factor[:top])
+    if factor not in _INDEX:
+        _INDEX[factor] = len(_FACTORS)
+        _FACTORS.append(factor)
+    return _INDEX[factor]
+
+
+@cache
+def _diff(i: int) -> int:
+    return factor_index(uni_diff(_FACTORS[i]))
+
+
+@cache
+def _times_x(i: int, e: int) -> int:
+    return factor_index(uni_mul_x(_FACTORS[i], e))
+
+
 class ReferenceSum:
-    """A ComplexRational term list of factored functions: terms are
-    (coefficient, {axis: tuple of Fractions}) and nothing is merged.  With
-    the bump factors below it holds a cutoff jet expanded by hand."""
+    """sum c * prod_axis f_axis(x_axis) over ComplexRational coefficients c:
+    ``terms`` maps the tuple of factor indices, one per axis, to its nonzero
+    c, so terms with equal factors merge and a term with a zero factor is
+    dropped.  With the bump factors below it
+    holds a cutoff jet expanded by hand."""
 
-    def __init__(self, naxes: int, terms=None):
+    def __init__(self, naxes: int, terms=()):
         self.naxes = naxes
-        self.terms = list(terms or [])
+        self.terms = {}
+        for factors, c in terms:
+            self._add(factors, c)
 
-    @classmethod
-    def zero(cls, naxes: int) -> "ReferenceSum":
-        return cls(naxes, [])
+    def _add(self, factors: tuple, c) -> None:
+        if all(factors):
+            total = self.terms.pop(factors, cq(0)) + c
+            if total:
+                self.terms[factors] = total
 
     def __add__(self, other):
-        return ReferenceSum(self.naxes, self.terms + other.terms)
-
-    def scale(self, value):
-        value = cq(value)
-        return ReferenceSum(self.naxes, [(c * value, f) for c, f in self.terms])
+        return ReferenceSum(self.naxes, [*self.terms.items(), *other.terms.items()])
 
     def __neg__(self):
-        return self.scale(-1)
+        return ReferenceSum(self.naxes, [(f, -c) for f, c in self.terms.items()])
 
     def __sub__(self, other):
         return self + (-other)
 
-    def mul_monomial(self, expo, coeff):
-        coeff = cq(coeff)
-        out = []
-        for c, factors in self.terms:
-            new = dict(factors)
-            for axis, e in enumerate(expo):
-                if e:
-                    new[axis] = uni_mul_x(new.get(axis, (Fraction(1),)), e)
-            out.append((c * coeff, new))
-        return ReferenceSum(self.naxes, out)
-
-    def diff_axis(self, axis: int):
-        out = []
-        for c, factors in self.terms:
-            base = factors.get(axis)
-            if base is None:
-                continue
-            d = uni_diff(base)
-            if all(x == 0 for x in d):
-                continue
-            new = dict(factors)
-            new[axis] = d
-            out.append((c, new))
-        return ReferenceSum(self.naxes, out)
-
     def apply_op(self, op, axis_of):
-        out = ReferenceSum.zero(self.naxes)
+        """sum_v c_v d_v of the sum, c_v a polynomial: for each term and
+        variable, the factor of the variable's axis differentiated, times
+        each monomial of c_v, a power of x on every axis."""
+        out = ReferenceSum(self.naxes)
         for var, coeff_poly in coeffs(op).items():
-            d = self.diff_axis(axis_of[var])
-            if not d.terms:
-                continue
-            for expo, c in terms(coeff_poly).items():
-                out = out + d.mul_monomial(expo, c)
+            axis = axis_of[var]
+            for factors, c in self.terms.items():
+                d = factors[:axis] + (_diff(factors[axis]),) + factors[axis + 1:]
+                for expo, w in terms(coeff_poly).items():
+                    out._add(tuple(_times_x(f, e) for f, e in zip(d, expo)), c * w)
         return out
 
     def integrate_box(self, lows, highs, weight=None):
-        return _reference_integrate(self, lows, highs, weight)
+        """sum_terms c * sum_monomials w * prod_axis int x^e f_axis, each
+        univariate integral by ``uni_integral``, once per axis, factor and e."""
+        monomials = [((0,) * self.naxes, cq(1))] if weight is None else terms(weight).items()
+        moments = {}  # (axis, factor, e) -> the integral's (numerator, denominator)
+        total = cq(0)
+        for expo, w in monomials:
+            re = im = Fraction(0)
+            for factors, c in self.terms.items():
+                num = den = 1
+                for key in zip(range(self.naxes), factors, expo):
+                    if key not in moments:
+                        axis, f, e = key
+                        m = uni_integral(uni_mul_x(_FACTORS[f], e), lows[axis], highs[axis])
+                        moments[key] = m.numerator, m.denominator
+                    m, d = moments[key]
+                    num *= m
+                    den *= d
+                value = Fraction(num, den)
+                re += c.re * value
+                im += c.im * value
+            total = total + w * ComplexRational(re, im)
+        return total
 
 
 def test_box_integration_separable():
@@ -108,42 +157,10 @@ def test_box_integration_separable():
 # -- integrate_poly_box / integrate_poly_faces against a per-monomial closed form ----------
 
 
-def integrate_poly_face(p: Poly, lows, highs, axis: int, value) -> tuple:
-    """Exact integral over one box face (variable ``axis`` frozen at
-    ``value``), as its (re, im) pair of Fractions: the per-face reference
-    for ``integrate_poly_faces``, which takes two faces in one sum.
-
-    With value = r/s and E a bound on the powers of the axis, the frozen
-    axis takes the row x^e = r^e s^(E-e) / s^E in place of its moment table.
-    """
-    naxes = len(p.vars)
-    assert len(lows) == len(highs) == naxes and 0 <= axis < naxes
-    if not p.num:
-        return Fraction(0), Fraction(0)
-    value = Fraction(value)
-    r, s = value.numerator, value.denominator
-    den, tables = p.den, []
-    for a, top in enumerate(unpack(support(p.num), naxes)):
-        if a == axis:
-            table, d = [r ** e * s ** (top - e) for e in range(top + 1)], s ** top
-        else:
-            table, d = quadrature._moment_table(Fraction(lows[a]), Fraction(highs[a]), 1 + top)
-        tables.append(table)
-        den *= d
-    re, im = quadrature._moment_sum(p.num, tables)
-    return Fraction(re, den), Fraction(im, den)
-
-
-def faces_reference(p: Poly, lows, highs, axis: int) -> tuple:
-    """The high face minus the low face, each by :func:`integrate_poly_face`."""
-    high = integrate_poly_face(p, lows, highs, axis, highs[axis])
-    low = integrate_poly_face(p, lows, highs, axis, lows[axis])
-    return high[0] - low[0], high[1] - low[1]
-
-
-def _monomial_reference(p, lows, highs, frozen=None):
+def monomial_reference(p, lows, highs, frozen=None) -> ComplexRational:
     """The exact sum of c * prod_i (b_i^(e_i+1) - a_i^(e_i+1)) / (e_i+1);
-    a ``frozen`` (axis, value) pair evaluates that axis at the value instead."""
+    a ``frozen`` (axis, value) pair evaluates that axis at the value instead,
+    which is the integral over the face x_axis = value."""
     re = im = Fraction(0)
     for expo, c in terms(p).items():
         prod = Fraction(1)
@@ -156,6 +173,13 @@ def _monomial_reference(p, lows, highs, frozen=None):
         re += c.re * prod
         im += c.im * prod
     return ComplexRational(re, im)
+
+
+def face_pair_reference(p, lows, highs, axis: int) -> ComplexRational:
+    """The face x_axis = high minus the face x_axis = low, each by
+    :func:`monomial_reference`."""
+    return (monomial_reference(p, lows, highs, frozen=(axis, highs[axis]))
+            - monomial_reference(p, lows, highs, frozen=(axis, lows[axis])))
 
 
 def _random_poly(rng, variables, terms, max_exp=5):
@@ -173,14 +197,10 @@ def test_box_and_face_integrals_equal_the_closed_form(seed):
     lows = [Fraction(-3, 4), Fraction(1, 3), Fraction(-2, 7)]
     highs = [Fraction(1, 2), Fraction(5, 3), Fraction(9, 5)]
     assert ComplexRational(*integrate_poly_box(p, lows, highs)) == \
-        _monomial_reference(p, lows, highs)
+        monomial_reference(p, lows, highs)
     for axis in range(3):
-        faces = []
-        for value in (highs[axis], lows[axis]):
-            faces.append(_monomial_reference(p, lows, highs, frozen=(axis, value)))
-            assert ComplexRational(*integrate_poly_face(p, lows, highs, axis, value)) == faces[-1]
         assert ComplexRational(*integrate_poly_faces(p, lows, highs, axis)) == \
-            faces[0] - faces[1]
+            face_pair_reference(p, lows, highs, axis)
 
 
 def test_box_integral_of_zero_and_mismatched_box():
@@ -215,95 +235,39 @@ def _face_case(rng, naxes: int) -> tuple:
 
 @pytest.mark.parametrize("seed", range(12))
 def test_paired_faces_are_the_high_face_minus_the_low_face(seed):
-    # differential: one moment sum against the two per-face sums it replaces,
-    # on the whole polynomial and on each power x_axis^e, e = 0..6, alone
+    # one moment sum against the two faces by the closed form, on the whole
+    # polynomial and on each power x_axis^e, e = 0..6, alone
     rng = random.Random(seed)
     p, lows, highs, axis = _face_case(rng, rng.choice([1, 2, 3, 4]))
     assert any(l + h for l, h in zip(lows, highs))
-    assert integrate_poly_faces(p, lows, highs, axis) == faces_reference(p, lows, highs, axis)
+    assert ComplexRational(*integrate_poly_faces(p, lows, highs, axis)) == \
+        face_pair_reference(p, lows, highs, axis)
     for e in range(7):
         expo = [0] * len(p.vars)
         expo[axis] = e
         x_e = Poly.monomial(p.vars, expo, 1)
         got = integrate_poly_faces(x_e, lows, highs, axis)
-        assert got == faces_reference(x_e, lows, highs, axis)
+        assert ComplexRational(*got) == face_pair_reference(x_e, lows, highs, axis)
         # the other axes integrate 1 to the side lengths
         width = prod(h - l for a, (l, h) in enumerate(zip(lows, highs)) if a != axis)
         assert got == (width * (highs[axis] ** e - lows[axis] ** e), 0)
 
 
-def substitute_axis(p: Poly, axis: int, value: Fraction) -> Poly:
-    """Freeze one variable at a rational value (exact): the face polynomial
-    that :func:`integrate_poly_face` integrates without building it.
-
-    With value = r/s and E the highest power of the axis, x^e becomes
-    r^e s^(E-e) / s^E: every term stays over the one denominator den * s^E.
-    """
-    value = Fraction(value)
-    r, s = value.numerator, value.denominator
-    num = tuple_num(p)
-    top = max((expo[axis] for expo in num), default=0)
-    out: dict = {}
-    for expo, (re, im) in num.items():
-        e = expo[axis]
-        w = r ** e * s ** (top - e)
-        add_term(out, pack(expo[:axis] + (0,) + expo[axis + 1:]), re * w, im * w)
-    return Poly._make(p.vars, out, p.den * s ** top)
-
-
-def test_substitute_axis_exact():
-    p = Poly.var(V, "x1") * Poly.var(V, "x2") + power(Poly.var(V, "x1"), 2)
-    q = substitute_axis(p, 0, Fraction(1, 2))
-    assert q == Poly.var(V, "x2").scale(Fraction(1, 2)) + Poly.const(V, Fraction(1, 4))
-
-
 @pytest.mark.parametrize("seed", range(6))
 def test_face_integral_is_the_box_integral_of_the_frozen_polynomial(seed):
-    # the reference route: freeze the axis in a Poly, then integrate over the
-    # box with the frozen axis spanning [0, 1], where x^0 integrates to 1
+    # the face pair with its low face at the box's low bound, at 0 (every
+    # term with the axis drops out) and at -7/3, below every box: the row
+    # H^e - L^e of the frozen axis at L = 0 and at a negative L
     rng = random.Random(seed)
     p = _random_poly(rng, V, terms=rng.randint(1, 8))
     lows = [Fraction(-3, 4), Fraction(1, 3), Fraction(-2, 7)]
     highs = [Fraction(1, 2), Fraction(5, 3), Fraction(9, 5)]
     for axis in range(3):
-        unit_lows, unit_highs = list(lows), list(highs)
-        unit_lows[axis], unit_highs[axis] = 0, 1
-        faces = {}
-        for value in (lows[axis], highs[axis], Fraction(0), Fraction(-7, 3)):
-            faces[value] = integrate_poly_box(substitute_axis(p, axis, value),
-                                              unit_lows, unit_highs)
-            assert integrate_poly_face(p, lows, highs, axis, value) == faces[value]
-        high, low = faces[highs[axis]], faces[lows[axis]]
-        assert integrate_poly_faces(p, lows, highs, axis) == (high[0] - low[0], high[1] - low[1])
-
-
-def _assert_canonical_poly(p):
-    assert p.den > 0 and (p.num or p.den == 1)
-    g = p.den
-    for re, im in p.num.values():
-        assert (re, im) != (0, 0)
-        g = gcd(g, re, im)
-    assert g == 1 or not p.num
-
-
-@pytest.mark.parametrize("seed", range(6))
-def test_substitute_axis_at_zero_stores_no_zero_numerator(seed):
-    # at the value 0 every term with the axis gets weight 0, and none may be
-    # stored as a (0, 0) numerator
-    rng = random.Random(seed)
-    p = _random_poly(rng, V, terms=rng.randint(1, 8), max_exp=3)
-    for axis in range(3):
-        q = substitute_axis(p, axis, Fraction(0))
-        _assert_canonical_poly(q)
-        want = {e: c for e, c in terms(p).items() if not e[axis]}
-        assert q == Poly(V, {e: pair(c) for e, c in want.items()})
-    x1, x2 = Poly.var(V, "x1"), Poly.var(V, "x2")
-    p = x1 * x2 - x2.scale(2)
-    assert substitute_axis(p, 0, Fraction(0)) == x2.scale(-2)
-    # at 2 the two terms land on one key and cancel: the key is deleted
-    q = substitute_axis(p, 0, Fraction(2))
-    _assert_canonical_poly(q)
-    assert q.num == {} and q.den == 1
+        for value in (lows[axis], Fraction(0), Fraction(-7, 3)):
+            box = list(lows)
+            box[axis] = value
+            assert ComplexRational(*integrate_poly_faces(p, box, highs, axis)) == \
+                face_pair_reference(p, box, highs, axis)
 
 
 def test_face_integration_matches_divergence():
@@ -319,7 +283,7 @@ def test_uni_helpers():
     assert uni_integral((Fraction(0), Fraction(1)), 0, 2) == 2
 
 
-# -- the cutoff by hand: the bump factor, the expanded bump and the reference jet ------------
+# -- the cutoff by hand: the bump factor, the bump and the reference jet --------------------
 
 
 def bump_factor(low, high) -> tuple:
@@ -335,8 +299,8 @@ def bump_factor(low, high) -> tuple:
 
 def reference_bump(lows, highs) -> ReferenceSum:
     """The bump of the box as one product term."""
-    return ReferenceSum(len(lows), [(cq(1), {axis: bump_factor(l, h)
-                                             for axis, (l, h) in enumerate(zip(lows, highs))})])
+    return ReferenceSum(len(lows), [(tuple(factor_index(bump_factor(l, h))
+                                           for l, h in zip(lows, highs)), cq(1))])
 
 
 def reference_jet(jet, lows, highs) -> ReferenceSum:
@@ -345,24 +309,14 @@ def reference_jet(jet, lows, highs) -> ReferenceSum:
     out = []
     for alpha, part in jet.parts.items():
         for expo, c in terms(part).items():
-            factors = {}
+            factors = []
             for axis, (l, h) in enumerate(zip(lows, highs)):
                 f = bump_factor(l, h)
                 for _ in range(alpha[axis]):
                     f = uni_diff(f)
-                factors[axis] = uni_mul_x(f, expo[axis])
-            out.append((c, factors))
+                factors.append(factor_index(uni_mul_x(f, expo[axis])))
+            out.append((tuple(factors), c))
     return ReferenceSum(len(lows), out)
-
-
-def expanded_bump(variables, lows, highs) -> Poly:
-    """The bump of the box as one expanded polynomial (5^naxes terms)."""
-    chi = Poly.const(variables, 1)
-    for name, l, h in zip(variables, lows, highs):
-        x = Poly.var(variables, name)
-        chi = chi * sum((power(x, i) * c for i, c in enumerate(bump_factor(l, h))),
-                        Poly.zero(variables))
-    return chi
 
 
 def _jet_integral(jet, lows, highs, weight):
@@ -371,21 +325,20 @@ def _jet_integral(jet, lows, highs, weight):
 
 
 def test_separable_sum_against_expanded():
-    # the jet after zero, one and two operators against the expanded bump,
-    # moved by the same operators and integrated as one polynomial
+    # the jet after zero, one and two operators against the bump moved by
+    # the same operators by hand
     lows, highs = [Fraction(-1, 3), 0, Fraction(1, 2)], [Fraction(2, 3), Fraction(1, 5), 2]
-    chi = expanded_bump(V, lows, highs)
+    ref = reference_bump(lows, highs)
     x1, x2, x3 = (Poly.var(V, name) for name in V)
+    axis_of = {name: i for i, name in enumerate(V)}
     ops = [FirstOrderOp(V, {"x1": x2 * x3 + 1, "x3": x1.scale((0, 2))}),
            FirstOrderOp(V, {"x2": x1 * x1, "x1": Poly.const(V, Fraction(-3, 4))})]
     weight = x1 * x2 + x3.scale(Fraction(5, 7)) + Poly.const(V, (1, -1))
     jet = CutoffJet.bump(V)
-    assert _jet_integral(jet, lows, highs, weight) == \
-        ComplexRational(*integrate_poly_box(chi * weight, lows, highs))
+    assert _jet_integral(jet, lows, highs, weight) == ref.integrate_box(lows, highs, weight)
     for op in ops:
-        jet, chi = jet.apply_op(op), op.apply(chi)
-        assert _jet_integral(jet, lows, highs, weight) == \
-            ComplexRational(*integrate_poly_box(chi * weight, lows, highs))
+        jet, ref = jet.apply_op(op), ref.apply_op(op, axis_of)
+        assert _jet_integral(jet, lows, highs, weight) == ref.integrate_box(lows, highs, weight)
 
 
 def test_separable_apply_first_order_op():
@@ -406,31 +359,7 @@ def test_separable_integrate_against_poly():
     assert uni_integral(bump_factor(0, 1), 0, 1) == Fraction(8, 15)
 
 
-# -- the integer jet integral against the per-term, per-monomial loop -------------------
-
-
-def _reference_integrate(s, lows, highs, weight=None):
-    """Every term on every axis, once per weight monomial, by uni_integral
-    (each distinct factor integrated once)."""
-    if weight is None:
-        monomials = [((0,) * s.naxes, cq(1))]
-    else:
-        monomials = list(terms(weight).items())
-    integrals = {}
-    total = cq(0)
-    for expo, w in monomials:
-        for c, factors in s.terms:
-            prod = Fraction(1)
-            for axis in range(s.naxes):
-                base = factors.get(axis, (Fraction(1),))
-                if expo[axis]:
-                    base = uni_mul_x(base, expo[axis])
-                key = (axis, *((c.numerator, c.denominator) for c in base))
-                if key not in integrals:
-                    integrals[key] = uni_integral(base, lows[axis], highs[axis])
-                prod *= integrals[key]
-            total = total + c * w * cq(prod)
-    return total
+# -- the integer jet integral against the factored reference ----------------------------
 
 
 def _rand_fraction(rng, bound=4):
@@ -466,7 +395,7 @@ def test_integrate_box_matches_per_term_reference(seed, weight_kind):
     highs = [Fraction(2, 3), Fraction(2, 5), Fraction(7, 4)]
     weight = {"none": Poly.const(V, 1), "zero": Poly.zero(V),
               "poly": _random_weight(rng, V, terms=4)}[weight_kind]
-    want = _reference_integrate(reference_jet(jet, lows, highs), lows, highs, weight)
+    want = reference_jet(jet, lows, highs).integrate_box(lows, highs, weight)
     assert _jet_integral(jet, lows, highs, weight) == want
     if weight_kind == "zero":
         assert want == cq(0)

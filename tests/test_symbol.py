@@ -1,8 +1,16 @@
 """Tests of the symbol sequence.
 
-The reference is the construction ``symbol_at`` had before it built integer
-rows: the two covector 1-forms as ``ExtForm``s with ``ComplexRational``
-coefficients, and every column a wedge of ``ExtForm``s.
+Each quantity has one reference:
+
+- the symbol matrix (``symbol_at``): ``reference_symbol``, the construction
+  ``symbol_at`` had before it built integer rows (the two covector 1-forms as
+  ``ExtForm``s with ``ComplexRational`` coefficients, every column a wedge of
+  ``ExtForm``s), in ``test_integer_rows_match_the_extform_reference``; the
+  operator it is the symbol of, ``flat_D`` on powers of the covector, in
+  ``test_symbol_columns_are_the_operator_on_covector_powers``;
+- its rank (``rank_exact``): ``dense_rank`` from ``tests/test_linalg.py`` on
+  ``dense_symbol``, in ``test_symbol_ranks_match_the_dense_reference`` and
+  ``test_n3_symbol_ranks_match_the_dense_reference``.
 """
 
 import math
@@ -21,7 +29,7 @@ from cfx.randgen import SectionGenerator
 from cfx.spinor import LevelTable, SpinorField
 from cfx.verify import boundary_composition_suite, flat_composition_suite
 from test_exterior import basis_form
-from test_linalg import dense_bareiss, gaussian_product
+from test_linalg import dense_rank, gaussian_product
 from test_operators import coeffs
 from test_poly import constant_term
 from test_rational import ZERO, cq, pair
@@ -320,7 +328,7 @@ def test_symbol_ranks_match_the_dense_reference(n):
         for t in range(3):
             v = gen.spawn(t).rational_vector(4 * (n + 1))
             for j in range(spec.top_level):
-                assert rank_exact(symbol_at(spec, j, v)) == dense_bareiss(dense_symbol(spec, j, v))
+                assert rank_exact(symbol_at(spec, j, v)) == dense_rank(dense_symbol(spec, j, v))
 
 
 @pytest.mark.parametrize("k", [1, 7])
@@ -328,7 +336,7 @@ def test_n3_symbol_ranks_match_the_dense_reference(k):
     spec = ComplexSpec(3, k)
     v = SectionGenerator(530 + k).rational_vector(16)
     ranks = [rank_exact(symbol_at(spec, j, v)) for j in range(spec.top_level)]
-    assert ranks == [dense_bareiss(dense_symbol(spec, j, v)) for j in range(spec.top_level)]
+    assert ranks == [dense_rank(dense_symbol(spec, j, v)) for j in range(spec.top_level)]
 
 
 @pytest.mark.parametrize("n,k", [(n, k) for n in (1, 2) for k in range(2 * n + 3)])

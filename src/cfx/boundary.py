@@ -31,7 +31,7 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from math import lcm
 
-from .exterior import ExtForm, insertions, put_component
+from .exterior import ExtForm, index_mask, wedge_sign
 from .groups import GroupSpec, curvature_entry, horizontal_fields
 from .operators import FirstOrderOp
 from .poly import BITS, FIELD, Poly, support, x_vars
@@ -130,15 +130,12 @@ class TangentFrame(Frame):
 def frak_d(aprime: int, f: ExtForm, frame: Frame, raised: bool = True) -> ExtForm:
     """sum_row w^row ^ Z_row^{aprime} f, the one row kernel; raised index by default.
 
-    One integer pass: each output index gets one numerator dict over D * L,
-    D the lcm of the component denominators of f and L the row table's lcm
-    of the operators' ``den`` (:meth:`Frame.row_table`).  A (row, component)
-    pair goes in through ``FirstOrderOp.apply_into`` with ``mult`` = wedge
-    sign * (D / component den) * (L / operator den), and each output
-    component is one ``Poly``.  A pair whose row mask misses every variable
-    the component's terms carry (the fields of ``poly.support``) adds
-    nothing and is skipped before any lookup.  The sign and the merged index are ``exterior.insertions``, and
-    ``exterior.put_component`` drops an output index whose sum cancels.
+    One integer pass into one numerator dict over f.den * L, L the lcm of
+    :meth:`Frame.row_table`: each (component of ``ExtForm.parts``, row a)
+    pair goes in through ``FirstOrderOp.apply_into``, its keys lifted by the
+    index bit of w^a and ``mult`` = ``exterior.wedge_sign`` * L / (operator
+    den).  A pair is skipped when the component holds w^a or the row mask
+    misses every variable of its terms (the fields of ``poly.support``).
     """
     if aprime not in (0, 1):
         raise ValueError("primed index must be 0 or 1")
@@ -146,23 +143,15 @@ def frak_d(aprime: int, f: ExtForm, frame: Frame, raised: bool = True) -> ExtFor
         raise ValueError(f"form dimension {f.dim} does not match frame dimension {frame.dim}")
     if f.vars != frame.vars:
         raise ValueError("variable table mismatch with frame")
-    degree = f.degree + 1
     L, rows = frame.row_table(aprime, raised)
-    D = lcm(1, *(p.den for p in f.comps.values()))
-    comps = [(insertions(f.dim, idx), coeff.num, D // coeff.den, support(coeff.num))
-             for idx, coeff in f.comps.items()]
+    lift = index_mask((0,), f.vars)  # the key bit of w^0
     out: dict = {}
-    for a, (op, scale, row_mask) in enumerate(rows):
-        for table, num, mult, mask in comps:
-            if mask & row_mask:
-                inserted = table[a]
-                if inserted is not None:
-                    sign, key = inserted
-                    put_component(out, key, op.apply_into(out.get(key, {}), num,
-                                                          sign * scale * mult))
-    den = D * L
-    return ExtForm._make(f.dim, degree, f.vars,
-                         {key: Poly._make(f.vars, num, den) for key, num in out.items()})
+    for mask, num in f.parts().items():
+        used = support(num)
+        for a, (op, scale, row_mask) in enumerate(rows):
+            if used & row_mask and not mask >> a & 1:
+                op.apply_into(out, num, wedge_sign(mask, a) * scale, lift << a)
+    return ExtForm._make(f.dim, f.degree + 1, f.vars, out, f.den * L)
 
 
 # -- curvature --------------------------------------------------------------------------
@@ -174,14 +163,9 @@ def curvature_form(group: GroupSpec) -> ExtForm:
     The entries are :func:`groups.curvature_entry`, the closed form of
     -d^0 d^1 rho restricted to the tangential indices.
     """
-    dim, gvars = 2 * group.n, group.vars
-    comps = {}
-    for a in range(dim):
-        for b in range(a + 1, dim):
-            entry = curvature_entry(group, a, b)
-            if any(entry):
-                comps[(a, b)] = Poly.const(gvars, entry).scale(2)
-    return ExtForm._make(dim, 2, gvars, comps)
+    dim = 2 * group.n
+    entries = {(a, b): curvature_entry(group, a, b) for a in range(dim) for b in range(a + 1, dim)}
+    return ExtForm(dim, 2, group.vars, {ab: e for ab, e in entries.items() if any(e)}).scale(2)
 
 
 # -- boundary levels and fields ----------------------------------------------------------
@@ -241,9 +225,7 @@ class BoundaryField:
                 == (other.spec, other.level, other.lead, other.companion))
 
     def is_zero(self) -> bool:
-        lead_zero = self.lead.is_zero()
-        comp_zero = self.companion is None or self.companion.is_zero()
-        return lead_zero and comp_zero
+        return self.lead.is_zero() and (self.companion is None or self.companion.is_zero())
 
 
 # -- the boundary operator ----------------------------------------------------------------
@@ -267,7 +249,7 @@ def boundary_D(frame: TangentFrame, fld: BoundaryField) -> BoundaryField:
 
     def T(out_path, in_path, form):
         if len(out_path) == len(in_path):
-            return form.map_coeffs(frame.T_upper[out_path + in_path].apply)
+            return form.apply(frame.T_upper[out_path + in_path])
         (y,) = min(out_path, in_path, key=len)
         return frak_d(0, T((1,), (y,), form), frame) - frak_d(1, T((0,), (y,), form), frame)
 
@@ -289,7 +271,7 @@ def boundary_D(frame: TangentFrame, fld: BoundaryField) -> BoundaryField:
         lead = SpinorField(lead.sigma, lead.basis,
                            [s + E0.wedge(G.slot(b)) for b, s in enumerate(lead.slots)])
         if j == k - 1:
-            comp = comp - SpinorField(0, "S", [E0.wedge(T((1,), (0,), G.slot(0)))])
+            comp = comp + SpinorField(0, "S", [-E0.wedge(T((1,), (0,), G.slot(0)))])
     return BoundaryField(spec, j + 1, lead, comp)
 
 
@@ -334,7 +316,7 @@ def anticommutation_defect(frame: TangentFrame, f: ExtForm, ap: int, bp: int):
     """
     dd = lambda x, y: frak_d(x, frak_d(y, f, frame), frame)
     defect = (dd(ap, bp) + dd(bp, ap)).scale(Fraction(1, 2))
-    rhs = frame.E0.wedge(f.map_coeffs(frame.T_upper[ap, bp].apply))
+    rhs = frame.E0.wedge(f.apply(frame.T_upper[ap, bp]))
     return defect, rhs
 
 

@@ -3,117 +3,108 @@
 This module is the one home of the form layout; ``boundary.frak_d`` and the
 flat symbol build on its primitives and restate none of it:
 
-* components are stored on strictly increasing index tuples, and
-  :func:`insert_index` is the one wedge sign: w^a ^ w^idx is
-  (-1)^(number of indices below a) w^{merged}, and zero when a is in idx.
-  :func:`merge_sign` folds it over the indices of a left factor, and
-  :func:`insertions` caches its images over a = 0..dim-1 for ``frak_d``;
-* no component is zero: :func:`put_component` stores a nonzero value and
-  drops the index of one that cancels, which comes back at the end when a
-  later sum makes it nonzero;
-* a product of components is ``poly.mul_into``: :meth:`ExtForm.wedge`
-  accumulates every pair into one numerator dict per merged index.
+* a form is one numerator dict over one ``den``, canonical as a ``Poly`` is,
+  so ``==`` is exact.  A key is a term's packed monomial plus its
+  component's index mask in the field past the variable table,
+  ``mono | mask << BITS * len(vars)`` (bit a is w^a): the ``poly`` primitives
+  and ``FirstOrderOp.apply_into`` act on every component in one pass, and no
+  operator reads the mask.  The field's top bit is a guard bit of
+  ``poly.GUARD``, so a form has at most ``MAX_DIM`` indices;
+* :func:`wedge_sign` is the one wedge sign, the parity of the mask bits
+  below the inserted index, and :func:`merge_sign` folds it over a left
+  factor; :meth:`ExtForm.wedge` runs ``poly.mul_into`` once per pair of
+  disjoint component masks, which add as ints with the monomials.
 
-The public constructor checks every index tuple and drops zero
-coefficients; the ring operations (``+``, ``-``, ``scale``, ``map_coeffs``,
-``wedge``) build their result through the trusted ``ExtForm._make``, which
-checks nothing.
+``comps`` is the read-only per-component view {index tuple: ``Poly``}, in
+increasing index-tuple order, built on first use and kept by the form.  The
+public constructor takes such a dict and checks it; the ring operations
+build through the trusted ``ExtForm._make``, which reduces the denominator.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections.abc import Mapping, Sequence
-from functools import lru_cache
-from math import lcm
+from math import lcm, prod
+from types import MappingProxyType
 
-from .poly import Poly, mul_into
+from .poly import (BITS, Poly, _gaussian_parts, common_sum, mul_into, reduce_gaussian,
+                   times_gaussian)
 
 _set = object.__setattr__
 
-
-def insert_index(a: int, idx: tuple):
-    """w^a ^ w^idx for a strictly increasing tuple idx: (sign, merged), or
-    None when a is already in idx (the wedge vanishes).
-
-    The sign is (-1)^(number of indices of idx below a).
-    """
-    pos = bisect_left(idx, a)
-    if pos < len(idx) and idx[pos] == a:
-        return None
-    return -1 if pos % 2 else 1, idx[:pos] + (a,) + idx[pos:]
+# Mask bit BITS - 1 would be the guard bit of the index field.
+MAX_DIM = BITS - 1
 
 
-@lru_cache(maxsize=None)
-def insertions(dim: int, idx: tuple) -> tuple:
-    """:func:`insert_index` of a = 0..dim-1 into idx, cached: at most 2^dim
-    index tuples per dim, for the row loop of ``boundary.frak_d``."""
-    return tuple(insert_index(a, idx) for a in range(dim))
+def index_mask(idx, variables=()) -> int:
+    """Bit a for each index a in ``idx``, past the field of every variable:
+    the key bits of component ``idx`` of a form over ``variables``."""
+    return sum(1 << i for i in idx) << BITS * len(variables)
 
 
-def merge_sign(left: tuple, right: tuple):
-    """w^left ^ w^right for strictly increasing tuples: (sign, merged) or None.
-
-    The indices of ``left`` go into ``right`` one at a time, last first,
-    through :func:`insert_index`; None means a shared index.
-    """
-    sign, merged = 1, right
-    for a in reversed(left):
-        inserted = insert_index(a, merged)
-        if inserted is None:
-            return None
-        sign *= inserted[0]
-        merged = inserted[1]
-    return sign, merged
+def wedge_sign(mask: int, a: int) -> int:
+    """The sign of w^a ^ w^mask = sign w^(mask | 1 << a), for bit a not in
+    ``mask``: (-1)^(number of mask bits below a)."""
+    return -1 if (mask & ((1 << a) - 1)).bit_count() & 1 else 1
 
 
-def put_component(comps: dict, idx, value) -> None:
-    """Store ``value`` (a ``Poly`` or a numerator dict) at ``idx`` if it is
-    nonzero, else drop ``idx``; an index keeps its place while it lives."""
-    if value:
-        comps[idx] = value
-    else:
-        comps.pop(idx, None)
+def merge_sign(left: int, right: int) -> int:
+    """The sign of w^left ^ w^right = sign w^(left | right), for disjoint
+    masks: :func:`wedge_sign` of each bit of ``left`` into ``right``."""
+    return prod(wedge_sign(right, a) for a in range(left.bit_length()) if left >> a & 1)
 
 
 class ExtForm:
-    """Degree-``degree`` exterior form of dimension ``dim`` with Poly coefficients."""
+    """Degree-``degree`` form of dimension ``dim``: ``num`` over ``den`` (see above)."""
 
-    __slots__ = ("dim", "degree", "vars", "comps")
+    __slots__ = ("dim", "degree", "vars", "num", "den", "_comps")
 
     def __init__(self, dim: int, degree: int, variables: Sequence[str],
                  comps: Mapping | None = None):
+        dim, variables = int(dim), tuple(variables)
+        parts = []
+        for idx, coeff in (comps or {}).items():
+            idx = tuple(int(i) for i in idx)
+            if len(idx) != degree:
+                raise ValueError(f"index tuple {idx} has wrong length for degree {degree}")
+            if any(not 0 <= i < dim for i in idx):
+                raise ValueError(f"index out of range in {idx}")
+            if any(idx[i] >= idx[i + 1] for i in range(len(idx) - 1)):
+                raise ValueError(f"index tuple {idx} not strictly increasing")
+            if not isinstance(coeff, Poly):
+                coeff = Poly.const(variables, coeff)
+            if coeff.vars != variables:
+                raise ValueError("coefficient variable table mismatch")
+            parts.append((index_mask(idx, variables), coeff))
+        # each coefficient is canonical, so the lcm is already coprime to
+        # the scaled numerators taken together
+        den = lcm(1, *(c.den for _, c in parts))
+        num = {key + lift: (re * (den // c.den), im * (den // c.den))
+               for lift, c in parts for key, (re, im) in c.num.items()}
+        self._init(dim, int(degree), variables, num, den)
+
+    def _init(self, dim, degree, variables, num, den):
         if degree < 0:
             raise ValueError("negative form degree")
-        object.__setattr__(self, "dim", int(dim))
-        object.__setattr__(self, "degree", int(degree))
-        object.__setattr__(self, "vars", tuple(variables))
-        clean = {}
-        if comps:
-            for idx, coeff in comps.items():
-                idx = tuple(int(i) for i in idx)
-                if len(idx) != degree:
-                    raise ValueError(f"index tuple {idx} has wrong length for degree {degree}")
-                if any(not 0 <= i < dim for i in idx):
-                    raise ValueError(f"index out of range in {idx}")
-                if any(idx[i] >= idx[i + 1] for i in range(len(idx) - 1)):
-                    raise ValueError(f"index tuple {idx} not strictly increasing")
-                if not isinstance(coeff, Poly):
-                    coeff = Poly.const(self.vars, coeff)
-                if coeff.vars != self.vars:
-                    raise ValueError("coefficient variable table mismatch")
-                if not coeff.is_zero():
-                    clean[idx] = coeff
-        object.__setattr__(self, "comps", clean)
+        if dim > MAX_DIM:
+            raise ValueError(f"a form has at most {MAX_DIM} indices, not {dim}")
+        _set(self, "dim", dim)
+        _set(self, "degree", degree)
+        _set(self, "vars", variables)
+        _set(self, "num", num)
+        _set(self, "den", den)
+        _set(self, "_comps", None)
 
     @classmethod
-    def _make(cls, dim: int, degree: int, variables: tuple, comps: dict) -> "ExtForm":
-        """Trusted constructor: valid index tuples and no zero coefficient in ``comps``."""
+    def _make(cls, dim: int, degree: int, variables: tuple, num: dict,
+              den: int = 1) -> "ExtForm":
+        """Trusted constructor: ``num`` holds valid keys and no (0, 0) pair,
+        and ``den`` > 0.  Divides out the common factor of ``den`` and the
+        numerators; checks only the degree and the ``MAX_DIM`` bound."""
+        if den != 1:
+            num, den = reduce_gaussian(num, den)
         f = object.__new__(cls)
-        _set(f, "dim", dim)
-        _set(f, "degree", degree)
-        _set(f, "vars", variables)
-        _set(f, "comps", comps)
+        f._init(dim, degree, variables, num, den)
         return f
 
     def __setattr__(self, name, value):
@@ -123,13 +114,37 @@ class ExtForm:
 
     @classmethod
     def zero(cls, dim, degree, variables) -> "ExtForm":
-        if degree < 0:
-            raise ValueError("negative form degree")
         return cls._make(int(dim), int(degree), tuple(variables), {})
 
     @classmethod
     def from_scalar(cls, dim, p: Poly) -> "ExtForm":
-        return cls(dim, 0, p.vars, {(): p})
+        """The 0-form p: its keys carry the empty mask, so they are p's own."""
+        return cls._make(int(dim), 0, p.vars, p.num, p.den)
+
+    # -- the layout ---------------------------------------------------------------
+
+    def parts(self) -> dict:
+        """{index mask: numerator dict} of the components, keys unchanged."""
+        shift = BITS * len(self.vars)
+        groups: dict = {}
+        for key, value in self.num.items():
+            groups.setdefault(key >> shift, {})[key] = value
+        return groups
+
+    @property
+    def comps(self) -> Mapping:
+        """The read-only view {index tuple: Poly}, in increasing index-tuple
+        order; built on first use and kept by the form."""
+        if self._comps is None:
+            low = (1 << BITS * len(self.vars)) - 1
+            comps = {tuple(a for a in range(self.dim) if mask >> a & 1):
+                     Poly._make(self.vars, {key & low: v for key, v in num.items()}, self.den)
+                     for mask, num in self.parts().items()}
+            _set(self, "_comps", MappingProxyType(dict(sorted(comps.items()))))
+        return self._comps
+
+    def component(self, idx) -> Poly:
+        return self.comps.get(tuple(idx), Poly.zero(self.vars))
 
     # -- linear structure -----------------------------------------------------------
 
@@ -143,83 +158,71 @@ class ExtForm:
         self._check(other)
         if self.degree != other.degree:
             raise ValueError(f"degree mismatch: {self.degree} vs {other.degree}")
-        comps = dict(self.comps)
-        for idx, c in other.comps.items():
-            acc = comps.get(idx)
-            put_component(comps, idx, c if acc is None else acc + c)
-        return ExtForm._make(self.dim, self.degree, self.vars, comps)
+        return ExtForm._make(self.dim, self.degree, self.vars,
+                             *common_sum(self.num, self.den, other.num, other.den))
 
     def __neg__(self):
         return ExtForm._make(self.dim, self.degree, self.vars,
-                             {i: -c for i, c in self.comps.items()})
+                             times_gaussian(self.num, -1, 0), self.den)
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, value) -> "ExtForm":
-        return self.map_coeffs(lambda c: c.scale(value))
+        re, im, den = _gaussian_parts(value)
+        if not (re or im):
+            return ExtForm._make(self.dim, self.degree, self.vars, {})
+        return ExtForm._make(self.dim, self.degree, self.vars,
+                             times_gaussian(self.num, re, im), self.den * den)
 
-    def map_coeffs(self, fn) -> "ExtForm":
-        comps = {}
-        for i, c in self.comps.items():
-            put_component(comps, i, fn(c))
-        return ExtForm._make(self.dim, self.degree, self.vars, comps)
+    def apply(self, op) -> "ExtForm":
+        """The first-order operator ``op`` applied to every component, in one
+        ``apply_into`` pass over the form's terms."""
+        if op.vars != self.vars:
+            raise ValueError(f"variable tables differ: {op.vars} vs {self.vars}")
+        return ExtForm._make(self.dim, self.degree, self.vars,
+                             op.apply_into({}, self.num, 1), self.den * op.den)
 
     # -- wedge ------------------------------------------------------------------------
 
     def wedge(self, other: "ExtForm") -> "ExtForm":
-        """Graded-anticommutative product, in one integer pass.
+        """Graded-anticommutative product, in one integer pass over den1 * den2.
 
-        Each merged index gets one numerator dict over d1 * d2, d1 and d2 the
-        lcm of the component denominators of each factor; every pair of
-        components goes in through ``mul_into`` with ``mult`` = wedge sign *
-        (d1 / den 1) * (d2 / den 2), and each output component is one ``Poly``.
+        For each pair of component masks that share no index, ``mul_into``
+        adds the product of the two groups of terms, times
+        :func:`merge_sign`, into one numerator dict: the masks add with the
+        monomials.
         """
         self._check(other)
-        degree = self.degree + other.degree
-        d1 = lcm(1, *(c.den for c in self.comps.values()))
-        d2 = lcm(1, *(c.den for c in other.comps.values()))
-        right = [(i2, c2.num, d2 // c2.den) for i2, c2 in other.comps.items()]
+        right = other.parts().items()
         out: dict = {}
-        for i1, c1 in self.comps.items():
-            m1 = d1 // c1.den
-            for i2, num2, m2 in right:
-                merged = merge_sign(i1, i2)
-                if merged is not None:
-                    sign, idx = merged
-                    put_component(out, idx, mul_into(out.get(idx, {}), c1.num, num2,
-                                                     sign * m1 * m2))
-        den = d1 * d2
-        return ExtForm._make(self.dim, degree, self.vars,
-                             {idx: Poly._make(self.vars, num, den) for idx, num in out.items()})
-
-    __mul__ = wedge
+        for m1, num1 in self.parts().items():
+            for m2, num2 in right:
+                if not m1 & m2:
+                    mul_into(out, num1, num2, merge_sign(m1, m2))
+        return ExtForm._make(self.dim, self.degree + other.degree, self.vars, out,
+                             self.den * other.den)
 
     # -- queries --------------------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.comps
+        return not self.num
 
     def __bool__(self):
-        return bool(self.comps)
+        return bool(self.num)
 
     def __eq__(self, other):
         if not isinstance(other, ExtForm):
             return NotImplemented
         return (self.dim == other.dim and self.degree == other.degree
-                and self.vars == other.vars and self.comps == other.comps)
-
-    def component(self, idx) -> Poly:
-        return self.comps.get(tuple(idx), Poly.zero(self.vars))
+                and self.vars == other.vars and self.den == other.den
+                and self.num == other.num)
 
     def __str__(self):
-        if not self.comps:
+        if not self.num:
             return "0"
-        parts = []
-        for idx in sorted(self.comps):
-            label = "w^(" + ",".join(map(str, idx)) + ")" if idx else "1"
-            parts.append(f"({self.comps[idx]}) {label}")
-        return " + ".join(parts)
+        return " + ".join(f"({coeff}) " + ("w^(" + ",".join(map(str, idx)) + ")" if idx else "1")
+                          for idx, coeff in self.comps.items())
 
     __repr__ = __str__
 
@@ -228,8 +231,7 @@ def kaehler_like_sum(dim: int, variables) -> ExtForm:
     """sum_l w^{2l} ^ w^{2l+1}; requires even dim."""
     if dim % 2:
         raise ValueError("dimension must be even")
-    comps = {(2 * l, 2 * l + 1): Poly.const(variables, 1) for l in range(dim // 2)}
-    return ExtForm(dim, 2, variables, comps)
+    return ExtForm(dim, 2, variables, {(2 * l, 2 * l + 1): 1 for l in range(dim // 2)})
 
 
 def hat_component(form: ExtForm, a: int) -> Poly:
@@ -238,16 +240,11 @@ def hat_component(form: ExtForm, a: int) -> Poly:
         raise ValueError("hat decomposition needs degree = dim - 1")
     idx = tuple(i for i in range(form.dim) if i != a)
     # w^a -| top = sign w^idx, for the sign of w^a ^ w^idx = sign top
-    sign, _ = insert_index(a, idx)
-    return form.component(idx).scale(sign)
+    return form.component(idx).scale(wedge_sign(index_mask(idx), a))
 
 
 def from_hat_components(dim: int, variables, coeffs) -> ExtForm:
     """Assemble sum_a coeffs[a] (w^a -| top) as a (dim-1)-form."""
-    comps = {}
-    for a, c in enumerate(coeffs):
-        if c.is_zero():
-            continue
-        idx = tuple(i for i in range(dim) if i != a)
-        comps[idx] = c.scale(insert_index(a, idx)[0])
-    return ExtForm(dim, dim - 1, variables, comps)
+    rests = [tuple(i for i in range(dim) if i != a) for a in range(len(coeffs))]
+    return ExtForm(dim, dim - 1, variables, {rest: c.scale(wedge_sign(index_mask(rest), a))
+                                             for a, (rest, c) in enumerate(zip(rests, coeffs))})

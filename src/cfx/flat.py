@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import product
 
 from .boundary import Frame, ambient_frame, frak_d, subcomplex_D
-from .exterior import insertions
+from .exterior import wedge_sign
 from .linalg import bareiss
 from .poly import add_term, x_vars
 from .spinor import LevelTable, SpinorField, symmetrize, tuple_to_slots
@@ -76,18 +76,18 @@ def dot_pi(spec: ComplexSpec, j: int, tuples: dict) -> SpinorField:
 # -- symbol sequence -----------------------------------------------------------------
 
 
-def _wedge_path(w: list, path: tuple, idx: tuple, dim: int) -> dict:
-    """w_{p_1} ^ ... ^ w_{p_m} ^ e_idx for the path (p_1, ..., p_m), last w
-    first, as {index: (re, im)}; ``w[p]`` lists (row, re, im) of w_p."""
-    terms = {idx: (1, 0)}
+def _wedge_path(w: list, path: tuple, mask: int) -> dict:
+    """w_{p_1} ^ ... ^ w_{p_m} ^ e_mask for the path (p_1, ..., p_m), last w
+    first, as {index mask: (re, im)}; ``w[p]`` lists (row, re, im) of w_p."""
+    terms = {mask: (1, 0)}
     for p in reversed(path):
         terms, prev = {}, terms
         for mid, (x, y) in prev.items():
-            table = insertions(dim, mid)
             for r, re, im in w[p]:
-                if table[r] is not None:
-                    sign, out = table[r]
-                    add_term(terms, out, sign * (x * re - y * im), sign * (x * im + y * re))
+                if not mid >> r & 1:
+                    sign = wedge_sign(mid, r)
+                    add_term(terms, mid | 1 << r, sign * (x * re - y * im),
+                             sign * (x * im + y * re))
     return terms
 
 
@@ -102,8 +102,9 @@ def symbol_at(spec: ComplexSpec, j: int, v: Sequence) -> list:
     the matrix is q^ord times the symbol at v and has the same rank.
     Row r of w_{a'} is row r of ``Frame.row_table(a', True)``, which
     ``frak_d`` reads, its constant partials frozen at q v (L = 1); column
-    (a, idx) puts w_{p_1} ^ ... ^ e_idx in slot b for each (a, path) of
-    ``spec.slot_rule(j)[b]``, with the signs of ``exterior.insertions``.
+    (a, mask) of ``spec.symbol_table(j)`` puts w_{p_1} ^ ... ^ e_mask in
+    slot b for each (a, path) of ``spec.slot_rule(j)[b]``, with the signs of
+    ``exterior.wedge_sign``.
     """
     spec._check_operator_level(j)
     v = tuple(Fraction(x) for x in v)
@@ -121,12 +122,12 @@ def symbol_at(spec: ComplexSpec, j: int, v: Sequence) -> list:
     rule = spec.slot_rule(j)
     reach = [[(b, path) for b, terms in enumerate(rule) for a, path in terms if a == slot]
              for slot in range(spec.sigma(j) + 1)]
-    out_pos = {key: i for i, key in enumerate(spec.basis(j + 1))}
-    matrix = [{} for _ in out_pos]
-    for col, (a, idx) in enumerate(spec.basis(j)):
+    columns, rows = spec.symbol_table(j)
+    matrix = [{} for _ in rows]
+    for col, (a, mask) in enumerate(columns):
         for b, path in reach[a]:
-            for out, (re, im) in _wedge_path(w, path, idx, spec.form_dim).items():
-                add_term(matrix[out_pos[b, out]], col, re, im)
+            for out, (re, im) in _wedge_path(w, path, mask).items():
+                add_term(matrix[rows[b, out]], col, re, im)
     return matrix
 
 

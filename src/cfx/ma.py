@@ -22,7 +22,7 @@ from itertools import combinations
 from operator import sub
 
 from .boundary import TangentFrame, frak_d
-from .exterior import ExtForm, hat_component, kaehler_like_sum, merge_sign
+from .exterior import ExtForm, hat_component, index_mask, kaehler_like_sum, merge_sign
 from .poly import Poly, support, unpack
 from .quadrature import (CutoffJet, _moment_sum, integrate_jets, integrate_poly_box,
                          integrate_poly_faces)
@@ -223,7 +223,7 @@ def _wedge_complement_weights(indices, other: ExtForm) -> list:
         rest = tuple(i for i in range(other.dim) if i not in idx)
         comp = other.component(rest)
         if comp:
-            sign, _ = merge_sign(idx, rest)
+            sign = merge_sign(index_mask(idx), index_mask(rest))
             pairs.append((idx, comp if sign > 0 else -comp))
     return pairs
 

@@ -117,16 +117,17 @@ class FirstOrderOp:
                 for v, coeff in self.num.items()]))
         return self._kernel
 
-    def apply_into(self, out: dict, num: dict, mult: int) -> dict:
+    def apply_into(self, out: dict, num: dict, mult: int, lift: int = 0) -> dict:
         """Add mult * den * sum_v c_v d_v p, for p's numerators ``num`` and an
         int ``mult`` != 0, into the numerator dict ``out``; return ``out``.
 
-        Each product goes in through ``poly.add_term``, so an entry that
-        cancels to (0, 0) is deleted at once and callers summing many
-        applications (``boundary.frak_d``) build one ``Poly`` per result.
-        A product with an exponent above ``poly.MAX_EXPONENT`` is a ValueError.
+        Each product goes in through ``poly.add_term``, its key plus ``lift``
+        (bits past the variable table, a form index of ``boundary.frak_d``),
+        so an entry that cancels to (0, 0) is deleted at once.  A product
+        with an exponent above ``poly.MAX_EXPONENT`` is a ValueError.
         """
         for shift, unit, terms in self.kernel()[1]:
+            unit -= lift
             # most terms lack the variable: read a numerator only for a hit
             for key in num:
                 e = key >> shift & FIELD

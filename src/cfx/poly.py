@@ -35,15 +35,18 @@ of ``den`` and the numerators.  A scalar input (a coefficient of ``Poly``,
 text edge is ``str`` and the JSON reader ``from_json``.
 
 The layout is shared: a ``FirstOrderOp`` is one numerator dict per
-coefficient over one ``den``, and ``FirstOrderOp.apply_into``,
-``ExtForm.wedge``, ``CutoffJet.apply_op`` and ``randgen.SectionGenerator``
-build the same numerator dicts; every builder goes through the primitives
-here.  :func:`add_term` is the one place a sum is merged into a key, so it
-alone keeps the no-``(0, 0)`` rule; :func:`common_sum` adds two dicts over
-one denominator, :func:`times_gaussian` scales one by a Gaussian integer and
-:func:`mul_into` adds the product of two into a third (``Poly.__mul__``,
-``ExtForm.wedge``, ``CutoffJet.apply_op``).  Callers keep only the rules on
-their keys.
+coefficient over one ``den``, an ``ExtForm`` one numerator dict over one
+``den`` whose keys carry a component's index mask in the field past the
+variable table, and ``FirstOrderOp.apply_into``, ``CutoffJet.apply_op`` and
+``randgen.SectionGenerator`` build the same numerator dicts; every builder
+goes through the primitives here.  :func:`add_term` is the one place a sum
+is merged into a key, so it alone keeps the no-``(0, 0)`` rule;
+:func:`common_sum` adds two dicts over one denominator, :func:`times_gaussian`
+scales one by a Gaussian integer and :func:`mul_into` adds the product of two
+into a third (``Poly.__mul__``, ``ExtForm.wedge``, ``CutoffJet.apply_op``).
+Callers keep only the rules on their keys.  A key with mask bits never
+reaches :func:`unpack`, ``str`` or the moment sums, which read whole keys:
+``ExtForm.comps`` hands a form's terms on without the mask.
 """
 
 from __future__ import annotations

@@ -22,7 +22,6 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
-from .exterior import put_component
 from .poly import BITS, FIELD, Poly, mul_into, support, unpack
 
 
@@ -210,9 +209,14 @@ class CutoffJet:
 
 
 def _add_part(parts: dict, alpha: tuple, value: Poly) -> None:
-    """Add ``value`` to the part at ``alpha``, keeping no zero part."""
+    """Add ``value`` to the part at ``alpha``, keeping no zero part; an
+    index keeps its place while it lives."""
     acc = parts.get(alpha)
-    put_component(parts, alpha, value if acc is None else acc + value)
+    value = value if acc is None else acc + value
+    if value:
+        parts[alpha] = value
+    else:
+        parts.pop(alpha, None)
 
 
 def integrate_jets(lows: Sequence[Fraction], highs: Sequence[Fraction],

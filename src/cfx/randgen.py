@@ -10,10 +10,10 @@ term's exponent is drawn as a packed key, one unit per degree, and it and
 the ``(re, im)`` ints go into one numerator dict over the
 denominator 1 through ``poly.add_term``, which merges equal exponents and
 drops a key whose sum cancels (or a zero term), and the result is built by
-the trusted ``Poly._make`` (forms by ``ExtForm._make``).  The draws, and
-the key order of every result, are those of summing one validated
-``Poly.monomial`` per term, which the tests keep as the reference
-generator.
+the trusted ``Poly._make``; a form draws every component into one dict,
+each key plus its index mask (``exterior``).  The draws, and the key order
+of every polynomial, are those of summing one validated ``Poly.monomial``
+per term, which the tests keep as the reference generator.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import random
 from fractions import Fraction
 from itertools import combinations, product
 
-from .exterior import ExtForm
+from .exterior import ExtForm, index_mask
 from .poly import BITS, GUARD, MAX_EXPONENT, Poly, add_term
 from .spinor import SpinorField
 
@@ -52,32 +52,37 @@ class SectionGenerator:
         part and any imaginary part, both within COEFF_BOUND.  A term's total
         degree is drawn in 0..degree, then each unit of it in a variable."""
         variables = tuple(variables)
+        return Poly._make(variables, self._draw({}, len(variables), degree, 0))
+
+    def _draw(self, num: dict, width: int, degree, lift: int) -> dict:
+        """Add the terms of one :meth:`poly` draw into ``num``, each key plus ``lift``."""
         degree = self.degree if degree is None else degree
-        width, b = len(variables), COEFF_BOUND
-        randint, randrange = self.rng.randint, self.rng.randrange
-        num: dict = {}
-        for _ in range(randint(1, self.terms)):
+        b = COEFF_BOUND
+        # randint's and randrange's draws unchecked: an empty range would loop forever
+        below = self.rng._randbelow
+        if degree < 0 or self.terms < 1 or degree and not width:
+            raise ValueError("a draw needs degree >= 0, terms >= 1 and a variable")
+        for _ in range(1 + below(self.terms)):
             key = 0
-            for _ in range(randint(0, degree)):
-                key += 1 << BITS * randrange(width)
+            for _ in range(below(degree + 1)):
+                key += 1 << BITS * below(width)
             if key & GUARD:
                 raise ValueError(f"a drawn exponent is above {MAX_EXPONENT}")
-            re = randint(-b, b)
+            re = below(2 * b + 1) - b
             while re == 0:
-                re = randint(-b, b)
-            add_term(num, key, re, randint(-b, b))
-        return Poly._make(variables, num)
+                re = below(2 * b + 1) - b
+            add_term(num, key + lift, re, below(2 * b + 1) - b)
+        return num
 
     def form(self, dim: int, degree_form: int, variables, poly_degree=None) -> ExtForm:
+        """1..3 components of degree ``degree_form``, each a :meth:`poly` draw."""
         variables = tuple(variables)
         idxs = list(combinations(range(dim), degree_form))
         chosen = self.rng.sample(idxs, k=min(len(idxs), self.rng.randint(1, 3)))
-        comps = {}
+        num: dict = {}
         for idx in chosen:
-            p = self.poly(variables, poly_degree)
-            if p:
-                comps[idx] = p
-        return ExtForm._make(dim, degree_form, variables, comps)
+            self._draw(num, len(variables), poly_degree, index_mask(idx, variables))
+        return ExtForm._make(dim, degree_form, variables, num)
 
     def slot_field(self, sigma: int, basis: str, dim: int, degree_form: int,
                    variables, poly_degree=None) -> SpinorField:

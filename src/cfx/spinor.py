@@ -32,8 +32,9 @@ from itertools import combinations
 from math import comb
 from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
 
-from .exterior import ExtForm
+from .exterior import ExtForm, index_mask
 
 def raise_primed(pair):
     """(f_0, f_1) -> (f^0, f^1) with f^a = sum_b f_b eps^{ba}."""
@@ -94,13 +95,10 @@ class SpinorField:
     def __neg__(self):
         return SpinorField(self.sigma, self.basis, [-f for f in self.slots])
 
-    def __sub__(self, other):
-        return self + (-other)
-
     def __eq__(self, other):
         if not isinstance(other, SpinorField):
             return NotImplemented
-        return (self - other).is_zero() if (self.sigma, self.basis) == (other.sigma, other.basis) else False
+        return (self.sigma, self.basis, self.slots) == (other.sigma, other.basis, other.slots)
 
 
 def symmetrize(tuples: dict[tuple, ExtForm]) -> dict[tuple, ExtForm]:
@@ -215,6 +213,15 @@ class LevelTable:
         step, top = (1 if j < self.k else -1), self.sigma(j)
         return tuple(tuple((b + p * step, (p,)) for p in (0, 1) if 0 <= b + p * step <= top)
                      for b in range(self.sigma(j + 1) + 1))
+
+    @lru_cache(maxsize=None)
+    def symbol_table(self, j: int) -> tuple:
+        """(columns, rows) of the level-j symbol matrix, immutable: column c is
+        the (slot, index mask) of ``basis(j)[c]``, and ``rows`` maps the (slot,
+        index mask) of each element of ``basis(j + 1)`` to its position."""
+        columns = tuple((a, index_mask(idx)) for a, idx in self.basis(j))
+        return columns, MappingProxyType({(b, index_mask(idx)): row for row, (b, idx)
+                                          in enumerate(self.basis(j + 1))})
 
     def level_dim(self, j: int) -> int:
         s, d, _ = self.shape(j)

@@ -52,7 +52,7 @@ def flat_tuple_equivalence_suite(n: int, k: int, trials: int, seed: int,
         tup = g.tuple_field(s, spec.form_dim, d, spec.vars, poly_degree=degree)
         via_tuple = flat_D_tuple(spec, j, tup)
         via_slots = flat_D(spec, j, dot_pi(spec, j, tup))
-        return (dot_pi(spec, j + 1, via_tuple) - via_slots).is_zero()
+        return dot_pi(spec, j + 1, via_tuple) == via_slots
 
     return _level_loop("flat-tuple-equivalence",
                        {"n": n, "k": k, "trials": trials, "degree": degree}, seed,

@@ -1133,6 +1133,29 @@ def test_fuzz_cli_ends_in_a_documented_exit_code(fuzz_files, argv):
     assert code in (0, 1, 2, 3), (argv, err.getvalue())
 
 
+# each file flag with otherwise valid argv: the fuzz above reaches a given
+# (flag, file) pair only by chance
+FILE_FLAG_ARGV = {
+    "classify-file": ["classify", "--file"],
+    "verify-boundary-file": ["verify", "boundary", "--trials", "1", "--k", "1", "--degree", "1",
+                             "--check", "anticommute", "--file"],
+    "ma-file": ["ma", "--power", "1", "--file"],
+    "ma-u": ["ma", "--group", "rightQH", "--n", "1", "--u"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(FUZZ_FILES))
+@pytest.mark.parametrize("flag", sorted(FILE_FLAG_ARGV))
+def test_every_fuzz_file_through_every_file_flag(fuzz_files, flag, name):
+    err = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([*FILE_FLAG_ARGV[flag], str(fuzz_files / name)])
+    except SystemExit as exc:
+        code = exc.code
+    assert code in (0, 1, 2, 3) and "Traceback" not in err.getvalue(), (code, err.getvalue())
+
+
 @pytest.mark.parametrize("exponent", [1001, 30000, 10 ** 7])
 def test_ma_u_exponent_above_the_limit_exits_2_before_any_table(
         monkeypatch, capsys, tmp_path, exponent):

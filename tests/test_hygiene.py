@@ -185,8 +185,8 @@ CACHES = {
     "the argparse tree: about 1 ms a build, one build per main call": {"cli.build_parser"},
     "one frame per n and the kernels it builds: about 0.14 ms a build, "
     "and a flat run reads spec.frame 1764 times": {"boundary.ambient_frame"},
-    "frak_d's insertion tables: 27-39 ms over the 6170 frak_d calls of a run": {
-        "exterior.insertions"},
+    "the symbol's basis tables: 3.0-3.5 ms over the 102 symbol_at calls of a run, "
+    "2.9-3.2% of symbol-classify": {"spinor.LevelTable.symbol_table"},
     "the slot rule: 6.2-6.6 ms over the 1118 flat_D calls of a run, 2.3-2.4% of flat": {
         "spinor.LevelTable.slot_rule"},
     "the moment tables: 1.3-3.0 ms over the 1395 and 1402 _moment_table calls (9 and 8 "
@@ -444,9 +444,9 @@ def test_floats_only_at_the_ma_report_edge(path):
 
 
 # functions that may delete a key from a dict: poly.add_term is the one merge
-# of a numerator dict, and exterior.put_component the one store-or-delete of
-# a form component (a Poly, or the numerator dict frak_d and wedge build)
-KEY_DELETIONS = {("poly.py", "add_term"), ("exterior.py", "put_component")}
+# of a numerator dict (a Poly's, an operator coefficient's or a form's), and
+# quadrature._add_part the one store-or-delete of a cutoff jet's Poly part
+KEY_DELETIONS = {("poly.py", "add_term"), ("quadrature.py", "_add_part")}
 
 
 def _key_deletions(tree: ast.Module) -> list:
@@ -501,30 +501,115 @@ def _names_called(tree: ast.Module) -> dict:
 
 
 def test_the_exterior_layout_has_one_home():
-    # the wedge sign is exterior.insert_index (merge_sign folds it), the
-    # only user of bisect; boundary and flat restate no exterior rule; the
-    # component product is poly.mul_into, in Poly and in ExtForm.wedge
+    # the wedge sign is exterior.wedge_sign, the parity of the mask bits
+    # below the inserted index: the package's only popcount, folded by
+    # merge_sign.  The index field sits past the variables' fields only in
+    # exterior.py (index_mask hands its bits out).  boundary and flat read
+    # the sign and restate no exterior rule; the component product is
+    # poly.mul_into, in Poly and in ExtForm.wedge
     bisect_users = sorted(path.name for path in [*MODULES, PACKAGE / "__init__.py"]
                           for node in ast.walk(_tree(path))
                           if (isinstance(node, ast.Import)
                               and any(a.name == "bisect" for a in node.names))
                           or (isinstance(node, ast.ImportFrom) and node.module == "bisect"))
-    assert bisect_users == ["exterior.py"], bisect_users
+    assert bisect_users == [], bisect_users
+    parities = sorted(f"{path.name}:{owner}" for path in MODULES
+                      for owner, names in _names_called(_tree(path)).items()
+                      if "bit_count" in names)
+    assert parities == ["exterior.py:wedge_sign"], parities
+    placed = sorted({path.name for path in MODULES
+                     if re.search(r"BITS \* len\(", path.read_text(encoding="utf-8"))})
+    assert placed == ["exterior.py"], placed
     exterior = _names_called(_tree(PACKAGE / "exterior.py"))
-    assert [owner for owner, names in exterior.items() if "bisect_left" in names] == \
-        ["insert_index"]
-    assert "insert_index" in exterior["merge_sign"]
-    assert "mul_into" in exterior["ExtForm.wedge"]
+    assert "wedge_sign" in exterior["merge_sign"]
+    assert {"merge_sign", "mul_into"} <= exterior["ExtForm.wedge"]
     assert "mul_into" in _names_called(_tree(PACKAGE / "poly.py"))["Poly.__mul__"]
     for name in ("boundary.py", "flat.py"):
         named = {node.id for node in ast.walk(_tree(PACKAGE / name))
                  if isinstance(node, ast.Name)}
-        assert not named & {"merge_sign", "bisect_left", "bisect"}, name
+        assert not named & {"merge_sign", "bisect_left", "bisect", "insertions"}, name
+        assert "wedge_sign" in named, name
+
+
+def test_forms_have_one_layout(tmp_path, monkeypatch):
+    # a form is one packed numerator dict (exterior.py): outside exterior.py
+    # no module builds a form from an {index tuple: Poly} dict or reads the
+    # per-component view wholesale, and every form the fixed traffic builds
+    # has int keys and Gaussian-integer numerators; the per-component
+    # reference is tests/test_exterior.py's RefForm
+    from cfx.exterior import ExtForm
+    from cfx.poly import Poly
+
+    readers = [f"{path.name} (line {node.lineno})" for path in MODULES
+               if path.name != "exterior.py" for node in ast.walk(_tree(path))
+               if isinstance(node, ast.Attribute) and node.attr == "comps"]
+    assert not readers, f"the per-component view read outside exterior.py: {readers}"
+
+    kinds, callers = set(), []
+    init, public = ExtForm._init, ExtForm.__init__
+
+    def checked_init(self, dim, degree, variables, num, den):
+        kinds.update((type(key), type(re), type(im)) for key, (re, im) in num.items())
+        init(self, dim, degree, variables, num, den)
+
+    def checked_public(self, dim, degree, variables, comps=None):
+        if comps and any(isinstance(c, Poly) for c in comps.values()):
+            callers.append(Path(sys._getframe(1).f_code.co_filename).name)
+        public(self, dim, degree, variables, comps)
+
+    monkeypatch.setattr(ExtForm, "_init", checked_init)
+    monkeypatch.setattr(ExtForm, "__init__", checked_public)
+    codes = _program_traffic(tmp_path)
+    assert codes == [0] * len(codes), codes
+    assert kinds == {(int, int, int)}, kinds
+    assert callers and set(callers) == {"exterior.py"}, set(callers)
+
+
+def test_form_keys_never_reach_a_whole_key_reader(tmp_path, monkeypatch):
+    # a form's key carries its index mask past the variable table, which
+    # poly.unpack, Poly.__str__ and the moment sums would misread: only the
+    # per-component view, which strips the mask, may hand a form's terms on
+    from cfx import cli, groups, ma, poly, quadrature
+
+    seen = {"unpack": 0, "str": 0, "moments": 0}
+    unpack, poly_str, moment_sum = poly.unpack, poly.Poly.__str__, quadrature._moment_sum
+
+    def checked_unpack(key, width):
+        assert key >> poly.BITS * width == 0, "a key with bits past its table reached unpack"
+        seen["unpack"] += 1
+        return unpack(key, width)
+
+    def checked_str(self):
+        assert all(key >> poly.BITS * len(self.vars) == 0 for key in self.num)
+        seen["str"] += 1
+        return poly_str(self)
+
+    def checked_moments(num, tables, offset=0):
+        assert all((key + offset) >> poly.BITS * len(tables) == 0 for key in num)
+        seen["moments"] += 1
+        return moment_sum(num, tables, offset)
+
+    for module in (poly, quadrature, ma, cli, groups):
+        if getattr(module, "unpack", None) is unpack:
+            monkeypatch.setattr(module, "unpack", checked_unpack)
+    monkeypatch.setattr(poly.Poly, "__str__", checked_str)
+    for module in (quadrature, ma):
+        monkeypatch.setattr(module, "_moment_sum", checked_moments)
+    codes = _program_traffic(tmp_path)
+    assert codes == [0] * len(codes), codes
+    # every residual of the traffic is "0": print a form of each degree too
+    from cfx.randgen import SectionGenerator
+
+    gen = SectionGenerator(3)
+    assert all(str(gen.form(4, d, poly.x_vars(6)).scale(Fraction(1, 3))) != "0"
+               for d in range(5))
+    assert all(seen.values()), seen
 
 
 def test_wedge_builds_no_poly_per_pair(monkeypatch):
-    # ExtForm.wedge adds every pair of components into one numerator dict
-    # per merged index: no Poly product, scaling or sum
+    # ExtForm.wedge adds every pair of component masks into the one
+    # numerator dict of the product: no Poly product, scaling or sum, and
+    # no Poly built at all
     from cfx.exterior import ExtForm
     from cfx.poly import Poly, x_vars
     from cfx.randgen import SectionGenerator
@@ -541,7 +626,7 @@ def test_wedge_builds_no_poly_per_pair(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("Poly arithmetic inside ExtForm.wedge")
 
-    for name in ("__mul__", "scale", "__add__"):
+    for name in ("__mul__", "scale", "__add__", "_make"):
         monkeypatch.setattr(Poly, name, forbidden)
     got = [f.wedge(h) for f, h in pairs]
     assert got == want and sum(not form.is_zero() for form in got) > 20

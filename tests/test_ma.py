@@ -28,7 +28,7 @@ import pytest
 
 from cfx import ma, quadrature
 from cfx.boundary import TangentFrame, frak_d
-from cfx.exterior import ExtForm, from_hat_components, hat_component, merge_sign
+from cfx.exterior import ExtForm, from_hat_components, hat_component
 from cfx.groups import I_MATS, GroupSpec, block_diag, mat_mul
 from cfx.ma import (CONVERGENCE_TOL, Region, beta_form,
                     cln_experiment, convergence_experiment, integrate_top,
@@ -38,7 +38,7 @@ from cfx.poly import Poly, unpack
 from cfx.quadrature import CutoffJet, integrate_jets, integrate_poly_box, integrate_poly_faces
 from cfx.randgen import SectionGenerator
 from cfx.reports import dumps
-from test_exterior import basis_form
+from test_exterior import basis_form, reference_merge_sign, scale_poly
 from test_operators import coeffs
 from test_poly import power
 from test_quadrature import bump_factor, monomial_reference, uni_diff
@@ -243,7 +243,7 @@ def test_integrate_constant_is_volume(right2):
 def test_integrate_separable_monomial(right2):
     region = Region((0,) * 11, (1,) * 11)
     x1_squared = power(Poly.var(right2.vars, "x1"), 2)
-    form = volume_form(right2).map_coeffs(lambda c: c * x1_squared)
+    form = scale_poly(volume_form(right2), x1_squared)
     assert integrate_top(form, region) == (Fraction(1, 3), 0)
 
 
@@ -578,7 +578,8 @@ def reference_cln(us, K: Region, L: Region, frame: TangentFrame) -> dict:
         for idx, jet in parts.items():
             comp = other.component(tuple(i for i in range(frame.dim) if i not in idx))
             if comp:
-                sign, _ = merge_sign(idx, tuple(i for i in range(frame.dim) if i not in idx))
+                sign, _ = reference_merge_sign(idx, tuple(i for i in range(frame.dim)
+                                                          if i not in idx))
                 out.append((jet, comp.scale(sign)))
         return out
 

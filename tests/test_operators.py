@@ -289,7 +289,11 @@ def test_frak_d_builds_one_poly_per_component(monkeypatch, degree):
     for aprime, raised in product((0, 1), (True, False)):
         counts = _count_make(monkeypatch)
         out = frak_d(aprime, f, frame, raised=raised)
-        assert out.comps and counts["make"] == len(out.comps)
+        # frak_d builds no Poly; the view builds one per component, once
+        assert counts["make"] == 0
+        view = out.comps
+        assert view and counts["make"] == len(view)
+        assert out.comps is view and counts["make"] == len(view)
         monkeypatch.undo()
 
 

@@ -1,7 +1,8 @@
 """The generator builds its draws straight in the integer layout; the
 reference below builds them with validated Poly arithmetic, one
-``Poly.monomial`` per term, summed.  Both must give equal objects with the
-same key order, after the same random draws."""
+``Poly.monomial`` per term, summed, and a form through the public
+constructor.  Both must give equal objects with the same key order in every
+polynomial and component, after the same random draws."""
 
 from fractions import Fraction
 from itertools import combinations
@@ -72,7 +73,8 @@ def _same_poly(p, q):
 
 def _same_form(f, g):
     assert f == g
-    assert list(f.comps) == list(g.comps)
+    # the view's order rule: increasing index tuples
+    assert list(f.comps) == list(g.comps) == sorted(f.comps)
     for idx, p in f.comps.items():
         _same_poly(p, g.comps[idx])
 
@@ -155,3 +157,12 @@ def test_a_drawn_exponent_above_the_field_raises():
         gen.poly(("x1",))
     [key] = SectionGenerator(2, degree=2 * MAX_EXPONENT, terms=1).poly(("x1",)).num
     assert unpack(key, 1) == (6002,)
+
+
+@pytest.mark.parametrize("degree, terms, variables", [(-1, 3, ("x1",)), (2, 0, ("x1",)),
+                                                      (2, 3, ())])
+def test_an_empty_draw_range_raises(degree, terms, variables):
+    # the unchecked draw would loop forever on an empty range
+    with pytest.raises(ValueError, match="a draw needs"):
+        SectionGenerator(1, degree=degree, terms=terms).poly(variables)
+    assert SectionGenerator(1, degree=0, terms=1).poly(()).num.keys() == {0}

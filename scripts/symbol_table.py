@@ -36,7 +36,6 @@ if __name__ == "__main__":
     parser.add_argument("max_n", type=int, nargs="?", default=2)
     parser.add_argument("seed", type=int, nargs="?", default=1)
     args = parser.parse_args()
-    # the sequences at n = 4 and up take minutes each
     if not 1 <= args.max_n <= MAX_N:
         parser.error(f"max_n must be in 1..{MAX_N}")
     sys.exit(main(args.max_n, args.seed))

@@ -46,11 +46,15 @@ MAX_K = 12
 # 10^4 steps, as at 64; in process the test alone takes 5 ms at 10^4
 # steps, 0.05 s at 10^5 and 0.5 s at 10^6.
 MAX_CONVERGENCE = 10_000
-# The symbol ranks are exact eliminations whose entries grow with those of
-# the integer covector q v (q the lcm of v's denominators).  At n = 3 and
-# k = 12, the slowest k, covectors whose q v has entries of up to 6, 7 and
-# 8 bits take at most 6.5 s, 9.0 s and 10.4 s, whole process on a 2-core
-# x86_64 host (Python 3.11); entries of 16 bits take 26 s.
+# The symbol ranks are proved from lower bounds modulo a prime, whose cost
+# does not grow with the entries of the integer covector q v (q the lcm of
+# v's denominators); only the exact products and the fallback elimination of
+# a rank the bounds leave open do.  At n = 3 and k = 12, the slowest k, a
+# covector with 6-bit entries takes 0.4 s whole process and one with 64-bit
+# entries 0.7 s in process, with no rank open; with every rank open the
+# 6-bit one takes 5.4 s in process (2-core x86_64 host, Python 3.11), and
+# the elimination took 26 s on 16-bit entries.  The limit bounds that
+# fallback.
 MAX_COVECTOR_BITS = 6
 # The cutoff rows, jets and moment tables of `ma` grow with the highest
 # exponent E of a --u input: one term x1^E on rightQH at n = 1 takes 0.2 s

@@ -4,7 +4,9 @@ Levels are symmetric powers tensor exterior powers of C^{2(n+1)}: slot fields
 in the descending basis up to the middle level, the ascending basis above.
 The operators run the boundary machinery (``subcomplex_D``, ``frak_d``) on
 the ambient frame of coordinate partials; they and the symbol read one slot
-rule, ``LevelTable.slot_rule``, and one row table.  Everything here is exact.
+rule, ``LevelTable.slot_rule``, and one row table.  Everything here is exact:
+``check_exactness`` proves each rank it reports, from the exact products
+σ_{j+1}σ_j = 0, lower bounds mod a prime and the rank sum of each level.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from itertools import product
 
 from .boundary import Frame, ambient_frame, frak_d, subcomplex_D
 from .exterior import wedge_sign
-from .linalg import bareiss
+from .linalg import bareiss, is_zero_product, rank_mod_p
 from .poly import add_term, x_vars
 from .spinor import LevelTable, SpinorField, symmetrize, tuple_to_slots
 
@@ -131,32 +133,41 @@ def symbol_at(spec: ComplexSpec, j: int, v: Sequence) -> list:
     return matrix
 
 
-def rank_exact(rows: list) -> int:
-    """Exact rank of a matrix of Gaussian integers given as sparse
-    ``{column: (re, im)}`` rows, such as ``symbol_at`` returns: the rank
-    ``bareiss`` returns."""
-    return bareiss(rows)
-
-
 def check_exactness(spec: ComplexSpec, v: Sequence) -> dict:
     """Pointwise exactness of the frozen-coefficient sequence at covector v.
 
-    Level j is exact when the ranks of the symbols into and out of it sum
-    to its dimension: injectivity at the bottom, the rank identities in the
-    middle and surjectivity at the top, where one symbol is missing.  Every
-    rank is exact (``rank_exact``).  v must be nonzero with 4(n+1) entries;
-    ``symbol_at`` rejects any other length.
+    Level j is exact when σ_j σ_{j−1} = 0 and the ranks r_{j−1} of σ_{j−1}
+    and r_j of σ_j sum to its dimension dim_j: injectivity at the bottom,
+    the rank identities in the middle and surjectivity at the top, where
+    one symbol is missing (r_{−1} = r_top = 0, and the missing products are
+    0).  Every product is checked exactly (``linalg.is_zero_product``) and
+    every reported rank is exact.  ``linalg.rank_mod_p`` gives a lower
+    bound ℓ_j ≤ r_j; where σ_j σ_{j−1} = 0, r_{j−1} + r_j ≤ dim_j, so
+    ℓ_{j−1} + ℓ_j = dim_j pins both ranks: the level closes.  Only a rank
+    that no closed level pins is computed by ``linalg.bareiss``.  A level
+    whose product is nonzero is not exact, and its detail says so.  v must
+    be nonzero with 4(n+1) entries; ``symbol_at`` rejects any other length.
     """
     if all(Fraction(x) == 0 for x in v):
         raise ValueError("covector must be nonzero")
     top = spec.top_level
-    ranks = [rank_exact(symbol_at(spec, j, v)) for j in range(top)]
+    symbols = [symbol_at(spec, j, v) for j in range(top)]
     dims = [spec.level_dim(j) for j in range(top + 1)]
+    # composes[j]: σ_j σ_{j−1} = 0, the premise of the rank sum at level j
+    composes = [True, *(is_zero_product(symbols[j], symbols[j - 1]) for j in range(1, top)), True]
+    # lows[j + 1] <= r_j; the missing symbols have rank 0
+    lows = [0, *map(rank_mod_p, symbols), 0]
+    pinned = {i for j in range(top + 1)
+              if composes[j] and lows[j] + lows[j + 1] == dims[j] for i in (j - 1, j)}
+    ranks = [lows[j + 1] if j in pinned else bareiss(symbols[j]) for j in range(top)]
     levels = []
     for j in range(top + 1):
         used = ranks[max(j - 1, 0):j + 1]
-        levels.append({"level": j, "dim": dims[j], "exact": sum(used) == dims[j],
-                       "detail": " + ".join(f"rank {r}" for r in used) + f" == dim {dims[j]}"})
+        sums = " + ".join(f"rank {r}" for r in used)
+        levels.append({"level": j, "dim": dims[j],
+                       "exact": composes[j] and sum(used) == dims[j],
+                       "detail": f"{sums} == dim {dims[j]}" if composes[j] else
+                       f"sigma_{j} sigma_{j - 1} != 0 ({sums}, dim {dims[j]})"})
     return {
         "v": [str(Fraction(x)) for x in v],
         "dims": dims,

@@ -1,14 +1,21 @@
 """Exact elimination: one routine per quantity, on Python ints only.
 
-``bareiss`` gives ranks: fraction-free elimination over the Gaussian
-integers (Bareiss, Math. Comp. 22, 1968; Nakos, Turner and Williams,
-SIGSAM Bull. 31(3), 1997) on sparse rows, ``{column: (re, im)}`` dicts,
-so that a step costs the entries of the rows it touches, not the whole
-matrix: the symbol matrices are mostly zeros.  ``pfaffian`` gives the
-Pfaffian of a skew integer matrix, the square root of its determinant
-that the central pairing of a group needs, by the same fraction-free
-scheme taken two rows and columns at a time.  Callers clear denominators
-first.
+The symbol ranks are proved, not only computed.  ``is_zero_product``
+checks a product of two sparse Gaussian-integer matrices exactly, the
+premise σ_{j+1}σ_j = 0 under which a rank sum can prove exactness.
+``rank_mod_p`` gives a lower bound on a rank: the rank over
+Z[i]/(p, i − ι) with p = ``PRIME`` and ι a square root of −1 mod p, a
+field with p elements, where a minor that is nonzero is nonzero over Z[i]
+too.  ``bareiss`` gives exact ranks: fraction-free elimination over the
+Gaussian integers (Bareiss, Math. Comp. 22, 1968; Nakos, Turner and
+Williams, SIGSAM Bull. 31(3), 1997) on sparse rows, ``{column: (re, im)}``
+dicts, so that a step costs the entries of the rows it touches, not the
+whole matrix: the symbol matrices are mostly zeros.  It serves
+``groups.is_stratified`` and every symbol rank that the bounds leave open.
+``pfaffian`` gives the Pfaffian of a skew integer matrix, the square root
+of its determinant that the central pairing of a group needs, by the same
+fraction-free scheme taken two rows and columns at a time.  Callers clear
+denominators first.
 """
 
 from __future__ import annotations
@@ -90,6 +97,95 @@ def bareiss(rows) -> int:
         steps.append((pr, pi))
         counts = {c: m for c, m in counts.items() if m}
     return len(steps) - 1
+
+
+# p = 268435361 is a prime below 2^28 with p = 1 (mod 4), so -1 has a square
+# root mod p, IOTA: i -> IOTA maps Z[i] onto the field Z/p
+PRIME = 268435361
+IOTA = 162018631
+
+
+def rank_mod_p(rows, p: int = PRIME, iota: int = IOTA) -> int:
+    """Rank over Z[i]/(p, i − iota) of a sparse Gaussian-integer matrix, rows
+    as ``bareiss`` takes them; p is a prime and iota^2 = −1 (mod p).
+
+    Reduction sends every minor to the same minor of the image, so this rank
+    is a lower bound on the rank over Q(i), the one ``bareiss`` returns.
+    Each row is packed into one int, entry c in the bit field of ``width``
+    bits at width * c, and reduced from its top field down against a table
+    of pivot rows, one per column, each scaled to 1 in its column.  With f
+    the top field mod p: at f = 0 the field is dropped; where the column
+    has a pivot row y, the row becomes x − f y mod p, its top field dropped
+    and p − f times y's lower fields added; elsewhere the row, its fields
+    reduced mod p and divided by f, becomes the column's pivot row.  A step
+    adds less than p^2 to a field and a row meets fewer pivots than there
+    are rows, so no field reaches 2^width and none carries into the next.
+    The rank is the number of pivot rows.  The input is left unchanged.
+    """
+    width = 2 * p.bit_length() + len(rows).bit_length()
+    columns = 1 + max((c for row in rows for c in row), default=-1)
+    below = [(1 << width * c) - 1 for c in range(columns)]  # the fields under column c
+    pivots = [None] * columns  # per column, its pivot row's fields under it
+    rank = 0
+    for row in rows:
+        x = 0
+        for c, (re, im) in row.items():
+            x |= (re + im * iota) % p << width * c
+        while x:
+            c = (x.bit_length() - 1) // width
+            f = (x >> width * c) % p
+            if not f:
+                x &= below[c]
+                continue
+            y = pivots[c]
+            if y is None:
+                inverse, mask, y = pow(f, -1, p), (1 << width) - 1, 0
+                for shift in range(0, width * c, width):
+                    y |= (x >> shift & mask) * inverse % p << shift
+                pivots[c] = y
+                rank += 1
+                break
+            x = (x & below[c]) + (p - f) * y
+    return rank
+
+
+def _bound(rows) -> int:
+    """A bound on the real and imaginary parts of ``rows``: no part is larger
+    in absolute value (the largest |re| | |im|, at most twice the largest)."""
+    return max((abs(re) | abs(im) for row in rows for re, im in row.values()), default=0)
+
+
+def is_zero_product(left, right) -> bool:
+    """Whether the product of two sparse Gaussian-integer matrices, rows as
+    ``bareiss`` takes them, is exactly zero; row r of ``right`` is the row
+    that column r of ``left`` multiplies.
+
+    Each row of ``right`` is packed as two ints, its real and its imaginary
+    parts at 2^(width c) for column c (Kronecker substitution), so a row of
+    the product packs into two sums of int multiples of them.  With every
+    part of ``left`` at most a and every part of ``right`` at most b in
+    size, an entry of the product is at most 2 len(right) a b < 2^width, so
+    a packed sum is 0 exactly when each of its entries is: were e at column
+    c the lowest nonzero one, the sum would be e 2^(width c), nonzero, mod
+    2^(width (c + 1)).
+    """
+    width = (2 * len(right) * _bound(left) * _bound(right)).bit_length()
+    packed = []
+    for row in right:
+        re_sum = im_sum = 0
+        for c, (re, im) in row.items():
+            re_sum += re << width * c
+            im_sum += im << width * c
+        packed.append((re_sum, im_sum))
+    for row in left:
+        re = im = 0
+        for r, (ar, ai) in row.items():
+            br, bi = packed[r]
+            re += ar * br - ai * bi
+            im += ar * bi + ai * br
+        if re or im:
+            return False
+    return True
 
 
 def pfaffian(rows) -> int:

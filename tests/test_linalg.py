@@ -8,9 +8,13 @@ it is checked against follows the arrow:
   ``central_pairing_det``) -> ``cofactor_det``;
 - Pfaffian: ``expansion_pfaffian`` -> its square is ``cofactor_det``;
 - symbolic det: ``cofactor_det`` on the ``Poly`` pencil -> the pencil det on a grid;
-- rank: ``dense_rank`` -> ``minor_rank``.
+- rank: ``dense_rank`` -> ``minor_rank``;
+- product of two Gaussian-integer matrices: ``gaussian_product``, the dense
+  sum of products.
 
-The package's ``linalg.bareiss`` and ``linalg.pfaffian`` are tested against them.
+The package's ``linalg.bareiss``, ``linalg.rank_mod_p`` (against the rank,
+equal at the default prime, a lower bound at any), ``linalg.is_zero_product``
+and ``linalg.pfaffian`` are tested against them.
 """
 
 import math
@@ -25,7 +29,7 @@ from hypothesis import strategies as st
 
 from cfx import groups
 from cfx.groups import I_MATS, GroupSpec, block_diag, mat, mat_mul
-from cfx.linalg import bareiss, pfaffian
+from cfx.linalg import IOTA, PRIME, bareiss, is_zero_product, pfaffian, rank_mod_p
 from cfx.poly import Poly
 from cfx.randgen import SectionGenerator
 from test_poly import is_homogeneous, tuple_num
@@ -265,6 +269,7 @@ def test_bareiss_matches_brute_force(entry, seed):
         rows = gaussian_rows(m)
         rank = bareiss(sparse(rows))
         assert type(rank) is int and rank == minor_rank(m) == dense_rank(rows)
+        assert rank_mod_p(sparse(rows)) == rank
         deficient += len(m) == len(m[0]) and rank < len(m)
     assert deficient >= 10
 
@@ -352,6 +357,129 @@ def test_sparse_bareiss_matches_the_dense_reference():
         assert rows == sparse(m)
         deficient += rank < min(len(m), len(m[0]) if m else 0)
     assert deficient >= 30
+
+
+def test_the_default_prime_has_a_square_root_of_minus_one():
+    # trial division up to the square root: PRIME is prime, and with
+    # PRIME % 4 == 1 its residues hold IOTA, a square root of -1
+    assert 2 ** 27 < PRIME < 2 ** 28 and PRIME % 4 == 1
+    assert all(PRIME % d for d in range(2, math.isqrt(PRIME) + 1))
+    assert (IOTA * IOTA + 1) % PRIME == 0
+
+
+def zero_mod(p, iota, rng):
+    """A nonzero Gaussian integer in the kernel of Z[i] -> Z/p, i -> iota."""
+    t, s = rng.choice([(1, 0), (-1, 0), (2, 1), (0, 1), (0, -2), (3, -1)])
+    return (t * iota + s * p, -t)
+
+
+def test_rank_mod_p_bounds_the_rank_and_meets_it_at_the_default_prime():
+    # equal at the default prime on small entries; at 5 and 13 a lower
+    # bound that falls below the rank on some matrices
+    below = 0
+    for m in gaussian_cases(13):
+        rows = sparse(m)
+        exact = dense_rank(m)
+        assert rank_mod_p(rows) == exact
+        for p, iota in ((5, 2), (13, 5)):
+            low = rank_mod_p(rows, p, iota)
+            assert low <= exact
+            below += low < exact
+        assert rows == sparse(m)
+    assert below >= 10
+
+
+def test_rank_mod_p_reads_entries_modulo_its_prime():
+    # entries in the kernel of the reduction count as zeros: the bound is
+    # the rank with them set to 0, and falls below the exact rank
+    rng = random.Random(14)
+    below = 0
+    for m in gaussian_cases(14)[2:]:
+        cut = [[x if rng.random() < 0.8 else (0, 0) for x in row] for row in m]
+        planted = [[x if x != (0, 0) or y == (0, 0) else zero_mod(PRIME, IOTA, rng)
+                    for x, y in zip(row, full)] for row, full in zip(cut, m)]
+        low = rank_mod_p(sparse(planted))
+        assert low == dense_rank(cut) and low <= dense_rank(planted)
+        below += low < dense_rank(planted)
+    assert below >= 10
+    zero = (0, 0)
+    for m, low, exact in [([[(PRIME, 0)]], 0, 1), ([[(IOTA, -1)]], 0, 1),
+                          ([[(1, 0), zero], [zero, (0, PRIME)]], 1, 2),
+                          ([[(1, 0), (1, 0)], [(1, 0), (1 + PRIME, 0)]], 1, 2)]:
+        exact_rank = minor_rank([[cq(*x) for x in row] for row in m])
+        assert (rank_mod_p(sparse(m)), exact_rank, dense_rank(m)) == (low, exact, exact)
+
+
+def test_rank_mod_p_edge_cases():
+    zero = (0, 0)
+    for m, rank in [([], 0), ([[], [], []], 0), ([[zero] * 3 for _ in range(3)], 0),
+                    ([[zero, (1, 0)], [zero, (5, 0)], [zero, (-1, 0)]], 1),
+                    ([[(0, 1)]], 1), ([[zero, (1, 0)], [(1, 0), zero]], 2),
+                    # far columns: a row spans 401 fields
+                    ([[zero] * 400 + [(2, 3)], [(1, 0)] + [zero] * 399 + [(1, 1)]], 2)]:
+        assert rank_mod_p(sparse(m)) == dense_rank(m) == rank
+    # a last row that meets every pivot: 40 updates to its lowest field
+    size = 40
+    m = [[(1, 0) if c <= r else (0, 0) for c in range(size)] for r in range(size)]
+    m.append([(PRIME - 1, IOTA)] * size)
+    assert rank_mod_p(sparse(m)) == dense_rank(m) == size
+
+
+def kernel_pair(rng, rows, inner, cols):
+    """Gaussian-integer matrices a (rows x inner) and b (inner x cols) with
+    a b = 0 and few zero entries: a = X [P | P T] and b = [-T S; S] Y."""
+    def draw(r, c):
+        return [[(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(c)] for _ in range(r)]
+
+    half = inner // 2
+    p, t, s = draw(half, half), draw(half, inner - half), draw(inner - half, 3)
+    left = [row + tail for row, tail in zip(p, gaussian_product(p, t))]
+    right = [[(-x, -y) for x, y in row] for row in gaussian_product(t, s)] + s
+    return (gaussian_product(draw(rows, half), left),
+            gaussian_product(right, draw(3, cols)))
+
+
+def test_is_zero_product_matches_the_dense_product():
+    # zero products with cancelling entries, each then broken by one entry
+    rng = random.Random(21)
+    for case in range(60):
+        a, b = kernel_pair(rng, rng.randint(1, 12), rng.randint(2, 12), rng.randint(1, 12))
+        if case % 3 == 0:  # large entries: the packing widens with them
+            a = [[(x << 70, y << 70) for x, y in row] for row in a]
+        assert is_zero_matrix(gaussian_product(a, b))
+        assert is_zero_product(sparse(a), sparse(b))
+        # an entry of b that some row of a sees
+        r, c = next((r, c) for r, row in enumerate(b) for c, x in enumerate(row)
+                    if any(row_a[r] != (0, 0) for row_a in a))
+        b[r][c] = (b[r][c][0] + 1, b[r][c][1])
+        assert not is_zero_matrix(gaussian_product(a, b))
+        assert not is_zero_product(sparse(a), sparse(b))
+    for m in gaussian_cases(22)[2:]:
+        other = m[:]
+        rng.shuffle(other)
+        right = [list(col) for col in zip(*other)]
+        expected = is_zero_matrix(gaussian_product(m, right))
+        assert is_zero_product(sparse(m), sparse(right)) == expected
+
+
+def test_is_zero_product_keeps_entries_apart():
+    # the product row [e, -2^s], e = m (1 + i)(1 - i) 2^t, packs to
+    # e - 2^(s + width): a field narrower than the bound on e reads it as 0
+    for m in (1, 2, 4, 8):
+        for t in range(0, 90, 3):
+            for s in range(6):
+                left = [{**{r: (1, 1) for r in range(m)}, m: (1, 0)}]
+                right = [{0: (1 << t, -(1 << t))}] * m + [{1: (-(1 << s), 0)}]
+                assert not is_zero_product(left, right)
+    assert is_zero_product([], [{0: (1, 0)}]) and is_zero_product([{}], [])
+    # (2 + i)(1 + 2i) + (1 - 2i)(2 - i) = 0; (1 + 2i) i + (2 - i) 2 = 2 - i
+    assert is_zero_product([{0: (2, 1), 1: (1, -2)}], [{3: (1, 2)}, {3: (2, -1)}])
+    assert is_zero_product([{0: (1, 2), 1: (2, -1)}], [{3: (0, 1)}, {3: (2, 0)}]) is False
+    assert is_zero_product([{0: (1, 0), 1: (0, 1)}], [{3: (0, 1)}, {3: (-1, 0)}])
+
+
+def is_zero_matrix(m):
+    return all(x == (0, 0) for row in m for x in row)
 
 
 def rank_of(m):

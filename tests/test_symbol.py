@@ -8,9 +8,14 @@ Each quantity has one reference:
   ``ExtForm``s), in ``test_integer_rows_match_the_extform_reference``; the
   operator it is the symbol of, ``flat_D`` on powers of the covector, in
   ``test_symbol_columns_are_the_operator_on_covector_powers``;
-- its rank (``rank_exact``): ``dense_rank`` from ``tests/test_linalg.py`` on
-  ``dense_symbol``, in ``test_symbol_ranks_match_the_dense_reference`` and
-  ``test_n3_symbol_ranks_match_the_dense_reference``.
+- its rank (``bareiss``, and the ranks ``check_exactness`` proves):
+  ``dense_rank`` from ``tests/test_linalg.py`` on ``dense_symbol``, in
+  ``test_symbol_ranks_match_the_dense_reference`` and
+  ``test_n3_symbol_ranks_match_the_dense_reference``;
+- the product of two consecutive symbols (``is_zero_product``):
+  ``gaussian_product`` from ``tests/test_linalg.py`` on ``dense_symbol``, in
+  ``test_consecutive_symbols_compose_to_zero`` and
+  ``test_one_flipped_entry_breaks_the_composition``.
 """
 
 import math
@@ -19,17 +24,19 @@ from itertools import combinations
 
 import pytest
 
-from cfx import boundary
+from cfx import boundary, flat, linalg
 from cfx.boundary import BoundarySpec
+from cfx.cli import main
 from cfx.exterior import ExtForm
-from cfx.flat import ComplexSpec, check_exactness, flat_D, rank_exact, symbol_at
+from cfx.flat import ComplexSpec, check_exactness, flat_D, symbol_at
 from cfx.groups import GroupSpec
+from cfx.linalg import bareiss, is_zero_product
 from cfx.poly import Poly
 from cfx.randgen import SectionGenerator
 from cfx.spinor import LevelTable, SpinorField
 from cfx.verify import boundary_composition_suite, flat_composition_suite
 from test_exterior import basis_form
-from test_linalg import dense_rank, gaussian_product
+from test_linalg import dense_rank, gaussian_product, sparse
 from test_operators import coeffs
 from test_poly import constant_term
 from test_rational import ZERO, cq, pair
@@ -252,6 +259,7 @@ def test_consecutive_symbols_compose_to_zero():
             a = dense_symbol(spec, j + 1, v)
             b = dense_symbol(spec, j, v)
             assert is_zero_matrix(gaussian_product(a, b))
+            assert is_zero_product(symbol_at(spec, j + 1, v), symbol_at(spec, j, v))
 
 
 @pytest.mark.parametrize("n,k,j", [(1, 0, 0), (1, 1, 1), (2, 1, 2)])
@@ -265,6 +273,7 @@ def test_one_flipped_entry_breaks_the_composition(n, k, j):
                 if x != (0, 0) and any(out[r] != (0, 0) for out in a))
     b[r][c] = (-b[r][c][0], -b[r][c][1])
     assert not is_zero_matrix(gaussian_product(a, b))
+    assert not is_zero_product(sparse(a), sparse(b))
 
 
 def test_zero_vector_gives_zero_matrix_and_error():
@@ -313,10 +322,10 @@ def test_random_rational_exactness(n, k):
 
 
 def test_rank_exact_small_cases():
-    assert rank_exact([{0: (1, 0), 1: (2, 0)}, {0: (2, 0), 1: (4, 0)}]) == 1
-    assert rank_exact([{0: (0, 1)}, {1: (1, 0)}]) == 2
-    assert rank_exact([{0: (1, 1), 1: (2, 0)}, {0: (0, 2), 1: (2, 2)}]) == 1  # row 2 = (1 + i) row 1
-    assert rank_exact([]) == 0
+    assert bareiss([{0: (1, 0), 1: (2, 0)}, {0: (2, 0), 1: (4, 0)}]) == 1
+    assert bareiss([{0: (0, 1)}, {1: (1, 0)}]) == 2
+    assert bareiss([{0: (1, 1), 1: (2, 0)}, {0: (0, 2), 1: (2, 2)}]) == 1  # row 2 = (1 + i) row 1
+    assert bareiss([]) == 0
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -327,16 +336,18 @@ def test_symbol_ranks_match_the_dense_reference(n):
         gen = SectionGenerator(500 + 10 * n + k)
         for t in range(3):
             v = gen.spawn(t).rational_vector(4 * (n + 1))
-            for j in range(spec.top_level):
-                assert rank_exact(symbol_at(spec, j, v)) == dense_rank(dense_symbol(spec, j, v))
+            ranks = [dense_rank(dense_symbol(spec, j, v)) for j in range(spec.top_level)]
+            assert [bareiss(symbol_at(spec, j, v)) for j in range(spec.top_level)] == ranks
+            assert check_exactness(spec, v)["ranks"] == ranks
 
 
 @pytest.mark.parametrize("k", [1, 7])
 def test_n3_symbol_ranks_match_the_dense_reference(k):
     spec = ComplexSpec(3, k)
     v = SectionGenerator(530 + k).rational_vector(16)
-    ranks = [rank_exact(symbol_at(spec, j, v)) for j in range(spec.top_level)]
+    ranks = [bareiss(symbol_at(spec, j, v)) for j in range(spec.top_level)]
     assert ranks == [dense_rank(dense_symbol(spec, j, v)) for j in range(spec.top_level)]
+    assert check_exactness(spec, v)["ranks"] == ranks
 
 
 @pytest.mark.parametrize("n,k", [(n, k) for n in (1, 2) for k in range(2 * n + 3)])
@@ -372,3 +383,74 @@ def test_symbol_sequence_is_exact_up_to_k_2n_plus_1(n, k):
     assert (result["ranks"][-1] < result["dims"][top]) == (k > 2 * n + 1)
     if (n, k) == (1, 4):
         assert (result["ranks"][-1], result["dims"][top]) == (7, 8)
+
+
+def rotated_odd_levels(monkeypatch):
+    """Mutation: the odd-level symbols read the covector rotated by one
+    place.  Every nonzero covector gives the same ranks, so only the
+    products see it."""
+    original = flat.symbol_at
+
+    def rotated(spec, j, v):
+        return original(spec, j, [*v[1:], *v[:1]] if j % 2 else v)
+
+    monkeypatch.setattr(flat, "symbol_at", rotated)
+
+
+@pytest.mark.parametrize("n,k", [(1, 1), (1, 2), (2, 1)])
+def test_a_nonzero_product_fails_its_level(n, k, monkeypatch):
+    # the ranks alone still sum to every dimension: exactness rests on the
+    # products, which check_exactness checks
+    spec = ComplexSpec(n, k)
+    v = SectionGenerator(1).spawn(0).rational_vector(4 * (n + 1))
+    sound = check_exactness(spec, v)
+    rotated_odd_levels(monkeypatch)
+    opened = []
+
+    def counted(rows):
+        opened.append(len(rows))
+        return bareiss(rows)
+
+    monkeypatch.setattr(flat, "bareiss", counted)
+    result = check_exactness(spec, v)
+    top = spec.top_level
+    assert result["ranks"] == sound["ranks"]
+    # only the end levels close, so only their ranks skip bareiss
+    assert len(opened) == top - 2
+    assert all(sum(sound["ranks"][max(j - 1, 0):j + 1]) == sound["dims"][j]
+               for j in range(top + 1))
+    assert [lv["exact"] for lv in result["levels"]] == [True] + [False] * (top - 1) + [True]
+    for j in range(1, top):
+        assert result["levels"][j]["detail"].startswith(f"sigma_{j} sigma_{j - 1} != 0 (")
+    assert not result["exact"]
+
+
+def test_the_cli_exits_1_on_a_nonzero_product(monkeypatch, capsys):
+    argv = ["symbol", "--n", "2", "--k", "1", "--trials", "1"]
+    assert main(argv) == 0
+    rotated_odd_levels(monkeypatch)
+    assert main(argv) == 1
+    out = capsys.readouterr().out
+    assert "sigma_2 sigma_1 != 0 (rank 4 + rank 16, dim 20)" in out
+
+
+@pytest.mark.parametrize("k", range(5))
+def test_a_prime_that_bounds_nothing_falls_back_to_bareiss(k, monkeypatch, capsys):
+    # at p = 5 every entry of the symbol at 5 e_1 is 0 mod p: every bound is
+    # 0, no level closes and every rank goes through bareiss, with the same
+    # report as under the default prime, where no rank does
+    argv = ["symbol", "--n", "1", "--k", str(k), "--v", "5,0,0,0,0,0,0,0", "--trials", "0"]
+    calls = []
+
+    def counted(rows):
+        calls.append(len(rows))
+        return bareiss(rows)
+
+    monkeypatch.setattr(flat, "bareiss", counted)
+    expected = main(argv)
+    report = capsys.readouterr().out
+    assert calls == []
+    monkeypatch.setattr(flat, "rank_mod_p", lambda rows: linalg.rank_mod_p(rows, 5, 2))
+    assert main(argv) == expected == (0 if k <= 3 else 1)
+    assert capsys.readouterr().out == report
+    assert len(calls) == ComplexSpec(1, k).top_level

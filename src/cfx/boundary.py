@@ -7,8 +7,8 @@ and C the twist through the constant curvature 2-form of the group, which
 vanishes exactly on right-type groups.
 
 Both complexes apply the rows of one :class:`Frame` through :func:`frak_d`:
-a group's tangential frame is built from its horizontal fields (one
-integer numerator dict per coefficient, :func:`groups.horizontal_fields`),
+a group's tangential frame is built from its horizontal fields (each one
+packed numerator dict, :func:`groups.horizontal_fields`),
 the flat complex's :func:`ambient_frame` from the coordinate partials.  The
 ambient frame depends only on n, so it is built once per n and shared by
 every flat spec at that n, with the operator kernels it has built.
@@ -34,7 +34,7 @@ from math import lcm
 from .exterior import ExtForm, index_mask, wedge_sign
 from .groups import GroupSpec, curvature_entry, horizontal_fields
 from .operators import FirstOrderOp
-from .poly import BITS, FIELD, Poly, support, x_vars
+from .poly import FIELD, Poly, support, x_vars
 from .randgen import SectionGenerator
 from .spinor import LevelTable, SpinorField, raise_primed
 
@@ -88,7 +88,8 @@ class Frame:
             ops = [row[aprime] for row in (self.Z_upper if raised else self.Z_lower)]
             L = lcm(1, *(op.den for op in ops))
             table = self._rows[aprime, raised] = (L, tuple(
-                (op, L // op.den, sum(FIELD << BITS * v for v in op.num)) for op in ops))
+                (op, L // op.den, sum(FIELD << shift for shift, _, _ in op.kernel()[1]))
+                for op in ops))
         return table
 
 

@@ -5,11 +5,12 @@ flat symbol build on its primitives and restate none of it:
 
 * a form is one numerator dict over one ``den``, canonical as a ``Poly`` is,
   so ``==`` is exact.  A key is a term's packed monomial plus its
-  component's index mask in the field past the variable table,
-  ``mono | mask << BITS * len(vars)`` (bit a is w^a): the ``poly`` primitives
-  and ``FirstOrderOp.apply_into`` act on every component in one pass, and no
-  operator reads the mask.  The field's top bit is a guard bit of
-  ``poly.GUARD``, so a form has at most ``MAX_DIM`` indices;
+  component's index mask in the first field past the variable table
+  (bit a is w^a), placed there by ``poly._past_table`` as an operator's
+  d_v is: the ``poly`` primitives and ``FirstOrderOp.apply_into`` act on
+  every component in one pass, and no operator reads the mask.  The
+  field's top bit is a guard bit of ``poly.GUARD``, so a form has at most
+  ``MAX_DIM`` indices;
 * :func:`wedge_sign` is the one wedge sign, the parity of the mask bits
   below the inserted index, and :func:`merge_sign` folds it over a left
   factor; :meth:`ExtForm.wedge` runs ``poly.mul_into`` once per pair of
@@ -27,8 +28,8 @@ from collections.abc import Mapping, Sequence
 from math import lcm, prod
 from types import MappingProxyType
 
-from .poly import (BITS, Poly, _gaussian_parts, common_sum, mul_into, reduce_gaussian,
-                   times_gaussian)
+from .poly import (BITS, Poly, _gaussian_parts, _past_table, _split, common_sum, mul_into,
+                   reduce_gaussian, times_gaussian)
 
 _set = object.__setattr__
 
@@ -39,7 +40,7 @@ MAX_DIM = BITS - 1
 def index_mask(idx, variables=()) -> int:
     """Bit a for each index a in ``idx``, past the field of every variable:
     the key bits of component ``idx`` of a form over ``variables``."""
-    return sum(1 << i for i in idx) << BITS * len(variables)
+    return _past_table(sum(1 << i for i in idx), variables)
 
 
 def wedge_sign(mask: int, a: int) -> int:
@@ -125,21 +126,16 @@ class ExtForm:
 
     def parts(self) -> dict:
         """{index mask: numerator dict} of the components, keys unchanged."""
-        shift = BITS * len(self.vars)
-        groups: dict = {}
-        for key, value in self.num.items():
-            groups.setdefault(key >> shift, {})[key] = value
-        return groups
+        return _split(self.num, self.vars)
 
     @property
     def comps(self) -> Mapping:
         """The read-only view {index tuple: Poly}, in increasing index-tuple
         order; built on first use and kept by the form."""
         if self._comps is None:
-            low = (1 << BITS * len(self.vars)) - 1
             comps = {tuple(a for a in range(self.dim) if mask >> a & 1):
-                     Poly._make(self.vars, {key & low: v for key, v in num.items()}, self.den)
-                     for mask, num in self.parts().items()}
+                     Poly._make(self.vars, num, self.den)
+                     for mask, num in _split(self.num, self.vars, True).items()}
             _set(self, "_comps", MappingProxyType(dict(sorted(comps.items()))))
         return self._comps
 

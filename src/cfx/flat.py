@@ -19,7 +19,7 @@ from itertools import product
 from .boundary import Frame, ambient_frame, frak_d, subcomplex_D
 from .exterior import wedge_sign
 from .linalg import bareiss, is_zero_product, rank_mod_p
-from .poly import add_term, x_vars
+from .poly import BITS, add_term, x_vars
 from .spinor import LevelTable, SpinorField, symmetrize, tuple_to_slots
 
 
@@ -117,8 +117,9 @@ def symbol_at(spec: ComplexSpec, j: int, v: Sequence) -> list:
     w = [[], []]
     for aprime, form in enumerate(w):
         for r, (op, scale, _) in enumerate(spec.frame.row_table(aprime, True)[1]):
-            parts = [(scale * qv[var], c) for var, coeff in op.num.items() for c in coeff.values()]
-            re, im = sum(x * c for x, (c, _) in parts), sum(x * d for x, (_, d) in parts)
+            parts = [(scale * qv[shift // BITS], c, d)
+                     for shift, _, terms in op.kernel()[1] for _, c, d in terms]
+            re, im = sum(x * c for x, c, _ in parts), sum(x * d for x, _, d in parts)
             if re or im:
                 form.append((r, re, im))
     rule = spec.slot_rule(j)
@@ -164,10 +165,11 @@ def check_exactness(spec: ComplexSpec, v: Sequence) -> dict:
     for j in range(top + 1):
         used = ranks[max(j - 1, 0):j + 1]
         sums = " + ".join(f"rank {r}" for r in used)
-        levels.append({"level": j, "dim": dims[j],
-                       "exact": composes[j] and sum(used) == dims[j],
-                       "detail": f"{sums} == dim {dims[j]}" if composes[j] else
-                       f"sigma_{j} sigma_{j - 1} != 0 ({sums}, dim {dims[j]})"})
+        full = sum(used) == dims[j]
+        detail = (f"{sums} {'==' if full else '!='} dim {dims[j]}" if composes[j] else
+                  f"sigma_{j} sigma_{j - 1} != 0 ({sums}, dim {dims[j]})")
+        levels.append({"level": j, "dim": dims[j], "exact": composes[j] and full,
+                       "detail": detail})
     return {
         "v": [str(Fraction(x)) for x in v],
         "dims": dims,

@@ -21,7 +21,7 @@ from functools import cached_property, lru_cache
 
 from .linalg import bareiss, pfaffian
 from .operators import FirstOrderOp
-from .poly import BITS, Poly, group_vars, unpack
+from .poly import BITS, Poly, _past_table, group_vars, unpack
 from .rational import parse_fraction
 
 # Two commuting quaternion representations on R^4; each triple satisfies
@@ -299,9 +299,10 @@ def is_right_type_via_E(g: GroupSpec) -> bool:
 def horizontal_fields(g: GroupSpec) -> list[FirstOrderOp]:
     """The 4n generating fields X_b = d_{x_b} + 2 sum (S Ibeta)_{ab} x_a d_{t_beta}.
 
-    Each field is one operator table over den of ``integer_S``: den at
-    the constant term (key 0) for d_{x_b}, and for each t_beta the numerator
-    dict 2 (den S Ibeta)_{ab} at x_a (key ``1 << BITS * a``).  The trusted
+    Each field is one operator dict over den of ``integer_S``: den at the
+    constant monomial for d_{x_b}, and for each t_beta the numerators
+    2 (den S Ibeta)_{ab} at x_a (monomial ``1 << BITS * a``), each key with
+    the unit of its variable past the table.  The trusted
     ``FirstOrderOp._make`` divides out the common factor.
     """
     variables = g.vars
@@ -311,11 +312,11 @@ def horizontal_fields(g: GroupSpec) -> list[FirstOrderOp]:
     fields = []
     for b in range(size):
         # x_b is variable b and t_beta variable size + beta of the table
-        num = {b: {0: (den, 0)}}
+        num = {_past_table(1 << BITS * b, variables): (den, 0)}
         for beta in range(3):
-            coeff = {1 << BITS * a: (2 * row[b], 0) for a, row in enumerate(si[beta]) if row[b]}
-            if coeff:
-                num[size + beta] = coeff
+            d_t = _past_table(1 << BITS * (size + beta), variables)
+            num.update({1 << BITS * a | d_t: (2 * row[b], 0)
+                        for a, row in enumerate(si[beta]) if row[b]})
         fields.append(FirstOrderOp._make(variables, num, den))
     return fields
 

@@ -34,19 +34,24 @@ of ``den`` and the numerators.  A scalar input (a coefficient of ``Poly``,
 ``(re, im)`` pair of them; :func:`_gaussian_parts` reads every one.  The
 text edge is ``str`` and the JSON reader ``from_json``.
 
-The layout is shared: a ``FirstOrderOp`` is one numerator dict per
-coefficient over one ``den``, an ``ExtForm`` one numerator dict over one
-``den`` whose keys carry a component's index mask in the field past the
-variable table, and ``FirstOrderOp.apply_into``, ``CutoffJet.apply_op`` and
-``randgen.SectionGenerator`` build the same numerator dicts; every builder
+The layout is shared: an ``ExtForm``, a ``FirstOrderOp`` and a
+``CutoffJet`` are each one numerator dict over one ``den`` whose keys carry
+a second value in the fields past the variable table: a form component's
+index mask, the unit ``1 << BITS * v`` of the variable v an operator term
+differentiates, or a jet term's derivative multi-index alpha, packed as an
+exponent vector is.  :func:`_past_table` places that value and
+:func:`_split` groups a dict by it, here alone.  ``randgen.SectionGenerator``
+and ``groups.horizontal_fields`` build the same dicts, and every builder
 goes through the primitives here.  :func:`add_term` is the one place a sum
 is merged into a key, so it alone keeps the no-``(0, 0)`` rule;
 :func:`common_sum` adds two dicts over one denominator, :func:`times_gaussian`
 scales one by a Gaussian integer and :func:`mul_into` adds the product of two
-into a third (``Poly.__mul__``, ``ExtForm.wedge``, ``CutoffJet.apply_op``).
-Callers keep only the rules on their keys.  A key with mask bits never
-reaches :func:`unpack`, ``str`` or the moment sums, which read whole keys:
-``ExtForm.comps`` hands a form's terms on without the mask.
+into a third (``Poly.__mul__``, ``ExtForm.wedge``, ``CutoffJet.apply_op``,
+where the fields past the table add as the monomials do).  Callers keep only
+the rules on their keys.  A key with bits past its table never reaches
+:func:`unpack`, ``str`` or the moment sums, which read whole keys: only the
+stripped groups of :func:`_split` (``ExtForm.comps``,
+``FirstOrderOp.kernel``, ``quadrature.integrate_jets``) hand its terms on.
 """
 
 from __future__ import annotations
@@ -89,6 +94,26 @@ def pack(expo) -> int:
 def unpack(key: int, width: int) -> tuple:
     """The exponent vector, of ``width`` ints, of a packed key."""
     return tuple(key >> shift & FIELD for shift in range(0, BITS * width, BITS))
+
+
+def _past_table(value: int, variables: tuple) -> int:
+    """The key bits of ``value`` in the fields past the table ``variables``:
+    an exterior form's index mask there, or an operator's or a cutoff jet's
+    derivative multi-index alpha, one order per variable packed as an
+    exponent vector is."""
+    return value << BITS * len(variables)
+
+
+def _split(num: dict, variables: tuple, strip: bool = False) -> dict:
+    """{value of the fields past the table ``variables``: its terms}, in the
+    order the values first appear; each term keeps its whole key, or with
+    ``strip`` only its monomial."""
+    shift = BITS * len(variables)
+    low = (1 << shift) - 1 if strip else -1
+    groups: dict = {}
+    for key, value in num.items():
+        groups.setdefault(key >> shift, {})[key & low] = value
+    return groups
 
 
 def support(num: dict) -> int:

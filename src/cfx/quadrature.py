@@ -11,8 +11,9 @@ phi = ((x - l)(h - x))^2 / r^4 on [l, h], r = (h - l) / 2: it is 1 at the
 centre and vanishes to second order on every face.  First-order operators
 with polynomial coefficients move it only by the Leibniz rule, so what the
 mass estimates build from it is a :class:`CutoffJet`,
-sum_alpha P_alpha d^alpha chi with ``Poly`` parts.  :meth:`CutoffJet.apply_op`
-adds each new part into one numerator dict and builds one ``Poly`` per part.
+sum_alpha P_alpha d^alpha chi, one numerator dict over one den whose keys
+carry alpha past the variable table, as an operator's keys carry its d_v:
+:meth:`CutoffJet.apply_op` is one ``apply_into`` and one ``mul_into``.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
-from .poly import BITS, FIELD, Poly, mul_into, support, unpack
+from .poly import (BITS, FIELD, Poly, _split, common_sum, mul_into, reduce_gaussian, support,
+                   times_gaussian, unpack)
 
 
 def integrate_poly_box(p: Poly, lows: Sequence, highs: Sequence) -> tuple:
@@ -154,19 +156,27 @@ def _cutoff_rows(a, b, size: int) -> tuple:
 
 
 class CutoffJet:
-    """sum_alpha P_alpha d^alpha chi: ``parts`` maps a derivative multi-index
-    alpha (one order per variable) to a nonzero ``Poly`` P_alpha, and chi is
-    the bump of the box the jet is integrated over (:func:`integrate_jets`).
+    """sum_alpha P_alpha d^alpha chi, chi the bump of the box the jet is
+    integrated over (:func:`integrate_jets`): one numerator dict over one
+    ``den``, canonical as a ``Poly`` is.  A key is a term of P_alpha, its
+    packed monomial plus alpha, one order per variable packed as an
+    exponent vector is, in the fields past the variable table
+    (``poly._past_table``).
 
     Closed under first-order operators with polynomial coefficients, which
     is what the horizontal fields are.
     """
 
-    __slots__ = ("vars", "parts")
+    __slots__ = ("vars", "num", "den")
 
-    def __init__(self, variables: tuple, parts: dict):
+    def __init__(self, variables: tuple, num: dict, den: int = 1):
+        """Trusted: ``num`` holds valid keys and no (0, 0) pair, and ``den``
+        > 0; the common factor of ``den`` and the numerators is divided out."""
+        if den != 1:
+            num, den = reduce_gaussian(num, den)
         object.__setattr__(self, "vars", variables)
-        object.__setattr__(self, "parts", parts)
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
 
     def __setattr__(self, name, value):
         raise AttributeError("CutoffJet is immutable")
@@ -174,49 +184,24 @@ class CutoffJet:
     @classmethod
     def bump(cls, variables) -> "CutoffJet":
         """chi itself: the one part 1 at alpha = 0."""
-        variables = tuple(variables)
-        return cls(variables, {(0,) * len(variables): Poly.const(variables, 1)})
+        return cls(tuple(variables), {0: (1, 0)})
 
     def apply_op(self, op) -> "CutoffJet":
         """Z(sum P_alpha d^alpha chi) for Z = sum_v c_v d_v, by the Leibniz rule:
         Z(P_alpha) stays at alpha, and c_v P_alpha goes to alpha + e_v.
 
-        One integer pass over the operator's table: every output alpha gets
-        one numerator dict over D * den, D the lcm of the parts' denominators
-        and den the operator's.  Z(P_alpha) goes in through
-        ``FirstOrderOp.apply_into`` and c_v P_alpha through ``poly.mul_into``,
-        both with mult = D / P_alpha's den, and each nonzero sum is one Poly.
+        One dict over den * Z.den: ``FirstOrderOp.apply_into`` adds every
+        Z(P_alpha), each key keeping its alpha, and ``poly.mul_into`` every
+        c_v P_alpha, whose keys add the two fields past the table.
         """
         if op.vars != self.vars:
             raise ValueError("the operator and the jet have different variable tables")
-        D = lcm(1, *(part.den for part in self.parts.values()))
-        out: dict = {}
-        for alpha, part in self.parts.items():
-            mult = D // part.den
-            op.apply_into(out.setdefault(alpha, {}), part.num, mult)
-            for i, c in op.num.items():
-                shifted = alpha[:i] + (alpha[i] + 1,) + alpha[i + 1:]
-                mul_into(out.setdefault(shifted, {}), c, part.num, mult)
-        den = D * op.den
-        return CutoffJet(self.vars, {alpha: Poly._make(self.vars, num, den)
-                                     for alpha, num in out.items() if num})
+        out = op.apply_into({}, self.num, 1)
+        return CutoffJet(self.vars, mul_into(out, op.num, self.num, 1), self.den * op.den)
 
     def __sub__(self, other: "CutoffJet") -> "CutoffJet":
-        out = dict(self.parts)
-        for alpha, part in other.parts.items():
-            _add_part(out, alpha, -part)
-        return CutoffJet(self.vars, out)
-
-
-def _add_part(parts: dict, alpha: tuple, value: Poly) -> None:
-    """Add ``value`` to the part at ``alpha``, keeping no zero part; an
-    index keeps its place while it lives."""
-    acc = parts.get(alpha)
-    value = value if acc is None else acc + value
-    if value:
-        parts[alpha] = value
-    else:
-        parts.pop(alpha, None)
+        return CutoffJet(self.vars, *common_sum(self.num, self.den,
+                                                times_gaussian(other.num, -1, 0), other.den))
 
 
 def integrate_jets(lows: Sequence[Fraction], highs: Sequence[Fraction],
@@ -227,21 +212,25 @@ def integrate_jets(lows: Sequence[Fraction], highs: Sequence[Fraction],
     value is sum int_box weight * jet, with chi the bump of this box and
     jets of order at most 2 on each axis.  The cutoff rows
     int x^e phi^(d) dx of every axis are built once, long enough for every
-    part times its weight: each polynomial's bound is the largest field of
-    ``poly.support``, at least its highest exponent.  A term c x^e of
+    P_alpha times its weight: each polynomial's bound is the largest field
+    of ``poly.support``, at least its highest exponent.  A term c x^e of
     P_alpha then costs one int moment sum of the weight against the rows of
     alpha, each weight key shifted by e (one int sum); no product
-    polynomial is built.  An entry sums its ints over the lcm of the parts'
-    denominators and divides once.
+    polynomial is built.  An entry sums its ints over the lcm of the
+    jets' and weights' denominators and divides once.
     """
-    tops = {}
+    tops, parts = {}, {}
     for pairs in sums:
         for jet, weight in pairs:
-            for p in (weight, *jet.parts.values()):
-                if id(p) not in tops:
-                    tops[id(p)] = max(unpack(support(p.num), len(p.vars)), default=0)
-    size = 1 + max((tops[id(part)] + tops[id(weight)]
-                    for pairs in sums for jet, weight in pairs for part in jet.parts.values()),
+            if id(weight) not in tops:
+                tops[id(weight)] = max(unpack(support(weight.num), len(weight.vars)), default=0)
+            if id(jet) not in parts:
+                width = len(jet.vars)
+                parts[id(jet)] = [(unpack(alpha, width), terms) for alpha, terms
+                                  in _split(jet.num, jet.vars, True).items()]
+                tops[id(jet)] = max((top for _, terms in parts[id(jet)]
+                                     for top in unpack(support(terms), width)), default=0)
+    size = 1 + max((tops[id(jet)] + tops[id(weight)] for pairs in sums for jet, weight in pairs),
                    default=0)
     rows, den = [], 1
     for a, b in zip(lows, highs):
@@ -255,18 +244,18 @@ def integrate_jets(lows: Sequence[Fraction], highs: Sequence[Fraction],
         for jet, weight in pairs:
             if weight.vars != jet.vars or len(jet.vars) != len(rows):
                 raise ValueError("the jet, its weight and the box differ in their variables")
-            for alpha, part in jet.parts.items():
+            sr = si = 0
+            for alpha, terms in parts[id(jet)]:
                 alpha_rows = [axis_rows[d] for axis_rows, d in zip(rows, alpha)]
-                sr = si = 0
-                for key, (a, b) in part.num.items():
+                for key, (a, b) in terms.items():
                     wr, wi = _moment_sum(weight.num, alpha_rows, key)
                     sr += a * wr - b * wi
                     si += a * wi + b * wr
-                # (re, im) / q_all + (sr, si) / q over the lcm of q_all and q
-                q = part.den * weight.den
-                g = lcm(q_all, q)
-                re = re * (g // q_all) + sr * (g // q)
-                im = im * (g // q_all) + si * (g // q)
-                q_all = g
+            # (re, im) / q_all + (sr, si) / q over the lcm of q_all and q
+            q = jet.den * weight.den
+            g = lcm(q_all, q)
+            re = re * (g // q_all) + sr * (g // q)
+            im = im * (g // q_all) + si * (g // q)
+            q_all = g
         out.append((Fraction(re, q_all * den), Fraction(im, q_all * den)))
     return out

@@ -444,9 +444,8 @@ def test_floats_only_at_the_ma_report_edge(path):
 
 
 # functions that may delete a key from a dict: poly.add_term is the one merge
-# of a numerator dict (a Poly's, an operator coefficient's or a form's), and
-# quadrature._add_part the one store-or-delete of a cutoff jet's Poly part
-KEY_DELETIONS = {("poly.py", "add_term"), ("quadrature.py", "_add_part")}
+# of a numerator dict (a Poly's, an operator's, a form's or a cutoff jet's)
+KEY_DELETIONS = {("poly.py", "add_term")}
 
 
 def _key_deletions(tree: ast.Module) -> list:
@@ -503,8 +502,9 @@ def _names_called(tree: ast.Module) -> dict:
 def test_the_exterior_layout_has_one_home():
     # the wedge sign is exterior.wedge_sign, the parity of the mask bits
     # below the inserted index: the package's only popcount, folded by
-    # merge_sign.  The index field sits past the variables' fields only in
-    # exterior.py (index_mask hands its bits out).  boundary and flat read
+    # merge_sign.  The fields past the variables' fields (a form's index
+    # mask, an operator's or a jet's alpha) are placed and grouped only in
+    # poly.py (_past_table and _split hand them out).  boundary and flat read
     # the sign and restate no exterior rule; the component product is
     # poly.mul_into, in Poly and in ExtForm.wedge
     bisect_users = sorted(path.name for path in [*MODULES, PACKAGE / "__init__.py"]
@@ -519,7 +519,7 @@ def test_the_exterior_layout_has_one_home():
     assert parities == ["exterior.py:wedge_sign"], parities
     placed = sorted({path.name for path in MODULES
                      if re.search(r"BITS \* len\(", path.read_text(encoding="utf-8"))})
-    assert placed == ["exterior.py"], placed
+    assert placed == ["poly.py"], placed
     exterior = _names_called(_tree(PACKAGE / "exterior.py"))
     assert "wedge_sign" in exterior["merge_sign"]
     assert {"merge_sign", "mul_into"} <= exterior["ExtForm.wedge"]
@@ -566,13 +566,28 @@ def test_forms_have_one_layout(tmp_path, monkeypatch):
 
 
 def test_form_keys_never_reach_a_whole_key_reader(tmp_path, monkeypatch):
-    # a form's key carries its index mask past the variable table, which
-    # poly.unpack, Poly.__str__ and the moment sums would misread: only the
-    # per-component view, which strips the mask, may hand a form's terms on
+    # a form's key carries its index mask past the variable table, and an
+    # operator's or a cutoff jet's key its alpha, which poly.unpack,
+    # Poly.__str__ and the moment sums would misread: only the views that
+    # strip the field (ExtForm.comps, FirstOrderOp.kernel and the grouping
+    # of integrate_jets) may hand their terms on.  The traffic integrates
+    # cutoff jets and reads operator coefficients, and every operator of a
+    # tangent frame is printed below
     from cfx import cli, groups, ma, poly, quadrature
+    from cfx.boundary import TangentFrame
+    from cfx.operators import FirstOrderOp
 
-    seen = {"unpack": 0, "str": 0, "moments": 0}
+    seen = {"unpack": 0, "str": 0, "moments": 0, "jets": 0, "coefficients": 0}
     unpack, poly_str, moment_sum = poly.unpack, poly.Poly.__str__, quadrature._moment_sum
+    integrate_jets, coefficient = quadrature.integrate_jets, FirstOrderOp.coefficient
+
+    def counted_jets(lows, highs, sums):
+        seen["jets"] += 1
+        return integrate_jets(lows, highs, sums)
+
+    def counted_coefficient(self, name):
+        seen["coefficients"] += 1
+        return coefficient(self, name)
 
     def checked_unpack(key, width):
         assert key >> poly.BITS * width == 0, "a key with bits past its table reached unpack"
@@ -595,14 +610,21 @@ def test_form_keys_never_reach_a_whole_key_reader(tmp_path, monkeypatch):
     monkeypatch.setattr(poly.Poly, "__str__", checked_str)
     for module in (quadrature, ma):
         monkeypatch.setattr(module, "_moment_sum", checked_moments)
+    monkeypatch.setattr(ma, "integrate_jets", counted_jets)
+    monkeypatch.setattr(FirstOrderOp, "coefficient", counted_coefficient)
     codes = _program_traffic(tmp_path)
     assert codes == [0] * len(codes), codes
+    assert seen["jets"] and seen["coefficients"], seen
     # every residual of the traffic is "0": print a form of each degree too
     from cfx.randgen import SectionGenerator
 
     gen = SectionGenerator(3)
     assert all(str(gen.form(4, d, poly.x_vars(6)).scale(Fraction(1, 3))) != "0"
                for d in range(5))
+    frame = TangentFrame(groups.GroupSpec(1, gen.right_type_matrix(1)))
+    ops = [*frame.X, *(op for row in frame.Z_upper for op in row), *frame.T_upper.values()]
+    assert all(str(op.scale(Fraction(1, 3))).count(" d/d") == len(op.kernel()[1])
+               for op in ops)
     assert all(seen.values()), seen
 
 
@@ -749,7 +771,7 @@ def test_operator_algebra_runs_on_ints(monkeypatch):
     # operators' integer tables: no Poly sum or product
     from cfx.boundary import TangentFrame, bracket_identity
     from cfx.groups import GroupSpec
-    from cfx.poly import Poly
+    from cfx.poly import BITS, Poly
     from cfx.quadrature import CutoffJet
     from cfx.randgen import SectionGenerator
 
@@ -764,10 +786,14 @@ def test_operator_algebra_runs_on_ints(monkeypatch):
     for group in groups:
         frame = TangentFrame(group)
         verdicts.append((frame.right_type, bracket_identity(frame)["pass"]))
-        # Z chi = sum_v c_v d_v chi: one part per coefficient, none at alpha = 0
+        # Z chi = sum_v c_v d_v chi: the alpha e_v of each coefficient c_v,
+        # none at alpha = 0
         row = frame.Z_lower[1][0]
         jet = CutoffJet.bump(frame.vars).apply_op(row)
-        assert len(jet.parts) == len(row.num) > 2
+        shift = BITS * len(frame.vars)
+        alphas = {key >> shift for key in jet.num}
+        assert alphas == {key >> shift for key in row.num} and len(alphas) > 2
+        assert 0 not in alphas
     assert verdicts == [(False, True), (True, True)]
 
 

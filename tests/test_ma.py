@@ -41,7 +41,7 @@ from cfx.reports import dumps
 from test_exterior import basis_form, reference_merge_sign, scale_poly
 from test_operators import coeffs
 from test_poly import power
-from test_quadrature import bump_factor, monomial_reference, uni_diff
+from test_quadrature import bump_factor, jet_of, monomial_reference, uni_diff
 from test_rational import ZERO, ComplexRational, pair, terms
 
 
@@ -470,9 +470,9 @@ def test_bump_vanishes_on_faces():
     # int d_x1 chi = int d_x2^2 chi = int x3 d_x3^2 chi = 0, while int chi != 0
     W = ("x1", "x2", "x3")
     bump = CutoffJet.bump(W)
-    exact = [CutoffJet(W, {(1, 0, 0): Poly.const(W, 1)}),
-             CutoffJet(W, {(0, 2, 0): Poly.const(W, 1)}),
-             CutoffJet(W, {(0, 0, 2): Poly.var(W, "x3")})]
+    exact = [jet_of(W, {(1, 0, 0): Poly.const(W, 1)}),
+             jet_of(W, {(0, 2, 0): Poly.const(W, 1)}),
+             jet_of(W, {(0, 0, 2): Poly.var(W, "x3")})]
     one = Poly.const(W, 1)
     values = integrate_jets(region.lows, region.highs, [[(jet, one)] for jet in [bump, *exact]])
     values = [ComplexRational(*value) for value in values]

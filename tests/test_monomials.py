@@ -24,7 +24,7 @@ from cfx.poly import (BITS, FIELD, GUARD, MAX_EXPONENT, MAX_VARS, Poly, _gaussia
 from cfx.quadrature import _moment_sum, _moment_table
 from cfx.randgen import SectionGenerator
 from cfx.rational import gaussian_from_json
-from test_operators import translation_ops
+from test_operators import alpha_view, translation_ops
 from test_poly import poly_to_json, tuple_num
 
 # -- the tuple-keyed kernels: the references ----------------------------------------------
@@ -59,9 +59,9 @@ def ref_kernel(op: FirstOrderOp) -> list:
     """[(variable index, [(expo or None, re, im), ...]), ...] of den * op."""
     width = len(op.vars)
     zero = (0,) * width
-    return [(v, [(None if e == zero else e, re, im)
-                 for e, (re, im) in tuples(coeff, width).items()])
-            for v, coeff in op.num.items()]
+    return [(alpha.index(1), [(None if e == zero else e, re, im)
+                              for e, (re, im) in tuples(coeff, width).items()])
+            for alpha, coeff in alpha_view(op.vars, op.num).items()]
 
 
 def ref_apply_into(kernel: list, out: dict, num: dict, mult: int) -> dict:
@@ -186,7 +186,8 @@ def test_mul_into_matches_the_tuple_reference(name):
     frame = _frame(name)
     width = len(frame.vars)
     nums = [p.num for p in _polys(frame, 11)]
-    nums += [coeff for op in _operators(frame)[:4] for coeff in op.num.values()]
+    nums += [coeff for op in _operators(frame)[:4]
+             for coeff in alpha_view(op.vars, op.num).values()]
     out, ref = {}, {}
     for i, num1 in enumerate(nums):
         for num2 in nums[i:]:
@@ -268,7 +269,8 @@ def test_support_and_row_masks_match_the_tuple_reference(name):
         for aprime in (0, 1):
             for raised in (False, True):
                 for op, _, row_mask in frame.row_table(aprime, raised)[1]:
-                    assert bool(mask & row_mask) == bool(ref & sum(1 << v for v in op.num))
+                    used = sum(1 << alpha.index(1) for alpha in alpha_view(op.vars, op.num))
+                    assert bool(mask & row_mask) == bool(ref & used)
 
 
 @pytest.mark.parametrize("name", FRAMES)

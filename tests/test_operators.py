@@ -15,7 +15,7 @@ import pytest
 from cfx.boundary import TangentFrame, ambient_frame, frak_d
 from cfx.groups import GroupSpec
 from cfx.operators import FirstOrderOp
-from cfx.poly import BITS, GUARD, Poly, x_vars
+from cfx.poly import BITS, FIELD, GUARD, Poly, x_vars
 from cfx.randgen import SectionGenerator
 from test_poly import conjugate, total_degree
 
@@ -23,9 +23,29 @@ from test_poly import conjugate, total_degree
 # -- the Poly-coefficient algebra: the reference ----------------------------------------------
 
 
+def alpha_view(variables, num: dict) -> dict:
+    """{alpha: numerator dict of P_alpha} of a packed dict whose keys carry a
+    derivative multi-index alpha past the variable table, one order per
+    variable (a ``FirstOrderOp``'s or a ``CutoffJet``'s), read key by key:
+    alpha is a tuple and the terms are keyed by their monomials."""
+    width = len(variables)
+    low = (1 << BITS * width) - 1
+    view = {}
+    for key, value in num.items():
+        alpha = tuple(key >> BITS * (width + v) & FIELD for v in range(width))
+        assert key >> BITS * 2 * width == 0, "a key past alpha's fields"
+        view.setdefault(alpha, {})[key & low] = value
+    return view
+
+
 def coeffs(op) -> dict:
-    """{variable name: Poly coefficient} of an operator, in its table's order."""
-    return {op.vars[v]: Poly._make(op.vars, dict(num), op.den) for v, num in op.num.items()}
+    """{variable name: Poly coefficient} of an operator, in its dict's order;
+    every alpha of an operator is the unit of one variable."""
+    out = {}
+    for alpha, num in alpha_view(op.vars, op.num).items():
+        assert sorted(alpha) == [0] * (len(alpha) - 1) + [1], alpha
+        out[op.vars[alpha.index(1)]] = Poly._make(op.vars, num, op.den)
+    return out
 
 
 def coefficient(cs: dict, variables, name) -> Poly:
@@ -97,17 +117,16 @@ def reference_kernel(variables, cs: dict) -> tuple:
 
 
 def assert_canonical(op):
-    """No empty coefficient and no (0, 0) numerator; gcd 1; den 1 for zero."""
+    """Int keys, each a monomial plus the unit of one variable past the
+    table; no (0, 0) numerator; gcd 1; den 1 for zero."""
     assert op.den > 0
-    assert all(op.num.values())
-    assert all(re or im for num in op.num.values() for re, im in num.values())
-    assert all(0 <= v < len(op.vars) and all(
-        type(e) is int and 0 <= e < 1 << BITS * len(op.vars) and not e & GUARD for e in num)
-               for v, num in op.num.items())
+    assert all(type(key) is int and key >= 0 and not key & GUARD for key in op.num)
+    assert all(re or im for re, im in op.num.values())
+    assert all(sorted(alpha) == [0] * (len(alpha) - 1) + [1]
+               for alpha in alpha_view(op.vars, op.num))
     g = op.den
-    for num in op.num.values():
-        for re, im in num.values():
-            g = gcd(g, re, im)
+    for re, im in op.num.values():
+        g = gcd(g, re, im)
     assert g == 1
     if not op.num:
         assert op.den == 1

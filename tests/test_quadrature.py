@@ -14,27 +14,73 @@ Each quantity has one reference, a closed form that reads no package kernel:
   its derivatives expanded by hand into univariate factors, each integrated
   by ``uni_integral``, in ``test_separable_sum_against_expanded``,
   ``test_integrate_box_matches_per_term_reference`` and
-  ``test_integer_sum_matches_the_fraction_reference``.
+  ``test_integer_sum_matches_the_fraction_reference``;
+- the Leibniz step (``CutoffJet.apply_op``): ``reference_apply_op``, one
+  ``Poly`` per part moved by the Poly-coefficient operator algebra of
+  ``tests/test_operators.py``, in ``test_apply_op_matches_the_per_part_leibniz_step``.
 """
 
 import random
 from fractions import Fraction
 from functools import cache
-from math import prod
+from math import gcd, lcm, prod
 
 import pytest
 
 from cfx.boundary import TangentFrame
 from cfx.groups import GroupSpec
 from cfx.operators import FirstOrderOp
-from cfx.poly import Poly, x_vars
+from cfx.poly import BITS, Poly, pack, x_vars
 from cfx.quadrature import CutoffJet, integrate_jets, integrate_poly_box, integrate_poly_faces
 from cfx.randgen import SectionGenerator
-from test_operators import coeffs
+from test_operators import alpha_view, coeffs, reference_apply
 from test_poly import power
 from test_rational import ComplexRational, cq, terms
 
 V = x_vars(3)
+
+
+# -- the per-part view of a cutoff jet ------------------------------------------------------
+
+
+def jet_of(variables, parts: dict) -> CutoffJet:
+    """The jet sum_alpha P_alpha d^alpha chi of {alpha: nonzero Poly}: each
+    term's key is its monomial plus alpha packed past the variable table."""
+    variables = tuple(variables)
+    den = lcm(1, *(p.den for p in parts.values()))
+    lift = BITS * len(variables)
+    num = {key + (pack(alpha) << lift): (re * (den // p.den), im * (den // p.den))
+           for alpha, p in parts.items() for key, (re, im) in p.num.items()}
+    return CutoffJet(variables, num, den)
+
+
+def jet_parts(jet) -> dict:
+    """{alpha: Poly P_alpha} of a jet, read key by key."""
+    return {alpha: Poly._make(jet.vars, num, jet.den)
+            for alpha, num in alpha_view(jet.vars, jet.num).items()}
+
+
+def reference_apply_op(parts: dict, op) -> dict:
+    """The Leibniz step part by part, on Polys: Z(P_alpha) at alpha and
+    c_v P_alpha at alpha + e_v, summed with ``Poly`` arithmetic."""
+    out = {}
+
+    def add(alpha, p):
+        out[alpha] = out.get(alpha, Poly.zero(op.vars)) + p
+
+    for alpha, part in parts.items():
+        add(alpha, reference_apply(op, part))
+        for name, c in coeffs(op).items():
+            i = op.vars.index(name)
+            add(alpha[:i] + (alpha[i] + 1,) + alpha[i + 1:], c * part)
+    return {alpha: p for alpha, p in out.items() if p}
+
+
+def assert_canonical_jet(jet):
+    """No (0, 0) numerator, gcd 1 with den, den 1 for the zero jet."""
+    assert jet.den > 0 and all(re or im for re, im in jet.num.values())
+    assert gcd(jet.den, *(x for value in jet.num.values() for x in value)) == 1
+    assert jet.num or jet.den == 1
 
 
 # -- the Fraction reference: univariate helpers and the factored sum -------------------------
@@ -307,7 +353,7 @@ def reference_jet(jet, lows, highs) -> ReferenceSum:
     """sum_alpha P_alpha d^alpha chi term by term: c x^e in P_alpha becomes
     c prod_axis x^e_axis phi_axis^(alpha_axis)."""
     out = []
-    for alpha, part in jet.parts.items():
+    for alpha, part in jet_parts(jet).items():
         for expo, c in terms(part).items():
             factors = []
             for axis, (l, h) in enumerate(zip(lows, highs)):
@@ -345,9 +391,9 @@ def test_separable_apply_first_order_op():
     # x2 d/dx1 on the bump puts x2 at d/dx1; d/dx1 on x1 chi keeps 1 at 0 (Leibniz)
     x1, x2 = Poly.var(V, "x1"), Poly.var(V, "x2")
     jet = CutoffJet.bump(V).apply_op(FirstOrderOp(V, {"x1": x2}))
-    assert jet.parts == {(1, 0, 0): x2}
-    jet = CutoffJet(V, {(0, 0, 0): x1}).apply_op(FirstOrderOp.partial(V, "x1"))
-    assert jet.parts == {(0, 0, 0): Poly.const(V, 1), (1, 0, 0): x1}
+    assert jet_parts(jet) == {(1, 0, 0): x2}
+    jet = jet_of(V, {(0, 0, 0): x1}).apply_op(FirstOrderOp.partial(V, "x1"))
+    assert jet_parts(jet) == {(0, 0, 0): Poly.const(V, 1), (1, 0, 0): x1}
     with pytest.raises(ValueError, match="variable tables"):
         CutoffJet.bump(V).apply_op(FirstOrderOp.partial(x_vars(2), "x1"))
 
@@ -382,7 +428,7 @@ def _random_jet(rng, variables, parts):
         alpha = tuple(rng.randint(0, 2) for _ in variables)
         out[alpha] = out.get(alpha, Poly.zero(variables)) + \
             _random_weight(rng, variables, rng.randint(1, 3))
-    return CutoffJet(tuple(variables), {a: p for a, p in out.items() if p})
+    return jet_of(variables, {a: p for a, p in out.items() if p})
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -406,7 +452,7 @@ def test_integrate_box_cancelling_terms_and_vanishing_axis():
     x1 = Poly.var(W, "x1")
     jet = CutoffJet.bump(W).apply_op(FirstOrderOp(W, {"x2": x1 + 3}))
     # jet - jet has no part left; an odd weight on the symmetric axis integrates to 0
-    assert (jet - jet).parts == {}
+    assert (jet - jet).num == {} and (jet - jet).den == 1
     assert _jet_integral(jet - jet, [0, 0], [1, 1], x1) == cq(0)
     bump, i = CutoffJet.bump(W), (0, 1)
     assert _jet_integral(bump, [-1, 0], [1, 1], x1.scale(i)) == cq(0)
@@ -450,7 +496,7 @@ def test_integer_sum_matches_the_fraction_reference(seed, frame_index, frames):
         for op in (None, frame.Z_lower[a][0], frame.Z_lower[b][1]):
             if op is not None:
                 jet, ref = jet.apply_op(op), ref.apply_op(op, axis_of)
-            assert all(part for part in jet.parts.values())
+            assert_canonical_jet(jet)
             want = [ref.integrate_box(lows, highs, w) for w in weights]
             got = integrate_jets(lows, highs, [[(jet, w)] for w in weights]
                                  + [[(jet, w) for w in weights]])
@@ -466,10 +512,36 @@ def test_integer_sum_matches_the_fraction_reference(seed, frame_index, frames):
 def test_jet_parts_are_canonical_polys():
     # every part is a nonzero Poly: a part that cancels is dropped
     x1, x2 = Poly.var(V, "x1"), Poly.var(V, "x2")
-    jet = CutoffJet(V, {(0, 0, 0): x1, (1, 0, 0): x2})
-    other = CutoffJet(V, {(1, 0, 0): x2, (0, 1, 0): x1})
+    jet = jet_of(V, {(0, 0, 0): x1, (1, 0, 0): x2})
+    other = jet_of(V, {(1, 0, 0): x2, (0, 1, 0): x1})
     diff = jet - other
-    assert diff.parts == {(0, 0, 0): x1, (0, 1, 0): -x1}
-    assert (diff - CutoffJet(V, {(0, 0, 0): x1})).parts == {(0, 1, 0): -x1}
+    assert jet_parts(diff) == {(0, 0, 0): x1, (0, 1, 0): -x1}
+    assert jet_parts(diff - jet_of(V, {(0, 0, 0): x1})) == {(0, 1, 0): -x1}
+    # a difference over a common den whose numerators share its factor
+    half = jet_of(V, {(0, 0, 0): x1.scale(Fraction(1, 2)), (1, 0, 0): x2.scale(Fraction(1, 2))})
+    for got in (diff, jet - half, half - half):
+        assert_canonical_jet(got)
+    assert jet_parts(jet - half) == {(0, 0, 0): x1.scale(Fraction(1, 2)),
+                                     (1, 0, 0): x2.scale(Fraction(1, 2))}
     with pytest.raises(AttributeError):
-        jet.parts = {}
+        jet.num = {}
+
+
+@pytest.mark.parametrize("frame_index", range(3), ids=["rightQH", "leftQH", "dense"])
+def test_apply_op_matches_the_per_part_leibniz_step(frame_index, frames):
+    # the packed step (one apply_into and one mul_into) against the Poly
+    # Leibniz step part by part, on the lowered and raised rows and the
+    # translations of each frame at n = 1 and 2, up to order 2
+    for frame in frames[frame_index]:
+        rng = random.Random(frame_index * 10 + frame.n)
+        rows = [op for table in (frame.Z_lower, frame.Z_upper) for row in table for op in row]
+        ops = rows + list(frame.T_upper.values())
+        start = [CutoffJet.bump(frame.vars),
+                 jet_of(frame.vars, {(0,) * len(frame.vars): _random_weight(rng, frame.vars, 3)})]
+        for jet in start:
+            for op1, op2 in (rng.sample(ops, 2) for _ in range(4)):
+                once = jet.apply_op(op1)
+                twice = once.apply_op(op2)
+                for before, after, op in ((jet, once, op1), (once, twice, op2)):
+                    assert_canonical_jet(after)
+                    assert jet_parts(after) == reference_apply_op(jet_parts(before), op)

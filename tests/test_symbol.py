@@ -18,6 +18,7 @@ Each quantity has one reference:
   ``test_one_flipped_entry_breaks_the_composition``.
 """
 
+import json
 import math
 from fractions import Fraction
 from itertools import combinations
@@ -383,6 +384,19 @@ def test_symbol_sequence_is_exact_up_to_k_2n_plus_1(n, k):
     assert (result["ranks"][-1] < result["dims"][top]) == (k > 2 * n + 1)
     if (n, k) == (1, 4):
         assert (result["ranks"][-1], result["dims"][top]) == (7, 8)
+    # every product is 0, so each detail says whether the ranks sum to the dimension
+    for lv in result["levels"]:
+        used = result["ranks"][max(lv["level"] - 1, 0):lv["level"] + 1]
+        sign = "==" if lv["exact"] else "!="
+        assert lv["detail"] == " + ".join(f"rank {r}" for r in used) + f" {sign} dim {lv['dim']}"
+
+
+def test_the_cli_reads_a_short_top_level_as_not_equal(capsys):
+    assert main(["symbol", "--n", "1", "--k", "4", "--trials", "1"]) == 1
+    levels = json.loads(capsys.readouterr().out)["levels"]
+    assert [(lv["detail"], lv["exact"]) for lv in levels] == [
+        ("rank 5 == dim 5", True), ("rank 5 + rank 11 == dim 16", True),
+        ("rank 11 + rank 7 == dim 18", True), ("rank 7 != dim 8", False)]
 
 
 def rotated_odd_levels(monkeypatch):

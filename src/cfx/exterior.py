@@ -3,10 +3,10 @@
 This module is the one home of the form layout; ``boundary.frak_d`` and the
 flat symbol build on its primitives and restate none of it:
 
-* a form is one numerator dict over one ``den``, canonical as a ``Poly`` is,
-  so ``==`` is exact.  A key is a term's packed monomial plus its
-  component's index mask in the first field past the variable table
-  (bit a is w^a), placed there by ``poly._past_table`` as an operator's
+* a form is a ``poly.Packed`` value whose shape adds ``dim`` and
+  ``degree`` to the variable table.  A key is a term's packed monomial
+  plus its component's index mask in the first field past the variable
+  table (bit a is w^a), placed there by ``poly._past_table`` as an operator's
   d_v is: the ``poly`` primitives and ``FirstOrderOp.apply_into`` act on
   every component in one pass, and no operator reads the mask.  The
   field's top bit is a guard bit of ``poly.GUARD``, so a form has at most
@@ -18,8 +18,8 @@ flat symbol build on its primitives and restate none of it:
 
 ``comps`` is the read-only per-component view {index tuple: ``Poly``}, in
 increasing index-tuple order, built on first use and kept by the form.  The
-public constructor takes such a dict and checks it; the ring operations
-build through the trusted ``ExtForm._make``, which reduces the denominator.
+public constructor takes such a dict and checks it; the trusted
+``ExtForm._make`` checks only the degree and the ``MAX_DIM`` bound.
 """
 
 from __future__ import annotations
@@ -28,8 +28,7 @@ from collections.abc import Mapping, Sequence
 from math import lcm, prod
 from types import MappingProxyType
 
-from .poly import (BITS, Poly, _gaussian_parts, _past_table, _split, common_sum, mul_into,
-                   reduce_gaussian, times_gaussian)
+from .poly import BITS, Packed, Poly, _past_table, _split, mul_into, reduce_gaussian
 
 _set = object.__setattr__
 
@@ -55,10 +54,12 @@ def merge_sign(left: int, right: int) -> int:
     return prod(wedge_sign(right, a) for a in range(left.bit_length()) if left >> a & 1)
 
 
-class ExtForm:
-    """Degree-``degree`` form of dimension ``dim``: ``num`` over ``den`` (see above)."""
+class ExtForm(Packed):
+    """Degree-``degree`` form of dimension ``dim``: ``num`` over ``den``
+    (see above).  Not hashable: nothing keys a dict or a cache by a form."""
 
-    __slots__ = ("dim", "degree", "vars", "num", "den", "_comps")
+    __slots__ = ("dim", "degree", "_view")
+    __hash__ = None
 
     def __init__(self, dim: int, degree: int, variables: Sequence[str],
                  comps: Mapping | None = None):
@@ -94,22 +95,31 @@ class ExtForm:
         _set(self, "vars", variables)
         _set(self, "num", num)
         _set(self, "den", den)
-        _set(self, "_comps", None)
 
     @classmethod
     def _make(cls, dim: int, degree: int, variables: tuple, num: dict,
               den: int = 1) -> "ExtForm":
-        """Trusted constructor: ``num`` holds valid keys and no (0, 0) pair,
-        and ``den`` > 0.  Divides out the common factor of ``den`` and the
-        numerators; checks only the degree and the ``MAX_DIM`` bound."""
+        """``Packed._make`` with the form's shape."""
         if den != 1:
             num, den = reduce_gaussian(num, den)
         f = object.__new__(cls)
         f._init(dim, degree, variables, num, den)
         return f
 
-    def __setattr__(self, name, value):
-        raise AttributeError("ExtForm is immutable")
+    def _like(self, num: dict, den: int = 1) -> "ExtForm":
+        return ExtForm._make(self.dim, self.degree, self.vars, num, den)
+
+    def _shape(self):
+        return self.dim, self.degree, self.vars
+
+    def _check(self, other: "ExtForm", degree: bool = True):
+        """Same dimension and variables, and with ``degree`` same degree."""
+        if self.dim != other.dim:
+            raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
+        if self.vars != other.vars:
+            raise ValueError("variable table mismatch")
+        if degree and self.degree != other.degree:
+            raise ValueError(f"degree mismatch: {self.degree} vs {other.degree}")
 
     # -- constructors -------------------------------------------------------------
 
@@ -132,52 +142,24 @@ class ExtForm:
     def comps(self) -> Mapping:
         """The read-only view {index tuple: Poly}, in increasing index-tuple
         order; built on first use and kept by the form."""
-        if self._comps is None:
+        try:
+            return self._view
+        except AttributeError:
             comps = {tuple(a for a in range(self.dim) if mask >> a & 1):
                      Poly._make(self.vars, num, self.den)
                      for mask, num in _split(self.num, self.vars, True).items()}
-            _set(self, "_comps", MappingProxyType(dict(sorted(comps.items()))))
-        return self._comps
+            _set(self, "_view", MappingProxyType(dict(sorted(comps.items()))))
+            return self._view
 
     def component(self, idx) -> Poly:
         return self.comps.get(tuple(idx), Poly.zero(self.vars))
-
-    # -- linear structure -----------------------------------------------------------
-
-    def _check(self, other: "ExtForm"):
-        if self.dim != other.dim:
-            raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
-        if self.vars != other.vars:
-            raise ValueError("variable table mismatch")
-
-    def __add__(self, other: "ExtForm") -> "ExtForm":
-        self._check(other)
-        if self.degree != other.degree:
-            raise ValueError(f"degree mismatch: {self.degree} vs {other.degree}")
-        return ExtForm._make(self.dim, self.degree, self.vars,
-                             *common_sum(self.num, self.den, other.num, other.den))
-
-    def __neg__(self):
-        return ExtForm._make(self.dim, self.degree, self.vars,
-                             times_gaussian(self.num, -1, 0), self.den)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, value) -> "ExtForm":
-        re, im, den = _gaussian_parts(value)
-        if not (re or im):
-            return ExtForm._make(self.dim, self.degree, self.vars, {})
-        return ExtForm._make(self.dim, self.degree, self.vars,
-                             times_gaussian(self.num, re, im), self.den * den)
 
     def apply(self, op) -> "ExtForm":
         """The first-order operator ``op`` applied to every component, in one
         ``apply_into`` pass over the form's terms."""
         if op.vars != self.vars:
             raise ValueError(f"variable tables differ: {op.vars} vs {self.vars}")
-        return ExtForm._make(self.dim, self.degree, self.vars,
-                             op.apply_into({}, self.num, 1), self.den * op.den)
+        return self._like(op.apply_into({}, self.num, 1), self.den * op.den)
 
     # -- wedge ------------------------------------------------------------------------
 
@@ -189,7 +171,7 @@ class ExtForm:
         :func:`merge_sign`, into one numerator dict: the masks add with the
         monomials.
         """
-        self._check(other)
+        self._check(other, False)
         right = other.parts().items()
         out: dict = {}
         for m1, num1 in self.parts().items():
@@ -198,21 +180,6 @@ class ExtForm:
                     mul_into(out, num1, num2, merge_sign(m1, m2))
         return ExtForm._make(self.dim, self.degree + other.degree, self.vars, out,
                              self.den * other.den)
-
-    # -- queries --------------------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.num
-
-    def __bool__(self):
-        return bool(self.num)
-
-    def __eq__(self, other):
-        if not isinstance(other, ExtForm):
-            return NotImplemented
-        return (self.dim == other.dim and self.degree == other.degree
-                and self.vars == other.vars and self.den == other.den
-                and self.num == other.num)
 
     def __str__(self):
         if not self.num:

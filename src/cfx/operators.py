@@ -1,22 +1,16 @@
 """First-order differential operators with polynomial coefficients, and their commutators.
 
-An operator sum_v c_v(x) d/dv is one numerator dict over one positive int
-``den``, in the layout of ``Poly``: a key is a term's packed monomial plus
-the unit of v, ``1 << BITS * v``, in the fields past the variable table
+An operator sum_v c_v(x) d/dv is a ``poly.Packed`` value: one numerator
+dict over one ``den``, a key being a term's packed monomial plus the unit
+of v, ``1 << BITS * v``, in the fields past the variable table
 (``poly._past_table``), where a cutoff jet keeps its multi-index alpha.
-The dict is canonical, so ``==`` and ``hash`` are exact:
-
-* no numerator is ``(0, 0)``;
-* the gcd of ``den`` and every numerator part is 1;
-* the zero operator has ``den == 1``.
 
 The public constructor ``FirstOrderOp(vars, {name: Poly or scalar})`` checks
-its input.  Sum, difference, negation, ``scale`` and ``conjugate`` are one
-pass of the primitives of ``poly`` over the dict, and each key keeps its
-d_v field; the trusted ``FirstOrderOp._make`` only divides out the common
-factor.  A commutator is two ``apply_into`` calls into one dict.  The API
-edge is ``coefficient`` and ``str``: only they build a ``Poly`` of a
-coefficient, from the rows of ``kernel``.
+its input.  Sum, difference, negation and ``scale`` come from ``Packed``
+and keep each key's d_v field, as ``conjugate`` does.  A commutator is two
+``apply_into`` calls into one dict.  The API edge is ``coefficient`` and
+``str``: only they build a ``Poly`` of a coefficient, from the rows of
+``kernel``.
 """
 
 from __future__ import annotations
@@ -24,13 +18,13 @@ from __future__ import annotations
 from collections.abc import Mapping
 from math import lcm
 
-from .poly import (BITS, FIELD, GUARD, MAX_EXPONENT, Poly, _gaussian_parts, _past_table,
-                   _split, add_term, common_sum, reduce_gaussian, times_gaussian)
+from .poly import (BITS, FIELD, GUARD, MAX_EXPONENT, Packed, Poly, _gaussian_parts,
+                   _past_table, _split, add_term)
 
 _set = object.__setattr__
 
 
-class FirstOrderOp:
+class FirstOrderOp(Packed):
     """sum_v  coeff_v(x) * d/dv, as one numerator dict (see the module docstring).
 
     :meth:`kernel` lists the dict as the per-variable rows every application
@@ -38,7 +32,7 @@ class FirstOrderOp:
     because most frame-building intermediates are never applied.
     """
 
-    __slots__ = ("vars", "num", "den", "_kernel")
+    __slots__ = ("_view",)
 
     def __init__(self, variables, coeffs: Mapping):
         variables = tuple(variables)
@@ -62,24 +56,6 @@ class FirstOrderOp:
         _set(self, "num", {key + lift: (re * (den // d), im * (den // d))
                            for lift, num, d in parts for key, (re, im) in num.items()})
         _set(self, "den", den)
-        _set(self, "_kernel", None)
-
-    @classmethod
-    def _make(cls, variables: tuple, num: dict, den: int = 1) -> "FirstOrderOp":
-        """Trusted constructor: ``num`` holds valid keys and no (0, 0) pair,
-        and ``den`` > 0.  Divides out the common factor of ``den`` and the
-        numerators, so the result is canonical; nothing else is checked."""
-        if den != 1:
-            num, den = reduce_gaussian(num, den)
-        op = object.__new__(cls)
-        _set(op, "vars", variables)
-        _set(op, "num", num)
-        _set(op, "den", den)
-        _set(op, "_kernel", None)
-        return op
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FirstOrderOp is immutable")
 
     @classmethod
     def partial(cls, variables, name, coeff=1) -> "FirstOrderOp":
@@ -93,12 +69,14 @@ class FirstOrderOp:
         terms of den * c_v, keyed by their monomials, with ``key`` None for
         the constant term; the variables come in the order of the dict.
         """
-        if self._kernel is None:
-            _set(self, "_kernel", (self.den, [
+        try:
+            return self._view
+        except AttributeError:
+            _set(self, "_view", (self.den, [
                 (unit.bit_length() - 1, unit,
                  [(key or None, re, im) for key, (re, im) in terms.items()])
                 for unit, terms in _split(self.num, self.vars, True).items()]))
-        return self._kernel
+            return self._view
 
     def apply_into(self, out: dict, num: dict, mult: int, lift: int = 0) -> dict:
         """Add mult * den * sum_v c_v d_v p, for p's numerators ``num`` and an
@@ -142,34 +120,9 @@ class FirstOrderOp:
         terms = next((terms for _, u, terms in self.kernel()[1] if u == unit), ())
         return Poly._make(self.vars, {key or 0: (re, im) for key, re, im in terms}, self.den)
 
-    def _check_compatible(self, other: "FirstOrderOp"):
-        if self.vars != other.vars:
-            raise ValueError(f"variable tables differ: {self.vars} vs {other.vars}")
-
-    def __add__(self, other: "FirstOrderOp") -> "FirstOrderOp":
-        """``poly.common_sum`` of the two dicts over the lcm of the dens."""
-        self._check_compatible(other)
-        return FirstOrderOp._make(self.vars, *common_sum(self.num, self.den, other.num, other.den))
-
-    def __sub__(self, other: "FirstOrderOp") -> "FirstOrderOp":
-        return self + (-other)
-
-    def __neg__(self):
-        return FirstOrderOp._make(self.vars, times_gaussian(self.num, -1, 0), self.den)
-
-    def scale(self, value) -> "FirstOrderOp":
-        re, im, den = _gaussian_parts(value)
-        if not (re or im):
-            return FirstOrderOp._make(self.vars, {})
-        return FirstOrderOp._make(self.vars, times_gaussian(self.num, re, im), self.den * den)
-
     def conjugate(self) -> "FirstOrderOp":
         """Complex conjugate of every coefficient (the variables are real)."""
-        return FirstOrderOp._make(
-            self.vars, {key: (re, -im) for key, (re, im) in self.num.items()}, self.den)
-
-    def is_zero(self) -> bool:
-        return not self.num
+        return self._like({key: (re, -im) for key, (re, im) in self.num.items()}, self.den)
 
     def commutator(self, other: "FirstOrderOp") -> "FirstOrderOp":
         """[self, other] = sum_v (self(c'_v) - other(c_v)) d_v, first order
@@ -179,18 +132,9 @@ class FirstOrderOp:
         other, and other, with mult -1, to those of self; each key keeps
         its d_v field.
         """
-        self._check_compatible(other)
+        self._check(other)
         out = self.apply_into({}, other.num, 1)
-        return FirstOrderOp._make(self.vars, other.apply_into(out, self.num, -1),
-                                  self.den * other.den)
-
-    def __eq__(self, other):
-        if not isinstance(other, FirstOrderOp):
-            return NotImplemented
-        return self.vars == other.vars and self.den == other.den and self.num == other.num
-
-    def __hash__(self):
-        return hash((self.vars, self.den, frozenset(self.num.items())))
+        return self._like(other.apply_into(out, self.num, -1), self.den * other.den)
 
     def __str__(self):
         if not self.num:

@@ -7,12 +7,19 @@ arithmetic is exact.
 
 Layout (the integer-numerator form of FLINT's ``fmpq_poly``): ``num`` maps
 each exponent vector to a Gaussian-integer numerator ``(re, im)`` of ints,
-and one positive int ``den`` is the denominator of every coefficient.  The
-form is canonical, so ``==`` and ``hash`` are exact:
+and one positive int ``den`` is the denominator of every coefficient.
+:class:`Packed` holds the layout's rules, once, for every kind built on it
+(``Poly``, ``ExtForm``, ``FirstOrderOp``, ``CutoffJet``).  The form is
+canonical, so ``==`` and ``hash`` are exact:
 
 * no numerator is ``(0, 0)``;
 * the gcd of ``den`` and every numerator part is 1;
-* the zero polynomial has ``den == 1``.
+* the zero value has ``den == 1``.
+
+Its trusted ``_make`` only divides out the common factor of ``den`` and the
+numerators; sum, difference, negation and ``scale`` are one pass of the
+primitives below; a value is immutable, and values of two kinds or shapes
+are never equal.
 
 An exponent vector is one packed int (Monagan and Pearce's packed exponent
 vectors, as in FLINT's ``fmpz_mpoly``): variable v holds the ``BITS`` bits
@@ -26,16 +33,14 @@ come in and go out only through :func:`pack` and :func:`unpack`: the public
 constructor, ``monomial`` and the JSON reader pack, and ``str``, the sizing
 of the moment tables and the few readers of a whole exponent vector unpack.
 
-The public constructor ``Poly(vars, terms)`` validates every term.  The ring
-operations, ``scale`` and ``diff`` do int arithmetic and build their result
-through the trusted ``Poly._make``, which only divides out the common factor
-of ``den`` and the numerators.  A scalar input (a coefficient of ``Poly``,
-``const``, ``var``, ``monomial`` or ``scale``) is an int, a ``Fraction`` or an
-``(re, im)`` pair of them; :func:`_gaussian_parts` reads every one.  The
-text edge is ``str`` and the JSON reader ``from_json``.
+The public constructor ``Poly(vars, terms)`` validates every term; the
+product and ``diff`` build through ``_make`` too.  A scalar input (a
+coefficient of ``Poly``, ``const``, ``var``, ``monomial`` or ``scale``) is an
+int, a ``Fraction`` or an ``(re, im)`` pair of them; :func:`_gaussian_parts`
+reads every one.  The text edge is ``str`` and the JSON reader
+``from_json``.
 
-The layout is shared: an ``ExtForm``, a ``FirstOrderOp`` and a
-``CutoffJet`` are each one numerator dict over one ``den`` whose keys carry
+In an ``ExtForm``, a ``FirstOrderOp`` and a ``CutoffJet`` the keys carry
 a second value in the fields past the variable table: a form component's
 index mask, the unit ``1 << BITS * v`` of the variable v an operator term
 differentiates, or a jet term's derivative multi-index alpha, packed as an
@@ -229,15 +234,86 @@ def mul_into(out: dict, num1: dict, num2: dict, mult: int) -> dict:
     return out
 
 
-class Poly:
-    """Sparse polynomial in named real variables with Gaussian-rational coefficients.
+class Packed:
+    """The value type of the layout (see the module docstring): ``num`` over
+    ``den`` on the variable table ``vars``.
 
-    ``num`` maps packed exponent vectors (see the module docstring) to
-    nonzero Gaussian-integer numerators over the shared denominator ``den``;
-    the zero polynomial has no terms.  ``terms`` take exponent tuples.
+    ``_like`` builds a value of the same kind and shape through ``_make``; a
+    kind with more shape than ``vars`` (``ExtForm``) overrides ``_like``,
+    ``_shape`` and ``_check``.
     """
 
     __slots__ = ("vars", "num", "den")
+
+    @classmethod
+    def _make(cls, variables: tuple, num: dict, den: int = 1):
+        """Trusted constructor: ``num`` holds valid keys and no (0, 0) pair,
+        and ``den`` > 0.  Divides out the common factor of ``den`` and the
+        numerators, so the result is canonical; nothing else is checked."""
+        if den != 1:
+            num, den = reduce_gaussian(num, den)
+        p = object.__new__(cls)
+        _set(p, "vars", variables)
+        _set(p, "num", num)
+        _set(p, "den", den)
+        return p
+
+    def _like(self, num: dict, den: int = 1):
+        """``_make`` of ``num`` over ``den`` with this value's kind and shape."""
+        return self._make(self.vars, num, den)
+
+    def _shape(self):
+        return self.vars
+
+    def _check(self, other):
+        if self.vars != other.vars:
+            raise ValueError(f"variable tables differ: {self.vars} vs {other.vars}")
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __add__(self, other):
+        self._check(other)
+        return self._like(*common_sum(self.num, self.den, other.num, other.den))
+
+    def __neg__(self):
+        return self._like(times_gaussian(self.num, -1, 0), self.den)
+
+    def __sub__(self, other):
+        self._check(other)
+        return self._like(*common_sum(self.num, self.den, times_gaussian(other.num, -1, 0),
+                                      other.den))
+
+    def scale(self, value):
+        re, im, den = _gaussian_parts(value)
+        if not (re or im):
+            return self._like({})
+        return self._like(times_gaussian(self.num, re, im), self.den * den)
+
+    def is_zero(self) -> bool:
+        return not self.num
+
+    def __bool__(self):
+        return bool(self.num)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self._shape() == other._shape() and self.den == other.den
+                and self.num == other.num)
+
+    def __hash__(self):
+        return hash((self.vars, self.den, frozenset(self.num.items())))
+
+
+class Poly(Packed):
+    """Sparse polynomial in named real variables with Gaussian-rational
+    coefficients: ``num`` keyed by packed exponent vectors.  The public
+    constructor takes exponent tuples and checks every term; a scalar
+    operand of ``+`` and ``-`` is a constant.
+    """
+
+    __slots__ = ()
 
     def __init__(self, variables: Sequence[str], terms: Mapping | None = None):
         variables = tuple(variables)
@@ -261,24 +337,6 @@ class Poly:
         _set(self, "num", {key: (re * (den // d), im * (den // d))
                            for key, (re, im, d) in clean.items()})
         _set(self, "den", den)
-
-    @classmethod
-    def _make(cls, variables: tuple, num: dict, den: int = 1) -> "Poly":
-        """Trusted constructor: ``num`` holds no (0, 0) pair and ``den`` > 0.
-
-        Divides out the common factor of ``den`` and the numerators, so the
-        result is canonical; nothing else is checked.
-        """
-        if den != 1:
-            num, den = reduce_gaussian(num, den)
-        p = object.__new__(cls)
-        _set(p, "vars", variables)
-        _set(p, "num", num)
-        _set(p, "den", den)
-        return p
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Poly is immutable")
 
     @property
     def terms(self):
@@ -314,41 +372,27 @@ class Poly:
 
     # -- ring operations -------------------------------------------------------
 
-    def _check_compatible(self, other: "Poly"):
-        if self.vars != other.vars:
-            raise ValueError(f"variable tables differ: {self.vars} vs {other.vars}")
-
     def __add__(self, other):
         if not isinstance(other, Poly):
             other = Poly.const(self.vars, other)
-        self._check_compatible(other)
+        self._check(other)
         return Poly._make(self.vars, *common_sum(self.num, self.den, other.num, other.den))
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return Poly._make(self.vars, {e: (-re, -im) for e, (re, im) in self.num.items()},
-                          self.den)
-
     def __sub__(self, other):
         if not isinstance(other, Poly):
             other = Poly.const(self.vars, other)
-        return self + (-other)
+        return Packed.__sub__(self, other)
 
     def __mul__(self, other):
         if not isinstance(other, Poly):
             return self.scale(other)
-        self._check_compatible(other)
+        self._check(other)
         return Poly._make(self.vars, mul_into({}, self.num, other.num, 1),
                           self.den * other.den)
 
     __rmul__ = __mul__
-
-    def scale(self, value) -> "Poly":
-        re, im, den = _gaussian_parts(value)
-        if not (re or im):
-            return Poly.zero(self.vars)
-        return Poly._make(self.vars, times_gaussian(self.num, re, im), self.den * den)
 
     # -- calculus ---------------------------------------------------------------
 
@@ -364,22 +408,6 @@ class Poly:
             if e:
                 out[key - unit] = (re * e, im * e)
         return Poly._make(self.vars, out, self.den)
-
-    # -- queries -----------------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.num
-
-    def __bool__(self):
-        return bool(self.num)
-
-    def __eq__(self, other):
-        if not isinstance(other, Poly):
-            return NotImplemented
-        return self.vars == other.vars and self.den == other.den and self.num == other.num
-
-    def __hash__(self):
-        return hash((self.vars, self.den, frozenset(self.num.items())))
 
     # -- display / wire format -----------------------------------------------------
 

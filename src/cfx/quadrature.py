@@ -23,8 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
-from .poly import (BITS, FIELD, Poly, _split, common_sum, mul_into, reduce_gaussian, support,
-                   times_gaussian, unpack)
+from .poly import BITS, FIELD, Packed, Poly, _split, mul_into, support, unpack
 
 
 def integrate_poly_box(p: Poly, lows: Sequence, highs: Sequence) -> tuple:
@@ -155,36 +154,23 @@ def _cutoff_rows(a, b, size: int) -> tuple:
     return rows, den * (big_b - big_a) ** 4
 
 
-class CutoffJet:
+class CutoffJet(Packed):
     """sum_alpha P_alpha d^alpha chi, chi the bump of the box the jet is
-    integrated over (:func:`integrate_jets`): one numerator dict over one
-    ``den``, canonical as a ``Poly`` is.  A key is a term of P_alpha, its
-    packed monomial plus alpha, one order per variable packed as an
-    exponent vector is, in the fields past the variable table
-    (``poly._past_table``).
+    integrated over (:func:`integrate_jets`), as a ``poly.Packed`` value: a
+    key is a term of P_alpha, its packed monomial plus alpha, one order per
+    variable packed as an exponent vector is, in the fields past the
+    variable table (``poly._past_table``).
 
     Closed under first-order operators with polynomial coefficients, which
     is what the horizontal fields are.
     """
 
-    __slots__ = ("vars", "num", "den")
-
-    def __init__(self, variables: tuple, num: dict, den: int = 1):
-        """Trusted: ``num`` holds valid keys and no (0, 0) pair, and ``den``
-        > 0; the common factor of ``den`` and the numerators is divided out."""
-        if den != 1:
-            num, den = reduce_gaussian(num, den)
-        object.__setattr__(self, "vars", variables)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CutoffJet is immutable")
+    __slots__ = ()
 
     @classmethod
     def bump(cls, variables) -> "CutoffJet":
         """chi itself: the one part 1 at alpha = 0."""
-        return cls(tuple(variables), {0: (1, 0)})
+        return cls._make(tuple(variables), {0: (1, 0)})
 
     def apply_op(self, op) -> "CutoffJet":
         """Z(sum P_alpha d^alpha chi) for Z = sum_v c_v d_v, by the Leibniz rule:
@@ -197,11 +183,7 @@ class CutoffJet:
         if op.vars != self.vars:
             raise ValueError("the operator and the jet have different variable tables")
         out = op.apply_into({}, self.num, 1)
-        return CutoffJet(self.vars, mul_into(out, op.num, self.num, 1), self.den * op.den)
-
-    def __sub__(self, other: "CutoffJet") -> "CutoffJet":
-        return CutoffJet(self.vars, *common_sum(self.num, self.den,
-                                                times_gaussian(other.num, -1, 0), other.den))
+        return self._like(mul_into(out, op.num, self.num, 1), self.den * op.den)
 
 
 def integrate_jets(lows: Sequence[Fraction], highs: Sequence[Fraction],
@@ -210,7 +192,8 @@ def integrate_jets(lows: Sequence[Fraction], highs: Sequence[Fraction],
 
     Each entry of ``sums`` is a list of (CutoffJet, weight Poly) pairs; its
     value is sum int_box weight * jet, with chi the bump of this box and
-    jets of order at most 2 on each axis.  The cutoff rows
+    jets of order at most 2 on each axis (a higher order is a ValueError).
+    The cutoff rows
     int x^e phi^(d) dx of every axis are built once, long enough for every
     P_alpha times its weight: each polynomial's bound is the largest field
     of ``poly.support``, at least its highest exponent.  A term c x^e of
@@ -228,6 +211,10 @@ def integrate_jets(lows: Sequence[Fraction], highs: Sequence[Fraction],
                 width = len(jet.vars)
                 parts[id(jet)] = [(unpack(alpha, width), terms) for alpha, terms
                                   in _split(jet.num, jet.vars, True).items()]
+                order = max((d for alpha, _ in parts[id(jet)] for d in alpha), default=0)
+                if order > 2:
+                    raise ValueError(f"a cutoff jet of order {order} on an axis: the cutoff "
+                                     "rows stop at order 2")
                 tops[id(jet)] = max((top for _, terms in parts[id(jet)]
                                      for top in unpack(support(terms), width)), default=0)
     size = 1 + max((tops[id(jet)] + tops[id(weight)] for pairs in sums for jet, weight in pairs),

@@ -480,6 +480,72 @@ def test_only_add_term_merges_into_a_numerator_dict():
     assert set(sites) == KEY_DELETIONS, "an allowed deletion site is gone: update KEY_DELETIONS"
 
 
+# the functions that call poly.reduce_gaussian and the classes that define
+# __setattr__ or __eq__, each with its reason.  The canonical rules of the
+# packed layout (gcd 1, den 1 for zero, exact ==, immutable) live in
+# poly.Packed, which Poly, ExtForm, FirstOrderOp and CutoffJet subclass: a
+# kind that restates them adds a site here on purpose
+CANONICAL_SITES = {
+    ("poly.py", "Packed._make"): "the trusted constructor of every packed kind",
+    ("exterior.py", "ExtForm._make"): "a form's shape adds dim and degree, checked on the way in",
+    ("poly.py", "Packed"): "the one value type of the layout: immutable, exact ==",
+    ("boundary.py", "BoundaryField"): "a lead and a companion field, compared field by field",
+    ("groups.py", "GroupSpec"): "an immutable group record; its integer views are cached",
+    ("ma.py", "Region"): "an immutable box of Fraction bounds",
+    ("spinor.py", "SpinorField"): "the form slots of a spinor field, compared slot by slot",
+    ("spinor.py", "LevelTable"): "an immutable (n, k) record, hashed by the slot-rule caches",
+}
+
+
+def _class_names(cls: ast.ClassDef) -> set:
+    """The names a class body binds with ``def`` or a plain assignment."""
+    names = set()
+    for item in cls.body:
+        if isinstance(item, ast.FunctionDef):
+            names.add(item.name)
+        elif isinstance(item, ast.Assign):
+            names.update(getattr(target, "id", None) for target in item.targets)
+    return names
+
+
+def _canonical_sites(tree: ast.Module) -> set:
+    """The qualified name of every function that calls ``reduce_gaussian``
+    and every class that defines ``__setattr__`` or ``__eq__``."""
+    found = set()
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = f"{owner}.{child.name}" if owner else child.name
+                if (isinstance(child, ast.ClassDef)
+                        and _class_names(child) & {"__setattr__", "__eq__"}):
+                    found.add(name)
+                visit(child, name)
+                continue
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
+                    and child.func.id == "reduce_gaussian"):
+                found.add(owner)
+            visit(child, owner)
+
+    visit(tree, "")
+    return found
+
+
+def test_the_canonical_rules_have_one_home():
+    sites = {(path.name, owner) for path in MODULES for owner in _canonical_sites(_tree(path))}
+    stray = sorted(f"{name}: {owner or 'module level'}"
+                   for name, owner in sites - set(CANONICAL_SITES))
+    assert not stray, f"reduce_gaussian calls or __setattr__/__eq__ outside the allow-list {stray}"
+    assert sites == set(CANONICAL_SITES), "an allowed site is gone: update CANONICAL_SITES"
+    from cfx.exterior import ExtForm
+    from cfx.operators import FirstOrderOp
+    from cfx.poly import Packed, Poly
+    from cfx.quadrature import CutoffJet
+
+    for kind in (Poly, ExtForm, FirstOrderOp, CutoffJet):
+        assert kind.__bases__ == (Packed,), kind
+
+
 def _names_called(tree: ast.Module) -> dict:
     """Qualified function name -> names it calls (bare or as an attribute)."""
     calls = {}

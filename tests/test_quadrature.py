@@ -51,7 +51,7 @@ def jet_of(variables, parts: dict) -> CutoffJet:
     lift = BITS * len(variables)
     num = {key + (pack(alpha) << lift): (re * (den // p.den), im * (den // p.den))
            for alpha, p in parts.items() for key, (re, im) in p.num.items()}
-    return CutoffJet(variables, num, den)
+    return CutoffJet._make(variables, num, den)
 
 
 def jet_parts(jet) -> dict:
@@ -466,6 +466,17 @@ def test_integrate_box_rejects_mismatched_weight():
         _jet_integral(CutoffJet.bump(V), [0, 0, 0], [1, 1, 1], Poly.var(x_vars(2), "x1"))
     with pytest.raises(ValueError):
         _jet_integral(CutoffJet.bump(V), [0, 0], [1, 1], Poly.var(V, "x1"))
+
+
+def test_integrate_jets_stops_at_order_two():
+    # the cutoff rows go up to phi'': d1 d1 chi integrates (int phi'' = 0 on
+    # the axis), d1 d1 d1 chi is refused by name, not read past the rows
+    W = x_vars(2)
+    d1 = FirstOrderOp.partial(W, "x1")
+    jet = CutoffJet.bump(W).apply_op(d1).apply_op(d1)
+    assert _jet_integral(jet, [0, 0], [1, 1], Poly.const(W, 1)) == cq(0)
+    with pytest.raises(ValueError, match="order 3 on an axis: the cutoff rows stop at order 2"):
+        _jet_integral(jet.apply_op(d1), [0, 0], [1, 1], Poly.const(W, 1))
 
 
 # -- differential test: the jet on the horizontal fields against the Fraction reference ----

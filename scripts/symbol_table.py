@@ -10,7 +10,7 @@ line exits 2 with a usage line, before any sequence is built.
 import argparse
 import sys
 
-from cfx.cli import MAX_N
+from cfx.cli import MAX_SYMBOL_N
 from cfx.flat import ComplexSpec, check_exactness
 from cfx.randgen import SectionGenerator
 
@@ -36,6 +36,6 @@ if __name__ == "__main__":
     parser.add_argument("max_n", type=int, nargs="?", default=2)
     parser.add_argument("seed", type=int, nargs="?", default=1)
     args = parser.parse_args()
-    if not 1 <= args.max_n <= MAX_N:
-        parser.error(f"max_n must be in 1..{MAX_N}")
+    if not 1 <= args.max_n <= MAX_SYMBOL_N:
+        parser.error(f"max_n must be in 1..{MAX_SYMBOL_N}")
     sys.exit(main(args.max_n, args.seed))

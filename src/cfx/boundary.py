@@ -6,12 +6,11 @@ blocks [[A, C], [T, B]]: A is the projected operator :func:`subcomplex_D`,
 and C the twist through the constant curvature 2-form of the group, which
 vanishes exactly on right-type groups.
 
-Both complexes apply the rows of one :class:`Frame` through :func:`frak_d`:
-a group's tangential frame is built from its horizontal fields (each one
-packed numerator dict, :func:`groups.horizontal_fields`),
-the flat complex's :func:`ambient_frame` from the coordinate partials.  The
-ambient frame depends only on n, so it is built once per n and shared by
-every flat spec at that n, with the operator kernels it has built.
+Both complexes apply the rows of one :class:`Frame` through :func:`frak_d`,
+which reads the frame's one row table: a group's tangential frame is built
+from its horizontal fields (:func:`groups.horizontal_fields`), the flat
+complex's :func:`ambient_frame` from the coordinate partials, once per n,
+and every flat spec at that n shares it with the tables it has built.
 
 Only rigid (group) frames are assembled here.  The curvature 2-form E0 is
 built from the closed-form entries :func:`groups.curvature_entry`; the
@@ -34,7 +33,7 @@ from math import lcm
 from .exterior import ExtForm, index_mask, wedge_sign
 from .groups import GroupSpec, curvature_entry, horizontal_fields
 from .operators import FirstOrderOp
-from .poly import FIELD, Poly, support, x_vars
+from .poly import BITS, FIELD, GUARD, MAX_EXPONENT, Poly, add_term, x_vars
 from .randgen import SectionGenerator
 from .spinor import LevelTable, SpinorField, raise_primed
 
@@ -56,9 +55,8 @@ class Frame:
     ``X``, ``Z_lower`` and ``Z_upper`` and their rows are tuples, because
     one frame can serve many callers (:func:`ambient_frame`).
 
-    :meth:`row_table` is what :func:`frak_d` reads: for each primed index
-    and raised or lowered rows, the rows' operators with their lcm scale
-    factors and variable masks, built on first use and kept by the frame.
+    :meth:`field_table`, built on first use and kept by the frame, is the
+    one row table, which :func:`frak_d` and ``flat.symbol_at`` read.
     """
 
     def __init__(self, variables, fields: list[FirstOrderOp]):
@@ -76,20 +74,24 @@ class Frame:
         self.Z_upper = tuple(raise_primed(row) for row in self.Z_lower)
         self._rows = {}
 
-    def row_table(self, aprime: int, raised: bool) -> tuple:
-        """(L, rows) for column ``aprime`` of the raised or the lowered rows.
-
-        L is the lcm of the row operators' ``den``; row a is (operator,
-        L / its den, mask), the mask a packed exponent vector whose field v
-        is all ones iff the operator differentiates in variable v.
+    def field_table(self, aprime: int, raised: bool) -> tuple:
+        """(L, fields) for column ``aprime`` of the raised or the lowered rows,
+        L the lcm of their operators' ``den``: ``fields[v]`` lists (a, offset,
+        terms) for each row a whose operator has a d_v term, ``offset`` the
+        index bit of w^a minus v's unit and ``terms`` the (key, re, im) of L c_v.
         """
         table = self._rows.get((aprime, raised))
         if table is None:
             ops = [row[aprime] for row in (self.Z_upper if raised else self.Z_lower)]
             L = lcm(1, *(op.den for op in ops))
-            table = self._rows[aprime, raised] = (L, tuple(
-                (op, L // op.den, sum(FIELD << shift for shift, _, _ in op.kernel()[1]))
-                for op in ops))
+            lift = index_mask((0,), self.vars)  # the key bit of w^0
+            fields = [[] for _ in self.vars]
+            for a, op in enumerate(ops):
+                scale = L // op.den
+                for shift, unit, terms in op.kernel()[1]:
+                    fields[shift // BITS].append((a, (lift << a) - unit, tuple(
+                        (key or 0, re * scale, im * scale) for key, re, im in terms)))
+            table = self._rows[aprime, raised] = (L, tuple(map(tuple, fields)))
         return table
 
 
@@ -131,12 +133,12 @@ class TangentFrame(Frame):
 def frak_d(aprime: int, f: ExtForm, frame: Frame, raised: bool = True) -> ExtForm:
     """sum_row w^row ^ Z_row^{aprime} f, the one row kernel; raised index by default.
 
-    One integer pass into one numerator dict over f.den * L, L the lcm of
-    :meth:`Frame.row_table`: each (component of ``ExtForm.parts``, row a)
-    pair goes in through ``FirstOrderOp.apply_into``, its keys lifted by the
-    index bit of w^a and ``mult`` = ``exterior.wedge_sign`` * L / (operator
-    den).  A pair is skipped when the component holds w^a or the row mask
-    misses every variable of its terms (the fields of ``poly.support``).
+    One pass over the terms of f into one numerator dict over f.den * L, L
+    that of :meth:`Frame.field_table`: a term visits the entries under its
+    nonzero exponents' variables, but no row a whose w^a it holds; each
+    product adds the entry's offset and a coefficient's monomial to its key
+    (an exponent above ``poly.MAX_EXPONENT`` is a ValueError), its sign
+    ``exterior.wedge_sign``.
     """
     if aprime not in (0, 1):
         raise ValueError("primed index must be 0 or 1")
@@ -144,14 +146,26 @@ def frak_d(aprime: int, f: ExtForm, frame: Frame, raised: bool = True) -> ExtFor
         raise ValueError(f"form dimension {f.dim} does not match frame dimension {frame.dim}")
     if f.vars != frame.vars:
         raise ValueError("variable table mismatch with frame")
-    L, rows = frame.row_table(aprime, raised)
+    L, fields = frame.field_table(aprime, raised)
     lift = index_mask((0,), f.vars)  # the key bit of w^0
+    past = lift.bit_length() - 1
     out: dict = {}
-    for mask, num in f.parts().items():
-        used = support(num)
-        for a, (op, scale, row_mask) in enumerate(rows):
-            if used & row_mask and not mask >> a & 1:
-                op.apply_into(out, num, wedge_sign(mask, a) * scale, lift << a)
+    for key, (re, im) in f.num.items():
+        mask, rest = key >> past, key & lift - 1
+        while rest:  # the nonzero exponent fields, lowest first
+            v = ((rest & -rest).bit_length() - 1) // BITS
+            e = rest >> v * BITS & FIELD
+            rest -= e << v * BITS
+            for a, offset, terms in fields[v]:
+                if mask >> a & 1:
+                    continue
+                m = wedge_sign(mask, a) * e
+                x, y, lowered = re * m, im * m, key + offset
+                for ckey, c, d in terms:
+                    prod = lowered + ckey
+                    if prod & GUARD:
+                        raise ValueError(f"a product has an exponent above {MAX_EXPONENT}")
+                    add_term(out, prod, x * c - y * d, x * d + y * c)
     return ExtForm._make(f.dim, f.degree + 1, f.vars, out, f.den * L)
 
 

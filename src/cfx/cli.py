@@ -33,7 +33,13 @@ EXIT_FAIL = 1
 EXIT_INPUT = 2
 EXIT_PRECONDITION = 3
 
-MAX_N = 3
+# n of `classify`, `verify` and `ma`.  At n = 5, whole process (2-core
+# x86_64 host, Python 3.11, best of 5): `classify`, `ma` and `verify
+# boundary` take 0.07-0.46 s on rightQH and on dense groups, `verify flat
+# --k 12 --degree 6` 0.47-0.50 s, each under 25 MB.
+MAX_N = 5
+# `symbol` keeps 3: one n = 4 covector takes 5.0 s at k = 12 (n = 3: 0.4 s).
+MAX_SYMBOL_N = 3
 MAX_DEGREE = 6
 # Measured on a 2-core x86_64 host, Python 3.11, whole process.  The
 # tuple-equivalence suite of `verify flat` builds fields with 2^k
@@ -78,9 +84,9 @@ def _read_json(path: str, parse):
         raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
-def _check_n(n: int) -> None:
-    if n > MAX_N:
-        raise ValueError(f"n={n} exceeds the configured limit {MAX_N}")
+def _check_n(n: int, limit: int = MAX_N) -> None:
+    if n > limit:
+        raise ValueError(f"n={n} exceeds the configured limit {limit}")
 
 
 def _parse_group(data) -> GroupSpec:
@@ -169,8 +175,8 @@ def cmd_classify(args) -> int:
     return EXIT_PASS
 
 
-def _check_sizes(n: int, args, min_trials: int) -> None:
-    _check_n(n)
+def _check_sizes(n: int, args, min_trials: int, n_limit: int = MAX_N) -> None:
+    _check_n(n, n_limit)
     if args.k > MAX_K:
         raise ValueError(f"k={args.k} exceeds the configured limit {MAX_K}")
     if args.trials < min_trials:
@@ -215,7 +221,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_symbol(args) -> int:
-    _check_sizes(args.n, args, min_trials=0)
+    _check_sizes(args.n, args, min_trials=0, n_limit=MAX_SYMBOL_N)
     spec = ComplexSpec(args.n, args.k)
     given = []
     if args.v:

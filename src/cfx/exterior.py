@@ -134,10 +134,6 @@ class ExtForm(Packed):
 
     # -- the layout ---------------------------------------------------------------
 
-    def parts(self) -> dict:
-        """{index mask: numerator dict} of the components, keys unchanged."""
-        return _split(self.num, self.vars)
-
     @property
     def comps(self) -> Mapping:
         """The read-only view {index tuple: Poly}, in increasing index-tuple
@@ -166,15 +162,15 @@ class ExtForm(Packed):
     def wedge(self, other: "ExtForm") -> "ExtForm":
         """Graded-anticommutative product, in one integer pass over den1 * den2.
 
-        For each pair of component masks that share no index, ``mul_into``
-        adds the product of the two groups of terms, times
+        For each pair of component masks (the groups of ``poly._split``) that
+        share no index, ``mul_into`` adds the product of their terms, times
         :func:`merge_sign`, into one numerator dict: the masks add with the
         monomials.
         """
         self._check(other, False)
-        right = other.parts().items()
+        right = _split(other.num, other.vars).items()
         out: dict = {}
-        for m1, num1 in self.parts().items():
+        for m1, num1 in _split(self.num, self.vars).items():
             for m2, num2 in right:
                 if not m1 & m2:
                     mul_into(out, num1, num2, merge_sign(m1, m2))

@@ -4,9 +4,10 @@ Levels are symmetric powers tensor exterior powers of C^{2(n+1)}: slot fields
 in the descending basis up to the middle level, the ascending basis above.
 The operators run the boundary machinery (``subcomplex_D``, ``frak_d``) on
 the ambient frame of coordinate partials; they and the symbol read one slot
-rule, ``LevelTable.slot_rule``, and one row table.  Everything here is exact:
-``check_exactness`` proves each rank it reports, from the exact products
-σ_{j+1}σ_j = 0, lower bounds mod a prime and the rank sum of each level.
+rule, ``LevelTable.slot_rule``, and one row table, ``Frame.field_table``.
+Everything here is exact: ``check_exactness`` proves each rank it reports,
+from the exact products σ_{j+1}σ_j = 0, lower bounds mod a prime and the
+rank sum of each level.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from itertools import product
 from .boundary import Frame, ambient_frame, frak_d, subcomplex_D
 from .exterior import wedge_sign
 from .linalg import bareiss, is_zero_product, rank_mod_p
-from .poly import BITS, add_term, x_vars
+from .poly import add_term, x_vars
 from .spinor import LevelTable, SpinorField, symmetrize, tuple_to_slots
 
 
@@ -102,8 +103,8 @@ def symbol_at(spec: ComplexSpec, j: int, v: Sequence) -> list:
     pairs that holds no ``(0, 0)``, the rows ``linalg.bareiss`` takes.  The
     symbol is homogeneous in v of order ord (2 at j = k, 1 elsewhere), so
     the matrix is q^ord times the symbol at v and has the same rank.
-    Row r of w_{a'} is row r of ``Frame.row_table(a', True)``, which
-    ``frak_d`` reads, its constant partials frozen at q v (L = 1); column
+    Row r of w_{a'} is sum_v (q v)_v c_v over row r's entries in
+    ``Frame.field_table(a', True)``, which ``frak_d`` reads (L = 1); column
     (a, mask) of ``spec.symbol_table(j)`` puts w_{p_1} ^ ... ^ e_mask in
     slot b for each (a, path) of ``spec.slot_rule(j)[b]``, with the signs of
     ``exterior.wedge_sign``.
@@ -114,14 +115,14 @@ def symbol_at(spec: ComplexSpec, j: int, v: Sequence) -> list:
         raise ValueError(f"covector needs {4 * (spec.n + 1)} entries, not {len(v)}")
     q = math.lcm(*(x.denominator for x in v))
     qv = [x.numerator * (q // x.denominator) for x in v]
-    w = [[], []]
-    for aprime, form in enumerate(w):
-        for r, (op, scale, _) in enumerate(spec.frame.row_table(aprime, True)[1]):
-            parts = [(scale * qv[shift // BITS], c, d)
-                     for shift, _, terms in op.kernel()[1] for _, c, d in terms]
-            re, im = sum(x * c for x, c, _ in parts), sum(x * d for x, _, d in parts)
-            if re or im:
-                form.append((r, re, im))
+    w = []
+    for aprime in (0, 1):
+        form: dict = {}
+        for x, entries in zip(qv, spec.frame.field_table(aprime, True)[1]):
+            for r, _, terms in entries:
+                for _, c, d in terms:
+                    add_term(form, r, x * c, x * d)
+        w.append(sorted((r, re, im) for r, (re, im) in form.items()))
     rule = spec.slot_rule(j)
     reach = [[(b, path) for b, terms in enumerate(rule) for a, path in terms if a == slot]
              for slot in range(spec.sigma(j) + 1)]

@@ -78,18 +78,16 @@ class FirstOrderOp(Packed):
                 for unit, terms in _split(self.num, self.vars, True).items()]))
             return self._view
 
-    def apply_into(self, out: dict, num: dict, mult: int, lift: int = 0) -> dict:
+    def apply_into(self, out: dict, num: dict, mult: int) -> dict:
         """Add mult * den * sum_v c_v d_v p, for p's numerators ``num`` and an
         int ``mult`` != 0, into the numerator dict ``out``; return ``out``.
 
-        Each product goes in through ``poly.add_term``, its key plus ``lift``
-        (bits past the variable table, a form index of ``boundary.frak_d``),
-        so an entry that cancels to (0, 0) is deleted at once; the fields
-        past the table of a key of ``num`` stay on its products.  A product
-        with an exponent above ``poly.MAX_EXPONENT`` is a ValueError.
+        Each product goes in through ``poly.add_term``, so an entry that
+        cancels to (0, 0) is deleted at once; the fields past the table of a
+        key of ``num`` stay on its products.  A product with an exponent
+        above ``poly.MAX_EXPONENT`` is a ValueError.
         """
         for shift, unit, terms in self.kernel()[1]:
-            unit -= lift
             # most terms lack the variable: read a numerator only for a hit
             for key in num:
                 e = key >> shift & FIELD

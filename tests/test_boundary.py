@@ -38,7 +38,7 @@ from cfx.flat import ComplexSpec
 from cfx.groups import GroupSpec, curvature_entry, is_right_type
 from cfx.ma import Region
 from cfx.operators import FirstOrderOp
-from cfx.poly import Poly
+from cfx.poly import MAX_EXPONENT, Poly
 from cfx.randgen import SectionGenerator
 from cfx.spinor import SpinorField, raise_primed
 from cfx.verify import (anticommute_suite, boundary_composition_suite, random_boundary_field,
@@ -321,16 +321,28 @@ def _sparse_forms(gen, frame, degree):
     return [ExtForm(frame.dim, degree, frame.vars, comps) for comps in (one, const)]
 
 
+@pytest.fixture(scope="module")
+def dense_right3():
+    return TangentFrame(GroupSpec(3, tuple(
+        tuple(row) for row in SectionGenerator(4).right_type_matrix(3))))
+
+
 @pytest.mark.parametrize("seed", [5, 17, 40])
-def test_frak_d_index_insertion_matches_the_basis_wedge(seed, right2, left2):
+def test_frak_d_index_insertion_matches_the_basis_wedge(seed, right2, left2, dense_right3):
     # every degree on the ambient frames at n = 1..3 and on the group frames,
     # raised and lowered; the forms include per-component fractional dens and
-    # a sum whose components partly cancel (layout_cases)
+    # a sum whose components partly cancel (layout_cases).  At the larger
+    # sizes (the ambient frames at n = 4 and 5, a dense right-type frame at
+    # n = 3) degrees 0-2 and the top two
     gen = SectionGenerator(seed, degree=2)
-    ambient = [ambient_frame(1), ambient_frame(2), ambient_frame(3)]
-    frames = [*ambient, RIGHT1, LEFT1, right2, left2, DENSE_RIGHT2]
+    ambient = [ambient_frame(n) for n in (1, 2, 3, 4, 5)]
+    large = [ambient[3], ambient[4], dense_right3]
+    frames = [*ambient, RIGHT1, LEFT1, right2, left2, DENSE_RIGHT2, dense_right3]
     for frame in frames:
-        for degree in range(frame.dim + 1):
+        degrees = range(frame.dim + 1)
+        if frame in large:
+            degrees = [0, 1, 2, frame.dim - 1, frame.dim]
+        for degree in degrees:
             f, g, _, _ = layout_cases(100 * seed + degree, frame.dim, degree, frame.vars)
             forms = [gen.form(frame.dim, degree, frame.vars), *_sparse_forms(gen, frame, degree),
                      f, f + g]
@@ -349,28 +361,42 @@ def test_frak_d_index_insertion_matches_the_basis_wedge(seed, right2, left2):
 
 
 @pytest.mark.parametrize("n", [1, 2])
-def test_frak_d_applies_only_the_rows_that_differentiate_the_input(n, monkeypatch):
+def test_frak_d_applies_only_the_rows_that_differentiate_the_input(n):
     # a coefficient in x1 alone: of the 2n + 2 rows of each primed index,
-    # exactly one differentiates in x1, and only that one is applied
+    # exactly one differentiates in x1, the frame's table lists only it
+    # under x1, and the output holds only its index bit
     frame = ambient_frame(n)
     x1 = Poly.var(frame.vars, "x1")
     f = ExtForm.from_scalar(frame.dim, power(x1, 3) + x1.scale(Fraction(-2, 3)))
-    applied = []
-    apply_into = FirstOrderOp.apply_into
-
-    def counted(op, out, num, mult, lift=0):
-        applied.append(op)
-        return apply_into(op, out, num, mult, lift)
-
-    monkeypatch.setattr(FirstOrderOp, "apply_into", counted)
     for aprime in (0, 1):
         for raised in (True, False):
-            applied.clear()
+            entries = frame.field_table(aprime, raised)[1][0]
+            assert len(entries) == 1
+            (a, _, _), = entries
+            rows = frame.Z_upper if raised else frame.Z_lower
+            assert not rows[a][aprime].coefficient("x1").is_zero()
+            assert [r for r, row in enumerate(rows)
+                    if not row[aprime].coefficient("x1").is_zero()] == [a]
             got = frak_d(aprime, f, frame, raised=raised)
-            assert len(applied) == 1
-            assert not applied[0].coefficient("x1").is_zero()
             assert not got.is_zero()
+            assert list(got.comps) == [(a,)]
             assert_matches(got, reference_frak_d(aprime, to_ref(f), frame, raised))
+
+
+@pytest.mark.parametrize("e, raises", [(MAX_EXPONENT, True), (MAX_EXPONENT - 1, False)])
+def test_frak_d_refuses_a_product_past_the_exponent_guard(e, raises):
+    # on rightQH a row's t1 coefficient is linear in x1: applied to
+    # x1^e t1 it multiplies x1^e by x1, which at e = MAX_EXPONENT would
+    # carry into the guard bit of x1's field
+    frame = RIGHT1
+    x1, t1 = (Poly.var(frame.vars, name) for name in ("x1", "t1"))
+    f = ExtForm.from_scalar(frame.dim, power(x1, e) * t1)
+    assert any(not row[0].coefficient("t1").diff("x1").is_zero() for row in frame.Z_upper)
+    if raises:
+        with pytest.raises(ValueError, match="above"):
+            frak_d(0, f, frame)
+    else:
+        assert not frak_d(0, f, frame).is_zero()
 
 
 def test_frak_d_dimension_mismatch():

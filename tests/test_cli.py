@@ -101,7 +101,7 @@ def test_verify_flat_rejects_the_boundary_flags(capsys, flag):
 
 
 def test_verify_rejects_large_n(capsys):
-    code, _, err = run(capsys, "verify", "flat", "--n", "5")
+    code, _, err = run(capsys, "verify", "flat", "--n", "6")
     assert code == 2 and "limit" in err
 
 
@@ -184,7 +184,7 @@ def test_k_at_the_limit_is_accepted_and_n1_k4_still_fails_the_top_level(capsys):
 
 
 @pytest.mark.parametrize("command", ["classify", "ma"])
-@pytest.mark.parametrize("n", ["4", "100000"])
+@pytest.mark.parametrize("n", ["6", "100000"])
 def test_n_above_the_limit_exits_2_before_the_group_is_built(monkeypatch, capsys, command, n):
     # the group's matrices are dense 4n x 4n: a large n would exhaust memory
     import time
@@ -204,9 +204,38 @@ def test_n_above_the_limit_exits_2_before_the_group_is_built(monkeypatch, capsys
     assert f"n={n} exceeds the configured limit" in err
 
 
+@pytest.mark.parametrize("argv", [("--trials", "1"), ("--v", ",".join(["1"] + ["0"] * 19))])
+def test_symbol_keeps_its_own_n_limit(monkeypatch, capsys, argv):
+    # symbol stops at n = 3 while the other commands run n = 5: n = 4 exits
+    # 2 before any symbol row is built
+    from cfx import flat
+
+    cli = _forbid_work(monkeypatch)
+    assert cli.MAX_SYMBOL_N == 3 < 4 < cli.MAX_N
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("cfx built a symbol row above the symbol n limit")
+
+    monkeypatch.setattr(flat, "symbol_at", forbidden)
+    code, out, err = run(capsys, "symbol", "--n", "4", *argv)
+    _assert_input_error(code, out, err)
+    assert "n=4 exceeds the configured limit 3" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("classify", "--group", "rightQH", "--n", "5"),
+    ("verify", "flat", "--n", "5", "--k", "1", "--trials", "1"),
+    ("verify", "boundary", "--group", "rightQH", "--n", "5", "--k", "1", "--trials", "1"),
+    ("ma", "--group", "rightQH", "--n", "5", "--power", "1"),
+])
+def test_every_command_but_symbol_runs_at_n_5(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out
+
+
 @pytest.mark.parametrize("command", [("classify",), ("ma",), ("verify", "boundary")])
 @pytest.mark.parametrize("n,record", [
-    (4, "S"), (4, "phi"),
+    (6, "S"), (6, "phi"),
     # a 35 kB potential in 4000 variables: its matrix would take 1.6e7 second derivatives
     (1000, "phi")])
 def test_file_group_above_the_limit_exits_2_before_any_group_matrix(monkeypatch, capsys,
@@ -598,16 +627,16 @@ def _write_group(tmp_path, group):
 
 def test_verify_boundary_limits_the_n_of_a_file_group(tmp_path, capsys):
     from cfx.groups import GroupSpec
-    path = _write_group(tmp_path, GroupSpec.right_qh(4))
+    path = _write_group(tmp_path, GroupSpec.right_qh(6))
     code, out, err = run(capsys, "verify", "boundary", "--file", path, "--check", "bracket")
     _assert_input_error(code, out, err)
-    assert "n=4 exceeds the configured limit" in err
+    assert "n=6 exceeds the configured limit" in err
 
 
 def test_verify_boundary_ignores_n_when_a_file_gives_the_group(tmp_path, capsys):
     from cfx.groups import GroupSpec
     path = _write_group(tmp_path, GroupSpec.right_qh(1))
-    code, out, _ = run(capsys, "verify", "boundary", "--n", "5", "--file", path,
+    code, out, _ = run(capsys, "verify", "boundary", "--n", "6", "--file", path,
                        "--check", "bracket")
     assert code == 0
     assert out == run(capsys, "verify", "boundary", "--group", "rightQH", "--n", "1",

@@ -266,11 +266,44 @@ def test_support_and_row_masks_match_the_tuple_reference(name):
         for v, bound in enumerate(unpack(mask, width)):
             top = max(e[v] for e in num) if num else 0
             assert top <= bound <= max(0, 2 * top - 1)
+        # the rows frak_d visits for p, those listed under the fields of its
+        # support in the frame's table, are the rows that differentiate in
+        # a variable of p
         for aprime in (0, 1):
             for raised in (False, True):
-                for op, _, row_mask in frame.row_table(aprime, raised)[1]:
-                    used = sum(1 << alpha.index(1) for alpha in alpha_view(op.vars, op.num))
-                    assert bool(mask & row_mask) == bool(ref & used)
+                fields = frame.field_table(aprime, raised)[1]
+                listed = {a for v in range(width) if mask >> BITS * v & FIELD
+                          for a, _, _ in fields[v]}
+                rows = frame.Z_upper if raised else frame.Z_lower
+                used = [sum(1 << alpha.index(1) for alpha in alpha_view(row[aprime].vars,
+                                                                        row[aprime].num))
+                        for row in rows]
+                assert listed == {a for a, bits in enumerate(used) if ref & bits}
+
+
+@pytest.mark.parametrize("name", FRAMES)
+def test_field_table_matches_the_row_operators(name):
+    # under variable v the table lists each row a whose operator has a
+    # d_v term, in row order, with the index bit of w^a minus v's unit and
+    # the terms of L * c_v, L the lcm of the column's dens
+    frame = _frame(name)
+    width = len(frame.vars)
+    lift = 1 << BITS * width
+    for aprime in (0, 1):
+        for raised in (False, True):
+            ops = [row[aprime] for row in (frame.Z_upper if raised else frame.Z_lower)]
+            L, fields = frame.field_table(aprime, raised)
+            assert L == lcm(*(op.den for op in ops))
+            assert len(fields) == width
+            views = [alpha_view(op.vars, op.num) for op in ops]
+            for v, entries in enumerate(fields):
+                unit = tuple(int(u == v) for u in range(width))
+                want = [(a, lift << a, {key: (re * (L // op.den), im * (L // op.den))
+                                        for key, (re, im) in view[unit].items()})
+                        for a, (op, view) in enumerate(zip(ops, views)) if unit in view]
+                got = [(a, offset + (1 << BITS * v), {key or 0: (re, im) for key, re, im in terms})
+                       for a, offset, terms in entries]
+                assert got == want
 
 
 @pytest.mark.parametrize("name", FRAMES)

@@ -88,9 +88,9 @@ class Frame:
             fields = [[] for _ in self.vars]
             for a, op in enumerate(ops):
                 scale = L // op.den
-                for shift, unit, terms in op.kernel()[1]:
+                for shift, unit, terms in op.kernel():
                     fields[shift // BITS].append((a, (lift << a) - unit, tuple(
-                        (key or 0, re * scale, im * scale) for key, re, im in terms)))
+                        (key, re * scale, im * scale) for key, re, im in terms)))
             table = self._rows[aprime, raised] = (L, tuple(map(tuple, fields)))
         return table
 
@@ -264,7 +264,7 @@ def boundary_D(frame: TangentFrame, fld: BoundaryField) -> BoundaryField:
 
     def T(out_path, in_path, form):
         if len(out_path) == len(in_path):
-            return form.apply(frame.T_upper[out_path + in_path])
+            return frame.T_upper[out_path + in_path].apply(form)
         (y,) = min(out_path, in_path, key=len)
         return frak_d(0, T((1,), (y,), form), frame) - frak_d(1, T((0,), (y,), form), frame)
 
@@ -331,7 +331,7 @@ def anticommutation_defect(frame: TangentFrame, f: ExtForm, ap: int, bp: int):
     """
     dd = lambda x, y: frak_d(x, frak_d(y, f, frame), frame)
     defect = (dd(ap, bp) + dd(bp, ap)).scale(Fraction(1, 2))
-    rhs = frame.E0.wedge(f.apply(frame.T_upper[ap, bp]))
+    rhs = frame.E0.wedge(frame.T_upper[ap, bp].apply(f))
     return defect, rhs
 
 

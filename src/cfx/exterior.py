@@ -150,13 +150,6 @@ class ExtForm(Packed):
     def component(self, idx) -> Poly:
         return self.comps.get(tuple(idx), Poly.zero(self.vars))
 
-    def apply(self, op) -> "ExtForm":
-        """The first-order operator ``op`` applied to every component, in one
-        ``apply_into`` pass over the form's terms."""
-        if op.vars != self.vars:
-            raise ValueError(f"variable tables differ: {op.vars} vs {self.vars}")
-        return self._like(op.apply_into({}, self.num, 1), self.den * op.den)
-
     # -- wedge ------------------------------------------------------------------------
 
     def wedge(self, other: "ExtForm") -> "ExtForm":

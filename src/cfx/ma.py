@@ -160,11 +160,8 @@ def stokes_check(h: Poly, T: ExtForm, region: Region, frame: TangentFrame,
     boundary = (0, 0)
     for axis in range(region.naxes):
         # the flux sum_a h T_a Z_a rho through the faces x_axis = high and low
-        flux = Poly.zero(frame.vars)
-        for a, ht in enumerate(h_t):
-            z_rho = frame.Z_upper[a][aprime].coefficient(frame.vars[axis])
-            if ht and z_rho:
-                flux = flux + ht * z_rho
+        flux = sum((ht * frame.Z_upper[a][aprime].coefficient(frame.vars[axis])
+                    for a, ht in enumerate(h_t)), Poly.zero(frame.vars))
         if flux:
             faces = integrate_poly_faces(flux, region.lows, region.highs, axis)
             boundary = tuple(b + f for b, f in zip(boundary, faces))

@@ -7,10 +7,13 @@ of v, ``1 << BITS * v``, in the fields past the variable table
 
 The public constructor ``FirstOrderOp(vars, {name: Poly or scalar})`` checks
 its input.  Sum, difference, negation and ``scale`` come from ``Packed``
-and keep each key's d_v field, as ``conjugate`` does.  A commutator is two
-``apply_into`` calls into one dict.  The API edge is ``coefficient`` and
-``str``: only they build a ``Poly`` of a coefficient, from the rows of
-``kernel``.
+and keep each key's d_v field, as ``conjugate`` does.  ``kernel`` lists the
+dict as one row per differentiated variable, each term keyed by the int of
+its monomial (0 for a constant), so one loop adds every term's key to a
+lowered key.  ``apply`` runs ``apply_into`` over a ``Poly`` or over every
+component of an ``ExtForm`` at once, and a commutator is two ``apply_into``
+calls into one dict.  The API edge is ``coefficient`` and ``str``: only
+they build a ``Poly`` of a coefficient, from the rows of ``kernel``.
 """
 
 from __future__ import annotations
@@ -61,21 +64,20 @@ class FirstOrderOp(Packed):
     def partial(cls, variables, name, coeff=1) -> "FirstOrderOp":
         return cls(variables, {name: coeff})
 
-    def kernel(self) -> tuple:
-        """(den, [(shift, unit, [(key or None, re, im), ...]), ...]).
+    def kernel(self) -> list:
+        """[(shift, unit, [(key, re, im), ...]), ...], the rows of the dict.
 
         Each coefficient c_v becomes the bit offset ``BITS * v`` of v's
         field, the packed unit ``1 << shift`` of v and the ``(key, re, im)``
-        terms of den * c_v, keyed by their monomials, with ``key`` None for
-        the constant term; the variables come in the order of the dict.
+        terms of den * c_v, keyed by their monomials (0 for the constant
+        term); the variables come in the order of the dict.
         """
         try:
             return self._view
         except AttributeError:
-            _set(self, "_view", (self.den, [
-                (unit.bit_length() - 1, unit,
-                 [(key or None, re, im) for key, (re, im) in terms.items()])
-                for unit, terms in _split(self.num, self.vars, True).items()]))
+            _set(self, "_view", [
+                (unit.bit_length() - 1, unit, [(key, re, im) for key, (re, im) in terms.items()])
+                for unit, terms in _split(self.num, self.vars, True).items()])
             return self._view
 
     def apply_into(self, out: dict, num: dict, mult: int) -> dict:
@@ -87,7 +89,7 @@ class FirstOrderOp(Packed):
         key of ``num`` stay on its products.  A product with an exponent
         above ``poly.MAX_EXPONENT`` is a ValueError.
         """
-        for shift, unit, terms in self.kernel()[1]:
+        for shift, unit, terms in self.kernel():
             # most terms lack the variable: read a numerator only for a hit
             for key in num:
                 e = key >> shift & FIELD
@@ -98,25 +100,25 @@ class FirstOrderOp(Packed):
                 a, b = re * m, im * m
                 lowered = key - unit
                 for ckey, c, d in terms:
-                    if ckey is None:
-                        prod = lowered
-                    else:
-                        prod = lowered + ckey
-                        if prod & GUARD:
-                            raise ValueError(f"a product has an exponent above {MAX_EXPONENT}")
+                    prod = lowered + ckey
+                    if prod & GUARD:
+                        raise ValueError(f"a product has an exponent above {MAX_EXPONENT}")
                     add_term(out, prod, a * c - b * d, a * d + b * c)
         return out
 
-    def apply(self, p: Poly) -> Poly:
-        if p.vars != self.vars:
-            raise ValueError(f"variable tables differ: {self.vars} vs {p.vars}")
-        return Poly._make(self.vars, self.apply_into({}, p.num, 1), p.den * self.den)
+    def apply(self, value: Packed) -> Packed:
+        """This operator applied to a ``Poly``, or to every component of an
+        ``ExtForm``, on its variable table: one ``apply_into`` pass over the
+        value's terms."""
+        if value.vars != self.vars:
+            raise ValueError(f"variable tables differ: {self.vars} vs {value.vars}")
+        return value._like(self.apply_into({}, value.num, 1), value.den * self.den)
 
     def coefficient(self, name: str) -> Poly:
         """c_name as a Poly; the zero Poly if the operator does not differentiate in it."""
         unit = 1 << BITS * self.vars.index(name)
-        terms = next((terms for _, u, terms in self.kernel()[1] if u == unit), ())
-        return Poly._make(self.vars, {key or 0: (re, im) for key, re, im in terms}, self.den)
+        terms = next((terms for _, u, terms in self.kernel() if u == unit), ())
+        return Poly._make(self.vars, {key: (re, im) for key, re, im in terms}, self.den)
 
     def conjugate(self) -> "FirstOrderOp":
         """Complex conjugate of every coefficient (the variables are real)."""
@@ -139,6 +141,6 @@ class FirstOrderOp(Packed):
             return "0"
         return " + ".join(f"({self.coefficient(name)}) d/d{name}"
                           for name in sorted(self.vars[shift // BITS]
-                                             for shift, _, _ in self.kernel()[1]))
+                                             for shift, _, _ in self.kernel()))
 
     __repr__ = __str__

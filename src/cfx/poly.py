@@ -147,8 +147,6 @@ def _gaussian_parts(value) -> tuple:
 
     Each part is in lowest terms, so den is coprime to re and im together.
     """
-    if type(value) is int:
-        return value, 0, 1
     if isinstance(value, (int, Fraction)):
         return value.numerator, 0, value.denominator
     if (isinstance(value, tuple) and len(value) == 2
@@ -211,9 +209,7 @@ def common_sum(num1: dict, den1: int, num2: dict, den2: int) -> tuple:
 def times_gaussian(num: dict, c: int, d: int) -> dict:
     """The numerators of ``num`` times the Gaussian integer c + d*i, which is
     not 0, so no product is (0, 0)."""
-    if d:
-        return {k: (a * c - b * d, a * d + b * c) for k, (a, b) in num.items()}
-    return {k: (a * c, b * c) for k, (a, b) in num.items()}
+    return {k: (a * c - b * d, a * d + b * c) for k, (a, b) in num.items()}
 
 
 def mul_into(out: dict, num1: dict, num2: dict, mult: int) -> dict:

@@ -202,29 +202,27 @@ def integrate_jets(lows: Sequence[Fraction], highs: Sequence[Fraction],
     polynomial is built.  An entry sums its ints over the lcm of the
     jets' and weights' denominators and divides once.
     """
-    tops, parts = {}, {}
+    parts, size = [], 1
     for pairs in sums:
         for jet, weight in pairs:
-            if id(weight) not in tops:
-                tops[id(weight)] = max(unpack(support(weight.num), len(weight.vars)), default=0)
-            if id(jet) not in parts:
-                width = len(jet.vars)
-                parts[id(jet)] = [(unpack(alpha, width), terms) for alpha, terms
-                                  in _split(jet.num, jet.vars, True).items()]
-                order = max((d for alpha, _ in parts[id(jet)] for d in alpha), default=0)
-                if order > 2:
-                    raise ValueError(f"a cutoff jet of order {order} on an axis: the cutoff "
-                                     "rows stop at order 2")
-                tops[id(jet)] = max((top for _, terms in parts[id(jet)]
-                                     for top in unpack(support(terms), width)), default=0)
-    size = 1 + max((tops[id(jet)] + tops[id(weight)] for pairs in sums for jet, weight in pairs),
-                   default=0)
+            width = len(jet.vars)
+            alphas = [(unpack(alpha, width), terms)
+                      for alpha, terms in _split(jet.num, jet.vars, True).items()]
+            order = max((d for alpha, _ in alphas for d in alpha), default=0)
+            if order > 2:
+                raise ValueError(f"a cutoff jet of order {order} on an axis: the cutoff "
+                                 "rows stop at order 2")
+            parts.append(alphas)
+            top = max((e for _, terms in alphas for e in unpack(support(terms), width)),
+                      default=0)
+            size = max(size, 1 + top + max(unpack(support(weight.num), len(weight.vars)),
+                                           default=0))
     rows, den = [], 1
     for a, b in zip(lows, highs):
         axis_rows, d = _cutoff_rows(a, b, size)
         rows.append(axis_rows)
         den *= d
-    out = []
+    out, pair_parts = [], iter(parts)
     for pairs in sums:
         re = im = 0
         q_all = 1
@@ -232,7 +230,7 @@ def integrate_jets(lows: Sequence[Fraction], highs: Sequence[Fraction],
             if weight.vars != jet.vars or len(jet.vars) != len(rows):
                 raise ValueError("the jet, its weight and the box differ in their variables")
             sr = si = 0
-            for alpha, terms in parts[id(jet)]:
+            for alpha, terms in next(pair_parts):
                 alpha_rows = [axis_rows[d] for axis_rows, d in zip(rows, alpha)]
                 for key, (a, b) in terms.items():
                     wr, wi = _moment_sum(weight.num, alpha_rows, key)

@@ -25,6 +25,7 @@ Each quantity checked against a slower construction has one reference here:
 
 import copy
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -350,7 +351,7 @@ def test_frak_d_index_insertion_matches_the_basis_wedge(seed, right2, left2, den
                 for aprime in (0, 1):
                     # operator application, one pass over the form's terms
                     op = frame.Z_upper[degree % frame.dim][aprime]
-                    assert_matches(f.apply(op), to_ref(f).map(op.apply))
+                    assert_matches(op.apply(f), to_ref(f).map(op.apply))
                     for raised in (True, False):
                         got = frak_d(aprime, f, frame, raised=raised)
                         want = reference_frak_d(aprime, to_ref(f), frame, raised)
@@ -358,6 +359,27 @@ def test_frak_d_index_insertion_matches_the_basis_wedge(seed, right2, left2, den
                         if frame in ambient:
                             # constant rows commute: every term of d^a' d^a' f cancels
                             assert frak_d(aprime, got, frame, raised=raised).is_zero()
+
+
+def test_frak_d_matches_the_reference_on_every_basis_field(right2, left2):
+    # frak_d is first order with no zeroth-order term, so its images of the
+    # constant forms w^I and of x_v w^I, for every variable v and every index
+    # set I below the top degree, determine it: comparing them all compares
+    # the operators themselves, not only what seeded forms reach
+    frames = [ambient_frame(1), ambient_frame(2), right2, left2, DENSE_RIGHT2]
+    compared = 0
+    for frame in frames:
+        coeffs = [Poly.const(frame.vars, 1), *(Poly.var(frame.vars, v) for v in frame.vars)]
+        for degree in range(frame.dim):
+            for idx in combinations(range(frame.dim), degree):
+                for c in coeffs:
+                    f = ExtForm(frame.dim, degree, frame.vars, {idx: c})
+                    for aprime in (0, 1):
+                        for raised in (True, False):
+                            assert_matches(frak_d(aprime, f, frame, raised=raised),
+                                           reference_frak_d(aprime, to_ref(f), frame, raised))
+                            compared += 1
+    assert compared == 5976
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -552,7 +574,7 @@ def test_middle_branch_first_component(right2, left2):
                             SpinorField(0, "S", [ExtForm.zero(frame.dim, 1, frame.vars)]))
         out = boundary_D(frame, fld)
         manual = frak_d(0, frak_d(1, F1, frame), frame) - frame.E0.wedge(
-            F1.apply(frame.T_upper[(1, 0)]))
+            frame.T_upper[(1, 0)].apply(F1))
         assert (out.lead.slot(0) - manual).is_zero()
 
 
@@ -610,7 +632,7 @@ def _ref_dd(frame, f, a, b):
 
 
 def _ref_apply_T(frame, key, form: ExtForm) -> ExtForm:
-    return form.apply(frame.T_upper[key])
+    return frame.T_upper[key].apply(form)
 
 
 def _ref_below(frame: TangentFrame, fld: BoundaryField) -> BoundaryField:
@@ -652,11 +674,11 @@ def _ref_middle_in(frame: TangentFrame, fld: BoundaryField) -> BoundaryField:
         half = Fraction(1, 2)
         skew_dd = (_ref_dd(frame, G, 0, 1) - _ref_dd(frame, G, 1, 0)).scale(half)
         t_skew_op = (frame.T_upper[(0, 1)] - frame.T_upper[(1, 0)]).scale(half)
-        t_skew = G.apply(t_skew_op)
+        t_skew = t_skew_op.apply(G)
         out_comp = out_comp + skew_dd + E0.wedge(t_skew)
     for ap in (0, 1):
         for bp in (0, 1):
-            lowered = fld.lead.slot(ap).apply(T_lower[bp][ap])
+            lowered = T_lower[bp][ap].apply(fld.lead.slot(ap))
             out_comp = out_comp - frak_d(bp, lowered, frame)
     lead = SpinorField(0, "S", [out_lead])
     comp = SpinorField(0, "S", [out_comp])
@@ -671,12 +693,12 @@ def _ref_middle_out(frame: TangentFrame, fld: BoundaryField) -> BoundaryField:
     T_lower = lowered_translations(frame)
     F2 = (ExtForm.zero(frame.dim, 0, frame.vars) if fld.companion is None
           else fld.companion.slot(0))
-    coupled = F1.apply(frame.T_upper[(1, 0)]) + F2
+    coupled = frame.T_upper[(1, 0)].apply(F1) + F2
     out_lead = _ref_dd(frame, F1, 0, 1) - E0.wedge(coupled)
 
     def h(ap: int) -> ExtForm:
-        term = frak_d(1, F1.apply(T_lower[ap][0]), frame)
-        term = term - frak_d(0, F1.apply(T_lower[ap][1]), frame)
+        term = frak_d(1, T_lower[ap][0].apply(F1), frame)
+        term = term - frak_d(0, T_lower[ap][1].apply(F1), frame)
         # lowered-index operators: first slot is -d^1, second slot is d^0
         dn = -frak_d(1, F2, frame) if ap == 0 else frak_d(0, F2, frame)
         return term - dn

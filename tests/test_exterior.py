@@ -228,9 +228,9 @@ def test_operator_application_matches_the_per_component_reference():
         for seed in range(3):
             f, _, fr, _ = layout_cases(50 + 5 * degree + seed, 4, degree, variables)
             for op in ops:
-                assert_matches(f.apply(op), fr.map(op.apply))
+                assert_matches(op.apply(f), fr.map(op.apply))
     with pytest.raises(ValueError, match="variable tables differ"):
-        f.apply(FirstOrderOp.partial(x_vars(2), "x1"))
+        FirstOrderOp.partial(x_vars(2), "x1").apply(f)
 
 
 def test_wedge_antisymmetry_of_basis():
@@ -278,7 +278,7 @@ def test_dimension_past_the_mask_field_is_refused():
     for a in range(MAX_DIM):
         top = top.wedge(basis_form(MAX_DIM, (a,), V))
     assert list(top.comps) == [tuple(range(MAX_DIM))] and top.component(range(15)) == p
-    assert top.apply(FirstOrderOp.partial(V, "x1")) == basis_form(MAX_DIM, range(MAX_DIM), V)
+    assert FirstOrderOp.partial(V, "x1").apply(top) == basis_form(MAX_DIM, range(MAX_DIM), V)
 
 
 @pytest.mark.parametrize("seed", [3, 5, 11])

@@ -176,25 +176,27 @@ def test_cli_start_loads_only_the_listed_modules():
 
 
 # Every functools cache in the package (lru_cache, cache, cached_property), by
-# the reason it stays: what it saved when one benchmark run's own calls were
-# replayed with and without it, alternating, best of 5 (seeds 5501, 6607 and
-# 7919; BENCH_40.json, "micro").  A speed-only path goes when the median of
-# its savings is under 0.5% of the in-process time of the workloads it
-# serves; see ROADMAP, "speed-only paths, measured".
+# the reason it stays: what it saved when the calls of two benchmark rounds
+# were replayed with and without it, interleaved, median of 21 reps (seeds
+# 2719, 3571 and 9277; BENCH_51.json, "replay").  A speed-only path goes when
+# the median over the seeds of its saving is under 0.5% of the in-process
+# time of every workload it serves; see ROADMAP, "speed-only paths, measured".
 CACHES = {
-    "the argparse tree: about 1 ms a build, one build per main call": {"cli.build_parser"},
-    "one frame per n and the kernels it builds: about 0.14 ms a build, "
-    "and a flat run reads spec.frame 1764 times": {"boundary.ambient_frame"},
-    "the symbol's basis tables: 3.0-3.5 ms over the 102 symbol_at calls of a run, "
-    "2.9-3.2% of symbol-classify": {"spinor.LevelTable.symbol_table"},
-    "the slot rule: 6.2-6.6 ms over the 1118 flat_D calls of a run, 2.3-2.4% of flat": {
-        "spinor.LevelTable.slot_rule"},
-    "the moment tables: 1.3-3.0 ms over the 1395 and 1402 _moment_table calls (9 and 8 "
-    "tables) of a run, 0.7-1.9% of boundary-ma": {"quadrature._moments"},
-    "condition H's direction grid: 0.30-0.35 ms a rebuild, 7.6% of symbol-classify": {
-        "groups._direction_grid"},
-    "the integer view of a group: 6.5-6.7 and 1.5-2.7 ms over the 375 and 54 reads of "
-    "a run, 2.1-2.9% and 1.3-3.4% of their workloads": {
+    "the argparse tree: about 0.9 ms a build, one build per main call, "
+    "31-66% of every workload": {"cli.build_parser"},
+    "one frame per n and the kernels it builds: 24.2-24.9 ms over the 240 calls of two "
+    "flat rounds and 13.4-13.9 ms over 136 of symbol-classify for the frame builds "
+    "alone, 117% and 24-32% of them": {"boundary.ambient_frame"},
+    "the symbol's basis tables: 0.83-0.86 ms over the 68 calls of two rounds, "
+    "1.4-2.0% of symbol-classify": {"spinor.LevelTable.symbol_table"},
+    "the slot rule: 0.19-0.20 ms over the 172 calls of two flat rounds, 0.89-0.92% of "
+    "flat": {"spinor.LevelTable.slot_rule"},
+    "the moment tables: 1.39-1.40 ms over the 1362-1402 calls of two rounds, "
+    "1.4-1.5% of boundary-ma": {"quadrature._moments"},
+    "condition H's direction grid: 3.6-3.7 ms over the 12 builds of two rounds, "
+    "6.2-8.6% of symbol-classify": {"groups._direction_grid"},
+    "the integer view of a group: 2.3-2.4 and 4.9-6.7 ms over the 84-85 and 302 reads "
+    "of two rounds, 3.9-5.5% of symbol-classify and 5.0-6.6% of boundary-ma": {
         "groups.GroupSpec.integer_S", "groups.GroupSpec.integer_brackets"},
 }
 
@@ -689,7 +691,7 @@ def test_form_keys_never_reach_a_whole_key_reader(tmp_path, monkeypatch):
                for d in range(5))
     frame = TangentFrame(groups.GroupSpec(1, gen.right_type_matrix(1)))
     ops = [*frame.X, *(op for row in frame.Z_upper for op in row), *frame.T_upper.values()]
-    assert all(str(op.scale(Fraction(1, 3))).count(" d/d") == len(op.kernel()[1])
+    assert all(str(op.scale(Fraction(1, 3))).count(" d/d") == len(op.kernel())
                for op in ops)
     assert all(seen.values()), seen
 

@@ -107,11 +107,11 @@ def reference_commutator(x, y) -> dict:
 
 
 def reference_kernel(variables, cs: dict) -> tuple:
-    """(den, {variable index: {key or None: (re, im)}}) of a Poly-coefficient
-    operator: den the lcm of the coefficient denominators, None the key of
-    the constant term."""
+    """(den, {variable index: {key: (re, im)}}) of a Poly-coefficient
+    operator: den the lcm of the coefficient denominators, 0 the key of the
+    constant term."""
     den = lcm(1, *(c.den for c in cs.values()))
-    return den, {variables.index(v): {e or None: (re * (den // c.den), im * (den // c.den))
+    return den, {variables.index(v): {e: (re * (den // c.den), im * (den // c.den))
                                       for e, (re, im) in c.num.items()}
                  for v, c in cs.items()}
 
@@ -136,9 +136,9 @@ def assert_matches(op, cs: dict):
     """``op`` is canonical and has the reference's coefficients and kernel rows."""
     assert_canonical(op)
     assert coeffs(op) == cs
-    den, rows = op.kernel()
+    rows = op.kernel()
     assert all(unit == 1 << shift and shift % BITS == 0 for shift, unit, _ in rows)
-    assert (den, {shift // BITS: {e: (re, im) for e, re, im in terms}
+    assert (op.den, {shift // BITS: {e: (re, im) for e, re, im in terms}
                   for shift, _, terms in rows}) == reference_kernel(op.vars, cs)
 
 

@@ -277,6 +277,67 @@ def test_one_flipped_entry_breaks_the_composition(n, k, j):
     assert not is_zero_product(sparse(a), sparse(b))
 
 
+def covector_gram(n: int):
+    """(G, |xi|^4) for the raised covector 1-forms w_0(xi), w_1(xi) of
+    ``ambient_frame(n)`` at a formal covector xi, one ``Poly`` variable per
+    coordinate: component a of w_a' is sum_v (c / L) xi_v over the entries
+    (a, offset, terms) that ``field_table(a', True)`` lists under v, and
+    G = |w_0|^2 |w_1|^2 - |<w_0, w_1>|^2, with <w_0, w_1> = sum_a w_0a conj(w_1a)."""
+    frame = boundary.ambient_frame(n)
+    xi = tuple(f"xi{i}" for i in range(len(frame.vars)))
+    zero = Poly.zero(xi)
+    w, w_bar = [], []
+    for aprime in (0, 1):
+        L, fields = frame.field_table(aprime, True)
+        row, row_bar = [zero] * frame.dim, [zero] * frame.dim
+        for v, entries in enumerate(fields):
+            for a, _, terms in entries:
+                ((key, re, im),) = terms  # the ambient rows have constant coefficients
+                assert key == 0
+                x = Poly.var(xi, xi[v])
+                row[a] = row[a] + x.scale((Fraction(re, L), Fraction(im, L)))
+                row_bar[a] = row_bar[a] + x.scale((Fraction(re, L), Fraction(-im, L)))
+        w.append(row)
+        w_bar.append(row_bar)
+
+    def dot(x, y):
+        return sum((p * q for p, q in zip(x, y)), zero)
+
+    gram = dot(w[0], w_bar[0]) * dot(w[1], w_bar[1]) - dot(w[0], w_bar[1]) * dot(w_bar[0], w[1])
+    xs = [Poly.var(xi, name) for name in xi]
+    norm = dot(xs, xs)
+    return gram, norm * norm
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_the_covector_pair_has_gram_determinant_xi_to_the_fourth(n):
+    # |w_0|^2 |w_1|^2 - |<w_0, w_1>|^2 = |xi|^4 exactly, so (w_0, w_1) is
+    # independent at every real xi != 0: the lemma by which the ranks at one
+    # unit covector hold at every nonzero real covector
+    gram, xi4 = covector_gram(n)
+    assert gram == xi4
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_one_flipped_row_entry_breaks_the_gram_identity(n, monkeypatch):
+    # the sign of one entry of row 0 of the raised rows, for a' = 0, flipped
+    table = boundary.Frame.field_table
+
+    def flipped(frame, aprime, raised):
+        L, fields = table(frame, aprime, raised)
+        if aprime:
+            return L, fields
+        v = next(v for v, entries in enumerate(fields) if any(a == 0 for a, _, _ in entries))
+        fields = list(fields)
+        fields[v] = tuple((a, offset, tuple((key, -re, -im) for key, re, im in terms))
+                          if a == 0 else (a, offset, terms) for a, offset, terms in fields[v])
+        return L, tuple(fields)
+
+    monkeypatch.setattr(boundary.Frame, "field_table", flipped)
+    gram, xi4 = covector_gram(n)
+    assert gram != xi4
+
+
 def test_zero_vector_gives_zero_matrix_and_error():
     spec = ComplexSpec(1, 1)
     zero = [Fraction(0)] * 8

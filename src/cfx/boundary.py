@@ -33,7 +33,7 @@ from math import lcm
 from .exterior import ExtForm, index_mask, wedge_sign
 from .groups import GroupSpec, curvature_entry, horizontal_fields
 from .operators import FirstOrderOp
-from .poly import BITS, FIELD, GUARD, MAX_EXPONENT, Poly, add_term, x_vars
+from .poly import BITS, FIELD, GUARD, MAX_EXPONENT, Immutable, Poly, _set, add_term, x_vars
 from .randgen import SectionGenerator
 from .spinor import LevelTable, SpinorField, raise_primed
 
@@ -204,7 +204,7 @@ class BoundarySpec(LevelTable):
         return self.sigma(j + 1), self.tau(j) - (j != self.k), self.basis_tag(j)
 
 
-class BoundaryField:
+class BoundaryField(Immutable):
     """Level-j element of the boundary pair complex; immutable, compared field by field.
 
     The companion is None exactly at level 0; above it a missing companion
@@ -225,13 +225,10 @@ class BoundaryField:
                                     [ExtForm.zero(spec.form_dim, degree, lead.vars)] * (sigma + 1))
         else:
             spec.check_field(companion, cshape, "companion", level)
-        object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "level", level)
-        object.__setattr__(self, "lead", lead)
-        object.__setattr__(self, "companion", companion)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BoundaryField is immutable")
+        _set(self, "spec", spec)
+        _set(self, "level", level)
+        _set(self, "lead", lead)
+        _set(self, "companion", companion)
 
     def __eq__(self, other):
         if type(other) is not BoundaryField:

@@ -10,7 +10,6 @@ import argparse
 import csv
 import io
 import json
-import math
 import os
 import sys
 from functools import cache
@@ -24,7 +23,7 @@ from .ma import (Region, cln_experiment, convergence_experiment,
                  key_identity_check, stokes_check)
 from .poly import Poly, unpack
 from .randgen import SectionGenerator
-from .rational import parse_fraction
+from .rational import clear_denominators, parse_fraction
 from .reports import dumps
 from . import verify as suites
 
@@ -231,8 +230,7 @@ def cmd_symbol(args) -> int:
             raise ValueError(f"bad covector: {exc}") from None
         if len(vec) != 4 * (args.n + 1):
             raise ValueError(f"covector needs {4 * (args.n + 1)} entries")
-        q = math.lcm(*(x.denominator for x in vec))
-        bits = max(abs(x.numerator * (q // x.denominator)).bit_length() for x in vec)
+        bits = max(abs(x).bit_length() for x in clear_denominators(vec)[1])
         if bits > MAX_COVECTOR_BITS:
             raise ValueError(f"covector times the lcm of its denominators has an entry of "
                              f"{bits} bits, above the configured limit {MAX_COVECTOR_BITS}")

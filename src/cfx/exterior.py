@@ -25,12 +25,11 @@ public constructor takes such a dict and checks it; the trusted
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
-from math import lcm, prod
+from math import prod
 from types import MappingProxyType
 
-from .poly import BITS, Packed, Poly, _past_table, _split, mul_into, reduce_gaussian
-
-_set = object.__setattr__
+from .poly import (BITS, Packed, Poly, _coefficient, _merge, _past_table, _set, _split,
+                   mul_into, reduce_gaussian)
 
 # Mask bit BITS - 1 would be the guard bit of the index field.
 MAX_DIM = BITS - 1
@@ -64,7 +63,7 @@ class ExtForm(Packed):
     def __init__(self, dim: int, degree: int, variables: Sequence[str],
                  comps: Mapping | None = None):
         dim, variables = int(dim), tuple(variables)
-        parts = []
+        parts = {}
         for idx, coeff in (comps or {}).items():
             idx = tuple(int(i) for i in idx)
             if len(idx) != degree:
@@ -73,17 +72,8 @@ class ExtForm(Packed):
                 raise ValueError(f"index out of range in {idx}")
             if any(idx[i] >= idx[i + 1] for i in range(len(idx) - 1)):
                 raise ValueError(f"index tuple {idx} not strictly increasing")
-            if not isinstance(coeff, Poly):
-                coeff = Poly.const(variables, coeff)
-            if coeff.vars != variables:
-                raise ValueError("coefficient variable table mismatch")
-            parts.append((index_mask(idx, variables), coeff))
-        # each coefficient is canonical, so the lcm is already coprime to
-        # the scaled numerators taken together
-        den = lcm(1, *(c.den for _, c in parts))
-        num = {key + lift: (re * (den // c.den), im * (den // c.den))
-               for lift, c in parts for key, (re, im) in c.num.items()}
-        self._init(dim, int(degree), variables, num, den)
+            parts[index_mask(idx, variables)] = _coefficient(coeff, variables)
+        self._init(dim, int(degree), variables, *_merge(parts))
 
     def _init(self, dim, degree, variables, num, den):
         if degree < 0:

@@ -12,7 +12,6 @@ rank sum of each level.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Sequence
 from fractions import Fraction
 from itertools import product
@@ -21,6 +20,7 @@ from .boundary import Frame, ambient_frame, frak_d, subcomplex_D
 from .exterior import wedge_sign
 from .linalg import bareiss, is_zero_product, rank_mod_p
 from .poly import add_term, x_vars
+from .rational import clear_denominators
 from .spinor import LevelTable, SpinorField, symmetrize, tuple_to_slots
 
 
@@ -113,8 +113,7 @@ def symbol_at(spec: ComplexSpec, j: int, v: Sequence) -> list:
     v = tuple(Fraction(x) for x in v)
     if len(v) != 4 * (spec.n + 1):
         raise ValueError(f"covector needs {4 * (spec.n + 1)} entries, not {len(v)}")
-    q = math.lcm(*(x.denominator for x in v))
-    qv = [x.numerator * (q // x.denominator) for x in v]
+    qv = clear_denominators(v)[1]
     w = []
     for aprime in (0, 1):
         form: dict = {}

@@ -21,8 +21,8 @@ from functools import cached_property, lru_cache
 
 from .linalg import bareiss, pfaffian
 from .operators import FirstOrderOp
-from .poly import BITS, Poly, _past_table, group_vars, unpack
-from .rational import parse_fraction
+from .poly import BITS, Immutable, Poly, _past_table, _set, group_vars, unpack
+from .rational import clear_denominators, parse_fraction
 
 # Two commuting quaternion representations on R^4; each triple satisfies
 # (E^1)^2 = (E^2)^2 = (E^3)^2 = -Id and E^1 E^2 = E^3.
@@ -96,16 +96,13 @@ def quaternion_relations_ok(triple, orientation: int = 1) -> bool:
     return all(checks)
 
 
-class GroupSpec:
+class GroupSpec(Immutable):
     """Validated symmetric Fraction matrix S; its readers use ``integer_S``.  Immutable."""
 
     def __init__(self, n: int, S):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "S", S)
+        _set(self, "n", n)
+        _set(self, "S", S)
         self.__post_init__()
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GroupSpec is immutable")
 
     def __post_init__(self):
         if self.n < 1:
@@ -116,14 +113,14 @@ class GroupSpec:
             raise ValueError(f"S must be {size}x{size}")
         if S != tuple(zip(*S)):
             raise ValueError("S must be symmetric")
-        object.__setattr__(self, "S", S)
+        _set(self, "S", S)
 
     @cached_property
     def integer_S(self) -> tuple:
         """(den, den S): the lcm of S's denominators and S over it in ints."""
-        den = math.lcm(*(x.denominator for row in self.S for x in row))
-        return den, tuple(tuple(x.numerator * (den // x.denominator) for x in row)
-                          for row in self.S)
+        den, ints = clear_denominators([x for row in self.S for x in row])
+        size = len(self.S)
+        return den, tuple(tuple(ints[i:i + size]) for i in range(0, len(ints), size))
 
     @cached_property
     def integer_brackets(self) -> tuple:

@@ -23,22 +23,23 @@ from operator import sub
 
 from .boundary import TangentFrame, frak_d
 from .exterior import ExtForm, hat_component, index_mask, kaehler_like_sum, merge_sign
-from .poly import Poly, support, unpack
+from .poly import Immutable, Poly, _set, support, unpack
 from .quadrature import (CutoffJet, _moment_sum, integrate_jets, integrate_poly_box,
                          integrate_poly_faces)
+from .rational import clear_denominators
 
 
 # -- region ------------------------------------------------------------------------------
 
 
-class Region:
+class Region(Immutable):
     """Axis-aligned box in group coordinates; immutable."""
 
     def __init__(self, lows, highs):
         lows = tuple(Fraction(x) for x in lows)
         highs = tuple(Fraction(x) for x in highs)
-        object.__setattr__(self, "lows", lows)
-        object.__setattr__(self, "highs", highs)
+        _set(self, "lows", lows)
+        _set(self, "highs", highs)
         if len(lows) != len(highs):
             raise ValueError("box bounds have mismatched lengths")
         if any(h <= l for l, h in zip(lows, highs)):
@@ -47,9 +48,6 @@ class Region:
         # a bound outside the float range is refused before any exact work
         for x in lows + highs:
             _float(x)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Region is immutable")
 
     @classmethod
     def cube(cls, naxes: int, half_width) -> "Region":
@@ -360,8 +358,7 @@ def _convergence_report(A: Fraction, B: Fraction, C: Fraction, steps: int) -> di
     for j = 1..steps-2, an int test at each step; only the reported masses
     and the last difference are Fractions.
     """
-    D = math.lcm(B.denominator, C.denominator)
-    b, c = B.numerator * (D // B.denominator), C.numerator * (D // C.denominator)
+    D, (b, c) = clear_denominators((B, C))
     n = [abs(2 * b * j * (j + 1) + c * (2 * j + 1)) for j in range(1, steps)]
     monotone = all(n_j * (j + 2) ** 2 >= n_next * j * j
                    for j, n_j, n_next in zip(range(1, steps), n, n[1:]))

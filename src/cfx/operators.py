@@ -19,12 +19,9 @@ they build a ``Poly`` of a coefficient, from the rows of ``kernel``.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from math import lcm
 
-from .poly import (BITS, FIELD, GUARD, MAX_EXPONENT, Packed, Poly, _gaussian_parts,
-                   _past_table, _split, add_term)
-
-_set = object.__setattr__
+from .poly import (BITS, FIELD, GUARD, MAX_EXPONENT, Packed, Poly, _coefficient, _merge,
+                   _past_table, _set, _split, add_term)
 
 
 class FirstOrderOp(Packed):
@@ -39,25 +36,15 @@ class FirstOrderOp(Packed):
 
     def __init__(self, variables, coeffs: Mapping):
         variables = tuple(variables)
-        parts = []
+        parts = {}
         for v, c in coeffs.items():
             if v not in variables:
                 raise KeyError(f"unknown variable {v!r}")
-            if isinstance(c, Poly):
-                if c.vars != variables:
-                    raise ValueError(f"variable tables differ: {variables} vs {c.vars}")
-                num, den = c.num, c.den
-            else:
-                re, im, den = _gaussian_parts(c)
-                num = {0: (re, im)} if re or im else {}
-            if num:
-                parts.append((_past_table(1 << BITS * variables.index(v), variables), num, den))
-        # each coefficient is canonical, so the lcm is already coprime to
-        # the scaled numerators taken together
-        den = lcm(1, *(d for _, _, d in parts))
+            lift = _past_table(1 << BITS * variables.index(v), variables)
+            parts[lift] = _coefficient(c, variables)
+        num, den = _merge(parts)
         _set(self, "vars", variables)
-        _set(self, "num", {key + lift: (re * (den // d), im * (den // d))
-                           for lift, num, d in parts for key, (re, im) in num.items()})
+        _set(self, "num", num)
         _set(self, "den", den)
 
     @classmethod

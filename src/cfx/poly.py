@@ -18,8 +18,9 @@ canonical, so ``==`` and ``hash`` are exact:
 
 Its trusted ``_make`` only divides out the common factor of ``den`` and the
 numerators; sum, difference, negation and ``scale`` are one pass of the
-primitives below; a value is immutable, and values of two kinds or shapes
-are never equal.
+primitives below; a value is immutable, as every record of the package
+is, through :class:`Immutable`, and values of two kinds or shapes are never
+equal.
 
 An exponent vector is one packed int (Monagan and Pearce's packed exponent
 vectors, as in FLINT's ``fmpz_mpoly``): variable v holds the ``BITS`` bits
@@ -37,8 +38,11 @@ The public constructor ``Poly(vars, terms)`` validates every term; the
 product and ``diff`` build through ``_make`` too.  A scalar input (a
 coefficient of ``Poly``, ``const``, ``var``, ``monomial`` or ``scale``) is an
 int, a ``Fraction`` or an ``(re, im)`` pair of them; :func:`_gaussian_parts`
-reads every one.  The text edge is ``str`` and the JSON reader
-``from_json``.
+reads every one.  The public constructors of ``Poly``, ``ExtForm`` and
+``FirstOrderOp`` merge their canonical coefficients, each lifted by its key
+offset, in :func:`_merge`; a form's or an operator's coefficient, a ``Poly``
+or a scalar, is read by :func:`_coefficient`.  The text edge is ``str`` and
+the JSON reader ``from_json``.
 
 In an ``ExtForm``, a ``FirstOrderOp`` and a ``CutoffJet`` the keys carry
 a second value in the fields past the variable table: a form component's
@@ -65,7 +69,7 @@ from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from math import gcd, lcm
 
-from .rational import gaussian_from_json
+from .rational import clear_denominators, gaussian_from_json
 
 _set = object.__setattr__
 
@@ -151,10 +155,8 @@ def _gaussian_parts(value) -> tuple:
         return value.numerator, 0, value.denominator
     if (isinstance(value, tuple) and len(value) == 2
             and all(isinstance(x, (int, Fraction)) for x in value)):
-        re, im = value
-        den = lcm(re.denominator, im.denominator)
-        return (re.numerator * (den // re.denominator),
-                im.numerator * (den // im.denominator), den)
+        den, (re, im) = clear_denominators(value)
+        return re, im, den
     raise TypeError(f"a scalar is an int, a Fraction or an (re, im) pair of them, not {value!r}")
 
 
@@ -230,7 +232,30 @@ def mul_into(out: dict, num1: dict, num2: dict, mult: int) -> dict:
     return out
 
 
-class Packed:
+def _merge(parts: dict) -> tuple:
+    """(num, den) of the canonical parts {offset: (num, den)}, each part's
+    keys lifted by its offset, over the lcm of their dens: the one merge of
+    ``Poly``, ``ExtForm`` and ``FirstOrderOp``'s public constructors.
+
+    Each part is canonical, so the lcm is already coprime to the scaled
+    numerators taken together; the lifted keys of two parts never meet.
+    """
+    den = lcm(1, *(d for _, d in parts.values()))
+    return {key + offset: (re * (den // d), im * (den // d))
+            for offset, (num, d) in parts.items() for key, (re, im) in num.items()}, den
+
+
+class Immutable:
+    """A record whose attributes are set once, through ``_set``, while it is
+    built: the one rule of every immutable kind in the package."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class Packed(Immutable):
     """The value type of the layout (see the module docstring): ``num`` over
     ``den`` on the variable table ``vars``.
 
@@ -264,9 +289,6 @@ class Packed:
     def _check(self, other):
         if self.vars != other.vars:
             raise ValueError(f"variable tables differ: {self.vars} vs {other.vars}")
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __add__(self, other):
         self._check(other)
@@ -313,25 +335,21 @@ class Poly(Packed):
 
     def __init__(self, variables: Sequence[str], terms: Mapping | None = None):
         variables = tuple(variables)
-        clean = {}
-        if terms:
-            width = len(variables)
-            for expo, coeff in terms.items():
-                coeff = _gaussian_parts(coeff)
-                if not (coeff[0] or coeff[1]):
-                    continue
-                expo = tuple(int(e) for e in expo)
-                if len(expo) != width:
-                    raise ValueError(
-                        f"exponent vector {expo} does not match variable table of size {width}"
-                    )
-                clean[pack(expo)] = coeff
-        # each coefficient's den is coprime to its numerators, so the lcm is
-        # already coprime to the scaled numerators taken together
-        den = lcm(1, *(d for _, _, d in clean.values()))
+        width = len(variables)
+        parts = {}
+        for expo, coeff in (terms or {}).items():
+            re, im, den = _gaussian_parts(coeff)
+            if not (re or im):
+                continue
+            expo = tuple(int(e) for e in expo)
+            if len(expo) != width:
+                raise ValueError(
+                    f"exponent vector {expo} does not match variable table of size {width}"
+                )
+            parts[pack(expo)] = {0: (re, im)}, den
+        num, den = _merge(parts)
         _set(self, "vars", variables)
-        _set(self, "num", {key: (re * (den // d), im * (den // d))
-                           for key, (re, im, d) in clean.items()})
+        _set(self, "num", num)
         _set(self, "den", den)
 
     @property
@@ -456,3 +474,13 @@ class Poly(Packed):
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed polynomial JSON: {exc!r}") from None
 
+
+def _coefficient(value, variables: tuple) -> tuple:
+    """(num, den) of a coefficient of a form component or an operator: a
+    ``Poly`` on the table ``variables``, or a scalar as the constant term."""
+    if isinstance(value, Poly):
+        if value.vars != variables:
+            raise ValueError(f"variable tables differ: {variables} vs {value.vars}")
+        return value.num, value.den
+    re, im, den = _gaussian_parts(value)
+    return ({0: (re, im)} if re or im else {}), den

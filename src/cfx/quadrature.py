@@ -35,11 +35,9 @@ def integrate_poly_faces(p: Poly, lows: Sequence, highs: Sequence, axis: int) ->
     """Exact integral over the face x_axis = high minus the one over the face
     x_axis = low, in one moment sum.
 
-    Over Q = s_h s_l, with high = r_h/s_h and low = r_l/s_l, the two faces
-    are H/Q and L/Q for the ints H = r_h s_l and L = r_l s_h.  With E a
-    bound on the powers of the axis, the axis takes the row
-    (H^e - L^e) Q^(E-e) / Q^E in place of its moment table; the row is 0 at
-    e = 0, so a term without the axis adds nothing.
+    The axis takes the row high^e - low^e = e int_low^high x^(e-1) dx, from
+    the moment table one entry shorter, in place of its moment table; the
+    row is 0 at e = 0, so a term without the axis adds nothing.
     """
     return _integrate(p, lows, highs, axis)
 
@@ -71,16 +69,11 @@ def _integrate(p: Poly, lows: Sequence, highs: Sequence, frozen) -> tuple:
 
 
 def _face_row(a, b, size: int) -> tuple:
-    """(R, D) with b^e - a^e == R[e] / D for e < size, all ints."""
-    q, s = a.denominator, b.denominator
-    big_a, big_b, big_q = a.numerator * s, b.numerator * q, q * s
-    row = []
-    pa = pb = 1
-    for e in range(size):
-        row.append((pb - pa) * big_q ** (size - 1 - e))
-        pa *= big_a
-        pb *= big_b
-    return row, big_q ** (size - 1)
+    """(R, D) with b^e - a^e == R[e] / D for e < size, all ints: since
+    b^e - a^e = e int_a^b x^(e-1) dx, R[e] is e times entry e - 1 of the
+    moment table of size ``size - 1``."""
+    table, den = _moment_table(a, b, size - 1)
+    return [0] + [e * m for e, m in enumerate(table, 1)], den
 
 
 # -- integer moments ----------------------------------------------------------------------

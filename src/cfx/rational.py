@@ -5,11 +5,14 @@ The package computes in one scalar layout, Gaussian-integer numerators
 an exact scalar it hands out is an ``(re, im)`` pair of ``Fraction`` values.
 Text from outside becomes a ``Fraction`` only through :func:`parse_fraction`,
 and a JSON coefficient only through :func:`gaussian_from_json`.
+Fractions go back to ints over their least common denominator only through
+:func:`clear_denominators`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 
 # Fraction("1e10000000") builds 10**10**7, in time quadratic in the exponent,
@@ -45,3 +48,10 @@ def gaussian_from_json(data) -> tuple:
         return parse_fraction(parts[0]), parse_fraction(parts[1])
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in exact coefficient {data!r}") from None
+
+
+def clear_denominators(values) -> tuple:
+    """(q, ints): q the lcm of the denominators of a sequence of Fractions
+    (or ints) and ints the list of q times each, in order; q is 1 for none."""
+    q = lcm(*[x.denominator for x in values])
+    return q, [x.numerator * (q // x.denominator) for x in values]

@@ -35,6 +35,7 @@ from functools import lru_cache
 from types import MappingProxyType
 
 from .exterior import ExtForm, index_mask
+from .poly import Immutable, _set
 
 def raise_primed(pair):
     """(f_0, f_1) -> (f^0, f^1) with f^a = sum_b f_b eps^{ba}."""
@@ -48,7 +49,7 @@ def ones_count(idx: Sequence[int]) -> int:
     return sum(idx)
 
 
-class SpinorField:
+class SpinorField(Immutable):
     """Section of a symmetric-power bundle tensor exterior forms, in slot form.
 
     ``basis`` is "S" (descending) or "tilde" (ascending); ``slots`` is a list
@@ -67,15 +68,12 @@ class SpinorField:
         for f in slots:
             if (f.dim, f.degree, f.vars) != (sample.dim, sample.degree, sample.vars):
                 raise ValueError("slot forms must share dimension/degree/vars")
-        object.__setattr__(self, "sigma", int(sigma))
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "slots", slots)
-        object.__setattr__(self, "dim", sample.dim)
-        object.__setattr__(self, "degree", sample.degree)
-        object.__setattr__(self, "vars", sample.vars)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SpinorField is immutable")
+        _set(self, "sigma", int(sigma))
+        _set(self, "basis", basis)
+        _set(self, "slots", slots)
+        _set(self, "dim", sample.dim)
+        _set(self, "degree", sample.degree)
+        _set(self, "vars", sample.vars)
 
     def slot(self, a: int) -> ExtForm:
         """Slot a, with out-of-range slots equal to zero."""
@@ -151,7 +149,7 @@ def tuple_to_slots(tuples: dict[tuple, ExtForm], basis: str) -> SpinorField:
     return SpinorField(s, basis, slots)
 
 
-class LevelTable:
+class LevelTable(Immutable):
     """Level shapes of a complex at (n, k) on ``form_dim`` form indices, split at level ``k``.
 
     Subclasses provide ``form_dim``; levels run 0..form_dim - 1.  A table is
@@ -162,11 +160,8 @@ class LevelTable:
     def __init__(self, n: int, k: int):
         if n < 1 or k < 0:
             raise ValueError("need n >= 1 and k >= 0")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "k", k)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
+        _set(self, "n", n)
+        _set(self, "k", k)
 
     def __eq__(self, other):
         if type(other) is not type(self):

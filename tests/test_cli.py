@@ -133,6 +133,26 @@ def test_verify_rejects_fewer_than_one_trial(capsys, argv):
     assert err.startswith("input error:") and "--trials" in err
 
 
+def test_symbol_without_v_or_trials_exits_2(capsys):
+    code, out, err = run(capsys, "symbol", "--n", "1")
+    assert code == 2 and out == ""
+    assert err.startswith("input error:") and "provide --v or --trials > 0" in err
+
+
+def test_classify_exits_1_when_the_routes_disagree(monkeypatch, capsys):
+    import cfx.cli as cli
+
+    real = cli.classify
+
+    def disagreeing(*args, **kwargs):
+        return {**real(*args, **kwargs), "routes_agree": False}
+
+    monkeypatch.setattr(cli, "classify", disagreeing)
+    code, out, err = run(capsys, "classify", "--group", "rightQH", "--n", "1")
+    assert code == 1 and json.loads(out)["routes_agree"] is False
+    assert "internal inconsistency: classification routes disagree" in err
+
+
 def test_symbol_rejects_negative_trials(capsys):
     code, out, err = run(capsys, "symbol", "--n", "1", "--k", "1",
                          "--v", "1,0,0,0,0,0,0,0", "--trials", "-1")
@@ -1064,14 +1084,20 @@ def test_complex_rational_from_json_keeps_strings_and_ints():
 # -- a closed stdout ends quietly -------------------------------------------------------------
 
 
+def _package_env() -> dict:
+    """The environment with this checkout's ``src`` first on PYTHONPATH."""
+    import os
+    from pathlib import Path
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+
+
 def test_closed_stdout_ends_without_traceback():
     import os
     import subprocess
     import sys
-    from pathlib import Path
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    env = _package_env()
     read_end, write_end = os.pipe()
     os.close(read_end)  # the reader is gone before the report is written
     try:
@@ -1081,6 +1107,20 @@ def test_closed_stdout_ends_without_traceback():
     finally:
         os.close(write_end)
     assert b"Traceback" not in proc.stderr and proc.stderr == b""
+    assert proc.returncode == 0
+
+
+def test_classify_into_a_pipe_its_reader_closed_ends_without_traceback():
+    import subprocess
+    import sys
+    proc = subprocess.Popen([sys.executable, "-m", "cfx.cli", "classify", "--n", "1"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_package_env())
+    proc.stdout.close()  # the reader leaves before the report is written
+    try:
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+    assert b"Traceback" not in err and err == b""
     assert proc.returncode == 0
 
 

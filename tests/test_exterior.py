@@ -233,6 +233,14 @@ def test_operator_application_matches_the_per_component_reference():
         FirstOrderOp.partial(x_vars(2), "x1").apply(f)
 
 
+def test_index_tuples_naming_one_component_keep_the_last_canonically():
+    # ("0",) reads as (0,): the later coefficient wins, as a repeated
+    # exponent vector does in Poly, and the form stays canonical
+    form = ExtForm(2, 1, ("x",), {(0,): Fraction(1, 2), ("0",): 3})
+    assert form == ExtForm(2, 1, ("x",), {(0,): 3}) and form.den == 1
+    assert Poly(("x",), {(1,): Fraction(1, 2), ("1",): 3}) == Poly(("x",), {(1,): 3})
+
+
 def test_wedge_antisymmetry_of_basis():
     assert wedge(w(0), w(1)) == w(0, 1)
     assert wedge(w(1), w(0)) == w(0, 1).scale(-1)

@@ -484,16 +484,16 @@ def test_only_add_term_merges_into_a_numerator_dict():
 
 # the functions that call poly.reduce_gaussian and the classes that define
 # __setattr__ or __eq__, each with its reason.  The canonical rules of the
-# packed layout (gcd 1, den 1 for zero, exact ==, immutable) live in
-# poly.Packed, which Poly, ExtForm, FirstOrderOp and CutoffJet subclass: a
-# kind that restates them adds a site here on purpose
+# packed layout (gcd 1, den 1 for zero, exact ==) live in poly.Packed, which
+# Poly, ExtForm, FirstOrderOp and CutoffJet subclass, and the immutability
+# of every record in poly.Immutable: a kind that restates them adds a site
+# here on purpose
 CANONICAL_SITES = {
     ("poly.py", "Packed._make"): "the trusted constructor of every packed kind",
     ("exterior.py", "ExtForm._make"): "a form's shape adds dim and degree, checked on the way in",
-    ("poly.py", "Packed"): "the one value type of the layout: immutable, exact ==",
+    ("poly.py", "Immutable"): "the one __setattr__: every record and value is immutable",
+    ("poly.py", "Packed"): "the one value type of the layout: exact ==",
     ("boundary.py", "BoundaryField"): "a lead and a companion field, compared field by field",
-    ("groups.py", "GroupSpec"): "an immutable group record; its integer views are cached",
-    ("ma.py", "Region"): "an immutable box of Fraction bounds",
     ("spinor.py", "SpinorField"): "the form slots of a spinor field, compared slot by slot",
     ("spinor.py", "LevelTable"): "an immutable (n, k) record, hashed by the slot-rule caches",
 }
@@ -546,6 +546,73 @@ def test_the_canonical_rules_have_one_home():
 
     for kind in (Poly, ExtForm, FirstOrderOp, CutoffJet):
         assert kind.__bases__ == (Packed,), kind
+
+
+def test_immutability_has_one_home():
+    # one __setattr__, poly.Immutable's, and one object.__setattr__ alias,
+    # poly._set, through which every immutable kind sets its attributes once
+    from cfx.boundary import BoundaryField
+    from cfx.groups import GroupSpec
+    from cfx.ma import Region
+    from cfx.poly import Immutable, Packed, Poly
+    from cfx.spinor import LevelTable, SpinorField
+
+    defs = sorted(f"{path.name}:{node.lineno}" for path in MODULES
+                  for node in ast.walk(_tree(path))
+                  if isinstance(node, ast.FunctionDef) and node.name == "__setattr__")
+    aliases = sorted(f"{path.name}:{node.lineno}" for path in MODULES
+                     for node in ast.walk(_tree(path))
+                     if isinstance(node, ast.Attribute) and node.attr == "__setattr__"
+                     and isinstance(node.value, ast.Name) and node.value.id == "object")
+    assert len(defs) == 1 and defs[0].startswith("poly.py:"), defs
+    assert len(aliases) == 1 and aliases[0].startswith("poly.py:"), aliases
+    for kind in (Packed, GroupSpec, Region, SpinorField, LevelTable, BoundaryField):
+        assert issubclass(kind, Immutable), kind
+    assert "__slots__" in vars(Immutable) and not Immutable.__slots__
+    for value in (Poly.const(("x",), 1), GroupSpec(1, [[int(i == j) for j in range(4)]
+                                                       for i in range(4)]),
+                  Region((0,), (1,))):
+        with pytest.raises(AttributeError, match=f"^{type(value).__name__} is immutable$"):
+            value.anything = 0
+
+
+def test_constructors_merge_through_one_routine():
+    # the public constructors of Poly, ExtForm and FirstOrderOp merge their
+    # canonical parts over the lcm of their dens in poly._merge, and a form's
+    # or an operator's coefficient is read by poly._coefficient; Fractions
+    # go to ints over the lcm of their denominators in
+    # rational.clear_denominators alone
+    calls = {f"{path.name}:{owner}": names for path in MODULES
+             for owner, names in _names_called(_tree(path)).items()}
+    merging = sorted(site for site, names in calls.items() if "_merge" in names)
+    assert merging == ["exterior.py:ExtForm.__init__", "operators.py:FirstOrderOp.__init__",
+                       "poly.py:Poly.__init__"], merging
+    reading = sorted(site for site, names in calls.items() if "_coefficient" in names)
+    assert reading == ["exterior.py:ExtForm.__init__",
+                       "operators.py:FirstOrderOp.__init__"], reading
+    clearing = sorted((path.name, _enclosing_function(tree, node.lineno))
+                      for path in MODULES for tree in [_tree(path)] for node in ast.walk(tree)
+                      if isinstance(node, ast.Call)
+                      and getattr(node.func, "id", getattr(node.func, "attr", None)) == "lcm"
+                      and any(isinstance(sub, ast.Attribute) and sub.attr == "denominator"
+                              for arg in node.args for sub in ast.walk(arg)))
+    assert clearing == [("rational.py", "clear_denominators")], clearing
+
+
+def test_a_coefficient_on_another_table_is_refused_with_one_message():
+    from cfx.exterior import ExtForm
+    from cfx.operators import FirstOrderOp
+    from cfx.poly import Poly
+
+    table, other = ("x", "y"), ("x", "z")
+    coeff = Poly.var(other, "x", Fraction(1, 2))
+    messages = []
+    for build in (lambda: ExtForm(2, 1, table, {(0,): coeff}),
+                  lambda: FirstOrderOp(table, {"y": coeff})):
+        with pytest.raises(ValueError) as info:
+            build()
+        messages.append(str(info.value))
+    assert messages == [f"variable tables differ: {table} vs {other}"] * 2
 
 
 def _names_called(tree: ast.Module) -> dict:

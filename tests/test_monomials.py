@@ -36,31 +36,16 @@ def tuples(num: dict, width: int) -> dict:
 
 
 def ref_mul_into(out: dict, num1: dict, num2: dict, mult: int) -> dict:
-    if len(num1) == 1 and not any(next(iter(num1))):
-        num1, num2 = num2, num1
-    if len(num2) == 1:
-        [(e2, (c, d))] = num2.items()
-        if not any(e2):
-            c *= mult
-            d *= mult
-            for e1, (a, b) in num1.items():
-                add_term(out, e1, a * c - b * d, a * d + b * c)
-            return out
-    right = num2.items()
     for e1, (a, b) in num1.items():
-        a *= mult
-        b *= mult
-        for e2, (c, d) in right:
-            add_term(out, tuple(map(add, e1, e2)), a * c - b * d, a * d + b * c)
+        for e2, (c, d) in num2.items():
+            add_term(out, tuple(map(add, e1, e2)), mult * (a * c - b * d), mult * (a * d + b * c))
     return out
 
 
 def ref_kernel(op: FirstOrderOp) -> list:
-    """[(variable index, [(expo or None, re, im), ...]), ...] of den * op."""
+    """[(variable index, [(expo, re, im), ...]), ...] of den * op."""
     width = len(op.vars)
-    zero = (0,) * width
-    return [(alpha.index(1), [(None if e == zero else e, re, im)
-                              for e, (re, im) in tuples(coeff, width).items()])
+    return [(alpha.index(1), [(e, re, im) for e, (re, im) in tuples(coeff, width).items()])
             for alpha, coeff in alpha_view(op.vars, op.num).items()]
 
 
@@ -74,8 +59,7 @@ def ref_apply_into(kernel: list, out: dict, num: dict, mult: int) -> dict:
             a, b = re * m, im * m
             lowered = expo[:idx] + (e - 1,) + expo[idx + 1:]
             for cexpo, c, d in terms:
-                key = lowered if cexpo is None else tuple(map(add, lowered, cexpo))
-                add_term(out, key, a * c - b * d, a * d + b * c)
+                add_term(out, tuple(map(add, lowered, cexpo)), a * c - b * d, a * d + b * c)
     return out
 
 

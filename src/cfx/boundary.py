@@ -95,10 +95,6 @@ class Frame:
         return table
 
 
-def ambient_vars(n: int) -> tuple:
-    return x_vars(4 * (n + 1))
-
-
 @lru_cache(maxsize=None)
 def ambient_frame(n: int) -> Frame:
     """The flat frame on R^{4(n+1)}: rows of constant-coefficient partials.
@@ -106,7 +102,7 @@ def ambient_frame(n: int) -> Frame:
     A constant of n, built once per process: every caller at one n shares
     the frame and the integer kernels its operators build on first use.
     """
-    variables = ambient_vars(n)
+    variables = x_vars(4 * (n + 1))
     return Frame(variables, [FirstOrderOp.partial(variables, v) for v in variables])
 
 

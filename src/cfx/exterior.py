@@ -30,6 +30,7 @@ from types import MappingProxyType
 
 from .poly import (BITS, Packed, Poly, _coefficient, _merge, _past_table, _set, _split,
                    mul_into, reduce_gaussian)
+from .rational import exact_int
 
 # Mask bit BITS - 1 would be the guard bit of the index field.
 MAX_DIM = BITS - 1
@@ -62,18 +63,18 @@ class ExtForm(Packed):
 
     def __init__(self, dim: int, degree: int, variables: Sequence[str],
                  comps: Mapping | None = None):
-        dim, variables = int(dim), tuple(variables)
+        dim, degree = exact_int(dim, "a form's dim"), exact_int(degree, "a form's degree")
+        variables = tuple(variables)
         parts = {}
         for idx, coeff in (comps or {}).items():
-            idx = tuple(int(i) for i in idx)
             if len(idx) != degree:
                 raise ValueError(f"index tuple {idx} has wrong length for degree {degree}")
-            if any(not 0 <= i < dim for i in idx):
+            if any(not 0 <= exact_int(i, "a form index") < dim for i in idx):
                 raise ValueError(f"index out of range in {idx}")
             if any(idx[i] >= idx[i + 1] for i in range(len(idx) - 1)):
                 raise ValueError(f"index tuple {idx} not strictly increasing")
             parts[index_mask(idx, variables)] = _coefficient(coeff, variables)
-        self._init(dim, int(degree), variables, *_merge(parts))
+        self._init(dim, degree, variables, *_merge(parts))
 
     def _init(self, dim, degree, variables, num, den):
         if degree < 0:
@@ -115,12 +116,12 @@ class ExtForm(Packed):
 
     @classmethod
     def zero(cls, dim, degree, variables) -> "ExtForm":
-        return cls._make(int(dim), int(degree), tuple(variables), {})
+        return cls._make(dim, degree, tuple(variables), {})
 
     @classmethod
     def from_scalar(cls, dim, p: Poly) -> "ExtForm":
         """The 0-form p: its keys carry the empty mask, so they are p's own."""
-        return cls._make(int(dim), 0, p.vars, p.num, p.den)
+        return cls._make(dim, 0, p.vars, p.num, p.den)
 
     # -- the layout ---------------------------------------------------------------
 

@@ -13,15 +13,14 @@ rank sum of each level.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from fractions import Fraction
 from itertools import product
 
 from .boundary import Frame, ambient_frame, frak_d, subcomplex_D
 from .exterior import wedge_sign
 from .linalg import bareiss, is_zero_product, rank_mod_p
-from .poly import add_term, x_vars
-from .rational import clear_denominators
-from .spinor import LevelTable, SpinorField, symmetrize, tuple_to_slots
+from .poly import add_term
+from .rational import clear_denominators, exact_fraction
+from .spinor import LevelTable, SpinorField, symmetrize
 
 
 class ComplexSpec(LevelTable):
@@ -38,7 +37,7 @@ class ComplexSpec(LevelTable):
 
     @property
     def vars(self):
-        return x_vars(4 * (self.n + 1))
+        return self.frame.vars
 
     @property
     def frame(self) -> Frame:
@@ -69,11 +68,6 @@ def flat_D_tuple(spec: ComplexSpec, j: int, tuples: dict) -> dict:
     # ascending side: target (a',) + idx is derivation a' of component idx,
     # then symmetrize
     return symmetrize({idx: frak_d(idx[0], tuples[idx[1:]], frame) for idx in out_indices})
-
-
-def dot_pi(spec: ComplexSpec, j: int, tuples: dict) -> SpinorField:
-    """Tuple -> slot isomorphism at level j (binomial weights above the middle)."""
-    return tuple_to_slots(tuples, spec.basis_tag(j))
 
 
 # -- symbol sequence -----------------------------------------------------------------
@@ -110,7 +104,7 @@ def symbol_at(spec: ComplexSpec, j: int, v: Sequence) -> list:
     ``exterior.wedge_sign``.
     """
     spec._check_operator_level(j)
-    v = tuple(Fraction(x) for x in v)
+    v = tuple(map(exact_fraction, v))
     if len(v) != 4 * (spec.n + 1):
         raise ValueError(f"covector needs {4 * (spec.n + 1)} entries, not {len(v)}")
     qv = clear_denominators(v)[1]
@@ -147,9 +141,11 @@ def check_exactness(spec: ComplexSpec, v: Sequence) -> dict:
     ℓ_{j−1} + ℓ_j = dim_j pins both ranks: the level closes.  Only a rank
     that no closed level pins is computed by ``linalg.bareiss``.  A level
     whose product is nonzero is not exact, and its detail says so.  v must
-    be nonzero with 4(n+1) entries; ``symbol_at`` rejects any other length.
+    be nonzero with 4(n+1) entries, each an int or a Fraction, read once
+    (``rational.exact_fraction``); ``symbol_at`` rejects any other length.
     """
-    if all(Fraction(x) == 0 for x in v):
+    v = tuple(map(exact_fraction, v))
+    if not any(v):
         raise ValueError("covector must be nonzero")
     top = spec.top_level
     symbols = [symbol_at(spec, j, v) for j in range(top)]
@@ -171,7 +167,7 @@ def check_exactness(spec: ComplexSpec, v: Sequence) -> dict:
         levels.append({"level": j, "dim": dims[j], "exact": composes[j] and full,
                        "detail": detail})
     return {
-        "v": [str(Fraction(x)) for x in v],
+        "v": [str(x) for x in v],
         "dims": dims,
         "ranks": ranks,
         "levels": levels,

@@ -22,7 +22,7 @@ from functools import cached_property, lru_cache
 from .linalg import bareiss, pfaffian
 from .operators import FirstOrderOp
 from .poly import BITS, Immutable, Poly, _past_table, _set, group_vars, unpack
-from .rational import clear_denominators, parse_fraction
+from .rational import clear_denominators, exact_fraction, exact_int, parse_fraction
 
 # Two commuting quaternion representations on R^4; each triple satisfies
 # (E^1)^2 = (E^2)^2 = (E^3)^2 = -Id and E^1 E^2 = E^3.
@@ -45,10 +45,6 @@ _I_COLUMNS = tuple(
 )
 
 
-def mat(rows) -> tuple:
-    return tuple(tuple(Fraction(x) for x in row) for row in rows)
-
-
 def mat_mul(a, b) -> tuple:
     size_i, size_k, size_j = len(a), len(b), len(b[0])
     return tuple(
@@ -60,11 +56,11 @@ def mat_mul(a, b) -> tuple:
 def block_diag(block, count: int) -> tuple:
     size = len(block)
     total = size * count
-    out = [[Fraction(0)] * total for _ in range(total)]
+    out = [[0] * total for _ in range(total)]
     for c in range(count):
         for i in range(size):
             for j in range(size):
-                out[c * size + i][c * size + j] = Fraction(block[i][j])
+                out[c * size + i][c * size + j] = block[i][j]
     return tuple(tuple(row) for row in out)
 
 
@@ -80,8 +76,8 @@ def quaternion_relations_ok(triple, orientation: int = 1) -> bool:
     orientation +1: E1 E2 = E3 (and cyclic); orientation -1: the mirrored
     table E2 E1 = E3.  The two block factors of so(4) realize one of each.
     """
-    e1, e2, e3 = (mat(m) for m in triple)
-    neg_id = mat([[-x for x in row] for row in ID4])
+    e1, e2, e3 = (tuple(map(tuple, m)) for m in triple)
+    neg_id = tuple(tuple(-x for x in row) for row in ID4)
     if orientation == 1:
         products = [(e1, e2, e3), (e2, e3, e1), (e3, e1, e2)]
     elif orientation == -1:
@@ -97,7 +93,9 @@ def quaternion_relations_ok(triple, orientation: int = 1) -> bool:
 
 
 class GroupSpec(Immutable):
-    """Validated symmetric Fraction matrix S; its readers use ``integer_S``.  Immutable."""
+    """Validated symmetric matrix S of Fractions, read by ``rational.exact_fraction``,
+    and its integer view ``integer_S`` = (den, den S), den the lcm of S's
+    denominators, which its readers use.  Immutable."""
 
     def __init__(self, n: int, S):
         _set(self, "n", n)
@@ -105,22 +103,18 @@ class GroupSpec(Immutable):
         self.__post_init__()
 
     def __post_init__(self):
-        if self.n < 1:
+        if exact_int(self.n, "n") < 1:
             raise ValueError("need n >= 1")
         size = 4 * self.n
-        S = mat(self.S)
+        S = tuple(tuple(map(exact_fraction, row)) for row in self.S)
         if len(S) != size or any(len(row) != size for row in S):
             raise ValueError(f"S must be {size}x{size}")
         if S != tuple(zip(*S)):
             raise ValueError("S must be symmetric")
+        den, ints = clear_denominators([x for row in S for x in row])
         _set(self, "S", S)
-
-    @cached_property
-    def integer_S(self) -> tuple:
-        """(den, den S): the lcm of S's denominators and S over it in ints."""
-        den, ints = clear_denominators([x for row in self.S for x in row])
-        size = len(self.S)
-        return den, tuple(tuple(ints[i:i + size]) for i in range(0, len(ints), size))
+        _set(self, "integer_S", (den, tuple(tuple(ints[i:i + size])
+                                            for i in range(0, len(ints), size))))
 
     @cached_property
     def integer_brackets(self) -> tuple:
@@ -137,7 +131,7 @@ class GroupSpec(Immutable):
 
     @classmethod
     def abelian(cls, n: int) -> "GroupSpec":
-        return cls(n, tuple(tuple(Fraction(0) for _ in range(4 * n)) for _ in range(4 * n)))
+        return cls(n, ((0,) * (4 * n),) * (4 * n))
 
     @classmethod
     def right_qh(cls, n: int) -> "GroupSpec":
@@ -203,7 +197,7 @@ def group_from_phi(phi: Poly) -> GroupSpec:
     if set(xnames) != set(position):
         raise ValueError(f"potential needs the x-variables x1..x{size}")
     slot = [position.get(v) for v in phi.vars]
-    S = [[Fraction(0)] * size for _ in range(size)]
+    S = [[0] * size for _ in range(size)]
     for expo, (re, _) in terms:
         # the term's two x-factors: i == j for a square
         i, j = (slot[a] for a, e in enumerate(expo) for _ in range(e))

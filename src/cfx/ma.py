@@ -26,7 +26,7 @@ from .exterior import ExtForm, hat_component, index_mask, kaehler_like_sum, merg
 from .poly import Immutable, Poly, _set, support, unpack
 from .quadrature import (CutoffJet, _moment_sum, integrate_jets, integrate_poly_box,
                          integrate_poly_faces)
-from .rational import clear_denominators
+from .rational import clear_denominators, exact_fraction
 
 
 # -- region ------------------------------------------------------------------------------
@@ -36,8 +36,8 @@ class Region(Immutable):
     """Axis-aligned box in group coordinates; immutable."""
 
     def __init__(self, lows, highs):
-        lows = tuple(Fraction(x) for x in lows)
-        highs = tuple(Fraction(x) for x in highs)
+        lows = tuple(map(exact_fraction, lows))
+        highs = tuple(map(exact_fraction, highs))
         _set(self, "lows", lows)
         _set(self, "highs", highs)
         if len(lows) != len(highs):
@@ -51,7 +51,7 @@ class Region(Immutable):
 
     @classmethod
     def cube(cls, naxes: int, half_width) -> "Region":
-        h = Fraction(half_width)
+        h = exact_fraction(half_width)
         return cls((-h,) * naxes, (h,) * naxes)
 
     @property
@@ -127,10 +127,6 @@ def integrate_top(F: ExtForm, region: Region) -> tuple:
     """Exact integral of a top-degree form over a region via the volume
     functional, as its (re, im) pair of Fractions."""
     return integrate_poly_box(top_coefficient(F), region.lows, region.highs)
-
-
-def beta_form(frame: TangentFrame) -> ExtForm:
-    return kaehler_like_sum(frame.dim, frame.vars)
 
 
 # -- Stokes-type boundary formula -------------------------------------------------------
@@ -274,7 +270,7 @@ def cln_experiment(us: Sequence[Poly], K: Region, L: Region,
     rest = _triangles_after_first(us, frame)
     beta_pow = ExtForm.from_scalar(frame.dim, Poly.const(frame.vars, 1))
     for _ in range(n - p):
-        beta_pow = beta_pow.wedge(beta_form(frame))
+        beta_pow = beta_pow.wedge(kaehler_like_sum(frame.dim, frame.vars))
     rest_beta = rest.wedge(beta_pow)
 
     T = triangle(us[0], frame).wedge(rest_beta)

@@ -1,12 +1,15 @@
-"""Exact rationals read from outside input.
+"""Exact ints and rationals read from outside input, each kind by one reader.
 
 The package computes in one scalar layout, Gaussian-integer numerators
 ``(re, im)`` of ints over one positive denominator (see :mod:`cfx.poly`);
 an exact scalar it hands out is an ``(re, im)`` pair of ``Fraction`` values.
-Text from outside becomes a ``Fraction`` only through :func:`parse_fraction`,
-and a JSON coefficient only through :func:`gaussian_from_json`.
-Fractions go back to ints over their least common denominator only through
-:func:`clear_denominators`.
+A reader checks and never coerces: :func:`exact_int` takes an int a caller
+hands in (a size, a degree, an index, an exponent), :func:`exact_fraction` a
+rational (a group's S, a box's bounds, a covector) by ``poly._gaussian_parts``'
+rule, an int or a ``Fraction``.  Text from outside becomes a ``Fraction`` only
+through :func:`parse_fraction`, and a JSON coefficient only through
+:func:`gaussian_from_json`.  Fractions go back to ints over their least common
+denominator only through :func:`clear_denominators`.
 """
 
 from __future__ import annotations
@@ -18,6 +21,20 @@ from math import lcm
 # Fraction("1e10000000") builds 10**10**7, in time quadratic in the exponent,
 # so outside input with a decimal exponent larger than this is refused.
 MAX_DECIMAL_EXPONENT = 10_000
+
+
+def exact_int(value, what: str) -> int:
+    """``value``, an int; else a TypeError naming ``what`` and the value (a bool too)."""
+    if type(value) is not int:
+        raise TypeError(f"{what} must be an int, not {value!r}")
+    return value
+
+
+def exact_fraction(value) -> Fraction:
+    """An int or a ``Fraction`` as a ``Fraction``; else a TypeError naming the value."""
+    if not isinstance(value, (int, Fraction)):
+        raise TypeError(f"an exact rational is an int or a Fraction, not {value!r}")
+    return Fraction(value)
 
 
 def parse_fraction(value) -> Fraction:

@@ -15,5 +15,6 @@ class Report(dict):
 
 
 def dumps(payload) -> str:
-    """Deterministic JSON: sorted keys, no float repr surprises beyond repr()."""
-    return json.dumps(payload, sort_keys=True, indent=2, default=str)
+    """Deterministic JSON: sorted keys, no float repr surprises beyond repr();
+    a value JSON has no type for (a Fraction, say) is a TypeError."""
+    return json.dumps(payload, sort_keys=True, indent=2)

@@ -27,7 +27,6 @@ slot rule says which slot of level j reaches which slot of level j + 1.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from itertools import combinations
 from math import comb
 from fractions import Fraction
@@ -36,17 +35,14 @@ from types import MappingProxyType
 
 from .exterior import ExtForm, index_mask
 from .poly import Immutable, _set
+from .rational import exact_int
+
 
 def raise_primed(pair):
     """(f_0, f_1) -> (f^0, f^1) with f^a = sum_b f_b eps^{ba}."""
     f0, f1 = pair
     # eps^{10} = 1, eps^{01} = -1
     return (f1, -f0)
-
-
-def ones_count(idx: Sequence[int]) -> int:
-    """Number of 1 entries in a primed multi-index."""
-    return sum(idx)
 
 
 class SpinorField(Immutable):
@@ -62,13 +58,13 @@ class SpinorField(Immutable):
         if basis not in ("S", "tilde"):
             raise ValueError(f"unknown basis tag {basis!r}")
         slots = list(slots)
-        if len(slots) != sigma + 1:
+        if len(slots) != exact_int(sigma, "sigma") + 1:
             raise ValueError(f"need {sigma + 1} slots, got {len(slots)}")
         sample = slots[0]
         for f in slots:
             if (f.dim, f.degree, f.vars) != (sample.dim, sample.degree, sample.vars):
                 raise ValueError("slot forms must share dimension/degree/vars")
-        _set(self, "sigma", int(sigma))
+        _set(self, "sigma", sigma)
         _set(self, "basis", basis)
         _set(self, "slots", slots)
         _set(self, "dim", sample.dim)
@@ -112,10 +108,10 @@ def symmetrize(tuples: dict[tuple, ExtForm]) -> dict[tuple, ExtForm]:
     sample = next(iter(tuples.values()))
     sums = [ExtForm.zero(sample.dim, sample.degree, sample.vars) for _ in range(s + 1)]
     for idx, form in tuples.items():
-        a = ones_count(idx)
+        a = sum(idx)
         sums[a] = sums[a] + form
     means = [total.scale(Fraction(1, comb(s, a))) for a, total in enumerate(sums)]
-    return {idx: means[ones_count(idx)] for idx in tuples}
+    return {idx: means[sum(idx)] for idx in tuples}
 
 
 def is_symmetric(tuples: dict[tuple, ExtForm]) -> bool:
@@ -158,6 +154,7 @@ class LevelTable(Immutable):
     """
 
     def __init__(self, n: int, k: int):
+        n, k = exact_int(n, "n"), exact_int(k, "k")
         if n < 1 or k < 0:
             raise ValueError("need n >= 1 and k >= 0")
         _set(self, "n", n)

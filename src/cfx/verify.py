@@ -9,10 +9,11 @@ from __future__ import annotations
 
 from .boundary import (PRIMED_PAIRS, BoundaryField, BoundarySpec, TangentFrame,
                        anticommutation_defect, boundary_D, subcomplex_D)
-from .flat import ComplexSpec, dot_pi, flat_D, flat_D_tuple
+from .flat import ComplexSpec, flat_D, flat_D_tuple
 from .groups import GroupSpec
 from .randgen import SectionGenerator
 from .reports import Report
+from .spinor import tuple_to_slots
 
 
 def _level_loop(identity: str, params: dict, seed: int, levels: int, passes) -> Report:
@@ -51,8 +52,8 @@ def flat_tuple_equivalence_suite(n: int, k: int, trials: int, seed: int,
         s, d, _ = spec.shape(j)
         tup = g.tuple_field(s, spec.form_dim, d, spec.vars, poly_degree=degree)
         via_tuple = flat_D_tuple(spec, j, tup)
-        via_slots = flat_D(spec, j, dot_pi(spec, j, tup))
-        return dot_pi(spec, j + 1, via_tuple) == via_slots
+        via_slots = flat_D(spec, j, tuple_to_slots(tup, spec.basis_tag(j)))
+        return tuple_to_slots(via_tuple, spec.basis_tag(j + 1)) == via_slots
 
     return _level_loop("flat-tuple-equivalence",
                        {"n": n, "k": k, "trials": trials, "degree": degree}, seed,

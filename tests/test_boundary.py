@@ -30,7 +30,7 @@ from itertools import combinations
 import pytest
 
 from cfx import boundary
-from cfx.boundary import (BoundaryField, BoundarySpec, TangentFrame, ambient_frame, ambient_vars,
+from cfx.boundary import (BoundaryField, BoundarySpec, TangentFrame, ambient_frame,
                           anticommutation_defect, boundary_D, bracket_identity,
                           curvature_form, frak_d, hodge_diag, lead_first_adjoint_compose,
                           sub_laplacian, subcomplex_D)
@@ -72,7 +72,7 @@ def lowered_translations(frame: TangentFrame) -> list:
 def ambient_rho(group: GroupSpec) -> Poly:
     """Defining function x_{4n+1} - phi(x) in ambient coordinates."""
     n = group.n
-    variables = ambient_vars(n)
+    variables = ambient_frame(n).vars
     rho = Poly.var(variables, f"x{4 * n + 1}")
     for i in range(4 * n):
         for j in range(4 * n):
@@ -110,7 +110,7 @@ def ambient_tangential_fields(group: GroupSpec):
     rows A; the normal block N is the last two rows of the lowered matrix.
     """
     n = group.n
-    variables = ambient_vars(n)
+    variables = ambient_frame(n).vars
     rho = ambient_rho(group)
     lowered = ambient_frame(n).Z_lower
     normal = lowered[2 * n:]
@@ -1293,3 +1293,31 @@ def test_hodge_diag_reads_D0_from_subcomplex_D(monkeypatch):
 def test_hodge_requires_right_type(left2):
     with pytest.raises(ValueError, match="right-type"):
         hodge_diag(BoundarySpec(2, 1), left2, trials=1)
+
+
+# -- refusals: each error names its fault --------------------------------------------------
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda f: boundary.Frame(("x1",), [FirstOrderOp.partial(("x1",), "x1")] * 3),
+     ValueError, "a frame needs 4m real fields"),
+    (lambda f: frak_d(2, ExtForm.zero(f.dim, 0, f.vars), f),
+     ValueError, "primed index must be 0 or 1"),
+    (lambda f: frak_d(0, ExtForm.zero(f.dim, 0, ("y",)), f),
+     ValueError, "variable table mismatch with frame"),
+    (lambda f: BoundaryField(BoundarySpec(2, 1), 0, zero_spinor_field(1, "S", 4, 0, f.vars),
+                             SpinorField(0, "S", [ExtForm.from_scalar(4, Poly.const(f.vars, 1))])),
+     ValueError, "level 0 has no companion slot"),
+    (lambda f: lead_first_adjoint_compose(f, 1, [Poly.zero(f.vars)]),
+     ValueError, "need 2 slot functions"),
+    (lambda f: BoundarySpec(2.0, 1), TypeError, "n must be an int, not 2.0"),
+], ids=["frame-size", "primed-index", "frame-vars", "level-0-companion", "slot-count",
+        "float-n"])
+def test_boundary_errors_name_their_fault(right2, call, error, message):
+    with pytest.raises(error, match=message):
+        call(right2)
+
+
+def test_a_boundary_field_equals_no_other_kind(right2):
+    field = zero_field(BoundarySpec(2, 1), 1, right2)
+    assert field.__eq__(field.lead) is NotImplemented and field != field.lead

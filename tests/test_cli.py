@@ -893,6 +893,25 @@ def test_symbol_accepts_a_covector_at_the_size_limit(capsys):
     assert json.loads(out)["all_exact"]
 
 
+@pytest.mark.parametrize("n, v", [(1, "1,2"), (1, "1,0,0,0,0,0,0,0,0"), (2, "1,0,0,0,0,0,0,0")])
+def test_symbol_refuses_a_covector_of_the_wrong_length(capsys, n, v):
+    code, out, err = run(capsys, "symbol", "--n", str(n), "--k", "1", f"--v={v}")
+    _assert_input_error(code, out, err)
+    assert f"covector needs {4 * (n + 1)} entries" in err
+
+
+def test_a_report_value_json_cannot_hold_is_refused():
+    # an exact Fraction leaking into a report raises; it never prints as a
+    # string that no reader could tell from a real string field
+    from fractions import Fraction
+
+    from cfx.reports import dumps
+
+    with pytest.raises(TypeError, match="Fraction is not JSON serializable"):
+        dumps({"pass": True, "residual": Fraction(1, 3)})
+    assert dumps({"b": [1, "1/3"], "a": None}) == '{\n  "a": null,\n  "b": [\n    1,\n    "1/3"\n  ]\n}'
+
+
 def test_ma_zero_input_has_zero_mass_and_fails(tmp_path, capsys):
     # three equal masses that are all 0 check nothing: the cutoff mass fails
     names = '["x1", "x2", "x3", "x4", "t1", "t2", "t3"]'

@@ -24,12 +24,12 @@ import pytest
 from cfx import groups, linalg
 from cfx.groups import (GroupSpec, I_MATS, block_diag, check_condition_H, classify,
                         curvature_entry, group_from_phi, horizontal_fields, is_right_type,
-                        is_stratified, mat, mat_mul)
+                        is_stratified, mat_mul)
 from cfx.poly import Poly, x_vars
 from cfx.randgen import SectionGenerator
 from test_boundary import curvature_component, restricted_curvature
 from test_groups import package_brackets, reference_horizontal_fields, reference_is_right_type
-from test_linalg import (LAM, central_pairing_det, cofactor_det, dense_rank,
+from test_linalg import (LAM, central_pairing_det, cofactor_det, dense_rank, mat,
                          expansion_pfaffian, int_pencil, pencil_at, reference_brackets,
                          symbolic_pencil)
 from test_operators import coeffs

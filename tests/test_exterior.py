@@ -233,12 +233,13 @@ def test_operator_application_matches_the_per_component_reference():
         FirstOrderOp.partial(x_vars(2), "x1").apply(f)
 
 
-def test_index_tuples_naming_one_component_keep_the_last_canonically():
-    # ("0",) reads as (0,): the later coefficient wins, as a repeated
-    # exponent vector does in Poly, and the form stays canonical
-    form = ExtForm(2, 1, ("x",), {(0,): Fraction(1, 2), ("0",): 3})
-    assert form == ExtForm(2, 1, ("x",), {(0,): 3}) and form.den == 1
-    assert Poly(("x",), {(1,): Fraction(1, 2), ("1",): 3}) == Poly(("x",), {(1,): 3})
+def test_a_text_index_or_exponent_is_refused_not_read_as_an_int():
+    # ("0",) is not a second name of the component (0,): an index and an
+    # exponent are ints, checked and never coerced
+    with pytest.raises(TypeError, match="a form index must be an int, not '0'"):
+        ExtForm(2, 1, ("x",), {(0,): Fraction(1, 2), ("0",): 3})
+    with pytest.raises(TypeError, match="an exponent must be an int, not '1'"):
+        Poly(("x",), {(1,): Fraction(1, 2), ("1",): 3})
 
 
 def test_wedge_antisymmetry_of_basis():
@@ -263,6 +264,32 @@ def test_dimension_mismatch_errors():
     other = basis_form(6, (0,), x_vars(4))
     with pytest.raises(ValueError, match="dimension mismatch"):
         wedge(w(0), other)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: ExtForm(3, 2, V, {(0,): 1}), r"index tuple \(0,\) has wrong length for degree 2"),
+    (lambda: ExtForm(3, 1, V, {(3,): 1}), r"index out of range in \(3,\)"),
+    (lambda: ExtForm(3, -1, V), "negative form degree"),
+    (lambda: w(0) + w(0, 1), "degree mismatch: 1 vs 2"),
+    (lambda: kaehler_like_sum(3, V), "dimension must be even"),
+    (lambda: hat_component(ExtForm.zero(3, 1, V), 0), "hat decomposition needs degree = dim - 1"),
+], ids=["index-length", "index-range", "negative-degree", "degree-mismatch", "odd-kaehler",
+        "hat-degree"])
+def test_exterior_errors_name_their_fault(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: ExtForm(3, 1, ("x",), {(1.9,): 1}), "a form index must be an int, not 1.9"),
+    (lambda: ExtForm(3, 1, ("x",), {(True,): 1}), "a form index must be an int, not True"),
+    (lambda: ExtForm(3.7, 1, ("x",), {(1,): 1}), "a form's dim must be an int, not 3.7"),
+    (lambda: ExtForm(3, 1.0, ("x",)), "a form's degree must be an int, not 1.0"),
+], ids=["float-index", "bool-index", "float-dim", "float-degree"])
+def test_a_form_shape_or_index_that_is_not_an_int_is_refused(call, message):
+    # a float was truncated (1.9 read as 1, dim 3.7 as 3), a bool read as 0 or 1
+    with pytest.raises(TypeError, match=message):
+        call()
 
 
 def test_strictly_increasing_enforced():

@@ -201,9 +201,10 @@ def test_tuple_equivalence_quick(n, k):
 
 
 def test_tuple_equivalence_catches_a_dropped_binomial_weight(monkeypatch):
-    # dot_pi without the ascending binomial weight binom(sigma, a) breaks the
-    # slot/tuple agreement above the middle level, and the suite reports it
-    from cfx import flat
+    # tuple_to_slots without the ascending binomial weight binom(sigma, a)
+    # breaks the slot/tuple agreement above the middle level, and the suite
+    # reports it
+    from cfx import verify
     from cfx.spinor import SpinorField
 
     assert flat_tuple_equivalence_suite(2, 1, trials=2, seed=1, degree=2).passed
@@ -212,7 +213,7 @@ def test_tuple_equivalence_catches_a_dropped_binomial_weight(monkeypatch):
         s = len(next(iter(tuples)))
         return SpinorField(s, basis, [tuples[(0,) * (s - a) + (1,) * a] for a in range(s + 1)])
 
-    monkeypatch.setattr(flat, "tuple_to_slots", unweighted)
+    monkeypatch.setattr(verify, "tuple_to_slots", unweighted)
     report = flat_tuple_equivalence_suite(2, 1, trials=2, seed=1, degree=2)
     assert not report.passed and report["failures"]
 

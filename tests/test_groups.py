@@ -7,11 +7,11 @@ import pytest
 from cfx.groups import (GroupSpec, I_MATS, ID4, J_MATS, block_diag,
                         check_condition_H, classify, group_from_phi,
                         horizontal_fields, is_right_type, is_right_type_via_E,
-                        is_stratified, mat, mat_mul, quaternion_relations_ok)
+                        is_stratified, mat_mul, quaternion_relations_ok)
 from cfx.operators import FirstOrderOp
 from cfx.poly import Poly, x_vars
 from cfx.randgen import SectionGenerator
-from test_linalg import (central_pairing_det, cofactor_det, int_pencil, reference_brackets,
+from test_linalg import (central_pairing_det, cofactor_det, int_pencil, mat, reference_brackets,
                          symbolic_pencil)
 from test_operators import coeffs
 from test_poly import constant_term, is_homogeneous, poly_to_json, total_degree
@@ -126,8 +126,52 @@ def test_group_spec_rejects_a_bad_size_or_an_asymmetric_S(n, S, message):
         GroupSpec(n, S)
 
 
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: quaternion_relations_ok(I_MATS, orientation=0), ValueError,
+     "orientation must be \\+1 or -1"),
+    (lambda: GroupSpec.named("mystery", 1), KeyError, "unknown group name 'mystery'"),
+    (lambda: check_condition_H(GroupSpec.left_qh(1), "guessed"), ValueError,
+     "mode must be 'exact' or 'sampled'"),
+], ids=["orientation", "group-name", "condition-h-mode"])
+def test_groups_errors_name_their_fault(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
+def _identity_with(entry):
+    rows = [[1 if i == j else 0 for j in range(4)] for i in range(4)]
+    rows[0][0] = entry
+    return rows
+
+
+@pytest.mark.parametrize("n, S, message", [
+    (1, _identity_with(0.1), "an exact rational is an int or a Fraction, not 0.1"),
+    (1, _identity_with("1/2"), "an exact rational is an int or a Fraction, not '1/2'"),
+    (1, [["1e3000000"] * 4] * 4, "an exact rational is an int or a Fraction, not '1e3000000'"),
+    (1.0, _identity_with(1), "n must be an int, not 1.0"),
+    (True, _identity_with(1), "n must be an int, not True"),
+], ids=["float-entry", "text-entry", "huge-text-entry", "float-n", "bool-n"])
+def test_group_spec_refuses_an_inexact_n_or_S(n, S, message):
+    # 0.1 was read as 3602879701896397/36028797018963968, text was parsed
+    # without parse_fraction's exponent guard (four "1e3000000" took seconds)
+    import time
+
+    start = time.perf_counter()
+    with pytest.raises(TypeError, match=message):
+        GroupSpec(n, S)
+    assert time.perf_counter() - start < 0.1
+
+
+def test_a_group_reads_S_once_into_its_fraction_and_integer_views():
+    g = GroupSpec(1, [[Fraction(1, 2), 0, 0, 0], [0, 1, 0, 0], [0, 0, Fraction(-2, 3), 0],
+                      [0, 0, 0, 1]])
+    assert all(type(x) is Fraction for row in g.S for x in row)
+    assert g.integer_S == (6, ((3, 0, 0, 0), (0, 6, 0, 0), (0, 0, -4, 0), (0, 0, 0, 6)))
+
+
 def test_quaternion_relations_exact():
     assert quaternion_relations_ok(I_MATS, orientation=1)
+    assert quaternion_relations_ok([[list(row) for row in m] for m in I_MATS])
     # the second family closes with reversed orientation (its products mirror)
     assert quaternion_relations_ok(J_MATS, orientation=-1)
     assert not quaternion_relations_ok(J_MATS, orientation=1)

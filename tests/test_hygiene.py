@@ -195,9 +195,9 @@ CACHES = {
     "1.4-1.5% of boundary-ma": {"quadrature._moments"},
     "condition H's direction grid: 3.6-3.7 ms over the 12 builds of two rounds, "
     "6.2-8.6% of symbol-classify": {"groups._direction_grid"},
-    "the integer view of a group: 2.3-2.4 and 4.9-6.7 ms over the 84-85 and 302 reads "
-    "of two rounds, 3.9-5.5% of symbol-classify and 5.0-6.6% of boundary-ma": {
-        "groups.GroupSpec.integer_S", "groups.GroupSpec.integer_brackets"},
+    "the brackets of a group: 0.92-1.47 ms over the 36 reads (12 groups) of two rounds, "
+    "2.2-2.9% of symbol-classify; boundary-ma reads none (BENCH_53.json)": {
+        "groups.GroupSpec.integer_brackets"},
 }
 
 
@@ -443,6 +443,54 @@ def test_floats_only_at_the_ma_report_edge(path):
         sites += [f"literal {node.value!r} (line {node.lineno})" for node in ast.walk(tree)
                   if isinstance(node, ast.Constant) and type(node.value) in (float, complex)]
     assert not sites, f"{path.name}: float sites outside the report edge {sites}"
+
+
+# one reader per kind of exact input, in rational.py: an int a caller hands in
+# is checked by exact_int, never coerced by int(), and a rational is read by
+# exact_fraction or, from text, parse_fraction.  The single-argument
+# Fraction() calls left elsewhere read no caller's value, each named here
+# with its reason
+FRACTION_CALLS = {
+    ("quadrature.py", "_integrate"): "the exact zero pair of an empty integrand",
+    ("randgen.py", "SectionGenerator.symmetric_matrix"):
+        "the generator's own draws and the Fraction(0) fill of its matrix",
+}
+
+
+def _coercions(tree: ast.Module) -> list:
+    """(enclosing qualified name, call, line) of every int() call and every
+    single-argument Fraction() call."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{owner}.{child.name}" if owner else child.name)
+                continue
+            if isinstance(child, ast.Call) and isinstance(child.func, ast.Name) and (
+                    child.func.id == "int" or child.func.id == "Fraction"
+                    and len(child.args) + len(child.keywords) == 1):
+                found.append((owner or "module level", child.func.id, child.lineno))
+            visit(child, owner)
+
+    visit(tree, "")
+    return found
+
+
+@pytest.mark.parametrize("path", [*MODULES, PACKAGE / "__init__.py"], ids=lambda p: p.name)
+def test_exact_input_is_read_only_in_rational(path):
+    if path.name == "rational.py":
+        return
+    sites = [f"{name}() in {owner} (line {line})"
+             for owner, name, line in _coercions(_tree(path))
+             if name == "int" or (path.name, owner) not in FRACTION_CALLS]
+    assert not sites, f"{path.name}: a second reader of exact input {sites}"
+
+
+def test_every_listed_fraction_call_is_still_there():
+    found = {(path.name, owner) for path in MODULES
+             for owner, name, _ in _coercions(_tree(path)) if name == "Fraction"}
+    assert set(FRACTION_CALLS) <= found, sorted(set(FRACTION_CALLS) - found)
 
 
 # functions that may delete a key from a dict: poly.add_term is the one merge

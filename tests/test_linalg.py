@@ -28,7 +28,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cfx import groups
-from cfx.groups import I_MATS, GroupSpec, block_diag, mat, mat_mul
+from cfx.groups import I_MATS, GroupSpec, block_diag, mat_mul
 from cfx.linalg import IOTA, PRIME, bareiss, is_zero_product, pfaffian, rank_mod_p
 from cfx.poly import Poly
 from cfx.randgen import SectionGenerator
@@ -36,6 +36,10 @@ from test_poly import is_homogeneous, tuple_num
 from test_rational import ComplexRational, cq
 
 LAM = ("lam1", "lam2", "lam3")
+
+
+def mat(rows) -> tuple:
+    return tuple(tuple(Fraction(x) for x in row) for row in rows)
 
 
 def cofactor_det(m):

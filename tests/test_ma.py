@@ -28,9 +28,9 @@ import pytest
 
 from cfx import ma, quadrature
 from cfx.boundary import TangentFrame, frak_d
-from cfx.exterior import ExtForm, from_hat_components, hat_component
+from cfx.exterior import ExtForm, from_hat_components, hat_component, kaehler_like_sum
 from cfx.groups import I_MATS, GroupSpec, block_diag, mat_mul
-from cfx.ma import (CONVERGENCE_TOL, Region, beta_form,
+from cfx.ma import (CONVERGENCE_TOL, Region,
                     cln_experiment, convergence_experiment, integrate_top,
                     key_identity_check, stokes_check, sup_bound,
                     top_coefficient, triangle)
@@ -102,7 +102,7 @@ def test_triangle_of_constant_vanishes(right2):
 
 def test_triangle_of_squared_norm(right2):
     got = triangle(squared_norm(right2), right2)
-    assert (got - beta_form(right2).scale(8)).is_zero()
+    assert (got - kaehler_like_sum(right2.dim, right2.vars).scale(8)).is_zero()
 
 
 def test_triangle_by_independent_second_order_expansion(right2):
@@ -249,20 +249,52 @@ def test_integrate_separable_monomial(right2):
 
 def test_beta_power_is_factorial_volume(right2):
     region = Region.cube(11, Fraction(1, 2))
-    beta2 = beta_form(right2).wedge(beta_form(right2))
+    beta = kaehler_like_sum(right2.dim, right2.vars)
+    beta2 = beta.wedge(beta)
     assert (beta2 - volume_form(right2).scale(factorial(2))).is_zero()
     assert integrate_top(beta2, region) == (factorial(2), 0)
 
 
 def test_integrate_top_rejects_lower_degree(right2):
     with pytest.raises(ValueError, match="top-degree"):
-        integrate_top(beta_form(right2), Region.cube(11, 1))
+        integrate_top(kaehler_like_sum(right2.dim, right2.vars), Region.cube(11, 1))
 
 
 def test_region_validation():
     with pytest.raises(ValueError, match="positive volume"):
         Region((0, 0), (0, 1))
     assert box_volume(Region.cube(3, Fraction(1, 2))) == 1
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda f: Region((0,), (1, 1)), "box bounds have mismatched lengths"),
+    (lambda f: key_identity_check([Poly.zero(f.vars)], f),
+     "need exactly n=2 inputs for the top power"),
+    (lambda f: stokes_check(Poly.zero(f.vars), ExtForm.zero(f.dim, 1, f.vars),
+                            Region.cube(11, 1), f),
+     "the boundary formula needs a form of degree dim-1"),
+    (lambda f: cln_experiment([], Region.cube(11, 1), Region.cube(11, 1), f),
+     "need between 1 and n inputs"),
+    (lambda f: convergence_experiment(Poly.zero(f.vars[:7]), TangentFrame(GroupSpec.right_qh(1)),
+                                      Region.cube(7, 1)),
+     "the squared-power experiment is set up for n = 2"),
+], ids=["bounds-length", "identity-inputs", "stokes-degree", "cln-inputs", "convergence-n"])
+def test_ma_errors_name_their_fault(right2, call, message):
+    with pytest.raises(ValueError, match=message):
+        call(right2)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: Region((0, Fraction(1, 2)), (1, 1.5)), "not 1.5"),
+    (lambda: Region((0,), ("1",)), "not '1'"),
+    (lambda: Region.cube(2, 0.5), "not 0.5"),
+    (lambda: Region.cube(2, "1/2"), "not '1/2'"),
+], ids=["float-bound", "text-bound", "float-half-width", "text-half-width"])
+def test_a_box_bound_that_is_not_exact_is_refused(call, message):
+    # a float bound was read as its binary expansion, a text bound parsed
+    # without parse_fraction's exponent guard
+    with pytest.raises(TypeError, match=f"an exact rational is an int or a Fraction, {message}"):
+        call()
 
 
 def test_region_bound_below_the_float_range_is_rejected():
@@ -570,7 +602,7 @@ def reference_cln(us, K: Region, L: Region, frame: TangentFrame) -> dict:
     for u in us[1:]:
         rest = rest.wedge(triangle(u, frame))
     for _ in range(n - p):
-        rest = rest.wedge(beta_form(frame))
+        rest = rest.wedge(kaehler_like_sum(frame.dim, frame.vars))
     T = triangle(us[0], frame).wedge(rest)
 
     def pairs(parts: dict, other: ExtForm) -> list:

@@ -265,10 +265,21 @@ def test_algebra_rejects_another_variable_table():
         FirstOrderOp(x_vars(2), {"x1": Poly.var(x_vars(3), "x1")})
 
 
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: FirstOrderOp(x_vars(2), {"x3": 1}), KeyError, "unknown variable 'x3'"),
+    (lambda: FirstOrderOp.partial(x_vars(2), "t1"), KeyError, "unknown variable 't1'"),
+    (lambda: FirstOrderOp.partial(x_vars(2), "x1", 0.5), TypeError,
+     r"a scalar is an int, a Fraction or an \(re, im\) pair of them, not 0.5"),
+], ids=["unknown-variable", "unknown-partial", "float-coefficient"])
+def test_operator_errors_name_their_fault(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
 def test_op_without_coefficients_gives_the_zero_poly():
     V = x_vars(2)
     op = FirstOrderOp(V, {"x1": 0})
-    assert op.is_zero() and op.den == 1
+    assert op.is_zero() and op.den == 1 and str(op) == "0"
     p = Poly.var(V, "x1", (Fraction(1, 3), 1))
     got = op.apply(p)
     assert got == Poly.zero(V) and got.den == 1

@@ -108,6 +108,32 @@ def test_diff_unknown_variable_errors():
         p_var("x1").diff("x9")
 
 
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: Poly(("x", "y"), {(1,): 1}), ValueError,
+     r"exponent vector \(1,\) does not match variable table of size 2"),
+    (lambda: Poly.var(("x",), "y"), KeyError, "unknown variable 'y'"),
+    (lambda: Poly(("x",), {(-1,): 1}), ValueError, "exponent -1 is outside 0..32767"),
+], ids=["expo-length", "unknown-var", "negative-exponent"])
+def test_poly_errors_name_their_fault(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
+@pytest.mark.parametrize("expo", [(1.5,), (True,), ("1",), (1.0,)], ids=repr)
+@pytest.mark.parametrize("coeff", [1, 0])
+def test_an_exponent_that_is_not_an_int_is_refused(expo, coeff):
+    # 1.5 was truncated to 1 (the polynomial printed 1*x), True read as 1;
+    # the exponent is checked even where the coefficient is 0
+    with pytest.raises(TypeError, match=f"an exponent must be an int, not {expo[0]!r}"):
+        Poly(("x",), {expo: coeff})
+
+
+def test_poly_minus_a_scalar_subtracts_the_constant():
+    x = p_var("x1")
+    assert x - 2 == x + Poly.const(V, -2) == x + (-2)
+    assert x - (0, 1) == Poly(V, {(1, 0, 0, 0, 0): 1, (0, 0, 0, 0, 0): (0, -1)})
+
+
 def test_no_stored_zero_coefficients():
     p = p_var("x1") - p_var("x1")
     assert terms(p) == {} and p.is_zero()

@@ -7,9 +7,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cfx.exterior import ExtForm
+from cfx.flat import ComplexSpec
 from cfx.poly import Poly, x_vars
 from cfx.randgen import SectionGenerator
-from cfx.spinor import (SpinorField, is_symmetric, ones_count, raise_primed, symmetrize,
+from cfx.spinor import (SpinorField, is_symmetric, raise_primed, symmetrize,
                         tuple_to_slots)
 from test_exterior import basis_form
 
@@ -82,7 +83,7 @@ def slots_to_tuple(field: SpinorField) -> dict:
     s = field.sigma
     comps = {}
     for idx in product((0, 1), repeat=s):
-        a = ones_count(idx)
+        a = sum(idx)
         form = field.slots[a]
         if field.basis == "tilde":
             form = form.scale(Fraction(1, comb(s, a)))
@@ -234,7 +235,7 @@ def test_is_symmetric_matches_arithmetic_reference(s):
 
 
 def test_tuple_slot_roundtrip_descending():
-    comps = {idx: scalar(ones_count(idx) + 1) for idx in product((0, 1), repeat=2)}
+    comps = {idx: scalar(sum(idx) + 1) for idx in product((0, 1), repeat=2)}
     slots = tuple_to_slots(comps, "S")
     assert slots.slot(1) == scalar(2)
     assert slots_to_tuple(slots) == comps
@@ -269,6 +270,47 @@ def test_multiply_then_convert_consistency():
                 count += 1
         expect[idx] = total.scale(Fraction(1, 2))
     assert lifted_tuple == expect
+
+
+def _zero(degree=0, dim=4):
+    return ExtForm.zero(dim, degree, V)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: SpinorField(1, "S", [_zero(0), _zero(1)]),
+     "slot forms must share dimension/degree/vars"),
+    (lambda: SpinorField(0, "S", [_zero()]) + SpinorField(1, "S", [_zero()] * 2),
+     "spinor shape mismatch"),
+    (lambda: tuple_to_slots({(0, 0): _zero(), (0, 1): scalar(1), (1, 0): scalar(2),
+                             (1, 1): _zero()}, "S"), "tuple field is not symmetric"),
+    (lambda: ComplexSpec(1, 1).check_field(zero_spinor_field(1, "S", 2, 0, V), (1, 0, "S"),
+                                           "field", 0),
+     "field dimension 2 does not match 4"),
+    (lambda: ComplexSpec(1, 1).check_field(zero_spinor_field(1, "S", 4, 4, V), (1, 4, "tilde"),
+                                           "field", 3),
+     "field basis must be tilde at level 3"),
+], ids=["slot-shapes", "sum-shapes", "asymmetric-tuple", "field-dim", "field-basis"])
+def test_spinor_errors_name_their_fault(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_a_slot_field_equals_no_other_kind():
+    field = SpinorField(0, "S", [_zero()])
+    assert field.__eq__(_zero()) is NotImplemented and field != _zero()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: SpinorField(1.0, "S", [_zero()] * 2), "sigma must be an int, not 1.0"),
+    (lambda: SpinorField(False, "S", [_zero()]), "sigma must be an int, not False"),
+    (lambda: ComplexSpec(1.0, 1), "n must be an int, not 1.0"),
+    (lambda: ComplexSpec(1, 1.5), "k must be an int, not 1.5"),
+    (lambda: ComplexSpec(0, 1.5), "k must be an int, not 1.5"),
+], ids=["float-sigma", "bool-sigma", "float-n", "float-k", "float-k-with-bad-n"])
+def test_a_level_size_that_is_not_an_int_is_refused(call, message):
+    # ComplexSpec(1.0, 1) was accepted with form_dim 4.0
+    with pytest.raises(TypeError, match=message):
+        call()
 
 
 def test_slot_field_shape_validation():

@@ -357,6 +357,18 @@ def test_covector_of_the_wrong_length_is_rejected(v):
         check_exactness(spec, v)
 
 
+@pytest.mark.parametrize("entry", [0.5, "1/2", "1", 1e-300], ids=repr)
+@pytest.mark.parametrize("read", [lambda spec, v: symbol_at(spec, 0, v), check_exactness],
+                         ids=["symbol_at", "check_exactness"])
+def test_a_covector_entry_that_is_not_exact_is_refused(read, entry):
+    # a float was read as its binary expansion (0.1 gave a den of 2^55) and
+    # text was parsed without parse_fraction's exponent guard
+    v = [1, 0, 0, 0, 0, 0, 0, entry]
+    with pytest.raises(TypeError, match=f"an exact rational is an int or a Fraction, "
+                                        f"not {entry!r}"):
+        read(ComplexSpec(1, 1), v)
+
+
 def test_middle_symbol_is_quadratic_in_v():
     # at the second-order level, scaling v by t scales the symbol by t^2; the
     # rows are the symbol at q v, so q'^2 rows(v) (2)^2 = q^2 rows(2v)

@@ -18,7 +18,7 @@ from itertools import chain
 from .boundary import BoundarySpec, PreconditionError, TangentFrame, bracket_identity, hodge_diag
 from .exterior import from_hat_components
 from .flat import ComplexSpec, check_exactness
-from .groups import GroupSpec, classify, group_from_phi
+from .groups import GROUP_NAMES, GroupSpec, classify, group_from_phi
 from .ma import (Region, cln_experiment, convergence_experiment,
                  key_identity_check, stokes_check)
 from .poly import Poly, unpack
@@ -330,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     base.add_argument("--out")
     base.add_argument("--format", choices=["json", "csv"], default="json")
     group = argparse.ArgumentParser(add_help=False)
-    group.add_argument("--group", choices=["rightQH", "leftQH", "abelian"], default="rightQH")
+    group.add_argument("--group", choices=GROUP_NAMES, default="rightQH")
     group.add_argument("--file", help="group JSON file")
     seeded = argparse.ArgumentParser(add_help=False)
     seeded.add_argument("--seed", type=int, default=1)

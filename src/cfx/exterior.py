@@ -103,12 +103,13 @@ class ExtForm(Packed):
     def _shape(self):
         return self.dim, self.degree, self.vars
 
-    def _check(self, other: "ExtForm", degree: bool = True):
-        """Same dimension and variables, and with ``degree`` same degree."""
+    def _check(self, other, degree: bool = True):
+        """``Packed._check``, then same dimension, and with ``degree`` same
+        degree: the one form-shape check.  Without ``degree`` it reads only
+        ``other.vars`` and ``other.dim``, so a frame passes it too."""
+        Packed._check(self, other)
         if self.dim != other.dim:
             raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
-        if self.vars != other.vars:
-            raise ValueError("variable table mismatch")
         if degree and self.degree != other.degree:
             raise ValueError(f"degree mismatch: {self.degree} vs {other.degree}")
 
@@ -116,12 +117,13 @@ class ExtForm(Packed):
 
     @classmethod
     def zero(cls, dim, degree, variables) -> "ExtForm":
-        return cls._make(dim, degree, tuple(variables), {})
+        return cls._make(exact_int(dim, "a form's dim"), exact_int(degree, "a form's degree"),
+                         tuple(variables), {})
 
     @classmethod
     def from_scalar(cls, dim, p: Poly) -> "ExtForm":
         """The 0-form p: its keys carry the empty mask, so they are p's own."""
-        return cls._make(dim, 0, p.vars, p.num, p.den)
+        return cls._make(exact_int(dim, "a form's dim"), 0, p.vars, p.num, p.den)
 
     # -- the layout ---------------------------------------------------------------
 

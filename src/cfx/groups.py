@@ -38,6 +38,9 @@ J_MATS = (
 )
 ID4 = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
 
+# the named groups of GroupSpec.named, in the order `cfx --group` lists them
+GROUP_NAMES = ("rightQH", "leftQH", "abelian")
+
 # (row, sign) of the one nonzero entry in each column of Ibeta.
 _I_COLUMNS = tuple(
     tuple(next((k, m[k][j]) for k in range(4) if m[k][j]) for j in range(4))
@@ -130,23 +133,28 @@ class GroupSpec(Immutable):
     # -- canonical examples ------------------------------------------------------
 
     @classmethod
+    def _blockwise(cls, block, n) -> "GroupSpec":
+        """S = block_diag(block, n), with n read as the constructor reads it
+        before S is built."""
+        return cls(n, block_diag(block, exact_int(n, "n")))
+
+    @classmethod
     def abelian(cls, n: int) -> "GroupSpec":
-        return cls(n, ((0,) * (4 * n),) * (4 * n))
+        return cls._blockwise(((0,) * 4,) * 4, n)
 
     @classmethod
     def right_qh(cls, n: int) -> "GroupSpec":
         """Blockwise diag(-3,1,1,1): the right quaternionic Heisenberg structure."""
-        block = ((-3, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
-        return cls(n, block_diag(block, n))
+        return cls._blockwise(((-3, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)), n)
 
     @classmethod
     def left_qh(cls, n: int) -> "GroupSpec":
         """S = Id (squared-norm potential): the left quaternionic Heisenberg structure."""
-        return cls(n, block_diag(ID4, n))
+        return cls._blockwise(ID4, n)
 
     @classmethod
     def named(cls, name: str, n: int) -> "GroupSpec":
-        table = {"rightQH": cls.right_qh, "leftQH": cls.left_qh, "abelian": cls.abelian}
+        table = dict(zip(GROUP_NAMES, (cls.right_qh, cls.left_qh, cls.abelian)))
         if name not in table:
             raise KeyError(f"unknown group name {name!r}")
         return table[name](n)

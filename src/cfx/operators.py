@@ -97,8 +97,7 @@ class FirstOrderOp(Packed):
         """This operator applied to a ``Poly``, or to every component of an
         ``ExtForm``, on its variable table: one ``apply_into`` pass over the
         value's terms."""
-        if value.vars != self.vars:
-            raise ValueError(f"variable tables differ: {self.vars} vs {value.vars}")
+        self._check(value)
         return value._like(self.apply_into({}, value.num, 1), value.den * self.den)
 
     def coefficient(self, name: str) -> Poly:

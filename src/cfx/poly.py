@@ -20,7 +20,10 @@ Its trusted ``_make`` only divides out the common factor of ``den`` and the
 numerators; sum, difference, negation and ``scale`` are one pass of the
 primitives below; a value is immutable, as every record of the package
 is, through :class:`Immutable`, and values of two kinds or shapes are never
-equal.
+equal.  A sum or a difference takes two values of one kind (another kind,
+a scalar included, is ``NotImplemented``, so a TypeError), and
+``Packed._check`` is the one test that two operands share a variable table;
+a scalar multiple is ``scale`` and a constant ``Poly.const``.
 
 An exponent vector is one packed int (Monagan and Pearce's packed exponent
 vectors, as in FLINT's ``fmpz_mpoly``): variable v holds the ``BITS`` bits
@@ -290,10 +293,14 @@ class Packed(Immutable):
         return self.vars
 
     def _check(self, other):
+        """The one variable-table check of two operands; ``other`` may be of
+        any kind with ``vars``."""
         if self.vars != other.vars:
             raise ValueError(f"variable tables differ: {self.vars} vs {other.vars}")
 
     def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
         self._check(other)
         return self._like(*common_sum(self.num, self.den, other.num, other.den))
 
@@ -301,6 +308,8 @@ class Packed(Immutable):
         return self._like(times_gaussian(self.num, -1, 0), self.den)
 
     def __sub__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
         self._check(other)
         return self._like(*common_sum(self.num, self.den, times_gaussian(other.num, -1, 0),
                                       other.den))
@@ -330,8 +339,7 @@ class Packed(Immutable):
 class Poly(Packed):
     """Sparse polynomial in named real variables with Gaussian-rational
     coefficients: ``num`` keyed by packed exponent vectors.  The public
-    constructor takes exponent tuples and checks every term; a scalar
-    operand of ``+`` and ``-`` is a constant.
+    constructor takes exponent tuples and checks every term.
     """
 
     __slots__ = ()
@@ -389,25 +397,15 @@ class Poly(Packed):
     # -- ring operations -------------------------------------------------------
 
     def __add__(self, other):
-        if not isinstance(other, Poly):
-            other = Poly.const(self.vars, other)
+        # Packed's sum under Poly's own name, which bench/tracer.py wraps
         return Packed.__add__(self, other)
 
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if not isinstance(other, Poly):
-            other = Poly.const(self.vars, other)
-        return Packed.__sub__(self, other)
-
     def __mul__(self, other):
-        if not isinstance(other, Poly):
-            return self.scale(other)
+        if type(other) is not Poly:
+            return NotImplemented
         self._check(other)
         return Poly._make(self.vars, mul_into({}, self.num, other.num, 1),
                           self.den * other.den)
-
-    __rmul__ = __mul__
 
     # -- calculus ---------------------------------------------------------------
 
@@ -477,8 +475,7 @@ def _coefficient(value, variables: tuple) -> tuple:
     """(num, den) of a coefficient of a form component or an operator: a
     ``Poly`` on the table ``variables``, or a scalar as the constant term."""
     if isinstance(value, Poly):
-        if value.vars != variables:
-            raise ValueError(f"variable tables differ: {variables} vs {value.vars}")
+        Poly.zero(variables)._check(value)
         return value.num, value.den
     re, im, den = _gaussian_parts(value)
     return ({0: (re, im)} if re or im else {}), den

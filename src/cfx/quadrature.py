@@ -48,9 +48,7 @@ def _integrate(p: Poly, lows: Sequence, highs: Sequence, frozen) -> tuple:
     moment table over [lows, highs], as long as the axis's field of
     ``poly.support`` (at least its highest exponent) needs: a longer table
     gives the same exact values over a larger common denominator."""
-    naxes = len(p.vars)
-    if len(lows) != naxes or len(highs) != naxes:
-        raise ValueError("box does not match the variable table")
+    naxes = _check_box(p, lows, highs)
     if frozen is not None and not 0 <= frozen < naxes:
         raise ValueError(f"face axis {frozen} is outside the variable table")
     if not p.num:
@@ -66,6 +64,14 @@ def _integrate(p: Poly, lows: Sequence, highs: Sequence, frozen) -> tuple:
         den *= d
     re, im = _moment_sum(p.num, tables)
     return Fraction(re, den), Fraction(im, den)
+
+
+def _check_box(value: Packed, lows: Sequence, highs: Sequence) -> int:
+    """The number of axes of ``value``'s table, which the box must match."""
+    naxes = len(value.vars)
+    if len(lows) != naxes or len(highs) != naxes:
+        raise ValueError("box does not match the variable table")
+    return naxes
 
 
 def _face_row(a, b, size: int) -> tuple:
@@ -173,8 +179,7 @@ class CutoffJet(Packed):
         Z(P_alpha), each key keeping its alpha, and ``poly.mul_into`` every
         c_v P_alpha, whose keys add the two fields past the table.
         """
-        if op.vars != self.vars:
-            raise ValueError("the operator and the jet have different variable tables")
+        self._check(op)
         out = op.apply_into({}, self.num, 1)
         return self._like(mul_into(out, op.num, self.num, 1), self.den * op.den)
 
@@ -198,7 +203,8 @@ def integrate_jets(lows: Sequence[Fraction], highs: Sequence[Fraction],
     parts, size = [], 1
     for pairs in sums:
         for jet, weight in pairs:
-            width = len(jet.vars)
+            jet._check(weight)
+            width = _check_box(jet, lows, highs)
             alphas = [(unpack(alpha, width), terms)
                       for alpha, terms in _split(jet.num, jet.vars, True).items()]
             order = max((d for alpha, _ in alphas for d in alpha), default=0)
@@ -220,8 +226,6 @@ def integrate_jets(lows: Sequence[Fraction], highs: Sequence[Fraction],
         re = im = 0
         q_all = 1
         for jet, weight in pairs:
-            if weight.vars != jet.vars or len(jet.vars) != len(rows):
-                raise ValueError("the jet, its weight and the box differ in their variables")
             sr = si = 0
             for alpha, terms in next(pair_parts):
                 alpha_rows = [axis_rows[d] for axis_rows, d in zip(rows, alpha)]

@@ -12,8 +12,6 @@ Slot conventions:
 * ascending basis ("tilde"): slot a of degree s, with multiplications
   m_0: (a, s) -> (a, s+1)  and  m_1: (a, s) -> (a+1, s+1).
 
-Out-of-range slots are zero by convention.
-
 The symmetric-tuple realization, which the flat complex's slot operators
 are checked against, is a plain dict {primed multi-index: ExtForm} over
 every index in {0, 1}^s; s is the key length.  :func:`symmetrize`,
@@ -61,21 +59,14 @@ class SpinorField(Immutable):
         if len(slots) != exact_int(sigma, "sigma") + 1:
             raise ValueError(f"need {sigma + 1} slots, got {len(slots)}")
         sample = slots[0]
-        for f in slots:
-            if (f.dim, f.degree, f.vars) != (sample.dim, sample.degree, sample.vars):
-                raise ValueError("slot forms must share dimension/degree/vars")
+        for f in slots[1:]:
+            sample._check(f)
         _set(self, "sigma", sigma)
         _set(self, "basis", basis)
         _set(self, "slots", slots)
         _set(self, "dim", sample.dim)
         _set(self, "degree", sample.degree)
         _set(self, "vars", sample.vars)
-
-    def slot(self, a: int) -> ExtForm:
-        """Slot a, with out-of-range slots equal to zero."""
-        if 0 <= a <= self.sigma:
-            return self.slots[a]
-        return ExtForm.zero(self.dim, self.degree, self.vars)
 
     def is_zero(self) -> bool:
         return all(f.is_zero() for f in self.slots)

@@ -84,7 +84,7 @@ def grid_pfaffians(name, resolution):
 def symbolic_det(name):
     """det( sum lam_beta B^beta ) in lam1..lam3 (0 when it vanishes), a form of degree 4n."""
     brackets = case_brackets(name)
-    det_poly = cofactor_det(symbolic_pencil(brackets))
+    det_poly = cofactor_det(symbolic_pencil(brackets), Poly.const(LAM, 1))
     assert not det_poly or is_homogeneous(det_poly, len(brackets[0]))
     return det_poly
 
@@ -491,7 +491,7 @@ def test_form_coefficients_are_the_symbolic_determinant_times_the_constant(name)
     c = scale_of(coefficient_pairs(form * form, det_poly))
     assert (c is None) == (not det_poly)
     pencil = symbolic_pencil(case_brackets(name))
-    root = scale_of(coefficient_pairs(form, expansion_pfaffian(pencil)))
+    root = scale_of(coefficient_pairs(form, expansion_pfaffian(pencil, Poly.const(LAM, 1))))
     assert (root is None) == (c is None)
     assert c is None or (root > 0 and root * root == c)
 

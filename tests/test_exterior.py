@@ -285,9 +285,15 @@ def test_exterior_errors_name_their_fault(call, message):
     (lambda: ExtForm(3, 1, ("x",), {(True,): 1}), "a form index must be an int, not True"),
     (lambda: ExtForm(3.7, 1, ("x",), {(1,): 1}), "a form's dim must be an int, not 3.7"),
     (lambda: ExtForm(3, 1.0, ("x",)), "a form's degree must be an int, not 1.0"),
-], ids=["float-index", "bool-index", "float-dim", "float-degree"])
+    (lambda: ExtForm.zero(3.0, 0, ("x",)), "a form's dim must be an int, not 3.0"),
+    (lambda: ExtForm.zero(3, True, ("x",)), "a form's degree must be an int, not True"),
+    (lambda: ExtForm.from_scalar(2.5, Poly.const(("x",), 1)),
+     "a form's dim must be an int, not 2.5"),
+], ids=["float-index", "bool-index", "float-dim", "float-degree", "zero-float-dim",
+        "zero-bool-degree", "from-scalar-float-dim"])
 def test_a_form_shape_or_index_that_is_not_an_int_is_refused(call, message):
-    # a float was truncated (1.9 read as 1, dim 3.7 as 3), a bool read as 0 or 1
+    # a float was truncated (1.9 read as 1, dim 3.7 as 3), a bool read as 0 or
+    # 1; ExtForm.zero and from_scalar kept a float dim (zero(3.0, ...).dim was 3.0)
     with pytest.raises(TypeError, match=message):
         call()
 
@@ -438,3 +444,13 @@ def test_the_view_is_read_only_and_kept():
         view[(0, 1)] = Poly.const(V, 1)
     with pytest.raises(AttributeError):
         f.num = {}
+
+
+def test_a_form_combines_only_with_a_form():
+    # another kind is NotImplemented in Packed.__add__ and __sub__, so
+    # Python raises its TypeError; a Poly is a 0-form through from_scalar
+    f, p = ExtForm.zero(2, 0, V), Poly.const(V, 1)
+    for combine in (lambda: f + p, lambda: p + f, lambda: f - p, lambda: f + 1):
+        with pytest.raises(TypeError, match="unsupported operand"):
+            combine()
+    assert f + ExtForm.from_scalar(2, p) == ExtForm.from_scalar(2, p)

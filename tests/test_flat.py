@@ -176,8 +176,8 @@ def test_middle_operator_on_square():
     fld = SpinorField(0, "S", [ExtForm.from_scalar(4, u)])
     out = flat_D(spec, 0, fld)
     oracle = oracle_d_upper(0, oracle_d_upper(1, ExtForm.from_scalar(4, u)))
-    assert (out.slot(0) - oracle).is_zero()
-    assert out.slot(0).degree == spec.tau(1)
+    assert (out.slots[0] - oracle).is_zero()
+    assert out.slots[0].degree == spec.tau(1)
 
 
 def test_shape_after_middle_level():
@@ -271,7 +271,7 @@ def test_closed_sections_are_harmonic():
         fld_slots[slot] = ExtForm.from_scalar(4, Poly.monomial(V8, mono, 1))
         from cfx.spinor import SpinorField
         out = flat_D(spec, 0, SpinorField(1, "S", fld_slots))
-        image = out.slot(0)
+        image = out.slots[0]
         for idx, coeff in image.comps.items():
             for expo, c in terms(coeff).items():
                 rows.setdefault((idx, expo), {})[col] = c

@@ -162,6 +162,17 @@ def test_group_spec_refuses_an_inexact_n_or_S(n, S, message):
     assert time.perf_counter() - start < 0.1
 
 
+@pytest.mark.parametrize("build", [GroupSpec.abelian, GroupSpec.right_qh, GroupSpec.left_qh,
+                                   lambda n: GroupSpec.named("leftQH", n)],
+                         ids=["abelian", "rightQH", "leftQH", "named"])
+def test_a_named_group_reads_n_before_it_builds_S(build):
+    # S was built from n first: abelian(1.5) raised "can't multiply sequence
+    # by non-int", right_qh and left_qh "'float' object cannot be interpreted"
+    for n in (1.5, True):
+        with pytest.raises(TypeError, match=f"^n must be an int, not {n!r}$"):
+            build(n)
+
+
 def test_a_group_reads_S_once_into_its_fraction_and_integer_views():
     g = GroupSpec(1, [[Fraction(1, 2), 0, 0, 0], [0, 1, 0, 0], [0, 0, Fraction(-2, 3), 0],
                       [0, 0, 0, 1]])
@@ -591,8 +602,8 @@ def test_stratified():
 
 def test_condition_h_right_qh_symbolic():
     g = GroupSpec.right_qh(1)
-    det = cofactor_det(symbolic_pencil(reference_brackets(g.S, g.n)))
     lam = ("lam1", "lam2", "lam3")
+    det = cofactor_det(symbolic_pencil(reference_brackets(g.S, g.n)), Poly.const(lam, 1))
     norm = Poly.zero(lam)
     for name in lam:
         norm = norm + Poly.var(lam, name) * Poly.var(lam, name)

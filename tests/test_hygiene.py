@@ -648,19 +648,129 @@ def test_constructors_merge_through_one_routine():
 
 
 def test_a_coefficient_on_another_table_is_refused_with_one_message():
+    # every site of the one variable-table check, poly.Packed._check, on two
+    # tables of one width: each names the two tables in the same words
+    from cfx.boundary import ambient_frame, frak_d
     from cfx.exterior import ExtForm
     from cfx.operators import FirstOrderOp
     from cfx.poly import Poly
+    from cfx.quadrature import CutoffJet, integrate_jets
+    from cfx.spinor import SpinorField
 
-    table, other = ("x", "y"), ("x", "z")
-    coeff = Poly.var(other, "x", Fraction(1, 2))
-    messages = []
-    for build in (lambda: ExtForm(2, 1, table, {(0,): coeff}),
-                  lambda: FirstOrderOp(table, {"y": coeff})):
+    frame = ambient_frame(1)
+    table = frame.vars
+    other = table[:-1] + ("y",)
+    coeff = Poly.var(other, "x1", Fraction(1, 2))
+    form, form2 = (ExtForm.zero(frame.dim, 1, v) for v in (table, other))
+    op, op2 = (FirstOrderOp.partial(v, "x1") for v in (table, other))
+    jet = CutoffJet.bump(table)
+    box = [0] * len(table), [1] * len(table)
+    sites = {
+        "ExtForm coefficient": (lambda: ExtForm(2, 1, table, {(0,): coeff}), table),
+        "FirstOrderOp coefficient": (lambda: FirstOrderOp(table, {"x1": coeff}), table),
+        "Poly +": (lambda: Poly.zero(table) + coeff, table),
+        "Poly *": (lambda: Poly.zero(table) * coeff, table),
+        "ExtForm +": (lambda: form + form2, table),
+        "ExtForm -": (lambda: form - form2, table),
+        "ExtForm.wedge": (lambda: form.wedge(form2), table),
+        "frak_d": (lambda: frak_d(0, form2, frame), other),
+        "FirstOrderOp.apply": (lambda: op.apply(form2), table),
+        "FirstOrderOp.commutator": (lambda: op.commutator(op2), table),
+        "CutoffJet.apply_op": (lambda: jet.apply_op(op2), table),
+        "integrate_jets": (lambda: integrate_jets(*box, [[(jet, Poly.zero(other))]]), table),
+        "SpinorField": (lambda: SpinorField(1, "S", [form, form2]), table),
+    }
+    messages = {}
+    for site, (call, first) in sites.items():
         with pytest.raises(ValueError) as info:
-            build()
-        messages.append(str(info.value))
-    assert messages == [f"variable tables differ: {table} vs {other}"] * 2
+            call()
+        second = other if first == table else table
+        messages[site] = str(info.value) == f"variable tables differ: {first} vs {second}"
+    assert all(messages.values()), messages
+
+
+def _owned_nodes(tree: ast.Module):
+    """(qualified name of the innermost enclosing def or class, node) for every node."""
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                yield from visit(child, f"{owner}.{child.name}" if owner else child.name)
+                continue
+            yield owner, child
+            yield from visit(child, owner)
+
+    yield from visit(tree, "")
+
+
+def _compared_attributes(node: ast.Compare, attr: str) -> int:
+    """How many operands of an ``==``/``!=`` comparison read ``.attr``,
+    directly or as an element of a tuple."""
+    if not all(isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops):
+        return 0
+    count = 0
+    for operand in (node.left, *node.comparators):
+        items = operand.elts if isinstance(operand, ast.Tuple) else [operand]
+        count += any(isinstance(item, ast.Attribute) and item.attr == attr for item in items)
+    return count
+
+
+# the functions that compare a variable table (``.vars``) with ``==`` or
+# ``!=``, each with its reason; a new comparison restates the rule that
+# poly.Packed._check holds
+VARS_COMPARISONS = {
+    ("poly.py", "Packed._check"): "the one variable-table check of two operands",
+    ("boundary.py", "frak_d"): "a guard that raises through ExtForm._check: a call per "
+                               "frak_d costs 0.2-0.4% of flat (BENCH_54.json, replay)",
+    ("cli.py", "cmd_ma"): "outside input: a --u file's table against the group's, "
+                          "with the command's own message",
+}
+
+# the functions whose messages name a variable table, each with its reason
+VARIABLE_TABLE_MESSAGES = {
+    ("poly.py", "Packed._check"): "the one message of two operands on two tables",
+    ("poly.py", "Poly.__init__"): "outside input: an exponent vector needs one exponent "
+                                  "per variable (a --u file reaches it)",
+    ("quadrature.py", "_check_box"): "a box needs one axis per variable",
+    ("quadrature.py", "_integrate"): "a face axis must be one of the box's axes",
+}
+
+
+def test_operand_rules_have_one_home():
+    # one variable-table check (poly.Packed._check), one form-shape check
+    # (ExtForm._check, which adds the dim and degree tests), and values that
+    # combine only with their own kind: Poly has no scalar coercion of its own
+    from cfx.poly import Poly
+
+    vars_sites, dim_sites, message_sites = set(), set(), set()
+    for path in MODULES:
+        tree = _tree(path)
+        docstrings = {id(node.body[0].value) for node in ast.walk(tree)
+                      if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
+                      and node.body and isinstance(node.body[0], ast.Expr)
+                      and isinstance(node.body[0].value, ast.Constant)}
+        for owner, node in _owned_nodes(tree):
+            if isinstance(node, ast.Compare):
+                if _compared_attributes(node, "vars"):
+                    vars_sites.add((path.name, owner))
+                if _compared_attributes(node, "dim") >= 2:
+                    dim_sites.add((path.name, owner))
+            elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                  and "variable table" in node.value and id(node) not in docstrings):
+                message_sites.add((path.name, owner))
+    assert vars_sites == set(VARS_COMPARISONS), sorted(vars_sites)
+    # frak_d's guard reads the form's dim and vars, as VARS_COMPARISONS says
+    assert dim_sites == {("exterior.py", "ExtForm._check"), ("boundary.py", "frak_d")}, \
+        sorted(dim_sites)
+    assert message_sites == set(VARIABLE_TABLE_MESSAGES), sorted(message_sites)
+    checking = sorted(f"{path.name}:{owner}" for path in MODULES
+                      for owner, names in _names_called(_tree(path)).items() if "_check" in names)
+    assert checking == [
+        "boundary.py:frak_d", "exterior.py:ExtForm._check", "exterior.py:ExtForm.wedge",
+        "operators.py:FirstOrderOp.apply", "operators.py:FirstOrderOp.commutator",
+        "poly.py:Packed.__add__", "poly.py:Packed.__sub__", "poly.py:Poly.__mul__",
+        "poly.py:_coefficient", "quadrature.py:CutoffJet.apply_op",
+        "quadrature.py:integrate_jets", "spinor.py:SpinorField.__init__"], checking
+    assert not {"__sub__", "__radd__", "__rmul__"} & set(vars(Poly))
 
 
 def _names_called(tree: ast.Module) -> dict:

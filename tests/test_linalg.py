@@ -42,21 +42,23 @@ def mat(rows) -> tuple:
     return tuple(tuple(Fraction(x) for x in row) for row in rows)
 
 
-def cofactor_det(m):
+def cofactor_det(m, one=1):
     """Cofactor expansion down the rows, memoized by the set of columns left.
 
     Only ``+``, ``-`` and ``*``, no division: a reference determinant over
-    any commutative ring (ints, ``Fraction``, ``ComplexRational``, ``Poly``).
-    The empty matrix has determinant 1.
+    any commutative ring (ints, ``Fraction``, ``ComplexRational``, ``Poly``)
+    whose 1 is ``one``: over ``Poly`` it is ``Poly.const(vars, 1)``, since a
+    scalar is not a ``Poly`` operand.  The empty matrix has determinant ``one``.
     """
     size = len(m)
+    zero = one - one
 
     @cache
     def minor(cols):
         if not cols:
-            return 1
+            return one
         row = m[size - len(cols)]
-        total = 0
+        total = zero
         for pos, c in enumerate(cols):
             if row[c]:
                 term = row[c] * minor(cols[:pos] + cols[pos + 1:])
@@ -142,27 +144,29 @@ def sparse(rows):
     return [{c: x for c, x in enumerate(row) if x != (0, 0)} for row in rows]
 
 
-def expansion_pfaffian(m):
+def expansion_pfaffian(m, one=1):
     """Pfaffian by expansion along the first row, memoized by the indices left.
 
     Pf(A) = sum_j (-1)^(j+1) a_0j Pf(A without rows and columns 0 and j),
-    with only ``+``, ``-`` and ``*``: a reference over any commutative ring.
-    The empty matrix has Pfaffian 1 and an odd size gives 0.
+    with only ``+``, ``-`` and ``*``: a reference over any commutative ring
+    whose 1 is ``one``, as in :func:`cofactor_det`.  The empty matrix has
+    Pfaffian ``one`` and an odd size gives its 0.
     """
+    zero = one - one
 
     @cache
     def minor(rest):
         if not rest:
-            return 1
+            return one
         row = m[rest[0]]
-        total = 0
+        total = zero
         for pos in range(1, len(rest)):
             if row[rest[pos]]:
                 term = row[rest[pos]] * minor(rest[1:pos] + rest[pos + 1:])
                 total = total + (term if pos % 2 else -term)
         return total
 
-    return minor(tuple(range(len(m)))) if len(m) % 2 == 0 else 0
+    return minor(tuple(range(len(m)))) if len(m) % 2 == 0 else zero
 
 
 def reference_brackets(S, n) -> tuple:
@@ -640,7 +644,7 @@ def _group(name, n):
 @pytest.mark.parametrize("n", [1, 2])
 def test_central_pairing_det_matches_symbolic_determinant(name, n):
     brackets = reference_brackets(_group(name, n).S, n)
-    det_poly = cofactor_det(symbolic_pencil(brackets))
+    det_poly = cofactor_det(symbolic_pencil(brackets), Poly.const(LAM, 1))
     assert is_homogeneous(det_poly, 4 * n)
     # homogeneous of degree 4n: its value at lam = mu / 4 is its numerators
     # summed in ints at the int point mu, over den * 4^(4n)
@@ -659,7 +663,9 @@ def test_central_pairing_det_matches_symbolic_determinant(name, n):
 
 def test_cofactor_det_over_polynomials():
     x, y = (Poly.var(("x", "y"), v) for v in ("x", "y"))
-    assert cofactor_det([[x, y], [y, x]]) == x * x - y * y
-    assert cofactor_det([[x, y, 0], [0, x, y], [y, 0, x]]) == x * x * x + y * y * y
-    assert cofactor_det([[x, y], [x, y]]) == 0 * x
+    one = Poly.const(("x", "y"), 1)
+    assert cofactor_det([[x, y], [y, x]], one) == x * x - y * y
+    assert cofactor_det([[x, y, 0], [0, x, y], [y, 0, x]], one) == x * x * x + y * y * y
+    assert cofactor_det([[x, y], [x, y]], one) == Poly.zero(("x", "y"))
+    assert cofactor_det([], one) == one
     assert cofactor_det([]) == 1

@@ -771,8 +771,8 @@ def _drawn_sup_case(rng):
         u = u + Poly.monomial(names, expo, coeff)
     if rng.random() < 0.5:
         a = rng.randrange(naxes)
-        rise = y[a] + (-lows[a])
-        u = u + (rise * rise * (y[a].scale(-1) + highs[a])).scale(
+        rise = y[a] + Poly.const(names, -lows[a])
+        u = u + (rise * rise * (y[a].scale(-1) + Poly.const(names, highs[a]))).scale(
             Fraction(rng.randint(1, 9), 1) / (highs[a] - lows[a]) ** 3)
     if rng.random() < 0.25:
         u = u.scale(Fraction(2) ** rng.choice([-500, 500]))

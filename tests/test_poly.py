@@ -128,10 +128,18 @@ def test_an_exponent_that_is_not_an_int_is_refused(expo, coeff):
         Poly(("x",), {expo: coeff})
 
 
-def test_poly_minus_a_scalar_subtracts_the_constant():
+def test_a_scalar_is_not_a_poly_operand():
+    # a Poly combines only with a Poly: a constant is Poly.const and a
+    # scalar multiple is scale, and every scalar operand is a TypeError
     x = p_var("x1")
-    assert x - 2 == x + Poly.const(V, -2) == x + (-2)
-    assert x - (0, 1) == Poly(V, {(1, 0, 0, 0, 0): 1, (0, 0, 0, 0, 0): (0, -1)})
+    assert x - Poly.const(V, 2) == x + Poly.const(V, -2)
+    assert x - Poly.const(V, (0, 1)) == Poly(V, {(1, 0, 0, 0, 0): 1, (0, 0, 0, 0, 0): (0, -1)})
+    assert x.scale(2) == x + x
+    for combine in (lambda: x + 1, lambda: 1 + x, lambda: x - Fraction(1, 2),
+                    lambda: Fraction(1, 2) - x, lambda: 2 * x, lambda: x * 2,
+                    lambda: x + (0, 1), lambda: sum([x, x])):
+        with pytest.raises(TypeError, match="unsupported operand"):
+            combine()
 
 
 def test_no_stored_zero_coefficients():

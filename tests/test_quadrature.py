@@ -377,7 +377,7 @@ def test_separable_sum_against_expanded():
     ref = reference_bump(lows, highs)
     x1, x2, x3 = (Poly.var(V, name) for name in V)
     axis_of = {name: i for i, name in enumerate(V)}
-    ops = [FirstOrderOp(V, {"x1": x2 * x3 + 1, "x3": x1.scale((0, 2))}),
+    ops = [FirstOrderOp(V, {"x1": x2 * x3 + Poly.const(V, 1), "x3": x1.scale((0, 2))}),
            FirstOrderOp(V, {"x2": x1 * x1, "x1": Poly.const(V, Fraction(-3, 4))})]
     weight = x1 * x2 + x3.scale(Fraction(5, 7)) + Poly.const(V, (1, -1))
     jet = CutoffJet.bump(V)
@@ -450,7 +450,7 @@ def test_integrate_box_matches_per_term_reference(seed, weight_kind):
 def test_integrate_box_cancelling_terms_and_vanishing_axis():
     W = x_vars(2)
     x1 = Poly.var(W, "x1")
-    jet = CutoffJet.bump(W).apply_op(FirstOrderOp(W, {"x2": x1 + 3}))
+    jet = CutoffJet.bump(W).apply_op(FirstOrderOp(W, {"x2": x1 + Poly.const(W, 3)}))
     # jet - jet has no part left; an odd weight on the symmetric axis integrates to 0
     assert (jet - jet).num == {} and (jet - jet).den == 1
     assert _jet_integral(jet - jet, [0, 0], [1, 1], x1) == cq(0)

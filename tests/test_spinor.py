@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cfx.boundary import BoundarySpec
 from cfx.exterior import ExtForm
 from cfx.flat import ComplexSpec
 from cfx.poly import Poly, x_vars
@@ -237,7 +238,7 @@ def test_is_symmetric_matches_arithmetic_reference(s):
 def test_tuple_slot_roundtrip_descending():
     comps = {idx: scalar(sum(idx) + 1) for idx in product((0, 1), repeat=2)}
     slots = tuple_to_slots(comps, "S")
-    assert slots.slot(1) == scalar(2)
+    assert slots.slots[1] == scalar(2)
     assert slots_to_tuple(slots) == comps
 
 
@@ -245,7 +246,7 @@ def test_tuple_slot_roundtrip_ascending_binomial():
     comps = {idx: scalar(1) for idx in product((0, 1), repeat=2)}
     slots = tuple_to_slots(comps, "tilde")
     # middle slot carries multiplicity binom(2,1) = 2
-    assert slots.slot(1) == scalar(2)
+    assert slots.slots[1] == scalar(2)
     assert slots_to_tuple(slots) == comps
 
 
@@ -255,7 +256,7 @@ def test_multiply_then_convert_consistency():
     comps = {(0,): scalar(2), (1,): scalar(5)}
     tilde = tuple_to_slots(comps, "tilde")
     # multiply by the 0-indexed coordinate: slots shift per the ascending rule
-    lifted = SpinorField(2, "tilde", [tilde.slot(0), tilde.slot(1),
+    lifted = SpinorField(2, "tilde", [tilde.slots[0], tilde.slots[1],
                                       ExtForm.zero(2, 0, V)])
     lifted_tuple = slots_to_tuple(lifted)
     # direct symmetric product: (s0 * f)_{AB} = symmetrize of f with a 0 slot
@@ -278,7 +279,7 @@ def _zero(degree=0, dim=4):
 
 @pytest.mark.parametrize("call, message", [
     (lambda: SpinorField(1, "S", [_zero(0), _zero(1)]),
-     "slot forms must share dimension/degree/vars"),
+     "^degree mismatch: 0 vs 1$"),
     (lambda: SpinorField(0, "S", [_zero()]) + SpinorField(1, "S", [_zero()] * 2),
      "spinor shape mismatch"),
     (lambda: tuple_to_slots({(0, 0): _zero(), (0, 1): scalar(1), (1, 0): scalar(2),
@@ -316,3 +317,19 @@ def test_a_level_size_that_is_not_an_int_is_refused(call, message):
 def test_slot_field_shape_validation():
     with pytest.raises(ValueError, match="need 3 slots"):
         SpinorField(2, "S", [scalar(1)])
+
+
+@pytest.mark.parametrize("spec_type, past_top", [(ComplexSpec, 0), (BoundarySpec, 1)],
+                         ids=["flat", "boundary"])
+def test_every_slot_rule_entry_names_a_slot_in_range(spec_type, past_top):
+    # the operators index a field's slots by the rule with no range test:
+    # slot_rule(j) lists only input slots 0..sigma(j) and one entry per slot
+    # of level j + 1.  The boundary companion step reads slot_rule(j + 1), so
+    # a BoundarySpec is checked one level past its last operator level
+    for n in (1, 2, 3):
+        for k in range(13):
+            spec = spec_type(n, k)
+            for j in range(spec.top_level + past_top):
+                rule = spec.slot_rule(j)
+                assert len(rule) == spec.sigma(j + 1) + 1, (n, k, j)
+                assert all(0 <= a <= spec.sigma(j) for terms in rule for a, _ in terms), (n, k, j)

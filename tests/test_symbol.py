@@ -148,7 +148,7 @@ def operator_mismatches(spec, v) -> list:
             image = flat_D(spec, j, SpinorField(s, tag, slots))
             got = []
             for b, out_idx in basis(j + 1):
-                entry = image.slot(b).component(out_idx)
+                entry = image.slots[b].component(out_idx)
                 assert all(e == 0 for e in entry.num)
                 value = constant_term(entry)
                 got.append((value.re, value.im))

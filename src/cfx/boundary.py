@@ -138,7 +138,10 @@ def frak_d(aprime: int, f: ExtForm, frame: Frame, raised: bool = True) -> ExtFor
     """
     if aprime not in (0, 1):
         raise ValueError("primed index must be 0 or 1")
-    if f.vars != frame.vars or f.dim != frame.dim:  # a call per frak_d costs 0.2-0.4% of flat
+    # a call per frak_d costs 0.2-0.4% of flat
+    if type(f) is not ExtForm or f.vars != frame.vars or f.dim != frame.dim:
+        if type(f) is not ExtForm:
+            raise TypeError(f"frak_d takes an ExtForm, not {type(f).__name__}")
         f._check(frame, False)
     L, fields = frame.field_table(aprime, raised)
     lift = index_mask((0,), f.vars)  # the key bit of w^0
@@ -195,7 +198,7 @@ class BoundarySpec(LevelTable):
         """Shape of the companion component, or None at level 0, where it is empty."""
         if j == 0:
             return None
-        return self.sigma(j + 1), self.tau(j) - (j != self.k), self.basis_tag(j)
+        return self.sigma(j + 1), self.tau(j) - (j != self.k)
 
 
 class BoundaryField(Immutable):
@@ -214,9 +217,8 @@ class BoundaryField(Immutable):
                 raise ValueError(f"level {level} has no companion slot")
             companion = None
         elif companion is None:
-            sigma, degree, basis = cshape
-            companion = SpinorField(sigma, basis,
-                                    [ExtForm.zero(spec.form_dim, degree, lead.vars)] * (sigma + 1))
+            sigma, degree = cshape
+            companion = SpinorField([ExtForm.zero(spec.form_dim, degree, lead.vars)] * (sigma + 1))
         else:
             spec.check_field(companion, cshape, "companion", level)
         _set(self, "spec", spec)
@@ -260,52 +262,49 @@ def boundary_D(frame: TangentFrame, fld: BoundaryField) -> BoundaryField:
         return frak_d(0, T((1,), (y,), form), frame) - frak_d(1, T((0,), (y,), form), frame)
 
     inner, outer = spec.slot_rule(j), spec.slot_rule(j + 1)
-    shape = spec.companion_shape(j + 1)
-    comp = SpinorField(shape[0], shape[2], _sums(frame, shape[1], [
+    comp = SpinorField(_sums([
         [T(out_path, in_path, f[a]) for m, out_path in terms for a, in_path in inner[m]]
         for terms in outer]))
     if G is not None:
-        comp = comp + _slot_combination(frame, outer, G.slots, shape)
+        comp = comp + _slot_combination(frame, outer, G.slots)
     if j not in (k - 1, k):
         comp = -comp
     if j == k:
         twist = T((1,), (0,), f[0])
         if G is not None:
             twist = twist + G.slots[0]
-        lead = SpinorField(0, "tilde", [lead.slots[0] - E0.wedge(twist)])
+        lead = SpinorField([lead.slots[0] - E0.wedge(twist)])
     elif G is not None:
-        lead = SpinorField(lead.sigma, lead.basis,
-                           [s + E0.wedge(G.slots[b]) for b, s in enumerate(lead.slots)])
+        lead = SpinorField([s + E0.wedge(G.slots[b]) for b, s in enumerate(lead.slots)])
         if j == k - 1:
-            comp = comp + SpinorField(0, "S", [-E0.wedge(T((1,), (0,), G.slots[0]))])
+            comp = comp + SpinorField([-E0.wedge(T((1,), (0,), G.slots[0]))])
     return BoundaryField(spec, j + 1, lead, comp)
 
 
-def _slot_combination(frame: Frame, rule: tuple, slots: list, shape) -> SpinorField:
-    """The field of ``shape`` (sigma, degree, basis) whose slot b sums d^path
-    slots[a] over the (a, path) of ``rule[b]``, a ``LevelTable.slot_rule``."""
-    sigma, degree, basis = shape
-    return SpinorField(sigma, basis, _sums(frame, degree, [
+def _slot_combination(frame: Frame, rule: tuple, slots: list) -> SpinorField:
+    """The field whose slot b sums d^path slots[a] over the (a, path) of
+    ``rule[b]``, a ``LevelTable.slot_rule``."""
+    return SpinorField(_sums([
         [reduce(lambda f, p: frak_d(p, f, frame), reversed(path), slots[a]) for a, path in terms]
         for terms in rule]))
 
 
-def _sums(frame: Frame, degree: int, lists: list) -> list:
-    """The sum of each list of forms; the zero form of ``degree`` for an empty one."""
-    return [sum(forms[1:], forms[0]) if forms else ExtForm.zero(frame.dim, degree, frame.vars)
-            for forms in lists]
+def _sums(lists: list) -> list:
+    """The sum of each list of forms; no slot rule has an empty entry."""
+    return [sum(forms[1:], forms[0]) for forms in lists]
 
 
 def subcomplex_D(frame: Frame, spec, j: int, lead: SpinorField) -> SpinorField:
-    """Slot-combination step of the level-j operator on leading components:
-    ``spec.slot_rule(j)`` applied to the slots of ``lead``.
+    """The level-j operator's slot step, ``spec.slot_rule(j)``, on the slots
+    of ``lead``, which it checks against level j (no other operator does).
 
     With the ambient frame and a flat ``ComplexSpec`` this is the flat
     operator; with a right-type group and a :class:`BoundarySpec` it is the
     projected boundary operator.
     """
     spec._check_operator_level(j)
-    return _slot_combination(frame, spec.slot_rule(j), lead.slots, spec.shape(j + 1))
+    spec.check_field(lead, spec.shape(j), "field", j)
+    return _slot_combination(frame, spec.slot_rule(j), lead.slots)
 
 
 # -- identity checks ------------------------------------------------------------------------
@@ -375,17 +374,16 @@ def bracket_identity(frame: TangentFrame) -> dict:
 # -- the diagonal second-order identity ------------------------------------------------------
 
 
-def lead_first_adjoint_compose(frame: TangentFrame, k: int, slots: list[Poly]):
+def lead_first_adjoint_compose(frame: TangentFrame, slots: list[Poly]):
     """Formal adjoint applied to the bottom-level operator D_0, slot by slot.
 
-    D_0 is :func:`subcomplex_D` at level 0 on the scalar slot field: slot b of
-    its image has component Z_row^0 slots[b] + Z_row^1 slots[b + 1] at (row,).
-    The adjoint walks level 0's slot rule back, from output slot b to slot a.
+    D_0 is :func:`subcomplex_D` at level 0 on the scalar slot field, k + 1 =
+    ``len(slots)``: slot b of its image is Z_row^0 slots[b] + Z_row^1 slots[b + 1]
+    at (row,); the adjoint walks level 0's slot rule back, from slot b to slot a.
     """
-    if len(slots) != k + 1:
-        raise ValueError(f"need {k + 1} slot functions")
+    k = len(slots) - 1
     spec = BoundarySpec(frame.n, k)
-    lead = SpinorField(k, "S", [ExtForm.from_scalar(frame.dim, p) for p in slots])
+    lead = SpinorField([ExtForm.from_scalar(frame.dim, p) for p in slots])
     image = subcomplex_D(frame, spec, 0, lead)
     adjoint = [(row[0].conjugate(), row[1].conjugate()) for row in frame.Z_upper]
     out = [Poly.zero(frame.vars)] * (k + 1)
@@ -410,8 +408,10 @@ def hodge_diag(spec: BoundarySpec, frame: TangentFrame, trials: int = 10,
 
     The adjoint composition must equal diag(L, 2L, ..., 2L, L) applied
     slotwise, where L is the horizontal sub-Laplacian.  Exact; requires a
-    right-type group.
+    right-type group, and ``spec`` at the frame's n.
     """
+    if spec.n != frame.n:
+        raise ValueError(f"spec n = {spec.n} does not match the frame's n = {frame.n}")
     frame.require_right_type()
     k = spec.k
     if k < 1:
@@ -422,7 +422,7 @@ def hodge_diag(spec: BoundarySpec, frame: TangentFrame, trials: int = 10,
     for t in range(trials):
         g = gen.spawn(t)
         slots = [g.poly(frame.vars) for _ in range(k + 1)]
-        lhs = lead_first_adjoint_compose(frame, k, slots)
+        lhs = lead_first_adjoint_compose(frame, slots)
         for a in range(k + 1):
             weight = 1 if a in (0, k) else 2
             rhs = sub_laplacian(frame, slots[a]).scale(weight)

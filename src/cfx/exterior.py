@@ -153,6 +153,8 @@ class ExtForm(Packed):
         :func:`merge_sign`, into one numerator dict: the masks add with the
         monomials.
         """
+        if type(other) is not ExtForm:
+            raise TypeError(f"wedge takes an ExtForm, not {type(other).__name__}")
         self._check(other, False)
         right = _split(other.num, other.vars).items()
         out: dict = {}

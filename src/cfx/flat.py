@@ -1,10 +1,10 @@
 """The flat quaternionic complex on R^{4(n+1)}.
 
 Levels are symmetric powers tensor exterior powers of C^{2(n+1)}: slot fields
-in the descending basis up to the middle level, the ascending basis above.
-The operators run the boundary machinery (``subcomplex_D``, ``frak_d``) on
-the ambient frame of coordinate partials; they and the symbol read one slot
-rule, ``LevelTable.slot_rule``, and one row table, ``Frame.field_table``.
+in the descending basis up to the middle level, the ascending basis above,
+shaped by the level table alone.  ``flat_D`` is ``subcomplex_D`` on the
+ambient frame of coordinate partials; the operators and the symbol read one
+slot rule, ``LevelTable.slot_rule``, and one row table, ``Frame.field_table``.
 Everything here is exact: ``check_exactness`` proves each rank it reports,
 from the exact products σ_{j+1}σ_j = 0, lower bounds mod a prime and the
 rank sum of each level.
@@ -47,8 +47,6 @@ class ComplexSpec(LevelTable):
 
 def flat_D(spec: ComplexSpec, j: int, field: SpinorField) -> SpinorField:
     """Apply the level-j operator to a slot field at level j."""
-    spec._check_operator_level(j)
-    spec.check_field(field, spec.shape(j), "field", j)
     return subcomplex_D(spec.frame, spec, j, field)
 
 

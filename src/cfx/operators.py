@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 
+from .exterior import ExtForm
 from .poly import (BITS, FIELD, GUARD, MAX_EXPONENT, Packed, Poly, _coefficient, _merge,
                    _past_table, _set, _split, add_term)
 
@@ -97,6 +98,8 @@ class FirstOrderOp(Packed):
         """This operator applied to a ``Poly``, or to every component of an
         ``ExtForm``, on its variable table: one ``apply_into`` pass over the
         value's terms."""
+        if type(value) not in (Poly, ExtForm):
+            raise TypeError(f"apply takes a Poly or an ExtForm, not {type(value).__name__}")
         self._check(value)
         return value._like(self.apply_into({}, value.num, 1), value.den * self.den)
 

@@ -84,11 +84,11 @@ class SectionGenerator:
             self._draw(num, len(variables), poly_degree, index_mask(idx, variables))
         return ExtForm._make(dim, degree_form, variables, num)
 
-    def slot_field(self, sigma: int, basis: str, dim: int, degree_form: int,
-                   variables, poly_degree=None) -> SpinorField:
-        slots = [self.form(dim, degree_form, variables, poly_degree)
-                 for _ in range(sigma + 1)]
-        return SpinorField(sigma, basis, slots)
+    def slot_field(self, shape: tuple, dim: int, variables, poly_degree=None) -> SpinorField:
+        """sigma + 1 :meth:`form` draws for a level's ``shape`` (sigma, form degree)."""
+        sigma, degree_form = shape
+        return SpinorField([self.form(dim, degree_form, variables, poly_degree)
+                            for _ in range(sigma + 1)])
 
     def tuple_field(self, sigma: int, dim: int, degree_form: int, variables,
                     poly_degree=None) -> dict:

@@ -2,25 +2,27 @@
 
 Primed indices live in {0, 1} (conventionally written 0', 1').  They are
 raised and lowered by the symplectic pairing ``eps``.  A section of a
-degree-s symmetric power tensor forms is a :class:`SpinorField`: s+1 slot
-forms over one of two distinguished monomial bases.
+degree-s symmetric power tensor forms is a :class:`SpinorField`: its s+1
+slot forms, and nothing else.
 
 Slot conventions:
 
-* descending basis ("S"): slot a of degree s, with the two derivations
+* descending basis: slot a of degree s, with the two derivations
   acting as  d_0: (a, s) -> (a, s-1)  and  d_1: (a, s) -> (a-1, s-1);
-* ascending basis ("tilde"): slot a of degree s, with multiplications
+* ascending basis: slot a of degree s, with multiplications
   m_0: (a, s) -> (a, s+1)  and  m_1: (a, s) -> (a+1, s+1).
 
 The symmetric-tuple realization, which the flat complex's slot operators
 are checked against, is a plain dict {primed multi-index: ExtForm} over
 every index in {0, 1}^s; s is the key length.  :func:`symmetrize`,
-:func:`is_symmetric` and :func:`tuple_to_slots` act on that dict.
+:func:`is_symmetric` and :func:`tuple_to_slots`, the one reader of the
+choice of basis, act on that dict.
 
-:class:`LevelTable` is the level bookkeeping shared by the flat and the
-boundary complex: level j carries sigma(j)-spinors of tau(j)-forms, in the
-descending basis up to level k and the ascending basis above it, and its
-slot rule says which slot of level j reaches which slot of level j + 1.
+:class:`LevelTable`, under both complexes, is the one home of a level's
+shape: level j carries sigma(j)-spinors of tau(j)-forms, in the descending
+basis up to level k and the ascending basis above it, so (sigma, degree)
+names the level and its basis; its slot rule says which slot of level j
+reaches which slot of level j + 1.
 """
 
 from __future__ import annotations
@@ -46,23 +48,21 @@ def raise_primed(pair):
 class SpinorField(Immutable):
     """Section of a symmetric-power bundle tensor exterior forms, in slot form.
 
-    ``basis`` is "S" (descending) or "tilde" (ascending); ``slots`` is a list
-    of sigma+1 ExtForms of one dimension, degree and variable tuple.
+    A field is its ``slots``: sigma + 1 ExtForms of one dimension, degree
+    and variable tuple, sigma = ``len(slots) - 1``.  Its level, and with it
+    its basis, is the caller's (``LevelTable.check_field``).
     """
 
-    __slots__ = ("sigma", "basis", "slots", "dim", "degree", "vars")
+    __slots__ = ("sigma", "slots", "dim", "degree", "vars")
 
-    def __init__(self, sigma: int, basis: str, slots):
-        if basis not in ("S", "tilde"):
-            raise ValueError(f"unknown basis tag {basis!r}")
+    def __init__(self, slots):
         slots = list(slots)
-        if len(slots) != exact_int(sigma, "sigma") + 1:
-            raise ValueError(f"need {sigma + 1} slots, got {len(slots)}")
+        if not slots:
+            raise ValueError("a spinor field needs at least one slot")
         sample = slots[0]
         for f in slots[1:]:
             sample._check(f)
-        _set(self, "sigma", sigma)
-        _set(self, "basis", basis)
+        _set(self, "sigma", len(slots) - 1)
         _set(self, "slots", slots)
         _set(self, "dim", sample.dim)
         _set(self, "degree", sample.degree)
@@ -72,18 +72,17 @@ class SpinorField(Immutable):
         return all(f.is_zero() for f in self.slots)
 
     def __add__(self, other: "SpinorField") -> "SpinorField":
-        if (self.sigma, self.basis) != (other.sigma, other.basis):
+        if self.sigma != other.sigma:
             raise ValueError("spinor shape mismatch")
-        return SpinorField(self.sigma, self.basis,
-                           [a + b for a, b in zip(self.slots, other.slots)])
+        return SpinorField([a + b for a, b in zip(self.slots, other.slots)])
 
     def __neg__(self):
-        return SpinorField(self.sigma, self.basis, [-f for f in self.slots])
+        return SpinorField([-f for f in self.slots])
 
     def __eq__(self, other):
         if not isinstance(other, SpinorField):
             return NotImplemented
-        return (self.sigma, self.basis, self.slots) == (other.sigma, other.basis, other.slots)
+        return self.slots == other.slots
 
 
 def symmetrize(tuples: dict[tuple, ExtForm]) -> dict[tuple, ExtForm]:
@@ -117,10 +116,10 @@ def is_symmetric(tuples: dict[tuple, ExtForm]) -> bool:
     return all(form == tuples[tuple(sorted(idx))] for idx, form in tuples.items())
 
 
-def tuple_to_slots(tuples: dict[tuple, ExtForm], basis: str) -> SpinorField:
+def tuple_to_slots(tuples: dict[tuple, ExtForm], ascending: bool) -> SpinorField:
     """Convert a symmetric tuple field to slot form.
 
-    Descending basis: slot a is the component with a ones.  Ascending basis:
+    Descending basis: slot a is the component with a ones.  ``ascending``:
     slot a additionally carries the multiplicity binom(sigma, a) coming from
     expanding the symmetric monomials.
     """
@@ -130,10 +129,10 @@ def tuple_to_slots(tuples: dict[tuple, ExtForm], basis: str) -> SpinorField:
     slots = []
     for a in range(s + 1):
         form = tuples[(0,) * (s - a) + (1,) * a]
-        if basis == "tilde":
+        if ascending:
             form = form.scale(comb(s, a))
         slots.append(form)
-    return SpinorField(s, basis, slots)
+    return SpinorField(slots)
 
 
 class LevelTable(Immutable):
@@ -171,16 +170,13 @@ class LevelTable(Immutable):
         self._check_level(j)
         return j if j <= self.k else j + 1
 
-    def basis_tag(self, j: int) -> str:
-        return "S" if j <= self.k else "tilde"
-
     def shape(self, j: int):
-        """(sigma, form degree, basis) of level j."""
-        return self.sigma(j), self.tau(j), self.basis_tag(j)
+        """(sigma, form degree) of level j: tau increases, so the pair names j."""
+        return self.sigma(j), self.tau(j)
 
     def basis(self, j: int) -> list:
         """Enumerated (slot, index-tuple) basis of level j."""
-        s, d, _ = self.shape(j)
+        s, d = self.shape(j)
         return [(a, idx) for a in range(s + 1) for idx in combinations(range(self.form_dim), d)]
 
     @lru_cache(maxsize=None)
@@ -207,7 +203,7 @@ class LevelTable(Immutable):
                                           in enumerate(self.basis(j + 1))})
 
     def level_dim(self, j: int) -> int:
-        s, d, _ = self.shape(j)
+        s, d = self.shape(j)
         return (s + 1) * comb(self.form_dim, d)
 
     def _check_level(self, j: int):
@@ -219,12 +215,9 @@ class LevelTable(Immutable):
             raise ValueError(f"operator level {j} out of range 0..{self.top_level - 1}")
 
     def check_field(self, field: SpinorField, shape, what: str, j: int):
-        """Raise unless ``field`` has ``shape`` (sigma, degree, basis)."""
-        sigma, degree, basis = shape
-        if (field.sigma, field.degree) != (sigma, degree):
+        """Raise unless ``field`` has ``shape`` (sigma, degree) and dim ``form_dim``."""
+        if (field.sigma, field.degree) != shape:
             raise ValueError(f"{what} shape {(field.sigma, field.degree)} does not match"
-                             f" level {j}: {(sigma, degree)}")
+                             f" level {j}: {shape}")
         if field.dim != self.form_dim:
             raise ValueError(f"{what} dimension {field.dim} does not match {self.form_dim}")
-        if field.sigma > 0 and field.basis != basis:
-            raise ValueError(f"{what} basis must be {basis} at level {j}")

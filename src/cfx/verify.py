@@ -35,8 +35,7 @@ def flat_composition_suite(n: int, k: int, trials: int, seed: int,
     spec = ComplexSpec(n, k)
 
     def passes(g, j):
-        s, d, basis = spec.shape(j)
-        fld = g.slot_field(s, basis, spec.form_dim, d, spec.vars, poly_degree=degree)
+        fld = g.slot_field(spec.shape(j), spec.form_dim, spec.vars, poly_degree=degree)
         return flat_D(spec, j + 1, flat_D(spec, j, fld)).is_zero()
 
     return _level_loop("flat-composition", {"n": n, "k": k, "trials": trials, "degree": degree},
@@ -49,11 +48,11 @@ def flat_tuple_equivalence_suite(n: int, k: int, trials: int, seed: int,
     spec = ComplexSpec(n, k)
 
     def passes(g, j):
-        s, d, _ = spec.shape(j)
+        s, d = spec.shape(j)
         tup = g.tuple_field(s, spec.form_dim, d, spec.vars, poly_degree=degree)
         via_tuple = flat_D_tuple(spec, j, tup)
-        via_slots = flat_D(spec, j, tuple_to_slots(tup, spec.basis_tag(j)))
-        return tuple_to_slots(via_tuple, spec.basis_tag(j + 1)) == via_slots
+        via_slots = flat_D(spec, j, tuple_to_slots(tup, j > spec.k))
+        return tuple_to_slots(via_tuple, j + 1 > spec.k) == via_slots
 
     return _level_loop("flat-tuple-equivalence",
                        {"n": n, "k": k, "trials": trials, "degree": degree}, seed,
@@ -64,11 +63,11 @@ def random_boundary_field(gen: SectionGenerator, spec: BoundarySpec,
                           frame: TangentFrame, j: int,
                           degree: int = 2) -> BoundaryField:
     """A level-j pair of random slot fields, the lead drawn first; no companion at level 0."""
-    def draw(sigma, d, basis):
-        return gen.slot_field(sigma, basis, spec.form_dim, d, frame.vars, poly_degree=degree)
+    def draw(shape):
+        return gen.slot_field(shape, spec.form_dim, frame.vars, poly_degree=degree)
 
     cshape = spec.companion_shape(j)
-    return BoundaryField(spec, j, draw(*spec.shape(j)), None if cshape is None else draw(*cshape))
+    return BoundaryField(spec, j, draw(spec.shape(j)), None if cshape is None else draw(cshape))
 
 
 def boundary_composition_suite(group: GroupSpec, k: int, trials: int, seed: int,
@@ -97,8 +96,7 @@ def subcomplex_suite(group: GroupSpec, k: int, trials: int, seed: int,
     spec = BoundarySpec(group.n, k)
 
     def passes(g, j):
-        s, d, basis = spec.shape(j)
-        lead = g.slot_field(s, basis, spec.form_dim, d, frame.vars, poly_degree=degree)
+        lead = g.slot_field(spec.shape(j), spec.form_dim, frame.vars, poly_degree=degree)
         return subcomplex_D(frame, spec, j + 1, subcomplex_D(frame, spec, j, lead)).is_zero()
 
     return _level_loop("subcomplex-composition",

@@ -54,8 +54,8 @@ from test_spinor import zero_spinor_field
 
 def zero_field(spec: BoundarySpec, j: int, frame: TangentFrame) -> BoundaryField:
     """The zero level-j field: a zero lead and no companion given."""
-    s, d, basis = spec.shape(j)
-    return BoundaryField(spec, j, zero_spinor_field(s, basis, spec.form_dim, d, frame.vars), None)
+    lead = zero_spinor_field(spec.shape(j), spec.form_dim, frame.vars)
+    return BoundaryField(spec, j, lead, None)
 
 
 def lowered_translations(frame: TangentFrame) -> list:
@@ -513,28 +513,28 @@ def test_general_polynomial_defining_function():
 
 def test_level_shapes():
     spec = BoundarySpec(2, 1)
-    assert spec.shape(0) == (1, 0, "S")
+    assert spec.shape(0) == (1, 0)
     assert spec.companion_shape(0) is None
-    assert spec.shape(1) == (0, 1, "S")
-    assert spec.companion_shape(1) == (0, 1, "S")
-    assert spec.shape(2) == (0, 3, "tilde")
-    assert spec.companion_shape(2) == (1, 2, "tilde")
-    assert spec.shape(3) == (1, 4, "tilde")
-    assert spec.companion_shape(3) == (2, 3, "tilde")
+    assert spec.shape(1) == (0, 1)
+    assert spec.companion_shape(1) == (0, 1)
+    assert spec.shape(2) == (0, 3)
+    assert spec.companion_shape(2) == (1, 2)
+    assert spec.shape(3) == (1, 4)
+    assert spec.companion_shape(3) == (2, 3)
     spec22 = BoundarySpec(2, 2)
-    assert spec22.shape(1) == (1, 1, "S")
-    assert spec22.companion_shape(1) == (0, 0, "S")
-    assert spec22.companion_shape(2) == (0, 2, "S")
+    assert spec22.shape(1) == (1, 1)
+    assert spec22.companion_shape(1) == (0, 0)
+    assert spec22.companion_shape(2) == (0, 2)
 
 
 def _explicit_shapes(k, j):
     """The per-branch lead and companion shapes written out before the shared level table."""
-    lead = (k - j, j, "S") if j <= k else (j - k - 1, j + 1, "tilde")
+    lead = (k - j, j) if j <= k else (j - k - 1, j + 1)
     if j == 0:
         return lead, None
     if j <= k:
-        return lead, ((0, k, "S") if j == k else (k - j - 1, j - 1, "S"))
-    return lead, (j - k, j, "tilde")
+        return lead, ((0, k) if j == k else (k - j - 1, j - 1))
+    return lead, (j - k, j)
 
 
 def test_level_table_matches_explicit_shapes():
@@ -556,11 +556,10 @@ def test_operator_output_lands_in_next_level(right2):
         fld = random_boundary_field(gen.spawn(j), spec, right2, j)
         out = boundary_D(right2, fld)
         assert out.level == j + 1
-        s, d, _ = spec.shape(j + 1)
-        assert (out.lead.sigma, out.lead.degree) == (s, d)
+        assert (out.lead.sigma, out.lead.degree) == spec.shape(j + 1)
         cshape = spec.companion_shape(j + 1)
         if cshape is not None:
-            assert (out.companion.sigma, out.companion.degree) == cshape[:2]
+            assert (out.companion.sigma, out.companion.degree) == cshape
 
 
 def test_middle_branch_first_component(right2, left2):
@@ -570,8 +569,8 @@ def test_middle_branch_first_component(right2, left2):
     gen = SectionGenerator(9, degree=2)
     for frame in (right2, left2):
         F1 = gen.form(4, 1, frame.vars, poly_degree=2)
-        fld = BoundaryField(spec, 1, SpinorField(0, "S", [F1]),
-                            SpinorField(0, "S", [ExtForm.zero(frame.dim, 1, frame.vars)]))
+        fld = BoundaryField(spec, 1, SpinorField([F1]),
+                            SpinorField([ExtForm.zero(frame.dim, 1, frame.vars)]))
         out = boundary_D(frame, fld)
         manual = frak_d(0, frak_d(1, F1, frame), frame) - frame.E0.wedge(
             frame.T_upper[(1, 0)].apply(F1))
@@ -584,7 +583,7 @@ def test_right_type_curvature_coupling_vanishes(right2):
     # curvature part is absent so the lead output is the projected operator
     spec = BoundarySpec(2, 2)
     gen = SectionGenerator(10, degree=2)
-    lead = gen.slot_field(2, "S", 4, 0, right2.vars, poly_degree=2)
+    lead = gen.slot_field((2, 0), 4, right2.vars, poly_degree=2)
     fld = BoundaryField(spec, 0, lead, None)
     out = boundary_D(right2, fld)
     projected = subcomplex_D(right2, spec, 0, lead)
@@ -663,8 +662,8 @@ def _ref_below(frame: TangentFrame, fld: BoundaryField) -> BoundaryField:
         if has_comp:
             term = term - (frak_d(0, G(c), frame) + frak_d(1, G(c + 1), frame))
         out_comp.append(term)
-    lead = SpinorField(spec.sigma(j + 1), "S", out_lead)
-    comp = SpinorField(spec.sigma(j + 2), "S", out_comp)
+    lead = SpinorField(out_lead)
+    comp = SpinorField(out_comp)
     return BoundaryField(spec, j + 1, lead, comp)
 
 
@@ -688,8 +687,8 @@ def _ref_middle_in(frame: TangentFrame, fld: BoundaryField) -> BoundaryField:
         for bp in (0, 1):
             lowered = T_lower[bp][ap].apply(fld.lead.slots[ap])
             out_comp = out_comp - frak_d(bp, lowered, frame)
-    lead = SpinorField(0, "S", [out_lead])
-    comp = SpinorField(0, "S", [out_comp])
+    lead = SpinorField([out_lead])
+    comp = SpinorField([out_comp])
     return BoundaryField(spec, j + 1, lead, comp)
 
 
@@ -713,8 +712,8 @@ def _ref_middle_out(frame: TangentFrame, fld: BoundaryField) -> BoundaryField:
 
     # pair (h_0, h_1) with a lowered free index corresponds to ascending
     # slots (-h_1, +h_0)
-    out_comp = SpinorField(1, "tilde", [-h(1), h(0)])
-    lead = SpinorField(0, "tilde", [out_lead])
+    out_comp = SpinorField([-h(1), h(0)])
+    lead = SpinorField([out_lead])
     return BoundaryField(spec, j + 1, lead, out_comp)
 
 
@@ -734,8 +733,8 @@ def _ref_above(frame: TangentFrame, fld: BoundaryField) -> BoundaryField:
         term = term - (_ref_apply_T(frame, (0, 1), f(c - 1)) + _ref_apply_T(frame, (1, 0), f(c - 1)))
         term = term - _ref_apply_T(frame, (1, 1), f(c - 2))
         out_comp.append(term)
-    lead = SpinorField(spec.sigma(j + 1), "tilde", out_lead)
-    comp = SpinorField(spec.sigma(j + 2), "tilde", out_comp)
+    lead = SpinorField(out_lead)
+    comp = SpinorField(out_comp)
     return BoundaryField(spec, j + 1, lead, comp)
 
 
@@ -785,10 +784,9 @@ def test_boundary_blocks_compose_to_zero(name, right2, left2):
         spec = BoundarySpec(frame.n, k)
         for j in range(spec.top_level - 1):
             fld = random_boundary_field(gen.spawn(10 * k + j), spec, frame, j, degree=3)
-            s, d, basis = spec.shape(j)
             cases = {"lead-only": BoundaryField(spec, j, fld.lead, None)}
             if fld.companion is not None:
-                zero_lead = zero_spinor_field(s, basis, spec.form_dim, d, frame.vars)
+                zero_lead = zero_spinor_field(spec.shape(j), spec.form_dim, frame.vars)
                 cases["companion-only"] = BoundaryField(spec, j, zero_lead, fld.companion)
             for what, case in cases.items():
                 out = boundary_D(frame, boundary_D(frame, case))
@@ -869,23 +867,20 @@ def test_missing_companion_equals_the_zero_companion(right2):
     # shape, so both ways of writing a lead-only field compare equal
     spec = BoundarySpec(2, 1)
     gen = SectionGenerator(41, degree=2)
-    s, d, basis = spec.shape(1)
-    lead = gen.slot_field(s, basis, spec.form_dim, d, right2.vars, poly_degree=2)
-    cs, cd, cbasis = spec.companion_shape(1)
-    zero = zero_spinor_field(cs, cbasis, spec.form_dim, cd, right2.vars)
+    lead = gen.slot_field(spec.shape(1), spec.form_dim, right2.vars, poly_degree=2)
+    zero = zero_spinor_field(spec.companion_shape(1), spec.form_dim, right2.vars)
     assert BoundaryField(spec, 1, lead, None) == BoundaryField(spec, 1, lead, zero)
     assert BoundaryField(spec, 1, lead, None).companion == zero
     # level 0 has no companion slot: a zero companion is not kept
-    s, d, basis = spec.shape(0)
-    lead = gen.slot_field(s, basis, spec.form_dim, d, right2.vars, poly_degree=2)
-    dropped = BoundaryField(spec, 0, lead, zero_spinor_field(0, "S", spec.form_dim, 0, right2.vars))
+    lead = gen.slot_field(spec.shape(0), spec.form_dim, right2.vars, poly_degree=2)
+    dropped = BoundaryField(spec, 0, lead, zero_spinor_field((0, 0), spec.form_dim, right2.vars))
     assert dropped.companion is None
     assert dropped == BoundaryField(spec, 0, lead, None)
 
 
 def test_field_shape_mismatch(right2):
     spec = BoundarySpec(2, 1)
-    bad_lead = SpinorField(0, "S", [ExtForm.zero(right2.dim, 2, right2.vars)])
+    bad_lead = SpinorField([ExtForm.zero(right2.dim, 2, right2.vars)])
     with pytest.raises(ValueError, match="lead shape"):
         BoundaryField(spec, 1, bad_lead, None)
 
@@ -1212,7 +1207,7 @@ def test_hodge_diagonal(n, k, right2):
 def test_hodge_diag_example_slots():
     # degenerate but exact: first-degree slots are annihilated
     slots = [Poly.var(RIGHT1.vars, "x1"), Poly.var(RIGHT1.vars, "x3")]
-    out = lead_first_adjoint_compose(RIGHT1, 1, slots)
+    out = lead_first_adjoint_compose(RIGHT1, slots)
     for a, p in enumerate(out):
         assert (p - sub_laplacian(RIGHT1, slots[a])).is_zero()
 
@@ -1221,13 +1216,13 @@ def test_hodge_middle_weight_two():
     # a quadratic middle slot picks up the doubled operator
     gen = SectionGenerator(71)
     slots = [Poly.zero(RIGHT1.vars), gen.poly(RIGHT1.vars), Poly.zero(RIGHT1.vars)]
-    out = lead_first_adjoint_compose(RIGHT1, 2, slots)
+    out = lead_first_adjoint_compose(RIGHT1, slots)
     assert (out[1] - sub_laplacian(RIGHT1, slots[1]).scale(2)).is_zero()
 
 
 def test_hodge_constants_vanish():
     slots = [Poly.const(RIGHT1.vars, 3), Poly.const(RIGHT1.vars, -2)]
-    out = lead_first_adjoint_compose(RIGHT1, 1, slots)
+    out = lead_first_adjoint_compose(RIGHT1, slots)
     assert all(p.is_zero() for p in out)
 
 
@@ -1269,15 +1264,15 @@ def test_level_zero_subcomplex_D_matches_the_written_out_operator(name, n):
     gen = SectionGenerator(90 + n, degree=3)
     for k in (1, 2, 3):
         slots = [gen.spawn(10 * k + a).poly(frame.vars) for a in range(k + 1)]
-        lead = SpinorField(k, "S", [ExtForm.from_scalar(frame.dim, p) for p in slots])
+        lead = SpinorField([ExtForm.from_scalar(frame.dim, p) for p in slots])
         image = subcomplex_D(frame, BoundarySpec(n, k), 0, lead)
         table = lead_first_operator(frame, k, slots)
-        assert (image.sigma, image.basis, image.degree) == (k - 1, "S", 1)
+        assert (image.sigma, image.degree) == (k - 1, 1)
         for b in range(k):
             want = ExtForm(frame.dim, 1, frame.vars,
                            {(row,): table[row, b] for row in range(frame.dim)})
             assert image.slots[b] == want
-        assert lead_first_adjoint_compose(frame, k, slots) == \
+        assert lead_first_adjoint_compose(frame, slots) == \
             reference_adjoint_compose(frame, k, slots)
 
 
@@ -1286,9 +1281,9 @@ def test_hodge_diag_reads_D0_from_subcomplex_D(monkeypatch):
     # the diagonal identity must fail
     original = boundary._slot_combination
 
-    def without_d1(frame, rule, slot, shape):
+    def without_d1(frame, rule, slot):
         return original(frame, [[(a, path) for a, path in terms if path != (1,)]
-                                for terms in rule], slot, shape)
+                                for terms in rule], slot)
 
     for k in (1, 2):
         assert hodge_diag(BoundarySpec(1, k), RIGHT1, trials=2, seed=3)["pass"]
@@ -1313,14 +1308,24 @@ def test_hodge_requires_right_type(left2):
      ValueError, "primed index must be 0 or 1"),
     (lambda f: frak_d(0, ExtForm.zero(f.dim, 0, ("y",)), f),
      ValueError, r"^variable tables differ: \('y',\) vs \('x1', "),
-    (lambda f: BoundaryField(BoundarySpec(2, 1), 0, zero_spinor_field(1, "S", 4, 0, f.vars),
-                             SpinorField(0, "S", [ExtForm.from_scalar(4, Poly.const(f.vars, 1))])),
+    (lambda f: frak_d(0, Poly.const(f.vars, 1), f),
+     TypeError, "^frak_d takes an ExtForm, not Poly$"),
+    (lambda f: BoundaryField(BoundarySpec(2, 1), 0, zero_spinor_field((1, 0), 4, f.vars),
+                             SpinorField([ExtForm.from_scalar(4, Poly.const(f.vars, 1))])),
      ValueError, "level 0 has no companion slot"),
-    (lambda f: lead_first_adjoint_compose(f, 1, [Poly.zero(f.vars)]),
-     ValueError, "need 2 slot functions"),
+    (lambda f: subcomplex_D(f, BoundarySpec(2, 2), 0, zero_spinor_field((0, 0), 4, f.vars)),
+     ValueError, r"^field shape \(0, 0\) does not match level 0: \(2, 0\)$"),
+    (lambda f: subcomplex_D(RIGHT1, BoundarySpec(1, 2), 0,
+                            zero_spinor_field((0, 0), 2, RIGHT1.vars)),
+     ValueError, r"^field shape \(0, 0\) does not match level 0: \(2, 0\)$"),
+    (lambda f: subcomplex_D(ComplexSpec(1, 2).frame, ComplexSpec(1, 2), 0,
+                            zero_spinor_field((0, 0), 4, ComplexSpec(1, 2).vars)),
+     ValueError, r"^field shape \(0, 0\) does not match level 0: \(2, 0\)$"),
+    (lambda f: hodge_diag(BoundarySpec(1, 1), f, trials=1, seed=1),
+     ValueError, "^spec n = 1 does not match the frame's n = 2$"),
     (lambda f: BoundarySpec(2.0, 1), TypeError, "n must be an int, not 2.0"),
-], ids=["frame-size", "primed-index", "frame-vars", "level-0-companion", "slot-count",
-        "float-n"])
+], ids=["frame-size", "primed-index", "frame-vars", "frak-d-kind", "level-0-companion",
+        "lead-slot-count", "lead-slot-count-n1", "flat-lead-slot-count", "hodge-n", "float-n"])
 def test_boundary_errors_name_their_fault(right2, call, error, message):
     with pytest.raises(error, match=message):
         call(right2)

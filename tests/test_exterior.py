@@ -453,4 +453,7 @@ def test_a_form_combines_only_with_a_form():
     for combine in (lambda: f + p, lambda: p + f, lambda: f - p, lambda: f + 1):
         with pytest.raises(TypeError, match="unsupported operand"):
             combine()
+    # wedge makes its own kind test (it read a Poly's missing dim)
+    with pytest.raises(TypeError, match="^wedge takes an ExtForm, not Poly$"):
+        f.wedge(p)
     assert f + ExtForm.from_scalar(2, p) == ExtForm.from_scalar(2, p)

@@ -173,7 +173,7 @@ def test_middle_operator_on_square():
     from cfx.spinor import SpinorField
     spec = ComplexSpec(1, 0)
     u = Poly.var(V8, "x1") * Poly.var(V8, "x1")
-    fld = SpinorField(0, "S", [ExtForm.from_scalar(4, u)])
+    fld = SpinorField([ExtForm.from_scalar(4, u)])
     out = flat_D(spec, 0, fld)
     oracle = oracle_d_upper(0, oracle_d_upper(1, ExtForm.from_scalar(4, u)))
     assert (out.slots[0] - oracle).is_zero()
@@ -183,7 +183,7 @@ def test_middle_operator_on_square():
 def test_shape_after_middle_level():
     spec = ComplexSpec(1, 1)
     gen = SectionGenerator(5)
-    fld = gen.slot_field(0, "S", 4, 1, V8)
+    fld = gen.slot_field((0, 1), 4, V8)
     out = flat_D(spec, 1, fld)
     assert out.sigma == spec.sigma(2) and out.degree == spec.tau(2)
 
@@ -209,9 +209,9 @@ def test_tuple_equivalence_catches_a_dropped_binomial_weight(monkeypatch):
 
     assert flat_tuple_equivalence_suite(2, 1, trials=2, seed=1, degree=2).passed
 
-    def unweighted(tuples, basis):
+    def unweighted(tuples, ascending):
         s = len(next(iter(tuples)))
-        return SpinorField(s, basis, [tuples[(0,) * (s - a) + (1,) * a] for a in range(s + 1)])
+        return SpinorField([tuples[(0,) * (s - a) + (1,) * a] for a in range(s + 1)])
 
     monkeypatch.setattr(verify, "tuple_to_slots", unweighted)
     report = flat_tuple_equivalence_suite(2, 1, trials=2, seed=1, degree=2)
@@ -256,7 +256,7 @@ def test_tuple_output_is_symmetric():
 def test_flat_D_rejects_bad_level():
     spec = ComplexSpec(1, 1)
     with pytest.raises(ValueError, match="out of range"):
-        flat_D(spec, 3, zero_spinor_field(1, "tilde", 4, 4, V8))
+        flat_D(spec, 3, zero_spinor_field((1, 4), 4, V8))
 
 
 def test_closed_sections_are_harmonic():
@@ -270,7 +270,7 @@ def test_closed_sections_are_harmonic():
         fld_slots = [ExtForm.zero(4, 0, V8), ExtForm.zero(4, 0, V8)]
         fld_slots[slot] = ExtForm.from_scalar(4, Poly.monomial(V8, mono, 1))
         from cfx.spinor import SpinorField
-        out = flat_D(spec, 0, SpinorField(1, "S", fld_slots))
+        out = flat_D(spec, 0, SpinorField(fld_slots))
         image = out.slots[0]
         for idx, coeff in image.comps.items():
             for expo, c in terms(coeff).items():

@@ -6,6 +6,7 @@ it loads, and the load-time graph is the whole import graph.
 """
 
 import ast
+import inspect
 import re
 import sys
 from fractions import Fraction
@@ -20,6 +21,14 @@ MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 def _tree(path: Path) -> ast.Module:
     return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def _docstring_ids(tree: ast.Module) -> set:
+    """The ids of the docstring constants of ``tree``'s module, classes and functions."""
+    return {id(node.body[0].value) for node in ast.walk(tree)
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
+            and node.body and isinstance(node.body[0], ast.Expr)
+            and isinstance(node.body[0].value, ast.Constant)}
 
 
 def _module_imports(tree: ast.Module):
@@ -342,22 +351,33 @@ def test_scalars_have_one_layout():
 
 
 def test_spinor_fields_have_one_layout():
-    # a SpinorField holds slots only; the symmetric-tuple realization is a
-    # plain dict {primed multi-index: ExtForm}, so no module tags a field "tuple"
+    # a SpinorField is its slots; the symmetric-tuple realization is a plain
+    # dict {primed multi-index: ExtForm}, so no module tags a field "tuple".
+    # A level's shape, and with it its basis, lives in spinor.LevelTable
+    # alone, so no field or table carries a basis tag: "tilde" names the
+    # ascending basis only in docstrings
     from cfx.exterior import ExtForm
     from cfx.poly import x_vars
-    from cfx.spinor import SpinorField
+    from cfx.spinor import LevelTable, SpinorField
 
     tagged = [f"{path.name} (line {node.lineno})" for path in [*MODULES, PACKAGE / "__init__.py"]
               for node in ast.walk(_tree(path))
               if isinstance(node, ast.Constant) and node.value == "tuple"]
     assert not tagged, f"the string constant 'tuple' in {tagged}"
-    assert "tuples" not in SpinorField.__slots__
+    tilde = []
+    for path in [*MODULES, PACKAGE / "__init__.py"]:
+        tree = _tree(path)
+        docstrings = _docstring_ids(tree)
+        tilde += [f"{path.name} (line {node.lineno})" for node in ast.walk(tree)
+                  if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                  and "tilde" in node.value and id(node) not in docstrings]
+    assert not tilde, f"a basis tag 'tilde' outside docstrings in {tilde}"
+    assert not {"tuples", "basis"} & set(SpinorField.__slots__)
+    assert list(inspect.signature(SpinorField.__init__).parameters) == ["self", "slots"]
+    assert not hasattr(LevelTable, "basis_tag")
     zero = ExtForm.zero(2, 0, x_vars(2))
-    with pytest.raises(ValueError, match="unknown basis tag"):
-        SpinorField(1, "tuple", [zero, zero])
     with pytest.raises(TypeError):
-        SpinorField(0, "S", [zero], dim=2)
+        SpinorField([zero], dim=2)
 
 
 # exponent-tuple arithmetic: a monomial product, a lowered variable or a
@@ -678,7 +698,7 @@ def test_a_coefficient_on_another_table_is_refused_with_one_message():
         "FirstOrderOp.commutator": (lambda: op.commutator(op2), table),
         "CutoffJet.apply_op": (lambda: jet.apply_op(op2), table),
         "integrate_jets": (lambda: integrate_jets(*box, [[(jet, Poly.zero(other))]]), table),
-        "SpinorField": (lambda: SpinorField(1, "S", [form, form2]), table),
+        "SpinorField": (lambda: SpinorField([form, form2]), table),
     }
     messages = {}
     for site, (call, first) in sites.items():
@@ -744,10 +764,7 @@ def test_operand_rules_have_one_home():
     vars_sites, dim_sites, message_sites = set(), set(), set()
     for path in MODULES:
         tree = _tree(path)
-        docstrings = {id(node.body[0].value) for node in ast.walk(tree)
-                      if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
-                      and node.body and isinstance(node.body[0], ast.Expr)
-                      and isinstance(node.body[0].value, ast.Constant)}
+        docstrings = _docstring_ids(tree)
         for owner, node in _owned_nodes(tree):
             if isinstance(node, ast.Compare):
                 if _compared_attributes(node, "vars"):
@@ -989,7 +1006,7 @@ def test_sections_and_frames_are_built_on_ints(monkeypatch):
     V = x_vars(8)
     for t in range(20):
         g = gen.spawn(t)
-        assert not g.slot_field(2, "S", 4, 1, V).is_zero()
+        assert not g.slot_field((2, 1), 4, V).is_zero()
         assert not all(form.is_zero() for form in g.tuple_field(2, 4, 2, V).values())
         assert total_degree(g.psh_quadratic(group_vars(2), 8)) == 2
     for group in groups:

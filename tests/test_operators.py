@@ -270,7 +270,12 @@ def test_algebra_rejects_another_variable_table():
     (lambda: FirstOrderOp.partial(x_vars(2), "t1"), KeyError, "unknown variable 't1'"),
     (lambda: FirstOrderOp.partial(x_vars(2), "x1", 0.5), TypeError,
      r"a scalar is an int, a Fraction or an \(re, im\) pair of them, not 0.5"),
-], ids=["unknown-variable", "unknown-partial", "float-coefficient"])
+    (lambda: FirstOrderOp.partial(x_vars(2), "x1").apply(1), TypeError,
+     "^apply takes a Poly or an ExtForm, not int$"),
+    (lambda: FirstOrderOp.partial(x_vars(2), "x1").apply(FirstOrderOp.partial(x_vars(2), "x2")),
+     TypeError, "^apply takes a Poly or an ExtForm, not FirstOrderOp$"),
+], ids=["unknown-variable", "unknown-partial", "float-coefficient", "apply-int",
+        "apply-operator"])
 def test_operator_errors_name_their_fault(call, error, message):
     with pytest.raises(error, match=message):
         call()

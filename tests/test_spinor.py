@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cfx.boundary import BoundarySpec
+from cfx.cli import MAX_N
 from cfx.exterior import ExtForm
 from cfx.flat import ComplexSpec
 from cfx.poly import Poly, x_vars
@@ -18,9 +19,10 @@ from test_exterior import basis_form
 V = x_vars(4)
 
 
-def zero_spinor_field(sigma, basis, dim, degree, variables) -> SpinorField:
-    """The zero slot field of one shape."""
-    return SpinorField(sigma, basis, [ExtForm.zero(dim, degree, variables)] * (sigma + 1))
+def zero_spinor_field(shape, dim, variables) -> SpinorField:
+    """The zero slot field of a level's ``shape`` (sigma, form degree)."""
+    sigma, degree = shape
+    return SpinorField([ExtForm.zero(dim, degree, variables)] * (sigma + 1))
 
 
 # -- references: the pairing tables, the slot conventions and the tuple basis --------------
@@ -79,14 +81,14 @@ def tilde_basis_multiply(a: int, sigma: int, aprime: int):
     return (a + aprime, sigma + 1)
 
 
-def slots_to_tuple(field: SpinorField) -> dict:
+def slots_to_tuple(field: SpinorField, ascending: bool) -> dict:
     """Inverse of :func:`tuple_to_slots`: the dict {primed multi-index: ExtForm}."""
     s = field.sigma
     comps = {}
     for idx in product((0, 1), repeat=s):
         a = sum(idx)
         form = field.slots[a]
-        if field.basis == "tilde":
+        if ascending:
             form = form.scale(Fraction(1, comb(s, a)))
         comps[idx] = form
     return comps
@@ -237,28 +239,27 @@ def test_is_symmetric_matches_arithmetic_reference(s):
 
 def test_tuple_slot_roundtrip_descending():
     comps = {idx: scalar(sum(idx) + 1) for idx in product((0, 1), repeat=2)}
-    slots = tuple_to_slots(comps, "S")
+    slots = tuple_to_slots(comps, False)
     assert slots.slots[1] == scalar(2)
-    assert slots_to_tuple(slots) == comps
+    assert slots_to_tuple(slots, False) == comps
 
 
 def test_tuple_slot_roundtrip_ascending_binomial():
     comps = {idx: scalar(1) for idx in product((0, 1), repeat=2)}
-    slots = tuple_to_slots(comps, "tilde")
+    slots = tuple_to_slots(comps, True)
     # middle slot carries multiplicity binom(2,1) = 2
     assert slots.slots[1] == scalar(2)
-    assert slots_to_tuple(slots) == comps
+    assert slots_to_tuple(slots, True) == comps
 
 
 def test_multiply_then_convert_consistency():
     # multiplying in the ascending basis then converting agrees with
     # converting first and acting on the symmetric tuple
     comps = {(0,): scalar(2), (1,): scalar(5)}
-    tilde = tuple_to_slots(comps, "tilde")
+    tilde = tuple_to_slots(comps, True)
     # multiply by the 0-indexed coordinate: slots shift per the ascending rule
-    lifted = SpinorField(2, "tilde", [tilde.slots[0], tilde.slots[1],
-                                      ExtForm.zero(2, 0, V)])
-    lifted_tuple = slots_to_tuple(lifted)
+    lifted = SpinorField([tilde.slots[0], tilde.slots[1], ExtForm.zero(2, 0, V)])
+    lifted_tuple = slots_to_tuple(lifted, True)
     # direct symmetric product: (s0 * f)_{AB} = symmetrize of f with a 0 slot
     expect = {}
     for idx in product((0, 1), repeat=2):
@@ -278,45 +279,36 @@ def _zero(degree=0, dim=4):
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda: SpinorField(1, "S", [_zero(0), _zero(1)]),
+    (lambda: SpinorField([_zero(0), _zero(1)]),
      "^degree mismatch: 0 vs 1$"),
-    (lambda: SpinorField(0, "S", [_zero()]) + SpinorField(1, "S", [_zero()] * 2),
+    (lambda: SpinorField([]), "^a spinor field needs at least one slot$"),
+    (lambda: SpinorField([_zero()]) + SpinorField([_zero()] * 2),
      "spinor shape mismatch"),
     (lambda: tuple_to_slots({(0, 0): _zero(), (0, 1): scalar(1), (1, 0): scalar(2),
-                             (1, 1): _zero()}, "S"), "tuple field is not symmetric"),
-    (lambda: ComplexSpec(1, 1).check_field(zero_spinor_field(1, "S", 2, 0, V), (1, 0, "S"),
+                             (1, 1): _zero()}, False), "tuple field is not symmetric"),
+    (lambda: ComplexSpec(1, 1).check_field(zero_spinor_field((1, 0), 2, V), (1, 0),
                                            "field", 0),
      "field dimension 2 does not match 4"),
-    (lambda: ComplexSpec(1, 1).check_field(zero_spinor_field(1, "S", 4, 4, V), (1, 4, "tilde"),
-                                           "field", 3),
-     "field basis must be tilde at level 3"),
-], ids=["slot-shapes", "sum-shapes", "asymmetric-tuple", "field-dim", "field-basis"])
+], ids=["slot-shapes", "no-slots", "sum-shapes", "asymmetric-tuple", "field-dim"])
 def test_spinor_errors_name_their_fault(call, message):
     with pytest.raises(ValueError, match=message):
         call()
 
 
 def test_a_slot_field_equals_no_other_kind():
-    field = SpinorField(0, "S", [_zero()])
+    field = SpinorField([_zero()])
     assert field.__eq__(_zero()) is NotImplemented and field != _zero()
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda: SpinorField(1.0, "S", [_zero()] * 2), "sigma must be an int, not 1.0"),
-    (lambda: SpinorField(False, "S", [_zero()]), "sigma must be an int, not False"),
     (lambda: ComplexSpec(1.0, 1), "n must be an int, not 1.0"),
     (lambda: ComplexSpec(1, 1.5), "k must be an int, not 1.5"),
     (lambda: ComplexSpec(0, 1.5), "k must be an int, not 1.5"),
-], ids=["float-sigma", "bool-sigma", "float-n", "float-k", "float-k-with-bad-n"])
+], ids=["float-n", "float-k", "float-k-with-bad-n"])
 def test_a_level_size_that_is_not_an_int_is_refused(call, message):
     # ComplexSpec(1.0, 1) was accepted with form_dim 4.0
     with pytest.raises(TypeError, match=message):
         call()
-
-
-def test_slot_field_shape_validation():
-    with pytest.raises(ValueError, match="need 3 slots"):
-        SpinorField(2, "S", [scalar(1)])
 
 
 @pytest.mark.parametrize("spec_type, past_top", [(ComplexSpec, 0), (BoundarySpec, 1)],
@@ -324,12 +316,21 @@ def test_slot_field_shape_validation():
 def test_every_slot_rule_entry_names_a_slot_in_range(spec_type, past_top):
     # the operators index a field's slots by the rule with no range test:
     # slot_rule(j) lists only input slots 0..sigma(j) and one entry per slot
-    # of level j + 1.  The boundary companion step reads slot_rule(j + 1), so
-    # a BoundarySpec is checked one level past its last operator level
-    for n in (1, 2, 3):
+    # of level j + 1, and boundary._sums adds each entry's forms with no zero
+    # for an empty one.  The boundary companion step reads slot_rule(j + 1),
+    # so a BoundarySpec is checked one level past its last operator level,
+    # and at each of its operator levels so is each translation list that
+    # boundary_D builds from rules j and j + 1
+    for n in range(1, MAX_N + 1):
         for k in range(13):
             spec = spec_type(n, k)
             for j in range(spec.top_level + past_top):
                 rule = spec.slot_rule(j)
                 assert len(rule) == spec.sigma(j + 1) + 1, (n, k, j)
+                assert all(terms for terms in rule), (n, k, j)
                 assert all(0 <= a <= spec.sigma(j) for terms in rule for a, _ in terms), (n, k, j)
+            if spec_type is BoundarySpec:
+                for j in range(spec.top_level):
+                    inner, outer = spec.slot_rule(j), spec.slot_rule(j + 1)
+                    lists = [[a for m, _ in terms for a, _ in inner[m]] for terms in outer]
+                    assert all(lists), (n, k, j)

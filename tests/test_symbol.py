@@ -60,7 +60,7 @@ def reference_symbol(spec, j, v):
     w0, w1 = forms
 
     def basis(level):
-        s, d, _ = spec.shape(level)
+        s, d = spec.shape(level)
         return [(a, idx) for a in range(s + 1)
                 for idx in combinations(range(spec.form_dim), d)]
 
@@ -133,19 +133,19 @@ def operator_mismatches(spec, v) -> list:
     powers = {1: linear, 2: (linear * linear).scale(Fraction(1, 2))}
 
     def basis(level):
-        s, d, _ = spec.shape(level)
+        s, d = spec.shape(level)
         return [(a, idx) for a in range(s + 1) for idx in combinations(range(spec.form_dim), d)]
 
     mismatches = []
     for j in range(spec.top_level):
-        s, d, tag = spec.shape(j)
+        s, d = spec.shape(j)
         power = powers[2 if j == spec.k else 1]
         rows = dense_symbol(spec, j, v)
         zero = ExtForm.zero(spec.form_dim, d, spec.vars)
         for col, (a, idx) in enumerate(basis(j)):
             slots = [zero] * (s + 1)
             slots[a] = ExtForm(spec.form_dim, d, spec.vars, {idx: power})
-            image = flat_D(spec, j, SpinorField(s, tag, slots))
+            image = flat_D(spec, j, SpinorField(slots))
             got = []
             for b, out_idx in basis(j + 1):
                 entry = image.slots[b].component(out_idx)
@@ -170,12 +170,13 @@ def test_symbol_columns_are_the_operator_on_covector_powers(n, k):
 def test_symbol_operator_check_sees_a_lost_d1_term(monkeypatch):
     # mutation: the slot combination loses its d^1 term.  The symbol rows do
     # not move, so the ExtForm reference still matches them, but the
-    # operator no longer has that symbol
+    # operator no longer has that symbol.  Each d^1 term reads an appended
+    # zero slot, so an entry that had only its d^1 term still has a term
     original = boundary._slot_combination
 
-    def without_d1(frame, rule, slot, shape):
-        return original(frame, [[(a, path) for a, path in terms if path != (1,)]
-                                for terms in rule], slot, shape)
+    def without_d1(frame, rule, slots):
+        return original(frame, [[(len(slots) if path == (1,) else a, path) for a, path in terms]
+                                for terms in rule], [*slots, slots[0].scale(0)])
 
     monkeypatch.setattr(boundary, "_slot_combination", without_d1)
     spec = ComplexSpec(1, 1)

@@ -46,17 +46,17 @@ class PreconditionError(ValueError):
 
 
 class Frame:
-    """Lowered and raised 2m x 2 row matrices built from 4m real fields X.
+    """The raised 2m x 2 row matrix ``Z_upper`` of 4m real fields X, from the lowered rows:
 
     Row 2l:   ( X_{4l+1} + i X_{4l+2},  -X_{4l+3} - i X_{4l+4} )
     Row 2l+1: ( X_{4l+3} - i X_{4l+4},   X_{4l+1} - i X_{4l+2} )
 
-    Raised rows: column 0 is the lowered column 1, column 1 minus column 0.
-    ``X``, ``Z_lower`` and ``Z_upper`` and their rows are tuples, because
-    one frame can serve many callers (:func:`ambient_frame`).
-
-    :meth:`field_table`, built on first use and kept by the frame, is the
-    one row table, which :func:`frak_d` and ``flat.symbol_at`` read.
+    Raised rows: column 0 is the lowered column 1, column 1 minus column 0,
+    so a lowered row is a raised one relabelled: Z_0 = -Z^1, Z_1 = Z^0.
+    ``X``, ``Z_upper`` and its rows are tuples: one frame can serve many
+    callers (:func:`ambient_frame`).  :meth:`field_table`, built on first
+    use and kept by the frame, is the one row table per primed index, which
+    :func:`frak_d` and ``flat.symbol_at`` read.
     """
 
     def __init__(self, variables, fields: list[FirstOrderOp]):
@@ -70,19 +70,18 @@ class Frame:
             x1, x2, x3, x4 = self.X[4 * l:4 * l + 4]
             lower.append((x1 + x2.scale((0, 1)), (x3 + x4.scale((0, 1))).scale(-1)))
             lower.append((x3 - x4.scale((0, 1)), x1 - x2.scale((0, 1))))
-        self.Z_lower = tuple(lower)
-        self.Z_upper = tuple(raise_primed(row) for row in self.Z_lower)
+        self.Z_upper = tuple(map(raise_primed, lower))
         self._rows = {}
 
-    def field_table(self, aprime: int, raised: bool) -> tuple:
-        """(L, fields) for column ``aprime`` of the raised or the lowered rows,
-        L the lcm of their operators' ``den``: ``fields[v]`` lists (a, offset,
-        terms) for each row a whose operator has a d_v term, ``offset`` the
-        index bit of w^a minus v's unit and ``terms`` the (key, re, im) of L c_v.
+    def field_table(self, aprime: int) -> tuple:
+        """(L, fields) for column ``aprime`` of the raised rows, L the lcm of
+        their operators' ``den``: ``fields[v]`` lists (a, offset, terms) for
+        each row a whose operator has a d_v term, ``offset`` the index bit of
+        w^a minus v's unit and ``terms`` the (key, re, im) of L c_v.
         """
-        table = self._rows.get((aprime, raised))
+        table = self._rows.get(aprime)
         if table is None:
-            ops = [row[aprime] for row in (self.Z_upper if raised else self.Z_lower)]
+            ops = [row[aprime] for row in self.Z_upper]
             L = lcm(1, *(op.den for op in ops))
             lift = index_mask((0,), self.vars)  # the key bit of w^0
             fields = [[] for _ in self.vars]
@@ -91,7 +90,7 @@ class Frame:
                 for shift, unit, terms in op.kernel():
                     fields[shift // BITS].append((a, (lift << a) - unit, tuple(
                         (key, re * scale, im * scale) for key, re, im in terms)))
-            table = self._rows[aprime, raised] = (L, tuple(map(tuple, fields)))
+            table = self._rows[aprime] = (L, tuple(map(tuple, fields)))
         return table
 
 
@@ -126,8 +125,8 @@ class TangentFrame(Frame):
             raise PreconditionError("operation requires a right-type group (vanishing curvature)")
 
 
-def frak_d(aprime: int, f: ExtForm, frame: Frame, raised: bool = True) -> ExtForm:
-    """sum_row w^row ^ Z_row^{aprime} f, the one row kernel; raised index by default.
+def frak_d(aprime: int, f: ExtForm, frame: Frame) -> ExtForm:
+    """sum_row w^row ^ Z_row^{aprime} f, the one row kernel, on the raised rows.
 
     One pass over the terms of f into one numerator dict over f.den * L, L
     that of :meth:`Frame.field_table`: a term visits the entries under its
@@ -143,7 +142,7 @@ def frak_d(aprime: int, f: ExtForm, frame: Frame, raised: bool = True) -> ExtFor
         if type(f) is not ExtForm:
             raise TypeError(f"frak_d takes an ExtForm, not {type(f).__name__}")
         f._check(frame, False)
-    L, fields = frame.field_table(aprime, raised)
+    L, fields = frame.field_table(aprime)
     lift = index_mask((0,), f.vars)  # the key bit of w^0
     past = lift.bit_length() - 1
     out: dict = {}

@@ -96,7 +96,7 @@ def symbol_at(spec: ComplexSpec, j: int, v: Sequence) -> list:
     symbol is homogeneous in v of order ord (2 at j = k, 1 elsewhere), so
     the matrix is q^ord times the symbol at v and has the same rank.
     Row r of w_{a'} is sum_v (q v)_v c_v over row r's entries in
-    ``Frame.field_table(a', True)``, which ``frak_d`` reads (L = 1); column
+    ``Frame.field_table(a')``, which ``frak_d`` reads (L = 1); column
     (a, mask) of ``spec.symbol_table(j)`` puts w_{p_1} ^ ... ^ e_mask in
     slot b for each (a, path) of ``spec.slot_rule(j)[b]``, with the signs of
     ``exterior.wedge_sign``.
@@ -109,7 +109,7 @@ def symbol_at(spec: ComplexSpec, j: int, v: Sequence) -> list:
     w = []
     for aprime in (0, 1):
         form: dict = {}
-        for x, entries in zip(qv, spec.frame.field_table(aprime, True)[1]):
+        for x, entries in zip(qv, spec.frame.field_table(aprime)[1]):
             for r, _, terms in entries:
                 for _, c, d in terms:
                     add_term(form, r, x * c, x * d)

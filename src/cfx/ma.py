@@ -1,7 +1,7 @@
 """Wedge-power operator and its integral experiments, exact up to the report.
 
-On a right-type group the pair of lowered tangential operators composes to
-a closed 2-form for every scalar input; its wedge powers define the fully
+On a right-type group the pair of tangential operators composes to a
+closed 2-form for every scalar input; its wedge powers define the fully
 nonlinear operator studied here.  Every integral is an exact box integral
 from :mod:`cfx.quadrature`, an exact (re, im) pair of Fractions, and every
 check decides by exact comparison of such pairs:
@@ -67,18 +67,19 @@ class Region(Immutable):
 
 
 def triangle(u: Poly, frame: TangentFrame) -> ExtForm:
-    """Closed 2-form from a scalar: lowered pair composition.
+    """Closed 2-form from a scalar: :func:`triangle_form` on u.
 
     Requires a right-type frame: only there does the result anticommute out
-    of every further lowered operator, which all wedge identities rely on.
+    of every further operator, which all wedge identities rely on.
     """
     frame.require_right_type()
     return triangle_form(ExtForm.from_scalar(frame.dim, u), frame)
 
 
 def triangle_form(f: ExtForm, frame: TangentFrame) -> ExtForm:
-    """Lowered pair composition on a form input (no right-type gate)."""
-    return frak_d(0, frak_d(1, f, frame, raised=False), frame, raised=False)
+    """The lowered pair d_0 d_1 f, which is -d^1 d^0 f on every frame (d_0 = -d^1,
+    d_1 = d^0); d^0 d^1 f equals it only on right-type frames.  No right-type gate."""
+    return -frak_d(1, frak_d(0, f, frame), frame)
 
 
 def _triangles_after_first(us: Sequence[Poly], frame: TangentFrame) -> ExtForm:
@@ -102,8 +103,8 @@ def key_identity_check(us: Sequence[Poly], frame: TangentFrame) -> dict:
     u1 = ExtForm.from_scalar(frame.dim, us[0])
 
     e1 = triangle(us[0], frame).wedge(rest)
-    e2 = frak_d(0, frak_d(1, u1, frame, raised=False).wedge(rest), frame, raised=False)
-    e3 = -frak_d(1, frak_d(0, u1, frame, raised=False).wedge(rest), frame, raised=False)
+    e2 = -frak_d(1, frak_d(0, u1, frame).wedge(rest), frame)
+    e3 = frak_d(0, frak_d(1, u1, frame).wedge(rest), frame)
     e4 = triangle_form(u1.wedge(rest), frame)
 
     diffs = [e2 - e1, e3 - e1, e4 - e1]
@@ -249,7 +250,7 @@ def cln_experiment(us: Sequence[Poly], K: Region, L: Region,
     """Mass of a wedge power against the cutoff of K, evaluated three ways.
 
     The cutoff-weighted mass is integrated directly, after moving one
-    lowered operator onto the cutoff, and after moving both, against the
+    operator of the pair onto the cutoff, and after moving both, against the
     bare first input; the three exact masses must be equal and not all 0
     (a zero mass checks nothing).  A component (a, b) of the degree-2
     operator on the cutoff is built only where the rest of the wedge power
@@ -276,19 +277,18 @@ def cln_experiment(us: Sequence[Poly], K: Region, L: Region,
     T = triangle(us[0], frame).wedge(rest_beta)
     g = top_coefficient(T)
 
-    # the lowered operators moved onto the cutoff: Z_a^0 chi, and the
-    # components (a < b) of the degree-2 operator on chi that have a weight
-    z0 = [chi.apply_op(frame.Z_lower[a][0]) for a in range(frame.dim)]
-    d1u = frak_d(1, ExtForm.from_scalar(frame.dim, us[0]), frame, raised=False)
-    mid_pairs = [(z0[a], weight) for (a,), weight in
+    # the pair -d^1 d^0 moved onto the cutoff: Z_a^1 chi against d^0 u, and
+    # the components (a < b) of the degree-2 operator on chi that have a weight
+    z1 = [chi.apply_op(frame.Z_upper[a][1]) for a in range(frame.dim)]
+    d0u = frak_d(0, ExtForm.from_scalar(frame.dim, us[0]), frame)
+    mid_pairs = [(z1[a], weight) for (a,), weight in
                  _wedge_complement_weights([(a,) for a in range(frame.dim)],
-                                           d1u.wedge(rest_beta))]
-    ibp_pairs = [(z0[a].apply_op(frame.Z_lower[b][1]) - z0[b].apply_op(frame.Z_lower[a][1]),
+                                           d0u.wedge(rest_beta))]
+    ibp_pairs = [(z1[b].apply_op(frame.Z_upper[a][0]) - z1[a].apply_op(frame.Z_upper[b][0]),
                   us[0] * weight) for (a, b), weight in
                  _wedge_complement_weights(combinations(range(frame.dim), 2), rest_beta)]
-    mass_direct, middle, mass_ibp = integrate_jets(
+    mass_direct, mass_middle, mass_ibp = integrate_jets(
         K.lows, K.highs, [[(chi, g)], mid_pairs, ibp_pairs])
-    mass_middle = (-middle[0], -middle[1])
 
     mass_inner = integrate_top(T, L)
     gap = max(_abs(tuple(map(sub, mass_direct, mass_ibp))),

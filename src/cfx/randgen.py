@@ -90,10 +90,10 @@ class SectionGenerator:
         return SpinorField([self.form(dim, degree_form, variables, poly_degree)
                             for _ in range(sigma + 1)])
 
-    def tuple_field(self, sigma: int, dim: int, degree_form: int, variables,
-                    poly_degree=None) -> dict:
-        """Random symmetric tuple field {primed multi-index: ExtForm}: the
-        components depend only on the 1-count."""
+    def tuple_field(self, shape: tuple, dim: int, variables, poly_degree=None) -> dict:
+        """Random symmetric tuple field {primed multi-index: ExtForm} of a level's
+        ``shape`` (sigma, form degree): components depend only on the 1-count."""
+        sigma, degree_form = shape
         reps = {a: self.form(dim, degree_form, variables, poly_degree)
                 for a in range(sigma + 1)}
         return {idx: reps[sum(idx)] for idx in product((0, 1), repeat=sigma)}

@@ -48,8 +48,7 @@ def flat_tuple_equivalence_suite(n: int, k: int, trials: int, seed: int,
     spec = ComplexSpec(n, k)
 
     def passes(g, j):
-        s, d = spec.shape(j)
-        tup = g.tuple_field(s, spec.form_dim, d, spec.vars, poly_degree=degree)
+        tup = g.tuple_field(spec.shape(j), spec.form_dim, spec.vars, poly_degree=degree)
         via_tuple = flat_D_tuple(spec, j, tup)
         via_slots = flat_D(spec, j, tuple_to_slots(tup, j > spec.k))
         return tuple_to_slots(via_tuple, j + 1 > spec.k) == via_slots

@@ -4,8 +4,12 @@ Each quantity checked against a slower construction has one reference here:
 
 - the tangential frame: ``ambient_tangential_fields``, the ambient fields
   corrected to annihilate rho, in ``test_group_fields_match_ambient_projection``;
-- ``frak_d``: ``_reference_frak_d``, one basis wedge per row, in
+- ``frak_d``: ``reference_frak_d``, one basis wedge per row, in
   ``test_frak_d_index_insertion_matches_the_basis_wedge``;
+- the lowered rows: ``lowered_rows``, built from the fields by the ``Frame``
+  docstring's formula, which the tests here and in ``test_flat``, ``test_ma``,
+  ``test_monomials`` and ``test_quadrature`` read where the frame keeps only
+  the raised rows;
 - the curvature entries E_ab (``groups.curvature_entry``, ``curvature_form``):
   ``restricted_curvature``, the ambient -d^0 d^1 rho on the tangential
   indices, read by ``curvature_component``, in
@@ -66,6 +70,23 @@ def lowered_translations(frame: TangentFrame) -> list:
             [d(v, "t2", 1) + d(v, "t3", (0, 1)), d(v, "t1", (0, 1))]]
 
 
+def lowered_rows(frame) -> tuple:
+    """The lowered 2m x 2 row matrix Z_{a a'}, built from ``frame.X`` by the
+    ``Frame`` docstring's formula, not from ``frame.Z_upper``:
+    row 2l is (X1 + i X2, -X3 - i X4), row 2l+1 is (X3 - i X4, X1 - i X2)."""
+    i, rows = (0, 1), []
+    for l in range(len(frame.X) // 4):
+        x1, x2, x3, x4 = frame.X[4 * l:4 * l + 4]
+        rows.append((x1 + x2.scale(i), -(x3 + x4.scale(i))))
+        rows.append((x3 - x4.scale(i), x1 - x2.scale(i)))
+    return tuple(rows)
+
+
+def lowered_d(aprime: int, f: ExtForm, frame) -> ExtForm:
+    """The lowered operator d_a' f as the raised one relabelled: d_0 = -d^1, d_1 = d^0."""
+    return -frak_d(1, f, frame) if aprime == 0 else frak_d(0, f, frame)
+
+
 # -- ambient references: the defining function and the fields that annihilate it ----------
 
 
@@ -112,7 +133,7 @@ def ambient_tangential_fields(group: GroupSpec):
     n = group.n
     variables = ambient_frame(n).vars
     rho = ambient_rho(group)
-    lowered = ambient_frame(n).Z_lower
+    lowered = lowered_rows(ambient_frame(n))
     normal = lowered[2 * n:]
     rows = []
     for a in range(2 * n):
@@ -224,9 +245,10 @@ def test_group_fields_match_ambient_projection(name):
     for t in range(3):
         u = gen.spawn(t).poly(frame.vars, degree=2)
         for a in range(2):
+            raised = raise_primed(rows[a])
             for cp in (0, 1):
-                lhs = rows[a][cp].apply(to_ambient(u))
-                rhs = to_ambient(frame.Z_lower[a][cp].apply(u))
+                lhs = raised[cp].apply(to_ambient(u))
+                rhs = to_ambient(frame.Z_upper[a][cp].apply(u))
                 assert (lhs - rhs).is_zero()
 
 
@@ -248,9 +270,8 @@ def test_abelian_frame_is_the_ambient_frame(n):
     frame = TangentFrame(GroupSpec.named("abelian", n))
     flat = ambient_frame(n - 1)
     assert frame.dim == flat.dim == 2 * n
-    for got, want in ((frame.Z_lower, flat.Z_lower), (frame.Z_upper, flat.Z_upper)):
-        assert _constant_rows(got) is not None
-        assert _constant_rows(got) == _constant_rows(want)
+    assert _constant_rows(frame.Z_upper) is not None
+    assert _constant_rows(frame.Z_upper) == _constant_rows(flat.Z_upper)
     assert _constant_rows(TangentFrame(GroupSpec.named("rightQH", n)).Z_upper) is None
 
 
@@ -286,7 +307,6 @@ def test_frak_d_kills_constants():
     c = ExtForm.from_scalar(2, Poly.const(fr.vars, 7))
     for a in (0, 1):
         assert frak_d(a, c, fr).is_zero()
-        assert frak_d(a, c, fr, raised=False).is_zero()
 
 
 def test_frak_d_leibniz(right2):
@@ -299,11 +319,10 @@ def test_frak_d_leibniz(right2):
         assert (lhs - rhs).is_zero()
 
 
-def reference_frak_d(aprime, f: RefForm, frame, raised) -> RefForm:
+def reference_frak_d(aprime, f: RefForm, rows) -> RefForm:
     """The wedge form of frak_d on the per-component reference:
-    sum_a w^a ^ Z_a^{aprime} f, each row operator applied component by
-    component."""
-    rows = frame.Z_upper if raised else frame.Z_lower
+    sum_a w^a ^ rows[a][aprime] f, each row operator applied component by
+    component; ``rows`` is ``frame.Z_upper`` or :func:`lowered_rows`."""
     out = RefForm(f.dim, f.degree + 1, f.vars)
     for a, row in enumerate(rows):
         w_a = RefForm(f.dim, 1, f.vars, {(a,): Poly.const(f.vars, 1)})
@@ -331,15 +350,16 @@ def dense_right3():
 @pytest.mark.parametrize("seed", [5, 17, 40])
 def test_frak_d_index_insertion_matches_the_basis_wedge(seed, right2, left2, dense_right3):
     # every degree on the ambient frames at n = 1..3 and on the group frames,
-    # raised and lowered; the forms include per-component fractional dens and
-    # a sum whose components partly cancel (layout_cases).  At the larger
-    # sizes (the ambient frames at n = 4 and 5, a dense right-type frame at
-    # n = 3) degrees 0-2 and the top two
+    # raised, and lowered through lowered_d; the forms include per-component
+    # fractional dens and a sum whose components partly cancel
+    # (layout_cases).  At the larger sizes (the ambient frames at n = 4 and
+    # 5, a dense right-type frame at n = 3) degrees 0-2 and the top two
     gen = SectionGenerator(seed, degree=2)
     ambient = [ambient_frame(n) for n in (1, 2, 3, 4, 5)]
     large = [ambient[3], ambient[4], dense_right3]
     frames = [*ambient, RIGHT1, LEFT1, right2, left2, DENSE_RIGHT2, dense_right3]
     for frame in frames:
+        tables = ((frame.Z_upper, frak_d), (lowered_rows(frame), lowered_d))
         degrees = range(frame.dim + 1)
         if frame in large:
             degrees = [0, 1, 2, frame.dim - 1, frame.dim]
@@ -352,13 +372,12 @@ def test_frak_d_index_insertion_matches_the_basis_wedge(seed, right2, left2, den
                     # operator application, one pass over the form's terms
                     op = frame.Z_upper[degree % frame.dim][aprime]
                     assert_matches(op.apply(f), to_ref(f).map(op.apply))
-                    for raised in (True, False):
-                        got = frak_d(aprime, f, frame, raised=raised)
-                        want = reference_frak_d(aprime, to_ref(f), frame, raised)
-                        assert_matches(got, want)
+                    for rows, d in tables:
+                        got = d(aprime, f, frame)
+                        assert_matches(got, reference_frak_d(aprime, to_ref(f), rows))
                         if frame in ambient:
                             # constant rows commute: every term of d^a' d^a' f cancels
-                            assert frak_d(aprime, got, frame, raised=raised).is_zero()
+                            assert d(aprime, got, frame).is_zero()
 
 
 def test_frak_d_matches_the_reference_on_every_basis_field(right2, left2):
@@ -369,15 +388,16 @@ def test_frak_d_matches_the_reference_on_every_basis_field(right2, left2):
     frames = [ambient_frame(1), ambient_frame(2), right2, left2, DENSE_RIGHT2]
     compared = 0
     for frame in frames:
+        tables = ((frame.Z_upper, frak_d), (lowered_rows(frame), lowered_d))
         coeffs = [Poly.const(frame.vars, 1), *(Poly.var(frame.vars, v) for v in frame.vars)]
         for degree in range(frame.dim):
             for idx in combinations(range(frame.dim), degree):
                 for c in coeffs:
                     f = ExtForm(frame.dim, degree, frame.vars, {idx: c})
                     for aprime in (0, 1):
-                        for raised in (True, False):
-                            assert_matches(frak_d(aprime, f, frame, raised=raised),
-                                           reference_frak_d(aprime, to_ref(f), frame, raised))
+                        for rows, d in tables:
+                            assert_matches(d(aprime, f, frame),
+                                           reference_frak_d(aprime, to_ref(f), rows))
                             compared += 1
     assert compared == 5976
 
@@ -390,19 +410,18 @@ def test_frak_d_applies_only_the_rows_that_differentiate_the_input(n):
     frame = ambient_frame(n)
     x1 = Poly.var(frame.vars, "x1")
     f = ExtForm.from_scalar(frame.dim, power(x1, 3) + x1.scale(Fraction(-2, 3)))
+    rows = frame.Z_upper
     for aprime in (0, 1):
-        for raised in (True, False):
-            entries = frame.field_table(aprime, raised)[1][0]
-            assert len(entries) == 1
-            (a, _, _), = entries
-            rows = frame.Z_upper if raised else frame.Z_lower
-            assert not rows[a][aprime].coefficient("x1").is_zero()
-            assert [r for r, row in enumerate(rows)
-                    if not row[aprime].coefficient("x1").is_zero()] == [a]
-            got = frak_d(aprime, f, frame, raised=raised)
-            assert not got.is_zero()
-            assert list(got.comps) == [(a,)]
-            assert_matches(got, reference_frak_d(aprime, to_ref(f), frame, raised))
+        entries = frame.field_table(aprime)[1][0]
+        assert len(entries) == 1
+        (a, _, _), = entries
+        assert not rows[a][aprime].coefficient("x1").is_zero()
+        assert [r for r, row in enumerate(rows)
+                if not row[aprime].coefficient("x1").is_zero()] == [a]
+        got = frak_d(aprime, f, frame)
+        assert not got.is_zero()
+        assert list(got.comps) == [(a,)]
+        assert_matches(got, reference_frak_d(aprime, to_ref(f), rows))
 
 
 @pytest.mark.parametrize("e, raises", [(MAX_EXPONENT, True), (MAX_EXPONENT - 1, False)])

@@ -9,6 +9,8 @@ from cfx.linalg import bareiss
 from cfx.poly import Poly, x_vars
 from cfx.randgen import SectionGenerator
 from cfx.verify import flat_composition_suite, flat_tuple_equivalence_suite
+from test_boundary import lowered_rows, reference_frak_d
+from test_exterior import assert_matches, to_ref
 from test_operators import coeffs
 from test_poly import constant_term, flat_laplacian, total_degree
 from test_rational import cq, pair, terms
@@ -70,7 +72,7 @@ def test_raised_matrix_matches_frozen_entries():
 
 
 def test_lowered_row_pattern():
-    rows = FLAT1.Z_lower
+    rows = lowered_rows(FLAT1)
     assert constant_entries(rows[0][0]) == {"x1": cq(1), "x2": cq((0, 1))}
     assert constant_entries(rows[0][1]) == {"x3": cq(-1), "x4": cq((0, -1))}
     assert constant_entries(rows[1][0]) == {"x3": cq(1), "x4": cq((0, -1))}
@@ -79,7 +81,7 @@ def test_lowered_row_pattern():
 
 def test_raised_is_lowered_composed_with_pairing():
     frame = ambient_frame(2)
-    for row_l, row_r in zip(frame.Z_lower, frame.Z_upper):
+    for row_l, row_r in zip(lowered_rows(frame), frame.Z_upper, strict=True):
         assert constant_entries(row_r[0]) == constant_entries(row_l[1])
         assert constant_entries(row_r[1]) == {
             v: -c for v, c in constant_entries(row_l[0]).items()}
@@ -100,17 +102,18 @@ def test_ambient_frame_is_one_shared_immutable_frame(n):
     frame = ambient_frame(n)
     assert frame is ambient_frame(n)
     assert ComplexSpec(n, 0).frame is ComplexSpec(n, 2 * n).frame is frame
-    assert type(frame.X) is type(frame.Z_lower) is type(frame.Z_upper) is tuple
-    assert all(type(row) is tuple and len(row) == 2
-               for rows in (frame.Z_lower, frame.Z_upper) for row in rows)
+    assert type(frame.X) is type(frame.Z_upper) is tuple
+    assert all(type(row) is tuple and len(row) == 2 for row in frame.Z_upper)
 
 
 def test_lower_upper_operator_pairing():
-    # raising the operator index: d^0 = d_1 and d^1 = -d_0
+    # raising the operator index: d^0 = d_1 and d^1 = -d_0, the lowered
+    # operators from the lowered rows
     gen = SectionGenerator(44)
     f = gen.form(4, 1, V8)
-    assert (d_upper(0, f) - frak_d(1, f, FLAT1, raised=False)).is_zero()
-    assert (d_upper(1, f) + frak_d(0, f, FLAT1, raised=False)).is_zero()
+    lowered = lowered_rows(FLAT1)
+    assert_matches(d_upper(0, f), reference_frak_d(1, to_ref(f), lowered))
+    assert_matches(d_upper(1, f), -reference_frak_d(0, to_ref(f), lowered))
 
 
 def test_d_upper_on_linear_coefficient():
@@ -248,7 +251,7 @@ def test_tuple_output_is_symmetric():
     from cfx.spinor import is_symmetric
     spec = ComplexSpec(1, 0)
     gen = SectionGenerator(31)
-    fld = gen.tuple_field(spec.sigma(1), 4, spec.tau(1), V8, poly_degree=2)
+    fld = gen.tuple_field(spec.shape(1), 4, V8, poly_degree=2)
     out = flat_D_tuple(spec, 1, fld)
     assert is_symmetric(out)
 

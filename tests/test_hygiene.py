@@ -380,6 +380,29 @@ def test_spinor_fields_have_one_layout():
         SpinorField([zero], dim=2)
 
 
+def test_frames_keep_one_index_position():
+    # a lowered row is a raised one relabelled (Z_0 = -Z^1, Z_1 = Z^0), so the
+    # package keeps the raised rows alone: frak_d and field_table take no
+    # index position, a frame holds no lowered matrix and at most one row
+    # table per primed index, and no call passes a ``raised`` keyword
+    from cfx.boundary import Frame, TangentFrame, frak_d
+    from cfx.groups import GroupSpec
+    from cfx.ma import key_identity_check
+    from cfx.randgen import SectionGenerator
+
+    assert list(inspect.signature(frak_d).parameters) == ["aprime", "f", "frame"]
+    assert list(inspect.signature(Frame.field_table).parameters) == ["self", "aprime"]
+    frame = TangentFrame(GroupSpec.right_qh(2))
+    us = [SectionGenerator(3).spawn(t).psh_quadratic(frame.vars, 8) for t in range(2)]
+    assert key_identity_check(us, frame)["pass"]
+    assert not hasattr(frame, "Z_lower")
+    assert sorted(frame._rows) == [0, 1]
+    keywords = [f"{path.name} (line {node.lineno})" for path in MODULES
+                for node in ast.walk(_tree(path))
+                if isinstance(node, ast.keyword) and node.arg == "raised"]
+    assert not keywords, f"a raised= keyword in {keywords}"
+
+
 # exponent-tuple arithmetic: a monomial product, a lowered variable or a
 # substituted axis built as a new tuple.  Packed keys are added, shifted and
 # masked instead; a tuple exists only at the pack/unpack edge of poly.py
@@ -1007,7 +1030,7 @@ def test_sections_and_frames_are_built_on_ints(monkeypatch):
     for t in range(20):
         g = gen.spawn(t)
         assert not g.slot_field((2, 1), 4, V).is_zero()
-        assert not all(form.is_zero() for form in g.tuple_field(2, 4, 2, V).values())
+        assert not all(form.is_zero() for form in g.tuple_field((2, 2), 4, V).values())
         assert total_degree(g.psh_quadratic(group_vars(2), 8)) == 2
     for group in groups:
         fields = horizontal_fields(group)
@@ -1098,7 +1121,7 @@ def test_operator_algebra_runs_on_ints(monkeypatch):
         verdicts.append((frame.right_type, bracket_identity(frame)["pass"]))
         # Z chi = sum_v c_v d_v chi: the alpha e_v of each coefficient c_v,
         # none at alpha = 0
-        row = frame.Z_lower[1][0]
+        row = frame.Z_upper[1][1]
         jet = CutoffJet.bump(frame.vars).apply_op(row)
         shift = BITS * len(frame.vars)
         alphas = {key >> shift for key in jet.num}

@@ -33,12 +33,13 @@ from cfx.groups import I_MATS, GroupSpec, block_diag, mat_mul
 from cfx.ma import (CONVERGENCE_TOL, Region,
                     cln_experiment, convergence_experiment, integrate_top,
                     key_identity_check, stokes_check, sup_bound,
-                    top_coefficient, triangle)
+                    top_coefficient, triangle, triangle_form)
 from cfx.poly import Poly, unpack
 from cfx.quadrature import CutoffJet, integrate_jets, integrate_poly_box, integrate_poly_faces
 from cfx.randgen import SectionGenerator
 from cfx.reports import dumps
-from test_exterior import basis_form, reference_merge_sign, scale_poly
+from test_boundary import lowered_rows, reference_frak_d
+from test_exterior import assert_matches, basis_form, reference_merge_sign, scale_poly, to_ref
 from test_operators import coeffs
 from test_poly import power
 from test_quadrature import bump_factor, jet_of, monomial_reference, uni_diff
@@ -110,9 +111,9 @@ def test_triangle_by_independent_second_order_expansion(right2):
     gen = SectionGenerator(12)
     u = gen.poly(right2.vars, degree=3)
     got = triangle(u, right2)
+    za = lowered_rows(right2)
     for a in range(4):
         for b in range(a + 1, 4):
-            za = right2.Z_lower
             direct = (za[a][0].apply(za[b][1].apply(u))
                       - za[b][0].apply(za[a][1].apply(u)))
             assert (got.component((a, b)) - direct).is_zero()
@@ -158,6 +159,26 @@ def test_wedge_power_of_an_x_quadratic_is_its_quaternionic_determinant(n):
                 assert T.wedge(T) == ExtForm(4, 4, frame.vars, {(0, 1, 2, 3): want})
 
 
+@pytest.mark.parametrize("name", ["rightQH", "leftQH"])
+def test_triangle_form_is_the_lowered_composition_on_every_frame(name, right2, left2):
+    # triangle_form is d_0 d_1 written with the raised rows, -d^1 d^0, so it
+    # equals the lowered composition off right-type frames too; d^0 d^1
+    # agrees with it only where the rows anticommute (E0 = 0), so on leftQH
+    # some drawn form tells the two orders apart
+    frame = {"rightQH": right2, "leftQH": left2}[name]
+    lowered = lowered_rows(frame)
+    gen = SectionGenerator(47, degree=2)
+    differs = 0
+    for degree in range(frame.dim - 1):
+        for t in range(3):
+            f = gen.spawn(3 * degree + t).form(frame.dim, degree, frame.vars)
+            got = triangle_form(f, frame)
+            assert_matches(got, reference_frak_d(0, reference_frak_d(1, to_ref(f), lowered),
+                                                 lowered))
+            differs += frak_d(0, frak_d(1, f, frame), frame) != got
+    assert (differs > 0) == (name == "leftQH")
+
+
 def test_triangle_linear(right2):
     gen = SectionGenerator(4)
     u, v = gen.poly(right2.vars), gen.spawn(1).poly(right2.vars)
@@ -176,7 +197,7 @@ def test_triangle_closed(right2):
     u = gen.poly(right2.vars, degree=3)
     t = triangle(u, right2)
     for a in (0, 1):
-        assert frak_d(a, t, right2, raised=False).is_zero()
+        assert frak_d(a, t, right2).is_zero()
 
 
 def test_ma_power_symmetric(right2):
@@ -615,11 +636,12 @@ def reference_cln(us, K: Region, L: Region, frame: TangentFrame) -> dict:
                 out.append((jet, comp.scale(sign)))
         return out
 
-    z0 = [chi.apply_op(frame.Z_lower[a][0]) for a in range(frame.dim)]
-    tri_chi = {(a, b): z0[a].apply_op(frame.Z_lower[b][1]) - z0[b].apply_op(frame.Z_lower[a][1])
+    za = lowered_rows(frame)
+    z0 = [chi.apply_op(za[a][0]) for a in range(frame.dim)]
+    tri_chi = {(a, b): z0[a].apply_op(za[b][1]) - z0[b].apply_op(za[a][1])
                for a, b in combinations(range(frame.dim), 2)}
     assert len(tri_chi) == n * (2 * n - 1)
-    d1u = frak_d(1, ExtForm.from_scalar(frame.dim, us[0]), frame, raised=False)
+    d1u = frak_d(0, ExtForm.from_scalar(frame.dim, us[0]), frame)  # d_1 = d^0
     mid_pairs = pairs({(a,): jet for a, jet in enumerate(z0)}, d1u.wedge(rest))
     ibp_pairs = [(jet, us[0] * w) for jet, w in pairs(tri_chi, rest)]
     direct, middle, ibp = integrate_jets(K.lows, K.highs,

@@ -24,6 +24,7 @@ from cfx.poly import (BITS, FIELD, GUARD, MAX_EXPONENT, MAX_VARS, Poly, _gaussia
 from cfx.quadrature import _moment_sum, _moment_table
 from cfx.randgen import SectionGenerator
 from cfx.rational import gaussian_from_json
+from test_boundary import lowered_rows
 from test_operators import alpha_view, translation_ops
 from test_poly import poly_to_json, tuple_num
 
@@ -151,9 +152,10 @@ def _polys(frame, seed: int) -> list:
 
 
 def _operators(frame) -> list:
-    ops = [*frame.X, *(op for row in frame.Z_lower + frame.Z_upper for op in row)]
+    lowered = lowered_rows(frame)
+    ops = [*frame.X, *(op for row in lowered + frame.Z_upper for op in row)]
     ops.append(frame.X[0].commutator(frame.X[1]))
-    ops.append(frame.Z_lower[0][0] + frame.Z_upper[1][1].scale((1, 3)))
+    ops.append(lowered[0][0] + frame.Z_upper[1][1].scale((1, 3)))
     if isinstance(frame, TangentFrame):
         ops += translation_ops(frame)
     return [op for op in ops if not op.is_zero()]
@@ -254,15 +256,13 @@ def test_support_and_row_masks_match_the_tuple_reference(name):
         # support in the frame's table, are the rows that differentiate in
         # a variable of p
         for aprime in (0, 1):
-            for raised in (False, True):
-                fields = frame.field_table(aprime, raised)[1]
-                listed = {a for v in range(width) if mask >> BITS * v & FIELD
-                          for a, _, _ in fields[v]}
-                rows = frame.Z_upper if raised else frame.Z_lower
-                used = [sum(1 << alpha.index(1) for alpha in alpha_view(row[aprime].vars,
-                                                                        row[aprime].num))
-                        for row in rows]
-                assert listed == {a for a, bits in enumerate(used) if ref & bits}
+            fields = frame.field_table(aprime)[1]
+            listed = {a for v in range(width) if mask >> BITS * v & FIELD
+                      for a, _, _ in fields[v]}
+            used = [sum(1 << alpha.index(1) for alpha in alpha_view(row[aprime].vars,
+                                                                    row[aprime].num))
+                    for row in frame.Z_upper]
+            assert listed == {a for a, bits in enumerate(used) if ref & bits}
 
 
 @pytest.mark.parametrize("name", FRAMES)
@@ -274,20 +274,19 @@ def test_field_table_matches_the_row_operators(name):
     width = len(frame.vars)
     lift = 1 << BITS * width
     for aprime in (0, 1):
-        for raised in (False, True):
-            ops = [row[aprime] for row in (frame.Z_upper if raised else frame.Z_lower)]
-            L, fields = frame.field_table(aprime, raised)
-            assert L == lcm(*(op.den for op in ops))
-            assert len(fields) == width
-            views = [alpha_view(op.vars, op.num) for op in ops]
-            for v, entries in enumerate(fields):
-                unit = tuple(int(u == v) for u in range(width))
-                want = [(a, lift << a, {key: (re * (L // op.den), im * (L // op.den))
-                                        for key, (re, im) in view[unit].items()})
-                        for a, (op, view) in enumerate(zip(ops, views)) if unit in view]
-                got = [(a, offset + (1 << BITS * v), {key or 0: (re, im) for key, re, im in terms})
-                       for a, offset, terms in entries]
-                assert got == want
+        ops = [row[aprime] for row in frame.Z_upper]
+        L, fields = frame.field_table(aprime)
+        assert L == lcm(*(op.den for op in ops))
+        assert len(fields) == width
+        views = [alpha_view(op.vars, op.num) for op in ops]
+        for v, entries in enumerate(fields):
+            unit = tuple(int(u == v) for u in range(width))
+            want = [(a, lift << a, {key: (re * (L // op.den), im * (L // op.den))
+                                    for key, (re, im) in view[unit].items()})
+                    for a, (op, view) in enumerate(zip(ops, views)) if unit in view]
+            got = [(a, offset + (1 << BITS * v), {key or 0: (re, im) for key, re, im in terms})
+                   for a, offset, terms in entries]
+            assert got == want
 
 
 @pytest.mark.parametrize("name", FRAMES)

@@ -161,8 +161,15 @@ def _dense_rational_right_type():
     return frame
 
 
+def _lowered(frame) -> list:
+    """The lowered rows as the raised ones relabelled: Z_0 = -Z^1, Z_1 = Z^0.
+    (``test_boundary.lowered_rows`` builds them from the fields; this module
+    cannot import it, since ``test_boundary`` imports this one.)"""
+    return [(-z1, z0) for z0, z1 in frame.Z_upper]
+
+
 def _frame_ops(frame):
-    rows = [op for table in (frame.Z_lower, frame.Z_upper) for row in table for op in row]
+    rows = [op for table in (_lowered(frame), frame.Z_upper) for row in table for op in row]
     return list(frame.X) + rows
 
 
@@ -235,7 +242,7 @@ def test_apply_matches_reference_on_t_operators():
 
 def test_apply_matches_reference_on_commutators():
     frame = _dense_rational_right_type()
-    rows = [op for row in frame.Z_lower[:2] for op in row] + list(frame.X[:2])
+    rows = [op for row in _lowered(frame)[:2] for op in row] + list(frame.X[:2])
     ops = [a.commutator(b) for a, b in product(rows, repeat=2)]
     assert any(not op.is_zero() for op in ops)
     _check(ops, 40)
@@ -321,9 +328,9 @@ def test_frak_d_builds_one_poly_per_component(monkeypatch, degree):
     frame = _dense_rational_right_type()
     gen = SectionGenerator(60 + degree, degree=2)
     f = gen.form(frame.dim, degree, frame.vars).scale(Fraction(1, 6))
-    for aprime, raised in product((0, 1), (True, False)):
+    for aprime in (0, 1):
         counts = _count_make(monkeypatch)
-        out = frak_d(aprime, f, frame, raised=raised)
+        out = frak_d(aprime, f, frame)
         # frak_d builds no Poly; the view builds one per component, once
         assert counts["make"] == 0
         view = out.comps
@@ -346,7 +353,7 @@ def _family_ops(frame, count=6):
     """The first fields, the first two lowered and raised rows, and for a
     tangent frame its translations."""
     ops = list(frame.X[:count])
-    ops += [op for table in (frame.Z_lower, frame.Z_upper) for row in table[:2] for op in row]
+    ops += [op for table in (_lowered(frame), frame.Z_upper) for row in table[:2] for op in row]
     if isinstance(frame, TangentFrame):
         ops += translation_ops(frame)
     return ops

@@ -33,6 +33,7 @@ from cfx.operators import FirstOrderOp
 from cfx.poly import BITS, Poly, pack, x_vars
 from cfx.quadrature import CutoffJet, integrate_jets, integrate_poly_box, integrate_poly_faces
 from cfx.randgen import SectionGenerator
+from test_boundary import lowered_rows
 from test_operators import alpha_view, coeffs, reference_apply
 from test_poly import power
 from test_rational import ComplexRational, cq, terms
@@ -504,7 +505,8 @@ def test_integer_sum_matches_the_fraction_reference(seed, frame_index, frames):
         weights = [_random_weight(rng, frame.vars, terms=3) for _ in range(2)]
         jet, ref = CutoffJet.bump(frame.vars), reference_bump(lows, highs)
         a, b = rng.randrange(frame.dim), rng.randrange(frame.dim)
-        for op in (None, frame.Z_lower[a][0], frame.Z_lower[b][1]):
+        lowered = lowered_rows(frame)
+        for op in (None, lowered[a][0], lowered[b][1]):
             if op is not None:
                 jet, ref = jet.apply_op(op), ref.apply_op(op, axis_of)
             assert_canonical_jet(jet)
@@ -513,8 +515,8 @@ def test_integer_sum_matches_the_fraction_reference(seed, frame_index, frames):
                                  + [[(jet, w) for w in weights]])
             assert [ComplexRational(*value) for value in got] == want + [want[0] + want[1]]
         # the part-by-part difference, against the same on the reference
-        other = CutoffJet.bump(frame.vars).apply_op(frame.Z_lower[b][0])
-        other_ref = reference_bump(lows, highs).apply_op(frame.Z_lower[b][0], axis_of)
+        other = CutoffJet.bump(frame.vars).apply_op(lowered[b][0])
+        other_ref = reference_bump(lows, highs).apply_op(lowered[b][0], axis_of)
         for fast, slow in ((jet - other, ref - other_ref), (jet - jet, ref - ref)):
             assert _jet_integral(fast, lows, highs, weights[0]) == \
                 slow.integrate_box(lows, highs, weights[0])
@@ -545,7 +547,7 @@ def test_apply_op_matches_the_per_part_leibniz_step(frame_index, frames):
     # translations of each frame at n = 1 and 2, up to order 2
     for frame in frames[frame_index]:
         rng = random.Random(frame_index * 10 + frame.n)
-        rows = [op for table in (frame.Z_lower, frame.Z_upper) for row in table for op in row]
+        rows = [op for table in (lowered_rows(frame), frame.Z_upper) for row in table for op in row]
         ops = rows + list(frame.T_upper.values())
         start = [CutoffJet.bump(frame.vars),
                  jet_of(frame.vars, {(0,) * len(frame.vars): _random_weight(rng, frame.vars, 3)})]

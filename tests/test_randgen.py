@@ -100,7 +100,7 @@ def _draws(gen, seed):
            ("form", gen.form(dim, seed % (dim + 2), V)),
            ("form", gen.form(4, 1, V, poly_degree=2)),
            ("field", gen.slot_field((seed % 3, 1), dim, V)),
-           ("field", gen.tuple_field(seed % 3, dim, seed % 2, V, poly_degree=1)),
+           ("field", gen.tuple_field((seed % 3, seed % 2), dim, V, poly_degree=1)),
            ("poly", gen.psh_quadratic(V, 1 + seed % len(V)))]
     return out
 

@@ -230,7 +230,7 @@ def test_is_symmetric_matches_arithmetic_reference(s):
     for t in range(3):
         g = gen.spawn(t)
         sym = symmetrize({idx: g.form(3, 1, V) for idx in product((0, 1), repeat=s)})
-        for field in (sym, g.tuple_field(s, 3, 2, V), *_symmetric_variants(sym)):
+        for field in (sym, g.tuple_field((s, 2), 3, V), *_symmetric_variants(sym)):
             want = _reference_is_symmetric(field)
             assert is_symmetric(field) == want
             seen.add(want)

@@ -282,14 +282,14 @@ def covector_gram(n: int):
     """(G, |xi|^4) for the raised covector 1-forms w_0(xi), w_1(xi) of
     ``ambient_frame(n)`` at a formal covector xi, one ``Poly`` variable per
     coordinate: component a of w_a' is sum_v (c / L) xi_v over the entries
-    (a, offset, terms) that ``field_table(a', True)`` lists under v, and
+    (a, offset, terms) that ``field_table(a')`` lists under v, and
     G = |w_0|^2 |w_1|^2 - |<w_0, w_1>|^2, with <w_0, w_1> = sum_a w_0a conj(w_1a)."""
     frame = boundary.ambient_frame(n)
     xi = tuple(f"xi{i}" for i in range(len(frame.vars)))
     zero = Poly.zero(xi)
     w, w_bar = [], []
     for aprime in (0, 1):
-        L, fields = frame.field_table(aprime, True)
+        L, fields = frame.field_table(aprime)
         row, row_bar = [zero] * frame.dim, [zero] * frame.dim
         for v, entries in enumerate(fields):
             for a, _, terms in entries:
@@ -324,8 +324,8 @@ def test_one_flipped_row_entry_breaks_the_gram_identity(n, monkeypatch):
     # the sign of one entry of row 0 of the raised rows, for a' = 0, flipped
     table = boundary.Frame.field_table
 
-    def flipped(frame, aprime, raised):
-        L, fields = table(frame, aprime, raised)
+    def flipped(frame, aprime):
+        L, fields = table(frame, aprime)
         if aprime:
             return L, fields
         v = next(v for v, entries in enumerate(fields) if any(a == 0 for a, _, _ in entries))

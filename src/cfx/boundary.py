@@ -430,5 +430,5 @@ def hodge_diag(spec: BoundarySpec, frame: TangentFrame, trials: int = 10,
                 ok = False
                 residual = str(diff)
     return {"identity": "second-order-diagonal", "params": {"n": spec.n, "k": k,
-            "trials": trials, "degree": 3}, "seed": seed,
+            "trials": trials, "degree": gen.degree}, "seed": seed,
             "pass": ok, "residual": residual}

@@ -3,7 +3,7 @@
 Every verification run records its master seed; per-trial generators are
 derived deterministically so that identical configurations reproduce
 byte-identical reports.  Coefficients are small Gaussian integers, so all
-downstream algebra stays exact.
+downstream algebra stays exact.  A draw's degree is its generator's (``spawn`` keeps it).
 
 Polynomials are drawn straight into the integer layout of ``Poly``: each
 term's exponent is drawn as a packed key, one unit per degree, and it and
@@ -47,24 +47,23 @@ class SectionGenerator:
         """Child generator with a derived seed (stable across runs)."""
         return SectionGenerator(self.seed * 1_000_003 + tag, self.degree, self.terms)
 
-    def poly(self, variables, degree=None) -> Poly:
+    def poly(self, variables) -> Poly:
         """Sum of 1..terms random terms; each coefficient has a nonzero real
         part and any imaginary part, both within COEFF_BOUND.  A term's total
-        degree is drawn in 0..degree, then each unit of it in a variable."""
+        degree is drawn in 0..``self.degree``, then each unit of it in a variable."""
         variables = tuple(variables)
-        return Poly._make(variables, self._draw({}, len(variables), degree, 0))
+        return Poly._make(variables, self._draw({}, len(variables), 0))
 
-    def _draw(self, num: dict, width: int, degree, lift: int) -> dict:
+    def _draw(self, num: dict, width: int, lift: int) -> dict:
         """Add the terms of one :meth:`poly` draw into ``num``, each key plus ``lift``."""
-        degree = self.degree if degree is None else degree
         b = COEFF_BOUND
         # randint's and randrange's draws unchecked: an empty range would loop forever
         below = self.rng._randbelow
-        if degree < 0 or self.terms < 1 or degree and not width:
+        if self.degree < 0 or self.terms < 1 or self.degree and not width:
             raise ValueError("a draw needs degree >= 0, terms >= 1 and a variable")
         for _ in range(1 + below(self.terms)):
             key = 0
-            for _ in range(below(degree + 1)):
+            for _ in range(below(self.degree + 1)):
                 key += 1 << BITS * below(width)
             if key & GUARD:
                 raise ValueError(f"a drawn exponent is above {MAX_EXPONENT}")
@@ -74,28 +73,26 @@ class SectionGenerator:
             add_term(num, key + lift, re, below(2 * b + 1) - b)
         return num
 
-    def form(self, dim: int, degree_form: int, variables, poly_degree=None) -> ExtForm:
-        """1..3 components of degree ``degree_form``, each a :meth:`poly` draw."""
+    def form(self, dim: int, degree_form: int, variables) -> ExtForm:
+        """1..3 components of form degree ``degree_form``, each a :meth:`poly` draw."""
         variables = tuple(variables)
         idxs = list(combinations(range(dim), degree_form))
         chosen = self.rng.sample(idxs, k=min(len(idxs), self.rng.randint(1, 3)))
         num: dict = {}
         for idx in chosen:
-            self._draw(num, len(variables), poly_degree, index_mask(idx, variables))
+            self._draw(num, len(variables), index_mask(idx, variables))
         return ExtForm._make(dim, degree_form, variables, num)
 
-    def slot_field(self, shape: tuple, dim: int, variables, poly_degree=None) -> SpinorField:
+    def slot_field(self, shape: tuple, dim: int, variables) -> SpinorField:
         """sigma + 1 :meth:`form` draws for a level's ``shape`` (sigma, form degree)."""
         sigma, degree_form = shape
-        return SpinorField([self.form(dim, degree_form, variables, poly_degree)
-                            for _ in range(sigma + 1)])
+        return SpinorField([self.form(dim, degree_form, variables) for _ in range(sigma + 1)])
 
-    def tuple_field(self, shape: tuple, dim: int, variables, poly_degree=None) -> dict:
+    def tuple_field(self, shape: tuple, dim: int, variables) -> dict:
         """Random symmetric tuple field {primed multi-index: ExtForm} of a level's
-        ``shape`` (sigma, form degree): components depend only on the 1-count."""
+        ``shape`` (sigma, form degree): one :meth:`form` draw per 1-count."""
         sigma, degree_form = shape
-        reps = {a: self.form(dim, degree_form, variables, poly_degree)
-                for a in range(sigma + 1)}
+        reps = {a: self.form(dim, degree_form, variables) for a in range(sigma + 1)}
         return {idx: reps[sum(idx)] for idx in product((0, 1), repeat=sigma)}
 
     def rational_vector(self, size: int) -> list:

@@ -19,8 +19,8 @@ from .spinor import tuple_to_slots
 def _level_loop(identity: str, params: dict, seed: int, levels: int, passes) -> Report:
     """Check ``passes(gen.spawn(j * 1000 + t), j)`` on every level j and trial t, level-major.
 
-    ``params`` is the report's parameter record; its ``trials`` and ``degree``
-    drive the loop and the generator.
+    ``params`` is the report's parameter record: its ``trials`` drive the loop,
+    and its ``degree`` is the generator's, so every section ``passes`` draws has it.
     """
     gen = SectionGenerator(seed, degree=params["degree"])
     failures = [{"j": j, "trial": t} for j in range(levels) for t in range(params["trials"])
@@ -35,7 +35,7 @@ def flat_composition_suite(n: int, k: int, trials: int, seed: int,
     spec = ComplexSpec(n, k)
 
     def passes(g, j):
-        fld = g.slot_field(spec.shape(j), spec.form_dim, spec.vars, poly_degree=degree)
+        fld = g.slot_field(spec.shape(j), spec.form_dim, spec.vars)
         return flat_D(spec, j + 1, flat_D(spec, j, fld)).is_zero()
 
     return _level_loop("flat-composition", {"n": n, "k": k, "trials": trials, "degree": degree},
@@ -48,7 +48,7 @@ def flat_tuple_equivalence_suite(n: int, k: int, trials: int, seed: int,
     spec = ComplexSpec(n, k)
 
     def passes(g, j):
-        tup = g.tuple_field(spec.shape(j), spec.form_dim, spec.vars, poly_degree=degree)
+        tup = g.tuple_field(spec.shape(j), spec.form_dim, spec.vars)
         via_tuple = flat_D_tuple(spec, j, tup)
         via_slots = flat_D(spec, j, tuple_to_slots(tup, j > spec.k))
         return tuple_to_slots(via_tuple, j + 1 > spec.k) == via_slots
@@ -59,11 +59,10 @@ def flat_tuple_equivalence_suite(n: int, k: int, trials: int, seed: int,
 
 
 def random_boundary_field(gen: SectionGenerator, spec: BoundarySpec,
-                          frame: TangentFrame, j: int,
-                          degree: int = 2) -> BoundaryField:
-    """A level-j pair of random slot fields, the lead drawn first; no companion at level 0."""
+                          frame: TangentFrame, j: int) -> BoundaryField:
+    """Level-j random slot fields at ``gen``'s degree, lead then companion (none at level 0)."""
     def draw(shape):
-        return gen.slot_field(shape, spec.form_dim, frame.vars, poly_degree=degree)
+        return gen.slot_field(shape, spec.form_dim, frame.vars)
 
     cshape = spec.companion_shape(j)
     return BoundaryField(spec, j, draw(spec.shape(j)), None if cshape is None else draw(cshape))
@@ -77,7 +76,7 @@ def boundary_composition_suite(group: GroupSpec, k: int, trials: int, seed: int,
     spec = BoundarySpec(group.n, k)
 
     def passes(g, j):
-        fld = random_boundary_field(g, spec, frame, j, degree)
+        fld = random_boundary_field(g, spec, frame, j)
         return boundary_D(frame, boundary_D(frame, fld)).is_zero()
 
     return _level_loop("boundary-composition",
@@ -95,7 +94,7 @@ def subcomplex_suite(group: GroupSpec, k: int, trials: int, seed: int,
     spec = BoundarySpec(group.n, k)
 
     def passes(g, j):
-        lead = g.slot_field(spec.shape(j), spec.form_dim, frame.vars, poly_degree=degree)
+        lead = g.slot_field(spec.shape(j), spec.form_dim, frame.vars)
         return subcomplex_D(frame, spec, j + 1, subcomplex_D(frame, spec, j, lead)).is_zero()
 
     return _level_loop("subcomplex-composition",
@@ -126,7 +125,7 @@ def anticommute_suite(group: GroupSpec, trials: int, seed: int,
                 residual = str(diff)
             plain_zero = plain_zero and defect.is_zero()
     return Report({"identity": "anticommutation-curvature",
-                   "params": {"trials": trials, "degree": 2}, "seed": seed,
+                   "params": {"trials": trials, "degree": gen.degree}, "seed": seed,
                    "pass": identity_ok, "residual": residual,
                    "plain_anticommutation": plain_zero, "right_type": frame.right_type})
 

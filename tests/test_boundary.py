@@ -241,9 +241,9 @@ def test_group_fields_match_ambient_projection(name):
             out = out + Poly.monomial(amb_vars, tuple(new), pair(c))
         return out
 
-    gen = SectionGenerator(66)
+    gen = SectionGenerator(66, degree=2)
     for t in range(3):
-        u = gen.spawn(t).poly(frame.vars, degree=2)
+        u = gen.spawn(t).poly(frame.vars)
         for a in range(2):
             raised = raise_primed(rows[a])
             for cp in (0, 1):
@@ -310,9 +310,9 @@ def test_frak_d_kills_constants():
 
 
 def test_frak_d_leibniz(right2):
-    gen = SectionGenerator(14)
-    F = gen.form(4, 1, right2.vars, poly_degree=2)
-    G = gen.form(4, 1, right2.vars, poly_degree=2)
+    gen = SectionGenerator(14, degree=2)
+    F = gen.form(4, 1, right2.vars)
+    G = gen.form(4, 1, right2.vars)
     for a in (0, 1):
         lhs = frak_d(a, F.wedge(G), right2)
         rhs = frak_d(a, F, right2).wedge(G) + F.wedge(frak_d(a, G, right2)).scale(-1)
@@ -587,7 +587,7 @@ def test_middle_branch_first_component(right2, left2):
     spec = BoundarySpec(2, 1)
     gen = SectionGenerator(9, degree=2)
     for frame in (right2, left2):
-        F1 = gen.form(4, 1, frame.vars, poly_degree=2)
+        F1 = gen.form(4, 1, frame.vars)
         fld = BoundaryField(spec, 1, SpinorField([F1]),
                             SpinorField([ExtForm.zero(frame.dim, 1, frame.vars)]))
         out = boundary_D(frame, fld)
@@ -602,7 +602,7 @@ def test_right_type_curvature_coupling_vanishes(right2):
     # curvature part is absent so the lead output is the projected operator
     spec = BoundarySpec(2, 2)
     gen = SectionGenerator(10, degree=2)
-    lead = gen.slot_field((2, 0), 4, right2.vars, poly_degree=2)
+    lead = gen.slot_field((2, 0), 4, right2.vars)
     fld = BoundaryField(spec, 0, lead, None)
     out = boundary_D(right2, fld)
     projected = subcomplex_D(right2, spec, 0, lead)
@@ -802,7 +802,7 @@ def test_boundary_blocks_compose_to_zero(name, right2, left2):
     for k in range(4):
         spec = BoundarySpec(frame.n, k)
         for j in range(spec.top_level - 1):
-            fld = random_boundary_field(gen.spawn(10 * k + j), spec, frame, j, degree=3)
+            fld = random_boundary_field(gen.spawn(10 * k + j), spec, frame, j)
             cases = {"lead-only": BoundaryField(spec, j, fld.lead, None)}
             if fld.companion is not None:
                 zero_lead = zero_spinor_field(spec.shape(j), spec.form_dim, frame.vars)
@@ -886,12 +886,12 @@ def test_missing_companion_equals_the_zero_companion(right2):
     # shape, so both ways of writing a lead-only field compare equal
     spec = BoundarySpec(2, 1)
     gen = SectionGenerator(41, degree=2)
-    lead = gen.slot_field(spec.shape(1), spec.form_dim, right2.vars, poly_degree=2)
+    lead = gen.slot_field(spec.shape(1), spec.form_dim, right2.vars)
     zero = zero_spinor_field(spec.companion_shape(1), spec.form_dim, right2.vars)
     assert BoundaryField(spec, 1, lead, None) == BoundaryField(spec, 1, lead, zero)
     assert BoundaryField(spec, 1, lead, None).companion == zero
     # level 0 has no companion slot: a zero companion is not kept
-    lead = gen.slot_field(spec.shape(0), spec.form_dim, right2.vars, poly_degree=2)
+    lead = gen.slot_field(spec.shape(0), spec.form_dim, right2.vars)
     dropped = BoundaryField(spec, 0, lead, zero_spinor_field((0, 0), spec.form_dim, right2.vars))
     assert dropped.companion is None
     assert dropped == BoundaryField(spec, 0, lead, None)

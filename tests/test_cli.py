@@ -900,16 +900,59 @@ def test_symbol_refuses_a_covector_of_the_wrong_length(capsys, n, v):
     assert f"covector needs {4 * (n + 1)} entries" in err
 
 
+@pytest.mark.parametrize("v, message", [("0,0,0,0,0,0,0,0", "covector must be nonzero"),
+                                        ("1,2,3,4,5,6,7", "covector needs 8 entries, not 7")])
+def test_symbol_leaves_the_covector_refusals_to_the_library(monkeypatch, capsys, v, message):
+    # check_exactness refuses a zero covector and symbol_at a wrong length,
+    # with their own messages, before any symbol row is built
+    from cfx import flat
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("cfx symbol built a row of a covector it must reject")
+
+    monkeypatch.setattr(flat, "_wedge_path", forbidden)
+    monkeypatch.setattr(flat, "rank_mod_p", forbidden)
+    code, out, err = run(capsys, "symbol", "--n", "1", "--k", "1", f"--v={v}")
+    _assert_input_error(code, out, err)
+    assert err == f"input error: {message}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("classify", "--n", "1"),
+    ("verify", "flat", "--n", "1", "--k", "0", "--trials", "1"),
+    ("verify", "boundary", "--n", "1", "--check", "bracket"),
+    ("verify", "boundary", "--file", "GROUP", "--check", "bracket"),
+    ("symbol", "--n", "1", "--v", "1,0,0,0,0,0,0,0"),
+    ("ma", "--n", "1"),
+])
+def test_each_command_checks_n_once(monkeypatch, tmp_path, capsys, argv):
+    import cfx.cli as cli
+    from cfx.groups import GroupSpec
+
+    checked = []
+    check_n = cli._check_n
+    monkeypatch.setattr(cli, "_check_n", lambda *a: checked.append(a) or check_n(*a))
+    path = _write_group(tmp_path, GroupSpec.right_qh(1))
+    code, _, _ = run(capsys, *(path if arg == "GROUP" else arg for arg in argv))
+    assert code == 0 and len(checked) == 1, checked
+
+
 def test_a_report_value_json_cannot_hold_is_refused():
-    # an exact Fraction leaking into a report raises; it never prints as a
-    # string that no reader could tell from a real string field
+    # an exact Fraction leaking into a report raises, in JSON and in CSV; it
+    # never prints as a string that no reader could tell from a real string field
     from fractions import Fraction
 
+    from cfx.cli import _to_csv
     from cfx.reports import dumps
 
-    with pytest.raises(TypeError, match="Fraction is not JSON serializable"):
-        dumps({"pass": True, "residual": Fraction(1, 3)})
+    for leak in ({"pass": True, "residual": Fraction(1, 3)},
+                 {"pass": True, "residual": {"r": Fraction(1, 3)}}):
+        for writer in (dumps, _to_csv):
+            with pytest.raises(TypeError, match="Fraction is not JSON serializable"):
+                writer(leak)
     assert dumps({"b": [1, "1/3"], "a": None}) == '{\n  "a": null,\n  "b": [\n    1,\n    "1/3"\n  ]\n}'
+    assert _to_csv({"b": [1, "1/3"], "a": None, "c": "1/3", "d": 2.5, "e": True}) == \
+        'a,b,c,d,e\nnull,"[1, ""1/3""]",1/3,2.5,true'
 
 
 def test_ma_zero_input_has_zero_mass_and_fails(tmp_path, capsys):

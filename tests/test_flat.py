@@ -250,8 +250,8 @@ def test_tuple_operator_needs_every_primed_index_of_the_level():
 def test_tuple_output_is_symmetric():
     from cfx.spinor import is_symmetric
     spec = ComplexSpec(1, 0)
-    gen = SectionGenerator(31)
-    fld = gen.tuple_field(spec.shape(1), 4, V8, poly_degree=2)
+    gen = SectionGenerator(31, degree=2)
+    fld = gen.tuple_field(spec.shape(1), 4, V8)
     out = flat_D_tuple(spec, 1, fld)
     assert is_symmetric(out)
 

@@ -813,6 +813,37 @@ def test_operand_rules_have_one_home():
     assert not {"__sub__", "__radd__", "__rmul__"} & set(vars(Poly))
 
 
+def test_edge_rules_have_one_home():
+    # a draw's degree is its generator's: no draw takes one and no program
+    # call passes one, so only a SectionGenerator(...) sets a degree; each
+    # command checks n once (_load_group or _check_n), not in _check_sizes;
+    # and a value JSON has no type for is a TypeError in CSV as in JSON
+    from cfx import cli, verify
+    from cfx.randgen import SectionGenerator
+
+    draws = [getattr(SectionGenerator, name)
+             for name in ("poly", "_draw", "form", "slot_field", "tuple_field")]
+    for draw in (*draws, verify.random_boundary_field):
+        params = inspect.signature(draw).parameters
+        assert not {"degree", "poly_degree"} & set(params), draw.__qualname__
+    assert list(inspect.signature(cli._check_sizes).parameters) == ["args", "min_trials"]
+    degree_sets, dumps_defaults = [], []
+    for path in MODULES:
+        for node in ast.walk(_tree(path)):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            keywords = {kw.arg for kw in node.keywords}
+            if keywords & {"degree", "poly_degree"} and called != "SectionGenerator":
+                degree_sets.append(f"{path.name}:{node.lineno}")
+            if (called == "dumps" and isinstance(func, ast.Attribute)
+                    and getattr(func.value, "id", None) == "json" and "default" in keywords):
+                dumps_defaults.append(f"{path.name}:{node.lineno}")
+    assert degree_sets == [], degree_sets
+    assert dumps_defaults == [], dumps_defaults
+
+
 def _names_called(tree: ast.Module) -> dict:
     """Qualified function name -> names it calls (bare or as an attribute)."""
     calls = {}

@@ -109,7 +109,7 @@ def test_triangle_of_squared_norm(right2):
 def test_triangle_by_independent_second_order_expansion(right2):
     # oracle: coefficient of w^a ^ w^b is the alternating pair of lowered rows
     gen = SectionGenerator(12)
-    u = gen.poly(right2.vars, degree=3)
+    u = gen.poly(right2.vars)
     got = triangle(u, right2)
     za = lowered_rows(right2)
     for a in range(4):
@@ -194,7 +194,7 @@ def test_triangle_requires_right_type(left2):
 
 def test_triangle_closed(right2):
     gen = SectionGenerator(18)
-    u = gen.poly(right2.vars, degree=3)
+    u = gen.poly(right2.vars)
     t = triangle(u, right2)
     for a in (0, 1):
         assert frak_d(a, t, right2).is_zero()
@@ -358,9 +358,8 @@ def test_stokes_bump_has_no_boundary_term():
     for name in frame.vars:
         x = Poly.var(frame.vars, name)
         h = h * ((x - Poly.const(frame.vars, low)) * (x - Poly.const(frame.vars, high))).scale(-1)
-    gen = SectionGenerator(3)
-    T = from_hat_components(2, frame.vars,
-                            [gen.spawn(i).poly(frame.vars, degree=2) for i in range(2)])
+    gen = SectionGenerator(3, degree=2)
+    T = from_hat_components(2, frame.vars, [gen.spawn(i).poly(frame.vars) for i in range(2)])
     report = stokes_check(h, T, region, frame)
     assert report["pass"]
     assert report["boundary"] == [0.0, 0.0]
@@ -555,7 +554,7 @@ def test_cln_masses_agree_exactly_on_a_non_dyadic_box(group, n):
     K = Region((Fraction(-2, 3),) * naxes, (Fraction(3, 5),) * naxes)
     L = Region((Fraction(-1, 3),) * naxes, (Fraction(1, 5),) * naxes)
     gen = SectionGenerator(40 + n)
-    us = [gen.spawn(i).psh_quadratic(frame.vars, 4 * n) + gen.spawn(i).poly(frame.vars, degree=3)
+    us = [gen.spawn(i).psh_quadratic(frame.vars, 4 * n) + gen.spawn(i).poly(frame.vars)
           for i in range(n)]
     for p in range(1, n + 1):
         report = cln_experiment(us[:p], K, L, frame)
@@ -669,7 +668,7 @@ def test_cln_builds_the_record_of_every_jet(group, n):
     K, L = Region.cube(naxes, Fraction(1, 2)), Region.cube(naxes, Fraction(1, 4))
     gen = SectionGenerator(50 + n)
     drawn = [gen.spawn(i).psh_quadratic(frame.vars, 4 * n) for i in range(n)]
-    cubic = [u + gen.spawn(10 + i).poly(frame.vars, degree=3) for i, u in enumerate(drawn)]
+    cubic = [u + gen.spawn(10 + i).poly(frame.vars) for i, u in enumerate(drawn)]
     for us in (drawn, cubic):
         for p in range(1, n + 1):
             got = cln_experiment(us[:p], K, L, frame)
@@ -913,7 +912,7 @@ def test_closed_form_masses_equal_the_per_step_integrals(right2, group):
         frame = TangentFrame(GroupSpec(2, SectionGenerator(1).right_type_matrix(2)))
     gen = SectionGenerator(7)
     # a cubic part keeps the coefficients of tri q non-constant
-    q = gen.psh_quadratic(frame.vars, 8) + gen.poly(frame.vars, degree=3)
+    q = gen.psh_quadratic(frame.vars, 8) + gen.poly(frame.vars)
     L = Region((Fraction(-1, 4),) * 11, (Fraction(1, 3),) * 11)
     tri_q, tri_sq = triangle(q, frame), triangle(squared_norm(frame), frame)
     closed = approximation_masses(q, frame, L, 64)

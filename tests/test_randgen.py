@@ -19,9 +19,8 @@ class ReferenceGenerator(SectionGenerator):
     """``poly``, ``form`` and ``psh_quadratic`` as summed validated Polys,
     each term's exponents drawn as a tuple."""
 
-    def exponents(self, nvars: int, degree=None) -> tuple:
-        degree = self.degree if degree is None else degree
-        total = self.rng.randint(0, degree)
+    def exponents(self, nvars: int) -> tuple:
+        total = self.rng.randint(0, self.degree)
         expo = [0] * nvars
         for _ in range(total):
             expo[self.rng.randrange(nvars)] += 1
@@ -34,18 +33,17 @@ class ReferenceGenerator(SectionGenerator):
             re = self.rng.randint(-b, b)
         return re, self.rng.randint(-b, b)
 
-    def poly(self, variables, degree=None) -> Poly:
+    def poly(self, variables) -> Poly:
         variables = tuple(variables)
         p = Poly.zero(variables)
         for _ in range(self.rng.randint(1, self.terms)):
-            p = p + Poly.monomial(variables, self.exponents(len(variables), degree),
-                                  self.coefficient())
+            p = p + Poly.monomial(variables, self.exponents(len(variables)), self.coefficient())
         return p
 
-    def form(self, dim, degree_form, variables, poly_degree=None) -> ExtForm:
+    def form(self, dim, degree_form, variables) -> ExtForm:
         idxs = list(combinations(range(dim), degree_form))
         chosen = self.rng.sample(idxs, k=min(len(idxs), self.rng.randint(1, 3)))
-        comps = {idx: self.poly(variables, poly_degree) for idx in chosen}
+        comps = {idx: self.poly(variables) for idx in chosen}
         return ExtForm(dim, degree_form, variables, comps)
 
     def psh_quadratic(self, variables, nx) -> Poly:
@@ -91,18 +89,23 @@ def _same_field(f, g):
         _same_form(a, b)
 
 
-def _draws(gen, seed):
-    """One of each draw, with shapes that vary with the seed."""
+def _draws(cls, seed, degree, terms):
+    """One of each draw from ``cls`` generators, with shapes that vary with the
+    seed: the case's (degree, terms) generator, and one each at degree 2 and 1,
+    since a draw takes its generator's degree.  Returns the draws and the
+    generators."""
+    gens = [cls(seed + i, degree=d, terms=terms) for i, d in enumerate((degree, 2, 1))]
+    gen, at2, at1 = gens
     V = x_vars(4 + seed % 5)
     dim = 2 + seed % 3
     out = [("poly", gen.poly(V)),
-           ("poly", gen.poly(group_vars(1), degree=seed % 7)),
+           ("poly", gen.poly(group_vars(1))),
            ("form", gen.form(dim, seed % (dim + 2), V)),
-           ("form", gen.form(4, 1, V, poly_degree=2)),
+           ("form", at2.form(4, 1, V)),
            ("field", gen.slot_field((seed % 3, 1), dim, V)),
-           ("field", gen.tuple_field((seed % 3, seed % 2), dim, V, poly_degree=1)),
+           ("field", at1.tuple_field((seed % 3, seed % 2), dim, V)),
            ("poly", gen.psh_quadratic(V, 1 + seed % len(V)))]
-    return out
+    return out, gens
 
 
 def test_generator_matches_the_poly_sum_reference():
@@ -110,12 +113,12 @@ def test_generator_matches_the_poly_sum_reference():
     for seed in range(336):
         degree, terms = seed % 7, 1 + (seed // 7) % 4
         covered.add((degree, terms))
-        fast = SectionGenerator(seed, degree=degree, terms=terms)
-        ref = ReferenceGenerator(seed, degree=degree, terms=terms)
-        for (kind, got), (_, want) in zip(_draws(fast, seed), _draws(ref, seed), strict=True):
+        fast, fast_gens = _draws(SectionGenerator, seed, degree, terms)
+        ref, ref_gens = _draws(ReferenceGenerator, seed, degree, terms)
+        for (kind, got), (_, want) in zip(fast, ref, strict=True):
             {"poly": _same_poly, "form": _same_form, "field": _same_field}[kind](got, want)
         # the same random draws, so every later draw agrees as well
-        assert fast.rng.getstate() == ref.rng.getstate()
+        assert [g.rng.getstate() for g in fast_gens] == [g.rng.getstate() for g in ref_gens]
     assert covered == {(d, t) for d in range(7) for t in range(1, 5)}
 
 

@@ -37,7 +37,10 @@ EXIT_PRECONDITION = 3
 # boundary` take 0.07-0.46 s on rightQH and on dense groups, `verify flat
 # --k 12 --degree 6` 0.47-0.50 s, each under 25 MB.
 MAX_N = 5
-# `symbol` keeps 3: one n = 4 covector takes 5.0 s at k = 12 (n = 3: 0.4 s).
+# `symbol` keeps 3; a larger limit needs a measurement at every k.  In
+# process (2-core x86_64 host, Python 3.11) one n = 4 covector takes
+# 0.8-1.4 s at k = 12 (0.05-0.08 s at the unit covector e_1), and one n = 5
+# unit covector 0.1-0.2 s at k = 1; n = 3, k = 12 takes 0.2 s whole process.
 MAX_SYMBOL_N = 3
 MAX_DEGREE = 6
 # Measured on a 2-core x86_64 host, Python 3.11, whole process.  The
@@ -55,10 +58,10 @@ MAX_CONVERGENCE = 10_000
 # does not grow with the entries of the integer covector q v (q the lcm of
 # v's denominators); only the exact products and the fallback elimination of
 # a rank the bounds leave open do.  At n = 3 and k = 12, the slowest k, a
-# covector with 6-bit entries takes 0.4 s whole process and one with 64-bit
-# entries 0.7 s in process, with no rank open; with every rank open the
-# 6-bit one takes 5.4 s in process (2-core x86_64 host, Python 3.11), and
-# the elimination took 26 s on 16-bit entries.  The limit bounds that
+# covector with 6-bit entries takes 0.2 s whole process and one with 64-bit
+# entries 0.4-0.6 s in process, with no rank open; with every rank open the
+# 6-bit one takes 3.2-4.5 s in process (2-core x86_64 host, Python 3.11),
+# and the elimination took 26 s on 16-bit entries.  The limit bounds that
 # fallback.
 MAX_COVECTOR_BITS = 6
 # The cutoff rows, jets and moment tables of `ma` grow with the highest

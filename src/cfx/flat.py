@@ -99,7 +99,11 @@ def symbol_at(spec: ComplexSpec, j: int, v: Sequence) -> list:
     ``Frame.field_table(a')``, which ``frak_d`` reads (L = 1); column
     (a, mask) of ``spec.symbol_table(j)`` puts w_{p_1} ^ ... ^ e_mask in
     slot b for each (a, path) of ``spec.slot_rule(j)[b]``, with the signs of
-    ``exterior.wedge_sign``.
+    ``exterior.wedge_sign``.  Off the middle level a path is one step (p,),
+    and slot a reaches slot b by at most one p, so each entry,
+    wedge_sign(mask, r) times w_p[r] at index mask | 1 << r, is written
+    once, straight into its row; only the middle level's d^0 d^1 terms
+    merge.
     """
     spec._check_operator_level(j)
     v = tuple(map(exact_fraction, v))
@@ -119,10 +123,17 @@ def symbol_at(spec: ComplexSpec, j: int, v: Sequence) -> list:
              for slot in range(spec.sigma(j) + 1)]
     columns, rows = spec.symbol_table(j)
     matrix = [{} for _ in rows]
+    middle = j == spec.k
     for col, (a, mask) in enumerate(columns):
         for b, path in reach[a]:
-            for out, (re, im) in _wedge_path(w, path, mask).items():
-                add_term(matrix[rows[b, out]], col, re, im)
+            if middle:
+                for out, (re, im) in _wedge_path(w, path, mask).items():
+                    add_term(matrix[rows[b, out]], col, re, im)
+                continue
+            for r, re, im in w[path[0]]:
+                if not mask >> r & 1:
+                    sign = wedge_sign(mask, r)
+                    matrix[rows[b, mask | 1 << r]][col] = (sign * re, sign * im)
     return matrix
 
 

@@ -6,7 +6,9 @@ premise σ_{j+1}σ_j = 0 under which a rank sum can prove exactness.
 ``rank_mod_p`` gives a lower bound on a rank: the rank over
 Z[i]/(p, i − ι) with p = ``PRIME`` and ι a square root of −1 mod p, a
 field with p elements, where a minor that is nonzero is nonzero over Z[i]
-too.  ``bareiss`` gives exact ranks: fraction-free elimination over the
+too; it eliminates sparse ``{column: int}`` rows mod p, so a row costs
+the entries of the pivot rows it meets, not the width of the matrix.
+``bareiss`` gives exact ranks: fraction-free elimination over the
 Gaussian integers (Bareiss, Math. Comp. 22, 1968; Nakos, Turner and
 Williams, SIGSAM Bull. 31(3), 1997) on sparse rows, ``{column: (re, im)}``
 dicts, so that a step costs the entries of the rows it touches, not the
@@ -111,42 +113,37 @@ def rank_mod_p(rows, p: int = PRIME, iota: int = IOTA) -> int:
 
     Reduction sends every minor to the same minor of the image, so this rank
     is a lower bound on the rank over Q(i), the one ``bareiss`` returns.
-    Each row is packed into one int, entry c in the bit field of ``width``
-    bits at width * c, and reduced from its top field down against a table
-    of pivot rows, one per column, each scaled to 1 in its column.  With f
-    the top field mod p: at f = 0 the field is dropped; where the column
-    has a pivot row y, the row becomes x − f y mod p, its top field dropped
-    and p − f times y's lower fields added; elsewhere the row, its fields
-    reduced mod p and divided by f, becomes the column's pivot row.  A step
-    adds less than p^2 to a field and a row meets fewer pivots than there
-    are rows, so no field reaches 2^width and none carries into the next.
-    The rank is the number of pivot rows.  The input is left unchanged.
+    Sparse elimination mod p (as in Dumas and Villard, CASC 2002): each row,
+    taken in the order given, becomes a ``{column: int}`` dict of its
+    nonzero entries mod p and is reduced at its highest column c against a
+    table of pivot rows, one per column, each scaled to 1 in its column and
+    kept without it.  With f the row's entry at c, dropped: where c has a
+    pivot row y, f y is subtracted from the row, and an entry that cancels
+    mod p is dropped; elsewhere the row divided by f becomes c's pivot row.
+    A row costs the entries of the pivot rows it meets, not the width of
+    the matrix.  The rank is the number of pivot rows.  The input is left
+    unchanged.
     """
-    width = 2 * p.bit_length() + len(rows).bit_length()
-    columns = 1 + max((c for row in rows for c in row), default=-1)
-    below = [(1 << width * c) - 1 for c in range(columns)]  # the fields under column c
-    pivots = [None] * columns  # per column, its pivot row's fields under it
-    rank = 0
+    pivots = {}  # per column, its pivot row's entries left of it
     for row in rows:
-        x = 0
+        x = {}
         for c, (re, im) in row.items():
-            x |= (re + im * iota) % p << width * c
+            if e := (re + im * iota) % p:
+                x[c] = e
         while x:
-            c = (x.bit_length() - 1) // width
-            f = (x >> width * c) % p
-            if not f:
-                x &= below[c]
-                continue
-            y = pivots[c]
+            c = max(x)
+            f = x.pop(c)
+            y = pivots.get(c)
             if y is None:
-                inverse, mask, y = pow(f, -1, p), (1 << width) - 1, 0
-                for shift in range(0, width * c, width):
-                    y |= (x >> shift & mask) * inverse % p << shift
-                pivots[c] = y
-                rank += 1
+                inverse = pow(f, -1, p)
+                pivots[c] = {d: e * inverse % p for d, e in x.items()}
                 break
-            x = (x & below[c]) + (p - f) * y
-    return rank
+            for d, e in y.items():
+                if t := (x.get(d, 0) - f * e) % p:
+                    x[d] = t
+                else:
+                    del x[d]
+    return len(pivots)
 
 
 def _bound(rows) -> int:

@@ -423,10 +423,10 @@ def test_rank_mod_p_edge_cases():
     for m, rank in [([], 0), ([[], [], []], 0), ([[zero] * 3 for _ in range(3)], 0),
                     ([[zero, (1, 0)], [zero, (5, 0)], [zero, (-1, 0)]], 1),
                     ([[(0, 1)]], 1), ([[zero, (1, 0)], [(1, 0), zero]], 2),
-                    # far columns: a row spans 401 fields
+                    # far columns: a row spans 401 columns
                     ([[zero] * 400 + [(2, 3)], [(1, 0)] + [zero] * 399 + [(1, 1)]], 2)]:
         assert rank_mod_p(sparse(m)) == dense_rank(m) == rank
-    # a last row that meets every pivot: 40 updates to its lowest field
+    # 41 rows, the last a multiple of the row above it
     size = 40
     m = [[(1, 0) if c <= r else (0, 0) for c in range(size)] for r in range(size)]
     m.append([(PRIME - 1, IOTA)] * size)

@@ -11,7 +11,9 @@ Each quantity has one reference:
 - its rank (``bareiss``, and the ranks ``check_exactness`` proves):
   ``dense_rank`` from ``tests/test_linalg.py`` on ``dense_symbol``, in
   ``test_symbol_ranks_match_the_dense_reference`` and
-  ``test_n3_symbol_ranks_match_the_dense_reference``;
+  ``test_n3_symbol_ranks_match_the_dense_reference``; ``rank_mod_p`` against
+  ``bareiss`` on every level at n = 3 and 4, in
+  ``test_modular_ranks_match_bareiss``;
 - the product of two consecutive symbols (``is_zero_product``):
   ``gaussian_product`` from ``tests/test_linalg.py`` on ``dense_symbol``, in
   ``test_consecutive_symbols_compose_to_zero`` and
@@ -443,6 +445,31 @@ def test_n3_symbol_ranks_are_pinned():
     result = check_exactness(spec, v)
     assert result["ranks"] == [2, 6, 50, 90, 78, 34, 6]
     assert result["exact"]
+
+
+def unit_covector(n):
+    return [1] + [0] * (4 * n + 3)
+
+
+@pytest.mark.parametrize("k, ranks", [(1, [2, 8, 112, 308, 448, 392, 208, 62, 8]),
+                                      (12, [13, 107, 388, 812, 1078, 938, 532, 188, 37])])
+def test_n4_symbol_ranks_at_the_unit_covector_are_pinned(k, ranks):
+    # k = 12 > 2n + 1: only the top level fails, its rank 37 short of dim 40
+    result = check_exactness(ComplexSpec(4, k), unit_covector(4))
+    assert result["ranks"] == ranks
+    assert [lv["exact"] for lv in result["levels"]] == [True] * 9 + [k == 1]
+
+
+# seed None is the unit covector e_1, any other a seeded random covector
+@pytest.mark.parametrize("n,k,seed", [(3, 1, None), (3, 12, None), (4, 1, None), (4, 12, None),
+                                      (3, 1, 541), (3, 7, 547)])
+def test_modular_ranks_match_bareiss(n, k, seed):
+    spec = ComplexSpec(n, k)
+    v = (unit_covector(n) if seed is None
+         else SectionGenerator(seed).rational_vector(4 * (n + 1)))
+    for j in range(spec.top_level):
+        rows = symbol_at(spec, j, v)
+        assert linalg.rank_mod_p(rows) == bareiss(rows), j
 
 
 @pytest.mark.parametrize("n,k", [(1, k) for k in range(6)] + [(2, 5), (2, 6)])

@@ -133,15 +133,14 @@ def frak_d(aprime: int, f: ExtForm, frame: Frame) -> ExtForm:
     nonzero exponents' variables, but no row a whose w^a it holds; each
     product adds the entry's offset and a coefficient's monomial to its key
     (an exponent above ``poly.MAX_EXPONENT`` is a ValueError), its sign
-    ``exterior.wedge_sign``.
+    ``exterior.wedge_sign``.  f is an ExtForm on the frame's variable table
+    and dimension, checked on every call by ``ExtForm._check``.
     """
     if aprime not in (0, 1):
         raise ValueError("primed index must be 0 or 1")
-    # a call per frak_d costs 0.2-0.4% of flat
-    if type(f) is not ExtForm or f.vars != frame.vars or f.dim != frame.dim:
-        if type(f) is not ExtForm:
-            raise TypeError(f"frak_d takes an ExtForm, not {type(f).__name__}")
-        f._check(frame, False)
+    if type(f) is not ExtForm:
+        raise TypeError(f"frak_d takes an ExtForm, not {type(f).__name__}")
+    f._check(frame, False)
     L, fields = frame.field_table(aprime)
     lift = index_mask((0,), f.vars)  # the key bit of w^0
     past = lift.bit_length() - 1

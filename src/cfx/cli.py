@@ -37,10 +37,10 @@ EXIT_PRECONDITION = 3
 # boundary` take 0.07-0.46 s on rightQH and on dense groups, `verify flat
 # --k 12 --degree 6` 0.47-0.50 s, each under 25 MB.
 MAX_N = 5
-# `symbol` keeps 3; a larger limit needs a measurement at every k.  In
-# process (2-core x86_64 host, Python 3.11) one n = 4 covector takes
-# 0.8-1.4 s at k = 12 (0.05-0.08 s at the unit covector e_1), and one n = 5
-# unit covector 0.1-0.2 s at k = 1; n = 3, k = 12 takes 0.2 s whole process.
+# `symbol` keeps 3: in process (2-core x86_64 host, Python 3.11) a random
+# n = 5 covector takes 3.6-4.6 s at k = 1, 0.7-1.0 s at k = 6, 6.2-6.4 s at
+# k = 11 and 8.1-8.2 s at k = 12, against 0.1-0.2 s for e_1 at k = 1; one
+# n = 4 covector 0.8-1.4 s at k = 12; n = 3, k = 12 takes 0.2 s whole process.
 MAX_SYMBOL_N = 3
 MAX_DEGREE = 6
 # Measured on a 2-core x86_64 host, Python 3.11, whole process.  The
@@ -205,8 +205,7 @@ def cmd_verify(args) -> int:
             records.append(suites.boundary_composition_suite(
                 group, args.k, args.trials, args.seed, min(args.degree, 2), frame))
         if wanted in ("anticommute", "all"):
-            records.append(suites.anticommute_suite(group, args.trials, args.seed,
-                                                    frame))
+            records.append(suites.anticommute_suite(frame, args.trials, args.seed))
         if wanted in ("bracket", "all"):
             records.append(bracket_identity(frame))
         # "all" skips the suites whose domain excludes this input; an explicit

@@ -17,7 +17,7 @@ from itertools import product
 
 from .boundary import Frame, ambient_frame, frak_d, subcomplex_D
 from .exterior import wedge_sign
-from .linalg import bareiss, is_zero_product, rank_mod_p
+from .linalg import bareiss, rank_mod_p, zero_products
 from .poly import add_term
 from .rational import clear_denominators, exact_fraction
 from .spinor import LevelTable, SpinorField, symmetrize
@@ -71,21 +71,6 @@ def flat_D_tuple(spec: ComplexSpec, j: int, tuples: dict) -> dict:
 # -- symbol sequence -----------------------------------------------------------------
 
 
-def _wedge_path(w: list, path: tuple, mask: int) -> dict:
-    """w_{p_1} ^ ... ^ w_{p_m} ^ e_mask for the path (p_1, ..., p_m), last w
-    first, as {index mask: (re, im)}; ``w[p]`` lists (row, re, im) of w_p."""
-    terms = {mask: (1, 0)}
-    for p in reversed(path):
-        terms, prev = {}, terms
-        for mid, (x, y) in prev.items():
-            for r, re, im in w[p]:
-                if not mid >> r & 1:
-                    sign = wedge_sign(mid, r)
-                    add_term(terms, mid | 1 << r, sign * (x * re - y * im),
-                             sign * (x * im + y * re))
-    return terms
-
-
 def symbol_at(spec: ComplexSpec, j: int, v: Sequence) -> list:
     """Rows of the level-j symbol matrix at q v in the enumerated bases.
 
@@ -97,13 +82,13 @@ def symbol_at(spec: ComplexSpec, j: int, v: Sequence) -> list:
     the matrix is q^ord times the symbol at v and has the same rank.
     Row r of w_{a'} is sum_v (q v)_v c_v over row r's entries in
     ``Frame.field_table(a')``, which ``frak_d`` reads (L = 1); column
-    (a, mask) of ``spec.symbol_table(j)`` puts w_{p_1} ^ ... ^ e_mask in
-    slot b for each (a, path) of ``spec.slot_rule(j)[b]``, with the signs of
-    ``exterior.wedge_sign``.  Off the middle level a path is one step (p,),
-    and slot a reaches slot b by at most one p, so each entry,
-    wedge_sign(mask, r) times w_p[r] at index mask | 1 << r, is written
-    once, straight into its row; only the middle level's d^0 d^1 terms
-    merge.
+    (a, mask) of ``spec.symbol_table(j)`` puts w_p ^ e_mask in slot b for
+    each (a, (p,)) of ``spec.slot_rule(j)[b]``, and w_0 ^ w_1 ^ e_mask for
+    the middle level's one entry (0, (0, 1)), with the signs of
+    ``exterior.wedge_sign``.  Slot a reaches slot b by at most one p, so
+    each one-step entry, wedge_sign(mask, r) times w_p[r] at index
+    mask | 1 << r, is written once, straight into its row; only the middle
+    level's products, w_1[r1] then w_0[r0], merge there by ``add_term``.
     """
     spec._check_operator_level(j)
     v = tuple(map(exact_fraction, v))
@@ -126,9 +111,13 @@ def symbol_at(spec: ComplexSpec, j: int, v: Sequence) -> list:
     middle = j == spec.k
     for col, (a, mask) in enumerate(columns):
         for b, path in reach[a]:
-            if middle:
-                for out, (re, im) in _wedge_path(w, path, mask).items():
-                    add_term(matrix[rows[b, out]], col, re, im)
+            if middle:  # path (0, 1): w_0 ^ w_1 ^ e_mask, w_1 first
+                for (r1, re1, im1), (r0, re0, im0) in product(w[path[1]], w[path[0]]):
+                    mid = mask | 1 << r1
+                    if not (mask >> r1 & 1 or mid >> r0 & 1):
+                        sign = wedge_sign(mask, r1) * wedge_sign(mid, r0)
+                        add_term(matrix[rows[b, mid | 1 << r0]], col,
+                                 sign * (re1 * re0 - im1 * im0), sign * (re1 * im0 + im1 * re0))
                 continue
             for r, re, im in w[path[0]]:
                 if not mask >> r & 1:
@@ -144,7 +133,7 @@ def check_exactness(spec: ComplexSpec, v: Sequence) -> dict:
     and r_j of σ_j sum to its dimension dim_j: injectivity at the bottom,
     the rank identities in the middle and surjectivity at the top, where
     one symbol is missing (r_{−1} = r_top = 0, and the missing products are
-    0).  Every product is checked exactly (``linalg.is_zero_product``) and
+    0).  Every product is checked exactly (``linalg.zero_products``) and
     every reported rank is exact.  ``linalg.rank_mod_p`` gives a lower
     bound ℓ_j ≤ r_j; where σ_j σ_{j−1} = 0, r_{j−1} + r_j ≤ dim_j, so
     ℓ_{j−1} + ℓ_j = dim_j pins both ranks: the level closes.  Only a rank
@@ -160,7 +149,7 @@ def check_exactness(spec: ComplexSpec, v: Sequence) -> dict:
     symbols = [symbol_at(spec, j, v) for j in range(top)]
     dims = [spec.level_dim(j) for j in range(top + 1)]
     # composes[j]: σ_j σ_{j−1} = 0, the premise of the rank sum at level j
-    composes = [True, *(is_zero_product(symbols[j], symbols[j - 1]) for j in range(1, top)), True]
+    composes = [True, *zero_products(symbols), True]
     # lows[j + 1] <= r_j; the missing symbols have rank 0
     lows = [0, *map(rank_mod_p, symbols), 0]
     pinned = {i for j in range(top + 1)

@@ -1,8 +1,9 @@
 """Exact elimination: one routine per quantity, on Python ints only.
 
-The symbol ranks are proved, not only computed.  ``is_zero_product``
-checks a product of two sparse Gaussian-integer matrices exactly, the
-premise σ_{j+1}σ_j = 0 under which a rank sum can prove exactness.
+The symbol ranks are proved, not only computed.  ``zero_products``
+checks the products of consecutive sparse Gaussian-integer matrices
+exactly, the premise σ_{j+1}σ_j = 0 under which a rank sum can prove
+exactness.
 ``rank_mod_p`` gives a lower bound on a rank: the rank over
 Z[i]/(p, i − ι) with p = ``PRIME`` and ι a square root of −1 mod p, a
 field with p elements, where a minor that is nonzero is nonzero over Z[i]
@@ -152,21 +153,30 @@ def _bound(rows) -> int:
     return max((abs(re) | abs(im) for row in rows for re, im in row.values()), default=0)
 
 
-def is_zero_product(left, right) -> bool:
-    """Whether the product of two sparse Gaussian-integer matrices, rows as
-    ``bareiss`` takes them, is exactly zero; row r of ``right`` is the row
-    that column r of ``left`` multiplies.
+def zero_products(chain) -> list:
+    """Whether each product ``chain[j] chain[j - 1]`` (j >= 1) of sparse
+    Gaussian-integer matrices, rows as ``bareiss`` takes them, is exactly
+    zero; row r of ``chain[j - 1]`` is the row that column r of ``chain[j]``
+    multiplies.  Each matrix is bounded (``_bound``) once, though a middle
+    one enters two products.
 
-    Each row of ``right`` is packed as two ints, its real and its imaginary
-    parts at 2^(width c) for column c (Kronecker substitution), so a row of
-    the product packs into two sums of int multiples of them.  With every
-    part of ``left`` at most a and every part of ``right`` at most b in
-    size, an entry of the product is at most 2 len(right) a b < 2^width, so
-    a packed sum is 0 exactly when each of its entries is: were e at column
-    c the lowest nonzero one, the sum would be e 2^(width c), nonzero, mod
-    2^(width (c + 1)).
+    Each row of the right factor is packed as two ints, its real and its
+    imaginary parts at 2^(width c) for column c (Kronecker substitution), so
+    a row of the product packs into two sums of int multiples of them.  With
+    every part of the left factor at most a and every part of the right one
+    at most b in size, an entry of the product is at most 2 len(right) a b
+    < 2^width, so a packed sum is 0 exactly when each of its entries is:
+    were e at column c the lowest nonzero one, the sum would be
+    e 2^(width c), nonzero, mod 2^(width (c + 1)).
     """
-    width = (2 * len(right) * _bound(left) * _bound(right)).bit_length()
+    bounds = list(map(_bound, chain))
+    return [_is_zero(chain[j], chain[j - 1], bounds[j] * bounds[j - 1])
+            for j in range(1, len(chain))]
+
+
+def _is_zero(left, right, ab: int) -> bool:
+    """One product of :func:`zero_products`, ``ab`` the product of the bounds."""
+    width = (2 * len(right) * ab).bit_length()
     packed = []
     for row in right:
         re_sum = im_sum = 0

@@ -142,7 +142,7 @@ def stokes_check(h: Poly, T: ExtForm, region: Region, frame: TangentFrame,
     On the face x_axis = value with outward side +-1, Z_a^{a'} rho is the
     row's coefficient of d/dx_axis times the side, so each axis's flux is
     one polynomial and its two faces, high minus low, one moment sum
-    (:func:`integrate_poly_faces`).
+    (:func:`integrate_poly_faces`), taken for every axis, a zero flux too.
     """
     if T.degree != frame.dim - 1:
         raise ValueError("the boundary formula needs a form of degree dim-1")
@@ -157,9 +157,8 @@ def stokes_check(h: Poly, T: ExtForm, region: Region, frame: TangentFrame,
         # the flux sum_a h T_a Z_a rho through the faces x_axis = high and low
         flux = sum((ht * frame.Z_upper[a][aprime].coefficient(frame.vars[axis])
                     for a, ht in enumerate(h_t)), Poly.zero(frame.vars))
-        if flux:
-            faces = integrate_poly_faces(flux, region.lows, region.highs, axis)
-            boundary = tuple(b + f for b, f in zip(boundary, faces))
+        faces = integrate_poly_faces(flux, region.lows, region.highs, axis)
+        boundary = tuple(b + f for b, f in zip(boundary, faces))
 
     residual = tuple(a + b - c for a, b, c in zip(lhs, mid, boundary))
     absolute = _abs(residual)

@@ -47,12 +47,11 @@ def _integrate(p: Poly, lows: Sequence, highs: Sequence, frozen) -> tuple:
     the face row of :func:`integrate_poly_faces`, every other axis its
     moment table over [lows, highs], as long as the axis's field of
     ``poly.support`` (at least its highest exponent) needs: a longer table
-    gives the same exact values over a larger common denominator."""
+    gives the same exact values over a larger common denominator.  An
+    empty ``p`` has support 0, one-entry tables and the pair (0, 0)."""
     naxes = _check_box(p, lows, highs)
     if frozen is not None and not 0 <= frozen < naxes:
         raise ValueError(f"face axis {frozen} is outside the variable table")
-    if not p.num:
-        return Fraction(0), Fraction(0)
     den = p.den
     tables = []
     for axis, top in enumerate(unpack(support(p.num), naxes)):

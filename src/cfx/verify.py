@@ -69,10 +69,8 @@ def random_boundary_field(gen: SectionGenerator, spec: BoundarySpec,
 
 
 def boundary_composition_suite(group: GroupSpec, k: int, trials: int, seed: int,
-                               degree: int = 2,
-                               frame: TangentFrame | None = None) -> Report:
-    """Boundary operator composition law on random pair fields, exactly."""
-    frame = frame or TangentFrame(group)
+                               degree: int, frame: TangentFrame) -> Report:
+    """Boundary operator composition law on random pair fields on ``frame``, exactly."""
     spec = BoundarySpec(group.n, k)
 
     def passes(g, j):
@@ -86,10 +84,8 @@ def boundary_composition_suite(group: GroupSpec, k: int, trials: int, seed: int,
 
 
 def subcomplex_suite(group: GroupSpec, k: int, trials: int, seed: int,
-                     degree: int = 2,
-                     frame: TangentFrame | None = None) -> Report:
-    """On right-type groups the projected leading operators compose to zero."""
-    frame = frame or TangentFrame(group)
+                     degree: int, frame: TangentFrame) -> Report:
+    """On a right-type ``frame`` the projected leading operators compose to zero."""
     frame.require_right_type()
     spec = BoundarySpec(group.n, k)
 
@@ -102,15 +98,13 @@ def subcomplex_suite(group: GroupSpec, k: int, trials: int, seed: int,
                        seed, spec.top_level - 1, passes)
 
 
-def anticommute_suite(group: GroupSpec, trials: int, seed: int,
-                      frame: TangentFrame | None = None) -> Report:
-    """The curvature-coupled anticommutation law on random forms, exactly.
+def anticommute_suite(frame: TangentFrame, trials: int, seed: int) -> Report:
+    """The curvature-coupled anticommutation law on random forms on ``frame``, exactly.
 
     In general each symmetrized defect equals its curvature term; on
     right-type groups the defects vanish too (``plain_anticommutation``).
     The residual is the last difference that does not vanish.
     """
-    frame = frame or TangentFrame(group)
     gen = SectionGenerator(seed, degree=2)
     identity_ok = plain_zero = True
     residual = "0"

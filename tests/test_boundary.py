@@ -869,7 +869,7 @@ def test_subcomplex_composition(right2):
 
 def test_subcomplex_needs_right_type(left2):
     with pytest.raises(ValueError, match="right-type"):
-        subcomplex_suite(left2.group, 1, trials=1, seed=1, frame=left2)
+        subcomplex_suite(left2.group, 1, trials=1, seed=1, degree=2, frame=left2)
 
 
 def test_operator_level_out_of_range(right2):
@@ -908,17 +908,17 @@ def test_field_shape_mismatch(right2):
 
 
 def test_anticommutation_right_type(right2):
-    report = anticommute_suite(right2.group, trials=4, seed=3, frame=right2)
+    report = anticommute_suite(right2, trials=4, seed=3)
     assert report.passed and report["plain_anticommutation"]
 
 
 def test_anticommutation_left(left2):
-    report = anticommute_suite(left2.group, trials=4, seed=3, frame=left2)
+    report = anticommute_suite(left2, trials=4, seed=3)
     assert report.passed and not report["plain_anticommutation"]
 
 
 def test_anticommutation_abelian():
-    report = anticommute_suite(ABELIAN1.group, trials=3, seed=5, frame=ABELIAN1)
+    report = anticommute_suite(ABELIAN1, trials=3, seed=5)
     assert report.passed and report["plain_anticommutation"]
 
 
@@ -955,7 +955,7 @@ def test_anticommute_suite_matches_the_loop_reference(right2, left2):
         for trials, seed in ((1, 4), (3, 20 + i)):
             # the suite's record is the reference's dict, key for key
             want = verify_anticommute(frame, trials, seed)
-            got = anticommute_suite(frame.group, trials, seed, frame)
+            got = anticommute_suite(frame, trials, seed)
             assert got == want
             verdicts.add((got.passed, got["plain_anticommutation"]))
     assert verdicts == {(True, True), (True, False), (False, False)}

@@ -910,10 +910,9 @@ def test_symbol_leaves_the_covector_refusals_to_the_library(monkeypatch, capsys,
     def forbidden(*args, **kwargs):
         raise AssertionError("cfx symbol built a row of a covector it must reject")
 
-    # the middle level's entries come from _wedge_path, every other level's
-    # from one wedge_sign per entry; the covector 1-forms of every level
-    # from add_term, which a zero covector reaches too
-    monkeypatch.setattr(flat, "_wedge_path", forbidden)
+    # every symbol entry takes a wedge_sign, and the middle level's merge by
+    # add_term; the covector 1-forms of every level come from add_term,
+    # which a zero covector reaches too
     monkeypatch.setattr(flat, "wedge_sign", forbidden)
     monkeypatch.setattr(flat, "add_term", forbidden)
     monkeypatch.setattr(flat, "rank_mod_p", forbidden)

@@ -494,7 +494,6 @@ def test_floats_only_at_the_ma_report_edge(path):
 # Fraction() calls left elsewhere read no caller's value, each named here
 # with its reason
 FRACTION_CALLS = {
-    ("quadrature.py", "_integrate"): "the exact zero pair of an empty integrand",
     ("randgen.py", "SectionGenerator.symmetric_matrix"):
         "the generator's own draws and the Fraction(0) fill of its matrix",
 }
@@ -764,8 +763,6 @@ def _compared_attributes(node: ast.Compare, attr: str) -> int:
 # poly.Packed._check holds
 VARS_COMPARISONS = {
     ("poly.py", "Packed._check"): "the one variable-table check of two operands",
-    ("boundary.py", "frak_d"): "a guard that raises through ExtForm._check: a call per "
-                               "frak_d costs 0.2-0.4% of flat (BENCH_54.json, replay)",
     ("cli.py", "cmd_ma"): "outside input: a --u file's table against the group's, "
                           "with the command's own message",
 }
@@ -780,29 +777,37 @@ VARIABLE_TABLE_MESSAGES = {
 }
 
 
+def _comparison_sites() -> tuple:
+    """The (module, function) sites that compare a ``.vars`` with ``==`` or
+    ``!=``, and those that compare two ``.dim``s."""
+    vars_sites, dim_sites = set(), set()
+    for path in MODULES:
+        for owner, node in _owned_nodes(_tree(path)):
+            if isinstance(node, ast.Compare):
+                if _compared_attributes(node, "vars"):
+                    vars_sites.add((path.name, owner))
+                if _compared_attributes(node, "dim") >= 2:
+                    dim_sites.add((path.name, owner))
+    return vars_sites, dim_sites
+
+
 def test_operand_rules_have_one_home():
     # one variable-table check (poly.Packed._check), one form-shape check
     # (ExtForm._check, which adds the dim and degree tests), and values that
     # combine only with their own kind: Poly has no scalar coercion of its own
     from cfx.poly import Poly
 
-    vars_sites, dim_sites, message_sites = set(), set(), set()
+    message_sites = set()
     for path in MODULES:
         tree = _tree(path)
         docstrings = _docstring_ids(tree)
         for owner, node in _owned_nodes(tree):
-            if isinstance(node, ast.Compare):
-                if _compared_attributes(node, "vars"):
-                    vars_sites.add((path.name, owner))
-                if _compared_attributes(node, "dim") >= 2:
-                    dim_sites.add((path.name, owner))
-            elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
-                  and "variable table" in node.value and id(node) not in docstrings):
+            if (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                    and "variable table" in node.value and id(node) not in docstrings):
                 message_sites.add((path.name, owner))
+    vars_sites, dim_sites = _comparison_sites()
     assert vars_sites == set(VARS_COMPARISONS), sorted(vars_sites)
-    # frak_d's guard reads the form's dim and vars, as VARS_COMPARISONS says
-    assert dim_sites == {("exterior.py", "ExtForm._check"), ("boundary.py", "frak_d")}, \
-        sorted(dim_sites)
+    assert dim_sites == {("exterior.py", "ExtForm._check")}, sorted(dim_sites)
     assert message_sites == set(VARIABLE_TABLE_MESSAGES), sorted(message_sites)
     checking = sorted(f"{path.name}:{owner}" for path in MODULES
                       for owner, names in _names_called(_tree(path)).items() if "_check" in names)
@@ -813,6 +818,35 @@ def test_operand_rules_have_one_home():
         "poly.py:_coefficient", "quadrature.py:CutoffJet.apply_op",
         "quadrature.py:integrate_jets", "spinor.py:SpinorField.__init__"], checking
     assert not {"__sub__", "__radd__", "__rmul__"} & set(vars(Poly))
+
+
+def test_one_home_rules_keep_no_exception():
+    # frak_d checks its operand through ExtForm._check alone, a zero
+    # integrand takes the one moment sum, the middle symbol has no path
+    # walker of its own, and a suite runs on the frame its caller built
+    from cfx import flat, verify
+
+    assert not hasattr(flat, "_wedge_path")
+    vars_sites, dim_sites = _comparison_sites()
+    assert vars_sites <= set(VARS_COMPARISONS), sorted(vars_sites)
+    assert dim_sites == {("exterior.py", "ExtForm._check")}, sorted(dim_sites)
+
+    def function(module, name):
+        return next(node for node in ast.walk(_tree(PACKAGE / module))
+                    if isinstance(node, ast.FunctionDef) and node.name == name)
+
+    assert not any(isinstance(node, ast.If) and getattr(node.test, "id", None) == "flux"
+                   for node in ast.walk(function("ma.py", "stokes_check")))
+    returns = [node.lineno for node in ast.walk(function("quadrature.py", "_integrate"))
+               if isinstance(node, ast.Return)]
+    assert len(returns) == 1, returns
+    assert "TangentFrame" not in set().union(*_names_called(_tree(PACKAGE / "verify.py")).values())
+    assert list(inspect.signature(verify.anticommute_suite).parameters) == [
+        "frame", "trials", "seed"]
+    for suite in (verify.boundary_composition_suite, verify.subcomplex_suite,
+                  verify.anticommute_suite):
+        frame = inspect.signature(suite).parameters["frame"]
+        assert frame.default is inspect.Parameter.empty, suite.__name__
 
 
 def test_edge_rules_have_one_home():

@@ -13,8 +13,9 @@ it is checked against follows the arrow:
   sum of products.
 
 The package's ``linalg.bareiss``, ``linalg.rank_mod_p`` (against the rank,
-equal at the default prime, a lower bound at any), ``linalg.is_zero_product``
-and ``linalg.pfaffian`` are tested against them.
+equal at the default prime, a lower bound at any), ``linalg.zero_products``
+(through ``is_zero_product``, its two-matrix chain) and ``linalg.pfaffian``
+are tested against them.
 """
 
 import math
@@ -27,9 +28,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cfx import groups
+from cfx import groups, linalg
 from cfx.groups import I_MATS, GroupSpec, block_diag, mat_mul
-from cfx.linalg import IOTA, PRIME, bareiss, is_zero_product, pfaffian, rank_mod_p
+from cfx.linalg import IOTA, PRIME, bareiss, pfaffian, rank_mod_p, zero_products
 from cfx.poly import Poly
 from cfx.randgen import SectionGenerator
 from test_poly import is_homogeneous, tuple_num
@@ -445,6 +446,33 @@ def kernel_pair(rng, rows, inner, cols):
     right = [[(-x, -y) for x, y in row] for row in gaussian_product(t, s)] + s
     return (gaussian_product(draw(rows, half), left),
             gaussian_product(right, draw(3, cols)))
+
+
+def is_zero_product(left, right) -> bool:
+    """Whether ``left`` times ``right`` is zero: ``zero_products`` on the
+    two-matrix chain."""
+    return zero_products([right, left])[0]
+
+
+def test_zero_products_bound_each_matrix_once(monkeypatch):
+    # a middle matrix enters two products but is bounded once, and each
+    # product of the chain is the dense one's verdict
+    rng = random.Random(23)
+    bounded = []
+    original = linalg._bound
+    monkeypatch.setattr(linalg, "_bound", lambda rows: bounded.append(rows) or original(rows))
+    for case in range(20):
+        a, b = kernel_pair(rng, rng.randint(1, 8), rng.randint(2, 8), rng.randint(1, 8))
+        d = [[(rng.randint(-3, 3) << 40 * (case % 2), rng.randint(-3, 3)) for _ in a]
+             for _ in range(rng.randint(1, 6))]
+        chain = [b, a, d, [[(0, 0)] * len(d)]]
+        bounded.clear()
+        got = zero_products([sparse(m) for m in chain])
+        assert len(bounded) == len(chain)
+        assert got == [is_zero_matrix(gaussian_product(chain[j], chain[j - 1]))
+                       for j in range(1, len(chain))]
+        assert got[0] and got[2]
+    assert zero_products([]) == zero_products([[{0: (1, 0)}]]) == []
 
 
 def test_is_zero_product_matches_the_dense_product():

@@ -14,10 +14,14 @@ Each quantity has one reference:
   ``test_n3_symbol_ranks_match_the_dense_reference``; ``rank_mod_p`` against
   ``bareiss`` on every level at n = 3 and 4, in
   ``test_modular_ranks_match_bareiss``;
-- the product of two consecutive symbols (``is_zero_product``):
+- the product of two consecutive symbols (``is_zero_product``, a chain of
+  two for ``linalg.zero_products``):
   ``gaussian_product`` from ``tests/test_linalg.py`` on ``dense_symbol``, in
   ``test_consecutive_symbols_compose_to_zero`` and
-  ``test_one_flipped_entry_breaks_the_composition``.
+  ``test_one_flipped_entry_breaks_the_composition``;
+- the classical anchor, level 0 at k = 1: ``fueter_symbol``, the symbol of
+  the left and the right Cauchy-Fueter operator from the quaternion product,
+  in ``test_level_0_at_k_1_is_the_left_cauchy_fueter_operator``.
 """
 
 import json
@@ -28,18 +32,19 @@ from itertools import combinations
 import pytest
 
 from cfx import boundary, flat, linalg
-from cfx.boundary import BoundarySpec
+from cfx.boundary import BoundarySpec, TangentFrame
 from cfx.cli import main
 from cfx.exterior import ExtForm
 from cfx.flat import ComplexSpec, check_exactness, flat_D, symbol_at
 from cfx.groups import GroupSpec
-from cfx.linalg import bareiss, is_zero_product
+from cfx.linalg import bareiss
 from cfx.poly import Poly
 from cfx.randgen import SectionGenerator
 from cfx.spinor import LevelTable, SpinorField
 from cfx.verify import boundary_composition_suite, flat_composition_suite
 from test_exterior import basis_form
-from test_linalg import dense_rank, gaussian_product, sparse
+from test_flat import _kernel_exact
+from test_linalg import dense_rank, gaussian_product, is_zero_product, sparse
 from test_operators import coeffs
 from test_poly import constant_term
 from test_rational import ZERO, cq, pair
@@ -204,11 +209,13 @@ def test_a_slot_rule_defect_reaches_operator_symbol_and_boundary(monkeypatch):
         return (tuple((a, path) for a, path in first if a <= self.sigma(j)),) + rule[1:]
 
     group = GroupSpec.right_qh(2)
+    frame = TangentFrame(group)
     v = SectionGenerator(712).rational_vector(8)
     for passes in (True, False):
         assert flat_composition_suite(1, 2, trials=10, seed=1).passed == passes
         assert check_exactness(ComplexSpec(1, 2), v)["exact"] == passes
-        assert boundary_composition_suite(group, 2, trials=10, seed=1).passed == passes
+        assert boundary_composition_suite(group, 2, trials=10, seed=1, degree=2,
+                                          frame=frame).passed == passes
         monkeypatch.setattr(LevelTable, "slot_rule", far_d1)
 
 
@@ -569,3 +576,85 @@ def test_a_prime_that_bounds_nothing_falls_back_to_bareiss(k, monkeypatch, capsy
     assert main(argv) == expected == (0 if k <= 3 else 1)
     assert capsys.readouterr().out == report
     assert len(calls) == ComplexSpec(1, k).top_level
+
+
+# -- the classical anchor: level 0 at k = 1 is the Cauchy-Fueter operator ------------------
+
+
+def quaternion_product(p, q):
+    """p q for quaternions written as (1, i, j, k) coordinate 4-tuples."""
+    a1, b1, c1, d1 = p
+    a2, b2, c2, d2 = q
+    return (a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2, a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
+            a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2, a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2)
+
+
+def fueter_symbol(n: int, m: int, left: bool) -> list:
+    """The real 4(n+1) x 4 symbol at e_m of the Cauchy-Fueter operator
+    sum_v e_v d/dx_v on H-valued functions of n + 1 quaternionic variables:
+    multiplication by the unit e_(m mod 4), on the left or the right, in the
+    block of variable m // 4."""
+    unit = tuple(int(i == m % 4) for i in range(4))
+    basis = [tuple(int(i == e) for i in range(4)) for e in range(4)]
+    block = [quaternion_product(unit, e) if left else quaternion_product(e, unit)
+             for e in basis]  # the columns
+    rows = [[0] * 4 for _ in range(4 * (n + 1))]
+    for e, column in enumerate(block):
+        for i, x in enumerate(column):
+            rows[4 * (m // 4) + i][e] = x
+    return rows
+
+
+def real_symbol(n: int, m: int) -> list:
+    """``symbol_at`` of flat level 0 at k = 1 and e_m as a real matrix: each
+    complex entry re + i im becomes the block [[re, -im], [im, re]]."""
+    v = [int(i == m) for i in range(4 * (n + 1))]
+    complex_rows = symbol_at(ComplexSpec(n, 1), 0, v)
+    real = [[0] * 4 for _ in range(2 * len(complex_rows))]
+    for r, row in enumerate(complex_rows):
+        for c, (re, im) in row.items():
+            real[2 * r][2 * c], real[2 * r][2 * c + 1] = re, -im
+            real[2 * r + 1][2 * c], real[2 * r + 1][2 * c + 1] = im, re
+    return real
+
+
+def intertwiners(n: int, left: bool):
+    """(dimension, basis) of the constant real pairs (M, N) with
+    S_m N = M F_m for every m, S_m the real symbol of level 0 and F_m that
+    of left or right Cauchy-Fueter; a vector lists M's entries row by row,
+    then N's."""
+    size = 4 * (n + 1)
+    m_at, n_at = (lambda i, k: i * size + k), (lambda k, c: size * size + 4 * k + c)
+    rows = []
+    for m in range(size):
+        s, f = real_symbol(n, m), fueter_symbol(n, m, left)
+        assert len(s) == size
+        for i in range(size):
+            for c in range(4):
+                row = {n_at(k, c): cq(s[i][k]) for k in range(4) if s[i][k]}
+                row.update({m_at(i, k): cq(-f[k][c]) for k in range(size) if f[k][c]})
+                if row:
+                    rows.append(row)
+    return _kernel_exact(rows, size * size + 16)
+
+
+def is_invertible(entries, size: int) -> bool:
+    """Whether the square matrix of ``entries``, row by row, has a zero kernel."""
+    rows = [{c: x for c, x in enumerate(entries[i * size:(i + 1) * size]) if not x.is_zero()}
+            for i in range(size)]
+    return _kernel_exact(rows, size)[0] == 0
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_level_0_at_k_1_is_the_left_cauchy_fueter_operator(n):
+    # the flat operator of level 0 at k = 1 and left d-bar_q (Sudbery 1979)
+    # intertwine by constant invertible (M, N): the pairs form a
+    # 4-dimensional space, the quaternion scalars; right d-bar_q admits none.
+    # An X3/X4 swap or a sign flip of X4 in the ambient frame fails it
+    size = 4 * (n + 1)
+    dim, basis = intertwiners(n, left=True)
+    assert dim == 4
+    generic = [sum((cq(t + 1) * vec[i] for t, vec in enumerate(basis)), cq(0))
+               for i in range(size * size + 16)]
+    assert is_invertible(generic[:size * size], size) and is_invertible(generic[size * size:], 4)
+    assert intertwiners(n, left=False)[0] == 0
